@@ -113,6 +113,12 @@ impl ByteWriter {
         Self::default()
     }
 
+    /// A writer that appends to `buf` (the frame encoder writes bodies
+    /// straight into a connection's output buffer this way).
+    pub fn appending(buf: Vec<u8>) -> Self {
+        Self { buf }
+    }
+
     /// Finishes, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

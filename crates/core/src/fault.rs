@@ -73,6 +73,19 @@ pub enum FaultKind {
         /// Length of the degraded window.
         duration_secs: f64,
     },
+    /// The next `ChunkData` reply bound for the client after `at` is
+    /// lost in transit. A wire-level fault of the TCP transport, which
+    /// recovers it inside the fetch (a later reply on the same
+    /// connection exposes the gap and the chunk is asked for again);
+    /// the simulator and the thread backend move a unit's chunks as one
+    /// verified bulk transfer and have no reply to lose, so they ignore
+    /// it. Not part of [`FaultPlan::random`]'s mix — existing seeds
+    /// keep their plans.
+    DropChunk,
+    /// The next `ChunkData` reply bound for the client after `at`
+    /// arrives with a broken body checksum: the donor's frame reader
+    /// skips it and the fetch recovers as for [`FaultKind::DropChunk`].
+    CorruptChunk,
     /// A chunk *replica* endpoint crashes at `at` and refuses
     /// connections for `down_secs` before coming back with its store
     /// intact (a rebooted mirror). The event's `client` field carries
@@ -428,6 +441,8 @@ impl FaultPlan {
                 FaultKind::WrongResult => (8, 0.0, 0.0),
                 FaultKind::ReplicaCrash { down_secs } => (9, down_secs, 0.0),
                 FaultKind::ReplicaStall { duration_secs } => (10, duration_secs, 0.0),
+                FaultKind::DropChunk => (11, 0.0, 0.0),
+                FaultKind::CorruptChunk => (12, 0.0, 0.0),
             };
             eat(&[tag]);
             eat(&a.to_bits().to_le_bytes());
@@ -512,6 +527,10 @@ impl FaultInjector for NoFaults {}
 pub struct PlanInterpreter {
     // Armed one-shot delivery faults per client, each sorted by time.
     deliveries: Vec<Vec<(f64, DeliveryAction)>>,
+    // Armed one-shot `ChunkData` reply faults per client, sorted by
+    // time; their own queue, consumed only by the TCP fault proxy's
+    // server→client pump.
+    chunk_replies: Vec<Vec<(f64, DeliveryAction)>>,
     // Armed one-shot Byzantine wrong-result faults per client, sorted
     // by time; a separate queue so consuming one never perturbs the
     // delivery-fault schedule (and vice versa).
@@ -530,6 +549,7 @@ impl PlanInterpreter {
     /// Builds the interpreter for a plan over `n_clients` clients.
     pub fn new(plan: &FaultPlan, n_clients: usize) -> Self {
         let mut deliveries: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
+        let mut chunk_replies: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
         let mut wrongs: Vec<Vec<f64>> = vec![Vec::new(); n_clients];
         let mut slowdowns: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); n_clients];
         let mut link_windows = Vec::new();
@@ -540,6 +560,12 @@ impl PlanInterpreter {
                 }
                 (FaultKind::WrongResult, Some(c)) if c < n_clients => {
                     wrongs[c].push(e.at);
+                }
+                (FaultKind::DropChunk, Some(c)) if c < n_clients => {
+                    chunk_replies[c].push((e.at, DeliveryAction::Drop));
+                }
+                (FaultKind::CorruptChunk, Some(c)) if c < n_clients => {
+                    chunk_replies[c].push((e.at, DeliveryAction::Corrupt));
                 }
                 (FaultKind::DuplicateResult, Some(c)) if c < n_clients => {
                     deliveries[c].push((e.at, DeliveryAction::Duplicate));
@@ -568,7 +594,7 @@ impl PlanInterpreter {
                 _ => {} // lifecycle events are read via the plan accessors
             }
         }
-        for v in &mut deliveries {
+        for v in deliveries.iter_mut().chain(&mut chunk_replies) {
             v.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         for v in &mut wrongs {
@@ -576,6 +602,7 @@ impl PlanInterpreter {
         }
         Self {
             deliveries,
+            chunk_replies,
             wrongs,
             slowdowns,
             link_windows,
@@ -593,29 +620,38 @@ impl PlanInterpreter {
     pub fn consumed_wrong_results(&self) -> u64 {
         self.consumed_wrong
     }
+
+    /// Decides the fate of a `ChunkData` reply bound for `client` at
+    /// `now`: the earliest armed [`FaultKind::DropChunk`] /
+    /// [`FaultKind::CorruptChunk`] whose time has passed is consumed.
+    pub fn chunk_reply_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
+        pop_due(self.chunk_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
+    }
+}
+
+/// Consumes the earliest armed one-shot fault whose time has passed;
+/// later armed faults stay pending for subsequent deliveries.
+fn pop_due(armed: Option<&mut Vec<(f64, DeliveryAction)>>, now: f64) -> Option<DeliveryAction> {
+    let armed = armed?;
+    match armed.first() {
+        Some(&(at, _)) if at <= now => Some(armed.remove(0).1),
+        _ => None,
+    }
 }
 
 impl FaultInjector for PlanInterpreter {
     fn delivery_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
-        let Some(armed) = self.deliveries.get_mut(client) else {
+        let Some(action) = pop_due(self.deliveries.get_mut(client), now) else {
             return DeliveryAction::Deliver;
         };
-        // Consume the earliest armed fault whose time has passed; later
-        // armed faults stay pending for subsequent deliveries.
-        match armed.first() {
-            Some(&(at, action)) if at <= now => {
-                armed.remove(0);
-                let slot = match action {
-                    DeliveryAction::Drop => 0,
-                    DeliveryAction::Duplicate => 1,
-                    DeliveryAction::Corrupt => 2,
-                    DeliveryAction::Deliver => unreachable!("never armed"),
-                };
-                self.consumed[slot] += 1;
-                action
-            }
-            _ => DeliveryAction::Deliver,
-        }
+        let slot = match action {
+            DeliveryAction::Drop => 0,
+            DeliveryAction::Duplicate => 1,
+            DeliveryAction::Corrupt => 2,
+            DeliveryAction::Deliver => unreachable!("never armed"),
+        };
+        self.consumed[slot] += 1;
+        action
     }
 
     fn wrong_result(&mut self, client: ClientId, now: f64) -> bool {

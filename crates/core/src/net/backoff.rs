@@ -3,7 +3,7 @@
 //!
 //! One implementation, two very different consumers: [`client`]'s
 //! reconnect path (a donor probing for a restarted server) and the
-//! replica failover ladder in `fetch_one` (a donor walking its
+//! replica failover ladder in `fetch_chunks` (a donor walking its
 //! candidate endpoints after a timeout or digest mismatch). Both need
 //! the same three properties the scheduler's lease backoff already
 //! pinned down: doubling with a hard clamp on the exponent (so the

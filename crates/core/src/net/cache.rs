@@ -43,14 +43,35 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// A bounded LRU of chunk bytes, keyed by content digest.
-#[derive(Debug, Default)]
+/// "No slot": the end of the recency list, or an empty list.
+const NIL: usize = usize::MAX;
+
+/// One node of the recency list, linked by slot index.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    digest: u64,
+    /// Towards the least-recently-used end.
+    prev: usize,
+    /// Towards the most-recently-used end.
+    next: usize,
+}
+
+/// A bounded LRU of chunk bytes, keyed by content digest. Recency is a
+/// doubly linked list threaded through a slot vector, so a hit, an
+/// insert and an eviction each cost O(1) however many chunks are held.
+#[derive(Debug)]
 pub struct ChunkCache {
     capacity_bytes: u64,
     used_bytes: u64,
-    entries: HashMap<u64, Arc<Vec<u8>>>,
-    /// Access order, least-recently-used first.
-    order: Vec<u64>,
+    /// Digest → (bytes, slot in `links`).
+    entries: HashMap<u64, (Arc<Vec<u8>>, usize)>,
+    links: Vec<Link>,
+    /// Slots of `links` released by removals, reused before it grows.
+    free: Vec<usize>,
+    /// Least-recently-used slot (the next eviction victim).
+    lru: usize,
+    /// Most-recently-used slot.
+    mru: usize,
     stats: CacheStats,
 }
 
@@ -59,7 +80,13 @@ impl ChunkCache {
     pub fn new(capacity_bytes: u64) -> Self {
         Self {
             capacity_bytes,
-            ..Self::default()
+            used_bytes: 0,
+            entries: HashMap::new(),
+            links: Vec::new(),
+            free: Vec::new(),
+            lru: NIL,
+            mru: NIL,
+            stats: CacheStats::default(),
         }
     }
 
@@ -95,22 +122,44 @@ impl ChunkCache {
 
     /// Digests in eviction order: least-recently-used first.
     pub fn lru_order(&self) -> Vec<u64> {
-        self.order.clone()
+        let mut order = Vec::with_capacity(self.entries.len());
+        let mut slot = self.lru;
+        while slot != NIL {
+            order.push(self.links[slot].digest);
+            slot = self.links[slot].next;
+        }
+        order
     }
 
-    fn touch(&mut self, digest: u64) {
-        if let Some(pos) = self.order.iter().position(|&d| d == digest) {
-            self.order.remove(pos);
+    /// Detaches `slot` from the recency list.
+    fn unlink(&mut self, slot: usize) {
+        let Link { prev, next, .. } = self.links[slot];
+        match prev {
+            NIL => self.lru = next,
+            p => self.links[p].next = next,
         }
-        self.order.push(digest);
+        match next {
+            NIL => self.mru = prev,
+            n => self.links[n].prev = prev,
+        }
+    }
+
+    /// Attaches `slot` at the most-recently-used end.
+    fn link_mru(&mut self, slot: usize) {
+        self.links[slot].prev = self.mru;
+        self.links[slot].next = NIL;
+        match self.mru {
+            NIL => self.lru = slot,
+            m => self.links[m].next = slot,
+        }
+        self.mru = slot;
     }
 
     fn remove_entry(&mut self, digest: u64) {
-        if let Some(bytes) = self.entries.remove(&digest) {
+        if let Some((bytes, slot)) = self.entries.remove(&digest) {
             self.used_bytes -= bytes.len() as u64;
-            if let Some(pos) = self.order.iter().position(|&d| d == digest) {
-                self.order.remove(pos);
-            }
+            self.unlink(slot);
+            self.free.push(slot);
         }
     }
 
@@ -121,9 +170,10 @@ impl ChunkCache {
     /// refetch from the server.
     pub fn get_verified(&mut self, digest: u64) -> Option<Arc<Vec<u8>>> {
         match self.entries.get(&digest) {
-            Some(bytes) if chunk_digest(bytes) == digest => {
-                let bytes = bytes.clone();
-                self.touch(digest);
+            Some((bytes, slot)) if chunk_digest(bytes) == digest => {
+                let (bytes, slot) = (bytes.clone(), *slot);
+                self.unlink(slot);
+                self.link_mru(slot);
                 self.stats.hits += 1;
                 Some(bytes)
             }
@@ -155,13 +205,28 @@ impl ChunkCache {
         }
         self.remove_entry(digest);
         while self.used_bytes + size > self.capacity_bytes {
-            let victim = self.order[0];
+            let victim = self.links[self.lru].digest;
             self.remove_entry(victim);
             self.stats.evictions += 1;
         }
         self.used_bytes += size;
-        self.entries.insert(digest, bytes);
-        self.order.push(digest);
+        let link = Link {
+            digest,
+            prev: NIL,
+            next: NIL,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.links[slot] = link;
+                slot
+            }
+            None => {
+                self.links.push(link);
+                self.links.len() - 1
+            }
+        };
+        self.link_mru(slot);
+        self.entries.insert(digest, (bytes, slot));
         true
     }
 
@@ -169,7 +234,10 @@ impl ChunkCache {
     /// survive — they describe the lifetime, not the contents).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.order.clear();
+        self.links.clear();
+        self.free.clear();
+        self.lru = NIL;
+        self.mru = NIL;
         self.used_bytes = 0;
     }
 }
@@ -241,6 +309,43 @@ mod tests {
         assert!(!c.contains(wrong_digest), "corrupt entry must not linger");
         assert_eq!(c.stats().misses, 1);
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn churn_reuses_list_slots_and_keeps_order_against_a_naive_model() {
+        // Ten-entry cache, 10k operations mixing hits, inserts and
+        // re-inserts: the recency list must match a Vec-based model at
+        // every step and never hold more slots than entries ever lived
+        // at once.
+        let mut c = ChunkCache::new(10 * 8);
+        let mut model: Vec<u64> = Vec::new();
+        let mut x = 0x9E37_79B9u64;
+        for _ in 0..10_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let id = (x >> 33) % 25;
+            let bytes = Arc::new(id.to_le_bytes().to_vec());
+            let digest = chunk_digest(&bytes);
+            if x & 1 == 0 {
+                let hit = c.get_verified(digest).is_some();
+                assert_eq!(hit, model.contains(&digest));
+                if hit {
+                    model.retain(|&d| d != digest);
+                    model.push(digest);
+                }
+            } else {
+                assert!(c.insert(digest, bytes));
+                model.retain(|&d| d != digest);
+                if model.len() == 10 {
+                    model.remove(0);
+                }
+                model.push(digest);
+            }
+            assert_eq!(c.lru_order(), model);
+            assert_eq!(c.used_bytes(), 8 * model.len() as u64);
+        }
+        assert!(c.links.len() <= 10, "{} list slots", c.links.len());
     }
 
     #[test]

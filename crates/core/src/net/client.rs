@@ -17,7 +17,7 @@
 
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache};
-use super::wire::{encode_frame, Frame, FrameReader, ReadError};
+use super::wire::{encode_frame_into, Frame, FrameReader, ReadError, HEADER_LEN};
 use super::{Clock, Directory};
 use crate::codec::{ChunkNeed, WireCodec};
 use crate::fault::{FaultInjector, FaultPlan, PlanInterpreter};
@@ -154,6 +154,45 @@ pub fn spawn_clients(
         .collect()
 }
 
+/// Bytes one burst window may have in flight on a connection: the
+/// donor writes `ChunkRequest`s back to back until the exchange they
+/// start (each chunk's [`ChunkNeed::bytes`] plus the framing of its
+/// request and reply) reaches this, then waits for the window to drain
+/// before writing the next. It bounds what the serving endpoint queues
+/// in its output buffer for one connection, whatever the unit size; it
+/// is small enough that neither side of a *blocking* endpoint (a
+/// replica) can fill the other's socket buffers while both are still
+/// writing, and large enough that a unit of a few hundred sequence
+/// chunks is one write and one streamed reply.
+const BURST_WINDOW_BYTES: u64 = 256 * 1024;
+
+/// Framing of one chunk exchange: a `ChunkRequest` frame (24-byte body)
+/// plus the header, ids, digest, length prefix and CRC around the
+/// `ChunkData` payload.
+const CHUNK_EXCHANGE_OVERHEAD: u64 = 2 * (HEADER_LEN as u64 + 4) + 24 + 28;
+
+/// Replica rungs a fetch walks before falling back to the origin.
+const REPLICA_RUNGS: usize = 2;
+
+/// Times the origin is asked for a chunk before the unit is given up.
+const ORIGIN_ATTEMPTS: usize = 3;
+
+/// One transport connection: the socket and its frame reassembly.
+type Conn = (TcpStream, FrameReader);
+
+/// How one [`ClientLoop::burst`] over a connection ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum BurstEnd {
+    /// Every request was answered or proven lost; the stream is clean.
+    Complete,
+    /// The endpoint refused a chunk with `ChunkMissing`.
+    Missing,
+    /// A reply did not arrive within the ack timeout (or the run ended).
+    TimedOut,
+    /// The connection failed.
+    Broken,
+}
+
 /// A result computed but not yet acknowledged — the idempotence unit.
 struct PendingResult {
     problem: u64,
@@ -182,7 +221,9 @@ struct ClientLoop {
     run_over: Arc<AtomicBool>,
     opts: NetClientOptions,
     rng: SplitMix64,
-    conn: Option<(TcpStream, FrameReader)>,
+    conn: Option<Conn>,
+    /// Outbound frames are encoded here, then written in one call.
+    wbuf: Vec<u8>,
     reconnect: Backoff,
     pending: Option<PendingResult>,
     last_heartbeat: f64,
@@ -219,6 +260,7 @@ impl ClientLoop {
             run_over,
             rng: SplitMix64::new(0xC11E_27B1 ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             conn: None,
+            wbuf: Vec::new(),
             reconnect: Backoff::new(opts.reconnect_base, opts.reconnect_cap, 6),
             pending: None,
             last_heartbeat: 0.0,
@@ -307,13 +349,13 @@ impl ClientLoop {
         let addr = self.directory.origin();
         let stream = addr.and_then(|a| TcpStream::connect(a).ok());
         match stream {
-            Some(mut stream) => {
+            Some(stream) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
-                let _ = stream.write_all(&encode_frame(&Frame::Hello {
-                    client: self.id as u64,
-                }));
                 self.conn = Some((stream, FrameReader::new()));
+                self.send(&Frame::Hello {
+                    client: self.id as u64,
+                });
                 self.reconnect.reset();
                 true
             }
@@ -331,14 +373,24 @@ impl ClientLoop {
     }
 
     fn send(&mut self, frame: &Frame) -> bool {
-        let bytes = encode_frame(frame);
+        self.wbuf.clear();
+        encode_frame_into(frame, &mut self.wbuf);
         if let Some((stream, _)) = self.conn.as_mut() {
-            if stream.write_all(&bytes).is_ok() {
+            if stream.write_all(&self.wbuf).is_ok() {
                 return true;
             }
         }
         self.drop_conn();
         false
+    }
+
+    /// Adds to a counter in the shared registry and in the donor-local
+    /// one that ships to the server.
+    fn count(&mut self, name: &str, v: u64) {
+        if v > 0 {
+            self.telemetry.counter_add(name, v);
+            self.local_metrics.counter_add(name, v);
+        }
     }
 
     /// Reads frames until `accept` claims one, the ack timeout passes
@@ -557,200 +609,303 @@ impl ClientLoop {
         });
     }
 
-    /// Assembles the chunk bytes a unit needs, in `needs` order. Cache
-    /// hits cost zero wire bytes; misses go out as [`Frame::ChunkRequest`].
+    /// Assembles the chunk bytes a unit needs, in `needs` order: plan,
+    /// burst, verify. Cache hits resolve first and cost zero wire bytes;
+    /// the misses walk the failover ladder in *groups* — each replica
+    /// rung sends the misses routed to one endpoint as one burst over
+    /// one connection, whatever a rung leaves unanswered or
+    /// unverifiable moves down, and the origin, over the main
+    /// connection, is the last resort. Received bytes are verified
+    /// against the digest the unit advertised before they are cached,
+    /// so no endpoint can launder wrong bytes.
     fn fetch_chunks(
         &mut self,
         problem: u64,
         needs: &[ChunkNeed],
     ) -> Option<Vec<(u64, Arc<Vec<u8>>)>> {
-        let mut out = Vec::with_capacity(needs.len());
-        for need in needs {
-            if let Some(bytes) = self.cache.get_verified(need.digest) {
-                self.telemetry.counter_add("cache.hits", 1);
-                self.local_metrics.counter_add("cache.hits", 1);
+        let mut got: Vec<Option<Arc<Vec<u8>>>> = Vec::with_capacity(needs.len());
+        let mut todo: Vec<usize> = Vec::new();
+        let planned_at = self.clock.now();
+        for (i, need) in needs.iter().enumerate() {
+            let (client, digest) = (self.id, need.digest);
+            let hit = self.cache.get_verified(digest);
+            if hit.is_some() {
                 self.telemetry.emit_at(
-                    self.clock.now(),
-                    crate::telemetry::EventKind::CacheHit {
-                        client: self.id,
-                        digest: need.digest,
-                    },
+                    planned_at,
+                    crate::telemetry::EventKind::CacheHit { client, digest },
                 );
-                out.push((need.chunk, bytes));
-                continue;
+            } else {
+                self.telemetry.emit_at(
+                    planned_at,
+                    crate::telemetry::EventKind::CacheMiss { client, digest },
+                );
+                self.telemetry.emit_at(
+                    planned_at,
+                    crate::telemetry::EventKind::ChunkFetchStarted { client, digest },
+                );
+                todo.push(i);
             }
-            self.telemetry.counter_add("cache.misses", 1);
-            self.local_metrics.counter_add("cache.misses", 1);
-            let t = self.clock.now();
-            self.telemetry.emit_at(
-                t,
-                crate::telemetry::EventKind::CacheMiss {
-                    client: self.id,
-                    digest: need.digest,
-                },
-            );
-            self.telemetry.emit_at(
-                t,
-                crate::telemetry::EventKind::ChunkFetchStarted {
-                    client: self.id,
-                    digest: need.digest,
-                },
-            );
-            out.push((need.chunk, self.fetch_one(problem, need)?));
+            got.push(hit);
         }
-        Some(out)
-    }
+        self.count("cache.hits", (needs.len() - todo.len()) as u64);
+        self.count("cache.misses", todo.len() as u64);
 
-    /// Fetches one chunk through the failover ladder: the routed
-    /// replica candidates first (rendezvous order, healthy endpoints
-    /// only), the origin as last resort. Every failure — connect
-    /// refusal, timeout, `ChunkMissing`, digest mismatch — marks the
-    /// endpoint dead in the directory, counts a failover, and falls
-    /// through to the next rung after a jittered backoff. Received
-    /// bytes are verified against the digest the unit advertised
-    /// before caching, so no endpoint can launder wrong bytes.
-    fn fetch_one(&mut self, problem: u64, need: &ChunkNeed) -> Option<Arc<Vec<u8>>> {
-        let candidates =
-            self.directory
-                .candidates_for(need.digest, self.id as u64, 2, self.clock.now());
-        if !candidates.is_empty() {
-            self.telemetry.counter_add("replica.fetches", 1);
-        }
         let mut backoff = Backoff::new(self.opts.reconnect_base, self.opts.reconnect_cap, 6);
-        for (rung, addr) in candidates.into_iter().enumerate() {
-            if let Some(payload) = self.fetch_from_replica(addr, problem, need) {
-                self.directory.mark_alive(addr);
-                self.telemetry
-                    .counter_add("replica.bytes_replica", payload.len() as u64);
+        for rung in 0..REPLICA_RUNGS {
+            // Group what is still missing by its first healthy
+            // rendezvous candidate; endpoints that failed a higher rung
+            // are dead in the directory, so this is the next one down.
+            let now = self.clock.now();
+            let mut groups: Vec<(SocketAddr, Vec<usize>)> = Vec::new();
+            let mut unrouted = Vec::new();
+            for i in todo.drain(..) {
+                let routed = self
+                    .directory
+                    .candidates_for(needs[i].digest, self.id as u64, 1, now);
+                match routed.first() {
+                    Some(addr) => match groups.iter_mut().find(|(a, _)| a == addr) {
+                        Some((_, group)) => group.push(i),
+                        None => groups.push((*addr, vec![i])),
+                    },
+                    None => unrouted.push(i),
+                }
+            }
+            todo = unrouted;
+            if groups.is_empty() {
+                break; // no replica tier, or every endpoint is dead
+            }
+            if rung == 0 {
+                let routed: usize = groups.iter().map(|(_, g)| g.len()).sum();
+                self.telemetry.counter_add("replica.fetches", routed as u64);
+            }
+            for (addr, group) in groups {
+                let left = self.burst_replica(addr, problem, needs, group, &mut got);
+                if left.is_empty() {
+                    self.directory.mark_alive(addr);
+                    continue;
+                }
+                // Anything this endpoint left unanswered or unverifiable
+                // — refusal, timeout, `ChunkMissing`, reset, digest
+                // mismatch — is a verdict against it: it goes dead in
+                // the directory and its leftovers fall to the next rung
+                // after a jittered backoff.
+                todo.extend(left);
+                self.directory.mark_dead(addr, self.clock.now());
+                self.count("replica.failovers", 1);
                 self.telemetry.emit_at(
                     self.clock.now(),
-                    crate::telemetry::EventKind::ChunkFetchFinished {
+                    crate::telemetry::EventKind::ReplicaFailover {
                         client: self.id,
-                        digest: need.digest,
-                        replica: true,
+                        replica: rung,
                     },
                 );
-                return Some(self.cache_fetched(need, payload));
+                let delay = backoff.delay_secs(&mut self.rng);
+                backoff.record_failure();
+                thread::sleep(self.clock.wall(delay));
             }
-            self.directory.mark_dead(addr, self.clock.now());
-            self.telemetry.counter_add("replica.failovers", 1);
-            self.local_metrics.counter_add("replica.failovers", 1);
-            self.telemetry.emit_at(
-                self.clock.now(),
-                crate::telemetry::EventKind::ReplicaFailover {
-                    client: self.id,
-                    replica: rung,
-                },
-            );
-            let delay = backoff.delay_secs(&mut self.rng);
-            backoff.record_failure();
-            thread::sleep(self.clock.wall(delay));
         }
         // Origin, over the main connection: the fallback of last resort.
-        for _attempt in 0..3 {
-            if !self.send(&Frame::ChunkRequest {
-                client: self.id as u64,
-                problem,
-                chunk: need.chunk,
-            }) {
+        // A reply lost in transit or skipped for its CRC shows as a gap
+        // in the in-order stream and a digest mismatch is never cached;
+        // both are asked for again, a bounded number of times.
+        for _attempt in 0..ORIGIN_ATTEMPTS {
+            if todo.is_empty() {
+                break;
+            }
+            let mut conn = self.conn.take()?;
+            let (left, end) = self.burst(&mut conn, false, problem, needs, &todo, &mut got);
+            if end != BurstEnd::Broken {
+                self.conn = Some(conn);
+            }
+            if end != BurstEnd::Complete {
+                // `ChunkMissing`: the origin does not hold the chunk, so
+                // no rung can. Timeout or broken connection: the
+                // reconnect path takes over. Either way the unit is
+                // dropped and lease expiry recovers it.
                 return None;
             }
-            let reply = self.await_frame(|f| {
-                matches!(f, Frame::ChunkData { problem: p, chunk: c, .. }
-                         if *p == problem && *c == need.chunk)
-                    || matches!(f, Frame::ChunkMissing { problem: p, chunk: c }
-                         if *p == problem && *c == need.chunk)
-            })?;
-            let Frame::ChunkData {
-                digest, payload, ..
-            } = reply
-            else {
-                // ChunkMissing: the origin does not hold the chunk, so
-                // no rung can — drop the unit; lease expiry recovers it.
-                return None;
-            };
-            if digest != need.digest || chunk_digest(&payload) != need.digest {
-                continue; // wrong bytes: never cached, fetch again
-            }
-            self.telemetry
-                .counter_add("replica.bytes_origin", payload.len() as u64);
-            self.telemetry.emit_at(
-                self.clock.now(),
-                crate::telemetry::EventKind::ChunkFetchFinished {
-                    client: self.id,
-                    digest: need.digest,
-                    replica: false,
-                },
-            );
-            return Some(self.cache_fetched(need, payload));
+            todo = left;
         }
-        None
+        if !todo.is_empty() {
+            return None;
+        }
+        needs
+            .iter()
+            .zip(got)
+            .map(|(need, bytes)| Some((need.chunk, bytes?)))
+            .collect()
     }
 
-    /// One replica rung of the ladder: a dedicated short-lived
-    /// connection, one request, one digest-verified reply. `None` on
-    /// refusal, timeout, `ChunkMissing`, connection reset, or a digest
-    /// mismatch — the caller treats them all as "this endpoint is no
-    /// good right now".
-    fn fetch_from_replica(
+    /// One replica rung for one endpoint: a dedicated connection, one
+    /// burst for every chunk routed to it. Returns what it could not
+    /// serve (everything, if it refuses the connection).
+    fn burst_replica(
         &mut self,
         addr: SocketAddr,
         problem: u64,
-        need: &ChunkNeed,
-    ) -> Option<Vec<u8>> {
-        let mut stream = TcpStream::connect(addr).ok()?;
+        needs: &[ChunkNeed],
+        wants: Vec<usize>,
+        got: &mut [Option<Arc<Vec<u8>>>],
+    ) -> Vec<usize> {
+        let Ok(stream) = TcpStream::connect(addr) else {
+            return wants;
+        };
+        self.telemetry.counter_add("replica.connects", 1);
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
-        stream
-            .write_all(&encode_frame(&Frame::ChunkRequest {
-                client: self.id as u64,
-                problem,
-                chunk: need.chunk,
-            }))
-            .ok()?;
-        let mut reader = FrameReader::new();
-        let deadline = self.clock.now() + self.opts.ack_timeout;
-        loop {
-            if self.run_over.load(Ordering::SeqCst) || self.clock.now() > deadline {
-                return None;
-            }
-            match reader.poll(&mut stream) {
-                Ok(Some(Frame::ChunkData {
-                    problem: p,
-                    chunk: c,
-                    digest,
-                    payload,
-                })) if p == problem && c == need.chunk => {
-                    if digest != need.digest || chunk_digest(&payload) != need.digest {
-                        return None; // self-verification failed: fail over
-                    }
-                    return Some(payload);
-                }
-                Ok(Some(Frame::ChunkMissing {
-                    problem: p,
-                    chunk: c,
-                })) if p == problem && c == need.chunk => return None,
-                Ok(Some(_)) | Ok(None) => {} // unsolicited frame / timeout tick
-                Err(ReadError::Decode(_)) => {} // mangled frame: keep waiting
-                Err(ReadError::Io(_)) => return None,
-            }
-        }
+        let mut conn = (stream, FrameReader::new());
+        self.burst(&mut conn, true, problem, needs, &wants, got).0
     }
 
-    /// Counts and caches verified chunk bytes.
-    fn cache_fetched(&mut self, need: &ChunkNeed, payload: Vec<u8>) -> Arc<Vec<u8>> {
-        self.telemetry
-            .counter_add("cache.bytes_fetched", payload.len() as u64);
-        self.local_metrics
-            .counter_add("cache.bytes_fetched", payload.len() as u64);
-        let bytes = Arc::new(payload);
-        let before = self.cache.stats().evictions;
-        self.cache.insert(need.digest, bytes.clone());
-        let evicted = self.cache.stats().evictions - before;
+    /// The burst protocol over one connection: `ChunkRequest`s for
+    /// `wants` (indices into `needs`) go out back to back in a single
+    /// write per [`BURST_WINDOW_BYTES`] window, and the `ChunkData`
+    /// replies are consumed as they stream back — matched by chunk id,
+    /// digest-verified, cached and stored in `got`. One connection
+    /// answers in order, so a reply to a later request proves every
+    /// earlier unanswered one was dropped in transit or skipped for its
+    /// CRC: those are set aside at once instead of waiting out the ack
+    /// timeout. Returns the wants still unresolved and how it ended.
+    fn burst(
+        &mut self,
+        conn: &mut Conn,
+        replica: bool,
+        problem: u64,
+        needs: &[ChunkNeed],
+        wants: &[usize],
+        got: &mut [Option<Arc<Vec<u8>>>],
+    ) -> (Vec<usize>, BurstEnd) {
+        let (stream, reader) = conn;
+        let evictions_before = self.cache.stats().evictions;
+        let (mut fetched_bytes, mut gaps, mut mismatches) = (0u64, 0u64, 0u64);
+        let mut left: Vec<usize> = Vec::new();
+        let mut outstanding: VecDeque<usize> = VecDeque::new();
+        let mut sent = 0;
+        let mut end = BurstEnd::Complete;
+        while end == BurstEnd::Complete && sent < wants.len() {
+            let window_start = sent;
+            let mut window = 0u64;
+            self.wbuf.clear();
+            while sent < wants.len() {
+                let exchange = needs[wants[sent]].bytes + CHUNK_EXCHANGE_OVERHEAD;
+                if sent > window_start && window + exchange > BURST_WINDOW_BYTES {
+                    break;
+                }
+                window += exchange;
+                encode_frame_into(
+                    &Frame::ChunkRequest {
+                        client: self.id as u64,
+                        problem,
+                        chunk: needs[wants[sent]].chunk,
+                    },
+                    &mut self.wbuf,
+                );
+                sent += 1;
+            }
+            if stream.write_all(&self.wbuf).is_err() {
+                sent = window_start;
+                end = BurstEnd::Broken;
+                break;
+            }
+            outstanding.extend(&wants[window_start..sent]);
+            let burst_len = outstanding.len() as f64;
+            self.count("net.chunk_bursts", 1);
+            self.telemetry.observe(
+                "net.chunk_burst_len",
+                crate::telemetry::SIZE_BOUNDS,
+                burst_len,
+            );
+            self.local_metrics.observe(
+                "net.chunk_burst_len",
+                crate::telemetry::SIZE_BOUNDS,
+                burst_len,
+            );
+
+            let mut deadline = self.clock.now() + self.opts.ack_timeout;
+            while !outstanding.is_empty() {
+                if self.run_over.load(Ordering::SeqCst) || self.clock.now() > deadline {
+                    end = BurstEnd::TimedOut;
+                    break;
+                }
+                let (chunk, reply) = match reader.poll(stream) {
+                    Ok(Some(Frame::ChunkData {
+                        problem: p,
+                        chunk,
+                        digest,
+                        payload,
+                    })) if p == problem => (chunk, Some((digest, payload))),
+                    Ok(Some(Frame::ChunkMissing { problem: p, chunk })) if p == problem => {
+                        (chunk, None)
+                    }
+                    Ok(Some(Frame::ReplicaAnnounce { endpoints })) => {
+                        self.directory.merge_replicas(&endpoints);
+                        continue;
+                    }
+                    // Unsolicited frame, read-timeout tick, or a reply
+                    // mangled in transit (its CRC made the reader skip
+                    // it; the next in-order reply exposes the gap).
+                    Ok(Some(_)) | Ok(None) | Err(ReadError::Decode(_)) => continue,
+                    Err(ReadError::Io(_)) => {
+                        end = BurstEnd::Broken;
+                        break;
+                    }
+                };
+                let Some(pos) = outstanding.iter().position(|&i| needs[i].chunk == chunk) else {
+                    continue; // stale or duplicate reply: nobody is waiting for it
+                };
+                gaps += pos as u64;
+                left.extend(outstanding.drain(..pos));
+                let i = outstanding.pop_front().expect("position found it");
+                let now = self.clock.now();
+                deadline = now + self.opts.ack_timeout;
+                let need = &needs[i];
+                match reply {
+                    Some((digest, payload))
+                        if digest == need.digest && chunk_digest(&payload) == need.digest =>
+                    {
+                        self.telemetry.emit_at(
+                            now,
+                            crate::telemetry::EventKind::ChunkFetchFinished {
+                                client: self.id,
+                                digest: need.digest,
+                                replica,
+                            },
+                        );
+                        fetched_bytes += payload.len() as u64;
+                        let bytes = Arc::new(payload);
+                        self.cache.insert(need.digest, bytes.clone());
+                        got[i] = Some(bytes);
+                    }
+                    Some(_) => {
+                        // Wrong bytes: never cached, asked for again.
+                        mismatches += 1;
+                        left.push(i);
+                    }
+                    None => {
+                        end = BurstEnd::Missing;
+                        left.push(i);
+                    }
+                }
+            }
+        }
+        left.extend(outstanding);
+        left.extend(&wants[sent..]);
+        self.count("cache.bytes_fetched", fetched_bytes);
+        self.count("cache.rerequests", gaps);
+        self.count("cache.verify_failures", mismatches);
+        let source = if replica {
+            "replica.bytes_replica"
+        } else {
+            "replica.bytes_origin"
+        };
+        if fetched_bytes > 0 {
+            self.telemetry.counter_add(source, fetched_bytes);
+        }
+        let evicted = self.cache.stats().evictions - evictions_before;
         if evicted > 0 {
             self.telemetry.counter_add("cache.evictions", evicted);
         }
-        bytes
+        (left, end)
     }
 
     fn compute_queued(&mut self, qu: QueuedUnit) {
@@ -847,4 +1002,276 @@ impl ClientLoop {
 enum Step {
     Continue,
     Finished,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::wire::encode_frame;
+    use std::net::TcpListener;
+    use std::sync::Mutex;
+    use std::time::Instant;
+
+    /// What the scripted origin does to the k-th `ChunkRequest` it sees.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Fault {
+        /// The reply never leaves.
+        Drop,
+        /// The reply's body CRC is broken (the reader skips the frame).
+        CorruptCrc,
+        /// The reply carries another chunk's (self-consistent) bytes.
+        SwapDigest,
+        /// The reply is a `ChunkMissing`.
+        Missing,
+    }
+
+    fn chunk_bytes(chunk: u64) -> Vec<u8> {
+        (0..200 + chunk % 50)
+            .map(|i| (chunk * 31 + i) as u8)
+            .collect()
+    }
+
+    fn needs(n: u64) -> Vec<ChunkNeed> {
+        (0..n)
+            .map(|chunk| {
+                let bytes = chunk_bytes(chunk);
+                ChunkNeed {
+                    chunk,
+                    digest: chunk_digest(&bytes),
+                    bytes: bytes.len() as u64,
+                }
+            })
+            .collect()
+    }
+
+    /// A loopback origin that answers `ChunkRequest`s from
+    /// [`chunk_bytes`], applies `fault` to the `k`-th request it sees
+    /// (0-based, once), and logs every chunk id asked for.
+    struct ScriptedOrigin {
+        addr: SocketAddr,
+        log: Arc<Mutex<Vec<u64>>>,
+        stop: Arc<AtomicBool>,
+        thread: JoinHandle<()>,
+    }
+
+    impl ScriptedOrigin {
+        fn start(fault: Option<(usize, Fault)>) -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let stop = Arc::new(AtomicBool::new(false));
+            let thread = {
+                let (log, stop) = (log.clone(), stop.clone());
+                thread::spawn(move || {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    stream
+                        .set_read_timeout(Some(Duration::from_millis(2)))
+                        .unwrap();
+                    let mut reader = FrameReader::new();
+                    let mut seen = 0usize;
+                    while !stop.load(Ordering::SeqCst) {
+                        let (problem, chunk) = match reader.poll(&mut stream) {
+                            Ok(Some(Frame::ChunkRequest { problem, chunk, .. })) => {
+                                (problem, chunk)
+                            }
+                            Ok(_) => continue,
+                            Err(_) => return,
+                        };
+                        log.lock().unwrap().push(chunk);
+                        let hit = fault.filter(|&(k, _)| k == seen).map(|(_, f)| f);
+                        seen += 1;
+                        let served = match hit {
+                            Some(Fault::SwapDigest) => chunk + 1,
+                            _ => chunk,
+                        };
+                        let payload = chunk_bytes(served);
+                        let mut reply = encode_frame(&Frame::ChunkData {
+                            problem,
+                            chunk,
+                            digest: chunk_digest(&payload),
+                            payload,
+                        });
+                        match hit {
+                            Some(Fault::Drop) => continue,
+                            Some(Fault::CorruptCrc) => *reply.last_mut().unwrap() ^= 0xFF,
+                            Some(Fault::Missing) => {
+                                reply = encode_frame(&Frame::ChunkMissing { problem, chunk })
+                            }
+                            Some(Fault::SwapDigest) | None => {}
+                        }
+                        if stream.write_all(&reply).is_err() {
+                            return;
+                        }
+                    }
+                })
+            };
+            Self {
+                addr,
+                log,
+                stop,
+                thread,
+            }
+        }
+
+        fn finish(self) -> Vec<u64> {
+            self.stop.store(true, Ordering::SeqCst);
+            self.thread.join().unwrap();
+            let log = self.log.lock().unwrap().clone();
+            log
+        }
+    }
+
+    /// A donor loop wired to `origin` (no replicas), connected, with an
+    /// ack timeout no healthy test may come near.
+    fn donor(origin: SocketAddr, telemetry: &Telemetry) -> ClientLoop {
+        let kit = ClientKit {
+            algorithms: Vec::new(),
+            codecs: Vec::new(),
+            telemetry: telemetry.clone(),
+        };
+        let opts = NetClientOptions {
+            ack_timeout: 30.0,
+            ..Default::default()
+        };
+        let mut donor = ClientLoop::new(
+            0,
+            Directory::with_origin(origin),
+            Clock::new(1.0),
+            kit,
+            &FaultPlan::none(),
+            1,
+            Arc::new(AtomicBool::new(false)),
+            opts,
+        );
+        assert!(donor.connect());
+        donor
+    }
+
+    fn assert_hydrates_exactly(needs: &[ChunkNeed], got: &[(u64, Arc<Vec<u8>>)]) {
+        assert_eq!(got.len(), needs.len());
+        for (need, (chunk, bytes)) in needs.iter().zip(got) {
+            assert_eq!(*chunk, need.chunk, "needs order is kept");
+            assert_eq!(**bytes, chunk_bytes(need.chunk), "chunk {chunk} bit-exact");
+        }
+    }
+
+    #[test]
+    fn clean_burst_is_one_write_and_a_second_pass_is_all_hits() {
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(None);
+        let mut donor = donor(origin.addr, &telemetry);
+        let needs = needs(300);
+        let got = donor.fetch_chunks(0, &needs).expect("unit hydrates");
+        assert_hydrates_exactly(&needs, &got);
+        let again = donor.fetch_chunks(0, &needs).expect("warm unit hydrates");
+        assert_hydrates_exactly(&needs, &again);
+        assert_eq!(origin.finish(), (0..300).collect::<Vec<u64>>());
+        let snap = telemetry.metrics_snapshot();
+        assert_eq!(snap.counter("net.chunk_bursts"), 1);
+        let lens = snap.histogram("net.chunk_burst_len").expect("burst sizes");
+        assert_eq!((lens.count(), lens.sum()), (1, 300.0));
+        assert_eq!(snap.counter("cache.misses"), 300);
+        assert_eq!(snap.counter("cache.hits"), 300);
+        assert_eq!(snap.counter("cache.rerequests"), 0);
+        assert_eq!(snap.counter("cache.verify_failures"), 0);
+        let wire: u64 = needs.iter().map(|n| n.bytes).sum();
+        assert_eq!(snap.counter("cache.bytes_fetched"), wire);
+        assert_eq!(snap.counter("replica.bytes_origin"), wire);
+    }
+
+    #[test]
+    fn lost_or_mangled_reply_mid_burst_is_the_only_chunk_asked_for_again() {
+        for fault in [Fault::Drop, Fault::CorruptCrc, Fault::SwapDigest] {
+            let telemetry = Telemetry::enabled();
+            let k = 117;
+            let origin = ScriptedOrigin::start(Some((k, fault)));
+            let mut donor = donor(origin.addr, &telemetry);
+            let needs = needs(300);
+            let started = Instant::now();
+            let got = donor.fetch_chunks(0, &needs).expect("unit hydrates");
+            let elapsed = started.elapsed();
+            assert_hydrates_exactly(&needs, &got);
+            let mut asked: Vec<u64> = (0..300).collect();
+            asked.push(k as u64);
+            assert_eq!(
+                origin.finish(),
+                asked,
+                "{fault:?}: only chunk {k} is refetched"
+            );
+            let snap = telemetry.metrics_snapshot();
+            let (gaps, mismatches) = match fault {
+                Fault::SwapDigest => (0, 1),
+                _ => (1, 0),
+            };
+            assert_eq!(snap.counter("cache.rerequests"), gaps, "{fault:?}");
+            assert_eq!(
+                snap.counter("cache.verify_failures"),
+                mismatches,
+                "{fault:?}"
+            );
+            assert_eq!(snap.counter("net.chunk_bursts"), 2, "{fault:?}");
+            assert_eq!(
+                snap.counter("cache.bytes_fetched"),
+                needs.iter().map(|n| n.bytes).sum::<u64>(),
+                "{fault:?}: only verified bytes count, each once"
+            );
+            // The same counts ship to the server in the donor's report.
+            let local = donor.local_metrics.snapshot();
+            assert_eq!(local.counter("cache.rerequests"), gaps);
+            assert_eq!(local.counter("cache.verify_failures"), mismatches);
+            assert_eq!(local.counter("net.chunk_bursts"), 2);
+            assert_eq!(local.histogram("net.chunk_burst_len").unwrap().count(), 2);
+            assert!(
+                elapsed < Duration::from_secs(10),
+                "{fault:?}: the gap must be inferred from the stream, not waited out \
+                 ({elapsed:?} against a 30 s ack timeout)"
+            );
+        }
+    }
+
+    #[test]
+    fn chunk_missing_mid_burst_fails_the_unit_but_keeps_what_verified() {
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Some((40, Fault::Missing)));
+        let mut donor = donor(origin.addr, &telemetry);
+        let needs = needs(100);
+        let started = Instant::now();
+        assert!(
+            donor.fetch_chunks(0, &needs).is_none(),
+            "the unit is dropped"
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "no timeout wait"
+        );
+        assert!(
+            donor.conn.is_some(),
+            "a refusal does not cost the connection"
+        );
+        assert_eq!(donor.cache.len(), 99, "every verified reply was cached");
+        assert_eq!(origin.finish(), (0..100).collect::<Vec<u64>>(), "no retry");
+        assert_eq!(telemetry.metrics_snapshot().counter("cache.rerequests"), 0);
+    }
+
+    #[test]
+    fn windows_cap_the_bytes_in_flight() {
+        // Chunks advertised at 100 KiB each: two exchanges fit a
+        // 256 KiB window, so five chunks go out as 2 + 2 + 1 — and a
+        // single chunk larger than the window still goes, alone.
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(None);
+        let mut donor = donor(origin.addr, &telemetry);
+        let mut big = needs(6);
+        for need in &mut big[..5] {
+            need.bytes = 100 * 1024;
+        }
+        big[5].bytes = 2 * BURST_WINDOW_BYTES;
+        let got = donor.fetch_chunks(0, &big).expect("unit hydrates");
+        assert_hydrates_exactly(&big, &got);
+        origin.finish();
+        let snap = telemetry.metrics_snapshot();
+        assert_eq!(snap.counter("net.chunk_bursts"), 4);
+        let lens = snap.histogram("net.chunk_burst_len").unwrap();
+        assert_eq!((lens.count(), lens.sum()), (4, 6.0));
+    }
 }

@@ -3,24 +3,28 @@
 //! [`FaultProxy`] sits between donor clients and the server and applies
 //! the delivery faults of a [`FaultPlan`] to the *actual bytes*:
 //! dropped results vanish from the wire, duplicated results are sent
-//! twice, corrupted results get a flipped checksum byte, and link
-//! degradation becomes real added latency. Lifecycle faults stay
+//! twice, corrupted results get a flipped checksum byte, chunk replies
+//! are dropped or corrupted mid-burst, and link degradation becomes
+//! real added latency. Lifecycle faults stay
 //! client-side (see [`super::client`]); this layer only mutates
 //! transport.
 //!
-//! The client→server direction is parsed frame-by-frame (using only the
+//! Both directions are parsed frame-by-frame (using only the
 //! header-CRC-validated span, so already-corrupt bytes pass through
-//! untouched); the server→client direction is pumped verbatim. Each
+//! untouched): client→server `SubmitResult`s meet the plan's delivery
+//! faults, server→client `ChunkData` replies its chunk faults. Each
 //! proxied connection dials upstream through the server
 //! [`super::Directory`] at accept time, so clients reconnecting after a
 //! server restart are transparently routed to the new address.
 
-use super::wire::{parse_header, DecodeError, HEADER_LEN, SUBMIT_RESULT_TYPE};
+use super::wire::{
+    parse_header, DecodeError, CHUNK_DATA_TYPE, CHUNK_REQUEST_TYPE, HEADER_LEN, SUBMIT_RESULT_TYPE,
+};
 use super::{Clock, Directory};
 use crate::fault::{DeliveryAction, FaultInjector, FaultPlan, PlanInterpreter};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -147,49 +151,90 @@ fn proxy_connection(
     let (Ok(s2c_read), Ok(c2s_write)) = (server_side.try_clone(), server_side.try_clone()) else {
         return;
     };
-    // Server→client: verbatim pump on a helper thread.
-    let pump = {
-        let stop = stop.clone();
-        thread::spawn(move || raw_pump(s2c_read, s2c_write, &stop))
+    let record = |client: usize, action: DeliveryAction| {
+        let name = match action {
+            DeliveryAction::Deliver => return,
+            DeliveryAction::Drop => "drop",
+            DeliveryAction::Duplicate => "duplicate",
+            DeliveryAction::Corrupt => "corrupt",
+        };
+        telemetry.emit_at(
+            clock.now(),
+            crate::telemetry::EventKind::WireFault {
+                client,
+                action: name.to_string(),
+            },
+        );
+        telemetry.counter_add("net.wire_faults", 1);
     };
-    faulted_pump(c2s_read, c2s_write, injector, clock, stop, telemetry);
-    // Sever both directions so the pump unblocks, then reap it.
-    let _ = client_side.shutdown(std::net::Shutdown::Both);
-    let _ = server_side.shutdown(std::net::Shutdown::Both);
-    let _ = pump.join();
-}
-
-/// Copies bytes verbatim until EOF, error, or stop.
-fn raw_pump(mut from: TcpStream, mut to: TcpStream, stop: &AtomicBool) {
-    let _ = from.set_read_timeout(Some(Duration::from_millis(5)));
-    let mut chunk = [0u8; 4096];
-    while !stop.load(Ordering::SeqCst) {
-        match from.read(&mut chunk) {
-            Ok(0) => return,
-            Ok(n) => {
-                if to.write_all(&chunk[..n]).is_err() {
-                    return;
+    // The donor this connection's chunk replies are bound for, learned
+    // from its `ChunkRequest`s (which always precede the replies).
+    let chunk_client = AtomicUsize::new(usize::MAX);
+    thread::scope(|scope| {
+        // Server→client on a helper thread: `ChunkData` replies meet
+        // the plan's chunk faults, everything else passes untouched.
+        scope.spawn(|| {
+            framed_pump(s2c_read, s2c_write, stop, |frame_type, _| {
+                if frame_type != CHUNK_DATA_TYPE {
+                    return DeliveryAction::Deliver;
                 }
+                let client = chunk_client.load(Ordering::SeqCst);
+                let action = injector
+                    .lock()
+                    .unwrap()
+                    .chunk_reply_action(client, clock.now());
+                record(client, action);
+                action
+            });
+            // The server went away: unblock the other direction too.
+            let _ = client_side.shutdown(std::net::Shutdown::Both);
+        });
+        // Client→server: `SubmitResult` frames meet the delivery
+        // faults, and every frame pays the degraded link's latency.
+        framed_pump(c2s_read, c2s_write, stop, |frame_type, body| {
+            // The client id is the first body field of both frame types
+            // read here (header-validated span, so the offset holds).
+            let client = body
+                .get(..8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize);
+            let action = match (frame_type, client) {
+                (SUBMIT_RESULT_TYPE, Some(client)) => {
+                    let action = injector
+                        .lock()
+                        .unwrap()
+                        .delivery_action(client, clock.now());
+                    record(client, action);
+                    action
+                }
+                (CHUNK_REQUEST_TYPE, Some(client)) => {
+                    chunk_client.store(client, Ordering::SeqCst);
+                    DeliveryAction::Deliver
+                }
+                _ => DeliveryAction::Deliver,
+            };
+            // Link degradation: real latency per forwarded frame.
+            let link = injector.lock().unwrap().link_scale(clock.now());
+            if link > 1.0 {
+                thread::sleep(clock.wall((link - 1.0) * BASE_TRANSFER_SECS));
             }
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut => {
-            }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(_) => return,
-        }
-    }
+            action
+        });
+        // Sever both directions so the helper unblocks; the scope reaps it.
+        let _ = client_side.shutdown(std::net::Shutdown::Both);
+        let _ = server_side.shutdown(std::net::Shutdown::Both);
+    });
 }
 
-/// Client→server: reassembles frame spans and applies delivery faults
-/// to `SubmitResult` frames. Anything unparseable is forwarded raw —
-/// the server's own CRC layer is the authority on corruption.
-fn faulted_pump(
+/// Copies one direction until EOF, error, or stop, reassembling frame
+/// spans and asking `decide` (with the frame type and body) what
+/// becomes of each: delivered, dropped, sent twice, or sent with a
+/// flipped checksum byte. Anything unparseable is forwarded raw — the
+/// receiver's own CRC layer is the authority on corruption.
+fn framed_pump(
     mut from: TcpStream,
     mut to: TcpStream,
-    injector: &Arc<Mutex<PlanInterpreter>>,
-    clock: Clock,
-    stop: &Arc<AtomicBool>,
-    telemetry: &crate::telemetry::Telemetry,
+    stop: &AtomicBool,
+    mut decide: impl FnMut(u8, &[u8]) -> DeliveryAction,
 ) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(5)));
     let mut buf: Vec<u8> = Vec::new();
@@ -206,81 +251,48 @@ fn faulted_pump(
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
+        // Whole frames are handled in place behind a cursor and the
+        // consumed prefix is dropped once per read, so a burst of
+        // frames is not shifted down once per frame.
+        let mut pos = 0;
         loop {
-            let (frame_type, body_len) = match parse_header(&buf) {
+            let (frame_type, body_len) = match parse_header(&buf[pos..]) {
                 Ok(h) => h,
                 Err(DecodeError::Incomplete) => break,
                 Err(_) => {
                     // Desynced or already-corrupt input: stop parsing
                     // and forward everything raw from here on.
-                    if to.write_all(&buf).is_err() {
+                    if to.write_all(&buf[pos..]).is_err() {
                         return;
                     }
-                    buf.clear();
+                    pos = buf.len();
                     break;
                 }
             };
             let total = HEADER_LEN + body_len as usize + 4;
-            if buf.len() < total {
+            if buf.len() - pos < total {
                 break;
             }
-            let mut frame: Vec<u8> = buf.drain(..total).collect();
-            let mut faulted_client = 0usize;
-            let action = if frame_type == SUBMIT_RESULT_TYPE && body_len >= 8 {
-                // Client id is the first body field (header-validated
-                // span, so this offset is trustworthy).
-                let client = u64::from_le_bytes(
-                    frame[HEADER_LEN..HEADER_LEN + 8]
-                        .try_into()
-                        .expect("8 bytes"),
-                ) as usize;
-                faulted_client = client;
-                injector
-                    .lock()
-                    .unwrap()
-                    .delivery_action(client, clock.now())
-            } else {
-                DeliveryAction::Deliver
-            };
-            if !matches!(action, DeliveryAction::Deliver) {
-                let name = match action {
-                    DeliveryAction::Drop => "drop",
-                    DeliveryAction::Duplicate => "duplicate",
-                    DeliveryAction::Corrupt => "corrupt",
-                    DeliveryAction::Deliver => unreachable!(),
-                };
-                telemetry.emit_at(
-                    clock.now(),
-                    crate::telemetry::EventKind::WireFault {
-                        client: faulted_client,
-                        action: name.to_string(),
-                    },
-                );
-                telemetry.counter_add("net.wire_faults", 1);
-            }
-            // Link degradation: real latency per forwarded frame.
-            let link = injector.lock().unwrap().link_scale(clock.now());
-            if link > 1.0 {
-                thread::sleep(clock.wall((link - 1.0) * BASE_TRANSFER_SECS));
-            }
-            let ok = match action {
-                DeliveryAction::Deliver => to.write_all(&frame).is_ok(),
+            let frame = &mut buf[pos..pos + total];
+            pos += total;
+            let ok = match decide(frame_type, &frame[HEADER_LEN..total - 4]) {
+                DeliveryAction::Deliver => to.write_all(frame).is_ok(),
                 DeliveryAction::Drop => true, // lost in transit
                 DeliveryAction::Duplicate => {
-                    to.write_all(&frame).is_ok() && to.write_all(&frame).is_ok()
+                    to.write_all(frame).is_ok() && to.write_all(frame).is_ok()
                 }
                 DeliveryAction::Corrupt => {
                     // Flip the final body-CRC byte: ids stay readable,
-                    // the server's CRC check routes it to the
-                    // corrupted-result path deterministically.
-                    let n = frame.len();
-                    frame[n - 1] ^= 0xFF;
-                    to.write_all(&frame).is_ok()
+                    // the receiver's CRC check rejects the frame
+                    // deterministically.
+                    frame[total - 1] ^= 0xFF;
+                    to.write_all(frame).is_ok()
                 }
             };
             if !ok {
                 return;
             }
         }
+        buf.drain(..pos);
     }
 }

@@ -26,14 +26,14 @@
 use super::checkpoint::CheckpointWriter;
 use super::evloop::{drain_wakes, raw_fd, thread_cpu_ticks, waker_pair, Event, Poller, Waker};
 use super::shard::ShardQueues;
-use super::wire::{encode_frame, DecodeError, Frame, FrameAssembler, SUBMIT_RESULT_TYPE};
+use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler, SUBMIT_RESULT_TYPE};
 use super::Clock;
-use crate::codec::ByteReader;
+use crate::codec::{ByteReader, WireCodec};
 use crate::sched::ClientId;
 use crate::server::{Assignment, Server};
 use crate::telemetry::Telemetry;
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -357,10 +357,10 @@ impl Conn {
     }
 
     fn queue_reply(&mut self, frame: &Frame, telemetry: &Telemetry) {
-        let bytes = encode_frame(frame);
+        let before = self.out.len();
+        encode_frame_into(frame, &mut self.out);
         telemetry.counter_add("net.frames_out", 1);
-        telemetry.counter_add("net.bytes_out", bytes.len() as u64);
-        self.out.extend_from_slice(&bytes);
+        telemetry.counter_add("net.bytes_out", (self.out.len() - before) as u64);
     }
 
     /// Writes buffered output until done or the socket would block.
@@ -383,11 +383,10 @@ impl Conn {
 
     /// Reads every available byte into the assembler. `Ok(true)` = EOF.
     fn read_available(&mut self) -> io::Result<bool> {
-        let mut buf = [0u8; 16384];
         loop {
-            match (&self.stream).read(&mut buf) {
+            match self.asm.read_from(&mut &self.stream) {
                 Ok(0) => return Ok(true),
-                Ok(n) => self.asm.push(&buf[..n]),
+                Ok(_) => {}
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -438,6 +437,7 @@ fn shard_loop(
         conns: HashMap::new(),
         next_token: WAKE_TOKEN + 1,
         seen_clients: HashSet::new(),
+        batch: PumpBatch::default(),
     };
     let mut events: Vec<Event> = Vec::new();
     while !shared.kill.load(Ordering::SeqCst) {
@@ -471,6 +471,36 @@ struct ShardCtx<'a> {
     next_token: u64,
     /// Distinct donors homed on this shard (drives `shard.s<i>.clients`).
     seen_clients: HashSet<u64>,
+    batch: PumpBatch,
+}
+
+/// What the frames of one [`ShardCtx::pump`] share, so that a burst of
+/// `ChunkRequest`s takes the liveness and server locks once per read
+/// instead of once per frame: chunk encoding and digesting need no
+/// authority, only the codec handle and the affinity note do.
+#[derive(Default)]
+struct PumpBatch {
+    /// The donor this pump has already marked alive.
+    alive: Option<ClientId>,
+    /// The codec this pump serves chunks from, cloned under the server
+    /// lock by its first `ChunkRequest` for that problem (inner `None`:
+    /// no such problem, or it has no codec).
+    codec: Option<(u64, Option<Arc<dyn WireCodec>>)>,
+    /// Digests served to `served_to` that the scheduler's affinity map
+    /// has not been told about yet.
+    served: Vec<u64>,
+    served_to: ClientId,
+}
+
+impl PumpBatch {
+    /// Feeds the served digests to the affinity map, so later units
+    /// covering them land on the donor that now holds them.
+    fn apply_affinity(&mut self, server: &mut Server) {
+        if !self.served.is_empty() {
+            server.note_client_chunks(self.served_to, &self.served);
+            self.served.clear();
+        }
+    }
 }
 
 impl ShardCtx<'_> {
@@ -543,6 +573,53 @@ impl ShardCtx<'_> {
     /// Drives one connection: handle `pending` frames, optionally read
     /// fresh bytes, drain the assembler, flush, update interest.
     fn pump(&mut self, token: u64, pending: Vec<Frame>, do_read: bool) {
+        self.batch.alive = None;
+        self.batch.codec = None;
+        self.pump_frames(token, pending, do_read);
+        self.flush_affinity();
+    }
+
+    /// Applies the pump's pending affinity note under the server lock
+    /// (on every way out of a pump: the chunks were served either way).
+    fn flush_affinity(&mut self) {
+        if self.batch.served.is_empty() {
+            return;
+        }
+        match self.shared.server.lock().unwrap().as_mut() {
+            Some(server) => self.batch.apply_affinity(server),
+            None => self.batch.served.clear(),
+        }
+    }
+
+    /// Marks `client` alive unless this pump already has.
+    fn note_alive(&mut self, client: ClientId) {
+        if self.batch.alive != Some(client) {
+            self.batch.alive = Some(client);
+            let now = self.clock.now();
+            self.shared.last_seen.lock().unwrap().insert(client, now);
+        }
+    }
+
+    /// The codec of `problem`, fetched under the server lock once per
+    /// pump. `Err(())`: the server is gone.
+    fn chunk_codec(&mut self, problem: u64) -> Result<Option<Arc<dyn WireCodec>>, ()> {
+        if let Some((p, codec)) = &self.batch.codec {
+            if *p == problem {
+                return Ok(codec.clone());
+            }
+        }
+        let guard = self.shared.server.lock().unwrap();
+        let server = guard.as_ref().ok_or(())?;
+        let pid = problem as usize;
+        let codec = (pid < server.problem_count())
+            .then(|| server.codec(pid))
+            .flatten();
+        drop(guard);
+        self.batch.codec = Some((problem, codec.clone()));
+        Ok(codec)
+    }
+
+    fn pump_frames(&mut self, token: u64, pending: Vec<Frame>, do_read: bool) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
@@ -697,7 +774,7 @@ impl ShardCtx<'_> {
         let clock = self.clock;
         let reply = match frame {
             Frame::Hello { client } => {
-                mark_alive(shared, client as ClientId, clock.now());
+                self.note_alive(client as ClientId);
                 // Advertise the replica tier so the donor can route
                 // chunk fetches without out-of-band configuration.
                 let endpoints = shared.replicas.lock().unwrap().clone();
@@ -708,16 +785,19 @@ impl ShardCtx<'_> {
                 }
             }
             Frame::Heartbeat { client } => {
-                mark_alive(shared, client as ClientId, clock.now());
+                self.note_alive(client as ClientId);
                 Some(Frame::HeartbeatAck)
             }
             Frame::RequestWork { client } => {
                 let now = clock.now();
-                mark_alive(shared, client as ClientId, now);
+                self.note_alive(client as ClientId);
                 let mut guard = shared.server.lock().unwrap();
                 let Some(server) = guard.as_mut() else {
                     return Action::Close;
                 };
+                // Chunks this pump served come before the request in
+                // the stream, so their affinity must be visible to it.
+                self.batch.apply_affinity(server);
                 server.check_timeouts(now);
                 let assignment = if self.n_shards > 1 {
                     sharded_request_work(
@@ -760,7 +840,7 @@ impl ShardCtx<'_> {
                 payload,
             } => {
                 let now = clock.now();
-                mark_alive(shared, client as ClientId, now);
+                self.note_alive(client as ClientId);
                 let pid = problem as usize;
                 let mut guard = shared.server.lock().unwrap();
                 let Some(server) = guard.as_mut() else {
@@ -816,63 +896,52 @@ impl ShardCtx<'_> {
                 problem,
                 chunk,
             } => {
-                let now = clock.now();
                 // A replica pulling through is infrastructure, not a
                 // donor: it gets no liveness entry and no chunk
                 // affinity, or the scheduler would start routing units
                 // at a machine that never computes.
                 let is_replica = client == super::store::REPLICA_CLIENT_ID;
                 if !is_replica {
-                    mark_alive(shared, client as ClientId, now);
+                    self.note_alive(client as ClientId);
                 }
-                let pid = problem as usize;
-                let mut guard = shared.server.lock().unwrap();
-                let Some(server) = guard.as_mut() else {
+                let Ok(codec) = self.chunk_codec(problem) else {
                     return Action::Close;
                 };
-                if pid >= server.problem_count() {
-                    drop(guard);
-                    // Garbage problem id: an explicit refusal, so the
-                    // requester fails over instead of waiting out its
-                    // ack timeout.
-                    Some(Frame::ChunkMissing { problem, chunk })
-                } else {
-                    match server.codec(pid).map(|c| c.encode_chunk(chunk)) {
-                        Some(Ok(payload)) => {
-                            let digest = super::cache::chunk_digest(&payload);
-                            if !is_replica {
-                                // The donor is about to hold this chunk:
-                                // feed the scheduler's affinity map so
-                                // later units covering it land here.
-                                server.note_client_chunks(client as ClientId, &[digest]);
+                // Encoding and digesting run outside every lock.
+                match codec.and_then(|c| c.encode_chunk(chunk).ok()) {
+                    Some(payload) => {
+                        let digest = super::cache::chunk_digest(&payload);
+                        if !is_replica {
+                            // The donor is about to hold this chunk:
+                            // the pump feeds its digests to the
+                            // scheduler's affinity map in one note.
+                            if self.batch.served_to != client as ClientId {
+                                self.flush_affinity();
+                                self.batch.served_to = client as ClientId;
                             }
-                            drop(guard);
-                            shared.telemetry.counter_add("net.chunks_served", 1);
-                            shared
-                                .telemetry
-                                .counter_add("net.chunk_bytes_out", payload.len() as u64);
-                            Some(Frame::ChunkData {
-                                problem,
-                                chunk,
-                                digest,
-                                payload,
-                            })
+                            self.batch.served.push(digest);
                         }
-                        // Unknown chunk or codec without chunk support:
-                        // answer ChunkMissing instead of silence — a
-                        // silent miss left the requester blocked in
-                        // await_frame until the heartbeat liveness
-                        // sweep fired.
-                        _ => {
-                            drop(guard);
-                            Some(Frame::ChunkMissing { problem, chunk })
-                        }
+                        shared.telemetry.counter_add("net.chunks_served", 1);
+                        shared
+                            .telemetry
+                            .counter_add("net.chunk_bytes_out", payload.len() as u64);
+                        Some(Frame::ChunkData {
+                            problem,
+                            chunk,
+                            digest,
+                            payload,
+                        })
                     }
+                    // Garbage problem id, unknown chunk or a codec
+                    // without chunk support: an explicit refusal, so
+                    // the requester fails over instead of waiting out
+                    // its ack timeout.
+                    None => Some(Frame::ChunkMissing { problem, chunk }),
                 }
             }
             Frame::MetricsReport { client, snapshot } => {
                 let now = clock.now();
-                mark_alive(shared, client as ClientId, now);
+                self.note_alive(client as ClientId);
                 match crate::telemetry::MetricsSnapshot::from_wire_bytes(&snapshot) {
                     Ok(snap) => {
                         shared
@@ -1038,10 +1107,6 @@ fn sharded_request_work(
     server.request_work(client, now)
 }
 
-fn mark_alive(shared: &Shared, client: ClientId, now: f64) {
-    shared.last_seen.lock().unwrap().insert(client, now);
-}
-
 fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
     let mut tick = 0u64;
     while !shared.kill.load(Ordering::SeqCst) {
@@ -1099,7 +1164,7 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::net::wire::FrameReader;
+    use crate::net::wire::{encode_frame, FrameReader};
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
 

@@ -21,7 +21,7 @@
 //! must distinguish from success by timeout alone.
 
 use super::cache::chunk_digest;
-use super::wire::{encode_frame, Frame, FrameReader, ReadError};
+use super::wire::{encode_frame, encode_frame_into, Frame, FrameReader, ReadError};
 use super::{Clock, Directory};
 use crate::telemetry::Telemetry;
 use std::collections::HashMap;
@@ -258,6 +258,7 @@ fn replica_connection(mut stream: TcpStream, shared: &ReplicaShared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
     let mut reader = FrameReader::new();
+    let mut out = Vec::new();
     loop {
         if shared.kill.load(Ordering::SeqCst) {
             return;
@@ -312,7 +313,9 @@ fn replica_connection(mut stream: TcpStream, shared: &ReplicaShared) {
                 None => Frame::ChunkMissing { problem, chunk },
             },
         };
-        if stream.write_all(&encode_frame(&reply)).is_err() {
+        out.clear();
+        encode_frame_into(&reply, &mut out);
+        if stream.write_all(&out).is_err() {
             return;
         }
     }

@@ -57,6 +57,9 @@ const FT_STATUS_REPORT: u8 = 17;
 /// Frame type code for [`Frame::SubmitResult`] — exposed so transport
 /// code can recognise a corrupt result frame from its header alone.
 pub const SUBMIT_RESULT_TYPE: u8 = FT_SUBMIT_RESULT;
+/// Frame type code for [`Frame::ChunkRequest`] — exposed so the fault
+/// proxy can learn which donor a connection's chunk replies are for.
+pub const CHUNK_REQUEST_TYPE: u8 = FT_CHUNK_REQUEST;
 /// Frame type code for [`Frame::ChunkData`] — exposed so transports can
 /// account chunk traffic separately from control traffic.
 pub const CHUNK_DATA_TYPE: u8 = FT_CHUNK_DATA;
@@ -293,7 +296,21 @@ pub fn crc32(data: &[u8]) -> u32 {
 
 /// Encodes one frame to wire bytes.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let mut body = ByteWriter::new();
+    let mut out = Vec::new();
+    encode_frame_into(frame, &mut out);
+    out
+}
+
+/// Appends one encoded frame to `out` — the body is written in place
+/// behind a header whose length and checksum are patched afterwards, so
+/// a burst of frames costs no allocation beyond `out`'s own growth.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&MAGIC.to_le_bytes());
+    out.push(VERSION);
+    out.push(frame.type_code());
+    out.extend_from_slice(&[0u8; 8]); // body length + header CRC, patched below
+    let mut body = ByteWriter::appending(std::mem::take(out));
     match frame {
         Frame::Hello { client }
         | Frame::RequestWork { client }
@@ -368,17 +385,14 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
         Frame::StatusRequest => {}
         Frame::StatusReport { snapshot } => body.bytes(snapshot),
     }
-    let body = body.into_bytes();
-    let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 4);
-    out.extend_from_slice(&MAGIC.to_le_bytes());
-    out.push(VERSION);
-    out.push(frame.type_code());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    let header_crc = crc32(&out[..10]);
-    out.extend_from_slice(&header_crc.to_le_bytes());
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out
+    *out = body.into_bytes();
+    let body_start = start + HEADER_LEN;
+    let body_len = (out.len() - body_start) as u32;
+    out[start + 6..start + 10].copy_from_slice(&body_len.to_le_bytes());
+    let header_crc = crc32(&out[start..start + 10]);
+    out[start + 10..body_start].copy_from_slice(&header_crc.to_le_bytes());
+    let body_crc = crc32(&out[body_start..]);
+    out.extend_from_slice(&body_crc.to_le_bytes());
 }
 
 /// Parses and validates a frame header, returning `(frame_type,
@@ -518,6 +532,15 @@ impl std::fmt::Display for ReadError {
 
 impl std::error::Error for ReadError {}
 
+/// The spare room a busy connection's stream reads are offered. A read
+/// that fills its room doubles the storage until the room reaches this,
+/// so a burst of replies drains in a handful of reads while a
+/// connection that only ever trades small frames (most of a 1k-donor
+/// pool) keeps holding [`MIN_READ_STEP`].
+const READ_STEP: usize = 64 * 1024;
+/// Smallest spare room a stream read is offered.
+const MIN_READ_STEP: usize = 4 * 1024;
+
 /// The frame-reassembly state machine: push bytes in whatever split
 /// points the transport produced, pull whole frames out. This is the
 /// single home of the resync logic — the blocking [`FrameReader`] and
@@ -530,9 +553,19 @@ impl std::error::Error for ReadError {}
 /// report the corruption and keep pulling frames from the same buffer;
 /// every other error leaves the buffer untrustworthy and the caller
 /// should drop the connection.
+///
+/// Consuming a frame only advances a read cursor; the consumed prefix
+/// is reclaimed when room is next needed, and then only once it is at
+/// least as large as the live bytes behind it — every byte is moved at
+/// most once, however long the backlog of frames it arrived in.
 #[derive(Debug, Default)]
 pub struct FrameAssembler {
+    /// Storage, initialised once and reused: the live bytes are
+    /// `buf[head..tail]`, everything past `tail` is spare room that
+    /// stream reads land in directly.
     buf: Vec<u8>,
+    head: usize,
+    tail: usize,
 }
 
 impl FrameAssembler {
@@ -543,28 +576,75 @@ impl FrameAssembler {
 
     /// Appends raw transport bytes at any split point.
     pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
+        self.spare(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
+    }
+
+    /// Reads once from `stream` straight into the spare room; returns
+    /// what `read` returned (0 = end of stream).
+    pub fn read_from<R: Read>(&mut self, stream: &mut R) -> std::io::Result<usize> {
+        let room = self.spare(MIN_READ_STEP);
+        let n = stream.read(room)?;
+        let filled = n == room.len() && n < READ_STEP;
+        self.tail += n;
+        if filled {
+            // More is waiting than the room could take: the next read
+            // gets twice the storage (at most READ_STEP more).
+            let len = self.buf.len();
+            self.buf.resize(len + len.min(READ_STEP), 0);
+        }
+        Ok(n)
     }
 
     /// Bytes buffered but not yet consumed as frames.
     pub fn buffered(&self) -> usize {
+        self.tail - self.head
+    }
+
+    /// Bytes of storage held (live, consumed-but-unreclaimed and spare).
+    pub fn capacity(&self) -> usize {
         self.buf.len()
+    }
+
+    /// The spare room past the live bytes, at least `want` bytes of it.
+    fn spare(&mut self, want: usize) -> &mut [u8] {
+        if self.buf.len() - self.tail < want {
+            let live = self.tail - self.head;
+            if self.head >= live {
+                self.buf.copy_within(self.head..self.tail, 0);
+                self.head = 0;
+                self.tail = live;
+            }
+            if self.buf.len() - self.tail < want {
+                self.buf.resize(self.tail + want, 0);
+            }
+        }
+        &mut self.buf[self.tail..]
+    }
+
+    fn consume(&mut self, n: usize) {
+        self.head += n;
+        if self.head == self.tail {
+            self.head = 0;
+            self.tail = 0;
+        }
     }
 
     /// Pulls the next complete frame, if the buffered bytes hold one.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        match decode_frame(&self.buf) {
+        let live = &self.buf[self.head..self.tail];
+        match decode_frame(live) {
             Ok((frame, used)) => {
-                self.buf.drain(..used);
+                self.consume(used);
                 Ok(Some(frame))
             }
             Err(DecodeError::Incomplete) => Ok(None),
             Err(e @ DecodeError::BodyCrc { .. }) => {
                 // The header was sound, so the frame's span is known:
                 // skip it whole and let the caller keep the stream.
-                if let Ok((_, body_len)) = parse_header(&self.buf) {
+                if let Ok((_, body_len)) = parse_header(live) {
                     let total = HEADER_LEN + body_len as usize + 4;
-                    self.buf.drain(..total.min(self.buf.len()));
+                    self.consume(total.min(live.len()));
                 }
                 Err(e)
             }
@@ -598,26 +678,23 @@ impl FrameReader {
         loop {
             match self.asm.next_frame() {
                 Ok(Some(frame)) => return Ok(Some(frame)),
-                Ok(None) => {
-                    let mut chunk = [0u8; 4096];
-                    match stream.read(&mut chunk) {
-                        Ok(0) => {
-                            return Err(ReadError::Io(std::io::Error::new(
-                                std::io::ErrorKind::UnexpectedEof,
-                                "peer closed the connection",
-                            )))
-                        }
-                        Ok(n) => self.asm.push(&chunk[..n]),
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            return Ok(None)
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(ReadError::Io(e)),
+                Ok(None) => match self.asm.read_from(stream) {
+                    Ok(0) => {
+                        return Err(ReadError::Io(std::io::Error::new(
+                            std::io::ErrorKind::UnexpectedEof,
+                            "peer closed the connection",
+                        )))
                     }
-                }
+                    Ok(_) => {}
+                    Err(e)
+                        if e.kind() == std::io::ErrorKind::WouldBlock
+                            || e.kind() == std::io::ErrorKind::TimedOut =>
+                    {
+                        return Ok(None)
+                    }
+                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                    Err(e) => return Err(ReadError::Io(e)),
+                },
                 Err(e) => return Err(ReadError::Decode(e)),
             }
         }
@@ -834,6 +911,117 @@ mod tests {
                 panic!("round {round}: garbage decoded as {frame:?}");
             }
         }
+    }
+
+    #[test]
+    fn encode_into_appends_exactly_what_encode_frame_returns() {
+        let mut appended = vec![0xEE; 3]; // pre-existing bytes must survive
+        let mut expected = appended.clone();
+        for frame in all_frames() {
+            encode_frame_into(&frame, &mut appended);
+            expected.extend_from_slice(&encode_frame(&frame));
+        }
+        assert_eq!(appended, expected);
+    }
+
+    /// The mixed frame stream the backlog tests push: every frame type,
+    /// over and over, until `n` frames.
+    fn backlog(n: usize) -> (Vec<Frame>, Vec<u8>) {
+        let frames: Vec<Frame> = all_frames().into_iter().cycle().take(n).collect();
+        let mut bytes = Vec::new();
+        for f in &frames {
+            encode_frame_into(f, &mut bytes);
+        }
+        (frames, bytes)
+    }
+
+    #[test]
+    fn ten_thousand_frame_backlog_decodes_like_frame_at_a_time() {
+        let (frames, bytes) = backlog(10_000);
+        let mut bulk = FrameAssembler::new();
+        bulk.push(&bytes);
+        let mut single = FrameAssembler::new();
+        let mut offset = 0;
+        for (i, want) in frames.iter().enumerate() {
+            assert_eq!(bulk.next_frame().unwrap().as_ref(), Some(want), "frame {i}");
+            let len = encode_frame(want).len();
+            single.push(&bytes[offset..offset + len]);
+            offset += len;
+            assert_eq!(
+                single.next_frame().unwrap().as_ref(),
+                Some(want),
+                "frame {i}"
+            );
+            assert_eq!(single.buffered(), 0);
+        }
+        assert_eq!(bulk.next_frame(), Ok(None));
+        assert_eq!(bulk.buffered(), 0, "every byte consumed");
+        assert!(
+            bulk.capacity() <= bytes.len(),
+            "one push of the backlog holds the backlog, no more: {} > {}",
+            bulk.capacity(),
+            bytes.len()
+        );
+        // The drained storage is reused, not grown, by the next backlog.
+        bulk.push(&bytes);
+        assert_eq!(bulk.capacity(), bytes.len());
+    }
+
+    #[test]
+    fn streaming_reclaims_consumed_bytes_so_capacity_stays_bounded() {
+        // 10k frames trickled through in 1000-byte pushes that never
+        // line up with frame boundaries: the cursor advances frame by
+        // frame, compaction reclaims the consumed prefix, and storage
+        // stays a small multiple of (push size + largest frame).
+        let (frames, bytes) = backlog(10_000);
+        let largest = frames.iter().map(|f| encode_frame(f).len()).max().unwrap();
+        let mut asm = FrameAssembler::new();
+        let mut decoded = 0;
+        let mut high_water = 0;
+        for piece in bytes.chunks(1000) {
+            asm.push(piece);
+            while let Some(frame) = asm.next_frame().unwrap() {
+                assert_eq!(frame, frames[decoded]);
+                decoded += 1;
+            }
+            assert!(asm.buffered() < largest, "only a partial frame stays");
+            high_water = high_water.max(asm.capacity());
+        }
+        assert_eq!(decoded, frames.len());
+        assert_eq!(asm.buffered(), 0);
+        assert!(
+            high_water <= 4 * (1000 + largest),
+            "storage grew to {high_water} bytes over a {} byte stream",
+            bytes.len()
+        );
+    }
+
+    #[test]
+    fn stream_reads_land_in_spare_room_that_grows_only_under_load() {
+        // A reader fed one small frame per read never outgrows the
+        // minimum step; one fed a long backlog works up to READ_STEP
+        // reads and then stops growing.
+        let ping = encode_frame(&Frame::HeartbeatAck);
+        let mut quiet = FrameReader::new();
+        for _ in 0..1000 {
+            let mut one = std::io::Cursor::new(ping.clone());
+            assert_eq!(quiet.poll(&mut one).unwrap(), Some(Frame::HeartbeatAck));
+        }
+        assert_eq!(quiet.asm.capacity(), MIN_READ_STEP);
+
+        let (frames, bytes) = backlog(20_000);
+        let total = bytes.len();
+        let mut stream = std::io::Cursor::new(bytes);
+        let mut busy = FrameReader::new();
+        for want in &frames {
+            assert_eq!(busy.poll(&mut stream).unwrap().as_ref(), Some(want));
+        }
+        assert!(total > 8 * READ_STEP, "the backlog must outlast the ramp");
+        assert!(
+            busy.asm.capacity() >= READ_STEP && busy.asm.capacity() <= 4 * READ_STEP,
+            "busy reader holds {} bytes",
+            busy.asm.capacity()
+        );
     }
 
     #[test]

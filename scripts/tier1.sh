@@ -6,7 +6,10 @@ set -eu
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline
-cargo test -q --offline
+# --workspace: `cargo test` at the root runs only the umbrella crate's
+# integration suites; the in-crate unit tests of every member (wire,
+# cache, client, server, scheduler, kernels, ...) gate merges too.
+cargo test -q --offline --workspace
 
 # Run the net-loopback suites by name so the gate fails loudly if they
 # are ever filtered out of the default run (disabled test target,

@@ -106,12 +106,22 @@ struct DsearchWorkload {
 }
 
 fn dsearch_workload() -> DsearchWorkload {
-    let queries = vec![random_sequence(Alphabet::Protein, "q", 100, 3)];
-    let db = SyntheticDb::generate(&DbSpec::protein_demo(24, 80), 4).sequences;
-    let mut cfg = DsearchConfig::protein_default();
     // Stretch the virtual-time cost so a sim run spans the fault
     // horizon (≈200 virtual seconds on 6 lab machines).
-    cfg.cost_scale = 60_000.0;
+    dsearch_workload_sized(24, 60_000.0)
+}
+
+/// A database small enough for a chaos run but cut into units of a few
+/// dozen sequence chunks each, so every fetch is a real burst.
+fn burst_workload() -> DsearchWorkload {
+    dsearch_workload_sized(240, 2_000.0)
+}
+
+fn dsearch_workload_sized(db_sequences: usize, cost_scale: f64) -> DsearchWorkload {
+    let queries = vec![random_sequence(Alphabet::Protein, "q", 100, 3)];
+    let db = SyntheticDb::generate(&DbSpec::protein_demo(db_sequences, 80), 4).sequences;
+    let mut cfg = DsearchConfig::protein_default();
+    cfg.cost_scale = cost_scale;
     let reference = SearchOutput {
         hits: search_sequential(&db, &queries, &cfg),
     }
@@ -721,22 +731,24 @@ fn tcp_crash_mid_chunk_transfer_recovers() {
     }
 }
 
-/// A replica dying in the middle of a `ChunkData` body must look to the
-/// donor like any other bad endpoint: fail over, refetch from the next
-/// rung (the origin here), and audit the unit exactly once. The
-/// "replica" is a listener that answers every chunk request with the
-/// first half of a well-formed frame and then severs the connection —
-/// the worst spot to die, after the header already parsed.
-#[test]
-fn tcp_replica_killed_mid_chunk_body_fails_over() {
+/// Runs `w` on POOL donors whose only replica dies on every connection:
+/// it answers the first `whole_replies` requests with real, verifiable
+/// chunks, then half of one more well-formed frame — the worst spot to
+/// die, after the header already parsed — and then the stream ends.
+/// Checks the sequential digest and the exactly-once audit; returns the
+/// metrics and the payload bytes the replica sent in whole replies.
+fn run_against_dying_replica(
+    w: &DsearchWorkload,
+    label: &str,
+    whole_replies: usize,
+) -> (biodist::core::telemetry::MetricsSnapshot, u64) {
     use biodist::core::net::wire::{encode_frame, Frame, FrameReader};
     use biodist::core::net::{
         spawn_clients, ClientKit, Clock, Directory, NetClientOptions, NetServer, NetServerOptions,
     };
     use std::io::Write as _;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    let w = dsearch_workload();
     let cfg = SchedulerConfig {
         affinity_lookahead: 3,
         ..thread_cfg()
@@ -746,49 +758,62 @@ fn tcp_replica_killed_mid_chunk_body_fails_over() {
     server.set_telemetry(telemetry.clone());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
     let pid = server.submit(problem);
+    let codec = server.codec(pid).expect("dsearch has a codec");
 
     let clock = Clock::new(TIME_SCALE);
     let kit = ClientKit::from_server(&server).expect("codecs");
     let net = NetServer::start(server, clock, NetServerOptions::default()).expect("bind server");
 
-    let killer = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
-    let killer_addr = killer.local_addr().unwrap();
-    killer.set_nonblocking(true).unwrap();
+    let dying = std::net::TcpListener::bind("127.0.0.1:0").expect("bind fake replica");
+    let dying_addr = dying.local_addr().unwrap();
+    dying.set_nonblocking(true).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
-    let killer_thread = {
-        let stop = stop.clone();
+    let whole_bytes_sent = Arc::new(AtomicU64::new(0));
+    let dying_thread = {
+        let (stop, whole_bytes_sent) = (stop.clone(), whole_bytes_sent.clone());
         std::thread::spawn(move || {
             while !stop.load(Ordering::SeqCst) {
-                match killer.accept() {
-                    Ok((mut s, _)) => {
-                        let _ = s.set_read_timeout(Some(std::time::Duration::from_millis(5)));
-                        let mut reader = FrameReader::new();
-                        for _ in 0..400 {
-                            match reader.poll(&mut s) {
-                                Ok(Some(Frame::ChunkRequest { problem, chunk, .. })) => {
-                                    let full = encode_frame(&Frame::ChunkData {
-                                        problem,
-                                        chunk,
-                                        digest: 0,
-                                        payload: vec![0u8; 64 * 1024],
-                                    });
-                                    let _ = s.write_all(&full[..full.len() / 2]);
-                                    break;
-                                }
-                                Ok(_) => {}
-                                Err(_) => break,
+                let Ok((mut s, _)) = dying.accept() else {
+                    std::thread::sleep(std::time::Duration::from_micros(500));
+                    continue;
+                };
+                let _ = s.set_nonblocking(false);
+                let _ = s.set_read_timeout(Some(std::time::Duration::from_millis(5)));
+                let mut reader = FrameReader::new();
+                let mut answered = 0;
+                // The rest of the burst is still read after the death,
+                // so the close is a FIN the donor sees *behind* the
+                // whole replies, not a reset that could overtake them.
+                for _ in 0..400 {
+                    match reader.poll(&mut s) {
+                        Ok(Some(Frame::ChunkRequest { problem, chunk, .. })) => {
+                            let payload = codec.encode_chunk(chunk).expect("chunk in range");
+                            let len = payload.len() as u64;
+                            let full = encode_frame(&Frame::ChunkData {
+                                problem,
+                                chunk,
+                                digest: biodist::core::chunk_digest(&payload),
+                                payload,
+                            });
+                            if answered < whole_replies {
+                                let _ = s.write_all(&full);
+                                whole_bytes_sent.fetch_add(len, Ordering::SeqCst);
+                            } else if answered == whole_replies {
+                                let _ = s.write_all(&full[..full.len() / 2]);
+                                let _ = s.shutdown(std::net::Shutdown::Write);
                             }
+                            answered += 1;
                         }
-                        drop(s); // severed mid-body
+                        Ok(_) => {}
+                        Err(_) => break,
                     }
-                    Err(_) => std::thread::sleep(std::time::Duration::from_micros(500)),
                 }
             }
         })
     };
 
     let client_dir = Directory::with_origin(net.addr());
-    client_dir.set_replicas(vec![killer_addr]);
+    client_dir.set_replicas(vec![dying_addr]);
     let run_over = Arc::new(AtomicBool::new(false));
     let plan = FaultPlan::new(0);
     let handles = spawn_clients(
@@ -806,7 +831,7 @@ fn tcp_replica_killed_mid_chunk_body_fails_over() {
         let _ = h.join();
     }
     stop.store(true, Ordering::SeqCst);
-    let _ = killer_thread.join();
+    let _ = dying_thread.join();
     telemetry.flush();
 
     let out = server
@@ -816,24 +841,38 @@ fn tcp_replica_killed_mid_chunk_body_fails_over() {
     if out.digest() != w.reference {
         chaos_panic(
             "dsearch",
-            "tcp replica-killed-mid-body",
+            label,
             0,
             &plan,
             &cfg,
-            "output differs from reference after mid-body replica death".into(),
+            "output differs from reference after the replica died".into(),
         );
     }
     if let Err(v) = audit.verify_run(&server) {
         chaos_panic(
             "dsearch",
-            "tcp replica-killed-mid-body",
+            label,
             0,
             &plan,
             &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
-    let snap = telemetry.metrics_snapshot();
+    (
+        telemetry.metrics_snapshot(),
+        whole_bytes_sent.load(Ordering::SeqCst),
+    )
+}
+
+/// A replica dying in the middle of a `ChunkData` body must look to the
+/// donor like any other bad endpoint: fail over, refetch from the next
+/// rung (the origin here), and audit the unit exactly once. The
+/// "replica" answers the first chunk request of every connection with
+/// the first half of a well-formed frame and then goes away.
+#[test]
+fn tcp_replica_killed_mid_chunk_body_fails_over() {
+    let (snap, _) =
+        run_against_dying_replica(&dsearch_workload(), "tcp replica-killed-mid-body", 0);
     assert!(
         snap.counter("replica.failovers") > 0,
         "every fetch hit the severing replica first; failovers must be counted"
@@ -842,6 +881,102 @@ fn tcp_replica_killed_mid_chunk_body_fails_over() {
         snap.counter("replica.bytes_replica"),
         0,
         "no truncated body may ever be accepted as chunk bytes"
+    );
+}
+
+/// The same death *mid-burst*: two verified replies into every burst.
+/// The donor keeps the verified prefix, accepts not one byte of the
+/// truncated body, and fails the remainder of the burst over to the
+/// origin — audited exactly once against the sequential digest.
+#[test]
+fn tcp_replica_killed_mid_burst_keeps_the_verified_prefix() {
+    let (snap, whole_bytes_sent) =
+        run_against_dying_replica(&burst_workload(), "tcp replica-killed-mid-burst", 2);
+    let kept = snap.counter("replica.bytes_replica");
+    assert!(kept > 0, "the verified prefix of a dying burst is kept");
+    assert!(
+        kept <= whole_bytes_sent,
+        "only whole, verified replies count: {kept} bytes accepted, {whole_bytes_sent} sent whole"
+    );
+    assert!(
+        snap.counter("replica.failovers") > 0,
+        "the remainder of every burst fails over"
+    );
+    assert!(
+        snap.counter("replica.bytes_origin") > 0,
+        "and is served by the origin"
+    );
+}
+
+/// `ChunkData` replies lost and mangled on the wire, mid-burst: the
+/// fault proxy drops two and corrupts one of every donor's first
+/// replies (the head of its first burst, so the rest of the burst is
+/// what exposes the gap) and more at staggered later times, wherever in
+/// a burst those land — a trailing loss included, which costs the unit
+/// its ack timeout and goes through lease recovery. The run must still
+/// reproduce the sequential digest under the exactly-once audit, the
+/// faults must really have hit the wire, and the donors must have
+/// recovered by asking again, not by luck.
+#[test]
+fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
+    let w = burst_workload();
+    let mut plan = FaultPlan::new(0);
+    for c in 0..POOL {
+        plan.push(0.0, c, FaultKind::DropChunk);
+        plan.push(0.0, c, FaultKind::DropChunk);
+        plan.push(0.0, c, FaultKind::CorruptChunk);
+        plan.push(0.02 + 0.01 * c as f64, c, FaultKind::DropChunk);
+        plan.push(0.05 + 0.01 * c as f64, c, FaultKind::CorruptChunk);
+    }
+    let cfg = SchedulerConfig {
+        affinity_lookahead: 3,
+        ..thread_cfg()
+    };
+    let mut server = Server::new(cfg.clone());
+    let telemetry = Telemetry::enabled();
+    server.set_telemetry(telemetry.clone());
+    let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
+    let pid = server.submit(problem);
+    let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
+    let out = server
+        .take_output(pid)
+        .unwrap()
+        .into_inner::<SearchOutput>();
+    if out.digest() != w.reference {
+        chaos_panic(
+            "dsearch",
+            "tcp chunk-reply faults",
+            0,
+            &plan,
+            &cfg,
+            "output differs from reference after lost/corrupt chunk replies".into(),
+        );
+    }
+    if let Err(v) = audit.verify_run(&server) {
+        chaos_panic(
+            "dsearch",
+            "tcp chunk-reply faults",
+            0,
+            &plan,
+            &cfg,
+            format!("invariants violated: {v:?}"),
+        );
+    }
+    let snap = telemetry.metrics_snapshot();
+    assert!(
+        snap.counter("net.wire_faults") >= 3,
+        "the proxy must have faulted chunk replies: {:?}",
+        snap.counters
+    );
+    assert!(
+        snap.counter("cache.rerequests") >= 3,
+        "a lost head of a burst is inferred from the replies behind it: {:?}",
+        snap.counters
+    );
+    assert!(
+        snap.histogram("net.chunk_burst_len")
+            .is_some_and(|h| h.sum() > 2.0 * h.count() as f64),
+        "fetches must have gone out as multi-chunk bursts"
     );
 }
 

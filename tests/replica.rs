@@ -168,3 +168,35 @@ fn no_replicas_means_no_replica_traffic() {
         "the origin serves everything"
     );
 }
+
+/// Burst transfer: a unit's misses bound for one replica share one
+/// connection and one burst, so a replicated run opens O(units ×
+/// replicas) replica connections — not one per chunk, as the per-chunk
+/// ladder did. 240 sequences cut into units of dozens of chunks each:
+/// the connection count is bounded by the assignments the server made
+/// times the rungs a fetch may walk, and is a small fraction of the
+/// chunks the replicas served.
+#[test]
+fn replica_connections_scale_with_units_not_chunks() {
+    let mut w = workload(240);
+    w.cfg.cost_scale = 2_000.0;
+    w.reference = SearchOutput {
+        hits: search_sequential(&w.db, &w.queries, &w.cfg),
+    }
+    .digest();
+    let replicas = 2;
+    let telemetry = replicated_run(&w, 4, replicas, &FaultPlan::none(), "bursts 4x2");
+    let snap = telemetry.metrics_snapshot();
+    let connects = snap.counter("replica.connects");
+    let assignments = snap.counter("server.assignments");
+    let served = snap.counter("replica.chunks_served");
+    assert!(connects > 0 && served >= 240, "{:?}", snap.counters);
+    assert!(
+        connects <= assignments * replicas as u64,
+        "{connects} replica connections for {assignments} assignments x {replicas} replicas"
+    );
+    assert!(
+        connects * 8 <= served,
+        "{connects} replica connections for {served} chunks served: still per chunk?"
+    );
+}
