@@ -86,6 +86,23 @@ pub enum FaultKind {
     /// arrives with a broken body checksum: the donor's frame reader
     /// skips it and the fetch recovers as for [`FaultKind::DropChunk`].
     CorruptChunk,
+    /// The next control reply — a `ResultAck` or an `AssignUnit` —
+    /// bound for the client after `at` is lost in transit. A wire-level
+    /// fault of the TCP transport, whose donor pipeline reads the loss
+    /// off the in-order stream: a lost ack resubmits the result (the
+    /// server dedups), a lost assignment is recovered by its lease. The
+    /// simulator and the thread backend have no such frames and ignore
+    /// it; like the chunk faults it is not part of
+    /// [`FaultPlan::random`]'s mix.
+    DropReply,
+    /// The next control reply bound for the client after `at` is
+    /// delivered twice: the donor must neither compute the unit twice
+    /// nor mistake the copy for the reply to a later request.
+    DuplicateReply,
+    /// The next control reply bound for the client after `at` arrives
+    /// with a broken body checksum; the donor's frame reader skips it
+    /// and recovery is as for [`FaultKind::DropReply`].
+    CorruptReply,
     /// A chunk *replica* endpoint crashes at `at` and refuses
     /// connections for `down_secs` before coming back with its store
     /// intact (a rebooted mirror). The event's `client` field carries
@@ -443,6 +460,9 @@ impl FaultPlan {
                 FaultKind::ReplicaStall { duration_secs } => (10, duration_secs, 0.0),
                 FaultKind::DropChunk => (11, 0.0, 0.0),
                 FaultKind::CorruptChunk => (12, 0.0, 0.0),
+                FaultKind::DropReply => (13, 0.0, 0.0),
+                FaultKind::DuplicateReply => (14, 0.0, 0.0),
+                FaultKind::CorruptReply => (15, 0.0, 0.0),
             };
             eat(&[tag]);
             eat(&a.to_bits().to_le_bytes());
@@ -531,6 +551,9 @@ pub struct PlanInterpreter {
     // time; their own queue, consumed only by the TCP fault proxy's
     // server→client pump.
     chunk_replies: Vec<Vec<(f64, DeliveryAction)>>,
+    // Armed one-shot control-reply (`ResultAck` / `AssignUnit`) faults
+    // per client, sorted by time; the same pump consumes them.
+    control_replies: Vec<Vec<(f64, DeliveryAction)>>,
     // Armed one-shot Byzantine wrong-result faults per client, sorted
     // by time; a separate queue so consuming one never perturbs the
     // delivery-fault schedule (and vice versa).
@@ -550,6 +573,7 @@ impl PlanInterpreter {
     pub fn new(plan: &FaultPlan, n_clients: usize) -> Self {
         let mut deliveries: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
         let mut chunk_replies: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
+        let mut control_replies: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
         let mut wrongs: Vec<Vec<f64>> = vec![Vec::new(); n_clients];
         let mut slowdowns: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); n_clients];
         let mut link_windows = Vec::new();
@@ -566,6 +590,15 @@ impl PlanInterpreter {
                 }
                 (FaultKind::CorruptChunk, Some(c)) if c < n_clients => {
                     chunk_replies[c].push((e.at, DeliveryAction::Corrupt));
+                }
+                (FaultKind::DropReply, Some(c)) if c < n_clients => {
+                    control_replies[c].push((e.at, DeliveryAction::Drop));
+                }
+                (FaultKind::DuplicateReply, Some(c)) if c < n_clients => {
+                    control_replies[c].push((e.at, DeliveryAction::Duplicate));
+                }
+                (FaultKind::CorruptReply, Some(c)) if c < n_clients => {
+                    control_replies[c].push((e.at, DeliveryAction::Corrupt));
                 }
                 (FaultKind::DuplicateResult, Some(c)) if c < n_clients => {
                     deliveries[c].push((e.at, DeliveryAction::Duplicate));
@@ -594,7 +627,11 @@ impl PlanInterpreter {
                 _ => {} // lifecycle events are read via the plan accessors
             }
         }
-        for v in deliveries.iter_mut().chain(&mut chunk_replies) {
+        for v in deliveries
+            .iter_mut()
+            .chain(&mut chunk_replies)
+            .chain(&mut control_replies)
+        {
             v.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         for v in &mut wrongs {
@@ -603,6 +640,7 @@ impl PlanInterpreter {
         Self {
             deliveries,
             chunk_replies,
+            control_replies,
             wrongs,
             slowdowns,
             link_windows,
@@ -626,6 +664,14 @@ impl PlanInterpreter {
     /// [`FaultKind::CorruptChunk`] whose time has passed is consumed.
     pub fn chunk_reply_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
         pop_due(self.chunk_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
+    }
+
+    /// Decides the fate of a `ResultAck` or `AssignUnit` bound for
+    /// `client` at `now`: the earliest armed [`FaultKind::DropReply`] /
+    /// [`FaultKind::DuplicateReply`] / [`FaultKind::CorruptReply`]
+    /// whose time has passed is consumed.
+    pub fn control_reply_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
+        pop_due(self.control_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
     }
 }
 

@@ -116,7 +116,9 @@ pub enum LogRecord {
 /// records mean recomputed units — but never takes down the run.
 #[derive(Debug, Clone)]
 pub struct CheckpointWriter {
-    file: Arc<Mutex<File>>,
+    /// The log and the buffer each record is framed in before its one
+    /// write — kept with the file so appends allocate nothing.
+    log: Arc<Mutex<(File, Vec<u8>)>>,
     telemetry: crate::telemetry::Telemetry,
 }
 
@@ -125,7 +127,7 @@ impl CheckpointWriter {
     pub fn create(path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
         Ok(Self {
-            file: Arc::new(Mutex::new(file)),
+            log: Arc::new(Mutex::new((file, Vec::new()))),
             telemetry: crate::telemetry::Telemetry::disabled(),
         })
     }
@@ -135,7 +137,7 @@ impl CheckpointWriter {
     pub fn append(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self {
-            file: Arc::new(Mutex::new(file)),
+            log: Arc::new(Mutex::new((file, Vec::new()))),
             telemetry: crate::telemetry::Telemetry::disabled(),
         })
     }
@@ -167,19 +169,19 @@ impl CheckpointWriter {
             self.telemetry
                 .counter_add("ckpt.bytes", body.len() as u64 + 9);
         }
-        let mut framed = Vec::with_capacity(body.len() + 9);
+        let mut log = self.log.lock().expect("checkpoint lock");
+        let (file, framed) = &mut *log;
+        framed.clear();
         framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
         framed.push(rtype);
         framed.extend_from_slice(body);
-        let mut crc_input = Vec::with_capacity(body.len() + 1);
-        crc_input.push(rtype);
-        crc_input.extend_from_slice(body);
-        framed.extend_from_slice(&super::wire::crc32(&crc_input).to_le_bytes());
-        let mut f = self.file.lock().expect("checkpoint lock");
+        // The checksum covers `type ‖ body`: everything after the length.
+        let crc = super::wire::crc32(&framed[4..]);
+        framed.extend_from_slice(&crc.to_le_bytes());
         // One write + flush per record: a crash can tear at most the
         // final record, which the reader's CRC check drops.
-        let _ = f.write_all(&framed);
-        let _ = f.flush();
+        let _ = file.write_all(framed);
+        let _ = file.flush();
     }
 
     /// Appends a scheduler snapshot record.

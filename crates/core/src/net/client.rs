@@ -1,11 +1,19 @@
 //! Donor client threads for the TCP backend.
 //!
 //! Each client is one OS thread owning one socket at a time. The loop
-//! mirrors the paper's donor daemon: request work, compute, submit,
-//! repeat — plus the robustness the real deployment needed: heartbeats
-//! so the server can tell "slow" from "gone", reconnect with jittered
-//! exponential backoff (re-reading the [`super::Directory`], so a
-//! restarted server on a new port is found), and idempotent result
+//! mirrors the paper's donor daemon — request work, compute, submit,
+//! repeat — as a small in-order pipeline: after a compute the
+//! `SubmitResult` and the `RequestWork` top-ups leave in **one write**
+//! (the result doubles as the next request), the donor computes the
+//! next ready unit without waiting, and replies are read, in stream
+//! order, only when nothing is ready to compute. One connection answers
+//! in order, so a reply that arrives ahead of an earlier expectation
+//! proves the earlier exchange was lost and it is repaired at once.
+//!
+//! Around that sits the robustness the real deployment needed:
+//! heartbeats so the server can tell "slow" from "gone", reconnect with
+//! jittered exponential backoff (re-reading the [`super::Directory`],
+//! so a restarted server on a new port is found), and idempotent result
 //! resubmission — a result is retired only on a [`Frame::ResultAck`],
 //! so an ack lost to a broken connection leads to a resend, never a
 //! lost unit (the server dedups).
@@ -17,7 +25,7 @@
 
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache};
-use super::wire::{encode_frame_into, Frame, FrameReader, ReadError, HEADER_LEN};
+use super::wire::{encode_frame, encode_frame_into, Frame, FrameReader, ReadError, HEADER_LEN};
 use super::{Clock, Directory};
 use crate::codec::{ChunkNeed, WireCodec};
 use crate::fault::{FaultInjector, FaultPlan, PlanInterpreter};
@@ -31,7 +39,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Tuning for the donor clients. Time-valued fields are in *scaled*
 /// seconds (the [`Clock`]'s unit) unless suffixed `_wall`.
@@ -39,8 +47,8 @@ use std::time::Duration;
 pub struct NetClientOptions {
     /// Heartbeat cadence while idle/polling.
     pub heartbeat_interval: f64,
-    /// How long to await a response frame before treating the
-    /// connection as broken (triggers reconnect + resubmission).
+    /// How long to await an owed reply before treating the connection
+    /// as broken (triggers reconnect + resubmission).
     pub ack_timeout: f64,
     /// Sleep after a `Wait` before asking again.
     pub poll_interval: f64,
@@ -53,8 +61,10 @@ pub struct NetClientOptions {
     /// blocked client notices shutdown flags and deadlines.
     pub read_timeout_wall: Duration,
     /// Pipelined dispatch depth: how many assignments the donor keeps
-    /// prefetched (chunks fetched, unit hydrated) so the next compute
-    /// starts without a request round-trip. 1 disables pipelining.
+    /// ready or requested (chunks fetched, unit hydrated) so the next
+    /// compute starts without a request round-trip — and the bound on
+    /// results submitted but not yet acknowledged. 1 disables
+    /// pipelining.
     pub queue_depth: usize,
     /// Capacity of the donor's chunk cache in bytes. Data a unit needs
     /// is fetched over the wire only when this cache misses.
@@ -194,10 +204,23 @@ enum BurstEnd {
 }
 
 /// A result computed but not yet acknowledged — the idempotence unit.
+/// It holds the encoded `SubmitResult` frame, so a resubmission is a
+/// copy into the write buffer.
 struct PendingResult {
     problem: u64,
     unit: u64,
-    payload: Vec<u8>,
+    frame: Vec<u8>,
+}
+
+/// A reply the origin owes this donor. Expectations queue in the order
+/// their requests were written, which is the order one connection
+/// answers them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Expect {
+    /// The `ResultAck` of a submitted result.
+    Ack { problem: u64, unit: u64 },
+    /// The `AssignUnit` / `Wait` / `Finished` answering a `RequestWork`.
+    Work,
 }
 
 /// A prefetched assignment: decoded, its chunks fetched and hydrated,
@@ -222,10 +245,22 @@ struct ClientLoop {
     opts: NetClientOptions,
     rng: SplitMix64,
     conn: Option<Conn>,
-    /// Outbound frames are encoded here, then written in one call.
+    /// Outbound frames are encoded here and leave in one write per
+    /// [`ClientLoop::flush`].
     wbuf: Vec<u8>,
     reconnect: Backoff,
-    pending: Option<PendingResult>,
+    /// Results submitted on this connection (or waiting for the next
+    /// one) and not yet acknowledged, oldest first; at most
+    /// `queue_depth`. Kept for resubmission after a reconnect.
+    unacked: VecDeque<PendingResult>,
+    /// The replies this connection still owes, in request order.
+    expect: VecDeque<Expect>,
+    /// Control replies that arrived inside a chunk burst, kept in
+    /// stream order for [`ClientLoop::next_reply`].
+    inbox: VecDeque<Frame>,
+    /// The last work reply was a `Wait`: pause, then probe with a
+    /// single request instead of `queue_depth` of them.
+    starved: bool,
     last_heartbeat: f64,
     cache: ChunkCache,
     queue: VecDeque<QueuedUnit>,
@@ -262,7 +297,10 @@ impl ClientLoop {
             conn: None,
             wbuf: Vec::new(),
             reconnect: Backoff::new(opts.reconnect_base, opts.reconnect_cap, 6),
-            pending: None,
+            unacked: VecDeque::new(),
+            expect: VecDeque::new(),
+            inbox: VecDeque::new(),
+            starved: false,
             last_heartbeat: 0.0,
             cache: ChunkCache::new(opts.chunk_cache_bytes),
             queue: VecDeque::new(),
@@ -294,46 +332,27 @@ impl ClientLoop {
             if self.conn.is_none() && !self.connect() {
                 continue; // backoff slept inside connect()
             }
-            // Resubmission first: a pending result outranks new work.
-            if self.pending.is_some() {
-                self.flush_pending();
-                continue;
-            }
             self.maybe_heartbeat();
             self.maybe_report_metrics();
-            match self.request_and_compute() {
+            match self.step() {
                 Step::Continue => {}
                 Step::Finished => {
-                    self.send(&Frame::Goodbye {
+                    self.push(&Frame::Goodbye {
                         client: self.id as u64,
                     });
+                    self.flush();
                     return;
                 }
             }
         }
     }
 
-    /// If `now` is inside a crash window: drop the connection and any
-    /// in-flight state (a crashed donor loses everything — pending
-    /// result, prefetch queue, and the chunk cache), sleep out the
-    /// remaining downtime, and report `true`.
+    /// If `now` is inside a crash window: lose everything, sleep out
+    /// the remaining downtime, and report `true`.
     fn handle_crash_window(&mut self, now: f64) -> bool {
         for &(at, down) in &self.crashes {
             if now >= at && now < at + down {
-                self.conn = None;
-                self.pending = None;
-                self.queue.clear();
-                self.cache.clear();
-                self.local_metrics = Default::default();
-                // The crash event closes every span this donor held
-                // (leases and compute sub-spans) in verify_spans.
-                self.telemetry.emit_at(
-                    now,
-                    crate::telemetry::EventKind::MachineCrashed {
-                        client: self.id,
-                        down_secs: down,
-                    },
-                );
+                self.lose_everything(now, down);
                 let wake = at + down;
                 thread::sleep(self.clock.wall(wake - now));
                 return true;
@@ -342,9 +361,31 @@ impl ClientLoop {
         false
     }
 
-    /// Connects via the directory and says Hello; on failure sleeps a
-    /// jittered exponential backoff (shared [`Backoff`] implementation
-    /// with the fetch failover ladder). Returns whether connected.
+    /// The donor crashed at `now`: the connection and everything held
+    /// in memory go — unacknowledged results, the ready queue, the
+    /// chunk cache, the unshipped metrics. The crash event closes every
+    /// span this donor held (leases and compute sub-spans) in
+    /// verify_spans.
+    fn lose_everything(&mut self, now: f64, down_secs: f64) {
+        self.drop_conn();
+        self.unacked.clear();
+        self.queue.clear();
+        self.cache.clear();
+        self.local_metrics = Default::default();
+        self.telemetry.emit_at(
+            now,
+            crate::telemetry::EventKind::MachineCrashed {
+                client: self.id,
+                down_secs,
+            },
+        );
+    }
+
+    /// Connects via the directory, and queues the `Hello` and every
+    /// unacknowledged result for the first write (the server dedups, so
+    /// at-least-once is safe); on failure sleeps a jittered exponential
+    /// backoff (shared [`Backoff`] implementation with the fetch
+    /// failover ladder). Returns whether connected.
     fn connect(&mut self) -> bool {
         let addr = self.directory.origin();
         let stream = addr.and_then(|a| TcpStream::connect(a).ok());
@@ -352,10 +393,22 @@ impl ClientLoop {
             Some(stream) => {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
+                debug_assert!(
+                    self.wbuf.is_empty() && self.expect.is_empty() && self.inbox.is_empty(),
+                    "drop_conn left nothing of the old connection behind"
+                );
                 self.conn = Some((stream, FrameReader::new()));
-                self.send(&Frame::Hello {
+                self.push(&Frame::Hello {
                     client: self.id as u64,
                 });
+                for r in &self.unacked {
+                    self.wbuf.extend_from_slice(&r.frame);
+                    self.expect.push_back(Expect::Ack {
+                        problem: r.problem,
+                        unit: r.unit,
+                    });
+                }
+                self.count("net.resubmits", self.unacked.len() as u64);
                 self.reconnect.reset();
                 true
             }
@@ -368,20 +421,39 @@ impl ClientLoop {
         }
     }
 
+    /// Gives the connection up along with everything that only meant
+    /// something on it: unwritten frames, owed replies, replies set
+    /// aside. Unacknowledged results stay for the next connection.
     fn drop_conn(&mut self) {
         self.conn = None;
+        self.wbuf.clear();
+        self.expect.clear();
+        self.inbox.clear();
+        self.starved = false;
     }
 
-    fn send(&mut self, frame: &Frame) -> bool {
-        self.wbuf.clear();
+    /// Queues `frame` for the next [`ClientLoop::flush`].
+    fn push(&mut self, frame: &Frame) {
         encode_frame_into(frame, &mut self.wbuf);
-        if let Some((stream, _)) = self.conn.as_mut() {
-            if stream.write_all(&self.wbuf).is_ok() {
-                return true;
-            }
+    }
+
+    /// Writes everything queued in one call. `false`: the connection
+    /// failed (and was dropped).
+    fn flush(&mut self) -> bool {
+        if self.wbuf.is_empty() {
+            return true;
         }
-        self.drop_conn();
-        false
+        let wrote = match self.conn.as_mut() {
+            Some((stream, _)) => stream.write_all(&self.wbuf).is_ok(),
+            None => false,
+        };
+        if wrote {
+            self.wbuf.clear();
+            self.count("net.client_writes", 1);
+        } else {
+            self.drop_conn();
+        }
+        wrote
     }
 
     /// Adds to a counter in the shared registry and in the donor-local
@@ -393,81 +465,21 @@ impl ClientLoop {
         }
     }
 
-    /// Reads frames until `accept` claims one, the ack timeout passes
-    /// (`None`), or the connection breaks (`None` + dropped conn).
-    /// Non-matching frames (stale acks after a reconnect, heartbeat
-    /// acks) are skipped — the protocol is idempotent, so late
-    /// responses are harmless.
-    fn await_frame(&mut self, accept: impl Fn(&Frame) -> bool) -> Option<Frame> {
-        let deadline = self.clock.now() + self.opts.ack_timeout;
-        loop {
-            if self.run_over.load(Ordering::SeqCst) || self.clock.now() > deadline {
-                return None;
-            }
-            let (stream, reader) = self.conn.as_mut()?;
-            match reader.poll(stream) {
-                Ok(Some(frame)) if accept(&frame) => return Some(frame),
-                Ok(Some(Frame::ReplicaAnnounce { endpoints })) => {
-                    // Unsolicited topology update (the Hello reply, or
-                    // a re-announcement): fold it into the directory.
-                    self.directory.merge_replicas(&endpoints);
-                }
-                Ok(Some(_)) => {}               // stale/unsolicited frame: skip
-                Ok(None) => {}                  // read timeout tick
-                Err(ReadError::Decode(_)) => {} // mangled inbound frame: skip
-                Err(ReadError::Io(_)) => {
-                    self.drop_conn();
-                    return None;
-                }
-            }
-        }
-    }
-
-    /// Sends the pending result and awaits its ack. On timeout or a
-    /// broken connection the pending result is kept and resent after
-    /// reconnect — the server dedups, so at-least-once is safe.
-    fn flush_pending(&mut self) {
-        let Some((want_p, want_u, payload)) = self
-            .pending
-            .as_ref()
-            .map(|p| (p.problem, p.unit, p.payload.clone()))
-        else {
-            return;
-        };
-        let frame = Frame::SubmitResult {
-            client: self.id as u64,
-            problem: want_p,
-            unit: want_u,
-            payload,
-        };
-        if !self.send(&frame) {
-            return;
-        }
-        let ack = self.await_frame(|f| {
-            matches!(f, Frame::ResultAck { problem, unit, .. }
-                     if *problem == want_p && *unit == want_u)
-        });
-        if ack.is_some() {
-            // Accepted or nacked (duplicate/corrupt) — either way the
-            // server has ruled and the pending copy is retired.
-            self.pending = None;
-        }
-    }
-
     fn maybe_heartbeat(&mut self) {
         let now = self.clock.now();
         if now - self.last_heartbeat >= self.opts.heartbeat_interval {
             self.last_heartbeat = now;
-            self.send(&Frame::Heartbeat {
+            // Rides along with the step's write; its ack is skipped by
+            // the reply dispatcher.
+            self.push(&Frame::Heartbeat {
                 client: self.id as u64,
             });
-            // The ack is skipped by the next await_frame; no wait here.
         }
     }
 
-    /// Ships the local registry as a delta snapshot when the cadence is
-    /// due. Fire-and-forget: the delta is reset whether or not the send
-    /// lands — a lost report skews counters, never correctness.
+    /// Queues the local registry as a delta snapshot when the cadence
+    /// is due. Fire-and-forget: the delta is reset whether or not the
+    /// write lands — a lost report skews counters, never correctness.
     fn maybe_report_metrics(&mut self) {
         if self.opts.metrics_report_interval <= 0.0 {
             return;
@@ -478,93 +490,189 @@ impl ClientLoop {
         }
         self.last_report = now;
         let local = std::mem::take(&mut self.local_metrics);
-        self.send(&Frame::MetricsReport {
+        self.push(&Frame::MetricsReport {
             client: self.id as u64,
             snapshot: local.snapshot().to_wire_bytes(),
         });
     }
 
-    fn request_and_compute(&mut self) -> Step {
-        // Pipelined dispatch: top the prefetch queue up to
-        // `queue_depth` assignments — each decoded, its chunks fetched
-        // (cache misses only) and hydrated — then compute the front.
-        while self.queue.len() < self.opts.queue_depth.max(1) {
-            if !self.send(&Frame::RequestWork {
-                client: self.id as u64,
-            }) {
-                break;
+    /// One turn of the pipeline: top the requests up, write, then
+    /// compute a ready unit — or, with nothing ready, read one reply.
+    ///
+    /// ```text
+    /// write [S_n, R] → compute n+1 → write [S_n+1, R] → read [Ack_n, A_n+2] → compute n+2 → …
+    /// ```
+    ///
+    /// The result of the last compute is still in `wbuf` here, so it
+    /// and the `RequestWork`s that keep ready + requested at
+    /// `queue_depth` leave in one write, and the replies are collected
+    /// after the next compute, not before it.
+    fn step(&mut self) -> Step {
+        let depth = self.opts.queue_depth.max(1);
+        if self.starved && self.queue.is_empty() && self.expect.is_empty() {
+            // The origin had nothing to give: pause on the socket
+            // before asking again.
+            if !self.flush() {
+                return Step::Continue;
             }
-            let reply = self.await_frame(|f| {
-                matches!(f, Frame::AssignUnit { .. } | Frame::Wait | Frame::Finished)
-            });
-            match reply {
-                Some(Frame::AssignUnit {
-                    problem,
-                    unit,
-                    cost_ops,
-                    payload,
-                }) => self.enqueue_assignment(problem, unit, cost_ops, &payload),
-                Some(Frame::Wait) => break,
-                Some(Frame::Finished) => {
-                    // Every problem is complete; any queued units could
-                    // only produce wasted results.
-                    self.queue.clear();
-                    return Step::Finished;
-                }
-                _ => break, // timeout or broken conn: reconnect path
+            if let Step::Finished = self.next_reply(self.opts.poll_interval) {
+                return Step::Finished;
             }
         }
-        match self.queue.pop_front() {
-            Some(qu) => self.compute_queued(qu),
-            None => self.parked_wait(self.opts.poll_interval),
+        let target = if self.starved { 1 } else { depth };
+        let owed = self.expect.iter().filter(|e| **e == Expect::Work).count();
+        for _ in self.queue.len() + owed..target {
+            self.push(&Frame::RequestWork {
+                client: self.id as u64,
+            });
+            self.expect.push_back(Expect::Work);
+        }
+        if !self.flush() {
+            return Step::Continue;
+        }
+        if self.unacked.len() < depth {
+            if let Some(qu) = self.queue.pop_front() {
+                self.compute_queued(qu);
+                return Step::Continue;
+            }
+        }
+        self.next_reply(self.opts.ack_timeout)
+    }
+
+    /// The one receive path: takes the next frame in stream order —
+    /// first what a chunk burst set aside, then the socket — and
+    /// dispatches it against the expectations. Blocks for up to `wait`
+    /// scaled seconds; when replies are owed and none arrives by then,
+    /// the tail of the stream was lost and the connection is dropped
+    /// (reconnecting resubmits every unacknowledged result). With
+    /// nothing owed this is the parked wait after a `Wait`: the donor
+    /// blocks *on the socket*, so any inbound frame ends the pause.
+    fn next_reply(&mut self, wait: f64) -> Step {
+        if let Some(frame) = self.inbox.pop_front() {
+            return self.dispatch(frame);
+        }
+        let parked = self.expect.is_empty();
+        let wall = self.clock.wall(wait);
+        let deadline = Instant::now() + wall;
+        if parked {
+            // One long read instead of a tick every `read_timeout_wall`.
+            self.set_read_timeout(wall.max(Duration::from_millis(1)));
+        }
+        let frame = loop {
+            if self.run_over.load(Ordering::SeqCst) {
+                break None;
+            }
+            let Some((stream, reader)) = self.conn.as_mut() else {
+                break None;
+            };
+            match reader.poll(stream) {
+                Ok(Some(frame)) => break Some(frame),
+                // A read-timeout tick, or a reply mangled in transit
+                // (its CRC made the reader skip it; the next in-order
+                // reply exposes the gap).
+                Ok(None) | Err(ReadError::Decode(_)) => {
+                    if Instant::now() >= deadline {
+                        if !parked {
+                            self.drop_conn();
+                        }
+                        break None;
+                    }
+                }
+                Err(ReadError::Io(_)) => {
+                    self.drop_conn();
+                    break None;
+                }
+            }
+        };
+        if parked {
+            self.set_read_timeout(self.opts.read_timeout_wall);
+        }
+        match frame {
+            Some(frame) => self.dispatch(frame),
+            None => Step::Continue,
+        }
+    }
+
+    fn set_read_timeout(&mut self, wall: Duration) {
+        if let Some((stream, _)) = self.conn.as_mut() {
+            let _ = stream.set_read_timeout(Some(wall));
+        }
+    }
+
+    /// Applies one inbound frame to the pipeline state.
+    fn dispatch(&mut self, frame: Frame) -> Step {
+        match frame {
+            Frame::ResultAck { problem, unit, .. } => self.retire(problem, unit),
+            Frame::AssignUnit {
+                problem,
+                unit,
+                cost_ops,
+                payload,
+            } => {
+                let id = (problem, unit);
+                if self.queue.iter().any(|q| (q.problem, q.unit) == id)
+                    || self.unacked.iter().any(|r| (r.problem, r.unit) == id)
+                {
+                    return Step::Continue; // a duplicated frame: the unit is already here
+                }
+                self.settle(Expect::Work);
+                self.starved = false;
+                self.enqueue_assignment(problem, unit, cost_ops, &payload);
+            }
+            // (A `Wait` nobody is owed is a duplicated frame.)
+            Frame::Wait => self.starved |= self.settle(Expect::Work),
+            Frame::Finished => {
+                // Every problem is complete; anything queued or
+                // unacknowledged could only produce wasted results.
+                self.queue.clear();
+                return Step::Finished;
+            }
+            Frame::ReplicaAnnounce { endpoints } => {
+                // Unsolicited topology update (the Hello reply, or a
+                // re-announcement): fold it into the directory.
+                self.directory.merge_replicas(&endpoints);
+            }
+            _ => {} // heartbeat acks, late chunk replies
         }
         Step::Continue
     }
 
-    /// A real parked wait with a deadline, replacing the old fixed
-    /// sleep after a `Wait`: the client blocks *on the socket* for up
-    /// to `scaled_secs`, so any inbound frame (a replica
-    /// re-announcement, a stale ack) ends the pause immediately instead
-    /// of after a poll tick. Degrades to a plain sleep with no
-    /// connection.
-    fn parked_wait(&mut self, scaled_secs: f64) {
-        let wall = self.clock.wall(scaled_secs);
-        if self.conn.is_none() {
-            thread::sleep(wall);
-            return;
+    /// A result's ack arrived. Accepted or nacked (duplicate/corrupt) —
+    /// either way the server has ruled and the result is retired. An
+    /// ack nobody is owed (a duplicated frame) is ignored.
+    fn retire(&mut self, problem: u64, unit: u64) {
+        if self.settle(Expect::Ack { problem, unit }) {
+            self.unacked
+                .retain(|r| (r.problem, r.unit) != (problem, unit));
         }
-        let deadline = std::time::Instant::now() + wall;
-        if let Some((stream, _)) = self.conn.as_mut() {
-            let _ = stream.set_read_timeout(Some(wall.max(Duration::from_millis(1))));
-        }
-        loop {
-            if self.run_over.load(Ordering::SeqCst) {
-                break;
-            }
-            let Some((stream, reader)) = self.conn.as_mut() else {
-                return;
+    }
+
+    /// The reply to the first `what` owed has arrived; `false` if none
+    /// is owed. One connection answers in order, so every expectation
+    /// queued ahead of it was lost in transit or skipped for its CRC:
+    /// a lost submit-or-ack is queued again at once and leaves with the
+    /// next write (instead of waiting out the ack timeout), a lost
+    /// assignment is left to its lease — the next top-up asks again.
+    fn settle(&mut self, what: Expect) -> bool {
+        let Some(pos) = self.expect.iter().position(|e| *e == what) else {
+            return false;
+        };
+        for _ in 0..pos {
+            let Some(Expect::Ack { problem, unit }) = self.expect.pop_front() else {
+                continue;
             };
-            match reader.poll(stream) {
-                Ok(Some(Frame::ReplicaAnnounce { endpoints })) => {
-                    self.directory.merge_replicas(&endpoints);
-                    break;
-                }
-                Ok(Some(_)) => break, // any inbound frame ends the pause
-                Ok(None) => {
-                    if std::time::Instant::now() >= deadline {
-                        break;
-                    }
-                }
-                Err(ReadError::Decode(_)) => break,
-                Err(ReadError::Io(_)) => {
-                    self.drop_conn();
-                    return;
-                }
+            let lost = self
+                .unacked
+                .iter()
+                .find(|r| (r.problem, r.unit) == (problem, unit));
+            if let Some(r) = lost {
+                self.wbuf.extend_from_slice(&r.frame);
+                self.expect.push_back(Expect::Ack { problem, unit });
+                self.count("net.resubmits", 1);
             }
         }
-        if let Some((stream, _)) = self.conn.as_mut() {
-            let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
-        }
+        self.expect.pop_front();
+        true
     }
 
     /// Decodes an assignment, fetches the chunks it needs (donor cache
@@ -649,6 +757,12 @@ impl ClientLoop {
         }
         self.count("cache.hits", (needs.len() - todo.len()) as u64);
         self.count("cache.misses", todo.len() as u64);
+        // Bursts encode into `wbuf`: anything still queued there (a
+        // resubmission the gap before this assignment called for) goes
+        // out first.
+        if !todo.is_empty() && !self.flush() {
+            return None;
+        }
 
         let mut backoff = Backoff::new(self.opts.reconnect_base, self.opts.reconnect_cap, 6);
         for rung in 0..REPLICA_RUNGS {
@@ -714,7 +828,9 @@ impl ClientLoop {
             }
             let mut conn = self.conn.take()?;
             let (left, end) = self.burst(&mut conn, false, problem, needs, &todo, &mut got);
-            if end != BurstEnd::Broken {
+            if end == BurstEnd::Broken {
+                self.drop_conn();
+            } else {
                 self.conn = Some(conn);
             }
             if end != BurstEnd::Complete {
@@ -785,7 +901,7 @@ impl ClientLoop {
         while end == BurstEnd::Complete && sent < wants.len() {
             let window_start = sent;
             let mut window = 0u64;
-            self.wbuf.clear();
+            debug_assert!(self.wbuf.is_empty(), "fetch_chunks flushed, windows clear");
             while sent < wants.len() {
                 let exchange = needs[wants[sent]].bytes + CHUNK_EXCHANGE_OVERHEAD;
                 if sent > window_start && window + exchange > BURST_WINDOW_BYTES {
@@ -802,7 +918,9 @@ impl ClientLoop {
                 );
                 sent += 1;
             }
-            if stream.write_all(&self.wbuf).is_err() {
+            let wrote = stream.write_all(&self.wbuf).is_ok();
+            self.wbuf.clear();
+            if !wrote {
                 sent = window_start;
                 end = BurstEnd::Broken;
                 break;
@@ -839,6 +957,18 @@ impl ClientLoop {
                     }
                     Ok(Some(Frame::ReplicaAnnounce { endpoints })) => {
                         self.directory.merge_replicas(&endpoints);
+                        continue;
+                    }
+                    Ok(Some(
+                        frame @ (Frame::ResultAck { .. }
+                        | Frame::AssignUnit { .. }
+                        | Frame::Wait
+                        | Frame::Finished),
+                    )) if !replica => {
+                        // The pipeline's own replies, interleaved into
+                        // the origin's chunk stream: kept, in order,
+                        // for the dispatcher.
+                        self.inbox.push_back(frame);
                         continue;
                     }
                     // Unsolicited frame, read-timeout tick, or a reply
@@ -947,19 +1077,9 @@ impl ClientLoop {
             .iter()
             .find(|&&(at, _down)| started < at && done >= at)
         {
-            self.drop_conn();
-            self.queue.clear();
-            self.cache.clear();
-            self.local_metrics = Default::default();
             // The orphaned compute sub-span is closed by the crash
             // event's client-wide closure.
-            self.telemetry.emit_at(
-                done,
-                crate::telemetry::EventKind::MachineCrashed {
-                    client: self.id,
-                    down_secs: down,
-                },
-            );
+            self.lose_everything(done, down);
             return;
         }
         self.telemetry.emit_at(
@@ -990,12 +1110,21 @@ impl ClientLoop {
                     action: "wrong_result".to_string(),
                 });
         }
-        self.pending = Some(PendingResult {
+        // The result waits in `wbuf` for the next step's write, where
+        // the request that replaces this unit rides along.
+        let frame = encode_frame(&Frame::SubmitResult {
+            client: self.id as u64,
             problem,
             unit,
             payload: encoded,
         });
-        self.flush_pending();
+        self.wbuf.extend_from_slice(&frame);
+        self.expect.push_back(Expect::Ack { problem, unit });
+        self.unacked.push_back(PendingResult {
+            problem,
+            unit,
+            frame,
+        });
     }
 }
 
@@ -1007,10 +1136,12 @@ enum Step {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::wire::encode_frame;
+    use crate::codec::WireError;
+    use crate::net::wire::FrameAssembler;
+    use crate::problem::TaskResult;
+    use std::collections::HashSet;
     use std::net::TcpListener;
     use std::sync::Mutex;
-    use std::time::Instant;
 
     /// What the scripted origin does to the k-th `ChunkRequest` it sees.
     #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1031,8 +1162,8 @@ mod tests {
             .collect()
     }
 
-    fn needs(n: u64) -> Vec<ChunkNeed> {
-        (0..n)
+    fn needs_of(chunks: std::ops::Range<u64>) -> Vec<ChunkNeed> {
+        chunks
             .map(|chunk| {
                 let bytes = chunk_bytes(chunk);
                 ChunkNeed {
@@ -1044,63 +1175,214 @@ mod tests {
             .collect()
     }
 
-    /// A loopback origin that answers `ChunkRequest`s from
-    /// [`chunk_bytes`], applies `fault` to the `k`-th request it sees
-    /// (0-based, once), and logs every chunk id asked for.
+    fn needs(n: u64) -> Vec<ChunkNeed> {
+        needs_of(0..n)
+    }
+
+    /// What the origin does, beyond answering honestly. Indices are
+    /// 0-based counts of the frames of that type it has seen; every
+    /// fault fires once.
+    #[derive(Debug, Clone, Copy, Default)]
+    struct Script {
+        /// Units `0..units` are handed out to `RequestWork`s in order;
+        /// then `Wait` until every result is in, then `Finished`.
+        units: u64,
+        /// Applied to the k-th `ChunkRequest`.
+        chunk_fault: Option<(usize, Fault)>,
+        /// The k-th `SubmitResult` is lost in transit: never folded,
+        /// never acknowledged.
+        drop_submit: Option<usize>,
+        /// From the k-th `RequestWork` on, nothing the first connection
+        /// is owed leaves any more (frames are still handled).
+        mute_from_request: Option<usize>,
+    }
+
+    /// One frame the origin saw.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Seen {
+        Hello,
+        Request,
+        Submit(u64),
+        /// A `SubmitResult` the script lost in transit.
+        LostSubmit(u64),
+        Chunk(u64),
+        Other,
+    }
+
+    /// A loopback origin that speaks the donor protocol from a
+    /// [`Script`]: assignments carry their unit id as payload, chunks
+    /// come from [`chunk_bytes`], a `Hello` returns every unit leased
+    /// but not folded to the pool (lease recovery, compressed), and the
+    /// frames of every read are logged as one group.
     struct ScriptedOrigin {
         addr: SocketAddr,
-        log: Arc<Mutex<Vec<u64>>>,
+        log: Arc<Mutex<Vec<Vec<Seen>>>>,
         stop: Arc<AtomicBool>,
         thread: JoinHandle<()>,
     }
 
+    struct OriginState {
+        script: Script,
+        free: VecDeque<u64>,
+        leased: Vec<u64>,
+        folded: HashSet<u64>,
+        seen: [usize; 3], // requests, submits, chunk requests
+        connections: usize,
+        muted: bool,
+    }
+
+    impl OriginState {
+        /// Handles one frame: what to log and what to reply.
+        fn handle(&mut self, frame: Frame, out: &mut Vec<u8>) -> Seen {
+            match frame {
+                Frame::Hello { .. } => {
+                    for unit in self.leased.drain(..).rev() {
+                        self.free.push_front(unit);
+                    }
+                    Seen::Hello
+                }
+                Frame::RequestWork { .. } => {
+                    if self.connections == 1 && self.script.mute_from_request == Some(self.seen[0])
+                    {
+                        self.muted = true;
+                    }
+                    self.seen[0] += 1;
+                    let reply = match self.free.pop_front() {
+                        Some(unit) => {
+                            self.leased.push(unit);
+                            Frame::AssignUnit {
+                                problem: 0,
+                                unit,
+                                cost_ops: 1.0,
+                                payload: unit.to_le_bytes().to_vec(),
+                            }
+                        }
+                        None if self.folded.len() as u64 == self.script.units => Frame::Finished,
+                        None => Frame::Wait,
+                    };
+                    encode_frame_into(&reply, out);
+                    Seen::Request
+                }
+                Frame::SubmitResult { problem, unit, .. } => {
+                    let k = self.seen[1];
+                    self.seen[1] += 1;
+                    if self.script.drop_submit == Some(k) {
+                        return Seen::LostSubmit(unit);
+                    }
+                    self.leased.retain(|&u| u != unit);
+                    let accepted = self.folded.insert(unit);
+                    encode_frame_into(
+                        &Frame::ResultAck {
+                            problem,
+                            unit,
+                            accepted,
+                        },
+                        out,
+                    );
+                    Seen::Submit(unit)
+                }
+                Frame::ChunkRequest { problem, chunk, .. } => {
+                    let k = self.seen[2];
+                    self.seen[2] += 1;
+                    let hit = self
+                        .script
+                        .chunk_fault
+                        .filter(|&(at, _)| at == k)
+                        .map(|(_, f)| f);
+                    let served = match hit {
+                        Some(Fault::SwapDigest) => chunk + 1,
+                        _ => chunk,
+                    };
+                    let payload = chunk_bytes(served);
+                    let mut reply = encode_frame(&Frame::ChunkData {
+                        problem,
+                        chunk,
+                        digest: chunk_digest(&payload),
+                        payload,
+                    });
+                    match hit {
+                        Some(Fault::Drop) => reply.clear(),
+                        Some(Fault::CorruptCrc) => *reply.last_mut().unwrap() ^= 0xFF,
+                        Some(Fault::Missing) => {
+                            reply = encode_frame(&Frame::ChunkMissing { problem, chunk })
+                        }
+                        Some(Fault::SwapDigest) | None => {}
+                    }
+                    out.extend_from_slice(&reply);
+                    Seen::Chunk(chunk)
+                }
+                _ => Seen::Other,
+            }
+        }
+
+        /// Serves one connection until it closes or `stop` is raised.
+        fn serve(&mut self, mut stream: TcpStream, log: &Mutex<Vec<Vec<Seen>>>, stop: &AtomicBool) {
+            stream
+                .set_read_timeout(Some(Duration::from_millis(2)))
+                .unwrap();
+            self.connections += 1;
+            self.muted = false;
+            let mut asm = FrameAssembler::new();
+            let mut out = Vec::new();
+            while !stop.load(Ordering::SeqCst) {
+                match asm.read_from(&mut stream) {
+                    Ok(0) => return,
+                    Ok(_) => {}
+                    Err(e)
+                        if matches!(
+                            e.kind(),
+                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                        ) =>
+                    {
+                        continue
+                    }
+                    Err(_) => return,
+                }
+                let mut group = Vec::new();
+                while let Ok(Some(frame)) = asm.next_frame() {
+                    let before = out.len();
+                    group.push(self.handle(frame, &mut out));
+                    if self.muted {
+                        out.truncate(before);
+                    }
+                }
+                if !group.is_empty() {
+                    log.lock().unwrap().push(group);
+                }
+                if stream.write_all(&out).is_err() {
+                    return;
+                }
+                out.clear();
+            }
+        }
+    }
+
     impl ScriptedOrigin {
-        fn start(fault: Option<(usize, Fault)>) -> Self {
+        fn start(script: Script) -> Self {
             let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            listener.set_nonblocking(true).unwrap();
             let addr = listener.local_addr().unwrap();
             let log = Arc::new(Mutex::new(Vec::new()));
             let stop = Arc::new(AtomicBool::new(false));
             let thread = {
                 let (log, stop) = (log.clone(), stop.clone());
                 thread::spawn(move || {
-                    let (mut stream, _) = listener.accept().unwrap();
-                    stream
-                        .set_read_timeout(Some(Duration::from_millis(2)))
-                        .unwrap();
-                    let mut reader = FrameReader::new();
-                    let mut seen = 0usize;
+                    let mut state = OriginState {
+                        script,
+                        free: (0..script.units).collect(),
+                        leased: Vec::new(),
+                        folded: HashSet::new(),
+                        seen: [0; 3],
+                        connections: 0,
+                        muted: false,
+                    };
                     while !stop.load(Ordering::SeqCst) {
-                        let (problem, chunk) = match reader.poll(&mut stream) {
-                            Ok(Some(Frame::ChunkRequest { problem, chunk, .. })) => {
-                                (problem, chunk)
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                stream.set_nonblocking(false).unwrap();
+                                state.serve(stream, &log, &stop);
                             }
-                            Ok(_) => continue,
-                            Err(_) => return,
-                        };
-                        log.lock().unwrap().push(chunk);
-                        let hit = fault.filter(|&(k, _)| k == seen).map(|(_, f)| f);
-                        seen += 1;
-                        let served = match hit {
-                            Some(Fault::SwapDigest) => chunk + 1,
-                            _ => chunk,
-                        };
-                        let payload = chunk_bytes(served);
-                        let mut reply = encode_frame(&Frame::ChunkData {
-                            problem,
-                            chunk,
-                            digest: chunk_digest(&payload),
-                            payload,
-                        });
-                        match hit {
-                            Some(Fault::Drop) => continue,
-                            Some(Fault::CorruptCrc) => *reply.last_mut().unwrap() ^= 0xFF,
-                            Some(Fault::Missing) => {
-                                reply = encode_frame(&Frame::ChunkMissing { problem, chunk })
-                            }
-                            Some(Fault::SwapDigest) | None => {}
-                        }
-                        if stream.write_all(&reply).is_err() {
-                            return;
+                            Err(_) => thread::sleep(Duration::from_millis(1)),
                         }
                     }
                 })
@@ -1113,7 +1395,15 @@ mod tests {
             }
         }
 
-        fn finish(self) -> Vec<u64> {
+        fn with_chunk_fault(fault: Option<(usize, Fault)>) -> Self {
+            Self::start(Script {
+                chunk_fault: fault,
+                ..Default::default()
+            })
+        }
+
+        /// Stops the origin; the groups of frames it saw, one per read.
+        fn finish(self) -> Vec<Vec<Seen>> {
             self.stop.store(true, Ordering::SeqCst);
             self.thread.join().unwrap();
             let log = self.log.lock().unwrap().clone();
@@ -1121,19 +1411,96 @@ mod tests {
         }
     }
 
-    /// A donor loop wired to `origin` (no replicas), connected, with an
-    /// ack timeout no healthy test may come near.
-    fn donor(origin: SocketAddr, telemetry: &Telemetry) -> ClientLoop {
+    /// The chunk ids an origin was asked for, in order.
+    fn chunks_asked(log: &[Vec<Seen>]) -> Vec<u64> {
+        log.iter()
+            .flatten()
+            .filter_map(|s| match s {
+                Seen::Chunk(c) => Some(*c),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// How often each of `units` results reached the origin.
+    fn submits(log: &[Vec<Seen>], units: u64) -> Vec<usize> {
+        let mut n = vec![0; units as usize];
+        for s in log.iter().flatten() {
+            if let Seen::Submit(u) = s {
+                n[*u as usize] += 1;
+            }
+        }
+        n
+    }
+
+    /// The test problem: a unit's payload is its id, its result echoes
+    /// it, and it depends on `chunks_per_unit` chunks of its own.
+    struct Echo {
+        chunks_per_unit: u64,
+    }
+
+    fn echo_payload(bytes: &[u8]) -> Result<Payload, WireError> {
+        let id: [u8; 8] = bytes.try_into().map_err(|_| WireError::new("not a u64"))?;
+        Ok(Payload::new(u64::from_le_bytes(id), 8))
+    }
+
+    fn echo_bytes(payload: &Payload) -> Result<Vec<u8>, WireError> {
+        let id = payload
+            .downcast_ref::<u64>()
+            .expect("echo payloads are ids");
+        Ok(id.to_le_bytes().to_vec())
+    }
+
+    impl WireCodec for Echo {
+        fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+            echo_bytes(payload)
+        }
+        fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
+            echo_payload(bytes)
+        }
+        fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+            echo_bytes(payload)
+        }
+        fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
+            echo_payload(bytes)
+        }
+        fn unit_chunks(&self, payload: &Payload) -> Vec<ChunkNeed> {
+            let id = *payload
+                .downcast_ref::<u64>()
+                .expect("echo payloads are ids");
+            needs_of(id * self.chunks_per_unit..(id + 1) * self.chunks_per_unit)
+        }
+    }
+
+    impl Algorithm for Echo {
+        fn compute(&self, unit: &WorkUnit) -> TaskResult {
+            TaskResult {
+                unit_id: unit.id,
+                payload: Payload::new(*unit.payload.downcast_ref::<u64>().unwrap(), 8),
+            }
+        }
+    }
+
+    /// A donor loop for the [`Echo`] problem wired to `origin` (no
+    /// replicas), not yet connected, polling fast after a `Wait`.
+    fn echo_donor(
+        origin: SocketAddr,
+        telemetry: &Telemetry,
+        chunks_per_unit: u64,
+        ack_timeout: f64,
+    ) -> ClientLoop {
+        let echo = Arc::new(Echo { chunks_per_unit });
         let kit = ClientKit {
-            algorithms: Vec::new(),
-            codecs: Vec::new(),
+            algorithms: vec![echo.clone()],
+            codecs: vec![echo],
             telemetry: telemetry.clone(),
         };
         let opts = NetClientOptions {
-            ack_timeout: 30.0,
+            ack_timeout,
+            poll_interval: 0.002,
             ..Default::default()
         };
-        let mut donor = ClientLoop::new(
+        ClientLoop::new(
             0,
             Directory::with_origin(origin),
             Clock::new(1.0),
@@ -1142,9 +1509,215 @@ mod tests {
             1,
             Arc::new(AtomicBool::new(false)),
             opts,
-        );
+        )
+    }
+
+    /// A connected donor with an ack timeout no healthy test may come
+    /// near, for driving `fetch_chunks` directly.
+    fn donor(origin: SocketAddr, telemetry: &Telemetry) -> ClientLoop {
+        let mut donor = echo_donor(origin, telemetry, 0, 30.0);
         assert!(donor.connect());
         donor
+    }
+
+    /// A healthy run may not come near this (the ack timeout is 30 s).
+    const NO_TIMEOUT_WAIT: Duration = Duration::from_secs(10);
+
+    #[test]
+    fn steady_state_is_one_write_per_unit_with_the_request_riding_along() {
+        const UNITS: u64 = 40;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            ..Default::default()
+        });
+        echo_donor(origin.addr, &telemetry, 0, 30.0).run();
+        let log = origin.finish();
+        assert_eq!(
+            log[0],
+            [Seen::Hello, Seen::Request, Seen::Request],
+            "the hello and queue_depth requests are one write"
+        );
+        assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
+        // Until the pool runs dry, every result reaches the origin in
+        // the same read as the request that replaces its unit.
+        for group in &log {
+            for (i, seen) in group.iter().enumerate() {
+                if matches!(seen, Seen::Submit(u) if *u < UNITS - 3) {
+                    assert!(
+                        group[i + 1..].contains(&Seen::Request),
+                        "a result travelled without a request: {group:?}"
+                    );
+                }
+            }
+        }
+        // One write per unit, plus the hello, the goodbye and the polls
+        // and lone results of the drained tail.
+        let writes = telemetry.metrics_snapshot().counter("net.client_writes");
+        assert!(
+            (UNITS..=UNITS + 8).contains(&writes),
+            "{writes} writes for {UNITS} units"
+        );
+    }
+
+    #[test]
+    fn dropped_submit_is_exposed_by_the_next_assignment_and_resent_alone() {
+        const UNITS: u64 = 30;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            drop_submit: Some(7),
+            ..Default::default()
+        });
+        let started = Instant::now();
+        echo_donor(origin.addr, &telemetry, 0, 30.0).run();
+        let elapsed = started.elapsed();
+        let log = origin.finish();
+        let lost: Vec<&Seen> = log
+            .iter()
+            .flatten()
+            .filter(|s| matches!(s, Seen::LostSubmit(_)))
+            .collect();
+        assert_eq!(lost.len(), 1, "the script lost one result");
+        assert_eq!(
+            submits(&log, UNITS),
+            vec![1; UNITS as usize],
+            "the lost result is resent, and nothing else is"
+        );
+        assert_eq!(
+            log.iter().flatten().filter(|s| **s == Seen::Hello).count(),
+            1,
+            "on the same connection"
+        );
+        assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 1);
+        assert!(
+            elapsed < NO_TIMEOUT_WAIT,
+            "the gap must be inferred from the stream, not waited out ({elapsed:?})"
+        );
+    }
+
+    #[test]
+    fn replies_lost_at_the_tail_time_out_and_each_unacked_result_is_resubmitted_once() {
+        const UNITS: u64 = 20;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            mute_from_request: Some(6),
+            ..Default::default()
+        });
+        echo_donor(origin.addr, &telemetry, 0, 0.2).run();
+        let log = origin.finish();
+        let hellos: Vec<usize> = (0..log.len())
+            .filter(|&g| log[g].contains(&Seen::Hello))
+            .collect();
+        assert_eq!(hellos.len(), 2, "one timeout, one reconnect: {log:?}");
+        // The reconnect's first write carries the hello and every
+        // result the muted connection never acknowledged.
+        let resent: Vec<u64> = log[hellos[1]]
+            .iter()
+            .filter_map(|s| match s {
+                Seen::Submit(u) => Some(*u),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            (1..=2).contains(&resent.len()),
+            "at most queue_depth results were unacknowledged: {resent:?}"
+        );
+        assert_eq!(
+            telemetry.metrics_snapshot().counter("net.resubmits"),
+            resent.len() as u64
+        );
+        let counts = submits(&log, UNITS);
+        for (unit, &n) in counts.iter().enumerate() {
+            let expected = if resent.contains(&(unit as u64)) {
+                2
+            } else {
+                1
+            };
+            assert_eq!(n, expected, "unit {unit}: {log:?}");
+        }
+    }
+
+    #[test]
+    fn control_replies_inside_a_chunk_stream_are_neither_lost_nor_reordered() {
+        const UNITS: u64 = 12;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            ..Default::default()
+        });
+        let mut donor = echo_donor(origin.addr, &telemetry, 5, 30.0);
+        let started = Instant::now();
+        assert!(donor.connect());
+        // The first step writes [Hello, R, R] and reads unit 0, whose
+        // chunk burst finds unit 1's assignment ahead of its ChunkData.
+        donor.step();
+        assert_eq!(donor.queue.len(), 1, "unit 0 is hydrated and ready");
+        assert!(
+            matches!(donor.inbox.front(), Some(Frame::AssignUnit { unit: 1, .. })),
+            "the burst set the interleaved assignment aside: {:?}",
+            donor.inbox
+        );
+        donor.run();
+        let elapsed = started.elapsed();
+        let log = origin.finish();
+        // A reply lost in the burst would stall the donor until the ack
+        // timeout; one taken out of order would read as a gap and
+        // resubmit a result.
+        assert!(elapsed < NO_TIMEOUT_WAIT, "{elapsed:?}");
+        assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
+        assert_eq!(
+            chunks_asked(&log),
+            (0..UNITS * 5).collect::<Vec<u64>>(),
+            "every chunk fetched once, in unit order"
+        );
+    }
+
+    #[test]
+    fn crash_window_mid_pipeline_leaves_no_expectation_behind() {
+        const UNITS: u64 = 16;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            ..Default::default()
+        });
+        let mut donor = echo_donor(origin.addr, &telemetry, 2, 30.0);
+        assert!(donor.connect());
+        while donor.unacked.len() < 2 {
+            donor.step();
+        }
+        assert!(!donor.expect.is_empty(), "replies are owed mid-pipeline");
+        assert!(!donor.cache.is_empty());
+        let now = donor.clock.now();
+        donor.crashes = vec![(now, 0.01)];
+        assert!(donor.handle_crash_window(now));
+        assert!(donor.conn.is_none());
+        assert!(donor.expect.is_empty() && donor.inbox.is_empty() && donor.wbuf.is_empty());
+        assert!(donor.unacked.is_empty() && donor.queue.is_empty());
+        assert_eq!(donor.cache.len(), 0);
+        donor.crashes.clear();
+        let started = Instant::now();
+        donor.run();
+        assert!(
+            started.elapsed() < NO_TIMEOUT_WAIT,
+            "nothing stale was awaited"
+        );
+        let log = origin.finish();
+        let rejoin = log
+            .iter()
+            .rposition(|g| g.contains(&Seen::Hello))
+            .expect("the donor rejoined");
+        assert!(rejoin > 0, "on a second connection");
+        assert!(
+            !log[rejoin].iter().any(|s| matches!(s, Seen::Submit(_))),
+            "a crashed donor has nothing to resubmit: {:?}",
+            log[rejoin]
+        );
+        assert!(
+            submits(&log, UNITS).iter().all(|&n| n == 1),
+            "every unit is folded once, the lost ones after a reissue"
+        );
     }
 
     fn assert_hydrates_exactly(needs: &[ChunkNeed], got: &[(u64, Arc<Vec<u8>>)]) {
@@ -1158,14 +1731,17 @@ mod tests {
     #[test]
     fn clean_burst_is_one_write_and_a_second_pass_is_all_hits() {
         let telemetry = Telemetry::enabled();
-        let origin = ScriptedOrigin::start(None);
+        let origin = ScriptedOrigin::with_chunk_fault(None);
         let mut donor = donor(origin.addr, &telemetry);
         let needs = needs(300);
         let got = donor.fetch_chunks(0, &needs).expect("unit hydrates");
         assert_hydrates_exactly(&needs, &got);
         let again = donor.fetch_chunks(0, &needs).expect("warm unit hydrates");
         assert_hydrates_exactly(&needs, &again);
-        assert_eq!(origin.finish(), (0..300).collect::<Vec<u64>>());
+        assert_eq!(
+            chunks_asked(&origin.finish()),
+            (0..300).collect::<Vec<u64>>()
+        );
         let snap = telemetry.metrics_snapshot();
         assert_eq!(snap.counter("net.chunk_bursts"), 1);
         let lens = snap.histogram("net.chunk_burst_len").expect("burst sizes");
@@ -1184,7 +1760,7 @@ mod tests {
         for fault in [Fault::Drop, Fault::CorruptCrc, Fault::SwapDigest] {
             let telemetry = Telemetry::enabled();
             let k = 117;
-            let origin = ScriptedOrigin::start(Some((k, fault)));
+            let origin = ScriptedOrigin::with_chunk_fault(Some((k, fault)));
             let mut donor = donor(origin.addr, &telemetry);
             let needs = needs(300);
             let started = Instant::now();
@@ -1194,7 +1770,7 @@ mod tests {
             let mut asked: Vec<u64> = (0..300).collect();
             asked.push(k as u64);
             assert_eq!(
-                origin.finish(),
+                chunks_asked(&origin.finish()),
                 asked,
                 "{fault:?}: only chunk {k} is refetched"
             );
@@ -1232,7 +1808,7 @@ mod tests {
     #[test]
     fn chunk_missing_mid_burst_fails_the_unit_but_keeps_what_verified() {
         let telemetry = Telemetry::enabled();
-        let origin = ScriptedOrigin::start(Some((40, Fault::Missing)));
+        let origin = ScriptedOrigin::with_chunk_fault(Some((40, Fault::Missing)));
         let mut donor = donor(origin.addr, &telemetry);
         let needs = needs(100);
         let started = Instant::now();
@@ -1249,7 +1825,11 @@ mod tests {
             "a refusal does not cost the connection"
         );
         assert_eq!(donor.cache.len(), 99, "every verified reply was cached");
-        assert_eq!(origin.finish(), (0..100).collect::<Vec<u64>>(), "no retry");
+        assert_eq!(
+            chunks_asked(&origin.finish()),
+            (0..100).collect::<Vec<u64>>(),
+            "no retry"
+        );
         assert_eq!(telemetry.metrics_snapshot().counter("cache.rerequests"), 0);
     }
 
@@ -1259,7 +1839,7 @@ mod tests {
         // 256 KiB window, so five chunks go out as 2 + 2 + 1 — and a
         // single chunk larger than the window still goes, alone.
         let telemetry = Telemetry::enabled();
-        let origin = ScriptedOrigin::start(None);
+        let origin = ScriptedOrigin::with_chunk_fault(None);
         let mut donor = donor(origin.addr, &telemetry);
         let mut big = needs(6);
         for need in &mut big[..5] {

@@ -4,21 +4,24 @@
 //! the delivery faults of a [`FaultPlan`] to the *actual bytes*:
 //! dropped results vanish from the wire, duplicated results are sent
 //! twice, corrupted results get a flipped checksum byte, chunk replies
-//! are dropped or corrupted mid-burst, and link degradation becomes
-//! real added latency. Lifecycle faults stay
+//! are dropped or corrupted mid-burst, the pipeline's control replies
+//! (`ResultAck`, `AssignUnit`) are dropped, repeated or corrupted, and
+//! link degradation becomes real added latency. Lifecycle faults stay
 //! client-side (see [`super::client`]); this layer only mutates
 //! transport.
 //!
 //! Both directions are parsed frame-by-frame (using only the
 //! header-CRC-validated span, so already-corrupt bytes pass through
 //! untouched): client→server `SubmitResult`s meet the plan's delivery
-//! faults, server→client `ChunkData` replies its chunk faults. Each
+//! faults, server→client `ChunkData` replies its chunk faults and
+//! `ResultAck` / `AssignUnit` frames its control-reply faults. Each
 //! proxied connection dials upstream through the server
 //! [`super::Directory`] at accept time, so clients reconnecting after a
 //! server restart are transparently routed to the new address.
 
 use super::wire::{
-    parse_header, DecodeError, CHUNK_DATA_TYPE, CHUNK_REQUEST_TYPE, HEADER_LEN, SUBMIT_RESULT_TYPE,
+    parse_header, DecodeError, ASSIGN_UNIT_TYPE, CHUNK_DATA_TYPE, HEADER_LEN, RESULT_ACK_TYPE,
+    SUBMIT_RESULT_TYPE,
 };
 use super::{Clock, Directory};
 use crate::fault::{DeliveryAction, FaultInjector, FaultPlan, PlanInterpreter};
@@ -167,22 +170,25 @@ fn proxy_connection(
         );
         telemetry.counter_add("net.wire_faults", 1);
     };
-    // The donor this connection's chunk replies are bound for, learned
-    // from its `ChunkRequest`s (which always precede the replies).
-    let chunk_client = AtomicUsize::new(usize::MAX);
+    // The donor this connection's replies are bound for, learned from
+    // its own frames (which always precede the replies).
+    let peer = AtomicUsize::new(usize::MAX);
     thread::scope(|scope| {
         // Server→client on a helper thread: `ChunkData` replies meet
-        // the plan's chunk faults, everything else passes untouched.
+        // the plan's chunk faults, `ResultAck`s and `AssignUnit`s its
+        // control-reply faults, everything else passes untouched.
         scope.spawn(|| {
             framed_pump(s2c_read, s2c_write, stop, |frame_type, _| {
-                if frame_type != CHUNK_DATA_TYPE {
-                    return DeliveryAction::Deliver;
-                }
-                let client = chunk_client.load(Ordering::SeqCst);
-                let action = injector
-                    .lock()
-                    .unwrap()
-                    .chunk_reply_action(client, clock.now());
+                let client = peer.load(Ordering::SeqCst);
+                let mut injector = injector.lock().unwrap();
+                let action = match frame_type {
+                    CHUNK_DATA_TYPE => injector.chunk_reply_action(client, clock.now()),
+                    RESULT_ACK_TYPE | ASSIGN_UNIT_TYPE => {
+                        injector.control_reply_action(client, clock.now())
+                    }
+                    _ => return DeliveryAction::Deliver,
+                };
+                drop(injector);
                 record(client, action);
                 action
             });
@@ -192,11 +198,14 @@ fn proxy_connection(
         // Client→server: `SubmitResult` frames meet the delivery
         // faults, and every frame pays the degraded link's latency.
         framed_pump(c2s_read, c2s_write, stop, |frame_type, body| {
-            // The client id is the first body field of both frame types
-            // read here (header-validated span, so the offset holds).
+            // The client id is the first body field of every frame a
+            // donor sends (header-validated span, so the offset holds).
             let client = body
                 .get(..8)
                 .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")) as usize);
+            if let Some(client) = client {
+                peer.store(client, Ordering::SeqCst);
+            }
             let action = match (frame_type, client) {
                 (SUBMIT_RESULT_TYPE, Some(client)) => {
                     let action = injector
@@ -205,10 +214,6 @@ fn proxy_connection(
                         .delivery_action(client, clock.now());
                     record(client, action);
                     action
-                }
-                (CHUNK_REQUEST_TYPE, Some(client)) => {
-                    chunk_client.store(client, Ordering::SeqCst);
-                    DeliveryAction::Deliver
                 }
                 _ => DeliveryAction::Deliver,
             };

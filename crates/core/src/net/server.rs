@@ -356,11 +356,11 @@ impl Conn {
         })
     }
 
-    fn queue_reply(&mut self, frame: &Frame, telemetry: &Telemetry) {
+    fn queue_reply(&mut self, frame: &Frame, batch: &mut PumpBatch) {
         let before = self.out.len();
         encode_frame_into(frame, &mut self.out);
-        telemetry.counter_add("net.frames_out", 1);
-        telemetry.counter_add("net.bytes_out", (self.out.len() - before) as u64);
+        batch.frames_out += 1;
+        batch.bytes_out += (self.out.len() - before) as u64;
     }
 
     /// Writes buffered output until done or the socket would block.
@@ -475,11 +475,19 @@ struct ShardCtx<'a> {
 }
 
 /// What the frames of one [`ShardCtx::pump`] share, so that a burst of
-/// `ChunkRequest`s takes the liveness and server locks once per read
-/// instead of once per frame: chunk encoding and digesting need no
-/// authority, only the codec handle and the affinity note do.
+/// `ChunkRequest`s — or a donor's pipelined `[SubmitResult,
+/// RequestWork]` pairs — takes the liveness, server and telemetry locks
+/// once per read instead of once per frame: chunk encoding and
+/// digesting need no authority, only the codec handle and the affinity
+/// note do, and the wire counters only need adding up.
 #[derive(Default)]
 struct PumpBatch {
+    /// Frames assembled and replies queued by this pump, added to
+    /// `net.frames_in` / `net.frames_out` / `net.bytes_out` (and one to
+    /// `net.pumps`) when it ends.
+    frames_in: u64,
+    frames_out: u64,
+    bytes_out: u64,
     /// The donor this pump has already marked alive.
     alive: Option<ClientId>,
     /// The codec this pump serves chunks from, cloned under the server
@@ -577,6 +585,20 @@ impl ShardCtx<'_> {
         self.batch.codec = None;
         self.pump_frames(token, pending, do_read);
         self.flush_affinity();
+        self.flush_counts();
+    }
+
+    /// Adds the pump's wire counts to the registry in one go (on every
+    /// way out of a pump, like the affinity note).
+    fn flush_counts(&mut self) {
+        let batch = &mut self.batch;
+        self.shared.telemetry.counters_add(&[
+            ("net.pumps", 1),
+            ("net.frames_in", batch.frames_in),
+            ("net.frames_out", batch.frames_out),
+            ("net.bytes_out", batch.bytes_out),
+        ]);
+        (batch.frames_in, batch.frames_out, batch.bytes_out) = (0, 0, 0);
     }
 
     /// Applies the pump's pending affinity note under the server lock
@@ -649,7 +671,7 @@ impl ShardCtx<'_> {
         loop {
             match conn.asm.next_frame() {
                 Ok(Some(frame)) => {
-                    self.shared.telemetry.counter_add("net.frames_in", 1);
+                    self.batch.frames_in += 1;
                     match self.handle_frame(&mut conn, frame) {
                         Action::Keep => {}
                         Action::Close => return,
@@ -987,7 +1009,7 @@ impl ShardCtx<'_> {
             | Frame::StatusReport { .. } => None,
         };
         if let Some(reply) = reply {
-            conn.queue_reply(&reply, &shared.telemetry);
+            conn.queue_reply(&reply, &mut self.batch);
         }
         Action::Keep
     }
@@ -1015,7 +1037,7 @@ impl ShardCtx<'_> {
                 unit,
                 accepted: false,
             },
-            &self.shared.telemetry.clone(),
+            &mut self.batch,
         );
     }
 }
@@ -1262,6 +1284,131 @@ mod tests {
         let pi = server.take_output(pid).unwrap().into_inner::<f64>();
         assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
         assert_eq!(server.stats(pid).corrupted_results, 1);
+    }
+
+    /// What the pipelined donor sends: two results, each with the
+    /// request that replaces its unit, in one segment. The pump drains
+    /// all four frames and answers them in order in one write, and the
+    /// journal records each result ahead of the issue it unlocks.
+    #[test]
+    fn pipelined_pairs_in_one_segment_get_in_order_replies_and_a_write_ahead_journal() {
+        use crate::net::checkpoint::{read_log, LogRecord};
+        let path = std::env::temp_dir().join(format!(
+            "biodist-server-pipeline-{}.log",
+            std::process::id()
+        ));
+        let clock = Clock::new(1000.0);
+        let mut server = Server::new(small_cfg());
+        server.set_telemetry(crate::telemetry::Telemetry::enabled());
+        let telemetry = server.telemetry();
+        let pid = server.submit(integration_problem(100_000));
+        server.set_journal(Box::new(CheckpointWriter::create(&path).unwrap()));
+        let algorithm = server.algorithm(pid);
+        let codec = server.codec(pid).unwrap();
+        let opts = NetServerOptions {
+            shards: 1,
+            ..Default::default()
+        };
+        let net = NetServer::start(server, clock, opts).unwrap();
+
+        let mut stream = TcpStream::connect(net.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let mut next_frame = |stream: &mut TcpStream| loop {
+            match reader.poll(stream) {
+                Ok(Some(f)) => return f,
+                Ok(None) => {}
+                Err(e) => panic!("read failed: {e}"),
+            }
+        };
+        let request = Frame::RequestWork { client: 0 };
+        let mut segment = encode_frame(&Frame::Hello { client: 0 });
+        encode_frame_into(&request, &mut segment);
+        encode_frame_into(&request, &mut segment);
+        stream.write_all(&segment).unwrap();
+
+        // Two leased units, computed: [S_a, R, S_b, R] in one write.
+        let mut held = Vec::new();
+        segment.clear();
+        for _ in 0..2 {
+            let Frame::AssignUnit {
+                problem,
+                unit,
+                cost_ops,
+                payload,
+            } = next_frame(&mut stream)
+            else {
+                panic!("expected an assignment");
+            };
+            let wu = crate::problem::WorkUnit {
+                id: unit,
+                payload: codec.decode_unit(&payload).unwrap(),
+                cost_ops,
+            };
+            let result = algorithm.compute(&wu);
+            encode_frame_into(
+                &Frame::SubmitResult {
+                    client: 0,
+                    problem,
+                    unit,
+                    payload: codec.encode_result(&result.payload).unwrap(),
+                },
+                &mut segment,
+            );
+            encode_frame_into(&request, &mut segment);
+            held.push(unit);
+        }
+        stream.write_all(&segment).unwrap();
+
+        let mut fresh = Vec::new();
+        for &unit in &held {
+            match next_frame(&mut stream) {
+                Frame::ResultAck {
+                    unit: acked,
+                    accepted: true,
+                    ..
+                } => assert_eq!(acked, unit, "acks come back in submit order"),
+                other => panic!("expected the ack of unit {unit}, got {other:?}"),
+            }
+            match next_frame(&mut stream) {
+                Frame::AssignUnit { unit, .. } => fresh.push(unit),
+                other => panic!("expected the next assignment, got {other:?}"),
+            }
+        }
+        // A pump adds its counts after its replies have left: read them
+        // once the shard thread is joined.
+        net.kill();
+        let snap = telemetry.metrics_snapshot();
+        assert_eq!(snap.counter("net.frames_in"), 7);
+        assert_eq!(snap.counter("net.frames_out"), 6);
+        assert_eq!(snap.counter("net.pumps"), 2, "one pump per segment");
+
+        let (records, torn) = read_log(&path).unwrap();
+        let _ = std::fs::remove_file(&path);
+        assert!(!torn);
+        let order: Vec<(bool, u64)> = records
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::Issue { unit, .. } => Some((true, *unit)),
+                LogRecord::Result { unit, .. } => Some((false, *unit)),
+                _ => None,
+            })
+            .collect();
+        let (issue, result) = (true, false);
+        assert_eq!(
+            order,
+            [
+                (issue, held[0]),
+                (issue, held[1]),
+                (result, held[0]),
+                (issue, fresh[0]),
+                (result, held[1]),
+                (issue, fresh[1]),
+            ],
+            "each record is appended when its frame is handled, in frame order"
+        );
     }
 
     #[test]

@@ -57,9 +57,12 @@ const FT_STATUS_REPORT: u8 = 17;
 /// Frame type code for [`Frame::SubmitResult`] — exposed so transport
 /// code can recognise a corrupt result frame from its header alone.
 pub const SUBMIT_RESULT_TYPE: u8 = FT_SUBMIT_RESULT;
-/// Frame type code for [`Frame::ChunkRequest`] — exposed so the fault
-/// proxy can learn which donor a connection's chunk replies are for.
-pub const CHUNK_REQUEST_TYPE: u8 = FT_CHUNK_REQUEST;
+/// Frame type codes for [`Frame::AssignUnit`] and [`Frame::ResultAck`]
+/// — exposed so the fault proxy can lose, repeat or mangle the donor
+/// pipeline's control replies.
+pub const ASSIGN_UNIT_TYPE: u8 = FT_ASSIGN_UNIT;
+/// See [`ASSIGN_UNIT_TYPE`].
+pub const RESULT_ACK_TYPE: u8 = FT_RESULT_ACK;
 /// Frame type code for [`Frame::ChunkData`] — exposed so transports can
 /// account chunk traffic separately from control traffic.
 pub const CHUNK_DATA_TYPE: u8 = FT_CHUNK_DATA;

@@ -234,7 +234,14 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Adds `v` to counter `name` (created at zero).
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+        // Hot path (per frame, per unit): no key allocation once the
+        // counter exists.
+        match self.counters.get_mut(name) {
+            Some(c) => *c += v,
+            None => {
+                self.counters.insert(name.to_string(), v);
+            }
+        }
     }
 
     /// Sets gauge `name` to `v`.
@@ -245,10 +252,14 @@ impl MetricsRegistry {
     /// Records `x` into histogram `name`, creating it over `bounds` on
     /// first use (later calls must pass the same bounds).
     pub fn observe(&mut self, name: &str, bounds: &[f64], x: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(x);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(x),
+            None => {
+                let mut h = Histogram::new(bounds);
+                h.observe(x);
+                self.histograms.insert(name.to_string(), h);
+            }
+        }
     }
 
     /// A plain-data copy of the current state.

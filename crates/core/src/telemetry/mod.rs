@@ -159,6 +159,17 @@ impl Telemetry {
         }
     }
 
+    /// Adds to several counters under one lock — a batch's worth of
+    /// counts costs one acquisition. Zero additions are skipped.
+    pub fn counters_add(&self, adds: &[(&str, u64)]) {
+        if let Some(inner) = &self.inner {
+            let mut inner = inner.lock().expect("telemetry lock");
+            for &(name, v) in adds.iter().filter(|(_, v)| *v > 0) {
+                inner.metrics.counter_add(name, v);
+            }
+        }
+    }
+
     /// Sets gauge `name` to `v`.
     pub fn gauge_set(&self, name: &str, v: f64) {
         if let Some(inner) = &self.inner {

@@ -980,6 +980,84 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
     );
 }
 
+/// Control frames lost, repeated and mangled while the donor pipeline
+/// is `queue_depth` deep: the fault proxy drops, duplicates and
+/// corrupts `SubmitResult`s on the way up and `ResultAck`s /
+/// `AssignUnit`s on the way down, for every donor, from the first
+/// exchange on and at staggered later times. A donor sees none of this
+/// directly — it reads the loss off the order of the replies that do
+/// arrive (or, for the last frames of a stream, off the ack timeout) —
+/// and the run must still fold every unit exactly once into the
+/// sequential digest: no result lost with its ack, no unit computed
+/// from a repeated assignment and submitted as new, no reply taken for
+/// the answer to a later request.
+#[test]
+fn tcp_control_frames_lost_mid_pipeline() {
+    // One database sequence per unit, whatever the host's speed: 40
+    // units per donor, so the faults land between exchanges that are in
+    // flight, not at the edges of a run.
+    let w = burst_workload();
+    let mut plan = FaultPlan::new(0);
+    for c in 0..POOL {
+        let late = 0.01 * c as f64;
+        plan.push(0.0, c, FaultKind::DropReply);
+        plan.push(0.0, c, FaultKind::DropResult);
+        plan.push(0.0, c, FaultKind::DuplicateReply);
+        plan.push(0.0, c, FaultKind::CorruptReply);
+        plan.push(0.02 + late, c, FaultKind::DuplicateResult);
+        plan.push(0.03 + late, c, FaultKind::CorruptResult);
+        plan.push(0.04 + late, c, FaultKind::DropReply);
+        plan.push(0.05 + late, c, FaultKind::DuplicateReply);
+        plan.push(0.06 + late, c, FaultKind::DropResult);
+        plan.push(0.07 + late, c, FaultKind::CorruptReply);
+    }
+    let cfg = SchedulerConfig {
+        target_unit_secs: 1e-9,
+        min_unit_ops: 1.0,
+        ..thread_cfg()
+    };
+    let mut server = Server::new(cfg.clone());
+    let telemetry = Telemetry::enabled();
+    server.set_telemetry(telemetry.clone());
+    let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
+    let pid = server.submit(problem);
+    let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
+    let out = server
+        .take_output(pid)
+        .unwrap()
+        .into_inner::<SearchOutput>();
+    let fail = |why: String| -> ! {
+        chaos_panic("dsearch", "tcp control-frame faults", 0, &plan, &cfg, why)
+    };
+    if out.digest() != w.reference {
+        fail("output differs from reference after lost/repeated/corrupt control frames".into());
+    }
+    if let Err(v) = audit.verify_run(&server) {
+        fail(format!("invariants violated: {v:?}"));
+    }
+    let stats = server.stats(pid);
+    let snap = telemetry.metrics_snapshot();
+    assert_eq!(
+        stats.completed_units,
+        w.db.len() as u64,
+        "one unit per sequence keeps every pipeline busy: {stats:?}"
+    );
+    assert!(
+        snap.counter("net.wire_faults") >= 4 * POOL as u64,
+        "the proxy must have faulted control frames in both directions: {:?}",
+        snap.counters
+    );
+    assert!(
+        stats.corrupted_results >= 1,
+        "a CRC-broken result is caught by the server: {stats:?}"
+    );
+    assert!(
+        snap.counter("net.client_writes") < snap.counter("net.frames_in"),
+        "results and requests must have shared writes: {:?}",
+        snap.counters
+    );
+}
+
 // --------------------------------------------------- CI smoke (fast path)
 
 #[test]

@@ -11,11 +11,13 @@
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
+use biodist::core::builtin::integration_problem;
 use biodist::core::net::{
     directory, spawn_clients, ClientKit, Clock, NetClientOptions, NetServer, NetServerOptions,
 };
 use biodist::core::{
-    audited, recover, CheckpointWriter, FaultPlan, SchedulerConfig, Server, Telemetry,
+    audited, recover, Algorithm, CheckpointWriter, FaultPlan, SchedulerConfig, Server, TaskResult,
+    Telemetry, WorkUnit,
 };
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
 use std::path::PathBuf;
@@ -580,6 +582,131 @@ fn kill_sharded_tcp_server_recover_and_reroute() {
     audit
         .verify_run(&server)
         .expect("exactly-once invariants hold across the sharded crash");
+
+    let _ = std::fs::remove_file(&log);
+}
+
+/// A donor's computation with a gate on its second unit: the unit's
+/// compute starts, reports that it is in there, and does not return
+/// until the test lets it.
+struct GatedAlgorithm {
+    inner: Arc<dyn Algorithm>,
+    computes: AtomicU64,
+    inside: AtomicBool,
+    hold: AtomicBool,
+}
+
+impl Algorithm for GatedAlgorithm {
+    fn compute(&self, unit: &WorkUnit) -> TaskResult {
+        if self.computes.fetch_add(1, Ordering::SeqCst) == 1 {
+            self.inside.store(true, Ordering::SeqCst);
+            while self.hold.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        self.inner.compute(unit)
+    }
+}
+
+/// Kill the TCP server while a pipelined donor holds two results it has
+/// no ack for. The lone donor submits its first unit and is then held
+/// inside its second compute while the server — which has journaled the
+/// first result and answered it, unread — dies. Whichever way the dead
+/// connection then fails (the write of the second result, the read
+/// after it, or only after the buffered replies let a third unit
+/// through), the donor reaches the recovered server with exactly two
+/// unacknowledged results and resubmits each once: a result the log
+/// already holds is refused as a duplicate, one it never saw folds from
+/// the reissue queue, and the run audits exactly once.
+#[test]
+fn kill_tcp_server_with_two_unacked_results_in_flight() {
+    let cfg = || SchedulerConfig {
+        min_unit_ops: 2e6,
+        max_unit_ops: 2e6,
+        ..Default::default()
+    };
+    let points = 300_000;
+    let log = temp_log("two-unacked");
+    let clock = Clock::new(TIME_SCALE);
+    let dir = directory();
+    let run_over = Arc::new(AtomicBool::new(false));
+
+    // ---- life 1: one gated donor, queue_depth 2 ---------------------
+    let telemetry = Telemetry::enabled();
+    let mut problem = integration_problem(points);
+    let gate = Arc::new(GatedAlgorithm {
+        inner: problem.algorithm.clone(),
+        computes: AtomicU64::new(0),
+        inside: AtomicBool::new(false),
+        hold: AtomicBool::new(true),
+    });
+    problem.algorithm = gate.clone();
+    let mut server = Server::new(cfg());
+    server.set_telemetry(telemetry.clone());
+    let pid = server.submit(problem);
+    let writer = CheckpointWriter::create(&log).expect("create checkpoint log");
+    server.set_journal(Box::new(writer));
+    let kit = ClientKit::from_server(&server).expect("codecs registered");
+    let net =
+        NetServer::start(server, clock, NetServerOptions::default()).expect("bind first server");
+    dir.set_origin(Some(net.addr()));
+    let handles = spawn_clients(
+        dir.clone(),
+        clock,
+        kit,
+        1,
+        &FaultPlan::none(),
+        run_over.clone(),
+        NetClientOptions::default(),
+    );
+
+    // The first result is folded and journaled, the second unit is
+    // being computed: pull the plug.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !gate.inside.load(Ordering::SeqCst)
+        || net.with_server(|s| s.stats(pid).completed_units) != Some(1)
+    {
+        assert!(
+            Instant::now() < deadline,
+            "donor never reached its second unit"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    dir.set_origin(None);
+    net.kill();
+
+    // ---- life 2: recover, restart, release the donor ----------------
+    let (problem, audit) = audited(integration_problem(points));
+    let (mut server, report) = recover(cfg(), vec![problem], &log).expect("recover from log");
+    assert_eq!(report.replayed_results, 1, "one result reached the log");
+    let writer = CheckpointWriter::append(&log).expect("reopen checkpoint log");
+    server.set_journal(Box::new(writer));
+    let net =
+        NetServer::start(server, clock, NetServerOptions::default()).expect("bind second server");
+    dir.set_origin(Some(net.addr()));
+    gate.hold.store(false, Ordering::SeqCst);
+
+    let mut server = net.wait();
+    run_over.store(true, Ordering::SeqCst);
+    for h in handles {
+        h.join().expect("client thread");
+    }
+
+    assert_eq!(
+        telemetry.metrics_snapshot().counter("net.resubmits"),
+        2,
+        "both unacknowledged results are resubmitted, once each"
+    );
+    let stats = server.stats(pid);
+    assert!(
+        stats.wasted_results <= 1,
+        "at most the journaled result is refused as a duplicate: {stats:?}"
+    );
+    let pi = server.take_output(pid).unwrap().into_inner::<f64>();
+    assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
+    audit
+        .verify_run(&server)
+        .expect("exactly-once invariants hold with results in flight across the crash");
 
     let _ = std::fs::remove_file(&log);
 }

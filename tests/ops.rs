@@ -12,8 +12,8 @@ use biodist::core::builtin::integration_problem;
 use biodist::core::net::wire::{encode_frame, Frame, FrameReader, ReadError};
 use biodist::core::net::{spawn_clients, ClientKit, Clock};
 use biodist::core::{
-    phase_breakdowns, run_tcp_faulty, verify_spans, Directory, EventKind, FaultKind, FaultPlan,
-    NetClientOptions, NetServer, NetServerOptions, SchedulerConfig, Server, SimRunner,
+    phase_breakdowns, run_tcp_faulty, verify_spans, Assignment, Directory, EventKind, FaultKind,
+    FaultPlan, NetClientOptions, NetServer, NetServerOptions, SchedulerConfig, Server, SimRunner,
     StatusSnapshot, Telemetry, TraceEvent,
 };
 use biodist::gridsim::machine::{AvailabilityModel, Machine};
@@ -239,8 +239,45 @@ fn live_detector_flags_exactly_the_planted_stragglers_and_cuts_makespan_sim() {
     );
 }
 
+/// How much bigger than written the TCP straggler scenario's units must
+/// be on this host. The scenario is timed in units: every donor needs a
+/// few healthy results before the slowdowns planted at t = 70 scaled
+/// seconds (1.4 s of wall time at 50×), and the run must still be going
+/// after it. Its 4.5e8-op units were sized for a host on which one of
+/// them takes hundreds of milliseconds with 16 donors sharing the
+/// cores; on a faster host the whole run is over before t = 70 and
+/// nothing is ever flagged. So the units (and the problem with them)
+/// are scaled up until one takes at least 150 ms under that sharing —
+/// half the 15 scaled seconds the scheduler settings promise, which
+/// leaves a 20×-slowed unit and the one queued behind it well inside
+/// the 700-second lease.
+fn straggler_unit_scale() -> f64 {
+    const UNIT_POINTS: u64 = 2_250_000; // 4.5e8 ops at 200 ops a point
+    let mut server = Server::new(SchedulerConfig {
+        min_unit_ops: 4.5e8,
+        max_unit_ops: 4.5e8,
+        ..Default::default()
+    });
+    let pid = server.submit(integration_problem(UNIT_POINTS));
+    let algorithm = server.algorithm(pid);
+    let Assignment::Unit { unit, .. } = server.request_work(0, 0.0) else {
+        panic!("a fresh problem has a unit to give");
+    };
+    let unit_secs = (0..3)
+        .map(|_| {
+            let started = std::time::Instant::now();
+            std::hint::black_box(algorithm.compute(&unit));
+            started.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) as f64;
+    let sharing = (16.0 / cores).max(1.0);
+    (0.15 / (unit_secs * sharing)).clamp(1.0, 64.0)
+}
+
 #[test]
 fn live_detector_flags_exactly_the_planted_stragglers_tcp() {
+    let scale = straggler_unit_scale();
     let mut server = Server::new(SchedulerConfig {
         enable_health_detector: true,
         // Real compute on a shared host: fixed, *compute-dominated*
@@ -248,12 +285,12 @@ fn live_detector_flags_exactly_the_planted_stragglers_tcp() {
         // unit's measured compute time, so compute must dwarf the
         // socket/queue overhead or the stretch disappears into the
         // noise (and the adaptive speed EWMA absorbs what is left).
-        // 4.5e8-op units run hundreds of wall milliseconds even on a
-        // contended core.
+        // 4.5e8-op units — scaled up on a host that runs them faster —
+        // take hundreds of wall milliseconds on a contended core.
         target_unit_secs: 15.0,
-        prior_ops_per_sec: 3e7,
+        prior_ops_per_sec: 3e7 * scale,
         min_unit_ops: 1e4,
-        max_unit_ops: 1e9,
+        max_unit_ops: 1e9 * scale,
         // A 20×-slowed unit runs ~300 scaled seconds (and may wait behind
         // one more in the donor-side prefetch queue); the lease must outlive
         // it or the slow result expires and the health engine (which only
@@ -264,7 +301,7 @@ fn live_detector_flags_exactly_the_planted_stragglers_tcp() {
         enable_speculative_reissue: false,
         ..Default::default()
     });
-    server.submit(integration_problem(480_000_000));
+    server.submit(integration_problem((480_000_000.0 * scale) as u64));
     let telemetry = Telemetry::enabled();
     let ring = telemetry.attach_ring(1 << 20);
     server.set_telemetry(telemetry.clone());
