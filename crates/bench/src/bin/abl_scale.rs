@@ -1,4 +1,4 @@
-//! Scale sweep for the nonblocking sharded control plane.
+//! Scale sweep for the nonblocking event-loop control plane.
 //!
 //! Two sweeps back the scale tier's headline claim (server cost is
 //! O(shards) in threads and flat per donor in CPU):
@@ -86,7 +86,7 @@ fn tcp_sample(donors: usize, shards: usize, frame_budget: u64) -> TcpSample {
     let telemetry = server.telemetry();
     // 2e9 grid points = 40M fixed-size units: the problem cannot finish
     // inside any frame budget here, so every cycle exercises the full
-    // claim/lease/fold path with no end-game tail.
+    // request/lease/fold path with no end-game tail.
     let pid = server.submit(integration_problem(2_000_000_000));
     let algorithm = server.algorithm(pid);
     let codec = server.codec(pid).expect("integration has a codec");
@@ -95,7 +95,6 @@ fn tcp_sample(donors: usize, shards: usize, frame_budget: u64) -> TcpSample {
         Clock::new(1.0),
         NetServerOptions {
             shards,
-            claim_batch: 8,
             ..Default::default()
         },
     )

@@ -23,7 +23,10 @@
 //! plan)` alone — the plan is data, the interpreter is deterministic,
 //! and nothing else feeds the injection.
 
+use crate::codec::WireCodec;
+use crate::problem::TaskResult;
 use crate::sched::ClientId;
+use crate::telemetry::{EventKind, Telemetry};
 use biodist_util::rng::{Rng, Xoshiro256StarStar};
 
 /// One kind of injectable fault.
@@ -498,6 +501,54 @@ pub fn flip_result_bytes(bytes: &mut [u8], client: ClientId) {
         // Odd mask: always non-zero, distinct per client (mod 128).
         *last ^= (client as u8).wrapping_shl(1) | 1;
     }
+}
+
+/// Resolves the delivery of a result `client` finished at `now`, for
+/// the backends that carry results as typed payloads (simulator and
+/// threads; the TCP donor flips the bytes of its own frame). A
+/// Byzantine donor (`wrong`) lies: the encoded payload bytes are
+/// flipped *before* the transport would frame them, then decoded back —
+/// the CRC layer cannot catch it, only quorum compare can. A lie whose
+/// bytes no longer decode degrades to a corrupt delivery. Emits one
+/// `FaultInjected` event for the lie and one for any action other than
+/// `Deliver`; returns how to deliver, and what.
+pub fn resolve_delivery(
+    tel: &Telemetry,
+    now: f64,
+    client: ClientId,
+    mut action: DeliveryAction,
+    wrong: bool,
+    mut result: TaskResult,
+    codec: Option<&dyn WireCodec>,
+) -> (DeliveryAction, TaskResult) {
+    let injected = |action: &str| {
+        tel.emit_at(
+            now,
+            EventKind::FaultInjected {
+                client,
+                action: action.to_string(),
+            },
+        );
+    };
+    if wrong {
+        injected("wrong_result");
+        if let Some(codec) = codec {
+            if let Ok(mut bytes) = codec.encode_result(&result.payload) {
+                flip_result_bytes(&mut bytes, client);
+                match codec.decode_result(&bytes) {
+                    Ok(payload) => result.payload = payload,
+                    Err(_) => action = DeliveryAction::Corrupt,
+                }
+            }
+        }
+    }
+    match action {
+        DeliveryAction::Deliver => {}
+        DeliveryAction::Drop => injected("drop"),
+        DeliveryAction::Duplicate => injected("duplicate"),
+        DeliveryAction::Corrupt => injected("corrupt"),
+    }
+    (action, result)
 }
 
 /// The seam both backends inject faults through. The default methods

@@ -61,7 +61,7 @@ pub use net::{
     chunk_digest, raise_nofile_limit, recover, recover_traced, run_tcp, run_tcp_faulty,
     run_tcp_replicated, run_tcp_with, Backoff, CacheStats, CheckpointWriter, ChunkCache,
     ChunkStore, Directory, FaultProxy, NetClientOptions, NetServer, NetServerOptions,
-    RecoveryReport, ReplicaServer, ShardQueues, REPLICA_CLIENT_ID,
+    RecoveryReport, ReplicaServer, REPLICA_CLIENT_ID,
 };
 pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, WorkUnit};
 pub use quorum::{QuorumTally, VoteOutcome};

@@ -30,7 +30,6 @@ pub mod client;
 pub mod evloop;
 pub mod proxy;
 pub mod server;
-pub mod shard;
 pub mod store;
 pub mod wire;
 
@@ -41,7 +40,6 @@ pub use client::{spawn_clients, ClientKit, NetClientOptions};
 pub use evloop::raise_nofile_limit;
 pub use proxy::FaultProxy;
 pub use server::{NetServer, NetServerOptions};
-pub use shard::ShardQueues;
 pub use store::{ChunkStore, ReplicaServer, REPLICA_CLIENT_ID};
 
 use crate::fault::FaultPlan;
@@ -266,7 +264,7 @@ pub fn run_tcp_replicated(
 }
 
 /// [`run_tcp_replicated`] with explicit [`NetServerOptions`] — the way
-/// to run any existing workload on a sharded control plane (set
+/// to run any existing workload on several event-loop threads (set
 /// `opts.shards`; `BIODIST_NET_SHARDS` does the same for the default
 /// options, making every TCP suite shard-parameterizable from the
 /// environment).

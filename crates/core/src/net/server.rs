@@ -1,5 +1,4 @@
-//! The TCP-facing server: a nonblocking readiness event loop with a
-//! sharded dispatch plane.
+//! The TCP-facing server: a nonblocking readiness event loop.
 //!
 //! The paper's server was thread-per-connection Java — fine for ~200
 //! donors, O(threads) beyond that. Here the transport runs on a fixed
@@ -9,30 +8,28 @@
 //! sweeps, heartbeat liveness and periodic checkpoint snapshots. No
 //! thread is ever dedicated to a donor, and no loop polls on a sleep:
 //! every wakeup is readiness (bytes, buffer space, or a
-//! [`super::evloop::Waker`] poke for cross-thread handoff).
+//! [`super::evloop::Waker`] poke when the acceptor hands over a
+//! connection).
 //!
-//! Scheduling authority stays central — one [`crate::Server`] behind
-//! one mutex keeps leases, folds, quorum votes, reputation, health and
-//! recovery exactly as before (the protocol and every fault-tolerance
-//! path are unchanged). What shards is *dispatch*: each event-loop
-//! thread owns a claimed-unit queue ([`super::shard::ShardQueues`])
-//! filled in batches under the server lock, drained without touching
-//! the data managers, and work-stolen by sibling shards when one runs
-//! dry. Donors are routed to their home shard (`client % shards`)
-//! exactly once, at the first client-bearing frame: the accepting
-//! shard ships the whole connection — buffers and all — to the home
-//! shard's inbox and wakes it.
+//! What shards is connection I/O: socket reads and writes, frame
+//! reassembly, CRC checks and chunk/unit encoding run on whichever
+//! shard the acceptor round-robined the connection to, for the
+//! connection's whole life. Dispatch does not shard: one
+//! [`crate::Server`] behind one mutex keeps leases, folds, quorum
+//! votes, reputation, health and recovery, and every unit is assigned
+//! by [`Server::request_work`] under that lock — so a unit is always
+//! sized by the granularity hint of the donor that will compute it,
+//! at every shard count.
 
 use super::checkpoint::CheckpointWriter;
 use super::evloop::{drain_wakes, raw_fd, thread_cpu_ticks, waker_pair, Event, Poller, Waker};
-use super::shard::ShardQueues;
 use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler, SUBMIT_RESULT_TYPE};
 use super::Clock;
 use crate::codec::{ByteReader, WireCodec};
 use crate::sched::ClientId;
 use crate::server::{Assignment, Server};
 use crate::telemetry::Telemetry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -58,14 +55,11 @@ pub struct NetServerOptions {
     /// estimates. (Unit issue/fold journaling is separate: install the
     /// writer as the server's journal via [`crate::Server::set_journal`].)
     pub checkpoint: Option<CheckpointWriter>,
-    /// Event-loop shards serving connections. Donors are homed by
-    /// `client % shards`. 1 (the default, overridable via the
-    /// `BIODIST_NET_SHARDS` env var) is drop-in identical to the
-    /// unsharded dispatch path.
+    /// Event-loop threads serving connections (default 1, overridable
+    /// via the `BIODIST_NET_SHARDS` env var); the acceptor deals
+    /// connections to them round-robin. Identical dispatch at every
+    /// value: shards parallelise socket I/O and framing only.
     pub shards: usize,
-    /// Fresh units a shard claims from the server per refill of its
-    /// claimed-unit queue (only used when `shards > 1`).
-    pub claim_batch: usize,
 }
 
 impl Default for NetServerOptions {
@@ -81,32 +75,13 @@ impl Default for NetServerOptions {
             snapshot_every_ticks: 50,
             checkpoint: None,
             shards,
-            claim_batch: 4,
         }
     }
 }
 
-/// A connection handed to a shard: fresh from the acceptor, or
-/// migrated whole (buffers, reassembly state, queued frames) from the
-/// shard that accepted it to the donor's home shard.
-enum Inbound {
-    Fresh(TcpStream),
-    Migrated(Box<MigratedConn>),
-}
-
-struct MigratedConn {
-    stream: TcpStream,
-    asm: FrameAssembler,
-    out: Vec<u8>,
-    out_pos: usize,
-    client: Option<u64>,
-    /// Frames already reassembled but not yet handled, starting with
-    /// the one that triggered the migration.
-    pending: Vec<Frame>,
-}
-
 struct ShardHandle {
-    inbox: Mutex<Vec<Inbound>>,
+    /// Connections the acceptor dealt to this shard, not yet adopted.
+    inbox: Mutex<Vec<TcpStream>>,
     waker: Waker,
 }
 
@@ -125,15 +100,13 @@ struct Shared {
     /// and snapshotted to the checkpoint log. Set after start (replicas
     /// bind once the origin's address is known).
     replicas: Mutex<Vec<SocketAddr>>,
-    /// Per-shard claimed-unit queues (the sharded dispatch plane).
-    queues: ShardQueues,
     /// Per-shard connection inboxes and wakers.
     shards: Vec<ShardHandle>,
 }
 
 impl Shared {
-    fn hand_to_shard(&self, shard: usize, inbound: Inbound) {
-        self.shards[shard].inbox.lock().unwrap().push(inbound);
+    fn hand_to_shard(&self, shard: usize, stream: TcpStream) {
+        self.shards[shard].inbox.lock().unwrap().push(stream);
         self.shards[shard].waker.wake();
     }
 }
@@ -177,7 +150,6 @@ impl NetServer {
             kill: AtomicBool::new(false),
             telemetry,
             replicas: Mutex::new(Vec::new()),
-            queues: ShardQueues::new(n_shards),
             shards: handles,
         });
         let shard_threads = rxs
@@ -185,10 +157,9 @@ impl NetServer {
             .enumerate()
             .map(|(idx, rx)| {
                 let shared = shared.clone();
-                let opts = opts.clone();
                 thread::spawn(move || {
                     with_cpu_accounting(&shared.telemetry.clone(), || {
-                        shard_loop(idx, &shared, clock, rx, &opts)
+                        shard_loop(idx, &shared, clock, rx)
                     })
                 })
             })
@@ -307,9 +278,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.kill.load(Ordering::SeqCst) {
                     return;
                 }
-                // Round-robin the raw connection; the donor's first
-                // client-bearing frame migrates it to its home shard.
-                shared.hand_to_shard(next, Inbound::Fresh(stream));
+                // Round-robin: the shard serves it for its whole life.
+                shared.hand_to_shard(next, stream);
                 next = (next + 1) % shared.shards.len();
             }
             Err(_) => {
@@ -332,11 +302,6 @@ struct Conn {
     asm: FrameAssembler,
     out: Vec<u8>,
     out_pos: usize,
-    /// Client id this connection last spoke for (routing + gauges).
-    client: Option<u64>,
-    /// Homed: the first client-bearing frame was handled on this shard
-    /// (directly or after one migration). Never migrates again.
-    routed: bool,
     /// Whether the poller currently watches for writability.
     want_write: bool,
 }
@@ -350,8 +315,6 @@ impl Conn {
             asm: FrameAssembler::new(),
             out: Vec::new(),
             out_pos: 0,
-            client: None,
-            routed: false,
             want_write: false,
         })
     }
@@ -408,18 +371,9 @@ enum Action {
     /// failure). Leases are NOT dropped — reconnects and the liveness
     /// sweep handle real departures.
     Close,
-    /// First client-bearing frame homed elsewhere: ship the connection
-    /// to shard `.0`, with `.1` as the first pending frame.
-    Migrate(usize, Frame),
 }
 
-fn shard_loop(
-    shard: usize,
-    shared: &Arc<Shared>,
-    clock: Clock,
-    mut wake_rx: TcpStream,
-    opts: &NetServerOptions,
-) {
+fn shard_loop(shard: usize, shared: &Arc<Shared>, clock: Clock, mut wake_rx: TcpStream) {
     let mut poller = match Poller::new() {
         Ok(p) => p,
         Err(_) => return,
@@ -429,22 +383,19 @@ fn shard_loop(
     }
     let mut ctx = ShardCtx {
         shard,
-        n_shards: shared.shards.len(),
         shared,
         clock,
-        opts,
         poller,
         conns: HashMap::new(),
         next_token: WAKE_TOKEN + 1,
-        seen_clients: HashSet::new(),
         batch: PumpBatch::default(),
     };
     let mut events: Vec<Event> = Vec::new();
     while !shared.kill.load(Ordering::SeqCst) {
-        // Adopt connections handed over by the acceptor or a sibling.
-        let inbox: Vec<Inbound> = std::mem::take(&mut *shared.shards[shard].inbox.lock().unwrap());
-        for inbound in inbox {
-            ctx.adopt(inbound);
+        // Adopt connections handed over by the acceptor.
+        let inbox = std::mem::take(&mut *shared.shards[shard].inbox.lock().unwrap());
+        for stream in inbox {
+            ctx.adopt(stream);
         }
         events.clear();
         if ctx.poller.wait(10, &mut events).is_err() {
@@ -462,15 +413,11 @@ fn shard_loop(
 
 struct ShardCtx<'a> {
     shard: usize,
-    n_shards: usize,
     shared: &'a Arc<Shared>,
     clock: Clock,
-    opts: &'a NetServerOptions,
     poller: Poller,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    /// Distinct donors homed on this shard (drives `shard.s<i>.clients`).
-    seen_clients: HashSet<u64>,
     batch: PumpBatch,
 }
 
@@ -512,51 +459,20 @@ impl PumpBatch {
 }
 
 impl ShardCtx<'_> {
-    fn adopt(&mut self, inbound: Inbound) {
-        let (conn, pending) = match inbound {
-            Inbound::Fresh(stream) => match Conn::fresh(stream) {
-                Ok(c) => (c, Vec::new()),
-                Err(_) => return,
-            },
-            Inbound::Migrated(m) => {
-                let MigratedConn {
-                    stream,
-                    asm,
-                    out,
-                    out_pos,
-                    client,
-                    pending,
-                } = *m;
-                let conn = Conn {
-                    stream,
-                    asm,
-                    out,
-                    out_pos,
-                    client,
-                    // Migration lands the connection on its home shard;
-                    // the pending frames must not bounce it again.
-                    routed: true,
-                    want_write: false,
-                };
-                (conn, pending)
-            }
+    fn adopt(&mut self, stream: TcpStream) {
+        let Ok(conn) = Conn::fresh(stream) else {
+            return;
         };
-        self.finish_adopt(conn, pending);
-    }
-
-    fn finish_adopt(&mut self, mut conn: Conn, pending: Vec<Frame>) {
         let token = self.next_token;
-        self.next_token += 1;
-        let fd = raw_fd(&conn.stream);
-        let want_write = conn.out_pos < conn.out.len();
-        conn.want_write = want_write;
-        if self.poller.add(fd, token, want_write).is_err() {
+        if self.poller.add(raw_fd(&conn.stream), token, false).is_err() {
             return; // fd table full or poller gone; drop the connection
         }
+        self.next_token += 1;
         self.conns.insert(token, conn);
-        if !pending.is_empty() {
-            self.pump(token, pending, false);
-        }
+        // Tokens count up from 1, one per adopted connection.
+        self.shared
+            .telemetry
+            .gauge_set(&format!("shard.s{}.conns", self.shard), token as f64);
     }
 
     /// Handles a readiness event on `token`.
@@ -572,18 +488,18 @@ impl ShardCtx<'_> {
             }
         }
         if readable {
-            self.pump(token, Vec::new(), true);
+            self.pump(token);
         } else {
             self.update_interest(token);
         }
     }
 
-    /// Drives one connection: handle `pending` frames, optionally read
-    /// fresh bytes, drain the assembler, flush, update interest.
-    fn pump(&mut self, token: u64, pending: Vec<Frame>, do_read: bool) {
+    /// Drives one readable connection: read fresh bytes, drain the
+    /// assembler, flush, update interest.
+    fn pump(&mut self, token: u64) {
         self.batch.alive = None;
         self.batch.codec = None;
-        self.pump_frames(token, pending, do_read);
+        self.pump_frames(token);
         self.flush_affinity();
         self.flush_counts();
     }
@@ -641,32 +557,17 @@ impl ShardCtx<'_> {
         Ok(codec)
     }
 
-    fn pump_frames(&mut self, token: u64, pending: Vec<Frame>, do_read: bool) {
+    fn pump_frames(&mut self, token: u64) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
-        let mut pending = pending.into_iter();
-        while let Some(frame) = pending.next() {
-            match self.handle_frame(&mut conn, frame) {
-                Action::Keep => {}
-                Action::Close => return, // conn dropped (not reinserted)
-                Action::Migrate(home, frame) => {
-                    let mut rest: Vec<Frame> = vec![frame];
-                    rest.extend(pending);
-                    self.migrate(conn, home, rest);
-                    return;
-                }
-            }
-        }
-        if do_read {
-            match conn.read_available() {
-                Ok(false) => {}
-                // EOF or socket failure: drop the connection but NOT
-                // the client's leases — it may be a crash-rejoin or
-                // reconnect. True departures are reclaimed by the
-                // liveness sweep / lease timeouts.
-                Ok(true) | Err(_) => return,
-            }
+        match conn.read_available() {
+            Ok(false) => {}
+            // EOF or socket failure: drop the connection but NOT the
+            // client's leases — it may be a crash-rejoin or reconnect.
+            // True departures are reclaimed by the liveness sweep /
+            // lease timeouts.
+            Ok(true) | Err(_) => return,
         }
         loop {
             match conn.asm.next_frame() {
@@ -674,11 +575,7 @@ impl ShardCtx<'_> {
                     self.batch.frames_in += 1;
                     match self.handle_frame(&mut conn, frame) {
                         Action::Keep => {}
-                        Action::Close => return,
-                        Action::Migrate(home, frame) => {
-                            self.migrate(conn, home, vec![frame]);
-                            return;
-                        }
+                        Action::Close => return, // conn dropped (not reinserted)
                     }
                 }
                 Ok(None) => break,
@@ -727,71 +624,7 @@ impl ShardCtx<'_> {
         }
     }
 
-    /// Ships a connection (it was removed from `conns` already) to its
-    /// home shard, buffers and pending frames included.
-    fn migrate(&mut self, conn: Conn, home: usize, pending: Vec<Frame>) {
-        // The token dies with this shard's registration; the home shard
-        // assigns its own.
-        let _ = self.poller.remove(raw_fd(&conn.stream), 0);
-        self.shared.telemetry.counter_add("shard.migrations", 1);
-        self.shared.hand_to_shard(
-            home,
-            Inbound::Migrated(Box::new(MigratedConn {
-                stream: conn.stream,
-                asm: conn.asm,
-                out: conn.out,
-                out_pos: conn.out_pos,
-                client: conn.client,
-                pending,
-            })),
-        );
-    }
-
-    /// The donor id a frame routes by, `None` for unrouted traffic
-    /// (status probes, replica pull-through, goodbyes).
-    fn routing_client(frame: &Frame) -> Option<u64> {
-        match frame {
-            Frame::Hello { client }
-            | Frame::RequestWork { client }
-            | Frame::Heartbeat { client }
-            | Frame::SubmitResult { client, .. }
-            | Frame::MetricsReport { client, .. } => Some(*client),
-            Frame::ChunkRequest { client, .. } if *client != super::store::REPLICA_CLIENT_ID => {
-                Some(*client)
-            }
-            _ => None,
-        }
-    }
-
-    /// Applies the directory handshake to one frame: returns the home
-    /// shard when the connection must migrate, `None` to handle here.
-    fn route(&mut self, conn: &mut Conn, frame: &Frame) -> Option<usize> {
-        let client = Self::routing_client(frame)?;
-        let home = (client as usize) % self.n_shards;
-        if home == self.shard {
-            conn.routed = true;
-            conn.client = Some(client);
-            if self.seen_clients.insert(client) {
-                self.shared.telemetry.gauge_set(
-                    &format!("shard.s{}.clients", self.shard),
-                    self.seen_clients.len() as f64,
-                );
-            }
-            None
-        } else if conn.routed || self.n_shards == 1 {
-            // Routed exactly once: a second client id on the same
-            // connection is served here and counted as an anomaly.
-            self.shared.telemetry.counter_add("shard.misrouted", 1);
-            None
-        } else {
-            Some(home)
-        }
-    }
-
     fn handle_frame(&mut self, conn: &mut Conn, frame: Frame) -> Action {
-        if let Some(home) = self.route(conn, &frame) {
-            return Action::Migrate(home, frame);
-        }
         let shared = self.shared;
         let clock = self.clock;
         let reply = match frame {
@@ -821,19 +654,7 @@ impl ShardCtx<'_> {
                 // the stream, so their affinity must be visible to it.
                 self.batch.apply_affinity(server);
                 server.check_timeouts(now);
-                let assignment = if self.n_shards > 1 {
-                    sharded_request_work(
-                        server,
-                        shared,
-                        self.shard,
-                        client as ClientId,
-                        now,
-                        self.opts.claim_batch.max(1),
-                    )
-                } else {
-                    server.request_work(client as ClientId, now)
-                };
-                match assignment {
+                match server.request_work(client as ClientId, now) {
                     Assignment::Unit { problem, unit, .. } => {
                         let encoded = server
                             .codec(problem)
@@ -1040,93 +861,6 @@ impl ShardCtx<'_> {
             &mut self.batch,
         );
     }
-}
-
-/// The sharded request path, run under the server lock: centrally-owned
-/// priority queues first (rescue/reissue/quorum), then this shard's
-/// claimed units (affinity-picked), then a steal from the first
-/// non-empty sibling, then a fresh claim batch — and only when every
-/// queue in the system is dry, the full legacy path (lookahead pool,
-/// end-game speculation, `Wait`).
-///
-/// Ordering is the liveness argument: any request while any shard queue
-/// is non-empty leases a queued unit, so claimed units always drain —
-/// a shard whose donors all crashed cannot strand work.
-fn sharded_request_work(
-    server: &mut Server,
-    shared: &Shared,
-    shard: usize,
-    client: ClientId,
-    now: f64,
-    claim_batch: usize,
-) -> Assignment {
-    if let Some(a) = server.priority_work(client, now) {
-        return a;
-    }
-    // Donors caching chunks dispatch through the affinity machinery,
-    // not the shard-local claim queues: first the best cached-data
-    // match across *every* queue (a batch claim may have pulled this
-    // donor's unit into a sibling's queue), then the central path,
-    // whose lookahead pool is the full `affinity_lookahead` window —
-    // a shard-sized claim window would refetch chunks the fleet
-    // already holds. The claim/steal plane below serves cold donors.
-    if server.has_affinity(client) {
-        while let Some((pid, unit)) = shared
-            .queues
-            .pop_best(shard, |(pid, u)| server.claimed_affinity(client, *pid, u))
-        {
-            match server.lease_claimed(client, pid, unit, now) {
-                Some(a) => return a,
-                // The problem completed while the unit sat queued;
-                // drop it and try the next candidate.
-                None => continue,
-            }
-        }
-        let a = server.request_work(client, now);
-        if !matches!(a, Assignment::Wait) {
-            return a;
-        }
-        // Nothing fresh anywhere: drain stranded claims — a queued
-        // unit's affine donor may never come back, and leaving it
-        // would stall the run on a cache optimisation.
-        loop {
-            let Some((pid, unit)) = shared.queues.pop_any(shard) else {
-                return Assignment::Wait;
-            };
-            match server.lease_claimed(client, pid, unit, now) {
-                Some(a) => return a,
-                None => continue,
-            }
-        }
-    }
-    loop {
-        if let Some((pid, unit)) = shared
-            .queues
-            .pop_pick(shard, |q| server.claimed_pick(client, q))
-        {
-            match server.lease_claimed(client, pid, unit, now) {
-                Some(a) => return a,
-                None => continue,
-            }
-        }
-        let stolen = shared.queues.steal_into(shard);
-        if stolen > 0 {
-            shared.telemetry.counter_add("shard.steals", 1);
-            shared
-                .telemetry
-                .counter_add("shard.stolen_units", stolen as u64);
-            continue;
-        }
-        let batch = server.claim_units(client, claim_batch, now);
-        if batch.is_empty() {
-            break;
-        }
-        shared
-            .telemetry
-            .counter_add("shard.claimed", batch.len() as u64);
-        shared.queues.push_batch(shard, batch);
-    }
-    server.request_work(client, now)
 }
 
 fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
@@ -1467,108 +1201,86 @@ mod tests {
         net.kill();
     }
 
-    /// Two raw donors homed on different shards: each frame must be
-    /// handled on its home shard (gauges say so), with exactly one
-    /// migration per connection and no misroutes.
-    #[test]
-    fn donors_land_on_their_home_shards() {
-        let clock = Clock::new(1000.0);
-        let mut server = Server::new(small_cfg());
-        server.set_telemetry(crate::telemetry::Telemetry::enabled());
-        let telemetry = server.telemetry();
-        let pid = server.submit(integration_problem(100_000));
+    /// One donor, one connection, request → compute → submit until
+    /// `Finished`: the `(unit id, cost_ops)` sequence it is handed.
+    /// The prior sizes the first unit at `min_unit_ops`; one completion
+    /// later the donor's own estimate sizes every unit at
+    /// `max_unit_ops` (the target is so long that any real elapsed
+    /// time saturates the clamp, so wall-clock noise cannot show).
+    fn scripted_session(shards: usize) -> Vec<(u64, f64)> {
+        let mut server = Server::new(SchedulerConfig {
+            min_unit_ops: 1e5,
+            max_unit_ops: 4e5,
+            prior_ops_per_sec: 1e-3,
+            target_unit_secs: 1e6,
+            ..Default::default()
+        });
+        let pid = server.submit(integration_problem(10_000));
         let algorithm = server.algorithm(pid);
         let codec = server.codec(pid).unwrap();
-        let net = NetServer::start(
-            server,
-            clock,
-            NetServerOptions {
-                shards: 2,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-
-        let run_donor = |client: u64, addr: SocketAddr| {
-            let algorithm = algorithm.clone();
-            let codec = codec.clone();
-            thread::spawn(move || {
-                let mut stream = TcpStream::connect(addr).unwrap();
-                stream
-                    .set_read_timeout(Some(Duration::from_millis(50)))
-                    .unwrap();
-                let mut reader = FrameReader::new();
-                let await_frame = |stream: &mut TcpStream, reader: &mut FrameReader| loop {
-                    match reader.poll(stream) {
-                        Ok(Some(f)) => return f,
-                        Ok(None) => {}
-                        Err(e) => panic!("read failed: {e}"),
-                    }
-                };
-                stream
-                    .write_all(&encode_frame(&Frame::Hello { client }))
-                    .unwrap();
-                loop {
-                    stream
-                        .write_all(&encode_frame(&Frame::RequestWork { client }))
-                        .unwrap();
-                    match await_frame(&mut stream, &mut reader) {
-                        Frame::AssignUnit {
-                            problem,
-                            unit,
-                            cost_ops,
-                            payload,
-                        } => {
-                            let wu = crate::problem::WorkUnit {
-                                id: unit,
-                                payload: codec.decode_unit(&payload).unwrap(),
-                                cost_ops,
-                            };
-                            let result = algorithm.compute(&wu);
-                            let encoded = codec.encode_result(&result.payload).unwrap();
-                            stream
-                                .write_all(&encode_frame(&Frame::SubmitResult {
-                                    client,
-                                    problem,
-                                    unit,
-                                    payload: encoded,
-                                }))
-                                .unwrap();
-                            match await_frame(&mut stream, &mut reader) {
-                                Frame::ResultAck { .. } => {}
-                                other => panic!("expected an ack, got {other:?}"),
-                            }
-                        }
-                        Frame::Wait => thread::sleep(Duration::from_millis(1)),
-                        Frame::Finished => break,
-                        other => panic!("unexpected frame {other:?}"),
+        let opts = NetServerOptions {
+            shards,
+            ..Default::default()
+        };
+        let net = NetServer::start(server, Clock::new(1.0), opts).unwrap();
+        let mut stream = TcpStream::connect(net.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let mut next_frame = |stream: &mut TcpStream| loop {
+            match reader.poll(stream) {
+                Ok(Some(f)) => return f,
+                Ok(None) => {}
+                Err(e) => panic!("read failed: {e}"),
+            }
+        };
+        let mut handed = Vec::new();
+        loop {
+            stream
+                .write_all(&encode_frame(&Frame::RequestWork { client: 0 }))
+                .unwrap();
+            match next_frame(&mut stream) {
+                Frame::AssignUnit {
+                    problem,
+                    unit,
+                    cost_ops,
+                    payload,
+                } => {
+                    handed.push((unit, cost_ops));
+                    let wu = crate::problem::WorkUnit {
+                        id: unit,
+                        payload: codec.decode_unit(&payload).unwrap(),
+                        cost_ops,
+                    };
+                    let result = algorithm.compute(&wu);
+                    let submit = Frame::SubmitResult {
+                        client: 0,
+                        problem,
+                        unit,
+                        payload: codec.encode_result(&result.payload).unwrap(),
+                    };
+                    stream.write_all(&encode_frame(&submit)).unwrap();
+                    match next_frame(&mut stream) {
+                        Frame::ResultAck { accepted: true, .. } => {}
+                        other => panic!("expected an ack, got {other:?}"),
                     }
                 }
-            })
-        };
-        let d0 = run_donor(0, net.addr()); // home shard 0
-        let d1 = run_donor(1, net.addr()); // home shard 1
-        d0.join().unwrap();
-        d1.join().unwrap();
-        let mut server = net.wait();
-        let pi = server.take_output(pid).unwrap().into_inner::<f64>();
-        assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
-        let snap = telemetry.metrics_snapshot();
-        assert_eq!(
-            snap.gauge("shard.s0.clients"),
-            Some(1.0),
-            "donor 0 on shard 0"
-        );
-        assert_eq!(
-            snap.gauge("shard.s1.clients"),
-            Some(1.0),
-            "donor 1 on shard 1"
-        );
-        assert_eq!(snap.counter("shard.misrouted"), 0);
-        assert_eq!(
-            snap.gauge("evloop.threads"),
-            Some(4.0),
-            "2 shards + acceptor + ticker"
-        );
+                Frame::Finished => break,
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        net.wait();
+        handed
+    }
+
+    /// Every unit is sized for the donor that computes it, whatever the
+    /// shard count: dispatch is the same one call under the same lock.
+    #[test]
+    fn dispatch_is_identical_at_every_shard_count() {
+        let one = scripted_session(1);
+        assert_eq!(one[0], (0, 1e5), "the prior sizes the first unit");
+        assert_eq!(one[1], (1, 4e5), "the donor's own speed sizes the rest");
+        assert_eq!(one, scripted_session(4));
     }
 }

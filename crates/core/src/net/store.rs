@@ -287,7 +287,11 @@ fn replica_connection(mut stream: TcpStream, shared: &ReplicaShared) {
                 return;
             }
         }
-        let reply = match shared.store.get(problem, chunk) {
+        let held = shared
+            .store
+            .get(problem, chunk)
+            .or_else(|| sync_from_origin(shared, problem, chunk));
+        let reply = match held {
             Some((digest, payload)) => {
                 shared.telemetry.counter_add("replica.chunks_served", 1);
                 Frame::ChunkData {
@@ -297,21 +301,10 @@ fn replica_connection(mut stream: TcpStream, shared: &ReplicaShared) {
                     payload: payload.as_ref().clone(),
                 }
             }
-            None => match sync_from_origin(shared, problem, chunk) {
-                Some((digest, payload)) => {
-                    shared.telemetry.counter_add("replica.chunks_served", 1);
-                    Frame::ChunkData {
-                        problem,
-                        chunk,
-                        digest,
-                        payload: payload.as_ref().clone(),
-                    }
-                }
-                // Origin unreachable or it does not hold the chunk
-                // either: answer explicitly so the donor fails over
-                // instead of hanging into its ack timeout.
-                None => Frame::ChunkMissing { problem, chunk },
-            },
+            // Origin unreachable or it does not hold the chunk either:
+            // answer explicitly so the donor fails over instead of
+            // hanging into its ack timeout.
+            None => Frame::ChunkMissing { problem, chunk },
         };
         out.clear();
         encode_frame_into(&reply, &mut out);

@@ -638,141 +638,11 @@ impl Server {
         Assignment::Wait
     }
 
-    /// Priority work only: live straggler rescue, reissued units, and
-    /// quorum cross-check top-ups — every dispatch that must beat
-    /// fresh issuance. `Some(Finished)` when every problem is done,
-    /// `None` when only fresh (or end-game speculative) work remains.
-    ///
-    /// This is the first step of the sharded dispatch plane's request
-    /// path: these queues are centrally owned (recovery, quorum and
-    /// reissue order stay global), so every shard serves them through
-    /// the one server lock before touching its claimed-unit queues.
-    pub fn priority_work(&mut self, client: ClientId, now: f64) -> Option<Assignment> {
-        self.telemetry.set_now(now);
-        if self.all_complete() {
-            return Some(Assignment::Finished);
-        }
-        if let Some((pid, uid)) = self.live_rescue_pick(client) {
-            self.telemetry.counter_add("health.live_rescues", 1);
-            let unit = self.problems[pid].in_flight[&uid].unit.clone();
-            return Some(self.lease_and_assign(pid, unit, client, now, true));
-        }
-        let n = self.cycle.len();
-        for k in 0..n {
-            let pos = (self.rotation + k) % n;
-            let pid = self.cycle[pos];
-            if self.problems[pid].done {
-                continue;
-            }
-            if let Some((unit, crosscheck)) = self.priority_unit_for(pid, client) {
-                self.rotation = (pos + 1) % n;
-                if crosscheck {
-                    self.telemetry
-                        .counter_add("quorum.crosscheck_dispatches", 1);
-                }
-                return Some(self.lease_and_assign(pid, unit, client, now, crosscheck));
-            }
-        }
-        None
-    }
-
-    /// Pulls up to `max` fresh units from the data managers for a
-    /// shard's claimed-unit queue, following the same weighted
-    /// round-robin cycle as pass 1 of [`Server::request_work`] and
-    /// sized by `client`'s granularity hint. Every pull is journaled
-    /// exactly like a direct issue, so a crash recovers claimed-but-
-    /// unleased units as pending — they are never lost, only re-homed.
-    pub fn claim_units(
-        &mut self,
-        client: ClientId,
-        max: usize,
-        now: f64,
-    ) -> Vec<(ProblemId, Arc<WorkUnit>)> {
-        self.telemetry.set_now(now);
-        let hint = self.sched.granularity_hint(client);
-        let n = self.cycle.len();
-        let mut out = Vec::new();
-        if n == 0 {
-            return out;
-        }
-        let mut pos = self.rotation;
-        let mut misses = 0usize;
-        while out.len() < max && misses < n {
-            let pid = self.cycle[pos % n];
-            pos += 1;
-            if self.problems[pid].done {
-                misses += 1;
-                continue;
-            }
-            let p = &mut self.problems[pid];
-            let Some(unit) = p.dm.next_unit(hint) else {
-                misses += 1;
-                continue;
-            };
-            if let Some(j) = self.journal.as_mut() {
-                j.unit_issued(pid, &unit, hint);
-            }
-            self.telemetry.emit(EventKind::UnitCreated {
-                problem: pid,
-                unit: unit.id,
-                cost_ops: unit.cost_ops,
-            });
-            self.telemetry
-                .observe("server.unit_cost_ops", OPS_BOUNDS, unit.cost_ops);
-            out.push((pid, Arc::new(unit)));
-            misses = 0;
-            self.rotation = pos % n;
-        }
-        out
-    }
-
-    /// Leases a previously [claimed](Server::claim_units) unit to
-    /// `client`. `None` means the problem completed while the unit sat
-    /// in a shard queue — the caller drops it (its result was already
-    /// obtained, or the data manager no longer wants it).
-    pub fn lease_claimed(
-        &mut self,
-        client: ClientId,
-        problem: ProblemId,
-        unit: Arc<WorkUnit>,
-        now: f64,
-    ) -> Option<Assignment> {
-        self.telemetry.set_now(now);
-        if self.problems[problem].done {
-            return None;
-        }
-        Some(self.lease_and_assign(problem, unit, client, now, false))
-    }
-
-    /// Index of the best claimed candidate for `client` — the same
-    /// chunk-affinity scoring the lookahead pool uses, so sharding does
-    /// not regress data movement. Front wins ties and the no-affinity
-    /// case, preserving claim order.
-    pub fn claimed_pick(
-        &self,
-        client: ClientId,
-        candidates: &VecDeque<(ProblemId, Arc<WorkUnit>)>,
-    ) -> usize {
-        if candidates.len() <= 1 || self.sched.affinity_entries(client) == 0 {
-            return 0;
-        }
-        let mut best = 0usize;
-        let mut best_score = self.unit_affinity(candidates[0].0, client, &candidates[0].1);
-        for (i, (pid, u)) in candidates.iter().enumerate().skip(1) {
-            let s = self.unit_affinity(*pid, client, u);
-            if s > best_score {
-                best = i;
-                best_score = s;
-            }
-        }
-        best
-    }
-
-    // The all-flagged rescue candidate for pass 0 of `request_work` /
-    // `priority_work`, compared on `(oldest lease, problem, unit)` so
-    // HashMap iteration order never leaks into dispatch order. The
-    // all-flagged guard self-limits the pass to one rescue copy per
-    // unit: once it runs, an unflagged lease exists.
+    // The all-flagged rescue candidate for pass 0 of `request_work`,
+    // compared on `(oldest lease, problem, unit)` so HashMap iteration
+    // order never leaks into dispatch order. The all-flagged guard
+    // self-limits the pass to one rescue copy per unit: once it runs,
+    // an unflagged lease exists.
     fn live_rescue_pick(&self, client: ClientId) -> Option<(ProblemId, UnitId)> {
         if !self.sched.config().enable_health_detector || self.sched.is_health_flagged(client) {
             return None;
@@ -814,13 +684,13 @@ impl Server {
         rescue.map(|(_, pid, uid)| (pid, uid))
     }
 
-    // The priority (non-fresh) unit of `pid` this client may execute:
-    // the reissue queue, then quorum cross-check top-ups. Split out of
-    // `next_unit_for` so the sharded dispatch plane can serve these
-    // centrally-owned queues before touching its claimed-unit queues.
-    fn priority_unit_for(
+    // The next unit of `pid` this client may execute, with a flag
+    // saying whether it is a quorum cross-check copy of an in-flight
+    // unit rather than a fresh/reissued unit.
+    fn next_unit_for(
         &mut self,
         pid: ProblemId,
+        hint: f64,
         client: ClientId,
     ) -> Option<(Arc<WorkUnit>, bool)> {
         // Reissue queue first, always: orphaned units must go back out
@@ -857,21 +727,6 @@ impl Server {
             if let Some(uid) = pick {
                 return Some((p.in_flight[&uid].unit.clone(), true));
             }
-        }
-        None
-    }
-
-    // The next unit of `pid` this client may execute, with a flag
-    // saying whether it is a quorum cross-check copy of an in-flight
-    // unit rather than a fresh/reissued unit.
-    fn next_unit_for(
-        &mut self,
-        pid: ProblemId,
-        hint: f64,
-        client: ClientId,
-    ) -> Option<(Arc<WorkUnit>, bool)> {
-        if let Some(hit) = self.priority_unit_for(pid, client) {
-            return Some(hit);
         }
         // Refill the lookahead pool so affinity selection has
         // candidates; every pull is journaled exactly like a direct
@@ -921,20 +776,6 @@ impl Server {
             }
         }
         best.map(|(i, _)| i)
-    }
-
-    /// Whether `client` holds any chunk-affinity entries — when it
-    /// does, the sharded dispatch plane widens its claimed-unit pick
-    /// from its own shard's queue to every queue, so sharding cannot
-    /// strand a unit away from the donor already caching its data.
-    pub fn has_affinity(&self, client: ClientId) -> bool {
-        self.sched.affinity_entries(client) > 0
-    }
-
-    /// [`unit_affinity`](Self::unit_affinity) for a claimed unit — the
-    /// scoring behind the sharded plane's cross-shard affinity pick.
-    pub fn claimed_affinity(&self, client: ClientId, problem: ProblemId, unit: &WorkUnit) -> usize {
-        self.unit_affinity(problem, client, unit)
     }
 
     // Affinity score of `unit` for `client`: how many of the unit's

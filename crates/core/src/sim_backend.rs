@@ -628,36 +628,18 @@ impl SimRunner {
                     load[m] = load[m].saturating_sub(1);
                     self.network
                         .set_server_degradation(injector.link_scale(now));
-                    // A Byzantine donor lies: flip the encoded payload
-                    // bytes *before* the transport frames them, then
-                    // decode the lie back — the CRC layer cannot catch
-                    // it, only quorum compare can. A lie whose bytes no
-                    // longer decode degrades to a corrupt delivery.
-                    let mut result = result;
-                    let mut action = injector.delivery_action(m, now);
-                    if injector.wrong_result(m, now) {
-                        tel.emit_at(
-                            now,
-                            crate::telemetry::EventKind::FaultInjected {
-                                client: m,
-                                action: "wrong_result".to_string(),
-                            },
-                        );
-                        if let Some(codec) = self.server.codec(problem) {
-                            if let Ok(mut bytes) = codec.encode_result(&result.payload) {
-                                crate::fault::flip_result_bytes(&mut bytes, m);
-                                match codec.decode_result(&bytes) {
-                                    Ok(payload) => {
-                                        result = crate::problem::TaskResult {
-                                            unit_id: result.unit_id,
-                                            payload,
-                                        }
-                                    }
-                                    Err(_) => action = DeliveryAction::Corrupt,
-                                }
-                            }
-                        }
-                    }
+                    let action = injector.delivery_action(m, now);
+                    let wrong = injector.wrong_result(m, now);
+                    let codec = wrong.then(|| self.server.codec(problem)).flatten();
+                    let (action, result) = crate::fault::resolve_delivery(
+                        &tel,
+                        now,
+                        m,
+                        action,
+                        wrong,
+                        result,
+                        codec.as_deref(),
+                    );
                     match action {
                         DeliveryAction::Deliver => {
                             let bytes = result.payload.wire_bytes() + self.cfg.control_bytes;
@@ -671,13 +653,6 @@ impl SimRunner {
                             }
                         }
                         DeliveryAction::Drop => {
-                            tel.emit_at(
-                                now,
-                                crate::telemetry::EventKind::FaultInjected {
-                                    client: m,
-                                    action: "drop".to_string(),
-                                },
-                            );
                             // The message vanishes in transit; the lease
                             // must expire to recover the unit. The client
                             // re-polls after its usual interval.
@@ -688,13 +663,6 @@ impl SimRunner {
                             }
                         }
                         DeliveryAction::Duplicate => {
-                            tel.emit_at(
-                                now,
-                                crate::telemetry::EventKind::FaultInjected {
-                                    client: m,
-                                    action: "duplicate".to_string(),
-                                },
-                            );
                             // Retransmission bug: the same result lands
                             // twice; the server must accept exactly one.
                             let bytes = result.payload.wire_bytes() + self.cfg.control_bytes;
@@ -709,13 +677,6 @@ impl SimRunner {
                             }
                         }
                         DeliveryAction::Corrupt => {
-                            tel.emit_at(
-                                now,
-                                crate::telemetry::EventKind::FaultInjected {
-                                    client: m,
-                                    action: "corrupt".to_string(),
-                                },
-                            );
                             // The payload fails the transport checksum;
                             // the server cancels the lease and reissues.
                             let bytes = result.payload.wire_bytes() + self.cfg.control_bytes;

@@ -191,36 +191,16 @@ pub fn run_threaded_faulty(
                                 },
                             );
                             guard = shared.lock().expect("server lock");
-                            // A Byzantine donor lies: flip the encoded
-                            // payload bytes before framing — the wire
-                            // layer cannot catch it, only quorum compare
-                            // can. An undecodable lie degrades to a
-                            // corrupt delivery.
-                            let mut action = action;
-                            let mut result = result;
-                            if wrong {
-                                tel.emit_at(
-                                    now(),
-                                    crate::telemetry::EventKind::FaultInjected {
-                                        client: worker,
-                                        action: "wrong_result".to_string(),
-                                    },
-                                );
-                                if let Some(codec) = guard.codec(problem) {
-                                    if let Ok(mut bytes) = codec.encode_result(&result.payload) {
-                                        crate::fault::flip_result_bytes(&mut bytes, worker);
-                                        match codec.decode_result(&bytes) {
-                                            Ok(payload) => {
-                                                result = crate::problem::TaskResult {
-                                                    unit_id: result.unit_id,
-                                                    payload,
-                                                }
-                                            }
-                                            Err(_) => action = DeliveryAction::Corrupt,
-                                        }
-                                    }
-                                }
-                            }
+                            let codec = wrong.then(|| guard.codec(problem)).flatten();
+                            let (action, result) = crate::fault::resolve_delivery(
+                                &tel,
+                                now(),
+                                worker,
+                                action,
+                                wrong,
+                                result,
+                                codec.as_deref(),
+                            );
                             match action {
                                 DeliveryAction::Deliver => {
                                     guard.submit_result(worker, problem, result, now());
@@ -233,22 +213,8 @@ pub fn run_threaded_faulty(
                                     // Lost in transit: the server never
                                     // sees it; the lease must expire and
                                     // the unit be reissued.
-                                    tel.emit_at(
-                                        now(),
-                                        crate::telemetry::EventKind::FaultInjected {
-                                            client: worker,
-                                            action: "drop".to_string(),
-                                        },
-                                    );
                                 }
                                 DeliveryAction::Duplicate => {
-                                    tel.emit_at(
-                                        now(),
-                                        crate::telemetry::EventKind::FaultInjected {
-                                            client: worker,
-                                            action: "duplicate".to_string(),
-                                        },
-                                    );
                                     drop(guard);
                                     let copy = algorithm.compute(&unit);
                                     guard = shared.lock().expect("server lock");
@@ -258,13 +224,6 @@ pub fn run_threaded_faulty(
                                     progress.notify_all();
                                 }
                                 DeliveryAction::Corrupt => {
-                                    tel.emit_at(
-                                        now(),
-                                        crate::telemetry::EventKind::FaultInjected {
-                                            client: worker,
-                                            action: "corrupt".to_string(),
-                                        },
-                                    );
                                     guard.result_corrupted(worker, problem, unit.id, now());
                                     progress.notify_all();
                                 }

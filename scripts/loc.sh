@@ -1,0 +1,19 @@
+#!/bin/sh
+# Non-test Rust lines per crates/core/src module; counting stops at a
+# file's first `#[cfg(test)]`. `loc.sh [rev]` reads a git revision
+# (default: the working tree), so CI prints the merge base and HEAD one
+# after the other and every PR's log shows its line delta.
+set -eu
+cd "$(dirname "$0")/.."
+rev=${1:-}
+if [ -n "$rev" ]; then
+    files=$(git ls-tree -r --name-only "$rev" crates/core/src)
+else
+    files=$(find crates/core/src -type f | sort)
+fi
+for f in $files; do
+    case $f in *.rs) ;; *) continue ;; esac
+    if [ -n "$rev" ]; then git show "$rev:$f"; else cat "$f"; fi |
+        awk -v f="${f#crates/core/src/}" \
+            '/#\[cfg\(test\)\]/ { exit } { n++ } END { printf "%6d %s\n", n, f }'
+done | awk '{ print; total += $1 } END { printf "%6d total\n", total }'

@@ -24,8 +24,8 @@ cargo test -q --offline --workspace
 # shipping into the live status view, and the straggler-detector
 # acceptance scenario on both the simulator and loopback TCP), and
 # the scale tier (the 1k-donor sharded event-loop soak with
-# exactly-once audit, O(shards) thread count, and the deterministic
-# work-steal case).
+# exactly-once audit, O(shards) thread count, and the silent-donor
+# case).
 cargo test -q --offline --test chaos tcp
 cargo test -q --offline --test net_recovery
 cargo test -q --offline --test stress

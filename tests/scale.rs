@@ -1,4 +1,4 @@
-//! The scale tier: the nonblocking sharded control plane under donor
+//! The scale tier: the nonblocking event-loop control plane under donor
 //! counts the thread-per-connection server could never hold.
 //!
 //! The paper's deployment topped out around a few hundred donors; the
@@ -7,9 +7,8 @@
 //! loopback: a 1k-donor soak across 4 shards with two live problems,
 //! checked against the sequential reference digest and the exactly-once
 //! audit, with the server's thread count asserted *from the metrics
-//! registry* — plus a deterministic work-stealing case where one
-//! shard's donors go silent and a sibling's donor drains their claimed
-//! units through a steal.
+//! registry* — plus a deterministic case where one shard's only donor
+//! goes silent and a donor on the sibling shard finishes the run.
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
@@ -40,8 +39,9 @@ fn tiny_unit_cfg() -> SchedulerConfig {
 
 /// Runs `donors` loopback donors against `shards` event-loop shards on
 /// two audited dsearch problems; asserts digest parity with the
-/// sequential reference, the exactly-once audit, clean routing, and the
-/// O(shards) thread count from the metrics registry.
+/// sequential reference, the exactly-once audit, that every shard
+/// served connections, and the O(shards) thread count from the metrics
+/// registry.
 fn soak(donors: usize, shards: usize, db_len: usize) {
     raise_nofile_limit(20_000);
     let cfg = DsearchConfig::protein_default();
@@ -75,15 +75,14 @@ fn soak(donors: usize, shards: usize, db_len: usize) {
         clock,
         NetServerOptions {
             shards,
-            claim_batch: 8,
             ..Default::default()
         },
     )
     .expect("bind loopback listener");
-    // Deterministic directory-handshake check: every donor id speaks
-    // once over a raw socket (heartbeat round trip) before the fleet
-    // starts, so each is routed to its home shard regardless of how
-    // fast the workload later drains. The fleet reuses the same ids.
+    // Deterministic adoption check: `donors` raw connections each make
+    // one heartbeat round trip before the fleet starts, so every shard
+    // has provably adopted its share however fast the workload later
+    // drains (it can finish before the last fleet donor connects).
     for c in 0..donors {
         let mut s = TcpStream::connect(net.addr()).expect("connect for handshake");
         s.set_read_timeout(Some(Duration::from_millis(100)))
@@ -146,14 +145,14 @@ fn soak(donors: usize, shards: usize, db_len: usize) {
         Some((shards + 2) as f64),
         "server thread count must be O(shards): {shards} shards + acceptor + ticker"
     );
-    assert_eq!(snap.counter("shard.misrouted"), 0, "routing is exact");
-    // Every donor landed on its home shard, exactly once each.
-    let routed: f64 = (0..shards)
-        .map(|s| snap.gauge(&format!("shard.s{s}.clients")).unwrap_or(0.0))
-        .sum();
-    assert_eq!(
-        routed as usize, donors,
-        "every donor routed to a home shard"
+    // The acceptor dealt the connections across every shard (the
+    // handshakes alone make `donors`; the fleet's come on top).
+    let adopted: Vec<f64> = (0..shards)
+        .map(|s| snap.gauge(&format!("shard.s{s}.conns")).unwrap_or(0.0))
+        .collect();
+    assert!(
+        adopted.iter().all(|&n| n >= 1.0) && adopted.iter().sum::<f64>() >= donors as f64,
+        "every shard serves connections: {adopted:?}"
     );
     assert!(
         snap.counter("net.frames_in") > 0,
@@ -173,14 +172,13 @@ fn scale_smoke_64_donors_2_shards() {
     soak(64, 2, 120);
 }
 
-/// Deterministic work-stealing: donor 0 (home shard 0) takes one unit —
-/// its request triggers a claim batch into shard 0's queue — then goes
-/// silent. Donor 1 (home shard 1) must drain the stranded claims
-/// through a steal and finish both its own and shard 0's work, with the
-/// silent donor's lease reclaimed by the liveness sweep. Exactly-once
-/// still holds.
+/// A silent donor on one shard cannot strand the run: donor 0 (first
+/// connection, shard 0) takes one unit, then goes silent. Donor 1
+/// (second connection, shard 1) must finish everything else and the
+/// silent donor's unit too, once the liveness sweep reclaims its lease.
+/// Exactly-once still holds.
 #[test]
-fn silent_shard_is_drained_by_work_stealing() {
+fn silent_donor_on_one_shard_cannot_strand_the_run() {
     let cfg = DsearchConfig::protein_default();
     let queries = vec![random_sequence(Alphabet::Protein, "q", 80, 5)];
     let db = SyntheticDb::generate(&DbSpec::protein_demo(24, 60), 2).sequences;
@@ -202,7 +200,6 @@ fn silent_shard_is_drained_by_work_stealing() {
         clock,
         NetServerOptions {
             shards: 2,
-            claim_batch: 8,
             liveness_timeout: 30.0, // 30ms wall: the silent donor is swept fast
             ..Default::default()
         },
@@ -217,8 +214,7 @@ fn silent_shard_is_drained_by_work_stealing() {
         }
     };
 
-    // Donor 0: request exactly one unit (filling shard 0's claim
-    // queue as a side effect), then never speak again.
+    // Donor 0: request exactly one unit, then never speak again.
     let mut silent = TcpStream::connect(net.addr()).unwrap();
     silent
         .set_read_timeout(Some(Duration::from_millis(50)))
@@ -242,7 +238,7 @@ fn silent_shard_is_drained_by_work_stealing() {
         }
     }
 
-    // Donor 1 (home shard 1) drives the run to completion alone.
+    // Donor 1 (shard 1) drives the run to completion alone.
     let mut stream = TcpStream::connect(net.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_millis(50)))
@@ -293,17 +289,24 @@ fn silent_shard_is_drained_by_work_stealing() {
         .take_output(pid)
         .unwrap()
         .into_inner::<SearchOutput>();
-    assert_eq!(out.digest(), reference, "stolen units fold correctly");
+    assert_eq!(
+        out.digest(),
+        reference,
+        "the reclaimed unit folds correctly"
+    );
     audit
         .verify_run(&server)
-        .expect("exactly-once holds across the steal");
-    let snap = telemetry.metrics_snapshot();
+        .expect("exactly-once holds across the reclaim");
     assert!(
-        snap.counter("shard.steals") >= 1,
-        "donor 1 must have stolen shard 0's stranded claims \
-         (steals={}, stolen_units={})",
-        snap.counter("shard.steals"),
-        snap.counter("shard.stolen_units")
+        server.stats(pid).reissued_units >= 1,
+        "the silent donor's unit went back out"
     );
-    assert_eq!(snap.counter("shard.misrouted"), 0);
+    let snap = telemetry.metrics_snapshot();
+    for s in 0..2 {
+        assert_eq!(
+            snap.gauge(&format!("shard.s{s}.conns")),
+            Some(1.0),
+            "one donor per shard"
+        );
+    }
 }
