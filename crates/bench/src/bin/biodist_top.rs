@@ -251,10 +251,10 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
         done,
         snap.problems.len(),
     ));
-    out.push_str("CLIENT      OPS/S   UNITS  LEASES  TRUST  AGREE  DISPUTE  FLAG   RATIO\n");
+    out.push_str("CLIENT      OPS/S   UNITS  LEASES  TRUST  AGREE  DISPUTE  FLAG   RATIO  DEPTH\n");
     for d in &snap.donors {
         out.push_str(&format!(
-            "{:>6}  {:>9.3e}  {:>5}  {:>6}  {:>5}  {:>5}  {:>7}  {:>4}  {:>6.2}\n",
+            "{:>6}  {:>9.3e}  {:>5}  {:>6}  {:>5}  {:>5}  {:>7}  {:>4}  {:>6.2}  {:>5}\n",
             d.client,
             d.ops_per_sec,
             d.units_completed,
@@ -264,6 +264,9 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
             d.disputes,
             if d.flagged { "FLAG" } else { "-" },
             d.health_ratio,
+            // What the donor's last metrics report said it runs at.
+            snap.pipeline_depth(d.client)
+                .map_or("-".to_string(), |depth| depth.to_string()),
         ));
     }
     out.push_str("\nPROBLEM  NAME                  DONE   UNITS  ASSIGN  INFLIGHT  REISSUE\n");

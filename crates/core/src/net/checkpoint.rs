@@ -20,10 +20,14 @@
 //!   that earned single-issue trust keep it across a restart.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
-//! body): u32]`, little-endian. The reader stops at the first record
+//! body): u32]`, little-endian. Unit records reach the file a *group*
+//! at a time — one `write` per [`CheckpointWriter::commit`], which the
+//! TCP server issues once per pump, before that pump's replies leave
+//! (see [`CheckpointWriter`]). The reader stops at the first record
 //! that is truncated or fails its CRC — a *torn tail* from a crash
-//! mid-write — and recovery proceeds from what survived: any unit whose
-//! result record was lost is simply recomputed. [`recover`] replays the
+//! mid-write, anywhere in the group being written — and recovery
+//! proceeds from what survived: any unit whose result record was lost
+//! is simply recomputed. [`recover`] replays the
 //! surviving records against freshly-built problems and returns a
 //! server that resumes without recombining any completed unit (the
 //! exactly-once property the chaos suite's `audited()` checker
@@ -107,18 +111,83 @@ pub enum LogRecord {
     Replica(Vec<std::net::SocketAddr>),
 }
 
+/// An open group is written out once it holds this many bytes, whatever
+/// the caller's commit cadence: it bounds the writer's memory when a
+/// journal is driven without commits (the in-process backends) and is
+/// far above what one pump of unit records amounts to.
+const GROUP_BYTES: usize = 64 * 1024;
+
+/// The log file and its open group: records framed but not yet written.
+#[derive(Debug)]
+struct Log {
+    file: File,
+    /// The framed records of the open group, in log order — reused, so
+    /// appends allocate nothing.
+    group: Vec<u8>,
+    /// Records in `group`.
+    records: u64,
+}
+
+impl Log {
+    fn new(file: File) -> Arc<Mutex<Self>> {
+        Arc::new(Mutex::new(Self {
+            file,
+            group: Vec::new(),
+            records: 0,
+        }))
+    }
+
+    /// Writes the open group in one `write`. `None`: nothing was open;
+    /// otherwise the records it held and whether the write succeeded.
+    ///
+    /// What this makes durable: the bytes are in the kernel's page
+    /// cache, so they survive the death of this *process* — the crash
+    /// `NetServer::kill` models and recovery is tested against. They do
+    /// not survive power loss or a kernel crash until the OS writes
+    /// them back: nothing here calls `sync_data` (a `File` has no
+    /// user-space buffer, so there is nothing to `flush` either).
+    fn write_group(&mut self) -> Option<(u64, bool)> {
+        if self.group.is_empty() {
+            return None;
+        }
+        let wrote = self.file.write_all(&self.group).is_ok();
+        self.group.clear();
+        Some((std::mem::take(&mut self.records), wrote))
+    }
+}
+
+impl Drop for Log {
+    /// The last writer going away ends the group: a journal driven
+    /// without commits still reaches the file.
+    fn drop(&mut self) {
+        self.write_group();
+    }
+}
+
 /// Append-only, cloneable checkpoint writer; install a clone as the
-/// server's [`RunJournal`] and keep one for periodic snapshots.
+/// server's [`RunJournal`] and keep one for periodic snapshots (clones
+/// share one log and one open group).
 ///
-/// Every record is flushed as it is written (the log is small and the
-/// write-ahead ordering is what recovery correctness rests on). Write
-/// failures are swallowed: a full disk degrades durability — lost
-/// records mean recomputed units — but never takes down the run.
+/// Unit records (`Issue` / `Result` / `Vote`) are **group-committed**:
+/// each is CRC-framed into the open group as it is reported, and the
+/// group reaches the file in one `write` at [`CheckpointWriter::commit`],
+/// when it passes 64 KiB, ahead of any other record type (snapshots
+/// are written at once, behind the group, so the file keeps report
+/// order), and when the last clone is dropped. The TCP server commits
+/// once per pump, *before* that pump's replies are flushed, so the
+/// write-ahead property recovery rests on holds per pump: no donor
+/// can read an `AssignUnit` or `ResultAck` whose records are not in
+/// the file. A crash loses the open group — records nobody was told
+/// about — and [`CheckpointWriter::discard`] is that crash for
+/// `NetServer::kill`. A reader of the log while a writer lives must
+/// commit first.
+///
+/// Write failures are counted (`ckpt.write_errors`), not propagated: a
+/// full disk degrades durability — lost records mean recomputed units
+/// — but never takes down the run.
 #[derive(Debug, Clone)]
 pub struct CheckpointWriter {
-    /// The log and the buffer each record is framed in before its one
-    /// write — kept with the file so appends allocate nothing.
-    log: Arc<Mutex<(File, Vec<u8>)>>,
+    log: Arc<Mutex<Log>>,
     telemetry: crate::telemetry::Telemetry,
 }
 
@@ -127,7 +196,7 @@ impl CheckpointWriter {
     pub fn create(path: &Path) -> std::io::Result<Self> {
         let file = File::create(path)?;
         Ok(Self {
-            log: Arc::new(Mutex::new((file, Vec::new()))),
+            log: Log::new(file),
             telemetry: crate::telemetry::Telemetry::disabled(),
         })
     }
@@ -137,17 +206,52 @@ impl CheckpointWriter {
     pub fn append(path: &Path) -> std::io::Result<Self> {
         let file = OpenOptions::new().append(true).open(path)?;
         Ok(Self {
-            log: Arc::new(Mutex::new((file, Vec::new()))),
+            log: Log::new(file),
             telemetry: crate::telemetry::Telemetry::disabled(),
         })
     }
 
     /// Attaches a telemetry handle: every appended record becomes a
     /// `checkpoint_write` trace event (kind `issue` / `result` /
-    /// `sched`) plus a `ckpt.records` counter bump.
+    /// `sched` / ...) plus `ckpt.records` and `ckpt.bytes` counter
+    /// bumps, and every group written counts in `ckpt.commits`, its
+    /// size in the `ckpt.group_records` histogram and a failed write in
+    /// `ckpt.write_errors`.
     pub fn with_telemetry(mut self, telemetry: crate::telemetry::Telemetry) -> Self {
         self.telemetry = telemetry;
         self
+    }
+
+    /// Writes the open group to the file (one `write`); a no-op when
+    /// nothing is open.
+    pub fn commit(&self) {
+        let mut log = self.log.lock().expect("checkpoint lock");
+        self.write_group(&mut log);
+    }
+
+    /// Drops the open group unwritten: what a crash of the journaling
+    /// process would have lost.
+    pub fn discard(&self) {
+        let mut log = self.log.lock().expect("checkpoint lock");
+        log.group.clear();
+        log.records = 0;
+    }
+
+    fn write_group(&self, log: &mut Log) {
+        let Some((records, wrote)) = log.write_group() else {
+            return;
+        };
+        if self.telemetry.is_enabled() {
+            self.telemetry.counter_add("ckpt.commits", 1);
+            self.telemetry.observe(
+                "ckpt.group_records",
+                crate::telemetry::SIZE_BOUNDS,
+                records as f64,
+            );
+            if !wrote {
+                self.telemetry.counter_add("ckpt.write_errors", 1);
+            }
+        }
     }
 
     fn write_record(&self, rtype: u8, body: &[u8]) {
@@ -170,18 +274,22 @@ impl CheckpointWriter {
                 .counter_add("ckpt.bytes", body.len() as u64 + 9);
         }
         let mut log = self.log.lock().expect("checkpoint lock");
-        let (file, framed) = &mut *log;
-        framed.clear();
-        framed.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        framed.push(rtype);
-        framed.extend_from_slice(body);
+        let start = log.group.len();
+        log.group
+            .extend_from_slice(&(body.len() as u32).to_le_bytes());
+        log.group.push(rtype);
+        log.group.extend_from_slice(body);
         // The checksum covers `type ‖ body`: everything after the length.
-        let crc = super::wire::crc32(&framed[4..]);
-        framed.extend_from_slice(&crc.to_le_bytes());
-        // One write + flush per record: a crash can tear at most the
-        // final record, which the reader's CRC check drops.
-        let _ = file.write_all(framed);
-        let _ = file.flush();
+        let crc = super::wire::crc32(&log.group[start + 4..]);
+        log.group.extend_from_slice(&crc.to_le_bytes());
+        log.records += 1;
+        // A crash can tear at most the group being written, at any
+        // byte; the reader's CRC check keeps the records wholly before
+        // the tear and drops the rest.
+        let unit_record = matches!(rtype, REC_ISSUE | REC_RESULT | REC_VOTE);
+        if !unit_record || log.group.len() >= GROUP_BYTES {
+            self.write_group(&mut log);
+        }
     }
 
     /// Appends a scheduler snapshot record.
@@ -268,6 +376,14 @@ impl RunJournal for CheckpointWriter {
         w.bytes(encoded);
         self.write_record(REC_VOTE, &w.into_bytes());
     }
+
+    fn commit(&mut self) {
+        CheckpointWriter::commit(self);
+    }
+
+    fn discard(&mut self) {
+        CheckpointWriter::discard(self);
+    }
 }
 
 /// Reads every intact record from a checkpoint log. The second return
@@ -303,10 +419,8 @@ fn parse_record(buf: &[u8]) -> Option<(LogRecord, usize)> {
     let rtype = buf[4];
     let body = &buf[5..5 + body_len as usize];
     let declared = u32::from_le_bytes(buf[total - 4..total].try_into().expect("4 bytes"));
-    let mut crc_input = Vec::with_capacity(body.len() + 1);
-    crc_input.push(rtype);
-    crc_input.extend_from_slice(body);
-    if super::wire::crc32(&crc_input) != declared {
+    // The checksum covers `type ‖ body`, contiguous in the buffer.
+    if super::wire::crc32(&buf[4..total - 4]) != declared {
         return None;
     }
     let mut r = ByteReader::new(body);
@@ -748,6 +862,7 @@ mod tests {
         };
         writer.append_reputation(&rep);
         writer.vote_recorded(0, 7, 3, 2, &[0xAB, 0xCD]);
+        writer.commit(); // the vote is a unit record: it waits in the open group
         let (records, torn) = read_log(&path).unwrap();
         assert!(!torn);
         assert_eq!(
@@ -787,6 +902,113 @@ mod tests {
         }
     }
 
+    /// Donors 1 and 2 take turns until both are told `Finished`.
+    fn drive_quorum(server: &mut Server, mut now: f64) {
+        let mut finished = 0;
+        while finished < 2 {
+            finished = 0;
+            for c in [1usize, 2] {
+                match server.request_work(c, now) {
+                    Assignment::Unit {
+                        problem,
+                        unit,
+                        algorithm,
+                    } => {
+                        let r = algorithm.compute(&unit);
+                        now += 1.0;
+                        server.submit_result(c, problem, r, now);
+                    }
+                    Assignment::Wait => now += 1.0,
+                    Assignment::Finished => finished += 1,
+                }
+            }
+            assert!(now < 1e6, "quorum run must make progress");
+        }
+    }
+
+    /// A crash while a group is being written can leave any prefix of
+    /// it in the file. Whatever the byte it tears at, the reader keeps
+    /// exactly the records wholly before the tear — of a group that
+    /// mixes issue, vote and result records — and the recovered run
+    /// finishes with every unit folded exactly once.
+    #[test]
+    fn a_group_torn_at_any_byte_recovers_exactly_the_records_before_the_tear() {
+        let path = temp_log("torn-group");
+        let n = 50_000;
+        let writer = CheckpointWriter::create(&path).unwrap();
+        let mut server = Server::new(quorum_cfg());
+        server.submit(integration_problem(n));
+        server.set_journal(Box::new(writer.clone()));
+        // One ballot: `client` asks, computes and votes.
+        let mut now = 0.0;
+        let mut ballot = |server: &mut Server, client: usize| {
+            let Assignment::Unit {
+                problem,
+                unit,
+                algorithm,
+            } = server.request_work(client, now)
+            else {
+                panic!("work must be available")
+            };
+            now += 1.0;
+            assert!(server.submit_result(client, problem, algorithm.compute(&unit), now));
+        };
+        // An earlier group, whole in the file: one unit elected.
+        ballot(&mut server, 0);
+        ballot(&mut server, 1);
+        writer.commit();
+        let group_start = std::fs::metadata(&path).unwrap().len() as usize;
+        // The group the crash tears: two units elected, a third with
+        // one of its two votes in.
+        for client in [0, 1, 0, 1, 0] {
+            ballot(&mut server, client);
+        }
+        writer.commit();
+        drop(server);
+        let bytes = std::fs::read(&path).unwrap();
+        let (records, torn) = read_log(&path).unwrap();
+        assert!(!torn);
+        let mut ends = Vec::new();
+        let mut pos = 0;
+        while pos < bytes.len() {
+            pos += parse_record(&bytes[pos..]).expect("whole log parses").1;
+            ends.push(pos);
+        }
+        assert_eq!(ends.len(), records.len());
+        let group: Vec<&LogRecord> = records
+            .iter()
+            .zip(&ends)
+            .filter(|(_, &end)| end > group_start)
+            .map(|(r, _)| r)
+            .collect();
+        assert!(
+            group.iter().any(|r| matches!(r, LogRecord::Issue { .. }))
+                && group.iter().any(|r| matches!(r, LogRecord::Vote { .. }))
+                && group.iter().any(|r| matches!(r, LogRecord::Result { .. })),
+            "the torn group mixes all three unit records: {group:?}"
+        );
+
+        let reference = sequential_pi(n);
+        for cut in group_start..=bytes.len() {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let whole = ends.iter().filter(|&&end| end <= cut).count();
+            let (survived, torn) = read_log(&path).unwrap();
+            assert_eq!(survived, records[..whole], "cut at byte {cut}");
+            assert_eq!(torn, !ends.contains(&cut), "cut at byte {cut}");
+
+            let (problem, audit) = crate::audit::audited(integration_problem(n));
+            let (mut recovered, report) = recover(quorum_cfg(), vec![problem], &path).unwrap();
+            assert_eq!(report.torn_tail, torn, "cut at byte {cut}");
+            drive_quorum(&mut recovered, now);
+            audit
+                .verify_run(&recovered)
+                .unwrap_or_else(|v| panic!("cut at byte {cut}: {v:?}"));
+            let pi = recovered.take_output(0).unwrap().into_inner::<f64>();
+            assert_eq!(pi.to_bits(), reference.to_bits(), "cut at byte {cut}");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn kill_mid_quorum_recovers_without_double_combine() {
         let path = temp_log("midquorum");
@@ -812,6 +1034,7 @@ mod tests {
             0,
             "no fold before quorum"
         );
+        writer.commit(); // the donor was answered, so the pump had committed
         drop(server); // the crash, mid-election
 
         let (mut recovered, report) =
@@ -824,27 +1047,7 @@ mod tests {
         // Two fresh donors finish the run: the restored vote plus one
         // live agreeing result resolves the interrupted election, and
         // every later unit gathers its two votes normally.
-        let mut now = 1.0;
-        let mut finished = 0;
-        while finished < 2 {
-            finished = 0;
-            for c in [1usize, 2] {
-                match recovered.request_work(c, now) {
-                    Assignment::Unit {
-                        problem,
-                        unit,
-                        algorithm,
-                    } => {
-                        let r = algorithm.compute(&unit);
-                        now += 1.0;
-                        recovered.submit_result(c, problem, r, now);
-                    }
-                    Assignment::Wait => now += 1.0,
-                    Assignment::Finished => finished += 1,
-                }
-            }
-            assert!(now < 1e6, "quorum run must make progress");
-        }
+        drive_quorum(&mut recovered, 1.0);
         let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
         assert_eq!(
             pi.to_bits(),

@@ -2,13 +2,21 @@
 //!
 //! Each client is one OS thread owning one socket at a time. The loop
 //! mirrors the paper's donor daemon — request work, compute, submit,
-//! repeat — as a small in-order pipeline: after a compute the
-//! `SubmitResult` and the `RequestWork` top-ups leave in **one write**
-//! (the result doubles as the next request), the donor computes the
-//! next ready unit without waiting, and replies are read, in stream
-//! order, only when nothing is ready to compute. One connection answers
-//! in order, so a reply that arrives ahead of an earlier expectation
-//! proves the earlier exchange was lost and it is repaired at once.
+//! repeat — as an in-order pipeline sized to the round trip. A turn is:
+//! take every reply earlier reads already buffered (no syscall), compute
+//! what is ready, write **once**, block. The `SubmitResult`s and the
+//! `RequestWork` top-ups leave together (a result doubles as the next
+//! request), and replies are read, in stream order, only when nothing
+//! is ready to compute. How many units are kept ready or requested —
+//! and results unacknowledged — is what the donor measures: the exposed
+//! wait of a blocking read divided by the compute of a unit, between
+//! `queue_depth` and 64. With millisecond units that is `queue_depth`
+//! and one write per unit, each result on the wire before the next
+//! compute starts; with microsecond units a write carries a round
+//! trip's worth of results, held back by at most half the wait they
+//! share. One connection answers in order, so a reply that arrives
+//! ahead of an earlier expectation proves the earlier exchange was lost
+//! and it is repaired at once.
 //!
 //! Around that sits the robustness the real deployment needed:
 //! heartbeats so the server can tell "slow" from "gone", reconnect with
@@ -25,7 +33,9 @@
 
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache};
-use super::wire::{encode_frame, encode_frame_into, Frame, FrameReader, ReadError, HEADER_LEN};
+use super::wire::{
+    encode_frame, encode_frame_into, DecodeError, Frame, FrameReader, ReadError, HEADER_LEN,
+};
 use super::{Clock, Directory};
 use crate::codec::{ChunkNeed, WireCodec};
 use crate::fault::{FaultInjector, FaultPlan, PlanInterpreter};
@@ -60,11 +70,13 @@ pub struct NetClientOptions {
     /// Socket read timeout (wall time) — the granularity at which a
     /// blocked client notices shutdown flags and deadlines.
     pub read_timeout_wall: Duration,
-    /// Pipelined dispatch depth: how many assignments the donor keeps
-    /// ready or requested (chunks fetched, unit hydrated) so the next
-    /// compute starts without a request round-trip — and the bound on
-    /// results submitted but not yet acknowledged. 1 disables
-    /// pipelining.
+    /// Floor of the pipelined dispatch depth: how many assignments the
+    /// donor keeps ready or requested (chunks fetched, unit hydrated) so
+    /// the next compute starts without a request round-trip — and the
+    /// bound on results submitted but not yet acknowledged. The depth
+    /// in force is measured (a round trip's worth of units, at most
+    /// 64) and never below this; units that take longer than the
+    /// donor's waits run at exactly this depth. 1 disables pipelining.
     pub queue_depth: usize,
     /// Capacity of the donor's chunk cache in bytes. Data a unit needs
     /// is fetched over the wire only when this cache misses.
@@ -176,6 +188,23 @@ pub fn spawn_clients(
 /// chunks is one write and one streamed reply.
 const BURST_WINDOW_BYTES: u64 = 256 * 1024;
 
+/// Ceiling of the measured pipeline depth (see [`ClientLoop::depth`]):
+/// the most assignments a donor keeps ready or requested, and the most
+/// results it keeps unacknowledged, however short its units are next to
+/// a round trip. 64 request/result pairs are ~5 KiB on the wire — one
+/// segment, one origin pump, one journal group — and by then the
+/// per-turn syscalls the depth exists to amortise are shared 64 ways
+/// (1/32 of their per-unit cost at depth 2); a deeper pipeline would
+/// only lengthen what one lost connection resubmits and what one slow
+/// donor hoards from the others.
+const MAX_PIPELINE_DEPTH: usize = 64;
+
+/// Computes and blocking reads a connection must have seen before its
+/// measurements steer anything: until then the depth is `queue_depth`
+/// and every result is written before the next compute.
+const WARMUP_COMPUTES: u32 = 8;
+const WARMUP_READS: u32 = 1;
+
 /// Framing of one chunk exchange: a `ChunkRequest` frame (24-byte body)
 /// plus the header, ids, digest, length prefix and CRC around the
 /// `ChunkData` payload.
@@ -232,6 +261,44 @@ struct QueuedUnit {
     payload: Payload,
 }
 
+/// A running average — each new sample weighs 1/8, the first seeds it —
+/// and how many samples the current connection has added to it.
+#[derive(Debug, Default)]
+struct Ewma {
+    avg: f64,
+    seen: u32,
+}
+
+impl Ewma {
+    fn note(&mut self, sample: f64) {
+        self.avg = if self.avg == 0.0 {
+            sample
+        } else {
+            self.avg + (sample - self.avg) / 8.0
+        };
+        self.seen = self.seen.saturating_add(1);
+    }
+}
+
+/// What the donor has measured about its own turn, in scaled seconds:
+/// the two sides of the bandwidth-delay product that sizes the pipeline.
+#[derive(Debug, Default)]
+struct Pacing {
+    /// One unit's compute.
+    compute: Ewma,
+    /// The exposed wait per blocking read: how long the donor sat in a
+    /// socket read with replies owed and nothing to compute.
+    wait: Ewma,
+    /// When the oldest frame now waiting in `wbuf` was first seen there.
+    held_since: Option<f64>,
+}
+
+impl Pacing {
+    fn warm(&self) -> bool {
+        self.compute.seen >= WARMUP_COMPUTES && self.wait.seen >= WARMUP_READS
+    }
+}
+
 struct ClientLoop {
     id: usize,
     directory: Directory,
@@ -250,8 +317,9 @@ struct ClientLoop {
     wbuf: Vec<u8>,
     reconnect: Backoff,
     /// Results submitted on this connection (or waiting for the next
-    /// one) and not yet acknowledged, oldest first; at most
-    /// `queue_depth`. Kept for resubmission after a reconnect.
+    /// one) and not yet acknowledged, oldest first; at most the depth
+    /// in force when each was computed. Kept for resubmission after a
+    /// reconnect.
     unacked: VecDeque<PendingResult>,
     /// The replies this connection still owes, in request order.
     expect: VecDeque<Expect>,
@@ -259,8 +327,9 @@ struct ClientLoop {
     /// stream order for [`ClientLoop::next_reply`].
     inbox: VecDeque<Frame>,
     /// The last work reply was a `Wait`: pause, then probe with a
-    /// single request instead of `queue_depth` of them.
+    /// single request instead of a pipeline of them.
     starved: bool,
+    pacing: Pacing,
     last_heartbeat: f64,
     cache: ChunkCache,
     queue: VecDeque<QueuedUnit>,
@@ -301,6 +370,7 @@ impl ClientLoop {
             expect: VecDeque::new(),
             inbox: VecDeque::new(),
             starved: false,
+            pacing: Pacing::default(),
             last_heartbeat: 0.0,
             cache: ChunkCache::new(opts.chunk_cache_bytes),
             queue: VecDeque::new(),
@@ -430,6 +500,11 @@ impl ClientLoop {
         self.expect.clear();
         self.inbox.clear();
         self.starved = false;
+        // The averages are the donor's and the path's best guess for
+        // the next connection too; its warm-up starts over.
+        self.pacing.compute.seen = 0;
+        self.pacing.wait.seen = 0;
+        self.pacing.held_since = None;
     }
 
     /// Queues `frame` for the next [`ClientLoop::flush`].
@@ -449,6 +524,7 @@ impl ClientLoop {
         };
         if wrote {
             self.wbuf.clear();
+            self.pacing.held_since = None;
             self.count("net.client_writes", 1);
         } else {
             self.drop_conn();
@@ -489,6 +565,15 @@ impl ClientLoop {
             return;
         }
         self.last_report = now;
+        // What the pipeline chose and the two measurements (wall µs)
+        // it chose from, as of this report.
+        let wall_us = |scaled: f64| self.clock.wall(scaled).as_secs_f64() * 1e6;
+        let p = &self.pacing;
+        let (wait_us, compute_us) = (wall_us(p.wait.avg), wall_us(p.compute.avg));
+        self.local_metrics
+            .gauge_set("pipeline_depth", self.depth() as f64);
+        self.local_metrics.gauge_set("wait_us", wait_us);
+        self.local_metrics.gauge_set("compute_us", compute_us);
         let local = std::mem::take(&mut self.local_metrics);
         self.push(&Frame::MetricsReport {
             client: self.id as u64,
@@ -496,19 +581,62 @@ impl ClientLoop {
         });
     }
 
-    /// One turn of the pipeline: top the requests up, write, then
-    /// compute a ready unit — or, with nothing ready, read one reply.
+    /// The pipeline depth in force: how many assignments the donor
+    /// keeps ready or requested, and how many results unacknowledged.
+    /// It is the bandwidth-delay product of the donor's own turn —
+    /// `ceil(exposed wait per blocking read ÷ compute per unit) + 1`
+    /// units fit in one wait, plus the one being computed — between
+    /// `queue_depth` (the floor, and the value until the connection is
+    /// warm) and [`MAX_PIPELINE_DEPTH`]. Millisecond units against a
+    /// sub-millisecond wait stay at the floor; microsecond units fill
+    /// the round trip. A `queue_depth` of 1 disables pipelining.
+    fn depth(&self) -> usize {
+        let floor = self.opts.queue_depth.max(1);
+        let p = &self.pacing;
+        if floor == 1 || !p.warm() || p.compute.avg <= 0.0 {
+            return floor;
+        }
+        let fits = (p.wait.avg / p.compute.avg).ceil() + 1.0;
+        (fits.min(MAX_PIPELINE_DEPTH as f64) as usize).max(floor)
+    }
+
+    /// Whether what is queued in `wbuf` may stay there across the next
+    /// compute: only on a warm connection, and only while the time it
+    /// has already waited plus the predicted compute stays under half
+    /// the measured wait — so a result is never held back by more than
+    /// the round trip it is trying to share, and a donor whose computes
+    /// are not small next to its waits writes before every compute.
+    fn may_hold(&mut self, now: f64) -> bool {
+        if self.wbuf.is_empty() {
+            return true;
+        }
+        let held_since = *self.pacing.held_since.get_or_insert(now);
+        let p = &self.pacing;
+        p.warm() && (now - held_since) + p.compute.avg < 0.5 * p.wait.avg
+    }
+
+    /// One turn of the pipeline: take every reply already here, top the
+    /// requests up, then compute a ready unit — writing first unless
+    /// what is queued may wait ([`ClientLoop::may_hold`]) — or, with
+    /// nothing ready, write and block for a reply.
     ///
     /// ```text
-    /// write [S_n, R] → compute n+1 → write [S_n+1, R] → read [Ack_n, A_n+2] → compute n+2 → …
+    /// slow units:  write [S_n, R] → compute n+1 → write [S_n+1, R] → read [Ack_n, A_n+2] → compute n+2 → …
+    /// fast units:  read [Ack, A]×k → compute ×k → write [S, R]×k → read [Ack, A]×k → …
     /// ```
     ///
-    /// The result of the last compute is still in `wbuf` here, so it
-    /// and the `RequestWork`s that keep ready + requested at
-    /// `queue_depth` leave in one write, and the replies are collected
-    /// after the next compute, not before it.
+    /// Replies that one `read` brought in are all dispatched before
+    /// anything is written (no syscall between them), the results of
+    /// the computes they unlock and the `RequestWork`s that keep ready +
+    /// requested at the depth leave in one write, and the replies are
+    /// collected after the next compute, not before it.
     fn step(&mut self) -> Step {
-        let depth = self.opts.queue_depth.max(1);
+        while let Some(frame) = self.buffered_reply() {
+            if let Step::Finished = self.dispatch(frame) {
+                return Step::Finished;
+            }
+        }
+        let depth = self.depth();
         if self.starved && self.queue.is_empty() && self.expect.is_empty() {
             // The origin had nothing to give: pause on the socket
             // before asking again.
@@ -527,16 +655,38 @@ impl ClientLoop {
             });
             self.expect.push_back(Expect::Work);
         }
-        if !self.flush() {
+        let ready = self.unacked.len() < depth && !self.queue.is_empty();
+        let hold = ready && self.may_hold(self.clock.now());
+        if !hold && !self.flush() {
             return Step::Continue;
         }
-        if self.unacked.len() < depth {
+        if ready {
             if let Some(qu) = self.queue.pop_front() {
                 self.compute_queued(qu);
-                return Step::Continue;
             }
+            return Step::Continue;
         }
         self.next_reply(self.opts.ack_timeout)
+    }
+
+    /// The next reply that costs no syscall: what a chunk burst set
+    /// aside, then whole frames among the bytes earlier reads buffered.
+    fn buffered_reply(&mut self) -> Option<Frame> {
+        if let Some(frame) = self.inbox.pop_front() {
+            return Some(frame);
+        }
+        let (_, reader) = self.conn.as_mut()?;
+        loop {
+            match reader.next_buffered() {
+                Ok(frame) => return frame,
+                // Mangled in transit and skipped; the next in-order
+                // reply exposes the gap.
+                Err(DecodeError::BodyCrc { .. }) => {}
+                // An untrustworthy stream is the blocking read's to
+                // time out and drop.
+                Err(_) => return None,
+            }
+        }
     }
 
     /// The one receive path: takes the next frame in stream order —
@@ -552,6 +702,7 @@ impl ClientLoop {
             return self.dispatch(frame);
         }
         let parked = self.expect.is_empty();
+        let asked = self.clock.now();
         let wall = self.clock.wall(wait);
         let deadline = Instant::now() + wall;
         if parked {
@@ -588,7 +739,12 @@ impl ClientLoop {
             self.set_read_timeout(self.opts.read_timeout_wall);
         }
         match frame {
-            Some(frame) => self.dispatch(frame),
+            Some(frame) => {
+                if !parked {
+                    self.pacing.wait.note(self.clock.now() - asked);
+                }
+                self.dispatch(frame)
+            }
             None => Step::Continue,
         }
     }
@@ -1090,6 +1246,7 @@ impl ClientLoop {
                 client: self.id,
             },
         );
+        self.pacing.compute.note(done - started);
         self.local_metrics.counter_add("units_computed", 1);
         self.local_metrics.observe(
             "compute.secs",
@@ -1110,8 +1267,8 @@ impl ClientLoop {
                     action: "wrong_result".to_string(),
                 });
         }
-        // The result waits in `wbuf` for the next step's write, where
-        // the request that replaces this unit rides along.
+        // The result waits in `wbuf` for the next write, where the
+        // request that replaces this unit rides along.
         let frame = encode_frame(&Frame::SubmitResult {
             client: self.id as u64,
             problem,
@@ -1141,6 +1298,7 @@ mod tests {
     use crate::problem::TaskResult;
     use std::collections::HashSet;
     use std::net::TcpListener;
+    use std::sync::atomic::AtomicU64;
     use std::sync::Mutex;
 
     /// What the scripted origin does to the k-th `ChunkRequest` it sees.
@@ -1195,6 +1353,20 @@ mod tests {
         /// From the k-th `RequestWork` on, nothing the first connection
         /// is owed leaves any more (frames are still handled).
         mute_from_request: Option<usize>,
+        /// The origin sits on the replies to each read this long before
+        /// writing them: the donor's exposed wait, scripted.
+        reply_delay: Duration,
+    }
+
+    /// Blocks the calling thread for `d` (a scripted delay, not a poll).
+    fn pause(d: Duration) {
+        let until = Instant::now() + d;
+        while let Some(left) = until.checked_duration_since(Instant::now()) {
+            if left.is_zero() {
+                break;
+            }
+            thread::park_timeout(left);
+        }
     }
 
     /// One frame the origin saw.
@@ -1349,6 +1521,9 @@ mod tests {
                 if !group.is_empty() {
                     log.lock().unwrap().push(group);
                 }
+                if !out.is_empty() {
+                    pause(self.script.reply_delay);
+                }
                 if stream.write_all(&out).is_err() {
                     return;
                 }
@@ -1437,6 +1612,9 @@ mod tests {
     /// it, and it depends on `chunks_per_unit` chunks of its own.
     struct Echo {
         chunks_per_unit: u64,
+        /// How long a compute takes, in µs, read at each compute (zero:
+        /// instantaneous); shared so a test can change it mid-run.
+        compute_us: Arc<AtomicU64>,
     }
 
     fn echo_payload(bytes: &[u8]) -> Result<Payload, WireError> {
@@ -1474,6 +1652,9 @@ mod tests {
 
     impl Algorithm for Echo {
         fn compute(&self, unit: &WorkUnit) -> TaskResult {
+            pause(Duration::from_micros(
+                self.compute_us.load(Ordering::SeqCst),
+            ));
             TaskResult {
                 unit_id: unit.id,
                 payload: Payload::new(*unit.payload.downcast_ref::<u64>().unwrap(), 8),
@@ -1489,16 +1670,30 @@ mod tests {
         chunks_per_unit: u64,
         ack_timeout: f64,
     ) -> ClientLoop {
-        let echo = Arc::new(Echo { chunks_per_unit });
-        let kit = ClientKit {
-            algorithms: vec![echo.clone()],
-            codecs: vec![echo],
-            telemetry: telemetry.clone(),
-        };
         let opts = NetClientOptions {
             ack_timeout,
             poll_interval: 0.002,
             ..Default::default()
+        };
+        let instantaneous = Arc::new(AtomicU64::new(0));
+        echo_donor_with(origin, telemetry, chunks_per_unit, instantaneous, opts)
+    }
+
+    fn echo_donor_with(
+        origin: SocketAddr,
+        telemetry: &Telemetry,
+        chunks_per_unit: u64,
+        compute_us: Arc<AtomicU64>,
+        opts: NetClientOptions,
+    ) -> ClientLoop {
+        let echo = Arc::new(Echo {
+            chunks_per_unit,
+            compute_us,
+        });
+        let kit = ClientKit {
+            algorithms: vec![echo.clone()],
+            codecs: vec![echo],
+            telemetry: telemetry.clone(),
         };
         ClientLoop::new(
             0,
@@ -1523,15 +1718,67 @@ mod tests {
     /// A healthy run may not come near this (the ack timeout is 30 s).
     const NO_TIMEOUT_WAIT: Duration = Duration::from_secs(10);
 
+    /// A connected donor whose computes take `compute_us` against an
+    /// origin that sits on every reply for `reply_delay`.
+    fn paced_donor(
+        origin: &ScriptedOrigin,
+        telemetry: &Telemetry,
+        compute_us: &Arc<AtomicU64>,
+        opts: NetClientOptions,
+    ) -> ClientLoop {
+        let opts = NetClientOptions {
+            ack_timeout: 30.0,
+            poll_interval: 0.002,
+            ..opts
+        };
+        let mut donor = echo_donor_with(origin.addr, telemetry, 0, compute_us.clone(), opts);
+        assert!(donor.connect());
+        donor
+    }
+
+    /// The reply delay of the fast-regime tests: three orders of
+    /// magnitude above an instantaneous compute.
+    const SLOW_ORIGIN: Duration = Duration::from_millis(3);
+
+    fn writes(telemetry: &Telemetry) -> u64 {
+        telemetry.metrics_snapshot().counter("net.client_writes")
+    }
+
+    /// Says goodbye the way `run` does after a `Step::Finished`.
+    fn leave(mut donor: ClientLoop) {
+        donor.push(&Frame::Goodbye { client: 0 });
+        assert!(donor.flush());
+    }
+
+    /// Computes at least as long as the origin takes to reply: PR 14's
+    /// turn, unchanged — the depth stays at the floor and a finished
+    /// result is on the wire before the next compute starts.
     #[test]
     fn steady_state_is_one_write_per_unit_with_the_request_riding_along() {
         const UNITS: u64 = 40;
         let telemetry = Telemetry::enabled();
         let origin = ScriptedOrigin::start(Script {
             units: UNITS,
+            reply_delay: Duration::from_millis(1),
             ..Default::default()
         });
-        echo_donor(origin.addr, &telemetry, 0, 30.0).run();
+        let compute_us = Arc::new(AtomicU64::new(3_000));
+        let mut donor = paced_donor(&origin, &telemetry, &compute_us, Default::default());
+        loop {
+            let computed = donor.pacing.compute.seen;
+            if let Step::Finished = donor.step() {
+                break;
+            }
+            assert_eq!(donor.depth(), 2, "millisecond units stay at the floor");
+            if donor.pacing.compute.seen > computed {
+                let result = donor.unacked.back().expect("just computed");
+                assert_eq!(
+                    donor.wbuf, result.frame,
+                    "everything queued before a compute was written before it started"
+                );
+            }
+        }
+        leave(donor);
         let log = origin.finish();
         assert_eq!(
             log[0],
@@ -1553,11 +1800,189 @@ mod tests {
         }
         // One write per unit, plus the hello, the goodbye and the polls
         // and lone results of the drained tail.
-        let writes = telemetry.metrics_snapshot().counter("net.client_writes");
+        let writes = writes(&telemetry);
         assert!(
             (UNITS..=UNITS + 8).contains(&writes),
             "{writes} writes for {UNITS} units"
         );
+    }
+
+    /// Instantaneous computes against a slow origin: once warm, the
+    /// depth fills the round trip, every reply one read brought in is
+    /// dispatched before anything is written, and a write carries the
+    /// results of many computes.
+    #[test]
+    fn fast_units_fill_the_round_trip_and_drain_buffered_replies_before_writing() {
+        const UNITS: u64 = 1500;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            reply_delay: SLOW_ORIGIN,
+            ..Default::default()
+        });
+        let instantaneous = Arc::new(AtomicU64::new(0));
+        let mut donor = paced_donor(&origin, &telemetry, &instantaneous, Default::default());
+        let mut max_depth = 0;
+        // Writes and computes since the depth first left the floor.
+        let mut warm: Option<(u64, u32)> = None;
+        loop {
+            let (wrote, read, starved) =
+                (writes(&telemetry), donor.pacing.wait.seen, donor.starved);
+            if let Step::Finished = donor.step() {
+                break;
+            }
+            max_depth = max_depth.max(donor.depth());
+            if warm.is_none() && donor.depth() > 2 {
+                warm = Some((writes(&telemetry), donor.pacing.compute.seen));
+            }
+            if writes(&telemetry) > wrote && donor.pacing.wait.seen == read && !starved {
+                // The step wrote and did not read afterwards: whatever
+                // the reader holds now, it held when the write left.
+                assert!(
+                    donor.buffered_reply().is_none(),
+                    "a write left between two buffered replies"
+                );
+            }
+        }
+        let computed = donor.pacing.compute.seen;
+        leave(donor);
+        let log = origin.finish();
+        assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
+        assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 0);
+        assert_eq!(max_depth, MAX_PIPELINE_DEPTH, "a 3 ms wait holds 64 units");
+        let (warm_writes, warm_computes) = warm.expect("the depth left the floor");
+        assert!(warm_computes <= 16, "warm after {warm_computes} computes");
+        let (writes, results) = (
+            writes(&telemetry) - warm_writes,
+            (computed - warm_computes) as u64,
+        );
+        assert!(
+            results >= 8 * writes,
+            "{results} results in {writes} writes once warm"
+        );
+    }
+
+    /// A unit that takes far longer than predicted holds the results
+    /// queued ahead of it back by that one compute and no more: the
+    /// turn after it writes before it computes again.
+    #[test]
+    fn a_unit_far_over_its_predicted_cost_delays_held_results_by_that_one_compute() {
+        const UNITS: u64 = 600;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            reply_delay: SLOW_ORIGIN,
+            ..Default::default()
+        });
+        let compute_us = Arc::new(AtomicU64::new(0));
+        let mut donor = paced_donor(&origin, &telemetry, &compute_us, Default::default());
+        // Step until results are being held across computes, with more
+        // ready behind them.
+        loop {
+            let (wrote, computed) = (writes(&telemetry), donor.pacing.compute.seen);
+            let queued = !donor.wbuf.is_empty();
+            assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
+            let held =
+                queued && donor.pacing.compute.seen > computed && writes(&telemetry) == wrote;
+            if held && donor.queue.len() >= 2 {
+                break;
+            }
+        }
+        let held = donor.wbuf.clone();
+        // The next unit costs 30 ms: ≥ 100× what any before it did.
+        compute_us.store(30_000, Ordering::SeqCst);
+        let (wrote, computed) = (writes(&telemetry), donor.pacing.compute.seen);
+        assert!(matches!(donor.step(), Step::Continue));
+        compute_us.store(0, Ordering::SeqCst);
+        assert_eq!(donor.pacing.compute.seen, computed + 1, "the slow unit ran");
+        assert_eq!(
+            writes(&telemetry),
+            wrote,
+            "nobody predicted it: held across"
+        );
+        assert!(donor.wbuf.starts_with(&held));
+        // One compute late, and not one more: the next turn writes
+        // before it does anything else.
+        assert!(matches!(donor.step(), Step::Continue));
+        assert_eq!(writes(&telemetry), wrote + 1);
+        if donor.pacing.compute.seen > computed + 1 {
+            let result = donor.unacked.back().expect("just computed");
+            assert_eq!(donor.wbuf, result.frame, "the write came first");
+        } else {
+            assert!(donor.wbuf.is_empty());
+        }
+        donor.run();
+        assert_eq!(submits(&origin.finish(), UNITS), vec![1; UNITS as usize]);
+    }
+
+    #[test]
+    fn metrics_report_says_what_the_pipeline_chose() {
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: 400,
+            reply_delay: SLOW_ORIGIN,
+            ..Default::default()
+        });
+        let instantaneous = Arc::new(AtomicU64::new(0));
+        let opts = NetClientOptions {
+            metrics_report_interval: 1e-9,
+            ..Default::default()
+        };
+        let mut donor = paced_donor(&origin, &telemetry, &instantaneous, opts);
+        while donor.depth() == 2 {
+            assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
+        }
+        assert!(donor.flush());
+        donor.maybe_report_metrics();
+        let mut asm = FrameAssembler::new();
+        asm.push(&donor.wbuf);
+        let Ok(Some(Frame::MetricsReport { snapshot, .. })) = asm.next_frame() else {
+            panic!("the report is queued for the next write");
+        };
+        let shipped = crate::telemetry::MetricsSnapshot::from_wire_bytes(&snapshot).unwrap();
+        assert_eq!(shipped.gauge("pipeline_depth"), Some(donor.depth() as f64));
+        let wait_us = shipped.gauge("wait_us").expect("shipped");
+        let compute_us = shipped.gauge("compute_us").expect("shipped");
+        assert!(
+            wait_us > 1_000.0 && compute_us < wait_us,
+            "a {SLOW_ORIGIN:?} origin, instantaneous units: {wait_us} / {compute_us}"
+        );
+        donor.run();
+        origin.finish();
+    }
+
+    #[test]
+    fn queue_depth_one_never_pipelines() {
+        const UNITS: u64 = 60;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            reply_delay: Duration::from_millis(1),
+            ..Default::default()
+        });
+        let instantaneous = Arc::new(AtomicU64::new(0));
+        let opts = NetClientOptions {
+            queue_depth: 1,
+            ..Default::default()
+        };
+        let mut donor = paced_donor(&origin, &telemetry, &instantaneous, opts);
+        loop {
+            if let Step::Finished = donor.step() {
+                break;
+            }
+            assert_eq!(donor.depth(), 1);
+            let owed = donor.expect.iter().filter(|e| **e == Expect::Work).count();
+            assert!(donor.queue.len() + owed <= 1, "one unit ready or requested");
+            assert!(donor.unacked.len() <= 1, "one result unacknowledged");
+        }
+        leave(donor);
+        let log = origin.finish();
+        assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
+        for group in &log {
+            let results = group.iter().filter(|s| matches!(s, Seen::Submit(_)));
+            assert!(results.count() <= 1, "results travel alone: {group:?}");
+        }
+        assert!(writes(&telemetry) >= UNITS);
     }
 
     #[test]
@@ -1596,47 +2021,99 @@ mod tests {
         );
     }
 
-    #[test]
-    fn replies_lost_at_the_tail_time_out_and_each_unacked_result_is_resubmitted_once() {
-        const UNITS: u64 = 20;
+    /// Mutes the first connection from its `mute_from`-th request on
+    /// and checks the reconnect: the hello write carries every result
+    /// the muted connection never acknowledged — at most `depth` of
+    /// them, once each. The only other units sent twice are the at most
+    /// `queue_held` that were still queued, behind `depth` unacked
+    /// results, when the replies stopped: the scripted origin takes
+    /// their leases back at the `Hello` and hands them out again after
+    /// the donor has computed them from its queue. Everything else is
+    /// submitted exactly once.
+    fn tail_loss_resubmits_each_unacked_result_once(
+        script: Script,
+        depth: usize,
+        queue_held: usize,
+    ) {
+        let units = script.units;
         let telemetry = Telemetry::enabled();
-        let origin = ScriptedOrigin::start(Script {
-            units: UNITS,
-            mute_from_request: Some(6),
-            ..Default::default()
-        });
+        let origin = ScriptedOrigin::start(script);
         echo_donor(origin.addr, &telemetry, 0, 0.2).run();
         let log = origin.finish();
-        let hellos: Vec<usize> = (0..log.len())
-            .filter(|&g| log[g].contains(&Seen::Hello))
+        let seen: Vec<Seen> = log.into_iter().flatten().collect();
+        let hellos: Vec<usize> = (0..seen.len())
+            .filter(|&i| seen[i] == Seen::Hello)
             .collect();
-        assert_eq!(hellos.len(), 2, "one timeout, one reconnect: {log:?}");
-        // The reconnect's first write carries the hello and every
-        // result the muted connection never acknowledged.
-        let resent: Vec<u64> = log[hellos[1]]
+        assert_eq!(hellos.len(), 2, "one timeout, one reconnect: {seen:?}");
+        // The reconnect's first write is the hello, every result the
+        // muted connection never acknowledged, then the requests.
+        let resent: Vec<u64> = seen[hellos[1] + 1..]
             .iter()
-            .filter_map(|s| match s {
+            .map_while(|s| match s {
                 Seen::Submit(u) => Some(*u),
                 _ => None,
             })
             .collect();
         assert!(
-            (1..=2).contains(&resent.len()),
-            "at most queue_depth results were unacknowledged: {resent:?}"
+            (1..=depth).contains(&resent.len()),
+            "at most the depth in force was unacknowledged: {resent:?}"
         );
         assert_eq!(
             telemetry.metrics_snapshot().counter("net.resubmits"),
             resent.len() as u64
         );
-        let counts = submits(&log, UNITS);
-        for (unit, &n) in counts.iter().enumerate() {
-            let expected = if resent.contains(&(unit as u64)) {
-                2
-            } else {
-                1
-            };
-            assert_eq!(n, expected, "unit {unit}: {log:?}");
+        let once_each: HashSet<u64> = resent.iter().copied().collect();
+        assert_eq!(once_each.len(), resent.len(), "{resent:?}");
+        let mut counts = vec![0; units as usize];
+        for s in &seen {
+            if let Seen::Submit(u) = s {
+                counts[*u as usize] += 1;
+            }
         }
+        let mut recomputed = Vec::new();
+        for (unit, &n) in counts.iter().enumerate() {
+            if once_each.contains(&(unit as u64)) {
+                assert_eq!(n, 2, "unit {unit} went out on both connections");
+            } else if n == 2 {
+                recomputed.push(unit);
+            } else {
+                assert_eq!(n, 1, "unit {unit}");
+            }
+        }
+        assert!(
+            recomputed.len() <= queue_held,
+            "queued at the timeout and leased again: {recomputed:?}"
+        );
+    }
+
+    #[test]
+    fn replies_lost_at_the_tail_time_out_and_each_unacked_result_is_resubmitted_once() {
+        // Before the warm-up ends, the depth is `queue_depth`, and the
+        // donor blocks with its queue empty: nothing but the unacked
+        // results is ever sent twice.
+        tail_loss_resubmits_each_unacked_result_once(
+            Script {
+                units: 20,
+                mute_from_request: Some(6),
+                ..Default::default()
+            },
+            2,
+            0,
+        );
+        // A slow origin and instantaneous computes: the depth in force
+        // when the replies stop is the measured one. Ready plus
+        // requested never exceeds it and the muted request stays owed,
+        // so fewer than the depth are still queued at the timeout.
+        tail_loss_resubmits_each_unacked_result_once(
+            Script {
+                units: 600,
+                mute_from_request: Some(300),
+                reply_delay: SLOW_ORIGIN,
+                ..Default::default()
+            },
+            MAX_PIPELINE_DEPTH,
+            MAX_PIPELINE_DEPTH - 1,
+        );
     }
 
     #[test]

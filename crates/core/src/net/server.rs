@@ -203,9 +203,15 @@ impl NetServer {
     }
 
     /// Runs `f` against the live server (e.g. to poll progress from a
-    /// test); `None` if the server was already taken or killed.
+    /// test); `None` if the server was already taken or killed. The
+    /// journal is committed first: what an observer sees is held to
+    /// the same rule as what a donor is told — it is in the log, so a
+    /// [`NetServer::kill`] right after cannot lose it.
     pub fn with_server<R>(&self, f: impl FnOnce(&Server) -> R) -> Option<R> {
-        self.shared.server.lock().unwrap().as_ref().map(f)
+        let mut guard = self.shared.server.lock().unwrap();
+        let server = guard.as_mut()?;
+        server.commit_journal();
+        Some(f(server))
     }
 
     /// Blocks until every problem completes, then tears the transport
@@ -223,7 +229,14 @@ impl NetServer {
                             .unwrap();
                         guard = g;
                     }
-                    Some(_) => break guard.take().expect("checked above"),
+                    Some(_) => {
+                        let mut server = guard.take().expect("checked above");
+                        // A pump still in flight finds the server gone
+                        // and cannot commit: the journal is whole before
+                        // the caller sees the server.
+                        server.commit_journal();
+                        break server;
+                    }
                     None => panic!("server was killed before wait()"),
                 }
             }
@@ -234,9 +247,16 @@ impl NetServer {
 
     /// Simulates the server process dying mid-run: the in-memory
     /// [`Server`] is dropped on the spot, connections go dark, and only
-    /// what reached the checkpoint log survives.
+    /// what reached the checkpoint log survives — the journal's open
+    /// group is discarded, so the crash loses exactly the records no
+    /// donor was told about. A pump in progress stops between two
+    /// frames: neither the records nor the replies of the frames it
+    /// already handled get out.
     pub fn kill(self) {
-        self.shared.server.lock().unwrap().take();
+        self.shared.kill.store(true, Ordering::SeqCst);
+        if let Some(mut server) = self.shared.server.lock().unwrap().take() {
+            server.discard_journal();
+        }
         self.shutdown();
     }
 
@@ -445,6 +465,9 @@ struct PumpBatch {
     /// has not been told about yet.
     served: Vec<u64>,
     served_to: ClientId,
+    /// A frame of this pump may have journaled something that no
+    /// [`Server::commit_journal`] has covered yet.
+    uncommitted: bool,
 }
 
 impl PumpBatch {
@@ -557,6 +580,26 @@ impl ShardCtx<'_> {
         Ok(codec)
     }
 
+    /// Commits what this pump journaled, under the server lock, so its
+    /// replies may leave. `false`: the server was killed with records
+    /// of this pump unwritten — the replies they justify must not be
+    /// sent.
+    fn commit_journal(&mut self) -> bool {
+        if !std::mem::take(&mut self.batch.uncommitted) {
+            return true;
+        }
+        match self.shared.server.lock().unwrap().as_mut() {
+            Some(server) => {
+                server.commit_journal();
+                true
+            }
+            // `kill()` raises the flag before it takes the server; with
+            // the flag clear it was `wait()`, which committed this
+            // pump's records before it let go of the lock.
+            None => !self.shared.kill.load(Ordering::SeqCst),
+        }
+    }
+
     fn pump_frames(&mut self, token: u64) {
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
@@ -570,6 +613,11 @@ impl ShardCtx<'_> {
             Ok(true) | Err(_) => return,
         }
         loop {
+            // A killed server handles no further frame: the connection
+            // goes dark with whatever this pump had queued for it.
+            if self.shared.kill.load(Ordering::SeqCst) {
+                return;
+            }
             match conn.asm.next_frame() {
                 Ok(Some(frame)) => {
                     self.batch.frames_in += 1;
@@ -597,7 +645,11 @@ impl ShardCtx<'_> {
                 Err(_) => return,
             }
         }
-        if conn.flush().is_err() {
+        // Write-ahead, per pump: every record this pump's frames
+        // journaled is in the file before the first byte of a reply can
+        // reach the donor. If it cannot be made so, the connection is
+        // dropped with its unsent replies.
+        if !self.commit_journal() || conn.flush().is_err() {
             return;
         }
         self.conns.insert(token, conn);
@@ -653,6 +705,7 @@ impl ShardCtx<'_> {
                 // Chunks this pump served come before the request in
                 // the stream, so their affinity must be visible to it.
                 self.batch.apply_affinity(server);
+                self.batch.uncommitted = true;
                 server.check_timeouts(now);
                 match server.request_work(client as ClientId, now) {
                     Assignment::Unit { problem, unit, .. } => {
@@ -710,6 +763,7 @@ impl ShardCtx<'_> {
                 } else {
                     false // garbage problem id: ignore, nack
                 };
+                self.batch.uncommitted = true;
                 let complete = server.all_complete();
                 drop(guard);
                 if complete {
@@ -812,6 +866,9 @@ impl ShardCtx<'_> {
                     return Action::Close;
                 };
                 let snapshot = server.status_snapshot(now);
+                // The snapshot shows folds of pumps still in flight:
+                // like any reply, it waits for the commit.
+                self.batch.uncommitted = true;
                 drop(guard);
                 Some(Frame::StatusReport {
                     snapshot: snapshot.to_wire_bytes(),
@@ -1020,85 +1077,147 @@ mod tests {
         assert_eq!(server.stats(pid).corrupted_results, 1);
     }
 
-    /// What the pipelined donor sends: two results, each with the
-    /// request that replaces its unit, in one segment. The pump drains
-    /// all four frames and answers them in order in one write, and the
-    /// journal records each result ahead of the issue it unlocks.
-    #[test]
-    fn pipelined_pairs_in_one_segment_get_in_order_replies_and_a_write_ahead_journal() {
-        use crate::net::checkpoint::{read_log, LogRecord};
-        let path = std::env::temp_dir().join(format!(
-            "biodist-server-pipeline-{}.log",
-            std::process::id()
-        ));
-        let clock = Clock::new(1000.0);
-        let mut server = Server::new(small_cfg());
-        server.set_telemetry(crate::telemetry::Telemetry::enabled());
-        let telemetry = server.telemetry();
-        let pid = server.submit(integration_problem(100_000));
-        server.set_journal(Box::new(CheckpointWriter::create(&path).unwrap()));
-        let algorithm = server.algorithm(pid);
-        let codec = server.codec(pid).unwrap();
-        let opts = NetServerOptions {
-            shards: 1,
-            ..Default::default()
-        };
-        let net = NetServer::start(server, clock, opts).unwrap();
+    /// Pairs in the pipelined segment: half a full-depth donor turn.
+    const PAIRS: usize = 32;
 
-        let mut stream = TcpStream::connect(net.addr()).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_millis(50)))
-            .unwrap();
-        let mut reader = FrameReader::new();
-        let mut next_frame = |stream: &mut TcpStream| loop {
-            match reader.poll(stream) {
-                Ok(Some(f)) => return f,
-                Ok(None) => {}
-                Err(e) => panic!("read failed: {e}"),
+    /// A raw-socket donor that holds [`PAIRS`] leased units of a
+    /// journaled server and has their results, each followed by the
+    /// request that replaces its unit, encoded as one segment — what a
+    /// pipelined donor sends in one write.
+    struct PipelinedSession {
+        net: NetServer,
+        telemetry: Telemetry,
+        stream: TcpStream,
+        reader: FrameReader,
+        held: Vec<u64>,
+        segment: Vec<u8>,
+    }
+
+    impl PipelinedSession {
+        fn start(journal: Box<dyn crate::server::RunJournal>) -> Self {
+            let mut server = Server::new(small_cfg());
+            server.set_telemetry(Telemetry::enabled());
+            let telemetry = server.telemetry();
+            let pid = server.submit(integration_problem(1_000_000));
+            server.set_journal(journal);
+            let algorithm = server.algorithm(pid);
+            let codec = server.codec(pid).unwrap();
+            let opts = NetServerOptions {
+                shards: 1,
+                ..Default::default()
+            };
+            let net = NetServer::start(server, Clock::new(1000.0), opts).unwrap();
+            let stream = TcpStream::connect(net.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(50)))
+                .unwrap();
+            let mut session = Self {
+                net,
+                telemetry,
+                stream,
+                reader: FrameReader::new(),
+                held: Vec::new(),
+                segment: Vec::new(),
+            };
+            let request = Frame::RequestWork { client: 0 };
+            let mut hello = encode_frame(&Frame::Hello { client: 0 });
+            for _ in 0..PAIRS {
+                encode_frame_into(&request, &mut hello);
             }
-        };
-        let request = Frame::RequestWork { client: 0 };
-        let mut segment = encode_frame(&Frame::Hello { client: 0 });
-        encode_frame_into(&request, &mut segment);
-        encode_frame_into(&request, &mut segment);
-        stream.write_all(&segment).unwrap();
-
-        // Two leased units, computed: [S_a, R, S_b, R] in one write.
-        let mut held = Vec::new();
-        segment.clear();
-        for _ in 0..2 {
-            let Frame::AssignUnit {
-                problem,
-                unit,
-                cost_ops,
-                payload,
-            } = next_frame(&mut stream)
-            else {
-                panic!("expected an assignment");
-            };
-            let wu = crate::problem::WorkUnit {
-                id: unit,
-                payload: codec.decode_unit(&payload).unwrap(),
-                cost_ops,
-            };
-            let result = algorithm.compute(&wu);
-            encode_frame_into(
-                &Frame::SubmitResult {
-                    client: 0,
+            session.stream.write_all(&hello).unwrap();
+            for _ in 0..PAIRS {
+                let Frame::AssignUnit {
                     problem,
                     unit,
-                    payload: codec.encode_result(&result.payload).unwrap(),
-                },
-                &mut segment,
-            );
-            encode_frame_into(&request, &mut segment);
-            held.push(unit);
+                    cost_ops,
+                    payload,
+                } = session.next_frame()
+                else {
+                    panic!("expected an assignment");
+                };
+                let wu = crate::problem::WorkUnit {
+                    id: unit,
+                    payload: codec.decode_unit(&payload).unwrap(),
+                    cost_ops,
+                };
+                let result = algorithm.compute(&wu);
+                encode_frame_into(
+                    &Frame::SubmitResult {
+                        client: 0,
+                        problem,
+                        unit,
+                        payload: codec.encode_result(&result.payload).unwrap(),
+                    },
+                    &mut session.segment,
+                );
+                encode_frame_into(&request, &mut session.segment);
+                session.held.push(unit);
+            }
+            session
         }
-        stream.write_all(&segment).unwrap();
 
-        let mut fresh = Vec::new();
-        for &unit in &held {
-            match next_frame(&mut stream) {
+        fn next_frame(&mut self) -> Frame {
+            loop {
+                match self.reader.poll(&mut self.stream) {
+                    Ok(Some(f)) => return f,
+                    Ok(None) => {}
+                    Err(e) => panic!("read failed: {e}"),
+                }
+            }
+        }
+    }
+
+    fn pipeline_log(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "biodist-server-pipeline-{tag}-{}.log",
+            std::process::id()
+        ))
+    }
+
+    /// `(is an issue, unit)` of every unit record in the log, in order.
+    fn unit_records(path: &std::path::Path) -> Vec<(bool, u64)> {
+        use crate::net::checkpoint::{read_log, LogRecord};
+        let (records, torn) = read_log(path).unwrap();
+        assert!(!torn);
+        records
+            .iter()
+            .filter_map(|r| match r {
+                LogRecord::Issue { unit, .. } => Some((true, *unit)),
+                LogRecord::Result { unit, .. } => Some((false, *unit)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// What the pipelined donor sends: results, each with the request
+    /// that replaces its unit, in one segment. The pump drains every
+    /// frame and answers them in order in one write — after it has
+    /// committed their journal records as one group, each result ahead
+    /// of the issue it unlocks: by the time the first reply byte can be
+    /// read, the log holds every record of the pump.
+    #[test]
+    fn pipelined_pairs_in_one_segment_get_in_order_replies_and_a_write_ahead_journal() {
+        let path = pipeline_log("commit");
+        let journal = CheckpointWriter::create(&path).unwrap();
+        let mut session = PipelinedSession::start(Box::new(journal));
+        session.stream.write_all(&session.segment).unwrap();
+
+        // Block until the first reply byte is readable, consuming
+        // nothing: the records that justify it are already in the file.
+        let mut first = [0u8; 1];
+        while session.stream.peek(&mut first).is_err() {}
+        let order = unit_records(&path);
+        let (issue, result) = (true, false);
+        assert_eq!(order.len(), 3 * PAIRS, "every record of the pump");
+        let held = session.held.clone();
+        for (i, &unit) in held.iter().enumerate() {
+            assert_eq!(order[i], (issue, unit), "the leases of the first pump");
+            assert_eq!(order[PAIRS + 2 * i], (result, unit), "in frame order");
+            assert!(order[PAIRS + 2 * i + 1].0, "each result ahead of its issue");
+        }
+
+        for (i, &unit) in held.iter().enumerate() {
+            match session.next_frame() {
                 Frame::ResultAck {
                     unit: acked,
                     accepted: true,
@@ -1106,43 +1225,98 @@ mod tests {
                 } => assert_eq!(acked, unit, "acks come back in submit order"),
                 other => panic!("expected the ack of unit {unit}, got {other:?}"),
             }
-            match next_frame(&mut stream) {
-                Frame::AssignUnit { unit, .. } => fresh.push(unit),
+            match session.next_frame() {
+                Frame::AssignUnit { unit, .. } => {
+                    assert_eq!(order[PAIRS + 2 * i + 1], (issue, unit))
+                }
                 other => panic!("expected the next assignment, got {other:?}"),
             }
         }
         // A pump adds its counts after its replies have left: read them
         // once the shard thread is joined.
-        net.kill();
-        let snap = telemetry.metrics_snapshot();
-        assert_eq!(snap.counter("net.frames_in"), 7);
-        assert_eq!(snap.counter("net.frames_out"), 6);
+        session.net.kill();
+        let snap = session.telemetry.metrics_snapshot();
+        assert_eq!(snap.counter("net.frames_in"), 1 + 3 * PAIRS as u64);
+        assert_eq!(snap.counter("net.frames_out"), 3 * PAIRS as u64);
         assert_eq!(snap.counter("net.pumps"), 2, "one pump per segment");
-
-        let (records, torn) = read_log(&path).unwrap();
+        assert_eq!(unit_records(&path), order, "the kill had no group to lose");
         let _ = std::fs::remove_file(&path);
-        assert!(!torn);
-        let order: Vec<(bool, u64)> = records
-            .iter()
-            .filter_map(|r| match r {
-                LogRecord::Issue { unit, .. } => Some((true, *unit)),
-                LogRecord::Result { unit, .. } => Some((false, *unit)),
-                _ => None,
-            })
-            .collect();
-        let (issue, result) = (true, false);
-        assert_eq!(
-            order,
-            [
-                (issue, held[0]),
-                (issue, held[1]),
-                (result, held[0]),
-                (issue, fresh[0]),
-                (result, held[1]),
-                (issue, fresh[1]),
-            ],
-            "each record is appended when its frame is handled, in frame order"
-        );
+    }
+
+    /// A journal that stops inside its `gate_at`-th result record until
+    /// the test lets it go on — with the server lock held, so the pump
+    /// is pinned between two frames.
+    struct GatedJournal {
+        inner: CheckpointWriter,
+        results: usize,
+        gate_at: usize,
+        inside: std::sync::mpsc::Sender<()>,
+        release: std::sync::mpsc::Receiver<()>,
+    }
+
+    impl crate::server::RunJournal for GatedJournal {
+        fn unit_issued(&mut self, problem: usize, unit: &crate::problem::WorkUnit, hint: f64) {
+            self.inner.unit_issued(problem, unit, hint);
+        }
+        fn result_folded(&mut self, problem: usize, unit: u64, encoded: &[u8]) {
+            if self.results == self.gate_at {
+                self.inside.send(()).unwrap();
+                self.release.recv().unwrap();
+            }
+            self.results += 1;
+            self.inner.result_folded(problem, unit, encoded);
+        }
+        fn commit(&mut self) {
+            self.inner.commit();
+        }
+        fn discard(&mut self) {
+            self.inner.discard();
+        }
+    }
+
+    /// The server dies while a pump is between two frames: the frames
+    /// it had handled leave no record in the log and no reply on the
+    /// wire — the crash lost exactly what no donor was told about.
+    #[test]
+    fn kill_between_two_frames_of_a_pump_leaves_neither_their_records_nor_their_replies() {
+        let path = pipeline_log("kill");
+        let (inside_tx, inside) = std::sync::mpsc::channel();
+        let (release, release_rx) = std::sync::mpsc::channel();
+        let journal = GatedJournal {
+            inner: CheckpointWriter::create(&path).unwrap(),
+            results: 0,
+            gate_at: 2,
+            inside: inside_tx,
+            release: release_rx,
+        };
+        let mut session = PipelinedSession::start(Box::new(journal));
+        let leases = unit_records(&path);
+        assert_eq!(leases.len(), PAIRS, "the first pump committed its issues");
+        session.stream.write_all(&session.segment).unwrap();
+
+        // Two pairs are handled (four records in the open group, four
+        // replies queued) and the pump is inside its third result.
+        inside.recv().unwrap();
+        let shared = session.net.shared.clone();
+        let net = session.net;
+        let killer = thread::spawn(move || net.kill());
+        while !shared.kill.load(Ordering::SeqCst) {
+            thread::yield_now();
+        }
+        release.send(()).unwrap();
+        killer.join().unwrap();
+
+        let mut replies = 0;
+        loop {
+            match session.reader.poll(&mut session.stream) {
+                Ok(Some(_)) => replies += 1,
+                Ok(None) => {}
+                Err(_) => break, // the connection went dark
+            }
+        }
+        assert_eq!(replies, 0, "no reply of the killed pump was sent");
+        assert_eq!(unit_records(&path), leases, "and none of its records kept");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -264,10 +264,14 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), table built at compile
-// time — the workspace carries no checksum dependency.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+// CRC-32 (IEEE 802.3, reflected 0xEDB88320), tables built at compile
+// time — the workspace carries no checksum dependency. `CRC_TABLES[0]`
+// is the classic bytewise table; `CRC_TABLES[k][b]` is the CRC state
+// after byte `b` followed by `k` zero bytes, which lets eight input
+// bytes fold into the state with eight independent lookups
+// (slice-by-8) instead of eight dependent ones.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -280,21 +284,52 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// CRC-32 (IEEE) of `data`.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
+/// Folds `data` into the raw (un-inverted) CRC state one byte at a
+/// time: the tail of [`crc32`], and the oracle its tests compare the
+/// sliced loop against.
+fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
     for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 (IEEE) of `data`, eight bytes per step.
+pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    crc32_bytewise(c, words.remainder()) ^ 0xFFFF_FFFF
 }
 
 /// Encodes one frame to wire bytes.
@@ -675,6 +710,13 @@ impl FrameReader {
         Self::default()
     }
 
+    /// The next frame among the bytes earlier reads already buffered,
+    /// without touching the stream: `Ok(None)` when they hold no whole
+    /// frame. Errors are those of [`FrameAssembler::next_frame`].
+    pub fn next_buffered(&mut self) -> Result<Option<Frame>, DecodeError> {
+        self.asm.next_frame()
+    }
+
     /// Reads until one full frame is available, the stream times out
     /// (`Ok(None)`), or the connection fails.
     pub fn poll<R: Read>(&mut self, stream: &mut R) -> Result<Option<Frame>, ReadError> {
@@ -776,6 +818,27 @@ mod tests {
         // Standard IEEE CRC-32 check values.
         assert_eq!(crc32(b""), 0x0000_0000);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The sliced loop against the bytewise oracle: every length that
+    /// exercises zero to eight whole words plus every tail, at every
+    /// alignment of the slice start, then seeded random buffers.
+    #[test]
+    fn sliced_crc32_agrees_with_the_bytewise_oracle() {
+        let oracle = |data: &[u8]| crc32_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF;
+        let mut rng = SplitMix64::new(0x0C2C_0032);
+        let backing: Vec<u8> = (0..64 + 8).map(|_| rng.next_u64() as u8).collect();
+        for align in 0..8 {
+            for len in 0..=64 {
+                let data = &backing[align..align + len];
+                assert_eq!(crc32(data), oracle(data), "align {align} len {len}");
+            }
+        }
+        for _ in 0..200 {
+            let len = (rng.next_u64() % 5000) as usize;
+            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc32(&data), oracle(&data), "random buffer of {len}");
+        }
     }
 
     #[test]

@@ -174,6 +174,11 @@ impl SchedulerConfig {
 struct ClientState {
     throughput: Ewma,
     units_completed: u64,
+    /// Total cost of the units completed, in ops.
+    ops_completed: f64,
+    /// [`Scheduler::queue_factor`] of the last completion: how much
+    /// longer than one unit's service this donor's leases stay out.
+    queue_factor: f64,
 }
 
 /// Per-donor reputation: how often the donor's results agreed with a
@@ -331,7 +336,10 @@ impl Scheduler {
         now: f64,
         prior_expiries: u32,
     ) -> f64 {
-        let est = cost_ops / self.estimated_speed(client);
+        // The speed prices one unit's service; the lease has to cover
+        // the units the donor works through ahead of it as well.
+        let queue_factor = self.clients.get(&client).map_or(1.0, |c| c.queue_factor);
+        let est = cost_ops / self.estimated_speed(client) * queue_factor;
         let base = (est * self.cfg.lease_factor).max(self.cfg.lease_min_secs);
         let doublings = prior_expiries.min(self.cfg.max_backoff_doublings).min(63);
         let factor = (1u64 << doublings) as f64;
@@ -372,16 +380,46 @@ impl Scheduler {
         now + duration
     }
 
-    /// Records a completed unit: `cost_ops` of work observed to take
-    /// `elapsed_secs` end-to-end on `client`.
-    pub fn record_completion(&mut self, client: ClientId, cost_ops: f64, elapsed_secs: f64) {
+    /// What a lease's turnaround is divided by to get the unit's own
+    /// service time, when its donor delivered `ahead` other results
+    /// worth `ops_ahead` while the lease was out: a pipelining donor
+    /// works through the units it already held first, so the turnaround
+    /// covers `cost_ops + ops_ahead` of work, not `cost_ops`. The
+    /// estimate has always been taken from donors that hold one unit
+    /// ready while they compute another, so only what exceeds that is
+    /// divided out: with at most one result ahead (a pipeline depth of
+    /// 2 or less) the factor is exactly 1, and beyond it the speed
+    /// estimate — and the granularity hint sized from it — stops
+    /// falling with the depth.
+    pub fn queue_factor(cost_ops: f64, ahead: u64, ops_ahead: f64) -> f64 {
+        if ahead <= 1 || cost_ops <= 0.0 {
+            return 1.0;
+        }
+        ((cost_ops + ops_ahead) / (2.0 * cost_ops)).max(1.0)
+    }
+
+    /// Records a completed unit: `cost_ops` of work whose lease was out
+    /// for `elapsed_secs` on `client`, `queue_factor` times the unit's
+    /// own service ([`Scheduler::queue_factor`]; 1 for a donor that
+    /// does not pipeline beyond one unit ahead).
+    pub fn record_completion(
+        &mut self,
+        client: ClientId,
+        cost_ops: f64,
+        elapsed_secs: f64,
+        queue_factor: f64,
+    ) {
         let elapsed = elapsed_secs.max(1e-9);
         let state = self.clients.entry(client).or_insert_with(|| ClientState {
             throughput: Ewma::new(self.cfg.ewma_alpha),
             units_completed: 0,
+            ops_completed: 0.0,
+            queue_factor: 1.0,
         });
-        state.throughput.update(cost_ops / elapsed);
+        state.queue_factor = queue_factor;
+        state.throughput.update(cost_ops * queue_factor / elapsed);
         state.units_completed += 1;
+        state.ops_completed += cost_ops;
     }
 
     /// Forgets a client (it left the pool). Reputation is forgotten
@@ -463,6 +501,14 @@ impl Scheduler {
             &format!("sched.units_completed.c{client}"),
             self.units_completed(client) as f64,
         );
+    }
+
+    /// Units completed by `client`, and their total cost in ops (both
+    /// start over when the client is forgotten).
+    pub fn work_completed(&self, client: ClientId) -> (u64, f64) {
+        self.clients
+            .get(&client)
+            .map_or((0, 0.0), |c| (c.units_completed, c.ops_completed))
     }
 
     /// Units completed by `client`.
@@ -635,6 +681,8 @@ impl Scheduler {
                 ClientState {
                     throughput,
                     units_completed: units,
+                    ops_completed: 0.0,
+                    queue_factor: 1.0,
                 },
             );
         }
@@ -712,12 +760,49 @@ mod tests {
         let mut s = Scheduler::new(SchedulerConfig::default());
         // Client 1 observed at 2e7 ops/s, client 2 at 2e6 ops/s.
         for _ in 0..10 {
-            s.record_completion(1, 2.0e7, 1.0);
-            s.record_completion(2, 2.0e6, 1.0);
+            s.record_completion(1, 2.0e7, 1.0, 1.0);
+            s.record_completion(2, 2.0e6, 1.0, 1.0);
         }
         let h1 = s.granularity_hint(1);
         let h2 = s.granularity_hint(2);
         assert!(h1 > 5.0 * h2, "fast client hint {h1} vs slow {h2}");
+    }
+
+    #[test]
+    fn a_deep_pipeline_depresses_neither_the_speed_estimate_nor_the_hint_and_the_lease_covers_it() {
+        let cfg = SchedulerConfig {
+            lease_min_secs: 0.0,
+            lease_jitter_frac: 0.0,
+            ..Default::default()
+        };
+        // Both donors compute 1e7 ops a second. Donor 1 holds one unit
+        // ready while it computes another, as every donor always has: a
+        // 1e7-op lease is out for 2 s and one other result arrives in
+        // that time. Donor 2 runs 64 deep: its leases are out for 64 s.
+        assert_eq!(Scheduler::queue_factor(1e7, 0, 0.0), 1.0);
+        assert_eq!(
+            Scheduler::queue_factor(1e7, 1, 3e7),
+            1.0,
+            "depth 2 is the baseline"
+        );
+        let deep_factor = Scheduler::queue_factor(1e7, 63, 63.0 * 1e7);
+        assert_eq!(deep_factor, 32.0);
+        let (mut shallow, mut deep) = (Scheduler::new(cfg.clone()), Scheduler::new(cfg));
+        for _ in 0..20 {
+            shallow.record_completion(1, 1e7, 2.0, 1.0);
+            deep.record_completion(2, 1e7, 64.0, deep_factor);
+        }
+        let (s1, s2) = (shallow.estimated_speed(1), deep.estimated_speed(2));
+        assert!((s1 - 5e6).abs() < 1.0, "a turnaround of two computes: {s1}");
+        assert!((s2 - s1).abs() < 1.0, "the depth is divided out: {s2}");
+        assert_eq!(shallow.granularity_hint(1), deep.granularity_hint(2));
+        // lease_factor × the turnaround each donor actually shows.
+        assert!((shallow.lease_deadline(1, 1e7, 0.0) - 4.0 * 2.0).abs() < 1e-6);
+        assert!((deep.lease_deadline(2, 1e7, 0.0) - 4.0 * 64.0).abs() < 1e-6);
+        // A big unit behind 63 small ones is timed by the work its
+        // lease covered, not by the number of results ahead of it.
+        assert_eq!(Scheduler::queue_factor(64e7, 63, 63.0 * 1e7), 1.0);
+        assert_eq!(Scheduler::queue_factor(1e7, 2, 64e7), 32.5);
     }
 
     #[test]
@@ -729,8 +814,8 @@ mod tests {
         };
         let mut s = Scheduler::new(cfg);
         for _ in 0..5 {
-            s.record_completion(1, 1e12, 1.0); // absurdly fast
-            s.record_completion(2, 1.0, 1.0); // absurdly slow
+            s.record_completion(1, 1e12, 1.0, 1.0); // absurdly fast
+            s.record_completion(2, 1.0, 1.0, 1.0); // absurdly slow
         }
         assert_eq!(s.granularity_hint(1), 5e6);
         assert_eq!(s.granularity_hint(2), 1e6);
@@ -744,7 +829,7 @@ mod tests {
         };
         let mut s = Scheduler::new(cfg);
         for _ in 0..10 {
-            s.record_completion(1, 1e9, 1.0);
+            s.record_completion(1, 1e9, 1.0, 1.0);
         }
         let hint = s.granularity_hint(1);
         assert!(
@@ -760,7 +845,7 @@ mod tests {
             ..Default::default()
         };
         let mut s = Scheduler::new(cfg);
-        s.record_completion(1, 1e9, 1.0);
+        s.record_completion(1, 1e9, 1.0, 1.0);
         assert_eq!(s.estimated_speed(1), 1.0e7);
     }
 
@@ -768,11 +853,11 @@ mod tests {
     fn ewma_adapts_to_slowdown() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         for _ in 0..10 {
-            s.record_completion(1, 1e7, 1.0); // 1e7 ops/s
+            s.record_completion(1, 1e7, 1.0, 1.0); // 1e7 ops/s
         }
         let fast = s.estimated_speed(1);
         for _ in 0..10 {
-            s.record_completion(1, 1e6, 1.0); // drops to 1e6 ops/s
+            s.record_completion(1, 1e6, 1.0, 1.0); // drops to 1e6 ops/s
         }
         let slow = s.estimated_speed(1);
         assert!(slow < fast / 3.0, "estimate must chase the slowdown");
@@ -827,7 +912,7 @@ mod tests {
         // The cap also bounds huge units on slow estimates.
         let mut slow = Scheduler::new(SchedulerConfig::default());
         for _ in 0..20 {
-            slow.record_completion(7, 1.0, 1.0); // ~1 op/s donor
+            slow.record_completion(7, 1.0, 1.0, 1.0); // ~1 op/s donor
         }
         let d = slow.lease_deadline_backed_off(7, 1e12, 0.0, 6);
         assert!(d <= slow.config().max_lease_secs + 1e-9);
@@ -890,8 +975,8 @@ mod tests {
     fn snapshot_restore_round_trips_adaptive_state() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         for _ in 0..10 {
-            s.record_completion(1, 2.0e7, 1.0);
-            s.record_completion(2, 2.0e6, 1.0);
+            s.record_completion(1, 2.0e7, 1.0, 1.0);
+            s.record_completion(2, 2.0e6, 1.0, 1.0);
         }
         let snap = s.snapshot();
         assert_eq!(snap.clients.len(), 2);
@@ -925,7 +1010,7 @@ mod tests {
     fn audit_is_clean_on_a_healthy_scheduler() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         for c in 0..4 {
-            s.record_completion(c, 1e7, 1.0);
+            s.record_completion(c, 1e7, 1.0, 1.0);
         }
         assert!(s.audit().is_empty());
     }
@@ -933,7 +1018,7 @@ mod tests {
     #[test]
     fn audit_flags_poisoned_speed_estimates() {
         let mut s = Scheduler::new(SchedulerConfig::default());
-        s.record_completion(3, f64::NAN, 1.0);
+        s.record_completion(3, f64::NAN, 1.0, 1.0);
         let violations = s.audit();
         assert!(
             violations
@@ -1066,7 +1151,7 @@ mod tests {
     #[test]
     fn forget_client_resets_history() {
         let mut s = Scheduler::new(SchedulerConfig::default());
-        s.record_completion(1, 1e9, 1.0);
+        s.record_completion(1, 1e9, 1.0, 1.0);
         assert_eq!(s.units_completed(1), 1);
         s.forget_client(1);
         assert_eq!(s.units_completed(1), 0);

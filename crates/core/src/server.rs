@@ -52,6 +52,16 @@ pub trait RunJournal: Send {
     ) {
         let _ = (problem, unit, needed, client, encoded);
     }
+    /// Everything reported so far must be durable before this returns:
+    /// the caller is about to tell a donor something (an assignment, an
+    /// ack) that the reported events justify. A journal that makes each
+    /// event durable as it is reported — the default — has nothing to
+    /// do; one that groups events writes its open group here.
+    fn commit(&mut self) {}
+    /// The server process is "dying" (a simulated crash): events
+    /// reported since the last [`RunJournal::commit`] are dropped, as a
+    /// real crash would have lost them. Default no-op, like `commit`.
+    fn discard(&mut self) {}
 }
 
 /// The server's answer to a work request.
@@ -74,6 +84,10 @@ pub enum Assignment {
 struct Lease {
     client: ClientId,
     assigned_at: f64,
+    /// What the client had delivered when the lease was issued (units,
+    /// ops); the difference at submission is what this unit queued
+    /// behind ([`Scheduler::queue_factor`]).
+    completed_before: (u64, f64),
     deadline: f64,
 }
 
@@ -196,11 +210,24 @@ pub struct StatusSnapshot {
     pub donors: Vec<DonorStatus>,
     /// Problem rows, in submission order.
     pub problems: Vec<ProblemStatus>,
-    /// `(name, value)` counters, sorted by name.
+    /// `(name, value)` counters, sorted by name; each donor's
+    /// last-reported `donor.c<id>.pipeline_depth` gauge rides among
+    /// them (see [`StatusSnapshot::pipeline_depth`]).
     pub counters: Vec<(String, u64)>,
 }
 
 impl StatusSnapshot {
+    /// The pipeline depth donor `client` last reported it runs at;
+    /// `None` until a metrics report carrying one has arrived (or from
+    /// an origin that does not publish it).
+    pub fn pipeline_depth(&self, client: ClientId) -> Option<u64> {
+        let name = format!("donor.c{client}.pipeline_depth");
+        let at = self
+            .counters
+            .binary_search_by(|(k, _)| k.as_str().cmp(&name));
+        at.ok().map(|i| self.counters[i].1)
+    }
+
     /// Serializes the snapshot for the wire.
     pub fn to_wire_bytes(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
@@ -384,6 +411,23 @@ impl Server {
     /// result fold is reported to it (see [`RunJournal`]).
     pub fn set_journal(&mut self, journal: Box<dyn RunJournal>) {
         self.journal = Some(journal);
+    }
+
+    /// Makes every journaled event durable ([`RunJournal::commit`]).
+    /// A transport calls this after handling a batch of requests and
+    /// before any of their replies can reach a donor.
+    pub fn commit_journal(&mut self) {
+        if let Some(j) = self.journal.as_mut() {
+            j.commit();
+        }
+    }
+
+    /// Drops the journal's uncommitted events ([`RunJournal::discard`]):
+    /// the crash half of a kill-and-recover test.
+    pub fn discard_journal(&mut self) {
+        if let Some(j) = self.journal.as_mut() {
+            j.discard();
+        }
     }
 
     /// Installs a telemetry domain: lifecycle events and metrics flow
@@ -844,6 +888,7 @@ impl Server {
         if redundant {
             self.telemetry.counter_add("server.redundant_dispatches", 1);
         }
+        let completed_before = self.sched.work_completed(client);
         let p = &mut self.problems[pid];
         p.next_deadline = p.next_deadline.min(deadline);
         p.stats.assignments += 1;
@@ -860,6 +905,7 @@ impl Server {
             .push(Lease {
                 client,
                 assigned_at: now,
+                completed_before,
                 deadline,
             });
         // Under quorum, a unit reaching an untrusted donor starts a
@@ -927,6 +973,15 @@ impl Server {
         let mut latency = 0.0;
         if let Some(lease) = inf.leases.iter().find(|l| l.client == client) {
             latency = now - lease.assigned_at;
+            // (Saturating: a departed client's counts start over.)
+            let (units, ops) = self.sched.work_completed(client);
+            let (units_before, ops_before) = lease.completed_before;
+            let queue_factor = Scheduler::queue_factor(
+                inf.unit.cost_ops,
+                units.saturating_sub(units_before),
+                (ops - ops_before).max(0.0),
+            );
+            let service = latency / queue_factor;
             // The health observation is normalized by the *pre-update*
             // speed estimate: "how much longer than this donor's priced
             // speed predicts" — an honest-but-slow machine scores ~1.0,
@@ -934,7 +989,7 @@ impl Server {
             if let Some(h) = self.health.as_mut() {
                 let predicted = inf.unit.cost_ops / self.sched.estimated_speed(client);
                 if predicted > 0.0 && predicted.is_finite() {
-                    match h.observe(client, latency / predicted) {
+                    match h.observe(client, service / predicted) {
                         Some(HealthTransition::Flagged { ratio }) => {
                             self.sched.set_health_flag(client, true);
                             self.telemetry
@@ -954,7 +1009,7 @@ impl Server {
                 }
             }
             self.sched
-                .record_completion(client, inf.unit.cost_ops, latency);
+                .record_completion(client, inf.unit.cost_ops, latency, queue_factor);
             self.telemetry
                 .observe("server.unit_latency", LATENCY_BOUNDS, latency);
             self.sched.export_client_metrics(client, &self.telemetry);
@@ -1419,7 +1474,9 @@ impl Server {
     /// donor table is the union of every client the scheduler,
     /// reputation map, lease table or health engine knows about, sorted
     /// by id; counters come from the server's telemetry registry (empty
-    /// when telemetry is disabled).
+    /// when telemetry is disabled), and with them — same list, same
+    /// wire layout — the `donor.c<id>.pipeline_depth` gauge each donor
+    /// last reported.
     pub fn status_snapshot(&self, now: f64) -> StatusSnapshot {
         let mut ids: BTreeSet<ClientId> = BTreeSet::new();
         for &(id, _, _) in &self.sched.snapshot().clients {
@@ -1477,12 +1534,14 @@ impl Server {
                 reissue_queue: p.reissue.len() as u32,
             })
             .collect();
-        let counters = self
-            .telemetry
-            .metrics_snapshot()
-            .counters
+        let metrics = self.telemetry.metrics_snapshot();
+        let depths = metrics
+            .gauges
             .into_iter()
-            .collect();
+            .filter(|(name, _)| name.starts_with("donor.c") && name.ends_with(".pipeline_depth"))
+            .map(|(name, depth)| (name, depth as u64));
+        let mut counters: Vec<(String, u64)> = metrics.counters.into_iter().chain(depths).collect();
+        counters.sort();
         StatusSnapshot {
             now,
             donors,
@@ -2360,12 +2419,60 @@ mod tests {
         assert!(!server.scheduler().is_health_flagged(0));
     }
 
+    /// The unit size the adaptive hint settles on for a donor that
+    /// computes 1e6 ops a second, one unit at a time in lease order,
+    /// and keeps `depth` leases.
+    fn settled_unit_ops(depth: usize) -> f64 {
+        const SPEED: f64 = 1e6;
+        let mut server = Server::new(SchedulerConfig {
+            target_unit_secs: 1.0,
+            min_unit_ops: 200.0,
+            max_unit_ops: 1e12,
+            prior_ops_per_sec: 1e3,
+            ..Default::default()
+        });
+        let pid = server.submit(crate::builtin::integration_problem(1_000_000_000));
+        let mut held = std::collections::VecDeque::new();
+        let (mut now, mut last) = (0.0, 0.0);
+        for _ in 0..400 {
+            while held.len() < depth {
+                let Assignment::Unit {
+                    unit, algorithm, ..
+                } = server.request_work(0, now)
+                else {
+                    panic!("the pool cannot run dry")
+                };
+                held.push_back((unit, algorithm));
+            }
+            let (unit, algorithm) = held.pop_front().expect("just filled");
+            now += unit.cost_ops / SPEED;
+            last = unit.cost_ops;
+            assert!(server.submit_result(0, pid, algorithm.compute(&unit), now));
+        }
+        last
+    }
+
+    #[test]
+    fn the_granularity_hint_does_not_shrink_with_the_donors_pipeline_depth() {
+        // One compute ready behind the one running: a lease is out for
+        // two computes, and half the donor's speed is what the hint has
+        // always been sized from.
+        let shallow = settled_unit_ops(2);
+        assert!((shallow / 5e5 - 1.0).abs() < 0.05, "{shallow}");
+        // 64 deep, a lease is out for 64 computes. Taken at face value
+        // that is 1/32 of the units — and, over TCP, a depth that grows
+        // as they shrink.
+        let deep = settled_unit_ops(64);
+        assert!((deep / shallow - 1.0).abs() < 0.05, "{deep} vs {shallow}");
+    }
+
     #[test]
     fn status_snapshot_reports_donors_problems_and_round_trips() {
         let mut server = Server::new(SchedulerConfig {
             enable_health_detector: true,
             ..Default::default()
         });
+        server.set_telemetry(Telemetry::enabled());
         server.submit(sum_problem(100, 10));
         let Assignment::Unit {
             problem,
@@ -2380,6 +2487,10 @@ mod tests {
         };
         let r = algorithm.compute(&unit);
         assert!(server.submit_result(3, problem, r, 1.0));
+        // What donor 3's last metrics report said it runs at.
+        server
+            .telemetry()
+            .gauge_set("donor.c3.pipeline_depth", 17.0);
 
         let snap = server.status_snapshot(2.0);
         assert_eq!(snap.now, 2.0);
@@ -2390,7 +2501,9 @@ mod tests {
         assert_eq!(d3.leases, 0, "its lease resolved with the result");
         assert!(!d3.flagged);
         assert!(d3.health_ratio > 0.0, "observed once by the detector");
+        assert_eq!(snap.pipeline_depth(3), Some(17));
         assert_eq!(snap.donors[1].leases, 1, "donor 5 still computing");
+        assert_eq!(snap.pipeline_depth(5), None, "no report yet");
         assert_eq!(snap.problems.len(), 1);
         assert_eq!(snap.problems[0].name, "sum");
         assert_eq!(snap.problems[0].completed_units, 1);

@@ -25,7 +25,9 @@ cargo test -q --offline --workspace
 # acceptance scenario on both the simulator and loopback TCP), and
 # the scale tier (the 1k-donor sharded event-loop soak with
 # exactly-once audit, O(shards) thread count, and the silent-donor
-# case).
+# case), and — by its own name — the control plane's syscall budget
+# (donor writes, origin pumps and journal commits per round trip, not
+# per unit).
 cargo test -q --offline --test chaos tcp
 cargo test -q --offline --test net_recovery
 cargo test -q --offline --test stress
@@ -33,5 +35,6 @@ cargo test -q --offline --test byzantine
 cargo test -q --offline --test replica
 cargo test -q --offline --test ops
 cargo test -q --offline --test scale
+cargo test -q --offline --test scale control_plane_syscalls_are_paid_per_round_trip_not_per_unit
 
 echo "tier1: OK"

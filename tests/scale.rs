@@ -12,12 +12,15 @@
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
+use biodist::core::builtin::integration_problem;
 use biodist::core::net::wire::{encode_frame, Frame, FrameReader};
 use biodist::core::net::{
     directory, raise_nofile_limit, spawn_clients, ClientKit, Clock, NetClientOptions, NetServer,
     NetServerOptions,
 };
-use biodist::core::{audited, FaultPlan, SchedulerConfig, Server, Telemetry};
+use biodist::core::{
+    audited, CheckpointWriter, FaultPlan, MetricsSnapshot, SchedulerConfig, Server, Telemetry,
+};
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
 use std::io::Write;
 use std::net::TcpStream;
@@ -309,4 +312,110 @@ fn silent_donor_on_one_shard_cannot_strand_the_run() {
             "one donor per shard"
         );
     }
+}
+
+/// One donor against one shard with the write-ahead journal and
+/// telemetry on: `units` fixed 1e4-op units of the π integration.
+/// Checks the output and the exactly-once audit and returns the run's
+/// counters.
+fn journaled_run(units: u64) -> MetricsSnapshot {
+    let log =
+        std::env::temp_dir().join(format!("biodist-scale-journal-{}.log", std::process::id()));
+    let mut server = Server::new(SchedulerConfig {
+        min_unit_ops: 1e4,
+        max_unit_ops: 1e4,
+        lease_min_secs: 30.0,
+        ..Default::default()
+    });
+    server.set_telemetry(Telemetry::enabled());
+    let telemetry = server.telemetry();
+    // 200 ops a grid point: 50 points make one 1e4-op unit.
+    let (problem, audit) = audited(integration_problem(50 * units));
+    let pid = server.submit(problem);
+    let writer = CheckpointWriter::create(&log)
+        .expect("create journal")
+        .with_telemetry(telemetry.clone());
+    server.set_journal(Box::new(writer));
+    let kit = ClientKit::from_server(&server).expect("codecs registered");
+    let clock = Clock::new(1.0);
+    let opts = NetServerOptions {
+        shards: 1,
+        ..Default::default()
+    };
+    let net = NetServer::start(server, clock, opts).expect("bind server");
+    let dir = directory();
+    dir.set_origin(Some(net.addr()));
+    let run_over = Arc::new(AtomicBool::new(false));
+    let handles = spawn_clients(
+        dir,
+        clock,
+        kit,
+        1,
+        &FaultPlan::none(),
+        run_over.clone(),
+        NetClientOptions::default(),
+    );
+    let mut server = net.wait();
+    run_over.store(true, Ordering::SeqCst);
+    for h in handles {
+        h.join().expect("donor thread");
+    }
+    let _ = std::fs::remove_file(&log);
+    assert_eq!(server.stats(pid).completed_units, units);
+    audit.verify_run(&server).expect("exactly-once audit clean");
+    let pi = server.take_output(pid).unwrap().into_inner::<f64>();
+    assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
+    let snap = telemetry.metrics_snapshot();
+    // (Shown with `--nocapture`: the hand-read numbers of EXPERIMENTS.md.)
+    eprintln!(
+        "{units} units: client_writes {} frames_in {} pumps {} \
+         ckpt.commits {} ckpt.records {} resubmits {}",
+        snap.counter("net.client_writes"),
+        snap.counter("net.frames_in"),
+        snap.counter("net.pumps"),
+        snap.counter("ckpt.commits"),
+        snap.counter("ckpt.records"),
+        snap.counter("net.resubmits"),
+    );
+    snap
+}
+
+/// The control plane's syscall budget, gated: with microsecond units
+/// the donor's writes, the origin's pumps and the journal's commits are
+/// paid per round trip, not per unit. The budgets are the ones that
+/// held in every recorded run (EXPERIMENTS.md, PR 17), including those
+/// where donor and origin ran on different CPUs: there the two overlap,
+/// the donor's exposed wait is only what it could not overlap, and the
+/// depth it derives settles near 10 instead of 64. (That millisecond
+/// units do not batch — every result leaves before the next compute —
+/// is checked step by step, without a stopwatch, by `client.rs`'s
+/// scripted-origin test `steady_state_is_one_write_per_unit…`.)
+#[test]
+fn control_plane_syscalls_are_paid_per_round_trip_not_per_unit() {
+    const UNITS: u64 = 20_000;
+    let snap = journaled_run(UNITS);
+    let count = |name: &str| snap.counter(name);
+    assert!(
+        count("net.client_writes") <= UNITS / 4,
+        "{} donor writes for {UNITS} units",
+        count("net.client_writes")
+    );
+    assert!(
+        count("net.frames_in") >= 8 * count("net.pumps"),
+        "{} frames in {} pumps",
+        count("net.frames_in"),
+        count("net.pumps")
+    );
+    assert!(
+        count("ckpt.commits") <= UNITS / 4,
+        "{} journal writes for {UNITS} units",
+        count("ckpt.commits")
+    );
+    assert_eq!(
+        count("ckpt.records"),
+        2 * UNITS,
+        "an issue and a result each"
+    );
+    assert_eq!(count("ckpt.write_errors"), 0);
+    assert_eq!(count("net.resubmits"), 0);
 }
