@@ -370,6 +370,18 @@ impl FaultPlan {
         v
     }
 
+    /// The first downtime `[at, at + down)` among `crashes` (as
+    /// [`FaultPlan::crashes`] returns them) that overlaps `[from, to]`.
+    /// The one crash rule of the real-donor backends (thread and TCP):
+    /// with `from == to` it is the window a donor is down in at that
+    /// instant; over a compute interval it is the crash that loses the
+    /// unit — it began during the compute, or before it and was still
+    /// open when it started.
+    pub fn crash_overlapping(crashes: &[(f64, f64)], from: f64, to: f64) -> Option<(f64, f64)> {
+        let hits = |&&(at, down): &&(f64, f64)| at <= to && at + down > from;
+        crashes.iter().find(hits).copied()
+    }
+
     /// `(start, end)` unavailability windows for replica index
     /// `replica` from [`FaultKind::ReplicaCrash`] events, sorted by
     /// start time. Replica indices live in their own space — the same
@@ -815,6 +827,51 @@ mod tests {
             );
             assert!(plan.permanent_survivors(8) >= 6);
         }
+    }
+
+    /// The one crash rule both real-donor backends call: a downtime
+    /// window loses the unit iff it overlaps `[started, done]`.
+    #[test]
+    fn a_crash_loses_the_unit_iff_its_window_overlaps_the_compute_interval() {
+        let (started, done) = (10.0, 20.0);
+        // (crash at, down secs, loses the unit, why)
+        let table = [
+            (2.0, 3.0, false, "over before the compute started"),
+            (5.0, 5.0, false, "closes exactly at the start (half-open)"),
+            (5.0, 6.0, true, "began before, still open at the start"),
+            (5.0, 50.0, true, "covers the whole interval"),
+            (10.0, 1.0, true, "opens at the start"),
+            (15.0, 0.5, true, "opens and closes inside"),
+            (15.0, 0.0, true, "instant reboot inside still loses memory"),
+            (20.0, 4.0, true, "opens as the compute ends"),
+            (20.5, 4.0, false, "opens after the result left"),
+        ];
+        for (at, down, loses, why) in table {
+            let plan = FaultPlan::new(0).with(at, 0, FaultKind::Crash { down_secs: down });
+            let hit = FaultPlan::crash_overlapping(&plan.crashes(0), started, done);
+            assert_eq!(
+                hit,
+                loses.then_some((at, down)),
+                "window [{at}, +{down}): {why}"
+            );
+        }
+        // Several windows: the first overlapping one, in time order.
+        let crashes = [(1.0, 2.0), (12.0, 1.0), (18.0, 9.0)];
+        assert_eq!(
+            FaultPlan::crash_overlapping(&crashes, started, done),
+            Some((12.0, 1.0))
+        );
+        // "Which window is `now` inside" is the same rule at an instant.
+        assert_eq!(FaultPlan::crash_overlapping(&crashes, 0.9, 0.9), None);
+        assert_eq!(
+            FaultPlan::crash_overlapping(&crashes, 1.0, 1.0),
+            Some((1.0, 2.0))
+        );
+        assert_eq!(FaultPlan::crash_overlapping(&crashes, 3.0, 3.0), None);
+        assert_eq!(
+            FaultPlan::crash_overlapping(&crashes, 26.9, 26.9),
+            Some((18.0, 9.0))
+        );
     }
 
     #[test]

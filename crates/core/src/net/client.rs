@@ -420,15 +420,12 @@ impl ClientLoop {
     /// If `now` is inside a crash window: lose everything, sleep out
     /// the remaining downtime, and report `true`.
     fn handle_crash_window(&mut self, now: f64) -> bool {
-        for &(at, down) in &self.crashes {
-            if now >= at && now < at + down {
-                self.lose_everything(now, down);
-                let wake = at + down;
-                thread::sleep(self.clock.wall(wake - now));
-                return true;
-            }
-        }
-        false
+        let Some((at, down)) = FaultPlan::crash_overlapping(&self.crashes, now, now) else {
+            return false;
+        };
+        self.lose_everything(now, down);
+        thread::sleep(self.clock.wall(at + down - now));
+        true
     }
 
     /// The donor crashed at `now`: the connection and everything held
@@ -1225,14 +1222,10 @@ impl ClientLoop {
             let real = self.clock.now() - started;
             thread::sleep(self.clock.wall(real * (scale - 1.0)));
         }
-        // A crash window that opened mid-compute swallows the result —
+        // A crash window overlapping the compute swallows the result —
         // and everything else the donor held in memory.
         let done = self.clock.now();
-        if let Some(&(_, down)) = self
-            .crashes
-            .iter()
-            .find(|&&(at, _down)| started < at && done >= at)
-        {
+        if let Some((_, down)) = FaultPlan::crash_overlapping(&self.crashes, started, done) {
             // The orphaned compute sub-span is closed by the crash
             // event's client-wide closure.
             self.lose_everything(done, down);

@@ -1,5 +1,9 @@
-//! Readiness primitives for the nonblocking TCP server: a small poller
-//! abstraction, a cross-thread waker, and per-thread CPU accounting.
+//! The one server-side network runtime: readiness primitives (a small
+//! poller abstraction, a cross-thread waker, per-thread CPU accounting)
+//! and, on top of them, the blocking acceptor ([`accept_loop`]) and the
+//! connection loop ([`serve`]) that every listener in `net/` runs — the
+//! origin's shards and each replica endpoint are its two users, told
+//! apart only by their [`FrameHandler`].
 //!
 //! The workspace carries no external dependencies, so the Linux backend
 //! speaks `epoll` directly through raw syscalls (`core::arch::asm`) on
@@ -10,13 +14,18 @@
 //! `TcpStream::set_nonblocking` + readiness-fallback design the event
 //! loop is specified against.
 //!
-//! The waker is a self-connected loopback TCP pair: the read end lives
-//! in the poller like any other connection, the write end is poked from
-//! other threads (new-connection handoff, shard migration, shutdown).
-//! No pipes, no signals — `std` only.
+//! A loop's waker is a self-connected loopback TCP pair: the read end
+//! lives in the poller like any other connection, the write end
+//! ([`LoopHandle`]) is poked from other threads (new-connection
+//! handoff, shutdown). No pipes, no signals — `std` only.
 
+use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler};
+use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
+use std::time::Duration;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -40,8 +49,8 @@ mod sys {
     #[cfg(target_arch = "x86_64")]
     mod nr {
         pub const CLOSE: u64 = 3;
-        pub const EPOLL_WAIT: u64 = 232; // plain epoll_wait exists here
         pub const EPOLL_CTL: u64 = 233;
+        pub const EPOLL_PWAIT: u64 = 281;
         pub const EPOLL_CREATE1: u64 = 291;
         pub const PRLIMIT64: u64 = 302;
     }
@@ -49,7 +58,7 @@ mod sys {
     mod nr {
         pub const EPOLL_CREATE1: u64 = 20;
         pub const EPOLL_CTL: u64 = 21;
-        pub const EPOLL_PWAIT: u64 = 22; // no epoll_wait on aarch64
+        pub const EPOLL_PWAIT: u64 = 22; // aarch64 has no plain epoll_wait
         pub const CLOSE: u64 = 57;
         pub const PRLIMIT64: u64 = 261;
     }
@@ -109,22 +118,22 @@ mod sys {
 
     // The kernel packs epoll_event on x86_64 only; every other
     // architecture uses natural alignment.
-    #[cfg(target_arch = "x86_64")]
-    #[repr(C, packed)]
-    #[derive(Clone, Copy)]
-    struct EpollEvent {
-        events: u32,
-        data: u64,
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    #[repr(C)]
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
     #[derive(Clone, Copy)]
     struct EpollEvent {
         events: u32,
         data: u64,
     }
 
-    /// Readiness via `epoll`, level-triggered.
+    fn interest(writable: bool) -> u32 {
+        EPOLLIN | if writable { EPOLLOUT } else { 0 }
+    }
+
+    /// Readiness via `epoll`. File descriptors are registered
+    /// level-triggered under a caller-chosen token, readable interest
+    /// always; `writable` interest should be kept only while a
+    /// connection has buffered output, or every wait returns instantly.
     pub struct Poller {
         epfd: i64,
     }
@@ -150,41 +159,25 @@ mod sys {
         }
 
         pub fn add(&mut self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
-            let mut events = EPOLLIN;
-            if writable {
-                events |= EPOLLOUT;
-            }
-            self.ctl(EPOLL_CTL_ADD, fd, events, token)
+            self.ctl(EPOLL_CTL_ADD, fd, interest(writable), token)
         }
 
+        /// Updates the interest set of an already-registered descriptor.
         pub fn modify(&mut self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
-            let mut events = EPOLLIN;
-            if writable {
-                events |= EPOLLOUT;
-            }
-            self.ctl(EPOLL_CTL_MOD, fd, events, token)
+            self.ctl(EPOLL_CTL_MOD, fd, interest(writable), token)
         }
 
         pub fn remove(&mut self, fd: i32, _token: u64) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
+        /// Blocks up to `timeout_ms` for readiness; appends reports to
+        /// `out` (which the caller should clear between waits).
         pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
             const MAX: usize = 64;
             let mut buf = [EpollEvent { events: 0, data: 0 }; MAX];
-            #[cfg(target_arch = "x86_64")]
-            let ret = unsafe {
-                syscall6(
-                    nr::EPOLL_WAIT,
-                    self.epfd as u64,
-                    buf.as_mut_ptr() as u64,
-                    MAX as u64,
-                    timeout_ms as u64,
-                    0,
-                    0,
-                )
-            };
-            #[cfg(target_arch = "aarch64")]
+            // SAFETY: `buf` outlives the call and holds the `MAX`
+            // events the kernel is told it may write; the mask is null.
             let ret = unsafe {
                 syscall6(
                     nr::EPOLL_PWAIT,
@@ -225,7 +218,9 @@ mod sys {
     }
 
     /// Raises the process's soft `RLIMIT_NOFILE` toward `want` (capped
-    /// at the hard limit). Returns the resulting soft limit.
+    /// at the hard limit) so a 1k-donor loopback soak does not trip a
+    /// conservative default (1024 on stock CI runners). Best effort:
+    /// returns the resulting soft limit on Linux, `None` elsewhere.
     pub fn raise_nofile_limit(want: u64) -> Option<u64> {
         const RLIMIT_NOFILE: u64 = 7;
         #[repr(C)]
@@ -325,81 +320,7 @@ mod sys {
     }
 }
 
-/// Raises the process's soft open-file limit toward `want` so a
-/// 1k-donor loopback soak does not trip a conservative default (1024 on
-/// stock CI runners). Best effort: returns the resulting soft limit on
-/// Linux, `None` elsewhere.
-pub fn raise_nofile_limit(want: u64) -> Option<u64> {
-    sys::raise_nofile_limit(want)
-}
-
-/// Readiness poller: `epoll` on Linux (x86_64/aarch64, raw syscalls —
-/// the workspace carries no libc), a sleep-and-report-all fallback
-/// elsewhere. File descriptors are registered level-triggered under a
-/// caller-chosen token; `writable` interest should be kept only while a
-/// connection has buffered output, or every wait returns instantly.
-pub struct Poller {
-    inner: sys::Poller,
-}
-
-impl Poller {
-    /// A fresh poller.
-    pub fn new() -> io::Result<Self> {
-        Ok(Self {
-            inner: sys::Poller::new()?,
-        })
-    }
-
-    /// Registers `fd` under `token`, readable interest always, plus
-    /// writable interest when `writable`.
-    pub fn add(&mut self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
-        self.inner.add(fd, token, writable)
-    }
-
-    /// Updates the interest set of an already-registered descriptor.
-    pub fn modify(&mut self, fd: i32, token: u64, writable: bool) -> io::Result<()> {
-        self.inner.modify(fd, token, writable)
-    }
-
-    /// Deregisters a descriptor.
-    pub fn remove(&mut self, fd: i32, token: u64) -> io::Result<()> {
-        self.inner.remove(fd, token)
-    }
-
-    /// Blocks up to `timeout_ms` for readiness; appends reports to
-    /// `out` (which the caller should clear between waits).
-    pub fn wait(&mut self, timeout_ms: i32, out: &mut Vec<Event>) -> io::Result<()> {
-        self.inner.wait(timeout_ms, out)
-    }
-}
-
-/// The write end of a self-connected loopback pair: poking it makes the
-/// owning event loop's [`Poller::wait`] return. Cheap enough to poke on
-/// every cross-thread handoff; a byte already buffered is as good as
-/// two.
-pub struct Waker {
-    tx: TcpStream,
-}
-
-impl Waker {
-    /// Wakes the owning event loop. Never blocks: the send buffer
-    /// holding unread wake bytes already guarantees a pending wake.
-    pub fn wake(&self) {
-        let _ = (&self.tx).write(&[1u8]);
-    }
-}
-
-/// Builds a waker and the nonblocking read end its event loop should
-/// register; [`drain_wakes`] empties it after every wake.
-pub fn waker_pair() -> io::Result<(Waker, TcpStream)> {
-    let listener = TcpListener::bind("127.0.0.1:0")?;
-    let tx = TcpStream::connect(listener.local_addr()?)?;
-    let (rx, _) = listener.accept()?;
-    tx.set_nonblocking(true)?;
-    tx.set_nodelay(true)?;
-    rx.set_nonblocking(true)?;
-    Ok((Waker { tx }, rx))
-}
+pub use sys::{raise_nofile_limit, Poller};
 
 /// Discards every buffered wake byte.
 pub fn drain_wakes(rx: &mut TcpStream) {
@@ -438,6 +359,282 @@ pub fn thread_cpu_ticks() -> Option<u64> {
     Some(utime + stime)
 }
 
+/// The blocking acceptor every listener in `net/` runs on a thread of
+/// its own: no polling sleep, each accepted stream goes to `deal`.
+/// Shutdown raises `kill` and then calls [`unblock_accept`].
+pub fn accept_loop(listener: &TcpListener, kill: &AtomicBool, mut deal: impl FnMut(TcpStream)) {
+    loop {
+        let accepted = listener.accept();
+        if kill.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => deal(stream),
+            // Transient accept failure (EMFILE, aborted handshake):
+            // back off briefly instead of spinning on the error.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        }
+    }
+}
+
+/// Ends an [`accept_loop`] blocked in `accept` on `addr` (its kill flag
+/// already raised) with a throwaway self-connection.
+pub fn unblock_accept(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
+}
+
+/// The other threads' side of one [`serve`] loop: the inbox accepted
+/// connections are handed over through, and the loop's waker — the
+/// write end of a self-connected loopback pair whose read end sits in
+/// the loop's poller.
+pub struct LoopHandle {
+    inbox: Mutex<Vec<TcpStream>>,
+    wake_tx: TcpStream,
+}
+
+impl LoopHandle {
+    /// A handle and the nonblocking wake read-end its [`serve`] call
+    /// takes.
+    pub fn new() -> io::Result<(Self, TcpStream)> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        let wake_tx = TcpStream::connect(listener.local_addr()?)?;
+        let (rx, _) = listener.accept()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_tx.set_nodelay(true)?;
+        rx.set_nonblocking(true)?;
+        let inbox = Mutex::default();
+        Ok((Self { inbox, wake_tx }, rx))
+    }
+
+    /// Gives `stream` to the loop, which serves it for its whole life.
+    pub fn hand_over(&self, stream: TcpStream) {
+        self.inbox.lock().unwrap().push(stream);
+        self.wake();
+    }
+
+    /// Makes the loop's [`Poller::wait`] return (it then looks at its
+    /// handler's kill flag). Never blocks: a send buffer already full
+    /// of unread wake bytes guarantees a pending wake.
+    pub fn wake(&self) {
+        let _ = (&self.wake_tx).write(&[1u8]);
+    }
+}
+
+/// Poller token of the loop's waker read-end; connections start at 1.
+const WAKE_TOKEN: u64 = 0;
+
+/// One served connection: the nonblocking stream, its frame reassembly
+/// and the replies not yet written.
+pub struct Conn {
+    stream: TcpStream,
+    asm: FrameAssembler,
+    out: Vec<u8>,
+    out_pos: usize,
+    /// Whether the poller currently watches for writability.
+    want_write: bool,
+}
+
+impl Conn {
+    fn fresh(stream: TcpStream) -> io::Result<Self> {
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        Ok(Self {
+            stream,
+            asm: FrameAssembler::new(),
+            out: Vec::new(),
+            out_pos: 0,
+            want_write: false,
+        })
+    }
+
+    /// Queues `frame` behind the replies already waiting (the pump
+    /// flushes them once, when it ends); returns the encoded length.
+    pub fn queue_reply(&mut self, frame: &Frame) -> usize {
+        let before = self.out.len();
+        encode_frame_into(frame, &mut self.out);
+        self.out.len() - before
+    }
+
+    /// Writes buffered output until done or the socket would block.
+    fn flush(&mut self) -> io::Result<()> {
+        while self.out_pos < self.out.len() {
+            match (&self.stream).write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if self.out_pos == self.out.len() {
+            self.out.clear();
+            self.out_pos = 0;
+        }
+        Ok(())
+    }
+
+    /// Reads every available byte into the assembler. `Ok(true)` = EOF.
+    fn read_available(&mut self) -> io::Result<bool> {
+        loop {
+            match self.asm.read_from(&mut &self.stream) {
+                Ok(0) => return Ok(true),
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == io::ErrorKind::WouldBlock
+                        || e.kind() == io::ErrorKind::TimedOut =>
+                {
+                    return Ok(false)
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Handles a readiness event; `false` drops the connection.
+    fn service<H: FrameHandler>(
+        &mut self,
+        ev: &Event,
+        poller: &mut Poller,
+        handler: &mut H,
+    ) -> bool {
+        if ev.writable && self.flush().is_err() {
+            return false;
+        }
+        if ev.readable {
+            let keep = self.pump(handler);
+            handler.pump_done();
+            if !keep {
+                return false;
+            }
+        }
+        let want = self.out_pos < self.out.len();
+        if want != self.want_write {
+            self.want_write = want;
+            return poller.modify(raw_fd(&self.stream), ev.token, want).is_ok();
+        }
+        true
+    }
+
+    /// One pump: read fresh bytes, hand every whole frame to `handler`,
+    /// flush its replies. `false` drops the connection, with whatever
+    /// the pump had queued for it.
+    fn pump<H: FrameHandler>(&mut self, handler: &mut H) -> bool {
+        // EOF or socket failure: the connection goes; whatever its peer
+        // held is the handler's to reclaim by other means.
+        if !matches!(self.read_available(), Ok(false)) {
+            return false;
+        }
+        // A killed server handles no further frame.
+        while !handler.killed() {
+            match self.asm.next_frame() {
+                Ok(Some(frame)) => match handler.frame(self, frame) {
+                    Action::Keep => {}
+                    Action::Close => return false,
+                },
+                Ok(None) => return handler.end_pump(self) && self.flush().is_ok(),
+                // A corrupt body is detected, not fatal: the assembler
+                // already resynced past the frame.
+                Err(DecodeError::BodyCrc {
+                    frame_type,
+                    body_prefix,
+                }) => handler.corrupt_body(self, frame_type, &body_prefix),
+                // Unrecoverable decode (bad magic/version/header CRC):
+                // the stream cannot be trusted.
+                Err(_) => return false,
+            }
+        }
+        false
+    }
+}
+
+/// What handling one frame decided about the connection.
+pub enum Action {
+    /// Keep serving it (a reply may be queued).
+    Keep,
+    /// Drop it, with whatever this pump queued for it.
+    Close,
+}
+
+/// What a [`serve`] loop does with the frames it reassembles. A *pump*
+/// is one readable connection driven once: read what arrived, hand over
+/// every whole frame, flush the replies. The loop is generic over the
+/// handler (no `dyn`), so each user's calls are static.
+pub trait FrameHandler {
+    /// Raised: the loop exits, and a pump stops between two frames.
+    fn killed(&self) -> bool;
+    /// A connection was adopted under `token` (1, 2, … in order).
+    fn adopted(&mut self, _token: u64) {}
+    /// `Some(d)`: a modelled stall — the loop serves nothing for up to
+    /// `d`, waiting on its waker, then asks again.
+    fn stalled_for(&mut self) -> Option<Duration> {
+        None
+    }
+    /// One decoded frame; replies go through [`Conn::queue_reply`].
+    fn frame(&mut self, conn: &mut Conn, frame: Frame) -> Action;
+    /// A frame whose body failed its CRC was skipped whole (its header
+    /// was sound, so the stream is still in step).
+    fn corrupt_body(&mut self, _conn: &mut Conn, _frame_type: u8, _body_prefix: &[u8]) {}
+    /// The pump's last frame was handled and nothing has been written
+    /// yet. `false` drops the connection with its unsent replies.
+    fn end_pump(&mut self, _conn: &mut Conn) -> bool {
+        true
+    }
+    /// The pump is over, whichever way it ended: the place for
+    /// per-pump state to be settled and reset.
+    fn pump_done(&mut self) {}
+}
+
+/// Serves every connection handed over through `handle` until the
+/// handler reports itself killed. Every wakeup is readiness: bytes,
+/// buffer space, or a waker poke (handoff, shutdown).
+pub fn serve<H: FrameHandler>(handle: &LoopHandle, mut wake_rx: TcpStream, handler: &mut H) {
+    let Ok(mut poller) = Poller::new() else {
+        return;
+    };
+    if poller.add(raw_fd(&wake_rx), WAKE_TOKEN, false).is_err() {
+        return;
+    }
+    let mut conns: HashMap<u64, Conn> = HashMap::new();
+    let mut next_token = WAKE_TOKEN + 1;
+    let mut events: Vec<Event> = Vec::new();
+    while !handler.killed() {
+        // Adopt connections handed over by the acceptor.
+        let inbox = std::mem::take(&mut *handle.inbox.lock().unwrap());
+        for conn in inbox.into_iter().filter_map(|s| Conn::fresh(s).ok()) {
+            // On failure (fd table full) the connection is dropped.
+            if poller.add(raw_fd(&conn.stream), next_token, false).is_ok() {
+                conns.insert(next_token, conn);
+                handler.adopted(next_token);
+                next_token += 1;
+            }
+        }
+        events.clear();
+        if poller.wait(10, &mut events).is_err() {
+            return;
+        }
+        if let Some(stall) = handler.stalled_for() {
+            // Block on the waker alone for the stall, or until the next
+            // poke. Level-triggered: what is ready now is reported again.
+            let _ = wake_rx.set_nonblocking(false);
+            let _ = wake_rx.set_read_timeout(Some(stall.max(Duration::from_micros(1))));
+            let _ = wake_rx.read(&mut [0u8; 64]);
+            let _ = wake_rx.set_nonblocking(true);
+            continue;
+        }
+        for ev in &events {
+            if ev.token == WAKE_TOKEN {
+                drain_wakes(&mut wake_rx);
+            } else if let Some(conn) = conns.get_mut(&ev.token) {
+                if !conn.service(ev, &mut poller, handler) {
+                    let _ = poller.remove(raw_fd(&conn.stream), ev.token);
+                    conns.remove(&ev.token);
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,7 +642,7 @@ mod tests {
 
     #[test]
     fn waker_wakes_a_waiting_poller() {
-        let (waker, mut rx) = waker_pair().unwrap();
+        let (waker, mut rx) = LoopHandle::new().unwrap();
         let mut poller = Poller::new().unwrap();
         poller.add(raw_fd(&rx), 7, false).unwrap();
         waker.wake();

@@ -6,9 +6,13 @@
 //! CRC-framed protocol in [`wire`]. The robustness stack mirrors what
 //! three years of cycle-scavenging demand:
 //!
-//! * [`server::NetServer`] — accept loop, per-connection handlers, and
-//!   a ticker doing lease sweeps, heartbeat liveness and periodic
-//!   scheduler snapshots;
+//! * [`evloop`] — the one server-side socket runtime: a blocking
+//!   acceptor and a readiness loop generic over a frame handler;
+//! * [`server::NetServer`] — the origin: `shards` such loops speaking
+//!   the donor protocol, and a ticker doing lease sweeps, heartbeat
+//!   liveness and periodic scheduler snapshots;
+//! * [`store::ReplicaServer`] — a chunk mirror: one such loop speaking
+//!   the chunk sub-protocol, pulling misses through from the origin;
 //! * [`client`] — donor threads with heartbeats, jittered-exponential
 //!   reconnect, idempotent result resubmission, and `FaultPlan`
 //!   lifecycle faults (late join, departure, crash, slowdown)

@@ -18,7 +18,15 @@
 //! proxied connection dials upstream through the server
 //! [`super::Directory`] at accept time, so clients reconnecting after a
 //! server restart are transparently routed to the new address.
+//!
+//! This is a test interposer, not a server stack: it accepts on the
+//! acceptor every listener shares ([`super::evloop::accept_loop`]) but
+//! then gives each proxied connection two blocking pump threads, one
+//! per direction. Link degradation is a modelled `sleep` per forwarded
+//! frame, and a readiness loop would need a timer queue nothing else in
+//! `net/` needs.
 
+use super::evloop::{accept_loop, unblock_accept};
 use super::wire::{
     parse_header, DecodeError, ASSIGN_UNIT_TYPE, CHUNK_DATA_TYPE, HEADER_LEN, RESULT_ACK_TYPE,
     SUBMIT_RESULT_TYPE,
@@ -72,14 +80,30 @@ impl FaultProxy {
         telemetry: crate::telemetry::Telemetry,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
         let injector = Arc::new(Mutex::new(PlanInterpreter::new(plan, n_clients)));
         let accept_thread = {
             let stop = stop.clone();
             thread::spawn(move || {
-                accept_loop(&listener, &upstream, &injector, clock, &stop, &telemetry)
+                let mut conns: Vec<JoinHandle<()>> = Vec::new();
+                accept_loop(&listener, &stop, |client_side| {
+                    let (upstream, injector) = (upstream.clone(), injector.clone());
+                    let (stop, telemetry) = (stop.clone(), telemetry.clone());
+                    conns.push(thread::spawn(move || {
+                        proxy_connection(
+                            client_side,
+                            &upstream,
+                            &injector,
+                            clock,
+                            &stop,
+                            &telemetry,
+                        )
+                    }));
+                });
+                for h in conns {
+                    let _ = h.join();
+                }
             })
         };
         Ok(Self {
@@ -97,38 +121,8 @@ impl FaultProxy {
     /// Tears the proxy down (open connections are severed).
     pub fn stop(self) {
         self.stop.store(true, Ordering::SeqCst);
+        unblock_accept(self.addr);
         let _ = self.accept_thread.join();
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    upstream: &Directory,
-    injector: &Arc<Mutex<PlanInterpreter>>,
-    clock: Clock,
-    stop: &Arc<AtomicBool>,
-    telemetry: &crate::telemetry::Telemetry,
-) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((client_side, _)) => {
-                let upstream = upstream.clone();
-                let injector = injector.clone();
-                let stop = stop.clone();
-                let telemetry = telemetry.clone();
-                conns.push(thread::spawn(move || {
-                    proxy_connection(client_side, &upstream, &injector, clock, &stop, &telemetry)
-                }));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
-        }
-    }
-    for h in conns {
-        let _ = h.join();
     }
 }
 

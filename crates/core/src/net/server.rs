@@ -3,13 +3,14 @@
 //! The paper's server was thread-per-connection Java — fine for ~200
 //! donors, O(threads) beyond that. Here the transport runs on a fixed
 //! thread count: one blocking acceptor, `shards` event-loop threads
-//! (each owning a [`super::evloop::Poller`], its connections' read/
-//! write buffers and frame reassembly), and one ticker for lease
+//! (each a [`super::evloop::serve`] loop owning its poller, its
+//! connections' read/write buffers and frame reassembly — the loop is
+//! shared with the replica tier; this file is the origin's
+//! [`FrameHandler`] on top of it), and one ticker for lease
 //! sweeps, heartbeat liveness and periodic checkpoint snapshots. No
 //! thread is ever dedicated to a donor, and no loop polls on a sleep:
 //! every wakeup is readiness (bytes, buffer space, or a
-//! [`super::evloop::Waker`] poke when the acceptor hands over a
-//! connection).
+//! waker poke when the acceptor hands over a connection).
 //!
 //! What shards is connection I/O: socket reads and writes, frame
 //! reassembly, CRC checks and chunk/unit encoding run on whichever
@@ -22,16 +23,18 @@
 //! at every shard count.
 
 use super::checkpoint::CheckpointWriter;
-use super::evloop::{drain_wakes, raw_fd, thread_cpu_ticks, waker_pair, Event, Poller, Waker};
-use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler, SUBMIT_RESULT_TYPE};
+use super::evloop::{
+    accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, Conn, FrameHandler, LoopHandle,
+};
+use super::wire::{Frame, SUBMIT_RESULT_TYPE};
 use super::Clock;
 use crate::codec::{ByteReader, WireCodec};
 use crate::sched::ClientId;
 use crate::server::{Assignment, Server};
 use crate::telemetry::Telemetry;
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
@@ -79,12 +82,6 @@ impl Default for NetServerOptions {
     }
 }
 
-struct ShardHandle {
-    /// Connections the acceptor dealt to this shard, not yet adopted.
-    inbox: Mutex<Vec<TcpStream>>,
-    waker: Waker,
-}
-
 struct Shared {
     /// `None` after `wait()` hands the server back or `kill()` drops it
     /// (simulated server-process death).
@@ -101,14 +98,7 @@ struct Shared {
     /// bind once the origin's address is known).
     replicas: Mutex<Vec<SocketAddr>>,
     /// Per-shard connection inboxes and wakers.
-    shards: Vec<ShardHandle>,
-}
-
-impl Shared {
-    fn hand_to_shard(&self, shard: usize, stream: TcpStream) {
-        self.shards[shard].inbox.lock().unwrap().push(stream);
-        self.shards[shard].waker.wake();
-    }
+    shards: Vec<LoopHandle>,
 }
 
 /// A running TCP server around a [`Server`]. Bind with [`NetServer::start`],
@@ -133,16 +123,8 @@ impl NetServer {
         // The whole transport is this many threads, donors be damned:
         // the scale tier asserts it from the metrics registry.
         telemetry.gauge_set("evloop.threads", (n_shards + 2) as f64);
-        let mut handles = Vec::with_capacity(n_shards);
-        let mut rxs = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let (waker, rx) = waker_pair()?;
-            handles.push(ShardHandle {
-                inbox: Mutex::new(Vec::new()),
-                waker,
-            });
-            rxs.push(rx);
-        }
+        let loops: io::Result<Vec<_>> = (0..n_shards).map(|_| LoopHandle::new()).collect();
+        let (handles, rxs): (Vec<_>, Vec<_>) = loops?.into_iter().unzip();
         let shared = Arc::new(Shared {
             server: Mutex::new(Some(server)),
             done: Condvar::new(),
@@ -159,7 +141,13 @@ impl NetServer {
                 let shared = shared.clone();
                 thread::spawn(move || {
                     with_cpu_accounting(&shared.telemetry.clone(), || {
-                        shard_loop(idx, &shared, clock, rx)
+                        let mut ctx = ShardCtx {
+                            shard: idx,
+                            shared: &shared,
+                            clock,
+                            batch: PumpBatch::default(),
+                        };
+                        serve(&shared.shards[idx], rx, &mut ctx)
                     })
                 })
             })
@@ -168,7 +156,12 @@ impl NetServer {
             let shared = shared.clone();
             thread::spawn(move || {
                 with_cpu_accounting(&shared.telemetry.clone(), || {
-                    accept_loop(&listener, &shared)
+                    // Round-robin: a shard serves a connection for life.
+                    let mut next = 0usize;
+                    accept_loop(&listener, &shared.kill, |stream| {
+                        shared.shards[next].hand_over(stream);
+                        next = (next + 1) % shared.shards.len();
+                    })
                 })
             })
         };
@@ -262,11 +255,11 @@ impl NetServer {
 
     fn shutdown(self) {
         self.shared.kill.store(true, Ordering::SeqCst);
-        // Unblock the acceptor (blocked in accept) with a throwaway
-        // connection, and every shard loop with a wake.
-        let _ = TcpStream::connect(self.addr);
+        // Unblock the acceptor (blocked in accept) and wake every
+        // shard loop.
+        unblock_accept(self.addr);
         for s in &self.shared.shards {
-            s.waker.wake();
+            s.wake();
         }
         let _ = self.accept_thread.join();
         let _ = self.ticker_thread.join();
@@ -288,160 +281,16 @@ fn with_cpu_accounting(telemetry: &Telemetry, f: impl FnOnce()) {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    // Blocking accept: no polling sleep. Shutdown unblocks it with a
-    // throwaway self-connection after raising the kill flag.
-    let mut next = 0usize;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.kill.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Round-robin: the shard serves it for its whole life.
-                shared.hand_to_shard(next, stream);
-                next = (next + 1) % shared.shards.len();
-            }
-            Err(_) => {
-                if shared.kill.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Transient accept failure (EMFILE, aborted handshake):
-                // back off briefly instead of spinning on the error.
-                thread::sleep(Duration::from_millis(1));
-            }
-        }
-    }
-}
-
-/// Poller token of the shard's waker read-end; connections start at 1.
-const WAKE_TOKEN: u64 = 0;
-
-struct Conn {
-    stream: TcpStream,
-    asm: FrameAssembler,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// Whether the poller currently watches for writability.
-    want_write: bool,
-}
-
-impl Conn {
-    fn fresh(stream: TcpStream) -> io::Result<Self> {
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok(Self {
-            stream,
-            asm: FrameAssembler::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            want_write: false,
-        })
-    }
-
-    fn queue_reply(&mut self, frame: &Frame, batch: &mut PumpBatch) {
-        let before = self.out.len();
-        encode_frame_into(frame, &mut self.out);
-        batch.frames_out += 1;
-        batch.bytes_out += (self.out.len() - before) as u64;
-    }
-
-    /// Writes buffered output until done or the socket would block.
-    fn flush(&mut self) -> io::Result<()> {
-        while self.out_pos < self.out.len() {
-            match (&self.stream).write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        Ok(())
-    }
-
-    /// Reads every available byte into the assembler. `Ok(true)` = EOF.
-    fn read_available(&mut self) -> io::Result<bool> {
-        loop {
-            match self.asm.read_from(&mut &self.stream) {
-                Ok(0) => return Ok(true),
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(false)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-}
-
-/// What handling one frame decided about the connection.
-enum Action {
-    /// Keep serving it (a reply may be queued).
-    Keep,
-    /// Drop it (graceful goodbye, server gone, or write/protocol
-    /// failure). Leases are NOT dropped — reconnects and the liveness
-    /// sweep handle real departures.
-    Close,
-}
-
-fn shard_loop(shard: usize, shared: &Arc<Shared>, clock: Clock, mut wake_rx: TcpStream) {
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        Err(_) => return,
-    };
-    if poller.add(raw_fd(&wake_rx), WAKE_TOKEN, false).is_err() {
-        return;
-    }
-    let mut ctx = ShardCtx {
-        shard,
-        shared,
-        clock,
-        poller,
-        conns: HashMap::new(),
-        next_token: WAKE_TOKEN + 1,
-        batch: PumpBatch::default(),
-    };
-    let mut events: Vec<Event> = Vec::new();
-    while !shared.kill.load(Ordering::SeqCst) {
-        // Adopt connections handed over by the acceptor.
-        let inbox = std::mem::take(&mut *shared.shards[shard].inbox.lock().unwrap());
-        for stream in inbox {
-            ctx.adopt(stream);
-        }
-        events.clear();
-        if ctx.poller.wait(10, &mut events).is_err() {
-            return;
-        }
-        for ev in &events {
-            if ev.token == WAKE_TOKEN {
-                drain_wakes(&mut wake_rx);
-                continue;
-            }
-            ctx.service(ev.token, ev.readable, ev.writable);
-        }
-    }
-}
-
+/// One shard's [`FrameHandler`]: the origin's protocol on top of the
+/// shared connection loop.
 struct ShardCtx<'a> {
     shard: usize,
     shared: &'a Arc<Shared>,
     clock: Clock,
-    poller: Poller,
-    conns: HashMap<u64, Conn>,
-    next_token: u64,
     batch: PumpBatch,
 }
 
-/// What the frames of one [`ShardCtx::pump`] share, so that a burst of
+/// What the frames of one pump share, so that a burst of
 /// `ChunkRequest`s — or a donor's pipelined `[SubmitResult,
 /// RequestWork]` pairs — takes the liveness, server and telemetry locks
 /// once per read instead of once per frame: chunk encoding and
@@ -482,53 +331,7 @@ impl PumpBatch {
 }
 
 impl ShardCtx<'_> {
-    fn adopt(&mut self, stream: TcpStream) {
-        let Ok(conn) = Conn::fresh(stream) else {
-            return;
-        };
-        let token = self.next_token;
-        if self.poller.add(raw_fd(&conn.stream), token, false).is_err() {
-            return; // fd table full or poller gone; drop the connection
-        }
-        self.next_token += 1;
-        self.conns.insert(token, conn);
-        // Tokens count up from 1, one per adopted connection.
-        self.shared
-            .telemetry
-            .gauge_set(&format!("shard.s{}.conns", self.shard), token as f64);
-    }
-
-    /// Handles a readiness event on `token`.
-    fn service(&mut self, token: u64, readable: bool, writable: bool) {
-        if !self.conns.contains_key(&token) {
-            return;
-        }
-        if writable {
-            let conn = self.conns.get_mut(&token).expect("checked");
-            if conn.flush().is_err() {
-                self.drop_conn(token);
-                return;
-            }
-        }
-        if readable {
-            self.pump(token);
-        } else {
-            self.update_interest(token);
-        }
-    }
-
-    /// Drives one readable connection: read fresh bytes, drain the
-    /// assembler, flush, update interest.
-    fn pump(&mut self, token: u64) {
-        self.batch.alive = None;
-        self.batch.codec = None;
-        self.pump_frames(token);
-        self.flush_affinity();
-        self.flush_counts();
-    }
-
-    /// Adds the pump's wire counts to the registry in one go (on every
-    /// way out of a pump, like the affinity note).
+    /// Adds the pump's wire counts to the registry in one go.
     fn flush_counts(&mut self) {
         let batch = &mut self.batch;
         self.shared.telemetry.counters_add(&[
@@ -540,8 +343,7 @@ impl ShardCtx<'_> {
         (batch.frames_in, batch.frames_out, batch.bytes_out) = (0, 0, 0);
     }
 
-    /// Applies the pump's pending affinity note under the server lock
-    /// (on every way out of a pump: the chunks were served either way).
+    /// Applies the pump's pending affinity note under the server lock.
     fn flush_affinity(&mut self) {
         if self.batch.served.is_empty() {
             return;
@@ -580,11 +382,39 @@ impl ShardCtx<'_> {
         Ok(codec)
     }
 
-    /// Commits what this pump journaled, under the server lock, so its
-    /// replies may leave. `false`: the server was killed with records
-    /// of this pump unwritten — the replies they justify must not be
-    /// sent.
-    fn commit_journal(&mut self) -> bool {
+    /// Queues `frame` for `conn` and counts it.
+    fn reply(&mut self, conn: &mut Conn, frame: &Frame) {
+        self.batch.frames_out += 1;
+        self.batch.bytes_out += conn.queue_reply(frame) as u64;
+    }
+}
+
+impl FrameHandler for ShardCtx<'_> {
+    fn killed(&self) -> bool {
+        self.shared.kill.load(Ordering::SeqCst)
+    }
+
+    fn adopted(&mut self, token: u64) {
+        // Tokens count up from 1, one per adopted connection.
+        self.shared
+            .telemetry
+            .gauge_set(&format!("shard.s{}.conns", self.shard), token as f64);
+    }
+
+    fn corrupt_body(&mut self, conn: &mut Conn, frame_type: u8, body_prefix: &[u8]) {
+        self.shared.telemetry.counter_add("net.crc_failures", 1);
+        // A mangled result still routes to the reissue path: its id
+        // fields are in the prefix.
+        if frame_type == SUBMIT_RESULT_TYPE {
+            self.handle_corrupt_result(conn, body_prefix);
+        }
+    }
+
+    /// Write-ahead, per pump: every record this pump's frames journaled
+    /// is in the file before the first byte of a reply can reach the
+    /// donor. `false`: the server was killed with records of this pump
+    /// unwritten — the replies they justify must not be sent.
+    fn end_pump(&mut self, _conn: &mut Conn) -> bool {
         if !std::mem::take(&mut self.batch.uncommitted) {
             return true;
         }
@@ -596,87 +426,23 @@ impl ShardCtx<'_> {
             // `kill()` raises the flag before it takes the server; with
             // the flag clear it was `wait()`, which committed this
             // pump's records before it let go of the lock.
-            None => !self.shared.kill.load(Ordering::SeqCst),
+            None => !self.killed(),
         }
     }
 
-    fn pump_frames(&mut self, token: u64) {
-        let Some(mut conn) = self.conns.remove(&token) else {
-            return;
-        };
-        match conn.read_available() {
-            Ok(false) => {}
-            // EOF or socket failure: drop the connection but NOT the
-            // client's leases — it may be a crash-rejoin or reconnect.
-            // True departures are reclaimed by the liveness sweep /
-            // lease timeouts.
-            Ok(true) | Err(_) => return,
-        }
-        loop {
-            // A killed server handles no further frame: the connection
-            // goes dark with whatever this pump had queued for it.
-            if self.shared.kill.load(Ordering::SeqCst) {
-                return;
-            }
-            match conn.asm.next_frame() {
-                Ok(Some(frame)) => {
-                    self.batch.frames_in += 1;
-                    match self.handle_frame(&mut conn, frame) {
-                        Action::Keep => {}
-                        Action::Close => return, // conn dropped (not reinserted)
-                    }
-                }
-                Ok(None) => break,
-                Err(DecodeError::BodyCrc {
-                    frame_type,
-                    body_prefix,
-                }) => {
-                    self.shared.telemetry.counter_add("net.crc_failures", 1);
-                    // A corrupt frame is detected, not fatal: a mangled
-                    // result still routes to the reissue path (its id
-                    // fields are in the prefix), and the assembler
-                    // already resynced past the frame.
-                    if frame_type == SUBMIT_RESULT_TYPE {
-                        self.handle_corrupt_result(&mut conn, &body_prefix);
-                    }
-                }
-                // Unrecoverable decode (bad magic/version/header CRC):
-                // the stream cannot be trusted; drop the connection.
-                Err(_) => return,
-            }
-        }
-        // Write-ahead, per pump: every record this pump's frames
-        // journaled is in the file before the first byte of a reply can
-        // reach the donor. If it cannot be made so, the connection is
-        // dropped with its unsent replies.
-        if !self.commit_journal() || conn.flush().is_err() {
-            return;
-        }
-        self.conns.insert(token, conn);
-        self.update_interest(token);
+    /// On every way out of a pump: the chunks were served and the
+    /// frames counted either way.
+    fn pump_done(&mut self) {
+        self.flush_affinity();
+        self.flush_counts();
+        (self.batch.alive, self.batch.codec) = (None, None);
     }
 
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = conn.out_pos < conn.out.len();
-        if want != conn.want_write {
-            conn.want_write = want;
-            let fd = raw_fd(&conn.stream);
-            if self.poller.modify(fd, token, want).is_err() {
-                self.drop_conn(token);
-            }
-        }
-    }
-
-    fn drop_conn(&mut self, token: u64) {
-        if let Some(conn) = self.conns.remove(&token) {
-            let _ = self.poller.remove(raw_fd(&conn.stream), token);
-        }
-    }
-
-    fn handle_frame(&mut self, conn: &mut Conn, frame: Frame) -> Action {
+    /// A dropped connection does NOT drop its client's leases — it may
+    /// be a crash-rejoin or reconnect; true departures are reclaimed by
+    /// the liveness sweep and lease timeouts.
+    fn frame(&mut self, conn: &mut Conn, frame: Frame) -> Action {
+        self.batch.frames_in += 1;
         let shared = self.shared;
         let clock = self.clock;
         let reply = match frame {
@@ -887,11 +653,13 @@ impl ShardCtx<'_> {
             | Frame::StatusReport { .. } => None,
         };
         if let Some(reply) = reply {
-            conn.queue_reply(&reply, &mut self.batch);
+            self.reply(conn, &reply);
         }
         Action::Keep
     }
+}
 
+impl ShardCtx<'_> {
     /// Routes a CRC-failed `SubmitResult` to [`Server::result_corrupted`]
     /// using the id fields from the (header-validated) body prefix, and
     /// nacks so the sender retires or retries its pending copy.
@@ -909,14 +677,12 @@ impl ShardCtx<'_> {
                 server.result_corrupted(client as ClientId, pid, unit, now);
             }
         }
-        conn.queue_reply(
-            &Frame::ResultAck {
-                problem,
-                unit,
-                accepted: false,
-            },
-            &mut self.batch,
-        );
+        let nack = Frame::ResultAck {
+            problem,
+            unit,
+            accepted: false,
+        };
+        self.reply(conn, &nack);
     }
 }
 
@@ -977,9 +743,11 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::net::wire::{encode_frame, FrameReader};
+    use crate::net::wire::{encode_frame, encode_frame_into, FrameReader};
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
+    use std::io::Write;
+    use std::net::TcpStream;
 
     fn small_cfg() -> SchedulerConfig {
         SchedulerConfig {

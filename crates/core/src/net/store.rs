@@ -21,7 +21,8 @@
 //! must distinguish from success by timeout alone.
 
 use super::cache::chunk_digest;
-use super::wire::{encode_frame, encode_frame_into, Frame, FrameReader, ReadError};
+use super::evloop::{accept_loop, serve, unblock_accept, Action, Conn, FrameHandler, LoopHandle};
+use super::wire::{encode_frame_into, DecodeError, Frame, FrameReader, ReadError};
 use super::{Clock, Directory};
 use crate::telemetry::Telemetry;
 use std::collections::HashMap;
@@ -95,11 +96,6 @@ impl ChunkStore {
         state.by_digest.get(&digest).map(|b| (digest, b.clone()))
     }
 
-    /// Looks chunk bytes up by content digest.
-    pub fn get_digest(&self, digest: u64) -> Option<Arc<Vec<u8>>> {
-        self.inner.lock().unwrap().by_digest.get(&digest).cloned()
-    }
-
     /// Inserts verified bytes under `(problem, chunk)` and `digest`;
     /// returns `false` (and stores nothing) if the bytes do not hash to
     /// `digest`.
@@ -133,7 +129,7 @@ impl ChunkStore {
 
 struct ReplicaShared {
     store: ChunkStore,
-    /// Where the origin lives (re-read per sync, so a restarted origin
+    /// Where the origin lives (re-read per dial, so a restarted origin
     /// is found at its new address).
     origin: Directory,
     kill: AtomicBool,
@@ -145,30 +141,33 @@ struct ReplicaShared {
     stall_windows: Vec<(f64, f64)>,
     clock: Clock,
     telemetry: Telemetry,
+    /// The serving loop's inbox and waker.
+    handle: LoopHandle,
 }
 
 impl ReplicaShared {
-    fn in_window(windows: &[(f64, f64)], now: f64) -> bool {
-        windows.iter().any(|&(s, e)| s <= now && now < e)
+    /// The end of the `windows` entry covering the present, if any.
+    fn window_end(&self, windows: &[(f64, f64)]) -> Option<f64> {
+        let now = self.clock.now();
+        let open = windows.iter().find(|&&(s, e)| s <= now && now < e);
+        open.map(|&(_, e)| e)
     }
 
-    /// The end of the stall window covering `now`, if any.
-    fn stall_end(&self, now: f64) -> Option<f64> {
-        self.stall_windows
-            .iter()
-            .find(|&&(s, e)| s <= now && now < e)
-            .map(|&(_, e)| e)
+    fn crashed(&self) -> bool {
+        self.window_end(&self.crash_windows).is_some()
     }
 }
 
 /// One replica endpoint: a TCP listener serving [`Frame::ChunkRequest`]
 /// out of its own [`ChunkStore`], pulling misses through from the
 /// origin. Start with [`ReplicaServer::start`]; donors discover it via
-/// the directory's replica map / `ReplicaAnnounce`.
+/// the directory's replica map / `ReplicaAnnounce`. Two threads however
+/// many donors connect: the shared blocking acceptor and one
+/// [`super::evloop::serve`] loop.
 pub struct ReplicaServer {
     addr: SocketAddr,
     shared: Arc<ReplicaShared>,
-    accept_thread: JoinHandle<()>,
+    threads: [JoinHandle<()>; 2],
 }
 
 impl ReplicaServer {
@@ -184,8 +183,10 @@ impl ReplicaServer {
         stall_windows: Vec<(f64, f64)>,
     ) -> io::Result<Self> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let (handle, wake_rx) = LoopHandle::new()?;
+        // Next to `evloop.threads`: what the replica tier adds to it.
+        telemetry.counter_add("replica.threads", 2);
         let shared = Arc::new(ReplicaShared {
             store: ChunkStore::new(),
             origin,
@@ -194,15 +195,36 @@ impl ReplicaServer {
             stall_windows,
             clock,
             telemetry,
+            handle,
         });
+        // Both threads carry the endpoint's port in their name.
+        let named = || thread::Builder::new().name(format!("replica-{}", addr.port()));
+        let serve_thread = {
+            let shared = shared.clone();
+            named().spawn(move || {
+                let mut handler = ReplicaHandler {
+                    shared: &shared,
+                    asked: Vec::new(),
+                    upstream: None,
+                };
+                serve(&shared.handle, wake_rx, &mut handler)
+            })?
+        };
         let accept_thread = {
             let shared = shared.clone();
-            thread::spawn(move || replica_accept_loop(&listener, &shared))
+            named().spawn(move || {
+                accept_loop(&listener, &shared.kill, |stream| {
+                    // Crashed: connection reset, no service.
+                    if !shared.crashed() {
+                        shared.handle.hand_over(stream);
+                    }
+                })
+            })?
         };
         Ok(Self {
             addr,
             shared,
-            accept_thread,
+            threads: [serve_thread, accept_thread],
         })
     }
 
@@ -211,168 +233,466 @@ impl ReplicaServer {
         self.addr
     }
 
-    /// Distinct chunks currently mirrored.
-    pub fn chunks_held(&self) -> usize {
-        self.shared.store.len()
-    }
-
     /// Kills the replica permanently: the listener closes and every
     /// open connection is severed. Unlike a crash window there is no
     /// coming back — donors must fail over for the rest of the run.
     pub fn kill(&self) {
         self.shared.kill.store(true, Ordering::SeqCst);
+        self.shared.handle.wake();
+        unblock_accept(self.addr);
     }
 
     /// Tears the replica down and reaps its threads.
     pub fn stop(self) {
-        self.shared.kill.store(true, Ordering::SeqCst);
-        let _ = self.accept_thread.join();
+        self.kill();
+        for t in self.threads {
+            let _ = t.join();
+        }
     }
 }
 
-fn replica_accept_loop(listener: &TcpListener, shared: &Arc<ReplicaShared>) {
-    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-    while !shared.kill.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let now = shared.clock.now();
-                if ReplicaShared::in_window(&shared.crash_windows, now) {
-                    drop(stream); // crashed: connection reset, no service
-                    continue;
+/// How long the origin may take over one reply of a pull before the
+/// upstream connection is given up (wall time; a pull is one loopback
+/// round trip, and the donor's own ack timeout is the real
+/// back-pressure).
+const UPSTREAM_REPLY_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The replica's protocol on the shared connection loop: a pump's
+/// `ChunkRequest`s are collected, its misses pulled from the origin in
+/// one exchange, and the replies queued in request order.
+struct ReplicaHandler<'a> {
+    shared: &'a ReplicaShared,
+    /// `(problem, chunk)` of every request of the current pump.
+    asked: Vec<(u64, u64)>,
+    /// The kept-open connection to the origin, here in the client role.
+    upstream: Option<(TcpStream, FrameReader)>,
+}
+
+impl FrameHandler for ReplicaHandler<'_> {
+    fn killed(&self) -> bool {
+        self.shared.kill.load(Ordering::SeqCst)
+    }
+
+    /// Wedged: requests sit unanswered until the window closes (the
+    /// donor's ack timeout fires long before, and it fails over).
+    fn stalled_for(&mut self) -> Option<Duration> {
+        let shared = self.shared;
+        let end = shared.window_end(&shared.stall_windows)?;
+        Some(shared.clock.wall(end - shared.clock.now()))
+    }
+
+    fn frame(&mut self, _conn: &mut Conn, frame: Frame) -> Action {
+        if self.shared.crashed() {
+            return Action::Close; // crashed mid-connection: sever, donor fails over
+        }
+        // Replicas speak only the chunk sub-protocol.
+        if let Frame::ChunkRequest { problem, chunk, .. } = frame {
+            self.asked.push((problem, chunk));
+        }
+        Action::Keep
+    }
+
+    fn end_pump(&mut self, conn: &mut Conn) -> bool {
+        self.sync_from_origin();
+        let mut served = 0;
+        for &(problem, chunk) in &self.asked {
+            let reply = match self.shared.store.get(problem, chunk) {
+                Some((digest, payload)) => {
+                    served += 1;
+                    Frame::ChunkData {
+                        problem,
+                        chunk,
+                        digest,
+                        payload: payload.as_ref().clone(),
+                    }
                 }
-                let shared = shared.clone();
-                handlers.push(thread::spawn(move || replica_connection(stream, &shared)));
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(1)),
+                // Origin unreachable or it does not hold the chunk
+                // either: answer explicitly so the donor fails over
+                // instead of hanging into its ack timeout.
+                None => Frame::ChunkMissing { problem, chunk },
+            };
+            conn.queue_reply(&reply);
         }
+        if served > 0 {
+            let telemetry = &self.shared.telemetry;
+            telemetry.counter_add("replica.chunks_served", served);
+        }
+        true
     }
-    for h in handlers {
-        let _ = h.join();
+
+    fn pump_done(&mut self) {
+        self.asked.clear();
     }
 }
 
-fn replica_connection(mut stream: TcpStream, shared: &ReplicaShared) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
-    let mut reader = FrameReader::new();
-    let mut out = Vec::new();
-    loop {
-        if shared.kill.load(Ordering::SeqCst) {
-            return;
-        }
-        let frame = match reader.poll(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => continue,
-            Err(ReadError::Decode(_)) => continue, // mangled inbound frame: skip
-            Err(ReadError::Io(_)) => return,
-        };
-        let Frame::ChunkRequest { problem, chunk, .. } = frame else {
-            continue; // replicas speak only the chunk sub-protocol
-        };
-        let now = shared.clock.now();
-        if ReplicaShared::in_window(&shared.crash_windows, now) {
-            return; // crashed mid-connection: sever, donor fails over
-        }
-        if let Some(end) = shared.stall_end(now) {
-            // Wedged: sit on the request until the window closes (the
-            // donor's ack timeout fires long before, and it fails
-            // over), but keep noticing kill so teardown never hangs.
-            while shared.clock.now() < end && !shared.kill.load(Ordering::SeqCst) {
-                thread::sleep(Duration::from_millis(1));
-            }
-            if shared.kill.load(Ordering::SeqCst) {
+impl ReplicaHandler<'_> {
+    /// Pull-through sync of what this pump asked for and the store
+    /// lacks. The kept-open upstream connection may have died since the
+    /// last pull (origin killed or restarted), so a failure on it earns
+    /// one fresh dial through the directory; a failure on a fresh one
+    /// leaves the rest missing.
+    fn sync_from_origin(&mut self) {
+        loop {
+            let store = &self.shared.store;
+            let lacks = |&(p, c): &(u64, u64)| store.get(p, c).is_none();
+            let misses: Vec<(u64, u64)> = self.asked.iter().copied().filter(lacks).collect();
+            let reused = self.upstream.is_some();
+            if misses.is_empty() || self.pull(&misses).is_some() || !reused {
                 return;
             }
         }
-        let held = shared
-            .store
-            .get(problem, chunk)
-            .or_else(|| sync_from_origin(shared, problem, chunk));
-        let reply = match held {
-            Some((digest, payload)) => {
-                shared.telemetry.counter_add("replica.chunks_served", 1);
-                Frame::ChunkData {
+    }
+
+    /// One exchange with the origin: all of `misses` go out in a single
+    /// write and the replies are read back in order, each verified
+    /// against the digest it arrives under before it is stored. `None`
+    /// (upstream dropped): the origin is unreachable, timed out, or
+    /// broke the one-reply-per-request order.
+    fn pull(&mut self, misses: &[(u64, u64)]) -> Option<()> {
+        let shared = self.shared;
+        if self.upstream.is_none() {
+            let stream = TcpStream::connect(shared.origin.origin()?).ok()?;
+            let _ = stream.set_nodelay(true);
+            stream.set_read_timeout(Some(UPSTREAM_REPLY_TIMEOUT)).ok()?;
+            shared.telemetry.counter_add("replica.upstream_connects", 1);
+            self.upstream = Some((stream, FrameReader::new()));
+        }
+        let (mut stream, mut reader) = self.upstream.take()?;
+        let mut asks = Vec::new();
+        for &(problem, chunk) in misses {
+            let ask = Frame::ChunkRequest {
+                client: REPLICA_CLIENT_ID,
+                problem,
+                chunk,
+            };
+            encode_frame_into(&ask, &mut asks);
+        }
+        stream.write_all(&asks).ok()?;
+        for &miss in misses {
+            match reader.poll(&mut stream) {
+                Ok(Some(Frame::ChunkData {
                     problem,
                     chunk,
                     digest,
-                    payload: payload.as_ref().clone(),
+                    payload,
+                })) if (problem, chunk) == miss => {
+                    let bytes = payload.len() as u64;
+                    // A digest mismatch is refused, not laundered.
+                    if shared
+                        .store
+                        .insert(problem, chunk, digest, Arc::new(payload))
+                    {
+                        let adds = [("replica.syncs", 1), ("replica.sync_bytes_in", bytes)];
+                        shared.telemetry.counters_add(&adds);
+                    }
                 }
+                // The origin does not hold it, or its reply was mangled
+                // on the way (skipped whole): this one stays missing.
+                Ok(Some(Frame::ChunkMissing { .. }))
+                | Err(ReadError::Decode(DecodeError::BodyCrc { .. })) => {}
+                _ => return None,
             }
-            // Origin unreachable or it does not hold the chunk either:
-            // answer explicitly so the donor fails over instead of
-            // hanging into its ack timeout.
-            None => Frame::ChunkMissing { problem, chunk },
-        };
-        out.clear();
-        encode_frame_into(&reply, &mut out);
-        if stream.write_all(&out).is_err() {
-            return;
         }
-    }
-}
-
-/// Pull-through sync: fetches `(problem, chunk)` from the origin,
-/// verifies the bytes against the digest they arrived under, and
-/// stores them. `None` if the origin is unreachable, answers
-/// [`Frame::ChunkMissing`], or ships bytes that fail verification.
-fn sync_from_origin(
-    shared: &ReplicaShared,
-    problem: u64,
-    chunk: u64,
-) -> Option<(u64, Arc<Vec<u8>>)> {
-    let addr = shared.origin.origin()?;
-    let mut stream = TcpStream::connect(addr).ok()?;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
-    stream
-        .write_all(&encode_frame(&Frame::ChunkRequest {
-            client: REPLICA_CLIENT_ID,
-            problem,
-            chunk,
-        }))
-        .ok()?;
-    let mut reader = FrameReader::new();
-    // Generous wall deadline: a sync is one loopback round trip; the
-    // donor's own ack timeout is the real back-pressure.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        if shared.kill.load(Ordering::SeqCst) || std::time::Instant::now() > deadline {
-            return None;
-        }
-        match reader.poll(&mut stream) {
-            Ok(Some(Frame::ChunkData {
-                problem: p,
-                chunk: c,
-                digest,
-                payload,
-            })) if p == problem && c == chunk => {
-                let payload = Arc::new(payload);
-                if !shared.store.insert(problem, chunk, digest, payload.clone()) {
-                    return None; // digest mismatch: refuse to launder it
-                }
-                shared.telemetry.counter_add("replica.syncs", 1);
-                shared
-                    .telemetry
-                    .counter_add("replica.sync_bytes_in", payload.len() as u64);
-                return Some((digest, payload));
-            }
-            Ok(Some(Frame::ChunkMissing {
-                problem: p,
-                chunk: c,
-            })) if p == problem && c == chunk => return None,
-            Ok(Some(_)) | Ok(None) => {}
-            Err(ReadError::Decode(_)) => {}
-            Err(ReadError::Io(_)) => return None,
-        }
+        self.upstream = Some((stream, reader));
+        Some(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::wire::{crc32, encode_frame, VERSION};
+    use std::io::Read;
+    use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
+
+    /// What the scripted origin holds for `chunk`.
+    fn body_of(chunk: u64) -> Vec<u8> {
+        (0..48 + chunk % 17)
+            .map(|i| (chunk * 31 + i) as u8)
+            .collect()
+    }
+
+    /// A scripted origin: answers every `ChunkRequest` in order
+    /// (`ChunkData` below chunk 1000, `ChunkMissing` from there) and
+    /// counts the connections it accepted.
+    struct FakeOrigin {
+        addr: SocketAddr,
+        stop: Arc<AtomicBool>,
+        accepted: Arc<AtomicUsize>,
+        thread: JoinHandle<()>,
+    }
+
+    impl FakeOrigin {
+        fn start() -> Self {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let stop = Arc::new(AtomicBool::new(false));
+            let accepted = Arc::new(AtomicUsize::new(0));
+            let (flag, count) = (stop.clone(), accepted.clone());
+            let thread = thread::spawn(move || {
+                let mut conns = Vec::new();
+                accept_loop(&listener, &flag, |stream| {
+                    count.fetch_add(1, Ordering::SeqCst);
+                    let flag = flag.clone();
+                    conns.push(thread::spawn(move || Self::answer(stream, &flag)));
+                });
+                conns.into_iter().for_each(|c| c.join().unwrap());
+            });
+            Self {
+                addr,
+                stop,
+                accepted,
+                thread,
+            }
+        }
+
+        fn answer(mut stream: TcpStream, stop: &AtomicBool) {
+            stream
+                .set_read_timeout(Some(Duration::from_millis(5)))
+                .unwrap();
+            let mut reader = FrameReader::new();
+            while !stop.load(Ordering::SeqCst) {
+                let (problem, chunk) = match reader.poll(&mut stream) {
+                    Ok(Some(Frame::ChunkRequest { problem, chunk, .. })) => (problem, chunk),
+                    Ok(_) => continue,
+                    Err(_) => return,
+                };
+                let reply = if chunk < 1000 {
+                    let payload = body_of(chunk);
+                    Frame::ChunkData {
+                        problem,
+                        chunk,
+                        digest: chunk_digest(&payload),
+                        payload,
+                    }
+                } else {
+                    Frame::ChunkMissing { problem, chunk }
+                };
+                if stream.write_all(&encode_frame(&reply)).is_err() {
+                    return;
+                }
+            }
+        }
+
+        /// The origin process dies: listener and connections close.
+        fn kill(self) -> usize {
+            self.stop.store(true, Ordering::SeqCst);
+            unblock_accept(self.addr);
+            self.thread.join().unwrap();
+            self.accepted.load(Ordering::SeqCst)
+        }
+    }
+
+    fn replica_of(dir: &Directory) -> (ReplicaServer, Telemetry) {
+        let telemetry = Telemetry::enabled();
+        let replica = ReplicaServer::start(
+            dir.clone(),
+            Clock::new(1.0),
+            telemetry.clone(),
+            vec![],
+            vec![],
+        )
+        .unwrap();
+        (replica, telemetry)
+    }
+
+    fn request(chunk: u64) -> Vec<u8> {
+        encode_frame(&Frame::ChunkRequest {
+            client: 0,
+            problem: 0,
+            chunk,
+        })
+    }
+
+    /// One donor burst: every request in a single write, then as many
+    /// replies read back (5 s each at most).
+    fn burst(stream: &mut TcpStream, chunks: impl Iterator<Item = u64>) -> Vec<Frame> {
+        let asks: Vec<Vec<u8>> = chunks.map(request).collect();
+        stream.write_all(&asks.concat()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        let reply = |_| reader.poll(stream).unwrap().expect("a reply within 5 s");
+        asks.iter().map(reply).collect()
+    }
+
+    /// `frame` is the verified body of `chunk`.
+    fn assert_body(frame: &Frame, chunk: u64) {
+        let Frame::ChunkData {
+            chunk: c,
+            digest,
+            payload,
+            ..
+        } = frame
+        else {
+            panic!("chunk {chunk}: expected data, got {frame:?}");
+        };
+        assert_eq!(
+            (*c, *digest),
+            (chunk, chunk_digest(payload)),
+            "in request order, verified"
+        );
+        assert_eq!(*payload, body_of(chunk));
+    }
+
+    /// Sends `bytes` and reports whether the replica closed the
+    /// connection (EOF or reset) within 500 ms.
+    fn closed_after(replica: &ReplicaServer, bytes: &[u8]) -> bool {
+        let mut stream = TcpStream::connect(replica.addr()).unwrap();
+        stream.write_all(bytes).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_millis(500)))
+            .unwrap();
+        match stream.read(&mut [0u8; 64]) {
+            Ok(n) => n == 0,
+            Err(e) => !matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+        }
+    }
+
+    #[test]
+    fn garbage_closes_the_connection_and_a_corrupt_body_is_only_skipped() {
+        let origin = FakeOrigin::start();
+        let (replica, _) = replica_of(&Directory::with_origin(origin.addr));
+        assert!(
+            closed_after(&replica, &[0xFF; 32]),
+            "bad magic must drop the connection"
+        );
+        // A sound header (its CRC matches) from a version never spoken.
+        let mut alien = request(1);
+        alien[4] = VERSION + 1;
+        let header_crc = crc32(&alien[..10]);
+        alien[10..14].copy_from_slice(&header_crc.to_le_bytes());
+        assert!(
+            closed_after(&replica, &alien),
+            "bad version must drop the connection"
+        );
+        // A request whose body fails its CRC is skipped whole and the
+        // next one on the same connection is answered.
+        let mut mangled = request(2);
+        *mangled.last_mut().unwrap() ^= 0xFF;
+        mangled.extend(request(3));
+        let mut stream = TcpStream::connect(replica.addr()).unwrap();
+        stream.write_all(&mangled).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut reader = FrameReader::new();
+        assert_body(&reader.poll(&mut stream).unwrap().expect("a reply"), 3);
+        replica.stop();
+        origin.kill();
+    }
+
+    /// Threads of this process named `name` (Linux: `/proc/self/task`).
+    fn threads_named(name: &str) -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+        let comm = |t: io::Result<std::fs::DirEntry>| {
+            std::fs::read_to_string(t.ok()?.path().join("comm")).ok()
+        };
+        tasks.filter_map(comm).filter(|c| c.trim() == name).count()
+    }
+
+    #[test]
+    fn threads_per_replica_are_constant_in_the_number_of_connections() {
+        if !cfg!(target_os = "linux") {
+            return;
+        }
+        let origin = FakeOrigin::start();
+        let (replica, telemetry) = replica_of(&Directory::with_origin(origin.addr));
+        let name = format!("replica-{}", replica.addr().port());
+        // Every connection is adopted and live: each gets an answer
+        // (a thread names itself as it starts, so the first count
+        // waits for one answer too).
+        let mut connect_and_ask = |chunk: u64| {
+            let mut stream = TcpStream::connect(replica.addr()).unwrap();
+            assert_body(&burst(&mut stream, chunk..chunk + 1)[0], chunk);
+            stream
+        };
+        let first = connect_and_ask(64);
+        assert_eq!(threads_named(&name), 2, "one acceptor, one loop");
+        let held: Vec<TcpStream> = (0..64).map(&mut connect_and_ask).collect();
+        assert_eq!(
+            threads_named(&name),
+            2,
+            "64 open connections, same two threads"
+        );
+        assert_eq!(telemetry.metrics_snapshot().counter("replica.threads"), 2);
+        replica.stop();
+        assert_eq!(threads_named(&name), 0, "stop reaps both");
+        drop((first, held));
+        origin.kill();
+    }
+
+    #[test]
+    fn a_cold_burst_costs_one_upstream_connection_and_is_answered_in_order() {
+        let origin = FakeOrigin::start();
+        let (replica, telemetry) = replica_of(&Directory::with_origin(origin.addr));
+        let mut donor = TcpStream::connect(replica.addr()).unwrap();
+        for round in 0..2 {
+            let replies = burst(&mut donor, 0..200);
+            for (chunk, reply) in replies.iter().enumerate() {
+                assert_body(reply, chunk as u64);
+            }
+            let snap = telemetry.metrics_snapshot();
+            assert_eq!(
+                snap.counter("replica.syncs"),
+                200,
+                "round {round}: synced once"
+            );
+            assert_eq!(snap.counter("replica.chunks_served"), 200 * (round + 1));
+            assert_eq!(snap.counter("replica.upstream_connects"), 1);
+        }
+        // What the origin does not hold is refused explicitly, in place.
+        let mixed = burst(&mut donor, [7, 1000, 8].into_iter());
+        assert_body(&mixed[0], 7);
+        assert!(
+            matches!(mixed[1], Frame::ChunkMissing { chunk: 1000, .. }),
+            "{:?}",
+            mixed[1]
+        );
+        assert_body(&mixed[2], 8);
+        replica.stop();
+        assert_eq!(origin.kill(), 1, "every pull rode one kept-open connection");
+    }
+
+    #[test]
+    fn a_dead_origin_is_answered_missing_and_a_restarted_one_is_found() {
+        let origin = FakeOrigin::start();
+        let dir = Directory::with_origin(origin.addr);
+        let (replica, telemetry) = replica_of(&dir);
+        let mut donor = TcpStream::connect(replica.addr()).unwrap();
+        for (chunk, reply) in burst(&mut donor, 0..10).iter().enumerate() {
+            assert_body(reply, chunk as u64);
+        }
+        origin.kill();
+        // The kept-open upstream is dead and the directory's address
+        // refuses: misses fail over at once, the mirror still serves.
+        let asked = Instant::now();
+        let replies = burst(&mut donor, 5..15);
+        assert!(
+            asked.elapsed() < Duration::from_secs(2),
+            "prompt: {:?}",
+            asked.elapsed()
+        );
+        for (reply, chunk) in replies.iter().zip(5..15) {
+            match reply {
+                Frame::ChunkMissing { chunk: c, .. } => assert!(chunk >= 10 && *c == chunk),
+                data => assert_body(data, chunk),
+            }
+        }
+        let reborn = FakeOrigin::start();
+        dir.set_origin(Some(reborn.addr));
+        for (reply, chunk) in burst(&mut donor, 10..20).iter().zip(10..20) {
+            assert_body(reply, chunk);
+        }
+        assert_eq!(telemetry.metrics_snapshot().counter("replica.syncs"), 20);
+        replica.stop();
+        assert_eq!(reborn.kill(), 1);
+    }
 
     #[test]
     fn store_refuses_bytes_that_fail_their_digest() {
@@ -387,7 +707,6 @@ mod tests {
         let (d, b) = store.get(0, 0).expect("indexed by request key");
         assert_eq!(d, digest);
         assert_eq!(*b, *bytes);
-        assert!(store.get_digest(digest).is_some());
         assert!(store.get(0, 1).is_none());
         // Re-inserting the same content under another chunk key adds an
         // index entry, not a second copy.

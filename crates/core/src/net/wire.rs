@@ -581,9 +581,9 @@ const MIN_READ_STEP: usize = 4 * 1024;
 
 /// The frame-reassembly state machine: push bytes in whatever split
 /// points the transport produced, pull whole frames out. This is the
-/// single home of the resync logic — the blocking [`FrameReader`] and
-/// the nonblocking event-loop connections both wrap it, so a split
-/// point can never behave differently between transports.
+/// single home of the resync logic — the blocking client-side
+/// [`FrameReader`] and the event loop's connections both wrap it, so a
+/// split point can never behave differently between the two.
 ///
 /// `next` returns `Ok(None)` when more bytes are needed. A
 /// [`DecodeError::BodyCrc`] consumes the whole offending frame before
@@ -692,9 +692,13 @@ impl FrameAssembler {
 }
 
 /// Incremental frame reader over a (possibly timeout-configured)
-/// stream. Partial reads are buffered, so a read timeout mid-frame
-/// never desynchronises the stream; `poll` returns `Ok(None)` on
-/// timeout so the caller can check shutdown flags and retry.
+/// *blocking* stream, for whatever plays the client role: the donor,
+/// a replica's upstream pull from the origin, tools and tests. Nothing
+/// that serves connections reads through it — servers run
+/// [`super::evloop::serve`] over the [`FrameAssembler`] directly.
+/// Partial reads are buffered, so a read timeout mid-frame never
+/// desynchronises the stream; `poll` returns `Ok(None)` on timeout so
+/// the caller can check shutdown flags and retry.
 ///
 /// A [`DecodeError::BodyCrc`] consumes the whole offending frame (its
 /// span is header-CRC-trusted) before being returned, so the caller can

@@ -93,9 +93,7 @@ pub fn run_threaded_faulty(
                         );
                         break;
                     }
-                    if let Some(&(at, down)) =
-                        crashes.iter().find(|&&(at, down)| t >= at && t < at + down)
-                    {
+                    if let Some((at, down)) = FaultPlan::crash_overlapping(&crashes, t, t) {
                         // Down for a reboot: release the server and
                         // sleep out the rest of the window.
                         tel.emit_at(
@@ -156,11 +154,9 @@ pub fn run_threaded_faulty(
                             let done = now();
                             // A crash window overlapping the compute
                             // interval loses the result mid-unit.
-                            let crashed = crashes
-                                .iter()
-                                .find(|&&(at, down)| at <= done && at + down > unit_start)
-                                .copied();
-                            if let Some((at, down)) = crashed {
+                            if let Some((at, down)) =
+                                FaultPlan::crash_overlapping(&crashes, unit_start, done)
+                            {
                                 // The crash orphans this unit's compute
                                 // sub-span; the crash event closes every
                                 // span the worker held.

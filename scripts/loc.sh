@@ -2,7 +2,8 @@
 # Non-test Rust lines per crates/core/src module; counting stops at a
 # file's first `#[cfg(test)]`. `loc.sh [rev]` reads a git revision
 # (default: the working tree), so CI prints the merge base and HEAD one
-# after the other and every PR's log shows its line delta.
+# after the other and every PR's log shows its line delta. A `net/`
+# subtotal follows the grand total (ROADMAP item 3: "net LOC down").
 set -eu
 cd "$(dirname "$0")/.."
 rev=${1:-}
@@ -16,4 +17,5 @@ for f in $files; do
     if [ -n "$rev" ]; then git show "$rev:$f"; else cat "$f"; fi |
         awk -v f="${f#crates/core/src/}" \
             '/#\[cfg\(test\)\]/ { exit } { n++ } END { printf "%6d %s\n", n, f }'
-done | awk '{ print; total += $1 } END { printf "%6d total\n", total }'
+done | awk '{ print; total += $1 } $2 ~ /^net\// { net += $1 }
+    END { printf "%6d total\n%6d net/\n", total, net }'
