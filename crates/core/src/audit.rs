@@ -12,9 +12,10 @@
 //! 3. every per-client EWMA speed estimate stays finite and positive
 //!    (a NaN estimate would poison granularity and lease sizing);
 //! 4. every granularity hint stays inside the configured
-//!    `[min_unit_ops, max_unit_ops]` bounds.
+//!    `[min_unit_ops, max_unit_ops]` bounds;
+//! 5. the lease tables are consistent ([`crate::leases::LeaseTable::audit`]).
 //!
-//! The fifth invariant — final output bit-identical to the fault-free
+//! The sixth invariant — final output bit-identical to the fault-free
 //! sequential reference — is checked by the test itself, since only the
 //! application knows its reference (`dsearch::search_sequential`,
 //! `phylo::search::stepwise_ml`).
@@ -78,6 +79,7 @@ impl AuditHandle {
             v
         };
         violations.extend(server.scheduler().audit());
+        violations.extend(server.audit());
         if violations.is_empty() {
             Ok(())
         } else {

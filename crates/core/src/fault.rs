@@ -16,12 +16,11 @@
 //!   a scaled wall clock with real OS threads (workers sleep out
 //!   downtime, discard in-flight work on crash, and mutate deliveries).
 //!
-//! Both backends consume the plan through the [`FaultInjector`] trait,
-//! whose canonical implementation is [`PlanInterpreter`]. Random plans
-//! are generated from a single `u64` seed ([`FaultPlan::random`]), and
-//! every failing chaos run is replayable from its printed `(seed,
-//! plan)` alone — the plan is data, the interpreter is deterministic,
-//! and nothing else feeds the injection.
+//! Both backends consume the plan through one [`PlanInterpreter`].
+//! Random plans are generated from a single `u64` seed
+//! ([`FaultPlan::random`]), and every failing chaos run is replayable
+//! from its printed `(seed, plan)` alone — the plan is data, the
+//! interpreter is deterministic, and nothing else feeds the injection.
 
 use crate::codec::WireCodec;
 use crate::problem::TaskResult;
@@ -563,47 +562,6 @@ pub fn resolve_delivery(
     (action, result)
 }
 
-/// The seam both backends inject faults through. The default methods
-/// are the fault-free behaviour, so [`NoFaults`] is an empty impl.
-pub trait FaultInjector: Send {
-    /// Decides the fate of a result `client` finished at `now`.
-    /// Stateful: armed one-shot faults are consumed by the call.
-    fn delivery_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
-        let _ = (client, now);
-        DeliveryAction::Deliver
-    }
-
-    /// Compute-time multiplier for a unit `client` starts at `now`
-    /// (≥ 1; 1 = full speed). Sampled once per unit, at its start.
-    fn compute_scale(&self, client: ClientId, now: f64) -> f64 {
-        let _ = (client, now);
-        1.0
-    }
-
-    /// Transfer-time multiplier for the shared server link at `now`.
-    fn link_scale(&self, now: f64) -> f64 {
-        let _ = now;
-        1.0
-    }
-
-    /// Whether the result `client` finished at `now` is computed
-    /// *wrong* (Byzantine). Stateful: an armed one-shot is consumed by
-    /// the call. Kept separate from [`FaultInjector::delivery_action`]
-    /// so the TCP client's interpreter (which injects wrong bytes
-    /// before framing) and the fault proxy's interpreter (which mutates
-    /// frames on the wire) never skew each other's armed-fault queues.
-    fn wrong_result(&mut self, client: ClientId, now: f64) -> bool {
-        let _ = (client, now);
-        false
-    }
-}
-
-/// The fault-free injector.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoFaults;
-
-impl FaultInjector for NoFaults {}
-
 /// Interprets a [`FaultPlan`] deterministically. Both backends use this
 /// one implementation, so a plan means the same thing everywhere.
 #[derive(Debug)]
@@ -736,20 +694,10 @@ impl PlanInterpreter {
     pub fn control_reply_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
         pop_due(self.control_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
     }
-}
 
-/// Consumes the earliest armed one-shot fault whose time has passed;
-/// later armed faults stay pending for subsequent deliveries.
-fn pop_due(armed: Option<&mut Vec<(f64, DeliveryAction)>>, now: f64) -> Option<DeliveryAction> {
-    let armed = armed?;
-    match armed.first() {
-        Some(&(at, _)) if at <= now => Some(armed.remove(0).1),
-        _ => None,
-    }
-}
-
-impl FaultInjector for PlanInterpreter {
-    fn delivery_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
+    /// Decides the fate of a result `client` finished at `now`.
+    /// Stateful: armed one-shot faults are consumed by the call.
+    pub fn delivery_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
         let Some(action) = pop_due(self.deliveries.get_mut(client), now) else {
             return DeliveryAction::Deliver;
         };
@@ -763,7 +711,13 @@ impl FaultInjector for PlanInterpreter {
         action
     }
 
-    fn wrong_result(&mut self, client: ClientId, now: f64) -> bool {
+    /// Whether the result `client` finished at `now` is computed
+    /// *wrong* (Byzantine). Stateful: an armed one-shot is consumed by
+    /// the call. Kept separate from [`Self::delivery_action`] so the
+    /// TCP client's interpreter (which injects wrong bytes before
+    /// framing) and the fault proxy's interpreter (which mutates frames
+    /// on the wire) never skew each other's armed-fault queues.
+    pub fn wrong_result(&mut self, client: ClientId, now: f64) -> bool {
         let Some(armed) = self.wrongs.get_mut(client) else {
             return false;
         };
@@ -777,7 +731,9 @@ impl FaultInjector for PlanInterpreter {
         }
     }
 
-    fn compute_scale(&self, client: ClientId, now: f64) -> f64 {
+    /// Compute-time multiplier for a unit `client` starts at `now`
+    /// (≥ 1; 1 = full speed). Sampled once per unit, at its start.
+    pub fn compute_scale(&self, client: ClientId, now: f64) -> f64 {
         self.slowdowns
             .get(client)
             .map(|ws| {
@@ -789,12 +745,23 @@ impl FaultInjector for PlanInterpreter {
             .unwrap_or(1.0)
     }
 
-    fn link_scale(&self, now: f64) -> f64 {
+    /// Transfer-time multiplier for the shared server link at `now`.
+    pub fn link_scale(&self, now: f64) -> f64 {
         self.link_windows
             .iter()
             .filter(|&&(s, e, _)| s <= now && now < e)
             .map(|&(_, _, f)| f)
             .product()
+    }
+}
+
+/// Consumes the earliest armed one-shot fault whose time has passed;
+/// later armed faults stay pending for subsequent deliveries.
+fn pop_due(armed: Option<&mut Vec<(f64, DeliveryAction)>>, now: f64) -> Option<DeliveryAction> {
+    let armed = armed?;
+    match armed.first() {
+        Some(&(at, _)) if at <= now => Some(armed.remove(0).1),
+        _ => None,
     }
 }
 

@@ -1,0 +1,320 @@
+//! The lease table: one problem's record of which unit is out, with
+//! whom, until when, and which unit goes out next (paper §2.1).
+//!
+//! A unit it holds is in exactly one place: the lookahead *pool* (pulled
+//! from the data manager, never leased), *in flight* (a live lease) or
+//! the *reissue queue* (every lease gone, no result yet). The
+//! [`Server`](crate::server::Server) decides policy and what to report;
+//! only this module touches the bookkeeping, so its scans can become
+//! indexes (ROADMAP item 2) behind the same methods. What it returns is
+//! sorted: `HashMap` order never reaches dispatch or trace bytes.
+
+use crate::problem::{UnitId, WorkUnit};
+use crate::sched::{ClientId, Scheduler};
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::sync::Arc;
+
+/// One donor's claim on a unit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lease {
+    /// The holder.
+    pub client: ClientId,
+    /// When the lease was granted.
+    pub assigned_at: f64,
+    /// The holder's deliveries by then (units, ops), for the queue factor.
+    pub completed_before: (u64, f64),
+    /// When the lease expires.
+    pub deadline: f64,
+}
+
+/// A unit and its live leases (none once taken off the reissue queue).
+#[derive(Debug)]
+pub struct InFlight {
+    /// The unit (shared so it can be redundantly dispatched).
+    pub unit: Arc<WorkUnit>,
+    /// Who is computing it.
+    pub leases: Vec<Lease>,
+}
+
+/// What a release moved, both lists sorted.
+#[derive(Debug, Default, PartialEq)]
+pub struct Released {
+    /// `(unit, holder)` of every lease dropped.
+    pub leases: Vec<(UnitId, ClientId)>,
+    /// Units that lost their last lease, queued for reissue in this order.
+    pub orphans: Vec<UnitId>,
+}
+
+/// An in-flight unit chosen for one more copy.
+#[derive(Debug)]
+pub struct ExtraCopy {
+    /// The unit.
+    pub unit: Arc<WorkUnit>,
+    /// Granted past the plain redundancy cap, under the speculative one.
+    pub speculative: bool,
+    /// Lowest wins: `(no holder is flagged, oldest lease, unit id)`.
+    pub rank: (bool, f64, UnitId),
+}
+
+/// One problem's lease bookkeeping.
+#[derive(Debug, Default)]
+pub struct LeaseTable {
+    in_flight: HashMap<UnitId, InFlight>,
+    reissue: VecDeque<Arc<WorkUnit>>,
+    // Gives affinity-aware selection more than one candidate to match
+    // against a donor's cached chunks (at the default cap of 1, none).
+    pool: VecDeque<Arc<WorkUnit>>,
+    // A lower bound on every live deadline (`None`: nothing is out): no
+    // expiry scan before it. Releases leave it early; a scan resets it.
+    next_deadline: Option<f64>,
+    // Times each unit was orphaned by expiry: drives lease backoff, so a
+    // donor slower than its estimate cannot livelock a unit (reissue
+    // before its own result arrives, forever).
+    expiries: HashMap<UnitId, u32>,
+    // Lowest and highest unit id ever leased, for `audit`.
+    leased: Option<(UnitId, UnitId)>,
+}
+
+impl LeaseTable {
+    /// Queues units recovered from a checkpoint for (re)issue.
+    pub fn restore(&mut self, units: impl IntoIterator<Item = WorkUnit>) {
+        self.reissue.extend(units.into_iter().map(Arc::new));
+    }
+
+    /// Records a lease on `unit`, which goes (or stays) in flight.
+    pub fn grant(&mut self, unit: &Arc<WorkUnit>, lease: Lease) {
+        let (lo, hi) = self.leased.unwrap_or((unit.id, unit.id));
+        self.leased = Some((lo.min(unit.id), hi.max(unit.id)));
+        self.next_deadline = Some(self.earliest_deadline().min(lease.deadline));
+        let inf = self.in_flight.entry(unit.id).or_insert_with(|| InFlight {
+            unit: unit.clone(),
+            leases: Vec::new(),
+        });
+        inf.leases.push(lease);
+    }
+
+    /// A result for `unit` arrived: hands the unit over, out of flight or
+    /// off the reissue queue. `None`: not pending (already completed).
+    pub fn take(&mut self, unit: UnitId) -> Option<InFlight> {
+        self.in_flight.remove(&unit).or_else(|| {
+            let at = self.reissue.iter().position(|u| u.id == unit)?;
+            let (unit, leases) = (self.reissue.remove(at)?, Vec::new());
+            Some(InFlight { unit, leases })
+        })
+    }
+
+    /// Returns a [taken](Self::take) unit that still needs results (a
+    /// non-final quorum vote), minus `voter`'s lease. The one place a unit
+    /// is orphaned: with no lease left it is queued for reissue (`true`).
+    pub fn put_back(&mut self, mut inf: InFlight, voter: ClientId) -> bool {
+        inf.leases.retain(|l| l.client != voter);
+        let orphaned = inf.leases.is_empty();
+        if orphaned {
+            self.reissue.push_back(inf.unit);
+        } else {
+            self.in_flight.insert(inf.unit.id, inf);
+        }
+        orphaned
+    }
+
+    /// Cancels `client`'s lease on `unit`: `None` if the unit is not in
+    /// flight, else whether that orphaned it.
+    pub fn release(&mut self, unit: UnitId, client: ClientId) -> Option<bool> {
+        let inf = self.in_flight.remove(&unit)?;
+        Some(self.put_back(inf, client))
+    }
+
+    /// Cancels every lease `client` holds.
+    pub fn release_client(&mut self, client: ClientId) -> Released {
+        self.release_all(|l| l.client == client)
+    }
+
+    /// Cancels every lease due at or before `now` and counts an expiry
+    /// against each unit that orphans. `None` — no scan — while `now`
+    /// is before [`Self::earliest_deadline`].
+    pub fn expire(&mut self, now: f64) -> Option<Released> {
+        if now < self.earliest_deadline() {
+            return None;
+        }
+        let moved = self.release_all(|l| l.deadline <= now);
+        let live = self.in_flight.values().flat_map(|inf| &inf.leases);
+        self.next_deadline = live.map(|l| l.deadline).reduce(f64::min);
+        for &unit in &moved.orphans {
+            let n = self.expiries.entry(unit).or_insert(0);
+            *n = n.saturating_add(1);
+        }
+        Some(moved)
+    }
+
+    // Releases, in `(unit, client)` order, every lease `gone` selects
+    // (the server never grants a client two leases on one unit).
+    fn release_all(&mut self, gone: impl Fn(&Lease) -> bool) -> Released {
+        let mut moved = Released::default();
+        for (&unit, inf) in &self.in_flight {
+            let dropped = inf.leases.iter().filter(|l| gone(l));
+            moved.leases.extend(dropped.map(|l| (unit, l.client)));
+        }
+        moved.leases.sort_unstable();
+        for &(unit, client) in &moved.leases {
+            if self.release(unit, client) == Some(true) {
+                moved.orphans.push(unit);
+            }
+        }
+        moved
+    }
+
+    /// Times `unit` was orphaned by lease expiry.
+    pub fn expiries(&self, unit: UnitId) -> u32 {
+        self.expiries.get(&unit).copied().unwrap_or(0)
+    }
+
+    /// A lower bound on every live lease's deadline (`+inf` with none).
+    pub fn earliest_deadline(&self) -> f64 {
+        self.next_deadline.unwrap_or(f64::INFINITY)
+    }
+
+    /// Units in flight.
+    pub fn in_flight_len(&self) -> usize {
+        self.in_flight.len()
+    }
+
+    /// Units queued for reissue.
+    pub fn queued_len(&self) -> usize {
+        self.reissue.len()
+    }
+
+    /// Adds each holder's live lease count to `counts`.
+    pub fn count_leases(&self, counts: &mut BTreeMap<ClientId, u32>) {
+        for l in self.in_flight.values().flat_map(|inf| &inf.leases) {
+            *counts.entry(l.client).or_insert(0) += 1;
+        }
+    }
+
+    /// Takes the best reissue-queue unit that is not `blocked`: highest
+    /// `score`, the front winning ties; without a scorer, the first.
+    pub fn next_queued(
+        &mut self,
+        blocked: impl Fn(UnitId) -> bool,
+        score: Option<&dyn Fn(&WorkUnit) -> usize>,
+    ) -> Option<Arc<WorkUnit>> {
+        let at = best_index(&self.reissue, blocked, score)?;
+        self.reissue.remove(at)
+    }
+
+    /// Tops the lookahead pool up to `lookahead` units from `pull`, then
+    /// takes its best, chosen like [`Self::next_queued`] if there are two.
+    pub fn next_fresh(
+        &mut self,
+        lookahead: usize,
+        mut pull: impl FnMut() -> Option<WorkUnit>,
+        score: Option<&dyn Fn(&WorkUnit) -> usize>,
+    ) -> Option<Arc<WorkUnit>> {
+        while self.pool.len() < lookahead {
+            let Some(unit) = pull() else { break };
+            self.pool.push_back(Arc::new(unit));
+        }
+        let score = score.filter(|_| self.pool.len() > 1);
+        let at = best_index(&self.pool, |_| false, score)?;
+        self.pool.remove(at)
+    }
+
+    /// The in-flight unit that most needs another copy, on `client`,
+    /// under [`Scheduler::copy_caps`]: a health-flagged holder's before
+    /// any other, then the longest-running, then the lowest id. With
+    /// `rescue`, only units whose *every* holder is flagged, and only
+    /// under the speculative cap (the caller checks the detector is on
+    /// and `client` healthy). `voted`: units `client` has voted on.
+    pub fn extra_copy(
+        &self,
+        client: ClientId,
+        rescue: bool,
+        sched: &Scheduler,
+        voted: impl Fn(UnitId) -> bool,
+    ) -> Option<ExtraCopy> {
+        let healthy = !sched.is_health_flagged(client);
+        let is_flagged = |l: &&Lease| sched.is_health_flagged(l.client);
+        let mut best: Option<(_, bool, &InFlight)> = None;
+        for (&unit, inf) in &self.in_flight {
+            let copies = inf.leases.len();
+            let flagged = inf.leases.iter().filter(is_flagged).count();
+            let (plain, spec) = sched.copy_caps(flagged > 0 && healthy);
+            let speculative = rescue || copies >= plain as usize;
+            let cap = if speculative { spec } else { plain } as usize;
+            let mine = || inf.leases.iter().any(|l| l.client == client);
+            if copies >= cap || (rescue && flagged < copies) || mine() {
+                continue;
+            }
+            let ages = inf.leases.iter().map(|l| l.assigned_at);
+            let rank = (flagged == 0, ages.fold(f64::INFINITY, f64::min), unit);
+            if best.is_none_or(|(b, ..)| rank < b) && !voted(unit) {
+                best = Some((rank, speculative, inf));
+            }
+        }
+        best.map(|(rank, speculative, inf)| ExtraCopy {
+            unit: inf.unit.clone(),
+            speculative,
+            rank,
+        })
+    }
+
+    /// The lowest-id in-flight unit `client` holds no lease on for
+    /// which `wants(unit, live copies)` holds (the quorum top-up).
+    pub fn top_up(
+        &self,
+        client: ClientId,
+        wants: impl Fn(UnitId, u32) -> bool,
+    ) -> Option<Arc<WorkUnit>> {
+        let open = self.in_flight.values().filter(|inf| {
+            let mine = inf.leases.iter().any(|l| l.client == client);
+            !mine && wants(inf.unit.id, inf.leases.len() as u32)
+        });
+        Some(open.min_by_key(|inf| inf.unit.id)?.unit.clone())
+    }
+
+    /// Checks the table's invariants; returns the violations, sorted.
+    pub fn audit(&self) -> Vec<String> {
+        let mut v = Vec::new();
+        let mut place: HashMap<UnitId, &str> = HashMap::new();
+        let pool = self.pool.iter().map(|u| (u.id, "pool"));
+        let flying = self.in_flight.keys().map(|&u| (u, "in-flight map"));
+        let queued = self.reissue.iter().map(|u| (u.id, "reissue queue"));
+        for (unit, here) in pool.chain(flying).chain(queued) {
+            if let Some(there) = place.insert(unit, here) {
+                v.push(format!("unit {unit} is in the {there} and the {here}"));
+            }
+        }
+        let earliest = self.earliest_deadline();
+        for (unit, inf) in &self.in_flight {
+            if inf.leases.is_empty() {
+                v.push(format!("unit {unit} is in flight without a lease"));
+            }
+            for due in inf.leases.iter().map(|l| l.deadline) {
+                if due < earliest {
+                    v.push(format!("unit {unit}: lease due {due} < tracked {earliest}"));
+                }
+            }
+        }
+        for (unit, n) in &self.expiries {
+            if !self.leased.is_some_and(|(lo, hi)| (lo..=hi).contains(unit)) {
+                v.push(format!("unit {unit} was never leased but has {n} expiries"));
+            }
+        }
+        v.sort();
+        v
+    }
+}
+
+// Index of the best unit in `queue` that is not `blocked`.
+fn best_index(
+    queue: &VecDeque<Arc<WorkUnit>>,
+    blocked: impl Fn(UnitId) -> bool,
+    score: Option<&dyn Fn(&WorkUnit) -> usize>,
+) -> Option<usize> {
+    let mut open = queue.iter().enumerate().filter(|(_, u)| !blocked(u.id));
+    let best = match score {
+        // (`min_by_key` keeps the first of equals: the front.)
+        Some(score) => open.min_by_key(|(_, u)| std::cmp::Reverse(score(u))),
+        None => open.next(),
+    };
+    best.map(|(i, _)| i)
+}

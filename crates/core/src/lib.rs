@@ -41,6 +41,7 @@ pub mod builtin;
 pub mod codec;
 pub mod fault;
 pub mod health;
+pub mod leases;
 pub mod net;
 pub mod problem;
 pub mod quorum;
@@ -53,8 +54,8 @@ pub mod thread_backend;
 pub use audit::{audited, AuditHandle};
 pub use codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
 pub use fault::{
-    flip_result_bytes, ChaosOptions, DeliveryAction, FaultEvent, FaultInjector, FaultKind,
-    FaultPlan, NoFaults, PlanInterpreter,
+    flip_result_bytes, ChaosOptions, DeliveryAction, FaultEvent, FaultKind, FaultPlan,
+    PlanInterpreter,
 };
 pub use health::{HealthConfig, HealthEngine, HealthTransition, RATIO_BOUNDS};
 pub use net::{

@@ -38,7 +38,7 @@ use super::wire::{
 };
 use super::{Clock, Directory};
 use crate::codec::{ChunkNeed, WireCodec};
-use crate::fault::{FaultInjector, FaultPlan, PlanInterpreter};
+use crate::fault::{FaultPlan, PlanInterpreter};
 use crate::problem::{Algorithm, Payload, WorkUnit};
 use crate::server::Server;
 use crate::telemetry::Telemetry;

@@ -32,7 +32,7 @@ use super::wire::{
     SUBMIT_RESULT_TYPE,
 };
 use super::{Clock, Directory};
-use crate::fault::{DeliveryAction, FaultInjector, FaultPlan, PlanInterpreter};
+use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -519,25 +519,20 @@ impl Scheduler {
             .unwrap_or(0)
     }
 
-    /// Whether redundant dispatch is allowed for a unit already running
-    /// on `active_copies` donors.
-    pub fn may_dispatch_redundant(&self, active_copies: u32) -> bool {
-        self.cfg.enable_redundant_dispatch && active_copies < self.cfg.max_redundancy
-    }
-
-    /// Whether speculative tail re-issue may add another copy of a unit
-    /// already running on `active_copies` donors. Only consulted once
-    /// fresh work is exhausted (the server's end-game pass).
-    pub fn may_dispatch_speculative(&self, active_copies: u32) -> bool {
-        self.cfg.enable_speculative_reissue && active_copies < self.cfg.speculative_max_copies
-    }
-
-    /// Whether the *live* straggler path may add another copy of a unit
-    /// already running on `active_copies` donors: requires the health
-    /// detector, and shares the speculative copy ceiling. Consulted for
-    /// units held by a flagged donor even while fresh work remains.
-    pub fn may_dispatch_speculative_live(&self, active_copies: u32) -> bool {
-        self.cfg.enable_health_detector && active_copies < self.cfg.speculative_max_copies
+    /// How many copies of one unit may run at once: `.0` by plain
+    /// redundant dispatch, `.1` by speculation past that cap (0 = not
+    /// allowed) — armed by `enable_speculative_reissue` (the tail) or,
+    /// `live`, by the health detector: a unit with a flagged holder,
+    /// asked for by a healthy donor, even while fresh work remains.
+    pub fn copy_caps(&self, live: bool) -> (u32, u32) {
+        let c = &self.cfg;
+        let plain = c.enable_redundant_dispatch;
+        let speculate = c.enable_speculative_reissue || (live && c.enable_health_detector);
+        let cap = |on: bool, copies: u32| if on { copies } else { 0 };
+        (
+            cap(plain, c.max_redundancy),
+            cap(speculate, c.speculative_max_copies),
+        )
     }
 
     /// Marks or clears `client`'s straggler flag (driven by the
@@ -649,6 +644,11 @@ impl Scheduler {
                 },
             );
         }
+    }
+
+    /// Every client with adaptive or reputation state (unordered, may repeat).
+    pub fn known_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
+        self.clients.keys().chain(self.reputation.keys()).copied()
     }
 
     /// Captures the adaptive state for the checkpoint log.
@@ -1031,10 +1031,9 @@ mod tests {
     #[test]
     fn redundancy_policy_caps_copies() {
         let s = Scheduler::new(SchedulerConfig::default());
-        assert!(s.may_dispatch_redundant(1));
-        assert!(!s.may_dispatch_redundant(2));
+        assert_eq!(s.copy_caps(false).0, 2);
         let naive = Scheduler::new(SchedulerConfig::naive());
-        assert!(!naive.may_dispatch_redundant(1));
+        assert_eq!(naive.copy_caps(false).0, 0);
     }
 
     #[test]
@@ -1044,11 +1043,10 @@ mod tests {
             speculative_max_copies: 3,
             ..Default::default()
         });
-        assert!(!s.may_dispatch_redundant(2), "plain redundancy caps at 2");
-        assert!(s.may_dispatch_speculative(2), "speculation allows a third");
-        assert!(!s.may_dispatch_speculative(3));
+        assert_eq!(s.copy_caps(false).0, 2, "plain redundancy caps at 2");
+        assert_eq!(s.copy_caps(false).1, 3, "speculation allows a third");
         let off = Scheduler::new(SchedulerConfig::default());
-        assert!(!off.may_dispatch_speculative(1), "off by default");
+        assert_eq!(off.copy_caps(false).1, 0, "off by default");
     }
 
     #[test]
@@ -1209,9 +1207,8 @@ mod tests {
         assert_eq!(s.affinity_score(1, &[10, 20]), 0, "flagged loses affinity");
         // Live speculation shares the speculative ceiling but does not
         // require enable_speculative_reissue.
-        assert!(s.may_dispatch_speculative_live(2));
-        assert!(!s.may_dispatch_speculative_live(3));
-        assert!(!s.may_dispatch_speculative(2), "tail path stays off");
+        assert_eq!(s.copy_caps(true).1, 3);
+        assert_eq!(s.copy_caps(false).1, 0, "tail path stays off");
         s.set_health_flag(1, false);
         assert_eq!(s.affinity_score(1, &[10, 20]), 2, "clearing restores it");
         s.set_health_flag(1, true);
@@ -1219,8 +1216,9 @@ mod tests {
         assert!(!s.is_health_flagged(1), "departure clears the flag");
 
         let off = Scheduler::new(SchedulerConfig::default());
-        assert!(
-            !off.may_dispatch_speculative_live(0),
+        assert_eq!(
+            off.copy_caps(true).1,
+            0,
             "detector off disarms the live path entirely"
         );
     }

@@ -7,13 +7,14 @@
 
 use crate::codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
 use crate::health::{HealthConfig, HealthEngine, HealthTransition};
+use crate::leases::{Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
 use crate::quorum::{QuorumTally, VoteOutcome};
 use crate::sched::{
     AffinitySnapshot, ClientId, ReputationSnapshot, SchedSnapshot, Scheduler, SchedulerConfig,
 };
 use crate::telemetry::{EventKind, Telemetry, LATENCY_BOUNDS, OPS_BOUNDS};
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Identifies a submitted problem.
@@ -81,45 +82,14 @@ pub enum Assignment {
     Finished,
 }
 
-struct Lease {
-    client: ClientId,
-    assigned_at: f64,
-    /// What the client had delivered when the lease was issued (units,
-    /// ops); the difference at submission is what this unit queued
-    /// behind ([`Scheduler::queue_factor`]).
-    completed_before: (u64, f64),
-    deadline: f64,
-}
-
-struct InFlight {
-    unit: Arc<WorkUnit>,
-    leases: Vec<Lease>,
-}
-
 struct ProblemState {
     name: String,
     dm: Box<dyn crate::problem::DataManager>,
     algorithm: Arc<dyn Algorithm>,
     setup_bytes: u64,
     codec: Option<Arc<dyn WireCodec>>,
-    in_flight: HashMap<UnitId, InFlight>,
-    reissue: VecDeque<Arc<WorkUnit>>,
-    // Lookahead pool: units already pulled (and journaled) from the
-    // data manager but not yet leased, kept so affinity-aware selection
-    // has more than one candidate to match against a donor's cached
-    // chunks. Capped at `SchedulerConfig::affinity_lookahead`; with the
-    // default of 1 the pool is a pass-through and dispatch order is
-    // exactly the pre-affinity order.
-    pool: VecDeque<Arc<WorkUnit>>,
-    // Earliest lease deadline across `in_flight`, so `check_timeouts`
-    // can skip the full scan until the clock actually reaches it. Lease
-    // removals (results, churn, corruption) leave it conservatively
-    // early — the next scan past it finds nothing and recomputes.
-    next_deadline: f64,
-    // Times each unit's lease has expired; drives exponential lease
-    // backoff so a donor slower than the scheduler's estimate cannot
-    // livelock a unit (reissue before its own result arrives, forever).
-    reissue_counts: HashMap<UnitId, u32>,
+    // Which unit is out, with whom, until when, and what goes out next.
+    leases: LeaseTable,
     // In-flight quorum votes under K-way redundant issuance: a tally
     // exists for every unit whose result must win a byte-identical vote
     // before it may reach the combine path. Entries are created when a
@@ -436,14 +406,19 @@ impl Server {
     /// so applications can record their own events.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.telemetry = telemetry;
-        let tel = self.telemetry.clone();
-        for (pid, p) in self.problems.iter_mut().enumerate() {
-            p.dm.attach_telemetry(tel.clone(), pid);
-            tel.emit(EventKind::ProblemSubmitted {
-                problem: pid,
-                name: p.name.clone(),
-            });
+        for pid in 0..self.problems.len() {
+            self.announce(pid);
         }
+    }
+
+    // Hands problem `id`'s data manager the telemetry; records the submission.
+    fn announce(&mut self, id: ProblemId) {
+        let (tel, p) = (&self.telemetry, &mut self.problems[id]);
+        p.dm.attach_telemetry(tel.clone(), id);
+        tel.emit(EventKind::ProblemSubmitted {
+            problem: id,
+            name: p.name.clone(),
+        });
     }
 
     /// The server's telemetry handle (disabled unless
@@ -477,11 +452,7 @@ impl Server {
             algorithm: problem.algorithm,
             setup_bytes: problem.setup_bytes,
             codec: problem.codec,
-            in_flight: HashMap::new(),
-            reissue: VecDeque::new(),
-            pool: VecDeque::new(),
-            next_deadline: f64::INFINITY,
-            reissue_counts: HashMap::new(),
+            leases: LeaseTable::default(),
             votes: HashMap::new(),
             done: false,
             output: None,
@@ -490,12 +461,7 @@ impl Server {
         });
         self.rebuild_cycle();
         if self.telemetry.is_enabled() {
-            let tel = self.telemetry.clone();
-            self.problems[id].dm.attach_telemetry(tel.clone(), id);
-            tel.emit(EventKind::ProblemSubmitted {
-                problem: id,
-                name: self.problems[id].name.clone(),
-            });
+            self.announce(id);
         }
         id
     }
@@ -561,6 +527,14 @@ impl Server {
         &self.sched
     }
 
+    /// Every problem's [`LeaseTable::audit`] violations (none, at any time).
+    pub fn audit(&self) -> Vec<String> {
+        let found = self.problems.iter().map(|p| p.leases.audit()).enumerate();
+        found
+            .flat_map(|(pid, v)| v.into_iter().map(move |v| format!("problem {pid}: {v}")))
+            .collect()
+    }
+
     /// The client-side computation of a problem (the TCP backend ships
     /// it to in-process donor threads; a real deployment would ship
     /// code, which stays out of scope — DESIGN.md substitution table).
@@ -574,14 +548,10 @@ impl Server {
     }
 
     /// Earliest lease deadline across every unfinished problem
-    /// (`+inf` when nothing is in flight). The TCP backend's ticker
-    /// uses it to pace timeout sweeps.
+    /// (`+inf` when nothing is in flight).
     pub fn earliest_lease_deadline(&self) -> f64 {
-        self.problems
-            .iter()
-            .filter(|p| !p.done)
-            .map(|p| p.next_deadline)
-            .fold(f64::INFINITY, f64::min)
+        let open = self.problems.iter().filter(|p| !p.done);
+        open.fold(f64::INFINITY, |t, p| t.min(p.leases.earliest_deadline()))
     }
 
     /// A client asks for work at time `now`.
@@ -594,13 +564,12 @@ impl Server {
         let hint = self.sched.granularity_hint(client);
 
         // Pass 0 (live straggler rescue): a unit whose *every* lease
-        // sits on a health-flagged donor gets one healthy copy right
-        // now — before fresh work — so a live-detected straggler cannot
-        // drag its unit into the end-game tail.
-        if let Some((pid, uid)) = self.live_rescue_pick(client) {
-            self.telemetry.counter_add("health.live_rescues", 1);
-            let unit = self.problems[pid].in_flight[&uid].unit.clone();
-            return self.lease_and_assign(pid, unit, client, now, true);
+        // sits on a health-flagged donor gets one healthy copy now, before
+        // fresh work, instead of being dragged into the end-game tail.
+        if self.sched.config().enable_health_detector && !self.sched.is_health_flagged(client) {
+            if let Some(rescue) = self.extra_copy(client, now, true) {
+                return rescue;
+            }
         }
 
         // Pass 1: fresh or reissued units, weighted fair-share.
@@ -612,120 +581,37 @@ impl Server {
             }
             if let Some((unit, crosscheck)) = self.next_unit_for(pid, hint, client) {
                 self.rotation = (pos + 1) % n;
-                if crosscheck {
-                    self.telemetry
-                        .counter_add("quorum.crosscheck_dispatches", 1);
-                }
                 return self.lease_and_assign(pid, unit, client, now, crosscheck);
             }
         }
 
         // Pass 2: redundant end-game dispatch of the longest-running
-        // in-flight unit this client is not already computing (and, under
-        // quorum, has not already voted on). With the health detector
-        // enabled, units whose holders include a flagged straggler are
-        // rescued first (flagged-holder beats merely-oldest), and live
-        // detection arms speculation past the plain redundancy cap even
-        // when `enable_speculative_reissue` is off.
-        let mut best: Option<(ProblemId, UnitId, f64, bool, bool)> = None;
-        for (pid, p) in self.problems.iter().enumerate() {
-            if p.done {
-                continue;
-            }
-            for (uid, inf) in &p.in_flight {
-                let copies = inf.leases.len() as u32;
-                let holder_flagged = inf
-                    .leases
-                    .iter()
-                    .any(|l| self.sched.is_health_flagged(l.client));
-                let redundant_ok = self.sched.may_dispatch_redundant(copies);
-                // Speculative tail re-issue: past the plain redundancy
-                // cap but under the speculative one, idle donors attack
-                // the makespan droop of Figure 1.
-                let speculative = !redundant_ok
-                    && (self.sched.may_dispatch_speculative(copies)
-                        || (holder_flagged
-                            && !self.sched.is_health_flagged(client)
-                            && self.sched.may_dispatch_speculative_live(copies)));
-                if !redundant_ok && !speculative {
-                    continue;
-                }
-                if inf.leases.iter().any(|l| l.client == client) {
-                    continue;
-                }
-                if p.votes.get(uid).is_some_and(|t| t.has_voted(client)) {
-                    continue;
-                }
-                let oldest = inf
-                    .leases
-                    .iter()
-                    .map(|l| l.assigned_at)
-                    .fold(f64::INFINITY, f64::min);
-                let better = best
-                    .map(|(_, _, t, _, f)| {
-                        (holder_flagged && !f) || (holder_flagged == f && oldest < t)
-                    })
-                    .unwrap_or(true);
-                if better {
-                    best = Some((pid, *uid, oldest, speculative, holder_flagged));
-                }
-            }
-        }
-        if let Some((pid, uid, _, speculative, _)) = best {
-            if speculative {
-                self.telemetry.counter_add("sched.speculative_reissues", 1);
-            }
-            let unit = self.problems[pid].in_flight[&uid].unit.clone();
-            return self.lease_and_assign(pid, unit, client, now, true);
-        }
-
-        Assignment::Wait
+        // in-flight unit this client is not computing (or has voted on),
+        // a flagged holder's first; past the plain redundancy cap, as a
+        // speculative copy (the makespan droop of Figure 1).
+        let copy = self.extra_copy(client, now, false);
+        copy.unwrap_or(Assignment::Wait)
     }
 
-    // The all-flagged rescue candidate for pass 0 of `request_work`,
-    // compared on `(oldest lease, problem, unit)` so HashMap iteration
-    // order never leaks into dispatch order. The all-flagged guard
-    // self-limits the pass to one rescue copy per unit: once it runs,
-    // an unflagged lease exists.
-    fn live_rescue_pick(&self, client: ClientId) -> Option<(ProblemId, UnitId)> {
-        if !self.sched.config().enable_health_detector || self.sched.is_health_flagged(client) {
-            return None;
+    // Leases `client` one more copy of an in-flight unit: the best of
+    // the tables' picks (`rescue`: pass 0's all-flagged units only).
+    fn extra_copy(&mut self, client: ClientId, now: f64, rescue: bool) -> Option<Assignment> {
+        let picks = self.problems.iter().enumerate().filter_map(|(pid, p)| {
+            let voted = |unit: UnitId| p.votes.get(&unit).is_some_and(|t| t.has_voted(client));
+            let pick = p.leases.extra_copy(client, rescue, &self.sched, voted)?;
+            Some((pid, pick))
+        });
+        // (`min_by` keeps the first of equals: the lowest problem id.)
+        let (pid, pick) = picks.min_by(|(_, a), (_, b)| {
+            let flagged_first = a.rank.0.cmp(&b.rank.0);
+            flagged_first.then(a.rank.1.total_cmp(&b.rank.1))
+        })?;
+        if rescue {
+            self.telemetry.counter_add("health.live_rescues", 1);
+        } else if pick.speculative {
+            self.telemetry.counter_add("sched.speculative_reissues", 1);
         }
-        let mut rescue: Option<(f64, ProblemId, UnitId)> = None;
-        for (pid, p) in self.problems.iter().enumerate() {
-            if p.done {
-                continue;
-            }
-            for (uid, inf) in &p.in_flight {
-                if inf.leases.is_empty()
-                    || !inf
-                        .leases
-                        .iter()
-                        .all(|l| self.sched.is_health_flagged(l.client))
-                {
-                    continue;
-                }
-                if !self
-                    .sched
-                    .may_dispatch_speculative_live(inf.leases.len() as u32)
-                {
-                    continue;
-                }
-                if p.votes.get(uid).is_some_and(|t| t.has_voted(client)) {
-                    continue;
-                }
-                let oldest = inf
-                    .leases
-                    .iter()
-                    .map(|l| l.assigned_at)
-                    .fold(f64::INFINITY, f64::min);
-                let cand = (oldest, pid, *uid);
-                if rescue.map(|b| cand < b).unwrap_or(true) {
-                    rescue = Some(cand);
-                }
-            }
-        }
-        rescue.map(|(_, pid, uid)| (pid, uid))
+        Some(self.lease_and_assign(pid, pick.unit, client, now, true))
     }
 
     // The next unit of `pid` this client may execute, with a flag
@@ -737,124 +623,56 @@ impl Server {
         hint: f64,
         client: ClientId,
     ) -> Option<(Arc<WorkUnit>, bool)> {
-        // Reissue queue first, always: orphaned units must go back out
-        // before fresh ones. Affinity only reorders *within* the queue
-        // (front wins every tie, so configurations that never note
-        // chunks keep strict FIFO reissue order). Units this client has
-        // already voted on are skipped — one vote per donor.
-        if !self.problems[pid].reissue.is_empty() {
-            if let Some(idx) = self.reissue_pick(pid, client) {
-                // A reissue of an already-journaled unit: not a new issue.
-                return self.problems[pid].reissue.remove(idx).map(|u| (u, false));
+        let (sched, tel) = (&self.sched, &self.telemetry);
+        let p = &mut self.problems[pid];
+        let (codec, votes) = (p.codec.as_ref(), &p.votes);
+        // Affinity: how many of a unit's data chunks the donor already
+        // caches. It only reorders *within* a queue, the front winning
+        // ties: configurations that never note chunks keep FIFO order.
+        let score = |unit: &WorkUnit| {
+            let needs = codec.map(|c| c.unit_chunks(&unit.payload));
+            let digests: Vec<u64> = needs.iter().flatten().map(|n| n.digest).collect();
+            sched.affinity_score(client, &digests)
+        };
+        let lookahead = sched.config().affinity_lookahead.max(1);
+        // (Looked up only where there is a choice: the hot path has none.)
+        let choice = p.leases.queued_len() > 0 || lookahead > 1;
+        let score = (choice && sched.affinity_entries(client) > 0).then_some(&score as _);
+        // Reissue queue first, always: orphaned units go back out before
+        // fresh ones, except to a donor that has voted on them.
+        let voted = |unit: UnitId| votes.get(&unit).is_some_and(|t| t.has_voted(client));
+        if let Some(unit) = p.leases.next_queued(voted, score) {
+            return Some((unit, false));
+        }
+        // Cross-check top-up: a unit that went to an untrusted donor
+        // wants `quorum_k` live executions in parallel, not in turn.
+        if sched.quorum_enabled() {
+            let k = sched.config().quorum_k;
+            let open = |t: &QuorumTally, copies| copies + t.votes() < k && !t.has_voted(client);
+            let wants = |unit: UnitId, copies| votes.get(&unit).is_some_and(|t| open(t, copies));
+            if let Some(unit) = p.leases.top_up(client, wants) {
+                tel.counter_add("quorum.crosscheck_dispatches", 1);
+                return Some((unit, true));
             }
         }
-        // Cross-check top-up: under K-way quorum issuance, a unit that
-        // went to an untrusted donor wants `quorum_k` live executions in
-        // parallel, not one at a time — top up its copies before pulling
-        // fresh work. Lowest unit id wins for determinism.
-        if self.sched.quorum_enabled() {
-            let p = &self.problems[pid];
-            let k = self.sched.config().quorum_k;
-            let mut pick: Option<UnitId> = None;
-            for (uid, inf) in &p.in_flight {
-                let Some(t) = p.votes.get(uid) else { continue };
-                if inf.leases.len() as u32 + t.votes() >= k {
-                    continue;
-                }
-                if t.has_voted(client) || inf.leases.iter().any(|l| l.client == client) {
-                    continue;
-                }
-                if pick.map(|b| *uid < b).unwrap_or(true) {
-                    pick = Some(*uid);
-                }
-            }
-            if let Some(uid) = pick {
-                return Some((p.in_flight[&uid].unit.clone(), true));
-            }
-        }
-        // Refill the lookahead pool so affinity selection has
-        // candidates; every pull is journaled exactly like a direct
-        // issue (a crash before the lease recovers it as pending).
-        let lookahead = self.sched.config().affinity_lookahead.max(1);
-        while self.problems[pid].pool.len() < lookahead {
-            let p = &mut self.problems[pid];
-            let Some(unit) = p.dm.next_unit(hint) else {
-                break;
-            };
-            if let Some(j) = self.journal.as_mut() {
+        // Fresh work, through the lookahead pool; every pull is journaled
+        // (a crash before the lease recovers the unit as pending).
+        let (dm, journal) = (&mut p.dm, &mut self.journal);
+        let pull = || {
+            let unit = dm.next_unit(hint)?;
+            if let Some(j) = journal.as_mut() {
                 j.unit_issued(pid, &unit, hint);
             }
-            self.telemetry.emit(EventKind::UnitCreated {
+            tel.emit(EventKind::UnitCreated {
                 problem: pid,
                 unit: unit.id,
                 cost_ops: unit.cost_ops,
             });
-            self.telemetry
-                .observe("server.unit_cost_ops", OPS_BOUNDS, unit.cost_ops);
-            self.problems[pid].pool.push_back(Arc::new(unit));
-        }
-        if self.problems[pid].pool.is_empty() {
-            return None;
-        }
-        let idx = self.best_pool_index(pid, client);
-        self.problems[pid].pool.remove(idx).map(|u| (u, false))
-    }
-
-    // Index of the best reissue-queue unit `client` may execute
-    // (best affinity, front wins ties), or `None` when every queued
-    // unit is vote-blocked for this client under quorum.
-    fn reissue_pick(&self, pid: ProblemId, client: ClientId) -> Option<usize> {
-        let p = &self.problems[pid];
-        let affinity = self.sched.affinity_entries(client) > 0;
-        let mut best: Option<(usize, usize)> = None;
-        for (i, u) in p.reissue.iter().enumerate() {
-            if p.votes.get(&u.id).is_some_and(|t| t.has_voted(client)) {
-                continue;
-            }
-            if !affinity {
-                return Some(i);
-            }
-            let s = self.unit_affinity(pid, client, u);
-            if best.map(|(_, bs)| s > bs).unwrap_or(true) {
-                best = Some((i, s));
-            }
-        }
-        best.map(|(i, _)| i)
-    }
-
-    // Affinity score of `unit` for `client`: how many of the unit's
-    // data chunks the donor is already caching (0 when the problem has
-    // no codec, the codec externalises no data, or affinity is off).
-    fn unit_affinity(&self, pid: ProblemId, client: ClientId, unit: &WorkUnit) -> usize {
-        let Some(codec) = self.problems[pid].codec.as_ref() else {
-            return 0;
+            tel.observe("server.unit_cost_ops", OPS_BOUNDS, unit.cost_ops);
+            Some(unit)
         };
-        let needs = codec.unit_chunks(&unit.payload);
-        if needs.is_empty() {
-            return 0;
-        }
-        let digests: Vec<u64> = needs.iter().map(|n| n.digest).collect();
-        self.sched.affinity_score(client, &digests)
-    }
-
-    // Index of the best-affinity unit in `pid`'s lookahead pool; the
-    // front wins ties and the no-affinity-data case.
-    fn best_pool_index(&self, pid: ProblemId, client: ClientId) -> usize {
-        let p = &self.problems[pid];
-        let queue = &p.pool;
-        if queue.len() <= 1 || self.sched.affinity_entries(client) == 0 {
-            return 0;
-        }
-        let mut best = 0usize;
-        let mut best_score = self.unit_affinity(pid, client, &queue[0]);
-        for (i, u) in queue.iter().enumerate().skip(1) {
-            let s = self.unit_affinity(pid, client, u);
-            if s > best_score {
-                best = i;
-                best_score = s;
-            }
-        }
-        best
+        let fresh = p.leases.next_fresh(lookahead, pull, score);
+        fresh.map(|unit| (unit, false))
     }
 
     fn lease_and_assign(
@@ -865,16 +683,9 @@ impl Server {
         now: f64,
         redundant: bool,
     ) -> Assignment {
-        // Exponential backoff: every expiry doubles the next lease, so a
-        // unit whose true cost exceeds the estimate converges instead of
-        // bouncing between reissue and the same slow donor forever. The
-        // scheduler clamps both the doubling count and the absolute
-        // lease length.
-        let expiries = self.problems[pid]
-            .reissue_counts
-            .get(&unit.id)
-            .copied()
-            .unwrap_or(0);
+        // Exponential backoff: every expiry doubles the next lease (the
+        // scheduler clamps both the count and the length).
+        let expiries = self.problems[pid].leases.expiries(unit.id);
         let deadline =
             self.sched
                 .lease_deadline_jittered(client, unit.cost_ops, now, expiries, unit.id);
@@ -884,30 +695,20 @@ impl Server {
             client,
             redundant,
         });
-        self.telemetry.counter_add("server.assignments", 1);
-        if redundant {
-            self.telemetry.counter_add("server.redundant_dispatches", 1);
-        }
-        let completed_before = self.sched.work_completed(client);
         let p = &mut self.problems[pid];
-        p.next_deadline = p.next_deadline.min(deadline);
+        self.telemetry.counter_add("server.assignments", 1);
         p.stats.assignments += 1;
         if redundant {
+            self.telemetry.counter_add("server.redundant_dispatches", 1);
             p.stats.redundant_dispatches += 1;
         }
-        p.in_flight
-            .entry(unit.id)
-            .or_insert_with(|| InFlight {
-                unit: unit.clone(),
-                leases: Vec::new(),
-            })
-            .leases
-            .push(Lease {
-                client,
-                assigned_at: now,
-                completed_before,
-                deadline,
-            });
+        let lease = Lease {
+            client,
+            assigned_at: now,
+            completed_before: self.sched.work_completed(client),
+            deadline,
+        };
+        p.leases.grant(&unit, lease);
         // Under quorum, a unit reaching an untrusted donor starts a
         // byte-identical vote: nothing is combined until enough live
         // candidates agree. Trusted donors stay single-issue (their
@@ -940,33 +741,10 @@ impl Server {
     ) -> bool {
         self.telemetry.set_now(now);
         let p = &mut self.problems[problem];
-        let inf = match p.in_flight.remove(&result.unit_id) {
-            Some(inf) => Some(inf),
-            None => {
-                // The lease may have expired while the (slow) client was
-                // still computing; if the unit is waiting for reissue,
-                // this result is perfectly valid — accept it.
-                let pos = p.reissue.iter().position(|u| u.id == result.unit_id);
-                match pos {
-                    Some(i) => {
-                        let unit = p.reissue.remove(i).expect("position is valid");
-                        Some(InFlight {
-                            unit,
-                            leases: Vec::new(),
-                        })
-                    }
-                    None => None,
-                }
-            }
-        };
-        let Some(mut inf) = inf else {
-            p.stats.wasted_results += 1;
-            self.telemetry.emit(EventKind::ResultWasted {
-                problem,
-                unit: result.unit_id,
-                client,
-            });
-            self.telemetry.counter_add("server.wasted_results", 1);
+        // (In flight, or queued for reissue after its lease expired under
+        // a slow client: that result is perfectly valid too.)
+        let Some(inf) = p.leases.take(result.unit_id) else {
+            self.wasted(problem, result.unit_id, client);
             return false;
         };
         // Feed the adaptive scheduler with this client's turnaround.
@@ -1024,13 +802,8 @@ impl Server {
         let unit_id = result.unit_id;
         let needs_vote = p.votes.contains_key(&unit_id)
             || (self.sched.quorum_enabled() && p.codec.is_some() && !self.sched.is_trusted(client));
-        let encoded_for_vote = if needs_vote {
-            p.codec
-                .as_ref()
-                .and_then(|c| c.encode_result(&result.payload).ok())
-        } else {
-            None
-        };
+        let codec = p.codec.as_ref().filter(|_| needs_vote);
+        let encoded_for_vote = codec.and_then(|c| c.encode_result(&result.payload).ok());
         let (result, pre_encoded) = match encoded_for_vote {
             None => {
                 if needs_vote {
@@ -1046,30 +819,25 @@ impl Server {
                     .entry(unit_id)
                     .or_insert_with(|| QuorumTally::new(needed));
                 match tally.vote(client, bytes.clone(), result) {
-                    VoteOutcome::AlreadyVoted => {
-                        // A duplicated delivery of a vote already
-                        // counted: discard it and put the unit back to
-                        // keep gathering the remaining votes.
-                        inf.leases.retain(|l| l.client != client);
-                        p.stats.wasted_results += 1;
-                        self.telemetry.emit(EventKind::ResultWasted {
-                            problem,
-                            unit: unit_id,
-                            client,
-                        });
-                        self.telemetry.counter_add("server.wasted_results", 1);
-                        Self::requeue_for_votes(p, problem, inf, &self.telemetry);
-                        return false;
-                    }
-                    VoteOutcome::Pending => {
+                    // Not final. A vote already counted (a duplicated
+                    // delivery) is discarded, a new one journaled; the unit
+                    // goes back for the votes it still needs.
+                    outcome @ (VoteOutcome::AlreadyVoted | VoteOutcome::Pending) => {
+                        let fresh = matches!(outcome, VoteOutcome::Pending);
                         let needed = tally.needed();
-                        if let Some(j) = self.journal.as_mut() {
-                            j.vote_recorded(problem, unit_id, needed, client, &bytes);
+                        let orphaned = p.leases.put_back(inf, client);
+                        if fresh {
+                            if let Some(j) = self.journal.as_mut() {
+                                j.vote_recorded(problem, unit_id, needed, client, &bytes);
+                            }
+                            self.telemetry.counter_add("quorum.votes", 1);
+                        } else {
+                            self.wasted(problem, unit_id, client);
                         }
-                        self.telemetry.counter_add("quorum.votes", 1);
-                        inf.leases.retain(|l| l.client != client);
-                        Self::requeue_for_votes(p, problem, inf, &self.telemetry);
-                        return true;
+                        if orphaned {
+                            self.reissued(problem, unit_id, "quorum_pending", false);
+                        }
+                        return fresh;
                     }
                     VoteOutcome::Quorum {
                         result,
@@ -1113,8 +881,6 @@ impl Server {
             latency,
         });
         self.telemetry.counter_add("server.completed_units", 1);
-        // Drop any queued reissue copies of this unit.
-        p.reissue.retain(|u| u.id != unit_id);
 
         // Journal the accepted result *before* folding: a crash after
         // the log write but before the fold replays an action that was
@@ -1122,14 +888,9 @@ impl Server {
         // the recovery drops, and the unit is simply recomputed. A
         // quorum winner journals its winning wire bytes verbatim.
         if let Some(j) = self.journal.as_mut() {
-            let encoded = match &pre_encoded {
-                Some(b) => Some(b.clone()),
-                None => p
-                    .codec
-                    .as_ref()
-                    .and_then(|c| c.encode_result(&result.payload).ok()),
-            };
-            if let Some(b) = encoded {
+            let codec = p.codec.as_ref();
+            let encode = || codec.and_then(|c| c.encode_result(&result.payload).ok());
+            if let Some(b) = pre_encoded.or_else(encode) {
                 j.result_folded(problem, unit_id, &b);
             }
         }
@@ -1141,37 +902,46 @@ impl Server {
             unit: unit_id,
         });
 
+        self.complete_problem(problem, now);
+        true
+    }
+
+    // Says that `unit` was queued for reissue, and why. `counted`: a donor
+    // went quiet (the stats' "reissue"), not a bad wire or a pending vote.
+    fn reissued(&mut self, problem: ProblemId, unit: UnitId, reason: &str, counted: bool) {
+        let reason = reason.to_string();
+        self.telemetry.emit(EventKind::UnitReissued {
+            problem,
+            unit,
+            reason,
+        });
+        if counted {
+            self.problems[problem].stats.reissued_units += 1;
+            self.telemetry.counter_add("server.reissued_units", 1);
+        }
+    }
+
+    // Discards `client`'s result for `unit`: another copy got there first.
+    fn wasted(&mut self, problem: ProblemId, unit: UnitId, client: ClientId) {
+        self.problems[problem].stats.wasted_results += 1;
+        self.telemetry.emit(EventKind::ResultWasted {
+            problem,
+            unit,
+            client,
+        });
+        self.telemetry.counter_add("server.wasted_results", 1);
+    }
+
+    // Closes `problem` once its data manager has every result.
+    fn complete_problem(&mut self, problem: ProblemId, now: f64) {
         let p = &mut self.problems[problem];
         if p.dm.is_complete() && !p.done {
             p.done = true;
             p.output = Some(p.dm.final_output());
             p.completion_time = Some(now);
-            p.in_flight.clear();
-            p.reissue.clear();
-            p.pool.clear();
+            p.leases = LeaseTable::default();
             p.votes.clear();
-            p.next_deadline = f64::INFINITY;
             self.telemetry.emit(EventKind::ProblemCompleted { problem });
-        }
-        true
-    }
-
-    // After a non-final quorum vote the unit still needs more live
-    // executions: keep it in flight if other copies are computing,
-    // otherwise queue it for reissue so a fresh donor can vote.
-    fn requeue_for_votes(p: &mut ProblemState, problem: ProblemId, inf: InFlight, tel: &Telemetry) {
-        let unit = inf.unit.id;
-        if inf.leases.is_empty() {
-            if !p.reissue.iter().any(|u| u.id == unit) {
-                p.reissue.push_back(inf.unit);
-                tel.emit(EventKind::UnitReissued {
-                    problem,
-                    unit,
-                    reason: "quorum_pending".to_string(),
-                });
-            }
-        } else {
-            p.in_flight.insert(unit, inf);
         }
     }
 
@@ -1179,61 +949,25 @@ impl Server {
     /// reissue. Returns the number of units queued.
     pub fn check_timeouts(&mut self, now: f64) -> usize {
         self.telemetry.set_now(now);
-        let tel = self.telemetry.clone();
         let mut reissued = 0;
-        for (pid, p) in self.problems.iter_mut().enumerate() {
-            if p.done {
+        for pid in 0..self.problems.len() {
+            // (A completed problem's table is empty: nothing is ever due.)
+            let Some(moved) = self.problems[pid].leases.expire(now) else {
                 continue;
-            }
-            // Nothing can have expired before the earliest tracked
-            // deadline — skip the full lease scan for this problem.
-            if now < p.next_deadline {
-                continue;
-            }
-            let mut expired_leases: Vec<(UnitId, ClientId)> = Vec::new();
-            let mut expired_units = Vec::new();
-            let mut earliest = f64::INFINITY;
-            for (uid, inf) in &mut p.in_flight {
-                for l in inf.leases.iter().filter(|l| l.deadline <= now) {
-                    expired_leases.push((*uid, l.client));
-                }
-                inf.leases.retain(|l| l.deadline > now);
-                if inf.leases.is_empty() {
-                    expired_units.push(*uid);
-                } else {
-                    for l in &inf.leases {
-                        earliest = earliest.min(l.deadline);
-                    }
-                }
-            }
-            // Sorted processing: HashMap iteration order varies run to
-            // run, and both the reissue queue order and the trace bytes
-            // must not.
-            expired_leases.sort_unstable();
-            expired_units.sort_unstable();
-            p.next_deadline = earliest;
-            for &(uid, client) in &expired_leases {
-                tel.emit(EventKind::LeaseExpired {
+            };
+            for &(unit, client) in &moved.leases {
+                self.telemetry.emit(EventKind::LeaseExpired {
                     problem: pid,
-                    unit: uid,
+                    unit,
                     client,
                 });
             }
-            tel.counter_add("server.lease_expirations", expired_leases.len() as u64);
-            for uid in expired_units {
-                let inf = p.in_flight.remove(&uid).expect("present");
-                p.reissue.push_back(inf.unit);
-                let n = p.reissue_counts.entry(uid).or_insert(0);
-                *n = n.saturating_add(1);
-                p.stats.reissued_units += 1;
-                reissued += 1;
-                tel.emit(EventKind::UnitReissued {
-                    problem: pid,
-                    unit: uid,
-                    reason: "lease_expired".to_string(),
-                });
-                tel.counter_add("server.reissued_units", 1);
+            let tel = &self.telemetry;
+            tel.counter_add("server.lease_expirations", moved.leases.len() as u64);
+            for &unit in &moved.orphans {
+                self.reissued(pid, unit, "lease_expired", true);
             }
+            reissued += moved.orphans.len();
         }
         reissued
     }
@@ -1270,20 +1004,13 @@ impl Server {
             client,
         });
         self.telemetry.counter_add("server.corrupted_results", 1);
-        let Some(inf) = p.in_flight.get_mut(&unit) else {
+        let Some(orphaned) = p.leases.release(unit, client) else {
             // Already completed by another copy or already queued for
             // reissue; nothing to cancel.
             return false;
         };
-        inf.leases.retain(|l| l.client != client);
-        if inf.leases.is_empty() {
-            let inf = p.in_flight.remove(&unit).expect("present");
-            p.reissue.push_back(inf.unit);
-            self.telemetry.emit(EventKind::UnitReissued {
-                problem,
-                unit,
-                reason: "corrupted".to_string(),
-            });
+        if orphaned {
+            self.reissued(problem, unit, "corrupted", false);
         }
         true
     }
@@ -1291,31 +1018,10 @@ impl Server {
     /// A client left the pool (churn): its leases are cancelled and any
     /// unit left with no active lease is queued for reissue.
     pub fn client_gone(&mut self, client: ClientId) {
-        let tel = self.telemetry.clone();
-        tel.emit(EventKind::ClientLost { client });
-        for (pid, p) in self.problems.iter_mut().enumerate() {
-            if p.done {
-                continue;
-            }
-            let mut orphaned = Vec::new();
-            for (uid, inf) in &mut p.in_flight {
-                inf.leases.retain(|l| l.client != client);
-                if inf.leases.is_empty() {
-                    orphaned.push(*uid);
-                }
-            }
-            // Sorted for deterministic reissue order and trace bytes.
-            orphaned.sort_unstable();
-            for uid in orphaned {
-                let inf = p.in_flight.remove(&uid).expect("present");
-                p.reissue.push_back(inf.unit);
-                p.stats.reissued_units += 1;
-                tel.emit(EventKind::UnitReissued {
-                    problem: pid,
-                    unit: uid,
-                    reason: "client_lost".to_string(),
-                });
-                tel.counter_add("server.reissued_units", 1);
+        self.telemetry.emit(EventKind::ClientLost { client });
+        for pid in 0..self.problems.len() {
+            for unit in self.problems[pid].leases.release_client(client).orphans {
+                self.reissued(pid, unit, "client_lost", true);
             }
         }
         self.sched.forget_client(client);
@@ -1365,14 +1071,7 @@ impl Server {
             problem,
             unit: unit_id,
         });
-        let p = &mut self.problems[problem];
-        if p.dm.is_complete() && !p.done {
-            p.done = true;
-            p.output = Some(p.dm.final_output());
-            p.completion_time = Some(now);
-            p.next_deadline = f64::INFINITY;
-            self.telemetry.emit(EventKind::ProblemCompleted { problem });
-        }
+        self.complete_problem(problem, now);
     }
 
     /// Queues recovered-but-uncompleted units for reassignment (issued
@@ -1380,10 +1079,7 @@ impl Server {
     /// recomputed, never re-pulled from the data manager, which has
     /// already moved past them).
     pub fn restore_pending(&mut self, problem: ProblemId, units: Vec<WorkUnit>) {
-        let p = &mut self.problems[problem];
-        for unit in units {
-            p.reissue.push_back(Arc::new(unit));
-        }
+        self.problems[problem].leases.restore(units);
     }
 
     /// Restores in-flight quorum votes for a recovered-but-uncompleted
@@ -1478,45 +1174,27 @@ impl Server {
     /// wire layout — the `donor.c<id>.pipeline_depth` gauge each donor
     /// last reported.
     pub fn status_snapshot(&self, now: f64) -> StatusSnapshot {
-        let mut ids: BTreeSet<ClientId> = BTreeSet::new();
-        for &(id, _, _) in &self.sched.snapshot().clients {
-            ids.insert(id);
-        }
-        for &(id, ..) in &self.sched.reputation_snapshot().clients {
-            ids.insert(id);
-        }
-        let mut lease_counts: HashMap<ClientId, u32> = HashMap::new();
+        let flagged = self.health.iter().flat_map(|h| h.flagged_clients());
+        let known = self.sched.known_clients().chain(flagged);
+        let mut leases: BTreeMap<ClientId, u32> = known.map(|id| (id, 0)).collect();
         for p in &self.problems {
-            for inf in p.in_flight.values() {
-                for l in &inf.leases {
-                    ids.insert(l.client);
-                    *lease_counts.entry(l.client).or_insert(0) += 1;
-                }
-            }
+            p.leases.count_leases(&mut leases);
         }
-        if let Some(h) = &self.health {
-            for id in h.flagged_clients() {
-                ids.insert(id);
-            }
-        }
-        let donors = ids
+        let health_ratio = |id| self.health.as_ref().and_then(|h| h.ratio(id));
+        let donors = leases
             .into_iter()
-            .map(|id| {
+            .map(|(id, leases)| {
                 let (agreements, disputes) = self.sched.reputation_counts(id);
                 DonorStatus {
                     client: id,
                     ops_per_sec: self.sched.estimated_speed(id),
                     units_completed: self.sched.units_completed(id),
-                    leases: lease_counts.get(&id).copied().unwrap_or(0),
+                    leases,
                     trusted: self.sched.is_trusted(id),
                     agreements,
                     disputes,
                     flagged: self.sched.is_health_flagged(id),
-                    health_ratio: self
-                        .health
-                        .as_ref()
-                        .and_then(|h| h.ratio(id))
-                        .unwrap_or(0.0),
+                    health_ratio: health_ratio(id).unwrap_or(0.0),
                 }
             })
             .collect();
@@ -1530,8 +1208,8 @@ impl Server {
                 done: p.done,
                 completed_units: p.stats.completed_units,
                 assignments: p.stats.assignments,
-                in_flight: p.in_flight.len() as u32,
-                reissue_queue: p.reissue.len() as u32,
+                in_flight: p.leases.in_flight_len() as u32,
+                reissue_queue: p.leases.queued_len() as u32,
             })
             .collect();
         let metrics = self.telemetry.metrics_snapshot();
@@ -2392,6 +2070,113 @@ mod tests {
             panic!()
         };
         assert_ne!(fresh.id, stalled.id, "one rescue copy per unit");
+    }
+
+    /// Pins the merged extra-copy picker to the choices the two separate
+    /// walks made before it, on a fixed script with the detector on,
+    /// quorum on and two problems. The stragglers' leases are granted at
+    /// one instant, so pass 0 must break the `oldest` tie on `(problem,
+    /// unit)`; in the end-game a young unit with a flagged holder must
+    /// beat an older one without.
+    #[test]
+    fn extra_copy_passes_pick_the_pinned_units() {
+        let mut server = Server::new(SchedulerConfig {
+            enable_health_detector: true,
+            health_min_observations: 3,
+            quorum_k: 2,
+            reputation_threshold: 1000, // nobody graduates: every unit is voted on
+            enable_speculative_reissue: true,
+            enable_dynamic_granularity: false,
+            enable_adaptive: false, // keep predicted time fixed at the prior
+            ..Default::default()
+        });
+        let telemetry = Telemetry::enabled();
+        server.set_telemetry(telemetry.clone());
+        for _ in 0..2 {
+            server.submit(
+                Problem::new("sum", Box::new(SumDm::new(60, 10)), Arc::new(SumAlgo))
+                    .with_codec(Arc::new(RangeCodec)),
+            );
+        }
+        type Held = (ClientId, ProblemId, Arc<WorkUnit>, Arc<dyn Algorithm>);
+        // Every assignment, as `client:problem.unit`.
+        let log = std::cell::RefCell::new(Vec::<String>::new());
+        let ask = |server: &mut Server, client: ClientId, now: f64| -> Held {
+            let Assignment::Unit {
+                problem,
+                unit,
+                algorithm,
+            } = server.request_work(client, now)
+            else {
+                panic!("client {client} was refused at {now}")
+            };
+            let line = format!("{client}:{problem}.{}", unit.id);
+            log.borrow_mut().push(line);
+            (client, problem, unit, algorithm)
+        };
+        let finish = |server: &mut Server, (client, problem, unit, algorithm): Held, now: f64| {
+            server.submit_result(client, problem, algorithm.compute(&unit), now)
+        };
+        // Donors 0 and 1 work in lock step: three rounds at the predicted
+        // pace (prior 1e7 ops/s, 10 ops), then three 10x slower. Each
+        // result is a lone vote, so all twelve units end up queued.
+        let predicted = 10.0 / 1.0e7;
+        let mut now = 0.0;
+        for round in 0..6 {
+            let held = [0, 1].map(|client| ask(&mut server, client, now));
+            now += predicted * if round < 3 { 1.0 } else { 10.0 };
+            for h in held {
+                finish(&mut server, h, now);
+            }
+            now += 1.0;
+        }
+        assert!(server.scheduler().is_health_flagged(0));
+        assert!(server.scheduler().is_health_flagged(1));
+        log.take();
+        // Both stragglers take two units each at one instant and stall;
+        // healthy donors 2..=5 then arrive one after another.
+        for client in [0, 1, 0, 1] {
+            ask(&mut server, client, now);
+        }
+        assert_eq!(log.take().join(" "), "0:1.0 1:0.0 0:1.1 1:0.1");
+        let mut healthy = Vec::new();
+        for client in 2..=5 {
+            now += 0.25;
+            healthy.push(ask(&mut server, client, now));
+        }
+        let rescues = log.take().join(" ");
+        assert_eq!(rescues, "2:0.0 3:0.1 4:1.0 5:1.1", "pass 0 ties");
+        // Donors 2 and 3 deliver (two quorums), then every healthy donor
+        // keeps asking and holding: queued units first, then the
+        // end-game's extra copies. Straggler 0 takes one more unit, late:
+        // from then on the youngest lease has a flagged holder.
+        for h in healthy.drain(..2) {
+            now += 0.25;
+            assert!(finish(&mut server, h, now));
+        }
+        let mut rounds = Vec::new();
+        for round in 0..4 {
+            if round == 1 {
+                now += 0.25;
+                ask(&mut server, 0, now);
+            }
+            for client in 2..=7 {
+                now += 0.25;
+                ask(&mut server, client, now);
+            }
+            rounds.push(log.take().join(" "));
+        }
+        assert_eq!(rounds[0], "2:1.2 3:0.2 4:1.3 5:0.3 6:1.4 7:0.4", "queued");
+        // 2: pass 0 again. 3: the last queued unit. 4, 5: the oldest
+        // units with a flagged holder. 6: the young one, with a flagged
+        // holder, before 7 gets an older one without.
+        assert_eq!(rounds[1], "0:1.5 2:1.5 3:0.5 4:1.1 5:1.0 6:1.5 7:1.2");
+        assert_eq!(rounds[2], "2:0.2 3:1.2 4:0.2 5:1.3 6:1.3 7:0.3");
+        assert_eq!(rounds[3], "2:0.3 3:1.4 4:1.4 5:0.4 6:0.4 7:0.5");
+        let counters = telemetry.metrics_snapshot();
+        assert_eq!(counters.counter("health.live_rescues"), 5);
+        assert_eq!(counters.counter("sched.speculative_reissues"), 9);
+        assert_eq!(counters.counter("server.redundant_dispatches"), 21);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! client ──next request…
 //! ```
 
-use crate::fault::{DeliveryAction, FaultInjector, FaultPlan, PlanInterpreter};
+use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
 use crate::net::cache::ChunkCache;
 use crate::problem::{Algorithm, TaskResult, WorkUnit};
 use crate::server::{Assignment, ProblemId, Server};

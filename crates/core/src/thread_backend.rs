@@ -6,7 +6,7 @@
 //! simulator drives are executed with genuine concurrency, and the
 //! integration tests assert distributed output == sequential reference.
 
-use crate::fault::{DeliveryAction, FaultInjector, FaultPlan, PlanInterpreter};
+use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
 use crate::server::{Assignment, Server};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};

@@ -2,8 +2,9 @@
 # Non-test Rust lines per crates/core/src module; counting stops at a
 # file's first `#[cfg(test)]`. `loc.sh [rev]` reads a git revision
 # (default: the working tree), so CI prints the merge base and HEAD one
-# after the other and every PR's log shows its line delta. A `net/`
-# subtotal follows the grand total (ROADMAP item 3: "net LOC down").
+# after the other and every PR's log shows its line delta. Two subtotals
+# follow the grand total: `net/` (ROADMAP item 3: "net LOC down") and
+# `server.rs + leases.rs` (items 2 / 4b: the server and its lease table).
 set -eu
 cd "$(dirname "$0")/.."
 rev=${1:-}
@@ -18,4 +19,5 @@ for f in $files; do
         awk -v f="${f#crates/core/src/}" \
             '/#\[cfg\(test\)\]/ { exit } { n++ } END { printf "%6d %s\n", n, f }'
 done | awk '{ print; total += $1 } $2 ~ /^net\// { net += $1 }
-    END { printf "%6d total\n%6d net/\n", total, net }'
+    $2 == "server.rs" || $2 == "leases.rs" { server += $1 }
+    END { printf "%6d total\n%6d net/\n%6d server.rs + leases.rs\n", total, net, server }'

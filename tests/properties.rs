@@ -13,6 +13,7 @@ use biodist::align::{
     nw_align, nw_banded_score, nw_score, sw_align, sw_score, sw_score_antidiagonal, Hit, TopK,
 };
 use biodist::bioseq::{Alphabet, GapPenalty, ScoringMatrix, ScoringScheme, Sequence};
+use biodist::core::leases::{InFlight, Lease, LeaseTable, Released};
 use biodist::core::sched::Scheduler;
 use biodist::core::{
     chunk_digest, ChunkCache, Payload, QuorumTally, SchedulerConfig, TaskResult, VoteOutcome,
@@ -936,6 +937,195 @@ fn honest_but_slow_machine_is_never_flagged() {
 // push all agree with the whole-stream decode; (2) a corrupt frame
 // yields the same detected error and resyncs to the same next frame at
 // every split; (3) no input, however mangled, panics the assembler.
+
+// ---- lease table (core::leases) -------------------------------------
+
+/// The lease table's bookkeeping, done the naive way: vectors, linear
+/// scans and a sort where order matters.
+#[derive(Default)]
+struct LeaseModel {
+    flying: Vec<(u64, Vec<Lease>)>,
+    queue: Vec<u64>,
+    expiries: Vec<(u64, u32)>,
+    earliest: Option<f64>,
+}
+
+impl LeaseModel {
+    /// Drops the leases `gone` selects; orphans go to the queue's back.
+    fn release(&mut self, gone: impl Fn(u64, &Lease) -> bool) -> Released {
+        let mut moved = Released::default();
+        for (unit, leases) in &mut self.flying {
+            let dropped = leases.iter().filter(|l| gone(*unit, l));
+            moved.leases.extend(dropped.map(|l| (*unit, l.client)));
+            leases.retain(|l| !gone(*unit, l));
+            if leases.is_empty() {
+                moved.orphans.push(*unit);
+            }
+        }
+        moved.leases.sort_unstable();
+        moved.orphans.sort_unstable();
+        self.flying.retain(|(_, leases)| !leases.is_empty());
+        self.queue.extend(&moved.orphans);
+        moved
+    }
+
+    fn holders(&self, unit: u64) -> Vec<usize> {
+        let leases = self.flying.iter().find(|(u, _)| *u == unit);
+        leases.map_or(Vec::new(), |(_, l)| l.iter().map(|l| l.client).collect())
+    }
+}
+
+/// Random `grant` / `take` / `put_back` / `release` / `release_client` /
+/// `expire` sequences: the table must orphan the same units in the same
+/// order as the model, agree on every count and on the earliest
+/// deadline, and pass its own `audit()` after every step.
+#[test]
+fn lease_table_matches_naive_model() {
+    const CLIENTS: u64 = 5;
+    let unit = |id: u64| biodist::core::WorkUnit {
+        id,
+        payload: Payload::new((), 0),
+        cost_ops: 1.0,
+    };
+    for seed in 0..CASES as u64 {
+        let mut rng = Xoshiro256StarStar::new(0x1EA5E ^ seed);
+        let (mut table, mut model) = (LeaseTable::default(), LeaseModel::default());
+        let (mut now, mut next_id) = (0.0, 0u64);
+        for step in 0..200 {
+            now += rng.next_f64();
+            let client = rng.next_below(CLIENTS) as usize;
+            // A unit the model knows (flying or queued), when there is one.
+            let known: Vec<u64> = model.flying.iter().map(|(u, _)| *u).collect();
+            let known = [known, model.queue.clone()].concat();
+            let pick =
+                (!known.is_empty()).then(|| known[rng.next_below(known.len() as u64) as usize]);
+            match (rng.next_below(8), pick) {
+                // Grant: the next queued unit, else an extra copy of a
+                // flying one, else a fresh unit (through the pool).
+                (0..=2, _) => {
+                    let queued = table.next_queued(|_| false, None);
+                    assert_eq!(queued.as_ref().map(|u| u.id), model.queue.first().copied());
+                    let granted = match (queued, pick) {
+                        (Some(u), _) => {
+                            model.queue.remove(0);
+                            u
+                        }
+                        (None, Some(u)) if !model.holders(u).contains(&client) => {
+                            table.top_up(usize::MAX, |id, _| id == u).expect("flying")
+                        }
+                        _ => {
+                            next_id += 1;
+                            let fresh = table.next_fresh(1, || Some(unit(next_id)), None);
+                            fresh.expect("pulled")
+                        }
+                    };
+                    let lease = Lease {
+                        client,
+                        assigned_at: now,
+                        completed_before: (0, 0.0),
+                        deadline: now + 4.0 * rng.next_f64(),
+                    };
+                    table.grant(&granted, lease.clone());
+                    model.earliest = Some(
+                        model
+                            .earliest
+                            .map_or(lease.deadline, |e| e.min(lease.deadline)),
+                    );
+                    match model.flying.iter_mut().find(|(u, _)| *u == granted.id) {
+                        Some((_, leases)) => leases.push(lease),
+                        None => model.flying.push((granted.id, vec![lease])),
+                    }
+                }
+                // Take (a result arrives); half the time the vote is not
+                // final and the unit goes back minus the voter's lease.
+                (3, Some(u)) => {
+                    let InFlight {
+                        unit: taken,
+                        leases,
+                    } = table.take(u).expect("pending");
+                    let flying = model.flying.iter().position(|(id, _)| *id == u);
+                    let expected = match flying {
+                        Some(at) => model.flying.remove(at).1,
+                        None => {
+                            model.queue.retain(|id| *id != u);
+                            Vec::new()
+                        }
+                    };
+                    assert_eq!(leases, expected);
+                    if rng.next_bool(0.5) {
+                        let kept: Vec<Lease> = expected
+                            .into_iter()
+                            .filter(|l| l.client != client)
+                            .collect();
+                        let orphaned = table.put_back(
+                            InFlight {
+                                unit: taken,
+                                leases,
+                            },
+                            client,
+                        );
+                        assert_eq!(orphaned, kept.is_empty());
+                        match orphaned {
+                            true => model.queue.push(u),
+                            false => model.flying.push((u, kept)),
+                        }
+                    }
+                }
+                (4, Some(u)) => {
+                    let flying = model.flying.iter().any(|(id, _)| *id == u);
+                    let moved = model.release(|id, l| id == u && l.client == client);
+                    let expected = flying.then_some(moved.orphans == [u]);
+                    assert_eq!(table.release(u, client), expected);
+                }
+                (5, _) => {
+                    let moved = model.release(|_, l| l.client == client);
+                    assert_eq!(table.release_client(client), moved);
+                }
+                (6, _) => {
+                    let due = model.earliest.is_some_and(|e| now >= e);
+                    let moved = due.then(|| model.release(|_, l| l.deadline <= now));
+                    if let Some(moved) = &moved {
+                        let live = model.flying.iter().flat_map(|(_, l)| l);
+                        model.earliest = live.map(|l| l.deadline).reduce(f64::min);
+                        for u in &moved.orphans {
+                            match model.expiries.iter_mut().find(|(id, _)| id == u) {
+                                Some((_, n)) => *n += 1,
+                                None => model.expiries.push((*u, 1)),
+                            }
+                        }
+                    }
+                    assert_eq!(table.expire(now), moved);
+                }
+                // A result for a unit the table does not hold.
+                _ => assert!(table.take(u64::MAX).is_none()),
+            }
+            let at = format!("seed {seed} step {step}");
+            assert_eq!(table.audit(), Vec::<String>::new(), "{at}");
+            assert_eq!(
+                (table.in_flight_len(), table.queued_len()),
+                (model.flying.len(), model.queue.len()),
+                "{at}"
+            );
+            assert_eq!(
+                table.earliest_deadline(),
+                model.earliest.unwrap_or(f64::INFINITY),
+                "{at}"
+            );
+            for id in 1..=next_id {
+                let n = model
+                    .expiries
+                    .iter()
+                    .find(|(u, _)| *u == id)
+                    .map_or(0, |(_, n)| *n);
+                assert_eq!(table.expiries(id), n, "{at}");
+            }
+            let mut counts = std::collections::BTreeMap::new();
+            table.count_leases(&mut counts);
+            let held: usize = model.flying.iter().map(|(_, l)| l.len()).sum();
+            assert_eq!(counts.values().sum::<u32>() as usize, held, "{at}");
+        }
+    }
+}
 
 mod frame_reassembly {
     use super::{Rng, Xoshiro256StarStar, CASES};
