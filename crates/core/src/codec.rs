@@ -108,9 +108,10 @@ pub struct ByteWriter {
 }
 
 impl ByteWriter {
-    /// An empty writer.
+    /// An empty writer, with room for a small body (a unit, a result, a
+    /// journal record) before it has to grow.
     pub fn new() -> Self {
-        Self::default()
+        Self::appending(Vec::with_capacity(64))
     }
 
     /// A writer that appends to `buf` (the frame encoder writes bodies

@@ -88,7 +88,8 @@ pub enum FaultKind {
     /// arrives with a broken body checksum: the donor's frame reader
     /// skips it and the fetch recovers as for [`FaultKind::DropChunk`].
     CorruptChunk,
-    /// The next control reply — a `ResultAck` or an `AssignUnit` —
+    /// The next control reply — a `TurnReply` (a raw client's
+    /// `ResultAck` or `AssignUnit`) —
     /// bound for the client after `at` is lost in transit. A wire-level
     /// fault of the TCP transport, whose donor pipeline reads the loss
     /// off the in-order stream: a lost ack resubmits the result (the
@@ -572,7 +573,7 @@ pub struct PlanInterpreter {
     // time; their own queue, consumed only by the TCP fault proxy's
     // server→client pump.
     chunk_replies: Vec<Vec<(f64, DeliveryAction)>>,
-    // Armed one-shot control-reply (`ResultAck` / `AssignUnit`) faults
+    // Armed one-shot control-reply (`TurnReply`; `ResultAck` / `AssignUnit`) faults
     // per client, sorted by time; the same pump consumes them.
     control_replies: Vec<Vec<(f64, DeliveryAction)>>,
     // Armed one-shot Byzantine wrong-result faults per client, sorted
@@ -687,7 +688,7 @@ impl PlanInterpreter {
         pop_due(self.chunk_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
     }
 
-    /// Decides the fate of a `ResultAck` or `AssignUnit` bound for
+    /// Decides the fate of a `TurnReply` (`ResultAck`, `AssignUnit`) bound for
     /// `client` at `now`: the earliest armed [`FaultKind::DropReply`] /
     /// [`FaultKind::DuplicateReply`] / [`FaultKind::CorruptReply`]
     /// whose time has passed is consumed.

@@ -12,7 +12,31 @@
 use crate::problem::{UnitId, WorkUnit};
 use crate::sched::{ClientId, Scheduler};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Hashes a unit id with one multiply. The table's keys are ids the
+/// server's own data managers chose, so there is nobody to defend
+/// against; maps keyed by what arrives off the wire (client ids) keep
+/// the standard library's keyed hasher.
+#[derive(Default)]
+struct UnitIdHasher(u64);
+
+impl Hasher for UnitIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("unit ids hash as one u64");
+    }
+    fn write_u64(&mut self, id: u64) {
+        // (Fibonacci hashing; the rotate brings the well-mixed high bits
+        // down to where the table takes its bucket index from.)
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(32);
+    }
+}
+
+type UnitMap<V> = HashMap<UnitId, V, BuildHasherDefault<UnitIdHasher>>;
 
 /// One donor's claim on a unit.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,6 +58,13 @@ pub struct InFlight {
     pub unit: Arc<WorkUnit>,
     /// Who is computing it.
     pub leases: Vec<Lease>,
+}
+
+impl InFlight {
+    /// `client`'s lease on the unit, if it holds one.
+    pub fn lease_of(&self, client: ClientId) -> Option<&Lease> {
+        self.leases.iter().find(|l| l.client == client)
+    }
 }
 
 /// What a release moved, both lists sorted.
@@ -59,7 +90,7 @@ pub struct ExtraCopy {
 /// One problem's lease bookkeeping.
 #[derive(Debug, Default)]
 pub struct LeaseTable {
-    in_flight: HashMap<UnitId, InFlight>,
+    in_flight: UnitMap<InFlight>,
     reissue: VecDeque<Arc<WorkUnit>>,
     // Gives affinity-aware selection more than one candidate to match
     // against a donor's cached chunks (at the default cap of 1, none).
@@ -70,7 +101,7 @@ pub struct LeaseTable {
     // Times each unit was orphaned by expiry: drives lease backoff, so a
     // donor slower than its estimate cannot livelock a unit (reissue
     // before its own result arrives, forever).
-    expiries: HashMap<UnitId, u32>,
+    expiries: UnitMap<u32>,
     // Lowest and highest unit id ever leased, for `audit`.
     leased: Option<(UnitId, UnitId)>,
 }

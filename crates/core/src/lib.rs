@@ -68,7 +68,8 @@ pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, 
 pub use quorum::{QuorumTally, VoteOutcome};
 pub use sched::{AffinitySnapshot, ClientId, ReputationSnapshot, SchedSnapshot, SchedulerConfig};
 pub use server::{
-    Assignment, DonorStatus, ProblemId, ProblemStatus, RunJournal, Server, StatusSnapshot,
+    Assignment, DonorStatus, ProblemId, ProblemStatus, RunJournal, Server, StatusSnapshot, Then,
+    TurnOutcome, TurnResult,
 };
 pub use sim_backend::{RunReport, SimConfig, SimRunner};
 pub use telemetry::{

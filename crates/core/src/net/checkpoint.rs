@@ -176,7 +176,7 @@ impl Drop for Log {
 /// order), and when the last clone is dropped. The TCP server commits
 /// once per pump, *before* that pump's replies are flushed, so the
 /// write-ahead property recovery rests on holds per pump: no donor
-/// can read an `AssignUnit` or `ResultAck` whose records are not in
+/// can read a `TurnReply` (`AssignUnit`, `ResultAck`) whose records are not in
 /// the file. A crash loses the open group — records nobody was told
 /// about — and [`CheckpointWriter::discard`] is that crash for
 /// `NetServer::kill`. A reader of the log while a writer lives must
@@ -254,7 +254,21 @@ impl CheckpointWriter {
         }
     }
 
-    fn write_record(&self, rtype: u8, body: &[u8]) {
+    /// Frames one record into the open group: `body` writes its fields
+    /// in place, behind a length that is patched afterwards.
+    fn write_record(&self, rtype: u8, body: impl FnOnce(&mut ByteWriter)) {
+        let mut log = self.log.lock().expect("checkpoint lock");
+        let start = log.group.len();
+        log.group.extend_from_slice(&[0, 0, 0, 0, rtype]);
+        let mut w = ByteWriter::appending(std::mem::take(&mut log.group));
+        body(&mut w);
+        log.group = w.into_bytes();
+        let body_len = log.group.len() - start - 5;
+        log.group[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+        // The checksum covers `type ‖ body`: everything after the length.
+        let crc = super::wire::crc32(&log.group[start + 4..]);
+        log.group.extend_from_slice(&crc.to_le_bytes());
+        log.records += 1;
         if self.telemetry.is_enabled() {
             let kind = match rtype {
                 REC_ISSUE => "issue",
@@ -271,18 +285,8 @@ impl CheckpointWriter {
                 });
             self.telemetry.counter_add("ckpt.records", 1);
             self.telemetry
-                .counter_add("ckpt.bytes", body.len() as u64 + 9);
+                .counter_add("ckpt.bytes", body_len as u64 + 9);
         }
-        let mut log = self.log.lock().expect("checkpoint lock");
-        let start = log.group.len();
-        log.group
-            .extend_from_slice(&(body.len() as u32).to_le_bytes());
-        log.group.push(rtype);
-        log.group.extend_from_slice(body);
-        // The checksum covers `type ‖ body`: everything after the length.
-        let crc = super::wire::crc32(&log.group[start + 4..]);
-        log.group.extend_from_slice(&crc.to_le_bytes());
-        log.records += 1;
         // A crash can tear at most the group being written, at any
         // byte; the reader's CRC check keeps the records wholly before
         // the tear and drops the rest.
@@ -294,70 +298,70 @@ impl CheckpointWriter {
 
     /// Appends a scheduler snapshot record.
     pub fn append_snapshot(&self, snap: &SchedSnapshot) {
-        let mut w = ByteWriter::new();
-        w.u32(snap.clients.len() as u32);
-        for &(client, speed, units) in &snap.clients {
-            w.u64(client as u64);
-            w.f64(speed);
-            w.u64(units);
-        }
-        self.write_record(REC_SCHED, &w.into_bytes());
+        self.write_record(REC_SCHED, |w| {
+            w.u32(snap.clients.len() as u32);
+            for &(client, speed, units) in &snap.clients {
+                w.u64(client as u64);
+                w.f64(speed);
+                w.u64(units);
+            }
+        });
     }
 
     /// Appends a chunk-affinity snapshot record.
     pub fn append_affinity(&self, snap: &AffinitySnapshot) {
-        let mut w = ByteWriter::new();
-        w.u32(snap.clients.len() as u32);
-        for (client, digests) in &snap.clients {
-            w.u64(*client as u64);
-            w.u32(digests.len() as u32);
-            for &d in digests {
-                w.u64(d);
+        self.write_record(REC_AFFINITY, |w| {
+            w.u32(snap.clients.len() as u32);
+            for (client, digests) in &snap.clients {
+                w.u64(*client as u64);
+                w.u32(digests.len() as u32);
+                for &d in digests {
+                    w.u64(d);
+                }
             }
-        }
-        self.write_record(REC_AFFINITY, &w.into_bytes());
+        });
     }
 
     /// Appends a donor-reputation snapshot record.
     pub fn append_reputation(&self, snap: &ReputationSnapshot) {
-        let mut w = ByteWriter::new();
-        w.u32(snap.clients.len() as u32);
-        for &(client, agreements, disputes, trusted) in &snap.clients {
-            w.u64(client as u64);
-            w.u64(agreements);
-            w.u64(disputes);
-            w.u8(trusted as u8);
-        }
-        self.write_record(REC_REPUTATION, &w.into_bytes());
+        self.write_record(REC_REPUTATION, |w| {
+            w.u32(snap.clients.len() as u32);
+            for &(client, agreements, disputes, trusted) in &snap.clients {
+                w.u64(client as u64);
+                w.u64(agreements);
+                w.u64(disputes);
+                w.u8(trusted as u8);
+            }
+        });
     }
 
     /// Appends the current replica topology (written whenever snapshots
     /// are taken; the last record wins on replay).
     pub fn append_replicas(&self, endpoints: &[std::net::SocketAddr]) {
-        let mut w = ByteWriter::new();
-        w.u32(endpoints.len() as u32);
-        for ep in endpoints {
-            w.str(&ep.to_string());
-        }
-        self.write_record(REC_REPLICA, &w.into_bytes());
+        self.write_record(REC_REPLICA, |w| {
+            w.u32(endpoints.len() as u32);
+            for ep in endpoints {
+                w.str(&ep.to_string());
+            }
+        });
     }
 }
 
 impl RunJournal for CheckpointWriter {
     fn unit_issued(&mut self, problem: ProblemId, unit: &WorkUnit, hint_ops: f64) {
-        let mut w = ByteWriter::new();
-        w.usize(problem);
-        w.u64(unit.id);
-        w.f64(hint_ops);
-        self.write_record(REC_ISSUE, &w.into_bytes());
+        self.write_record(REC_ISSUE, |w| {
+            w.usize(problem);
+            w.u64(unit.id);
+            w.f64(hint_ops);
+        });
     }
 
     fn result_folded(&mut self, problem: ProblemId, unit: UnitId, encoded: &[u8]) {
-        let mut w = ByteWriter::new();
-        w.usize(problem);
-        w.u64(unit);
-        w.bytes(encoded);
-        self.write_record(REC_RESULT, &w.into_bytes());
+        self.write_record(REC_RESULT, |w| {
+            w.usize(problem);
+            w.u64(unit);
+            w.bytes(encoded);
+        });
     }
 
     fn vote_recorded(
@@ -368,13 +372,13 @@ impl RunJournal for CheckpointWriter {
         client: ClientId,
         encoded: &[u8],
     ) {
-        let mut w = ByteWriter::new();
-        w.usize(problem);
-        w.u64(unit);
-        w.u32(needed);
-        w.u64(client as u64);
-        w.bytes(encoded);
-        self.write_record(REC_VOTE, &w.into_bytes());
+        self.write_record(REC_VOTE, |w| {
+            w.usize(problem);
+            w.u64(unit);
+            w.u32(needed);
+            w.u64(client as u64);
+            w.bytes(encoded);
+        });
     }
 
     fn commit(&mut self) {

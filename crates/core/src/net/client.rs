@@ -4,27 +4,28 @@
 //! mirrors the paper's donor daemon — request work, compute, submit,
 //! repeat — as an in-order pipeline sized to the round trip. A turn is:
 //! take every reply earlier reads already buffered (no syscall), compute
-//! what is ready, write **once**, block. The `SubmitResult`s and the
-//! `RequestWork` top-ups leave together (a result doubles as the next
-//! request), and replies are read, in stream order, only when nothing
-//! is ready to compute. How many units are kept ready or requested —
-//! and results unacknowledged — is what the donor measures: the exposed
-//! wait of a blocking read divided by the compute of a unit, between
-//! `queue_depth` and 64. With millisecond units that is `queue_depth`
-//! and one write per unit, each result on the wire before the next
-//! compute starts; with microsecond units a write carries a round
-//! trip's worth of results, held back by at most half the wait they
-//! share. One connection answers in order, so a reply that arrives
-//! ahead of an earlier expectation proves the earlier exchange was lost
-//! and it is repaired at once.
+//! what is ready, write **one frame**, block. That frame, a
+//! [`Frame::Turn`], carries every result computed since the last one
+//! and asks for the units that replace them (a result doubles as the
+//! next request); the origin answers it with one [`Frame::TurnReply`],
+//! read only when nothing is ready to compute. How many units are kept
+//! ready or requested — and results unacknowledged — is what the donor
+//! measures: the exposed wait of a blocking read divided by the compute
+//! of a unit, between `queue_depth` and 64. With millisecond units that
+//! is `queue_depth` and one turn of one per unit, each result on the
+//! wire before the next compute starts; with microsecond units a turn
+//! carries a round trip's worth of results, held back by at most half
+//! the wait they share. One connection answers its numbered turns in
+//! order, so a reply that arrives ahead of an earlier turn's proves that
+//! turn lost, and its results ride the next one.
 //!
 //! Around that sits the robustness the real deployment needed:
 //! heartbeats so the server can tell "slow" from "gone", reconnect with
 //! jittered exponential backoff (re-reading the [`super::Directory`],
 //! so a restarted server on a new port is found), and idempotent result
-//! resubmission — a result is retired only on a [`Frame::ResultAck`],
-//! so an ack lost to a broken connection leads to a resend, never a
-//! lost unit (the server dedups).
+//! resubmission — a result is retired only when a reply rules on it, so
+//! an ack lost to a broken connection leads to a resend, never a lost
+//! unit (the server dedups).
 //!
 //! Lifecycle faults from a [`FaultPlan`] (late join, permanent
 //! departure, crash windows, slowdowns) are interpreted client-side
@@ -34,7 +35,8 @@
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache};
 use super::wire::{
-    encode_frame, encode_frame_into, DecodeError, Frame, FrameReader, ReadError, HEADER_LEN,
+    encode_frame_into, encode_turn_into, DecodeError, Frame, FrameReader, ReadError, Then,
+    HEADER_LEN, MAX_PIPELINE_DEPTH,
 };
 use super::{Clock, Directory};
 use crate::codec::{ChunkNeed, WireCodec};
@@ -188,17 +190,6 @@ pub fn spawn_clients(
 /// chunks is one write and one streamed reply.
 const BURST_WINDOW_BYTES: u64 = 256 * 1024;
 
-/// Ceiling of the measured pipeline depth (see [`ClientLoop::depth`]):
-/// the most assignments a donor keeps ready or requested, and the most
-/// results it keeps unacknowledged, however short its units are next to
-/// a round trip. 64 request/result pairs are ~5 KiB on the wire — one
-/// segment, one origin pump, one journal group — and by then the
-/// per-turn syscalls the depth exists to amortise are shared 64 ways
-/// (1/32 of their per-unit cost at depth 2); a deeper pipeline would
-/// only lengthen what one lost connection resubmits and what one slow
-/// donor hoards from the others.
-const MAX_PIPELINE_DEPTH: usize = 64;
-
 /// Computes and blocking reads a connection must have seen before its
 /// measurements steer anything: until then the depth is `queue_depth`
 /// and every result is written before the next compute.
@@ -232,24 +223,16 @@ enum BurstEnd {
     Broken,
 }
 
-/// A result computed but not yet acknowledged — the idempotence unit.
-/// It holds the encoded `SubmitResult` frame, so a resubmission is a
-/// copy into the write buffer.
-struct PendingResult {
-    problem: u64,
-    unit: u64,
-    frame: Vec<u8>,
-}
+/// A result computed but not yet acknowledged — the idempotence unit:
+/// `(problem, unit, codec-encoded payload)`, as a [`Frame::Turn`] has it.
+type PendingResult = (u64, u64, Vec<u8>);
 
-/// A reply the origin owes this donor. Expectations queue in the order
-/// their requests were written, which is the order one connection
-/// answers them in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expect {
-    /// The `ResultAck` of a submitted result.
-    Ack { problem: u64, unit: u64 },
-    /// The `AssignUnit` / `Wait` / `Finished` answering a `RequestWork`.
-    Work,
+/// A turn not yet answered: how many results (of `unacked`, in order) it
+/// carried, how many units it asked for. One connection answers by `seq`.
+struct SentTurn {
+    seq: u64,
+    results: usize,
+    want: usize,
 }
 
 /// A prefetched assignment: decoded, its chunks fetched and hydrated,
@@ -316,20 +299,29 @@ struct ClientLoop {
     /// [`ClientLoop::flush`].
     wbuf: Vec<u8>,
     reconnect: Backoff,
-    /// Results submitted on this connection (or waiting for the next
-    /// one) and not yet acknowledged, oldest first; at most the depth
-    /// in force when each was computed. Kept for resubmission after a
-    /// reconnect.
+    /// Results not yet acknowledged; at most the depth in force when
+    /// each was computed. The first `sent` ride the turns in flight, in
+    /// turn order; the rest wait for the next turn (new results, and
+    /// `resend` that a lost turn or a dropped connection carried).
     unacked: VecDeque<PendingResult>,
-    /// The replies this connection still owes, in request order.
-    expect: VecDeque<Expect>,
-    /// Control replies that arrived inside a chunk burst, kept in
-    /// stream order for [`ClientLoop::next_reply`].
+    sent: usize,
+    resend: usize,
+    /// The turns this connection has not answered, in `seq` order, and
+    /// the units they asked for in all.
+    turns: VecDeque<SentTurn>,
+    owed: usize,
+    next_seq: u64,
+    /// Turn replies that arrived inside a chunk burst, kept in stream
+    /// order for [`ClientLoop::next_reply`].
     inbox: VecDeque<Frame>,
-    /// The last work reply was a `Wait`: pause, then probe with a
-    /// single request instead of a pipeline of them.
+    /// The last reply said `then: wait`: pause, then probe with a turn
+    /// of one instead of a pipeline's worth.
     starved: bool,
     pacing: Pacing,
+    /// The last clock reading ([`ClientLoop::now`]); `stale` once a
+    /// compute, a read, a write or a reply has let time pass since.
+    read_at: f64,
+    stale: bool,
     last_heartbeat: f64,
     cache: ChunkCache,
     queue: VecDeque<QueuedUnit>,
@@ -367,10 +359,16 @@ impl ClientLoop {
             wbuf: Vec::new(),
             reconnect: Backoff::new(opts.reconnect_base, opts.reconnect_cap, 6),
             unacked: VecDeque::new(),
-            expect: VecDeque::new(),
+            sent: 0,
+            resend: 0,
+            turns: VecDeque::new(),
+            owed: 0,
+            next_seq: 1,
             inbox: VecDeque::new(),
             starved: false,
             pacing: Pacing::default(),
+            read_at: 0.0,
+            stale: true,
             last_heartbeat: 0.0,
             cache: ChunkCache::new(opts.chunk_cache_bytes),
             queue: VecDeque::new(),
@@ -382,6 +380,15 @@ impl ClientLoop {
         }
     }
 
+    /// The time, read afresh only if it may have moved: a unit costs one
+    /// reading (its compute's end is the next one's start), a turn two.
+    fn now(&mut self) -> f64 {
+        if std::mem::take(&mut self.stale) {
+            self.read_at = self.clock.now();
+        }
+        self.read_at
+    }
+
     fn run(mut self) {
         if let Some(t) = self.join_at {
             thread::sleep(self.clock.wall(t - self.clock.now()));
@@ -390,7 +397,7 @@ impl ClientLoop {
             if self.run_over.load(Ordering::SeqCst) {
                 return;
             }
-            let now = self.clock.now();
+            let now = self.now();
             if self.departure.is_some_and(|t| now >= t) {
                 // Silent permanent departure (owner pulls the plug):
                 // no Goodbye — leases/liveness must recover the work.
@@ -425,6 +432,7 @@ impl ClientLoop {
         };
         self.lose_everything(now, down);
         thread::sleep(self.clock.wall(at + down - now));
+        self.stale = true;
         true
     }
 
@@ -434,8 +442,9 @@ impl ClientLoop {
     /// span this donor held (leases and compute sub-spans) in
     /// verify_spans.
     fn lose_everything(&mut self, now: f64, down_secs: f64) {
-        self.drop_conn();
         self.unacked.clear();
+        self.drop_conn();
+        self.resend = 0;
         self.queue.clear();
         self.cache.clear();
         self.local_metrics = Default::default();
@@ -448,11 +457,11 @@ impl ClientLoop {
         );
     }
 
-    /// Connects via the directory, and queues the `Hello` and every
-    /// unacknowledged result for the first write (the server dedups, so
-    /// at-least-once is safe); on failure sleeps a jittered exponential
-    /// backoff (shared [`Backoff`] implementation with the fetch
-    /// failover ladder). Returns whether connected.
+    /// Connects via the directory and queues the `Hello`; every
+    /// unacknowledged result rides the first turn, in the same write
+    /// (the server dedups, so at-least-once is safe). On failure sleeps
+    /// a jittered exponential backoff (shared [`Backoff`] implementation
+    /// with the fetch failover ladder). Returns whether connected.
     fn connect(&mut self) -> bool {
         let addr = self.directory.origin();
         let stream = addr.and_then(|a| TcpStream::connect(a).ok());
@@ -461,21 +470,13 @@ impl ClientLoop {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
                 debug_assert!(
-                    self.wbuf.is_empty() && self.expect.is_empty() && self.inbox.is_empty(),
+                    self.wbuf.is_empty() && self.turns.is_empty() && self.inbox.is_empty(),
                     "drop_conn left nothing of the old connection behind"
                 );
                 self.conn = Some((stream, FrameReader::new()));
                 self.push(&Frame::Hello {
                     client: self.id as u64,
                 });
-                for r in &self.unacked {
-                    self.wbuf.extend_from_slice(&r.frame);
-                    self.expect.push_back(Expect::Ack {
-                        problem: r.problem,
-                        unit: r.unit,
-                    });
-                }
-                self.count("net.resubmits", self.unacked.len() as u64);
                 self.reconnect.reset();
                 true
             }
@@ -483,18 +484,21 @@ impl ClientLoop {
                 let delay = self.reconnect.delay_secs(&mut self.rng);
                 self.reconnect.record_failure();
                 thread::sleep(self.clock.wall(delay));
+                self.stale = true;
                 false
             }
         }
     }
 
     /// Gives the connection up along with everything that only meant
-    /// something on it: unwritten frames, owed replies, replies set
-    /// aside. Unacknowledged results stay for the next connection.
+    /// something on it: unwritten frames, unanswered turns, replies set
+    /// aside. Unacknowledged results stay, for the next connection.
     fn drop_conn(&mut self) {
         self.conn = None;
         self.wbuf.clear();
-        self.expect.clear();
+        self.resend += self.sent;
+        (self.sent, self.owed) = (0, 0);
+        self.turns.clear();
         self.inbox.clear();
         self.starved = false;
         // The averages are the donor's and the path's best guess for
@@ -519,6 +523,7 @@ impl ClientLoop {
             Some((stream, _)) => stream.write_all(&self.wbuf).is_ok(),
             None => false,
         };
+        self.stale = true;
         if wrote {
             self.wbuf.clear();
             self.pacing.held_since = None;
@@ -539,10 +544,10 @@ impl ClientLoop {
     }
 
     fn maybe_heartbeat(&mut self) {
-        let now = self.clock.now();
+        let now = self.now();
         if now - self.last_heartbeat >= self.opts.heartbeat_interval {
             self.last_heartbeat = now;
-            // Rides along with the step's write; its ack is skipped by
+            // Rides along with the step's turn; its ack is skipped by
             // the reply dispatcher.
             self.push(&Frame::Heartbeat {
                 client: self.id as u64,
@@ -557,7 +562,7 @@ impl ClientLoop {
         if self.opts.metrics_report_interval <= 0.0 {
             return;
         }
-        let now = self.clock.now();
+        let now = self.now();
         if now - self.last_report < self.opts.metrics_report_interval {
             return;
         }
@@ -597,35 +602,52 @@ impl ClientLoop {
         (fits.min(MAX_PIPELINE_DEPTH as f64) as usize).max(floor)
     }
 
-    /// Whether what is queued in `wbuf` may stay there across the next
+    /// Whether what is `due` — results no turn has carried, units to
+    /// ask for, a heartbeat in `wbuf` — may wait across the next
     /// compute: only on a warm connection, and only while the time it
     /// has already waited plus the predicted compute stays under half
     /// the measured wait — so a result is never held back by more than
     /// the round trip it is trying to share, and a donor whose computes
     /// are not small next to its waits writes before every compute.
-    fn may_hold(&mut self, now: f64) -> bool {
-        if self.wbuf.is_empty() {
+    fn may_hold(&mut self, due: bool) -> bool {
+        if !due {
             return true;
         }
+        let now = self.now();
         let held_since = *self.pacing.held_since.get_or_insert(now);
         let p = &self.pacing;
         p.warm() && (now - held_since) + p.compute.avg < 0.5 * p.wait.avg
     }
 
-    /// One turn of the pipeline: take every reply already here, top the
-    /// requests up, then compute a ready unit — writing first unless
-    /// what is queued may wait ([`ClientLoop::may_hold`]) — or, with
-    /// nothing ready, write and block for a reply.
+    /// Queues the next turn: every unsent result, and `want` units asked.
+    fn push_turn(&mut self, want: usize) {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let unsent = self.unacked.range(self.sent..);
+        let carried = unsent.map(|(p, u, payload)| (*p, *u, payload.as_slice()));
+        let results = carried.len();
+        encode_turn_into(&mut self.wbuf, self.id as u64, seq, want as u32, carried);
+        let resent = std::mem::take(&mut self.resend);
+        self.count("net.resubmits", resent as u64);
+        self.turns.push_back(SentTurn { seq, results, want });
+        self.sent = self.unacked.len();
+        self.owed += want;
+    }
+
+    /// One turn of the pipeline: take every reply already here, then
+    /// compute a ready unit — writing a turn first unless what is due
+    /// may wait ([`ClientLoop::may_hold`]) — or, with nothing ready,
+    /// write a turn and block for a reply.
     ///
     /// ```text
-    /// slow units:  write [S_n, R] → compute n+1 → write [S_n+1, R] → read [Ack_n, A_n+2] → compute n+2 → …
-    /// fast units:  read [Ack, A]×k → compute ×k → write [S, R]×k → read [Ack, A]×k → …
+    /// slow units:  write T[r_n, want 1] → compute n+1 → write T[r_n+1, want 1] → read R[ack_n, u_n+2] → compute n+2 → …
+    /// fast units:  read R[ack×k, u×k] → compute ×k → write T[r×k, want k] → read R[ack×k, u×k] → …
     /// ```
     ///
     /// Replies that one `read` brought in are all dispatched before
-    /// anything is written (no syscall between them), the results of
-    /// the computes they unlock and the `RequestWork`s that keep ready +
-    /// requested at the depth leave in one write, and the replies are
+    /// anything is written (no syscall between them); the results of
+    /// the computes they unlock leave in one frame that also asks for
+    /// what keeps ready + requested at the depth; and the reply is
     /// collected after the next compute, not before it.
     fn step(&mut self) -> Step {
         while let Some(frame) = self.buffered_reply() {
@@ -634,9 +656,10 @@ impl ClientLoop {
             }
         }
         let depth = self.depth();
-        if self.starved && self.queue.is_empty() && self.expect.is_empty() {
-            // The origin had nothing to give: pause on the socket
-            // before asking again.
+        let unsent = self.sent < self.unacked.len();
+        if self.starved && self.queue.is_empty() && self.turns.is_empty() && !unsent {
+            // The origin had nothing to give and is owed nothing: pause
+            // on the socket before asking again.
             if !self.flush() {
                 return Step::Continue;
             }
@@ -645,17 +668,16 @@ impl ClientLoop {
             }
         }
         let target = if self.starved { 1 } else { depth };
-        let owed = self.expect.iter().filter(|e| **e == Expect::Work).count();
-        for _ in self.queue.len() + owed..target {
-            self.push(&Frame::RequestWork {
-                client: self.id as u64,
-            });
-            self.expect.push_back(Expect::Work);
-        }
+        let want = target.saturating_sub(self.queue.len() + self.owed);
         let ready = self.unacked.len() < depth && !self.queue.is_empty();
-        let hold = ready && self.may_hold(self.clock.now());
-        if !hold && !self.flush() {
-            return Step::Continue;
+        let turn_due = want > 0 || unsent;
+        if !(ready && self.may_hold(turn_due || !self.wbuf.is_empty())) {
+            if turn_due {
+                self.push_turn(want);
+            }
+            if !self.flush() {
+                return Step::Continue;
+            }
         }
         if ready {
             if let Some(qu) = self.queue.pop_front() {
@@ -688,18 +710,19 @@ impl ClientLoop {
 
     /// The one receive path: takes the next frame in stream order —
     /// first what a chunk burst set aside, then the socket — and
-    /// dispatches it against the expectations. Blocks for up to `wait`
-    /// scaled seconds; when replies are owed and none arrives by then,
-    /// the tail of the stream was lost and the connection is dropped
-    /// (reconnecting resubmits every unacknowledged result). With
-    /// nothing owed this is the parked wait after a `Wait`: the donor
-    /// blocks *on the socket*, so any inbound frame ends the pause.
+    /// dispatches it against the turns in flight. Blocks for up to
+    /// `wait` scaled seconds; when a turn is unanswered and nothing
+    /// arrives by then, the tail of the stream was lost and the
+    /// connection is dropped (reconnecting resubmits every
+    /// unacknowledged result). With no turn in flight this is the
+    /// parked wait after a `then: wait`: the donor blocks *on the
+    /// socket*, so any inbound frame ends the pause.
     fn next_reply(&mut self, wait: f64) -> Step {
         if let Some(frame) = self.inbox.pop_front() {
             return self.dispatch(frame);
         }
-        let parked = self.expect.is_empty();
-        let asked = self.clock.now();
+        let parked = self.turns.is_empty();
+        let asked = self.now();
         let wall = self.clock.wall(wait);
         let deadline = Instant::now() + wall;
         if parked {
@@ -735,10 +758,12 @@ impl ClientLoop {
         if parked {
             self.set_read_timeout(self.opts.read_timeout_wall);
         }
+        self.stale = true;
+        let got = self.now();
         match frame {
             Some(frame) => {
                 if !parked {
-                    self.pacing.wait.note(self.clock.now() - asked);
+                    self.pacing.wait.note(got - asked);
                 }
                 self.dispatch(frame)
             }
@@ -752,80 +777,67 @@ impl ClientLoop {
         }
     }
 
-    /// Applies one inbound frame to the pipeline state.
+    /// Applies one inbound frame to the pipeline state. A reply to turn
+    /// `seq`: one connection answers in order, so every turn queued
+    /// ahead of it was lost in transit or skipped for its CRC — its
+    /// results ride the next turn (instead of waiting out the ack
+    /// timeout), what it asked for stops being owed (a lease granted to
+    /// a lost reply is left to expire). A reply behind the front of the
+    /// queue is a duplicated frame and is dropped. The turn's results
+    /// are then retired — accepted or nacked, either way the origin has
+    /// ruled — and its units made ready.
     fn dispatch(&mut self, frame: Frame) -> Step {
-        match frame {
-            Frame::ResultAck { problem, unit, .. } => self.retire(problem, unit),
-            Frame::AssignUnit {
-                problem,
-                unit,
-                cost_ops,
-                payload,
-            } => {
-                let id = (problem, unit);
-                if self.queue.iter().any(|q| (q.problem, q.unit) == id)
-                    || self.unacked.iter().any(|r| (r.problem, r.unit) == id)
-                {
-                    return Step::Continue; // a duplicated frame: the unit is already here
-                }
-                self.settle(Expect::Work);
-                self.starved = false;
-                self.enqueue_assignment(problem, unit, cost_ops, &payload);
-            }
-            // (A `Wait` nobody is owed is a duplicated frame.)
-            Frame::Wait => self.starved |= self.settle(Expect::Work),
-            Frame::Finished => {
-                // Every problem is complete; anything queued or
-                // unacknowledged could only produce wasted results.
-                self.queue.clear();
-                return Step::Finished;
-            }
+        self.stale = true;
+        let (seq, acks, units, then) = match frame {
+            Frame::TurnReply {
+                seq,
+                acks,
+                units,
+                then,
+            } => (seq, acks, units, then),
             Frame::ReplicaAnnounce { endpoints } => {
                 // Unsolicited topology update (the Hello reply, or a
                 // re-announcement): fold it into the directory.
                 self.directory.merge_replicas(&endpoints);
+                return Step::Continue;
             }
-            _ => {} // heartbeat acks, late chunk replies
+            _ => return Step::Continue, // heartbeat acks, late chunk replies
+        };
+        let turn = loop {
+            match self.turns.front() {
+                Some(turn) if turn.seq <= seq => {
+                    let turn = self.turns.pop_front().expect("front exists");
+                    self.owed -= turn.want;
+                    self.sent -= turn.results;
+                    if turn.seq == seq {
+                        break turn;
+                    }
+                    self.unacked.rotate_left(turn.results);
+                    self.resend += turn.results;
+                }
+                _ => return Step::Continue,
+            }
+        };
+        // The reply rules on exactly the results its turn carried.
+        let carried = self.unacked.iter().take(turn.results);
+        let ruled = carried.zip(&acks).all(|(r, a)| (r.0, r.1) == (a.0, a.1));
+        if !ruled || acks.len() != turn.results {
+            self.sent += turn.results; // (still unacknowledged: resubmitted)
+            self.drop_conn();
+            return Step::Continue;
+        }
+        self.unacked.drain(..turn.results);
+        self.starved = then == Then::Wait;
+        for (problem, unit, cost_ops, payload) in units {
+            self.enqueue_assignment(problem, unit, cost_ops, &payload);
+        }
+        if then == Then::Finished {
+            // Every problem is complete; anything queued or
+            // unacknowledged could only produce wasted results.
+            self.queue.clear();
+            return Step::Finished;
         }
         Step::Continue
-    }
-
-    /// A result's ack arrived. Accepted or nacked (duplicate/corrupt) —
-    /// either way the server has ruled and the result is retired. An
-    /// ack nobody is owed (a duplicated frame) is ignored.
-    fn retire(&mut self, problem: u64, unit: u64) {
-        if self.settle(Expect::Ack { problem, unit }) {
-            self.unacked
-                .retain(|r| (r.problem, r.unit) != (problem, unit));
-        }
-    }
-
-    /// The reply to the first `what` owed has arrived; `false` if none
-    /// is owed. One connection answers in order, so every expectation
-    /// queued ahead of it was lost in transit or skipped for its CRC:
-    /// a lost submit-or-ack is queued again at once and leaves with the
-    /// next write (instead of waiting out the ack timeout), a lost
-    /// assignment is left to its lease — the next top-up asks again.
-    fn settle(&mut self, what: Expect) -> bool {
-        let Some(pos) = self.expect.iter().position(|e| *e == what) else {
-            return false;
-        };
-        for _ in 0..pos {
-            let Some(Expect::Ack { problem, unit }) = self.expect.pop_front() else {
-                continue;
-            };
-            let lost = self
-                .unacked
-                .iter()
-                .find(|r| (r.problem, r.unit) == (problem, unit));
-            if let Some(r) = lost {
-                self.wbuf.extend_from_slice(&r.frame);
-                self.expect.push_back(Expect::Ack { problem, unit });
-                self.count("net.resubmits", 1);
-            }
-        }
-        self.expect.pop_front();
-        true
     }
 
     /// Decodes an assignment, fetches the chunks it needs (donor cache
@@ -854,8 +866,9 @@ impl ClientLoop {
         };
         // The unit is hydrated and ready: the donor-side delivery point
         // of its span (transfer ends, pipeline queue-wait begins).
+        let delivered = self.now();
         self.telemetry.emit_at(
-            self.clock.now(),
+            delivered,
             crate::telemetry::EventKind::UnitDelivered {
                 problem: pid,
                 unit,
@@ -911,11 +924,11 @@ impl ClientLoop {
         self.count("cache.hits", (needs.len() - todo.len()) as u64);
         self.count("cache.misses", todo.len() as u64);
         // Bursts encode into `wbuf`: anything still queued there (a
-        // resubmission the gap before this assignment called for) goes
-        // out first.
+        // heartbeat) goes out first.
         if !todo.is_empty() && !self.flush() {
             return None;
         }
+        self.stale |= !todo.is_empty(); // a transfer takes time
 
         let mut backoff = Backoff::new(self.opts.reconnect_base, self.opts.reconnect_cap, 6);
         for rung in 0..REPLICA_RUNGS {
@@ -1112,12 +1125,7 @@ impl ClientLoop {
                         self.directory.merge_replicas(&endpoints);
                         continue;
                     }
-                    Ok(Some(
-                        frame @ (Frame::ResultAck { .. }
-                        | Frame::AssignUnit { .. }
-                        | Frame::Wait
-                        | Frame::Finished),
-                    )) if !replica => {
+                    Ok(Some(frame @ Frame::TurnReply { .. })) if !replica => {
                         // The pipeline's own replies, interleaved into
                         // the origin's chunk stream: kept, in order,
                         // for the dispatcher.
@@ -1200,7 +1208,7 @@ impl ClientLoop {
             return;
         };
         let (problem, unit) = (qu.problem, qu.unit);
-        let started = self.clock.now();
+        let started = self.now();
         self.telemetry.emit_at(
             started,
             crate::telemetry::EventKind::ComputeStarted {
@@ -1224,7 +1232,8 @@ impl ClientLoop {
         }
         // A crash window overlapping the compute swallows the result —
         // and everything else the donor held in memory.
-        let done = self.clock.now();
+        self.stale = true;
+        let done = self.now();
         if let Some((_, down)) = FaultPlan::crash_overlapping(&self.crashes, started, done) {
             // The orphaned compute sub-span is closed by the crash
             // event's client-wide closure.
@@ -1240,12 +1249,15 @@ impl ClientLoop {
             },
         );
         self.pacing.compute.note(done - started);
-        self.local_metrics.counter_add("units_computed", 1);
-        self.local_metrics.observe(
-            "compute.secs",
-            crate::telemetry::LATENCY_BOUNDS,
-            done - started,
-        );
+        // (A donor that never ships its registry does not fill it.)
+        if self.opts.metrics_report_interval > 0.0 {
+            self.local_metrics.counter_add("units_computed", 1);
+            self.local_metrics.observe(
+                "compute.secs",
+                crate::telemetry::LATENCY_BOUNDS,
+                done - started,
+            );
+        }
         let Ok(mut encoded) = codec.encode_result(&result.payload) else {
             return;
         };
@@ -1260,21 +1272,9 @@ impl ClientLoop {
                     action: "wrong_result".to_string(),
                 });
         }
-        // The result waits in `wbuf` for the next write, where the
-        // request that replaces this unit rides along.
-        let frame = encode_frame(&Frame::SubmitResult {
-            client: self.id as u64,
-            problem,
-            unit,
-            payload: encoded,
-        });
-        self.wbuf.extend_from_slice(&frame);
-        self.expect.push_back(Expect::Ack { problem, unit });
-        self.unacked.push_back(PendingResult {
-            problem,
-            unit,
-            frame,
-        });
+        // The result waits for the next turn, which also asks for the
+        // unit that replaces this one.
+        self.unacked.push_back((problem, unit, encoded));
     }
 }
 
@@ -1287,7 +1287,7 @@ enum Step {
 mod tests {
     use super::*;
     use crate::codec::WireError;
-    use crate::net::wire::FrameAssembler;
+    use crate::net::wire::{encode_frame, FrameAssembler};
     use crate::problem::TaskResult;
     use std::collections::HashSet;
     use std::net::TcpListener;
@@ -1335,17 +1335,21 @@ mod tests {
     /// fault fires once.
     #[derive(Debug, Clone, Copy, Default)]
     struct Script {
-        /// Units `0..units` are handed out to `RequestWork`s in order;
-        /// then `Wait` until every result is in, then `Finished`.
+        /// Units `0..units` are leased to turns in order; then `then:
+        /// wait` until every result is in, then `then: finished`.
         units: u64,
         /// Applied to the k-th `ChunkRequest`.
         chunk_fault: Option<(usize, Fault)>,
-        /// The k-th `SubmitResult` is lost in transit: never folded,
-        /// never acknowledged.
-        drop_submit: Option<usize>,
-        /// From the k-th `RequestWork` on, nothing the first connection
-        /// is owed leaves any more (frames are still handled).
-        mute_from_request: Option<usize>,
+        /// The k-th `Turn` is lost in transit: nothing it carries is
+        /// folded, nothing it asks for leased, and it is not answered.
+        drop_turn: Option<usize>,
+        /// The reply to the k-th `Turn` is lost in transit (the units
+        /// it leased go straight back to the pool: lease expiry,
+        /// compressed) or, `true`, arrives twice.
+        reply_fault: Option<(usize, bool)>,
+        /// From the k-th `Turn` on, nothing the first connection is
+        /// owed leaves any more (frames are still handled).
+        mute_from_turn: Option<usize>,
         /// The origin sits on the replies to each read this long before
         /// writing them: the donor's exposed wait, scripted.
         reply_delay: Duration,
@@ -1362,14 +1366,16 @@ mod tests {
         }
     }
 
-    /// One frame the origin saw.
+    /// What the origin saw. A `Turn` is logged as one `Submit` per
+    /// result it carried, then itself.
     #[derive(Debug, Clone, Copy, PartialEq)]
     enum Seen {
         Hello,
-        Request,
+        /// A turn, and how many units it asked for.
+        Turn(u32),
         Submit(u64),
-        /// A `SubmitResult` the script lost in transit.
-        LostSubmit(u64),
+        /// A `Turn` the script lost in transit, and the results in it.
+        LostTurn(usize),
         Chunk(u64),
         Other,
     }
@@ -1391,64 +1397,69 @@ mod tests {
         free: VecDeque<u64>,
         leased: Vec<u64>,
         folded: HashSet<u64>,
-        seen: [usize; 3], // requests, submits, chunk requests
+        seen: [usize; 2], // turns, chunk requests
         connections: usize,
         muted: bool,
     }
 
     impl OriginState {
         /// Handles one frame: what to log and what to reply.
-        fn handle(&mut self, frame: Frame, out: &mut Vec<u8>) -> Seen {
-            match frame {
+        fn handle(&mut self, frame: Frame, out: &mut Vec<u8>) -> Vec<Seen> {
+            vec![match frame {
                 Frame::Hello { .. } => {
                     for unit in self.leased.drain(..).rev() {
                         self.free.push_front(unit);
                     }
                     Seen::Hello
                 }
-                Frame::RequestWork { .. } => {
-                    if self.connections == 1 && self.script.mute_from_request == Some(self.seen[0])
-                    {
+                Frame::Turn {
+                    seq, want, results, ..
+                } => {
+                    let k = self.seen[0];
+                    self.seen[0] += 1;
+                    if self.connections == 1 && self.script.mute_from_turn == Some(k) {
                         self.muted = true;
                     }
-                    self.seen[0] += 1;
-                    let reply = match self.free.pop_front() {
-                        Some(unit) => {
-                            self.leased.push(unit);
-                            Frame::AssignUnit {
-                                problem: 0,
-                                unit,
-                                cost_ops: 1.0,
-                                payload: unit.to_le_bytes().to_vec(),
-                            }
-                        }
-                        None if self.folded.len() as u64 == self.script.units => Frame::Finished,
-                        None => Frame::Wait,
-                    };
-                    encode_frame_into(&reply, out);
-                    Seen::Request
-                }
-                Frame::SubmitResult { problem, unit, .. } => {
-                    let k = self.seen[1];
-                    self.seen[1] += 1;
-                    if self.script.drop_submit == Some(k) {
-                        return Seen::LostSubmit(unit);
+                    if self.script.drop_turn == Some(k) {
+                        return vec![Seen::LostTurn(results.len())];
                     }
-                    self.leased.retain(|&u| u != unit);
-                    let accepted = self.folded.insert(unit);
-                    encode_frame_into(
-                        &Frame::ResultAck {
-                            problem,
-                            unit,
-                            accepted,
-                        },
-                        out,
-                    );
-                    Seen::Submit(unit)
+                    let mut log = Vec::new();
+                    let mut acks = Vec::new();
+                    for (problem, unit, _) in results {
+                        self.leased.retain(|&u| u != unit);
+                        acks.push((problem, unit, self.folded.insert(unit)));
+                        log.push(Seen::Submit(unit));
+                    }
+                    log.push(Seen::Turn(want));
+                    let fresh = (0..want).map_while(|_| self.free.pop_front());
+                    let fresh: Vec<u64> = fresh.collect();
+                    let then = match fresh.len() {
+                        _ if self.folded.len() as u64 == self.script.units => Then::Finished,
+                        n if n < want as usize => Then::Wait,
+                        _ => Then::More,
+                    };
+                    let lease = |&unit: &u64| (0, unit, 1.0, unit.to_le_bytes().to_vec());
+                    let reply = encode_frame(&Frame::TurnReply {
+                        seq,
+                        acks,
+                        units: fresh.iter().map(lease).collect(),
+                        then,
+                    });
+                    match self.script.reply_fault.filter(|&(at, _)| at == k) {
+                        Some((_, true)) => out.extend_from_slice(&[&reply[..], &reply].concat()),
+                        Some((_, false)) => {
+                            fresh.iter().rev().for_each(|&u| self.free.push_front(u))
+                        }
+                        None => {
+                            self.leased.extend(&fresh);
+                            out.extend_from_slice(&reply);
+                        }
+                    }
+                    return log;
                 }
                 Frame::ChunkRequest { problem, chunk, .. } => {
-                    let k = self.seen[2];
-                    self.seen[2] += 1;
+                    let k = self.seen[1];
+                    self.seen[1] += 1;
                     let hit = self
                         .script
                         .chunk_fault
@@ -1477,7 +1488,7 @@ mod tests {
                     Seen::Chunk(chunk)
                 }
                 _ => Seen::Other,
-            }
+            }]
         }
 
         /// Serves one connection until it closes or `stop` is raised.
@@ -1506,7 +1517,7 @@ mod tests {
                 let mut group = Vec::new();
                 while let Ok(Some(frame)) = asm.next_frame() {
                     let before = out.len();
-                    group.push(self.handle(frame, &mut out));
+                    group.extend(self.handle(frame, &mut out));
                     if self.muted {
                         out.truncate(before);
                     }
@@ -1540,7 +1551,7 @@ mod tests {
                         free: (0..script.units).collect(),
                         leased: Vec::new(),
                         folded: HashSet::new(),
-                        seen: [0; 3],
+                        seen: [0; 2],
                         connections: 0,
                         muted: false,
                     };
@@ -1743,11 +1754,31 @@ mod tests {
         assert!(donor.flush());
     }
 
-    /// Computes at least as long as the origin takes to reply: PR 14's
-    /// turn, unchanged — the depth stays at the floor and a finished
-    /// result is on the wire before the next compute starts.
+    /// Results no turn has carried yet.
+    fn unsent(donor: &ClientLoop) -> usize {
+        donor.unacked.len() - donor.sent
+    }
+
+    /// The results each turn the origin handled carried, in order.
+    fn turn_sizes(log: &[Vec<Seen>]) -> Vec<usize> {
+        let mut sizes = vec![0];
+        for seen in log.iter().flatten() {
+            match seen {
+                Seen::Submit(_) => *sizes.last_mut().unwrap() += 1,
+                Seen::Turn(_) => sizes.push(0),
+                _ => {}
+            }
+        }
+        sizes.pop();
+        sizes
+    }
+
+    /// Computes at least as long as the origin takes to reply: the
+    /// depth stays at the floor, a finished result is on the wire
+    /// before the next compute starts, and a unit costs one turn of
+    /// one — one frame each way.
     #[test]
-    fn steady_state_is_one_write_per_unit_with_the_request_riding_along() {
+    fn steady_state_at_depth_two_is_one_turn_of_one_per_unit() {
         const UNITS: u64 = 40;
         let telemetry = Telemetry::enabled();
         let origin = ScriptedOrigin::start(Script {
@@ -1764,10 +1795,9 @@ mod tests {
             }
             assert_eq!(donor.depth(), 2, "millisecond units stay at the floor");
             if donor.pacing.compute.seen > computed {
-                let result = donor.unacked.back().expect("just computed");
-                assert_eq!(
-                    donor.wbuf, result.frame,
-                    "everything queued before a compute was written before it started"
+                assert!(
+                    donor.wbuf.is_empty() && unsent(&donor) == 1,
+                    "everything due before a compute was written before it started"
                 );
             }
         }
@@ -1775,24 +1805,19 @@ mod tests {
         let log = origin.finish();
         assert_eq!(
             log[0],
-            [Seen::Hello, Seen::Request, Seen::Request],
-            "the hello and queue_depth requests are one write"
+            [Seen::Hello, Seen::Turn(2)],
+            "the hello and the request for queue_depth units are one write"
         );
         assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
-        // Until the pool runs dry, every result reaches the origin in
-        // the same read as the request that replaces its unit.
+        // Until the pool runs dry, every result travels alone, in the
+        // frame that asks for the unit that replaces its own.
         for group in &log {
-            for (i, seen) in group.iter().enumerate() {
-                if matches!(seen, Seen::Submit(u) if *u < UNITS - 3) {
-                    assert!(
-                        group[i + 1..].contains(&Seen::Request),
-                        "a result travelled without a request: {group:?}"
-                    );
-                }
+            if matches!(group[0], Seen::Submit(u) if u < UNITS - 3) {
+                assert_eq!(group[1..], [Seen::Turn(1)], "{group:?}");
             }
         }
         // One write per unit, plus the hello, the goodbye and the polls
-        // and lone results of the drained tail.
+        // of the drained tail.
         let writes = writes(&telemetry);
         assert!(
             (UNITS..=UNITS + 8).contains(&writes),
@@ -1802,10 +1827,10 @@ mod tests {
 
     /// Instantaneous computes against a slow origin: once warm, the
     /// depth fills the round trip, every reply one read brought in is
-    /// dispatched before anything is written, and a write carries the
-    /// results of many computes.
+    /// dispatched before anything is written, and one frame carries
+    /// the results of a round trip's computes.
     #[test]
-    fn fast_units_fill_the_round_trip_and_drain_buffered_replies_before_writing() {
+    fn fast_units_fill_the_round_trip_in_one_frame() {
         const UNITS: u64 = 1500;
         let telemetry = Telemetry::enabled();
         let origin = ScriptedOrigin::start(Script {
@@ -1853,10 +1878,20 @@ mod tests {
             results >= 8 * writes,
             "{results} results in {writes} writes once warm"
         );
+        let sizes = turn_sizes(&log);
+        assert!(
+            sizes.iter().any(|&n| n >= MAX_PIPELINE_DEPTH / 2),
+            "no turn carried half a pipeline: {sizes:?}"
+        );
+        assert!(
+            UNITS >= 8 * sizes.len() as u64,
+            "{} turns for {UNITS} units",
+            sizes.len()
+        );
     }
 
     /// A unit that takes far longer than predicted holds the results
-    /// queued ahead of it back by that one compute and no more: the
+    /// computed ahead of it back by that one compute and no more: the
     /// turn after it writes before it computes again.
     #[test]
     fn a_unit_far_over_its_predicted_cost_delays_held_results_by_that_one_compute() {
@@ -1873,15 +1908,14 @@ mod tests {
         // ready behind them.
         loop {
             let (wrote, computed) = (writes(&telemetry), donor.pacing.compute.seen);
-            let queued = !donor.wbuf.is_empty();
+            let due = unsent(&donor) > 0;
             assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
-            let held =
-                queued && donor.pacing.compute.seen > computed && writes(&telemetry) == wrote;
+            let held = due && donor.pacing.compute.seen > computed && writes(&telemetry) == wrote;
             if held && donor.queue.len() >= 2 {
                 break;
             }
         }
-        let held = donor.wbuf.clone();
+        let held = unsent(&donor);
         // The next unit costs 30 ms: ≥ 100× what any before it did.
         compute_us.store(30_000, Ordering::SeqCst);
         let (wrote, computed) = (writes(&telemetry), donor.pacing.compute.seen);
@@ -1893,17 +1927,18 @@ mod tests {
             wrote,
             "nobody predicted it: held across"
         );
-        assert!(donor.wbuf.starts_with(&held));
+        assert_eq!(unsent(&donor), held + 1);
         // One compute late, and not one more: the next turn writes
         // before it does anything else.
         assert!(matches!(donor.step(), Step::Continue));
         assert_eq!(writes(&telemetry), wrote + 1);
-        if donor.pacing.compute.seen > computed + 1 {
-            let result = donor.unacked.back().expect("just computed");
-            assert_eq!(donor.wbuf, result.frame, "the write came first");
-        } else {
-            assert!(donor.wbuf.is_empty());
-        }
+        let computed_again = donor.pacing.compute.seen > computed + 1;
+        assert_eq!(
+            unsent(&donor),
+            computed_again as usize,
+            "the write came first"
+        );
+        assert!(donor.wbuf.is_empty());
         donor.run();
         assert_eq!(submits(&origin.finish(), UNITS), vec![1; UNITS as usize]);
     }
@@ -1926,6 +1961,7 @@ mod tests {
             assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
         }
         assert!(donor.flush());
+        donor.stale = true;
         donor.maybe_report_metrics();
         let mut asm = FrameAssembler::new();
         asm.push(&donor.wbuf);
@@ -1939,6 +1975,10 @@ mod tests {
         assert!(
             wait_us > 1_000.0 && compute_us < wait_us,
             "a {SLOW_ORIGIN:?} origin, instantaneous units: {wait_us} / {compute_us}"
+        );
+        assert!(
+            shipped.counter("units_computed") > 0,
+            "a shipping donor counts"
         );
         donor.run();
         origin.finish();
@@ -1964,65 +2004,107 @@ mod tests {
                 break;
             }
             assert_eq!(donor.depth(), 1);
-            let owed = donor.expect.iter().filter(|e| **e == Expect::Work).count();
-            assert!(donor.queue.len() + owed <= 1, "one unit ready or requested");
+            assert!(
+                donor.queue.len() + donor.owed <= 1,
+                "one unit ready or requested"
+            );
             assert!(donor.unacked.len() <= 1, "one result unacknowledged");
         }
         leave(donor);
         let log = origin.finish();
         assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
-        for group in &log {
-            let results = group.iter().filter(|s| matches!(s, Seen::Submit(_)));
-            assert!(results.count() <= 1, "results travel alone: {group:?}");
-        }
+        let sizes = turn_sizes(&log);
+        assert!(sizes.iter().all(|&n| n <= 1), "results travel alone");
         assert!(writes(&telemetry) >= UNITS);
     }
 
-    #[test]
-    fn dropped_submit_is_exposed_by_the_next_assignment_and_resent_alone() {
-        const UNITS: u64 = 30;
+    /// One frame of the steady two-deep pipeline goes wrong — `script`
+    /// says which and how — with another turn always in flight around
+    /// it: the donor reads what happened off the `seq` of the next
+    /// reply, on the same connection and without waiting out the ack
+    /// timeout. Returns how often each result reached the origin, the
+    /// results in a lost `Turn`, and the donor's resubmit count.
+    fn one_frame_goes_wrong(script: Script) -> (Vec<usize>, usize, u64) {
+        let units = script.units;
         let telemetry = Telemetry::enabled();
-        let origin = ScriptedOrigin::start(Script {
-            units: UNITS,
-            drop_submit: Some(7),
-            ..Default::default()
-        });
+        let origin = ScriptedOrigin::start(script);
         let started = Instant::now();
         echo_donor(origin.addr, &telemetry, 0, 30.0).run();
         let elapsed = started.elapsed();
         let log = origin.finish();
-        let lost: Vec<&Seen> = log
-            .iter()
-            .flatten()
-            .filter(|s| matches!(s, Seen::LostSubmit(_)))
-            .collect();
-        assert_eq!(lost.len(), 1, "the script lost one result");
-        assert_eq!(
-            submits(&log, UNITS),
-            vec![1; UNITS as usize],
-            "the lost result is resent, and nothing else is"
-        );
         assert_eq!(
             log.iter().flatten().filter(|s| **s == Seen::Hello).count(),
             1,
             "on the same connection"
         );
-        assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 1);
         assert!(
             elapsed < NO_TIMEOUT_WAIT,
             "the gap must be inferred from the stream, not waited out ({elapsed:?})"
         );
+        let lost = log.iter().flatten().filter_map(|s| match s {
+            Seen::LostTurn(results) => Some(*results),
+            _ => None,
+        });
+        let resubmits = telemetry.metrics_snapshot().counter("net.resubmits");
+        (submits(&log, units), lost.sum(), resubmits)
     }
 
-    /// Mutes the first connection from its `mute_from`-th request on
-    /// and checks the reconnect: the hello write carries every result
-    /// the muted connection never acknowledged — at most `depth` of
-    /// them, once each. The only other units sent twice are the at most
-    /// `queue_held` that were still queued, behind `depth` unacked
-    /// results, when the replies stopped: the scripted origin takes
-    /// their leases back at the `Hello` and hands them out again after
-    /// the donor has computed them from its queue. Everything else is
-    /// submitted exactly once.
+    #[test]
+    fn a_lost_turn_is_exposed_by_the_next_reply_and_its_results_ride_the_next_turn() {
+        const UNITS: u64 = 30;
+        let (submits, lost, resubmits) = one_frame_goes_wrong(Script {
+            units: UNITS,
+            drop_turn: Some(7),
+            ..Default::default()
+        });
+        assert!(lost >= 1, "the script lost a turn that carried a result");
+        assert_eq!(resubmits, lost as u64, "exactly what it carried is resent");
+        assert_eq!(
+            submits,
+            vec![1; UNITS as usize],
+            "the origin never saw the lost copies, and nothing else twice"
+        );
+    }
+
+    #[test]
+    fn a_lost_reply_resubmits_the_results_it_acknowledged_once_and_nothing_else() {
+        const UNITS: u64 = 30;
+        let (submits, _, resubmits) = one_frame_goes_wrong(Script {
+            units: UNITS,
+            reply_fault: Some((7, false)),
+            ..Default::default()
+        });
+        let twice = submits.iter().filter(|&&n| n == 2).count();
+        assert!(twice >= 1, "the turn carried a result: {submits:?}");
+        assert_eq!(resubmits, twice as u64);
+        assert!(submits.iter().all(|&n| n == 1 || n == 2), "{submits:?}");
+    }
+
+    #[test]
+    fn a_duplicated_reply_is_dropped() {
+        const UNITS: u64 = 30;
+        let (submits, _, resubmits) = one_frame_goes_wrong(Script {
+            units: UNITS,
+            reply_fault: Some((7, true)),
+            ..Default::default()
+        });
+        assert_eq!(resubmits, 0);
+        assert_eq!(
+            submits,
+            vec![1; UNITS as usize],
+            "no unit of the repeated reply was taken for a new one"
+        );
+    }
+
+    /// Mutes the first connection from its `mute_from_turn`-th turn on
+    /// and checks the reconnect: the first turn behind the hello carries
+    /// every result the muted connection never acknowledged — at most
+    /// `depth` of them, once each. The only other units sent twice are
+    /// the at most `queue_held` that were still queued, behind `depth`
+    /// unacked results, when the replies stopped: the scripted origin
+    /// takes their leases back at the `Hello` and hands them out again
+    /// after the donor has computed them from its queue. Everything
+    /// else is submitted exactly once.
     fn tail_loss_resubmits_each_unacked_result_once(
         script: Script,
         depth: usize,
@@ -2038,8 +2120,8 @@ mod tests {
             .filter(|&i| seen[i] == Seen::Hello)
             .collect();
         assert_eq!(hellos.len(), 2, "one timeout, one reconnect: {seen:?}");
-        // The reconnect's first write is the hello, every result the
-        // muted connection never acknowledged, then the requests.
+        // The reconnect's first write is the hello and one turn: every
+        // result the muted connection never acknowledged, and a request.
         let resent: Vec<u64> = seen[hellos[1] + 1..]
             .iter()
             .map_while(|s| match s {
@@ -2050,6 +2132,10 @@ mod tests {
         assert!(
             (1..=depth).contains(&resent.len()),
             "at most the depth in force was unacknowledged: {resent:?}"
+        );
+        assert!(
+            matches!(seen[hellos[1] + 1 + resent.len()], Seen::Turn(want) if want >= 1),
+            "in one turn, which asks for work too"
         );
         assert_eq!(
             telemetry.metrics_snapshot().counter("net.resubmits"),
@@ -2087,7 +2173,7 @@ mod tests {
         tail_loss_resubmits_each_unacked_result_once(
             Script {
                 units: 20,
-                mute_from_request: Some(6),
+                mute_from_turn: Some(6),
                 ..Default::default()
             },
             2,
@@ -2095,12 +2181,12 @@ mod tests {
         );
         // A slow origin and instantaneous computes: the depth in force
         // when the replies stop is the measured one. Ready plus
-        // requested never exceeds it and the muted request stays owed,
-        // so fewer than the depth are still queued at the timeout.
+        // requested never exceeds it and the muted turn stays owed, so
+        // fewer than the depth are still queued at the timeout.
         tail_loss_resubmits_each_unacked_result_once(
             Script {
                 units: 600,
-                mute_from_request: Some(300),
+                mute_from_turn: Some(14),
                 reply_delay: SLOW_ORIGIN,
                 ..Default::default()
             },
@@ -2110,7 +2196,7 @@ mod tests {
     }
 
     #[test]
-    fn control_replies_inside_a_chunk_stream_are_neither_lost_nor_reordered() {
+    fn turn_replies_inside_a_chunk_stream_are_neither_lost_nor_reordered() {
         const UNITS: u64 = 12;
         let telemetry = Telemetry::enabled();
         let origin = ScriptedOrigin::start(Script {
@@ -2120,23 +2206,28 @@ mod tests {
         let mut donor = echo_donor(origin.addr, &telemetry, 5, 30.0);
         let started = Instant::now();
         assert!(donor.connect());
-        // The first step writes [Hello, R, R] and reads unit 0, whose
-        // chunk burst finds unit 1's assignment ahead of its ChunkData.
-        donor.step();
-        assert_eq!(donor.queue.len(), 1, "unit 0 is hydrated and ready");
+        // Two turns are in flight when the donor first blocks; the
+        // reply to the first brings a unit whose chunk burst finds the
+        // reply to the second ahead of its ChunkData.
+        for _ in 0..8 {
+            if donor.inbox.is_empty() {
+                assert!(matches!(donor.step(), Step::Continue));
+            }
+        }
         assert!(
-            matches!(donor.inbox.front(), Some(Frame::AssignUnit { unit: 1, .. })),
-            "the burst set the interleaved assignment aside: {:?}",
+            matches!(donor.inbox.front(), Some(Frame::TurnReply { .. })),
+            "the burst set the interleaved reply aside: {:?}",
             donor.inbox
         );
         donor.run();
         let elapsed = started.elapsed();
         let log = origin.finish();
         // A reply lost in the burst would stall the donor until the ack
-        // timeout; one taken out of order would read as a gap and
-        // resubmit a result.
+        // timeout; one taken out of order would read as a lost turn and
+        // resubmit its results.
         assert!(elapsed < NO_TIMEOUT_WAIT, "{elapsed:?}");
         assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
+        assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 0);
         assert_eq!(
             chunks_asked(&log),
             (0..UNITS * 5).collect::<Vec<u64>>(),
@@ -2145,7 +2236,7 @@ mod tests {
     }
 
     #[test]
-    fn crash_window_mid_pipeline_leaves_no_expectation_behind() {
+    fn crash_window_mid_turn_leaves_no_turn_in_flight_behind() {
         const UNITS: u64 = 16;
         let telemetry = Telemetry::enabled();
         let origin = ScriptedOrigin::start(Script {
@@ -2154,16 +2245,20 @@ mod tests {
         });
         let mut donor = echo_donor(origin.addr, &telemetry, 2, 30.0);
         assert!(donor.connect());
-        while donor.unacked.len() < 2 {
+        while donor.sent == 0 {
             donor.step();
         }
-        assert!(!donor.expect.is_empty(), "replies are owed mid-pipeline");
+        assert!(
+            !donor.turns.is_empty() && donor.owed > 0,
+            "a turn that carries a result is unanswered"
+        );
         assert!(!donor.cache.is_empty());
         let now = donor.clock.now();
         donor.crashes = vec![(now, 0.01)];
         assert!(donor.handle_crash_window(now));
         assert!(donor.conn.is_none());
-        assert!(donor.expect.is_empty() && donor.inbox.is_empty() && donor.wbuf.is_empty());
+        assert!(donor.turns.is_empty() && donor.inbox.is_empty() && donor.wbuf.is_empty());
+        assert_eq!((donor.sent, donor.resend, donor.owed), (0, 0, 0));
         assert!(donor.unacked.is_empty() && donor.queue.is_empty());
         assert_eq!(donor.cache.len(), 0);
         donor.crashes.clear();
@@ -2184,6 +2279,7 @@ mod tests {
             "a crashed donor has nothing to resubmit: {:?}",
             log[rejoin]
         );
+        assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 0);
         assert!(
             submits(&log, UNITS).iter().all(|&n| n == 1),
             "every unit is folded once, the lost ones after a reissue"

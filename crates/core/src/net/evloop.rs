@@ -432,6 +432,9 @@ pub struct Conn {
     out_pos: usize,
     /// Whether the poller currently watches for writability.
     want_write: bool,
+    /// One word the [`FrameHandler`] may keep about this connection,
+    /// zero at first (the origin: the last turn it served here).
+    pub mark: u64,
 }
 
 impl Conn {
@@ -444,6 +447,7 @@ impl Conn {
             out: Vec::new(),
             out_pos: 0,
             want_write: false,
+            mark: 0,
         })
     }
 
@@ -525,8 +529,8 @@ impl Conn {
         if !matches!(self.read_available(), Ok(false)) {
             return false;
         }
-        // A killed server handles no further frame.
-        while !handler.killed() {
+        // A crashed server handles no further frame.
+        while !handler.crashed() {
             match self.asm.next_frame() {
                 Ok(Some(frame)) => match handler.frame(self, frame) {
                     Action::Keep => {}
@@ -561,8 +565,13 @@ pub enum Action {
 /// every whole frame, flush the replies. The loop is generic over the
 /// handler (no `dyn`), so each user's calls are static.
 pub trait FrameHandler {
-    /// Raised: the loop exits, and a pump stops between two frames.
+    /// Raised: the loop exits.
     fn killed(&self) -> bool;
+    /// Raised: a pump stops between two frames, its replies unsent.
+    /// (Every stop, unless the handler tells a crash from a teardown.)
+    fn crashed(&self) -> bool {
+        self.killed()
+    }
     /// A connection was adopted under `token` (1, 2, … in order).
     fn adopted(&mut self, _token: u64) {}
     /// `Some(d)`: a modelled stall — the loop serves nothing for up to

@@ -5,16 +5,20 @@
 //! dropped results vanish from the wire, duplicated results are sent
 //! twice, corrupted results get a flipped checksum byte, chunk replies
 //! are dropped or corrupted mid-burst, the pipeline's control replies
-//! (`ResultAck`, `AssignUnit`) are dropped, repeated or corrupted, and
-//! link degradation becomes real added latency. Lifecycle faults stay
+//! (`TurnReply`; a raw client's `ResultAck`, `AssignUnit`) are dropped,
+//! repeated or corrupted, and link degradation becomes real added
+//! latency. A donor's results travel in its `Turn`s, so a result fault
+//! takes the whole frame — every result in it and the request that
+//! rides along. Lifecycle faults stay
 //! client-side (see [`super::client`]); this layer only mutates
 //! transport.
 //!
 //! Both directions are parsed frame-by-frame (using only the
 //! header-CRC-validated span, so already-corrupt bytes pass through
-//! untouched): client→server `SubmitResult`s meet the plan's delivery
-//! faults, server→client `ChunkData` replies its chunk faults and
-//! `ResultAck` / `AssignUnit` frames its control-reply faults. Each
+//! untouched): client→server `Turn`s that carry a result (and
+//! `SubmitResult`s) meet the plan's delivery faults, server→client
+//! `ChunkData` replies its chunk faults and `TurnReply` / `ResultAck` /
+//! `AssignUnit` frames its control-reply faults. Each
 //! proxied connection dials upstream through the server
 //! [`super::Directory`] at accept time, so clients reconnecting after a
 //! server restart are transparently routed to the new address.
@@ -29,7 +33,7 @@
 use super::evloop::{accept_loop, unblock_accept};
 use super::wire::{
     parse_header, DecodeError, ASSIGN_UNIT_TYPE, CHUNK_DATA_TYPE, HEADER_LEN, RESULT_ACK_TYPE,
-    SUBMIT_RESULT_TYPE,
+    SUBMIT_RESULT_TYPE, TURN_REPLY_TYPE, TURN_TYPE,
 };
 use super::{Clock, Directory};
 use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
@@ -169,15 +173,16 @@ fn proxy_connection(
     let peer = AtomicUsize::new(usize::MAX);
     thread::scope(|scope| {
         // Server→client on a helper thread: `ChunkData` replies meet
-        // the plan's chunk faults, `ResultAck`s and `AssignUnit`s its
-        // control-reply faults, everything else passes untouched.
+        // the plan's chunk faults, `TurnReply`s (and the raw clients'
+        // `ResultAck`s and `AssignUnit`s) its control-reply faults,
+        // everything else passes untouched.
         scope.spawn(|| {
             framed_pump(s2c_read, s2c_write, stop, |frame_type, _| {
                 let client = peer.load(Ordering::SeqCst);
                 let mut injector = injector.lock().unwrap();
                 let action = match frame_type {
                     CHUNK_DATA_TYPE => injector.chunk_reply_action(client, clock.now()),
-                    RESULT_ACK_TYPE | ASSIGN_UNIT_TYPE => {
+                    TURN_REPLY_TYPE | RESULT_ACK_TYPE | ASSIGN_UNIT_TYPE => {
                         injector.control_reply_action(client, clock.now())
                     }
                     _ => return DeliveryAction::Deliver,
@@ -189,7 +194,8 @@ fn proxy_connection(
             // The server went away: unblock the other direction too.
             let _ = client_side.shutdown(std::net::Shutdown::Both);
         });
-        // Client→server: `SubmitResult` frames meet the delivery
+        // Client→server: frames that carry a result — a `Turn` with a
+        // non-empty id table, a `SubmitResult` — meet the delivery
         // faults, and every frame pays the degraded link's latency.
         framed_pump(c2s_read, c2s_write, stop, |frame_type, body| {
             // The client id is the first body field of every frame a
@@ -200,8 +206,13 @@ fn proxy_connection(
             if let Some(client) = client {
                 peer.store(client, Ordering::SeqCst);
             }
-            let action = match (frame_type, client) {
-                (SUBMIT_RESULT_TYPE, Some(client)) => {
+            // (A turn's result count follows its client, seq and want.)
+            let carries_result = match frame_type {
+                TURN_TYPE => body.get(20..24).is_some_and(|n| n != [0; 4]),
+                other => other == SUBMIT_RESULT_TYPE,
+            };
+            let action = match client {
+                Some(client) if carries_result => {
                     let action = injector
                         .lock()
                         .unwrap()

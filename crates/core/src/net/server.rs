@@ -17,20 +17,23 @@
 //! shard the acceptor round-robined the connection to, for the
 //! connection's whole life. Dispatch does not shard: one
 //! [`crate::Server`] behind one mutex keeps leases, folds, quorum
-//! votes, reputation, health and recovery, and every unit is assigned
-//! by [`Server::request_work`] under that lock — so a unit is always
-//! sized by the granularity hint of the donor that will compute it,
-//! at every shard count.
+//! votes, reputation, health and recovery, and every donor turn — a
+//! [`Frame::Turn`], or one of the raw clients' single-unit frames — is
+//! one [`Server::turn`] under that lock, so a unit is always sized by
+//! the granularity hint of the donor that will compute it, at every
+//! shard count.
 
 use super::checkpoint::CheckpointWriter;
 use super::evloop::{
     accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, Conn, FrameHandler, LoopHandle,
 };
-use super::wire::{Frame, SUBMIT_RESULT_TYPE};
+use super::wire::{
+    decode_turn_head, Frame, Then, MAX_PIPELINE_DEPTH, SUBMIT_RESULT_TYPE, TURN_TYPE,
+};
 use super::Clock;
 use crate::codec::{ByteReader, WireCodec};
 use crate::sched::ClientId;
-use crate::server::{Assignment, Server};
+use crate::server::{Server, TurnResult};
 use crate::telemetry::Telemetry;
 use std::collections::HashMap;
 use std::io;
@@ -90,6 +93,9 @@ struct Shared {
     last_seen: Mutex<HashMap<ClientId, f64>>,
     /// Hard stop: shard loops and the accept loop exit promptly.
     kill: AtomicBool,
+    /// The stop is [`NetServer::kill`]'s — a crash, raised before the
+    /// server is taken — not the teardown after [`NetServer::wait`].
+    crashed: AtomicBool,
     /// Cloned off the server at start so wire-level counters and sweep
     /// events don't need the server lock.
     telemetry: Telemetry,
@@ -130,6 +136,7 @@ impl NetServer {
             done: Condvar::new(),
             last_seen: Mutex::new(HashMap::new()),
             kill: AtomicBool::new(false),
+            crashed: AtomicBool::new(false),
             telemetry,
             replicas: Mutex::new(Vec::new()),
             shards: handles,
@@ -246,6 +253,7 @@ impl NetServer {
     /// frames: neither the records nor the replies of the frames it
     /// already handled get out.
     pub fn kill(self) {
+        self.shared.crashed.store(true, Ordering::SeqCst);
         self.shared.kill.store(true, Ordering::SeqCst);
         if let Some(mut server) = self.shared.server.lock().unwrap().take() {
             server.discard_journal();
@@ -291,8 +299,7 @@ struct ShardCtx<'a> {
 }
 
 /// What the frames of one pump share, so that a burst of
-/// `ChunkRequest`s — or a donor's pipelined `[SubmitResult,
-/// RequestWork]` pairs — takes the liveness, server and telemetry locks
+/// `ChunkRequest`s takes the liveness, server and telemetry locks
 /// once per read instead of once per frame: chunk encoding and
 /// digesting need no authority, only the codec handle and the affinity
 /// note do, and the wire counters only need adding up.
@@ -306,9 +313,9 @@ struct PumpBatch {
     bytes_out: u64,
     /// The donor this pump has already marked alive.
     alive: Option<ClientId>,
-    /// The codec this pump serves chunks from, cloned under the server
-    /// lock by its first `ChunkRequest` for that problem (inner `None`:
-    /// no such problem, or it has no codec).
+    /// The codec this pump last used — chunks served, results decoded,
+    /// units encoded — cloned under the server lock on its first use
+    /// for that problem (inner `None`: no such problem, or no codec).
     codec: Option<(u64, Option<Arc<dyn WireCodec>>)>,
     /// Digests served to `served_to` that the scheduler's affinity map
     /// has not been told about yet.
@@ -354,32 +361,151 @@ impl ShardCtx<'_> {
         }
     }
 
-    /// Marks `client` alive unless this pump already has.
-    fn note_alive(&mut self, client: ClientId) {
+    /// Marks `client` alive unless this pump already has (`now`: the
+    /// time, if the caller has read the clock).
+    fn note_alive(&mut self, client: ClientId, now: Option<f64>) {
         if self.batch.alive != Some(client) {
             self.batch.alive = Some(client);
-            let now = self.clock.now();
+            let now = now.unwrap_or_else(|| self.clock.now());
             self.shared.last_seen.lock().unwrap().insert(client, now);
         }
     }
 
-    /// The codec of `problem`, fetched under the server lock once per
-    /// pump. `Err(())`: the server is gone.
+    /// The codec of `problem`, looked up in `server` once per pump.
+    fn codec(&mut self, server: &Server, problem: u64) -> Option<&Arc<dyn WireCodec>> {
+        if !matches!(&self.batch.codec, Some((p, _)) if *p == problem) {
+            let pid = problem as usize;
+            let known = pid < server.problem_count();
+            self.batch.codec = Some((problem, known.then(|| server.codec(pid)).flatten()));
+        }
+        self.batch
+            .codec
+            .as_ref()
+            .and_then(|(_, codec)| codec.as_ref())
+    }
+
+    /// [`Self::codec`] for a pump that does not hold the server lock.
+    /// `Err(())`: the server is gone.
     fn chunk_codec(&mut self, problem: u64) -> Result<Option<Arc<dyn WireCodec>>, ()> {
         if let Some((p, codec)) = &self.batch.codec {
             if *p == problem {
                 return Ok(codec.clone());
             }
         }
-        let guard = self.shared.server.lock().unwrap();
-        let server = guard.as_ref().ok_or(())?;
-        let pid = problem as usize;
-        let codec = (pid < server.problem_count())
-            .then(|| server.codec(pid))
-            .flatten();
+        let shared = self.shared;
+        let guard = shared.server.lock().unwrap();
+        Ok(self.codec(guard.as_ref().ok_or(())?, problem).cloned())
+    }
+
+    /// The one entry point of dispatch: a donor's turn — `results` to
+    /// rule on (`None` bytes: the result arrived with a broken checksum)
+    /// and `want` units to lease — under one lock, at one clock reading,
+    /// as one [`Server::turn`]. `seq` says how the donor spoke and so
+    /// how it is answered: `Some`, a [`Frame::Turn`], with one
+    /// [`Frame::TurnReply`]; `None`, a raw client's `RequestWork`
+    /// (`want` 1) or `SubmitResult` (one result), in their own
+    /// vocabulary. A turn this connection has already served (a frame
+    /// repeated in transit) has its results ruled on again — they are
+    /// refused as duplicates — but is leased nothing: units nobody will
+    /// compute would sit out their leases.
+    fn turn(
+        &mut self,
+        conn: &mut Conn,
+        client: u64,
+        seq: Option<u64>,
+        want: usize,
+        results: Vec<(u64, u64, Option<Vec<u8>>)>,
+    ) -> Action {
+        let shared = self.shared;
+        let now = self.clock.now();
+        self.note_alive(client as ClientId, Some(now));
+        let repeated = seq.is_some_and(|seq| seq <= conn.mark);
+        conn.mark = conn.mark.max(seq.unwrap_or(0));
+        if want > MAX_PIPELINE_DEPTH {
+            shared.telemetry.counter_add("net.turn_want_clamped", 1);
+        }
+        let leasing = if repeated {
+            0
+        } else {
+            want.min(MAX_PIPELINE_DEPTH)
+        };
+        let mut guard = shared.server.lock().unwrap();
+        let Some(server) = guard.as_mut() else {
+            // Killed: sever. Handed back by `wait()`: the run is over and
+            // there is nothing to say, but what this pump has queued (the
+            // reply that told the donor so) still leaves.
+            return if self.crashed() {
+                Action::Close
+            } else {
+                Action::Keep
+            };
+        };
+        // Chunks this pump served come before the turn in the stream,
+        // so their affinity must be visible to it.
+        self.batch.apply_affinity(server);
+        self.batch.uncommitted = true;
+        let ids: Vec<(u64, u64)> = results.iter().map(|&(p, u, _)| (p, u)).collect();
+        let decoded = results.into_iter().map(|(problem, unit, bytes)| {
+            // (The frame's CRC passing and the payload not parsing is
+            // semantic corruption: the reissue path, like a broken CRC.)
+            let codec = bytes.as_ref().and_then(|_| self.codec(server, problem));
+            let payload = codec.and_then(|c| c.decode_result(&bytes?).ok());
+            TurnResult {
+                problem: problem as usize,
+                unit,
+                payload,
+            }
+        });
+        let decoded = decoded.collect();
+        let out = server.turn(client as ClientId, now, decoded, leasing);
+        // (An unencodable unit — a codec bug — is not sent: its lease
+        // expires and reissues.)
+        let encode = |(problem, unit): &(usize, Arc<crate::problem::WorkUnit>)| {
+            let codec = self.codec(server, *problem as u64)?;
+            let payload = codec.encode_unit(&unit.payload).ok()?;
+            Some((*problem as u64, unit.id, unit.cost_ops, payload))
+        };
+        let mut units: Vec<_> = out.units.iter().filter_map(encode).collect();
+        let complete = server.all_complete();
         drop(guard);
-        self.batch.codec = Some((problem, codec.clone()));
-        Ok(codec)
+        if complete {
+            shared.done.notify_all();
+        }
+        let acks = ids.iter().zip(&out.accepted);
+        let acks = acks.map(|(&(problem, unit), &accepted)| (problem, unit, accepted));
+        let acks: Vec<_> = acks.collect();
+        let Some(seq) = seq else {
+            for (problem, unit, accepted) in acks {
+                let ack = Frame::ResultAck {
+                    problem,
+                    unit,
+                    accepted,
+                };
+                self.reply(conn, &ack);
+            }
+            if want > 0 {
+                let work = match (units.pop(), out.then) {
+                    (Some((problem, unit, cost_ops, payload)), _) => Frame::AssignUnit {
+                        problem,
+                        unit,
+                        cost_ops,
+                        payload,
+                    },
+                    (None, Then::Finished) => Frame::Finished,
+                    (None, _) => Frame::Wait,
+                };
+                self.reply(conn, &work);
+            }
+            return Action::Keep;
+        };
+        let reply = Frame::TurnReply {
+            seq,
+            acks,
+            units,
+            then: out.then,
+        };
+        self.reply(conn, &reply);
+        Action::Keep
     }
 
     /// Queues `frame` for `conn` and counts it.
@@ -394,6 +520,12 @@ impl FrameHandler for ShardCtx<'_> {
         self.shared.kill.load(Ordering::SeqCst)
     }
 
+    /// The teardown after `wait()` lets a pump finish: the replies of
+    /// the turn that completed the run still leave.
+    fn crashed(&self) -> bool {
+        self.shared.crashed.load(Ordering::SeqCst)
+    }
+
     fn adopted(&mut self, token: u64) {
         // Tokens count up from 1, one per adopted connection.
         self.shared
@@ -403,10 +535,21 @@ impl FrameHandler for ShardCtx<'_> {
 
     fn corrupt_body(&mut self, conn: &mut Conn, frame_type: u8, body_prefix: &[u8]) {
         self.shared.telemetry.counter_add("net.crc_failures", 1);
-        // A mangled result still routes to the reissue path: its id
-        // fields are in the prefix.
-        if frame_type == SUBMIT_RESULT_TYPE {
-            self.handle_corrupt_result(conn, body_prefix);
+        // Mangled results still route to the reissue path, and are
+        // nacked so the sender retires its pending copies: their id
+        // fields are in the prefix. What the frame asked for cannot be
+        // trusted and is not served. (A prefix too mangled to attribute
+        // is dropped; lease expiry recovers.)
+        let mut r = ByteReader::new(body_prefix);
+        if frame_type == TURN_TYPE {
+            if let Ok((client, seq, _, ids)) = decode_turn_head(&mut r) {
+                let results = ids.into_iter().map(|(p, u)| (p, u, None)).collect();
+                self.turn(conn, client, Some(seq), 0, results);
+            }
+        } else if frame_type == SUBMIT_RESULT_TYPE {
+            if let (Ok(client), Ok(problem), Ok(unit)) = (r.u64(), r.u64(), r.u64()) {
+                self.turn(conn, client, None, 0, vec![(problem, unit, None)]);
+            }
         }
     }
 
@@ -423,10 +566,11 @@ impl FrameHandler for ShardCtx<'_> {
                 server.commit_journal();
                 true
             }
-            // `kill()` raises the flag before it takes the server; with
-            // the flag clear it was `wait()`, which committed this
-            // pump's records before it let go of the lock.
-            None => !self.killed(),
+            // `kill()` says so before it takes the server; otherwise it
+            // was `wait()`, which committed this pump's records before
+            // it let go of the lock (and may be tearing the transport
+            // down by now: the run's last reply still leaves).
+            None => !self.crashed(),
         }
     }
 
@@ -447,7 +591,7 @@ impl FrameHandler for ShardCtx<'_> {
         let clock = self.clock;
         let reply = match frame {
             Frame::Hello { client } => {
-                self.note_alive(client as ClientId);
+                self.note_alive(client as ClientId, None);
                 // Advertise the replica tier so the donor can route
                 // chunk fetches without out-of-band configuration.
                 let endpoints = shared.replicas.lock().unwrap().clone();
@@ -458,89 +602,25 @@ impl FrameHandler for ShardCtx<'_> {
                 }
             }
             Frame::Heartbeat { client } => {
-                self.note_alive(client as ClientId);
+                self.note_alive(client as ClientId, None);
                 Some(Frame::HeartbeatAck)
             }
-            Frame::RequestWork { client } => {
-                let now = clock.now();
-                self.note_alive(client as ClientId);
-                let mut guard = shared.server.lock().unwrap();
-                let Some(server) = guard.as_mut() else {
-                    return Action::Close;
-                };
-                // Chunks this pump served come before the request in
-                // the stream, so their affinity must be visible to it.
-                self.batch.apply_affinity(server);
-                self.batch.uncommitted = true;
-                server.check_timeouts(now);
-                match server.request_work(client as ClientId, now) {
-                    Assignment::Unit { problem, unit, .. } => {
-                        let encoded = server
-                            .codec(problem)
-                            .and_then(|c| c.encode_unit(&unit.payload).ok());
-                        drop(guard);
-                        match encoded {
-                            Some(payload) => Some(Frame::AssignUnit {
-                                problem: problem as u64,
-                                unit: unit.id,
-                                cost_ops: unit.cost_ops,
-                                payload,
-                            }),
-                            // Unencodable unit (codec bug): stall this
-                            // client; the lease will expire and reissue.
-                            None => Some(Frame::Wait),
-                        }
-                    }
-                    Assignment::Wait => Some(Frame::Wait),
-                    Assignment::Finished => Some(Frame::Finished),
-                }
+            Frame::Turn {
+                client,
+                seq,
+                want,
+                results,
+            } => {
+                let results = results.into_iter().map(|(p, u, b)| (p, u, Some(b)));
+                return self.turn(conn, client, Some(seq), want as usize, results.collect());
             }
+            Frame::RequestWork { client } => return self.turn(conn, client, None, 1, Vec::new()),
             Frame::SubmitResult {
                 client,
                 problem,
                 unit,
                 payload,
-            } => {
-                let now = clock.now();
-                self.note_alive(client as ClientId);
-                let pid = problem as usize;
-                let mut guard = shared.server.lock().unwrap();
-                let Some(server) = guard.as_mut() else {
-                    return Action::Close;
-                };
-                let accepted = if pid < server.problem_count() {
-                    match server.codec(pid).map(|c| c.decode_result(&payload)) {
-                        Some(Ok(decoded)) => server.submit_result(
-                            client as ClientId,
-                            pid,
-                            crate::problem::TaskResult {
-                                unit_id: unit,
-                                payload: decoded,
-                            },
-                            now,
-                        ),
-                        // Frame CRC passed but the payload didn't parse:
-                        // semantic corruption; reissue path.
-                        _ => {
-                            server.result_corrupted(client as ClientId, pid, unit, now);
-                            false
-                        }
-                    }
-                } else {
-                    false // garbage problem id: ignore, nack
-                };
-                self.batch.uncommitted = true;
-                let complete = server.all_complete();
-                drop(guard);
-                if complete {
-                    shared.done.notify_all();
-                }
-                Some(Frame::ResultAck {
-                    problem,
-                    unit,
-                    accepted,
-                })
-            }
+            } => return self.turn(conn, client, None, 0, vec![(problem, unit, Some(payload))]),
             Frame::Goodbye { client } => {
                 let mut guard = shared.server.lock().unwrap();
                 if let Some(server) = guard.as_mut() {
@@ -565,7 +645,7 @@ impl FrameHandler for ShardCtx<'_> {
                 // at a machine that never computes.
                 let is_replica = client == super::store::REPLICA_CLIENT_ID;
                 if !is_replica {
-                    self.note_alive(client as ClientId);
+                    self.note_alive(client as ClientId, None);
                 }
                 let Ok(codec) = self.chunk_codec(problem) else {
                     return Action::Close;
@@ -604,7 +684,7 @@ impl FrameHandler for ShardCtx<'_> {
             }
             Frame::MetricsReport { client, snapshot } => {
                 let now = clock.now();
-                self.note_alive(client as ClientId);
+                self.note_alive(client as ClientId, None);
                 match crate::telemetry::MetricsSnapshot::from_wire_bytes(&snapshot) {
                     Ok(snap) => {
                         shared
@@ -650,39 +730,13 @@ impl FrameHandler for ShardCtx<'_> {
             | Frame::ChunkData { .. }
             | Frame::ChunkMissing { .. }
             | Frame::ReplicaAnnounce { .. }
-            | Frame::StatusReport { .. } => None,
+            | Frame::StatusReport { .. }
+            | Frame::TurnReply { .. } => None,
         };
         if let Some(reply) = reply {
             self.reply(conn, &reply);
         }
         Action::Keep
-    }
-}
-
-impl ShardCtx<'_> {
-    /// Routes a CRC-failed `SubmitResult` to [`Server::result_corrupted`]
-    /// using the id fields from the (header-validated) body prefix, and
-    /// nacks so the sender retires or retries its pending copy.
-    fn handle_corrupt_result(&mut self, conn: &mut Conn, body_prefix: &[u8]) {
-        let mut r = ByteReader::new(body_prefix);
-        let (Ok(client), Ok(problem), Ok(unit)) = (r.u64(), r.u64(), r.u64()) else {
-            return; // prefix too mangled to attribute; lease expiry recovers
-        };
-        let pid = problem as usize;
-        let now = self.clock.now();
-        {
-            let mut guard = self.shared.server.lock().unwrap();
-            let Some(server) = guard.as_mut() else { return };
-            if pid < server.problem_count() {
-                server.result_corrupted(client as ClientId, pid, unit, now);
-            }
-        }
-        let nack = Frame::ResultAck {
-            problem,
-            unit,
-            accepted: false,
-        };
-        self.reply(conn, &nack);
     }
 }
 
@@ -743,7 +797,7 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::net::wire::{encode_frame, encode_frame_into, FrameReader};
+    use crate::net::wire::{encode_frame, FrameReader};
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
     use std::io::Write;
@@ -845,93 +899,118 @@ mod tests {
         assert_eq!(server.stats(pid).corrupted_results, 1);
     }
 
-    /// Pairs in the pipelined segment: half a full-depth donor turn.
-    const PAIRS: usize = 32;
+    /// Results in the scripted turn: half a full-depth donor turn.
+    const RESULTS: usize = 32;
 
-    /// A raw-socket donor that holds [`PAIRS`] leased units of a
-    /// journaled server and has their results, each followed by the
-    /// request that replaces its unit, encoded as one segment — what a
-    /// pipelined donor sends in one write.
-    struct PipelinedSession {
+    /// A raw-socket donor speaking turns to a journaled one-shard
+    /// server (optionally through a fault proxy).
+    struct TurnSession {
         net: NetServer,
         telemetry: Telemetry,
         stream: TcpStream,
         reader: FrameReader,
-        held: Vec<u64>,
-        segment: Vec<u8>,
+        algorithm: Arc<dyn crate::problem::Algorithm>,
+        codec: Arc<dyn WireCodec>,
     }
 
-    impl PipelinedSession {
-        fn start(journal: Box<dyn crate::server::RunJournal>) -> Self {
+    impl TurnSession {
+        fn start(
+            journal: Option<Box<dyn crate::server::RunJournal>>,
+            proxied: Option<&crate::fault::FaultPlan>,
+        ) -> (Self, Option<crate::net::FaultProxy>) {
             let mut server = Server::new(small_cfg());
             server.set_telemetry(Telemetry::enabled());
             let telemetry = server.telemetry();
             let pid = server.submit(integration_problem(1_000_000));
-            server.set_journal(journal);
-            let algorithm = server.algorithm(pid);
-            let codec = server.codec(pid).unwrap();
+            if let Some(journal) = journal {
+                server.set_journal(journal);
+            }
+            let (algorithm, codec) = (server.algorithm(pid), server.codec(pid).unwrap());
             let opts = NetServerOptions {
                 shards: 1,
                 ..Default::default()
             };
-            let net = NetServer::start(server, Clock::new(1000.0), opts).unwrap();
-            let stream = TcpStream::connect(net.addr()).unwrap();
+            let clock = Clock::new(1000.0);
+            let net = NetServer::start(server, clock, opts).unwrap();
+            let proxy = proxied.map(|plan| {
+                let upstream = crate::net::Directory::with_origin(net.addr());
+                crate::net::FaultProxy::start(upstream, plan, 1, clock).unwrap()
+            });
+            let addr = proxy.as_ref().map_or(net.addr(), |p| p.addr());
+            let mut stream = TcpStream::connect(addr).unwrap();
             stream
                 .set_read_timeout(Some(Duration::from_millis(50)))
                 .unwrap();
-            let mut session = Self {
+            stream
+                .write_all(&encode_frame(&Frame::Hello { client: 0 }))
+                .unwrap();
+            let session = Self {
                 net,
                 telemetry,
                 stream,
                 reader: FrameReader::new(),
-                held: Vec::new(),
-                segment: Vec::new(),
+                algorithm,
+                codec,
             };
-            let request = Frame::RequestWork { client: 0 };
-            let mut hello = encode_frame(&Frame::Hello { client: 0 });
-            for _ in 0..PAIRS {
-                encode_frame_into(&request, &mut hello);
-            }
-            session.stream.write_all(&hello).unwrap();
-            for _ in 0..PAIRS {
-                let Frame::AssignUnit {
-                    problem,
-                    unit,
-                    cost_ops,
-                    payload,
-                } = session.next_frame()
-                else {
-                    panic!("expected an assignment");
-                };
-                let wu = crate::problem::WorkUnit {
-                    id: unit,
-                    payload: codec.decode_unit(&payload).unwrap(),
-                    cost_ops,
-                };
-                let result = algorithm.compute(&wu);
-                encode_frame_into(
-                    &Frame::SubmitResult {
-                        client: 0,
-                        problem,
-                        unit,
-                        payload: codec.encode_result(&result.payload).unwrap(),
-                    },
-                    &mut session.segment,
-                );
-                encode_frame_into(&request, &mut session.segment);
-                session.held.push(unit);
-            }
-            session
+            (session, proxy)
         }
 
-        fn next_frame(&mut self) -> Frame {
+        /// Computes `units` (as leased by a `TurnReply`) into the
+        /// results of the next turn.
+        fn compute(&self, units: &[(u64, u64, f64, Vec<u8>)]) -> Vec<(u64, u64, Vec<u8>)> {
+            let compute = |(problem, unit, cost_ops, payload): &(u64, u64, f64, Vec<u8>)| {
+                let wu = crate::problem::WorkUnit {
+                    id: *unit,
+                    payload: self.codec.decode_unit(payload).unwrap(),
+                    cost_ops: *cost_ops,
+                };
+                let result = self.algorithm.compute(&wu);
+                let encoded = self.codec.encode_result(&result.payload).unwrap();
+                (*problem, *unit, encoded)
+            };
+            units.iter().map(compute).collect()
+        }
+
+        fn write_turn(&mut self, seq: u64, want: u32, results: Vec<(u64, u64, Vec<u8>)>) {
+            let turn = Frame::Turn {
+                client: 0,
+                seq,
+                want,
+                results,
+            };
+            self.stream.write_all(&encode_frame(&turn)).unwrap();
+        }
+
+        /// The next `TurnReply`: `(seq, acks, units, then)`.
+        #[allow(clippy::type_complexity)]
+        fn reply(
+            &mut self,
+        ) -> (
+            u64,
+            Vec<(u64, u64, bool)>,
+            Vec<(u64, u64, f64, Vec<u8>)>,
+            Then,
+        ) {
             loop {
                 match self.reader.poll(&mut self.stream) {
-                    Ok(Some(f)) => return f,
+                    Ok(Some(Frame::TurnReply {
+                        seq,
+                        acks,
+                        units,
+                        then,
+                    })) => return (seq, acks, units, then),
+                    Ok(Some(other)) => panic!("expected a turn reply, got {other:?}"),
                     Ok(None) => {}
                     Err(e) => panic!("read failed: {e}"),
                 }
             }
+        }
+
+        /// `(assignments, units in flight, units queued for reissue)`.
+        fn leases(&self) -> (u64, u32, u32) {
+            let status = |s: &Server| s.status_snapshot(0.0).problems[0].clone();
+            let p = self.net.with_server(status).expect("server alive");
+            (p.assignments, p.in_flight, p.reissue_queue)
         }
     }
 
@@ -957,18 +1036,22 @@ mod tests {
             .collect()
     }
 
-    /// What the pipelined donor sends: results, each with the request
-    /// that replaces its unit, in one segment. The pump drains every
-    /// frame and answers them in order in one write — after it has
-    /// committed their journal records as one group, each result ahead
-    /// of the issue it unlocks: by the time the first reply byte can be
-    /// read, the log holds every record of the pump.
+    /// What the pipelined donor sends: a round trip's results and the
+    /// request for the units that replace them, in one frame. The
+    /// origin answers with one frame — after it has committed the
+    /// turn's journal records as one group, the results in frame order
+    /// ahead of the issues they unlock: by the time the first reply
+    /// byte can be read, the log holds every record of the turn.
     #[test]
-    fn pipelined_pairs_in_one_segment_get_in_order_replies_and_a_write_ahead_journal() {
+    fn a_turns_records_are_in_the_journal_before_its_first_reply_byte_is_readable() {
         let path = pipeline_log("commit");
         let journal = CheckpointWriter::create(&path).unwrap();
-        let mut session = PipelinedSession::start(Box::new(journal));
-        session.stream.write_all(&session.segment).unwrap();
+        let (mut session, _) = TurnSession::start(Some(Box::new(journal)), None);
+        session.write_turn(1, RESULTS as u32, Vec::new());
+        let (_, _, held, _) = session.reply();
+        assert_eq!(held.len(), RESULTS);
+        let results = session.compute(&held);
+        session.write_turn(2, RESULTS as u32, results);
 
         // Block until the first reply byte is readable, consuming
         // nothing: the records that justify it are already in the file.
@@ -976,44 +1059,32 @@ mod tests {
         while session.stream.peek(&mut first).is_err() {}
         let order = unit_records(&path);
         let (issue, result) = (true, false);
-        assert_eq!(order.len(), 3 * PAIRS, "every record of the pump");
-        let held = session.held.clone();
-        for (i, &unit) in held.iter().enumerate() {
-            assert_eq!(order[i], (issue, unit), "the leases of the first pump");
-            assert_eq!(order[PAIRS + 2 * i], (result, unit), "in frame order");
-            assert!(order[PAIRS + 2 * i + 1].0, "each result ahead of its issue");
+        assert_eq!(order.len(), 3 * RESULTS, "every record of the turn");
+        for (i, held) in held.iter().enumerate() {
+            assert_eq!(order[i], (issue, held.1), "the leases of the first turn");
+            assert_eq!(order[RESULTS + i], (result, held.1), "in frame order");
+            assert!(order[2 * RESULTS + i].0, "results ahead of the issues");
         }
 
-        for (i, &unit) in held.iter().enumerate() {
-            match session.next_frame() {
-                Frame::ResultAck {
-                    unit: acked,
-                    accepted: true,
-                    ..
-                } => assert_eq!(acked, unit, "acks come back in submit order"),
-                other => panic!("expected the ack of unit {unit}, got {other:?}"),
-            }
-            match session.next_frame() {
-                Frame::AssignUnit { unit, .. } => {
-                    assert_eq!(order[PAIRS + 2 * i + 1], (issue, unit))
-                }
-                other => panic!("expected the next assignment, got {other:?}"),
-            }
-        }
+        let (seq, acks, units, then) = session.reply();
+        assert_eq!((seq, then), (2, Then::More));
+        let ruled: Vec<_> = held.iter().map(|h| (h.0, h.1, true)).collect();
+        assert_eq!(acks, ruled, "every result ruled on, in turn order");
+        let leased: Vec<_> = units.iter().map(|u| (issue, u.1)).collect();
+        assert_eq!(leased, order[2 * RESULTS..]);
         // A pump adds its counts after its replies have left: read them
         // once the shard thread is joined.
         session.net.kill();
         let snap = session.telemetry.metrics_snapshot();
-        assert_eq!(snap.counter("net.frames_in"), 1 + 3 * PAIRS as u64);
-        assert_eq!(snap.counter("net.frames_out"), 3 * PAIRS as u64);
-        assert_eq!(snap.counter("net.pumps"), 2, "one pump per segment");
+        assert_eq!(snap.counter("net.frames_in"), 3, "a hello and two turns");
+        assert_eq!(snap.counter("net.frames_out"), 2, "one reply a turn");
         assert_eq!(unit_records(&path), order, "the kill had no group to lose");
         let _ = std::fs::remove_file(&path);
     }
 
     /// A journal that stops inside its `gate_at`-th result record until
-    /// the test lets it go on — with the server lock held, so the pump
-    /// is pinned between two frames.
+    /// the test lets it go on — with the server lock held, so the turn
+    /// is pinned between two of its results.
     struct GatedJournal {
         inner: CheckpointWriter,
         results: usize,
@@ -1042,11 +1113,11 @@ mod tests {
         }
     }
 
-    /// The server dies while a pump is between two frames: the frames
-    /// it had handled leave no record in the log and no reply on the
-    /// wire — the crash lost exactly what no donor was told about.
+    /// The server dies while a turn is between two of its results: the
+    /// whole turn is lost — no record of it in the log, no reply on the
+    /// wire — which is exactly what no donor was told about.
     #[test]
-    fn kill_between_two_frames_of_a_pump_leaves_neither_their_records_nor_their_replies() {
+    fn kill_during_a_turn_loses_the_whole_turn_neither_its_records_nor_its_reply() {
         let path = pipeline_log("kill");
         let (inside_tx, inside) = std::sync::mpsc::channel();
         let (release, release_rx) = std::sync::mpsc::channel();
@@ -1057,13 +1128,16 @@ mod tests {
             inside: inside_tx,
             release: release_rx,
         };
-        let mut session = PipelinedSession::start(Box::new(journal));
+        let (mut session, _) = TurnSession::start(Some(Box::new(journal)), None);
+        session.write_turn(1, RESULTS as u32, Vec::new());
+        let (_, _, held, _) = session.reply();
         let leases = unit_records(&path);
-        assert_eq!(leases.len(), PAIRS, "the first pump committed its issues");
-        session.stream.write_all(&session.segment).unwrap();
+        assert_eq!(leases.len(), RESULTS, "the first turn committed its issues");
+        let results = session.compute(&held);
+        session.write_turn(2, RESULTS as u32, results);
 
-        // Two pairs are handled (four records in the open group, four
-        // replies queued) and the pump is inside its third result.
+        // Two results are folded (two records in the open group) and
+        // the turn is inside its third.
         inside.recv().unwrap();
         let shared = session.net.shared.clone();
         let net = session.net;
@@ -1082,9 +1156,75 @@ mod tests {
                 Err(_) => break, // the connection went dark
             }
         }
-        assert_eq!(replies, 0, "no reply of the killed pump was sent");
+        assert_eq!(replies, 0, "no reply of the killed turn was sent");
         assert_eq!(unit_records(&path), leases, "and none of its records kept");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A plan that hits donor 0's first result-carrying frame.
+    fn first_result_meets(kind: crate::fault::FaultKind) -> crate::fault::FaultPlan {
+        let mut plan = crate::fault::FaultPlan::new(0);
+        plan.push(0.0, 0, kind);
+        plan
+    }
+
+    /// A turn repeated in transit is ruled on twice and leased once:
+    /// the second copy's results are refused as duplicates and its
+    /// `want` is not served — no lease is left to expire.
+    #[test]
+    fn a_duplicated_turn_is_ruled_on_again_but_its_want_is_not_served_twice() {
+        let plan = first_result_meets(crate::fault::FaultKind::DuplicateResult);
+        let (mut session, proxy) = TurnSession::start(None, Some(&plan));
+        session.write_turn(1, 2, Vec::new());
+        let (_, _, held, _) = session.reply();
+        let results = session.compute(&held[..1]);
+        session.write_turn(2, 1, results);
+        let (seq, acks, units, _) = session.reply();
+        assert_eq!((seq, acks[0].2, units.len()), (2, true, 1));
+        let (seq, acks, units, _) = session.reply();
+        assert_eq!(seq, 2, "the copy is answered in its own name");
+        assert_eq!(acks, [(held[0].0, held[0].1, false)], "and refused");
+        assert!(units.is_empty(), "with nothing leased");
+        assert_eq!(session.leases(), (3, 2, 0), "what the donor holds, no more");
+        proxy.unwrap().stop();
+        session.net.kill();
+    }
+
+    /// A turn whose body fails its CRC still names its units: each goes
+    /// through `result_corrupted` and is nacked, and what the frame
+    /// asked for — which cannot be trusted — is not served.
+    #[test]
+    fn a_corrupt_turn_is_nacked_unit_by_unit_and_leased_nothing() {
+        let plan = first_result_meets(crate::fault::FaultKind::CorruptResult);
+        let (mut session, proxy) = TurnSession::start(None, Some(&plan));
+        session.write_turn(1, 2, Vec::new());
+        let (_, _, held, _) = session.reply();
+        let results = session.compute(&held);
+        session.write_turn(2, 2, results);
+        let (seq, acks, units, _) = session.reply();
+        let nacked: Vec<_> = held.iter().map(|h| (h.0, h.1, false)).collect();
+        assert_eq!((seq, acks), (2, nacked));
+        assert!(units.is_empty());
+        assert_eq!(session.leases(), (2, 0, 2), "both units wait for reissue");
+        let corrupted = |s: &Server| s.stats(0).corrupted_results;
+        let corrupted = session.net.with_server(corrupted);
+        assert_eq!(corrupted, Some(2), "units, not frames");
+        proxy.unwrap().stop();
+        session.net.kill();
+        let crc = session.telemetry.metrics_snapshot();
+        assert_eq!(crc.counter("net.crc_failures"), 1);
+    }
+
+    #[test]
+    fn a_want_above_the_pipeline_ceiling_is_clamped_and_counted() {
+        let (mut session, _) = TurnSession::start(None, None);
+        session.write_turn(1, 1000, Vec::new());
+        let (_, _, units, then) = session.reply();
+        assert_eq!((units.len(), then), (MAX_PIPELINE_DEPTH, Then::More));
+        assert_eq!(session.leases(), (MAX_PIPELINE_DEPTH as u64, 64, 0));
+        let clamped = session.telemetry.metrics_snapshot();
+        assert_eq!(clamped.counter("net.turn_want_clamped"), 1);
+        session.net.kill();
     }
 
     #[test]

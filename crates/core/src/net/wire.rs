@@ -17,13 +17,14 @@
 //! *length* before allocating or skipping, so a corrupted body never
 //! desynchronises the stream — the frame is skipped whole and the error
 //! reported ([`DecodeError::BodyCrc`] carries the body prefix so a
-//! corrupt `SubmitResult` can still be routed to
-//! [`crate::Server::result_corrupted`]). Decoding is total: any byte
+//! corrupt `Turn` or `SubmitResult` can still route every unit it names
+//! to [`crate::Server::result_corrupted`]). Decoding is total: any byte
 //! string yields a frame or a [`DecodeError`], never a panic, and no
 //! length field can drive an allocation past the bytes actually
 //! received (the property tests below pin all of this down).
 
 use crate::codec::{ByteReader, ByteWriter, WireError};
+pub use crate::server::Then;
 use std::io::Read;
 
 /// Frame magic: "BIODIST" squeezed into 4 bytes.
@@ -53,6 +54,8 @@ const FT_REPLICA_ANNOUNCE: u8 = 14;
 const FT_METRICS_REPORT: u8 = 15;
 const FT_STATUS_REQUEST: u8 = 16;
 const FT_STATUS_REPORT: u8 = 17;
+const FT_TURN: u8 = 18;
+const FT_TURN_REPLY: u8 = 19;
 
 /// Frame type code for [`Frame::SubmitResult`] — exposed so transport
 /// code can recognise a corrupt result frame from its header alone.
@@ -66,6 +69,25 @@ pub const RESULT_ACK_TYPE: u8 = FT_RESULT_ACK;
 /// Frame type code for [`Frame::ChunkData`] — exposed so transports can
 /// account chunk traffic separately from control traffic.
 pub const CHUNK_DATA_TYPE: u8 = FT_CHUNK_DATA;
+/// Frame type codes for [`Frame::Turn`] and [`Frame::TurnReply`]: the
+/// fault proxy treats a turn that carries results like a
+/// `SubmitResult` and its reply like the control replies above.
+pub const TURN_TYPE: u8 = FT_TURN;
+/// See [`TURN_TYPE`].
+pub const TURN_REPLY_TYPE: u8 = FT_TURN_REPLY;
+
+/// Ceiling of a donor's measured pipeline depth, and so of what one
+/// [`Frame::Turn`] may `want`: the most assignments a donor keeps ready
+/// or requested, and results unacknowledged, however short its units
+/// are next to a round trip. A turn of 64 is ~3 KiB each way — one
+/// segment, one origin pump, one journal group — and shares the
+/// per-turn costs 64 ways; deeper would only lengthen what one lost
+/// connection resubmits and what one slow donor hoards from the others.
+pub const MAX_PIPELINE_DEPTH: usize = 64;
+
+/// The fixed head of a [`Frame::Turn`] body — client, seq, want and
+/// the result count — ahead of its id table.
+const TURN_HEAD_LEN: usize = 24;
 
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
@@ -189,6 +211,33 @@ pub enum Frame {
         /// [`crate::server::StatusSnapshot`] wire bytes.
         snapshot: Vec<u8>,
     },
+    /// One donor turn: every result computed since the last one and the
+    /// request for the units that replace them. The `(problem, unit)`
+    /// ids lead the body as one table, so a turn whose body fails its
+    /// CRC still names every unit it carried ([`decode_turn_head`]).
+    Turn {
+        /// The donor's client id.
+        client: u64,
+        /// The donor's turn counter; the reply echoes it.
+        seq: u64,
+        /// Units asked for (clamped to [`MAX_PIPELINE_DEPTH`]).
+        want: u32,
+        /// `(problem, unit, codec-encoded result payload)`.
+        results: Vec<(u64, u64, Vec<u8>)>,
+    },
+    /// The origin's answer to a [`Frame::Turn`]: a ruling on each of
+    /// its results, in order, and the units leased against its `want`.
+    TurnReply {
+        /// The `seq` of the turn this answers.
+        seq: u64,
+        /// `(problem, unit, accepted)` per result of the turn (false =
+        /// duplicate/corrupt; either way the result is retired).
+        acks: Vec<(u64, u64, bool)>,
+        /// `(problem, unit, cost in ops, codec-encoded unit payload)`.
+        units: Vec<(u64, u64, f64, Vec<u8>)>,
+        /// Whether to keep asking.
+        then: Then,
+    },
 }
 
 impl Frame {
@@ -211,6 +260,8 @@ impl Frame {
             Frame::MetricsReport { .. } => FT_METRICS_REPORT,
             Frame::StatusRequest => FT_STATUS_REQUEST,
             Frame::StatusReport { .. } => FT_STATUS_REPORT,
+            Frame::Turn { .. } => FT_TURN,
+            Frame::TurnReply { .. } => FT_TURN_REPLY,
         }
     }
 }
@@ -238,7 +289,8 @@ pub enum DecodeError {
     BodyCrc {
         /// The frame's type byte (already header-CRC-validated).
         frame_type: u8,
-        /// Up to the first 24 body bytes (ids for a `SubmitResult`).
+        /// The first 24 body bytes (ids for a `SubmitResult`), or as
+        /// few as the body has; for a `Turn`, its head and id table.
         body_prefix: Vec<u8>,
     },
     /// The body checksum passed but the payload did not parse.
@@ -339,17 +391,65 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     out
 }
 
-/// Appends one encoded frame to `out` — the body is written in place
-/// behind a header whose length and checksum are patched afterwards, so
-/// a burst of frames costs no allocation beyond `out`'s own growth.
-pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+/// Appends one frame of type `frame_type` to `out` — `write_body`
+/// writes the body in place behind a header whose length and checksum
+/// are patched afterwards, so a burst of frames costs no allocation
+/// beyond `out`'s own growth.
+fn frame_into(frame_type: u8, out: &mut Vec<u8>, write_body: impl FnOnce(&mut ByteWriter)) {
     let start = out.len();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
-    out.push(frame.type_code());
+    out.push(frame_type);
     out.extend_from_slice(&[0u8; 8]); // body length + header CRC, patched below
     let mut body = ByteWriter::appending(std::mem::take(out));
-    match frame {
+    write_body(&mut body);
+    *out = body.into_bytes();
+    let body_start = start + HEADER_LEN;
+    let body_len = (out.len() - body_start) as u32;
+    out[start + 6..start + 10].copy_from_slice(&body_len.to_le_bytes());
+    let header_crc = crc32(&out[start..start + 10]);
+    out[start + 10..body_start].copy_from_slice(&header_crc.to_le_bytes());
+    let body_crc = crc32(&out[body_start..]);
+    out.extend_from_slice(&body_crc.to_le_bytes());
+}
+
+/// Appends a [`Frame::Turn`] built from borrowed results — the donor
+/// keeps its unacknowledged payloads and encodes straight from them.
+pub fn encode_turn_into<'a>(
+    out: &mut Vec<u8>,
+    client: u64,
+    seq: u64,
+    want: u32,
+    results: impl ExactSizeIterator<Item = (u64, u64, &'a [u8])> + Clone,
+) {
+    frame_into(FT_TURN, out, |body| {
+        body.u64(client);
+        body.u64(seq);
+        body.u32(want);
+        body.u32(results.len() as u32);
+        for (problem, unit, _) in results.clone() {
+            body.u64(problem);
+            body.u64(unit);
+        }
+        for (_, _, payload) in results {
+            body.bytes(payload);
+        }
+    });
+}
+
+/// Appends one encoded frame to `out` (see [`frame_into`]).
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    if let Frame::Turn {
+        client,
+        seq,
+        want,
+        results,
+    } = frame
+    {
+        let results = results.iter().map(|(p, u, b)| (*p, *u, b.as_slice()));
+        return encode_turn_into(out, *client, *seq, *want, results);
+    }
+    frame_into(frame.type_code(), out, |body| match frame {
         Frame::Hello { client }
         | Frame::RequestWork { client }
         | Frame::Heartbeat { client }
@@ -422,15 +522,42 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
         }
         Frame::StatusRequest => {}
         Frame::StatusReport { snapshot } => body.bytes(snapshot),
-    }
-    *out = body.into_bytes();
-    let body_start = start + HEADER_LEN;
-    let body_len = (out.len() - body_start) as u32;
-    out[start + 6..start + 10].copy_from_slice(&body_len.to_le_bytes());
-    let header_crc = crc32(&out[start..start + 10]);
-    out[start + 10..body_start].copy_from_slice(&header_crc.to_le_bytes());
-    let body_crc = crc32(&out[body_start..]);
-    out.extend_from_slice(&body_crc.to_le_bytes());
+        Frame::Turn { .. } => unreachable!("encoded above"),
+        Frame::TurnReply {
+            seq,
+            acks,
+            units,
+            then,
+        } => {
+            body.u64(*seq);
+            body.u8(*then as u8);
+            body.u32(acks.len() as u32);
+            for (problem, unit, accepted) in acks {
+                body.u64(*problem);
+                body.u64(*unit);
+                body.u8(u8::from(*accepted));
+            }
+            body.u32(units.len() as u32);
+            for (problem, unit, cost_ops, payload) in units {
+                body.u64(*problem);
+                body.u64(*unit);
+                body.f64(*cost_ops);
+                body.bytes(payload);
+            }
+        }
+    });
+}
+
+/// `(client, seq, want, (problem, unit) ids)`.
+pub type TurnHead = (u64, u64, u32, Vec<(u64, u64)>);
+
+/// The head of a [`Frame::Turn`] body: also what the origin reads from
+/// the [`DecodeError::BodyCrc`] prefix of a turn mangled in transit, to
+/// attribute the results it carried.
+pub fn decode_turn_head(r: &mut ByteReader) -> Result<TurnHead, WireError> {
+    let (client, seq, want) = (r.u64()?, r.u64()?, r.u32()?);
+    let ids = (0..r.count(16)?).map(|_| Ok((r.u64()?, r.u64()?)));
+    Ok((client, seq, want, ids.collect::<Result<_, WireError>>()?))
 }
 
 /// Parses and validates a frame header, returning `(frame_type,
@@ -453,7 +580,7 @@ pub fn parse_header(buf: &[u8]) -> Result<(u8, u32), DecodeError> {
         return Err(DecodeError::BadVersion(version));
     }
     let frame_type = buf[5];
-    if !(FT_HELLO..=FT_STATUS_REPORT).contains(&frame_type) {
+    if !(FT_HELLO..=FT_TURN_REPLY).contains(&frame_type) {
         return Err(DecodeError::BadFrameType(frame_type));
     }
     let body_len = u32::from_le_bytes(buf[6..10].try_into().expect("4 bytes"));
@@ -474,9 +601,18 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
     let body = &buf[HEADER_LEN..HEADER_LEN + body_len as usize];
     let declared_crc = u32::from_le_bytes(buf[total - 4..total].try_into().expect("4 bytes"));
     if crc32(body) != declared_crc {
+        // A turn's prefix reaches to the end of its id table; its
+        // (unverified) count cannot ask for more than the body holds.
+        let keep = match body.get(TURN_HEAD_LEN - 4..TURN_HEAD_LEN) {
+            Some(n) if frame_type == FT_TURN => {
+                let n = u32::from_le_bytes(n.try_into().expect("4 bytes")) as usize;
+                TURN_HEAD_LEN.saturating_add(n.saturating_mul(16))
+            }
+            _ => 24,
+        };
         return Err(DecodeError::BodyCrc {
             frame_type,
-            body_prefix: body[..body.len().min(24)].to_vec(),
+            body_prefix: body[..body.len().min(keep)].to_vec(),
         });
     }
     let mut r = ByteReader::new(body);
@@ -541,6 +677,39 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
             FT_STATUS_REPORT => Frame::StatusReport {
                 snapshot: r.bytes()?.to_vec(),
             },
+            FT_TURN => {
+                let (client, seq, want, ids) = decode_turn_head(&mut r)?;
+                let results = ids
+                    .into_iter()
+                    .map(|(p, u)| Ok((p, u, r.bytes()?.to_vec())));
+                let results = results.collect::<Result<_, WireError>>()?;
+                Frame::Turn {
+                    client,
+                    seq,
+                    want,
+                    results,
+                }
+            }
+            FT_TURN_REPLY => {
+                let seq = r.u64()?;
+                let then = match r.u8()? {
+                    0 => Then::More,
+                    1 => Then::Wait,
+                    2 => Then::Finished,
+                    other => return Err(WireError::new(format!("bad turn verdict {other}"))),
+                };
+                let acks = (0..r.count(17)?).map(|_| Ok((r.u64()?, r.u64()?, r.u8()? != 0)));
+                let acks = acks.collect::<Result<_, WireError>>()?;
+                let units = (0..r.count(28)?)
+                    .map(|_| Ok((r.u64()?, r.u64()?, r.f64()?, r.bytes()?.to_vec())));
+                let units = units.collect::<Result<_, WireError>>()?;
+                Frame::TurnReply {
+                    seq,
+                    acks,
+                    units,
+                    then,
+                }
+            }
             _ => unreachable!("parse_header validated the type"),
         };
         r.finish()?;
@@ -814,6 +983,30 @@ mod tests {
             Frame::StatusReport {
                 snapshot: vec![0x42; 96],
             },
+            Frame::Turn {
+                client: 4,
+                seq: 1,
+                want: 2,
+                results: Vec::new(),
+            },
+            Frame::Turn {
+                client: 4,
+                seq: u64::MAX,
+                want: 64,
+                results: vec![(0, 7, vec![1; 40]), (1, 8, Vec::new()), (0, 9, vec![2; 3])],
+            },
+            Frame::TurnReply {
+                seq: 9,
+                acks: Vec::new(),
+                units: Vec::new(),
+                then: Then::Finished,
+            },
+            Frame::TurnReply {
+                seq: 10,
+                acks: vec![(0, 7, true), (1, 8, false)],
+                units: vec![(0, 10, 2.5e6, vec![3; 33]), (1, 11, 1.0, Vec::new())],
+                then: Then::Wait,
+            },
         ]
     }
 
@@ -926,6 +1119,86 @@ mod tests {
                 assert_eq!(r.u64().unwrap(), 99, "unit id survives");
             }
             other => panic!("expected BodyCrc, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn corrupt_turn_reports_its_head_and_whole_id_table() {
+        let results: Vec<_> = (0..40)
+            .map(|u| (u % 3, 100 + u, vec![u as u8; 9]))
+            .collect();
+        let mut bytes = encode_frame(&Frame::Turn {
+            client: 4,
+            seq: 77,
+            want: 5,
+            results: results.clone(),
+        });
+        let n = bytes.len();
+        bytes[n - 7] ^= 0xFF; // inside the last payload
+        let Err(DecodeError::BodyCrc {
+            frame_type,
+            body_prefix,
+        }) = decode_frame(&bytes)
+        else {
+            panic!("expected BodyCrc");
+        };
+        assert_eq!(frame_type, TURN_TYPE);
+        assert_eq!(body_prefix.len(), TURN_HEAD_LEN + 16 * results.len());
+        let mut r = ByteReader::new(&body_prefix);
+        let (client, seq, want, ids) = decode_turn_head(&mut r).unwrap();
+        assert_eq!((client, seq, want), (4, 77, 5));
+        let sent: Vec<_> = results.iter().map(|(p, u, _)| (*p, *u)).collect();
+        assert_eq!(ids, sent, "every unit the turn carried can be routed");
+        r.finish().unwrap();
+
+        // A count mangled along with the body claims no more than the
+        // body holds, and then names nobody.
+        let count_at = HEADER_LEN + TURN_HEAD_LEN - 4;
+        bytes[count_at..count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let Err(DecodeError::BodyCrc { body_prefix, .. }) = decode_frame(&bytes) else {
+            panic!("expected BodyCrc");
+        };
+        assert_eq!(body_prefix.len(), n - HEADER_LEN - 4, "the body, no more");
+        assert!(decode_turn_head(&mut ByteReader::new(&body_prefix)).is_err());
+    }
+
+    /// Frames whose CRCs are sound but whose element counts promise
+    /// more than the body holds: rejected from the count alone, before
+    /// anything is reserved for them.
+    #[test]
+    fn oversized_turn_counts_are_rejected_against_the_bytes_received() {
+        let framed = |frame_type: u8, write: &dyn Fn(&mut ByteWriter)| {
+            let mut out = Vec::new();
+            frame_into(frame_type, &mut out, |body| write(body));
+            out
+        };
+        let turn = framed(FT_TURN, &|b| {
+            b.u64(4);
+            b.u64(1);
+            b.u32(1);
+            b.u32(u32::MAX); // results
+            b.u64(0);
+        });
+        let acks = framed(FT_TURN_REPLY, &|b| {
+            b.u64(1);
+            b.u8(0);
+            b.u32(u32::MAX);
+        });
+        let units = framed(FT_TURN_REPLY, &|b| {
+            b.u64(1);
+            b.u8(0);
+            b.u32(0);
+            b.u32(1 << 30);
+            b.u64(0);
+        });
+        let verdict = framed(FT_TURN_REPLY, &|b| {
+            b.u64(1);
+            b.u8(3);
+            b.u32(0);
+            b.u32(0);
+        });
+        for bytes in [turn, acks, units, verdict] {
+            assert!(matches!(decode_frame(&bytes), Err(DecodeError::Body(_))));
         }
     }
 

@@ -252,6 +252,26 @@ pub struct SchedSnapshot {
     pub clients: Vec<(ClientId, f64, u64)>,
 }
 
+/// What the scheduler holds on one donor, looked up once
+/// ([`Scheduler::donor`]) for however many units a turn leases it.
+#[derive(Debug, Clone, Copy)]
+pub struct Donor {
+    /// The donor.
+    pub client: ClientId,
+    /// [`Scheduler::granularity_hint`].
+    pub hint: f64,
+    /// [`Scheduler::work_completed`].
+    pub completed: (u64, f64),
+    /// [`Scheduler::is_health_flagged`].
+    pub flagged: bool,
+    /// [`Scheduler::required_copies`].
+    pub copies: u32,
+    // [`Scheduler::estimated_speed`] and the last completion's queue
+    // factor: what a lease is priced from.
+    speed: f64,
+    queue_factor: f64,
+}
+
 /// The scheduler: client statistics + policy decisions.
 ///
 /// The scheduler is deliberately free of any I/O or clock source; both
@@ -294,29 +314,42 @@ impl Scheduler {
 
     /// Estimated throughput of `client` in ops/second.
     pub fn estimated_speed(&self, client: ClientId) -> f64 {
-        if !self.cfg.enable_adaptive {
-            return self.cfg.prior_ops_per_sec;
-        }
-        self.clients
-            .get(&client)
-            .and_then(|c| c.throughput.value())
-            .unwrap_or(self.cfg.prior_ops_per_sec)
+        self.donor(client).speed
     }
 
     /// The granularity hint for `client`'s next unit, in ops.
     pub fn granularity_hint(&self, client: ClientId) -> f64 {
-        let speed = if self.cfg.enable_dynamic_granularity {
-            self.estimated_speed(client)
+        self.donor(client).hint
+    }
+
+    /// Everything a lease to `client` is sized, priced and booked from.
+    pub fn donor(&self, client: ClientId) -> Donor {
+        let cfg = &self.cfg;
+        let state = self.clients.get(&client);
+        let measured = state.filter(|_| cfg.enable_adaptive);
+        let speed = measured
+            .and_then(|c| c.throughput.value())
+            .unwrap_or(cfg.prior_ops_per_sec);
+        let sized_from = if cfg.enable_dynamic_granularity {
+            speed
         } else {
-            self.cfg.prior_ops_per_sec
+            cfg.prior_ops_per_sec
         };
-        (speed * self.cfg.target_unit_secs).clamp(self.cfg.min_unit_ops, self.cfg.max_unit_ops)
+        Donor {
+            client,
+            hint: (sized_from * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
+            completed: state.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
+            flagged: self.is_health_flagged(client),
+            copies: self.required_copies(client),
+            speed,
+            queue_factor: state.map_or(1.0, |c| c.queue_factor),
+        }
     }
 
     /// Lease deadline for a unit of `cost_ops` assigned to `client` at
     /// time `now`.
     pub fn lease_deadline(&self, client: ClientId, cost_ops: f64, now: f64) -> f64 {
-        self.lease_deadline_backed_off(client, cost_ops, now, 0)
+        self.lease_deadline_backed_off(&self.donor(client), cost_ops, now, 0)
     }
 
     /// Lease deadline with exponential backoff: every prior expiry of
@@ -331,15 +364,14 @@ impl Scheduler {
     /// [`SchedulerConfig::max_lease_secs`].
     pub fn lease_deadline_backed_off(
         &self,
-        client: ClientId,
+        donor: &Donor,
         cost_ops: f64,
         now: f64,
         prior_expiries: u32,
     ) -> f64 {
         // The speed prices one unit's service; the lease has to cover
         // the units the donor works through ahead of it as well.
-        let queue_factor = self.clients.get(&client).map_or(1.0, |c| c.queue_factor);
-        let est = cost_ops / self.estimated_speed(client) * queue_factor;
+        let est = cost_ops / donor.speed * donor.queue_factor;
         let base = (est * self.cfg.lease_factor).max(self.cfg.lease_min_secs);
         let doublings = prior_expiries.min(self.cfg.max_backoff_doublings).min(63);
         let factor = (1u64 << doublings) as f64;
@@ -356,13 +388,14 @@ impl Scheduler {
     /// way on every backend.
     pub fn lease_deadline_jittered(
         &self,
-        client: ClientId,
+        donor: &Donor,
         cost_ops: f64,
         now: f64,
         prior_expiries: u32,
         unit: UnitId,
     ) -> f64 {
-        let nominal = self.lease_deadline_backed_off(client, cost_ops, now, prior_expiries);
+        let client = donor.client;
+        let nominal = self.lease_deadline_backed_off(donor, cost_ops, now, prior_expiries);
         let frac = self.cfg.lease_jitter_frac;
         if frac <= 0.0 {
             return nominal;
@@ -506,9 +539,7 @@ impl Scheduler {
     /// Units completed by `client`, and their total cost in ops (both
     /// start over when the client is forgotten).
     pub fn work_completed(&self, client: ClientId) -> (u64, f64) {
-        self.clients
-            .get(&client)
-            .map_or((0, 0.0), |c| (c.units_completed, c.ops_completed))
+        self.donor(client).completed
     }
 
     /// Units completed by `client`.
@@ -878,14 +909,17 @@ mod tests {
     fn lease_backoff_doubles_then_clamps() {
         let s = Scheduler::new(SchedulerConfig::default());
         // Base lease for a tiny unit is the 120 s minimum.
-        let base = s.lease_deadline_backed_off(0, 1e3, 0.0, 0);
+        let base = s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 0);
         assert!((base - 120.0).abs() < 1e-9);
-        assert!((s.lease_deadline_backed_off(0, 1e3, 0.0, 1) - 240.0).abs() < 1e-9);
-        assert!((s.lease_deadline_backed_off(0, 1e3, 0.0, 2) - 480.0).abs() < 1e-9);
+        assert!((s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 1) - 240.0).abs() < 1e-9);
+        assert!((s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 2) - 480.0).abs() < 1e-9);
         // The doubling count clamps at max_backoff_doublings (6 → 64×).
-        let capped = s.lease_deadline_backed_off(0, 1e3, 0.0, 6);
+        let capped = s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 6);
         assert!((capped - 120.0 * 64.0).abs() < 1e-9);
-        assert_eq!(s.lease_deadline_backed_off(0, 1e3, 0.0, 1000), capped);
+        assert_eq!(
+            s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 1000),
+            capped
+        );
     }
 
     #[test]
@@ -899,7 +933,7 @@ mod tests {
             ..Default::default()
         });
         for expiries in [0u32, 31, 32, 63, 64, 1_000, u32::MAX] {
-            let d = s.lease_deadline_backed_off(0, 1e9, 1_000.0, expiries);
+            let d = s.lease_deadline_backed_off(&s.donor(0), 1e9, 1_000.0, expiries);
             assert!(
                 d.is_finite(),
                 "deadline must stay finite at {expiries} expiries"
@@ -914,7 +948,7 @@ mod tests {
         for _ in 0..20 {
             slow.record_completion(7, 1.0, 1.0, 1.0); // ~1 op/s donor
         }
-        let d = slow.lease_deadline_backed_off(7, 1e12, 0.0, 6);
+        let d = slow.lease_deadline_backed_off(&slow.donor(7), 1e12, 0.0, 6);
         assert!(d <= slow.config().max_lease_secs + 1e-9);
     }
 
@@ -924,9 +958,9 @@ mod tests {
         // Nominal lease for a tiny unit is the 120 s minimum; jittered
         // deadlines must stay within ±10 % of it and depend on the unit
         // id, so simultaneous assignments do not expire simultaneously.
-        let nominal = s.lease_deadline_backed_off(0, 1e3, 0.0, 0);
+        let nominal = s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 0);
         let deadlines: Vec<f64> = (0..16)
-            .map(|unit| s.lease_deadline_jittered(0, 1e3, 0.0, 0, unit))
+            .map(|unit| s.lease_deadline_jittered(&s.donor(0), 1e3, 0.0, 0, unit))
             .collect();
         for &d in &deadlines {
             assert!(
@@ -943,7 +977,8 @@ mod tests {
         // Pure function of the inputs: repeated calls agree exactly.
         for unit in 0..16 {
             assert_eq!(
-                s.lease_deadline_jittered(0, 1e3, 0.0, 0, unit).to_bits(),
+                s.lease_deadline_jittered(&s.donor(0), 1e3, 0.0, 0, unit)
+                    .to_bits(),
                 deadlines[unit as usize].to_bits()
             );
         }
@@ -956,8 +991,10 @@ mod tests {
             ..Default::default()
         });
         assert_eq!(
-            off.lease_deadline_jittered(3, 1e9, 7.0, 2, 42).to_bits(),
-            off.lease_deadline_backed_off(3, 1e9, 7.0, 2).to_bits(),
+            off.lease_deadline_jittered(&off.donor(3), 1e9, 7.0, 2, 42)
+                .to_bits(),
+            off.lease_deadline_backed_off(&off.donor(3), 1e9, 7.0, 2)
+                .to_bits(),
             "zero jitter must reproduce the nominal deadline exactly"
         );
         // Even with jitter, no lease may exceed the absolute cap.
@@ -966,7 +1003,7 @@ mod tests {
             ..Default::default()
         });
         for unit in 0..64 {
-            let d = s.lease_deadline_jittered(0, 1e12, 100.0, 6, unit);
+            let d = s.lease_deadline_jittered(&s.donor(0), 1e12, 100.0, 6, unit);
             assert!(d - 100.0 <= 500.0 + 1e-9, "lease {d} exceeds the cap");
         }
     }

@@ -7,11 +7,12 @@
 
 use crate::codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
 use crate::health::{HealthConfig, HealthEngine, HealthTransition};
-use crate::leases::{Lease, LeaseTable};
+use crate::leases::{InFlight, Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
 use crate::quorum::{QuorumTally, VoteOutcome};
 use crate::sched::{
-    AffinitySnapshot, ClientId, ReputationSnapshot, SchedSnapshot, Scheduler, SchedulerConfig,
+    AffinitySnapshot, ClientId, Donor, ReputationSnapshot, SchedSnapshot, Scheduler,
+    SchedulerConfig,
 };
 use crate::telemetry::{EventKind, Telemetry, LATENCY_BOUNDS, OPS_BOUNDS};
 use std::collections::{BTreeMap, HashMap};
@@ -80,6 +81,39 @@ pub enum Assignment {
     Wait,
     /// Every problem is complete; the client may shut down.
     Finished,
+}
+
+/// One result of a donor's [turn](Server::turn), as it came off the wire.
+pub struct TurnResult {
+    /// Problem the unit belongs to (unchecked).
+    pub problem: ProblemId,
+    /// The unit.
+    pub unit: UnitId,
+    /// The decoded result; `None` if it arrived corrupted (a failed
+    /// checksum, or bytes the codec refused).
+    pub payload: Option<Payload>,
+}
+
+/// What the donor should do after a [turn](Server::turn).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Then {
+    /// Everything asked for was leased: ask again when there is room.
+    More,
+    /// The server ran out of units to give (a stage barrier, the tail
+    /// of the run): pause before asking again.
+    Wait,
+    /// Every problem is complete; the donor may shut down.
+    Finished,
+}
+
+/// The server's answer to a [turn](Server::turn).
+pub struct TurnOutcome {
+    /// The ruling on each result, in order ([`Server::submit_result`]'s).
+    pub accepted: Vec<bool>,
+    /// The units leased, at most as many as were wanted.
+    pub units: Vec<(ProblemId, Arc<WorkUnit>)>,
+    /// Whether to keep asking.
+    pub then: Then,
 }
 
 struct ProblemState {
@@ -554,21 +588,118 @@ impl Server {
         open.fold(f64::INFINITY, |t, p| t.min(p.leases.earliest_deadline()))
     }
 
-    /// A client asks for work at time `now`.
+    /// A client asks for work at time `now`: a turn of one unit.
     pub fn request_work(&mut self, client: ClientId, now: f64) -> Assignment {
         self.telemetry.set_now(now);
         if self.all_complete() {
             return Assignment::Finished;
         }
+        let donor = self.sched.donor(client);
+        match self.lease_one(&donor, now, &mut true) {
+            Some((problem, unit)) => Assignment::Unit {
+                problem,
+                unit,
+                algorithm: self.problems[problem].algorithm.clone(),
+            },
+            None => Assignment::Wait,
+        }
+    }
+
+    /// One donor turn at time `now`: every result is folded as by
+    /// [`Server::submit_result`], in order, then — overdue leases
+    /// expired once, the donor looked up once — up to `want` units are
+    /// leased as by [`Server::request_work`]. Two things are judged for
+    /// the turn as a whole. Its results reach the server in the same
+    /// instant, so each one's turnaround is divided by what the donor
+    /// delivered while its lease was out *by the end of the turn* (the
+    /// first is not k times slower than the last). And it is granted at
+    /// most one extra copy of an in-flight unit (passes 0 and 2): the
+    /// rest of its `want` is fresh or reissued work or nothing, so the
+    /// end-game hands a deep pipeline one redundant copy per round trip.
+    pub fn turn(
+        &mut self,
+        client: ClientId,
+        now: f64,
+        results: Vec<TurnResult>,
+        want: usize,
+    ) -> TurnOutcome {
+        self.telemetry.set_now(now);
+        // Every unit leaves the table before the first is folded, so
+        // that `end` — the donor's completed-work counters once all of
+        // the turn's results are in — is known to each of them.
+        let mut end = self.sched.work_completed(client);
+        let mut taken = Vec::with_capacity(results.len());
+        for r in &results {
+            let sound = r.payload.is_some();
+            let p = self.problems.get_mut(r.problem).filter(|_| sound);
+            let inf = p.and_then(|p| p.leases.take(r.unit));
+            if let Some(inf) = inf.as_ref().filter(|i| i.lease_of(client).is_some()) {
+                end = (end.0 + 1, end.1 + inf.unit.cost_ops);
+            }
+            taken.push(inf);
+        }
+        let mut accepted = Vec::with_capacity(results.len());
+        for (r, inf) in results.into_iter().zip(taken) {
+            let (problem, unit_id) = (r.problem, r.unit);
+            accepted.push(match (r.payload, inf) {
+                _ if problem >= self.problems.len() => false, // garbage id: nack
+                (None, _) => {
+                    self.result_corrupted(client, problem, unit_id, now);
+                    false
+                }
+                // (An earlier result of the turn may have completed the
+                // problem: its table, had the unit stayed there, is gone.)
+                (Some(payload), Some(inf)) if !self.problems[problem].done => {
+                    let result = TaskResult { unit_id, payload };
+                    self.fold(client, problem, result, inf, now, end)
+                }
+                _ => {
+                    self.wasted(problem, unit_id, client);
+                    false
+                }
+            });
+        }
+        let units = Vec::with_capacity(want);
+        let (mut out, mut extra) = (
+            TurnOutcome {
+                accepted,
+                units,
+                then: Then::More,
+            },
+            true,
+        );
+        if self.all_complete() {
+            out.then = Then::Finished;
+        } else if want > 0 {
+            self.check_timeouts(now);
+            let donor = self.sched.donor(client);
+            while out.units.len() < want && out.then == Then::More {
+                match self.lease_one(&donor, now, &mut extra) {
+                    Some(leased) => out.units.push(leased),
+                    None => out.then = Then::Wait,
+                }
+            }
+        }
+        out
+    }
+
+    // Leases `donor` its next unit. `extra`: an extra copy of an
+    // in-flight unit may still be granted (cleared by granting one).
+    fn lease_one(
+        &mut self,
+        donor: &Donor,
+        now: f64,
+        extra: &mut bool,
+    ) -> Option<(ProblemId, Arc<WorkUnit>)> {
         let n = self.cycle.len();
-        let hint = self.sched.granularity_hint(client);
 
         // Pass 0 (live straggler rescue): a unit whose *every* lease
         // sits on a health-flagged donor gets one healthy copy now, before
         // fresh work, instead of being dragged into the end-game tail.
-        if self.sched.config().enable_health_detector && !self.sched.is_health_flagged(client) {
-            if let Some(rescue) = self.extra_copy(client, now, true) {
-                return rescue;
+        if *extra && self.sched.config().enable_health_detector && !donor.flagged {
+            if let Some(rescue) = self.extra_copy(donor, now, true) {
+                *extra = false;
+                return Some(rescue);
             }
         }
 
@@ -579,9 +710,9 @@ impl Server {
             if self.problems[pid].done {
                 continue;
             }
-            if let Some((unit, crosscheck)) = self.next_unit_for(pid, hint, client) {
+            if let Some((unit, crosscheck)) = self.next_unit_for(pid, donor.hint, donor.client) {
                 self.rotation = (pos + 1) % n;
-                return self.lease_and_assign(pid, unit, client, now, crosscheck);
+                return Some(self.lease_and_assign(pid, unit, donor, now, crosscheck));
             }
         }
 
@@ -589,13 +720,20 @@ impl Server {
         // in-flight unit this client is not computing (or has voted on),
         // a flagged holder's first; past the plain redundancy cap, as a
         // speculative copy (the makespan droop of Figure 1).
-        let copy = self.extra_copy(client, now, false);
-        copy.unwrap_or(Assignment::Wait)
+        let copy = extra.then(|| self.extra_copy(donor, now, false))??;
+        *extra = false;
+        Some(copy)
     }
 
-    // Leases `client` one more copy of an in-flight unit: the best of
+    // Leases `donor` one more copy of an in-flight unit: the best of
     // the tables' picks (`rescue`: pass 0's all-flagged units only).
-    fn extra_copy(&mut self, client: ClientId, now: f64, rescue: bool) -> Option<Assignment> {
+    fn extra_copy(
+        &mut self,
+        donor: &Donor,
+        now: f64,
+        rescue: bool,
+    ) -> Option<(ProblemId, Arc<WorkUnit>)> {
+        let client = donor.client;
         let picks = self.problems.iter().enumerate().filter_map(|(pid, p)| {
             let voted = |unit: UnitId| p.votes.get(&unit).is_some_and(|t| t.has_voted(client));
             let pick = p.leases.extra_copy(client, rescue, &self.sched, voted)?;
@@ -611,7 +749,7 @@ impl Server {
         } else if pick.speculative {
             self.telemetry.counter_add("sched.speculative_reissues", 1);
         }
-        Some(self.lease_and_assign(pid, pick.unit, client, now, true))
+        Some(self.lease_and_assign(pid, pick.unit, donor, now, true))
     }
 
     // The next unit of `pid` this client may execute, with a flag
@@ -679,16 +817,17 @@ impl Server {
         &mut self,
         pid: ProblemId,
         unit: Arc<WorkUnit>,
-        client: ClientId,
+        donor: &Donor,
         now: f64,
         redundant: bool,
-    ) -> Assignment {
+    ) -> (ProblemId, Arc<WorkUnit>) {
+        let client = donor.client;
         // Exponential backoff: every expiry doubles the next lease (the
         // scheduler clamps both the count and the length).
         let expiries = self.problems[pid].leases.expiries(unit.id);
         let deadline =
             self.sched
-                .lease_deadline_jittered(client, unit.cost_ops, now, expiries, unit.id);
+                .lease_deadline_jittered(donor, unit.cost_ops, now, expiries, unit.id);
         self.telemetry.emit(EventKind::UnitIssued {
             problem: pid,
             unit: unit.id,
@@ -705,7 +844,7 @@ impl Server {
         let lease = Lease {
             client,
             assigned_at: now,
-            completed_before: self.sched.work_completed(client),
+            completed_before: donor.completed,
             deadline,
         };
         p.leases.grant(&unit, lease);
@@ -716,22 +855,18 @@ impl Server {
         if self.sched.quorum_enabled()
             && p.codec.is_some()
             && !p.votes.contains_key(&unit.id)
-            && self.sched.required_copies(client) > 1
+            && donor.copies > 1
         {
             p.votes
                 .insert(unit.id, QuorumTally::new(self.sched.required_votes()));
         }
-        Assignment::Unit {
-            problem: pid,
-            unit,
-            algorithm: p.algorithm.clone(),
-        }
+        (pid, unit)
     }
 
-    /// A client reports a result at time `now`. Returns `true` if the
-    /// result advanced the unit — folded directly, folded via a
-    /// completed quorum, or recorded as a pending quorum vote — and
-    /// `false` if it was discarded.
+    /// A client reports a result at time `now`: a turn of one result.
+    /// Returns `true` if the result advanced the unit — folded
+    /// directly, folded via a completed quorum, or recorded as a
+    /// pending quorum vote — and `false` if it was discarded.
     pub fn submit_result(
         &mut self,
         client: ClientId,
@@ -740,24 +875,42 @@ impl Server {
         now: f64,
     ) -> bool {
         self.telemetry.set_now(now);
-        let p = &mut self.problems[problem];
         // (In flight, or queued for reissue after its lease expired under
         // a slow client: that result is perfectly valid too.)
-        let Some(inf) = p.leases.take(result.unit_id) else {
+        let Some(inf) = self.problems[problem].leases.take(result.unit_id) else {
             self.wasted(problem, result.unit_id, client);
             return false;
         };
+        let (units, ops) = self.sched.work_completed(client);
+        let end = (units + 1, ops + inf.unit.cost_ops);
+        self.fold(client, problem, result, inf, now, end)
+    }
+
+    // Rules on one result whose unit `inf` was just taken out of the
+    // lease table; `end`: the donor's completed-work counters as they
+    // will stand at the end of the turn that brought it.
+    fn fold(
+        &mut self,
+        client: ClientId,
+        problem: ProblemId,
+        result: TaskResult,
+        inf: InFlight,
+        now: f64,
+        end: (u64, f64),
+    ) -> bool {
+        let p = &mut self.problems[problem];
         // Feed the adaptive scheduler with this client's turnaround.
         let mut latency = 0.0;
-        if let Some(lease) = inf.leases.iter().find(|l| l.client == client) {
+        if let Some(lease) = inf.lease_of(client) {
             latency = now - lease.assigned_at;
-            // (Saturating: a departed client's counts start over.)
-            let (units, ops) = self.sched.work_completed(client);
+            // What the donor delivered while the lease was out: the
+            // turn's end, less the unit itself. (Saturating: a departed
+            // client's counts start over.)
             let (units_before, ops_before) = lease.completed_before;
             let queue_factor = Scheduler::queue_factor(
                 inf.unit.cost_ops,
-                units.saturating_sub(units_before),
-                (ops - ops_before).max(0.0),
+                (end.0 - 1).saturating_sub(units_before),
+                (end.1 - inf.unit.cost_ops - ops_before).max(0.0),
             );
             let service = latency / queue_factor;
             // The health observation is normalized by the *pre-update*
@@ -2206,34 +2359,44 @@ mod tests {
 
     /// The unit size the adaptive hint settles on for a donor that
     /// computes 1e6 ops a second, one unit at a time in lease order,
-    /// and keeps `depth` leases.
-    fn settled_unit_ops(depth: usize) -> f64 {
+    /// and keeps `depth` leases — handing each result in on its own and
+    /// asking for its replacement, or, `in_turns`, a pipeline's worth
+    /// of both at a time. The health detector is on, and must not have
+    /// flagged the (perfectly steady) donor by the end.
+    fn settled_unit_ops(depth: usize, in_turns: bool) -> f64 {
         const SPEED: f64 = 1e6;
         let mut server = Server::new(SchedulerConfig {
             target_unit_secs: 1.0,
             min_unit_ops: 200.0,
             max_unit_ops: 1e12,
             prior_ops_per_sec: 1e3,
+            enable_health_detector: true,
             ..Default::default()
         });
         let pid = server.submit(crate::builtin::integration_problem(1_000_000_000));
+        let algorithm = server.algorithm(pid);
         let mut held = std::collections::VecDeque::new();
         let (mut now, mut last) = (0.0, 0.0);
-        for _ in 0..400 {
-            while held.len() < depth {
-                let Assignment::Unit {
-                    unit, algorithm, ..
-                } = server.request_work(0, now)
-                else {
-                    panic!("the pool cannot run dry")
-                };
-                held.push_back((unit, algorithm));
-            }
-            let (unit, algorithm) = held.pop_front().expect("just filled");
-            now += unit.cost_ops / SPEED;
-            last = unit.cost_ops;
-            assert!(server.submit_result(0, pid, algorithm.compute(&unit), now));
+        let per_exchange = if in_turns { depth } else { 1 };
+        for _ in 0..400usize.div_ceil(per_exchange) {
+            let want = depth - held.len();
+            let leased = server.turn(0, now, Vec::new(), want);
+            assert_eq!(leased.units.len(), want, "the pool cannot run dry");
+            held.extend(leased.units.into_iter().map(|(_, unit)| unit));
+            let results = held.drain(..per_exchange).map(|unit| {
+                now += unit.cost_ops / SPEED;
+                last = unit.cost_ops;
+                TurnResult {
+                    problem: pid,
+                    unit: unit.id,
+                    payload: Some(algorithm.compute(&unit).payload),
+                }
+            });
+            let results = results.collect();
+            let folded = server.turn(0, now, results, 0);
+            assert!(folded.accepted.iter().all(|&a| a));
         }
+        assert!(!server.scheduler().is_health_flagged(0), "depth {depth}");
         last
     }
 
@@ -2242,13 +2405,54 @@ mod tests {
         // One compute ready behind the one running: a lease is out for
         // two computes, and half the donor's speed is what the hint has
         // always been sized from.
-        let shallow = settled_unit_ops(2);
+        let shallow = settled_unit_ops(2, false);
         assert!((shallow / 5e5 - 1.0).abs() < 0.05, "{shallow}");
         // 64 deep, a lease is out for 64 computes. Taken at face value
         // that is 1/32 of the units — and, over TCP, a depth that grows
-        // as they shrink.
-        let deep = settled_unit_ops(64);
-        assert!((deep / shallow - 1.0).abs() < 0.05, "{deep} vs {shallow}");
+        // as they shrink. A turn hands the results of all 64 in at the
+        // same instant: taken one by one, the first would look 64 times
+        // slower than the last.
+        for depth in [1, 2, 8, 64] {
+            // (Nothing ready behind the one running: the full speed.)
+            let expect = if depth == 1 { 2.0 * shallow } else { shallow };
+            for in_turns in [false, true] {
+                let settled = settled_unit_ops(depth, in_turns);
+                assert!(
+                    (settled / expect - 1.0).abs() < 0.05,
+                    "depth {depth}, in turns {in_turns}: {settled} vs {expect}"
+                );
+            }
+        }
+    }
+
+    /// Two donors, eight deep, reach the end-game: a turn is handed at
+    /// most one redundant copy, however much it asks for — a turn of
+    /// one exactly what a lone request always was.
+    #[test]
+    fn a_turn_is_granted_at_most_one_extra_copy_of_an_in_flight_unit() {
+        let mut server = Server::new(SchedulerConfig::default());
+        let pid = server.submit(sum_problem(80, 10)); // eight units
+        let first = server.turn(0, 0.0, Vec::new(), 8);
+        assert_eq!((first.units.len(), first.then), (8, Then::More));
+        // Nothing fresh is left: donor 1 asks for a pipeline's worth
+        // and gets one copy, of the longest-running unit.
+        let tail = server.turn(1, 1.0, Vec::new(), 8);
+        assert_eq!(tail.then, Then::Wait);
+        let copies: Vec<_> = tail.units.iter().map(|(_, u)| u.id).collect();
+        assert_eq!(copies, [first.units[0].1.id]);
+        assert_eq!(server.stats(pid).redundant_dispatches, 1);
+        // A turn per round trip: the next one gets the next copy.
+        let next = server.turn(1, 2.0, Vec::new(), 7);
+        assert_eq!((next.units.len(), next.then), (1, Then::Wait));
+        // Singles are turns of one: each is still handed its copy.
+        for _ in 0..3 {
+            assert!(matches!(
+                server.request_work(1, 3.0),
+                Assignment::Unit { .. }
+            ));
+        }
+        assert_eq!(server.stats(pid).redundant_dispatches, 5);
+        assert!(server.audit().is_empty());
     }
 
     #[test]

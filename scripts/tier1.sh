@@ -25,9 +25,13 @@ cargo test -q --offline --workspace
 # acceptance scenario on both the simulator and loopback TCP), and
 # the scale tier (the 1k-donor sharded event-loop soak with
 # exactly-once audit, O(shards) thread count, and the silent-donor
-# case), and — by its own name — the control plane's syscall budget
-# (donor writes, origin pumps and journal commits per round trip, not
-# per unit).
+# case), and — by its own name — the control plane's budget (donor
+# writes, frames each way and journal commits per round trip, not per
+# unit). Last, the farm benchmark's own tests: `benchmark/` is a
+# separate package that perf PRs may not edit, so a change to
+# `biodist-core`'s public wire/server API that breaks it (its probe
+# speaks the raw clients' single-unit frames) fails here, before the
+# benchmark driver does.
 cargo test -q --offline --test chaos tcp
 cargo test -q --offline --test net_recovery
 cargo test -q --offline --test stress
@@ -36,5 +40,6 @@ cargo test -q --offline --test replica
 cargo test -q --offline --test ops
 cargo test -q --offline --test scale
 cargo test -q --offline --test scale control_plane_syscalls_are_paid_per_round_trip_not_per_unit
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "tier1: OK"

@@ -1127,9 +1127,161 @@ fn lease_table_matches_naive_model() {
     }
 }
 
+/// The same seeded schedule of donor turns — results handed in, some of
+/// them mangled, units asked for, donors leaving — applied to two
+/// servers: to one through [`Server::turn`], to the other as the
+/// singles each turn is made of (`submit_result` / `result_corrupted`
+/// per result, one `check_timeouts`, `request_work` per unit wanted).
+/// Units are of fixed size and no lease runs out, so the two may differ
+/// only in what a turn judges as a whole (its scheduler samples; how
+/// many redundant copies it is handed, which is off here): they must
+/// end with equal stats and outputs, clean audits, and journals that
+/// are record for record the same log and recover to the same state.
+#[test]
+fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
+    use biodist::core::builtin::integration_problem;
+    use biodist::core::net::checkpoint::read_log;
+    use biodist::core::net::{recover, CheckpointWriter};
+    use biodist::core::{Assignment, Server, Then, TurnResult, WorkUnit};
+
+    const DONORS: usize = 3;
+    let cfg = || SchedulerConfig {
+        min_unit_ops: 1e4,
+        max_unit_ops: 1e4,
+        lease_min_secs: 1e6,
+        enable_redundant_dispatch: false,
+        ..Default::default()
+    };
+    // 200 ops a grid point, 50 points a unit, 8 or 5 units a problem.
+    let problems = || [400, 250].map(integration_problem);
+    let log = |side: &str, case: usize| {
+        let name = format!("biodist-prop-{side}-{case}-{}.log", std::process::id());
+        std::env::temp_dir().join(name)
+    };
+    type Held = Vec<Vec<(usize, Arc<WorkUnit>)>>;
+    // One donor turn on both servers; `false` once either says finished.
+    let both = |turns: &mut Server,
+                singles: &mut Server,
+                held: &mut Held,
+                (c, k, mangled, want): (usize, usize, bool, usize),
+                now: f64| {
+        let algorithm = |s: &Server, pid| s.algorithm(pid);
+        let handed: Vec<_> = held[c].drain(..k).collect();
+        let mut results = Vec::new();
+        let mut accepted = Vec::new();
+        for (i, (pid, unit)) in handed.iter().enumerate() {
+            let payload = algorithm(turns, *pid).compute(unit).payload;
+            let corrupt = mangled && i == 0;
+            results.push(TurnResult {
+                problem: *pid,
+                unit: unit.id,
+                payload: (!corrupt).then_some(payload),
+            });
+            accepted.push(if corrupt {
+                singles.result_corrupted(c, *pid, unit.id, now);
+                false
+            } else {
+                let result = algorithm(singles, *pid).compute(unit);
+                singles.submit_result(c, *pid, result, now)
+            });
+        }
+        let out = turns.turn(c, now, results, want);
+        assert_eq!(out.accepted, accepted, "the same ruling on every result");
+        let mut leased = Vec::new();
+        let mut then = Then::More;
+        if want > 0 && !singles.all_complete() {
+            singles.check_timeouts(now);
+        }
+        while then == Then::More && leased.len() < want {
+            match singles.request_work(c, now) {
+                Assignment::Unit { problem, unit, .. } => leased.push((problem, unit.id)),
+                Assignment::Wait => then = Then::Wait,
+                Assignment::Finished => then = Then::Finished,
+            }
+        }
+        if singles.all_complete() {
+            then = Then::Finished;
+        }
+        let ids = |units: &[(usize, Arc<WorkUnit>)]| -> Vec<(usize, u64)> {
+            units.iter().map(|(p, u)| (*p, u.id)).collect()
+        };
+        assert_eq!((ids(&out.units), out.then), (leased, then));
+        held[c].extend(out.units);
+        then != Then::Finished
+    };
+
+    let mut rng = Xoshiro256StarStar::new(0x7012);
+    for case in 0..CASES {
+        let paths = [log("turns", case), log("singles", case)];
+        let mut servers = paths.iter().map(|path| {
+            let mut server = Server::new(cfg());
+            for p in problems() {
+                server.submit(p);
+            }
+            server.set_journal(Box::new(CheckpointWriter::create(path).unwrap()));
+            server
+        });
+        let (mut turns, mut singles) = (servers.next().unwrap(), servers.next().unwrap());
+        let mut held: Held = vec![Vec::new(); DONORS];
+        let mut now = 0.0;
+        // The seeded part: turns of up to eight results and requests,
+        // a mangled result in one of eight, a departure in one of 24.
+        for _ in 0..rng.next_range(4, 40) {
+            now += 0.25;
+            let c = rng.next_below(DONORS as u64) as usize;
+            if rng.next_below(24) == 0 {
+                turns.client_gone(c);
+                singles.client_gone(c);
+                held[c].clear();
+                continue;
+            }
+            let k = rng.next_below(held[c].len().min(8) as u64 + 1) as usize;
+            let turn = (c, k, rng.next_below(8) == 0, rng.next_below(9) as usize);
+            if !both(&mut turns, &mut singles, &mut held, turn, now) {
+                break;
+            }
+        }
+        // Then every donor in turn hands in what it holds and asks for
+        // more, until the servers say finished.
+        let mut c = 0;
+        loop {
+            let all = (c, held[c].len(), false, 4);
+            if !both(&mut turns, &mut singles, &mut held, all, now) {
+                break;
+            }
+            c = (c + 1) % DONORS;
+            now += 0.25;
+        }
+        assert!(turns.all_complete() && singles.all_complete());
+        for pid in 0..2 {
+            assert_eq!(turns.stats(pid), singles.stats(pid), "case {case}");
+            let outputs = [&mut turns, &mut singles].map(|s| {
+                let pi = s.take_output(pid).expect("complete").into_inner::<f64>();
+                pi.to_bits()
+            });
+            assert_eq!(outputs[0], outputs[1], "case {case}");
+        }
+        assert_eq!((turns.audit(), singles.audit()), (Vec::new(), Vec::new()));
+        turns.commit_journal();
+        singles.commit_journal();
+        let logs = paths.each_ref().map(|p| read_log(p).unwrap());
+        assert_eq!(logs[0], logs[1], "case {case}: the same journal");
+        let recovered = paths.each_ref().map(|path| {
+            let (server, report) = recover(cfg(), problems().into(), path).unwrap();
+            let stats = [0, 1].map(|pid| server.stats(pid));
+            (report, stats, server.all_complete())
+        });
+        assert_eq!(recovered[0], recovered[1], "case {case}");
+        assert!(recovered[0].2, "a finished run recovers finished");
+        for path in &paths {
+            let _ = std::fs::remove_file(path);
+        }
+    }
+}
+
 mod frame_reassembly {
     use super::{Rng, Xoshiro256StarStar, CASES};
-    use biodist::core::net::wire::{encode_frame, DecodeError, Frame, FrameAssembler};
+    use biodist::core::net::wire::{encode_frame, DecodeError, Frame, FrameAssembler, Then};
 
     fn pat(n: usize) -> Vec<u8> {
         (0..n)
@@ -1189,6 +1341,18 @@ mod frame_reassembly {
             },
             Frame::Goodbye { client: 3 },
             Frame::Finished,
+            Frame::Turn {
+                client: 3,
+                seq: 12,
+                want: 64,
+                results: vec![(1, 42, pat(40)), (0, 43, pat(0)), (1, 44, pat(3000))],
+            },
+            Frame::TurnReply {
+                seq: 12,
+                acks: vec![(1, 42, true), (0, 43, false), (1, 44, true)],
+                units: vec![(1, 45, 1.5e6, pat(257)), (0, 46, 2.0, pat(0))],
+                then: Then::More,
+            },
         ]
     }
 
