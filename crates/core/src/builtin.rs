@@ -87,15 +87,14 @@ impl Algorithm for IntegrationAlgo {
 struct IntegrationCodec;
 
 impl WireCodec for IntegrationCodec {
-    fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn write_unit(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let &(lo, hi, n) = payload
             .downcast_ref::<(u64, u64, u64)>()
             .ok_or_else(|| WireError::new("integration unit payload is not a range triple"))?;
-        let mut w = ByteWriter::new();
         w.u64(lo);
         w.u64(hi);
         w.u64(n);
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
@@ -105,13 +104,12 @@ impl WireCodec for IntegrationCodec {
         Ok(Payload::new((lo, hi, n), bytes.len() as u64))
     }
 
-    fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn write_result(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let &sum = payload
             .downcast_ref::<f64>()
             .ok_or_else(|| WireError::new("integration result payload is not an f64"))?;
-        let mut w = ByteWriter::new();
         w.f64(sum);
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {

@@ -61,12 +61,16 @@ pub struct ChunkNeed {
 /// [`WireError`]; panicking or allocating proportionally to a length
 /// field (rather than to the actual input size) is a bug.
 pub trait WireCodec: Send + Sync {
-    /// Encodes a unit payload (server → client).
-    fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError>;
+    /// Writes a unit payload's wire form into `w` (server → client):
+    /// straight into a connection's output buffer, behind whatever is
+    /// already there. A failed write may leave part of it behind; the
+    /// caller truncates.
+    fn write_unit(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError>;
     /// Decodes a unit payload (client side).
     fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError>;
-    /// Encodes a result payload (client → server).
-    fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError>;
+    /// Writes a result payload's wire form into `w` (client → server),
+    /// like [`WireCodec::write_unit`].
+    fn write_result(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError>;
     /// Decodes a result payload (server side).
     fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError>;
 
@@ -79,13 +83,28 @@ pub trait WireCodec: Send + Sync {
         Vec::new()
     }
 
-    /// Encodes one chunk's bytes (server side, answering a
+    /// Writes one chunk's bytes into `w` (server side, answering a
     /// `ChunkRequest`). Only meaningful for codecs whose
     /// [`WireCodec::unit_chunks`] is non-empty.
-    fn encode_chunk(&self, chunk: u64) -> Result<Vec<u8>, WireError> {
+    fn write_chunk(&self, chunk: u64, _w: &mut ByteWriter) -> Result<(), WireError> {
         Err(WireError::new(format!(
             "codec does not serve chunks (requested chunk {chunk})"
         )))
+    }
+
+    /// [`WireCodec::write_unit`] into a buffer of its own.
+    fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+        ByteWriter::collect(|w| self.write_unit(payload, w))
+    }
+
+    /// [`WireCodec::write_result`] into a buffer of its own.
+    fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+        ByteWriter::collect(|w| self.write_result(payload, w))
+    }
+
+    /// [`WireCodec::write_chunk`] into a buffer of its own.
+    fn encode_chunk(&self, chunk: u64) -> Result<Vec<u8>, WireError> {
+        ByteWriter::collect(|w| self.write_chunk(chunk, w))
     }
 
     /// Rebuilds a computable unit payload from its decoded reference
@@ -123,6 +142,41 @@ impl ByteWriter {
     /// Finishes, returning the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// The bytes of a fresh writer that `write` filled.
+    pub fn collect(
+        write: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<Vec<u8>, WireError> {
+        let mut w = Self::new();
+        write(&mut w)?;
+        Ok(w.into_bytes())
+    }
+
+    /// The bytes written so far — those the writer started with
+    /// included — for a caller that patches a placeholder once its value
+    /// is known, or takes a failed write back out.
+    pub fn buf(&mut self) -> &mut Vec<u8> {
+        &mut self.buf
+    }
+
+    /// Appends what `write` writes as a length-prefixed byte string —
+    /// [`ByteWriter::bytes`] without the intermediate buffer — and
+    /// returns where its bytes start. A failed `write` is truncated
+    /// back out, prefix and all.
+    pub fn bytes_with(
+        &mut self,
+        write: impl FnOnce(&mut Self) -> Result<(), WireError>,
+    ) -> Result<usize, WireError> {
+        let at = self.buf.len();
+        self.u32(0);
+        if let Err(e) = write(self) {
+            self.buf.truncate(at);
+            return Err(e);
+        }
+        let len = (self.buf.len() - at - 4) as u32;
+        self.buf[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        Ok(at + 4)
     }
 
     /// Appends one byte.
@@ -192,6 +246,11 @@ impl<'a> ByteReader<'a> {
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
+    }
+
+    /// The bytes not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
     /// Fails unless every byte was consumed (trailing garbage is a

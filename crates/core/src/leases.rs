@@ -51,13 +51,59 @@ pub struct Lease {
     pub deadline: f64,
 }
 
+/// A unit's live leases, in grant order, the first stored inline: the
+/// common unit — one copy out — allocates nothing for them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Leases {
+    // (`None` only when there are no leases at all.)
+    first: Option<Lease>,
+    rest: Vec<Lease>,
+}
+
+impl Leases {
+    /// The leases, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &Lease> + Clone {
+        self.first.iter().chain(&self.rest)
+    }
+
+    /// How many there are.
+    pub fn len(&self) -> usize {
+        self.first.iter().len() + self.rest.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn push(&mut self, lease: Lease) {
+        match self.first {
+            None => self.first = Some(lease),
+            Some(_) => self.rest.push(lease),
+        }
+    }
+
+    fn retain(&mut self, keep: impl Fn(&Lease) -> bool) {
+        self.rest.retain(&keep);
+        if self.first.as_ref().is_some_and(|l| !keep(l)) {
+            self.first = (!self.rest.is_empty()).then(|| self.rest.remove(0));
+        }
+    }
+}
+
+impl PartialEq<Vec<Lease>> for Leases {
+    fn eq(&self, other: &Vec<Lease>) -> bool {
+        self.iter().eq(other)
+    }
+}
+
 /// A unit and its live leases (none once taken off the reissue queue).
 #[derive(Debug)]
 pub struct InFlight {
     /// The unit (shared so it can be redundantly dispatched).
     pub unit: Arc<WorkUnit>,
     /// Who is computing it.
-    pub leases: Vec<Lease>,
+    pub leases: Leases,
 }
 
 impl InFlight {
@@ -119,7 +165,7 @@ impl LeaseTable {
         self.next_deadline = Some(self.earliest_deadline().min(lease.deadline));
         let inf = self.in_flight.entry(unit.id).or_insert_with(|| InFlight {
             unit: unit.clone(),
-            leases: Vec::new(),
+            leases: Leases::default(),
         });
         inf.leases.push(lease);
     }
@@ -129,7 +175,7 @@ impl LeaseTable {
     pub fn take(&mut self, unit: UnitId) -> Option<InFlight> {
         self.in_flight.remove(&unit).or_else(|| {
             let at = self.reissue.iter().position(|u| u.id == unit)?;
-            let (unit, leases) = (self.reissue.remove(at)?, Vec::new());
+            let (unit, leases) = (self.reissue.remove(at)?, Leases::default());
             Some(InFlight { unit, leases })
         })
     }
@@ -168,7 +214,7 @@ impl LeaseTable {
             return None;
         }
         let moved = self.release_all(|l| l.deadline <= now);
-        let live = self.in_flight.values().flat_map(|inf| &inf.leases);
+        let live = self.in_flight.values().flat_map(|inf| inf.leases.iter());
         self.next_deadline = live.map(|l| l.deadline).reduce(f64::min);
         for &unit in &moved.orphans {
             let n = self.expiries.entry(unit).or_insert(0);
@@ -216,7 +262,7 @@ impl LeaseTable {
 
     /// Adds each holder's live lease count to `counts`.
     pub fn count_leases(&self, counts: &mut BTreeMap<ClientId, u32>) {
-        for l in self.in_flight.values().flat_map(|inf| &inf.leases) {
+        for l in self.in_flight.values().flat_map(|inf| inf.leases.iter()) {
             *counts.entry(l.client).or_insert(0) += 1;
         }
     }

@@ -35,11 +35,11 @@
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache};
 use super::wire::{
-    encode_frame_into, encode_turn_into, DecodeError, Frame, FrameReader, ReadError, Then,
-    HEADER_LEN, MAX_PIPELINE_DEPTH,
+    encode_frame_into, encode_turn_into, DecodeError, Frame, FrameReader, FrameRef, ReadError,
+    Then, HEADER_LEN, MAX_PIPELINE_DEPTH,
 };
-use super::{Clock, Directory};
-use crate::codec::{ChunkNeed, WireCodec};
+use super::{recycle, Clock, Directory, BURST_WINDOW_BYTES, KEEP_BYTES};
+use crate::codec::{ByteWriter, ChunkNeed, WireCodec};
 use crate::fault::{FaultPlan, PlanInterpreter};
 use crate::problem::{Algorithm, Payload, WorkUnit};
 use crate::server::Server;
@@ -178,18 +178,6 @@ pub fn spawn_clients(
         .collect()
 }
 
-/// Bytes one burst window may have in flight on a connection: the
-/// donor writes `ChunkRequest`s back to back until the exchange they
-/// start (each chunk's [`ChunkNeed::bytes`] plus the framing of its
-/// request and reply) reaches this, then waits for the window to drain
-/// before writing the next. It bounds what the serving endpoint queues
-/// in its output buffer for one connection, whatever the unit size; it
-/// is small enough that neither side of a *blocking* endpoint (a
-/// replica) can fill the other's socket buffers while both are still
-/// writing, and large enough that a unit of a few hundred sequence
-/// chunks is one write and one streamed reply.
-const BURST_WINDOW_BYTES: u64 = 256 * 1024;
-
 /// Computes and blocking reads a connection must have seen before its
 /// measurements steer anything: until then the depth is `queue_depth`
 /// and every result is written before the next compute.
@@ -209,6 +197,10 @@ const ORIGIN_ATTEMPTS: usize = 3;
 
 /// One transport connection: the socket and its frame reassembly.
 type Conn = (TcpStream, FrameReader);
+
+/// The connection said something it cannot have meant (or nothing, for
+/// too long): it is to be dropped.
+struct Broken;
 
 /// How one [`ClientLoop::burst`] over a connection ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,6 +290,9 @@ struct ClientLoop {
     /// Outbound frames are encoded here and leave in one write per
     /// [`ClientLoop::flush`].
     wbuf: Vec<u8>,
+    /// The buffers of acknowledged results, for the next ones to be
+    /// encoded into: at most [`MAX_PIPELINE_DEPTH`], none outsized.
+    spare: Vec<Vec<u8>>,
     reconnect: Backoff,
     /// Results not yet acknowledged; at most the depth in force when
     /// each was computed. The first `sent` ride the turns in flight, in
@@ -324,6 +319,9 @@ struct ClientLoop {
     stale: bool,
     last_heartbeat: f64,
     cache: ChunkCache,
+    /// Assignments decoded off a reply but not yet hydrated: what
+    /// [`ClientLoop::dispatch`] leaves for [`ClientLoop::hydrate_staged`].
+    staged: Vec<QueuedUnit>,
     queue: VecDeque<QueuedUnit>,
     telemetry: Telemetry,
     /// Donor-local registry, shipped as delta snapshots (and cleared)
@@ -357,6 +355,7 @@ impl ClientLoop {
             rng: SplitMix64::new(0xC11E_27B1 ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             conn: None,
             wbuf: Vec::new(),
+            spare: Vec::new(),
             reconnect: Backoff::new(opts.reconnect_base, opts.reconnect_cap, 6),
             unacked: VecDeque::new(),
             sent: 0,
@@ -371,6 +370,7 @@ impl ClientLoop {
             stale: true,
             last_heartbeat: 0.0,
             cache: ChunkCache::new(opts.chunk_cache_bytes),
+            staged: Vec::new(),
             queue: VecDeque::new(),
             telemetry: kit.telemetry.clone(),
             local_metrics: Default::default(),
@@ -445,6 +445,7 @@ impl ClientLoop {
         self.unacked.clear();
         self.drop_conn();
         self.resend = 0;
+        self.staged.clear();
         self.queue.clear();
         self.cache.clear();
         self.local_metrics = Default::default();
@@ -525,7 +526,7 @@ impl ClientLoop {
         };
         self.stale = true;
         if wrote {
-            self.wbuf.clear();
+            recycle(&mut self.wbuf);
             self.pacing.held_since = None;
             self.count("net.client_writes", 1);
         } else {
@@ -650,8 +651,8 @@ impl ClientLoop {
     /// what keeps ready + requested at the depth; and the reply is
     /// collected after the next compute, not before it.
     fn step(&mut self) -> Step {
-        while let Some(frame) = self.buffered_reply() {
-            if let Step::Finished = self.dispatch(frame) {
+        while let Some(step) = self.take_buffered() {
+            if let Step::Finished = step {
                 return Step::Finished;
             }
         }
@@ -688,22 +689,43 @@ impl ClientLoop {
         self.next_reply(self.opts.ack_timeout)
     }
 
-    /// The next reply that costs no syscall: what a chunk burst set
-    /// aside, then whole frames among the bytes earlier reads buffered.
-    fn buffered_reply(&mut self) -> Option<Frame> {
+    /// Dispatches the next reply that costs no syscall: what a chunk
+    /// burst set aside, then whole frames among the bytes earlier reads
+    /// buffered — borrowed from the reader, not copied out of it.
+    /// `None`: there is none.
+    fn take_buffered(&mut self) -> Option<Step> {
         if let Some(frame) = self.inbox.pop_front() {
-            return Some(frame);
+            return Some(self.dispatch_parked(frame));
         }
-        let (_, reader) = self.conn.as_mut()?;
-        loop {
-            match reader.next_buffered() {
-                Ok(frame) => return frame,
+        let mut conn = self.conn.take()?;
+        let ruled = loop {
+            match conn.1.next_buffered() {
+                Ok(Some(frame)) => break self.dispatch(frame).map(Some),
                 // Mangled in transit and skipped; the next in-order
                 // reply exposes the gap.
                 Err(DecodeError::BodyCrc { .. }) => {}
-                // An untrustworthy stream is the blocking read's to
-                // time out and drop.
-                Err(_) => return None,
+                // Nothing whole — or an untrustworthy stream, which is
+                // the blocking read's to time out and drop.
+                Ok(None) | Err(_) => break Ok(None),
+            }
+        };
+        self.settle(conn, ruled)
+    }
+
+    /// Ends a receive that took `conn` out of `self` so that a frame
+    /// borrowed from its reader could be dispatched: the connection goes
+    /// back — and what the frame leased is hydrated over it — unless the
+    /// frame proved it [`Broken`].
+    fn settle(&mut self, conn: Conn, ruled: Result<Option<Step>, Broken>) -> Option<Step> {
+        match ruled {
+            Ok(step) => {
+                self.conn = Some(conn);
+                self.hydrate_staged();
+                step
+            }
+            Err(Broken) => {
+                self.drop_conn();
+                Some(Step::Continue)
             }
         }
     }
@@ -719,90 +741,106 @@ impl ClientLoop {
     /// socket*, so any inbound frame ends the pause.
     fn next_reply(&mut self, wait: f64) -> Step {
         if let Some(frame) = self.inbox.pop_front() {
-            return self.dispatch(frame);
+            return self.dispatch_parked(frame);
         }
+        let Some(mut conn) = self.conn.take() else {
+            return Step::Continue;
+        };
         let parked = self.turns.is_empty();
         let asked = self.now();
         let wall = self.clock.wall(wait);
         let deadline = Instant::now() + wall;
         if parked {
             // One long read instead of a tick every `read_timeout_wall`.
-            self.set_read_timeout(wall.max(Duration::from_millis(1)));
+            let _ = conn
+                .0
+                .set_read_timeout(Some(wall.max(Duration::from_millis(1))));
         }
-        let frame = loop {
+        let ruled = loop {
             if self.run_over.load(Ordering::SeqCst) {
-                break None;
+                break Ok(None);
             }
-            let Some((stream, reader)) = self.conn.as_mut() else {
-                break None;
-            };
-            match reader.poll(stream) {
-                Ok(Some(frame)) => break Some(frame),
+            let (stream, reader) = &mut conn;
+            match reader.poll_ref(stream) {
+                Ok(Some(frame)) => {
+                    self.stale = true;
+                    let got = self.now();
+                    if !parked {
+                        self.pacing.wait.note(got - asked);
+                    }
+                    break self.dispatch(frame).map(Some);
+                }
                 // A read-timeout tick, or a reply mangled in transit
                 // (its CRC made the reader skip it; the next in-order
                 // reply exposes the gap).
                 Ok(None) | Err(ReadError::Decode(_)) => {
                     if Instant::now() >= deadline {
-                        if !parked {
-                            self.drop_conn();
-                        }
-                        break None;
+                        break if parked { Ok(None) } else { Err(Broken) };
                     }
                 }
-                Err(ReadError::Io(_)) => {
-                    self.drop_conn();
-                    break None;
-                }
+                Err(ReadError::Io(_)) => break Err(Broken),
             }
         };
         if parked {
-            self.set_read_timeout(self.opts.read_timeout_wall);
+            let _ = conn.0.set_read_timeout(Some(self.opts.read_timeout_wall));
         }
         self.stale = true;
-        let got = self.now();
+        self.settle(conn, ruled).unwrap_or(Step::Continue)
+    }
+
+    /// A turn reply that a chunk burst read and set aside, owned.
+    fn dispatch_parked(&mut self, frame: Frame) -> Step {
+        let Frame::TurnReply {
+            seq,
+            acks,
+            units,
+            then,
+        } = frame
+        else {
+            return Step::Continue; // (bursts park nothing else)
+        };
+        let units = units.iter().map(|(p, u, c, b)| (*p, *u, *c, b.as_slice()));
+        let ruled = self.turn_reply(seq, acks.into_iter(), units, then);
+        if ruled.is_err() {
+            self.drop_conn();
+        }
+        self.hydrate_staged();
+        ruled.unwrap_or(Step::Continue)
+    }
+
+    /// Applies one inbound frame, borrowed from the connection's reader
+    /// (which the caller holds, out of `self`), to the pipeline state.
+    fn dispatch(&mut self, frame: FrameRef<'_>) -> Result<Step, Broken> {
+        self.stale = true;
         match frame {
-            Some(frame) => {
-                if !parked {
-                    self.pacing.wait.note(got - asked);
-                }
-                self.dispatch(frame)
-            }
-            None => Step::Continue,
-        }
-    }
-
-    fn set_read_timeout(&mut self, wall: Duration) {
-        if let Some((stream, _)) = self.conn.as_mut() {
-            let _ = stream.set_read_timeout(Some(wall));
-        }
-    }
-
-    /// Applies one inbound frame to the pipeline state. A reply to turn
-    /// `seq`: one connection answers in order, so every turn queued
-    /// ahead of it was lost in transit or skipped for its CRC — its
-    /// results ride the next turn (instead of waiting out the ack
-    /// timeout), what it asked for stops being owed (a lease granted to
-    /// a lost reply is left to expire). A reply behind the front of the
-    /// queue is a duplicated frame and is dropped. The turn's results
-    /// are then retired — accepted or nacked, either way the origin has
-    /// ruled — and its units made ready.
-    fn dispatch(&mut self, frame: Frame) -> Step {
-        self.stale = true;
-        let (seq, acks, units, then) = match frame {
-            Frame::TurnReply {
-                seq,
-                acks,
-                units,
-                then,
-            } => (seq, acks, units, then),
-            Frame::ReplicaAnnounce { endpoints } => {
+            FrameRef::TurnReply(seq, acks, units, then) => self.turn_reply(seq, acks, units, then),
+            FrameRef::Plain(Frame::ReplicaAnnounce { endpoints }) => {
                 // Unsolicited topology update (the Hello reply, or a
                 // re-announcement): fold it into the directory.
                 self.directory.merge_replicas(&endpoints);
-                return Step::Continue;
+                Ok(Step::Continue)
             }
-            _ => return Step::Continue, // heartbeat acks, late chunk replies
-        };
+            _ => Ok(Step::Continue), // heartbeat acks, late chunk replies
+        }
+    }
+
+    /// A reply to turn `seq`: one connection answers in order, so every
+    /// turn queued ahead of it was lost in transit or skipped for its
+    /// CRC — its results ride the next turn (instead of waiting out the
+    /// ack timeout), what it asked for stops being owed (a lease granted
+    /// to a lost reply is left to expire). A reply behind the front of
+    /// the queue is a duplicated frame and is dropped. The turn's
+    /// results are then retired — accepted or nacked, either way the
+    /// origin has ruled, and their buffers are kept for the next results
+    /// — and its units decoded where they lie and
+    /// [staged](ClientLoop::hydrate_staged).
+    fn turn_reply<'f>(
+        &mut self,
+        seq: u64,
+        acks: impl ExactSizeIterator<Item = (u64, u64, bool)>,
+        units: impl Iterator<Item = (u64, u64, f64, &'f [u8])>,
+        then: Then,
+    ) -> Result<Step, Broken> {
         let turn = loop {
             match self.turns.front() {
                 Some(turn) if turn.seq <= seq => {
@@ -815,72 +853,87 @@ impl ClientLoop {
                     self.unacked.rotate_left(turn.results);
                     self.resend += turn.results;
                 }
-                _ => return Step::Continue,
+                _ => return Ok(Step::Continue),
             }
         };
         // The reply rules on exactly the results its turn carried.
+        let ruled_on = acks.len();
         let carried = self.unacked.iter().take(turn.results);
-        let ruled = carried.zip(&acks).all(|(r, a)| (r.0, r.1) == (a.0, a.1));
-        if !ruled || acks.len() != turn.results {
+        let ruled = carried.zip(acks).all(|(r, a)| (r.0, r.1) == (a.0, a.1));
+        if !ruled || ruled_on != turn.results {
             self.sent += turn.results; // (still unacknowledged: resubmitted)
-            self.drop_conn();
-            return Step::Continue;
+            return Err(Broken);
         }
-        self.unacked.drain(..turn.results);
+        for (_, _, buf) in self.unacked.drain(..turn.results) {
+            if self.spare.len() < MAX_PIPELINE_DEPTH && buf.capacity() <= KEEP_BYTES {
+                self.spare.push(buf);
+            }
+        }
         self.starved = then == Then::Wait;
         for (problem, unit, cost_ops, payload) in units {
-            self.enqueue_assignment(problem, unit, cost_ops, &payload);
+            // (An unknown problem id or an undecodable unit is dropped;
+            // lease expiry recovers it.)
+            let codec = self.kit.codec(problem as usize);
+            if let Some(payload) = codec.and_then(|c| c.decode_unit(payload).ok()) {
+                self.staged.push(QueuedUnit {
+                    problem,
+                    unit,
+                    cost_ops,
+                    payload,
+                });
+            }
         }
         if then == Then::Finished {
             // Every problem is complete; anything queued or
             // unacknowledged could only produce wasted results.
+            self.staged.clear();
             self.queue.clear();
-            return Step::Finished;
+            return Ok(Step::Finished);
         }
-        Step::Continue
+        Ok(Step::Continue)
     }
 
-    /// Decodes an assignment, fetches the chunks it needs (donor cache
+    /// Makes every staged assignment ready to compute, in order, over
+    /// the main connection (back in `self` by now).
+    fn hydrate_staged(&mut self) {
+        let mut staged = std::mem::take(&mut self.staged);
+        for qu in staged.drain(..) {
+            self.enqueue_assignment(qu);
+        }
+        self.staged = staged;
+    }
+
+    /// Fetches the chunks a decoded assignment needs (donor cache
     /// first, `ChunkRequest` on miss), hydrates it, and queues it ready
     /// to compute. Any failure simply drops the unit — the server's
     /// lease expiry recovers it.
-    fn enqueue_assignment(&mut self, problem: u64, unit: u64, cost_ops: f64, payload: &[u8]) {
-        let pid = problem as usize;
-        let Some(codec) = self.kit.codec(pid).cloned() else {
-            return; // unknown problem id: drop; lease expiry recovers
+    fn enqueue_assignment(&mut self, mut qu: QueuedUnit) {
+        let Some(codec) = self.kit.codec(qu.problem as usize) else {
+            return;
         };
-        let Ok(decoded) = codec.decode_unit(payload) else {
-            return; // undecodable unit: drop; lease expiry recovers
-        };
-        let needs = codec.unit_chunks(&decoded);
-        let hydrated = if needs.is_empty() {
-            decoded
-        } else {
-            let Some(chunks) = self.fetch_chunks(problem, &needs) else {
+        let needs = codec.unit_chunks(&qu.payload);
+        if !needs.is_empty() {
+            let codec = codec.clone(); // (`fetch_chunks` takes all of `self`)
+            let Some(chunks) = self.fetch_chunks(qu.problem, &needs) else {
                 return; // transfer failed: drop; lease expiry recovers
             };
-            match codec.hydrate_unit(decoded, &chunks) {
-                Ok(p) => p,
+            match codec.hydrate_unit(qu.payload, &chunks) {
+                Ok(p) => qu.payload = p,
                 Err(_) => return,
             }
-        };
+        }
         // The unit is hydrated and ready: the donor-side delivery point
         // of its span (transfer ends, pipeline queue-wait begins).
         let delivered = self.now();
         self.telemetry.emit_at(
             delivered,
             crate::telemetry::EventKind::UnitDelivered {
-                problem: pid,
-                unit,
+                problem: qu.problem as usize,
+                unit: qu.unit,
                 client: self.id,
             },
         );
-        self.queue.push_back(QueuedUnit {
-            problem,
-            unit,
-            cost_ops,
-            payload: hydrated,
-        });
+        self.queue.push_back(qu);
     }
 
     /// Assembles the chunk bytes a unit needs, in `needs` order: plan,
@@ -1070,7 +1123,7 @@ impl ClientLoop {
             debug_assert!(self.wbuf.is_empty(), "fetch_chunks flushed, windows clear");
             while sent < wants.len() {
                 let exchange = needs[wants[sent]].bytes + CHUNK_EXCHANGE_OVERHEAD;
-                if sent > window_start && window + exchange > BURST_WINDOW_BYTES {
+                if sent > window_start && window + exchange > BURST_WINDOW_BYTES as u64 {
                     break;
                 }
                 window += exchange;
@@ -1201,14 +1254,11 @@ impl ClientLoop {
 
     fn compute_queued(&mut self, qu: QueuedUnit) {
         let pid = qu.problem as usize;
-        let Some(algorithm) = self.kit.algorithm(pid).cloned() else {
-            return; // unknown problem id: drop; lease expiry recovers
-        };
-        let Some(codec) = self.kit.codec(pid).cloned() else {
-            return;
-        };
         let (problem, unit) = (qu.problem, qu.unit);
         let started = self.now();
+        let Some(algorithm) = self.kit.algorithm(pid) else {
+            return; // unknown problem id: drop; lease expiry recovers
+        };
         self.telemetry.emit_at(
             started,
             crate::telemetry::EventKind::ComputeStarted {
@@ -1258,9 +1308,14 @@ impl ClientLoop {
                 done - started,
             );
         }
-        let Ok(mut encoded) = codec.encode_result(&result.payload) else {
+        // Encoded into the buffer of a result the origin has ruled on.
+        let mut encoded = ByteWriter::appending(self.spare.pop().unwrap_or_default());
+        encoded.buf().clear();
+        let codec = self.kit.codec(pid);
+        if codec.is_none_or(|c| c.write_result(&result.payload, &mut encoded).is_err()) {
             return;
-        };
+        }
+        let mut encoded = encoded.into_bytes();
         // A Byzantine donor lies: flip the encoded payload bytes *here*,
         // before the frame CRC is computed, so the wire layer delivers
         // the lie intact — only server-side quorum compare can catch it.
@@ -1626,22 +1681,23 @@ mod tests {
         Ok(Payload::new(u64::from_le_bytes(id), 8))
     }
 
-    fn echo_bytes(payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn echo_bytes(payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let id = payload
             .downcast_ref::<u64>()
             .expect("echo payloads are ids");
-        Ok(id.to_le_bytes().to_vec())
+        w.u64(*id);
+        Ok(())
     }
 
     impl WireCodec for Echo {
-        fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
-            echo_bytes(payload)
+        fn write_unit(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+            echo_bytes(payload, w)
         }
         fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
             echo_payload(bytes)
         }
-        fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
-            echo_bytes(payload)
+        fn write_result(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+            echo_bytes(payload, w)
         }
         fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
             echo_payload(bytes)
@@ -1856,8 +1912,9 @@ mod tests {
             if writes(&telemetry) > wrote && donor.pacing.wait.seen == read && !starved {
                 // The step wrote and did not read afterwards: whatever
                 // the reader holds now, it held when the write left.
+                let (_, reader) = donor.conn.as_mut().expect("connected");
                 assert!(
-                    donor.buffered_reply().is_none(),
+                    donor.inbox.is_empty() && matches!(reader.next_buffered(), Ok(None)),
                     "a write left between two buffered replies"
                 );
             }
@@ -2411,7 +2468,7 @@ mod tests {
         for need in &mut big[..5] {
             need.bytes = 100 * 1024;
         }
-        big[5].bytes = 2 * BURST_WINDOW_BYTES;
+        big[5].bytes = 2 * BURST_WINDOW_BYTES as u64;
         let got = donor.fetch_chunks(0, &big).expect("unit hydrates");
         assert_hydrates_exactly(&big, &got);
         origin.finish();

@@ -19,7 +19,8 @@
 //! ([`LoopHandle`]) is poked from other threads (new-connection
 //! handoff, shutdown). No pipes, no signals — `std` only.
 
-use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler};
+use super::recycle;
+use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler, FrameRef};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -424,17 +425,63 @@ impl LoopHandle {
 const WAKE_TOKEN: u64 = 0;
 
 /// One served connection: the nonblocking stream, its frame reassembly
-/// and the replies not yet written.
+/// and its [`ReplyHalf`].
 pub struct Conn {
     stream: TcpStream,
     asm: FrameAssembler,
-    out: Vec<u8>,
-    out_pos: usize,
+    reply: ReplyHalf,
     /// Whether the poller currently watches for writability.
     want_write: bool,
+}
+
+/// The half of a [`Conn`] a [`FrameHandler`] writes to while the frame
+/// it is handling still borrows the other half (the assembler's
+/// buffer): the replies not yet written, and the handler's own word.
+#[derive(Default)]
+pub struct ReplyHalf {
+    out: Vec<u8>,
+    out_pos: usize,
     /// One word the [`FrameHandler`] may keep about this connection,
     /// zero at first (the origin: the last turn it served here).
     pub mark: u64,
+}
+
+impl ReplyHalf {
+    /// Lets `write` append encoded frames behind the replies already
+    /// waiting (the pump flushes them once, when it ends); returns how
+    /// many bytes it appended.
+    pub fn append(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> usize {
+        let before = self.out.len();
+        write(&mut self.out);
+        self.out.len() - before
+    }
+
+    /// Queues `frame` (see [`Self::append`]); returns its encoded length.
+    pub fn queue_reply(&mut self, frame: &Frame) -> usize {
+        self.append(|out| encode_frame_into(frame, out))
+    }
+
+    /// Writes buffered output until done or the socket would block.
+    fn flush(&mut self, mut stream: &TcpStream) -> io::Result<()> {
+        while self.out_pos < self.out.len() {
+            match stream.write(&self.out[self.out_pos..]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => self.out_pos += n,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if self.out_pos == self.out.len() {
+            recycle(&mut self.out);
+            self.out_pos = 0;
+        }
+        Ok(())
+    }
+
+    fn pending(&self) -> bool {
+        self.out_pos < self.out.len()
+    }
 }
 
 impl Conn {
@@ -444,37 +491,9 @@ impl Conn {
         Ok(Self {
             stream,
             asm: FrameAssembler::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            reply: ReplyHalf::default(),
             want_write: false,
-            mark: 0,
         })
-    }
-
-    /// Queues `frame` behind the replies already waiting (the pump
-    /// flushes them once, when it ends); returns the encoded length.
-    pub fn queue_reply(&mut self, frame: &Frame) -> usize {
-        let before = self.out.len();
-        encode_frame_into(frame, &mut self.out);
-        self.out.len() - before
-    }
-
-    /// Writes buffered output until done or the socket would block.
-    fn flush(&mut self) -> io::Result<()> {
-        while self.out_pos < self.out.len() {
-            match (&self.stream).write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        Ok(())
     }
 
     /// Reads every available byte into the assembler. `Ok(true)` = EOF.
@@ -502,7 +521,7 @@ impl Conn {
         poller: &mut Poller,
         handler: &mut H,
     ) -> bool {
-        if ev.writable && self.flush().is_err() {
+        if ev.writable && self.reply.flush(&self.stream).is_err() {
             return false;
         }
         if ev.readable {
@@ -512,7 +531,7 @@ impl Conn {
                 return false;
             }
         }
-        let want = self.out_pos < self.out.len();
+        let want = self.reply.pending();
         if want != self.want_write {
             self.want_write = want;
             return poller.modify(raw_fd(&self.stream), ev.token, want).is_ok();
@@ -520,29 +539,33 @@ impl Conn {
         true
     }
 
-    /// One pump: read fresh bytes, hand every whole frame to `handler`,
-    /// flush its replies. `false` drops the connection, with whatever
-    /// the pump had queued for it.
+    /// One pump: read fresh bytes, hand every whole frame to `handler`
+    /// — borrowed from the assembler, next to the reply half it answers
+    /// into — and flush its replies. `false` drops the connection, with
+    /// whatever the pump had queued for it.
     fn pump<H: FrameHandler>(&mut self, handler: &mut H) -> bool {
         // EOF or socket failure: the connection goes; whatever its peer
         // held is the handler's to reclaim by other means.
         if !matches!(self.read_available(), Ok(false)) {
             return false;
         }
+        let Self {
+            stream, asm, reply, ..
+        } = self;
         // A crashed server handles no further frame.
         while !handler.crashed() {
-            match self.asm.next_frame() {
-                Ok(Some(frame)) => match handler.frame(self, frame) {
+            match asm.next_ref() {
+                Ok(Some(frame)) => match handler.frame(reply, frame) {
                     Action::Keep => {}
                     Action::Close => return false,
                 },
-                Ok(None) => return handler.end_pump(self) && self.flush().is_ok(),
+                Ok(None) => return handler.end_pump(reply) && reply.flush(stream).is_ok(),
                 // A corrupt body is detected, not fatal: the assembler
                 // already resynced past the frame.
                 Err(DecodeError::BodyCrc {
                     frame_type,
                     body_prefix,
-                }) => handler.corrupt_body(self, frame_type, &body_prefix),
+                }) => handler.corrupt_body(reply, frame_type, &body_prefix),
                 // Unrecoverable decode (bad magic/version/header CRC):
                 // the stream cannot be trusted.
                 Err(_) => return false,
@@ -579,14 +602,15 @@ pub trait FrameHandler {
     fn stalled_for(&mut self) -> Option<Duration> {
         None
     }
-    /// One decoded frame; replies go through [`Conn::queue_reply`].
-    fn frame(&mut self, conn: &mut Conn, frame: Frame) -> Action;
+    /// One decoded frame, borrowed from the connection's read buffer;
+    /// replies go into `reply`.
+    fn frame(&mut self, reply: &mut ReplyHalf, frame: FrameRef<'_>) -> Action;
     /// A frame whose body failed its CRC was skipped whole (its header
     /// was sound, so the stream is still in step).
-    fn corrupt_body(&mut self, _conn: &mut Conn, _frame_type: u8, _body_prefix: &[u8]) {}
+    fn corrupt_body(&mut self, _reply: &mut ReplyHalf, _frame_type: u8, _body_prefix: &[u8]) {}
     /// The pump's last frame was handled and nothing has been written
     /// yet. `false` drops the connection with its unsent replies.
-    fn end_pump(&mut self, _conn: &mut Conn) -> bool {
+    fn end_pump(&mut self, _reply: &mut ReplyHalf) -> bool {
         true
     }
     /// The pump is over, whichever way it ended: the place for
@@ -690,6 +714,40 @@ mod tests {
         assert!(events.iter().any(|e| e.token == 1 && e.writable));
         poller.modify(raw_fd(&rx), 1, false).unwrap();
         poller.remove(raw_fd(&rx), 1).unwrap();
+    }
+
+    /// One outsized reply must not pin its capacity for the life of the
+    /// connection: once the flush has emptied the buffer it is back
+    /// under the cap, and a connection that never outgrew the cap keeps
+    /// its storage for reuse.
+    #[test]
+    fn an_8_mib_reply_does_not_pin_its_capacity_past_the_flush() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let tx = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut rx, _) = listener.accept().unwrap();
+        let drain = std::thread::spawn(move || {
+            let mut sink = Vec::new();
+            rx.read_to_end(&mut sink).unwrap();
+            sink.len()
+        });
+        let mut reply = ReplyHalf::default();
+        let small = reply.queue_reply(&Frame::HeartbeatAck);
+        reply.flush(&tx).unwrap(); // (blocking: all of it leaves)
+        let kept = reply.out.capacity();
+        assert!(kept >= small && !reply.pending(), "small storage is reused");
+        let big = reply.queue_reply(&Frame::StatusReport {
+            snapshot: vec![7; 8 << 20],
+        });
+        assert!(reply.out.capacity() >= 8 << 20);
+        reply.flush(&tx).unwrap();
+        assert!(!reply.pending());
+        assert!(
+            reply.out.capacity() <= super::super::KEEP_BYTES,
+            "{} bytes still held after the flush",
+            reply.out.capacity()
+        );
+        drop(tx);
+        assert_eq!(drain.join().unwrap(), small + big);
     }
 
     #[test]

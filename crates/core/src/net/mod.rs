@@ -31,6 +31,7 @@ pub mod backoff;
 pub mod cache;
 pub mod checkpoint;
 pub mod client;
+pub mod crc;
 pub mod evloop;
 pub mod proxy;
 pub mod server;
@@ -53,6 +54,33 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Bytes one burst window may have in flight on a connection: the
+/// donor writes `ChunkRequest`s back to back until the exchange they
+/// start (each chunk's [`crate::codec::ChunkNeed::bytes`] plus the
+/// framing of its request and reply) reaches this, then waits for the
+/// window to drain before writing the next. It bounds what the serving
+/// endpoint queues in its output buffer for one connection, whatever
+/// the unit size; it is small enough that neither side of a *blocking*
+/// endpoint (a replica) can fill the other's socket buffers while both
+/// are still writing, and large enough that a unit of a few hundred
+/// sequence chunks is one write and one streamed reply.
+const BURST_WINDOW_BYTES: usize = 256 * 1024;
+
+/// The most storage an emptied buffer keeps for reuse — a connection's
+/// output, the donor's write buffer, a recycled result: what four full
+/// burst windows need.
+const KEEP_BYTES: usize = 4 * BURST_WINDOW_BYTES;
+
+/// Empties `buf` for reuse. One outsized frame does not pin its
+/// capacity for the life of its owner: storage past [`KEEP_BYTES`] is
+/// shrunk back to one burst window.
+fn recycle(buf: &mut Vec<u8>) {
+    buf.clear();
+    if buf.capacity() > KEEP_BYTES {
+        buf.shrink_to(BURST_WINDOW_BYTES);
+    }
+}
 
 /// How long a [`Directory::mark_dead`] verdict sticks, in scaled
 /// seconds: the endpoint is excluded from [`Directory::candidates_for`]

@@ -25,13 +25,15 @@
 
 use super::checkpoint::CheckpointWriter;
 use super::evloop::{
-    accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, Conn, FrameHandler, LoopHandle,
+    accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, FrameHandler, LoopHandle,
+    ReplyHalf,
 };
 use super::wire::{
-    decode_turn_head, Frame, Then, MAX_PIPELINE_DEPTH, SUBMIT_RESULT_TYPE, TURN_TYPE,
+    decode_turn_head, encode_chunk_data_into, encode_turn_reply_into, Frame, FrameRef, Then,
+    MAX_PIPELINE_DEPTH, SUBMIT_RESULT_TYPE, TURN_TYPE,
 };
 use super::Clock;
-use crate::codec::{ByteReader, WireCodec};
+use crate::codec::{ByteReader, ByteWriter, WireCodec};
 use crate::sched::ClientId;
 use crate::server::{Server, TurnResult};
 use crate::telemetry::Telemetry;
@@ -105,6 +107,18 @@ struct Shared {
     replicas: Mutex<Vec<SocketAddr>>,
     /// Per-shard connection inboxes and wakers.
     shards: Vec<LoopHandle>,
+    /// Each problem's codec (`None`: it has none), by problem id: the
+    /// problems are fixed once the server is behind the transport, so
+    /// decoding, encoding and chunk serving need no lock to find theirs.
+    codecs: Vec<Option<Arc<dyn WireCodec>>>,
+}
+
+impl Shared {
+    /// The codec of `problem` (`None`: no such problem, or no codec).
+    fn codec(&self, problem: u64) -> Option<&Arc<dyn WireCodec>> {
+        let pid = usize::try_from(problem).ok()?;
+        self.codecs.get(pid)?.as_ref()
+    }
 }
 
 /// A running TCP server around a [`Server`]. Bind with [`NetServer::start`],
@@ -125,6 +139,8 @@ impl NetServer {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let telemetry = server.telemetry();
+        let codecs = (0..server.problem_count()).map(|pid| server.codec(pid));
+        let codecs = codecs.collect();
         let n_shards = opts.shards.max(1);
         // The whole transport is this many threads, donors be damned:
         // the scale tier asserts it from the metrics registry.
@@ -140,6 +156,7 @@ impl NetServer {
             telemetry,
             replicas: Mutex::new(Vec::new()),
             shards: handles,
+            codecs,
         });
         let shard_threads = rxs
             .into_iter()
@@ -301,8 +318,8 @@ struct ShardCtx<'a> {
 /// What the frames of one pump share, so that a burst of
 /// `ChunkRequest`s takes the liveness, server and telemetry locks
 /// once per read instead of once per frame: chunk encoding and
-/// digesting need no authority, only the codec handle and the affinity
-/// note do, and the wire counters only need adding up.
+/// digesting need no authority, only the affinity note does, and the
+/// wire counters only need adding up.
 #[derive(Default)]
 struct PumpBatch {
     /// Frames assembled and replies queued by this pump, added to
@@ -313,10 +330,6 @@ struct PumpBatch {
     bytes_out: u64,
     /// The donor this pump has already marked alive.
     alive: Option<ClientId>,
-    /// The codec this pump last used — chunks served, results decoded,
-    /// units encoded — cloned under the server lock on its first use
-    /// for that problem (inner `None`: no such problem, or no codec).
-    codec: Option<(u64, Option<Arc<dyn WireCodec>>)>,
     /// Digests served to `served_to` that the scheduler's affinity map
     /// has not been told about yet.
     served: Vec<u64>,
@@ -371,56 +384,34 @@ impl ShardCtx<'_> {
         }
     }
 
-    /// The codec of `problem`, looked up in `server` once per pump.
-    fn codec(&mut self, server: &Server, problem: u64) -> Option<&Arc<dyn WireCodec>> {
-        if !matches!(&self.batch.codec, Some((p, _)) if *p == problem) {
-            let pid = problem as usize;
-            let known = pid < server.problem_count();
-            self.batch.codec = Some((problem, known.then(|| server.codec(pid)).flatten()));
-        }
-        self.batch
-            .codec
-            .as_ref()
-            .and_then(|(_, codec)| codec.as_ref())
-    }
-
-    /// [`Self::codec`] for a pump that does not hold the server lock.
-    /// `Err(())`: the server is gone.
-    fn chunk_codec(&mut self, problem: u64) -> Result<Option<Arc<dyn WireCodec>>, ()> {
-        if let Some((p, codec)) = &self.batch.codec {
-            if *p == problem {
-                return Ok(codec.clone());
-            }
-        }
-        let shared = self.shared;
-        let guard = shared.server.lock().unwrap();
-        Ok(self.codec(guard.as_ref().ok_or(())?, problem).cloned())
-    }
-
     /// The one entry point of dispatch: a donor's turn — `results` to
     /// rule on (`None` bytes: the result arrived with a broken checksum)
     /// and `want` units to lease — under one lock, at one clock reading,
-    /// as one [`Server::turn`]. `seq` says how the donor spoke and so
-    /// how it is answered: `Some`, a [`Frame::Turn`], with one
+    /// as one [`Server::turn_wire`]. `seq` says how the donor spoke and
+    /// so how it is answered: `Some`, a [`Frame::Turn`], with one
     /// [`Frame::TurnReply`]; `None`, a raw client's `RequestWork`
     /// (`want` 1) or `SubmitResult` (one result), in their own
     /// vocabulary. A turn this connection has already served (a frame
     /// repeated in transit) has its results ruled on again — they are
     /// refused as duplicates — but is leased nothing: units nobody will
     /// compute would sit out their leases.
-    fn turn(
+    ///
+    /// The results are decoded from the read buffer before the lock is
+    /// taken and journaled from it inside; the reply is written into
+    /// `reply` after the lock is dropped, each unit's payload in place.
+    fn turn<'f>(
         &mut self,
-        conn: &mut Conn,
+        reply: &mut ReplyHalf,
         client: u64,
         seq: Option<u64>,
         want: usize,
-        results: Vec<(u64, u64, Option<Vec<u8>>)>,
+        results: impl ExactSizeIterator<Item = (u64, u64, Option<&'f [u8]>)>,
     ) -> Action {
         let shared = self.shared;
         let now = self.clock.now();
         self.note_alive(client as ClientId, Some(now));
-        let repeated = seq.is_some_and(|seq| seq <= conn.mark);
-        conn.mark = conn.mark.max(seq.unwrap_or(0));
+        let repeated = seq.is_some_and(|seq| seq <= reply.mark);
+        reply.mark = reply.mark.max(seq.unwrap_or(0));
         if want > MAX_PIPELINE_DEPTH {
             shared.telemetry.counter_add("net.turn_want_clamped", 1);
         }
@@ -429,6 +420,21 @@ impl ShardCtx<'_> {
         } else {
             want.min(MAX_PIPELINE_DEPTH)
         };
+        let n = results.len();
+        let (mut ids, mut wire) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        let mut decoded = Vec::with_capacity(n);
+        for (problem, unit, bytes) in results {
+            // (The frame's CRC passing and the payload not parsing is
+            // semantic corruption: the reissue path, like a broken CRC.)
+            let codec = bytes.and_then(|_| shared.codec(problem));
+            ids.push((problem, unit));
+            wire.push(bytes.unwrap_or_default());
+            decoded.push(TurnResult {
+                problem: problem as usize,
+                unit,
+                payload: codec.and_then(|c| c.decode_result(bytes?).ok()),
+            });
+        }
         let mut guard = shared.server.lock().unwrap();
         let Some(server) = guard.as_mut() else {
             // Killed: sever. Handed back by `wait()`: the run is over and
@@ -444,28 +450,7 @@ impl ShardCtx<'_> {
         // so their affinity must be visible to it.
         self.batch.apply_affinity(server);
         self.batch.uncommitted = true;
-        let ids: Vec<(u64, u64)> = results.iter().map(|&(p, u, _)| (p, u)).collect();
-        let decoded = results.into_iter().map(|(problem, unit, bytes)| {
-            // (The frame's CRC passing and the payload not parsing is
-            // semantic corruption: the reissue path, like a broken CRC.)
-            let codec = bytes.as_ref().and_then(|_| self.codec(server, problem));
-            let payload = codec.and_then(|c| c.decode_result(&bytes?).ok());
-            TurnResult {
-                problem: problem as usize,
-                unit,
-                payload,
-            }
-        });
-        let decoded = decoded.collect();
-        let out = server.turn(client as ClientId, now, decoded, leasing);
-        // (An unencodable unit — a codec bug — is not sent: its lease
-        // expires and reissues.)
-        let encode = |(problem, unit): &(usize, Arc<crate::problem::WorkUnit>)| {
-            let codec = self.codec(server, *problem as u64)?;
-            let payload = codec.encode_unit(&unit.payload).ok()?;
-            Some((*problem as u64, unit.id, unit.cost_ops, payload))
-        };
-        let mut units: Vec<_> = out.units.iter().filter_map(encode).collect();
+        let out = server.turn_wire(client as ClientId, now, decoded, &wire, leasing);
         let complete = server.all_complete();
         drop(guard);
         if complete {
@@ -473,7 +458,13 @@ impl ShardCtx<'_> {
         }
         let acks = ids.iter().zip(&out.accepted);
         let acks = acks.map(|(&(problem, unit), &accepted)| (problem, unit, accepted));
-        let acks: Vec<_> = acks.collect();
+        // (An unencodable unit — a codec bug — is not sent: its lease
+        // expires and reissues.)
+        let mut units = out.units.iter().filter_map(|(problem, unit)| {
+            let codec = shared.codec(*problem as u64)?;
+            let write = move |w: &mut ByteWriter| codec.write_unit(&unit.payload, w);
+            Some((*problem as u64, unit.id, unit.cost_ops, write))
+        });
         let Some(seq) = seq else {
             for (problem, unit, accepted) in acks {
                 let ack = Frame::ResultAck {
@@ -481,37 +472,43 @@ impl ShardCtx<'_> {
                     unit,
                     accepted,
                 };
-                self.reply(conn, &ack);
+                self.reply(reply, &ack);
             }
             if want > 0 {
-                let work = match (units.pop(), out.then) {
-                    (Some((problem, unit, cost_ops, payload)), _) => Frame::AssignUnit {
-                        problem,
-                        unit,
-                        cost_ops,
-                        payload,
-                    },
-                    (None, Then::Finished) => Frame::Finished,
-                    (None, _) => Frame::Wait,
-                };
-                self.reply(conn, &work);
+                let assigned = units
+                    .next_back()
+                    .and_then(|(problem, unit, cost_ops, write)| {
+                        let payload = ByteWriter::collect(write).ok()?;
+                        Some(Frame::AssignUnit {
+                            problem,
+                            unit,
+                            cost_ops,
+                            payload,
+                        })
+                    });
+                let work = assigned.unwrap_or(match out.then {
+                    Then::Finished => Frame::Finished,
+                    _ => Frame::Wait,
+                });
+                self.reply(reply, &work);
             }
             return Action::Keep;
         };
-        let reply = Frame::TurnReply {
-            seq,
-            acks,
-            units,
-            then: out.then,
-        };
-        self.reply(conn, &reply);
+        let then = out.then;
+        let wrote = reply.append(|buf| encode_turn_reply_into(buf, seq, then, acks, units));
+        self.count_reply(wrote);
         Action::Keep
     }
 
-    /// Queues `frame` for `conn` and counts it.
-    fn reply(&mut self, conn: &mut Conn, frame: &Frame) {
+    /// Queues `frame` for the connection and counts it.
+    fn reply(&mut self, reply: &mut ReplyHalf, frame: &Frame) {
+        let wrote = reply.queue_reply(frame);
+        self.count_reply(wrote);
+    }
+
+    fn count_reply(&mut self, bytes: usize) {
         self.batch.frames_out += 1;
-        self.batch.bytes_out += conn.queue_reply(frame) as u64;
+        self.batch.bytes_out += bytes as u64;
     }
 }
 
@@ -533,7 +530,7 @@ impl FrameHandler for ShardCtx<'_> {
             .gauge_set(&format!("shard.s{}.conns", self.shard), token as f64);
     }
 
-    fn corrupt_body(&mut self, conn: &mut Conn, frame_type: u8, body_prefix: &[u8]) {
+    fn corrupt_body(&mut self, reply: &mut ReplyHalf, frame_type: u8, body_prefix: &[u8]) {
         self.shared.telemetry.counter_add("net.crc_failures", 1);
         // Mangled results still route to the reissue path, and are
         // nacked so the sender retires its pending copies: their id
@@ -543,12 +540,12 @@ impl FrameHandler for ShardCtx<'_> {
         let mut r = ByteReader::new(body_prefix);
         if frame_type == TURN_TYPE {
             if let Ok((client, seq, _, ids)) = decode_turn_head(&mut r) {
-                let results = ids.into_iter().map(|(p, u)| (p, u, None)).collect();
-                self.turn(conn, client, Some(seq), 0, results);
+                let results = ids.map(|(p, u)| (p, u, None));
+                self.turn(reply, client, Some(seq), 0, results);
             }
         } else if frame_type == SUBMIT_RESULT_TYPE {
             if let (Ok(client), Ok(problem), Ok(unit)) = (r.u64(), r.u64(), r.u64()) {
-                self.turn(conn, client, None, 0, vec![(problem, unit, None)]);
+                self.turn(reply, client, None, 0, [(problem, unit, None)].into_iter());
             }
         }
     }
@@ -557,7 +554,7 @@ impl FrameHandler for ShardCtx<'_> {
     /// is in the file before the first byte of a reply can reach the
     /// donor. `false`: the server was killed with records of this pump
     /// unwritten — the replies they justify must not be sent.
-    fn end_pump(&mut self, _conn: &mut Conn) -> bool {
+    fn end_pump(&mut self, _reply: &mut ReplyHalf) -> bool {
         if !std::mem::take(&mut self.batch.uncommitted) {
             return true;
         }
@@ -579,110 +576,31 @@ impl FrameHandler for ShardCtx<'_> {
     fn pump_done(&mut self) {
         self.flush_affinity();
         self.flush_counts();
-        (self.batch.alive, self.batch.codec) = (None, None);
+        self.batch.alive = None;
     }
 
     /// A dropped connection does NOT drop its client's leases — it may
     /// be a crash-rejoin or reconnect; true departures are reclaimed by
     /// the liveness sweep and lease timeouts.
-    fn frame(&mut self, conn: &mut Conn, frame: Frame) -> Action {
+    fn frame(&mut self, reply: &mut ReplyHalf, frame: FrameRef<'_>) -> Action {
         self.batch.frames_in += 1;
         let shared = self.shared;
         let clock = self.clock;
-        let reply = match frame {
-            Frame::Hello { client } => {
-                self.note_alive(client as ClientId, None);
-                // Advertise the replica tier so the donor can route
-                // chunk fetches without out-of-band configuration.
-                let endpoints = shared.replicas.lock().unwrap().clone();
-                if endpoints.is_empty() {
-                    None
-                } else {
-                    Some(Frame::ReplicaAnnounce { endpoints })
-                }
+        let answer = match frame {
+            FrameRef::Turn(client, seq, want, ids, payloads) => {
+                let results = ids.zip(payloads).map(|((p, u), b)| (p, u, Some(b)));
+                return self.turn(reply, client, Some(seq), want as usize, results);
             }
-            Frame::Heartbeat { client } => {
-                self.note_alive(client as ClientId, None);
-                Some(Frame::HeartbeatAck)
-            }
-            Frame::Turn {
-                client,
-                seq,
-                want,
-                results,
-            } => {
-                let results = results.into_iter().map(|(p, u, b)| (p, u, Some(b)));
-                return self.turn(conn, client, Some(seq), want as usize, results.collect());
-            }
-            Frame::RequestWork { client } => return self.turn(conn, client, None, 1, Vec::new()),
-            Frame::SubmitResult {
+            FrameRef::Plain(Frame::SubmitResult {
                 client,
                 problem,
                 unit,
                 payload,
-            } => return self.turn(conn, client, None, 0, vec![(problem, unit, Some(payload))]),
-            Frame::Goodbye { client } => {
-                let mut guard = shared.server.lock().unwrap();
-                if let Some(server) = guard.as_mut() {
-                    server.client_gone(client as ClientId);
-                }
-                drop(guard);
-                shared
-                    .last_seen
-                    .lock()
-                    .unwrap()
-                    .remove(&(client as ClientId));
-                return Action::Close;
+            }) => {
+                let result = [(problem, unit, Some(&payload[..]))];
+                return self.turn(reply, client, None, 0, result.into_iter());
             }
-            Frame::ChunkRequest {
-                client,
-                problem,
-                chunk,
-            } => {
-                // A replica pulling through is infrastructure, not a
-                // donor: it gets no liveness entry and no chunk
-                // affinity, or the scheduler would start routing units
-                // at a machine that never computes.
-                let is_replica = client == super::store::REPLICA_CLIENT_ID;
-                if !is_replica {
-                    self.note_alive(client as ClientId, None);
-                }
-                let Ok(codec) = self.chunk_codec(problem) else {
-                    return Action::Close;
-                };
-                // Encoding and digesting run outside every lock.
-                match codec.and_then(|c| c.encode_chunk(chunk).ok()) {
-                    Some(payload) => {
-                        let digest = super::cache::chunk_digest(&payload);
-                        if !is_replica {
-                            // The donor is about to hold this chunk:
-                            // the pump feeds its digests to the
-                            // scheduler's affinity map in one note.
-                            if self.batch.served_to != client as ClientId {
-                                self.flush_affinity();
-                                self.batch.served_to = client as ClientId;
-                            }
-                            self.batch.served.push(digest);
-                        }
-                        shared.telemetry.counter_add("net.chunks_served", 1);
-                        shared
-                            .telemetry
-                            .counter_add("net.chunk_bytes_out", payload.len() as u64);
-                        Some(Frame::ChunkData {
-                            problem,
-                            chunk,
-                            digest,
-                            payload,
-                        })
-                    }
-                    // Garbage problem id, unknown chunk or a codec
-                    // without chunk support: an explicit refusal, so
-                    // the requester fails over instead of waiting out
-                    // its ack timeout.
-                    None => Some(Frame::ChunkMissing { problem, chunk }),
-                }
-            }
-            Frame::MetricsReport { client, snapshot } => {
+            FrameRef::Plain(Frame::MetricsReport { client, snapshot }) => {
                 let now = clock.now();
                 self.note_alive(client as ClientId, None);
                 match crate::telemetry::MetricsSnapshot::from_wire_bytes(&snapshot) {
@@ -705,7 +623,88 @@ impl FrameHandler for ShardCtx<'_> {
                 }
                 None
             }
-            Frame::StatusRequest => {
+            FrameRef::Plain(Frame::Hello { client }) => {
+                self.note_alive(client as ClientId, None);
+                // Advertise the replica tier so the donor can route
+                // chunk fetches without out-of-band configuration.
+                let endpoints = shared.replicas.lock().unwrap().clone();
+                if endpoints.is_empty() {
+                    None
+                } else {
+                    Some(Frame::ReplicaAnnounce { endpoints })
+                }
+            }
+            FrameRef::Plain(Frame::Heartbeat { client }) => {
+                self.note_alive(client as ClientId, None);
+                Some(Frame::HeartbeatAck)
+            }
+            FrameRef::Plain(Frame::RequestWork { client }) => {
+                return self.turn(reply, client, None, 1, std::iter::empty())
+            }
+            FrameRef::Plain(Frame::Goodbye { client }) => {
+                let mut guard = shared.server.lock().unwrap();
+                if let Some(server) = guard.as_mut() {
+                    server.client_gone(client as ClientId);
+                }
+                drop(guard);
+                shared
+                    .last_seen
+                    .lock()
+                    .unwrap()
+                    .remove(&(client as ClientId));
+                return Action::Close;
+            }
+            FrameRef::Plain(Frame::ChunkRequest {
+                client,
+                problem,
+                chunk,
+            }) => {
+                // A replica pulling through is infrastructure, not a
+                // donor: it gets no liveness entry and no chunk
+                // affinity, or the scheduler would start routing units
+                // at a machine that never computes.
+                let is_replica = client == super::store::REPLICA_CLIENT_ID;
+                if !is_replica {
+                    self.note_alive(client as ClientId, None);
+                }
+                // Encoding — straight into the output buffer — and
+                // digesting run outside every lock.
+                let mut served = None;
+                let wrote = reply.append(|out| {
+                    let write = |w: &mut ByteWriter| match shared.codec(problem) {
+                        Some(codec) => codec.write_chunk(chunk, w),
+                        None => Err(crate::codec::WireError::new("no codec")),
+                    };
+                    let digest = super::cache::chunk_digest;
+                    served = encode_chunk_data_into(out, problem, chunk, digest, write).ok();
+                });
+                match served {
+                    Some((digest, payload_len)) => {
+                        if !is_replica {
+                            // The donor is about to hold this chunk:
+                            // the pump feeds its digests to the
+                            // scheduler's affinity map in one note.
+                            if self.batch.served_to != client as ClientId {
+                                self.flush_affinity();
+                                self.batch.served_to = client as ClientId;
+                            }
+                            self.batch.served.push(digest);
+                        }
+                        shared.telemetry.counter_add("net.chunks_served", 1);
+                        shared
+                            .telemetry
+                            .counter_add("net.chunk_bytes_out", payload_len as u64);
+                        self.count_reply(wrote);
+                        None
+                    }
+                    // Garbage problem id, unknown chunk or a codec
+                    // without chunk support: an explicit refusal, so
+                    // the requester fails over instead of waiting out
+                    // its ack timeout.
+                    None => Some(Frame::ChunkMissing { problem, chunk }),
+                }
+            }
+            FrameRef::Plain(Frame::StatusRequest) => {
                 let now = clock.now();
                 let mut guard = shared.server.lock().unwrap();
                 let Some(server) = guard.as_mut() else {
@@ -722,19 +721,10 @@ impl FrameHandler for ShardCtx<'_> {
             }
             // Server-bound protocol only; a client frame here is a bug
             // or corruption that slipped the type check — ignore it.
-            Frame::AssignUnit { .. }
-            | Frame::Wait
-            | Frame::Finished
-            | Frame::ResultAck { .. }
-            | Frame::HeartbeatAck
-            | Frame::ChunkData { .. }
-            | Frame::ChunkMissing { .. }
-            | Frame::ReplicaAnnounce { .. }
-            | Frame::StatusReport { .. }
-            | Frame::TurnReply { .. } => None,
+            _ => None,
         };
-        if let Some(reply) = reply {
-            self.reply(conn, &reply);
+        if let Some(answer) = answer {
+            self.reply(reply, &answer);
         }
         Action::Keep
     }

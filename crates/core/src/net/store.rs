@@ -21,8 +21,13 @@
 //! must distinguish from success by timeout alone.
 
 use super::cache::chunk_digest;
-use super::evloop::{accept_loop, serve, unblock_accept, Action, Conn, FrameHandler, LoopHandle};
-use super::wire::{encode_frame_into, DecodeError, Frame, FrameReader, ReadError};
+use super::evloop::{
+    accept_loop, serve, unblock_accept, Action, FrameHandler, LoopHandle, ReplyHalf,
+};
+use super::wire::{
+    encode_chunk_data_into, encode_frame_into, raw, DecodeError, Frame, FrameReader, FrameRef,
+    ReadError,
+};
 use super::{Clock, Directory};
 use crate::telemetry::Telemetry;
 use std::collections::HashMap;
@@ -281,37 +286,38 @@ impl FrameHandler for ReplicaHandler<'_> {
         Some(shared.clock.wall(end - shared.clock.now()))
     }
 
-    fn frame(&mut self, _conn: &mut Conn, frame: Frame) -> Action {
+    fn frame(&mut self, _reply: &mut ReplyHalf, frame: FrameRef<'_>) -> Action {
         if self.shared.crashed() {
             return Action::Close; // crashed mid-connection: sever, donor fails over
         }
         // Replicas speak only the chunk sub-protocol.
-        if let Frame::ChunkRequest { problem, chunk, .. } = frame {
+        if let FrameRef::Plain(Frame::ChunkRequest { problem, chunk, .. }) = frame {
             self.asked.push((problem, chunk));
         }
         Action::Keep
     }
 
-    fn end_pump(&mut self, conn: &mut Conn) -> bool {
+    fn end_pump(&mut self, reply: &mut ReplyHalf) -> bool {
         self.sync_from_origin();
         let mut served = 0;
         for &(problem, chunk) in &self.asked {
-            let reply = match self.shared.store.get(problem, chunk) {
+            match self.shared.store.get(problem, chunk) {
+                // Straight from the store into the output buffer.
                 Some((digest, payload)) => {
                     served += 1;
-                    Frame::ChunkData {
-                        problem,
-                        chunk,
-                        digest,
-                        payload: payload.as_ref().clone(),
-                    }
+                    reply.append(|out| {
+                        let write = raw(&payload);
+                        let wrote = encode_chunk_data_into(out, problem, chunk, |_| digest, write);
+                        wrote.expect("a raw copy cannot fail");
+                    });
                 }
                 // Origin unreachable or it does not hold the chunk
                 // either: answer explicitly so the donor fails over
                 // instead of hanging into its ack timeout.
-                None => Frame::ChunkMissing { problem, chunk },
-            };
-            conn.queue_reply(&reply);
+                None => {
+                    reply.queue_reply(&Frame::ChunkMissing { problem, chunk });
+                }
+            }
         }
         if served > 0 {
             let telemetry = &self.shared.telemetry;

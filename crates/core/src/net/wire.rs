@@ -23,6 +23,7 @@
 //! length field can drive an allocation past the bytes actually
 //! received (the property tests below pin all of this down).
 
+pub use super::crc::crc32;
 use crate::codec::{ByteReader, ByteWriter, WireError};
 pub use crate::server::Then;
 use std::io::Read;
@@ -266,6 +267,118 @@ impl Frame {
     }
 }
 
+/// A decoded frame whose bulk — a turn's results, a reply's units, a
+/// chunk — is borrowed from the bytes it was decoded from (the
+/// assembler's own buffer, on both the origin and the donor), so a
+/// payload is copied only where somebody keeps it.
+/// [`FrameRef::into_owned`] is the [`Frame`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum FrameRef<'a> {
+    /// Any other frame, owned: control frames carry no payload, and the
+    /// rest are off the donor pipeline's path.
+    Plain(Frame),
+    /// See [`Frame::ChunkData`]: `(problem, chunk, digest, payload)`.
+    ChunkData(u64, u64, u64, &'a [u8]),
+    /// See [`Frame::Turn`]: `(client, seq, want, ids, payloads)`, the
+    /// results' `(problem, unit)` ids and their payloads as two runs.
+    Turn(u64, u64, u32, Run<'a, (u64, u64)>, Run<'a, &'a [u8]>),
+    /// See [`Frame::TurnReply`]: `(seq, acks, units, then)`.
+    TurnReply(
+        u64,
+        Run<'a, (u64, u64, bool)>,
+        Run<'a, (u64, u64, f64, &'a [u8])>,
+        Then,
+    ),
+}
+
+impl FrameRef<'_> {
+    /// The frame with everything it borrows copied out.
+    #[inline]
+    pub fn into_owned(self) -> Frame {
+        match self {
+            FrameRef::Plain(frame) => frame,
+            FrameRef::ChunkData(problem, chunk, digest, payload) => Frame::ChunkData {
+                problem,
+                chunk,
+                digest,
+                payload: payload.to_vec(),
+            },
+            FrameRef::Turn(client, seq, want, ids, payloads) => Frame::Turn {
+                client,
+                seq,
+                want,
+                results: (ids.zip(payloads).map(|((p, u), b)| (p, u, b.to_vec()))).collect(),
+            },
+            FrameRef::TurnReply(seq, acks, units, then) => Frame::TurnReply {
+                seq,
+                acks: acks.collect(),
+                units: units.map(|(p, u, c, b)| (p, u, c, b.to_vec())).collect(),
+                then,
+            },
+        }
+    }
+}
+
+/// A run of elements borrowed from a frame body — a turn's ids, its
+/// payloads, a reply's acks, its units — parsed one at a time by the
+/// `read` that [`decode_ref`] checked every one of them with already.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a, T> {
+    left: usize,
+    bytes: &'a [u8],
+    read: fn(&mut ByteReader<'a>) -> Result<T, WireError>,
+}
+
+impl<'a, T> Run<'a, T> {
+    /// The run of `n` elements at the front of `r`, checked.
+    fn of(
+        r: &mut ByteReader<'a>,
+        n: usize,
+        read: fn(&mut ByteReader<'a>) -> Result<T, WireError>,
+    ) -> Result<Self, WireError> {
+        let bytes = r.rest();
+        for _ in 0..n {
+            read(r)?;
+        }
+        let bytes = &bytes[..bytes.len() - r.remaining()];
+        Ok(Self {
+            left: n,
+            bytes,
+            read,
+        })
+    }
+}
+
+impl<T> Iterator for Run<'_, T> {
+    type Item = T;
+    fn next(&mut self) -> Option<T> {
+        self.left = self.left.checked_sub(1)?;
+        let mut r = ByteReader::new(self.bytes);
+        let item = (self.read)(&mut r).ok()?;
+        self.bytes = r.rest();
+        Some(item)
+    }
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl<T> ExactSizeIterator for Run<'_, T> {}
+
+impl<T> PartialEq for Run<'_, T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
+}
+
+fn read_ack(r: &mut ByteReader) -> Result<(u64, u64, bool), WireError> {
+    Ok((r.u64()?, r.u64()?, r.u8()? != 0))
+}
+
+fn read_unit<'a>(r: &mut ByteReader<'a>) -> Result<(u64, u64, f64, &'a [u8]), WireError> {
+    Ok((r.u64()?, r.u64()?, r.f64()?, r.bytes()?))
+}
+
 /// Why a byte string failed to decode as a frame.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodeError {
@@ -316,74 +429,6 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// CRC-32 (IEEE 802.3, reflected 0xEDB88320), tables built at compile
-// time — the workspace carries no checksum dependency. `CRC_TABLES[0]`
-// is the classic bytewise table; `CRC_TABLES[k][b]` is the CRC state
-// after byte `b` followed by `k` zero bytes, which lets eight input
-// bytes fold into the state with eight independent lookups
-// (slice-by-8) instead of eight dependent ones.
-const fn crc_tables() -> [[u32; 256]; 8] {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-}
-
-static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
-
-/// Folds `data` into the raw (un-inverted) CRC state one byte at a
-/// time: the tail of [`crc32`], and the oracle its tests compare the
-/// sliced loop against.
-fn crc32_bytewise(mut c: u32, data: &[u8]) -> u32 {
-    for &b in data {
-        c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c
-}
-
-/// CRC-32 (IEEE) of `data`, eight bytes per step.
-pub fn crc32(data: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    crc32_bytewise(c, words.remainder()) ^ 0xFFFF_FFFF
-}
-
 /// Encodes one frame to wire bytes.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::new();
@@ -394,15 +439,20 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// Appends one frame of type `frame_type` to `out` — `write_body`
 /// writes the body in place behind a header whose length and checksum
 /// are patched afterwards, so a burst of frames costs no allocation
-/// beyond `out`'s own growth.
-fn frame_into(frame_type: u8, out: &mut Vec<u8>, write_body: impl FnOnce(&mut ByteWriter)) {
+/// beyond `out`'s own growth, and the body is checksummed in one pass
+/// once it is whole. Returns what `write_body` returned.
+fn frame_into<T>(
+    frame_type: u8,
+    out: &mut Vec<u8>,
+    write_body: impl FnOnce(&mut ByteWriter) -> T,
+) -> T {
     let start = out.len();
     out.extend_from_slice(&MAGIC.to_le_bytes());
     out.push(VERSION);
     out.push(frame_type);
     out.extend_from_slice(&[0u8; 8]); // body length + header CRC, patched below
     let mut body = ByteWriter::appending(std::mem::take(out));
-    write_body(&mut body);
+    let wrote = write_body(&mut body);
     *out = body.into_bytes();
     let body_start = start + HEADER_LEN;
     let body_len = (out.len() - body_start) as u32;
@@ -411,6 +461,75 @@ fn frame_into(frame_type: u8, out: &mut Vec<u8>, write_body: impl FnOnce(&mut By
     out[start + 10..body_start].copy_from_slice(&header_crc.to_le_bytes());
     let body_crc = crc32(&out[body_start..]);
     out.extend_from_slice(&body_crc.to_le_bytes());
+    wrote
+}
+
+/// Appends a [`Frame::TurnReply`] whose unit payloads are written in
+/// place: each of `units` is `(problem, unit, cost in ops, writer of
+/// the codec-encoded payload)`. A unit whose writer fails — a codec
+/// bug — is taken back out and not counted: its lease expires and
+/// reissues.
+pub fn encode_turn_reply_into<W>(
+    out: &mut Vec<u8>,
+    seq: u64,
+    then: Then,
+    acks: impl ExactSizeIterator<Item = (u64, u64, bool)>,
+    units: impl Iterator<Item = (u64, u64, f64, W)>,
+) where
+    W: FnOnce(&mut ByteWriter) -> Result<(), WireError>,
+{
+    frame_into(FT_TURN_REPLY, out, |body| {
+        body.u64(seq);
+        body.u8(then as u8);
+        body.u32(acks.len() as u32);
+        for (problem, unit, accepted) in acks {
+            body.u64(problem);
+            body.u64(unit);
+            body.u8(u8::from(accepted));
+        }
+        let (count_at, mut sent) = (body.buf().len(), 0u32);
+        body.u32(0);
+        for (problem, unit, cost_ops, write) in units {
+            let at = body.buf().len();
+            body.u64(problem);
+            body.u64(unit);
+            body.f64(cost_ops);
+            match body.bytes_with(write) {
+                Ok(_) => sent += 1,
+                Err(_) => body.buf().truncate(at),
+            }
+        }
+        body.buf()[count_at..count_at + 4].copy_from_slice(&sent.to_le_bytes());
+    })
+}
+
+/// Appends a [`Frame::ChunkData`] whose payload `write` writes in place
+/// and whose digest is `digest` of the bytes written, patched in behind
+/// them like the length. Returns `(digest, payload length)`; a failed
+/// `write` leaves `out` as it was.
+pub fn encode_chunk_data_into(
+    out: &mut Vec<u8>,
+    problem: u64,
+    chunk: u64,
+    digest: impl FnOnce(&[u8]) -> u64,
+    write: impl FnOnce(&mut ByteWriter) -> Result<(), WireError>,
+) -> Result<(u64, usize), WireError> {
+    let start = out.len();
+    let wrote = frame_into(FT_CHUNK_DATA, out, |body| {
+        body.u64(problem);
+        body.u64(chunk);
+        let digest_at = body.buf().len();
+        body.u64(0);
+        let payload_at = body.bytes_with(write)?;
+        let buf = body.buf();
+        let digest = digest(&buf[payload_at..]);
+        buf[digest_at..digest_at + 8].copy_from_slice(&digest.to_le_bytes());
+        Ok((digest, buf.len() - payload_at))
+    });
+    if wrote.is_err() {
+        out.truncate(start);
+    }
+    wrote
 }
 
 /// Appends a [`Frame::Turn`] built from borrowed results — the donor
@@ -437,17 +556,46 @@ pub fn encode_turn_into<'a>(
     });
 }
 
+/// The payload writer of an in-place encoder that copies `payload` in.
+pub fn raw(payload: &[u8]) -> impl FnOnce(&mut ByteWriter) -> Result<(), WireError> + '_ {
+    move |w| {
+        w.buf().extend_from_slice(payload);
+        Ok(())
+    }
+}
+
 /// Appends one encoded frame to `out` (see [`frame_into`]).
 pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
-    if let Frame::Turn {
-        client,
-        seq,
-        want,
-        results,
-    } = frame
-    {
-        let results = results.iter().map(|(p, u, b)| (*p, *u, b.as_slice()));
-        return encode_turn_into(out, *client, *seq, *want, results);
+    // The three frames with an in-place encoder go through it.
+    match frame {
+        Frame::Turn {
+            client,
+            seq,
+            want,
+            results,
+        } => {
+            let results = results.iter().map(|(p, u, b)| (*p, *u, b.as_slice()));
+            return encode_turn_into(out, *client, *seq, *want, results);
+        }
+        Frame::TurnReply {
+            seq,
+            acks,
+            units,
+            then,
+        } => {
+            let units = units.iter().map(|(p, u, c, b)| (*p, *u, *c, raw(b)));
+            return encode_turn_reply_into(out, *seq, *then, acks.iter().copied(), units);
+        }
+        Frame::ChunkData {
+            problem,
+            chunk,
+            digest,
+            payload,
+        } => {
+            let wrote = encode_chunk_data_into(out, *problem, *chunk, |_| *digest, raw(payload));
+            return wrote.map(drop).expect("a raw copy cannot fail");
+        }
+        _ => {}
     }
     frame_into(frame.type_code(), out, |body| match frame {
         Frame::Hello { client }
@@ -495,17 +643,6 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
             body.u64(*problem);
             body.u64(*chunk);
         }
-        Frame::ChunkData {
-            problem,
-            chunk,
-            digest,
-            payload,
-        } => {
-            body.u64(*problem);
-            body.u64(*chunk);
-            body.u64(*digest);
-            body.bytes(payload);
-        }
         Frame::ChunkMissing { problem, chunk } => {
             body.u64(*problem);
             body.u64(*chunk);
@@ -522,42 +659,26 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
         }
         Frame::StatusRequest => {}
         Frame::StatusReport { snapshot } => body.bytes(snapshot),
-        Frame::Turn { .. } => unreachable!("encoded above"),
-        Frame::TurnReply {
-            seq,
-            acks,
-            units,
-            then,
-        } => {
-            body.u64(*seq);
-            body.u8(*then as u8);
-            body.u32(acks.len() as u32);
-            for (problem, unit, accepted) in acks {
-                body.u64(*problem);
-                body.u64(*unit);
-                body.u8(u8::from(*accepted));
-            }
-            body.u32(units.len() as u32);
-            for (problem, unit, cost_ops, payload) in units {
-                body.u64(*problem);
-                body.u64(*unit);
-                body.f64(*cost_ops);
-                body.bytes(payload);
-            }
+        Frame::Turn { .. } | Frame::TurnReply { .. } | Frame::ChunkData { .. } => {
+            unreachable!("encoded above")
         }
     });
 }
 
 /// `(client, seq, want, (problem, unit) ids)`.
-pub type TurnHead = (u64, u64, u32, Vec<(u64, u64)>);
+pub type TurnHead<'a> = (u64, u64, u32, Run<'a, (u64, u64)>);
 
 /// The head of a [`Frame::Turn`] body: also what the origin reads from
 /// the [`DecodeError::BodyCrc`] prefix of a turn mangled in transit, to
 /// attribute the results it carried.
-pub fn decode_turn_head(r: &mut ByteReader) -> Result<TurnHead, WireError> {
-    let (client, seq, want) = (r.u64()?, r.u64()?, r.u32()?);
-    let ids = (0..r.count(16)?).map(|_| Ok((r.u64()?, r.u64()?)));
-    Ok((client, seq, want, ids.collect::<Result<_, WireError>>()?))
+pub fn decode_turn_head<'a>(r: &mut ByteReader<'a>) -> Result<TurnHead<'a>, WireError> {
+    let (client, seq, want, n) = (r.u64()?, r.u64()?, r.u32()?, r.count(16)?);
+    Ok((
+        client,
+        seq,
+        want,
+        Run::of(r, n, |r| Ok((r.u64()?, r.u64()?)))?,
+    ))
 }
 
 /// Parses and validates a frame header, returning `(frame_type,
@@ -593,6 +714,12 @@ pub fn parse_header(buf: &[u8]) -> Result<(u8, u32), DecodeError> {
 /// Decodes one frame from the front of `buf`; returns the frame and the
 /// bytes consumed. [`DecodeError::Incomplete`] means "read more".
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
+    decode_ref(buf).map(|(frame, used)| (frame.into_owned(), used))
+}
+
+/// [`decode_frame`] without the copies: the one decoder, whose frame
+/// borrows its payloads from `buf`.
+pub fn decode_ref(buf: &[u8]) -> Result<(FrameRef<'_>, usize), DecodeError> {
     let (frame_type, body_len) = parse_header(buf)?;
     let total = HEADER_LEN + body_len as usize + 4;
     if buf.len() < total {
@@ -616,47 +743,49 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
         });
     }
     let mut r = ByteReader::new(body);
-    let frame = (|| -> Result<Frame, WireError> {
+    let frame = (|| -> Result<FrameRef, WireError> {
+        use FrameRef::Plain;
         let frame = match frame_type {
-            FT_HELLO => Frame::Hello { client: r.u64()? },
-            FT_REQUEST_WORK => Frame::RequestWork { client: r.u64()? },
-            FT_ASSIGN_UNIT => Frame::AssignUnit {
-                problem: r.u64()?,
-                unit: r.u64()?,
-                cost_ops: r.f64()?,
-                payload: r.bytes()?.to_vec(),
-            },
-            FT_WAIT => Frame::Wait,
-            FT_FINISHED => Frame::Finished,
-            FT_SUBMIT_RESULT => Frame::SubmitResult {
+            FT_HELLO => Plain(Frame::Hello { client: r.u64()? }),
+            FT_REQUEST_WORK => Plain(Frame::RequestWork { client: r.u64()? }),
+            FT_ASSIGN_UNIT => {
+                let (problem, unit, cost_ops, payload) = read_unit(&mut r)?;
+                Plain(Frame::AssignUnit {
+                    problem,
+                    unit,
+                    cost_ops,
+                    payload: payload.to_vec(),
+                })
+            }
+            FT_WAIT => Plain(Frame::Wait),
+            FT_FINISHED => Plain(Frame::Finished),
+            FT_SUBMIT_RESULT => Plain(Frame::SubmitResult {
                 client: r.u64()?,
                 problem: r.u64()?,
                 unit: r.u64()?,
                 payload: r.bytes()?.to_vec(),
-            },
-            FT_RESULT_ACK => Frame::ResultAck {
-                problem: r.u64()?,
-                unit: r.u64()?,
-                accepted: r.u8()? != 0,
-            },
-            FT_HEARTBEAT => Frame::Heartbeat { client: r.u64()? },
-            FT_HEARTBEAT_ACK => Frame::HeartbeatAck,
-            FT_GOODBYE => Frame::Goodbye { client: r.u64()? },
-            FT_CHUNK_REQUEST => Frame::ChunkRequest {
+            }),
+            FT_RESULT_ACK => {
+                let (problem, unit, accepted) = read_ack(&mut r)?;
+                Plain(Frame::ResultAck {
+                    problem,
+                    unit,
+                    accepted,
+                })
+            }
+            FT_HEARTBEAT => Plain(Frame::Heartbeat { client: r.u64()? }),
+            FT_HEARTBEAT_ACK => Plain(Frame::HeartbeatAck),
+            FT_GOODBYE => Plain(Frame::Goodbye { client: r.u64()? }),
+            FT_CHUNK_REQUEST => Plain(Frame::ChunkRequest {
                 client: r.u64()?,
                 problem: r.u64()?,
                 chunk: r.u64()?,
-            },
-            FT_CHUNK_DATA => Frame::ChunkData {
+            }),
+            FT_CHUNK_DATA => FrameRef::ChunkData(r.u64()?, r.u64()?, r.u64()?, r.bytes()?),
+            FT_CHUNK_MISSING => Plain(Frame::ChunkMissing {
                 problem: r.u64()?,
                 chunk: r.u64()?,
-                digest: r.u64()?,
-                payload: r.bytes()?.to_vec(),
-            },
-            FT_CHUNK_MISSING => Frame::ChunkMissing {
-                problem: r.u64()?,
-                chunk: r.u64()?,
-            },
+            }),
             FT_REPLICA_ANNOUNCE => {
                 let n = r.count(4)?; // each endpoint is a length-prefixed string
                 let mut endpoints = Vec::with_capacity(n);
@@ -667,28 +796,20 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
                         .map_err(|_| WireError::new(format!("bad socket address {s:?}")))?;
                     endpoints.push(ep);
                 }
-                Frame::ReplicaAnnounce { endpoints }
+                Plain(Frame::ReplicaAnnounce { endpoints })
             }
-            FT_METRICS_REPORT => Frame::MetricsReport {
+            FT_METRICS_REPORT => Plain(Frame::MetricsReport {
                 client: r.u64()?,
                 snapshot: r.bytes()?.to_vec(),
-            },
-            FT_STATUS_REQUEST => Frame::StatusRequest,
-            FT_STATUS_REPORT => Frame::StatusReport {
+            }),
+            FT_STATUS_REQUEST => Plain(Frame::StatusRequest),
+            FT_STATUS_REPORT => Plain(Frame::StatusReport {
                 snapshot: r.bytes()?.to_vec(),
-            },
+            }),
             FT_TURN => {
                 let (client, seq, want, ids) = decode_turn_head(&mut r)?;
-                let results = ids
-                    .into_iter()
-                    .map(|(p, u)| Ok((p, u, r.bytes()?.to_vec())));
-                let results = results.collect::<Result<_, WireError>>()?;
-                Frame::Turn {
-                    client,
-                    seq,
-                    want,
-                    results,
-                }
+                let payloads = Run::of(&mut r, ids.len(), ByteReader::bytes)?;
+                FrameRef::Turn(client, seq, want, ids, payloads)
             }
             FT_TURN_REPLY => {
                 let seq = r.u64()?;
@@ -698,17 +819,10 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), DecodeError> {
                     2 => Then::Finished,
                     other => return Err(WireError::new(format!("bad turn verdict {other}"))),
                 };
-                let acks = (0..r.count(17)?).map(|_| Ok((r.u64()?, r.u64()?, r.u8()? != 0)));
-                let acks = acks.collect::<Result<_, WireError>>()?;
-                let units = (0..r.count(28)?)
-                    .map(|_| Ok((r.u64()?, r.u64()?, r.f64()?, r.bytes()?.to_vec())));
-                let units = units.collect::<Result<_, WireError>>()?;
-                Frame::TurnReply {
-                    seq,
-                    acks,
-                    units,
-                    then,
-                }
+                let n = r.count(17)?;
+                let acks = Run::of(&mut r, n, read_ack)?;
+                let n = r.count(28)?;
+                FrameRef::TurnReply(seq, acks, Run::of(&mut r, n, read_unit)?, then)
             }
             _ => unreachable!("parse_header validated the type"),
         };
@@ -829,20 +943,28 @@ impl FrameAssembler {
         &mut self.buf[self.tail..]
     }
 
-    fn consume(&mut self, n: usize) {
-        self.head += n;
-        if self.head == self.tail {
-            self.head = 0;
-            self.tail = 0;
-        }
+    /// Pulls the next complete frame, if the buffered bytes hold one.
+    #[inline]
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
+        Ok(self.next_ref()?.map(|frame| frame.into_owned()))
     }
 
-    /// Pulls the next complete frame, if the buffered bytes hold one.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        let live = &self.buf[self.head..self.tail];
-        match decode_frame(live) {
+    /// [`Self::next_frame`], borrowed: the frame's payloads are slices
+    /// of this buffer, good until the next call that takes `&mut self`.
+    #[inline]
+    pub fn next_ref(&mut self) -> Result<Option<FrameRef<'_>>, DecodeError> {
+        let Self { buf, head, tail } = self;
+        let live = &buf[*head..*tail];
+        // Consuming only moves the cursor: the bytes stay where they are.
+        let mut consume = |used: usize| {
+            *head += used;
+            if *head == *tail {
+                (*head, *tail) = (0, 0);
+            }
+        };
+        match decode_ref(live) {
             Ok((frame, used)) => {
-                self.consume(used);
+                consume(used);
                 Ok(Some(frame))
             }
             Err(DecodeError::Incomplete) => Ok(None),
@@ -850,11 +972,21 @@ impl FrameAssembler {
                 // The header was sound, so the frame's span is known:
                 // skip it whole and let the caller keep the stream.
                 if let Ok((_, body_len)) = parse_header(live) {
-                    let total = HEADER_LEN + body_len as usize + 4;
-                    self.consume(total.min(live.len()));
+                    consume(HEADER_LEN + body_len as usize + 4);
                 }
                 Err(e)
             }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Whether the buffered bytes hold a whole frame (sound or not);
+    /// `Err`: no frame can start where they start.
+    fn frame_ready(&self) -> Result<bool, DecodeError> {
+        let live = &self.buf[self.head..self.tail];
+        match parse_header(live) {
+            Ok((_, body_len)) => Ok(live.len() >= HEADER_LEN + body_len as usize + 4),
+            Err(DecodeError::Incomplete) => Ok(false),
             Err(e) => Err(e),
         }
     }
@@ -886,34 +1018,40 @@ impl FrameReader {
     /// The next frame among the bytes earlier reads already buffered,
     /// without touching the stream: `Ok(None)` when they hold no whole
     /// frame. Errors are those of [`FrameAssembler::next_frame`].
-    pub fn next_buffered(&mut self) -> Result<Option<Frame>, DecodeError> {
-        self.asm.next_frame()
+    pub fn next_buffered(&mut self) -> Result<Option<FrameRef<'_>>, DecodeError> {
+        self.asm.next_ref()
     }
 
     /// Reads until one full frame is available, the stream times out
     /// (`Ok(None)`), or the connection fails.
     pub fn poll<R: Read>(&mut self, stream: &mut R) -> Result<Option<Frame>, ReadError> {
+        Ok(self.poll_ref(stream)?.map(|frame| frame.into_owned()))
+    }
+
+    /// [`Self::poll`], borrowed: the frame's payloads are slices of the
+    /// reader's buffer, good until its next call.
+    pub fn poll_ref<R: Read>(&mut self, stream: &mut R) -> Result<Option<FrameRef<'_>>, ReadError> {
         loop {
-            match self.asm.next_frame() {
-                Ok(Some(frame)) => return Ok(Some(frame)),
-                Ok(None) => match self.asm.read_from(stream) {
-                    Ok(0) => {
-                        return Err(ReadError::Io(std::io::Error::new(
-                            std::io::ErrorKind::UnexpectedEof,
-                            "peer closed the connection",
-                        )))
-                    }
-                    Ok(_) => {}
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        return Ok(None)
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                    Err(e) => return Err(ReadError::Io(e)),
-                },
-                Err(e) => return Err(ReadError::Decode(e)),
+            // (Asked first, so that the borrow is taken only on the way out.)
+            if self.asm.frame_ready().map_err(ReadError::Decode)? {
+                return self.asm.next_ref().map_err(ReadError::Decode);
+            }
+            match self.asm.read_from(stream) {
+                Ok(0) => {
+                    return Err(ReadError::Io(std::io::Error::new(
+                        std::io::ErrorKind::UnexpectedEof,
+                        "peer closed the connection",
+                    )))
+                }
+                Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    return Ok(None)
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(ReadError::Io(e)),
             }
         }
     }
@@ -1010,32 +1148,136 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn crc32_matches_known_vectors() {
-        // Standard IEEE CRC-32 check values.
-        assert_eq!(crc32(b""), 0x0000_0000);
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    /// `encode_frame` of every frame of `all_frames()`, in order, as the
+    /// commit before the in-place encoders and the CLMUL checksum wrote
+    /// them: not one wire byte may move.
+    const GOLDEN: &[&str] = &[
+        "7c150db1010108000000618927c703000000000000008ad8adeb",
+        "7c150db1010208000000b1f38780ffffffffffffffff1cdf4421",
+        "7c150db101031d0100009b17e2db01000000000000002a00000000000000000000c00b5ad64101010000ababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababababab2d3d43e4",
+        "7c150db1010400000000fe2e73ca00000000",
+        "7c150db10105000000004e0713f700000000",
+        "7c150db101061c0100008effbeab02000000000000000000000000000000070000000000000000010000000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f404142434445464748494a4b4c4d4e4f505152535455565758595a5b5c5d5e5f606162636465666768696a6b6c6d6e6f707172737475767778797a7b7c7d7e7f808182838485868788898a8b8c8d8e8f909192939495969798999a9b9c9d9e9fa0a1a2a3a4a5a6a7a8a9aaabacadaeafb0b1b2b3b4b5b6b7b8b9babbbcbdbebfc0c1c2c3c4c5c6c7c8c9cacbcccdcecfd0d1d2d3d4d5d6d7d8d9dadbdcdddedfe0e1e2e3e4e5e6e7e8e9eaebecedeeeff0f1f2f3f4f5f6f7f8f9fafbfcfdfeffac7e7520",
+        "7c150db1010711000000d46476650000000000000000070000000000000001e2ac89da",
+        "7c150db101080800000010eb37ca05000000000000000dd1c22d",
+        "7c150db10109000000004feae33200000000",
+        "7c150db1010a0800000070b8f7b0000000000000000069df2265",
+        "7c150db1010b180000005fc68edd060000000000000001000000000000000d00000000000000301c9126",
+        "7c150db1010c9c000000233b950d01000000000000000d000000000000000df0fecaefbeadde800000007f7e7d7c7b7a797877767574737271706f6e6d6c6b6a696867666564636261605f5e5d5c5b5a595857565554535251504f4e4d4c4b4a494847464544434241403f3e3d3c3b3a393837363534333231302f2e2d2c2b2a292827262524232221201f1e1d1c1b1a191817161514131211100f0e0d0c0b0a09080706050403020100be87241c",
+        "7c150db1010d10000000101b7a970100000000000000ffffffffffffffffb1dab506",
+        "7c150db1010e0400000008a1a10f000000001cdf4421",
+        "7c150db1010e34000000a9598aff030000000e0000003132372e302e302e313a393030310b0000005b3a3a315d3a36353533350b00000031302e302e302e373a383031a62141",
+        "7c150db1010f4c0000006af8616c090000000000000040000000000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f202122232425262728292a2b2c2d2e2f303132333435363738393a3b3c3d3e3f7d589a81",
+        "7c150db1011000000000bc1f135f00000000",
+        "7c150db1011164000000585637d6600000004242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242424242428802efa3",
+        "7c150db1011218000000ac337eb004000000000000000100000000000000020000000000000093c28a26",
+        "7c150db101127f00000016fc8f160400000000000000ffffffffffffffff40000000030000000000000000000000070000000000000001000000000000000800000000000000000000000000000009000000000000002800000001010101010101010101010101010101010101010101010101010101010101010101010101010101000000000300000002020283c62fda",
+        "7c150db1011311000000965516f00900000000000000020000000000000000e65daf86",
+        "7c150db101138c000000ef6c3cbf0a000000000000000102000000000000000000000007000000000000000101000000000000000800000000000000000200000000000000000000000a0000000000000000000000d01243412100000003030303030303030303030303030303030303030303030303030303030303030301000000000000000b00000000000000000000000000f03f00000000a0425dd4",
+    ];
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The sliced loop against the bytewise oracle: every length that
-    /// exercises zero to eight whole words plus every tail, at every
-    /// alignment of the slice start, then seeded random buffers.
     #[test]
-    fn sliced_crc32_agrees_with_the_bytewise_oracle() {
-        let oracle = |data: &[u8]| crc32_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF;
-        let mut rng = SplitMix64::new(0x0C2C_0032);
-        let backing: Vec<u8> = (0..64 + 8).map(|_| rng.next_u64() as u8).collect();
-        for align in 0..8 {
-            for len in 0..=64 {
-                let data = &backing[align..align + len];
-                assert_eq!(crc32(data), oracle(data), "align {align} len {len}");
+    fn golden_frame_bytes_have_not_moved() {
+        let frames = all_frames();
+        assert_eq!(frames.len(), GOLDEN.len());
+        for (frame, golden) in frames.iter().zip(GOLDEN) {
+            assert_eq!(hex(&encode_frame(frame)), *golden, "{frame:?}");
+        }
+    }
+
+    /// The borrowed decoder is the decoder: on every frame, every
+    /// truncation and every single-byte corruption it and the owned
+    /// form reach the same verdict — the same frame and length, or the
+    /// same error with the same `BodyCrc` prefix — and an assembler
+    /// hands out the same frames borrowed as owned.
+    #[test]
+    fn borrowed_decode_reaches_the_owned_verdict_on_every_input() {
+        let owned = |buf: &[u8]| decode_ref(buf).map(|(frame, used)| (frame.into_owned(), used));
+        let (mut by_ref, mut by_value) = (FrameAssembler::new(), FrameAssembler::new());
+        for frame in all_frames() {
+            let clean = encode_frame(&frame);
+            assert_eq!(owned(&clean), Ok((frame.clone(), clean.len())));
+            for cut in 0..clean.len() {
+                assert_eq!(owned(&clean[..cut]), decode_frame(&clean[..cut]));
             }
+            for pos in 0..clean.len() {
+                let mut bad = clean.clone();
+                bad[pos] ^= 0x41;
+                assert_eq!(owned(&bad), decode_frame(&bad), "byte {pos} of {frame:?}");
+                if pos >= HEADER_LEN {
+                    by_ref.push(&bad);
+                    by_value.push(&bad);
+                }
+            }
+            by_ref.push(&clean);
+            by_value.push(&clean);
+            loop {
+                let borrowed = by_ref.next_ref().map(|f| f.map(|f| f.into_owned()));
+                assert_eq!(borrowed, by_value.next_frame());
+                if borrowed == Ok(None) {
+                    break;
+                }
+            }
+            assert_eq!((by_ref.buffered(), by_value.buffered()), (0, 0));
         }
-        for _ in 0..200 {
-            let len = (rng.next_u64() % 5000) as usize;
-            let data: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
-            assert_eq!(crc32(&data), oracle(&data), "random buffer of {len}");
-        }
+    }
+
+    /// A unit whose payload writer fails is taken back out of the reply
+    /// and out of its count; what was written around it is untouched.
+    #[test]
+    fn an_unencodable_unit_is_truncated_out_of_the_turn_reply() {
+        type Write<'a> = Box<dyn FnOnce(&mut ByteWriter) -> Result<(), WireError> + 'a>;
+        let partial = |w: &mut ByteWriter| {
+            w.u64(0xDEAD);
+            Err(WireError::new("codec bug"))
+        };
+        let units: Vec<(u64, u64, f64, Write)> = vec![
+            (0, 10, 1.5, Box::new(raw(&[3; 33]))),
+            (0, 11, 2.5, Box::new(partial)),
+            (1, 12, 3.5, Box::new(raw(&[]))),
+        ];
+        let mut out = vec![0xEE; 3];
+        let acks = [(0, 7, true)].into_iter();
+        encode_turn_reply_into(&mut out, 9, Then::More, acks, units.into_iter());
+        let sent = Frame::TurnReply {
+            seq: 9,
+            acks: vec![(0, 7, true)],
+            units: vec![(0, 10, 1.5, vec![3; 33]), (1, 12, 3.5, Vec::new())],
+            then: Then::More,
+        };
+        assert_eq!(out[..3], [0xEE; 3]);
+        assert_eq!(out[3..], encode_frame(&sent));
+    }
+
+    /// The in-place chunk encoder patches in the digest of what was
+    /// written, to the byte what the owned frame encodes to; a failed
+    /// writer leaves the output as it was.
+    #[test]
+    fn chunk_data_is_digested_in_place_and_a_failed_write_leaves_no_trace() {
+        let payload: Vec<u8> = (0..=200).collect();
+        let digest = crate::net::chunk_digest(&payload);
+        let mut out = vec![0xEE; 3];
+        let wrote =
+            encode_chunk_data_into(&mut out, 1, 13, crate::net::chunk_digest, raw(&payload));
+        assert_eq!(wrote, Ok((digest, payload.len())));
+        let owned = Frame::ChunkData {
+            problem: 1,
+            chunk: 13,
+            digest,
+            payload,
+        };
+        assert_eq!(out[3..], encode_frame(&owned));
+        let before = out.clone();
+        let failing = |w: &mut ByteWriter| {
+            w.buf().extend([1, 2, 3]);
+            Err(WireError::new("no such chunk"))
+        };
+        assert!(encode_chunk_data_into(&mut out, 1, 14, |_| 0, failing).is_err());
+        assert_eq!(out, before);
     }
 
     #[test]
@@ -1148,6 +1390,7 @@ mod tests {
         let (client, seq, want, ids) = decode_turn_head(&mut r).unwrap();
         assert_eq!((client, seq, want), (4, 77, 5));
         let sent: Vec<_> = results.iter().map(|(p, u, _)| (*p, *u)).collect();
+        let ids: Vec<_> = ids.collect();
         assert_eq!(ids, sent, "every unit the turn carried can be routed");
         r.finish().unwrap();
 

@@ -623,6 +623,22 @@ impl Server {
         results: Vec<TurnResult>,
         want: usize,
     ) -> TurnOutcome {
+        self.turn_wire(client, now, results, &[], want)
+    }
+
+    /// [`Server::turn`] for results that came off a wire: `wire[i]` is
+    /// the codec bytes `results[i]` was decoded from, which the journal
+    /// (and a quorum vote) then take as they are instead of encoding
+    /// the payload again. Every codec round-trips byte for byte, so the
+    /// log reads the same either way; a result with no entry is encoded.
+    pub fn turn_wire(
+        &mut self,
+        client: ClientId,
+        now: f64,
+        results: Vec<TurnResult>,
+        wire: &[&[u8]],
+        want: usize,
+    ) -> TurnOutcome {
         self.telemetry.set_now(now);
         // Every unit leaves the table before the first is folded, so
         // that `end` — the donor's completed-work counters once all of
@@ -639,7 +655,7 @@ impl Server {
             taken.push(inf);
         }
         let mut accepted = Vec::with_capacity(results.len());
-        for (r, inf) in results.into_iter().zip(taken) {
+        for (i, (r, inf)) in results.into_iter().zip(taken).enumerate() {
             let (problem, unit_id) = (r.problem, r.unit);
             accepted.push(match (r.payload, inf) {
                 _ if problem >= self.problems.len() => false, // garbage id: nack
@@ -651,7 +667,8 @@ impl Server {
                 // problem: its table, had the unit stayed there, is gone.)
                 (Some(payload), Some(inf)) if !self.problems[problem].done => {
                     let result = TaskResult { unit_id, payload };
-                    self.fold(client, problem, result, inf, now, end)
+                    let wire = wire.get(i).copied();
+                    self.fold(client, problem, result, wire, inf, now, end)
                 }
                 _ => {
                     self.wasted(problem, unit_id, client);
@@ -883,17 +900,20 @@ impl Server {
         };
         let (units, ops) = self.sched.work_completed(client);
         let end = (units + 1, ops + inf.unit.cost_ops);
-        self.fold(client, problem, result, inf, now, end)
+        self.fold(client, problem, result, None, inf, now, end)
     }
 
     // Rules on one result whose unit `inf` was just taken out of the
-    // lease table; `end`: the donor's completed-work counters as they
-    // will stand at the end of the turn that brought it.
+    // lease table; `wire`: the codec bytes it was decoded from, if it
+    // came off a wire; `end`: the donor's completed-work counters as
+    // they will stand at the end of the turn that brought it.
+    #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,
         client: ClientId,
         problem: ProblemId,
         result: TaskResult,
+        wire: Option<&[u8]>,
         inf: InFlight,
         now: f64,
         end: (u64, f64),
@@ -956,7 +976,11 @@ impl Server {
         let needs_vote = p.votes.contains_key(&unit_id)
             || (self.sched.quorum_enabled() && p.codec.is_some() && !self.sched.is_trusted(client));
         let codec = p.codec.as_ref().filter(|_| needs_vote);
-        let encoded_for_vote = codec.and_then(|c| c.encode_result(&result.payload).ok());
+        let encode = |c: &Arc<dyn WireCodec>| match wire {
+            Some(bytes) => Some(bytes.to_vec()),
+            None => c.encode_result(&result.payload).ok(),
+        };
+        let encoded_for_vote = codec.and_then(encode);
         let (result, pre_encoded) = match encoded_for_vote {
             None => {
                 if needs_vote {
@@ -1041,9 +1065,10 @@ impl Server {
         // the recovery drops, and the unit is simply recomputed. A
         // quorum winner journals its winning wire bytes verbatim.
         if let Some(j) = self.journal.as_mut() {
-            let codec = p.codec.as_ref();
-            let encode = || codec.and_then(|c| c.encode_result(&result.payload).ok());
-            if let Some(b) = pre_encoded.or_else(encode) {
+            let encode = |c: &Arc<dyn WireCodec>| c.encode_result(&result.payload).ok();
+            if let Some(b) = pre_encoded.as_deref().or(wire) {
+                j.result_folded(problem, unit_id, b);
+            } else if let Some(b) = p.codec.as_ref().and_then(encode) {
                 j.result_folded(problem, unit_id, &b);
             }
         }
@@ -1498,12 +1523,11 @@ mod tests {
     /// so tests can steer affinity with known digests.
     struct RangeCodec;
     impl WireCodec for RangeCodec {
-        fn encode_unit(&self, p: &Payload) -> Result<Vec<u8>, crate::codec::WireError> {
+        fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
             let &(lo, hi) = p.downcast_ref::<(u64, u64)>().unwrap();
-            let mut w = crate::codec::ByteWriter::new();
             w.u64(lo);
             w.u64(hi);
-            Ok(w.into_bytes())
+            Ok(())
         }
         fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, crate::codec::WireError> {
             let mut r = crate::codec::ByteReader::new(bytes);
@@ -1512,10 +1536,9 @@ mod tests {
             r.finish()?;
             Ok(Payload::new((lo, hi), 16))
         }
-        fn encode_result(&self, p: &Payload) -> Result<Vec<u8>, crate::codec::WireError> {
-            let mut w = crate::codec::ByteWriter::new();
+        fn write_result(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
             w.u64(*p.downcast_ref::<u64>().unwrap());
-            Ok(w.into_bytes())
+            Ok(())
         }
         fn decode_result(&self, bytes: &[u8]) -> Result<Payload, crate::codec::WireError> {
             let mut r = crate::codec::ByteReader::new(bytes);

@@ -1168,10 +1168,9 @@ mod tests {
 
         struct Codec;
         impl WireCodec for Codec {
-            fn encode_unit(&self, p: &Payload) -> Result<Vec<u8>, WireError> {
-                let mut w = ByteWriter::new();
+            fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
                 w.u64(*p.downcast_ref::<u64>().unwrap());
-                Ok(w.into_bytes())
+                Ok(())
             }
             fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
                 let mut r = ByteReader::new(bytes);
@@ -1179,10 +1178,9 @@ mod tests {
                 r.finish()?;
                 Ok(Payload::new(id, 64))
             }
-            fn encode_result(&self, p: &Payload) -> Result<Vec<u8>, WireError> {
-                let mut w = ByteWriter::new();
+            fn write_result(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
                 w.u64(*p.downcast_ref::<u64>().unwrap());
-                Ok(w.into_bytes())
+                Ok(())
             }
             fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
                 let mut r = ByteReader::new(bytes);
@@ -1197,9 +1195,10 @@ mod tests {
                     bytes: CHUNK_BYTES as u64,
                 }]
             }
-            fn encode_chunk(&self, chunk: u64) -> Result<Vec<u8>, WireError> {
+            fn write_chunk(&self, chunk: u64, w: &mut ByteWriter) -> Result<(), WireError> {
                 if chunk == 0 {
-                    Ok(chunk_bytes())
+                    w.buf().extend(chunk_bytes());
+                    Ok(())
                 } else {
                     Err(WireError::new(format!("no chunk {chunk}")))
                 }

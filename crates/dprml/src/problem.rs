@@ -225,19 +225,18 @@ const RESULT_NNI_BEST: u8 = 3;
 struct DprmlCodec;
 
 impl WireCodec for DprmlCodec {
-    fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn write_unit(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let du = payload
             .downcast_ref::<DprmlUnit>()
             .ok_or_else(|| WireError::new("dprml unit payload has the wrong type"))?;
-        let mut w = ByteWriter::new();
         match du {
             DprmlUnit::Refine { tree } => {
                 w.u8(UNIT_REFINE);
-                write_tree(&mut w, tree);
+                write_tree(w, tree);
             }
             DprmlUnit::Insert { tree, taxon, edges } => {
                 w.u8(UNIT_INSERT);
-                write_tree(&mut w, tree);
+                write_tree(w, tree);
                 w.usize(*taxon);
                 w.u32(edges.len() as u32);
                 for &e in edges {
@@ -246,7 +245,7 @@ impl WireCodec for DprmlCodec {
             }
             DprmlUnit::Nni { tree, lnl, moves } => {
                 w.u8(UNIT_NNI);
-                write_tree(&mut w, tree);
+                write_tree(w, tree);
                 w.f64(*lnl);
                 w.u32(moves.len() as u32);
                 for &(idx, (c, a, b)) in moves {
@@ -257,7 +256,7 @@ impl WireCodec for DprmlCodec {
                 }
             }
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
@@ -292,22 +291,21 @@ impl WireCodec for DprmlCodec {
         Ok(Payload::new(unit, bytes.len() as u64))
     }
 
-    fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn write_result(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let dr = payload
             .downcast_ref::<DprmlResult>()
             .ok_or_else(|| WireError::new("dprml result payload has the wrong type"))?;
-        let mut w = ByteWriter::new();
         match &dr.kind {
             DprmlResultKind::Refined { tree, lnl } => {
                 w.u8(RESULT_REFINED);
-                write_tree(&mut w, tree);
+                write_tree(w, tree);
                 w.f64(*lnl);
             }
             DprmlResultKind::InsertBest { candidate } => {
                 w.u8(RESULT_INSERT_BEST);
                 w.usize(candidate.edge);
                 w.f64(candidate.ln_likelihood);
-                write_tree(&mut w, &candidate.tree);
+                write_tree(w, &candidate.tree);
             }
             DprmlResultKind::NniBest { best } => {
                 w.u8(RESULT_NNI_BEST);
@@ -316,7 +314,7 @@ impl WireCodec for DprmlCodec {
                         w.u8(1);
                         w.usize(*idx);
                         w.f64(*lnl);
-                        write_tree(&mut w, tree);
+                        write_tree(w, tree);
                     }
                     None => w.u8(0),
                 }
@@ -326,7 +324,7 @@ impl WireCodec for DprmlCodec {
         w.u8(dr.stats.backend);
         w.u64(dr.stats.pmat_hits);
         w.u64(dr.stats.pmat_misses);
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {

@@ -71,15 +71,13 @@ struct DsearchUnit {
 
 /// One database sequence as wire bytes (the `ChunkData` payload): id,
 /// alphabet tag, length-prefixed residue codes.
-fn encode_db_chunk(seq: &Sequence) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn write_db_chunk(seq: &Sequence, w: &mut ByteWriter) {
     w.str(&seq.id);
     w.u8(match seq.alphabet {
         Alphabet::Dna => 0,
         Alphabet::Protein => 1,
     });
     w.bytes(seq.codes());
-    w.into_bytes()
 }
 
 fn decode_db_chunk(bytes: &[u8]) -> Result<Sequence, WireError> {
@@ -103,13 +101,16 @@ fn decode_db_chunk(bytes: &[u8]) -> Result<Sequence, WireError> {
 /// Precomputed per-sequence chunk metadata: `chunk_meta[i]` describes
 /// database sequence `i` as shipped by [`WireCodec::encode_chunk`].
 fn chunk_table(db: &[Sequence]) -> Vec<ChunkNeed> {
+    let mut w = ByteWriter::new();
     db.iter()
         .enumerate()
         .map(|(i, seq)| {
-            let bytes = encode_db_chunk(seq);
+            w.buf().clear();
+            write_db_chunk(seq, &mut w);
+            let bytes = w.buf();
             ChunkNeed {
                 chunk: i as u64,
-                digest: chunk_digest(&bytes),
+                digest: chunk_digest(bytes),
                 bytes: bytes.len() as u64,
             }
         })
@@ -302,11 +303,10 @@ struct DsearchCodec {
 }
 
 impl WireCodec for DsearchCodec {
-    fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn write_unit(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let u = payload
             .downcast_ref::<DsearchUnit>()
             .ok_or_else(|| WireError::new("dsearch unit payload is not a DsearchUnit"))?;
-        let mut w = ByteWriter::new();
         w.usize(u.start);
         w.usize(u.end);
         w.u32(u.needs.len() as u32);
@@ -315,7 +315,7 @@ impl WireCodec for DsearchCodec {
             w.u64(need.digest);
             w.u64(need.bytes);
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
@@ -347,18 +347,17 @@ impl WireCodec for DsearchCodec {
         ))
     }
 
-    fn encode_result(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
+    fn write_result(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
         let hits = payload
             .downcast_ref::<Vec<Hit>>()
             .ok_or_else(|| WireError::new("dsearch result payload is not a hit list"))?;
-        let mut w = ByteWriter::new();
         w.u32(hits.len() as u32);
         for hit in hits {
             w.str(&hit.query_id);
             w.str(&hit.db_id);
             w.i32(hit.score);
         }
-        Ok(w.into_bytes())
+        Ok(())
     }
 
     fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
@@ -384,12 +383,13 @@ impl WireCodec for DsearchCodec {
             .unwrap_or_default()
     }
 
-    fn encode_chunk(&self, chunk: u64) -> Result<Vec<u8>, WireError> {
+    fn write_chunk(&self, chunk: u64, w: &mut ByteWriter) -> Result<(), WireError> {
         let seq = usize::try_from(chunk)
             .ok()
             .and_then(|i| self.db.get(i))
             .ok_or_else(|| WireError::new(format!("chunk {chunk} out of database range")))?;
-        Ok(encode_db_chunk(seq))
+        write_db_chunk(seq, w);
+        Ok(())
     }
 
     fn hydrate_unit(

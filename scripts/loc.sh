@@ -4,7 +4,9 @@
 # (default: the working tree), so CI prints the merge base and HEAD one
 # after the other and every PR's log shows its line delta. Two subtotals
 # follow the grand total: `net/` (ROADMAP item 3: "net LOC down") and
-# `server.rs + leases.rs` (items 2 / 4b: the server and its lease table).
+# `server.rs + leases.rs` (items 2 / 4b: the server and its lease table);
+# then the number of `unsafe` blocks, fns and impls in the counted lines
+# (ROADMAP item 8b: the audited surface, comments not counted).
 set -eu
 cd "$(dirname "$0")/.."
 rev=${1:-}
@@ -17,7 +19,11 @@ for f in $files; do
     case $f in *.rs) ;; *) continue ;; esac
     if [ -n "$rev" ]; then git show "$rev:$f"; else cat "$f"; fi |
         awk -v f="${f#crates/core/src/}" \
-            '/#\[cfg\(test\)\]/ { exit } { n++ } END { printf "%6d %s\n", n, f }'
-done | awk '{ print; total += $1 } $2 ~ /^net\// { net += $1 }
+            '/#\[cfg\(test\)\]/ { exit } { n++ }
+            !/^[ \t]*\/\// && /(^|[^A-Za-z_])unsafe[ \t]*(\{|fn |impl )/ { u++ }
+            END { printf "%6d %s %d\n", n, f, u }'
+done | awk '{ printf "%6d %s\n", $1, $2; total += $1; unsafe += $3 }
+    $2 ~ /^net\// { net += $1 }
     $2 == "server.rs" || $2 == "leases.rs" { server += $1 }
-    END { printf "%6d total\n%6d net/\n%6d server.rs + leases.rs\n", total, net, server }'
+    END { printf "%6d total\n%6d net/\n%6d server.rs + leases.rs\n%6d unsafe blocks/fns\n",
+        total, net, server, unsafe }'

@@ -1279,6 +1279,84 @@ fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
     }
 }
 
+// ---- codecs round-trip byte for byte ---------------------------------
+
+/// What the origin rests on when it journals (and votes on) the bytes a
+/// result arrived as instead of encoding the payload it just decoded
+/// from them, and what keeps the log the same as an in-process run's:
+/// for every unit a data manager issues and every result its algorithm
+/// computes, `encode(decode(b)) == b` — for the integration, DSEARCH
+/// and DPRml codecs, over seeded inputs and granularity hints, every
+/// stage of a staged problem included.
+#[test]
+fn codecs_reencode_what_they_decoded_to_the_same_bytes() {
+    use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
+    use biodist::core::builtin::integration_problem;
+    use biodist::core::{Problem, WorkUnit};
+    use biodist::dprml::{build_problem as dprml_problem, DprmlConfig};
+    use biodist::dsearch::{build_problem as dsearch_problem, DsearchConfig};
+    use biodist::phylo::evolve::simulate_alignment;
+    use biodist::phylo::patterns::PatternAlignment;
+
+    // Drives `problem` to completion in-process, one result at a time;
+    // returns how many units and results went through the codec.
+    let drive = |mut problem: Problem, rng: &mut Xoshiro256StarStar| -> usize {
+        let codec = problem.codec.clone().expect("registers a codec");
+        let dm = &mut problem.data_manager;
+        let mut held: std::collections::VecDeque<WorkUnit> = Default::default();
+        let mut checked = 0;
+        while !dm.is_complete() {
+            let hint = 10f64.powf(3.0 + 6.0 * rng.next_f64());
+            if let Some(unit) = dm.next_unit(hint).filter(|_| held.len() < 5) {
+                let bytes = codec.encode_unit(&unit.payload).expect("unit encodes");
+                let decoded = codec.decode_unit(&bytes).expect("unit decodes");
+                assert_eq!(
+                    codec.encode_unit(&decoded).unwrap(),
+                    bytes,
+                    "{}",
+                    problem.name
+                );
+                held.push_back(unit);
+                checked += 1;
+                continue;
+            }
+            let unit = held.pop_front().expect("a barrier implies units out");
+            let result = problem.algorithm.compute(&unit);
+            let bytes = codec
+                .encode_result(&result.payload)
+                .expect("result encodes");
+            let decoded = codec.decode_result(&bytes).expect("result decodes");
+            assert_eq!(
+                codec.encode_result(&decoded).unwrap(),
+                bytes,
+                "{}",
+                problem.name
+            );
+            dm.accept_result(result);
+            checked += 1;
+        }
+        checked
+    };
+
+    let mut rng = Xoshiro256StarStar::new(0xC0DEC);
+    for case in 0..4u64 {
+        assert!(drive(integration_problem(5_000 + 977 * case), &mut rng) >= 2);
+
+        let query = random_sequence(Alphabet::Protein, "q0", 60, 100 + case);
+        let db = SyntheticDb::generate(&DbSpec::protein_demo(24, 70), 200 + case);
+        let mut cfg = DsearchConfig::protein_default();
+        cfg.top_hits = 1 + case as usize * 3;
+        assert!(drive(dsearch_problem(db.sequences, vec![query], &cfg), &mut rng) >= 2);
+
+        let config = DprmlConfig::default();
+        let truth = random_yule_tree(5, 0.12, 300 + case);
+        let seqs = simulate_alignment(&truth, &config.build_model(), 80, None, 400 + case);
+        let data = Arc::new(PatternAlignment::from_sequences(&seqs));
+        // (Insert, refine and NNI stages: more than one unit each.)
+        assert!(drive(dprml_problem(data, &config, None, "dprml"), &mut rng) > 6);
+    }
+}
+
 mod frame_reassembly {
     use super::{Rng, Xoshiro256StarStar, CASES};
     use biodist::core::net::wire::{encode_frame, DecodeError, Frame, FrameAssembler, Then};
