@@ -1,17 +1,16 @@
-//! B1 — alignment kernel micro-benchmarks.
+//! B1 — alignment kernel micro-benchmarks: the rows nothing else prints.
 //!
-//! Throughput of the rigorous kernels DSEARCH can select, over a length
-//! sweep, including the striped SIMD kernel both cold (profile built
-//! per pair) and hot (profile reused, the DSEARCH batch path).
-//! Regenerates the per-kernel cost ratios that the DSEARCH cost model
-//! (`AlignKernel::cost_cells`) assumes.
+//! `abl_kernels --smoke` (`BENCH_kernels.json`, smoke-run in CI) measures
+//! the kernels DSEARCH selects by name — scalar, anti-diagonal, striped
+//! with the profile reused, global, semi-global — and is what the cost
+//! model (`AlignKernel::cost_cells`) is calibrated against. This bench
+//! keeps what that run leaves out, over a length sweep: the striped
+//! kernel *cold* (profile built per pair), the banded global kernel, and
+//! the two traceback kernels.
 //!
 //! Run with: `cargo bench -p biodist-bench --bench align_kernels`
 
-use biodist_align::{
-    nw_align, nw_banded_score, nw_score, sw_align, sw_score, sw_score_antidiagonal,
-    sw_score_striped, sw_score_striped_profiled, QueryProfile,
-};
+use biodist_align::{nw_align, nw_banded_score, sw_align, sw_score_striped};
 use biodist_bench::Runner;
 use biodist_bioseq::synth::random_sequence;
 use biodist_bioseq::{Alphabet, ScoringScheme, Sequence};
@@ -30,26 +29,9 @@ fn main() {
     for len in [64usize, 256, 512] {
         let (a, b) = pair(len);
         let cells = Some((len * len) as u64);
-        r.run(&format!("score_kernels/nw_score/{len}"), cells, || {
-            nw_score(&a, &b, &scheme)
-        });
-        r.run(&format!("score_kernels/sw_score/{len}"), cells, || {
-            sw_score(&a, &b, &scheme)
-        });
-        r.run(
-            &format!("score_kernels/sw_antidiagonal/{len}"),
-            cells,
-            || sw_score_antidiagonal(&a, &b, &scheme),
-        );
         r.run(&format!("score_kernels/sw_striped/{len}"), cells, || {
             sw_score_striped(&a, &b, &scheme)
         });
-        let profile = QueryProfile::build(&a, &scheme.matrix);
-        r.run(
-            &format!("score_kernels/sw_striped_profiled/{len}"),
-            cells,
-            || sw_score_striped_profiled(&profile, &b, &scheme.gap),
-        );
         r.run(&format!("score_kernels/nw_banded_16/{len}"), cells, || {
             nw_banded_score(&a, &b, &scheme, 16)
         });

@@ -1,10 +1,11 @@
-//! B2 — likelihood engine micro-benchmarks.
+//! B2 — likelihood engine micro-benchmarks: the rows nothing else prints.
 //!
-//! Throughput of the Felsenstein-pruning traversal and of branch-length
-//! optimisation across model complexity (JC69 vs GTR+Γ4), tree size,
-//! and every SIMD kernel backend the CPU supports. Regenerates the
-//! cost ratios that DPRml's cost model (`traversal_ops`) assumes; the
-//! stage-level speedups live in `abl_likelihood`.
+//! Throughput of the Felsenstein-pruning traversal across model
+//! complexity (JC69 vs GTR+Γ4), tree size and every SIMD kernel backend
+//! the CPU supports — the cost ratios DPRml's cost model
+//! (`traversal_ops`) assumes — and of site-pattern compression.
+//! Branch-length optimisation per backend is `abl_likelihood`'s stage
+//! evaluation (`BENCH_likelihood.json`, smoke-run in CI).
 //!
 //! Run with: `cargo bench -p biodist-bench --bench likelihood`
 
@@ -50,24 +51,6 @@ fn main() {
                 );
             }
         }
-    }
-
-    let model = SubstModel::homogeneous(ModelKind::Hky85 {
-        kappa: 4.0,
-        freqs: [0.25; 4],
-    });
-    let data = workload(12, 200, &model, 9);
-    let tree = random_yule_tree(12, 0.1, 9);
-    for backend in LikBackend::supported() {
-        let engine = TreeLikelihood::with_backend(&model, &data, backend);
-        r.run(
-            &format!("optimize_all_branches_1_round/{}", backend.name()),
-            None,
-            || {
-                let mut t = tree.clone();
-                engine.optimize_edges(&mut t, None, 1, 1e-3)
-            },
-        );
     }
 
     let model = SubstModel::homogeneous(ModelKind::Jc69);

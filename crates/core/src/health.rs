@@ -23,6 +23,11 @@
 //! Everything here is a pure function of the observation sequence: no
 //! clocks, no randomness, so the detector is deterministic under the
 //! sim backend and property-testable under a seed.
+//!
+//! In a running farm the engine belongs to the scheduler
+//! ([`crate::sched::Scheduler`] builds one when `enable_health_detector`
+//! is set): every recorded completion is one observation, and the
+//! engine's flag is the one the scheduler's decisions read.
 
 use crate::sched::ClientId;
 use crate::telemetry::{Histogram, Telemetry};
@@ -35,16 +40,17 @@ pub const RATIO_BOUNDS: &[f64] = &[
     0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0, 50.0,
 ];
 
+/// EWMA smoothing for the fast (recent-behaviour) estimate.
+const ALPHA_FAST: f64 = 0.5;
+/// EWMA smoothing for the slow baseline estimate.
+const ALPHA_BASELINE: f64 = 0.05;
+/// Where the baseline starts before any observation (1.0 = "takes
+/// exactly as long as its speed predicts").
+const BASELINE_PRIOR: f64 = 1.0;
+
 /// Detector tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthConfig {
-    /// EWMA smoothing for the fast (recent-behaviour) estimate.
-    pub alpha_fast: f64,
-    /// EWMA smoothing for the slow baseline estimate.
-    pub alpha_baseline: f64,
-    /// Where the baseline starts before any observation (1.0 = "takes
-    /// exactly as long as its speed predicts").
-    pub baseline_prior: f64,
     /// Flag a donor when `fast / baseline` reaches this ratio.
     pub straggler_ratio: f64,
     /// Clear a flagged donor when the ratio falls back to this value
@@ -58,9 +64,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> Self {
         Self {
-            alpha_fast: 0.5,
-            alpha_baseline: 0.05,
-            baseline_prior: 1.0,
             straggler_ratio: 3.0,
             clear_ratio: 1.5,
             min_observations: 3,
@@ -110,7 +113,6 @@ impl HealthEngine {
             cfg.clear_ratio < cfg.straggler_ratio,
             "clear ratio must sit below the straggler ratio (hysteresis)"
         );
-        assert!(cfg.baseline_prior > 0.0);
         Self {
             cfg,
             donors: BTreeMap::new(),
@@ -136,8 +138,8 @@ impl HealthEngine {
         }
         let cfg = &self.cfg;
         let d = self.donors.entry(client).or_insert_with(|| DonorHealth {
-            fast: Ewma::new(cfg.alpha_fast),
-            baseline: cfg.baseline_prior,
+            fast: Ewma::new(ALPHA_FAST),
+            baseline: BASELINE_PRIOR,
             observations: 0,
             flagged: false,
             hist: Histogram::new(RATIO_BOUNDS),
@@ -148,7 +150,7 @@ impl HealthEngine {
         // straggler must not teach the detector that stragglerhood is
         // normal and silently clear its own flag.
         if !d.flagged {
-            d.baseline += cfg.alpha_baseline * (normalized - d.baseline);
+            d.baseline += ALPHA_BASELINE * (normalized - d.baseline);
         }
         d.hist.observe(normalized);
         self.pool.observe(normalized);

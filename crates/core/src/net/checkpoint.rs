@@ -761,7 +761,7 @@ mod tests {
             };
             abandoned += 1;
         }
-        writer.append_snapshot(&server.scheduler_snapshot());
+        writer.append_snapshot(&server.scheduler().snapshot());
         drop(server); // the crash: all in-memory state gone
 
         let (mut recovered, report) =
@@ -773,7 +773,8 @@ mod tests {
         assert_eq!(recovered.stats(pid).completed_units, 4);
         // Warm scheduler state came back.
         assert!(recovered
-            .scheduler_snapshot()
+            .scheduler()
+            .snapshot()
             .clients
             .iter()
             .any(|c| c.0 == 0));
@@ -892,7 +893,7 @@ mod tests {
         )
         .unwrap();
         assert!(!report.torn_tail);
-        assert_eq!(server.reputation_snapshot(), rep);
+        assert_eq!(server.scheduler().reputation_snapshot(), rep);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1111,7 +1112,7 @@ mod tests {
         )
         .unwrap();
         assert!(!report.torn_tail);
-        assert_eq!(server.affinity_snapshot(), snap);
+        assert_eq!(server.scheduler().affinity_snapshot(), snap);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -53,25 +53,30 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// Tuning for the donor clients. Time-valued fields are in *scaled*
-/// seconds (the [`Clock`]'s unit) unless suffixed `_wall`.
+/// Heartbeat cadence while idle/polling, scaled seconds.
+const HEARTBEAT_INTERVAL: f64 = 0.5;
+/// Socket read timeout (wall time) — the granularity at which a blocked
+/// client notices shutdown flags and deadlines.
+const READ_TIMEOUT_WALL: Duration = Duration::from_millis(5);
+/// Capacity of the donor's chunk cache in bytes. Data a unit needs is
+/// fetched over the wire only when this cache misses.
+const CHUNK_CACHE_BYTES: u64 = 64 * 1024 * 1024;
+
+/// The reconnect backoff: 0.05 scaled seconds, doubling per consecutive
+/// failure (six times at most) up to 2, with ±50% deterministic jitter.
+fn reconnect_backoff() -> Backoff {
+    Backoff::new(0.05, 2.0, 6)
+}
+
+/// Tuning for the donor clients, in *scaled* seconds (the [`Clock`]'s
+/// unit).
 #[derive(Debug, Clone)]
 pub struct NetClientOptions {
-    /// Heartbeat cadence while idle/polling.
-    pub heartbeat_interval: f64,
     /// How long to await an owed reply before treating the connection
     /// as broken (triggers reconnect + resubmission).
     pub ack_timeout: f64,
     /// Sleep after a `Wait` before asking again.
     pub poll_interval: f64,
-    /// Reconnect backoff base (doubles per consecutive failure, with
-    /// ±50% deterministic jitter).
-    pub reconnect_base: f64,
-    /// Reconnect backoff cap.
-    pub reconnect_cap: f64,
-    /// Socket read timeout (wall time) — the granularity at which a
-    /// blocked client notices shutdown flags and deadlines.
-    pub read_timeout_wall: Duration,
     /// Floor of the pipelined dispatch depth: how many assignments the
     /// donor keeps ready or requested (chunks fetched, unit hydrated) so
     /// the next compute starts without a request round-trip — and the
@@ -80,9 +85,6 @@ pub struct NetClientOptions {
     /// 64) and never below this; units that take longer than the
     /// donor's waits run at exactly this depth. 1 disables pipelining.
     pub queue_depth: usize,
-    /// Capacity of the donor's chunk cache in bytes. Data a unit needs
-    /// is fetched over the wire only when this cache misses.
-    pub chunk_cache_bytes: u64,
     /// Cadence at which the donor ships a [`Frame::MetricsReport`]
     /// delta snapshot of its local metrics registry (scaled seconds).
     /// 0 disables shipping. Reports are fire-and-forget: a delta lost
@@ -94,14 +96,9 @@ pub struct NetClientOptions {
 impl Default for NetClientOptions {
     fn default() -> Self {
         Self {
-            heartbeat_interval: 0.5,
             ack_timeout: 2.0,
             poll_interval: 0.05,
-            reconnect_base: 0.05,
-            reconnect_cap: 2.0,
-            read_timeout_wall: Duration::from_millis(5),
             queue_depth: 2,
-            chunk_cache_bytes: 64 * 1024 * 1024,
             metrics_report_interval: 0.0,
         }
     }
@@ -356,7 +353,7 @@ impl ClientLoop {
             conn: None,
             wbuf: Vec::new(),
             spare: Vec::new(),
-            reconnect: Backoff::new(opts.reconnect_base, opts.reconnect_cap, 6),
+            reconnect: reconnect_backoff(),
             unacked: VecDeque::new(),
             sent: 0,
             resend: 0,
@@ -369,7 +366,7 @@ impl ClientLoop {
             read_at: 0.0,
             stale: true,
             last_heartbeat: 0.0,
-            cache: ChunkCache::new(opts.chunk_cache_bytes),
+            cache: ChunkCache::new(CHUNK_CACHE_BYTES),
             staged: Vec::new(),
             queue: VecDeque::new(),
             telemetry: kit.telemetry.clone(),
@@ -469,7 +466,7 @@ impl ClientLoop {
         match stream {
             Some(stream) => {
                 let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
+                let _ = stream.set_read_timeout(Some(READ_TIMEOUT_WALL));
                 debug_assert!(
                     self.wbuf.is_empty() && self.turns.is_empty() && self.inbox.is_empty(),
                     "drop_conn left nothing of the old connection behind"
@@ -546,7 +543,7 @@ impl ClientLoop {
 
     fn maybe_heartbeat(&mut self) {
         let now = self.now();
-        if now - self.last_heartbeat >= self.opts.heartbeat_interval {
+        if now - self.last_heartbeat >= HEARTBEAT_INTERVAL {
             self.last_heartbeat = now;
             // Rides along with the step's turn; its ack is skipped by
             // the reply dispatcher.
@@ -751,7 +748,7 @@ impl ClientLoop {
         let wall = self.clock.wall(wait);
         let deadline = Instant::now() + wall;
         if parked {
-            // One long read instead of a tick every `read_timeout_wall`.
+            // One long read instead of a tick every `READ_TIMEOUT_WALL`.
             let _ = conn
                 .0
                 .set_read_timeout(Some(wall.max(Duration::from_millis(1))));
@@ -782,7 +779,7 @@ impl ClientLoop {
             }
         };
         if parked {
-            let _ = conn.0.set_read_timeout(Some(self.opts.read_timeout_wall));
+            let _ = conn.0.set_read_timeout(Some(READ_TIMEOUT_WALL));
         }
         self.stale = true;
         self.settle(conn, ruled).unwrap_or(Step::Continue)
@@ -983,7 +980,7 @@ impl ClientLoop {
         }
         self.stale |= !todo.is_empty(); // a transfer takes time
 
-        let mut backoff = Backoff::new(self.opts.reconnect_base, self.opts.reconnect_cap, 6);
+        let mut backoff = reconnect_backoff();
         for rung in 0..REPLICA_RUNGS {
             // Group what is still missing by its first healthy
             // rendezvous candidate; endpoints that failed a higher rung
@@ -1087,7 +1084,7 @@ impl ClientLoop {
         };
         self.telemetry.counter_add("replica.connects", 1);
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(self.opts.read_timeout_wall));
+        let _ = stream.set_read_timeout(Some(READ_TIMEOUT_WALL));
         let mut conn = (stream, FrameReader::new());
         self.burst(&mut conn, true, problem, needs, &wants, got).0
     }

@@ -45,6 +45,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
+/// Ticker period (lease sweep + liveness check), wall time.
+const TICK_WALL: Duration = Duration::from_millis(2);
+
 /// Tuning for [`NetServer`]. Time-valued fields are in *scaled* seconds
 /// (the [`Clock`]'s unit), so the same options work at any time scale.
 #[derive(Debug, Clone)]
@@ -53,8 +56,6 @@ pub struct NetServerOptions {
     /// declared gone: its leases reissue immediately instead of waiting
     /// for lease expiry. Scaled seconds.
     pub liveness_timeout: f64,
-    /// Ticker period (lease sweep + liveness check), wall time.
-    pub tick_wall: Duration,
     /// Append a scheduler snapshot to the checkpoint log every this
     /// many ticks (0 disables periodic snapshots).
     pub snapshot_every_ticks: u64,
@@ -79,7 +80,6 @@ impl Default for NetServerOptions {
             .unwrap_or(1);
         Self {
             liveness_timeout: 5.0,
-            tick_wall: Duration::from_millis(2),
             snapshot_every_ticks: 50,
             checkpoint: None,
             shards,
@@ -733,7 +733,7 @@ impl FrameHandler for ShardCtx<'_> {
 fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
     let mut tick = 0u64;
     while !shared.kill.load(Ordering::SeqCst) {
-        thread::sleep(opts.tick_wall);
+        thread::sleep(TICK_WALL);
         tick += 1;
         let now = clock.now();
         // Liveness sweep outside the server lock (fixed lock order:
@@ -766,9 +766,9 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
         if !complete {
             if let Some(w) = &opts.checkpoint {
                 if opts.snapshot_every_ticks > 0 && tick.is_multiple_of(opts.snapshot_every_ticks) {
-                    w.append_snapshot(&server.scheduler_snapshot());
-                    w.append_affinity(&server.affinity_snapshot());
-                    w.append_reputation(&server.reputation_snapshot());
+                    w.append_snapshot(&server.scheduler().snapshot());
+                    w.append_affinity(&server.scheduler().affinity_snapshot());
+                    w.append_reputation(&server.scheduler().reputation_snapshot());
                     let endpoints = shared.replicas.lock().unwrap().clone();
                     if !endpoints.is_empty() {
                         w.append_replicas(&endpoints);

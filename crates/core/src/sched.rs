@@ -17,14 +17,46 @@
 //!    problem has no fresh units left, in-flight units are redundantly
 //!    dispatched to idle donors so one slow machine cannot stall the
 //!    tail (first result wins).
+//!
+//! What the scheduler knows about a donor is one record (`DonorState`:
+//! adaptive state, reputation, chunk-affinity window) in one map, read
+//! with one lookup ([`Scheduler::donor`]). The straggler detector
+//! ([`crate::health`]) is the scheduler's too: every completion
+//! ([`Scheduler::record_completion`]) is its one observation, and its
+//! flag is the only one there is.
 
+use crate::health::{HealthConfig, HealthEngine, HealthTransition};
 use crate::problem::UnitId;
+use crate::telemetry::Telemetry;
 use biodist_util::rng::{Rng, SplitMix64};
 use biodist_util::stats::Ewma;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Identifies a donor machine / client.
 pub type ClientId = usize;
+
+/// EWMA smoothing for client throughput estimates.
+const EWMA_ALPHA: f64 = 0.3;
+/// Lease duration as a multiple of the unit's estimated service time
+/// (expired leases are reissued).
+const LEASE_FACTOR: f64 = 4.0;
+/// Each expiry of a unit's lease doubles the next one, this many times
+/// at most (see [`Scheduler::lease_deadline_backed_off`]).
+const MAX_BACKOFF_DOUBLINGS: u32 = 6;
+/// Absolute ceiling on any lease duration, seconds. Bounds the
+/// exponential backoff so a unit with a wildly wrong cost estimate can
+/// never be parked on one donor for an unbounded time.
+pub(crate) const MAX_LEASE_SECS: f64 = 86_400.0;
+/// Fractional jitter on lease durations: the deadline the server uses
+/// is spread over `±frac` of the nominal lease so a batch of units
+/// assigned in the same instant does not expire in the same instant and
+/// thundering-herd the reissue queue.
+const LEASE_JITTER_FRAC: f64 = 0.1;
+/// Simultaneous executions of one unit under plain redundant dispatch.
+const MAX_REDUNDANCY: u32 = 2;
+/// Chunk digests remembered per donor (oldest forgotten first —
+/// mirrors the donor's own LRU, approximately).
+const AFFINITY_CAPACITY: usize = 4096;
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,33 +67,10 @@ pub struct SchedulerConfig {
     pub min_unit_ops: f64,
     /// Largest unit the granularity control may request, in ops.
     pub max_unit_ops: f64,
-    /// EWMA smoothing for client throughput estimates.
-    pub ewma_alpha: f64,
     /// Throughput prior for clients with no history (ops/second).
     pub prior_ops_per_sec: f64,
-    /// Lease duration as a multiple of the unit's estimated service
-    /// time (expired leases are reissued).
-    pub lease_factor: f64,
     /// Minimum absolute lease duration, seconds.
     pub lease_min_secs: f64,
-    /// Maximum number of lease-backoff doublings applied to a unit
-    /// whose lease keeps expiring (each expiry doubles the next lease
-    /// until this cap; see [`Scheduler::lease_deadline_backed_off`]).
-    pub max_backoff_doublings: u32,
-    /// Absolute ceiling on any lease duration, seconds. Bounds the
-    /// exponential backoff so a unit with a wildly wrong cost estimate
-    /// can never be parked on one donor for an unbounded time.
-    pub max_lease_secs: f64,
-    /// Fractional jitter on lease durations (0 = none): the deadline
-    /// used by the server is spread over `±frac` of the nominal lease
-    /// so a batch of units assigned in the same instant does not expire
-    /// in the same instant and thundering-herd the reissue queue. The
-    /// jitter is a pure hash of `(seed, client, unit, expiries)` — no
-    /// generator state — so deadlines are identical across backends
-    /// regardless of call order.
-    pub lease_jitter_frac: f64,
-    /// Seed for the deterministic lease jitter.
-    pub lease_jitter_seed: u64,
     /// Enable dynamic granularity (off = every hint is
     /// `prior_ops_per_sec × target_unit_secs`).
     pub enable_dynamic_granularity: bool,
@@ -70,15 +79,6 @@ pub struct SchedulerConfig {
     pub enable_adaptive: bool,
     /// Enable redundant end-game dispatch of in-flight units.
     pub enable_redundant_dispatch: bool,
-    /// Maximum simultaneous executions of one unit (≥ 1).
-    pub max_redundancy: u32,
-    /// Enable affinity-aware placement: prefer issuing a unit to a
-    /// donor already caching its data chunks, falling back to the
-    /// fair-share order when no candidate matches.
-    pub enable_affinity: bool,
-    /// Maximum chunk digests remembered per donor (oldest forgotten
-    /// first — mirrors the donor's own LRU, approximately).
-    pub affinity_capacity: usize,
     /// How many units the server pre-pulls per problem so affinity has
     /// candidates to choose among. `1` disables the lookahead pool
     /// (pull-on-demand, the pre-affinity behaviour).
@@ -103,21 +103,14 @@ pub struct SchedulerConfig {
     /// Ceiling on simultaneous copies of one unit when speculative
     /// tail re-issue is enabled.
     pub speculative_max_copies: u32,
-    /// Enable the streaming health detector: per-donor normalized
-    /// service-time EWMAs flag stragglers live, flagged donors lose
-    /// their affinity preference, and units they hold become eligible
-    /// for speculative re-issue *immediately* (not only in the
-    /// end-game tail). Off by default: with the detector disabled every
-    /// trace and scheduling decision is byte-identical to the
-    /// pre-detector behaviour.
+    /// Enable the streaming health detector ([`crate::health`], at its
+    /// default thresholds): per-donor normalized service-time EWMAs
+    /// flag stragglers live, flagged donors lose their affinity
+    /// preference, and units they hold become eligible for speculative
+    /// re-issue *immediately* (not only in the end-game tail). Off by
+    /// default: with the detector disabled every trace and scheduling
+    /// decision is byte-identical to the pre-detector behaviour.
     pub enable_health_detector: bool,
-    /// Flag a donor when its recent normalized service time reaches
-    /// this multiple of its baseline (see [`crate::health`]).
-    pub health_straggler_ratio: f64,
-    /// Clear a flagged donor when the ratio falls back to this value.
-    pub health_clear_ratio: f64,
-    /// Completions required before a donor may be flagged.
-    pub health_min_observations: u32,
 }
 
 impl Default for SchedulerConfig {
@@ -126,20 +119,11 @@ impl Default for SchedulerConfig {
             target_unit_secs: 60.0,
             min_unit_ops: 1e5,
             max_unit_ops: 1e10,
-            ewma_alpha: 0.3,
             prior_ops_per_sec: 1.0e7, // one PIII-1000 (gridsim scale)
-            lease_factor: 4.0,
             lease_min_secs: 120.0,
-            max_backoff_doublings: 6,
-            max_lease_secs: 86_400.0,
-            lease_jitter_frac: 0.1,
-            lease_jitter_seed: 0,
             enable_dynamic_granularity: true,
             enable_adaptive: true,
             enable_redundant_dispatch: true,
-            max_redundancy: 2,
-            enable_affinity: true,
-            affinity_capacity: 4096,
             affinity_lookahead: 1,
             quorum_k: 1,
             quorum_votes: 0,
@@ -147,9 +131,6 @@ impl Default for SchedulerConfig {
             enable_speculative_reissue: false,
             speculative_max_copies: 3,
             enable_health_detector: false,
-            health_straggler_ratio: 3.0,
-            health_clear_ratio: 1.5,
-            health_min_observations: 3,
         }
     }
 }
@@ -167,6 +148,15 @@ impl SchedulerConfig {
             ..Self::default()
         }
     }
+
+    // The speed a donor with this history is priced at: its measured
+    // EWMA, or the prior before any completion (or with adaptation off).
+    fn speed_of(&self, history: Option<&ClientState>) -> f64 {
+        let measured = history.filter(|_| self.enable_adaptive);
+        measured
+            .and_then(|c| c.throughput.value())
+            .unwrap_or(self.prior_ops_per_sec)
+    }
 }
 
 /// Per-client adaptive state.
@@ -179,6 +169,17 @@ struct ClientState {
     /// [`Scheduler::queue_factor`] of the last completion: how much
     /// longer than one unit's service this donor's leases stay out.
     queue_factor: f64,
+}
+
+impl ClientState {
+    fn new() -> Self {
+        Self {
+            throughput: Ewma::new(EWMA_ALPHA),
+            units_completed: 0,
+            ops_completed: 0.0,
+            queue_factor: 1.0,
+        }
+    }
 }
 
 /// Per-donor reputation: how often the donor's results agreed with a
@@ -194,9 +195,10 @@ struct ReputationState {
     trusted: bool,
 }
 
-/// Plain-data snapshot of the reputation map, checkpointed alongside
-/// [`SchedSnapshot`] so a recovered server keeps trusting the donors
-/// that earned it (and keeps cross-checking the ones that did not).
+/// Plain-data snapshot of every donor's reputation, checkpointed
+/// alongside [`SchedSnapshot`] so a recovered server keeps trusting the
+/// donors that earned it (and keeps cross-checking the ones that did
+/// not).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReputationSnapshot {
     /// `(client, agreements, disputes, trusted)`, sorted by client id
@@ -213,11 +215,11 @@ struct AffinityState {
 }
 
 impl AffinityState {
-    fn note(&mut self, digest: u64, cap: usize) {
-        if cap == 0 || self.set.contains(&digest) {
+    fn note(&mut self, digest: u64) {
+        if self.set.contains(&digest) {
             return;
         }
-        while self.order.len() >= cap {
+        while self.order.len() >= AFFINITY_CAPACITY {
             if let Some(old) = self.order.pop_front() {
                 self.set.remove(&old);
             }
@@ -227,9 +229,10 @@ impl AffinityState {
     }
 }
 
-/// Plain-data snapshot of the affinity map (which donor holds which
-/// chunk digests), checkpointed alongside [`SchedSnapshot`] so a
-/// recovered server resumes placing work where the data already lives.
+/// Plain-data snapshot of every donor's affinity window (which donor
+/// holds which chunk digests), checkpointed alongside [`SchedSnapshot`]
+/// so a recovered server resumes placing work where the data already
+/// lives.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AffinitySnapshot {
     /// `(client, digests in insertion order)`, sorted by client id so
@@ -243,7 +246,7 @@ pub struct AffinitySnapshot {
 ///
 /// Only the current EWMA value survives, not the full observation
 /// history: after recovery the estimate re-converges from that value at
-/// the configured `ewma_alpha`, which is exactly the behaviour of a
+/// the usual smoothing, which is exactly the behaviour of a
 /// freshly-observed client at that speed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SchedSnapshot {
@@ -252,23 +255,41 @@ pub struct SchedSnapshot {
     pub clients: Vec<(ClientId, f64, u64)>,
 }
 
+// Everything the scheduler holds on one donor. A part is there exactly
+// when the donor has earned it — a completion, a quorum verdict, a
+// delivered chunk (an affinity window is never empty otherwise) — and
+// that is what each of the three snapshots lists.
+#[derive(Debug, Default)]
+struct DonorState {
+    adaptive: Option<ClientState>,
+    reputation: Option<ReputationState>,
+    affinity: AffinityState,
+}
+
 /// What the scheduler holds on one donor, looked up once
-/// ([`Scheduler::donor`]) for however many units a turn leases it.
+/// ([`Scheduler::donor`]) for however many units a turn leases it, or
+/// for its row of the status view.
 #[derive(Debug, Clone, Copy)]
 pub struct Donor {
     /// The donor.
     pub client: ClientId,
-    /// [`Scheduler::granularity_hint`].
+    /// The granularity hint for its next unit, in ops.
     pub hint: f64,
-    /// [`Scheduler::work_completed`].
+    /// Its estimated throughput in ops/second.
+    pub speed: f64,
+    /// Units it has completed, and their total cost in ops (both start
+    /// over when it is forgotten).
     pub completed: (u64, f64),
     /// [`Scheduler::is_health_flagged`].
     pub flagged: bool,
+    /// [`Scheduler::is_trusted`].
+    pub trusted: bool,
+    /// [`Scheduler::reputation_counts`].
+    pub reputation: (u64, u64),
     /// [`Scheduler::required_copies`].
     pub copies: u32,
-    // [`Scheduler::estimated_speed`] and the last completion's queue
-    // factor: what a lease is priced from.
-    speed: f64,
+    // The last completion's queue factor: with the speed, what a lease
+    // is priced from.
     queue_factor: f64,
 }
 
@@ -279,12 +300,11 @@ pub struct Donor {
 #[derive(Debug)]
 pub struct Scheduler {
     cfg: SchedulerConfig,
-    clients: HashMap<ClientId, ClientState>,
-    affinity: HashMap<ClientId, AffinityState>,
-    reputation: HashMap<ClientId, ReputationState>,
-    /// Donors currently flagged as stragglers by the health engine.
-    /// Maintained by the server; empty unless the detector is enabled.
-    health_flagged: HashSet<ClientId>,
+    donors: HashMap<ClientId, DonorState>,
+    // The streaming straggler detector, present iff the configuration
+    // enables it. `record_completion` feeds it; its flag takes a donor's
+    // affinity preference away and arms the live rescue of its units.
+    health: Option<HealthEngine>,
 }
 
 impl Scheduler {
@@ -295,15 +315,13 @@ impl Scheduler {
             "target unit time must be positive"
         );
         assert!(cfg.min_unit_ops > 0.0 && cfg.min_unit_ops <= cfg.max_unit_ops);
-        assert!(cfg.max_redundancy >= 1);
         assert!(cfg.quorum_k >= 1, "quorum_k must be at least 1");
         assert!(cfg.speculative_max_copies >= 1);
+        let detector = || HealthEngine::new(HealthConfig::default());
         Self {
+            health: cfg.enable_health_detector.then(detector),
             cfg,
-            clients: HashMap::new(),
-            affinity: HashMap::new(),
-            reputation: HashMap::new(),
-            health_flagged: HashSet::new(),
+            donors: HashMap::new(),
         }
     }
 
@@ -312,56 +330,46 @@ impl Scheduler {
         &self.cfg
     }
 
-    /// Estimated throughput of `client` in ops/second.
-    pub fn estimated_speed(&self, client: ClientId) -> f64 {
-        self.donor(client).speed
+    /// The straggler detector, when the configuration enables it.
+    pub fn health(&self) -> Option<&HealthEngine> {
+        self.health.as_ref()
     }
 
-    /// The granularity hint for `client`'s next unit, in ops.
-    pub fn granularity_hint(&self, client: ClientId) -> f64 {
-        self.donor(client).hint
-    }
-
-    /// Everything a lease to `client` is sized, priced and booked from.
+    /// Everything a lease to `client` is sized, priced and booked from:
+    /// one lookup (and one in the detector, when it is on).
     pub fn donor(&self, client: ClientId) -> Donor {
         let cfg = &self.cfg;
-        let state = self.clients.get(&client);
-        let measured = state.filter(|_| cfg.enable_adaptive);
-        let speed = measured
-            .and_then(|c| c.throughput.value())
-            .unwrap_or(cfg.prior_ops_per_sec);
+        let state = self.donors.get(&client);
+        let history = state.and_then(|d| d.adaptive.as_ref());
+        let reputation = state.and_then(|d| d.reputation).unwrap_or_default();
+        let speed = cfg.speed_of(history);
         let sized_from = if cfg.enable_dynamic_granularity {
             speed
         } else {
             cfg.prior_ops_per_sec
         };
+        let single_issue = cfg.quorum_k <= 1 || reputation.trusted;
         Donor {
             client,
             hint: (sized_from * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
-            completed: state.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
-            flagged: self.is_health_flagged(client),
-            copies: self.required_copies(client),
             speed,
-            queue_factor: state.map_or(1.0, |c| c.queue_factor),
+            completed: history.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
+            flagged: self.is_health_flagged(client),
+            trusted: reputation.trusted,
+            reputation: (reputation.agreements, reputation.disputes),
+            copies: if single_issue { 1 } else { cfg.quorum_k },
+            queue_factor: history.map_or(1.0, |c| c.queue_factor),
         }
     }
 
-    /// Lease deadline for a unit of `cost_ops` assigned to `client` at
-    /// time `now`.
-    pub fn lease_deadline(&self, client: ClientId, cost_ops: f64, now: f64) -> f64 {
-        self.lease_deadline_backed_off(&self.donor(client), cost_ops, now, 0)
-    }
-
-    /// Lease deadline with exponential backoff: every prior expiry of
-    /// the unit doubles the lease, so a unit whose true cost exceeds the
+    /// Lease deadline for a unit of `cost_ops` assigned to `donor` at
+    /// time `now`, with exponential backoff: every prior expiry of the
+    /// unit doubles the lease, so a unit whose true cost exceeds the
     /// estimate converges instead of bouncing between reissue and the
     /// same slow donor forever.
     ///
-    /// The growth is clamped twice: at most
-    /// [`SchedulerConfig::max_backoff_doublings`] doublings (and never
-    /// more than 63, so the shift cannot overflow regardless of
-    /// configuration), and the resulting duration never exceeds
-    /// [`SchedulerConfig::max_lease_secs`].
+    /// The growth is clamped twice: at most six doublings, and the
+    /// resulting duration never exceeds a day (`MAX_LEASE_SECS`).
     pub fn lease_deadline_backed_off(
         &self,
         donor: &Donor,
@@ -372,20 +380,19 @@ impl Scheduler {
         // The speed prices one unit's service; the lease has to cover
         // the units the donor works through ahead of it as well.
         let est = cost_ops / donor.speed * donor.queue_factor;
-        let base = (est * self.cfg.lease_factor).max(self.cfg.lease_min_secs);
-        let doublings = prior_expiries.min(self.cfg.max_backoff_doublings).min(63);
-        let factor = (1u64 << doublings) as f64;
-        now + (base * factor).min(self.cfg.max_lease_secs)
+        let base = (est * LEASE_FACTOR).max(self.cfg.lease_min_secs);
+        let factor = f64::from(1u32 << prior_expiries.min(MAX_BACKOFF_DOUBLINGS));
+        now + (base * factor).min(MAX_LEASE_SECS)
     }
 
     /// [`Scheduler::lease_deadline_backed_off`] with deterministic
     /// per-unit jitter: the lease duration is scaled by a factor in
-    /// `[1 − jitter, 1 + jitter)` drawn from a stateless hash of
-    /// `(lease_jitter_seed, client, unit, prior_expiries)`. Units
-    /// assigned in the same scheduling instant therefore expire spread
-    /// out instead of stampeding `check_timeouts` at once, and the same
-    /// `(seed, client, unit, expiries)` tuple always jitters the same
-    /// way on every backend.
+    /// `[1 − jitter, 1 + jitter)` (`LEASE_JITTER_FRAC`) drawn from a
+    /// stateless hash of `(client, unit, prior_expiries)` — no
+    /// generator state. Units assigned in the same scheduling instant
+    /// therefore expire spread out instead of stampeding
+    /// `check_timeouts` at once, and the same tuple always jitters the
+    /// same way on every backend, regardless of call order.
     pub fn lease_deadline_jittered(
         &self,
         donor: &Donor,
@@ -394,23 +401,14 @@ impl Scheduler {
         prior_expiries: u32,
         unit: UnitId,
     ) -> f64 {
-        let client = donor.client;
         let nominal = self.lease_deadline_backed_off(donor, cost_ops, now, prior_expiries);
-        let frac = self.cfg.lease_jitter_frac;
-        if frac <= 0.0 {
-            return nominal;
-        }
         let mut h = SplitMix64::new(
-            self.cfg
-                .lease_jitter_seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                ^ (client as u64).wrapping_mul(0xA24B_AED4_963E_E407)
+            (donor.client as u64).wrapping_mul(0xA24B_AED4_963E_E407)
                 ^ unit.wrapping_mul(0x1000_0000_01B3)
                 ^ u64::from(prior_expiries).wrapping_mul(0xCBF2_9CE4_8422_2325),
         );
-        let spread = 1.0 + frac * (2.0 * h.next_f64() - 1.0);
-        let duration = ((nominal - now) * spread).min(self.cfg.max_lease_secs);
-        now + duration
+        let spread = 1.0 + LEASE_JITTER_FRAC * (2.0 * h.next_f64() - 1.0);
+        now + ((nominal - now) * spread).min(MAX_LEASE_SECS)
     }
 
     /// What a lease's turnaround is divided by to get the unit's own
@@ -434,85 +432,102 @@ impl Scheduler {
     /// Records a completed unit: `cost_ops` of work whose lease was out
     /// for `elapsed_secs` on `client`, `queue_factor` times the unit's
     /// own service ([`Scheduler::queue_factor`]; 1 for a donor that
-    /// does not pipeline beyond one unit ahead).
+    /// does not pipeline beyond one unit ahead). With the detector on,
+    /// the completion is also its observation, and the flag change it
+    /// caused, if any, is returned.
     pub fn record_completion(
         &mut self,
         client: ClientId,
         cost_ops: f64,
         elapsed_secs: f64,
         queue_factor: f64,
-    ) {
-        let elapsed = elapsed_secs.max(1e-9);
-        let state = self.clients.entry(client).or_insert_with(|| ClientState {
-            throughput: Ewma::new(self.cfg.ewma_alpha),
-            units_completed: 0,
-            ops_completed: 0.0,
-            queue_factor: 1.0,
-        });
+    ) -> Option<HealthTransition> {
+        let donor = self.donors.entry(client).or_default();
+        // The health observation is normalized by the *pre-update*
+        // speed estimate: "how much longer than this donor's priced
+        // speed predicts" — an honest-but-slow machine scores ~1.0, a
+        // degraded one drifts up regardless of its nominal speed.
+        let predicted = cost_ops / self.cfg.speed_of(donor.adaptive.as_ref());
+        let sound = predicted > 0.0 && predicted.is_finite();
+        let detector = self.health.as_mut().filter(|_| sound);
+        let service = elapsed_secs / queue_factor;
+        let transition = detector.and_then(|h| h.observe(client, service / predicted));
+        let state = donor.adaptive.get_or_insert_with(ClientState::new);
         state.queue_factor = queue_factor;
+        let elapsed = elapsed_secs.max(1e-9);
         state.throughput.update(cost_ops * queue_factor / elapsed);
         state.units_completed += 1;
         state.ops_completed += cost_ops;
+        transition
     }
 
-    /// Forgets a client (it left the pool). Reputation is forgotten
-    /// too: a donor id that rejoins after departure starts over as an
-    /// unknown, cross-checked donor — the safe direction.
+    /// Forgets a client (it left the pool). Reputation and health are
+    /// forgotten too: a donor id that rejoins after departure starts
+    /// over as an unknown, cross-checked, unflagged donor — the safe
+    /// direction.
     pub fn forget_client(&mut self, client: ClientId) {
-        self.clients.remove(&client);
-        self.affinity.remove(&client);
-        self.reputation.remove(&client);
-        self.health_flagged.remove(&client);
+        self.donors.remove(&client);
+        if let Some(h) = self.health.as_mut() {
+            h.forget(client);
+        }
     }
 
     /// Records that `client` now holds chunks with these digests (it
     /// was just served them, or a backend modelled the transfer).
     pub fn note_chunks(&mut self, client: ClientId, digests: &[u64]) {
-        if !self.cfg.enable_affinity || digests.is_empty() {
+        if digests.is_empty() {
             return;
         }
-        let state = self.affinity.entry(client).or_default();
+        let donor = self.donors.entry(client).or_default();
         for &d in digests {
-            state.note(d, self.cfg.affinity_capacity);
+            donor.affinity.note(d);
         }
     }
 
     /// How many of `digests` the scheduler believes `client` holds.
-    /// Zero when affinity is disabled, so callers can use the score
-    /// directly without re-checking the flag.
     pub fn affinity_score(&self, client: ClientId, digests: &[u64]) -> usize {
-        if !self.cfg.enable_affinity || self.health_flagged.contains(&client) {
+        if self.is_health_flagged(client) {
             // A flagged straggler loses its data-locality preference:
             // feeding it the units it is best placed for just lengthens
             // the tail it is already dragging.
             return 0;
         }
-        match self.affinity.get(&client) {
-            Some(state) => digests.iter().filter(|d| state.set.contains(d)).count(),
-            None => 0,
-        }
+        let held = self.donors.get(&client).map(|d| &d.affinity.set);
+        held.map_or(0, |set| digests.iter().filter(|d| set.contains(d)).count())
     }
 
     /// Total chunk digests tracked for `client`.
     pub fn affinity_entries(&self, client: ClientId) -> usize {
-        self.affinity.get(&client).map_or(0, |s| s.order.len())
+        self.donors
+            .get(&client)
+            .map_or(0, |d| d.affinity.order.len())
     }
 
-    /// Captures the affinity map for the checkpoint log.
+    // Every donor record, sorted by client id: what makes the three
+    // snapshots byte-stable for a given state.
+    fn by_id(&self) -> Vec<(ClientId, &DonorState)> {
+        let mut all: Vec<_> = self.donors.iter().map(|(&id, d)| (id, d)).collect();
+        all.sort_unstable_by_key(|&(id, _)| id);
+        all
+    }
+
+    /// Captures every donor's affinity window for the checkpoint log.
     pub fn affinity_snapshot(&self) -> AffinitySnapshot {
-        let mut clients: Vec<_> = self
-            .affinity
-            .iter()
-            .map(|(&id, st)| (id, st.order.iter().copied().collect::<Vec<u64>>()))
-            .collect();
-        clients.sort_unstable_by_key(|&(id, _)| id);
-        AffinitySnapshot { clients }
+        let held = self.by_id().into_iter().filter_map(|(id, d)| {
+            let window = &d.affinity.order;
+            (!window.is_empty()).then(|| (id, window.iter().copied().collect()))
+        });
+        AffinitySnapshot {
+            clients: held.collect(),
+        }
     }
 
-    /// Replaces the affinity map with a recovered snapshot (entries are
-    /// re-capped against the current configuration).
+    /// Replaces every affinity window with a recovered snapshot
+    /// (entries are re-capped at `AFFINITY_CAPACITY`).
     pub fn restore_affinity(&mut self, snap: &AffinitySnapshot) {
-        self.affinity.clear();
+        for d in self.donors.values_mut() {
+            d.affinity = AffinityState::default();
+        }
         for (id, digests) in &snap.clients {
             self.note_chunks(*id, digests);
         }
@@ -520,34 +535,18 @@ impl Scheduler {
 
     /// Publishes `client`'s adaptive state as telemetry gauges
     /// (`sched.ops_per_sec.c<id>`, `sched.units_completed.c<id>`). The
-    /// server calls this after each recorded completion; a disabled
-    /// handle makes it free.
-    pub fn export_client_metrics(&self, client: ClientId, telemetry: &crate::telemetry::Telemetry) {
+    /// server calls this once per turn that recorded a completion; a
+    /// disabled handle makes it free.
+    pub fn export_client_metrics(&self, client: ClientId, telemetry: &Telemetry) {
         if !telemetry.is_enabled() {
             return;
         }
-        telemetry.gauge_set(
-            &format!("sched.ops_per_sec.c{client}"),
-            self.estimated_speed(client),
-        );
+        let donor = self.donor(client);
+        telemetry.gauge_set(&format!("sched.ops_per_sec.c{client}"), donor.speed);
         telemetry.gauge_set(
             &format!("sched.units_completed.c{client}"),
-            self.units_completed(client) as f64,
+            donor.completed.0 as f64,
         );
-    }
-
-    /// Units completed by `client`, and their total cost in ops (both
-    /// start over when the client is forgotten).
-    pub fn work_completed(&self, client: ClientId) -> (u64, f64) {
-        self.donor(client).completed
-    }
-
-    /// Units completed by `client`.
-    pub fn units_completed(&self, client: ClientId) -> u64 {
-        self.clients
-            .get(&client)
-            .map(|c| c.units_completed)
-            .unwrap_or(0)
     }
 
     /// How many copies of one unit may run at once: `.0` by plain
@@ -561,24 +560,21 @@ impl Scheduler {
         let speculate = c.enable_speculative_reissue || (live && c.enable_health_detector);
         let cap = |on: bool, copies: u32| if on { copies } else { 0 };
         (
-            cap(plain, c.max_redundancy),
+            cap(plain, MAX_REDUNDANCY),
             cap(speculate, c.speculative_max_copies),
         )
     }
 
-    /// Marks or clears `client`'s straggler flag (driven by the
-    /// server's health engine).
-    pub fn set_health_flag(&mut self, client: ClientId, flagged: bool) {
-        if flagged {
-            self.health_flagged.insert(client);
-        } else {
-            self.health_flagged.remove(&client);
-        }
+    /// Whether the detector currently flags `client` as a straggler.
+    pub fn is_health_flagged(&self, client: ClientId) -> bool {
+        self.health.as_ref().is_some_and(|h| h.is_flagged(client))
     }
 
-    /// Whether `client` is currently flagged as a straggler.
-    pub fn is_health_flagged(&self, client: ClientId) -> bool {
-        self.health_flagged.contains(&client)
+    /// Currently flagged donors, sorted by id (none with the detector
+    /// off).
+    pub fn flagged_clients(&self) -> Vec<ClientId> {
+        let detector = self.health.as_ref();
+        detector.map(|h| h.flagged_clients()).unwrap_or_default()
     }
 
     /// Whether K-way quorum issuance is configured at all.
@@ -602,24 +598,23 @@ impl Scheduler {
     /// run on: 1 when quorum is disabled or the donor has earned trust,
     /// `quorum_k` for unknown or previously-disputed donors.
     pub fn required_copies(&self, client: ClientId) -> u32 {
-        if self.cfg.quorum_k <= 1 || self.is_trusted(client) {
-            1
-        } else {
-            self.cfg.quorum_k
-        }
+        self.donor(client).copies
     }
 
     /// Whether `client` has graduated to single-issue.
     pub fn is_trusted(&self, client: ClientId) -> bool {
-        self.reputation.get(&client).is_some_and(|r| r.trusted)
+        self.donor(client).trusted
     }
 
     /// `(agreements since last dispute, lifetime disputes)` for
     /// `client`.
     pub fn reputation_counts(&self, client: ClientId) -> (u64, u64) {
-        self.reputation
-            .get(&client)
-            .map_or((0, 0), |r| (r.agreements, r.disputes))
+        self.donor(client).reputation
+    }
+
+    fn reputation_mut(&mut self, client: ClientId) -> &mut ReputationState {
+        let donor = self.donors.entry(client).or_default();
+        donor.reputation.get_or_insert_with(Default::default)
     }
 
     /// Records that `client`'s result agreed with a byte-identical
@@ -627,7 +622,7 @@ impl Scheduler {
     /// promotes the donor to single-issue.
     pub fn note_quorum_agreement(&mut self, client: ClientId) -> bool {
         let threshold = u64::from(self.cfg.reputation_threshold.max(1));
-        let r = self.reputation.entry(client).or_default();
+        let r = self.reputation_mut(client);
         r.agreements += 1;
         if !r.trusted && r.agreements >= threshold {
             r.trusted = true;
@@ -642,80 +637,76 @@ impl Scheduler {
     /// land here — a bad link is the wire's fault, not the donor's.)
     /// Returns `true` when the donor was trusted and is hereby demoted.
     pub fn note_dispute(&mut self, client: ClientId) -> bool {
-        let r = self.reputation.entry(client).or_default();
+        let r = self.reputation_mut(client);
         r.disputes += 1;
         r.agreements = 0;
         std::mem::replace(&mut r.trusted, false)
     }
 
-    /// Captures the reputation map for the checkpoint log.
+    /// Captures every donor's reputation for the checkpoint log.
     pub fn reputation_snapshot(&self) -> ReputationSnapshot {
-        let mut clients: Vec<_> = self
-            .reputation
-            .iter()
-            .map(|(&id, r)| (id, r.agreements, r.disputes, r.trusted))
-            .collect();
-        clients.sort_unstable_by_key(|&(id, ..)| id);
-        ReputationSnapshot { clients }
-    }
-
-    /// Replaces the reputation map with a recovered snapshot. Entries
-    /// claiming trust without the agreements to back it (e.g. after the
-    /// threshold was raised between runs) are restored demoted.
-    pub fn restore_reputation(&mut self, snap: &ReputationSnapshot) {
-        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
-        self.reputation.clear();
-        for &(id, agreements, disputes, trusted) in &snap.clients {
-            self.reputation.insert(
-                id,
-                ReputationState {
-                    agreements,
-                    disputes,
-                    trusted: trusted && agreements >= threshold,
-                },
-            );
+        let judged = self.by_id().into_iter().filter_map(|(id, d)| {
+            let r = d.reputation?;
+            Some((id, r.agreements, r.disputes, r.trusted))
+        });
+        ReputationSnapshot {
+            clients: judged.collect(),
         }
     }
 
-    /// Every client with adaptive or reputation state (unordered, may repeat).
+    /// Replaces every donor's reputation with a recovered snapshot.
+    /// Entries claiming trust without the agreements to back it (e.g.
+    /// after the threshold was raised between runs) are restored
+    /// demoted.
+    pub fn restore_reputation(&mut self, snap: &ReputationSnapshot) {
+        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
+        for d in self.donors.values_mut() {
+            d.reputation = None;
+        }
+        for &(id, agreements, disputes, trusted) in &snap.clients {
+            *self.reputation_mut(id) = ReputationState {
+                agreements,
+                disputes,
+                trusted: trusted && agreements >= threshold,
+            };
+        }
+    }
+
+    /// Every client with adaptive or reputation state or a straggler
+    /// flag (unordered, may repeat).
     pub fn known_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
-        self.clients.keys().chain(self.reputation.keys()).copied()
+        let donors = self.donors.iter();
+        let tracked = donors.filter(|(_, d)| d.adaptive.is_some() || d.reputation.is_some());
+        tracked.map(|(&id, _)| id).chain(self.flagged_clients())
     }
 
     /// Captures the adaptive state for the checkpoint log.
     pub fn snapshot(&self) -> SchedSnapshot {
-        let mut clients: Vec<_> = self
-            .clients
-            .iter()
-            .map(|(&id, st)| {
-                let speed = st.throughput.value().unwrap_or(self.cfg.prior_ops_per_sec);
-                (id, speed, st.units_completed)
-            })
-            .collect();
-        clients.sort_unstable_by_key(|&(id, _, _)| id);
-        SchedSnapshot { clients }
+        let measured = self.by_id().into_iter().filter_map(|(id, d)| {
+            let st = d.adaptive.as_ref()?;
+            let speed = st.throughput.value().unwrap_or(self.cfg.prior_ops_per_sec);
+            Some((id, speed, st.units_completed))
+        });
+        SchedSnapshot {
+            clients: measured.collect(),
+        }
     }
 
     /// Replaces the adaptive state with a recovered snapshot. Entries
     /// with a non-finite or non-positive speed are dropped rather than
     /// poisoning the estimates (the audit would flag them otherwise).
     pub fn restore(&mut self, snap: &SchedSnapshot) {
-        self.clients.clear();
+        for d in self.donors.values_mut() {
+            d.adaptive = None;
+        }
         for &(id, speed, units) in &snap.clients {
             if !speed.is_finite() || speed <= 0.0 {
                 continue;
             }
-            let mut throughput = Ewma::new(self.cfg.ewma_alpha);
-            throughput.update(speed);
-            self.clients.insert(
-                id,
-                ClientState {
-                    throughput,
-                    units_completed: units,
-                    ops_completed: 0.0,
-                    queue_factor: 1.0,
-                },
-            );
+            let mut state = ClientState::new();
+            state.throughput.update(speed);
+            state.units_completed = units;
+            self.donors.entry(id).or_default().adaptive = Some(state);
         }
     }
 
@@ -727,47 +718,46 @@ impl Scheduler {
     ///   positive (a NaN or zero estimate would poison granularity and
     ///   lease sizing for the rest of the run);
     /// * every granularity hint lies inside the configured
-    ///   `[min_unit_ops, max_unit_ops]` bounds.
+    ///   `[min_unit_ops, max_unit_ops]` bounds;
+    /// * nobody is trusted on fewer agreements than the threshold, and
+    ///   no affinity window is out of step or over its capacity.
     pub fn audit(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        for (&id, state) in &self.clients {
-            if let Some(speed) = state.throughput.value() {
-                if !speed.is_finite() || speed <= 0.0 {
+        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
+        for (&id, donor) in &self.donors {
+            if let Some(state) = &donor.adaptive {
+                if let Some(speed) = state.throughput.value() {
+                    if !speed.is_finite() || speed <= 0.0 {
+                        violations.push(format!(
+                            "client {id}: EWMA speed estimate {speed} is not finite and positive"
+                        ));
+                    }
+                }
+                let hint = self.donor(id).hint;
+                if !(hint >= self.cfg.min_unit_ops && hint <= self.cfg.max_unit_ops) {
                     violations.push(format!(
-                        "client {id}: EWMA speed estimate {speed} is not finite and positive"
+                        "client {id}: granularity hint {hint} outside [{}, {}]",
+                        self.cfg.min_unit_ops, self.cfg.max_unit_ops
                     ));
                 }
             }
-            let hint = self.granularity_hint(id);
-            if !(hint >= self.cfg.min_unit_ops && hint <= self.cfg.max_unit_ops) {
+            if let Some(r) = donor.reputation.filter(|r| r.trusted) {
+                if r.agreements < threshold {
+                    violations.push(format!(
+                        "client {id}: trusted with only {} agreements (threshold {threshold})",
+                        r.agreements
+                    ));
+                }
+            }
+            let (order, set) = (donor.affinity.order.len(), donor.affinity.set.len());
+            if order != set {
                 violations.push(format!(
-                    "client {id}: granularity hint {hint} outside [{}, {}]",
-                    self.cfg.min_unit_ops, self.cfg.max_unit_ops
+                    "client {id}: affinity order/set desynchronised ({order} vs {set})"
                 ));
             }
-        }
-        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
-        for (&id, r) in &self.reputation {
-            if r.trusted && r.agreements < threshold {
+            if order > AFFINITY_CAPACITY {
                 violations.push(format!(
-                    "client {id}: trusted with only {} agreements (threshold {threshold})",
-                    r.agreements
-                ));
-            }
-        }
-        for (&id, state) in &self.affinity {
-            if state.order.len() != state.set.len() {
-                violations.push(format!(
-                    "client {id}: affinity order/set desynchronised ({} vs {})",
-                    state.order.len(),
-                    state.set.len()
-                ));
-            }
-            if state.order.len() > self.cfg.affinity_capacity {
-                violations.push(format!(
-                    "client {id}: {} affinity entries exceed capacity {}",
-                    state.order.len(),
-                    self.cfg.affinity_capacity
+                    "client {id}: {order} affinity entries exceed capacity {AFFINITY_CAPACITY}"
                 ));
             }
         }
@@ -782,7 +772,7 @@ mod tests {
     #[test]
     fn unknown_client_gets_prior_based_hint() {
         let s = Scheduler::new(SchedulerConfig::default());
-        let hint = s.granularity_hint(0);
+        let hint = s.donor(0).hint;
         assert!((hint - 1.0e7 * 60.0).abs() < 1e-6);
     }
 
@@ -794,8 +784,8 @@ mod tests {
             s.record_completion(1, 2.0e7, 1.0, 1.0);
             s.record_completion(2, 2.0e6, 1.0, 1.0);
         }
-        let h1 = s.granularity_hint(1);
-        let h2 = s.granularity_hint(2);
+        let h1 = s.donor(1).hint;
+        let h2 = s.donor(2).hint;
         assert!(h1 > 5.0 * h2, "fast client hint {h1} vs slow {h2}");
     }
 
@@ -803,7 +793,6 @@ mod tests {
     fn a_deep_pipeline_depresses_neither_the_speed_estimate_nor_the_hint_and_the_lease_covers_it() {
         let cfg = SchedulerConfig {
             lease_min_secs: 0.0,
-            lease_jitter_frac: 0.0,
             ..Default::default()
         };
         // Both donors compute 1e7 ops a second. Donor 1 holds one unit
@@ -823,13 +812,18 @@ mod tests {
             shallow.record_completion(1, 1e7, 2.0, 1.0);
             deep.record_completion(2, 1e7, 64.0, deep_factor);
         }
-        let (s1, s2) = (shallow.estimated_speed(1), deep.estimated_speed(2));
+        let (s1, s2) = (shallow.donor(1).speed, deep.donor(2).speed);
         assert!((s1 - 5e6).abs() < 1.0, "a turnaround of two computes: {s1}");
         assert!((s2 - s1).abs() < 1.0, "the depth is divided out: {s2}");
-        assert_eq!(shallow.granularity_hint(1), deep.granularity_hint(2));
-        // lease_factor × the turnaround each donor actually shows.
-        assert!((shallow.lease_deadline(1, 1e7, 0.0) - 4.0 * 2.0).abs() < 1e-6);
-        assert!((deep.lease_deadline(2, 1e7, 0.0) - 4.0 * 64.0).abs() < 1e-6);
+        assert_eq!(shallow.donor(1).hint, deep.donor(2).hint);
+        // LEASE_FACTOR × the turnaround each donor actually shows.
+        assert!(
+            (shallow.lease_deadline_backed_off(&shallow.donor(1), 1e7, 0.0, 0) - 4.0 * 2.0).abs()
+                < 1e-6
+        );
+        assert!(
+            (deep.lease_deadline_backed_off(&deep.donor(2), 1e7, 0.0, 0) - 4.0 * 64.0).abs() < 1e-6
+        );
         // A big unit behind 63 small ones is timed by the work its
         // lease covered, not by the number of results ahead of it.
         assert_eq!(Scheduler::queue_factor(64e7, 63, 63.0 * 1e7), 1.0);
@@ -848,8 +842,8 @@ mod tests {
             s.record_completion(1, 1e12, 1.0, 1.0); // absurdly fast
             s.record_completion(2, 1.0, 1.0, 1.0); // absurdly slow
         }
-        assert_eq!(s.granularity_hint(1), 5e6);
-        assert_eq!(s.granularity_hint(2), 1e6);
+        assert_eq!(s.donor(1).hint, 5e6);
+        assert_eq!(s.donor(2).hint, 1e6);
     }
 
     #[test]
@@ -862,7 +856,7 @@ mod tests {
         for _ in 0..10 {
             s.record_completion(1, 1e9, 1.0, 1.0);
         }
-        let hint = s.granularity_hint(1);
+        let hint = s.donor(1).hint;
         assert!(
             (hint - 1.0e7 * 60.0).abs() < 1e-6,
             "hint must ignore history"
@@ -877,7 +871,7 @@ mod tests {
         };
         let mut s = Scheduler::new(cfg);
         s.record_completion(1, 1e9, 1.0, 1.0);
-        assert_eq!(s.estimated_speed(1), 1.0e7);
+        assert_eq!(s.donor(1).speed, 1.0e7);
     }
 
     #[test]
@@ -886,11 +880,11 @@ mod tests {
         for _ in 0..10 {
             s.record_completion(1, 1e7, 1.0, 1.0); // 1e7 ops/s
         }
-        let fast = s.estimated_speed(1);
+        let fast = s.donor(1).speed;
         for _ in 0..10 {
             s.record_completion(1, 1e6, 1.0, 1.0); // drops to 1e6 ops/s
         }
-        let slow = s.estimated_speed(1);
+        let slow = s.donor(1).speed;
         assert!(slow < fast / 3.0, "estimate must chase the slowdown");
     }
 
@@ -898,10 +892,10 @@ mod tests {
     fn lease_deadline_scales_with_cost_and_respects_minimum() {
         let s = Scheduler::new(SchedulerConfig::default());
         // Prior speed 1e7: 1e9 ops ≈ 100 s est → lease 400 s.
-        let d = s.lease_deadline(0, 1e9, 50.0);
+        let d = s.lease_deadline_backed_off(&s.donor(0), 1e9, 50.0, 0);
         assert!((d - 450.0).abs() < 1e-6);
         // Tiny unit: the 120 s minimum applies.
-        let d2 = s.lease_deadline(0, 1e3, 0.0);
+        let d2 = s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 0);
         assert!((d2 - 120.0).abs() < 1e-6);
     }
 
@@ -913,7 +907,7 @@ mod tests {
         assert!((base - 120.0).abs() < 1e-9);
         assert!((s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 1) - 240.0).abs() < 1e-9);
         assert!((s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 2) - 480.0).abs() < 1e-9);
-        // The doubling count clamps at max_backoff_doublings (6 → 64×).
+        // The doubling count clamps at MAX_BACKOFF_DOUBLINGS (6 → 64×).
         let capped = s.lease_deadline_backed_off(&s.donor(0), 1e3, 0.0, 6);
         assert!((capped - 120.0 * 64.0).abs() < 1e-9);
         assert_eq!(
@@ -925,13 +919,9 @@ mod tests {
     #[test]
     fn lease_backoff_never_overflows_or_grows_unbounded() {
         // Regression: the pre-refactor backoff computed `1u32 << n` with
-        // an inline clamp; a configuration raising the clamp past 31
-        // would have overflowed the shift, and nothing bounded the
-        // resulting lease length. Both hazards are now clamped here.
-        let s = Scheduler::new(SchedulerConfig {
-            max_backoff_doublings: 200, // absurd config must still be safe
-            ..Default::default()
-        });
+        // an inline clamp, and nothing bounded the resulting lease
+        // length. Both hazards are now clamped here.
+        let s = Scheduler::new(SchedulerConfig::default());
         for expiries in [0u32, 31, 32, 63, 64, 1_000, u32::MAX] {
             let d = s.lease_deadline_backed_off(&s.donor(0), 1e9, 1_000.0, expiries);
             assert!(
@@ -939,7 +929,7 @@ mod tests {
                 "deadline must stay finite at {expiries} expiries"
             );
             assert!(
-                d - 1_000.0 <= s.config().max_lease_secs + 1e-9,
+                d - 1_000.0 <= MAX_LEASE_SECS + 1e-9,
                 "lease {d} exceeds the absolute cap after {expiries} expiries"
             );
         }
@@ -949,7 +939,7 @@ mod tests {
             slow.record_completion(7, 1.0, 1.0, 1.0); // ~1 op/s donor
         }
         let d = slow.lease_deadline_backed_off(&slow.donor(7), 1e12, 0.0, 6);
-        assert!(d <= slow.config().max_lease_secs + 1e-9);
+        assert!(d <= MAX_LEASE_SECS + 1e-9);
     }
 
     #[test]
@@ -985,26 +975,16 @@ mod tests {
     }
 
     #[test]
-    fn lease_jitter_respects_disable_and_absolute_cap() {
-        let off = Scheduler::new(SchedulerConfig {
-            lease_jitter_frac: 0.0,
-            ..Default::default()
-        });
-        assert_eq!(
-            off.lease_deadline_jittered(&off.donor(3), 1e9, 7.0, 2, 42)
-                .to_bits(),
-            off.lease_deadline_backed_off(&off.donor(3), 1e9, 7.0, 2)
-                .to_bits(),
-            "zero jitter must reproduce the nominal deadline exactly"
-        );
-        // Even with jitter, no lease may exceed the absolute cap.
-        let s = Scheduler::new(SchedulerConfig {
-            max_lease_secs: 500.0,
-            ..Default::default()
-        });
+    fn lease_jitter_respects_the_absolute_cap() {
+        // 1e12 ops at the prior is a 4e5 s lease before any doubling:
+        // the nominal lease sits at the cap, and jitter may not lift it.
+        let s = Scheduler::new(SchedulerConfig::default());
         for unit in 0..64 {
             let d = s.lease_deadline_jittered(&s.donor(0), 1e12, 100.0, 6, unit);
-            assert!(d - 100.0 <= 500.0 + 1e-9, "lease {d} exceeds the cap");
+            assert!(
+                d - 100.0 <= MAX_LEASE_SECS + 1e-9,
+                "lease {d} exceeds the cap"
+            );
         }
     }
 
@@ -1022,11 +1002,10 @@ mod tests {
         fresh.restore(&snap);
         for c in [1, 2] {
             assert!(
-                (fresh.estimated_speed(c) - s.estimated_speed(c)).abs()
-                    < 1e-6 * s.estimated_speed(c),
+                (fresh.donor(c).speed - s.donor(c).speed).abs() < 1e-6 * s.donor(c).speed,
                 "client {c} speed estimate must survive the round trip"
             );
-            assert_eq!(fresh.units_completed(c), s.units_completed(c));
+            assert_eq!(fresh.donor(c).completed.0, s.donor(c).completed.0);
         }
         assert!(fresh.audit().is_empty());
         // Snapshots are deterministic for identical state.
@@ -1038,8 +1017,8 @@ mod tests {
         bad.clients.push((10, 0.0, 1));
         let mut guarded = Scheduler::new(SchedulerConfig::default());
         guarded.restore(&bad);
-        assert_eq!(guarded.units_completed(9), 0);
-        assert_eq!(guarded.units_completed(10), 0);
+        assert_eq!(guarded.donor(9).completed.0, 0);
+        assert_eq!(guarded.donor(10).completed.0, 0);
         assert!(guarded.audit().is_empty());
     }
 
@@ -1187,10 +1166,10 @@ mod tests {
     fn forget_client_resets_history() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         s.record_completion(1, 1e9, 1.0, 1.0);
-        assert_eq!(s.units_completed(1), 1);
+        assert_eq!(s.donor(1).completed.0, 1);
         s.forget_client(1);
-        assert_eq!(s.units_completed(1), 0);
-        assert_eq!(s.estimated_speed(1), 1.0e7);
+        assert_eq!(s.donor(1).completed.0, 0);
+        assert_eq!(s.donor(1).speed, 1.0e7);
     }
 
     #[test]
@@ -1206,29 +1185,16 @@ mod tests {
 
     #[test]
     fn affinity_capacity_forgets_oldest_first() {
-        let mut s = Scheduler::new(SchedulerConfig {
-            affinity_capacity: 3,
-            ..Default::default()
-        });
-        s.note_chunks(1, &[1, 2, 3, 4]);
-        assert_eq!(s.affinity_entries(1), 3);
+        let mut s = Scheduler::new(SchedulerConfig::default());
+        let digests: Vec<u64> = (1..=AFFINITY_CAPACITY as u64 + 1).collect();
+        s.note_chunks(1, &digests);
+        assert_eq!(s.affinity_entries(1), AFFINITY_CAPACITY);
         assert_eq!(s.affinity_score(1, &[1]), 0, "oldest belief dropped");
         assert_eq!(s.affinity_score(1, &[2, 3, 4]), 3);
         // Duplicates never inflate the count.
         s.note_chunks(1, &[4, 4, 4]);
-        assert_eq!(s.affinity_entries(1), 3);
+        assert_eq!(s.affinity_entries(1), AFFINITY_CAPACITY);
         assert!(s.audit().is_empty());
-    }
-
-    #[test]
-    fn disabling_affinity_zeroes_scores_and_tracks_nothing() {
-        let mut s = Scheduler::new(SchedulerConfig {
-            enable_affinity: false,
-            ..Default::default()
-        });
-        s.note_chunks(1, &[10, 20]);
-        assert_eq!(s.affinity_entries(1), 0);
-        assert_eq!(s.affinity_score(1, &[10]), 0);
     }
 
     #[test]
@@ -1239,25 +1205,51 @@ mod tests {
         });
         s.note_chunks(1, &[10, 20]);
         assert_eq!(s.affinity_score(1, &[10, 20]), 2);
-        s.set_health_flag(1, true);
-        assert!(s.is_health_flagged(1));
+        // Three completions at the priced speed, then 1e7-op units that
+        // take ten times what the estimate predicts: the detector's own
+        // observations raise the flag, and a return to pace clears it.
+        let complete = |s: &mut Scheduler, secs: f64, until: bool| {
+            let done = |s: &Scheduler| s.is_health_flagged(1) == until;
+            let mut transitions = Vec::new();
+            for _ in 0..20 {
+                transitions.extend(s.record_completion(1, 1e7, secs, 1.0));
+                if done(s) {
+                    break;
+                }
+            }
+            assert!(done(s), "flag must reach {until} at {secs} s a unit");
+            transitions
+        };
+        for _ in 0..3 {
+            assert_eq!(s.record_completion(1, 1e7, 1.0, 1.0), None);
+        }
+        let raised = complete(&mut s, 10.0, true);
+        assert!(matches!(raised[..], [HealthTransition::Flagged { .. }]));
+        assert_eq!(s.flagged_clients(), vec![1]);
+        assert!(s.donor(1).flagged);
         assert_eq!(s.affinity_score(1, &[10, 20]), 0, "flagged loses affinity");
         // Live speculation shares the speculative ceiling but does not
         // require enable_speculative_reissue.
         assert_eq!(s.copy_caps(true).1, 3);
         assert_eq!(s.copy_caps(false).1, 0, "tail path stays off");
-        s.set_health_flag(1, false);
+        let cleared = complete(&mut s, 1.0, false);
+        assert!(matches!(cleared[..], [HealthTransition::Cleared { .. }]));
         assert_eq!(s.affinity_score(1, &[10, 20]), 2, "clearing restores it");
-        s.set_health_flag(1, true);
+        complete(&mut s, 100.0, true);
         s.forget_client(1);
         assert!(!s.is_health_flagged(1), "departure clears the flag");
+        assert_eq!(s.health().map(|h| h.observations(1)), Some(0));
 
-        let off = Scheduler::new(SchedulerConfig::default());
+        let mut off = Scheduler::new(SchedulerConfig::default());
         assert_eq!(
             off.copy_caps(true).1,
             0,
             "detector off disarms the live path entirely"
         );
+        for _ in 0..10 {
+            assert_eq!(off.record_completion(1, 1e7, 100.0, 1.0), None);
+        }
+        assert!(off.health().is_none() && !off.is_health_flagged(1));
     }
 
     #[test]

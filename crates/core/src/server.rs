@@ -6,7 +6,7 @@
 //! behaviour the correctness tests see.
 
 use crate::codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
-use crate::health::{HealthConfig, HealthEngine, HealthTransition};
+use crate::health::HealthTransition;
 use crate::leases::{InFlight, Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
 use crate::quorum::{QuorumTally, VoteOutcome};
@@ -376,24 +376,11 @@ pub struct Server {
     rotation: usize,
     journal: Option<Box<dyn RunJournal>>,
     telemetry: Telemetry,
-    // Streaming straggler detector, present iff the scheduler config
-    // enables it. Fed one normalized service-time observation per
-    // accepted result; its flag transitions drive the scheduler's
-    // affinity deprioritization and the live speculative-rescue pass.
-    health: Option<HealthEngine>,
 }
 
 impl Server {
     /// Creates a server with the given scheduler configuration.
     pub fn new(cfg: SchedulerConfig) -> Self {
-        let health = cfg.enable_health_detector.then(|| {
-            HealthEngine::new(HealthConfig {
-                straggler_ratio: cfg.health_straggler_ratio,
-                clear_ratio: cfg.health_clear_ratio,
-                min_observations: cfg.health_min_observations,
-                ..HealthConfig::default()
-            })
-        });
         Self {
             sched: Scheduler::new(cfg),
             problems: Vec::new(),
@@ -402,13 +389,7 @@ impl Server {
             rotation: 0,
             journal: None,
             telemetry: Telemetry::default(),
-            health,
         }
-    }
-
-    /// The streaming health engine, when the detector is enabled.
-    pub fn health(&self) -> Option<&HealthEngine> {
-        self.health.as_ref()
     }
 
     /// Installs a durability journal; every subsequent unit issue and
@@ -643,7 +624,7 @@ impl Server {
         // Every unit leaves the table before the first is folded, so
         // that `end` — the donor's completed-work counters once all of
         // the turn's results are in — is known to each of them.
-        let mut end = self.sched.work_completed(client);
+        let mut end = self.sched.donor(client).completed;
         let mut taken = Vec::with_capacity(results.len());
         for r in &results {
             let sound = r.payload.is_some();
@@ -654,7 +635,7 @@ impl Server {
             }
             taken.push(inf);
         }
-        let mut accepted = Vec::with_capacity(results.len());
+        let (mut accepted, mut timed) = (Vec::with_capacity(results.len()), false);
         for (i, (r, inf)) in results.into_iter().zip(taken).enumerate() {
             let (problem, unit_id) = (r.problem, r.unit);
             accepted.push(match (r.payload, inf) {
@@ -668,6 +649,7 @@ impl Server {
                 (Some(payload), Some(inf)) if !self.problems[problem].done => {
                     let result = TaskResult { unit_id, payload };
                     let wire = wire.get(i).copied();
+                    timed |= inf.lease_of(client).is_some();
                     self.fold(client, problem, result, wire, inf, now, end)
                 }
                 _ => {
@@ -675,6 +657,11 @@ impl Server {
                     false
                 }
             });
+        }
+        // (Gauges are last-write-wins: once per turn that recorded a
+        // completion leaves the registry what once per result did.)
+        if timed {
+            self.sched.export_client_metrics(client, &self.telemetry);
         }
         let units = Vec::with_capacity(want);
         let (mut out, mut extra) = (
@@ -898,9 +885,14 @@ impl Server {
             self.wasted(problem, result.unit_id, client);
             return false;
         };
-        let (units, ops) = self.sched.work_completed(client);
+        let (units, ops) = self.sched.donor(client).completed;
         let end = (units + 1, ops + inf.unit.cost_ops);
-        self.fold(client, problem, result, None, inf, now, end)
+        let timed = inf.lease_of(client).is_some();
+        let advanced = self.fold(client, problem, result, None, inf, now, end);
+        if timed {
+            self.sched.export_client_metrics(client, &self.telemetry);
+        }
+        advanced
     }
 
     // Rules on one result whose unit `inf` was just taken out of the
@@ -932,38 +924,30 @@ impl Server {
                 (end.0 - 1).saturating_sub(units_before),
                 (end.1 - inf.unit.cost_ops - ops_before).max(0.0),
             );
-            let service = latency / queue_factor;
-            // The health observation is normalized by the *pre-update*
-            // speed estimate: "how much longer than this donor's priced
-            // speed predicts" — an honest-but-slow machine scores ~1.0,
-            // a degraded one drifts up regardless of its nominal speed.
-            if let Some(h) = self.health.as_mut() {
-                let predicted = inf.unit.cost_ops / self.sched.estimated_speed(client);
-                if predicted > 0.0 && predicted.is_finite() {
-                    match h.observe(client, service / predicted) {
-                        Some(HealthTransition::Flagged { ratio }) => {
-                            self.sched.set_health_flag(client, true);
-                            self.telemetry
-                                .emit(EventKind::DonorFlagged { client, ratio });
-                            self.telemetry.counter_add("health.flagged_total", 1);
-                            h.export_metrics(&self.telemetry);
-                        }
-                        Some(HealthTransition::Cleared { ratio }) => {
-                            self.sched.set_health_flag(client, false);
-                            self.telemetry
-                                .emit(EventKind::DonorCleared { client, ratio });
-                            self.telemetry.counter_add("health.cleared_total", 1);
-                            h.export_metrics(&self.telemetry);
-                        }
-                        None => {}
-                    }
+            let cost = inf.unit.cost_ops;
+            // (The completion is the straggler detector's observation too.)
+            let flag = self
+                .sched
+                .record_completion(client, cost, latency, queue_factor);
+            if let Some(transition) = flag {
+                let (event, counter) = match transition {
+                    HealthTransition::Flagged { ratio } => (
+                        EventKind::DonorFlagged { client, ratio },
+                        "health.flagged_total",
+                    ),
+                    HealthTransition::Cleared { ratio } => (
+                        EventKind::DonorCleared { client, ratio },
+                        "health.cleared_total",
+                    ),
+                };
+                self.telemetry.emit(event);
+                self.telemetry.counter_add(counter, 1);
+                if let Some(h) = self.sched.health() {
+                    h.export_metrics(&self.telemetry);
                 }
             }
-            self.sched
-                .record_completion(client, inf.unit.cost_ops, latency, queue_factor);
             self.telemetry
                 .observe("server.unit_latency", LATENCY_BOUNDS, latency);
-            self.sched.export_client_metrics(client, &self.telemetry);
         }
 
         // Quorum interception: under K-way issuance a candidate for a
@@ -1203,11 +1187,6 @@ impl Server {
             }
         }
         self.sched.forget_client(client);
-        if let Some(h) = self.health.as_mut() {
-            // A rejoining donor id starts over with a clean bill of
-            // health — same direction as the reputation reset above.
-            h.forget(client);
-        }
     }
 
     // ---- crash recovery (driven by `net::checkpoint::recover`) ----
@@ -1289,11 +1268,6 @@ impl Server {
         kept
     }
 
-    /// Captures donor reputation for the checkpoint log.
-    pub fn reputation_snapshot(&self) -> ReputationSnapshot {
-        self.sched.reputation_snapshot()
-    }
-
     /// Restores donor reputation from a recovered snapshot.
     pub fn restore_reputation(&mut self, snap: &ReputationSnapshot) {
         self.sched.restore_reputation(snap);
@@ -1302,11 +1276,6 @@ impl Server {
     /// Restores the adaptive scheduler state from a recovered snapshot.
     pub fn restore_scheduler(&mut self, snap: &SchedSnapshot) {
         self.sched.restore(snap);
-    }
-
-    /// Captures the adaptive scheduler state for the checkpoint log.
-    pub fn scheduler_snapshot(&self) -> SchedSnapshot {
-        self.sched.snapshot()
     }
 
     // ---- chunk affinity (PR 5) ----
@@ -1332,11 +1301,6 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// Captures the chunk-affinity map for the checkpoint log.
-    pub fn affinity_snapshot(&self) -> AffinitySnapshot {
-        self.sched.affinity_snapshot()
-    }
-
     /// Restores the chunk-affinity map from a recovered snapshot.
     pub fn restore_affinity(&mut self, snap: &AffinitySnapshot) {
         self.sched.restore_affinity(snap);
@@ -1345,33 +1309,32 @@ impl Server {
     // ---- live status (ops plane) ----
 
     /// Captures a deterministic point-in-time cluster snapshot: the
-    /// donor table is the union of every client the scheduler,
-    /// reputation map, lease table or health engine knows about, sorted
-    /// by id; counters come from the server's telemetry registry (empty
-    /// when telemetry is disabled), and with them — same list, same
+    /// donor table is every client the scheduler knows or a lease table
+    /// names, sorted by id, one scheduler record each; counters come
+    /// from the server's telemetry registry (empty when telemetry is
+    /// disabled), and with them — same list, same
     /// wire layout — the `donor.c<id>.pipeline_depth` gauge each donor
     /// last reported.
     pub fn status_snapshot(&self, now: f64) -> StatusSnapshot {
-        let flagged = self.health.iter().flat_map(|h| h.flagged_clients());
-        let known = self.sched.known_clients().chain(flagged);
+        let known = self.sched.known_clients();
         let mut leases: BTreeMap<ClientId, u32> = known.map(|id| (id, 0)).collect();
         for p in &self.problems {
             p.leases.count_leases(&mut leases);
         }
-        let health_ratio = |id| self.health.as_ref().and_then(|h| h.ratio(id));
+        let health_ratio = |id| self.sched.health().and_then(|h| h.ratio(id));
         let donors = leases
             .into_iter()
             .map(|(id, leases)| {
-                let (agreements, disputes) = self.sched.reputation_counts(id);
+                let donor = self.sched.donor(id);
                 DonorStatus {
                     client: id,
-                    ops_per_sec: self.sched.estimated_speed(id),
-                    units_completed: self.sched.units_completed(id),
+                    ops_per_sec: donor.speed,
+                    units_completed: donor.completed.0,
                     leases,
-                    trusted: self.sched.is_trusted(id),
-                    agreements,
-                    disputes,
-                    flagged: self.sched.is_health_flagged(id),
+                    trusted: donor.trusted,
+                    agreements: donor.reputation.0,
+                    disputes: donor.reputation.1,
+                    flagged: donor.flagged,
                     health_ratio: health_ratio(id).unwrap_or(0.0),
                 }
             })
@@ -1668,7 +1631,6 @@ mod tests {
     fn expired_lease_is_reissued_and_completed_by_another_client() {
         let mut server = Server::new(SchedulerConfig {
             lease_min_secs: 10.0,
-            lease_factor: 1.0,
             ..Default::default()
         });
         server.submit(sum_problem(10, 100)); // single unit
@@ -1735,7 +1697,7 @@ mod tests {
         };
         assert_eq!(u0.id, u1.id);
         assert_eq!(server.stats(0).redundant_dispatches, 1);
-        // Client 2 must NOT get a third copy (max_redundancy = 2).
+        // Client 2 must NOT get a third copy (`MAX_REDUNDANCY` = 2).
         assert!(matches!(server.request_work(2, 2.0), Assignment::Wait));
         // First result wins; the run completes.
         let r = algorithm.compute(&u1);
@@ -1828,11 +1790,9 @@ mod tests {
         // Regression (satellite 3): before the clamp moved into the
         // scheduler, each expiry doubled the lease without an absolute
         // bound. Force hundreds of expiries of one unit and check the
-        // lease length stays at the configured cap.
+        // lease length stays at the cap.
         let cfg = SchedulerConfig {
             lease_min_secs: 10.0,
-            lease_factor: 1.0,
-            max_lease_secs: 500.0,
             enable_redundant_dispatch: false,
             ..Default::default()
         };
@@ -1843,8 +1803,9 @@ mod tests {
             let Assignment::Unit { .. } = server.request_work(0, now) else {
                 panic!("unit must be reissued every round (round {round})");
             };
-            // Expire far in the future; the lease may never stretch
-            // past now + max_lease_secs.
+            // The lease may never stretch past now + MAX_LEASE_SECS.
+            let lease = server.earliest_lease_deadline() - now;
+            assert!(lease <= crate::sched::MAX_LEASE_SECS, "round {round}");
             now += 1e6;
             assert_eq!(server.check_timeouts(now), 1, "round {round}");
         }
@@ -1868,11 +1829,9 @@ mod tests {
     fn timeout_scan_tracks_earliest_deadline() {
         // Satellite: `check_timeouts` must early-exit until the clock
         // reaches the earliest tracked lease deadline, then recompute
-        // it after each scan. Jitter off so deadlines are exact.
+        // it after each scan.
         let mut server = Server::new(SchedulerConfig {
             lease_min_secs: 10.0,
-            lease_factor: 1.0,
-            lease_jitter_frac: 0.0,
             enable_redundant_dispatch: false,
             ..Default::default()
         });
@@ -1884,15 +1843,17 @@ mod tests {
         let Assignment::Unit { .. } = server.request_work(1, 5.0) else {
             panic!()
         };
-        // Leases expire at 10 and 15.
-        assert!((server.earliest_lease_deadline() - 10.0).abs() < 1e-9);
+        // Leases expire at 10 and 15, give or take the 10 % jitter.
+        let first = server.earliest_lease_deadline();
+        assert!((first - 10.0).abs() <= 1.0, "{first}");
         // Before the earliest deadline the sweep is a no-op (early exit
         // leaves the tracked deadline untouched).
         assert_eq!(server.check_timeouts(3.0), 0);
-        assert!((server.earliest_lease_deadline() - 10.0).abs() < 1e-9);
+        assert_eq!(server.earliest_lease_deadline(), first);
         // Past the first deadline: one expiry, tracker moves to 15.
         assert_eq!(server.check_timeouts(12.0), 1);
-        assert!((server.earliest_lease_deadline() - 15.0).abs() < 1e-9);
+        let second = server.earliest_lease_deadline();
+        assert!((second - 15.0).abs() <= 1.0, "{second}");
         // Past the second: the other lease expires, nothing in flight.
         assert_eq!(server.check_timeouts(20.0), 1);
         assert_eq!(server.earliest_lease_deadline(), f64::INFINITY);
@@ -1906,7 +1867,7 @@ mod tests {
         // restore_pending and finish the run.
         let mut first = Server::new(SchedulerConfig::default());
         first.submit(sum_problem(100, 50));
-        let hint = first.scheduler().granularity_hint(0);
+        let hint = first.scheduler().donor(0).hint;
         let Assignment::Unit { unit: u0, .. } = first.request_work(0, 0.0) else {
             panic!()
         };
@@ -2102,7 +2063,7 @@ mod tests {
         );
         // Recover the single unit as pending with a full set of
         // checkpointed votes; the cap must leave the quorum one short.
-        let hint = server.scheduler().granularity_hint(0);
+        let hint = server.scheduler().donor(0).hint;
         let unit = server.replay_issue(0, 0, hint).expect("unit 0");
         let uid = unit.id;
         server.restore_pending(0, vec![unit]);
@@ -2149,7 +2110,7 @@ mod tests {
         let Assignment::Unit { unit: u0, .. } = server.request_work(0, 0.0) else {
             panic!()
         };
-        // Copy 2 is plain end-game redundancy (max_redundancy = 2)...
+        // Copy 2 is plain end-game redundancy (`MAX_REDUNDANCY` = 2)...
         let Assignment::Unit { unit: u1, .. } = server.request_work(1, 1.0) else {
             panic!()
         };
@@ -2174,7 +2135,6 @@ mod tests {
     fn health_detector_flags_straggler_and_rescues_its_unit() {
         let mut server = Server::new(SchedulerConfig {
             enable_health_detector: true,
-            health_min_observations: 3,
             enable_redundant_dispatch: false,
             enable_dynamic_granularity: false,
             enable_adaptive: false, // keep predicted time fixed at the prior
@@ -2220,7 +2180,10 @@ mod tests {
             server.scheduler().is_health_flagged(0),
             "a 10x slowdown must flag within two observations"
         );
-        assert_eq!(server.health().unwrap().flagged_clients(), vec![0]);
+        assert_eq!(
+            server.scheduler().health().unwrap().flagged_clients(),
+            vec![0]
+        );
         // Donor 0 takes a unit and stalls; donor 1 (healthy, unknown)
         // must be handed a rescue copy of that exact unit before any
         // fresh work.
@@ -2258,7 +2221,6 @@ mod tests {
     fn extra_copy_passes_pick_the_pinned_units() {
         let mut server = Server::new(SchedulerConfig {
             enable_health_detector: true,
-            health_min_observations: 3,
             quorum_k: 2,
             reputation_threshold: 1000, // nobody graduates: every unit is voted on
             enable_speculative_reissue: true,
@@ -2362,7 +2324,7 @@ mod tests {
             ..Default::default()
         });
         server.submit(sum_problem(1000, 50));
-        assert!(server.health().is_none());
+        assert!(server.scheduler().health().is_none());
         let mut now = 0.0;
         for _ in 0..6 {
             let Assignment::Unit {

@@ -27,15 +27,16 @@ use biodist_gridsim::network::{CampusNetwork, SharedLink};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
+/// How long a client waits before re-polling after `Wait`, seconds.
+const POLL_INTERVAL_SECS: f64 = 5.0;
+/// Period of the server's lease-timeout scan, seconds.
+const TIMEOUT_CHECK_SECS: f64 = 30.0;
+/// Size of a control message (request/ack), bytes.
+const CONTROL_BYTES: u64 = 256;
+
 /// Simulator tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// How long a client waits before re-polling after `Wait`, seconds.
-    pub poll_interval_secs: f64,
-    /// Period of the server's lease-timeout scan, seconds.
-    pub timeout_check_secs: f64,
-    /// Size of a control message (request/ack), bytes.
-    pub control_bytes: u64,
     /// Hard cap on virtual time; exceeding it panics (a deadlocked
     /// configuration, not a recoverable state).
     pub max_virtual_secs: f64,
@@ -73,9 +74,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            poll_interval_secs: 5.0,
-            timeout_check_secs: 30.0,
-            control_bytes: 256,
             max_virtual_secs: 86_400.0 * 30.0,
             announced_departures: false,
             chunk_cache_bytes: 64 * 1024 * 1024,
@@ -302,31 +300,11 @@ impl SimRunner {
                 );
             }
         }
-        events.schedule(self.cfg.timeout_check_secs, Ev::TimeoutCheck);
+        events.schedule(TIMEOUT_CHECK_SECS, Ev::TimeoutCheck);
 
-        let debug = std::env::var("BIODIST_SIM_DEBUG").is_ok();
         let mut events_processed = 0u64;
         while let Some((now, ev)) = events.pop() {
             events_processed += 1;
-            if debug {
-                let tag = match &ev {
-                    Ev::Join(m) => format!("join {m}"),
-                    Ev::SetupDone(m, e) => format!("setup {m} (epoch {e})"),
-                    Ev::RequestArrived(m, e) => format!("req {m} (epoch {e})"),
-                    Ev::UnitDelivered { machine, unit, .. } => {
-                        format!("deliver {machine} unit {}", unit.id)
-                    }
-                    Ev::ComputeDone { machine, .. } => format!("compute-done {machine}"),
-                    Ev::PollRetry(m, e) => format!("poll-retry {m} (epoch {e})"),
-                    Ev::MetricsReport(m, e) => format!("metrics-report {m} (epoch {e})"),
-                    Ev::Leave(m) => format!("leave {m}"),
-                    Ev::Crash { machine, down_secs } => {
-                        format!("crash {machine} (down {down_secs:.1}s)")
-                    }
-                    Ev::TimeoutCheck => "timeout-check".into(),
-                };
-                eprintln!("[sim {now:.3}] {tag}");
-            }
             assert!(
                 now <= self.cfg.max_virtual_secs,
                 "simulation exceeded {} virtual seconds — deadlocked configuration?",
@@ -380,7 +358,7 @@ impl SimRunner {
                             // misses, and each served chunk feeds the
                             // scheduler's affinity map — exactly the
                             // TCP backend's story.
-                            let mut bytes = unit.payload.wire_bytes() + self.cfg.control_bytes;
+                            let mut bytes = unit.payload.wire_bytes() + CONTROL_BYTES;
                             // Replica-served chunk transfers finish off
                             // the origin link's critical path; the unit
                             // is delivered when the slowest leg lands.
@@ -527,7 +505,7 @@ impl SimRunner {
                             );
                         }
                         Assignment::Wait => {
-                            let retry = now + self.cfg.poll_interval_secs;
+                            let retry = now + POLL_INTERVAL_SECS;
                             events.schedule(retry, Ev::PollRetry(m, e));
                         }
                         Assignment::Finished => {
@@ -600,7 +578,7 @@ impl SimRunner {
                     // computes, so its transfer hides behind the work.
                     if load[m] < depth {
                         load[m] += 1;
-                        let arrives = self.network.transfer(m, now, self.cfg.control_bytes);
+                        let arrives = self.network.transfer(m, now, CONTROL_BYTES);
                         events.schedule(arrives, Ev::RequestArrived(m, e));
                     }
                 }
@@ -642,7 +620,7 @@ impl SimRunner {
                     );
                     match action {
                         DeliveryAction::Deliver => {
-                            let bytes = result.payload.wire_bytes() + self.cfg.control_bytes;
+                            let bytes = result.payload.wire_bytes() + CONTROL_BYTES;
                             let arrives = self.network.transfer(m, now, bytes);
                             // The result message doubles as the next
                             // work request.
@@ -658,14 +636,14 @@ impl SimRunner {
                             // re-polls after its usual interval.
                             if load[m] < depth {
                                 load[m] += 1;
-                                let retry = now + self.cfg.poll_interval_secs;
+                                let retry = now + POLL_INTERVAL_SECS;
                                 events.schedule(retry, Ev::PollRetry(m, e));
                             }
                         }
                         DeliveryAction::Duplicate => {
                             // Retransmission bug: the same result lands
                             // twice; the server must accept exactly one.
-                            let bytes = result.payload.wire_bytes() + self.cfg.control_bytes;
+                            let bytes = result.payload.wire_bytes() + CONTROL_BYTES;
                             let arrives = self.network.transfer(m, now, bytes);
                             let copy = algorithm.compute(&unit);
                             let second = self.network.transfer(m, arrives, bytes);
@@ -679,7 +657,7 @@ impl SimRunner {
                         DeliveryAction::Corrupt => {
                             // The payload fails the transport checksum;
                             // the server cancels the lease and reissues.
-                            let bytes = result.payload.wire_bytes() + self.cfg.control_bytes;
+                            let bytes = result.payload.wire_bytes() + CONTROL_BYTES;
                             let arrives = self.network.transfer(m, now, bytes);
                             self.server
                                 .result_corrupted(m, problem, result.unit_id, arrives);
@@ -711,7 +689,7 @@ impl SimRunner {
                     }
                     self.network
                         .set_server_degradation(injector.link_scale(now));
-                    let arrives = self.network.transfer(m, now, self.cfg.control_bytes);
+                    let arrives = self.network.transfer(m, now, CONTROL_BYTES);
                     events.schedule(arrives, Ev::RequestArrived(m, e));
                 }
                 Ev::MetricsReport(m, e) => {
@@ -725,7 +703,7 @@ impl SimRunner {
                     let snap = local.snapshot();
                     self.network
                         .set_server_degradation(injector.link_scale(now));
-                    let bytes = snap.to_wire_bytes().len() as u64 + self.cfg.control_bytes;
+                    let bytes = snap.to_wire_bytes().len() as u64 + CONTROL_BYTES;
                     let arrives = self.network.transfer(m, now, bytes);
                     tel.merge_snapshot_prefixed(&format!("donor.c{m}."), &snap);
                     tel.emit_at(
@@ -791,7 +769,7 @@ impl SimRunner {
                 Ev::TimeoutCheck => {
                     self.server.check_timeouts(now);
                     if !self.server.all_complete() {
-                        events.schedule_in(self.cfg.timeout_check_secs, Ev::TimeoutCheck);
+                        events.schedule_in(TIMEOUT_CHECK_SECS, Ev::TimeoutCheck);
                     }
                 }
             }

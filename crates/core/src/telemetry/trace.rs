@@ -40,508 +40,350 @@ pub(crate) fn json_string(s: &str) -> String {
     out
 }
 
-/// What happened. Field order here is the serialized field order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum EventKind {
+// The event schema, declared once: from the table below this generates
+// `EventKind`, each event's `ev` name, the JSON writer and the parser.
+// A field is `name: Type as kind`, the kind one of `int` (any integer
+// type), `float`, `flag` (bool), `text` (String) and `digest` (a u64
+// written as 16 hex digits: a JSON number would round it through f64
+// and lose low bits). To add an event, add its declaration.
+macro_rules! events {
+    ($($(#[$vdoc:meta])* $variant:ident = $name:literal {
+        $($(#[$fdoc:meta])* $field:ident: $ty:ty as $kind:ident,)+
+    },)+) => {
+        /// What happened. Field order here is the serialized field order.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum EventKind {
+            $($(#[$vdoc])* $variant { $($(#[$fdoc])* $field: $ty,)+ },)+
+        }
+
+        impl EventKind {
+            /// Every declared event — its `ev` name, then its fields'
+            /// names and kinds in serialized order.
+            pub const SCHEMA: &'static [(&'static str, &'static [(&'static str, &'static str)])] =
+                &[$(($name, &[$((stringify!($field), stringify!($kind)),)+]),)+];
+
+            /// The `ev` field value.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant { .. } => $name,)+
+                }
+            }
+
+            fn write_fields(&self, s: &mut String) {
+                match self {
+                    $(EventKind::$variant { $($field,)+ } => {$(
+                        let value = events!(@show $kind $field);
+                        let _ = write!(s, ",\"{}\":{value}", stringify!($field));
+                    )+})+
+                }
+            }
+
+            fn parse(ev: &str, fields: &Fields<'_>) -> Result<Self, String> {
+                Ok(match ev {
+                    $($name => EventKind::$variant {
+                        $($field: events!(@read $kind fields, stringify!($field), $ty),)+
+                    },)+
+                    other => return Err(format!("unknown event kind `{other}`")),
+                })
+            }
+        }
+    };
+    (@show int $v:ident) => { *$v as u64 };
+    (@show float $v:ident) => { fmt_f64(*$v) };
+    (@show flag $v:ident) => { *$v };
+    (@show text $v:ident) => { json_string($v) };
+    (@show digest $v:ident) => { format_args!("\"{:016x}\"", *$v) };
+    (@read int $f:ident, $k:expr, $ty:ty) => { $f.num($k)? as u64 as $ty };
+    (@read float $f:ident, $k:expr, $ty:ty) => { $f.num($k)? };
+    (@read flag $f:ident, $k:expr, $ty:ty) => { $f.flag($k)? };
+    (@read text $f:ident, $k:expr, $ty:ty) => { $f.text($k)? };
+    (@read digest $f:ident, $k:expr, $ty:ty) => { $f.digest($k)? };
+}
+
+events! {
     /// A problem entered the server.
-    ProblemSubmitted {
+    ProblemSubmitted = "problem_submitted" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Human-readable problem name.
-        name: String,
+        name: String as text,
     },
     /// A problem's final output is assembled.
-    ProblemCompleted {
+    ProblemCompleted = "problem_completed" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
     },
     /// The data manager produced a fresh unit.
-    UnitCreated {
+    UnitCreated = "unit_created" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// Modelled cost in abstract ops.
-        cost_ops: f64,
+        cost_ops: f64 as float,
     },
     /// A unit was leased to a client (`issued(machine)` in the paper's
     /// lifecycle).
-    UnitIssued {
+    UnitIssued = "unit_issued" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The client the lease went to.
-        client: ClientId,
+        client: ClientId as int,
         /// Whether this was an end-game redundant dispatch.
-        redundant: bool,
+        redundant: bool as flag,
     },
     /// A result was accepted and will be folded.
-    UnitCompleted {
+    UnitCompleted = "unit_completed" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The client that delivered it.
-        client: ClientId,
+        client: ClientId as int,
         /// Lease-to-delivery latency in backend seconds (0 when the
         /// deliverer held no live lease — a rescued straggler result).
-        latency: f64,
+        latency: f64 as float,
     },
     /// The accepted result was folded into the data manager
     /// (`combined`).
-    UnitCombined {
+    UnitCombined = "unit_combined" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
     },
     /// A duplicate / late result arrived for an already-complete unit.
-    ResultWasted {
+    ResultWasted = "result_wasted" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The client that delivered it.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// The transport detected a corrupted result. This is the single
     /// canonical corruption event: every route (sim/thread delivery
     /// faults, TCP frame-CRC failure, TCP payload decode failure) funnels
     /// through [`crate::Server::result_corrupted`], which emits it.
-    ResultCorrupted {
+    ResultCorrupted = "result_corrupted" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The client whose result was mangled.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// A candidate result lost a quorum vote: a K-way redundant unit
     /// reached its byte-identical quorum and this client's candidate
     /// disagreed with the winning pattern. Emitted once per dissenting
     /// candidate by [`crate::Server`]'s quorum resolution, which also
     /// feeds the donor's reputation.
-    ResultDisputed {
+    ResultDisputed = "result_disputed" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The client whose candidate disagreed.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// A lease passed its deadline without a result.
-    LeaseExpired {
+    LeaseExpired = "lease_expired" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The client that held the lease.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// A unit went back on the reissue queue.
-    UnitReissued {
+    UnitReissued = "unit_reissued" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// Why: `lease_expired`, `corrupted`, `client_lost` or
         /// `quorum_pending` (a non-final vote released its last lease).
-        reason: String,
+        reason: String as text,
     },
     /// The server declared a client gone (goodbye or liveness sweep).
-    ClientLost {
+    ClientLost = "client_lost" {
         /// The departed client.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// A donor machine joined the pool.
-    MachineJoined {
+    MachineJoined = "machine_joined" {
         /// The client id it will use.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// A donor machine departed permanently.
-    MachineDeparted {
+    MachineDeparted = "machine_departed" {
         /// The departing client.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// A donor machine crashed (it will rejoin after `down_secs`).
-    MachineCrashed {
+    MachineCrashed = "machine_crashed" {
         /// The crashing client.
-        client: ClientId,
+        client: ClientId as int,
         /// How long it stays down.
-        down_secs: f64,
+        down_secs: f64 as float,
     },
     /// A backend applied a delivery fault to a finished result
     /// (`drop`, `duplicate` or `corrupt`) before it reached the server.
-    FaultInjected {
+    FaultInjected = "fault_injected" {
         /// The affected client.
-        client: ClientId,
+        client: ClientId as int,
         /// The delivery action applied.
-        action: String,
+        action: String as text,
     },
     /// The TCP fault proxy mutated real bytes on the wire (`drop`,
     /// `duplicate` or `corrupt`).
-    WireFault {
+    WireFault = "wire_fault" {
         /// The affected client.
-        client: ClientId,
+        client: ClientId as int,
         /// The delivery action applied.
-        action: String,
+        action: String as text,
     },
     /// The TCP server's liveness sweep reclaimed silent clients.
-    LivenessSweep {
+    LivenessSweep = "liveness_sweep" {
         /// Number of clients declared gone by this sweep.
-        stale: usize,
+        stale: usize as int,
     },
     /// A record was appended to the checkpoint log (`issue`, `result`
     /// or `sched`).
-    CheckpointWrite {
+    CheckpointWrite = "checkpoint_write" {
         /// The record type.
-        kind: String,
+        kind: String as text,
     },
     /// Recovery replayed an issue record against a fresh data manager.
-    ReplayIssue {
+    ReplayIssue = "replay_issue" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
     },
     /// Recovery re-folded a logged result.
-    ReplayResult {
+    ReplayResult = "replay_result" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
     },
     /// Recovery finished rebuilding a server from a checkpoint log.
-    RecoveryDone {
+    RecoveryDone = "recovery_done" {
         /// Issue records replayed.
-        replayed_issues: u64,
+        replayed_issues: u64 as int,
         /// Result records re-folded.
-        replayed_results: u64,
+        replayed_results: u64 as int,
         /// Units restored to the pending queue.
-        pending_restored: u64,
+        pending_restored: u64 as int,
         /// Whether a torn tail cut the log short.
-        torn_tail: bool,
+        torn_tail: bool as flag,
     },
     /// An application data manager crossed a stage boundary (DPRml's
     /// refine / insert / NNI barriers — the idle gaps in Figure 1).
-    StageStarted {
+    StageStarted = "stage_started" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Stage name.
-        stage: String,
+        stage: String as text,
     },
     /// Donor-side: the unit's payload (and chunks) finished arriving at
     /// the client — the end of the issue→donor transfer phase. Keyed by
     /// the same `(problem, unit, client)` correlation id as the
     /// server-side lease events, so donor-local activity lands in the
     /// same span.
-    UnitDelivered {
+    UnitDelivered = "unit_delivered" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The receiving client.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// Donor-side: the client started executing the unit (after any
     /// time queued behind an earlier unit in its prefetch pipeline).
-    ComputeStarted {
+    ComputeStarted = "compute_started" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The computing client.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// Donor-side: the client finished executing the unit. The gap to
     /// `unit_combined` is the result-return + fold ("combine") phase.
-    ComputeFinished {
+    ComputeFinished = "compute_finished" {
         /// Problem id.
-        problem: ProblemId,
+        problem: ProblemId as int,
         /// Unit id.
-        unit: UnitId,
+        unit: UnitId as int,
         /// The computing client.
-        client: ClientId,
+        client: ClientId as int,
     },
     /// Donor-side: a chunk fetch left the cache and hit the network.
-    ChunkFetchStarted {
+    ChunkFetchStarted = "chunk_fetch_started" {
         /// The fetching client.
-        client: ClientId,
+        client: ClientId as int,
         /// Content digest of the chunk.
-        digest: u64,
+        digest: u64 as digest,
     },
     /// Donor-side: the chunk arrived and verified.
-    ChunkFetchFinished {
+    ChunkFetchFinished = "chunk_fetch_finished" {
         /// The fetching client.
-        client: ClientId,
+        client: ClientId as int,
         /// Content digest of the chunk.
-        digest: u64,
+        digest: u64 as digest,
         /// Whether a replica (vs the origin) served it.
-        replica: bool,
+        replica: bool as flag,
     },
     /// Donor-side: the local chunk cache served a needed chunk.
-    CacheHit {
+    CacheHit = "cache_hit" {
         /// The client whose cache hit.
-        client: ClientId,
+        client: ClientId as int,
         /// Content digest of the chunk.
-        digest: u64,
+        digest: u64 as digest,
     },
     /// Donor-side: a needed chunk was absent from the local cache.
-    CacheMiss {
+    CacheMiss = "cache_miss" {
         /// The client whose cache missed.
-        client: ClientId,
+        client: ClientId as int,
         /// Content digest of the chunk.
-        digest: u64,
+        digest: u64 as digest,
     },
     /// Donor-side: a routed replica candidate was skipped (dead or
     /// stalled) and the fetch moved down the failover ladder.
-    ReplicaFailover {
+    ReplicaFailover = "replica_failover" {
         /// The fetching client.
-        client: ClientId,
+        client: ClientId as int,
         /// Index of the skipped replica.
-        replica: usize,
+        replica: usize as int,
     },
     /// The health engine flagged a donor as a straggler/anomaly: its
     /// recent speed-normalized service time diverged from its own
     /// baseline by at least the configured ratio.
-    DonorFlagged {
+    DonorFlagged = "donor_flagged" {
         /// The flagged donor.
-        client: ClientId,
+        client: ClientId as int,
         /// Recent-over-baseline normalized service-time ratio at the
         /// moment of flagging.
-        ratio: f64,
+        ratio: f64 as float,
     },
     /// The health engine cleared a previously flagged donor (its
     /// normalized service time recovered below the clear threshold).
-    DonorCleared {
+    DonorCleared = "donor_cleared" {
         /// The recovered donor.
-        client: ClientId,
+        client: ClientId as int,
         /// Recent-over-baseline ratio at the moment of clearing.
-        ratio: f64,
+        ratio: f64 as float,
     },
     /// A donor shipped its local metrics registry to the server
     /// (`MetricsReport` frame on the wire, modeled cadence on the sim).
-    MetricsReported {
+    MetricsReported = "metrics_reported" {
         /// The shipping donor.
-        client: ClientId,
+        client: ClientId as int,
     },
-}
-
-impl EventKind {
-    /// The `ev` field value.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::ProblemSubmitted { .. } => "problem_submitted",
-            EventKind::ProblemCompleted { .. } => "problem_completed",
-            EventKind::UnitCreated { .. } => "unit_created",
-            EventKind::UnitIssued { .. } => "unit_issued",
-            EventKind::UnitCompleted { .. } => "unit_completed",
-            EventKind::UnitCombined { .. } => "unit_combined",
-            EventKind::ResultWasted { .. } => "result_wasted",
-            EventKind::ResultCorrupted { .. } => "result_corrupted",
-            EventKind::ResultDisputed { .. } => "result_disputed",
-            EventKind::LeaseExpired { .. } => "lease_expired",
-            EventKind::UnitReissued { .. } => "unit_reissued",
-            EventKind::ClientLost { .. } => "client_lost",
-            EventKind::MachineJoined { .. } => "machine_joined",
-            EventKind::MachineDeparted { .. } => "machine_departed",
-            EventKind::MachineCrashed { .. } => "machine_crashed",
-            EventKind::FaultInjected { .. } => "fault_injected",
-            EventKind::WireFault { .. } => "wire_fault",
-            EventKind::LivenessSweep { .. } => "liveness_sweep",
-            EventKind::CheckpointWrite { .. } => "checkpoint_write",
-            EventKind::ReplayIssue { .. } => "replay_issue",
-            EventKind::ReplayResult { .. } => "replay_result",
-            EventKind::RecoveryDone { .. } => "recovery_done",
-            EventKind::StageStarted { .. } => "stage_started",
-            EventKind::UnitDelivered { .. } => "unit_delivered",
-            EventKind::ComputeStarted { .. } => "compute_started",
-            EventKind::ComputeFinished { .. } => "compute_finished",
-            EventKind::ChunkFetchStarted { .. } => "chunk_fetch_started",
-            EventKind::ChunkFetchFinished { .. } => "chunk_fetch_finished",
-            EventKind::CacheHit { .. } => "cache_hit",
-            EventKind::CacheMiss { .. } => "cache_miss",
-            EventKind::ReplicaFailover { .. } => "replica_failover",
-            EventKind::DonorFlagged { .. } => "donor_flagged",
-            EventKind::DonorCleared { .. } => "donor_cleared",
-            EventKind::MetricsReported { .. } => "metrics_reported",
-        }
-    }
-
-    fn write_fields(&self, s: &mut String) {
-        let u = |s: &mut String, k: &str, v: u64| {
-            let _ = write!(s, ",\"{k}\":{v}");
-        };
-        let f = |s: &mut String, k: &str, v: f64| {
-            let _ = write!(s, ",\"{k}\":{}", fmt_f64(v));
-        };
-        let b = |s: &mut String, k: &str, v: bool| {
-            let _ = write!(s, ",\"{k}\":{v}");
-        };
-        let t = |s: &mut String, k: &str, v: &str| {
-            let _ = write!(s, ",\"{k}\":{}", json_string(v));
-        };
-        match self {
-            EventKind::ProblemSubmitted { problem, name } => {
-                u(s, "problem", *problem as u64);
-                t(s, "name", name);
-            }
-            EventKind::ProblemCompleted { problem } => u(s, "problem", *problem as u64),
-            EventKind::UnitCreated {
-                problem,
-                unit,
-                cost_ops,
-            } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-                f(s, "cost_ops", *cost_ops);
-            }
-            EventKind::UnitIssued {
-                problem,
-                unit,
-                client,
-                redundant,
-            } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-                u(s, "client", *client as u64);
-                b(s, "redundant", *redundant);
-            }
-            EventKind::UnitCompleted {
-                problem,
-                unit,
-                client,
-                latency,
-            } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-                u(s, "client", *client as u64);
-                f(s, "latency", *latency);
-            }
-            EventKind::UnitCombined { problem, unit } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-            }
-            EventKind::ResultWasted {
-                problem,
-                unit,
-                client,
-            }
-            | EventKind::ResultCorrupted {
-                problem,
-                unit,
-                client,
-            }
-            | EventKind::ResultDisputed {
-                problem,
-                unit,
-                client,
-            }
-            | EventKind::LeaseExpired {
-                problem,
-                unit,
-                client,
-            } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-                u(s, "client", *client as u64);
-            }
-            EventKind::UnitReissued {
-                problem,
-                unit,
-                reason,
-            } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-                t(s, "reason", reason);
-            }
-            EventKind::ClientLost { client }
-            | EventKind::MachineJoined { client }
-            | EventKind::MachineDeparted { client } => u(s, "client", *client as u64),
-            EventKind::MachineCrashed { client, down_secs } => {
-                u(s, "client", *client as u64);
-                f(s, "down_secs", *down_secs);
-            }
-            EventKind::FaultInjected { client, action }
-            | EventKind::WireFault { client, action } => {
-                u(s, "client", *client as u64);
-                t(s, "action", action);
-            }
-            EventKind::LivenessSweep { stale } => u(s, "stale", *stale as u64),
-            EventKind::CheckpointWrite { kind } => t(s, "kind", kind),
-            EventKind::ReplayIssue { problem, unit }
-            | EventKind::ReplayResult { problem, unit } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-            }
-            EventKind::RecoveryDone {
-                replayed_issues,
-                replayed_results,
-                pending_restored,
-                torn_tail,
-            } => {
-                u(s, "replayed_issues", *replayed_issues);
-                u(s, "replayed_results", *replayed_results);
-                u(s, "pending_restored", *pending_restored);
-                b(s, "torn_tail", *torn_tail);
-            }
-            EventKind::StageStarted { problem, stage } => {
-                u(s, "problem", *problem as u64);
-                t(s, "stage", stage);
-            }
-            EventKind::UnitDelivered {
-                problem,
-                unit,
-                client,
-            }
-            | EventKind::ComputeStarted {
-                problem,
-                unit,
-                client,
-            }
-            | EventKind::ComputeFinished {
-                problem,
-                unit,
-                client,
-            } => {
-                u(s, "problem", *problem as u64);
-                u(s, "unit", *unit);
-                u(s, "client", *client as u64);
-            }
-            EventKind::ChunkFetchStarted { client, digest }
-            | EventKind::CacheHit { client, digest }
-            | EventKind::CacheMiss { client, digest } => {
-                u(s, "client", *client as u64);
-                t(s, "digest", &format!("{digest:016x}"));
-            }
-            EventKind::ChunkFetchFinished {
-                client,
-                digest,
-                replica,
-            } => {
-                u(s, "client", *client as u64);
-                t(s, "digest", &format!("{digest:016x}"));
-                b(s, "replica", *replica);
-            }
-            EventKind::ReplicaFailover { client, replica } => {
-                u(s, "client", *client as u64);
-                u(s, "replica", *replica as u64);
-            }
-            EventKind::DonorFlagged { client, ratio }
-            | EventKind::DonorCleared { client, ratio } => {
-                u(s, "client", *client as u64);
-                f(s, "ratio", *ratio);
-            }
-            EventKind::MetricsReported { client } => u(s, "client", *client as u64),
-        }
-    }
-}
-
-/// Chunk digests serialize as 16-hex-digit strings (a JSON number would
-/// round large u64 values through f64 and lose low bits).
-fn digest_field(hex: &str) -> Result<u64, String> {
-    u64::from_str_radix(hex, 16).map_err(|e| format!("bad digest `{hex}`: {e}"))
 }
 
 /// One timestamped trace event.
@@ -572,176 +414,55 @@ impl TraceEvent {
     /// Parses a line produced by [`TraceEvent::to_json_line`].
     pub fn from_json_line(line: &str) -> Result<Self, String> {
         let fields = parse_flat_object(line)?;
-        let num = |k: &str| -> Result<f64, String> {
-            match fields.iter().find(|(n, _)| n == k) {
-                Some((_, JsonVal::Num(x))) => Ok(*x),
-                _ => Err(format!("missing numeric field `{k}` in {line}")),
-            }
-        };
-        let uint = |k: &str| -> Result<u64, String> { num(k).map(|x| x as u64) };
-        let boolean = |k: &str| -> Result<bool, String> {
-            match fields.iter().find(|(n, _)| n == k) {
-                Some((_, JsonVal::Bool(b))) => Ok(*b),
-                _ => Err(format!("missing boolean field `{k}` in {line}")),
-            }
-        };
-        let text = |k: &str| -> Result<String, String> {
-            match fields.iter().find(|(n, _)| n == k) {
-                Some((_, JsonVal::Str(v))) => Ok(v.clone()),
-                _ => Err(format!("missing string field `{k}` in {line}")),
-            }
-        };
-        let t = num("t")?;
-        let ev = text("ev")?;
-        let kind = match ev.as_str() {
-            "problem_submitted" => EventKind::ProblemSubmitted {
-                problem: uint("problem")? as ProblemId,
-                name: text("name")?,
-            },
-            "problem_completed" => EventKind::ProblemCompleted {
-                problem: uint("problem")? as ProblemId,
-            },
-            "unit_created" => EventKind::UnitCreated {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                cost_ops: num("cost_ops")?,
-            },
-            "unit_issued" => EventKind::UnitIssued {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-                redundant: boolean("redundant")?,
-            },
-            "unit_completed" => EventKind::UnitCompleted {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-                latency: num("latency")?,
-            },
-            "unit_combined" => EventKind::UnitCombined {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-            },
-            "result_wasted" => EventKind::ResultWasted {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "result_corrupted" => EventKind::ResultCorrupted {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "result_disputed" => EventKind::ResultDisputed {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "lease_expired" => EventKind::LeaseExpired {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "unit_reissued" => EventKind::UnitReissued {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                reason: text("reason")?,
-            },
-            "client_lost" => EventKind::ClientLost {
-                client: uint("client")? as ClientId,
-            },
-            "machine_joined" => EventKind::MachineJoined {
-                client: uint("client")? as ClientId,
-            },
-            "machine_departed" => EventKind::MachineDeparted {
-                client: uint("client")? as ClientId,
-            },
-            "machine_crashed" => EventKind::MachineCrashed {
-                client: uint("client")? as ClientId,
-                down_secs: num("down_secs")?,
-            },
-            "fault_injected" => EventKind::FaultInjected {
-                client: uint("client")? as ClientId,
-                action: text("action")?,
-            },
-            "wire_fault" => EventKind::WireFault {
-                client: uint("client")? as ClientId,
-                action: text("action")?,
-            },
-            "liveness_sweep" => EventKind::LivenessSweep {
-                stale: uint("stale")? as usize,
-            },
-            "checkpoint_write" => EventKind::CheckpointWrite {
-                kind: text("kind")?,
-            },
-            "replay_issue" => EventKind::ReplayIssue {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-            },
-            "replay_result" => EventKind::ReplayResult {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-            },
-            "recovery_done" => EventKind::RecoveryDone {
-                replayed_issues: uint("replayed_issues")?,
-                replayed_results: uint("replayed_results")?,
-                pending_restored: uint("pending_restored")?,
-                torn_tail: boolean("torn_tail")?,
-            },
-            "stage_started" => EventKind::StageStarted {
-                problem: uint("problem")? as ProblemId,
-                stage: text("stage")?,
-            },
-            "unit_delivered" => EventKind::UnitDelivered {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "compute_started" => EventKind::ComputeStarted {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "compute_finished" => EventKind::ComputeFinished {
-                problem: uint("problem")? as ProblemId,
-                unit: uint("unit")?,
-                client: uint("client")? as ClientId,
-            },
-            "chunk_fetch_started" => EventKind::ChunkFetchStarted {
-                client: uint("client")? as ClientId,
-                digest: digest_field(&text("digest")?)?,
-            },
-            "chunk_fetch_finished" => EventKind::ChunkFetchFinished {
-                client: uint("client")? as ClientId,
-                digest: digest_field(&text("digest")?)?,
-                replica: boolean("replica")?,
-            },
-            "cache_hit" => EventKind::CacheHit {
-                client: uint("client")? as ClientId,
-                digest: digest_field(&text("digest")?)?,
-            },
-            "cache_miss" => EventKind::CacheMiss {
-                client: uint("client")? as ClientId,
-                digest: digest_field(&text("digest")?)?,
-            },
-            "replica_failover" => EventKind::ReplicaFailover {
-                client: uint("client")? as ClientId,
-                replica: uint("replica")? as usize,
-            },
-            "donor_flagged" => EventKind::DonorFlagged {
-                client: uint("client")? as ClientId,
-                ratio: num("ratio")?,
-            },
-            "donor_cleared" => EventKind::DonorCleared {
-                client: uint("client")? as ClientId,
-                ratio: num("ratio")?,
-            },
-            "metrics_reported" => EventKind::MetricsReported {
-                client: uint("client")? as ClientId,
-            },
-            other => return Err(format!("unknown event kind `{other}`")),
-        };
+        let fields = Fields { line, fields };
+        let t = fields.num("t")?;
+        let kind = EventKind::parse(&fields.text("ev")?, &fields)?;
         Ok(Self { t, kind })
+    }
+}
+
+// A parsed line's fields, looked up by name and kind.
+struct Fields<'a> {
+    line: &'a str,
+    fields: Vec<(String, JsonVal)>,
+}
+
+impl Fields<'_> {
+    fn find<T>(
+        &self,
+        key: &str,
+        kind: &str,
+        pick: impl Fn(&JsonVal) -> Option<T>,
+    ) -> Result<T, String> {
+        let found = self.fields.iter().find(|(name, _)| name == key);
+        let missing = || format!("missing {kind} field `{key}` in {}", self.line);
+        found.and_then(|(_, v)| pick(v)).ok_or_else(missing)
+    }
+
+    fn num(&self, key: &str) -> Result<f64, String> {
+        self.find(key, "numeric", |v| match v {
+            JsonVal::Num(x) => Some(*x),
+            _ => None,
+        })
+    }
+
+    fn flag(&self, key: &str) -> Result<bool, String> {
+        self.find(key, "boolean", |v| match v {
+            JsonVal::Bool(b) => Some(*b),
+            _ => None,
+        })
+    }
+
+    fn text(&self, key: &str) -> Result<String, String> {
+        self.find(key, "string", |v| match v {
+            JsonVal::Str(t) => Some(t.clone()),
+            _ => None,
+        })
+    }
+
+    fn digest(&self, key: &str) -> Result<u64, String> {
+        let hex = self.text(key)?;
+        u64::from_str_radix(&hex, 16).map_err(|e| format!("bad digest `{hex}`: {e}"))
     }
 }
 

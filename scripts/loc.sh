@@ -6,7 +6,10 @@
 # follow the grand total: `net/` (ROADMAP item 3: "net LOC down") and
 # `server.rs + leases.rs` (items 2 / 4b: the server and its lease table);
 # then the number of `unsafe` blocks, fns and impls in the counted lines
-# (ROADMAP item 8b: the audited surface, comments not counted).
+# (ROADMAP item 8b: the audited surface, comments not counted); then
+# `knobs`, the public fields of the five option structs — `SchedulerConfig`,
+# `HealthConfig`, `SimConfig`, `NetServerOptions`, `NetClientOptions`
+# (ROADMAP item 7: a value nobody chooses is a constant, not a field).
 set -eu
 cd "$(dirname "$0")/.."
 rev=${1:-}
@@ -21,9 +24,12 @@ for f in $files; do
         awk -v f="${f#crates/core/src/}" \
             '/#\[cfg\(test\)\]/ { exit } { n++ }
             !/^[ \t]*\/\// && /(^|[^A-Za-z_])unsafe[ \t]*(\{|fn |impl )/ { u++ }
-            END { printf "%6d %s %d\n", n, f, u }'
-done | awk '{ printf "%6d %s\n", $1, $2; total += $1; unsafe += $3 }
+            /^pub struct (SchedulerConfig|HealthConfig|SimConfig|NetServerOptions|NetClientOptions) \{/ { opts = 1 }
+            /^}/ { opts = 0 }
+            opts && /^    pub [a-z_0-9]+:/ { k++ }
+            END { printf "%6d %s %d %d\n", n, f, u, k }'
+done | awk '{ printf "%6d %s\n", $1, $2; total += $1; unsafe += $3; knobs += $4 }
     $2 ~ /^net\// { net += $1 }
     $2 == "server.rs" || $2 == "leases.rs" { server += $1 }
-    END { printf "%6d total\n%6d net/\n%6d server.rs + leases.rs\n%6d unsafe blocks/fns\n",
-        total, net, server, unsafe }'
+    END { printf "%6d total\n%6d net/\n%6d server.rs + leases.rs\n%6d unsafe blocks/fns\n%6d knobs\n",
+        total, net, server, unsafe, knobs }'

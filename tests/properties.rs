@@ -818,7 +818,10 @@ fn replica_selection_is_deterministic_and_avoids_dead_endpoints() {
 
 // ----------------------------------------------------- health engine
 
+use biodist::core::{AffinitySnapshot, EventKind, ReputationSnapshot, SchedSnapshot, TraceEvent};
 use biodist::core::{HealthConfig, HealthEngine, HealthTransition};
+use biodist::util::stats::Ewma;
+use std::collections::HashMap;
 
 /// A healthy donor's normalized service time: its speed estimate has
 /// converged, so observed/predicted hovers around 1 with schedule and
@@ -924,6 +927,367 @@ fn honest_but_slow_machine_is_never_flagged() {
         assert!(!engine.is_flagged(0));
         assert!(engine.transition_counts() == (0, 0));
     }
+}
+
+// ------------------------------------------------- one donor record
+
+/// What the scheduler knew about donors when it kept them in separate
+/// maps — adaptive state, affinity windows, reputation — with the
+/// server's detector and its mirrored flag set beside them.
+struct SeparateMaps {
+    cfg: SchedulerConfig,
+    clients: HashMap<usize, (Ewma, u64, f64, f64)>,
+    affinity: HashMap<usize, Vec<u64>>,
+    reputation: HashMap<usize, (u64, u64, bool)>,
+    health: Option<HealthEngine>,
+    flagged: HashSet<usize>,
+}
+
+impl SeparateMaps {
+    fn speed(&self, client: usize) -> f64 {
+        let measured = self
+            .clients
+            .get(&client)
+            .filter(|_| self.cfg.enable_adaptive);
+        measured
+            .and_then(|c| c.0.value())
+            .unwrap_or(self.cfg.prior_ops_per_sec)
+    }
+
+    fn hint(&self, client: usize) -> f64 {
+        let c = &self.cfg;
+        let sized_from = if c.enable_dynamic_granularity {
+            self.speed(client)
+        } else {
+            c.prior_ops_per_sec
+        };
+        (sized_from * c.target_unit_secs).clamp(c.min_unit_ops, c.max_unit_ops)
+    }
+
+    fn record_completion(
+        &mut self,
+        client: usize,
+        cost: f64,
+        elapsed: f64,
+        queue_factor: f64,
+    ) -> Option<HealthTransition> {
+        let predicted = cost / self.speed(client);
+        let sound = predicted > 0.0 && predicted.is_finite();
+        let detector = self.health.as_mut().filter(|_| sound);
+        let transition =
+            detector.and_then(|h| h.observe(client, elapsed / queue_factor / predicted));
+        match transition {
+            Some(HealthTransition::Flagged { .. }) => self.flagged.insert(client),
+            Some(HealthTransition::Cleared { .. }) => self.flagged.remove(&client),
+            None => false,
+        };
+        let fresh = || (Ewma::new(0.3), 0, 0.0, 1.0);
+        let state = self.clients.entry(client).or_insert_with(fresh);
+        state.0.update(cost * queue_factor / elapsed.max(1e-9));
+        state.1 += 1;
+        state.2 += cost;
+        state.3 = queue_factor;
+        transition
+    }
+
+    fn forget(&mut self, client: usize) {
+        self.clients.remove(&client);
+        self.affinity.remove(&client);
+        self.reputation.remove(&client);
+        self.flagged.remove(&client);
+        if let Some(h) = self.health.as_mut() {
+            h.forget(client);
+        }
+    }
+
+    fn snapshots(&self) -> (SchedSnapshot, AffinitySnapshot, ReputationSnapshot) {
+        let prior = self.cfg.prior_ops_per_sec;
+        let speeds = self.clients.iter();
+        let mut speeds: Vec<_> = speeds
+            .map(|(&id, st)| (id, st.0.value().unwrap_or(prior), st.1))
+            .collect();
+        speeds.sort_unstable_by_key(|&(id, ..)| id);
+        let mut held: Vec<_> = self
+            .affinity
+            .iter()
+            .map(|(&id, d)| (id, d.clone()))
+            .collect();
+        held.sort_unstable_by_key(|&(id, _)| id);
+        let judged = self.reputation.iter();
+        let mut judged: Vec<_> = judged.map(|(&id, &(a, d, t))| (id, a, d, t)).collect();
+        judged.sort_unstable_by_key(|&(id, ..)| id);
+        (
+            SchedSnapshot { clients: speeds },
+            AffinitySnapshot { clients: held },
+            ReputationSnapshot { clients: judged },
+        )
+    }
+
+    fn audit(&self) -> Vec<String> {
+        let (lo, hi) = (self.cfg.min_unit_ops, self.cfg.max_unit_ops);
+        let mut violations = Vec::new();
+        for (&id, state) in &self.clients {
+            let speed = state.0.value().expect("a completion was recorded");
+            if !speed.is_finite() || speed <= 0.0 {
+                violations.push(format!(
+                    "client {id}: EWMA speed estimate {speed} is not finite and positive"
+                ));
+            }
+            let hint = self.hint(id);
+            if !(hint >= lo && hint <= hi) {
+                violations.push(format!(
+                    "client {id}: granularity hint {hint} outside [{lo}, {hi}]"
+                ));
+            }
+        }
+        violations.sort();
+        violations
+    }
+}
+
+/// Random `record_completion` / `note_chunks` / `note_quorum_agreement`
+/// / `note_dispute` / `forget_client` / snapshot → `restore*` sequences:
+/// the scheduler's one record per donor (and the detector it owns) must
+/// answer every question the way the separate maps did, after every
+/// step.
+#[test]
+fn donor_records_match_the_separate_maps_model() {
+    const CLIENTS: u64 = 6;
+    for case in 0..CASES as u64 {
+        let mut rng = Xoshiro256StarStar::new(0xD0_0000 + case);
+        let cfg = SchedulerConfig {
+            target_unit_secs: 1.0,
+            lease_min_secs: 0.5,
+            enable_adaptive: case % 5 != 4,
+            enable_dynamic_granularity: case % 7 != 6,
+            quorum_k: 1 + (case % 3) as u32,
+            reputation_threshold: rng.next_range(1, 4) as u32,
+            enable_health_detector: case % 2 == 0,
+            ..Default::default()
+        };
+        let detector = || HealthEngine::new(HealthConfig::default());
+        let mut sched = Scheduler::new(cfg.clone());
+        let mut model = SeparateMaps {
+            health: cfg.enable_health_detector.then(detector),
+            cfg: cfg.clone(),
+            clients: HashMap::new(),
+            affinity: HashMap::new(),
+            reputation: HashMap::new(),
+            flagged: HashSet::new(),
+        };
+        // Snapshots taken earlier in the run, to restore later.
+        let mut saved = vec![model.snapshots()];
+        for step in 0..300 {
+            let at = format!("case {case} step {step}");
+            let client = rng.next_below(CLIENTS) as usize;
+            match rng.next_below(16) {
+                0..=7 => {
+                    // Mostly on pace, sometimes ten times slower, and
+                    // once in a while a poisoned cost.
+                    let cost = match rng.next_below(60) {
+                        0 => f64::NAN,
+                        _ => rng.next_f64_range(1e6, 4e7),
+                    };
+                    let slow = if rng.next_bool(0.25) { 10.0 } else { 1.0 };
+                    let elapsed = cost / 1e7 * slow * rng.next_f64_range(0.8, 1.25);
+                    let queue_factor = if rng.next_bool(0.2) { 4.0 } else { 1.0 };
+                    let got = sched.record_completion(client, cost, elapsed, queue_factor);
+                    let want = model.record_completion(client, cost, elapsed, queue_factor);
+                    assert_eq!(got, want, "transition ({at})");
+                }
+                8..=9 => {
+                    let n = rng.next_below(4) as usize;
+                    let digests: Vec<u64> = (0..n).map(|_| rng.next_below(12)).collect();
+                    sched.note_chunks(client, &digests);
+                    for &d in &digests {
+                        let window = model.affinity.entry(client).or_default();
+                        if !window.contains(&d) {
+                            window.push(d);
+                        }
+                    }
+                }
+                10..=11 => {
+                    let threshold = u64::from(cfg.reputation_threshold);
+                    let r = model.reputation.entry(client).or_default();
+                    r.0 += 1;
+                    let promoted = !r.2 && r.0 >= threshold;
+                    r.2 |= promoted;
+                    assert_eq!(sched.note_quorum_agreement(client), promoted, "{at}");
+                }
+                12 => {
+                    let r = model.reputation.entry(client).or_default();
+                    let demoted = std::mem::replace(r, (0, r.1 + 1, false)).2;
+                    assert_eq!(sched.note_dispute(client), demoted, "{at}");
+                }
+                13 => {
+                    sched.forget_client(client);
+                    model.forget(client);
+                }
+                14 => saved.push(model.snapshots()),
+                _ => {
+                    // One of the three parts goes back to an earlier
+                    // state; the other two stay as they are.
+                    let (speeds, held, judged) =
+                        &saved[rng.next_below(saved.len() as u64) as usize];
+                    match rng.next_below(3) {
+                        0 => {
+                            sched.restore(speeds);
+                            model.clients.clear();
+                            for &(id, speed, units) in &speeds.clients {
+                                if speed.is_finite() && speed > 0.0 {
+                                    let mut ewma = Ewma::new(0.3);
+                                    ewma.update(speed);
+                                    model.clients.insert(id, (ewma, units, 0.0, 1.0));
+                                }
+                            }
+                        }
+                        1 => {
+                            sched.restore_affinity(held);
+                            model.affinity = held.clients.iter().cloned().collect();
+                        }
+                        _ => {
+                            sched.restore_reputation(judged);
+                            let restored = judged.clients.iter();
+                            model.reputation =
+                                restored.map(|&(id, a, d, t)| (id, (a, d, t))).collect();
+                        }
+                    }
+                }
+            }
+            for c in 0..CLIENTS as usize {
+                let donor = sched.donor(c);
+                let state = model.clients.get(&c);
+                let (agreements, disputes, trusted) =
+                    model.reputation.get(&c).copied().unwrap_or_default();
+                let speed = model.speed(c);
+                assert_eq!(
+                    donor.speed.to_bits(),
+                    speed.to_bits(),
+                    "speed of {c} ({at})"
+                );
+                assert_eq!(donor.hint.to_bits(), model.hint(c).to_bits(), "hint ({at})");
+                let completed = state.map_or((0, 0.0), |s| (s.1, s.2));
+                assert_eq!(donor.completed.0, completed.0, "units of {c} ({at})");
+                assert_eq!(donor.completed.1.to_bits(), completed.1.to_bits(), "{at}");
+                assert_eq!(
+                    donor.flagged,
+                    model.flagged.contains(&c),
+                    "flag of {c} ({at})"
+                );
+                assert_eq!(sched.is_health_flagged(c), donor.flagged, "{at}");
+                assert_eq!(
+                    (donor.trusted, donor.reputation),
+                    (trusted, (agreements, disputes))
+                );
+                assert_eq!(sched.reputation_counts(c), (agreements, disputes), "{at}");
+                let copies = if cfg.quorum_k <= 1 || trusted {
+                    1
+                } else {
+                    cfg.quorum_k
+                };
+                assert_eq!(
+                    (donor.copies, sched.required_copies(c)),
+                    (copies, copies),
+                    "{at}"
+                );
+                // The lease prices the queue factor, which nothing else shows.
+                let queue_factor = state.map_or(1.0, |s| s.3);
+                let lease = (2e7 / speed * queue_factor * 4.0).max(cfg.lease_min_secs);
+                let deadline = sched.lease_deadline_backed_off(&donor, 2e7, 10.0, 0);
+                assert_eq!(
+                    deadline.to_bits(),
+                    (10.0 + lease.min(86_400.0)).to_bits(),
+                    "{at}"
+                );
+                let window = model.affinity.get(&c).cloned().unwrap_or_default();
+                assert_eq!(sched.affinity_entries(c), window.len(), "{at}");
+                let score = if donor.flagged { 0 } else { window.len() };
+                assert_eq!(sched.affinity_score(c, &window), score, "{at}");
+                let ratio = |h: &HealthEngine| h.ratio(c);
+                assert_eq!(
+                    sched.health().and_then(ratio),
+                    model.health.as_ref().and_then(ratio)
+                );
+            }
+            let (speeds, held, judged) = model.snapshots();
+            let same_bits = |a: &SchedSnapshot, b: &SchedSnapshot| {
+                let bits = |s: &SchedSnapshot| -> Vec<_> {
+                    let rows = s.clients.iter();
+                    rows.map(|&(id, speed, units)| (id, speed.to_bits(), units))
+                        .collect()
+                };
+                bits(a) == bits(b)
+            };
+            assert!(
+                same_bits(&sched.snapshot(), &speeds),
+                "speed snapshot ({at})"
+            );
+            assert_eq!(sched.affinity_snapshot(), held, "affinity snapshot ({at})");
+            assert_eq!(
+                sched.reputation_snapshot(),
+                judged,
+                "reputation snapshot ({at})"
+            );
+            let flagged = model
+                .health
+                .as_ref()
+                .map_or(Vec::new(), |h| h.flagged_clients());
+            assert_eq!(sched.flagged_clients(), flagged, "flag order ({at})");
+            let mirrored: Vec<usize> = model.flagged.iter().copied().collect();
+            assert_eq!(
+                flagged.iter().copied().collect::<HashSet<_>>(),
+                mirrored.into_iter().collect()
+            );
+            let known: HashSet<usize> = sched.known_clients().collect();
+            let separately = model.clients.keys().chain(model.reputation.keys());
+            let separately: HashSet<usize> = separately.copied().chain(flagged).collect();
+            assert_eq!(known, separately, "known clients ({at})");
+            let mut audit = sched.audit();
+            audit.sort();
+            assert_eq!(audit, model.audit(), "audit ({at})");
+        }
+    }
+}
+
+// ------------------------------------------------- trace event schema
+
+/// Every event in the schema table, written as a line from nothing but
+/// its declaration — names, kinds and order — must parse to an event of
+/// that name that serializes back to the same bytes: an event cannot be
+/// declared without being parseable, or parse to some other event.
+#[test]
+fn every_declared_event_round_trips() {
+    let texts = ["\"plain\"", "\"a \\\"quoted\\\" name\\n\"", "\"\""];
+    let mut rng = Xoshiro256StarStar::new(0x5C4E3A);
+    let names: HashSet<&str> = EventKind::SCHEMA.iter().map(|(name, _)| *name).collect();
+    assert_eq!(names.len(), EventKind::SCHEMA.len(), "names are unique");
+    for &(name, fields) in EventKind::SCHEMA {
+        for _ in 0..CASES {
+            let t = rng.next_below(1 << 20) as f64 / 8.0;
+            let mut line = format!("{{\"t\":{t},\"ev\":\"{name}\"");
+            for &(field, kind) in fields {
+                let value = match kind {
+                    "int" => rng.next_below(1 << 40).to_string(),
+                    "float" => (rng.next_below(1 << 30) as f64 / 64.0).to_string(),
+                    "flag" => rng.next_bool(0.5).to_string(),
+                    "text" => texts[rng.next_below(3) as usize].to_string(),
+                    "digest" => format!("\"{:016x}\"", rng.next_u64()),
+                    other => panic!("{name}.{field}: no such field kind `{other}`"),
+                };
+                line.push_str(&format!(",\"{field}\":{value}"));
+            }
+            line.push('}');
+            let event = TraceEvent::from_json_line(&line)
+                .unwrap_or_else(|e| panic!("declared, not parseable: {line}: {e}"));
+            assert_eq!(event.kind.name(), name, "{line}");
+            assert_eq!(event.to_json_line(), line);
+            // Without its last field the line is no longer that event.
+            let cut = line.rfind(',').expect("every event has a field");
+            assert!(TraceEvent::from_json_line(&format!("{}}}", &line[..cut])).is_err());
+        }
+    }
+    let undeclared = "{\"t\":1,\"ev\":\"no_such_event\",\"client\":0}";
+    assert!(TraceEvent::from_json_line(undeclared).is_err());
 }
 
 // ---------------------------------------------------------------------
