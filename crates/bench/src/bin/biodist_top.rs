@@ -17,8 +17,8 @@
 //!
 //! `--once` prints a single snapshot and exits (with `--json`, the
 //! deterministic [`StatusSnapshot::to_json`] schema the ops-smoke CI
-//! job checks); `--watch` redraws a `top`-style board every interval
-//! until the cluster drains. Snapshots travel as `StatusRequest` /
+//! job checks, plus a `turns` object: see [`turns`]); `--watch`
+//! redraws a `top`-style board every interval until the cluster drains. Snapshots travel as `StatusRequest` /
 //! `StatusReport` wire frames, so `connect` works against any live
 //! server, and `demo` exercises the exact same path end-to-end on a
 //! loopback cluster.
@@ -232,9 +232,53 @@ fn poll_status(addr: SocketAddr) -> Option<StatusSnapshot> {
 
 // ------------------------------------------------------------ rendering
 
+/// "Did the turns get long", from the registry's own counters: the
+/// control plane's counts that a zero keeps out of the counters panel
+/// (a counter exists from its first increment) — always shown, the
+/// donor-side ones summed over what donors in other processes shipped
+/// (`donor.c<id>.<name>`) when the origin's registry has none of its
+/// own — and what they are read for, the units a turn carried:
+/// `server.completed_units ÷ net.frames_in` (≈ 1 with millisecond
+/// units, hundreds with microsecond ones).
+fn turns(snap: &StatusSnapshot) -> (Vec<(&'static str, u64)>, f64) {
+    let count = |name: &str| -> u64 {
+        let suffix = format!(".{name}");
+        let shipped = |k: &str| k.starts_with("donor.c") && k.ends_with(&suffix);
+        let sum = |own: bool| -> u64 {
+            let of = |k: &str| if own { k == name } else { shipped(k) };
+            let matching = snap.counters.iter().filter(|(k, _)| of(k));
+            matching.map(|(_, v)| v).sum()
+        };
+        match sum(true) {
+            0 => sum(false),
+            own => own,
+        }
+    };
+    let names = [
+        "net.pumps",
+        "net.client_writes",
+        "net.chunk_bursts",
+        "net.resubmits",
+        "net.turn_want_clamped",
+    ];
+    let units_per_turn = match count("net.frames_in") {
+        0 => 0.0, // (no wire: the simulator)
+        frames => count("server.completed_units") as f64 / frames as f64,
+    };
+    (names.map(|name| (name, count(name))).into(), units_per_turn)
+}
+
 fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
     if json {
-        println!("{}", snap.to_json());
+        let (counts, units_per_turn) = turns(snap);
+        let counts: Vec<String> = counts
+            .iter()
+            .map(|(name, v)| format!("\"{name}\":{v}"))
+            .collect();
+        let snapshot = snap.to_json();
+        let body = snapshot.strip_suffix('}').expect("a JSON object");
+        let counts = counts.join(",");
+        println!("{body},\"turns\":{{{counts},\"units_per_turn\":{units_per_turn:.3}}}}}");
         return;
     }
     let mut out = String::new();
@@ -282,7 +326,12 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
             p.reissue_queue,
         ));
     }
-    out.push('\n');
+    let (counts, units_per_turn) = turns(snap);
+    out.push_str("\nTURNS ");
+    for (name, v) in counts {
+        out.push_str(&format!("  {} {v}", name.trim_start_matches("net.")));
+    }
+    out.push_str(&format!("  units/turn {units_per_turn:.2}\n\n"));
     for (k, v) in &snap.counters {
         out.push_str(&format!("{k} = {v}\n"));
     }

@@ -286,6 +286,10 @@ impl LeaseTable {
         mut pull: impl FnMut() -> Option<WorkUnit>,
         score: Option<&dyn Fn(&WorkUnit) -> usize>,
     ) -> Option<Arc<WorkUnit>> {
+        // (No lookahead, nothing held back: the pull is the pick.)
+        if lookahead == 1 && self.pool.is_empty() {
+            return pull().map(Arc::new);
+        }
         while self.pool.len() < lookahead {
             let Some(unit) = pull() else { break };
             self.pool.push_back(Arc::new(unit));

@@ -117,6 +117,22 @@ pub enum LogRecord {
 /// far above what one pump of unit records amounts to.
 const GROUP_BYTES: usize = 64 * 1024;
 
+/// Frames one record at the end of `group` — length, type, what `body`
+/// writes, and a checksum over `type ‖ body`: everything after the
+/// length. Returns the bytes it added.
+fn frame_record(group: &mut Vec<u8>, rtype: u8, body: impl FnOnce(&mut ByteWriter)) -> usize {
+    let start = group.len();
+    group.extend_from_slice(&[0, 0, 0, 0, rtype]);
+    let mut w = ByteWriter::appending(std::mem::take(group));
+    body(&mut w);
+    *group = w.into_bytes();
+    let body_len = group.len() - start - 5;
+    group[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    let crc = super::wire::crc32(&group[start + 4..]);
+    group.extend_from_slice(&crc.to_le_bytes());
+    body_len + 9
+}
+
 /// The log file and its open group: records framed but not yet written.
 #[derive(Debug)]
 struct Log {
@@ -180,7 +196,12 @@ impl Drop for Log {
 /// the file. A crash loses the open group — records nobody was told
 /// about — and [`CheckpointWriter::discard`] is that crash for
 /// `NetServer::kill`. A reader of the log while a writer lives must
-/// commit first.
+/// commit first. The handle installed as the journal frames the unit
+/// records of one donor turn ([`RunJournal::begin_turn`]) in a buffer
+/// of its own and joins them to the group when the turn ends: the log
+/// lock is taken once a turn, not once a record, and since whoever
+/// else writes — the ticker's snapshots — does so holding the server,
+/// between turns, the file reads record for record as it always did.
 ///
 /// Write failures are counted (`ckpt.write_errors`), not propagated: a
 /// full disk degrades durability — lost records mean recomputed units
@@ -189,26 +210,34 @@ impl Drop for Log {
 pub struct CheckpointWriter {
     log: Arc<Mutex<Log>>,
     telemetry: crate::telemetry::Telemetry,
+    /// Between [`RunJournal::begin_turn`] and `end_turn`, this handle's
+    /// unit records are framed here, and counted — empty outside a
+    /// turn, so a clone starts with none.
+    turn: Vec<u8>,
+    turn_records: u64,
+    in_turn: bool,
 }
 
 impl CheckpointWriter {
     /// Creates (truncating) a fresh log at `path`.
     pub fn create(path: &Path) -> std::io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self {
+        Ok(Self::over(File::create(path)?))
+    }
+
+    fn over(file: File) -> Self {
+        Self {
             log: Log::new(file),
             telemetry: crate::telemetry::Telemetry::disabled(),
-        })
+            turn: Vec::new(),
+            turn_records: 0,
+            in_turn: false,
+        }
     }
 
     /// Opens an existing log for appending (a recovered server keeps
     /// journaling to the same file; the replayed prefix stays valid).
     pub fn append(path: &Path) -> std::io::Result<Self> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self {
-            log: Log::new(file),
-            telemetry: crate::telemetry::Telemetry::disabled(),
-        })
+        Ok(Self::over(OpenOptions::new().append(true).open(path)?))
     }
 
     /// Attaches a telemetry handle: every appended record becomes a
@@ -258,17 +287,32 @@ impl CheckpointWriter {
     /// in place, behind a length that is patched afterwards.
     fn write_record(&self, rtype: u8, body: impl FnOnce(&mut ByteWriter)) {
         let mut log = self.log.lock().expect("checkpoint lock");
-        let start = log.group.len();
-        log.group.extend_from_slice(&[0, 0, 0, 0, rtype]);
-        let mut w = ByteWriter::appending(std::mem::take(&mut log.group));
-        body(&mut w);
-        log.group = w.into_bytes();
-        let body_len = log.group.len() - start - 5;
-        log.group[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        // The checksum covers `type ‖ body`: everything after the length.
-        let crc = super::wire::crc32(&log.group[start + 4..]);
-        log.group.extend_from_slice(&crc.to_le_bytes());
         log.records += 1;
+        let framed = frame_record(&mut log.group, rtype, body);
+        self.trace_record(rtype, framed);
+        // A crash can tear at most the group being written, at any
+        // byte; the reader's CRC check keeps the records wholly before
+        // the tear and drops the rest.
+        let unit_record = matches!(rtype, REC_ISSUE | REC_RESULT | REC_VOTE);
+        if !unit_record || log.group.len() >= GROUP_BYTES {
+            self.write_group(&mut log);
+        }
+    }
+
+    /// [`Self::write_record`] for a unit record: inside a turn it is
+    /// framed into the handle's own buffer, with no lock taken —
+    /// [`RunJournal::end_turn`] moves the turn's records into the group
+    /// under one.
+    fn unit_record(&mut self, rtype: u8, body: impl FnOnce(&mut ByteWriter)) {
+        if !self.in_turn {
+            return self.write_record(rtype, body);
+        }
+        self.turn_records += 1;
+        let framed = frame_record(&mut self.turn, rtype, body);
+        self.trace_record(rtype, framed);
+    }
+
+    fn trace_record(&self, rtype: u8, framed: usize) {
         if self.telemetry.is_enabled() {
             let kind = match rtype {
                 REC_ISSUE => "issue",
@@ -284,15 +328,7 @@ impl CheckpointWriter {
                     kind: kind.to_string(),
                 });
             self.telemetry.counter_add("ckpt.records", 1);
-            self.telemetry
-                .counter_add("ckpt.bytes", body_len as u64 + 9);
-        }
-        // A crash can tear at most the group being written, at any
-        // byte; the reader's CRC check keeps the records wholly before
-        // the tear and drops the rest.
-        let unit_record = matches!(rtype, REC_ISSUE | REC_RESULT | REC_VOTE);
-        if !unit_record || log.group.len() >= GROUP_BYTES {
-            self.write_group(&mut log);
+            self.telemetry.counter_add("ckpt.bytes", framed as u64);
         }
     }
 
@@ -349,7 +385,7 @@ impl CheckpointWriter {
 
 impl RunJournal for CheckpointWriter {
     fn unit_issued(&mut self, problem: ProblemId, unit: &WorkUnit, hint_ops: f64) {
-        self.write_record(REC_ISSUE, |w| {
+        self.unit_record(REC_ISSUE, |w| {
             w.usize(problem);
             w.u64(unit.id);
             w.f64(hint_ops);
@@ -357,7 +393,7 @@ impl RunJournal for CheckpointWriter {
     }
 
     fn result_folded(&mut self, problem: ProblemId, unit: UnitId, encoded: &[u8]) {
-        self.write_record(REC_RESULT, |w| {
+        self.unit_record(REC_RESULT, |w| {
             w.usize(problem);
             w.u64(unit);
             w.bytes(encoded);
@@ -372,13 +408,27 @@ impl RunJournal for CheckpointWriter {
         client: ClientId,
         encoded: &[u8],
     ) {
-        self.write_record(REC_VOTE, |w| {
+        self.unit_record(REC_VOTE, |w| {
             w.usize(problem);
             w.u64(unit);
             w.u32(needed);
             w.u64(client as u64);
             w.bytes(encoded);
         });
+    }
+
+    fn begin_turn(&mut self) {
+        self.in_turn = true;
+    }
+
+    fn end_turn(&mut self) {
+        self.in_turn = false;
+        let mut log = self.log.lock().expect("checkpoint lock");
+        log.group.append(&mut self.turn);
+        log.records += std::mem::take(&mut self.turn_records);
+        if log.group.len() >= GROUP_BYTES {
+            self.write_group(&mut log);
+        }
     }
 
     fn commit(&mut self) {
@@ -784,6 +834,104 @@ mod tests {
         let reference = sequential_pi(n);
         assert_eq!(pi.to_bits(), reference.to_bits(), "bit-identical recovery");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The installed handle frames a turn's records without the log
+    /// lock and joins them to the group under one acquisition: a turn
+    /// of eight results and eight leases runs to its last record while
+    /// this test *holds* the lock, and blocks only at its end. The file
+    /// is byte for byte the one the same turns write through a journal
+    /// that never hears of turns (a record, a lock), results in frame
+    /// order ahead of the issues.
+    #[test]
+    fn a_turns_records_take_the_log_lock_once_and_read_back_in_order() {
+        use crate::server::TurnResult;
+        const K: usize = 8;
+        struct Watched {
+            inner: CheckpointWriter,
+            turns: bool,
+            framed: std::sync::mpsc::Sender<u64>,
+        }
+        impl RunJournal for Watched {
+            fn unit_issued(&mut self, problem: ProblemId, unit: &WorkUnit, hint: f64) {
+                self.inner.unit_issued(problem, unit, hint);
+            }
+            fn result_folded(&mut self, problem: ProblemId, unit: UnitId, encoded: &[u8]) {
+                self.inner.result_folded(problem, unit, encoded);
+            }
+            fn begin_turn(&mut self) {
+                if self.turns {
+                    self.inner.begin_turn();
+                }
+            }
+            fn end_turn(&mut self) {
+                let _ = self.framed.send(self.inner.turn_records);
+                self.inner.end_turn();
+            }
+        }
+        let run = |tag: &str, turns: bool| {
+            let path = temp_log(tag);
+            let observer = CheckpointWriter::create(&path).unwrap();
+            let (framed, framed_rx) = std::sync::mpsc::channel();
+            let mut server = Server::new(fixed_cfg());
+            let pid = server.submit(integration_problem(1_000_000));
+            server.set_journal(Box::new(Watched {
+                inner: observer.clone(),
+                turns,
+                framed,
+            }));
+            let held = server.turn(0, 0.0, Vec::new(), K).units;
+            assert_eq!(
+                (held.len(), framed_rx.recv().unwrap()),
+                (K, K as u64 * u64::from(turns))
+            );
+            let algorithm = server.algorithm(pid);
+            let results = held.iter().map(|(problem, unit)| TurnResult {
+                problem: *problem,
+                unit: unit.id,
+                payload: Some(algorithm.compute(unit).payload),
+            });
+            let results: Vec<_> = results.collect();
+            if turns {
+                let log = observer.log.lock().unwrap();
+                std::thread::scope(|s| {
+                    let turn = s.spawn(|| server.turn(0, 1.0, results, K));
+                    let timeout = std::time::Duration::from_secs(20);
+                    let framed = framed_rx.recv_timeout(timeout);
+                    assert_eq!(framed, Ok(2 * K as u64), "a record waited for the log lock");
+                    assert!(!turn.is_finished(), "the turn's end takes the lock");
+                    drop(log);
+                    assert_eq!(turn.join().unwrap().accepted, [true; K]);
+                });
+            } else {
+                assert_eq!(server.turn(0, 1.0, results, K).accepted, [true; K]);
+            }
+            observer.commit();
+            let ids = |issue: bool| held.iter().map(move |(_, unit)| (issue, unit.id));
+            let (records, torn) = read_log(&path).unwrap();
+            let order = records.iter().map(|r| match r {
+                LogRecord::Issue { unit, .. } => (true, *unit),
+                LogRecord::Result { unit, .. } => (false, *unit),
+                other => panic!("unexpected record {other:?}"),
+            });
+            let order: Vec<_> = order.collect();
+            assert!(!torn);
+            assert_eq!(
+                order[..2 * K],
+                ids(true).chain(ids(false)).collect::<Vec<_>>()
+            );
+            assert!(order[2 * K..].iter().all(|&(issue, _)| issue));
+            let bytes = std::fs::read(&path).unwrap();
+            let _ = std::fs::remove_file(&path);
+            bytes
+        };
+        let (by_turn, by_record) = (run("lock-turns", true), run("lock-records", false));
+        assert_eq!(
+            by_turn.len(),
+            K * (2 * 33 + 37),
+            "2K issues of 33 bytes, K results of 37"
+        );
+        assert_eq!(by_turn, by_record);
     }
 
     #[test]

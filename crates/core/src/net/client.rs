@@ -11,13 +11,14 @@
 //! read only when nothing is ready to compute. How many units are kept
 //! ready or requested — and results unacknowledged — is what the donor
 //! measures: the exposed wait of a blocking read divided by the compute
-//! of a unit, between `queue_depth` and 64. With millisecond units that
-//! is `queue_depth` and one turn of one per unit, each result on the
-//! wire before the next compute starts; with microsecond units a turn
-//! carries a round trip's worth of results, held back by at most half
-//! the wait they share. One connection answers its numbered turns in
-//! order, so a reply that arrives ahead of an earlier turn's proves that
-//! turn lost, and its results ride the next one.
+//! of a unit, between `queue_depth` and [`MAX_PIPELINE_DEPTH`]. With
+//! millisecond units that is `queue_depth` and one turn of one per
+//! unit, each result on the wire before the next compute starts; with
+//! microsecond units a turn carries a round trip's worth of results,
+//! held back by at most half the wait they share. One connection
+//! answers its numbered turns in order, so a reply that arrives ahead
+//! of an earlier turn's proves that turn lost, and its results ride the
+//! next one.
 //!
 //! Around that sits the robustness the real deployment needed:
 //! heartbeats so the server can tell "slow" from "gone", reconnect with
@@ -82,8 +83,9 @@ pub struct NetClientOptions {
     /// the next compute starts without a request round-trip — and the
     /// bound on results submitted but not yet acknowledged. The depth
     /// in force is measured (a round trip's worth of units, at most
-    /// 64) and never below this; units that take longer than the
-    /// donor's waits run at exactly this depth. 1 disables pipelining.
+    /// [`MAX_PIPELINE_DEPTH`]) and never below this; units that take
+    /// longer than the donor's waits run at exactly this depth. 1
+    /// disables pipelining.
     pub queue_depth: usize,
     /// Cadence at which the donor ships a [`Frame::MetricsReport`]
     /// delta snapshot of its local metrics registry (scaled seconds).
@@ -288,7 +290,8 @@ struct ClientLoop {
     /// [`ClientLoop::flush`].
     wbuf: Vec<u8>,
     /// The buffers of acknowledged results, for the next ones to be
-    /// encoded into: at most [`MAX_PIPELINE_DEPTH`], none outsized.
+    /// encoded into: [`KEEP_BYTES`] of capacity in all, however deep
+    /// the pipeline (there are never more buffers than it is deep).
     spare: Vec<Vec<u8>>,
     reconnect: Backoff,
     /// Results not yet acknowledged; at most the depth in force when
@@ -861,8 +864,10 @@ impl ClientLoop {
             self.sent += turn.results; // (still unacknowledged: resubmitted)
             return Err(Broken);
         }
+        let mut kept: usize = self.spare.iter().map(Vec::capacity).sum();
         for (_, _, buf) in self.unacked.drain(..turn.results) {
-            if self.spare.len() < MAX_PIPELINE_DEPTH && buf.capacity() <= KEEP_BYTES {
+            if kept + buf.capacity() <= KEEP_BYTES {
+                kept += buf.capacity();
                 self.spare.push(buf);
             }
         }
@@ -1921,7 +1926,7 @@ mod tests {
         let log = origin.finish();
         assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
         assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 0);
-        assert_eq!(max_depth, MAX_PIPELINE_DEPTH, "a 3 ms wait holds 64 units");
+        assert_eq!(max_depth, MAX_PIPELINE_DEPTH, "a 3 ms wait fills it");
         let (warm_writes, warm_computes) = warm.expect("the depth left the floor");
         assert!(warm_computes <= 16, "warm after {warm_computes} computes");
         let (writes, results) = (
@@ -2239,7 +2244,7 @@ mod tests {
         // fewer than the depth are still queued at the timeout.
         tail_loss_resubmits_each_unacked_result_once(
             Script {
-                units: 600,
+                units: 10 * MAX_PIPELINE_DEPTH as u64,
                 mute_from_turn: Some(14),
                 reply_delay: SLOW_ORIGIN,
                 ..Default::default()

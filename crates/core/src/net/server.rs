@@ -911,7 +911,8 @@ mod tests {
             let mut server = Server::new(small_cfg());
             server.set_telemetry(Telemetry::enabled());
             let telemetry = server.telemetry();
-            let pid = server.submit(integration_problem(1_000_000));
+            // (400 units: more than one turn may hold.)
+            let pid = server.submit(integration_problem(4_000_000));
             if let Some(journal) = journal {
                 server.set_journal(journal);
             }
@@ -1211,7 +1212,8 @@ mod tests {
         session.write_turn(1, 1000, Vec::new());
         let (_, _, units, then) = session.reply();
         assert_eq!((units.len(), then), (MAX_PIPELINE_DEPTH, Then::More));
-        assert_eq!(session.leases(), (MAX_PIPELINE_DEPTH as u64, 64, 0));
+        let ceiling = MAX_PIPELINE_DEPTH as u32;
+        assert_eq!(session.leases(), (u64::from(ceiling), ceiling, 0));
         let clamped = session.telemetry.metrics_snapshot();
         assert_eq!(clamped.counter("net.turn_want_clamped"), 1);
         session.net.kill();

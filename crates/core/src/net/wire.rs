@@ -80,11 +80,17 @@ pub const TURN_REPLY_TYPE: u8 = FT_TURN_REPLY;
 /// Ceiling of a donor's measured pipeline depth, and so of what one
 /// [`Frame::Turn`] may `want`: the most assignments a donor keeps ready
 /// or requested, and results unacknowledged, however short its units
-/// are next to a round trip. A turn of 64 is ~3 KiB each way — one
-/// segment, one origin pump, one journal group — and shares the
-/// per-turn costs 64 ways; deeper would only lengthen what one lost
+/// are next to a round trip. The donor's wait *is* the origin serving
+/// its turn, so with microsecond units the measured depth always ends
+/// here: the ceiling is the design, set where the turn's fixed costs
+/// (two syscalls a side, a poll, a journal write) stop showing. Swept
+/// on `dispatch-journal`, this constant the only edit: `efficiency`
+/// 0.118 at 64, 0.135 at 256, 0.137 at 1,024 — 256 is the knee. A turn
+/// of 256 integration units is ~13 KB each way, one origin pump and one
+/// ~18 KB journal group (1,024 would split its records across the
+/// journal's 64 KiB group); deeper would only lengthen what one lost
 /// connection resubmits and what one slow donor hoards from the others.
-pub const MAX_PIPELINE_DEPTH: usize = 64;
+pub const MAX_PIPELINE_DEPTH: usize = 256;
 
 /// The fixed head of a [`Frame::Turn`] body — client, seq, want and
 /// the result count — ahead of its id table.
@@ -320,8 +326,8 @@ impl FrameRef<'_> {
 }
 
 /// A run of elements borrowed from a frame body — a turn's ids, its
-/// payloads, a reply's acks, its units — parsed one at a time by the
-/// `read` that [`decode_ref`] checked every one of them with already.
+/// payloads, a reply's acks, its units — that [`decode_ref`] checked by
+/// *length* and the consumer parses, one at a time and once, with `read`.
 #[derive(Debug, Clone, Copy)]
 pub struct Run<'a, T> {
     left: usize,
@@ -330,20 +336,38 @@ pub struct Run<'a, T> {
 }
 
 impl<'a, T> Run<'a, T> {
-    /// The run of `n` elements at the front of `r`, checked.
+    /// The run of `n` elements at the front of `r`, each `fixed` bytes
+    /// and, if `sliced`, one length-prefixed slice more. Nothing `read`
+    /// does can fail except by running out of bytes, so an element that
+    /// is all there will parse: skip it, don't parse it twice.
     fn of(
         r: &mut ByteReader<'a>,
         n: usize,
+        (fixed, sliced): (usize, bool),
         read: fn(&mut ByteReader<'a>) -> Result<T, WireError>,
     ) -> Result<Self, WireError> {
         let bytes = r.rest();
-        for _ in 0..n {
-            read(r)?;
-        }
-        let bytes = &bytes[..bytes.len() - r.remaining()];
+        let sliced_end = |at: usize, _| {
+            let len = bytes.get(at.checked_add(fixed)?..)?.get(..4)?;
+            let len = u32::from_le_bytes(len.try_into().expect("4 bytes")) as usize;
+            let end = (at + fixed + 4).checked_add(len)?;
+            (end <= bytes.len()).then_some(end)
+        };
+        let end = match sliced {
+            true => (0..n).try_fold(0, sliced_end),
+            false => n.checked_mul(fixed).filter(|&end| end <= bytes.len()),
+        };
+        let Some(end) = end else {
+            // Malformed: parse, to fail where and as a parse does.
+            for _ in 0..n {
+                read(r)?;
+            }
+            return Err(WireError::new("a run that parses has its length"));
+        };
+        *r = ByteReader::new(&bytes[end..]);
         Ok(Self {
             left: n,
-            bytes,
+            bytes: &bytes[..end],
             read,
         })
     }
@@ -677,7 +701,7 @@ pub fn decode_turn_head<'a>(r: &mut ByteReader<'a>) -> Result<TurnHead<'a>, Wire
         client,
         seq,
         want,
-        Run::of(r, n, |r| Ok((r.u64()?, r.u64()?)))?,
+        Run::of(r, n, (16, false), |r| Ok((r.u64()?, r.u64()?)))?,
     ))
 }
 
@@ -808,7 +832,7 @@ pub fn decode_ref(buf: &[u8]) -> Result<(FrameRef<'_>, usize), DecodeError> {
             }),
             FT_TURN => {
                 let (client, seq, want, ids) = decode_turn_head(&mut r)?;
-                let payloads = Run::of(&mut r, ids.len(), ByteReader::bytes)?;
+                let payloads = Run::of(&mut r, ids.len(), (0, true), ByteReader::bytes)?;
                 FrameRef::Turn(client, seq, want, ids, payloads)
             }
             FT_TURN_REPLY => {
@@ -820,9 +844,9 @@ pub fn decode_ref(buf: &[u8]) -> Result<(FrameRef<'_>, usize), DecodeError> {
                     other => return Err(WireError::new(format!("bad turn verdict {other}"))),
                 };
                 let n = r.count(17)?;
-                let acks = Run::of(&mut r, n, read_ack)?;
+                let acks = Run::of(&mut r, n, (17, false), read_ack)?;
                 let n = r.count(28)?;
-                FrameRef::TurnReply(seq, acks, Run::of(&mut r, n, read_unit)?, then)
+                FrameRef::TurnReply(seq, acks, Run::of(&mut r, n, (24, true), read_unit)?, then)
             }
             _ => unreachable!("parse_header validated the type"),
         };
@@ -1443,6 +1467,97 @@ mod tests {
         for bytes in [turn, acks, units, verdict] {
             assert!(matches!(decode_frame(&bytes), Err(DecodeError::Body(_))));
         }
+    }
+
+    /// A run is checked by skipping its elements and parsed by whoever
+    /// consumes it, once — and the skip reaches the verdict of a parse
+    /// of every element, message for message, on whole bodies, on every
+    /// truncation of them, with bytes left over, and with a length
+    /// prefix that lies in either direction.
+    #[test]
+    fn a_run_is_validated_by_length_and_parsed_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static READS: AtomicUsize = AtomicUsize::new(0);
+        fn counted<'a>(r: &mut ByteReader<'a>) -> Result<&'a [u8], WireError> {
+            READS.fetch_add(1, Ordering::SeqCst);
+            r.bytes()
+        }
+        let mut w = ByteWriter::new();
+        for payload in [&[1u8; 8][..], &[], &[2; 300]] {
+            w.bytes(payload);
+        }
+        let body = w.into_bytes();
+        let mut r = ByteReader::new(&body);
+        let run = Run::of(&mut r, 3, (0, true), counted).unwrap();
+        assert_eq!((READS.load(Ordering::SeqCst), r.remaining()), (0, 0));
+        assert_eq!(run.map(<[u8]>::len).collect::<Vec<_>>(), [8, 0, 300]);
+        assert_eq!(READS.load(Ordering::SeqCst), 3, "each element parsed once");
+
+        // What `decode_ref` said of a body while it parsed every element.
+        let by_parsing = |frame_type: u8, body: &[u8]| -> Result<(), WireError> {
+            let mut r = ByteReader::new(body);
+            if frame_type == FT_TURN {
+                let (_, _, _, n) = (r.u64()?, r.u64()?, r.u32()?, r.count(16)?);
+                for _ in 0..n {
+                    let _ids = (r.u64()?, r.u64()?);
+                }
+                for _ in 0..n {
+                    r.bytes()?;
+                }
+            } else {
+                let _seq_and_verdict = (r.u64()?, r.u8()?); // (left alone below)
+                for _ in 0..r.count(17)? {
+                    read_ack(&mut r)?;
+                }
+                for _ in 0..r.count(28)? {
+                    read_unit(&mut r)?;
+                }
+            }
+            r.finish()
+        };
+        let turn = Frame::Turn {
+            client: 4,
+            seq: 9,
+            want: 2,
+            results: vec![(0, 1, vec![7; 8]), (0, 2, Vec::new()), (1, 3, vec![8; 40])],
+        };
+        let reply = Frame::TurnReply {
+            seq: 9,
+            acks: vec![(0, 1, true), (0, 2, false)],
+            units: vec![(0, 5, 1.5, vec![3; 24]), (1, 6, 2.5, Vec::new())],
+            then: Then::More,
+        };
+        let mut checked = 0;
+        for frame in [turn, reply] {
+            let clean = encode_frame(&frame);
+            let body = &clean[HEADER_LEN..clean.len() - 4];
+            let mut bodies: Vec<Vec<u8>> =
+                (0..=body.len()).map(|cut| body[..cut].to_vec()).collect();
+            bodies.extend((1..6).map(|extra| [body, &vec![0x5A; extra][..]].concat()));
+            // Every aligned word past the head read as a length that is
+            // one short, one long, and far too long.
+            for at in (9..body.len() - 4).step_by(4) {
+                let word = u32::from_le_bytes(body[at..at + 4].try_into().unwrap());
+                for lie in [word.wrapping_sub(1), word + 1, u32::MAX] {
+                    let mut lying = body.to_vec();
+                    lying[at..at + 4].copy_from_slice(&lie.to_le_bytes());
+                    bodies.push(lying);
+                }
+            }
+            for body in bodies {
+                let mut framed = Vec::new();
+                frame_into(frame.type_code(), &mut framed, |w| raw(&body)(w).unwrap());
+                let expected = by_parsing(frame.type_code(), &body).map_err(DecodeError::Body);
+                let got = decode_ref(&framed).map(|(f, used)| {
+                    assert_eq!(used, framed.len());
+                    // (Iterating the runs must not trip on what the skip let through.)
+                    f.into_owned();
+                });
+                assert_eq!(got, expected, "{frame:?} body {body:?}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 300, "{checked} bodies");
     }
 
     #[test]

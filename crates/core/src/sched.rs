@@ -442,23 +442,41 @@ impl Scheduler {
         elapsed_secs: f64,
         queue_factor: f64,
     ) -> Option<HealthTransition> {
+        let one = [(cost_ops, elapsed_secs, queue_factor)];
+        self.record_completions(client, &one).pop()
+    }
+
+    /// [`Scheduler::record_completion`] for every `(cost_ops,
+    /// elapsed_secs, queue_factor)` of one donor's turn, in order, with
+    /// the donor's record looked up once; the flag changes, in order.
+    pub fn record_completions(
+        &mut self,
+        client: ClientId,
+        completions: &[(f64, f64, f64)],
+    ) -> Vec<HealthTransition> {
+        let mut transitions = Vec::new();
+        if completions.is_empty() {
+            return transitions;
+        }
         let donor = self.donors.entry(client).or_default();
-        // The health observation is normalized by the *pre-update*
-        // speed estimate: "how much longer than this donor's priced
-        // speed predicts" — an honest-but-slow machine scores ~1.0, a
-        // degraded one drifts up regardless of its nominal speed.
-        let predicted = cost_ops / self.cfg.speed_of(donor.adaptive.as_ref());
-        let sound = predicted > 0.0 && predicted.is_finite();
-        let detector = self.health.as_mut().filter(|_| sound);
-        let service = elapsed_secs / queue_factor;
-        let transition = detector.and_then(|h| h.observe(client, service / predicted));
-        let state = donor.adaptive.get_or_insert_with(ClientState::new);
-        state.queue_factor = queue_factor;
-        let elapsed = elapsed_secs.max(1e-9);
-        state.throughput.update(cost_ops * queue_factor / elapsed);
-        state.units_completed += 1;
-        state.ops_completed += cost_ops;
-        transition
+        for &(cost_ops, elapsed_secs, queue_factor) in completions {
+            // The health observation is normalized by the *pre-update*
+            // speed estimate: "how much longer than this donor's priced
+            // speed predicts" — an honest-but-slow machine scores ~1.0, a
+            // degraded one drifts up regardless of its nominal speed.
+            let predicted = cost_ops / self.cfg.speed_of(donor.adaptive.as_ref());
+            let sound = predicted > 0.0 && predicted.is_finite();
+            let detector = self.health.as_mut().filter(|_| sound);
+            let service = elapsed_secs / queue_factor;
+            transitions.extend(detector.and_then(|h| h.observe(client, service / predicted)));
+            let state = donor.adaptive.get_or_insert_with(ClientState::new);
+            state.queue_factor = queue_factor;
+            let elapsed = elapsed_secs.max(1e-9);
+            state.throughput.update(cost_ops * queue_factor / elapsed);
+            state.units_completed += 1;
+            state.ops_completed += cost_ops;
+        }
+        transitions
     }
 
     /// Forgets a client (it left the pool). Reputation and health are

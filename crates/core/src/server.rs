@@ -54,6 +54,13 @@ pub trait RunJournal: Send {
     ) {
         let _ = (problem, unit, needed, client, encoded);
     }
+    /// A donor's turn opens / has closed: everything reported in
+    /// between belongs to it, in order, with nothing else written to the
+    /// same log meanwhile (the caller holds the server). A journal may
+    /// take them as one batch; the default takes each as it comes.
+    fn begin_turn(&mut self) {}
+    /// See [`RunJournal::begin_turn`].
+    fn end_turn(&mut self) {}
     /// Everything reported so far must be durable before this returns:
     /// the caller is about to tell a donor something (an assignment, an
     /// ack) that the reported events justify. A journal that makes each
@@ -621,6 +628,9 @@ impl Server {
         want: usize,
     ) -> TurnOutcome {
         self.telemetry.set_now(now);
+        if let Some(j) = self.journal.as_mut() {
+            j.begin_turn();
+        }
         // Every unit leaves the table before the first is folded, so
         // that `end` — the donor's completed-work counters once all of
         // the turn's results are in — is known to each of them.
@@ -635,7 +645,8 @@ impl Server {
             }
             taken.push(inf);
         }
-        let (mut accepted, mut timed) = (Vec::with_capacity(results.len()), false);
+        let mut accepted = Vec::with_capacity(results.len());
+        let mut completions = Vec::with_capacity(results.len());
         for (i, (r, inf)) in results.into_iter().zip(taken).enumerate() {
             let (problem, unit_id) = (r.problem, r.unit);
             accepted.push(match (r.payload, inf) {
@@ -649,8 +660,10 @@ impl Server {
                 (Some(payload), Some(inf)) if !self.problems[problem].done => {
                     let result = TaskResult { unit_id, payload };
                     let wire = wire.get(i).copied();
-                    timed |= inf.lease_of(client).is_some();
-                    self.fold(client, problem, result, wire, inf, now, end)
+                    let completion = Self::completion(&inf, client, now, end);
+                    completions.extend(completion);
+                    let latency = completion.map(|c| c.1);
+                    self.fold(client, problem, result, wire, inf, now, latency)
                 }
                 _ => {
                     self.wasted(problem, unit_id, client);
@@ -658,11 +671,7 @@ impl Server {
                 }
             });
         }
-        // (Gauges are last-write-wins: once per turn that recorded a
-        // completion leaves the registry what once per result did.)
-        if timed {
-            self.sched.export_client_metrics(client, &self.telemetry);
-        }
+        self.learn(client, &completions);
         let units = Vec::with_capacity(want);
         let (mut out, mut extra) = (
             TurnOutcome {
@@ -683,6 +692,9 @@ impl Server {
                     None => out.then = Then::Wait,
                 }
             }
+        }
+        if let Some(j) = self.journal.as_mut() {
+            j.end_turn();
         }
         out
     }
@@ -887,18 +899,69 @@ impl Server {
         };
         let (units, ops) = self.sched.donor(client).completed;
         let end = (units + 1, ops + inf.unit.cost_ops);
-        let timed = inf.lease_of(client).is_some();
-        let advanced = self.fold(client, problem, result, None, inf, now, end);
-        if timed {
-            self.sched.export_client_metrics(client, &self.telemetry);
+        let completion = Self::completion(&inf, client, now, end);
+        self.learn(client, completion.as_slice());
+        let latency = completion.map(|c| c.1);
+        self.fold(client, problem, result, None, inf, now, latency)
+    }
+
+    // What the adaptive scheduler learns from `client` handing in the
+    // unit `inf` at `now` — `(cost in ops, turnaround, queue factor)` —
+    // if it held a lease on it; `end`: its completed-work counters as
+    // they will stand at the end of the turn that brought the result.
+    fn completion(
+        inf: &InFlight,
+        client: ClientId,
+        now: f64,
+        end: (u64, f64),
+    ) -> Option<(f64, f64, f64)> {
+        let lease = inf.lease_of(client)?;
+        let cost = inf.unit.cost_ops;
+        // What the donor delivered while the lease was out: the turn's
+        // end, less the unit itself. (Saturating: a departed client's
+        // counts start over.)
+        let (units_before, ops_before) = lease.completed_before;
+        let queue_factor = Scheduler::queue_factor(
+            cost,
+            (end.0 - 1).saturating_sub(units_before),
+            (end.1 - cost - ops_before).max(0.0),
+        );
+        Some((cost, now - lease.assigned_at, queue_factor))
+    }
+
+    // Feeds the adaptive scheduler a turn's completions, in order — the
+    // donor is constant for the turn, so its record is looked up once
+    // (no fold reads what this writes) — and says what the straggler
+    // detector made of them. (Gauges are last-write-wins: once per turn
+    // leaves the registry what once per result did.)
+    fn learn(&mut self, client: ClientId, completions: &[(f64, f64, f64)]) {
+        if completions.is_empty() {
+            return;
         }
-        advanced
+        for transition in self.sched.record_completions(client, completions) {
+            let (event, counter) = match transition {
+                HealthTransition::Flagged { ratio } => (
+                    EventKind::DonorFlagged { client, ratio },
+                    "health.flagged_total",
+                ),
+                HealthTransition::Cleared { ratio } => (
+                    EventKind::DonorCleared { client, ratio },
+                    "health.cleared_total",
+                ),
+            };
+            self.telemetry.emit(event);
+            self.telemetry.counter_add(counter, 1);
+            if let Some(h) = self.sched.health() {
+                h.export_metrics(&self.telemetry);
+            }
+        }
+        self.sched.export_client_metrics(client, &self.telemetry);
     }
 
     // Rules on one result whose unit `inf` was just taken out of the
     // lease table; `wire`: the codec bytes it was decoded from, if it
-    // came off a wire; `end`: the donor's completed-work counters as
-    // they will stand at the end of the turn that brought it.
+    // came off a wire; `latency`: its turnaround, if `client` held a
+    // lease on it (the caller tells the scheduler).
     #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,
@@ -908,47 +971,14 @@ impl Server {
         wire: Option<&[u8]>,
         inf: InFlight,
         now: f64,
-        end: (u64, f64),
+        latency: Option<f64>,
     ) -> bool {
         let p = &mut self.problems[problem];
-        // Feed the adaptive scheduler with this client's turnaround.
-        let mut latency = 0.0;
-        if let Some(lease) = inf.lease_of(client) {
-            latency = now - lease.assigned_at;
-            // What the donor delivered while the lease was out: the
-            // turn's end, less the unit itself. (Saturating: a departed
-            // client's counts start over.)
-            let (units_before, ops_before) = lease.completed_before;
-            let queue_factor = Scheduler::queue_factor(
-                inf.unit.cost_ops,
-                (end.0 - 1).saturating_sub(units_before),
-                (end.1 - inf.unit.cost_ops - ops_before).max(0.0),
-            );
-            let cost = inf.unit.cost_ops;
-            // (The completion is the straggler detector's observation too.)
-            let flag = self
-                .sched
-                .record_completion(client, cost, latency, queue_factor);
-            if let Some(transition) = flag {
-                let (event, counter) = match transition {
-                    HealthTransition::Flagged { ratio } => (
-                        EventKind::DonorFlagged { client, ratio },
-                        "health.flagged_total",
-                    ),
-                    HealthTransition::Cleared { ratio } => (
-                        EventKind::DonorCleared { client, ratio },
-                        "health.cleared_total",
-                    ),
-                };
-                self.telemetry.emit(event);
-                self.telemetry.counter_add(counter, 1);
-                if let Some(h) = self.sched.health() {
-                    h.export_metrics(&self.telemetry);
-                }
-            }
+        if let Some(latency) = latency {
             self.telemetry
                 .observe("server.unit_latency", LATENCY_BOUNDS, latency);
         }
+        let latency = latency.unwrap_or(0.0);
 
         // Quorum interception: under K-way issuance a candidate for a
         // unit mid-vote — or from an untrusted donor — is a *vote*,
@@ -2355,6 +2385,10 @@ mod tests {
             min_unit_ops: 200.0,
             max_unit_ops: 1e12,
             prior_ops_per_sec: 1e3,
+            // (The prior is a thousand times off: while a deep pipeline
+            // turns over from units sized by it, leases priced from it
+            // would expire. The hint is what is under test.)
+            lease_min_secs: 1e6,
             enable_health_detector: true,
             ..Default::default()
         });
@@ -2363,7 +2397,8 @@ mod tests {
         let mut held = std::collections::VecDeque::new();
         let (mut now, mut last) = (0.0, 0.0);
         let per_exchange = if in_turns { depth } else { 1 };
-        for _ in 0..400usize.div_ceil(per_exchange) {
+        // (Long enough for a few pipelines' worth at any depth.)
+        for _ in 0..(4 * depth).max(400).div_ceil(per_exchange) {
             let want = depth - held.len();
             let leased = server.turn(0, now, Vec::new(), want);
             assert_eq!(leased.units.len(), want, "the pool cannot run dry");
@@ -2396,8 +2431,8 @@ mod tests {
         // that is 1/32 of the units — and, over TCP, a depth that grows
         // as they shrink. A turn hands the results of all 64 in at the
         // same instant: taken one by one, the first would look 64 times
-        // slower than the last.
-        for depth in [1, 2, 8, 64] {
+        // slower than the last. (256 is the TCP donor's ceiling.)
+        for depth in [1, 2, 8, 64, crate::net::wire::MAX_PIPELINE_DEPTH] {
             // (Nothing ready behind the one running: the full speed.)
             let expect = if depth == 1 { 2.0 * shallow } else { shallow };
             for in_turns in [false, true] {

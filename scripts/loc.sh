@@ -10,6 +10,10 @@
 # `knobs`, the public fields of the five option structs — `SchedulerConfig`,
 # `HealthConfig`, `SimConfig`, `NetServerOptions`, `NetClientOptions`
 # (ROADMAP item 7: a value nobody chooses is a constant, not a field).
+# Last, so that deletions outside `crates/core` count (item 7 again):
+# `workspace`, the same non-test count over every crate's `src/`, the
+# umbrella `src/` and `examples/` (not `benchmark/`, a package of its
+# own), and `tests/`, every line of the integration suites.
 set -eu
 cd "$(dirname "$0")/.."
 rev=${1:-}
@@ -33,3 +37,18 @@ done | awk '{ printf "%6d %s\n", $1, $2; total += $1; unsafe += $3; knobs += $4 
     $2 == "server.rs" || $2 == "leases.rs" { server += $1 }
     END { printf "%6d total\n%6d net/\n%6d server.rs + leases.rs\n%6d unsafe blocks/fns\n%6d knobs\n",
         total, net, server, unsafe, knobs }'
+# `count <label> <non-test only> <path>...`: Rust lines under the paths.
+count() {
+    label=$1 stop=$2
+    shift 2
+    if [ -n "$rev" ]; then
+        git ls-tree -r --name-only "$rev" "$@"
+    else
+        find "$@" -type f | sort
+    fi | grep '\.rs$' | while read -r f; do
+        if [ -n "$rev" ]; then git show "$rev:$f"; else cat "$f"; fi |
+            awk -v stop="$stop" 'stop && /#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }'
+    done | awk -v label="$label" '{ total += $1 } END { printf "%6d %s\n", total, label }'
+}
+count workspace 1 crates/*/src src examples
+count tests/ "" tests

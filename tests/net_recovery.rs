@@ -689,3 +689,168 @@ fn kill_tcp_server_with_two_unacked_results_in_flight() {
 
     let _ = std::fs::remove_file(&log);
 }
+
+/// A journal that lets the run go until one turn has folded `GATE_AT`
+/// results, then holds that turn where it is — inside the server —
+/// until the test is killing the server, so that the kill finds the
+/// whole turn unanswered and unwritten.
+struct TurnGate {
+    inner: CheckpointWriter,
+    folded_this_turn: u64,
+    gated: bool,
+    inside: Arc<AtomicBool>,
+    killing: Arc<AtomicBool>,
+    /// Results the gated turn carried, known once it has ended.
+    carried: Arc<AtomicU64>,
+}
+
+const GATE_AT: u64 = 200;
+
+use biodist::core::RunJournal;
+
+impl RunJournal for TurnGate {
+    fn unit_issued(&mut self, problem: usize, unit: &WorkUnit, hint_ops: f64) {
+        self.inner.unit_issued(problem, unit, hint_ops);
+    }
+    fn result_folded(&mut self, problem: usize, unit: u64, encoded: &[u8]) {
+        self.folded_this_turn += 1;
+        if !self.gated && self.folded_this_turn == GATE_AT {
+            self.gated = true;
+            self.inside.store(true, Ordering::SeqCst);
+            while !self.killing.load(Ordering::SeqCst) {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            // `kill()` raises its flags in its first two instructions,
+            // right behind `killing`, and then waits for this turn.
+            std::thread::sleep(Duration::from_millis(250));
+        }
+        self.inner.result_folded(problem, unit, encoded);
+    }
+    fn begin_turn(&mut self) {
+        self.folded_this_turn = 0;
+        self.inner.begin_turn();
+    }
+    fn end_turn(&mut self) {
+        if self.gated && self.carried.load(Ordering::SeqCst) == 0 {
+            self.carried.store(self.folded_this_turn, Ordering::SeqCst);
+        }
+        self.inner.end_turn();
+    }
+    fn commit(&mut self) {
+        RunJournal::commit(&mut self.inner);
+    }
+    fn discard(&mut self) {
+        RunJournal::discard(&mut self.inner);
+    }
+}
+
+/// Kill the TCP server while a full-depth turn is unanswered: a lone
+/// donor of microsecond units has measured its way to the pipeline
+/// ceiling, and the server dies inside a turn that carries at least
+/// 200 results — none of them journaled (the turn's group is
+/// discarded), none acknowledged. The donor reaches the recovered
+/// server with those results unacknowledged — and whatever it computed
+/// behind that turn from what it still held, a pipeline's worth in all
+/// at most — and resubmits each once; they fold from the reissue
+/// queue, and the run audits exactly once. What a lost connection
+/// costs at the ceiling is one pipeline: 256 units, well under a
+/// millisecond of compute.
+#[test]
+fn kill_tcp_server_with_a_full_depth_turn_in_flight() {
+    const UNITS: u64 = 20_000;
+    let cfg = || SchedulerConfig {
+        min_unit_ops: 1e4, // 50 grid points: microseconds of compute
+        max_unit_ops: 1e4,
+        lease_min_secs: 30.0,
+        ..Default::default()
+    };
+    let log = temp_log("full-depth-turn");
+    // (Wall time: the donor's 2 s ack timeout must outlast the gate.)
+    let clock = Clock::new(1.0);
+    let dir = directory();
+    let run_over = Arc::new(AtomicBool::new(false));
+
+    // ---- life 1: one donor, until a turn of ≥ 200 results -----------
+    let telemetry = Telemetry::enabled();
+    let mut server = Server::new(cfg());
+    server.set_telemetry(telemetry.clone());
+    let pid = server.submit(integration_problem(50 * UNITS));
+    let (inside, killing, carried) = (
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicBool::new(false)),
+        Arc::new(AtomicU64::new(0)),
+    );
+    server.set_journal(Box::new(TurnGate {
+        inner: CheckpointWriter::create(&log).expect("create checkpoint log"),
+        folded_this_turn: 0,
+        gated: false,
+        inside: inside.clone(),
+        killing: killing.clone(),
+        carried: carried.clone(),
+    }));
+    let kit = ClientKit::from_server(&server).expect("codecs registered");
+    let opts = || NetServerOptions {
+        shards: 1,
+        ..Default::default()
+    };
+    let net = NetServer::start(server, clock, opts()).expect("bind first server");
+    dir.set_origin(Some(net.addr()));
+    let handles = spawn_clients(
+        dir.clone(),
+        clock,
+        kit,
+        1,
+        &FaultPlan::none(),
+        run_over.clone(),
+        NetClientOptions::default(),
+    );
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !inside.load(Ordering::SeqCst) {
+        assert!(
+            Instant::now() < deadline,
+            "no turn carried {GATE_AT} results"
+        );
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    dir.set_origin(None);
+    killing.store(true, Ordering::SeqCst);
+    net.kill();
+    let carried = carried.load(Ordering::SeqCst);
+    assert!(carried >= GATE_AT, "the gated turn ended with {carried}");
+
+    // ---- life 2: recover, restart, let the donor find it ------------
+    let (problem, audit) = audited(integration_problem(50 * UNITS));
+    let (mut server, report) = recover(cfg(), vec![problem], &log).expect("recover from log");
+    assert!(!report.torn_tail);
+    assert!(
+        report.replayed_results + carried <= UNITS,
+        "the killed turn left no record: {report:?}"
+    );
+    let writer = CheckpointWriter::append(&log).expect("reopen checkpoint log");
+    server.set_journal(Box::new(writer));
+    let net = NetServer::start(server, clock, opts()).expect("bind second server");
+    dir.set_origin(Some(net.addr()));
+
+    let mut server = net.wait();
+    run_over.store(true, Ordering::SeqCst);
+    for h in handles {
+        h.join().expect("client thread");
+    }
+    let resubmits = telemetry.metrics_snapshot().counter("net.resubmits");
+    let ceiling = biodist::core::net::wire::MAX_PIPELINE_DEPTH as u64;
+    assert!(
+        (carried..=ceiling).contains(&resubmits),
+        "{resubmits} resubmitted: what the lost turn carried ({carried}) and what was \
+         computed behind it, once each, within the ceiling"
+    );
+    let stats = server.stats(pid);
+    assert_eq!(stats.completed_units, UNITS);
+    assert_eq!(stats.wasted_results, 0, "none of it had reached the log");
+    let pi = server.take_output(pid).unwrap().into_inner::<f64>();
+    assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
+    audit
+        .verify_run(&server)
+        .expect("exactly-once invariants hold with a full turn in flight across the crash");
+
+    let _ = std::fs::remove_file(&log);
+}

@@ -423,3 +423,28 @@ fn control_plane_syscalls_are_paid_per_round_trip_not_per_unit() {
     assert_eq!(count("ckpt.write_errors"), 0);
     assert_eq!(count("net.resubmits"), 0);
 }
+
+/// What the 256-deep ceiling buys, beside the floor above (same run,
+/// tighter budget): a round trip carries *hundreds* of units, so the
+/// donor's writes, the frames each way and the journal's writes are
+/// each under one per 64 units (≈ 1 per 61 at a ceiling of 64, ≈ 1 per
+/// 210–230 at 256: EXPERIMENTS.md, PR 24) — with the journal still
+/// holding an issue and a result for every unit, and no donor ever
+/// asking for more than the ceiling.
+#[test]
+fn a_round_trip_carries_hundreds_of_units() {
+    const UNITS: u64 = 20_000;
+    let snap = journaled_run(UNITS);
+    let per_round_trip = [
+        "net.client_writes",
+        "net.frames_in",
+        "net.frames_out",
+        "ckpt.commits",
+    ];
+    for name in per_round_trip {
+        let n = snap.counter(name);
+        assert!(n <= UNITS / 64, "{name} {n} for {UNITS} units");
+    }
+    assert_eq!(snap.counter("ckpt.records"), 2 * UNITS);
+    assert_eq!(snap.counter("net.turn_want_clamped"), 0);
+}
