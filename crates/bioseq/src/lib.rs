@@ -9,15 +9,13 @@
 //! table).
 
 pub mod alphabet;
-pub mod codon;
 pub mod fasta;
 pub mod scoring;
 pub mod seq;
 pub mod synth;
 
 pub use alphabet::Alphabet;
-pub use codon::{reverse_complement, six_frame_translations, translate_frame, Translation};
 pub use fasta::{parse_fasta, write_fasta, FastaError};
 pub use scoring::{GapPenalty, ScoringMatrix, ScoringScheme};
-pub use seq::Sequence;
+pub use seq::{reverse_complement, Sequence};
 pub use synth::{DbSpec, FamilySpec, SyntheticDb};

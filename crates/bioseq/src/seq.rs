@@ -92,6 +92,21 @@ impl Sequence {
     }
 }
 
+/// Reverse complement of a DNA sequence (`N` maps to `N`).
+pub fn reverse_complement(dna: &Sequence) -> Sequence {
+    assert_eq!(dna.alphabet, Alphabet::Dna, "reverse complement needs DNA");
+    let any = Alphabet::Dna.any_code();
+    let codes: Vec<u8> = dna
+        .codes()
+        .iter()
+        .rev()
+        .map(|&c| if c == any { any } else { 3 - c }) // A<->T (0<->3), C<->G (1<->2)
+        .collect();
+    let mut out = Sequence::from_codes(&format!("{}_rc", dna.id), Alphabet::Dna, codes);
+    out.description = dna.description.clone();
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +141,15 @@ mod tests {
         let empty = Sequence::from_codes("e", Alphabet::Dna, vec![]);
         assert_eq!(empty.ambiguity_fraction(), 0.0);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn reverse_complement_is_an_involution() {
+        let s = Sequence::from_text("d", "", Alphabet::Dna, "ACGTTGCAN").unwrap();
+        let rc = reverse_complement(&s);
+        assert_eq!(rc.to_text(), "NTGCAACGT");
+        let back = reverse_complement(&rc);
+        assert_eq!(back.codes(), s.codes());
     }
 
     #[test]

@@ -295,8 +295,9 @@ impl NetServer {
 }
 
 /// Runs `f`, then charges this thread's CPU time (user + system, in
-/// kernel ticks) to the `evloop.cpu_ticks` counter — the scale bench's
-/// measure of *server-side* cost, isolated from donor threads sharing
+/// kernel ticks) to the `evloop.cpu_ticks` counter — the farm
+/// benchmark's measure of *server-side* cost
+/// (`net.server_cpu_ms_per_kframe`), isolated from donor threads sharing
 /// the process.
 fn with_cpu_accounting(telemetry: &Telemetry, f: impl FnOnce()) {
     let start = thread_cpu_ticks();

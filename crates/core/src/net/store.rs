@@ -57,18 +57,6 @@ pub fn rendezvous_score(digest: u64, seed: u64, key: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The full rendezvous order of replica *indices* `0..n` for `digest`,
-/// highest score first. The simulator uses this directly (its replicas
-/// are indices, not sockets); the TCP directory applies the same score
-/// to endpoint-address keys.
-pub fn rendezvous_order(digest: u64, seed: u64, n: usize) -> Vec<usize> {
-    let mut scored: Vec<(u64, usize)> = (0..n)
-        .map(|r| (rendezvous_score(digest, seed, r as u64), r))
-        .collect();
-    scored.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    scored.into_iter().map(|(_, r)| r).collect()
-}
-
 #[derive(Debug, Default)]
 struct StoreState {
     by_digest: HashMap<u64, Arc<Vec<u8>>>,
@@ -719,23 +707,5 @@ mod tests {
         assert!(store.insert(0, 7, digest, bytes));
         assert_eq!(store.len(), 1);
         assert_eq!(store.bytes(), 4);
-    }
-
-    #[test]
-    fn rendezvous_order_is_deterministic_and_digest_sensitive() {
-        let a = rendezvous_order(0xABCD, 1, 5);
-        assert_eq!(a, rendezvous_order(0xABCD, 1, 5), "pure function");
-        assert_eq!(a.len(), 5);
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2, 3, 4], "a permutation of 0..n");
-        // Different digests should spread across different heads often
-        // enough to balance load: over many digests, every replica
-        // leads at least once.
-        let mut led = [false; 5];
-        for digest in 0..200u64 {
-            led[rendezvous_order(digest, 1, 5)[0]] = true;
-        }
-        assert!(led.iter().all(|&l| l), "every replica leads somewhere");
     }
 }

@@ -55,14 +55,6 @@ pub struct SimConfig {
     /// which keeps the pre-pipelining event timeline bit-identical —
     /// disables prefetch.
     pub pipeline_depth: usize,
-    /// Number of chunk replica endpoints, each with its own 100 Mbit/s
-    /// link. With replicas, a chunk miss routes to two rendezvous-scored
-    /// candidates: a replica pulls the chunk from the origin once
-    /// (charged to the server link) and serves every later request off
-    /// its own link, cutting origin chunk egress from O(donors) to
-    /// O(replicas). 0 — the default, which keeps the pre-replica event
-    /// timeline bit-identical — serves every chunk from the origin.
-    pub replicas: usize,
     /// Cadence at which each donor ships a snapshot of its local
     /// metrics registry to the server, merged under a `donor.c<id>.`
     /// prefix exactly like the TCP backend's `MetricsReport` frame.
@@ -78,7 +70,6 @@ impl Default for SimConfig {
             announced_departures: false,
             chunk_cache_bytes: 64 * 1024 * 1024,
             pipeline_depth: 1,
-            replicas: 0,
             metrics_report_secs: 0.0,
         }
     }
@@ -243,25 +234,6 @@ impl SimRunner {
         let mut donor_metrics: Vec<crate::telemetry::MetricsRegistry> =
             (0..n).map(|_| Default::default()).collect();
         let shipping = self.cfg.metrics_report_secs > 0.0;
-        // Replica tier: each endpoint has its own link and a lazily
-        // filled content set. `ReplicaCrash`/`ReplicaStall` windows from
-        // the fault plan make routed candidates unavailable; a stalled
-        // replica is treated as a timed-out failover (the donor gives up
-        // and moves on, as on the TCP backend — the stall itself is not
-        // charged as delay).
-        let n_replicas = self.cfg.replicas;
-        let mut replica_links: Vec<SharedLink> = (0..n_replicas)
-            .map(|_| SharedLink::hundred_mbit())
-            .collect();
-        let mut replica_synced: Vec<std::collections::HashSet<u64>> =
-            (0..n_replicas).map(|_| Default::default()).collect();
-        let replica_down: Vec<Vec<(f64, f64)>> = (0..n_replicas)
-            .map(|r| {
-                let mut w = plan.replica_crashes(r);
-                w.extend(plan.replica_stalls(r));
-                w
-            })
-            .collect();
         // Pipelining state: `load` counts units anywhere in a machine's
         // pipeline (requested + in delivery + prefetched + computing);
         // requests are only issued while it stays below
@@ -359,18 +331,13 @@ impl SimRunner {
                             // scheduler's affinity map — exactly the
                             // TCP backend's story.
                             let mut bytes = unit.payload.wire_bytes() + CONTROL_BYTES;
-                            // Replica-served chunk transfers finish off
-                            // the origin link's critical path; the unit
-                            // is delivered when the slowest leg lands.
-                            let mut replica_done = 0.0f64;
-                            // Origin-served chunk fetches finish when
-                            // the unit itself lands; their finish events
-                            // are emitted once `delivered` is known.
-                            let mut origin_fetches: Vec<u64> = Vec::new();
+                            // Chunk fetches finish when the unit itself
+                            // lands; their finish events are emitted once
+                            // `delivered` is known.
+                            let mut fetched: Vec<u64> = Vec::new();
                             let needs = self.server.unit_chunk_needs(problem, &unit.payload);
                             if !needs.is_empty() {
                                 let codec = self.server.codec(problem);
-                                let mut served = Vec::new();
                                 for need in &needs {
                                     if chunk_caches[m].get_verified(need.digest).is_some() {
                                         tel.counter_add("cache.hits", 1);
@@ -402,67 +369,9 @@ impl SimRunner {
                                             digest: need.digest,
                                         },
                                     );
-                                    let mut from_replica = false;
-                                    if n_replicas > 0 {
-                                        tel.counter_add("replica.fetches", 1);
-                                        let order = crate::net::store::rendezvous_order(
-                                            need.digest,
-                                            m as u64,
-                                            n_replicas,
-                                        );
-                                        for &ridx in order.iter().take(2) {
-                                            if replica_down[ridx]
-                                                .iter()
-                                                .any(|&(s, e)| now >= s && now < e)
-                                            {
-                                                tel.counter_add("replica.failovers", 1);
-                                                donor_metrics[m]
-                                                    .counter_add("replica.failovers", 1);
-                                                tel.emit_at(
-                                                    now,
-                                                    crate::telemetry::EventKind::ReplicaFailover {
-                                                        client: m,
-                                                        replica: ridx,
-                                                    },
-                                                );
-                                                continue;
-                                            }
-                                            let mut start = now;
-                                            if replica_synced[ridx].insert(need.digest) {
-                                                // Pull-through: the origin
-                                                // pays once per (replica,
-                                                // digest), serially on the
-                                                // delivery path.
-                                                start = self.network.transfer(m, now, need.bytes);
-                                                tel.counter_add("replica.syncs", 1);
-                                                tel.counter_add("net.chunk_bytes_out", need.bytes);
-                                                tel.counter_add("replica.bytes_origin", need.bytes);
-                                            }
-                                            let done =
-                                                replica_links[ridx].transfer(start, need.bytes);
-                                            replica_done = replica_done.max(done);
-                                            tel.counter_add("replica.chunks_served", 1);
-                                            tel.counter_add("replica.bytes_replica", need.bytes);
-                                            tel.emit_at(
-                                                done,
-                                                crate::telemetry::EventKind::ChunkFetchFinished {
-                                                    client: m,
-                                                    digest: need.digest,
-                                                    replica: true,
-                                                },
-                                            );
-                                            from_replica = true;
-                                            break;
-                                        }
-                                    }
-                                    if !from_replica {
-                                        // No replicas, or every routed
-                                        // candidate down: origin serves.
-                                        bytes += need.bytes;
-                                        tel.counter_add("net.chunks_served", 1);
-                                        tel.counter_add("net.chunk_bytes_out", need.bytes);
-                                        origin_fetches.push(need.digest);
-                                    }
+                                    bytes += need.bytes;
+                                    tel.counter_add("net.chunks_served", 1);
+                                    tel.counter_add("net.chunk_bytes_out", need.bytes);
                                     if let Some(chunk) =
                                         codec.as_ref().and_then(|c| c.encode_chunk(need.chunk).ok())
                                     {
@@ -473,16 +382,16 @@ impl SimRunner {
                                             tel.counter_add("cache.evictions", evicted);
                                         }
                                     }
-                                    served.push(need.digest);
+                                    fetched.push(need.digest);
                                 }
-                                if !served.is_empty() {
-                                    self.server.note_client_chunks(m, &served);
+                                if !fetched.is_empty() {
+                                    self.server.note_client_chunks(m, &fetched);
                                 }
                             }
                             self.network
                                 .set_server_degradation(injector.link_scale(now));
-                            let delivered = self.network.transfer(m, now, bytes).max(replica_done);
-                            for digest in origin_fetches {
+                            let delivered = self.network.transfer(m, now, bytes);
+                            for digest in fetched {
                                 tel.emit_at(
                                     delivered,
                                     crate::telemetry::EventKind::ChunkFetchFinished {
@@ -1230,96 +1139,6 @@ mod tests {
         assert!(
             uncached >= cached + 6 * chunk,
             "cached {cached} vs uncached {uncached}"
-        );
-    }
-
-    fn chunky_pool_run(replicas: usize, donors: usize) -> (RunReport, crate::telemetry::Telemetry) {
-        let telemetry = crate::telemetry::Telemetry::enabled();
-        let mut server = Server::new(SchedulerConfig {
-            target_unit_secs: 10.0,
-            enable_redundant_dispatch: false,
-            ..Default::default()
-        });
-        server.set_telemetry(telemetry.clone());
-        server.submit(chunky::problem(4 * donors as u64));
-        let cfg = SimConfig {
-            chunk_cache_bytes: 0, // every unit misses: worst-case egress
-            replicas,
-            ..Default::default()
-        };
-        let (report, _) = SimRunner::new(
-            server,
-            dedicated_pool(donors, 1e7),
-            biodist_gridsim::network::SharedLink::hundred_mbit(),
-            cfg,
-        )
-        .run();
-        (report, telemetry)
-    }
-
-    #[test]
-    fn replica_tier_offloads_origin_chunk_egress() {
-        // The acceptance ablation: equal donor count, zero-capacity
-        // donor caches (worst case — every unit misses), 3 replicas vs
-        // none. Without replicas the origin ships the 1 MiB chunk once
-        // per unit; with replicas it ships it once per replica that
-        // serves it, and the replicas absorb the rest.
-        let (_, baseline) = chunky_pool_run(0, 10);
-        let (_, replicated) = chunky_pool_run(3, 10);
-        let origin_before = baseline.metrics_snapshot().counter("net.chunk_bytes_out");
-        let snap = replicated.metrics_snapshot();
-        let origin_after = snap.counter("net.chunk_bytes_out");
-        assert!(
-            origin_after * 10 <= origin_before * 4,
-            "origin egress must drop ≥ 60%: {origin_before} -> {origin_after}"
-        );
-        assert!(snap.counter("replica.chunks_served") > 0);
-        assert_eq!(
-            snap.counter("replica.bytes_replica") + origin_after
-                - snap.counter("replica.bytes_origin"),
-            origin_before,
-            "every missed chunk byte is served exactly once, somewhere"
-        );
-    }
-
-    #[test]
-    fn replica_routing_fails_over_to_origin_when_all_candidates_are_down() {
-        use crate::fault::{FaultKind, FaultPlan};
-        // Both routed candidates down for the whole run: every miss
-        // falls back to the origin, and the output stays correct.
-        let telemetry = crate::telemetry::Telemetry::enabled();
-        let mut server = Server::new(SchedulerConfig {
-            target_unit_secs: 10.0,
-            enable_redundant_dispatch: false,
-            ..Default::default()
-        });
-        server.set_telemetry(telemetry.clone());
-        server.submit(chunky::problem(8));
-        let plan = FaultPlan::new(0)
-            .with(0.0, 0, FaultKind::ReplicaCrash { down_secs: 1e9 })
-            .with(0.0, 1, FaultKind::ReplicaStall { duration_secs: 1e9 });
-        let cfg = SimConfig {
-            chunk_cache_bytes: 0,
-            replicas: 2,
-            ..Default::default()
-        };
-        let (_, mut server) = SimRunner::new(
-            server,
-            dedicated_pool(2, 1e7),
-            biodist_gridsim::network::SharedLink::hundred_mbit(),
-            cfg,
-        )
-        .with_faults(plan)
-        .run();
-        let out = server.take_output(0).unwrap().into_inner::<u64>();
-        assert_eq!(out, 8, "all units accepted despite the dead tier");
-        let snap = telemetry.metrics_snapshot();
-        assert!(snap.counter("replica.failovers") > 0);
-        assert_eq!(snap.counter("replica.chunks_served"), 0);
-        assert_eq!(
-            snap.counter("net.chunk_bytes_out"),
-            8 * chunky::CHUNK_BYTES as u64,
-            "origin served every miss"
         );
     }
 

@@ -16,10 +16,8 @@ pub mod config;
 pub mod problem;
 pub mod reference;
 pub mod stats;
-pub mod translated;
 
 pub use config::DsearchConfig;
 pub use problem::{build_problem, SearchOutput};
 pub use reference::search_sequential;
 pub use stats::{annotate_hits, ScoreStatistics, ScoredHit};
-pub use translated::{build_translated_problem, search_translated_sequential};

@@ -24,14 +24,12 @@
 // loop variable; iterator chains obscure the recurrences there.
 #![allow(clippy::needless_range_loop)]
 
-pub mod bootstrap;
 pub mod eigen;
 pub mod evolve;
 pub mod fit;
 pub mod lik;
 pub mod lik_simd;
 pub mod model;
-pub mod model_select;
 pub mod newick;
 pub mod nj;
 pub mod patterns;
@@ -39,13 +37,11 @@ pub mod search;
 pub mod special;
 pub mod tree;
 
-pub use bootstrap::{bootstrap_support, nj_builder, resample_alignment, BootstrapSupport};
 pub use evolve::{random_yule_tree, simulate_alignment};
 pub use fit::{empirical_base_frequencies, fit_gamma_alpha, fit_hky_kappa, FitResult};
 pub use lik::{log_likelihood, optimize_branch_lengths, TreeLikelihood};
 pub use lik_simd::LikBackend;
 pub use model::{GammaRates, ModelKind, SubstModel};
-pub use model_select::{compare_models, standard_candidates, ModelScore};
 pub use nj::{jc_distance_matrix, maximin_order, neighbor_joining, patristic_distance_matrix};
 pub use patterns::PatternAlignment;
 pub use search::{evaluate_insertion, spr_improve, stepwise_ml, InsertionCandidate, SearchOptions};

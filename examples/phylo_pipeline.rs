@@ -6,14 +6,12 @@
 //! 2. substitution-model parameters (κ, Γ shape α) fitted by maximum
 //!    likelihood on the guide tree,
 //! 3. distributed DPRml search under the fitted model, with a
-//!    distance-diverse (maximin) taxon addition order,
-//! 4. bootstrap support values for the final tree.
+//!    distance-diverse (maximin) taxon addition order.
 //!
 //! Run with: `cargo run --release --example phylo_pipeline`
 
 use biodist::core::{run_threaded, SchedulerConfig, Server};
 use biodist::dprml::{build_problem, DprmlConfig, PhyloOutput};
-use biodist::phylo::bootstrap::{bootstrap_support, nj_builder};
 use biodist::phylo::evolve::{random_yule_tree, simulate_alignment};
 use biodist::phylo::fit::{empirical_base_frequencies, fit_gamma_alpha, fit_hky_kappa};
 use biodist::phylo::lik::log_likelihood;
@@ -106,15 +104,6 @@ fn main() {
         out.ln_likelihood >= guide_lnl - 1e-6,
         "ML must not lose to its guide"
     );
-
-    // --- step 4: bootstrap ----------------------------------------------
-    let bs = bootstrap_support(&out.tree, &seqs, 100, 406, nj_builder);
-    println!("\n[4] bootstrap (100 NJ replicates):");
-    for (split, support) in bs.splits.iter().zip(&bs.support) {
-        let members: Vec<&str> = split.iter().map(|&t| names[t].as_str()).collect();
-        println!("    {:>5.0}%  {{{}}}", support * 100.0, members.join(","));
-    }
-    println!("    weakest split: {:.0}%", bs.min_support() * 100.0);
 
     assert!(
         out.tree.rf_distance(&truth) <= 2,

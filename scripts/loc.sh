@@ -13,7 +13,9 @@
 # Last, so that deletions outside `crates/core` count (item 7 again):
 # `workspace`, the same non-test count over every crate's `src/`, the
 # umbrella `src/` and `examples/` (not `benchmark/`, a package of its
-# own), and `tests/`, every line of the integration suites.
+# own), then that total split into one indented line per crate, `src/`
+# and `examples/`, so a delta shows where it came from; and `tests/`,
+# every line of the integration suites.
 set -eu
 cd "$(dirname "$0")/.."
 rev=${1:-}
@@ -51,4 +53,14 @@ count() {
     done | awk -v label="$label" '{ total += $1 } END { printf "%6d %s\n", total, label }'
 }
 count workspace 1 crates/*/src src examples
+if [ -n "$rev" ]; then
+    crates=$(git ls-tree -d --name-only "$rev" crates/)
+else
+    crates=$(find crates -mindepth 1 -maxdepth 1 -type d | sort)
+fi
+for c in $crates; do
+    count "  $c" 1 "$c/src"
+done
+count "  src/" 1 src
+count "  examples/" 1 examples
 count tests/ "" tests

@@ -5,10 +5,9 @@
 //! the routing fails over through dead and stalled endpoints without
 //! ever accepting unverified bytes, and the run's output stays
 //! bit-identical to the sequential reference while it happens. The
-//! origin-offload half of the acceptance criteria (chunk egress down
-//! ≥ 60% at equal donor count) lives in the simulator's ablation test
-//! (`sim_backend::tests::replica_tier_offloads_origin_chunk_egress`);
-//! here the same topology runs over real loopback sockets.
+//! origin-offload share is measured by the farm benchmark
+//! (`replica.origin_offload_share`, workload `dsearch-replicas`); here
+//! the topology runs over real loopback sockets.
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::{Alphabet, Sequence};
