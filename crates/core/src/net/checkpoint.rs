@@ -20,12 +20,14 @@
 //!   that earned single-issue trust keep it across a restart.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
-//! body): u32]`, little-endian. Unit records reach the file a *group*
-//! at a time — one `write` per [`CheckpointWriter::commit`], which the
-//! TCP server issues once per pump, before that pump's replies leave
-//! (see [`CheckpointWriter`]). The reader stops at the first record
-//! that is truncated or fails its CRC — a *torn tail* from a crash
-//! mid-write, anywhere in the group being written — and recovery
+//! body): u32]`, little-endian; a donor turn's unit records are one
+//! `Turn` record (type 8) whose body is each one's `[record_type][body]`
+//! in order. Unit records reach the file a *group* at a time — one
+//! `write` per [`CheckpointWriter::commit`], which the TCP server issues
+//! once per pump, before that pump's replies leave (see
+//! [`CheckpointWriter`]). The reader stops at the first record that is
+//! truncated, fails its CRC or is a malformed turn — a *torn tail* from
+//! a crash mid-write, anywhere in the group being written — and recovery
 //! proceeds from what survived: any unit whose result record was lost
 //! is simply recomputed. [`recover`] replays the
 //! surviving records against freshly-built problems and returns a
@@ -33,12 +35,14 @@
 //! exactly-once property the chaos suite's `audited()` checker
 //! verifies).
 
+use super::wire::{MAX_BODY, MAX_PIPELINE_DEPTH};
 use crate::codec::{ByteReader, ByteWriter};
 use crate::problem::{Problem, TaskResult, UnitId, WorkUnit};
 use crate::sched::{
     AffinitySnapshot, ClientId, ReputationSnapshot, SchedSnapshot, SchedulerConfig,
 };
 use crate::server::{ProblemId, RunJournal, Server};
+use crate::telemetry::SIZE_BOUNDS;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
@@ -52,10 +56,15 @@ const REC_AFFINITY: u8 = 4;
 const REC_REPUTATION: u8 = 5;
 const REC_VOTE: u8 = 6;
 const REC_REPLICA: u8 = 7;
+const REC_TURN: u8 = 8;
 
 /// Largest record body the reader will accept; larger means the length
 /// field itself is torn garbage.
 const MAX_RECORD: u32 = 256 * 1024 * 1024;
+
+// A `Turn` record fits: a `Turn` frame's results (≥ 20 bytes each on the
+// wire, ≤ 13 more as a vote record) and a 25-byte issue a unit leased.
+const _: () = assert!(MAX_BODY / 20 * 33 + 25 * MAX_PIPELINE_DEPTH as u32 <= MAX_RECORD);
 
 /// One decoded checkpoint record.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,19 +126,21 @@ pub enum LogRecord {
 /// far above what one pump of unit records amounts to.
 const GROUP_BYTES: usize = 64 * 1024;
 
-/// Frames one record at the end of `group` — length, type, what `body`
-/// writes, and a checksum over `type ‖ body`: everything after the
-/// length. Returns the bytes it added.
-fn frame_record(group: &mut Vec<u8>, rtype: u8, body: impl FnOnce(&mut ByteWriter)) -> usize {
-    let start = group.len();
-    group.extend_from_slice(&[0, 0, 0, 0, rtype]);
-    let mut w = ByteWriter::appending(std::mem::take(group));
+/// Appends `rtype` and what `body` writes to `buf`.
+fn write_body(buf: &mut Vec<u8>, rtype: u8, body: impl FnOnce(&mut ByteWriter)) {
+    buf.push(rtype);
+    let mut w = ByteWriter::appending(std::mem::take(buf));
     body(&mut w);
-    *group = w.into_bytes();
-    let body_len = group.len() - start - 5;
-    group[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-    let crc = super::wire::crc32(&group[start + 4..]);
-    group.extend_from_slice(&crc.to_le_bytes());
+    *buf = w.into_bytes();
+}
+
+/// Patches the length of the record at `buf[start..]`, appends its CRC;
+/// returns its size.
+fn seal_record(buf: &mut Vec<u8>, start: usize) -> usize {
+    let body_len = buf.len() - start - 5;
+    buf[start..start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
+    let crc = super::wire::crc32(&buf[start + 4..]);
+    buf.extend_from_slice(&crc.to_le_bytes());
     body_len + 9
 }
 
@@ -196,12 +207,12 @@ impl Drop for Log {
 /// the file. A crash loses the open group — records nobody was told
 /// about — and [`CheckpointWriter::discard`] is that crash for
 /// `NetServer::kill`. A reader of the log while a writer lives must
-/// commit first. The handle installed as the journal frames the unit
-/// records of one donor turn ([`RunJournal::begin_turn`]) in a buffer
-/// of its own and joins them to the group when the turn ends: the log
-/// lock is taken once a turn, not once a record, and since whoever
+/// commit first. The handle installed as the journal writes the unit
+/// records of one donor turn ([`RunJournal::begin_turn`]) as one `Turn`
+/// record in a buffer of its own, framed and joined to the group when
+/// the turn ends: one CRC and one log lock a turn, and since whoever
 /// else writes — the ticker's snapshots — does so holding the server,
-/// between turns, the file reads record for record as it always did.
+/// between turns, [`read_log`] reads the records back in report order.
 ///
 /// Write failures are counted (`ckpt.write_errors`), not propagated: a
 /// full disk degrades durability — lost records mean recomputed units
@@ -211,11 +222,10 @@ pub struct CheckpointWriter {
     log: Arc<Mutex<Log>>,
     telemetry: crate::telemetry::Telemetry,
     /// Between [`RunJournal::begin_turn`] and `end_turn`, this handle's
-    /// unit records are framed here, and counted — empty outside a
-    /// turn, so a clone starts with none.
+    /// `Turn` record is written here, its unit records counted — empty
+    /// outside a turn, so a clone starts with none.
     turn: Vec<u8>,
     turn_records: u64,
-    in_turn: bool,
 }
 
 impl CheckpointWriter {
@@ -230,7 +240,6 @@ impl CheckpointWriter {
             telemetry: crate::telemetry::Telemetry::disabled(),
             turn: Vec::new(),
             turn_records: 0,
-            in_turn: false,
         }
     }
 
@@ -240,12 +249,12 @@ impl CheckpointWriter {
         Ok(Self::over(OpenOptions::new().append(true).open(path)?))
     }
 
-    /// Attaches a telemetry handle: every appended record becomes a
-    /// `checkpoint_write` trace event (kind `issue` / `result` /
-    /// `sched` / ...) plus `ckpt.records` and `ckpt.bytes` counter
-    /// bumps, and every group written counts in `ckpt.commits`, its
-    /// size in the `ckpt.group_records` histogram and a failed write in
-    /// `ckpt.write_errors`.
+    /// Attaches a telemetry handle: every appended record (a turn's
+    /// each) becomes a `checkpoint_write` trace event (kind `issue` /
+    /// `result` / `sched` / ...) plus `ckpt.records` and `ckpt.bytes`
+    /// counter bumps, and every group written counts in `ckpt.commits`,
+    /// its size in `ckpt.group_records`, its `write`'s time in
+    /// `ckpt.commit_us` and a failed write in `ckpt.write_errors`.
     pub fn with_telemetry(mut self, telemetry: crate::telemetry::Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -267,18 +276,17 @@ impl CheckpointWriter {
     }
 
     fn write_group(&self, log: &mut Log) {
+        let started = self.telemetry.is_enabled().then(std::time::Instant::now);
         let Some((records, wrote)) = log.write_group() else {
             return;
         };
-        if self.telemetry.is_enabled() {
-            self.telemetry.counter_add("ckpt.commits", 1);
-            self.telemetry.observe(
-                "ckpt.group_records",
-                crate::telemetry::SIZE_BOUNDS,
-                records as f64,
-            );
+        if let Some(started) = started {
+            let (tel, commit_us) = (&self.telemetry, started.elapsed().as_secs_f64() * 1e6);
+            tel.observe("ckpt.commit_us", &[1.0, 10.0, 100.0, 1e3, 1e4], commit_us);
+            tel.counter_add("ckpt.commits", 1);
+            tel.observe("ckpt.group_records", SIZE_BOUNDS, records as f64);
             if !wrote {
-                self.telemetry.counter_add("ckpt.write_errors", 1);
+                tel.counter_add("ckpt.write_errors", 1);
             }
         }
     }
@@ -288,7 +296,10 @@ impl CheckpointWriter {
     fn write_record(&self, rtype: u8, body: impl FnOnce(&mut ByteWriter)) {
         let mut log = self.log.lock().expect("checkpoint lock");
         log.records += 1;
-        let framed = frame_record(&mut log.group, rtype, body);
+        let start = log.group.len();
+        log.group.extend_from_slice(&[0; 4]);
+        write_body(&mut log.group, rtype, body);
+        let framed = seal_record(&mut log.group, start);
         self.trace_record(rtype, framed);
         // A crash can tear at most the group being written, at any
         // byte; the reader's CRC check keeps the records wholly before
@@ -300,16 +311,17 @@ impl CheckpointWriter {
     }
 
     /// [`Self::write_record`] for a unit record: inside a turn it is
-    /// framed into the handle's own buffer, with no lock taken —
-    /// [`RunJournal::end_turn`] moves the turn's records into the group
-    /// under one.
+    /// a sub-record of the handle's own `Turn` record, with no lock
+    /// taken — [`RunJournal::end_turn`] frames that and moves it into
+    /// the group under one.
     fn unit_record(&mut self, rtype: u8, body: impl FnOnce(&mut ByteWriter)) {
-        if !self.in_turn {
+        if self.turn.is_empty() {
             return self.write_record(rtype, body);
         }
         self.turn_records += 1;
-        let framed = frame_record(&mut self.turn, rtype, body);
-        self.trace_record(rtype, framed);
+        let start = self.turn.len();
+        write_body(&mut self.turn, rtype, body);
+        self.trace_record(rtype, self.turn.len() - start);
     }
 
     fn trace_record(&self, rtype: u8, framed: usize) {
@@ -418,11 +430,20 @@ impl RunJournal for CheckpointWriter {
     }
 
     fn begin_turn(&mut self) {
-        self.in_turn = true;
+        self.turn.extend_from_slice(&[0, 0, 0, 0, REC_TURN]);
     }
 
+    /// A turn that journaled nothing writes nothing; any other becomes
+    /// one record (its records counted their bytes; this counts its 9).
     fn end_turn(&mut self) {
-        self.in_turn = false;
+        if self.turn_records == 0 {
+            self.turn.clear();
+            return;
+        }
+        seal_record(&mut self.turn, 0);
+        if self.telemetry.is_enabled() {
+            self.telemetry.counter_add("ckpt.bytes", 9);
+        }
         let mut log = self.log.lock().expect("checkpoint lock");
         log.group.append(&mut self.turn);
         log.records += std::mem::take(&mut self.turn_records);
@@ -440,25 +461,29 @@ impl RunJournal for CheckpointWriter {
     }
 }
 
-/// Reads every intact record from a checkpoint log. The second return
-/// is `true` when a torn tail (truncated or CRC-failed trailing bytes)
-/// was dropped.
+/// Reads every intact record from a checkpoint log, a turn's as the
+/// unit records it holds. The second return is `true` when a torn tail
+/// (truncated, CRC-failed or malformed trailing bytes) was dropped.
 pub fn read_log(path: &Path) -> std::io::Result<(Vec<LogRecord>, bool)> {
     let mut bytes = Vec::new();
     File::open(path)?.read_to_end(&mut bytes)?;
+    Ok(parse_log(&bytes))
+}
+
+fn parse_log(bytes: &[u8]) -> (Vec<LogRecord>, bool) {
     let mut records = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let Some((record, next)) = parse_record(&bytes[pos..]) else {
-            return Ok((records, true)); // torn tail: keep the prefix
+        let Some(next) = parse_record(&bytes[pos..], &mut records) else {
+            return (records, true); // torn tail: keep the prefix
         };
-        records.push(record);
         pos += next;
     }
-    Ok((records, false))
+    (records, false)
 }
 
-fn parse_record(buf: &[u8]) -> Option<(LogRecord, usize)> {
+/// Parses `buf`'s first record onto `out`: its size, or `None` if torn.
+fn parse_record(buf: &[u8], out: &mut Vec<LogRecord>) -> Option<usize> {
     if buf.len() < 5 {
         return None;
     }
@@ -478,7 +503,30 @@ fn parse_record(buf: &[u8]) -> Option<(LogRecord, usize)> {
         return None;
     }
     let mut r = ByteReader::new(body);
-    let record = match rtype {
+    let before = out.len();
+    let parsed = match rtype {
+        REC_TURN => parse_turn(&mut r, out),
+        _ => parse_body(rtype, &mut r).map(|record| out.push(record)),
+    };
+    if parsed.and_then(|()| r.finish().ok()).is_none() {
+        out.truncate(before);
+        return None;
+    }
+    Some(total)
+}
+
+/// A `Turn` record's body: unit records, nothing else, to its last byte.
+fn parse_turn(r: &mut ByteReader, out: &mut Vec<LogRecord>) -> Option<()> {
+    while r.remaining() > 0 {
+        let unit_record = |t: &u8| matches!(*t, REC_ISSUE | REC_RESULT | REC_VOTE);
+        out.push(parse_body(r.u8().ok().filter(unit_record)?, r)?);
+    }
+    Some(())
+}
+
+/// The record of type `rtype` whose body `r` is at.
+fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
+    Some(match rtype {
         REC_ISSUE => LogRecord::Issue {
             problem: r.usize().ok()?,
             unit: r.u64().ok()?,
@@ -542,9 +590,7 @@ fn parse_record(buf: &[u8]) -> Option<(LogRecord, usize)> {
             LogRecord::Replica(endpoints)
         }
         _ => return None,
-    };
-    r.finish().ok()?;
-    Some((record, total))
+    })
 }
 
 /// What [`recover`] reconstructed.
@@ -839,10 +885,11 @@ mod tests {
     /// The installed handle frames a turn's records without the log
     /// lock and joins them to the group under one acquisition: a turn
     /// of eight results and eight leases runs to its last record while
-    /// this test *holds* the lock, and blocks only at its end. The file
-    /// is byte for byte the one the same turns write through a journal
-    /// that never hears of turns (a record, a lock), results in frame
-    /// order ahead of the issues.
+    /// this test *holds* the lock, and blocks only at its end. The log
+    /// reads back record for record as the one the same turns write
+    /// through a journal that never hears of turns (a record, a lock),
+    /// results in frame order ahead of the issues — in two `Turn`
+    /// records, 650 bytes to the singles' 824.
     #[test]
     fn a_turns_records_take_the_log_lock_once_and_read_back_in_order() {
         use crate::server::TurnResult;
@@ -921,17 +968,17 @@ mod tests {
                 ids(true).chain(ids(false)).collect::<Vec<_>>()
             );
             assert!(order[2 * K..].iter().all(|&(issue, _)| issue));
-            let bytes = std::fs::read(&path).unwrap();
+            let bytes = std::fs::metadata(&path).unwrap().len() as usize;
             let _ = std::fs::remove_file(&path);
-            bytes
+            (records, bytes)
         };
         let (by_turn, by_record) = (run("lock-turns", true), run("lock-records", false));
         assert_eq!(
-            by_turn.len(),
-            K * (2 * 33 + 37),
-            "2K issues of 33 bytes, K results of 37"
+            (by_turn.1, by_record.1),
+            (2 * 9 + K * (2 * 25 + 29), K * (2 * 33 + 37)),
+            "2K issues of 25 bytes and K results of 29 in two turns of 9, or of 33 and 37"
         );
-        assert_eq!(by_turn, by_record);
+        assert_eq!(by_turn.0, by_record.0);
     }
 
     #[test]
@@ -1082,84 +1129,238 @@ mod tests {
     /// A crash while a group is being written can leave any prefix of
     /// it in the file. Whatever the byte it tears at, the reader keeps
     /// exactly the records wholly before the tear — of a group that
-    /// mixes issue, vote and result records — and the recovered run
-    /// finishes with every unit folded exactly once.
+    /// mixes issue, vote and result records, written one at a time or
+    /// as the `Turn` records of donor turns around a snapshot — and the
+    /// recovered run finishes with every unit folded exactly once.
     #[test]
     fn a_group_torn_at_any_byte_recovers_exactly_the_records_before_the_tear() {
-        let path = temp_log("torn-group");
+        use crate::server::TurnResult;
         let n = 50_000;
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let mut server = Server::new(quorum_cfg());
-        server.submit(integration_problem(n));
-        server.set_journal(Box::new(writer.clone()));
-        // One ballot: `client` asks, computes and votes.
-        let mut now = 0.0;
-        let mut ballot = |server: &mut Server, client: usize| {
-            let Assignment::Unit {
-                problem,
-                unit,
-                algorithm,
-            } = server.request_work(client, now)
-            else {
-                panic!("work must be available")
-            };
-            now += 1.0;
-            assert!(server.submit_result(client, problem, algorithm.compute(&unit), now));
-        };
-        // An earlier group, whole in the file: one unit elected.
-        ballot(&mut server, 0);
-        ballot(&mut server, 1);
-        writer.commit();
-        let group_start = std::fs::metadata(&path).unwrap().len() as usize;
-        // The group the crash tears: two units elected, a third with
-        // one of its two votes in.
-        for client in [0, 1, 0, 1, 0] {
-            ballot(&mut server, client);
-        }
-        writer.commit();
-        drop(server);
-        let bytes = std::fs::read(&path).unwrap();
-        let (records, torn) = read_log(&path).unwrap();
-        assert!(!torn);
-        let mut ends = Vec::new();
-        let mut pos = 0;
-        while pos < bytes.len() {
-            pos += parse_record(&bytes[pos..]).expect("whole log parses").1;
-            ends.push(pos);
-        }
-        assert_eq!(ends.len(), records.len());
-        let group: Vec<&LogRecord> = records
-            .iter()
-            .zip(&ends)
-            .filter(|(_, &end)| end > group_start)
-            .map(|(r, _)| r)
-            .collect();
-        assert!(
-            group.iter().any(|r| matches!(r, LogRecord::Issue { .. }))
-                && group.iter().any(|r| matches!(r, LogRecord::Vote { .. }))
-                && group.iter().any(|r| matches!(r, LogRecord::Result { .. })),
-            "the torn group mixes all three unit records: {group:?}"
-        );
-
         let reference = sequential_pi(n);
-        for cut in group_start..=bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            let whole = ends.iter().filter(|&&end| end <= cut).count();
-            let (survived, torn) = read_log(&path).unwrap();
-            assert_eq!(survived, records[..whole], "cut at byte {cut}");
-            assert_eq!(torn, !ends.contains(&cut), "cut at byte {cut}");
+        for by_turns in [false, true] {
+            let path = temp_log("torn-group");
+            let writer = CheckpointWriter::create(&path).unwrap();
+            let mut server = Server::new(quorum_cfg());
+            server.submit(integration_problem(n));
+            server.set_journal(Box::new(writer.clone()));
+            let algorithm = server.algorithm(0);
+            let mut now = 0.0;
+            let mut held: [Vec<Arc<WorkUnit>>; 2] = Default::default();
+            // One ballot — `client` asks, computes and votes — or one
+            // turn: `client` hands in what it holds, each result voted
+            // or folded, and asks for `want` more.
+            let mut step = |server: &mut Server, client: usize, want: usize| {
+                if !by_turns {
+                    let Assignment::Unit { problem, unit, .. } = server.request_work(client, now)
+                    else {
+                        panic!("work must be available")
+                    };
+                    now += 1.0;
+                    assert!(server.submit_result(client, problem, algorithm.compute(&unit), now));
+                    return;
+                }
+                now += 1.0;
+                let results = held[client].drain(..).map(|unit| TurnResult {
+                    problem: 0,
+                    unit: unit.id,
+                    payload: Some(algorithm.compute(&unit).payload),
+                });
+                let out = server.turn(client, now, results.collect(), want);
+                assert!(out.accepted.iter().all(|&a| a));
+                held[client].extend(out.units.into_iter().map(|(_, unit)| unit));
+            };
+            // An earlier group, whole in the file: one unit elected. Then
+            // the group the crash tears: two units elected, a third with
+            // one of its two votes in (`None`: a snapshot).
+            let (earlier, group) = if by_turns {
+                let group = [Some((0, 2)), Some((1, 2)), Some((0, 1)), None];
+                let group = [&group[..], &[Some((1, 1)), Some((0, 0))]].concat();
+                (vec![(0, 1), (1, 1), (0, 0), (1, 0)], group)
+            } else {
+                let group = [0, 1, 0, 1, 0].map(|client| Some((client, 0)));
+                (vec![(0, 0), (1, 0)], group.to_vec())
+            };
+            for &(client, want) in &earlier {
+                step(&mut server, client, want);
+            }
+            writer.commit();
+            let group_start = std::fs::metadata(&path).unwrap().len() as usize;
+            for &next in &group {
+                match next {
+                    Some((client, want)) => step(&mut server, client, want),
+                    None => writer.append_snapshot(&server.scheduler().snapshot()),
+                }
+            }
+            writer.commit();
+            drop(server);
+            let bytes = std::fs::read(&path).unwrap();
+            let (records, torn) = read_log(&path).unwrap();
+            assert!(!torn);
+            // Where each record of the file ends, and the records read
+            // back up to there.
+            let (mut ends, mut parsed, mut pos) = (Vec::new(), Vec::new(), 0);
+            while pos < bytes.len() {
+                pos += parse_record(&bytes[pos..], &mut parsed).expect("whole log parses");
+                ends.push((pos, parsed.len()));
+            }
+            assert_eq!(parsed, records);
+            let read_by = |cut: usize| {
+                let whole = ends.iter().take_while(|&&(end, _)| end <= cut);
+                whole.last().map_or(0, |&(_, read)| read)
+            };
+            let group = &records[read_by(group_start)..];
+            assert!(
+                group.iter().any(|r| matches!(r, LogRecord::Issue { .. }))
+                    && group.iter().any(|r| matches!(r, LogRecord::Vote { .. }))
+                    && group.iter().any(|r| matches!(r, LogRecord::Result { .. })),
+                "the torn group mixes all three unit records: {group:?}"
+            );
+            let turns = ends.windows(2).filter(|w| w[1].1 - w[0].1 > 1).count();
+            let snapshots = group.iter().filter(|r| matches!(r, LogRecord::Sched(_)));
+            assert_eq!(
+                (turns > 2, snapshots.count()),
+                (by_turns, usize::from(by_turns))
+            );
 
-            let (problem, audit) = crate::audit::audited(integration_problem(n));
-            let (mut recovered, report) = recover(quorum_cfg(), vec![problem], &path).unwrap();
-            assert_eq!(report.torn_tail, torn, "cut at byte {cut}");
-            drive_quorum(&mut recovered, now);
-            audit
-                .verify_run(&recovered)
-                .unwrap_or_else(|v| panic!("cut at byte {cut}: {v:?}"));
-            let pi = recovered.take_output(0).unwrap().into_inner::<f64>();
-            assert_eq!(pi.to_bits(), reference.to_bits(), "cut at byte {cut}");
+            for cut in group_start..=bytes.len() {
+                std::fs::write(&path, &bytes[..cut]).unwrap();
+                let (survived, torn) = read_log(&path).unwrap();
+                assert_eq!(survived, records[..read_by(cut)], "cut at byte {cut}");
+                let at_an_end = ends.iter().any(|&(end, _)| end == cut);
+                assert_eq!(torn, !at_an_end, "cut at byte {cut}");
+
+                let (problem, audit) = crate::audit::audited(integration_problem(n));
+                let (mut recovered, report) = recover(quorum_cfg(), vec![problem], &path).unwrap();
+                assert_eq!(report.torn_tail, torn, "cut at byte {cut}");
+                drive_quorum(&mut recovered, now);
+                audit
+                    .verify_run(&recovered)
+                    .unwrap_or_else(|v| panic!("cut at byte {cut}: {v:?}"));
+                let pi = recovered.take_output(0).unwrap().into_inner::<f64>();
+                assert_eq!(pi.to_bits(), reference.to_bits(), "cut at byte {cut}");
+            }
+            let _ = std::fs::remove_file(&path);
         }
+    }
+
+    /// A turn of one result and two issues, as the writer frames it.
+    fn golden_turn() -> Vec<u8> {
+        let path = temp_log("golden-turn");
+        let mut writer = CheckpointWriter::create(&path).unwrap();
+        writer.begin_turn();
+        writer.result_folded(0, 1, &std::f64::consts::PI.to_le_bytes());
+        for id in [2, 3] {
+            let payload = crate::problem::Payload::new((), 0);
+            let unit = WorkUnit {
+                id,
+                payload,
+                cost_ops: 1e4,
+            };
+            writer.unit_issued(0, &unit, 1.25e6);
+        }
+        writer.end_turn();
+        writer.commit();
+        let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
+        bytes
+    }
+
+    /// The `Turn` record is a log format — a recovered server reads logs
+    /// an older one wrote — so its bytes are pinned (captured when it
+    /// was introduced, in PR 26), and they read back as the three
+    /// records that went in.
+    #[test]
+    fn golden_turn_record_bytes_have_not_moved() {
+        // `[79][8]`, then `[2][problem 0][unit 1][8][π]` and twice
+        // `[1][problem 0][unit 2, 3][1.25e6]`, then the CRC (zlib's).
+        const GOLDEN: &str = "4f00000008\
+            020000000000000000010000000000000008000000\
+            182d4454fb210940\
+            010000000000000000020000000000000000000000d0123341\
+            010000000000000000030000000000000000000000d0123341\
+            65720556";
+        let bytes = golden_turn();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        let issue = |unit| LogRecord::Issue {
+            problem: 0,
+            unit,
+            hint_ops: 1.25e6,
+        };
+        let result = LogRecord::Result {
+            problem: 0,
+            unit: 1,
+            payload: std::f64::consts::PI.to_le_bytes().to_vec(),
+        };
+        assert_eq!(parse_log(&bytes), (vec![result, issue(2), issue(3)], false));
+    }
+
+    /// A `Turn` record that is whole and checksummed but holds what a
+    /// turn cannot — an unknown or non-unit sub-record, a nested turn, a
+    /// truncated or over-long tail, a result whose length lies — is torn
+    /// as a whole: the records before it are kept, none of its own are,
+    /// and nothing panics. So is every single-byte change to a valid one.
+    #[test]
+    fn a_malformed_turn_record_is_dropped_whole() {
+        let turn = golden_turn();
+        let body = &turn[5..turn.len() - 4];
+        let sched = SchedSnapshot {
+            clients: vec![(0, 1.5e7, 12)],
+        };
+        let mut prefix = vec![0; 4];
+        write_body(&mut prefix, REC_SCHED, |w| {
+            w.u32(1);
+            w.u64(0);
+            w.f64(1.5e7);
+            w.u64(12);
+        });
+        seal_record(&mut prefix, 0);
+        let kept = vec![LogRecord::Sched(sched)];
+        // `prefix`, then a `Turn` record around `body`, checksummed.
+        let log_of = |body: &[u8]| {
+            let mut log = prefix.clone();
+            let start = log.len();
+            log.extend_from_slice(&[0; 4]);
+            log.push(REC_TURN);
+            log.extend_from_slice(body);
+            seal_record(&mut log, start);
+            log
+        };
+        assert_eq!(log_of(body)[prefix.len()..], turn[..]);
+        // The result's sub-record is first, its payload length at 17.
+        let (result_len, first_issue) = (1 + 16, 1 + 20 + 8);
+        let with = |at: usize, b: u8| {
+            let mut body = body.to_vec();
+            body[at] = b;
+            body
+        };
+        let nested = [&[REC_TURN][..], body].concat();
+        let snapshot = [&[REC_SCHED][..], &prefix[5..prefix.len() - 4]].concat();
+        let malformed: [(&str, Vec<u8>); 8] = [
+            ("an unknown sub-type", with(first_issue, 9)),
+            ("a zero sub-type", with(0, 0)),
+            ("a nested turn", [body, &nested].concat()),
+            ("a snapshot sub-record", [body, &snapshot].concat()),
+            (
+                "a truncated last sub-record",
+                body[..body.len() - 1].to_vec(),
+            ),
+            ("a trailing byte", [body, &[REC_ISSUE]].concat()),
+            ("a result length one too long", with(result_len, 9)),
+            ("a result length one too short", with(result_len, 7)),
+        ];
+        for (what, bad) in malformed {
+            assert_eq!(parse_log(&log_of(&bad)), (kept.clone(), true), "{what}");
+        }
+        let clean = log_of(body);
+        for at in prefix.len()..clean.len() {
+            for flip in 1..=255u8 {
+                let mut bad = clean.clone();
+                bad[at] ^= flip;
+                let (records, torn) = parse_log(&bad);
+                assert_eq!((&records, torn), (&kept, true), "byte {at} ^ {flip:#04x}");
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ use super::wire::{
 use super::Clock;
 use crate::codec::{ByteReader, ByteWriter, WireCodec};
 use crate::sched::ClientId;
-use crate::server::{Server, TurnResult};
+use crate::server::Server;
 use crate::telemetry::Telemetry;
 use std::collections::HashMap;
 use std::io;
@@ -109,7 +109,7 @@ struct Shared {
     shards: Vec<LoopHandle>,
     /// Each problem's codec (`None`: it has none), by problem id: the
     /// problems are fixed once the server is behind the transport, so
-    /// decoding, encoding and chunk serving need no lock to find theirs.
+    /// encoding and chunk serving need no lock to find theirs.
     codecs: Vec<Option<Arc<dyn WireCodec>>>,
 }
 
@@ -397,8 +397,8 @@ impl ShardCtx<'_> {
     /// refused as duplicates — but is leased nothing: units nobody will
     /// compute would sit out their leases.
     ///
-    /// The results are decoded from the read buffer before the lock is
-    /// taken and journaled from it inside; the reply is written into
+    /// The results are decoded from the read buffer under the lock, each
+    /// as it is folded, and journaled from it; the reply is written into
     /// `reply` after the lock is dropped, each unit's payload in place.
     fn turn<'f>(
         &mut self,
@@ -406,7 +406,7 @@ impl ShardCtx<'_> {
         client: u64,
         seq: Option<u64>,
         want: usize,
-        results: impl ExactSizeIterator<Item = (u64, u64, Option<&'f [u8]>)>,
+        results: impl ExactSizeIterator<Item = (u64, u64, Option<&'f [u8]>)> + Clone,
     ) -> Action {
         let shared = self.shared;
         let now = self.clock.now();
@@ -421,21 +421,6 @@ impl ShardCtx<'_> {
         } else {
             want.min(MAX_PIPELINE_DEPTH)
         };
-        let n = results.len();
-        let (mut ids, mut wire) = (Vec::with_capacity(n), Vec::with_capacity(n));
-        let mut decoded = Vec::with_capacity(n);
-        for (problem, unit, bytes) in results {
-            // (The frame's CRC passing and the payload not parsing is
-            // semantic corruption: the reissue path, like a broken CRC.)
-            let codec = bytes.and_then(|_| shared.codec(problem));
-            ids.push((problem, unit));
-            wire.push(bytes.unwrap_or_default());
-            decoded.push(TurnResult {
-                problem: problem as usize,
-                unit,
-                payload: codec.and_then(|c| c.decode_result(bytes?).ok()),
-            });
-        }
         let mut guard = shared.server.lock().unwrap();
         let Some(server) = guard.as_mut() else {
             // Killed: sever. Handed back by `wait()`: the run is over and
@@ -451,14 +436,15 @@ impl ShardCtx<'_> {
         // so their affinity must be visible to it.
         self.batch.apply_affinity(server);
         self.batch.uncommitted = true;
-        let out = server.turn_wire(client as ClientId, now, decoded, &wire, leasing);
+        let ruled = results.clone().map(|(p, u, bytes)| (p as usize, u, bytes));
+        let out = server.turn_wire(client as ClientId, now, ruled, leasing);
         let complete = server.all_complete();
         drop(guard);
         if complete {
             shared.done.notify_all();
         }
-        let acks = ids.iter().zip(&out.accepted);
-        let acks = acks.map(|(&(problem, unit), &accepted)| (problem, unit, accepted));
+        let acks = results.zip(&out.accepted);
+        let acks = acks.map(|((problem, unit, _), &accepted)| (problem, unit, accepted));
         // (An unencodable unit — a codec bug — is not sent: its lease
         // expires and reissues.)
         let mut units = out.units.iter().filter_map(|(problem, unit)| {

@@ -443,7 +443,7 @@ impl Scheduler {
         queue_factor: f64,
     ) -> Option<HealthTransition> {
         let one = [(cost_ops, elapsed_secs, queue_factor)];
-        self.record_completions(client, &one).pop()
+        self.record_completions(client, one).pop()
     }
 
     /// [`Scheduler::record_completion`] for every `(cost_ops,
@@ -452,14 +452,15 @@ impl Scheduler {
     pub fn record_completions(
         &mut self,
         client: ClientId,
-        completions: &[(f64, f64, f64)],
+        completions: impl IntoIterator<Item = (f64, f64, f64)>,
     ) -> Vec<HealthTransition> {
         let mut transitions = Vec::new();
-        if completions.is_empty() {
+        let mut completions = completions.into_iter().peekable();
+        if completions.peek().is_none() {
             return transitions;
         }
         let donor = self.donors.entry(client).or_default();
-        for &(cost_ops, elapsed_secs, queue_factor) in completions {
+        for (cost_ops, elapsed_secs, queue_factor) in completions {
             // The health observation is normalized by the *pre-update*
             // speed estimate: "how much longer than this donor's priced
             // speed predicts" — an honest-but-slow machine scores ~1.0, a

@@ -90,7 +90,7 @@ pub enum Assignment {
     Finished,
 }
 
-/// One result of a donor's [turn](Server::turn), as it came off the wire.
+/// One result of a donor's [turn](Server::turn), decoded.
 pub struct TurnResult {
     /// Problem the unit belongs to (unchecked).
     pub problem: ProblemId,
@@ -383,6 +383,9 @@ pub struct Server {
     rotation: usize,
     journal: Option<Box<dyn RunJournal>>,
     telemetry: Telemetry,
+    // The units a turn folded, freed one before each lease it grants
+    // (empty between turns; reused, so it allocates nothing).
+    retired: Vec<Arc<WorkUnit>>,
 }
 
 impl Server {
@@ -396,6 +399,7 @@ impl Server {
             rotation: 0,
             journal: None,
             telemetry: Telemetry::default(),
+            retired: Vec::new(),
         }
     }
 
@@ -611,65 +615,67 @@ impl Server {
         results: Vec<TurnResult>,
         want: usize,
     ) -> TurnOutcome {
-        self.turn_wire(client, now, results, &[], want)
+        let results = results.into_iter().map(|r| (r.problem, r.unit, r.payload));
+        let decoded = |_: Option<&_>, payload: Option<Payload>| Some((payload?, None));
+        self.turn_with(client, now, results, decoded, want)
     }
 
-    /// [`Server::turn`] for results that came off a wire: `wire[i]` is
-    /// the codec bytes `results[i]` was decoded from, which the journal
-    /// (and a quorum vote) then take as they are instead of encoding
-    /// the payload again. Every codec round-trips byte for byte, so the
-    /// log reads the same either way; a result with no entry is encoded.
-    pub fn turn_wire(
+    /// [`Server::turn`] for results as codec bytes off a wire (`None`: a
+    /// failed checksum; bytes the codec refuses are corrupted too), each
+    /// decoded as it is ruled on; the journal and a vote take the bytes.
+    pub fn turn_wire<'w>(
         &mut self,
         client: ClientId,
         now: f64,
-        results: Vec<TurnResult>,
-        wire: &[&[u8]],
+        results: impl ExactSizeIterator<Item = (ProblemId, UnitId, Option<&'w [u8]>)>,
+        want: usize,
+    ) -> TurnOutcome {
+        let decoded = |codec: Option<&Arc<dyn WireCodec>>, bytes: Option<&'w [u8]>| {
+            Some((codec?.decode_result(bytes?).ok()?, bytes))
+        };
+        self.turn_with(client, now, results, decoded, want)
+    }
+
+    // The turn: each result in one pass — `decode` it (`None`: corrupted),
+    // take its unit out of the table, rule on it — then the leases.
+    fn turn_with<'w, R>(
+        &mut self,
+        client: ClientId,
+        now: f64,
+        results: impl ExactSizeIterator<Item = (ProblemId, UnitId, R)>,
+        decode: impl Fn(Option<&Arc<dyn WireCodec>>, R) -> Option<(Payload, Option<&'w [u8]>)>,
         want: usize,
     ) -> TurnOutcome {
         self.telemetry.set_now(now);
         if let Some(j) = self.journal.as_mut() {
             j.begin_turn();
         }
-        // Every unit leaves the table before the first is folded, so
-        // that `end` — the donor's completed-work counters once all of
-        // the turn's results are in — is known to each of them.
-        let mut end = self.sched.donor(client).completed;
-        let mut taken = Vec::with_capacity(results.len());
-        for r in &results {
-            let sound = r.payload.is_some();
-            let p = self.problems.get_mut(r.problem).filter(|_| sound);
-            let inf = p.and_then(|p| p.leases.take(r.unit));
-            if let Some(inf) = inf.as_ref().filter(|i| i.lease_of(client).is_some()) {
-                end = (end.0 + 1, end.1 + inf.unit.cost_ops);
-            }
-            taken.push(inf);
-        }
         let mut accepted = Vec::with_capacity(results.len());
         let mut completions = Vec::with_capacity(results.len());
-        for (i, (r, inf)) in results.into_iter().zip(taken).enumerate() {
-            let (problem, unit_id) = (r.problem, r.unit);
-            accepted.push(match (r.payload, inf) {
-                _ if problem >= self.problems.len() => false, // garbage id: nack
-                (None, _) => {
-                    self.result_corrupted(client, problem, unit_id, now);
-                    false
-                }
-                // (An earlier result of the turn may have completed the
-                // problem: its table, had the unit stayed there, is gone.)
-                (Some(payload), Some(inf)) if !self.problems[problem].done => {
-                    let result = TaskResult { unit_id, payload };
-                    let wire = wire.get(i).copied();
-                    let completion = Self::completion(&inf, client, now, end);
-                    completions.extend(completion);
-                    let latency = completion.map(|c| c.1);
-                    self.fold(client, problem, result, wire, inf, now, latency)
-                }
-                _ => {
-                    self.wasted(problem, unit_id, client);
-                    false
-                }
-            });
+        for (problem, unit_id, raw) in results {
+            let Some(p) = self.problems.get(problem) else {
+                accepted.push(false); // garbage id: nack
+                continue;
+            };
+            let Some((payload, wire)) = decode(p.codec.as_ref(), raw) else {
+                self.result_corrupted(client, problem, unit_id, now);
+                accepted.push(false);
+                continue;
+            };
+            // (An earlier result of the turn may have completed the
+            // problem: its table is gone.)
+            let Some(inf) = self.problems[problem].leases.take(unit_id) else {
+                self.wasted(problem, unit_id, client);
+                accepted.push(false);
+                continue;
+            };
+            let completion = Self::completion(&inf, client, now);
+            completions.extend(completion);
+            let latency = completion.map(|c| c.1);
+            let result = TaskResult { unit_id, payload };
+            let (ruling, folded) = self.fold(client, problem, result, wire, inf, now, latency);
+            self.retired.extend(folded);
+            accepted.push(ruling);
         }
         self.learn(client, &completions);
         let units = Vec::with_capacity(want);
@@ -687,12 +693,17 @@ impl Server {
             self.check_timeouts(now);
             let donor = self.sched.donor(client);
             while out.units.len() < want && out.then == Then::More {
+                // Free a folded unit's blocks for the new unit to take:
+                // malloc's per-thread cache holds 7 blocks a size, which
+                // k frees and then k allocations overflow both ways.
+                drop(self.retired.pop());
                 match self.lease_one(&donor, now, &mut extra) {
                     Some(leased) => out.units.push(leased),
                     None => out.then = Then::Wait,
                 }
             }
         }
+        self.retired.clear();
         if let Some(j) = self.journal.as_mut() {
             j.end_turn();
         }
@@ -897,36 +908,20 @@ impl Server {
             self.wasted(problem, result.unit_id, client);
             return false;
         };
-        let (units, ops) = self.sched.donor(client).completed;
-        let end = (units + 1, ops + inf.unit.cost_ops);
-        let completion = Self::completion(&inf, client, now, end);
+        let completion = Self::completion(&inf, client, now);
         self.learn(client, completion.as_slice());
         let latency = completion.map(|c| c.1);
         self.fold(client, problem, result, None, inf, now, latency)
+            .0
     }
 
     // What the adaptive scheduler learns from `client` handing in the
-    // unit `inf` at `now` — `(cost in ops, turnaround, queue factor)` —
-    // if it held a lease on it; `end`: its completed-work counters as
-    // they will stand at the end of the turn that brought the result.
-    fn completion(
-        inf: &InFlight,
-        client: ClientId,
-        now: f64,
-        end: (u64, f64),
-    ) -> Option<(f64, f64, f64)> {
+    // unit `inf` at `now` — `(cost in ops, turnaround, its deliveries
+    // when the lease was granted)` — if it held a lease on it.
+    fn completion(inf: &InFlight, client: ClientId, now: f64) -> Option<(f64, f64, (u64, f64))> {
         let lease = inf.lease_of(client)?;
-        let cost = inf.unit.cost_ops;
-        // What the donor delivered while the lease was out: the turn's
-        // end, less the unit itself. (Saturating: a departed client's
-        // counts start over.)
-        let (units_before, ops_before) = lease.completed_before;
-        let queue_factor = Scheduler::queue_factor(
-            cost,
-            (end.0 - 1).saturating_sub(units_before),
-            (end.1 - cost - ops_before).max(0.0),
-        );
-        Some((cost, now - lease.assigned_at, queue_factor))
+        let turnaround = now - lease.assigned_at;
+        Some((inf.unit.cost_ops, turnaround, lease.completed_before))
     }
 
     // Feeds the adaptive scheduler a turn's completions, in order — the
@@ -934,11 +929,21 @@ impl Server {
     // (no fold reads what this writes) — and says what the straggler
     // detector made of them. (Gauges are last-write-wins: once per turn
     // leaves the registry what once per result did.)
-    fn learn(&mut self, client: ClientId, completions: &[(f64, f64, f64)]) {
+    fn learn(&mut self, client: ClientId, completions: &[(f64, f64, (u64, f64))]) {
         if completions.is_empty() {
             return;
         }
-        for transition in self.sched.record_completions(client, completions) {
+        // What the donor delivered while a lease was out: its counters at
+        // the turn's end less the unit. (Saturating: a departed client's
+        // counts start over.)
+        let start = self.sched.donor(client).completed;
+        let (units, ops) = completions.iter().fold(start, |(u, o), c| (u + 1, o + c.0));
+        let queued = completions.iter().map(|&(cost, turnaround, before)| {
+            let ahead = ((units - 1).saturating_sub(before.0), ops - cost - before.1);
+            let queue_factor = Scheduler::queue_factor(cost, ahead.0, ahead.1.max(0.0));
+            (cost, turnaround, queue_factor)
+        });
+        for transition in self.sched.record_completions(client, queued) {
             let (event, counter) = match transition {
                 HealthTransition::Flagged { ratio } => (
                     EventKind::DonorFlagged { client, ratio },
@@ -961,7 +966,8 @@ impl Server {
     // Rules on one result whose unit `inf` was just taken out of the
     // lease table; `wire`: the codec bytes it was decoded from, if it
     // came off a wire; `latency`: its turnaround, if `client` held a
-    // lease on it (the caller tells the scheduler).
+    // lease on it (the caller tells the scheduler). Returns the ruling
+    // and, if the result was folded, its unit, for the caller to free.
     #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,
@@ -972,7 +978,7 @@ impl Server {
         inf: InFlight,
         now: f64,
         latency: Option<f64>,
-    ) -> bool {
+    ) -> (bool, Option<Arc<WorkUnit>>) {
         let p = &mut self.problems[problem];
         if let Some(latency) = latency {
             self.telemetry
@@ -1028,7 +1034,7 @@ impl Server {
                         if orphaned {
                             self.reissued(problem, unit_id, "quorum_pending", false);
                         }
-                        return fresh;
+                        return (fresh, None);
                     }
                     VoteOutcome::Quorum {
                         result,
@@ -1095,7 +1101,7 @@ impl Server {
         });
 
         self.complete_problem(problem, now);
-        true
+        (true, Some(inf.unit))
     }
 
     // Says that `unit` was queued for reissue, and why. `counted`: a donor

@@ -4,9 +4,13 @@
     python3 scripts/sigprof/fold.py [--top N] [--inline] [--role NAME=SUBSTR ...] DUMP...
 
 Every sample's addresses are symbolised against the file they fall in
-(`nm -C`, and `nm -D` for a stripped libc, whose internals then show
-under the nearest exported name below them: `_int_malloc` as
-`__default_morecore`; with --inline, `addr2line -i`
+(`nm -C -S`, and `nm -D` for a stripped libc, whose internals are in no
+table: a pc past the end of the nearest symbol below it prints as the
+file and the offset where that symbol ends — `_int_malloc` as
+`libc.so.6+0x96063 (after __default_morecore)`, never as
+`__default_morecore` itself, one row for all of that gap — and
+addr2line, which names such a pc after the symbol too, is believed
+only where it has a line for it; with --inline, `addr2line -i`
 expands a pc into the chain of inlined functions it sits in, innermost
 first, which needs line tables: CARGO_PROFILE_RELEASE_DEBUG=
 line-tables-only — without it a role's entry points are often inlined
@@ -17,10 +21,14 @@ substrings any of its samples ever showed in any frame — by default
 repeat a name — and each
 role gets a leaf table (where the pc was: self time) and an inclusive
 one (a function once per stack it is anywhere on), as shares of the
-role's samples; the header gives each role's share of them all.
+role's samples. Each role's header gives its share of all samples and
+its samples per `sequential` sample — the farm's CPU for a unit of
+work, next to the bracket's, so two builds compare without a timer —
+and a first line sums that over every role but `sequential`.
 """
 import bisect
 import collections
+import os
 import subprocess
 import sys
 
@@ -53,36 +61,57 @@ def load(path):
 
 
 class Symbols:
-    """The defined text symbols of one ELF file, by address."""
+    """The defined text symbols of one ELF file, by address, with sizes."""
 
     def __init__(self, path):
         table = set()
         for flags in (["-n"], ["-n", "-D"]):
-            out = subprocess.run(["nm", "-C", "--defined-only", *flags, path],
+            out = subprocess.run(["nm", "-C", "-S", "--defined-only", *flags, path],
                                  capture_output=True, text=True).stdout
-            rows = (line.split(None, 2) for line in out.splitlines())
-            table.update((int(r[0], 16), r[2]) for r in rows if len(r) == 3 and r[1] in "tTwWiV")
-        table = sorted(table)
-        self.path, self.addrs, self.names = path, [a for a, _ in table], [n for _, n in table]
+            for line in out.splitlines():
+                # `addr size type name`, or `addr type name` if unsized.
+                r = line.split(None, 3)
+                if len(r) == 4 and len(r[2]) == 1:
+                    addr, size, kind, name = int(r[0], 16), int(r[1], 16), r[2], r[3]
+                else:
+                    r = line.split(None, 2)
+                    if len(r) != 3:
+                        continue
+                    addr, size, kind, name = int(r[0], 16), None, r[1], r[2]
+                if kind in "tTwWiV":
+                    table.add((addr, size, name.split("@", 1)[0]))  # (no `@@GLIBC_2.2.5`)
+        # (Of aliases, the last — a sized one, if any — wins the bisect.)
+        table = sorted(table, key=lambda row: (row[0], -1 if row[1] is None else row[1], row[2]))
+        self.path, self.addrs, self.rows = path, [a for a, _, _ in table], table
 
     def frames(self, vaddrs, inline):
         """`{vaddr: [function, ...]}`: the symbol, or addr2line's chain."""
         def symbol(v):
             at = bisect.bisect_right(self.addrs, v) - 1
-            return self.names[at] if at >= 0 else "?"
+            if at < 0:
+                return "?"
+            addr, size, name = self.rows[at]
+            if size is not None and v >= addr + size:
+                # (The offset is where the symbol ends: one row per gap.)
+                return f"{os.path.basename(self.path)}+{addr + size:#x} (after {name})"
+            return name
         frames = {v: [symbol(v)] for v in vaddrs}
         if inline and vaddrs:
             out = subprocess.run(["addr2line", "-C", "-f", "-i", "-a", "-e", self.path]
                                  + [hex(v) for v in vaddrs], capture_output=True, text=True).stdout
-            # Per address: `0x…`, then (function, file:line) row pairs.
+            # Per address: `0x…`, then (function, file:line) row pairs. A
+            # pair without a line is addr2line naming the nearest symbol
+            # below, past its end or not: the sized symbol above stands.
             for line in out.splitlines():
                 if line.startswith("0x"):
-                    at, chain, function_row = int(line, 16), [], True
-                    continue
-                if function_row and line != "??":
-                    chain.append(line)
-                    frames[at] = chain
-                function_row = not function_row
+                    at, chain, function = int(line, 16), [], None
+                elif function is None:
+                    function = line
+                else:
+                    if function != "??" and not line.startswith("??"):
+                        chain.append(function)
+                        frames[at] = chain
+                    function = None
         return frames
 
 
@@ -130,8 +159,16 @@ def main(argv):
         role = next((r for r, sub in roles if any(sub in n for n in shown)), "other")
         by_role[role].extend(named)
     total = sum(len(s) for s in by_role.values())
+    sequential = len(by_role.get("sequential", []))
+
+    def per_sequential(n):
+        return f", {n / sequential:.3f} per sequential sample" if sequential else ""
+
+    farm = total - sequential
+    print(f"== all but sequential: {farm} samples{per_sequential(farm)}")
     for role, stacks in sorted(by_role.items(), key=lambda kv: -len(kv[1])):
-        print(f"== {role}: {len(stacks)} samples, {100 * len(stacks) / total:.1f}% of {total}")
+        share = f"{100 * len(stacks) / total:.1f}% of {total}"
+        print(f"== {role}: {len(stacks)} samples, {share}{per_sequential(len(stacks))}")
         leaf = collections.Counter(stack[0] for stack in stacks)
         inclusive = collections.Counter(name for stack in stacks for name in set(stack))
         for title, table in (("leaf", leaf), ("inclusive", inclusive)):
