@@ -104,10 +104,10 @@ fn smoke() -> String {
         wl.next_taxon
     ));
 
-    let scalar = rates
+    let portable = rates
         .iter()
-        .find(|(b, _)| *b == LikBackend::Scalar)
-        .expect("scalar baseline")
+        .find(|(b, _)| *b == LikBackend::Portable)
+        .expect("portable baseline")
         .1;
     let mut json = String::from("{\n");
     json.push_str(&format!(
@@ -123,9 +123,9 @@ fn smoke() -> String {
     for (i, (backend, rate)) in rates.iter().enumerate() {
         let sep = if i + 1 == rates.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{}\": {{ \"node_updates_per_sec\": {rate:.0}, \"speedup_vs_scalar\": {:.2} }}{sep}\n",
+            "    \"{}\": {{ \"node_updates_per_sec\": {rate:.0}, \"speedup_vs_portable\": {:.2} }}{sep}\n",
             backend.name(),
-            rate / scalar
+            rate / portable
         ));
     }
     json.push_str("  }\n}\n");
@@ -135,11 +135,11 @@ fn smoke() -> String {
         .find(|(b, _)| *b == LikBackend::detect())
         .unwrap_or(rates.last().expect("nonempty"));
     println!(
-        "likelihood {} vs scalar: {:.1}x ({:.0} vs {:.0} node updates/s)",
+        "likelihood {} vs portable: {:.1}x ({:.0} vs {:.0} node updates/s)",
         best.0.name(),
-        best.1 / scalar,
+        best.1 / portable,
         best.1,
-        scalar
+        portable
     );
     json
 }
@@ -182,12 +182,12 @@ fn main() {
             "model",
             "backend",
             "node_updates_per_sec",
-            "speedup_vs_scalar",
+            "speedup_vs_portable",
         ],
     );
     for (model_name, model) in &models {
         let wl = stage_workload(model);
-        let mut scalar_rate = None;
+        let mut portable_rate = None;
         for backend in LikBackend::supported() {
             let rate = measure_stage(
                 &mut runner,
@@ -196,18 +196,19 @@ fn main() {
                 &wl,
                 backend,
             );
-            let scalar = *scalar_rate.get_or_insert(rate);
+            // `supported()` lists portable first.
+            let portable = *portable_rate.get_or_insert(rate);
             eprintln!(
                 "  {model_name:>10} / {:>8}: {:>12.0} node updates/s ({:.1}x)",
                 backend.name(),
                 rate,
-                rate / scalar
+                rate / portable
             );
             table.push_row(vec![
                 model_name.to_string(),
                 backend.name().to_string(),
                 format!("{rate:.0}"),
-                format!("{:.2}", rate / scalar),
+                format!("{:.2}", rate / portable),
             ]);
         }
     }

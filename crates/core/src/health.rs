@@ -48,28 +48,17 @@ const ALPHA_BASELINE: f64 = 0.05;
 /// exactly as long as its speed predicts").
 const BASELINE_PRIOR: f64 = 1.0;
 
-/// Detector tuning knobs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HealthConfig {
-    /// Flag a donor when `fast / baseline` reaches this ratio.
-    pub straggler_ratio: f64,
-    /// Clear a flagged donor when the ratio falls back to this value
-    /// (hysteresis: must be below `straggler_ratio`).
-    pub clear_ratio: f64,
-    /// Observations required before a donor may be flagged (guards
-    /// against flagging on startup noise).
-    pub min_observations: u32,
-}
+/// Flag a donor when `fast / baseline` reaches this ratio.
+pub const STRAGGLER_RATIO: f64 = 3.0;
+/// Clear a flagged donor when the ratio falls back to this value.
+const CLEAR_RATIO: f64 = 1.5;
+/// Observations required before a donor may be flagged (guards against
+/// flagging on startup noise).
+const MIN_OBSERVATIONS: u64 = 3;
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            straggler_ratio: 3.0,
-            clear_ratio: 1.5,
-            min_observations: 3,
-        }
-    }
-}
+// Hysteresis: a donor hovering at one ratio must not flap between
+// flagged and cleared.
+const _: () = assert!(1.0 < CLEAR_RATIO && CLEAR_RATIO < STRAGGLER_RATIO);
 
 /// A flag state change produced by [`HealthEngine::observe`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -98,33 +87,27 @@ struct DonorHealth {
 /// Per-donor streaming health state (see module docs).
 #[derive(Debug)]
 pub struct HealthEngine {
-    cfg: HealthConfig,
     donors: BTreeMap<ClientId, DonorHealth>,
     pool: Histogram,
     flagged_total: u64,
     cleared_total: u64,
 }
 
+impl Default for HealthEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl HealthEngine {
-    /// Creates an engine with the given configuration.
-    pub fn new(cfg: HealthConfig) -> Self {
-        assert!(cfg.straggler_ratio > 1.0, "straggler ratio must exceed 1.0");
-        assert!(
-            cfg.clear_ratio < cfg.straggler_ratio,
-            "clear ratio must sit below the straggler ratio (hysteresis)"
-        );
+    /// Creates an engine that has seen no observation.
+    pub fn new() -> Self {
         Self {
-            cfg,
             donors: BTreeMap::new(),
             pool: Histogram::new(RATIO_BOUNDS),
             flagged_total: 0,
             cleared_total: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Feeds one normalized service-time observation (observed
@@ -136,7 +119,6 @@ impl HealthEngine {
         if !normalized.is_finite() || normalized <= 0.0 {
             return None;
         }
-        let cfg = &self.cfg;
         let d = self.donors.entry(client).or_insert_with(|| DonorHealth {
             fast: Ewma::new(ALPHA_FAST),
             baseline: BASELINE_PRIOR,
@@ -155,15 +137,12 @@ impl HealthEngine {
         d.hist.observe(normalized);
         self.pool.observe(normalized);
         let ratio = fast / d.baseline.max(f64::MIN_POSITIVE);
-        if !d.flagged
-            && d.observations >= u64::from(cfg.min_observations)
-            && ratio >= cfg.straggler_ratio
-        {
+        if !d.flagged && d.observations >= MIN_OBSERVATIONS && ratio >= STRAGGLER_RATIO {
             d.flagged = true;
             self.flagged_total += 1;
             return Some(HealthTransition::Flagged { ratio });
         }
-        if d.flagged && ratio <= cfg.clear_ratio {
+        if d.flagged && ratio <= CLEAR_RATIO {
             d.flagged = false;
             self.cleared_total += 1;
             return Some(HealthTransition::Cleared { ratio });
@@ -256,7 +235,7 @@ mod tests {
     fn honest_but_slow_donor_is_never_flagged() {
         // A slow machine whose speed estimate prices the slowness in
         // produces normalized observations near 1.0 forever.
-        let mut h = HealthEngine::new(HealthConfig::default());
+        let mut h = HealthEngine::new();
         for i in 0..200 {
             let wobble = 1.0 + 0.1 * ((i % 7) as f64 - 3.0) / 3.0;
             assert_eq!(h.observe(5, wobble), None, "observation {i}");
@@ -267,7 +246,7 @@ mod tests {
 
     #[test]
     fn sudden_straggler_is_flagged_then_clears_with_hysteresis() {
-        let mut h = HealthEngine::new(HealthConfig::default());
+        let mut h = HealthEngine::new();
         for _ in 0..10 {
             assert_eq!(h.observe(1, 1.0), None);
         }
@@ -306,7 +285,7 @@ mod tests {
         // The baseline prior is 1.0: a donor whose very first
         // observations run 10× the predicted time diverges from the
         // prior, not from its own (nonexistent) history.
-        let mut h = HealthEngine::new(HealthConfig::default());
+        let mut h = HealthEngine::new();
         let mut flagged = false;
         for _ in 0..6 {
             if matches!(h.observe(2, 10.0), Some(HealthTransition::Flagged { .. })) {
@@ -318,12 +297,8 @@ mod tests {
 
     #[test]
     fn min_observations_guards_startup_noise() {
-        let cfg = HealthConfig {
-            min_observations: 5,
-            ..Default::default()
-        };
-        let mut h = HealthEngine::new(cfg);
-        for i in 0..4 {
+        let mut h = HealthEngine::new();
+        for i in 1..MIN_OBSERVATIONS {
             assert_eq!(h.observe(3, 10.0), None, "observation {i} is too early");
         }
         assert!(matches!(
@@ -334,7 +309,7 @@ mod tests {
 
     #[test]
     fn poisoned_observations_are_dropped() {
-        let mut h = HealthEngine::new(HealthConfig::default());
+        let mut h = HealthEngine::new();
         for bad in [f64::NAN, f64::INFINITY, -1.0, 0.0] {
             assert_eq!(h.observe(4, bad), None);
         }
@@ -344,7 +319,7 @@ mod tests {
 
     #[test]
     fn quantiles_stream_from_the_fixed_buckets() {
-        let mut h = HealthEngine::new(HealthConfig::default());
+        let mut h = HealthEngine::new();
         for _ in 0..90 {
             h.observe(1, 1.0);
         }
@@ -361,7 +336,7 @@ mod tests {
 
     #[test]
     fn forget_resets_a_donor() {
-        let mut h = HealthEngine::new(HealthConfig::default());
+        let mut h = HealthEngine::new();
         for _ in 0..10 {
             h.observe(1, 10.0);
         }
@@ -370,15 +345,5 @@ mod tests {
         assert!(!h.is_flagged(1));
         assert_eq!(h.observations(1), 0);
         assert_eq!(h.flagged_count(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "hysteresis")]
-    fn clear_ratio_must_sit_below_the_flag_ratio() {
-        HealthEngine::new(HealthConfig {
-            straggler_ratio: 2.0,
-            clear_ratio: 2.5,
-            ..Default::default()
-        });
     }
 }

@@ -57,7 +57,7 @@ pub use fault::{
     flip_result_bytes, ChaosOptions, DeliveryAction, FaultEvent, FaultKind, FaultPlan,
     PlanInterpreter,
 };
-pub use health::{HealthConfig, HealthEngine, HealthTransition, RATIO_BOUNDS};
+pub use health::{HealthEngine, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{
     chunk_digest, raise_nofile_limit, recover, recover_traced, run_tcp, run_tcp_faulty,
     run_tcp_replicated, run_tcp_with, Backoff, CacheStats, CheckpointWriter, ChunkCache,

@@ -43,6 +43,11 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// Capacity of a donor's chunk cache in bytes — the TCP donor's and
+/// the one the simulator models per machine. Data a unit needs crosses
+/// the wire only when this cache misses.
+pub(crate) const DONOR_CACHE_BYTES: u64 = 64 * 1024 * 1024;
+
 /// "No slot": the end of the recency list, or an empty list.
 const NIL: usize = usize::MAX;
 

@@ -34,7 +34,7 @@
 //! identical plans mean identical stories on both transports.
 
 use super::backoff::Backoff;
-use super::cache::{chunk_digest, ChunkCache};
+use super::cache::{chunk_digest, ChunkCache, DONOR_CACHE_BYTES};
 use super::wire::{
     encode_frame_into, encode_turn_into, DecodeError, Frame, FrameReader, FrameRef, ReadError,
     Then, HEADER_LEN, MAX_PIPELINE_DEPTH,
@@ -59,9 +59,8 @@ const HEARTBEAT_INTERVAL: f64 = 0.5;
 /// Socket read timeout (wall time) — the granularity at which a blocked
 /// client notices shutdown flags and deadlines.
 const READ_TIMEOUT_WALL: Duration = Duration::from_millis(5);
-/// Capacity of the donor's chunk cache in bytes. Data a unit needs is
-/// fetched over the wire only when this cache misses.
-const CHUNK_CACHE_BYTES: u64 = 64 * 1024 * 1024;
+/// Sleep after a `Wait` before asking again, scaled seconds.
+const POLL_INTERVAL: f64 = 0.05;
 
 /// The reconnect backoff: 0.05 scaled seconds, doubling per consecutive
 /// failure (six times at most) up to 2, with ±50% deterministic jitter.
@@ -76,8 +75,6 @@ pub struct NetClientOptions {
     /// How long to await an owed reply before treating the connection
     /// as broken (triggers reconnect + resubmission).
     pub ack_timeout: f64,
-    /// Sleep after a `Wait` before asking again.
-    pub poll_interval: f64,
     /// Floor of the pipelined dispatch depth: how many assignments the
     /// donor keeps ready or requested (chunks fetched, unit hydrated) so
     /// the next compute starts without a request round-trip — and the
@@ -99,7 +96,6 @@ impl Default for NetClientOptions {
     fn default() -> Self {
         Self {
             ack_timeout: 2.0,
-            poll_interval: 0.05,
             queue_depth: 2,
             metrics_report_interval: 0.0,
         }
@@ -369,7 +365,7 @@ impl ClientLoop {
             read_at: 0.0,
             stale: true,
             last_heartbeat: 0.0,
-            cache: ChunkCache::new(CHUNK_CACHE_BYTES),
+            cache: ChunkCache::new(DONOR_CACHE_BYTES),
             staged: Vec::new(),
             queue: VecDeque::new(),
             telemetry: kit.telemetry.clone(),
@@ -664,7 +660,7 @@ impl ClientLoop {
             if !self.flush() {
                 return Step::Continue;
             }
-            if let Step::Finished = self.next_reply(self.opts.poll_interval) {
+            if let Step::Finished = self.next_reply(POLL_INTERVAL) {
                 return Step::Finished;
             }
         }
@@ -1725,7 +1721,7 @@ mod tests {
     }
 
     /// A donor loop for the [`Echo`] problem wired to `origin` (no
-    /// replicas), not yet connected, polling fast after a `Wait`.
+    /// replicas), not yet connected.
     fn echo_donor(
         origin: SocketAddr,
         telemetry: &Telemetry,
@@ -1734,7 +1730,6 @@ mod tests {
     ) -> ClientLoop {
         let opts = NetClientOptions {
             ack_timeout,
-            poll_interval: 0.002,
             ..Default::default()
         };
         let instantaneous = Arc::new(AtomicU64::new(0));
@@ -1790,7 +1785,6 @@ mod tests {
     ) -> ClientLoop {
         let opts = NetClientOptions {
             ack_timeout: 30.0,
-            poll_interval: 0.002,
             ..opts
         };
         let mut donor = echo_donor_with(origin.addr, telemetry, 0, compute_us.clone(), opts);

@@ -25,7 +25,7 @@
 //! ([`Scheduler::record_completion`]) is its one observation, and its
 //! flag is the only one there is.
 
-use crate::health::{HealthConfig, HealthEngine, HealthTransition};
+use crate::health::{HealthEngine, HealthTransition};
 use crate::problem::UnitId;
 use crate::telemetry::Telemetry;
 use biodist_util::rng::{Rng, SplitMix64};
@@ -54,6 +54,9 @@ pub(crate) const MAX_LEASE_SECS: f64 = 86_400.0;
 const LEASE_JITTER_FRAC: f64 = 0.1;
 /// Simultaneous executions of one unit under plain redundant dispatch.
 const MAX_REDUNDANCY: u32 = 2;
+/// Simultaneous executions of one unit once speculative re-issue is
+/// armed (see [`Scheduler::copy_caps`]).
+const SPECULATIVE_MAX_COPIES: u32 = 3;
 /// Chunk digests remembered per donor (oldest forgotten first —
 /// mirrors the donor's own LRU, approximately).
 const AFFINITY_CAPACITY: usize = 4096;
@@ -85,26 +88,20 @@ pub struct SchedulerConfig {
     pub affinity_lookahead: usize,
     /// K-way quorum issuance: units first issued to an *untrusted*
     /// donor are cross-checked on `quorum_k` distinct donors, and the
-    /// combine path only runs once a quorum of byte-identical results
-    /// agrees. `1` disables quorum (every result is trusted — the
-    /// paper's behaviour).
+    /// combine path only runs once a majority (`k/2 + 1`) of
+    /// byte-identical results agrees. `1` disables quorum (every result
+    /// is trusted — the paper's behaviour).
     pub quorum_k: u32,
-    /// Byte-identical votes required to agree (`0` = majority of
-    /// `quorum_k`, i.e. `k/2 + 1`). Clamped to `quorum_k`.
-    pub quorum_votes: u32,
     /// Quorum agreements a donor needs before it is trusted and
     /// graduates to single-issue (its results skip cross-checking).
     pub reputation_threshold: u32,
     /// Enable speculative re-issue of tail units: once fresh work is
     /// exhausted, in-flight units may be re-dispatched beyond the plain
-    /// redundant-dispatch cap (up to [`Self::speculative_max_copies`])
-    /// to cut the end-of-run makespan droop (Figure 1).
+    /// redundant-dispatch cap (up to three copies) to cut the
+    /// end-of-run makespan droop (Figure 1).
     pub enable_speculative_reissue: bool,
-    /// Ceiling on simultaneous copies of one unit when speculative
-    /// tail re-issue is enabled.
-    pub speculative_max_copies: u32,
     /// Enable the streaming health detector ([`crate::health`], at its
-    /// default thresholds): per-donor normalized service-time EWMAs
+    /// fixed thresholds): per-donor normalized service-time EWMAs
     /// flag stragglers live, flagged donors lose their affinity
     /// preference, and units they hold become eligible for speculative
     /// re-issue *immediately* (not only in the end-game tail). Off by
@@ -126,10 +123,8 @@ impl Default for SchedulerConfig {
             enable_redundant_dispatch: true,
             affinity_lookahead: 1,
             quorum_k: 1,
-            quorum_votes: 0,
             reputation_threshold: 4,
             enable_speculative_reissue: false,
-            speculative_max_copies: 3,
             enable_health_detector: false,
         }
     }
@@ -316,10 +311,8 @@ impl Scheduler {
         );
         assert!(cfg.min_unit_ops > 0.0 && cfg.min_unit_ops <= cfg.max_unit_ops);
         assert!(cfg.quorum_k >= 1, "quorum_k must be at least 1");
-        assert!(cfg.speculative_max_copies >= 1);
-        let detector = || HealthEngine::new(HealthConfig::default());
         Self {
-            health: cfg.enable_health_detector.then(detector),
+            health: cfg.enable_health_detector.then(HealthEngine::new),
             cfg,
             donors: HashMap::new(),
         }
@@ -580,7 +573,7 @@ impl Scheduler {
         let cap = |on: bool, copies: u32| if on { copies } else { 0 };
         (
             cap(plain, MAX_REDUNDANCY),
-            cap(speculate, c.speculative_max_copies),
+            cap(speculate, SPECULATIVE_MAX_COPIES),
         )
     }
 
@@ -601,16 +594,10 @@ impl Scheduler {
         self.cfg.quorum_k > 1
     }
 
-    /// Byte-identical votes a quorum needs to agree: the configured
-    /// `quorum_votes`, or a majority of `quorum_k` when left at 0,
-    /// clamped to `[1, quorum_k]`.
+    /// Byte-identical votes a quorum needs to agree: a majority of
+    /// `quorum_k`.
     pub fn required_votes(&self) -> u32 {
-        let v = if self.cfg.quorum_votes == 0 {
-            self.cfg.quorum_k / 2 + 1
-        } else {
-            self.cfg.quorum_votes
-        };
-        v.clamp(1, self.cfg.quorum_k)
+        self.cfg.quorum_k / 2 + 1
     }
 
     /// How many distinct donors a unit first issued to `client` must
@@ -1075,7 +1062,6 @@ mod tests {
     fn speculative_policy_extends_past_the_redundancy_cap() {
         let s = Scheduler::new(SchedulerConfig {
             enable_speculative_reissue: true,
-            speculative_max_copies: 3,
             ..Default::default()
         });
         assert_eq!(s.copy_caps(false).0, 2, "plain redundancy caps at 2");
@@ -1110,23 +1096,17 @@ mod tests {
 
     #[test]
     fn quorum_vote_configuration_clamps_sanely() {
-        let majority5 = Scheduler::new(SchedulerConfig {
-            quorum_k: 5,
-            ..Default::default()
-        });
-        assert_eq!(majority5.required_votes(), 3);
-        let explicit = Scheduler::new(SchedulerConfig {
-            quorum_k: 3,
-            quorum_votes: 3,
-            ..Default::default()
-        });
-        assert_eq!(explicit.required_votes(), 3);
-        let over = Scheduler::new(SchedulerConfig {
-            quorum_k: 3,
-            quorum_votes: 9,
-            ..Default::default()
-        });
-        assert_eq!(over.required_votes(), 3, "clamped to quorum_k");
+        let majority = |quorum_k| {
+            let s = Scheduler::new(SchedulerConfig {
+                quorum_k,
+                ..Default::default()
+            });
+            s.required_votes()
+        };
+        assert_eq!(majority(5), 3);
+        assert_eq!(majority(3), 2);
+        assert_eq!(majority(2), 2, "both copies must agree");
+        assert_eq!(majority(1), 1, "never more votes than copies");
         let disabled = Scheduler::new(SchedulerConfig::default());
         assert!(!disabled.quorum_enabled());
         assert_eq!(disabled.required_copies(0), 1);

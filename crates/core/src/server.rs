@@ -2139,7 +2139,6 @@ mod tests {
     fn speculative_reissue_extends_past_the_redundancy_cap() {
         let mut server = Server::new(SchedulerConfig {
             enable_speculative_reissue: true,
-            speculative_max_copies: 3,
             ..Default::default()
         });
         server.submit(sum_problem(10, 100)); // single unit → end-game

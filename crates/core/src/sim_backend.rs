@@ -18,7 +18,7 @@
 //! ```
 
 use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
-use crate::net::cache::ChunkCache;
+use crate::net::cache::{ChunkCache, DONOR_CACHE_BYTES};
 use crate::problem::{Algorithm, TaskResult, WorkUnit};
 use crate::server::{Assignment, ProblemId, Server};
 use biodist_gridsim::event::EventQueue;
@@ -40,15 +40,6 @@ pub struct SimConfig {
     /// Hard cap on virtual time; exceeding it panics (a deadlocked
     /// configuration, not a recoverable state).
     pub max_virtual_secs: f64,
-    /// Whether departing donors notify the server (graceful shutdown).
-    /// Real cycle-scavenging donors usually vanish silently — the owner
-    /// pulls the plug — and the server only discovers the loss when the
-    /// unit's lease expires, so the default is `false`.
-    pub announced_departures: bool,
-    /// Capacity of each machine's modeled chunk cache in bytes. A
-    /// unit's data chunks cross the link only when this cache misses
-    /// (mirroring the TCP backend's donor-side `ChunkCache`).
-    pub chunk_cache_bytes: u64,
     /// Pipelined dispatch depth: how many units a machine keeps in its
     /// pipeline (computing + prefetched + requested), so a prefetched
     /// unit's transfer overlaps the previous compute. 1 — the default,
@@ -67,8 +58,6 @@ impl Default for SimConfig {
     fn default() -> Self {
         Self {
             max_virtual_secs: 86_400.0 * 30.0,
-            announced_departures: false,
-            chunk_cache_bytes: 64 * 1024 * 1024,
             pipeline_depth: 1,
             metrics_report_secs: 0.0,
         }
@@ -220,12 +209,12 @@ impl SimRunner {
         // Joins (initial + crash rejoins) scheduled but not yet fired;
         // the all-donors-gone check must count them as future capacity.
         let mut scheduled_joins = 0usize;
-        // Per-machine chunk caches: residue bytes cross the link only
-        // on a miss, exactly like the TCP donors. A crash empties the
-        // machine's cache (its memory is gone).
-        let mut chunk_caches: Vec<ChunkCache> = (0..n)
-            .map(|_| ChunkCache::new(self.cfg.chunk_cache_bytes))
-            .collect();
+        // Per-machine chunk caches, as large as a TCP donor's: residue
+        // bytes cross the link only on a miss, exactly like the TCP
+        // donors. A crash empties the machine's cache (its memory is
+        // gone).
+        let mut chunk_caches: Vec<ChunkCache> =
+            (0..n).map(|_| ChunkCache::new(DONOR_CACHE_BYTES)).collect();
         // Donor-local metrics registries, shipped to the server every
         // `metrics_report_secs` as *delta* snapshots (snapshot, then
         // reset) so the server's prefixed merge stays associative. A
@@ -629,13 +618,14 @@ impl SimRunner {
                         computing[m] = false;
                         prefetch[m].clear();
                         load[m] = 0;
+                        // Cycle-scavenging donors vanish silently — the
+                        // owner pulls the plug — and the server only
+                        // learns of the loss when the unit's lease
+                        // expires.
                         tel.emit_at(
                             now,
                             crate::telemetry::EventKind::MachineDeparted { client: m },
                         );
-                        if self.cfg.announced_departures {
-                            self.server.client_gone(m);
-                        }
                     }
                     assert!(
                         alive.iter().any(|&a| a) || scheduled_joins > 0,
@@ -858,44 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn announced_departures_recover_faster_than_silent_ones() {
-        let run = |announced: bool| {
-            // One big unit, no redundancy: the orphaned unit IS the
-            // critical path, so the recovery latency shows directly.
-            let mut machines = dedicated_pool(2, 1e6);
-            machines[0].departure = Some(50.0);
-            let mut server = Server::new(SchedulerConfig {
-                enable_redundant_dispatch: false,
-                ..Default::default()
-            });
-            server.submit(integration_problem(2_000_000)); // 4e8 ops, one unit
-            let cfg = SimConfig {
-                announced_departures: announced,
-                ..Default::default()
-            };
-            let (report, mut server) = SimRunner::new(
-                server,
-                machines,
-                biodist_gridsim::network::SharedLink::hundred_mbit(),
-                cfg,
-            )
-            .run();
-            let pi = server.take_output(0).unwrap().into_inner::<f64>();
-            assert!((pi - std::f64::consts::PI).abs() < 1e-7);
-            report.makespan
-        };
-        let announced = run(true);
-        let silent = run(false);
-        // A graceful shutdown reissues the orphaned unit immediately; a
-        // silent one waits for the lease to expire and the next timeout
-        // scan — at least the 120 s minimum lease.
-        assert!(
-            announced + 60.0 < silent,
-            "announced {announced} should beat silent {silent} by the lease delay"
-        );
-    }
-
-    #[test]
     fn crashed_machine_rejoins_and_the_run_stays_correct() {
         use crate::fault::{FaultKind, FaultPlan};
         let server = pi_server(10_000_000);
@@ -999,9 +951,10 @@ mod tests {
         );
     }
 
-    /// A miniature chunked problem: every unit needs the same 1 MiB
-    /// data chunk, so the first delivery to a machine misses and every
-    /// later one should hit its modeled chunk cache.
+    /// A miniature chunked problem: every unit needs one 1 MiB data
+    /// chunk — the same one (`shared`), so the first delivery to a
+    /// machine misses and every later one should hit its modeled chunk
+    /// cache, or one of its own, so every delivery misses.
     mod chunky {
         use super::*;
         use crate::codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
@@ -1010,8 +963,10 @@ mod tests {
 
         pub const CHUNK_BYTES: usize = 1 << 20;
 
-        pub fn chunk_bytes() -> Vec<u8> {
-            (0..CHUNK_BYTES).map(|i| (i % 251) as u8).collect()
+        fn chunk_bytes(chunk: u64) -> Vec<u8> {
+            (0..CHUNK_BYTES)
+                .map(|i| ((i as u64 + chunk) % 251) as u8)
+                .collect()
         }
 
         struct Dm {
@@ -1053,7 +1008,9 @@ mod tests {
             }
         }
 
-        struct Codec;
+        struct Codec {
+            shared: bool,
+        }
         impl WireCodec for Codec {
             fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
                 w.u64(*p.downcast_ref::<u64>().unwrap());
@@ -1075,24 +1032,25 @@ mod tests {
                 r.finish()?;
                 Ok(Payload::new(id, 8))
             }
-            fn unit_chunks(&self, _p: &Payload) -> Vec<ChunkNeed> {
+            fn unit_chunks(&self, p: &Payload) -> Vec<ChunkNeed> {
+                let chunk = if self.shared {
+                    0
+                } else {
+                    *p.downcast_ref::<u64>().unwrap()
+                };
                 vec![ChunkNeed {
-                    chunk: 0,
-                    digest: chunk_digest(&chunk_bytes()),
+                    chunk,
+                    digest: chunk_digest(&chunk_bytes(chunk)),
                     bytes: CHUNK_BYTES as u64,
                 }]
             }
             fn write_chunk(&self, chunk: u64, w: &mut ByteWriter) -> Result<(), WireError> {
-                if chunk == 0 {
-                    w.buf().extend(chunk_bytes());
-                    Ok(())
-                } else {
-                    Err(WireError::new(format!("no chunk {chunk}")))
-                }
+                w.buf().extend(chunk_bytes(chunk));
+                Ok(())
             }
         }
 
-        pub fn problem(units: u64) -> Problem {
+        pub fn problem(units: u64, shared: bool) -> Problem {
             Problem::new(
                 "chunky",
                 Box::new(Dm {
@@ -1102,19 +1060,18 @@ mod tests {
                 }),
                 Arc::new(Algo),
             )
-            .with_codec(Arc::new(Codec))
+            .with_codec(Arc::new(Codec { shared }))
         }
     }
 
-    fn chunky_run(cache_bytes: u64, pipeline_depth: usize, units: u64) -> RunReport {
+    fn chunky_run(shared: bool, pipeline_depth: usize, units: u64) -> RunReport {
         let mut server = Server::new(SchedulerConfig {
             target_unit_secs: 10.0,
             enable_redundant_dispatch: false,
             ..Default::default()
         });
-        server.submit(chunky::problem(units));
+        server.submit(chunky::problem(units, shared));
         let cfg = SimConfig {
-            chunk_cache_bytes: cache_bytes,
             pipeline_depth,
             ..Default::default()
         };
@@ -1130,25 +1087,25 @@ mod tests {
 
     #[test]
     fn chunk_cache_eliminates_repeat_transfers() {
-        // One machine, eight units all needing the same chunk: a warm
-        // cache transfers it once; a zero-capacity cache re-fetches it
-        // for every unit.
-        let cached = chunky_run(64 * 1024 * 1024, 1, 8).bytes_transferred;
-        let uncached = chunky_run(0, 1, 8).bytes_transferred;
+        // One machine, eight units: when they all need the same chunk a
+        // warm cache transfers it once; when each needs its own, every
+        // unit fetches one.
+        let shared = chunky_run(true, 1, 8).bytes_transferred;
+        let distinct = chunky_run(false, 1, 8).bytes_transferred;
         let chunk = chunky::CHUNK_BYTES as u64;
         assert!(
-            uncached >= cached + 6 * chunk,
-            "cached {cached} vs uncached {uncached}"
+            distinct >= shared + 6 * chunk,
+            "shared {shared} vs distinct {distinct}"
         );
     }
 
     #[test]
     fn pipelined_dispatch_overlaps_transfers_with_compute() {
-        // Cache disabled so every unit pays a 1 MiB transfer; with a
-        // queue depth of 2 that transfer hides behind the previous
-        // compute instead of serialising with it.
-        let serial = chunky_run(0, 1, 6).makespan;
-        let pipelined = chunky_run(0, 2, 6).makespan;
+        // A chunk of its own per unit, so every unit pays a 1 MiB
+        // transfer; with a queue depth of 2 that transfer hides behind
+        // the previous compute instead of serialising with it.
+        let serial = chunky_run(false, 1, 6).makespan;
+        let pipelined = chunky_run(false, 2, 6).makespan;
         assert!(
             pipelined + 0.2 < serial,
             "pipelined {pipelined} must beat serial {serial}"

@@ -27,7 +27,6 @@ fn slow_donor_with_silent_departure_completes() {
     });
     let pid = server.submit(integration_problem(2_000_000)); // one 4e8-op unit
     let cfg = SimConfig {
-        announced_departures: false,
         max_virtual_secs: 5_000.0, // the livelock used to blow past this
         ..Default::default()
     };
@@ -54,7 +53,6 @@ fn stale_lease_result_is_accepted_not_wasted() {
     });
     let pid = server.submit(integration_problem(2_000_000));
     let cfg = SimConfig {
-        announced_departures: false,
         max_virtual_secs: 5_000.0,
         ..Default::default()
     };

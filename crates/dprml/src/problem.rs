@@ -109,10 +109,11 @@ enum DprmlResultKind {
 
 /// Abstract ops per node·pattern·category update, calibrated against
 /// the measured stage-evaluation throughput of the SIMD likelihood
-/// kernels (`abl_likelihood --smoke` → BENCH_likelihood.json: ~11.6×
-/// the scalar engine the original 20.0 figure modelled, so 20/11.6).
-/// Same recalibration PR 1 applied to DSEARCH's `cost_cells` after
-/// striping Smith–Waterman.
+/// kernels: 11.56× (AVX2) the since-deleted scalar engine the original
+/// 20.0 figure modelled, so 20/11.6 — the dated history row of
+/// EXPERIMENTS.md A6 (2.45 M node updates/s scalar). DSEARCH's
+/// `cost_cells` got the same recalibration after striping
+/// Smith–Waterman.
 const OPS_PER_NODE_UPDATE: f64 = 1.75;
 
 /// Abstract ops for one full pruning traversal (matches the gridsim
@@ -1153,12 +1154,8 @@ mod tests {
             biodist_phylo::LikBackend::from_index(backend as u8).is_some(),
             "gauge {backend} must name a real backend"
         );
-        // The SIMD engines cache transition matrices; the scalar
-        // baseline reports zeros for both counters.
-        if backend as u8 != biodist_phylo::LikBackend::Scalar.index() {
-            assert!(snap.counter("lik.pmat_cache_hits") > 0);
-            assert!(snap.counter("lik.pmat_cache_misses") > 0);
-        }
+        assert!(snap.counter("lik.pmat_cache_hits") > 0);
+        assert!(snap.counter("lik.pmat_cache_misses") > 0);
         let _ = pid;
     }
 

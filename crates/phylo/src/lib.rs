@@ -26,7 +26,6 @@
 
 pub mod eigen;
 pub mod evolve;
-pub mod fit;
 pub mod lik;
 pub mod lik_simd;
 pub mod model;
@@ -38,7 +37,6 @@ pub mod special;
 pub mod tree;
 
 pub use evolve::{random_yule_tree, simulate_alignment};
-pub use fit::{empirical_base_frequencies, fit_gamma_alpha, fit_hky_kappa, FitResult};
 pub use lik::{log_likelihood, optimize_branch_lengths, TreeLikelihood};
 pub use lik_simd::LikBackend;
 pub use model::{GammaRates, ModelKind, SubstModel};

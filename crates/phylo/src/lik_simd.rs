@@ -20,8 +20,8 @@
 //!
 //! Backend selection is a runtime check (`is_x86_feature_detected!`)
 //! on x86_64 and compile-time elsewhere; `BIODIST_LIK_BACKEND`
-//! (`scalar | portable | sse2 | avx2`) overrides detection, clamped to
-//! what the CPU actually supports.
+//! (`portable | sse2 | avx2`) overrides detection, clamped to what the
+//! CPU actually supports.
 
 /// Pattern-axis padding of the SoA layout: every row is a multiple of
 /// `PAD` doubles long, so 2-lane and 4-lane engines can both walk it
@@ -41,11 +41,6 @@ pub type Mat4 = [[f64; 4]; 4];
 /// Which implementation the likelihood engine dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LikBackend {
-    /// The PR-1-era reference engine (AoS partials, per-node rescale,
-    /// per-traversal allocation). Kept as the parity oracle and the
-    /// baseline that `BENCH_likelihood.json` speedups are measured
-    /// against.
-    Scalar,
     /// 4 scalar-emulated `f64` lanes; compiles on every target.
     Portable,
     /// 128-bit SSE2 vectors (x86_64 baseline): 2 × `f64` lanes.
@@ -55,19 +50,9 @@ pub enum LikBackend {
 }
 
 impl LikBackend {
-    /// Lane count of the `f64` kernels (1 for the scalar engine).
-    pub fn lanes_f64(self) -> usize {
-        match self {
-            LikBackend::Scalar => 1,
-            LikBackend::Sse2 => 2,
-            LikBackend::Portable | LikBackend::Avx2 => 4,
-        }
-    }
-
     /// Stable name (used in metrics, benches and the env override).
     pub fn name(self) -> &'static str {
         match self {
-            LikBackend::Scalar => "scalar",
             LikBackend::Portable => "portable",
             LikBackend::Sse2 => "sse2",
             LikBackend::Avx2 => "avx2",
@@ -75,9 +60,9 @@ impl LikBackend {
     }
 
     /// Small stable index for wire stats and the `lik.backend` gauge.
+    /// 0 named a backend that no longer exists and is never reused.
     pub fn index(self) -> u8 {
         match self {
-            LikBackend::Scalar => 0,
             LikBackend::Portable => 1,
             LikBackend::Sse2 => 2,
             LikBackend::Avx2 => 3,
@@ -87,7 +72,6 @@ impl LikBackend {
     /// Inverse of [`LikBackend::index`] (unknown values → `None`).
     pub fn from_index(i: u8) -> Option<Self> {
         match i {
-            0 => Some(LikBackend::Scalar),
             1 => Some(LikBackend::Portable),
             2 => Some(LikBackend::Sse2),
             3 => Some(LikBackend::Avx2),
@@ -98,7 +82,6 @@ impl LikBackend {
     /// Parses the `BIODIST_LIK_BACKEND` spelling.
     pub fn parse(text: &str) -> Option<Self> {
         match text.trim().to_ascii_lowercase().as_str() {
-            "scalar" => Some(LikBackend::Scalar),
             "portable" => Some(LikBackend::Portable),
             "sse2" => Some(LikBackend::Sse2),
             "avx2" => Some(LikBackend::Avx2),
@@ -109,7 +92,7 @@ impl LikBackend {
     /// Whether the running CPU can execute this backend.
     pub fn is_supported(self) -> bool {
         match self {
-            LikBackend::Scalar | LikBackend::Portable => true,
+            LikBackend::Portable => true,
             #[cfg(target_arch = "x86_64")]
             LikBackend::Sse2 => true,
             #[cfg(target_arch = "x86_64")]
@@ -151,15 +134,10 @@ impl LikBackend {
     /// Every backend the running CPU can execute (parity suites iterate
     /// this).
     pub fn supported() -> Vec<Self> {
-        [
-            LikBackend::Scalar,
-            LikBackend::Portable,
-            LikBackend::Sse2,
-            LikBackend::Avx2,
-        ]
-        .into_iter()
-        .filter(|b| b.is_supported())
-        .collect()
+        [LikBackend::Portable, LikBackend::Sse2, LikBackend::Avx2]
+            .into_iter()
+            .filter(|b| b.is_supported())
+            .collect()
     }
 }
 
@@ -183,7 +161,7 @@ trait LanesF64: Copy {
 /// Felsenstein node update: one child's conditional likelihoods pushed
 /// through its transition matrix, multiplied into (or, for the first
 /// child, assigned to) the parent's partials. The dot product is
-/// associated left-to-right, matching the scalar engine.
+/// associated left-to-right.
 #[inline(always)]
 fn product_into_g<V: LanesF64>(
     dst: &mut [f64],
@@ -254,44 +232,6 @@ fn root_site_sums_g<V: LanesF64>(
                 .add(f[2].mul(V::load(&vals[base + 2 * npad + i..])))
                 .add(f[3].mul(V::load(&vals[base + 3 * npad + i..])));
             acc = acc.add(V::splat(prob).mul(dot));
-        }
-        acc.store(&mut site[i..]);
-        i += V::WIDTH;
-    }
-}
-
-/// `site[·] = Σ_cat prob · Σ_s E[cat][s][·] · (Σ_j m[s][j] D[cat][j][·])`
-/// — the edge-decomposed likelihood evaluated at one branch length;
-/// the function Brent's method calls per candidate `t`.
-#[inline(always)]
-fn edge_site_sums_g<V: LanesF64>(
-    down: &[f64],
-    edge: &[f64],
-    mats: &[Mat4],
-    probs: &[f64],
-    site: &mut [f64],
-    npad: usize,
-) {
-    let mut i = 0;
-    while i < npad {
-        let mut acc = V::splat(0.0);
-        for (cat, pm) in mats.iter().enumerate() {
-            let base = cat * 4 * npad;
-            let d0 = V::load(&down[base + i..]);
-            let d1 = V::load(&down[base + npad + i..]);
-            let d2 = V::load(&down[base + 2 * npad + i..]);
-            let d3 = V::load(&down[base + 3 * npad + i..]);
-            let mut cat_sum = V::splat(0.0);
-            for s in 0..4 {
-                let pd = V::splat(pm[s][0])
-                    .mul(d0)
-                    .add(V::splat(pm[s][1]).mul(d1))
-                    .add(V::splat(pm[s][2]).mul(d2))
-                    .add(V::splat(pm[s][3]).mul(d3));
-                let ev = V::load(&edge[base + s * npad + i..]);
-                cat_sum = cat_sum.add(ev.mul(pd));
-            }
-            acc = acc.add(V::splat(probs[cat]).mul(cat_sum));
         }
         acc.store(&mut site[i..]);
         i += V::WIDTH;
@@ -440,24 +380,6 @@ pub fn root_site_sums(
     );
 }
 
-/// [`edge_site_sums_g`] behind runtime backend dispatch.
-pub fn edge_site_sums(
-    backend: LikBackend,
-    down: &[f64],
-    edge: &[f64],
-    mats: &[Mat4],
-    probs: &[f64],
-    site: &mut [f64],
-    npad: usize,
-) {
-    dispatch!(
-        backend,
-        edge_site_sums_g,
-        edge_site_sums_avx2,
-        (down, edge, mats, probs, site, npad)
-    );
-}
-
 /// [`coef_site_sums_g`] behind runtime backend dispatch.
 pub fn coef_site_sums(
     backend: LikBackend,
@@ -504,19 +426,6 @@ unsafe fn root_site_sums_avx2(
     npad: usize,
 ) {
     root_site_sums_g::<avx2::A4>(vals, freqs, probs, site, npad)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn edge_site_sums_avx2(
-    down: &[f64],
-    edge: &[f64],
-    mats: &[Mat4],
-    probs: &[f64],
-    site: &mut [f64],
-    npad: usize,
-) {
-    edge_site_sums_g::<avx2::A4>(down, edge, mats, probs, site, npad)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -703,9 +612,6 @@ mod tests {
         let child = demo_child(npad, mats.len());
         let mut outs = Vec::new();
         for b in LikBackend::supported() {
-            if b == LikBackend::Scalar {
-                continue;
-            }
             let mut dst = vec![0.5; child.len()];
             product_into(b, &mut dst, &child, &mats, npad, false);
             outs.push((b, dst));
@@ -729,9 +635,6 @@ mod tests {
         let vals = demo_child(npad, mats.len());
         let nrows = mats.len() * 4;
         for b in LikBackend::supported() {
-            if b == LikBackend::Scalar {
-                continue;
-            }
             let mut mx = vec![0.0; npad];
             row_max(b, &vals, nrows, npad, &mut mx);
             for pat in 0..npad {
@@ -758,9 +661,6 @@ mod tests {
             assert!((r - exact).abs() < tol, "poly_ln({x}) = {r} vs {exact}");
         }
         for b in LikBackend::supported() {
-            if b == LikBackend::Scalar {
-                continue;
-            }
             let mut out = vals.clone();
             ln_into(b, &mut out);
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -773,20 +673,16 @@ mod tests {
         assert_eq!(LikBackend::parse("AVX2"), Some(LikBackend::Avx2));
         assert_eq!(LikBackend::parse(" sse2 "), Some(LikBackend::Sse2));
         assert_eq!(LikBackend::parse("portable"), Some(LikBackend::Portable));
-        assert_eq!(LikBackend::parse("scalar"), Some(LikBackend::Scalar));
+        assert_eq!(LikBackend::parse("scalar"), None);
         assert_eq!(LikBackend::parse("gpu"), None);
     }
 
     #[test]
     fn index_round_trips() {
-        for b in [
-            LikBackend::Scalar,
-            LikBackend::Portable,
-            LikBackend::Sse2,
-            LikBackend::Avx2,
-        ] {
+        for b in [LikBackend::Portable, LikBackend::Sse2, LikBackend::Avx2] {
             assert_eq!(LikBackend::from_index(b.index()), Some(b));
         }
+        assert_eq!(LikBackend::from_index(0), None);
         assert_eq!(LikBackend::from_index(9), None);
     }
 

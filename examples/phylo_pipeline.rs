@@ -3,17 +3,18 @@
 //! The workflow a biologist would actually run with these tools:
 //!
 //! 1. neighbor-joining guide tree from JC distances (instant),
-//! 2. substitution-model parameters (κ, Γ shape α) fitted by maximum
-//!    likelihood on the guide tree,
-//! 3. distributed DPRml search under the fitted model, with a
+//! 2. distributed DPRml search under the substitution model, with a
 //!    distance-diverse (maximin) taxon addition order.
+//!
+//! The search runs at the generating parameters (κ = 5, Γ shape
+//! α = 0.6): the repository fits no model parameters, so a real run
+//! would take them from a model-selection tool.
 //!
 //! Run with: `cargo run --release --example phylo_pipeline`
 
 use biodist::core::{run_threaded, SchedulerConfig, Server};
 use biodist::dprml::{build_problem, DprmlConfig, PhyloOutput};
 use biodist::phylo::evolve::{random_yule_tree, simulate_alignment};
-use biodist::phylo::fit::{empirical_base_frequencies, fit_gamma_alpha, fit_hky_kappa};
 use biodist::phylo::lik::log_likelihood;
 use biodist::phylo::model::{GammaRates, ModelKind, SubstModel};
 use biodist::phylo::nj::{jc_distance_matrix, maximin_order, neighbor_joining};
@@ -23,13 +24,11 @@ use std::sync::Arc;
 fn main() {
     // --- data: simulated under HKY85(kappa 5) + Γ(0.6), 10 taxa -------
     let truth = random_yule_tree(10, 0.14, 404);
-    let true_model = SubstModel::new(
-        ModelKind::Hky85 {
-            kappa: 5.0,
-            freqs: [0.3, 0.2, 0.2, 0.3],
-        },
-        GammaRates::gamma(0.6, 4),
-    );
+    let kind = ModelKind::Hky85 {
+        kappa: 5.0,
+        freqs: [0.3, 0.2, 0.2, 0.3],
+    };
+    let true_model = SubstModel::new(kind.clone(), GammaRates::gamma(0.6, 4));
     let names: Vec<String> = (0..10).map(|i| format!("sp{i:02}")).collect();
     let seqs = simulate_alignment(&truth, &true_model, 1200, Some(&names), 405);
     let data = Arc::new(PatternAlignment::from_sequences(&seqs));
@@ -48,28 +47,10 @@ fn main() {
         guide.rf_distance(&truth)
     );
 
-    // --- step 2: model fitting on the guide tree -----------------------
-    let freqs = empirical_base_frequencies(&data);
-    println!(
-        "[2] empirical frequencies: A={:.3} C={:.3} G={:.3} T={:.3}",
-        freqs[0], freqs[1], freqs[2], freqs[3]
-    );
-    let kappa_fit = fit_hky_kappa(&guide, &data, freqs, &GammaRates::uniform(), 2);
-    println!(
-        "    fitted kappa = {:.2} (true 5.0), lnL {:.2}, {} evaluations",
-        kappa_fit.value, kappa_fit.ln_likelihood, kappa_fit.evaluations
-    );
-    let kind = ModelKind::Hky85 {
-        kappa: kappa_fit.value,
-        freqs,
-    };
-    let alpha_fit = fit_gamma_alpha(&guide, &data, &kind, 4, 1);
-    println!("    fitted gamma alpha = {:.2} (true 0.6)", alpha_fit.value);
-
-    // --- step 3: distributed ML search under the fitted model ----------
+    // --- step 2: distributed ML search at the generating parameters ---
     let config = DprmlConfig {
         model: kind,
-        gamma_alpha: Some(alpha_fit.value),
+        gamma_alpha: Some(0.6),
         gamma_categories: 4,
         ..Default::default()
     };
@@ -92,13 +73,12 @@ fn main() {
         .expect("complete")
         .into_inner::<PhyloOutput>();
     println!(
-        "\n[3] distributed DPRml: lnL {:.2} in {elapsed:.1} s wall clock, RF to truth = {}",
+        "\n[2] distributed DPRml under HKY85(5.0)+G(0.6): lnL {:.2} in {elapsed:.1} s wall clock, RF to truth = {}",
         out.ln_likelihood,
         out.tree.rf_distance(&truth)
     );
-    // ML under the fitted model should beat the NJ guide under the same model.
-    let fitted_model = config.build_model();
-    let guide_lnl = log_likelihood(&guide, &data, &fitted_model);
+    // ML under the model should beat the NJ guide under the same model.
+    let guide_lnl = log_likelihood(&guide, &data, &config.build_model());
     println!("    (NJ guide tree scores {guide_lnl:.2} under the same model)");
     assert!(
         out.ln_likelihood >= guide_lnl - 1e-6,

@@ -122,13 +122,11 @@ fn byz_panic(
     panic!(
         "byzantine failure [{app}/{backend}] — replay with BIODIST_CHAOS_SEED={seed} \
          cargo test --test byzantine\n  why: {why}\n  seed: {seed}\n  \
-         quorum: k={} votes={} reputation_threshold={} speculative={} (max {})\n  \
+         quorum: k={} reputation_threshold={} speculative={}\n  \
          plan digest: {:#018x}\n  plan: {plan:?}",
         cfg.quorum_k,
-        cfg.quorum_votes,
         cfg.reputation_threshold,
         cfg.enable_speculative_reissue,
-        cfg.speculative_max_copies,
         plan.digest()
     )
 }

@@ -819,7 +819,7 @@ fn replica_selection_is_deterministic_and_avoids_dead_endpoints() {
 // ----------------------------------------------------- health engine
 
 use biodist::core::{AffinitySnapshot, EventKind, ReputationSnapshot, SchedSnapshot, TraceEvent};
-use biodist::core::{HealthConfig, HealthEngine, HealthTransition};
+use biodist::core::{HealthEngine, HealthTransition, STRAGGLER_RATIO};
 use biodist::util::stats::Ewma;
 use std::collections::HashMap;
 
@@ -846,8 +846,8 @@ fn health_engine_is_deterministic_under_seed() {
                 (client, x)
             })
             .collect();
-        let mut a = HealthEngine::new(HealthConfig::default());
-        let mut b = HealthEngine::new(HealthConfig::default());
+        let mut a = HealthEngine::new();
+        let mut b = HealthEngine::new();
         for &(client, x) in &stream {
             let ta = a.observe(client, x);
             let tb = b.observe(client, x);
@@ -866,7 +866,7 @@ fn health_engine_is_deterministic_under_seed() {
 fn planted_10x_straggler_is_always_flagged_within_three_slow_results() {
     for case in 0..CASES as u64 {
         let mut rng = Xoshiro256StarStar::new(0xF1A6 + case);
-        let mut engine = HealthEngine::new(HealthConfig::default());
+        let mut engine = HealthEngine::new();
         let straggler = rng.next_below(8) as usize;
         // Warmup: everyone healthy, long enough to pass the
         // min-observations gate.
@@ -889,7 +889,7 @@ fn planted_10x_straggler_is_always_flagged_within_three_slow_results() {
                 match engine.observe(c, x) {
                     Some(HealthTransition::Flagged { ratio }) => {
                         assert_eq!(c, straggler, "only the straggler flags (case={case})");
-                        assert!(ratio >= engine.config().straggler_ratio);
+                        assert!(ratio >= STRAGGLER_RATIO);
                         flagged_after.get_or_insert(round);
                     }
                     Some(HealthTransition::Cleared { .. }) => {
@@ -915,7 +915,7 @@ fn honest_but_slow_machine_is_never_flagged() {
     // *departure from its own established pace* may flag.
     for case in 0..CASES as u64 {
         let mut rng = Xoshiro256StarStar::new(0x510C + case);
-        let mut engine = HealthEngine::new(HealthConfig::default());
+        let mut engine = HealthEngine::new();
         // The speed scale cancels out of the normalized observation;
         // model it anyway to document what the property means.
         let _speed_scale = rng.next_f64_range(2.0, 50.0);
@@ -1065,10 +1065,9 @@ fn donor_records_match_the_separate_maps_model() {
             enable_health_detector: case % 2 == 0,
             ..Default::default()
         };
-        let detector = || HealthEngine::new(HealthConfig::default());
         let mut sched = Scheduler::new(cfg.clone());
         let mut model = SeparateMaps {
-            health: cfg.enable_health_detector.then(detector),
+            health: cfg.enable_health_detector.then(HealthEngine::new),
             cfg: cfg.clone(),
             clients: HashMap::new(),
             affinity: HashMap::new(),

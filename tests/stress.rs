@@ -66,14 +66,12 @@ fn stress_panic(seed: u64, plan: &FaultPlan, cfg: &SchedulerConfig, why: String)
     panic!(
         "stress failure — replay with BIODIST_CHAOS_SEED={seed} cargo test --test stress\n  \
          why: {why}\n  seed: {seed}\n  \
-         quorum: k={} votes={} reputation_threshold={} speculative={} (max {})\n  \
+         quorum: k={} reputation_threshold={} speculative={}\n  \
          replicas: {} fault event(s) on the replica tier\n  \
          plan digest: {:#018x}\n  plan: {plan:?}",
         cfg.quorum_k,
-        cfg.quorum_votes,
         cfg.reputation_threshold,
         cfg.enable_speculative_reissue,
-        cfg.speculative_max_copies,
         plan.replica_events().len(),
         plan.digest()
     )
