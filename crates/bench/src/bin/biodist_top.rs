@@ -239,8 +239,9 @@ fn poll_status(addr: SocketAddr) -> Option<StatusSnapshot> {
 /// (`donor.c<id>.<name>`) when the origin's registry has none of its
 /// own — and what they are read for, the units a turn carried:
 /// `server.completed_units ÷ net.frames_in` (≈ 1 with millisecond
-/// units, hundreds with microsecond ones).
-fn turns(snap: &StatusSnapshot) -> (Vec<(&'static str, u64)>, f64) {
+/// units, hundreds with microsecond ones), and the units a donor
+/// computed between two looks at the clock: `÷ net.compute_runs`.
+fn turns(snap: &StatusSnapshot) -> (Vec<(&'static str, u64)>, [f64; 2]) {
     let count = |name: &str| -> u64 {
         let suffix = format!(".{name}");
         let shipped = |k: &str| k.starts_with("donor.c") && k.ends_with(&suffix);
@@ -260,17 +261,19 @@ fn turns(snap: &StatusSnapshot) -> (Vec<(&'static str, u64)>, f64) {
         "net.chunk_bursts",
         "net.resubmits",
         "net.turn_want_clamped",
+        "net.compute_runs",
     ];
-    let units_per_turn = match count("net.frames_in") {
+    let units_per = |name: &str| match count(name) {
         0 => 0.0, // (no wire: the simulator)
-        frames => count("server.completed_units") as f64 / frames as f64,
+        n => count("server.completed_units") as f64 / n as f64,
     };
-    (names.map(|name| (name, count(name))).into(), units_per_turn)
+    let per = [units_per("net.frames_in"), units_per("net.compute_runs")];
+    (names.map(|name| (name, count(name))).into(), per)
 }
 
 fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
     if json {
-        let (counts, units_per_turn) = turns(snap);
+        let (counts, [units_per_turn, units_per_run]) = turns(snap);
         let counts: Vec<String> = counts
             .iter()
             .map(|(name, v)| format!("\"{name}\":{v}"))
@@ -278,7 +281,10 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
         let snapshot = snap.to_json();
         let body = snapshot.strip_suffix('}').expect("a JSON object");
         let counts = counts.join(",");
-        println!("{body},\"turns\":{{{counts},\"units_per_turn\":{units_per_turn:.3}}}}}");
+        println!(
+            "{body},\"turns\":{{{counts},\"units_per_turn\":{units_per_turn:.3},\
+             \"units_per_run\":{units_per_run:.3}}}}}"
+        );
         return;
     }
     let mut out = String::new();
@@ -326,12 +332,14 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
             p.reissue_queue,
         ));
     }
-    let (counts, units_per_turn) = turns(snap);
+    let (counts, [units_per_turn, units_per_run]) = turns(snap);
     out.push_str("\nTURNS ");
     for (name, v) in counts {
         out.push_str(&format!("  {} {v}", name.trim_start_matches("net.")));
     }
-    out.push_str(&format!("  units/turn {units_per_turn:.2}\n\n"));
+    out.push_str(&format!(
+        "  units/turn {units_per_turn:.2}  units/run {units_per_run:.2}\n\n"
+    ));
     for (k, v) in &snap.counters {
         out.push_str(&format!("{k} = {v}\n"));
     }

@@ -142,10 +142,10 @@ mod tests {
         std::env::set_var("BIODIST_BENCH_FAST", "1");
         let mut r = Runner::new();
         let small = r
-            .run("small", None, || (0..100u64).sum::<u64>())
+            .run("small", None, || (0..100u64).map(black_box).sum::<u64>())
             .ns_per_iter;
         let big = r
-            .run("big", None, || (0..100_000u64).sum::<u64>())
+            .run("big", None, || (0..100_000u64).map(black_box).sum::<u64>())
             .ns_per_iter;
         assert!(big > small, "{big} vs {small}");
     }

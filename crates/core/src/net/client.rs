@@ -15,7 +15,8 @@
 //! millisecond units that is `queue_depth` and one turn of one per
 //! unit, each result on the wire before the next compute starts; with
 //! microsecond units a turn carries a round trip's worth of results,
-//! held back by at most half the wait they share. One connection
+//! computed in runs between a few clock readings and held back by at
+//! most half the wait they share. One connection
 //! answers its numbered turns in order, so a reply that arrives ahead
 //! of an earlier turn's proves that turn lost, and its results ride the
 //! next one.
@@ -44,7 +45,7 @@ use crate::codec::{ByteWriter, ChunkNeed, WireCodec};
 use crate::fault::{FaultPlan, PlanInterpreter};
 use crate::problem::{Algorithm, Payload, WorkUnit};
 use crate::server::Server;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{EventKind, Telemetry};
 use biodist_util::rng::SplitMix64;
 use std::collections::VecDeque;
 use std::io::Write;
@@ -376,8 +377,8 @@ impl ClientLoop {
         }
     }
 
-    /// The time, read afresh only if it may have moved: a unit costs one
-    /// reading (its compute's end is the next one's start), a turn two.
+    /// The time, read afresh only if it may have moved: a run costs one
+    /// reading per checkpoint (its end is the next one's start), a turn two.
     fn now(&mut self) -> f64 {
         if std::mem::take(&mut self.stale) {
             self.read_at = self.clock.now();
@@ -406,10 +407,16 @@ impl ClientLoop {
                 continue; // backoff slept inside connect()
             }
             self.maybe_heartbeat();
-            self.maybe_report_metrics();
+            self.maybe_report_metrics(false);
+            let cold = !self.pacing.warm();
             match self.step() {
-                Step::Continue => {}
+                Step::Continue => {
+                    if cold && self.pacing.warm() {
+                        self.maybe_report_metrics(true);
+                    }
+                }
                 Step::Finished => {
+                    self.maybe_report_metrics(true);
                     self.push(&Frame::Goodbye {
                         client: self.id as u64,
                     });
@@ -447,7 +454,7 @@ impl ClientLoop {
         self.local_metrics = Default::default();
         self.telemetry.emit_at(
             now,
-            crate::telemetry::EventKind::MachineCrashed {
+            EventKind::MachineCrashed {
                 client: self.id,
                 down_secs,
             },
@@ -553,14 +560,17 @@ impl ClientLoop {
     }
 
     /// Queues the local registry as a delta snapshot when the cadence
-    /// is due. Fire-and-forget: the delta is reset whether or not the
+    /// is due, or `force`d: the connection has just warmed up (the first
+    /// delta shows the depth the pipeline chose, while the run is surely
+    /// still on), or the donor says goodbye.
+    /// Fire-and-forget: the delta is reset whether or not the
     /// write lands — a lost report skews counters, never correctness.
-    fn maybe_report_metrics(&mut self) {
+    fn maybe_report_metrics(&mut self, force: bool) {
         if self.opts.metrics_report_interval <= 0.0 {
             return;
         }
         let now = self.now();
-        if now - self.last_report < self.opts.metrics_report_interval {
+        if !force && now - self.last_report < self.opts.metrics_report_interval {
             return;
         }
         self.last_report = now;
@@ -599,21 +609,26 @@ impl ClientLoop {
         (fits.min(MAX_PIPELINE_DEPTH as f64) as usize).max(floor)
     }
 
-    /// Whether what is `due` — results no turn has carried, units to
-    /// ask for, a heartbeat in `wbuf` — may wait across the next
-    /// compute: only on a warm connection, and only while the time it
-    /// has already waited plus the predicted compute stays under half
-    /// the measured wait — so a result is never held back by more than
-    /// the round trip it is trying to share, and a donor whose computes
-    /// are not small next to its waits writes before every compute.
-    fn may_hold(&mut self, due: bool) -> bool {
-        if !due {
-            return true;
+    /// How many ready units may be computed back to back before what is
+    /// `due` — results no turn has carried, units to ask for, a
+    /// heartbeat in `wbuf` — must be written: a unit may start while
+    /// what is held has waited, plus its predicted compute, less than
+    /// half the measured wait (the first is free when nothing is due),
+    /// so a result is never held back by more than the round trip it is
+    /// trying to share. Capped by the queue and `depth − unacked`; on a
+    /// cold connection nothing is held.
+    fn plan_run(&mut self, due: bool, depth: usize) -> usize {
+        let room = depth.saturating_sub(self.unacked.len());
+        let cap = room.min(self.queue.len());
+        if cap == 0 {
+            return 0;
         }
         let now = self.now();
-        let held_since = *self.pacing.held_since.get_or_insert(now);
+        let held = due.then(|| now - *self.pacing.held_since.get_or_insert(now));
         let p = &self.pacing;
-        p.warm() && (now - held_since) + p.compute.avg < 0.5 * p.wait.avg
+        let behind = ((0.5 * p.wait.avg - held.unwrap_or(0.0)) / p.compute.avg - 1.0).ceil();
+        let behind = if p.warm() { behind as usize } else { 0 };
+        behind.saturating_add(usize::from(!due)).min(cap)
     }
 
     /// Queues the next turn: every unsent result, and `want` units asked.
@@ -632,9 +647,9 @@ impl ClientLoop {
     }
 
     /// One turn of the pipeline: take every reply already here, then
-    /// compute a ready unit — writing a turn first unless what is due
-    /// may wait ([`ClientLoop::may_hold`]) — or, with nothing ready,
-    /// write a turn and block for a reply.
+    /// compute a run of ready units — writing a turn first unless what
+    /// is due may wait across at least one ([`ClientLoop::plan_run`]) —
+    /// or, with nothing ready, write a turn and block for a reply.
     ///
     /// ```text
     /// slow units:  write T[r_n, want 1] → compute n+1 → write T[r_n+1, want 1] → read R[ack_n, u_n+2] → compute n+2 → …
@@ -666,20 +681,19 @@ impl ClientLoop {
         }
         let target = if self.starved { 1 } else { depth };
         let want = target.saturating_sub(self.queue.len() + self.owed);
-        let ready = self.unacked.len() < depth && !self.queue.is_empty();
         let turn_due = want > 0 || unsent;
-        if !(ready && self.may_hold(turn_due || !self.wbuf.is_empty())) {
+        let mut run = self.plan_run(turn_due || !self.wbuf.is_empty(), depth);
+        if run == 0 {
             if turn_due {
                 self.push_turn(want);
             }
             if !self.flush() {
                 return Step::Continue;
             }
+            run = self.plan_run(false, depth);
         }
-        if ready {
-            if let Some(qu) = self.queue.pop_front() {
-                self.compute_queued(qu);
-            }
+        if run > 0 {
+            self.compute_run(run);
             return Step::Continue;
         }
         self.next_reply(self.opts.ack_timeout)
@@ -922,15 +936,17 @@ impl ClientLoop {
         }
         // The unit is hydrated and ready: the donor-side delivery point
         // of its span (transfer ends, pipeline queue-wait begins).
-        let delivered = self.now();
-        self.telemetry.emit_at(
-            delivered,
-            crate::telemetry::EventKind::UnitDelivered {
-                problem: qu.problem as usize,
-                unit: qu.unit,
-                client: self.id,
-            },
-        );
+        if self.telemetry.is_enabled() {
+            let at = self.now();
+            self.telemetry.emit_at(
+                at,
+                EventKind::UnitDelivered {
+                    problem: qu.problem as usize,
+                    unit: qu.unit,
+                    client: self.id,
+                },
+            );
+        }
         self.queue.push_back(qu);
     }
 
@@ -955,19 +971,13 @@ impl ClientLoop {
             let (client, digest) = (self.id, need.digest);
             let hit = self.cache.get_verified(digest);
             if hit.is_some() {
-                self.telemetry.emit_at(
-                    planned_at,
-                    crate::telemetry::EventKind::CacheHit { client, digest },
-                );
+                self.telemetry
+                    .emit_at(planned_at, EventKind::CacheHit { client, digest });
             } else {
-                self.telemetry.emit_at(
-                    planned_at,
-                    crate::telemetry::EventKind::CacheMiss { client, digest },
-                );
-                self.telemetry.emit_at(
-                    planned_at,
-                    crate::telemetry::EventKind::ChunkFetchStarted { client, digest },
-                );
+                self.telemetry
+                    .emit_at(planned_at, EventKind::CacheMiss { client, digest });
+                self.telemetry
+                    .emit_at(planned_at, EventKind::ChunkFetchStarted { client, digest });
                 todo.push(i);
             }
             got.push(hit);
@@ -1025,7 +1035,7 @@ impl ClientLoop {
                 self.count("replica.failovers", 1);
                 self.telemetry.emit_at(
                     self.clock.now(),
-                    crate::telemetry::EventKind::ReplicaFailover {
+                    EventKind::ReplicaFailover {
                         client: self.id,
                         replica: rung,
                     },
@@ -1207,7 +1217,7 @@ impl ClientLoop {
                     {
                         self.telemetry.emit_at(
                             now,
-                            crate::telemetry::EventKind::ChunkFetchFinished {
+                            EventKind::ChunkFetchFinished {
                                 client: self.id,
                                 digest: need.digest,
                                 replica,
@@ -1250,83 +1260,109 @@ impl ClientLoop {
         (left, end)
     }
 
-    fn compute_queued(&mut self, qu: QueuedUnit) {
-        let pid = qu.problem as usize;
-        let (problem, unit) = (qu.problem, qu.unit);
-        let started = self.now();
-        let Some(algorithm) = self.kit.algorithm(pid) else {
-            return; // unknown problem id: drop; lease expiry recovers
-        };
-        self.telemetry.emit_at(
-            started,
-            crate::telemetry::EventKind::ComputeStarted {
-                problem: pid,
-                unit: qu.unit,
-                client: self.id,
-            },
-        );
-        let wu = WorkUnit {
-            id: qu.unit,
-            payload: qu.payload,
-            cost_ops: qu.cost_ops,
-        };
-        let result = algorithm.compute(&wu);
-        // Straggler faults stretch the unit's wall time, like the
-        // thread backend: factor sampled once at unit start.
-        let scale = self.interp.compute_scale(self.id, started);
-        if scale > 1.0 {
-            let real = self.clock.now() - started;
-            thread::sleep(self.clock.wall(real * (scale - 1.0)));
+    /// Computes up to `n` ready units back to back and queues their
+    /// results for the next turn. The clock is read after units 1, 2,
+    /// 4, 8, … of the run and at its end (after every unit under a live
+    /// telemetry handle, whose spans want each unit's times); the run
+    /// stops at the first reading past what the results held may wait.
+    /// Faults are the run's: a slowdown sampled at its start, a crash
+    /// window overlapping `[start, reading]`, a lie at the latest reading.
+    fn compute_run(&mut self, n: usize) {
+        let traced = self.telemetry.is_enabled();
+        let (client, started) = (self.id, self.now());
+        let scale = self.interp.compute_scale(client, started);
+        let (mut at, mut computed) = (started, 0);
+        let (wait, compute) = (self.pacing.wait.avg, self.pacing.compute.avg);
+        for i in 1..=n {
+            let Some(qu) = self.queue.pop_front() else {
+                break;
+            };
+            let (problem, unit) = (qu.problem as usize, qu.unit);
+            let Some(algorithm) = self.kit.algorithm(problem) else {
+                continue; // unknown problem id: drop; lease expiry recovers
+            };
+            self.telemetry.emit_with(|| {
+                (
+                    at,
+                    EventKind::ComputeStarted {
+                        problem,
+                        unit,
+                        client,
+                    },
+                )
+            });
+            let wu = WorkUnit {
+                id: unit,
+                payload: qu.payload,
+                cost_ops: qu.cost_ops,
+            };
+            let result = algorithm.compute(&wu);
+            (computed, self.stale) = (computed + 1, true);
+            let reading = traced || i.is_power_of_two() || i == n;
+            if reading {
+                if scale > 1.0 {
+                    // Straggler faults stretch the wall time, like the thread backend.
+                    let real = self.clock.now() - at;
+                    thread::sleep(self.clock.wall(real * (scale - 1.0)));
+                }
+                at = self.now();
+                if let Some((_, down)) = FaultPlan::crash_overlapping(&self.crashes, started, at) {
+                    // (The crash event closes the orphaned compute spans.)
+                    self.lose_everything(at, down);
+                    return;
+                }
+                self.telemetry.emit_with(|| {
+                    (
+                        at,
+                        EventKind::ComputeFinished {
+                            problem,
+                            unit,
+                            client,
+                        },
+                    )
+                });
+            }
+            self.queue_result(qu.problem, unit, &result.payload, at);
+            let held_since = *self.pacing.held_since.get_or_insert(at);
+            if reading && at + compute >= held_since + 0.5 * wait {
+                break;
+            }
         }
-        // A crash window overlapping the compute swallows the result —
-        // and everything else the donor held in memory.
-        self.stale = true;
-        let done = self.now();
-        if let Some((_, down)) = FaultPlan::crash_overlapping(&self.crashes, started, done) {
-            // The orphaned compute sub-span is closed by the crash
-            // event's client-wide closure.
-            self.lose_everything(done, down);
-            return;
-        }
-        self.telemetry.emit_at(
-            done,
-            crate::telemetry::EventKind::ComputeFinished {
-                problem: pid,
-                unit: qu.unit,
-                client: self.id,
-            },
-        );
-        self.pacing.compute.note(done - started);
+        let mean = (at - started) / computed as f64;
+        (0..computed).for_each(|_| self.pacing.compute.note(mean));
+        self.telemetry.counter_add("net.compute_runs", 1);
         // (A donor that never ships its registry does not fill it.)
         if self.opts.metrics_report_interval > 0.0 {
-            self.local_metrics.counter_add("units_computed", 1);
-            self.local_metrics.observe(
-                "compute.secs",
-                crate::telemetry::LATENCY_BOUNDS,
-                done - started,
-            );
+            let bounds = crate::telemetry::LATENCY_BOUNDS;
+            for _ in 0..computed {
+                self.local_metrics.observe("compute.secs", bounds, mean);
+            }
+            self.local_metrics.counter_add("net.compute_runs", 1);
+            self.local_metrics.counter_add("units_computed", computed);
         }
-        // Encoded into the buffer of a result the origin has ruled on.
+    }
+
+    /// Encodes a result into the buffer of one the origin has ruled on
+    /// and queues it for the next turn, which also asks for the unit
+    /// that replaces this one.
+    fn queue_result(&mut self, problem: u64, unit: u64, payload: &Payload, now: f64) {
         let mut encoded = ByteWriter::appending(self.spare.pop().unwrap_or_default());
         encoded.buf().clear();
-        let codec = self.kit.codec(pid);
-        if codec.is_none_or(|c| c.write_result(&result.payload, &mut encoded).is_err()) {
+        let codec = self.kit.codec(problem as usize);
+        if codec.is_none_or(|c| c.write_result(payload, &mut encoded).is_err()) {
             return;
         }
         let mut encoded = encoded.into_bytes();
         // A Byzantine donor lies: flip the encoded payload bytes *here*,
         // before the frame CRC is computed, so the wire layer delivers
         // the lie intact — only server-side quorum compare can catch it.
-        if self.interp.wrong_result(self.id, done) {
+        if self.interp.wrong_result(self.id, now) {
             crate::fault::flip_result_bytes(&mut encoded, self.id);
-            self.telemetry
-                .emit(crate::telemetry::EventKind::FaultInjected {
-                    client: self.id,
-                    action: "wrong_result".to_string(),
-                });
+            self.telemetry.emit(EventKind::FaultInjected {
+                client: self.id,
+                action: "wrong_result".to_string(),
+            });
         }
-        // The result waits for the next turn, which also asks for the
-        // unit that replaces this one.
         self.unacked.push_back((problem, unit, encoded));
     }
 }
@@ -1945,7 +1981,8 @@ mod tests {
 
     /// A unit that takes far longer than predicted holds the results
     /// computed ahead of it back by that one compute and no more: the
-    /// turn after it writes before it computes again.
+    /// run stops behind it, and the turn after it writes before it
+    /// computes again.
     #[test]
     fn a_unit_far_over_its_predicted_cost_delays_held_results_by_that_one_compute() {
         const UNITS: u64 = 600;
@@ -1957,35 +1994,30 @@ mod tests {
         });
         let compute_us = Arc::new(AtomicU64::new(0));
         let mut donor = paced_donor(&origin, &telemetry, &compute_us, Default::default());
-        // Step until results are being held across computes, with more
-        // ready behind them.
-        loop {
-            let (wrote, computed) = (writes(&telemetry), donor.pacing.compute.seen);
-            let due = unsent(&donor) > 0;
-            assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
-            let held = due && donor.pacing.compute.seen > computed && writes(&telemetry) == wrote;
-            if held && donor.queue.len() >= 2 {
-                break;
-            }
-        }
-        let held = unsent(&donor);
-        // The next unit costs 30 ms: ≥ 100× what any before it did.
+        step_until_a_run_is_planned(&mut donor);
+        // The run's units now cost 30 ms: ≥ 100× what any before them
+        // did. The first is free (nothing was due); the second is
+        // computed while the first one's result is held.
         compute_us.store(30_000, Ordering::SeqCst);
         let (wrote, computed) = (writes(&telemetry), donor.pacing.compute.seen);
         assert!(matches!(donor.step(), Step::Continue));
         compute_us.store(0, Ordering::SeqCst);
-        assert_eq!(donor.pacing.compute.seen, computed + 1, "the slow unit ran");
+        assert_eq!(
+            donor.pacing.compute.seen,
+            computed + 2,
+            "the slow unit ran with a result held, and the run stopped behind it"
+        );
         assert_eq!(
             writes(&telemetry),
             wrote,
             "nobody predicted it: held across"
         );
-        assert_eq!(unsent(&donor), held + 1);
+        assert_eq!(unsent(&donor), 2);
         // One compute late, and not one more: the next turn writes
         // before it does anything else.
         assert!(matches!(donor.step(), Step::Continue));
         assert_eq!(writes(&telemetry), wrote + 1);
-        let computed_again = donor.pacing.compute.seen > computed + 1;
+        let computed_again = donor.pacing.compute.seen - (computed + 2);
         assert_eq!(
             unsent(&donor),
             computed_again as usize,
@@ -1994,6 +2026,124 @@ mod tests {
         assert!(donor.wbuf.is_empty());
         donor.run();
         assert_eq!(submits(&origin.finish(), UNITS), vec![1; UNITS as usize]);
+    }
+
+    /// Steps `donor` until its next step computes a run of at least
+    /// three units with nothing written first: it is warm, nothing is
+    /// due, and the replies already read are taken.
+    fn step_until_a_run_is_planned(donor: &mut ClientLoop) {
+        loop {
+            assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
+            while let Some(step) = donor.take_buffered() {
+                assert!(matches!(step, Step::Continue), "pool ran dry");
+            }
+            let depth = donor.depth();
+            let due = unsent(donor) > 0
+                || !donor.wbuf.is_empty()
+                || donor.starved
+                || donor.queue.len() + donor.owed < depth;
+            if donor.pacing.warm() && !due && donor.plan_run(false, depth) >= 3 {
+                return;
+            }
+        }
+    }
+
+    /// Instantaneous computes against a slow origin, under a disabled
+    /// handle (the clock is read after units 1, 2, 4, … of a run and at
+    /// its end): once the depth is full, a run is tens of units — so
+    /// the readings are a few per turn, not one per unit — and every
+    /// round trip still carries a pipeline.
+    #[test]
+    fn a_run_of_ready_units_reads_the_clock_a_logarithmic_number_of_times() {
+        const UNITS: u64 = 4000;
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            reply_delay: SLOW_ORIGIN,
+            ..Default::default()
+        });
+        let instantaneous = Arc::new(AtomicU64::new(0));
+        let disabled = Telemetry::disabled();
+        let mut donor = paced_donor(&origin, &disabled, &instantaneous, Default::default());
+        let (mut runs, mut units, mut turns) = (0, 0, Vec::new());
+        loop {
+            let (computed, seq, carried, full) = (
+                donor.pacing.compute.seen,
+                donor.next_seq,
+                unsent(&donor),
+                donor.depth() == MAX_PIPELINE_DEPTH,
+            );
+            if let Step::Finished = donor.step() {
+                break;
+            }
+            // Counted from the first run at full depth until the pool
+            // runs dry.
+            if !full || donor.starved {
+                continue;
+            }
+            if donor.pacing.compute.seen > computed {
+                (runs, units) = (runs + 1, units + donor.pacing.compute.seen - computed);
+            }
+            if donor.next_seq > seq && units > 0 {
+                turns.push(carried);
+            }
+        }
+        leave(donor);
+        assert_eq!(submits(&origin.finish(), UNITS), vec![1; UNITS as usize]);
+        assert!(
+            runs > 0 && units >= 32 * runs,
+            "{units} units in {runs} runs"
+        );
+        // Two turns are in flight: one that drew a single unit back
+        // when the depth filled goes on drawing one (this origin reads
+        // them one at a time), and its partner carries the rest.
+        assert!(
+            turns
+                .windows(2)
+                .all(|w| w[0] + w[1] >= MAX_PIPELINE_DEPTH - 1),
+            "a warm round trip carried less than a pipeline: {turns:?}"
+        );
+    }
+
+    /// A crash window that opens while a run computes swallows the run
+    /// and every result held with it: nothing of either is submitted,
+    /// and the origin hands their units out again.
+    #[test]
+    fn a_crash_window_inside_a_run_swallows_the_run_and_everything_held() {
+        const UNITS: u64 = 600;
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            reply_delay: SLOW_ORIGIN,
+            ..Default::default()
+        });
+        let compute_us = Arc::new(AtomicU64::new(0));
+        let disabled = Telemetry::disabled();
+        let mut donor = paced_donor(&origin, &disabled, &compute_us, Default::default());
+        step_until_a_run_is_planned(&mut donor);
+        // Units of 1 ms; the window opens after the first one ends,
+        // while the second computes with the first one's result held.
+        compute_us.store(1_000, Ordering::SeqCst);
+        let start = donor.clock.now();
+        donor.crashes = vec![(start + 0.001_5, 0.01)];
+        assert!(matches!(donor.step(), Step::Continue));
+        compute_us.store(0, Ordering::SeqCst);
+        assert!(donor.conn.is_none(), "the crash dropped the connection");
+        assert!(
+            donor.unacked.is_empty() && donor.queue.is_empty(),
+            "the run's results, those held and the units ready are gone"
+        );
+        donor.crashes.clear();
+        donor.run();
+        let log = origin.finish();
+        assert_eq!(
+            log.iter().flatten().filter(|s| **s == Seen::Hello).count(),
+            2,
+            "the donor rejoined"
+        );
+        assert_eq!(
+            submits(&log, UNITS),
+            vec![1; UNITS as usize],
+            "nothing lost in the crash was submitted; its units were reissued"
+        );
     }
 
     #[test]
@@ -2015,7 +2165,7 @@ mod tests {
         }
         assert!(donor.flush());
         donor.stale = true;
-        donor.maybe_report_metrics();
+        donor.maybe_report_metrics(false);
         let mut asm = FrameAssembler::new();
         asm.push(&donor.wbuf);
         let Ok(Some(Frame::MetricsReport { snapshot, .. })) = asm.next_frame() else {

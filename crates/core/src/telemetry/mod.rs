@@ -169,6 +169,16 @@ impl Telemetry {
         }
     }
 
+    /// Emits the event `event` builds, stamped with the time it returns
+    /// — on a disabled handle neither is built nor the time read.
+    #[inline]
+    pub fn emit_with(&self, event: impl FnOnce() -> (f64, EventKind)) {
+        if let Some(inner) = &self.inner {
+            let (t, kind) = event();
+            record(inner, Some(t), kind);
+        }
+    }
+
     /// Adds `v` to counter `name`.
     #[inline]
     pub fn counter_add(&self, name: &str, v: u64) {
@@ -280,6 +290,10 @@ mod tests {
             unit: 1,
             reason,
         });
+        // The donor builds `ComputeStarted` / `ComputeFinished` in here,
+        // and `UnitDelivered` (and its clock reading) behind
+        // `is_enabled()`, asserted false below.
+        t.emit_with(|| unreachable!("built on a disabled handle"));
         t.counter_add("x", 1);
         t.counters_add(&[("y", 2)]);
         t.gauge_set("g", 1.0);

@@ -141,8 +141,13 @@ struct DsearchWorkload {
 }
 
 fn dsearch_workload() -> DsearchWorkload {
+    dsearch_workload_of(24)
+}
+
+/// The dsearch workload over a database of `db_len` sequences.
+fn dsearch_workload_of(db_len: usize) -> DsearchWorkload {
     let queries = vec![random_sequence(Alphabet::Protein, "q", 100, 3)];
-    let db = SyntheticDb::generate(&DbSpec::protein_demo(24, 80), 4).sequences;
+    let db = SyntheticDb::generate(&DbSpec::protein_demo(db_len, 80), 4).sequences;
     let mut cfg = DsearchConfig::protein_default();
     cfg.cost_scale = 60_000.0;
     let reference = SearchOutput {
@@ -299,7 +304,17 @@ fn run_dprml_sim_byz(w: &DprmlWorkload, seed: u64, totals: &mut QuorumTotals) {
 fn run_dsearch_thread_byz(w: &DsearchWorkload, seed: u64, totals: &mut QuorumTotals) {
     let opts = ChaosOptions::for_pool(POOL, LIE_HORIZON_REAL);
     let plan = FaultPlan::byzantine(seed, &opts, byz_frac(seed), WRONGS_PER_DONOR);
-    let cfg = quorum_cfg(thread_cfg());
+    // Units sized from the measured speed get fewer as the build gets
+    // faster — down to one per donor, too few for any donor to reach
+    // the trust threshold. Capped at the floor, every database sequence
+    // is a unit of its own however fast the computes are (and the
+    // sweep's database is long enough that every donor computes past
+    // the lie horizon).
+    let small_units = SchedulerConfig {
+        max_unit_ops: SchedulerConfig::default().min_unit_ops,
+        ..thread_cfg()
+    };
+    let cfg = quorum_cfg(small_units);
     let telemetry = Telemetry::enabled();
     let mut server = Server::new(cfg.clone());
     server.set_telemetry(telemetry.clone());
@@ -394,7 +409,7 @@ fn byzantine_dprml_sim_sweep() {
 
 #[test]
 fn byzantine_dsearch_thread_sweep() {
-    let w = dsearch_workload();
+    let w = dsearch_workload_of(96);
     let mut totals = QuorumTotals::default();
     for seed in fixed_seeds(&THREAD_SEEDS) {
         run_dsearch_thread_byz(&w, seed, &mut totals);

@@ -369,7 +369,7 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
     // (Shown with `--nocapture`: the hand-read numbers of EXPERIMENTS.md.)
     eprintln!(
         "{units} units: client_writes {} frames_in {} frames_out {} pumps {} \
-         ckpt.commits {} ckpt.records {} resubmits {}",
+         ckpt.commits {} ckpt.records {} resubmits {} compute_runs {}",
         snap.counter("net.client_writes"),
         snap.counter("net.frames_in"),
         snap.counter("net.frames_out"),
@@ -377,6 +377,7 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
         snap.counter("ckpt.commits"),
         snap.counter("ckpt.records"),
         snap.counter("net.resubmits"),
+        snap.counter("net.compute_runs"),
     );
     snap
 }
@@ -445,6 +446,13 @@ fn a_round_trip_carries_hundreds_of_units() {
         let n = snap.counter(name);
         assert!(n <= UNITS / 64, "{name} {n} for {UNITS} units");
     }
+    // The donor computes what a turn brought in runs, not one unit at
+    // a time.
+    let runs = snap.counter("net.compute_runs");
+    assert!(
+        runs > 0 && runs <= UNITS / 16,
+        "{runs} compute runs for {UNITS} units"
+    );
     assert_eq!(snap.counter("ckpt.records"), 2 * UNITS);
     assert_eq!(snap.counter("net.turn_want_clamped"), 0);
 }
