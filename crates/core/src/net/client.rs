@@ -1,8 +1,18 @@
 //! Donor client threads for the TCP backend.
 //!
-//! Each client is one OS thread owning one socket at a time. The loop
-//! mirrors the paper's donor daemon — request work, compute, submit,
-//! repeat — as an in-order pipeline sized to the round trip. A turn is:
+//! Each client is one OS thread. Like the paper's donors, which spoke
+//! RMI for control and raw sockets for bulk data, it keeps the two
+//! apart: one *control* connection to the origin carries `Hello`,
+//! turns, heartbeats, metrics reports and `Goodbye`, and every chunk
+//! endpoint — each replica, and the origin too — gets a *data*
+//! connection of its own, dialed on first use and kept across units,
+//! that carries only `ChunkRequest` bursts and their replies. A data
+//! connection goes when a burst over it breaks or times out; a crash
+//! loses them all.
+//!
+//! The control loop mirrors the paper's donor daemon — request work,
+//! compute, submit, repeat — as an in-order pipeline sized to the round
+//! trip. A turn is:
 //! take every reply earlier reads already buffered (no syscall), compute
 //! what is ready, write **one frame**, block. That frame, a
 //! [`Frame::Turn`], carries every result computed since the last one
@@ -16,10 +26,10 @@
 //! unit, each result on the wire before the next compute starts; with
 //! microsecond units a turn carries a round trip's worth of results,
 //! computed in runs between a few clock readings and held back by at
-//! most half the wait they share. One connection
-//! answers its numbered turns in order, so a reply that arrives ahead
-//! of an earlier turn's proves that turn lost, and its results ride the
-//! next one.
+//! most half the wait they share. The control connection answers its
+//! numbered turns in order, so a reply that arrives ahead of an earlier
+//! turn's proves that turn lost, and its results ride the next one. The
+//! chunks a reply's units need are fetched as it is dispatched.
 //!
 //! Around that sits the robustness the real deployment needed:
 //! heartbeats so the server can tell "slow" from "gone", reconnect with
@@ -203,11 +213,12 @@ struct Broken;
 enum BurstEnd {
     /// Every request was answered or proven lost; the stream is clean.
     Complete,
-    /// The endpoint refused a chunk with `ChunkMissing`.
+    /// The endpoint refused a chunk with `ChunkMissing`; every other
+    /// request was still answered or proven lost, so the stream is clean.
     Missing,
     /// A reply did not arrive within the ack timeout (or the run ended).
     TimedOut,
-    /// The connection failed.
+    /// The connection failed, or could not be made.
     Broken,
 }
 
@@ -282,10 +293,16 @@ struct ClientLoop {
     run_over: Arc<AtomicBool>,
     opts: NetClientOptions,
     rng: SplitMix64,
+    /// The control connection.
     conn: Option<Conn>,
-    /// Outbound frames are encoded here and leave in one write per
-    /// [`ClientLoop::flush`].
+    /// Outbound control frames are encoded here and leave in one write
+    /// per [`ClientLoop::flush`].
     wbuf: Vec<u8>,
+    /// The data connections, one per chunk endpoint this donor has
+    /// fetched from (replicas and the origin alike), kept across units.
+    data: Vec<(SocketAddr, Conn)>,
+    /// A burst window's `ChunkRequest`s, encoded for their one write.
+    asks: Vec<u8>,
     /// The buffers of acknowledged results, for the next ones to be
     /// encoded into: [`KEEP_BYTES`] of capacity in all, however deep
     /// the pipeline (there are never more buffers than it is deep).
@@ -303,9 +320,6 @@ struct ClientLoop {
     turns: VecDeque<SentTurn>,
     owed: usize,
     next_seq: u64,
-    /// Turn replies that arrived inside a chunk burst, kept in stream
-    /// order for [`ClientLoop::next_reply`].
-    inbox: VecDeque<Frame>,
     /// The last reply said `then: wait`: pause, then probe with a turn
     /// of one instead of a pipeline's worth.
     starved: bool,
@@ -316,9 +330,6 @@ struct ClientLoop {
     stale: bool,
     last_heartbeat: f64,
     cache: ChunkCache,
-    /// Assignments decoded off a reply but not yet hydrated: what
-    /// [`ClientLoop::dispatch`] leaves for [`ClientLoop::hydrate_staged`].
-    staged: Vec<QueuedUnit>,
     queue: VecDeque<QueuedUnit>,
     telemetry: Telemetry,
     /// Donor-local registry, shipped as delta snapshots (and cleared)
@@ -352,6 +363,8 @@ impl ClientLoop {
             rng: SplitMix64::new(0xC11E_27B1 ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             conn: None,
             wbuf: Vec::new(),
+            data: Vec::new(),
+            asks: Vec::new(),
             spare: Vec::new(),
             reconnect: reconnect_backoff(),
             unacked: VecDeque::new(),
@@ -360,14 +373,12 @@ impl ClientLoop {
             turns: VecDeque::new(),
             owed: 0,
             next_seq: 1,
-            inbox: VecDeque::new(),
             starved: false,
             pacing: Pacing::default(),
             read_at: 0.0,
             stale: true,
             last_heartbeat: 0.0,
             cache: ChunkCache::new(DONOR_CACHE_BYTES),
-            staged: Vec::new(),
             queue: VecDeque::new(),
             telemetry: kit.telemetry.clone(),
             local_metrics: Default::default(),
@@ -439,7 +450,7 @@ impl ClientLoop {
         true
     }
 
-    /// The donor crashed at `now`: the connection and everything held
+    /// The donor crashed at `now`: every connection and everything held
     /// in memory go — unacknowledged results, the ready queue, the
     /// chunk cache, the unshipped metrics. The crash event closes every
     /// span this donor held (leases and compute sub-spans) in
@@ -447,8 +458,8 @@ impl ClientLoop {
     fn lose_everything(&mut self, now: f64, down_secs: f64) {
         self.unacked.clear();
         self.drop_conn();
+        self.data.clear();
         self.resend = 0;
-        self.staged.clear();
         self.queue.clear();
         self.cache.clear();
         self.local_metrics = Default::default();
@@ -474,7 +485,7 @@ impl ClientLoop {
                 let _ = stream.set_nodelay(true);
                 let _ = stream.set_read_timeout(Some(READ_TIMEOUT_WALL));
                 debug_assert!(
-                    self.wbuf.is_empty() && self.turns.is_empty() && self.inbox.is_empty(),
+                    self.wbuf.is_empty() && self.turns.is_empty(),
                     "drop_conn left nothing of the old connection behind"
                 );
                 self.conn = Some((stream, FrameReader::new()));
@@ -494,16 +505,15 @@ impl ClientLoop {
         }
     }
 
-    /// Gives the connection up along with everything that only meant
-    /// something on it: unwritten frames, unanswered turns, replies set
-    /// aside. Unacknowledged results stay, for the next connection.
+    /// Gives the control connection up along with everything that only
+    /// meant something on it: unwritten frames, unanswered turns.
+    /// Unacknowledged results stay, for the next connection.
     fn drop_conn(&mut self) {
         self.conn = None;
         self.wbuf.clear();
         self.resend += self.sent;
         (self.sent, self.owed) = (0, 0);
         self.turns.clear();
-        self.inbox.clear();
         self.starved = false;
         // The averages are the donor's and the path's best guess for
         // the next connection too; its warm-up starts over.
@@ -699,14 +709,10 @@ impl ClientLoop {
         self.next_reply(self.opts.ack_timeout)
     }
 
-    /// Dispatches the next reply that costs no syscall: what a chunk
-    /// burst set aside, then whole frames among the bytes earlier reads
-    /// buffered — borrowed from the reader, not copied out of it.
-    /// `None`: there is none.
+    /// Dispatches the next reply that costs no syscall: a whole frame
+    /// among the bytes earlier reads buffered — borrowed from the
+    /// reader, not copied out of it. `None`: there is none.
     fn take_buffered(&mut self) -> Option<Step> {
-        if let Some(frame) = self.inbox.pop_front() {
-            return Some(self.dispatch_parked(frame));
-        }
         let mut conn = self.conn.take()?;
         let ruled = loop {
             match conn.1.next_buffered() {
@@ -724,13 +730,11 @@ impl ClientLoop {
 
     /// Ends a receive that took `conn` out of `self` so that a frame
     /// borrowed from its reader could be dispatched: the connection goes
-    /// back — and what the frame leased is hydrated over it — unless the
-    /// frame proved it [`Broken`].
+    /// back unless the frame proved it [`Broken`].
     fn settle(&mut self, conn: Conn, ruled: Result<Option<Step>, Broken>) -> Option<Step> {
         match ruled {
             Ok(step) => {
                 self.conn = Some(conn);
-                self.hydrate_staged();
                 step
             }
             Err(Broken) => {
@@ -740,9 +744,9 @@ impl ClientLoop {
         }
     }
 
-    /// The one receive path: takes the next frame in stream order —
-    /// first what a chunk burst set aside, then the socket — and
-    /// dispatches it against the turns in flight. Blocks for up to
+    /// The one blocking receive path: takes the next frame off the
+    /// control connection and dispatches it against the turns in
+    /// flight. Blocks for up to
     /// `wait` scaled seconds; when a turn is unanswered and nothing
     /// arrives by then, the tail of the stream was lost and the
     /// connection is dropped (reconnecting resubmits every
@@ -750,9 +754,6 @@ impl ClientLoop {
     /// parked wait after a `then: wait`: the donor blocks *on the
     /// socket*, so any inbound frame ends the pause.
     fn next_reply(&mut self, wait: f64) -> Step {
-        if let Some(frame) = self.inbox.pop_front() {
-            return self.dispatch_parked(frame);
-        }
         let Some(mut conn) = self.conn.take() else {
             return Step::Continue;
         };
@@ -798,28 +799,9 @@ impl ClientLoop {
         self.settle(conn, ruled).unwrap_or(Step::Continue)
     }
 
-    /// A turn reply that a chunk burst read and set aside, owned.
-    fn dispatch_parked(&mut self, frame: Frame) -> Step {
-        let Frame::TurnReply {
-            seq,
-            acks,
-            units,
-            then,
-        } = frame
-        else {
-            return Step::Continue; // (bursts park nothing else)
-        };
-        let units = units.iter().map(|(p, u, c, b)| (*p, *u, *c, b.as_slice()));
-        let ruled = self.turn_reply(seq, acks.into_iter(), units, then);
-        if ruled.is_err() {
-            self.drop_conn();
-        }
-        self.hydrate_staged();
-        ruled.unwrap_or(Step::Continue)
-    }
-
-    /// Applies one inbound frame, borrowed from the connection's reader
-    /// (which the caller holds, out of `self`), to the pipeline state.
+    /// Applies one inbound frame, borrowed from the control connection's
+    /// reader (which the caller holds, out of `self`), to the pipeline
+    /// state.
     fn dispatch(&mut self, frame: FrameRef<'_>) -> Result<Step, Broken> {
         self.stale = true;
         match frame {
@@ -830,7 +812,7 @@ impl ClientLoop {
                 self.directory.merge_replicas(&endpoints);
                 Ok(Step::Continue)
             }
-            _ => Ok(Step::Continue), // heartbeat acks, late chunk replies
+            _ => Ok(Step::Continue), // heartbeat acks
         }
     }
 
@@ -842,8 +824,8 @@ impl ClientLoop {
     /// the queue is a duplicated frame and is dropped. The turn's
     /// results are then retired — accepted or nacked, either way the
     /// origin has ruled, and their buffers are kept for the next results
-    /// — and its units decoded where they lie and
-    /// [staged](ClientLoop::hydrate_staged).
+    /// — and, unless the run is finished, its units are made ready
+    /// where they lie ([`ClientLoop::enqueue_assignment`]).
     fn turn_reply<'f>(
         &mut self,
         seq: u64,
@@ -882,55 +864,39 @@ impl ClientLoop {
             }
         }
         self.starved = then == Then::Wait;
-        for (problem, unit, cost_ops, payload) in units {
-            // (An unknown problem id or an undecodable unit is dropped;
-            // lease expiry recovers it.)
-            let codec = self.kit.codec(problem as usize);
-            if let Some(payload) = codec.and_then(|c| c.decode_unit(payload).ok()) {
-                self.staged.push(QueuedUnit {
-                    problem,
-                    unit,
-                    cost_ops,
-                    payload,
-                });
-            }
-        }
         if then == Then::Finished {
             // Every problem is complete; anything queued or
             // unacknowledged could only produce wasted results.
-            self.staged.clear();
             self.queue.clear();
             return Ok(Step::Finished);
+        }
+        for (problem, unit, cost_ops, payload) in units {
+            self.enqueue_assignment(problem, unit, cost_ops, payload);
         }
         Ok(Step::Continue)
     }
 
-    /// Makes every staged assignment ready to compute, in order, over
-    /// the main connection (back in `self` by now).
-    fn hydrate_staged(&mut self) {
-        let mut staged = std::mem::take(&mut self.staged);
-        for qu in staged.drain(..) {
-            self.enqueue_assignment(qu);
-        }
-        self.staged = staged;
-    }
-
-    /// Fetches the chunks a decoded assignment needs (donor cache
-    /// first, `ChunkRequest` on miss), hydrates it, and queues it ready
-    /// to compute. Any failure simply drops the unit — the server's
+    /// Decodes an assignment where it lies in the reply, fetches the
+    /// chunks it needs (donor cache first, a burst over the data
+    /// connections on a miss), hydrates it, and queues it ready to
+    /// compute. Any failure — an unknown problem id, an undecodable
+    /// unit, a failed transfer — simply drops the unit: the server's
     /// lease expiry recovers it.
-    fn enqueue_assignment(&mut self, mut qu: QueuedUnit) {
-        let Some(codec) = self.kit.codec(qu.problem as usize) else {
+    fn enqueue_assignment(&mut self, problem: u64, unit: u64, cost_ops: f64, bytes: &[u8]) {
+        let Some(codec) = self.kit.codec(problem as usize) else {
             return;
         };
-        let needs = codec.unit_chunks(&qu.payload);
+        let Ok(mut payload) = codec.decode_unit(bytes) else {
+            return;
+        };
+        let needs = codec.unit_chunks(&payload);
         if !needs.is_empty() {
             let codec = codec.clone(); // (`fetch_chunks` takes all of `self`)
-            let Some(chunks) = self.fetch_chunks(qu.problem, &needs) else {
-                return; // transfer failed: drop; lease expiry recovers
+            let Some(chunks) = self.fetch_chunks(problem, &needs) else {
+                return;
             };
-            match codec.hydrate_unit(qu.payload, &chunks) {
-                Ok(p) => qu.payload = p,
+            match codec.hydrate_unit(payload, &chunks) {
+                Ok(p) => payload = p,
                 Err(_) => return,
             }
         }
@@ -941,24 +907,29 @@ impl ClientLoop {
             self.telemetry.emit_at(
                 at,
                 EventKind::UnitDelivered {
-                    problem: qu.problem as usize,
-                    unit: qu.unit,
+                    problem: problem as usize,
+                    unit,
                     client: self.id,
                 },
             );
         }
-        self.queue.push_back(qu);
+        self.queue.push_back(QueuedUnit {
+            problem,
+            unit,
+            cost_ops,
+            payload,
+        });
     }
 
     /// Assembles the chunk bytes a unit needs, in `needs` order: plan,
     /// burst, verify. Cache hits resolve first and cost zero wire bytes;
-    /// the misses walk the failover ladder in *groups* — each replica
-    /// rung sends the misses routed to one endpoint as one burst over
-    /// one connection, whatever a rung leaves unanswered or
-    /// unverifiable moves down, and the origin, over the main
-    /// connection, is the last resort. Received bytes are verified
-    /// against the digest the unit advertised before they are cached,
-    /// so no endpoint can launder wrong bytes.
+    /// the misses walk one ladder of endpoints in *groups* — each
+    /// replica rung sends the misses routed to one endpoint as one burst
+    /// over that endpoint's data connection, whatever a rung leaves
+    /// unanswered or unverifiable moves down, and the origin, over its
+    /// own data connection, is the last resort. Received bytes are
+    /// verified against the digest the unit advertised before they are
+    /// cached, so no endpoint can launder wrong bytes.
     fn fetch_chunks(
         &mut self,
         problem: u64,
@@ -984,11 +955,6 @@ impl ClientLoop {
         }
         self.count("cache.hits", (needs.len() - todo.len()) as u64);
         self.count("cache.misses", todo.len() as u64);
-        // Bursts encode into `wbuf`: anything still queued there (a
-        // heartbeat) goes out first.
-        if !todo.is_empty() && !self.flush() {
-            return None;
-        }
         self.stale |= !todo.is_empty(); // a transfer takes time
 
         let mut backoff = reconnect_backoff();
@@ -1020,7 +986,7 @@ impl ClientLoop {
                 self.telemetry.counter_add("replica.fetches", routed as u64);
             }
             for (addr, group) in groups {
-                let left = self.burst_replica(addr, problem, needs, group, &mut got);
+                let (left, _) = self.burst(addr, true, problem, needs, &group, &mut got);
                 if left.is_empty() {
                     self.directory.mark_alive(addr);
                     continue;
@@ -1045,26 +1011,22 @@ impl ClientLoop {
                 thread::sleep(self.clock.wall(delay));
             }
         }
-        // Origin, over the main connection: the fallback of last resort.
-        // A reply lost in transit or skipped for its CRC shows as a gap
-        // in the in-order stream and a digest mismatch is never cached;
-        // both are asked for again, a bounded number of times.
+        // The origin: the fallback of last resort. A reply lost in
+        // transit or skipped for its CRC shows as a gap in the in-order
+        // stream and a digest mismatch is never cached; both are asked
+        // for again, a bounded number of times.
         for _attempt in 0..ORIGIN_ATTEMPTS {
             if todo.is_empty() {
                 break;
             }
-            let mut conn = self.conn.take()?;
-            let (left, end) = self.burst(&mut conn, false, problem, needs, &todo, &mut got);
-            if end == BurstEnd::Broken {
-                self.drop_conn();
-            } else {
-                self.conn = Some(conn);
-            }
+            let origin = self.directory.origin()?;
+            let (left, end) = self.burst(origin, false, problem, needs, &todo, &mut got);
             if end != BurstEnd::Complete {
                 // `ChunkMissing`: the origin does not hold the chunk, so
-                // no rung can. Timeout or broken connection: the
-                // reconnect path takes over. Either way the unit is
-                // dropped and lease expiry recovers it.
+                // no rung can. Timeout or broken connection: only that
+                // data connection went, and the next unit dials a fresh
+                // one. Either way this unit is dropped and lease expiry
+                // recovers it.
                 return None;
             }
             todo = left;
@@ -1079,46 +1041,47 @@ impl ClientLoop {
             .collect()
     }
 
-    /// One replica rung for one endpoint: a dedicated connection, one
-    /// burst for every chunk routed to it. Returns what it could not
-    /// serve (everything, if it refuses the connection).
-    fn burst_replica(
-        &mut self,
-        addr: SocketAddr,
-        problem: u64,
-        needs: &[ChunkNeed],
-        wants: Vec<usize>,
-        got: &mut [Option<Arc<Vec<u8>>>],
-    ) -> Vec<usize> {
-        let Ok(stream) = TcpStream::connect(addr) else {
-            return wants;
-        };
-        self.telemetry.counter_add("replica.connects", 1);
+    /// The data connection to `addr`, taken out of `self` for one burst:
+    /// the kept one, or a fresh dial (`replica.connects` counts those to
+    /// replicas). `None`: the endpoint refused it.
+    fn data_conn(&mut self, addr: SocketAddr, replica: bool) -> Option<Conn> {
+        if let Some(i) = self.data.iter().position(|(a, _)| *a == addr) {
+            return Some(self.data.swap_remove(i).1);
+        }
+        let stream = TcpStream::connect(addr).ok()?;
+        if replica {
+            self.telemetry.counter_add("replica.connects", 1);
+        }
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT_WALL));
-        let mut conn = (stream, FrameReader::new());
-        self.burst(&mut conn, true, problem, needs, &wants, got).0
+        Some((stream, FrameReader::new()))
     }
 
-    /// The burst protocol over one connection: `ChunkRequest`s for
-    /// `wants` (indices into `needs`) go out back to back in a single
-    /// write per [`BURST_WINDOW_BYTES`] window, and the `ChunkData`
-    /// replies are consumed as they stream back — matched by chunk id,
-    /// digest-verified, cached and stored in `got`. One connection
-    /// answers in order, so a reply to a later request proves every
-    /// earlier unanswered one was dropped in transit or skipped for its
-    /// CRC: those are set aside at once instead of waiting out the ack
-    /// timeout. Returns the wants still unresolved and how it ended.
+    /// The burst protocol over the data connection to `addr`:
+    /// `ChunkRequest`s for `wants` (indices into `needs`) go out back to
+    /// back in a single write per [`BURST_WINDOW_BYTES`] window, and the
+    /// `ChunkData` replies are consumed as they stream back — matched by
+    /// chunk id, digest-verified, cached and stored in `got`. One
+    /// connection answers in order, so a reply to a later request proves
+    /// every earlier unanswered one was dropped in transit or skipped for
+    /// its CRC: those are set aside at once instead of waiting out the
+    /// ack timeout. The connection is kept for the next burst unless this
+    /// one broke it or timed out (late replies would desynchronise it).
+    /// Returns the wants still unresolved (all of them, if the endpoint
+    /// refuses the connection) and how it ended.
     fn burst(
         &mut self,
-        conn: &mut Conn,
+        addr: SocketAddr,
         replica: bool,
         problem: u64,
         needs: &[ChunkNeed],
         wants: &[usize],
         got: &mut [Option<Arc<Vec<u8>>>],
     ) -> (Vec<usize>, BurstEnd) {
-        let (stream, reader) = conn;
+        let Some(mut conn) = self.data_conn(addr, replica) else {
+            return (wants.to_vec(), BurstEnd::Broken);
+        };
+        let (stream, reader) = &mut conn;
         let evictions_before = self.cache.stats().evictions;
         let (mut fetched_bytes, mut gaps, mut mismatches) = (0u64, 0u64, 0u64);
         let mut left: Vec<usize> = Vec::new();
@@ -1128,7 +1091,6 @@ impl ClientLoop {
         while end == BurstEnd::Complete && sent < wants.len() {
             let window_start = sent;
             let mut window = 0u64;
-            debug_assert!(self.wbuf.is_empty(), "fetch_chunks flushed, windows clear");
             while sent < wants.len() {
                 let exchange = needs[wants[sent]].bytes + CHUNK_EXCHANGE_OVERHEAD;
                 if sent > window_start && window + exchange > BURST_WINDOW_BYTES as u64 {
@@ -1141,12 +1103,12 @@ impl ClientLoop {
                         problem,
                         chunk: needs[wants[sent]].chunk,
                     },
-                    &mut self.wbuf,
+                    &mut self.asks,
                 );
                 sent += 1;
             }
-            let wrote = stream.write_all(&self.wbuf).is_ok();
-            self.wbuf.clear();
+            let wrote = stream.write_all(&self.asks).is_ok();
+            self.asks.clear();
             if !wrote {
                 sent = window_start;
                 end = BurstEnd::Broken;
@@ -1181,17 +1143,6 @@ impl ClientLoop {
                     })) if p == problem => (chunk, Some((digest, payload))),
                     Ok(Some(Frame::ChunkMissing { problem: p, chunk })) if p == problem => {
                         (chunk, None)
-                    }
-                    Ok(Some(Frame::ReplicaAnnounce { endpoints })) => {
-                        self.directory.merge_replicas(&endpoints);
-                        continue;
-                    }
-                    Ok(Some(frame @ Frame::TurnReply { .. })) if !replica => {
-                        // The pipeline's own replies, interleaved into
-                        // the origin's chunk stream: kept, in order,
-                        // for the dispatcher.
-                        self.inbox.push_back(frame);
-                        continue;
                     }
                     // Unsolicited frame, read-timeout tick, or a reply
                     // mangled in transit (its CRC made the reader skip
@@ -1242,6 +1193,9 @@ impl ClientLoop {
         }
         left.extend(outstanding);
         left.extend(&wants[sent..]);
+        if matches!(end, BurstEnd::Complete | BurstEnd::Missing) {
+            self.data.push((addr, conn));
+        }
         self.count("cache.bytes_fetched", fetched_bytes);
         self.count("cache.rerequests", gaps);
         self.count("cache.verify_failures", mismatches);
@@ -1394,6 +1348,8 @@ mod tests {
         SwapDigest,
         /// The reply is a `ChunkMissing`.
         Missing,
+        /// The origin hangs up instead, after the replies ahead of it.
+        HangUp,
     }
 
     fn chunk_bytes(chunk: u64) -> Vec<u8> {
@@ -1469,14 +1425,19 @@ mod tests {
         Other,
     }
 
+    /// The frames of one read, and the connection they arrived on
+    /// (numbered from 0 in the order the origin accepted them).
+    type Group = (usize, Vec<Seen>);
+
     /// A loopback origin that speaks the donor protocol from a
     /// [`Script`]: assignments carry their unit id as payload, chunks
     /// come from [`chunk_bytes`], a `Hello` returns every unit leased
     /// but not folded to the pool (lease recovery, compressed), and the
-    /// frames of every read are logged as one group.
+    /// frames of every read are logged as one group. Each connection is
+    /// served on a thread of its own, over one shared state.
     struct ScriptedOrigin {
         addr: SocketAddr,
-        log: Arc<Mutex<Vec<Vec<Seen>>>>,
+        log: Arc<Mutex<Vec<Group>>>,
         stop: Arc<AtomicBool>,
         thread: JoinHandle<()>,
     }
@@ -1487,13 +1448,16 @@ mod tests {
         leased: Vec<u64>,
         folded: HashSet<u64>,
         seen: [usize; 2], // turns, chunk requests
-        connections: usize,
-        muted: bool,
+        /// The connection whose replies the script has muted.
+        muted: Option<usize>,
+        /// The script hangs up on the connection being served.
+        hang_up: bool,
     }
 
     impl OriginState {
-        /// Handles one frame: what to log and what to reply.
-        fn handle(&mut self, frame: Frame, out: &mut Vec<u8>) -> Vec<Seen> {
+        /// Handles one frame that arrived on connection `conn`: what to
+        /// log and what to reply.
+        fn handle(&mut self, conn: usize, frame: Frame, out: &mut Vec<u8>) -> Vec<Seen> {
             vec![match frame {
                 Frame::Hello { .. } => {
                     for unit in self.leased.drain(..).rev() {
@@ -1506,8 +1470,8 @@ mod tests {
                 } => {
                     let k = self.seen[0];
                     self.seen[0] += 1;
-                    if self.connections == 1 && self.script.mute_from_turn == Some(k) {
-                        self.muted = true;
+                    if conn == 0 && self.script.mute_from_turn == Some(k) {
+                        self.muted = Some(conn);
                     }
                     if self.script.drop_turn == Some(k) {
                         return vec![Seen::LostTurn(results.len())];
@@ -1571,6 +1535,10 @@ mod tests {
                         Some(Fault::Missing) => {
                             reply = encode_frame(&Frame::ChunkMissing { problem, chunk })
                         }
+                        Some(Fault::HangUp) => {
+                            reply.clear();
+                            self.hang_up = true;
+                        }
                         Some(Fault::SwapDigest) | None => {}
                     }
                     out.extend_from_slice(&reply);
@@ -1580,13 +1548,19 @@ mod tests {
             }]
         }
 
-        /// Serves one connection until it closes or `stop` is raised.
-        fn serve(&mut self, mut stream: TcpStream, log: &Mutex<Vec<Vec<Seen>>>, stop: &AtomicBool) {
+        /// Serves connection `conn` until it closes, the script hangs up
+        /// on it, or `stop` is raised. A read's frames are handled, and
+        /// logged, under the state's lock.
+        fn serve(
+            state: &Mutex<Self>,
+            conn: usize,
+            mut stream: TcpStream,
+            log: &Mutex<Vec<Group>>,
+            stop: &AtomicBool,
+        ) {
             stream
                 .set_read_timeout(Some(Duration::from_millis(2)))
                 .unwrap();
-            self.connections += 1;
-            self.muted = false;
             let mut asm = FrameAssembler::new();
             let mut out = Vec::new();
             while !stop.load(Ordering::SeqCst) {
@@ -1603,21 +1577,28 @@ mod tests {
                     }
                     Err(_) => return,
                 }
+                let mut origin = state.lock().unwrap();
                 let mut group = Vec::new();
-                while let Ok(Some(frame)) = asm.next_frame() {
+                while !origin.hang_up {
+                    let Ok(Some(frame)) = asm.next_frame() else {
+                        break;
+                    };
                     let before = out.len();
-                    group.extend(self.handle(frame, &mut out));
-                    if self.muted {
+                    group.extend(origin.handle(conn, frame, &mut out));
+                    if origin.muted == Some(conn) {
                         out.truncate(before);
                     }
                 }
                 if !group.is_empty() {
-                    log.lock().unwrap().push(group);
+                    log.lock().unwrap().push((conn, group));
                 }
+                let hang_up = std::mem::take(&mut origin.hang_up);
+                let delay = origin.script.reply_delay;
+                drop(origin);
                 if !out.is_empty() {
-                    pause(self.script.reply_delay);
+                    pause(delay);
                 }
-                if stream.write_all(&out).is_err() {
+                if stream.write_all(&out).is_err() || hang_up {
                     return;
                 }
                 out.clear();
@@ -1632,26 +1613,34 @@ mod tests {
             let addr = listener.local_addr().unwrap();
             let log = Arc::new(Mutex::new(Vec::new()));
             let stop = Arc::new(AtomicBool::new(false));
+            let state = Arc::new(Mutex::new(OriginState {
+                script,
+                free: (0..script.units).collect(),
+                leased: Vec::new(),
+                folded: HashSet::new(),
+                seen: [0; 2],
+                muted: None,
+                hang_up: false,
+            }));
             let thread = {
                 let (log, stop) = (log.clone(), stop.clone());
                 thread::spawn(move || {
-                    let mut state = OriginState {
-                        script,
-                        free: (0..script.units).collect(),
-                        leased: Vec::new(),
-                        folded: HashSet::new(),
-                        seen: [0; 2],
-                        connections: 0,
-                        muted: false,
-                    };
+                    let mut conns = Vec::new();
                     while !stop.load(Ordering::SeqCst) {
                         match listener.accept() {
                             Ok((stream, _)) => {
                                 stream.set_nonblocking(false).unwrap();
-                                state.serve(stream, &log, &stop);
+                                let conn = conns.len();
+                                let (state, log, stop) = (state.clone(), log.clone(), stop.clone());
+                                conns.push(thread::spawn(move || {
+                                    OriginState::serve(&state, conn, stream, &log, &stop)
+                                }));
                             }
                             Err(_) => thread::sleep(Duration::from_millis(1)),
                         }
+                    }
+                    for conn in conns {
+                        conn.join().unwrap();
                     }
                 })
             };
@@ -1670,12 +1659,19 @@ mod tests {
             })
         }
 
-        /// Stops the origin; the groups of frames it saw, one per read.
-        fn finish(self) -> Vec<Vec<Seen>> {
+        /// Stops the origin; the groups of frames it saw, one per read,
+        /// each with the connection it arrived on.
+        fn finish_by_conn(self) -> Vec<Group> {
             self.stop.store(true, Ordering::SeqCst);
             self.thread.join().unwrap();
             let log = self.log.lock().unwrap().clone();
             log
+        }
+
+        /// [`ScriptedOrigin::finish_by_conn`], connections left out.
+        fn finish(self) -> Vec<Vec<Seen>> {
+            let log = self.finish_by_conn().into_iter();
+            log.map(|(_, seen)| seen).collect()
         }
     }
 
@@ -1946,7 +1942,7 @@ mod tests {
                 // the reader holds now, it held when the write left.
                 let (_, reader) = donor.conn.as_mut().expect("connected");
                 assert!(
-                    donor.inbox.is_empty() && matches!(reader.next_buffered(), Ok(None)),
+                    matches!(reader.next_buffered(), Ok(None)),
                     "a write left between two buffered replies"
                 );
             }
@@ -2398,44 +2394,117 @@ mod tests {
         );
     }
 
+    /// The connections that carried a frame `is` picks out, in the
+    /// order the origin accepted them.
+    fn conns_carrying(log: &[Group], is: fn(&Seen) -> bool) -> Vec<usize> {
+        let mut conns: Vec<usize> = log
+            .iter()
+            .filter(|(_, seen)| seen.iter().any(is))
+            .map(|(conn, _)| *conn)
+            .collect();
+        conns.sort_unstable();
+        conns.dedup();
+        conns
+    }
+
+    /// The chunk ids asked for on connection `conn`, in order.
+    fn chunks_asked_on(log: &[Group], conn: usize) -> Vec<u64> {
+        let on: Vec<Vec<Seen>> = log
+            .iter()
+            .filter(|(c, _)| *c == conn)
+            .map(|(_, seen)| seen.clone())
+            .collect();
+        chunks_asked(&on)
+    }
+
+    /// Units of five chunks each: every `ChunkRequest` of the run goes
+    /// out on one data connection, kept from the first unit to the last,
+    /// and no turn ever shares a stream with a chunk burst.
     #[test]
-    fn turn_replies_inside_a_chunk_stream_are_neither_lost_nor_reordered() {
+    fn chunk_bursts_never_share_the_control_stream() {
         const UNITS: u64 = 12;
         let telemetry = Telemetry::enabled();
         let origin = ScriptedOrigin::start(Script {
             units: UNITS,
             ..Default::default()
         });
-        let mut donor = echo_donor(origin.addr, &telemetry, 5, 30.0);
         let started = Instant::now();
-        assert!(donor.connect());
-        // Two turns are in flight when the donor first blocks; the
-        // reply to the first brings a unit whose chunk burst finds the
-        // reply to the second ahead of its ChunkData.
-        for _ in 0..8 {
-            if donor.inbox.is_empty() {
-                assert!(matches!(donor.step(), Step::Continue));
-            }
-        }
-        assert!(
-            matches!(donor.inbox.front(), Some(Frame::TurnReply { .. })),
-            "the burst set the interleaved reply aside: {:?}",
-            donor.inbox
-        );
-        donor.run();
+        echo_donor(origin.addr, &telemetry, 5, 30.0).run();
         let elapsed = started.elapsed();
-        let log = origin.finish();
-        // A reply lost in the burst would stall the donor until the ack
-        // timeout; one taken out of order would read as a lost turn and
-        // resubmit its results.
+        let log = origin.finish_by_conn();
+        let control = conns_carrying(&log, |s| matches!(s, Seen::Hello | Seen::Turn(_)));
+        let data = conns_carrying(&log, |s| matches!(s, Seen::Chunk(_)));
+        assert_eq!(
+            control,
+            [0],
+            "one control connection, and no turn elsewhere"
+        );
+        assert_eq!(data.len(), 1, "one data connection for the run: {data:?}");
+        assert_ne!(data, control, "no chunk request on the control connection");
+        let seen: Vec<Vec<Seen>> = log.into_iter().map(|(_, seen)| seen).collect();
         assert!(elapsed < NO_TIMEOUT_WAIT, "{elapsed:?}");
-        assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
+        assert_eq!(submits(&seen, UNITS), vec![1; UNITS as usize]);
         assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 0);
         assert_eq!(
-            chunks_asked(&log),
+            chunks_asked(&seen),
             (0..UNITS * 5).collect::<Vec<u64>>(),
             "every chunk fetched once, in unit order"
         );
+    }
+
+    /// The origin hangs up on the data connection in the middle of a
+    /// unit's burst: that unit is dropped, as any failed transfer is,
+    /// and that is all it costs — the control connection and every
+    /// result on it are untouched, and the next unit dials a fresh data
+    /// connection.
+    #[test]
+    fn a_broken_data_connection_costs_the_pipeline_nothing() {
+        const UNITS: u64 = 12;
+        // The third chunk of unit 2.
+        const BROKEN: u64 = 12;
+        let telemetry = Telemetry::enabled();
+        let origin = ScriptedOrigin::start(Script {
+            units: UNITS,
+            chunk_fault: Some((BROKEN as usize, Fault::HangUp)),
+            ..Default::default()
+        });
+        let mut donor = echo_donor(origin.addr, &telemetry, 5, 30.0);
+        assert!(donor.connect());
+        let started = Instant::now();
+        // This origin never leases the dropped unit again (it has no
+        // lease expiry): run until the donor holds nothing and the
+        // origin has nothing left to give.
+        loop {
+            assert!(matches!(donor.step(), Step::Continue));
+            let holds = donor.queue.len() + donor.unacked.len() + donor.turns.len();
+            if donor.starved && holds == 0 {
+                break;
+            }
+            assert!(started.elapsed() < NO_TIMEOUT_WAIT, "stalled");
+        }
+        leave(donor);
+        let log = origin.finish_by_conn();
+        let data = conns_carrying(&log, |s| matches!(s, Seen::Chunk(_)));
+        assert_eq!(data.len(), 2, "{data:?}");
+        assert_eq!(
+            chunks_asked_on(&log, data[0]),
+            (0..=BROKEN).collect::<Vec<u64>>()
+        );
+        assert_eq!(
+            chunks_asked_on(&log, data[1]),
+            ((BROKEN / 5 + 1) * 5..UNITS * 5).collect::<Vec<u64>>(),
+            "the next unit dialed a fresh data connection"
+        );
+        let seen: Vec<Vec<Seen>> = log.into_iter().map(|(_, seen)| seen).collect();
+        let mut once = vec![1; UNITS as usize];
+        once[(BROKEN / 5) as usize] = 0;
+        assert_eq!(submits(&seen, UNITS), once, "only the broken unit is lost");
+        assert_eq!(
+            seen.iter().flatten().filter(|s| **s == Seen::Hello).count(),
+            1,
+            "the control connection was never replaced"
+        );
+        assert_eq!(telemetry.metrics_snapshot().counter("net.resubmits"), 0);
     }
 
     #[test]
@@ -2455,12 +2524,12 @@ mod tests {
             !donor.turns.is_empty() && donor.owed > 0,
             "a turn that carries a result is unanswered"
         );
-        assert!(!donor.cache.is_empty());
+        assert!(!donor.cache.is_empty() && !donor.data.is_empty());
         let now = donor.clock.now();
         donor.crashes = vec![(now, 0.01)];
         assert!(donor.handle_crash_window(now));
-        assert!(donor.conn.is_none());
-        assert!(donor.turns.is_empty() && donor.inbox.is_empty() && donor.wbuf.is_empty());
+        assert!(donor.conn.is_none() && donor.data.is_empty());
+        assert!(donor.turns.is_empty() && donor.wbuf.is_empty());
         assert_eq!((donor.sent, donor.resend, donor.owed), (0, 0, 0));
         assert!(donor.unacked.is_empty() && donor.queue.is_empty());
         assert_eq!(donor.cache.len(), 0);
@@ -2589,9 +2658,10 @@ mod tests {
             started.elapsed() < Duration::from_secs(10),
             "no timeout wait"
         );
-        assert!(
-            donor.conn.is_some(),
-            "a refusal does not cost the connection"
+        assert_eq!(
+            donor.data.len(),
+            1,
+            "a refusal does not cost the data connection"
         );
         assert_eq!(donor.cache.len(), 99, "every verified reply was cached");
         assert_eq!(

@@ -13,8 +13,10 @@
 //!   liveness and periodic scheduler snapshots;
 //! * [`store::ReplicaServer`] — a chunk mirror: one such loop speaking
 //!   the chunk sub-protocol, pulling misses through from the origin;
-//! * [`client`] — donor threads with heartbeats, jittered-exponential
-//!   reconnect, idempotent result resubmission, and `FaultPlan`
+//! * [`client`] — donor threads with a control connection and a kept
+//!   data connection per chunk endpoint, heartbeats,
+//!   jittered-exponential reconnect, idempotent result resubmission,
+//!   and `FaultPlan`
 //!   lifecycle faults (late join, departure, crash, slowdown)
 //!   self-interpreted exactly as on the thread backend;
 //! * [`proxy::FaultProxy`] — a socket-level interposer that drops,
@@ -55,15 +57,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Bytes one burst window may have in flight on a connection: the
+/// Bytes one burst window may have in flight on a data connection: the
 /// donor writes `ChunkRequest`s back to back until the exchange they
 /// start (each chunk's [`crate::codec::ChunkNeed::bytes`] plus the
 /// framing of its request and reply) reaches this, then waits for the
 /// window to drain before writing the next. It bounds what the serving
 /// endpoint queues in its output buffer for one connection, whatever
-/// the unit size; it is small enough that neither side of a *blocking*
-/// endpoint (a replica) can fill the other's socket buffers while both
-/// are still writing, and large enough that a unit of a few hundred
+/// the unit size, and it is large enough that a unit of a few hundred
 /// sequence chunks is one write and one streamed reply.
 const BURST_WINDOW_BYTES: usize = 256 * 1024;
 

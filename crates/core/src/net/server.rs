@@ -537,31 +537,39 @@ impl FrameHandler for ShardCtx<'_> {
         }
     }
 
-    /// Write-ahead, per pump: every record this pump's frames journaled
-    /// is in the file before the first byte of a reply can reach the
-    /// donor. `false`: the server was killed with records of this pump
-    /// unwritten — the replies they justify must not be sent.
+    /// Before the first byte of a reply can reach the donor, under one
+    /// lock: every record this pump's frames journaled is in the file
+    /// (write-ahead, per pump), and the chunks it served are in the
+    /// affinity map — the donor's data connection is not its control
+    /// one, so its next turn may be read on another shard the moment
+    /// the `ChunkData` lands. `false`: the server was killed with
+    /// records of this pump unwritten — the replies they justify must
+    /// not be sent.
     fn end_pump(&mut self, _reply: &mut ReplyHalf) -> bool {
-        if !std::mem::take(&mut self.batch.uncommitted) {
+        let commit = std::mem::take(&mut self.batch.uncommitted);
+        if !commit && self.batch.served.is_empty() {
             return true;
         }
         match self.shared.server.lock().unwrap().as_mut() {
             Some(server) => {
-                server.commit_journal();
+                self.batch.apply_affinity(server);
+                if commit {
+                    server.commit_journal();
+                }
                 true
             }
             // `kill()` says so before it takes the server; otherwise it
             // was `wait()`, which committed this pump's records before
             // it let go of the lock (and may be tearing the transport
             // down by now: the run's last reply still leaves).
-            None => !self.crashed(),
+            None => !commit || !self.crashed(),
         }
     }
 
-    /// On every way out of a pump: the chunks were served and the
-    /// frames counted either way.
+    /// On every way out of a pump: the frames are counted either way,
+    /// and chunks a closed or vetoed pump never delivered are not noted.
     fn pump_done(&mut self) {
-        self.flush_affinity();
+        self.batch.served.clear();
         self.flush_counts();
         self.batch.alive = None;
     }
@@ -774,7 +782,9 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::net::wire::{encode_frame, FrameReader};
+    use crate::codec::WireError;
+    use crate::net::wire::{encode_frame, encode_frame_into, FrameReader};
+    use crate::problem::Payload;
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
     use std::io::Write;
@@ -1333,6 +1343,83 @@ mod tests {
         }
         net.wait();
         handed
+    }
+
+    /// The integration problem's codec, plus chunks the origin can
+    /// serve (a chunk's bytes are its id).
+    struct Chunked(Arc<dyn WireCodec>);
+
+    impl WireCodec for Chunked {
+        fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+            self.0.write_unit(p, w)
+        }
+        fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
+            self.0.decode_unit(bytes)
+        }
+        fn write_result(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+            self.0.write_result(p, w)
+        }
+        fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
+            self.0.decode_result(bytes)
+        }
+        fn write_chunk(&self, chunk: u64, w: &mut ByteWriter) -> Result<(), WireError> {
+            w.u64(chunk);
+            Ok(())
+        }
+    }
+
+    /// A donor's chunks and its turns travel on different connections,
+    /// which four shards serve on different threads: once a data
+    /// connection has read its `ChunkData`, the origin already counts
+    /// those chunks as held by the donor — a turn it takes next, on any
+    /// shard, is dispatched with them in the affinity map.
+    #[test]
+    fn served_chunks_are_in_the_affinity_map_before_their_replies_are_read() {
+        const ROUNDS: u64 = 200;
+        const CHUNKS: u64 = 8;
+        let mut problem = integration_problem(100_000);
+        let codec = problem.codec.take().expect("integration has a codec");
+        let mut server = Server::new(small_cfg());
+        let pid = server.submit(problem.with_codec(Arc::new(Chunked(codec))));
+        let opts = NetServerOptions {
+            shards: 4,
+            ..Default::default()
+        };
+        let net = NetServer::start(server, Clock::new(1.0), opts).unwrap();
+        for client in 0..ROUNDS {
+            // A fresh donor each round, on the next shard: nothing noted.
+            let mut stream = TcpStream::connect(net.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_millis(50)))
+                .unwrap();
+            let mut asks = Vec::new();
+            for chunk in 0..CHUNKS {
+                let ask = Frame::ChunkRequest {
+                    client,
+                    problem: pid as u64,
+                    chunk,
+                };
+                encode_frame_into(&ask, &mut asks);
+            }
+            stream.write_all(&asks).unwrap();
+            let mut reader = FrameReader::new();
+            let mut read = 0;
+            while read < CHUNKS {
+                match reader.poll(&mut stream) {
+                    Ok(Some(Frame::ChunkData { .. })) => read += 1,
+                    Ok(Some(other)) => panic!("expected chunk data, got {other:?}"),
+                    Ok(None) => {}
+                    Err(e) => panic!("read failed: {e}"),
+                }
+            }
+            let held = |s: &Server| s.scheduler().affinity_entries(client as ClientId);
+            assert_eq!(
+                net.with_server(held),
+                Some(CHUNKS as usize),
+                "round {client}: the note landed after the replies"
+            );
+        }
+        net.kill();
     }
 
     /// Every unit is sized for the donor that computes it, whatever the

@@ -616,6 +616,13 @@ mod tests {
         );
         assert_eq!(telemetry.metrics_snapshot().counter("replica.threads"), 2);
         replica.stop();
+        // `join` returns once a thread has run its last instruction; the
+        // kernel drops it from /proc/self/task a moment later (under a
+        // loaded test binary, most of a millisecond later).
+        let reaped = Instant::now() + Duration::from_secs(5);
+        while threads_named(&name) > 0 && Instant::now() < reaped {
+            thread::yield_now();
+        }
         assert_eq!(threads_named(&name), 0, "stop reaps both");
         drop((first, held));
         origin.kill();

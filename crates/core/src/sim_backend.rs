@@ -33,13 +33,13 @@ const POLL_INTERVAL_SECS: f64 = 5.0;
 const TIMEOUT_CHECK_SECS: f64 = 30.0;
 /// Size of a control message (request/ack), bytes.
 const CONTROL_BYTES: u64 = 256;
+/// Hard cap on virtual time, 30 days; exceeding it panics (a deadlocked
+/// configuration, not a recoverable state).
+const MAX_VIRTUAL_SECS: f64 = 86_400.0 * 30.0;
 
 /// Simulator tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Hard cap on virtual time; exceeding it panics (a deadlocked
-    /// configuration, not a recoverable state).
-    pub max_virtual_secs: f64,
     /// Pipelined dispatch depth: how many units a machine keeps in its
     /// pipeline (computing + prefetched + requested), so a prefetched
     /// unit's transfer overlaps the previous compute. 1 — the default,
@@ -57,7 +57,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            max_virtual_secs: 86_400.0 * 30.0,
             pipeline_depth: 1,
             metrics_report_secs: 0.0,
         }
@@ -267,9 +266,8 @@ impl SimRunner {
         while let Some((now, ev)) = events.pop() {
             events_processed += 1;
             assert!(
-                now <= self.cfg.max_virtual_secs,
-                "simulation exceeded {} virtual seconds — deadlocked configuration?",
-                self.cfg.max_virtual_secs
+                now <= MAX_VIRTUAL_SECS,
+                "simulation exceeded {MAX_VIRTUAL_SECS} virtual seconds — deadlocked configuration?"
             );
             if self.server.all_complete() {
                 break;

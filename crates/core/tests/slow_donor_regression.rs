@@ -26,15 +26,11 @@ fn slow_donor_with_silent_departure_completes() {
         ..Default::default()
     });
     let pid = server.submit(integration_problem(2_000_000)); // one 4e8-op unit
-    let cfg = SimConfig {
-        max_virtual_secs: 5_000.0, // the livelock used to blow past this
-        ..Default::default()
-    };
     let (report, mut server) = SimRunner::new(
         server,
         slow_pool(Some(50.0)),
         SharedLink::hundred_mbit(),
-        cfg,
+        SimConfig::default(),
     )
     .run();
     let pi = server.take_output(pid).unwrap().into_inner::<f64>();
@@ -52,10 +48,6 @@ fn stale_lease_result_is_accepted_not_wasted() {
         ..Default::default()
     });
     let pid = server.submit(integration_problem(2_000_000));
-    let cfg = SimConfig {
-        max_virtual_secs: 5_000.0,
-        ..Default::default()
-    };
     // Single slow machine: nothing else can compute the reissued copy.
     let machines = vec![Machine::new(
         0,
@@ -64,8 +56,13 @@ fn stale_lease_result_is_accepted_not_wasted() {
         AvailabilityModel::dedicated(),
         5,
     )];
-    let (report, mut server) =
-        SimRunner::new(server, machines, SharedLink::hundred_mbit(), cfg).run();
+    let (report, mut server) = SimRunner::new(
+        server,
+        machines,
+        SharedLink::hundred_mbit(),
+        SimConfig::default(),
+    )
+    .run();
     let pi = server.take_output(pid).unwrap().into_inner::<f64>();
     assert!((pi - std::f64::consts::PI).abs() < 1e-7);
     // One computation: ~400 s (not 800+, which would mean the first

@@ -168,23 +168,26 @@ fn no_replicas_means_no_replica_traffic() {
     );
 }
 
-/// Burst transfer: a unit's misses bound for one replica share one
-/// connection and one burst, so a replicated run opens O(units ×
-/// replicas) replica connections — not one per chunk, as the per-chunk
-/// ladder did. 240 sequences cut into units of dozens of chunks each:
-/// the connection count is bounded by the assignments the server made
-/// times the rungs a fetch may walk, and is a small fraction of the
-/// chunks the replicas served.
+/// Kept data connections: a unit's misses bound for one replica share
+/// one burst over the donor's data connection to it, and that
+/// connection outlives the unit — a replicated run dials each replica
+/// once per donor, plus a redial after each failure. (The per-chunk
+/// ladder dialed once per chunk; one dial per unit per replica came
+/// before the kept connection.) 240 sequences cut into units of dozens
+/// of chunks each: the connection count stays within the assignments
+/// the server made times the replicas, is a small fraction of the
+/// chunks the replicas served, and is at most donors × replicas plus
+/// the failovers.
 #[test]
-fn replica_connections_scale_with_units_not_chunks() {
+fn replica_connections_are_kept_across_units() {
     let mut w = workload(240);
     w.cfg.cost_scale = 2_000.0;
     w.reference = SearchOutput {
         hits: search_sequential(&w.db, &w.queries, &w.cfg),
     }
     .digest();
-    let replicas = 2;
-    let telemetry = replicated_run(&w, 4, replicas, &FaultPlan::none(), "bursts 4x2");
+    let (donors, replicas) = (4, 2);
+    let telemetry = replicated_run(&w, donors, replicas, &FaultPlan::none(), "bursts 4x2");
     let snap = telemetry.metrics_snapshot();
     let connects = snap.counter("replica.connects");
     let assignments = snap.counter("server.assignments");
@@ -197,5 +200,11 @@ fn replica_connections_scale_with_units_not_chunks() {
     assert!(
         connects * 8 <= served,
         "{connects} replica connections for {served} chunks served: still per chunk?"
+    );
+    let failovers = snap.counter("replica.failovers");
+    assert!(
+        connects <= (donors * replicas) as u64 + failovers,
+        "{connects} replica connections for {donors} donors x {replicas} replicas \
+         and {failovers} failovers: still one per unit?"
     );
 }
