@@ -6,7 +6,7 @@ use crate::nw::nw_score;
 use crate::profile::QueryProfile;
 use crate::sg::sg_score;
 use crate::striped::{sw_score_striped, sw_score_striped_profiled};
-use crate::sw::{sw_score, sw_score_antidiagonal};
+use crate::sw::sw_score;
 use biodist_bioseq::{ScoringScheme, Sequence};
 
 /// The built-in search algorithms a DSEARCH configuration can select.
@@ -16,9 +16,6 @@ pub enum KernelKind {
     NeedlemanWunsch,
     /// Smith–Waterman local alignment \[14\] (the default).
     SmithWaterman,
-    /// Anti-diagonal score-only Smith–Waterman — the fast rigorous
-    /// kernel standing in for Crochemore et al. \[4\].
-    FastLocal,
     /// Striped SIMD Smith–Waterman (Farrar 2007): query-profiled `i16`
     /// lanes with an exact `i32` saturation fallback. Scores equal
     /// [`KernelKind::SmithWaterman`] bit for bit.
@@ -36,14 +33,12 @@ impl KernelKind {
     /// Parses the configuration-file spelling of a kernel name.
     ///
     /// Accepted values: `needleman-wunsch` | `nw`, `smith-waterman` |
-    /// `sw`, `fast` | `fast-local`, `striped` | `simd`,
-    /// `banded:<width>`.
+    /// `sw`, `striped` | `simd`, `semiglobal` | `sg`, `banded:<width>`.
     pub fn parse(text: &str) -> Result<Self, String> {
         let t = text.trim().to_ascii_lowercase();
         match t.as_str() {
             "needleman-wunsch" | "nw" | "global" => Ok(Self::NeedlemanWunsch),
             "smith-waterman" | "sw" | "local" => Ok(Self::SmithWaterman),
-            "fast" | "fast-local" | "antidiagonal" => Ok(Self::FastLocal),
             "striped" | "simd" | "sw-striped" => Ok(Self::Striped),
             "semiglobal" | "sg" | "glocal" => Ok(Self::SemiGlobal),
             _ => {
@@ -64,7 +59,6 @@ impl KernelKind {
         match self {
             Self::NeedlemanWunsch => "needleman-wunsch".into(),
             Self::SmithWaterman => "smith-waterman".into(),
-            Self::FastLocal => "fast-local".into(),
             Self::Striped => "striped".into(),
             Self::SemiGlobal => "semiglobal".into(),
             Self::Banded { band } => format!("banded:{band}"),
@@ -104,7 +98,6 @@ impl AlignKernel {
         match self.kind {
             KernelKind::NeedlemanWunsch => nw_score(query, subject, &self.scheme),
             KernelKind::SmithWaterman => sw_score(query, subject, &self.scheme),
-            KernelKind::FastLocal => sw_score_antidiagonal(query, subject, &self.scheme),
             KernelKind::Striped => sw_score_striped(query, subject, &self.scheme),
             KernelKind::SemiGlobal => sg_score(query, subject, &self.scheme),
             KernelKind::Banded { band } => {
@@ -155,13 +148,10 @@ impl AlignKernel {
     /// |------------------|---------|-------------------|---------------|
     /// | `smith-waterman` | `n·m`   | ≈ 129             | 1             |
     /// | `needleman-wunsch`/`semiglobal` | `n·m` | ≈ 170–260 | 1       |
-    /// | `fast-local`     | `n·m`   | ≈ 100             | 4/3 (slower)  |
     /// | `striped`        | `n·m`   | ≈ 4300            | 1/32          |
     /// | `banded:w`       | band    | —                 | 1             |
     ///
-    /// The anti-diagonal kernel touches the same cells but pays for the
-    /// diagonal state-fold passes, costing ~1.3× a scalar cell; the
-    /// striped kernel retires ~33× more cells per second than scalar
+    /// The striped kernel retires ~33× more cells per second than scalar
     /// even after the lazy-F overhead, modelled conservatively as 1/32
     /// (floored at 1 so no pair is ever free). The global kernels run
     /// somewhat faster per cell than local `sw` (no zero-clamp state),
@@ -173,7 +163,6 @@ impl AlignKernel {
             KernelKind::NeedlemanWunsch | KernelKind::SmithWaterman | KernelKind::SemiGlobal => {
                 n * m
             }
-            KernelKind::FastLocal => 4 * n * m / 3,
             KernelKind::Striped => (n * m / 32).max(1.min(n * m)),
             KernelKind::Banded { band } => {
                 let width = 2 * band as u64 + 1 + n.abs_diff(m);
@@ -208,7 +197,6 @@ mod tests {
         for kind in [
             KernelKind::NeedlemanWunsch,
             KernelKind::SmithWaterman,
-            KernelKind::FastLocal,
             KernelKind::Striped,
             KernelKind::Banded { band: 8 },
             KernelKind::SemiGlobal,
@@ -238,9 +226,7 @@ mod tests {
         let (q, s) = seqs();
         let scheme = ScoringScheme::dna_default();
         let sw = AlignKernel::new(KernelKind::SmithWaterman, scheme.clone());
-        let fast = AlignKernel::new(KernelKind::FastLocal, scheme.clone());
         let striped = AlignKernel::new(KernelKind::Striped, scheme);
-        assert_eq!(sw.score(&q, &s), fast.score(&q, &s));
         assert_eq!(sw.score(&q, &s), striped.score(&q, &s));
     }
 
@@ -251,7 +237,6 @@ mod tests {
         for kind in [
             KernelKind::NeedlemanWunsch,
             KernelKind::SmithWaterman,
-            KernelKind::FastLocal,
             KernelKind::Striped,
             KernelKind::SemiGlobal,
             KernelKind::Banded { band: 4 },
@@ -276,12 +261,9 @@ mod tests {
         let (q, s) = seqs();
         let scheme = ScoringScheme::dna_default();
         let full = AlignKernel::new(KernelKind::SmithWaterman, scheme.clone());
-        let fast = AlignKernel::new(KernelKind::FastLocal, scheme.clone());
         let striped = AlignKernel::new(KernelKind::Striped, scheme.clone());
         let banded = AlignKernel::new(KernelKind::Banded { band: 1 }, scheme);
-        // Measured: the anti-diagonal formulation costs MORE per cell on
-        // a scalar host; the striped kernel costs ~1/8.
-        assert!(fast.cost_cells(&q, &s) > full.cost_cells(&q, &s));
+        // Measured: the striped kernel costs ~1/32 of a scalar cell.
         assert!(striped.cost_cells(&q, &s) < full.cost_cells(&q, &s));
         assert!(striped.cost_cells(&q, &s) >= 1);
         assert!(banded.cost_cells(&q, &s) < full.cost_cells(&q, &s));

@@ -2,12 +2,12 @@
 //!
 //! Rigorous pairwise sequence-alignment kernels for DSEARCH (paper
 //! §3.1): Needleman–Wunsch global alignment \[10\], Smith–Waterman
-//! local alignment \[14\], a banded global variant, an anti-diagonal
-//! score-only kernel standing in for the subquadratic algorithm of
-//! Crochemore et al. \[4\] (see DESIGN.md, substitution table), and a
-//! Farrar-style striped SIMD kernel ([`striped`]) with reusable query
-//! profiles ([`profile`]) and an adaptive `i16`→`i32` lane-width
-//! fallback. All kernels use Gotoh's affine-gap recurrences and agree
+//! local alignment \[14\], a banded global variant, and a Farrar-style
+//! striped SIMD kernel ([`striped`]) with reusable query profiles
+//! ([`profile`]) and an adaptive `i16`→`i32` lane-width fallback — the
+//! faster exact kernel DESIGN.md's substitution table sets in place of
+//! the subquadratic algorithm of Crochemore et al. \[4\], which is not
+//! carried. All kernels use Gotoh's affine-gap recurrences and agree
 //! exactly on scores; the score-only variants run in linear memory.
 //!
 //! [`hits`] provides the bounded top-K hit collector DSEARCH uses to
@@ -34,7 +34,7 @@ pub use nw::{nw_align, nw_score};
 pub use profile::QueryProfile;
 pub use sg::{sg_align, sg_score};
 pub use striped::{detect_backend, sw_score_striped, sw_score_striped_profiled, SimdBackend};
-pub use sw::{sw_align, sw_score, sw_score_antidiagonal};
+pub use sw::{sw_align, sw_score};
 
 /// Sentinel for "minus infinity" in DP matrices, chosen so that adding
 /// any single score or penalty cannot overflow `i32`.

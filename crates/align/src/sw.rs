@@ -1,7 +1,5 @@
 //! Smith–Waterman local alignment (affine gaps), the default DSEARCH
-//! kernel, plus an anti-diagonal score-only evaluation that serves as
-//! the "fast rigorous kernel" configuration option (DESIGN.md's
-//! substitute for the Crochemore et al. subquadratic algorithm).
+//! kernel.
 
 use crate::aln::{AlignedPair, AlnOp};
 use crate::NEG_INF;
@@ -196,73 +194,6 @@ pub fn sw_align(a: &Sequence, b: &Sequence, scheme: &ScoringScheme) -> AlignedPa
     aln
 }
 
-/// Anti-diagonal (wavefront) evaluation of the Smith–Waterman score.
-///
-/// Processes cells in order of `i + j`, so all cells on one
-/// anti-diagonal are mutually independent — the memory-access pattern
-/// that SIMD and systolic implementations exploit, and our stand-in for
-/// the paper's third "fast" kernel \[4\]. Produces exactly the same
-/// score as [`sw_score`].
-pub fn sw_score_antidiagonal(a: &Sequence, b: &Sequence, scheme: &ScoringScheme) -> i32 {
-    let (ac, bc) = (a.codes(), b.codes());
-    let (n, m) = (ac.len(), bc.len());
-    if n == 0 || m == 0 {
-        return 0;
-    }
-    let (o, e) = (scheme.gap.open, scheme.gap.extend);
-
-    // Three anti-diagonals of each state, indexed by i (row). Diagonal d
-    // holds cells (i, d - i).
-    let len = n + 1;
-    let mut m_prev2 = vec![0i32; len];
-    let mut m_prev = vec![0i32; len];
-    let mut m_cur = vec![0i32; len];
-    let mut x_prev = vec![NEG_INF; len];
-    let mut x_cur = vec![NEG_INF; len];
-    let mut y_prev = vec![NEG_INF; len];
-    let mut y_cur = vec![NEG_INF; len];
-
-    let mut best = 0i32;
-    for d in 2..=(n + m) {
-        let i_lo = 1.max(d.saturating_sub(m));
-        let i_hi = n.min(d - 1);
-        for slot in m_cur.iter_mut() {
-            *slot = 0;
-        }
-        for slot in x_cur.iter_mut() {
-            *slot = NEG_INF;
-        }
-        for slot in y_cur.iter_mut() {
-            *slot = NEG_INF;
-        }
-        for i in i_lo..=i_hi {
-            let j = d - i;
-            // (i-1, j-1) lives on diagonal d-2 at row i-1.
-            let diag = m_prev2[i - 1];
-            let s = scheme.matrix.score(ac[i - 1], bc[j - 1]);
-            let mv = (diag + s).max(0);
-            m_cur[i] = mv;
-            // (i, j-1) lives on diagonal d-1 at row i.
-            x_cur[i] = (m_prev[i] - o).max(x_prev[i] - e).max(y_prev[i] - o);
-            // (i-1, j) lives on diagonal d-1 at row i-1.
-            y_cur[i] = (m_prev[i - 1] - o)
-                .max(y_prev[i - 1] - e)
-                .max(x_prev[i - 1] - o);
-            best = best.max(mv);
-        }
-        // For the *next* diagonal, the diagonal predecessor of M must be
-        // the three-state maximum at (i-1, j-1), so fold Ix/Iy into the
-        // values we retire to `m_prev2`.
-        for i in 0..len {
-            m_prev2[i] = m_prev[i].max(x_prev[i]).max(y_prev[i]).max(0);
-        }
-        std::mem::swap(&mut m_prev, &mut m_cur);
-        std::mem::swap(&mut x_prev, &mut x_cur);
-        std::mem::swap(&mut y_prev, &mut y_cur);
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,7 +220,6 @@ mod tests {
         assert_eq!(aln.a_range, 4..12);
         assert_eq!(aln.b_range, 0..8);
         assert_eq!(sw_score(&a, &b, &scheme), 16);
-        assert_eq!(sw_score_antidiagonal(&a, &b, &scheme), 16);
     }
 
     #[test]
@@ -340,7 +270,6 @@ mod tests {
         let b = Sequence::from_text("b", "", Alphabet::Protein, "GGMKWVLNAGRSKWPP").unwrap();
         let aln = sw_align(&a, &b, &scheme);
         assert_eq!(sw_score(&a, &b, &scheme), aln.score);
-        assert_eq!(sw_score_antidiagonal(&a, &b, &scheme), aln.score);
     }
 
     #[test]
@@ -350,7 +279,6 @@ mod tests {
         let a = seq("ACGT");
         assert_eq!(sw_score(&e, &a, &scheme), 0);
         assert_eq!(sw_score(&a, &e, &scheme), 0);
-        assert_eq!(sw_score_antidiagonal(&e, &a, &scheme), 0);
         assert_eq!(sw_align(&e, &e, &scheme).score, 0);
     }
 

@@ -1,8 +1,8 @@
 //! B1 — alignment kernel micro-benchmarks: the rows nothing else prints.
 //!
 //! `abl_kernels --smoke` (`BENCH_kernels.json`, smoke-run in CI) measures
-//! the kernels DSEARCH selects by name — scalar, anti-diagonal, striped
-//! with the profile reused, global, semi-global — and is what the cost
+//! the kernels DSEARCH selects by name — scalar, striped with the
+//! profile reused, global, semi-global — and is what the cost
 //! model (`AlignKernel::cost_cells`) is calibrated against. This bench
 //! keeps what that run leaves out, over a length sweep: the striped
 //! kernel *cold* (profile built per pair), the banded global kernel, and

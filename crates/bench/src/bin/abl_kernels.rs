@@ -51,7 +51,6 @@ fn smoke() -> String {
 
     let kernels = [
         KernelKind::SmithWaterman,
-        KernelKind::FastLocal,
         KernelKind::Striped,
         KernelKind::NeedlemanWunsch,
         KernelKind::SemiGlobal,
@@ -148,7 +147,6 @@ fn main() {
     let kernels = [
         KernelKind::SmithWaterman,
         KernelKind::Striped,
-        KernelKind::FastLocal,
         KernelKind::SemiGlobal,
         KernelKind::NeedlemanWunsch,
         KernelKind::Banded { band: 32 },

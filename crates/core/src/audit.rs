@@ -164,9 +164,9 @@ pub fn audited(problem: Problem) -> (Problem, AuditHandle) {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
+    use crate::net::run_tcp;
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
-    use crate::thread_backend::run_threaded;
 
     #[test]
     fn clean_run_passes_every_invariant() {
@@ -178,7 +178,7 @@ mod tests {
         });
         let (problem, audit) = audited(integration_problem(300_000));
         let pid = server.submit(problem);
-        let (mut server, _) = run_threaded(server, 4);
+        let (mut server, _) = run_tcp(server, 4);
         let pi = server.take_output(pid).unwrap().into_inner::<f64>();
         assert!((pi - std::f64::consts::PI).abs() < 1e-8);
         audit

@@ -12,9 +12,10 @@
 //!   gridsim's virtual clock (lifecycle events become simulator events,
 //!   slowdowns scale the machine's compute model, link faults degrade
 //!   the shared server link);
-//! * [`crate::thread_backend::run_threaded_faulty`] applies it against
-//!   a scaled wall clock with real OS threads (workers sleep out
-//!   downtime, discard in-flight work on crash, and mutate deliveries).
+//! * [`crate::net::run_tcp_faulty`] applies it against a scaled wall
+//!   clock: the donor clients sleep out downtime, discard in-flight
+//!   work on crash and stretch slow computes, and a fault proxy
+//!   mutates deliveries on the wire.
 //!
 //! Both backends consume the plan through one [`PlanInterpreter`].
 //! Random plans are generated from a single `u64` seed
@@ -79,10 +80,9 @@ pub enum FaultKind {
     /// lost in transit. A wire-level fault of the TCP transport, which
     /// recovers it inside the fetch (a later reply on the same
     /// connection exposes the gap and the chunk is asked for again);
-    /// the simulator and the thread backend move a unit's chunks as one
-    /// verified bulk transfer and have no reply to lose, so they ignore
-    /// it. Not part of [`FaultPlan::random`]'s mix — existing seeds
-    /// keep their plans.
+    /// the simulator moves a unit's chunks as one verified bulk
+    /// transfer and has no reply to lose, so it ignores it. Not part of
+    /// [`FaultPlan::random`]'s mix — existing seeds keep their plans.
     DropChunk,
     /// The next `ChunkData` reply bound for the client after `at`
     /// arrives with a broken body checksum: the donor's frame reader
@@ -94,9 +94,8 @@ pub enum FaultKind {
     /// fault of the TCP transport, whose donor pipeline reads the loss
     /// off the in-order stream: a lost ack resubmits the result (the
     /// server dedups), a lost assignment is recovered by its lease. The
-    /// simulator and the thread backend have no such frames and ignore
-    /// it; like the chunk faults it is not part of
-    /// [`FaultPlan::random`]'s mix.
+    /// simulator has no such frames and ignores it; like the chunk
+    /// faults it is not part of [`FaultPlan::random`]'s mix.
     DropReply,
     /// The next control reply bound for the client after `at` is
     /// delivered twice: the donor must neither compute the unit twice
@@ -129,7 +128,7 @@ pub enum FaultKind {
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires / arms, in backend time (virtual seconds on
-    /// the simulator, scaled wall seconds on the thread backend).
+    /// the simulator, scaled wall seconds on the TCP backend).
     pub at: f64,
     /// The affected client; `None` for system-wide faults
     /// ([`FaultKind::LinkDegrade`]).
@@ -372,8 +371,8 @@ impl FaultPlan {
 
     /// The first downtime `[at, at + down)` among `crashes` (as
     /// [`FaultPlan::crashes`] returns them) that overlaps `[from, to]`.
-    /// The one crash rule of the real-donor backends (thread and TCP):
-    /// with `from == to` it is the window a donor is down in at that
+    /// The TCP donor's crash rule: with `from == to` it is the window a
+    /// donor is down in at that
     /// instant; over a compute interval it is the crash that loses the
     /// unit — it began during the compute, or before it and was still
     /// open when it started.
@@ -505,7 +504,7 @@ pub enum DeliveryAction {
 /// a client-derived odd mask, so the result stays *decodable* (same
 /// length, CRC re-framed over the flipped bytes) but semantically
 /// wrong — and two Byzantine donors never produce the *same* wrong
-/// bytes, which would let them outvote an honest quorum. All three
+/// bytes, which would let them outvote an honest quorum. Both
 /// backends apply this one function so a plan means the same thing
 /// everywhere. No-op on an empty payload.
 pub fn flip_result_bytes(bytes: &mut [u8], client: ClientId) {
@@ -515,9 +514,9 @@ pub fn flip_result_bytes(bytes: &mut [u8], client: ClientId) {
     }
 }
 
-/// Resolves the delivery of a result `client` finished at `now`, for
-/// the backends that carry results as typed payloads (simulator and
-/// threads; the TCP donor flips the bytes of its own frame). A
+/// Resolves the delivery of a result `client` finished at `now` on the
+/// simulator, which carries results as typed payloads (the TCP donor
+/// flips the bytes of its own frame). A
 /// Byzantine donor (`wrong`) lies: the encoded payload bytes are
 /// flipped *before* the transport would frame them, then decoded back —
 /// the CRC layer cannot catch it, only quorum compare can. A lie whose

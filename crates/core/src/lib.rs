@@ -14,22 +14,20 @@
 //! EWMAs, dynamically sized units, lease-timeout reissue for donors
 //! that vanish, and redundant end-game dispatch for stragglers.
 //!
-//! Two interchangeable backends execute problems:
+//! Two backends execute problems:
 //!
-//! * [`thread_backend`] — real OS threads over a shared server; used
-//!   to validate that distributed results equal the sequential
-//!   reference.
-//! * [`sim_backend`] — drives the same server against
-//!   `biodist-gridsim`'s virtual machines, network and clock; used by
-//!   every experiment harness (the paper's 200-PC campus replaced by a
-//!   deterministic simulator, per DESIGN.md).
-//!
-//! * [`net`] — donor clients connect to the server over real TCP
-//!   sockets using a CRC-guarded framed wire protocol ([`net::wire`]),
-//!   with heartbeats, reconnect, a fault proxy for transport chaos, and
-//!   an append-only checkpoint log ([`net::checkpoint`]) that lets a
-//!   killed server restart and resume without recombining any unit.
-//!   Problems opt in by registering a [`codec::WireCodec`].
+//! * [`sim_backend`] — drives the server against `biodist-gridsim`'s
+//!   virtual machines, network and clock; used by every experiment
+//!   harness (the paper's 200-PC campus replaced by a deterministic
+//!   simulator, per DESIGN.md).
+//! * [`net`] — the deployed donor: clients connect to the server over
+//!   real TCP sockets using a CRC-guarded framed wire protocol
+//!   ([`net::wire`]), with heartbeats, reconnect, a fault proxy for
+//!   transport chaos, and an append-only checkpoint log
+//!   ([`net::checkpoint`]) that lets a killed server restart and resume
+//!   without recombining any unit. [`run_tcp`] runs a server's problems
+//!   on loopback donors; the CLIs, the examples and every real-time test
+//!   use it. A problem opts in by registering a [`codec::WireCodec`].
 //!
 //! Fault tolerance is testable by construction: [`fault`] expresses
 //! seeded, replayable fault schedules ([`FaultPlan`]) interpreted by
@@ -49,7 +47,6 @@ pub mod sched;
 pub mod server;
 pub mod sim_backend;
 pub mod telemetry;
-pub mod thread_backend;
 
 pub use audit::{audited, AuditHandle};
 pub use codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
@@ -76,4 +73,3 @@ pub use telemetry::{
     phase_breakdowns, verify_spans, EventKind, Histogram, JsonlSink, MetricsSnapshot, RingHandle,
     Telemetry, TraceEvent, TraceSink, UnitPhases,
 };
-pub use thread_backend::{run_threaded, run_threaded_faulty};

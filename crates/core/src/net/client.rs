@@ -41,8 +41,8 @@
 //!
 //! Lifecycle faults from a [`FaultPlan`] (late join, permanent
 //! departure, crash windows, slowdowns) are interpreted client-side
-//! against the shared [`Clock`], exactly like the thread backend, so
-//! identical plans mean identical stories on both transports.
+//! against the shared [`Clock`], so a plan tells the same story on the
+//! wire as on the simulator's virtual clock.
 
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache, DONOR_CACHE_BYTES};
@@ -1255,7 +1255,7 @@ impl ClientLoop {
             let reading = traced || i.is_power_of_two() || i == n;
             if reading {
                 if scale > 1.0 {
-                    // Straggler faults stretch the wall time, like the thread backend.
+                    // Straggler faults stretch the wall time.
                     let real = self.clock.now() - at;
                     thread::sleep(self.clock.wall(real * (scale - 1.0)));
                 }

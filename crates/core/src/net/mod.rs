@@ -1,7 +1,7 @@
 //! The real-TCP execution backend.
 //!
 //! The paper's system ran over Java RMI plus raw sockets (§2.1); the
-//! in-process backends model that wire, this module *is* one: donor
+//! simulator models that wire, this module *is* one: donor
 //! clients connect to the server over loopback/LAN TCP and speak the
 //! CRC-framed protocol in [`wire`]. The robustness stack mirrors what
 //! three years of cycle-scavenging demand:
@@ -18,16 +18,17 @@
 //!   jittered-exponential reconnect, idempotent result resubmission,
 //!   and `FaultPlan`
 //!   lifecycle faults (late join, departure, crash, slowdown)
-//!   self-interpreted exactly as on the thread backend;
+//!   self-interpreted against the shared [`Clock`];
 //! * [`proxy::FaultProxy`] — a socket-level interposer that drops,
 //!   duplicates, corrupts and delays *real bytes* per the same
 //!   `FaultPlan` delivery faults the PR 2 chaos harness uses;
 //! * [`checkpoint`] — the append-only log that makes the server itself
 //!   crash-recoverable ([`recover`]).
 //!
-//! [`run_tcp`] / [`run_tcp_faulty`] wire the pieces together with the
-//! same signature shape as the thread backend, so the chaos suite runs
-//! identical plans against all three backends and compares digests.
+//! [`run_tcp`] / [`run_tcp_faulty`] wire the pieces together on
+//! loopback: the CLIs, the examples and every real-time test run the
+//! deployed donor this way, and the chaos suite runs the simulator's
+//! plans through it and compares digests.
 
 pub mod backoff;
 pub mod cache;
@@ -211,7 +212,7 @@ pub fn directory() -> Directory {
 /// The scaled wall clock every TCP-backend component shares: `now()` is
 /// wall seconds since creation times `time_scale`, so the same
 /// `FaultPlan` times used on the simulator's virtual clock land in
-/// milliseconds of real time here (exactly like the thread backend).
+/// milliseconds of real time here.
 #[derive(Debug, Clone, Copy)]
 pub struct Clock {
     start: Instant,
@@ -252,7 +253,7 @@ pub fn run_tcp(server: Server, n_clients: usize) -> (Server, f64) {
 
 /// [`run_tcp`] with a [`FaultPlan`] injected against a scaled clock.
 /// Lifecycle and slowdown faults are interpreted by the clients
-/// themselves (as on the thread backend); delivery faults and link
+/// themselves; delivery faults and link
 /// degradation are applied to the actual bytes by a [`FaultProxy`]
 /// interposed between clients and server.
 ///
@@ -425,5 +426,91 @@ mod tests {
         let (mut server, _) = run_tcp_faulty(server, 4, &plan, 20.0);
         let pi = server.take_output(pid).unwrap().into_inner::<f64>();
         assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
+    }
+
+    /// Units of a few milliseconds of real compute, so a run makes many
+    /// round trips.
+    fn fast_cfg() -> SchedulerConfig {
+        SchedulerConfig {
+            target_unit_secs: 0.005,
+            prior_ops_per_sec: 2e9,
+            min_unit_ops: 1e4,
+            ..Default::default()
+        }
+    }
+
+    #[test]
+    fn runs_multiple_problems_simultaneously() {
+        let mut server = Server::new(fast_cfg());
+        let a = server.submit(integration_problem(100_000));
+        let b = server.submit(integration_problem(150_000));
+        let c = server.submit(integration_problem(200_000));
+        let (mut server, _) = run_tcp(server, 4);
+        for pid in [a, b, c] {
+            let pi = server.take_output(pid).unwrap().into_inner::<f64>();
+            assert!(
+                (pi - std::f64::consts::PI).abs() < 1e-7,
+                "problem {pid}: {pi}"
+            );
+        }
+    }
+
+    #[test]
+    fn dropped_duplicated_and_corrupted_deliveries_still_compute_pi() {
+        // Scale 100 maps 5 scaled seconds of lease to 50 ms of wall clock.
+        let scale = 100.0;
+        let mut server = Server::new(SchedulerConfig {
+            target_unit_secs: 0.5,
+            prior_ops_per_sec: 2e7,
+            min_unit_ops: 1e4,
+            // Cap unit growth so every donor delivers several results
+            // and each armed delivery fault has a delivery to hit.
+            max_unit_ops: 2e6,
+            lease_min_secs: 5.0,
+            ..Default::default()
+        });
+        let pid = server.submit(integration_problem(400_000));
+        // Every donor is armed with the same three one-shot faults, so
+        // whichever donors deliver, their first three deliveries are
+        // corrupted, duplicated, then dropped.
+        let mut plan = FaultPlan::new(0);
+        for c in 0..4 {
+            plan.push(0.0, c, FaultKind::CorruptResult);
+            plan.push(0.0, c, FaultKind::DuplicateResult);
+            plan.push(0.0, c, FaultKind::DropResult);
+        }
+        let (mut server, _) = run_tcp_faulty(server, 4, &plan, scale);
+        let pi = server.take_output(pid).unwrap().into_inner::<f64>();
+        assert!((pi - std::f64::consts::PI).abs() < 1e-8, "got {pi}");
+        let stats = server.stats(pid);
+        assert!(
+            stats.wasted_results >= 1,
+            "duplicate must be discarded: {stats:?}"
+        );
+        assert!(
+            stats.corrupted_results >= 1,
+            "corruption must be detected: {stats:?}"
+        );
+        // The dropped and corrupted results force extra assignments
+        // (reissue after lease expiry, or a redundant end-game copy —
+        // whichever the scheduler reaches first).
+        assert!(
+            stats.assignments > stats.completed_units,
+            "lost results must cost extra assignments: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn the_result_agrees_at_two_and_six_donors() {
+        // The fold follows arrival order, so the sums agree to a
+        // tolerance, not bit for bit.
+        let run = |donors: usize| {
+            let mut server = Server::new(fast_cfg());
+            let pid = server.submit(integration_problem(300_000));
+            let (mut server, _) = run_tcp(server, donors);
+            server.take_output(pid).unwrap().into_inner::<f64>()
+        };
+        let (a, b) = (run(2), run(6));
+        assert!((a - b).abs() < 1e-9, "{a} vs {b}");
     }
 }

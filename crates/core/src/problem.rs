@@ -147,8 +147,8 @@ pub struct Problem {
     /// One-time download each client performs before its first unit
     /// (the Java system ships the Algorithm class and problem data).
     pub setup_bytes: u64,
-    /// Payload serializer for the real TCP backend. `None` limits the
-    /// problem to the in-process backends (sim, threads).
+    /// Payload serializer for the TCP backend. `None` limits the
+    /// problem to the simulator.
     pub codec: Option<Arc<dyn WireCodec>>,
 }
 

@@ -1,6 +1,6 @@
 //! Simulated execution backend.
 //!
-//! Drives the same [`Server`] the threaded backend uses, but against
+//! Drives the same [`Server`] the TCP backend serves, but against
 //! `biodist-gridsim`'s virtual clock, donor machines and shared server
 //! link. Algorithms still *really execute* (so outputs are correct and
 //! comparable to the sequential reference); virtual time is charged

@@ -17,7 +17,7 @@
 //! the best tree. `--verify` also runs the sequential reference for
 //! each instance and asserts identical trees.
 
-use biodist_core::{run_threaded, SchedulerConfig, Server};
+use biodist_core::{run_tcp, SchedulerConfig, Server};
 use biodist_dprml::{build_problem, DprmlConfig, PhyloOutput};
 use biodist_phylo::nj::{jc_distance_matrix, maximin_order};
 use biodist_phylo::patterns::PatternAlignment;
@@ -167,7 +167,7 @@ fn run() -> Result<(), String> {
             ))
         })
         .collect();
-    let (mut server, elapsed) = run_threaded(server, args.workers);
+    let (mut server, elapsed) = run_tcp(server, args.workers);
     let outs: Vec<PhyloOutput> = pids
         .iter()
         .map(|&p| {

@@ -881,7 +881,7 @@ pub fn estimate_sequential_ops(data: &PatternAlignment, config: &DprmlConfig) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use biodist_core::{run_threaded, SchedulerConfig, Server, SimRunner};
+    use biodist_core::{run_tcp, SchedulerConfig, Server, SimRunner};
     use biodist_gridsim::deployments::homogeneous_lab;
     use biodist_phylo::evolve::{random_yule_tree, simulate_alignment};
     use biodist_phylo::search::stepwise_ml;
@@ -912,7 +912,7 @@ mod tests {
 
         let mut server = Server::new(small_unit_sched());
         let pid = server.submit(build_problem(data.clone(), &config, None, "dprml-0"));
-        let (mut server, _) = run_threaded(server, 6);
+        let (mut server, _) = run_tcp(server, 6);
         let out = server.take_output(pid).unwrap().into_inner::<PhyloOutput>();
 
         assert_eq!(
@@ -958,7 +958,7 @@ mod tests {
         let config = DprmlConfig::default();
         let mut server = Server::new(small_unit_sched());
         let pid = server.submit(build_problem(data, &config, None, "dprml"));
-        let (mut server, _) = run_threaded(server, 4);
+        let (mut server, _) = run_tcp(server, 4);
         let out = server.take_output(pid).unwrap().into_inner::<PhyloOutput>();
         assert_eq!(
             out.tree.rf_distance(&truth),
@@ -983,7 +983,7 @@ mod tests {
                 ))
             })
             .collect();
-        let (mut server, _) = run_threaded(server, 6);
+        let (mut server, _) = run_tcp(server, 6);
         let outs: Vec<PhyloOutput> = pids
             .iter()
             .map(|&p| server.take_output(p).unwrap().into_inner::<PhyloOutput>())
@@ -1147,7 +1147,7 @@ mod tests {
         let mut server = Server::new(small_unit_sched());
         server.set_telemetry(biodist_core::Telemetry::enabled());
         let pid = server.submit(build_problem(data, &config, None, "dprml-tel"));
-        let (server, _) = run_threaded(server, 4);
+        let (server, _) = run_tcp(server, 4);
         let snap = server.telemetry().metrics_snapshot();
         let backend = snap.gauge("lik.backend").expect("backend gauge recorded");
         assert!(

@@ -7,10 +7,10 @@
 //!
 //! Inputs match the paper exactly: "a FASTA database file, a FASTA
 //! query sequences file, a scoring scheme, and a configuration file."
-//! The search runs distributed on `--workers` OS threads; `--verify`
+//! The search runs distributed on `--workers` loopback TCP donors; `--verify`
 //! additionally runs the sequential reference and asserts equality.
 
-use biodist_core::{run_threaded, SchedulerConfig, Server};
+use biodist_core::{run_tcp, SchedulerConfig, Server};
 use biodist_dsearch::{
     build_problem, search_sequential, DsearchConfig, ScoreStatistics, SearchOutput,
 };
@@ -111,7 +111,7 @@ fn run() -> Result<(), String> {
         ..Default::default()
     });
     let pid = server.submit(build_problem(database.clone(), queries.clone(), &config));
-    let (mut server, elapsed) = run_threaded(server, args.workers);
+    let (mut server, elapsed) = run_tcp(server, args.workers);
     let out = server
         .take_output(pid)
         .expect("search completed")

@@ -7,7 +7,7 @@
 //! file." The recognised keys:
 //!
 //! ```text
-//! algorithm   = smith-waterman        # nw | sw | fast-local | striped | banded:<w>
+//! algorithm   = smith-waterman        # nw | sw | striped | sg | banded:<w>
 //! alphabet    = protein               # protein | dna
 //! matrix      = blosum62              # blosum62 | match:<m>,<x> | tt:<m>,<ts>,<tv>
 //! gap_open    = 11

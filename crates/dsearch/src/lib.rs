@@ -6,8 +6,8 @@
 //! translated into a number of DP cells, and the `DataManager` packs
 //! database sequences until the chunk reaches that cost — which are
 //! searched on donor machines with one of the built-in rigorous
-//! kernels (Needleman–Wunsch, Smith–Waterman, the fast anti-diagonal
-//! kernel, or banded). Per-chunk top-K hit lists merge deterministically
+//! kernels (Needleman–Wunsch, Smith–Waterman, striped SIMD
+//! Smith–Waterman, semi-global, or banded). Per-chunk top-K hit lists merge deterministically
 //! on the server, so the distributed search reports exactly the same
 //! hits as the sequential reference regardless of chunking or arrival
 //! order.

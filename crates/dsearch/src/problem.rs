@@ -474,7 +474,7 @@ mod tests {
     use crate::reference::search_sequential;
     use biodist_bioseq::synth::{random_sequence, DbSpec, FamilySpec, SyntheticDb};
     use biodist_bioseq::Alphabet;
-    use biodist_core::{run_threaded, SchedulerConfig, Server, SimRunner};
+    use biodist_core::{run_tcp, SchedulerConfig, Server, SimRunner};
     use biodist_gridsim::deployments::heterogeneous_lab;
 
     fn test_inputs() -> (Vec<Sequence>, Vec<Sequence>, DsearchConfig) {
@@ -506,7 +506,7 @@ mod tests {
         let expected = search_sequential(&db, &queries, &cfg);
         let mut server = Server::new(small_unit_sched());
         let pid = server.submit(build_problem(db, queries, &cfg));
-        let (mut server, _) = run_threaded(server, 6);
+        let (mut server, _) = run_tcp(server, 6);
         let out = server
             .take_output(pid)
             .unwrap()
@@ -550,7 +550,7 @@ mod tests {
 
         let mut server = Server::new(small_unit_sched());
         let pid = server.submit(build_problem(db, queries, &cfg));
-        let (mut server, _) = run_threaded(server, 4);
+        let (mut server, _) = run_tcp(server, 4);
         let out = server
             .take_output(pid)
             .unwrap()
@@ -753,7 +753,7 @@ mod tests {
         let cfg = DsearchConfig::protein_default();
         let mut server = Server::new(small_unit_sched());
         let pid = server.submit(build_problem(db.sequences, vec![query], &cfg));
-        let (mut server, _) = run_threaded(server, 4);
+        let (mut server, _) = run_tcp(server, 4);
         let out = server
             .take_output(pid)
             .unwrap()

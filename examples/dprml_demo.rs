@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example dprml_demo`
 
-use biodist::core::{run_threaded, SchedulerConfig, Server};
+use biodist::core::{run_tcp, SchedulerConfig, Server};
 use biodist::dprml::{build_problem, DprmlConfig, PhyloOutput};
 use biodist::phylo::evolve::{random_yule_tree, simulate_alignment};
 use biodist::phylo::newick::to_newick;
@@ -52,7 +52,7 @@ fn main() {
         ..Default::default()
     });
     let pid = server.submit(build_problem(data.clone(), &config, None, "dprml-demo"));
-    let (mut server, elapsed) = run_threaded(server, 8);
+    let (mut server, elapsed) = run_tcp(server, 8);
     let out = server
         .take_output(pid)
         .expect("complete")

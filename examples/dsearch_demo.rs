@@ -13,7 +13,7 @@
 use biodist::align::sw_align;
 use biodist::bioseq::synth::{random_sequence, DbSpec, FamilySpec, SyntheticDb};
 use biodist::bioseq::{parse_fasta, write_fasta, Alphabet};
-use biodist::core::{run_threaded, SchedulerConfig, Server};
+use biodist::core::{run_tcp, SchedulerConfig, Server};
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
 
 fn main() {
@@ -62,7 +62,7 @@ fn main() {
         vec![query.clone()],
         &config,
     ));
-    let (mut server, elapsed) = run_threaded(server, 6);
+    let (mut server, elapsed) = run_tcp(server, 6);
     let out = server
         .take_output(pid)
         .expect("complete")

@@ -12,7 +12,7 @@
 //!
 //! Run with: `cargo run --release --example phylo_pipeline`
 
-use biodist::core::{run_threaded, SchedulerConfig, Server};
+use biodist::core::{run_tcp, SchedulerConfig, Server};
 use biodist::dprml::{build_problem, DprmlConfig, PhyloOutput};
 use biodist::phylo::evolve::{random_yule_tree, simulate_alignment};
 use biodist::phylo::lik::log_likelihood;
@@ -67,7 +67,7 @@ fn main() {
         Some(order),
         "pipeline",
     ));
-    let (mut server, elapsed) = run_threaded(server, 8);
+    let (mut server, elapsed) = run_tcp(server, 8);
     let out = server
         .take_output(pid)
         .expect("complete")

@@ -1,17 +1,18 @@
-//! Quickstart: define a problem, run it on real threads.
+//! Quickstart: define a problem, run it on donors over loopback TCP.
 //!
 //! The paper's §2.1 programming model in one file: a `DataManager`
 //! (server side: partition + combine) and an `Algorithm` (client side:
 //! compute one unit) make a `Problem`; the framework does the rest.
 //! This example estimates π by Monte Carlo sampling, partitioned into
-//! dynamically sized batches of samples, and runs it on the threaded
-//! backend with 8 workers.
+//! dynamically sized batches of samples, and runs it on 8 donor clients
+//! that reach the server over loopback TCP. Units and results cross a
+//! real wire, so the problem also registers a `WireCodec` for them.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
 use biodist::core::{
-    run_threaded, Algorithm, DataManager, Payload, Problem, SchedulerConfig, Server, TaskResult,
-    UnitId, WorkUnit,
+    run_tcp, Algorithm, ByteReader, ByteWriter, DataManager, Payload, Problem, SchedulerConfig,
+    Server, TaskResult, UnitId, WireCodec, WireError, WorkUnit,
 };
 use biodist::util::rng::{Rng, SplitMix64};
 use std::sync::Arc;
@@ -92,6 +93,44 @@ impl Algorithm for SampleBatch {
     }
 }
 
+/// The wire form: a unit `(seed, samples)` and a result `(inside,
+/// samples)` are both two `u64`s, the 16 bytes each payload declares.
+struct PairCodec;
+
+fn write_pair(payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+    let &(a, b) = payload
+        .downcast_ref::<(u64, u64)>()
+        .ok_or_else(|| WireError::new("payload is not a (u64, u64) pair"))?;
+    w.u64(a);
+    w.u64(b);
+    Ok(())
+}
+
+fn read_pair(bytes: &[u8]) -> Result<Payload, WireError> {
+    let mut r = ByteReader::new(bytes);
+    let pair = (r.u64()?, r.u64()?);
+    r.finish()?;
+    Ok(Payload::new(pair, 16))
+}
+
+impl WireCodec for PairCodec {
+    fn write_unit(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+        write_pair(payload, w)
+    }
+
+    fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
+        read_pair(bytes)
+    }
+
+    fn write_result(&self, payload: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
+        write_pair(payload, w)
+    }
+
+    fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
+        read_pair(bytes)
+    }
+}
+
 fn main() {
     let total_samples = 40_000_000;
     let problem = Problem::new(
@@ -106,7 +145,8 @@ fn main() {
             next_id: 0,
         }),
         Arc::new(SampleBatch),
-    );
+    )
+    .with_codec(Arc::new(PairCodec));
 
     let mut server = Server::new(SchedulerConfig {
         // Wall-clock time source: size units to ~5 ms of real compute.
@@ -116,9 +156,9 @@ fn main() {
     });
     let pid = server.submit(problem);
 
-    let workers = 8;
-    println!("running {total_samples} samples on {workers} worker threads...");
-    let (mut server, elapsed) = run_threaded(server, workers);
+    let donors = 8;
+    println!("running {total_samples} samples on {donors} loopback donors...");
+    let (mut server, elapsed) = run_tcp(server, donors);
 
     let pi = server
         .take_output(pid)

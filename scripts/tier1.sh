@@ -17,7 +17,7 @@ cargo test -q --offline --workspace
 # sweep through the fault proxy, the kill-and-restart checkpoint
 # recovery, the 24-donor stress soak with its ≥90% second-pass
 # cache-reduction assertion, the Byzantine quorum tier (100-seed
-# sim sweeps per application plus thread/TCP sweeps and the K=1
+# sim sweeps per application plus the TCP sweeps and the K=1
 # negative control), the replica-tier acceptance runs (failover
 # through killed/stalled replicas against the sequential digest), and
 # the ops-plane suite (wire-correlated four-phase spans, donor metrics

@@ -27,8 +27,7 @@
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::{Alphabet, Sequence};
 use biodist::core::{
-    audited, run_tcp_faulty, run_threaded_faulty, ChaosOptions, FaultPlan, SchedulerConfig, Server,
-    SimRunner, Telemetry,
+    audited, run_tcp_faulty, ChaosOptions, FaultPlan, SchedulerConfig, Server, SimRunner, Telemetry,
 };
 use biodist::dprml::{build_problem as dprml_problem, DprmlConfig, PhyloOutput};
 use biodist::dsearch::{
@@ -50,7 +49,8 @@ const SIM_SEEDS: u64 = 100;
 /// stages only ever reach the first few donors in the pool — a plan
 /// whose liars all sit idle injects nothing and proves nothing).
 const SMOKE_SEEDS: [u64; 6] = [0, 8, 9, 16, 18, 25];
-/// Fixed seeds for the real-thread backend sweep.
+/// Fixed seeds for the TCP sweep that earns trust (96-sequence
+/// database, units capped at the floor).
 const THREAD_SEEDS: [u64; 4] = [0, 8, 9, 18];
 /// Fixed seeds for the real-TCP backend sweep.
 const TCP_SEEDS: [u64; 3] = [0, 8, 18];
@@ -64,9 +64,9 @@ const WRONGS_PER_DONOR: usize = 4;
 /// Plan horizon for lie scheduling, virtual seconds: tiny, so every
 /// lie lands on one of the donor's first computes (see module docs).
 const LIE_HORIZON_SIM: f64 = 1e-4;
-/// Same for the thread/TCP backends, scaled seconds.
+/// Same for the TCP backend, scaled seconds.
 const LIE_HORIZON_REAL: f64 = 0.02;
-/// Thread/TCP-backend clock scale: scaled seconds per wall second.
+/// TCP clock scale: scaled seconds per wall second.
 const TIME_SCALE: f64 = 50.0;
 
 fn sweep_seeds(n: u64) -> Vec<u64> {
@@ -97,8 +97,8 @@ fn quorum_cfg(base: SchedulerConfig) -> SchedulerConfig {
     }
 }
 
-/// Scheduler tuning for thread/TCP byzantine runs (same rationale as
-/// the chaos suite: scaled-second leases, realistic throughput prior).
+/// Scheduler tuning for TCP byzantine runs (same rationale as the chaos
+/// suite: scaled-second leases, realistic throughput prior).
 fn thread_cfg() -> SchedulerConfig {
     SchedulerConfig {
         target_unit_secs: 0.03,
@@ -320,7 +320,7 @@ fn run_dsearch_thread_byz(w: &DsearchWorkload, seed: u64, totals: &mut QuorumTot
     server.set_telemetry(telemetry.clone());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
     let pid = server.submit(problem);
-    let (mut server, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
+    let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
     let out = server
         .take_output(pid)
         .unwrap()
@@ -328,7 +328,7 @@ fn run_dsearch_thread_byz(w: &DsearchWorkload, seed: u64, totals: &mut QuorumTot
     if out.digest() != w.reference {
         byz_panic(
             "dsearch",
-            "thread",
+            "tcp trust",
             seed,
             &plan,
             &cfg,
@@ -338,7 +338,7 @@ fn run_dsearch_thread_byz(w: &DsearchWorkload, seed: u64, totals: &mut QuorumTot
     if let Err(v) = audit.verify_run(&server) {
         byz_panic(
             "dsearch",
-            "thread",
+            "tcp trust",
             seed,
             &plan,
             &cfg,

@@ -17,8 +17,8 @@
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::{Alphabet, Sequence};
 use biodist::core::{
-    audited, run_tcp_faulty, run_threaded_faulty, ChaosOptions, FaultKind, FaultPlan,
-    SchedulerConfig, Server, SimConfig, SimRunner, Telemetry,
+    audited, run_tcp_faulty, ChaosOptions, FaultKind, FaultPlan, SchedulerConfig, Server,
+    SimConfig, SimRunner, Telemetry,
 };
 use biodist::dprml::{build_problem as dprml_problem, DprmlConfig, PhyloOutput};
 use biodist::dsearch::{
@@ -34,23 +34,21 @@ use std::sync::Arc;
 
 /// Seeds per application on the simulated backend.
 const SIM_SEEDS: u64 = 100;
-/// Seeds per application on the real-thread backend.
-const THREAD_SEEDS: u64 = 12;
 /// Fixed subset the CI chaos smoke runs (`cargo test --test chaos smoke`).
 const SMOKE_SEEDS: [u64; 10] = [3, 7, 11, 19, 23, 31, 42, 57, 73, 91];
-/// Fixed seeds for the real-TCP backend sweep (loopback sockets are
-/// slower per run than threads, so the sweep is narrower but every plan
-/// exercises the full wire: framing, heartbeats, reconnect, proxy
-/// faults). `BIODIST_CHAOS_SEED` narrows this sweep too.
-const TCP_SEEDS: [u64; 8] = [3, 7, 11, 19, 23, 31, 42, 57];
+/// Fixed seeds for the real-TCP backend sweep: every seed below 12 and
+/// a spread above. Every plan exercises the full wire: framing,
+/// heartbeats, reconnect, proxy faults. `BIODIST_CHAOS_SEED` narrows
+/// this sweep too.
+const TCP_SEEDS: [u64; 17] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 19, 23, 31, 42, 57];
 
 /// Pool size for every chaos run.
 const POOL: usize = 6;
 /// Fault horizon for simulator plans, virtual seconds.
 const SIM_HORIZON: f64 = 200.0;
-/// Fault horizon for thread plans, scaled seconds.
+/// Fault horizon for TCP plans, scaled seconds.
 const THREAD_HORIZON: f64 = 1.0;
-/// Thread-backend clock scale: scaled seconds per wall second.
+/// TCP clock scale: scaled seconds per wall second.
 const TIME_SCALE: f64 = 50.0;
 
 fn sweep_seeds(n: u64) -> Vec<u64> {
@@ -161,9 +159,9 @@ fn dprml_workload() -> DprmlWorkload {
 
 // -------------------------------------------------------------- backends
 
-/// Scheduler tuning for thread-backend chaos runs: times are in scaled
-/// seconds (TIME_SCALE per wall second), and the throughput prior is
-/// set near real debug-build throughput so initial leases are not huge.
+/// Scheduler tuning for TCP chaos runs: times are in scaled seconds
+/// (TIME_SCALE per wall second), and the throughput prior is set near
+/// real debug-build throughput so initial leases are not huge.
 fn thread_cfg() -> SchedulerConfig {
     SchedulerConfig {
         target_unit_secs: 0.03,
@@ -209,40 +207,6 @@ fn run_dsearch_sim(w: &DsearchWorkload, seed: u64) {
     }
 }
 
-fn run_dsearch_thread(w: &DsearchWorkload, seed: u64) {
-    let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
-    let plan = FaultPlan::random(seed, &opts);
-    let cfg = thread_cfg();
-    let mut server = Server::new(cfg.clone());
-    let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-    let pid = server.submit(problem);
-    let (mut server, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
-    let out = server
-        .take_output(pid)
-        .unwrap()
-        .into_inner::<SearchOutput>();
-    if out.digest() != w.reference {
-        chaos_panic(
-            "dsearch",
-            "thread",
-            seed,
-            &plan,
-            &cfg,
-            "output differs from reference".into(),
-        );
-    }
-    if let Err(v) = audit.verify_run(&server) {
-        chaos_panic(
-            "dsearch",
-            "thread",
-            seed,
-            &plan,
-            &cfg,
-            format!("invariants violated: {v:?}"),
-        );
-    }
-}
-
 fn run_dprml_sim(w: &DprmlWorkload, seed: u64) {
     let opts = ChaosOptions::for_pool(POOL, SIM_HORIZON);
     let plan = FaultPlan::random(seed, &opts);
@@ -268,37 +232,6 @@ fn run_dprml_sim(w: &DprmlWorkload, seed: u64) {
         chaos_panic(
             "dprml",
             "sim",
-            seed,
-            &plan,
-            &cfg,
-            format!("invariants violated: {v:?}"),
-        );
-    }
-}
-
-fn run_dprml_thread(w: &DprmlWorkload, seed: u64) {
-    let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
-    let plan = FaultPlan::random(seed, &opts);
-    let cfg = thread_cfg();
-    let mut server = Server::new(cfg.clone());
-    let (problem, audit) = audited(dprml_problem(w.data.clone(), &w.cfg, None, "chaos"));
-    let pid = server.submit(problem);
-    let (mut server, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
-    let out = server.take_output(pid).unwrap().into_inner::<PhyloOutput>();
-    if out.digest() != w.reference {
-        chaos_panic(
-            "dprml",
-            "thread",
-            seed,
-            &plan,
-            &cfg,
-            "tree differs from reference".into(),
-        );
-    }
-    if let Err(v) = audit.verify_run(&server) {
-        chaos_panic(
-            "dprml",
-            "thread",
             seed,
             &plan,
             &cfg,
@@ -390,22 +323,6 @@ fn chaos_dprml_sim_sweep() {
     }
 }
 
-#[test]
-fn chaos_dsearch_thread_sweep() {
-    let w = dsearch_workload();
-    for seed in sweep_seeds(THREAD_SEEDS) {
-        run_dsearch_thread(&w, seed);
-    }
-}
-
-#[test]
-fn chaos_dprml_thread_sweep() {
-    let w = dprml_workload();
-    for seed in sweep_seeds(THREAD_SEEDS) {
-        run_dprml_thread(&w, seed);
-    }
-}
-
 // --------------------------------------------------- real-TCP backend sweep
 
 /// Random fault plans against the real-socket backend: every run goes
@@ -467,7 +384,7 @@ fn chaos_tcp_forced_frame_corruption() {
 fn backend_parity_tcp_same_plan() {
     let w = dsearch_workload();
     let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
-    for seed in [5u64, 17] {
+    for seed in [5u64, 17, 29] {
         let plan = FaultPlan::random(seed, &opts);
 
         let mut server = Server::new(SchedulerConfig::default());
@@ -504,8 +421,8 @@ fn backend_parity_tcp_same_plan() {
 /// Backend parity with K-way quorum armed against active liars: the
 /// same Byzantine plan (lies scheduled on each chosen donor's first
 /// computes — the near-zero horizon pins them there on every clock)
-/// runs on the simulator, the thread backend, and real TCP. Each
-/// backend must absorb the lies through majority vote and land on the
+/// runs on the simulator and over real TCP. Each backend must absorb
+/// the lies through majority vote and land on the
 /// sequential reference digest; the sim run additionally proves the
 /// quorum actually engaged (`quorum.disputed` > 0), so the parity
 /// claim is not vacuous.
@@ -561,25 +478,6 @@ fn backend_parity_quorum_byzantine_same_plan() {
             enable_speculative_reissue: true,
             ..thread_cfg()
         };
-        let mut server = Server::new(real_cfg.clone());
-        let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-        let (mut server, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
-        let thread_digest = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>()
-            .digest();
-        if thread_digest != w.reference {
-            chaos_panic(
-                "dsearch",
-                "thread quorum",
-                seed,
-                &plan,
-                &real_cfg,
-                "thread digest differs from reference under quorum".into(),
-            );
-        }
-
         let mut server = Server::new(real_cfg.clone());
         let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
         let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
@@ -1076,48 +974,8 @@ fn chaos_smoke_dprml() {
 
 // ------------------------------------------------ backend parity (satellite)
 
-/// The same workload under the same fault plan must produce identical
-/// merged hits on the simulated and the real-thread backend.
-#[test]
-fn backend_parity_dsearch_same_plan() {
-    let w = dsearch_workload();
-    let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
-    for seed in [5u64, 17, 29] {
-        let plan = FaultPlan::random(seed, &opts);
-
-        let mut server = Server::new(SchedulerConfig::default());
-        let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-        let (_, mut server) = SimRunner::with_defaults(server, homogeneous_lab(POOL, 7))
-            .with_faults(plan.clone())
-            .run();
-        let sim_digest = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>()
-            .digest();
-
-        let mut server = Server::new(thread_cfg());
-        let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-        let (mut server, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
-        let thread_digest = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>()
-            .digest();
-
-        assert_eq!(
-            sim_digest, thread_digest,
-            "seed {seed}: backends disagree\nplan: {plan:?}"
-        );
-        assert_eq!(
-            sim_digest, w.reference,
-            "seed {seed}: both differ from reference"
-        );
-    }
-}
-
 /// The same DPRml instance under the same fault plan must produce the
-/// identical ML tree on both backends.
+/// identical ML tree on the simulator and over real TCP.
 #[test]
 fn backend_parity_dprml_same_plan() {
     let w = dprml_workload();
@@ -1137,16 +995,16 @@ fn backend_parity_dprml_same_plan() {
             .digest();
 
         let mut server = Server::new(thread_cfg());
-        let pid = server.submit(dprml_problem(w.data.clone(), &w.cfg, None, "parity-thread"));
-        let (mut server, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
-        let thread_digest = server
+        let pid = server.submit(dprml_problem(w.data.clone(), &w.cfg, None, "parity-tcp"));
+        let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
+        let tcp_digest = server
             .take_output(pid)
             .unwrap()
             .into_inner::<PhyloOutput>()
             .digest();
 
         assert_eq!(
-            sim_digest, thread_digest,
+            sim_digest, tcp_digest,
             "seed {seed}: backends disagree\nplan: {plan:?}"
         );
         assert_eq!(

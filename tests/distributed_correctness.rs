@@ -5,7 +5,7 @@
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, FamilySpec, SyntheticDb};
 use biodist::bioseq::{Alphabet, Sequence};
-use biodist::core::{run_threaded, SchedulerConfig, Server, SimRunner};
+use biodist::core::{run_tcp, SchedulerConfig, Server, SimRunner};
 use biodist::dprml::{build_problem as dprml_problem, DprmlConfig, PhyloOutput};
 use biodist::dsearch::{
     build_problem as dsearch_problem, search_sequential, DsearchConfig, SearchOutput,
@@ -62,7 +62,7 @@ fn dsearch_equals_sequential_under_every_scheduler_config() {
             ..sched
         });
         let pid = server.submit(dsearch_problem(db.clone(), queries.clone(), &cfg));
-        let (mut server, _) = run_threaded(server, 5);
+        let (mut server, _) = run_tcp(server, 5);
         let out = server
             .take_output(pid)
             .unwrap()
@@ -82,7 +82,7 @@ fn mixed_applications_share_one_server_correctly() {
     let mut server = Server::new(tiny_units());
     let ds = server.submit(dsearch_problem(db, queries, &ds_cfg));
     let dp = server.submit(dprml_problem(data, &dp_cfg, None, "dprml"));
-    let (mut server, _) = run_threaded(server, 6);
+    let (mut server, _) = run_tcp(server, 6);
 
     let hits = server.take_output(ds).unwrap().into_inner::<SearchOutput>();
     assert_eq!(hits.hits, expected_hits);
@@ -97,7 +97,7 @@ fn simulated_and_threaded_backends_agree() {
     // Threaded.
     let mut s1 = Server::new(tiny_units());
     let p1 = s1.submit(dsearch_problem(db.clone(), queries.clone(), &cfg));
-    let (mut s1, _) = run_threaded(s1, 4);
+    let (mut s1, _) = run_tcp(s1, 4);
     let threaded = s1.take_output(p1).unwrap().into_inner::<SearchOutput>();
     // Simulated on a heterogeneous pool.
     let mut s2 = Server::new(SchedulerConfig::default());
@@ -119,7 +119,7 @@ fn dprml_insertion_order_changes_nothing_about_validity() {
         Some(reversed.clone()),
         "rev",
     ));
-    let (mut server, _) = run_threaded(server, 4);
+    let (mut server, _) = run_tcp(server, 4);
     let out = server.take_output(pid).unwrap().into_inner::<PhyloOutput>();
     out.tree.validate().unwrap();
     // Must match the sequential reference run with the same order.

@@ -9,9 +9,7 @@
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
-use biodist::core::{
-    run_threaded_faulty, FaultKind, FaultPlan, SchedulerConfig, Server, SimRunner,
-};
+use biodist::core::{run_tcp_faulty, FaultKind, FaultPlan, SchedulerConfig, Server, SimRunner};
 use biodist::dprml::{build_problem as dprml_problem, DprmlConfig, PhyloOutput};
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
 use biodist::gridsim::deployments::homogeneous_lab;
@@ -84,7 +82,7 @@ fn departures_on_real_threads_do_not_change_dsearch_results() {
     let mut server = Server::new(thread_cfg());
     let pid = server.submit(build_problem(db, queries, &cfg));
     // Two of six workers quit early in the run (times in scaled secs).
-    let (mut server, _) = run_threaded_faulty(server, 6, &churn_plan(2, 0.1, 0.1), TIME_SCALE);
+    let (mut server, _) = run_tcp_faulty(server, 6, &churn_plan(2, 0.1, 0.1), TIME_SCALE);
     let out = server
         .take_output(pid)
         .unwrap()
@@ -137,7 +135,7 @@ fn dprml_survives_churn_with_identical_tree() {
     // The same instance under churn on real threads grows the same tree.
     let mut server = Server::new(thread_cfg());
     let pid = server.submit(dprml_problem(data.clone(), &config, None, "t"));
-    let (mut server, _) = run_threaded_faulty(server, 6, &churn_plan(2, 0.1, 0.1), TIME_SCALE);
+    let (mut server, _) = run_tcp_faulty(server, 6, &churn_plan(2, 0.1, 0.1), TIME_SCALE);
     let threaded = server.take_output(pid).unwrap().into_inner::<PhyloOutput>();
     assert_eq!(clean.tree.rf_distance(&threaded.tree), 0);
     assert!((clean.ln_likelihood - threaded.ln_likelihood).abs() < 1e-9);
@@ -182,7 +180,7 @@ fn late_arrivals_on_real_threads_still_produce_identical_results() {
             .with(0.3, 3, FaultKind::LateJoin);
     let mut server = Server::new(thread_cfg());
     let pid = server.submit(build_problem(db, queries, &cfg));
-    let (mut server, _) = run_threaded_faulty(server, 4, &plan, TIME_SCALE);
+    let (mut server, _) = run_tcp_faulty(server, 4, &plan, TIME_SCALE);
     let out = server
         .take_output(pid)
         .unwrap()

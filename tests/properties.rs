@@ -9,9 +9,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use biodist::align::{
-    nw_align, nw_banded_score, nw_score, sw_align, sw_score, sw_score_antidiagonal, Hit, TopK,
-};
+use biodist::align::{nw_align, nw_banded_score, nw_score, sw_align, sw_score, Hit, TopK};
 use biodist::bioseq::{Alphabet, GapPenalty, ScoringMatrix, ScoringScheme, Sequence};
 use biodist::core::leases::{InFlight, Lease, LeaseTable, Released};
 use biodist::core::sched::Scheduler;
@@ -87,11 +85,9 @@ fn sw_variants_agree_and_are_nonnegative() {
         let s = scheme();
         let full = sw_align(&sa, &sb, &s);
         let rolling = sw_score(&sa, &sb, &s);
-        let anti = sw_score_antidiagonal(&sa, &sb, &s);
         let striped = biodist::align::sw_score_striped(&sa, &sb, &s);
         assert!(rolling >= 0);
         assert_eq!(full.score, rolling);
-        assert_eq!(rolling, anti);
         assert_eq!(rolling, striped);
         assert!(full.verify_score(&sa, &sb, &s));
     }

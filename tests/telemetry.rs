@@ -5,8 +5,8 @@
 use biodist::bioseq::synth::{DbSpec, SyntheticDb};
 use biodist::bioseq::{synth::random_sequence, Alphabet, Sequence};
 use biodist::core::{
-    run_tcp_faulty, run_threaded_faulty, verify_spans, ChaosOptions, EventKind, FaultKind,
-    FaultPlan, SchedulerConfig, Server, SimRunner, Telemetry, TraceEvent,
+    run_tcp_faulty, verify_spans, ChaosOptions, EventKind, FaultKind, FaultPlan, SchedulerConfig,
+    Server, SimRunner, Telemetry, TraceEvent,
 };
 use biodist::dsearch::{build_problem, DsearchConfig};
 use biodist::gridsim::deployments::homogeneous_lab;
@@ -101,10 +101,10 @@ fn span_completeness_holds_on_thread_backend() {
     let mut server = Server::new(thread_cfg());
     server.set_telemetry(telemetry.clone());
     server.submit(build_problem(w.db, w.queries, &w.cfg));
-    let (_, _) = run_threaded_faulty(server, POOL, &plan, TIME_SCALE);
+    let (_, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
     let events = ring.events();
     assert!(!events.is_empty());
-    verify_spans(&events).expect("thread-backend spans resolve");
+    verify_spans(&events).expect("tcp spans resolve");
 }
 
 /// Counts `result_corrupted` events in a trace.
