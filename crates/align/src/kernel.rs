@@ -141,8 +141,9 @@ impl AlignKernel {
     ///
     /// Cost is `cells(n, m) × cost-per-cell ratio`, with the ratios
     /// calibrated against measured throughput (`abl_kernels --smoke`,
-    /// AVX2 host, 256-residue protein pairs, profiled batch path; see
-    /// `BENCH_kernels.json`):
+    /// an AVX2 host, 256-residue protein pairs, profiled batch path;
+    /// `BENCH_kernels.json` holds a later run on a 2-vCPU Xeon VM: 77,
+    /// 122 / 108 and 2963 Mcells/s, striped 38×):
     ///
     /// | kernel           | cells   | measured Mcells/s | ratio vs `sw` |
     /// |------------------|---------|-------------------|---------------|
@@ -151,7 +152,7 @@ impl AlignKernel {
     /// | `striped`        | `n·m`   | ≈ 4300            | 1/32          |
     /// | `banded:w`       | band    | —                 | 1             |
     ///
-    /// The striped kernel retires ~33× more cells per second than scalar
+    /// The striped kernel retires ~33–38× more cells per second than scalar
     /// even after the lazy-F overhead, modelled conservatively as 1/32
     /// (floored at 1 so no pair is ever free). The global kernels run
     /// somewhat faster per cell than local `sw` (no zero-clamp state),

@@ -54,7 +54,7 @@ pub use fault::{
     flip_result_bytes, ChaosOptions, DeliveryAction, FaultEvent, FaultKind, FaultPlan,
     PlanInterpreter,
 };
-pub use health::{HealthEngine, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
+pub use health::{Detector, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{
     chunk_digest, raise_nofile_limit, recover, recover_traced, run_tcp, run_tcp_faulty,
     run_tcp_replicated, run_tcp_with, Backoff, CacheStats, CheckpointWriter, ChunkCache,
@@ -63,7 +63,7 @@ pub use net::{
 };
 pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, WorkUnit};
 pub use quorum::{QuorumTally, VoteOutcome};
-pub use sched::{AffinitySnapshot, ClientId, ReputationSnapshot, SchedSnapshot, SchedulerConfig};
+pub use sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
 pub use server::{
     Assignment, DonorStatus, ProblemId, ProblemStatus, RunJournal, Server, StatusSnapshot, Then,
     TurnOutcome, TurnResult,

@@ -11,13 +11,11 @@
 //!   functions of the interleaved hint/result sequence);
 //! * `Result` records: the codec-encoded result folded for a unit,
 //!   written **before** the fold (write-ahead);
-//! * `Sched` records: periodic [`SchedSnapshot`]s so recovery resumes
-//!   with warm speed estimates;
 //! * `Vote` records: quorum ballots cast before a unit reached
 //!   agreement, so a restarted server resumes interrupted elections
 //!   (re-capped below the quorum — only a live result can fold);
-//! * `Reputation` records: periodic [`ReputationSnapshot`]s so donors
-//!   that earned single-issue trust keep it across a restart.
+//! * `Donors` records: periodic [`DonorSnapshot`]s so recovery resumes
+//!   with warm speed estimates, earned trust and affinity windows.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
 //! body): u32]`, little-endian; a donor turn's unit records are one
@@ -38,9 +36,7 @@
 use super::wire::{MAX_BODY, MAX_PIPELINE_DEPTH};
 use crate::codec::{ByteReader, ByteWriter};
 use crate::problem::{Problem, TaskResult, UnitId, WorkUnit};
-use crate::sched::{
-    AffinitySnapshot, ClientId, ReputationSnapshot, SchedSnapshot, SchedulerConfig,
-};
+use crate::sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
 use crate::server::{ProblemId, RunJournal, Server};
 use crate::telemetry::SIZE_BOUNDS;
 use std::collections::BTreeMap;
@@ -51,12 +47,15 @@ use std::sync::{Arc, Mutex};
 
 const REC_ISSUE: u8 = 1;
 const REC_RESULT: u8 = 2;
-const REC_SCHED: u8 = 3;
-const REC_AFFINITY: u8 = 4;
-const REC_REPUTATION: u8 = 5;
 const REC_VOTE: u8 = 6;
 const REC_REPLICA: u8 = 7;
 const REC_TURN: u8 = 8;
+const REC_DONORS: u8 = 9;
+// A `Donors` record is a row count, then each row's client, part mask
+// and the parts the mask names, in this order.
+const PART_ADAPTIVE: u8 = 1;
+const PART_REPUTATION: u8 = 2;
+const PART_AFFINITY: u8 = 4;
 
 /// Largest record body the reader will accept; larger means the length
 /// field itself is torn garbage.
@@ -87,16 +86,10 @@ pub enum LogRecord {
         /// Codec-encoded result payload.
         payload: Vec<u8>,
     },
-    /// A scheduler snapshot (the last one in the log wins).
-    Sched(SchedSnapshot),
-    /// A chunk-affinity snapshot (the last one in the log wins), so a
-    /// recovered server keeps steering units toward the donors whose
-    /// caches are already warm.
-    Affinity(AffinitySnapshot),
-    /// A donor-reputation snapshot (the last one in the log wins), so a
-    /// recovered server keeps trusting the donors that earned
-    /// single-issue before the crash.
-    Reputation(ReputationSnapshot),
+    /// A snapshot of every donor record (the last one in the log
+    /// wins): warm speed estimates, the trust donors earned before the
+    /// crash and the caches units are steered toward.
+    Donors(DonorSnapshot),
     /// A quorum vote recorded before the unit reached agreement. A unit
     /// whose `Result` record never made it to the log resumes its
     /// election from these instead of from scratch — and because the
@@ -251,7 +244,7 @@ impl CheckpointWriter {
 
     /// Attaches a telemetry handle: every appended record (a turn's
     /// each) becomes a `checkpoint_write` trace event (kind `issue` /
-    /// `result` / `sched` / ...) plus `ckpt.records` and `ckpt.bytes`
+    /// `result` / `donors` / ...) plus `ckpt.records` and `ckpt.bytes`
     /// counter bumps, and every group written counts in `ckpt.commits`,
     /// its size in `ckpt.group_records`, its `write`'s time in
     /// `ckpt.commit_us` and a failed write in `ckpt.write_errors`.
@@ -329,11 +322,9 @@ impl CheckpointWriter {
             let kind = match rtype {
                 REC_ISSUE => "issue",
                 REC_RESULT => "result",
-                REC_AFFINITY => "affinity",
-                REC_REPUTATION => "reputation",
                 REC_VOTE => "vote",
                 REC_REPLICA => "replica",
-                _ => "sched",
+                _ => "donors",
             };
             self.telemetry
                 .emit(crate::telemetry::EventKind::CheckpointWrite {
@@ -344,41 +335,30 @@ impl CheckpointWriter {
         }
     }
 
-    /// Appends a scheduler snapshot record.
-    pub fn append_snapshot(&self, snap: &SchedSnapshot) {
-        self.write_record(REC_SCHED, |w| {
-            w.u32(snap.clients.len() as u32);
-            for &(client, speed, units) in &snap.clients {
-                w.u64(client as u64);
-                w.f64(speed);
-                w.u64(units);
-            }
-        });
-    }
-
-    /// Appends a chunk-affinity snapshot record.
-    pub fn append_affinity(&self, snap: &AffinitySnapshot) {
-        self.write_record(REC_AFFINITY, |w| {
-            w.u32(snap.clients.len() as u32);
-            for (client, digests) in &snap.clients {
-                w.u64(*client as u64);
-                w.u32(digests.len() as u32);
-                for &d in digests {
-                    w.u64(d);
+    /// Appends a snapshot of every donor record.
+    pub fn append_donors(&self, snap: &DonorSnapshot) {
+        self.write_record(REC_DONORS, |w| {
+            w.u32(snap.donors.len() as u32);
+            for row in &snap.donors {
+                w.u64(row.client as u64);
+                let affinity = !row.affinity.is_empty();
+                let part = |present: bool, part: u8| u8::from(present) * part;
+                w.u8(part(row.adaptive.is_some(), PART_ADAPTIVE)
+                    | part(row.reputation.is_some(), PART_REPUTATION)
+                    | part(affinity, PART_AFFINITY));
+                if let Some((speed, units)) = row.adaptive {
+                    w.f64(speed);
+                    w.u64(units);
                 }
-            }
-        });
-    }
-
-    /// Appends a donor-reputation snapshot record.
-    pub fn append_reputation(&self, snap: &ReputationSnapshot) {
-        self.write_record(REC_REPUTATION, |w| {
-            w.u32(snap.clients.len() as u32);
-            for &(client, agreements, disputes, trusted) in &snap.clients {
-                w.u64(client as u64);
-                w.u64(agreements);
-                w.u64(disputes);
-                w.u8(trusted as u8);
+                if let Some((agreements, disputes, trusted)) = row.reputation {
+                    w.u64(agreements);
+                    w.u64(disputes);
+                    w.u8(u8::from(trusted));
+                }
+                if affinity {
+                    w.u32(row.affinity.len() as u32);
+                    row.affinity.iter().for_each(|&d| w.u64(d));
+                }
             }
         });
     }
@@ -506,6 +486,8 @@ fn parse_record(buf: &[u8], out: &mut Vec<LogRecord>) -> Option<usize> {
     let before = out.len();
     let parsed = match rtype {
         REC_TURN => parse_turn(&mut r, out),
+        // An older log's per-part snapshots, replaced by `Donors`: skipped.
+        3..=5 => return Some(total),
         _ => parse_body(rtype, &mut r).map(|record| out.push(record)),
     };
     if parsed.and_then(|()| r.finish().ok()).is_none() {
@@ -537,42 +519,30 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
             unit: r.u64().ok()?,
             payload: r.bytes().ok()?.to_vec(),
         },
-        REC_SCHED => {
-            let n = r.count(24).ok()?;
-            let mut clients = Vec::with_capacity(n);
+        REC_DONORS => {
+            let n = r.count(9).ok()?;
+            let mut donors = Vec::with_capacity(n);
             for _ in 0..n {
-                let client = r.usize().ok()?;
-                let speed = r.f64().ok()?;
-                let units = r.u64().ok()?;
-                clients.push((client, speed, units));
-            }
-            LogRecord::Sched(SchedSnapshot { clients })
-        }
-        REC_AFFINITY => {
-            let n = r.count(12).ok()?;
-            let mut clients = Vec::with_capacity(n);
-            for _ in 0..n {
-                let client = r.usize().ok()?;
-                let k = r.count(8).ok()?;
-                let mut digests = Vec::with_capacity(k);
-                for _ in 0..k {
-                    digests.push(r.u64().ok()?);
+                let mut row = DonorRow {
+                    client: r.usize().ok()?,
+                    ..Default::default()
+                };
+                let known = PART_ADAPTIVE | PART_REPUTATION | PART_AFFINITY;
+                let parts = r.u8().ok().filter(|&m| m & !known == 0)?;
+                let has = |part: u8| parts & part != 0;
+                if has(PART_ADAPTIVE) {
+                    row.adaptive = Some((r.f64().ok()?, r.u64().ok()?));
                 }
-                clients.push((client, digests));
+                if has(PART_REPUTATION) {
+                    row.reputation = Some((r.u64().ok()?, r.u64().ok()?, r.u8().ok()? != 0));
+                }
+                if has(PART_AFFINITY) {
+                    let k = r.count(8).ok()?;
+                    row.affinity = (0..k).map(|_| r.u64().ok()).collect::<Option<_>>()?;
+                }
+                donors.push(row);
             }
-            LogRecord::Affinity(AffinitySnapshot { clients })
-        }
-        REC_REPUTATION => {
-            let n = r.count(25).ok()?;
-            let mut clients = Vec::with_capacity(n);
-            for _ in 0..n {
-                let client = r.usize().ok()?;
-                let agreements = r.u64().ok()?;
-                let disputes = r.u64().ok()?;
-                let trusted = r.u8().ok()? != 0;
-                clients.push((client, agreements, disputes, trusted));
-            }
-            LogRecord::Reputation(ReputationSnapshot { clients })
+            LogRecord::Donors(DonorSnapshot { donors })
         }
         REC_VOTE => LogRecord::Vote {
             problem: r.usize().ok()?,
@@ -656,9 +626,7 @@ pub fn recover_traced(
         ..Default::default()
     };
     let mut pending: BTreeMap<(ProblemId, UnitId), WorkUnit> = BTreeMap::new();
-    let mut snapshot: Option<SchedSnapshot> = None;
-    let mut affinity: Option<AffinitySnapshot> = None;
-    let mut reputation: Option<ReputationSnapshot> = None;
+    let mut donors: Option<DonorSnapshot> = None;
     type VoteStash = BTreeMap<(ProblemId, UnitId), (u32, Vec<(ClientId, Vec<u8>)>)>;
     let mut votes: VoteStash = BTreeMap::new();
     for record in records {
@@ -713,9 +681,7 @@ pub fn recover_traced(
                 votes.remove(&(problem, unit));
                 report.replayed_results += 1;
             }
-            LogRecord::Sched(snap) => snapshot = Some(snap),
-            LogRecord::Affinity(snap) => affinity = Some(snap),
-            LogRecord::Reputation(snap) => reputation = Some(snap),
+            LogRecord::Donors(snap) => donors = Some(snap),
             LogRecord::Replica(endpoints) => report.replica_endpoints = endpoints.len(),
             LogRecord::Vote {
                 problem,
@@ -755,14 +721,8 @@ pub fn recover_traced(
             report.restored_votes += server.restore_votes(pid, unit, needed, &ballots);
         }
     }
-    if let Some(snap) = snapshot {
-        server.restore_scheduler(&snap);
-    }
-    if let Some(snap) = affinity {
-        server.restore_affinity(&snap);
-    }
-    if let Some(snap) = reputation {
-        server.restore_reputation(&snap);
+    if let Some(snap) = donors {
+        server.restore_donors(&snap);
     }
     telemetry.emit(crate::telemetry::EventKind::RecoveryDone {
         replayed_issues: report.replayed_issues,
@@ -857,7 +817,7 @@ mod tests {
             };
             abandoned += 1;
         }
-        writer.append_snapshot(&server.scheduler().snapshot());
+        writer.append_donors(&server.scheduler().snapshot());
         drop(server); // the crash: all in-memory state gone
 
         let (mut recovered, report) =
@@ -868,12 +828,8 @@ mod tests {
         assert_eq!(report.replayed_issues, 4 + abandoned);
         assert_eq!(recovered.stats(pid).completed_units, 4);
         // Warm scheduler state came back.
-        assert!(recovered
-            .scheduler()
-            .snapshot()
-            .clients
-            .iter()
-            .any(|c| c.0 == 0));
+        let warm = recovered.scheduler().snapshot().donors;
+        assert!(warm.iter().any(|r| r.client == 0 && r.adaptive.is_some()));
 
         drive(&mut recovered);
         let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
@@ -1039,28 +995,79 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn sched_snapshot_record_round_trips() {
-        let path = temp_log("sched");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let snap = SchedSnapshot {
-            clients: vec![(0, 1.5e7, 12), (3, 9.0e6, 4)],
+    /// Rows with every part, with affinity only and with none of the
+    /// optional parts (a client id and an empty mask).
+    fn donor_rows() -> DonorSnapshot {
+        let row = |client, adaptive, reputation, affinity: &[u64]| DonorRow {
+            client,
+            adaptive,
+            reputation,
+            affinity: affinity.to_vec(),
         };
-        writer.append_snapshot(&snap);
-        let (records, torn) = read_log(&path).unwrap();
-        assert!(!torn);
-        assert_eq!(records, vec![LogRecord::Sched(snap)]);
+        DonorSnapshot {
+            donors: vec![
+                row(0, Some((1.5e7, 12)), Some((5, 0, true)), &[0xAA, 0xBB]),
+                row(2, None, None, &[0xDD]),
+                row(3, None, None, &[]),
+            ],
+        }
+    }
+
+    /// The `Donors` record is a log format too, so its bytes are pinned
+    /// (captured when it was introduced): a row count, then each row's
+    /// client, part mask and parts. A log cut inside a row keeps none of
+    /// the record — a torn tail.
+    #[test]
+    fn golden_donors_record_bytes_have_not_moved() {
+        // `[row count 3]`; client 0, mask 7: speed, units; agreements,
+        // disputes, trusted; two digests. Client 2, mask 4: one digest.
+        // Client 3, mask 0. Then the CRC.
+        const GOLDEN: &str = "6000000009\
+            03000000\
+            00000000000000000700000000389c6c410c00000000000000\
+            050000000000000000000000000000000102000000\
+            aa00000000000000bb00000000000000\
+            020000000000000004\
+            01000000dd00000000000000\
+            030000000000000000\
+            d4bd242d";
+        let path = temp_log("golden-donors");
+        let writer = CheckpointWriter::create(&path).unwrap();
+        writer.append_donors(&donor_rows());
+        let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN);
+        assert_eq!(
+            parse_log(&bytes),
+            (vec![LogRecord::Donors(donor_rows())], false)
+        );
+        // Cut inside the last row, or the record's length made to end
+        // there with a CRC that matches: the record goes whole.
+        assert_eq!(parse_log(&bytes[..bytes.len() - 5]), (vec![], true));
+        let mut short = bytes[..bytes.len() - 5].to_vec();
+        short.truncate(short.len() - 4);
+        seal_record(&mut short, 0);
+        assert_eq!(parse_log(&short), (vec![], true));
+        // The three per-part snapshot types it replaced, in an older
+        // log, are skipped whole: the records after them still replay.
+        for obsolete in 3..=5 {
+            let mut old = vec![0; 4];
+            write_body(&mut old, obsolete, |w| w.u64(1));
+            seal_record(&mut old, 0);
+            let records = (vec![LogRecord::Donors(donor_rows())], false);
+            assert_eq!(parse_log(&[old, bytes.clone()].concat()), records);
+        }
     }
 
     #[test]
-    fn vote_and_reputation_records_round_trip() {
-        let path = temp_log("vote-rt");
+    fn donors_and_vote_records_round_trip_and_restore() {
+        let path = temp_log("donors-rt");
         let mut writer = CheckpointWriter::create(&path).unwrap();
-        let rep = ReputationSnapshot {
-            clients: vec![(0, 5, 0, true), (2, 1, 3, false)],
-        };
-        writer.append_reputation(&rep);
+        let mut snap = donor_rows();
+        snap.donors.pop(); // a row with no part is never snapshotted
+        snap.donors[1].reputation = Some((1, 3, false));
+        writer.append_donors(&snap);
         writer.vote_recorded(0, 7, 3, 2, &[0xAB, 0xCD]);
         writer.commit(); // the vote is a unit record: it waits in the open group
         let (records, torn) = read_log(&path).unwrap();
@@ -1068,7 +1075,7 @@ mod tests {
         assert_eq!(
             records,
             vec![
-                LogRecord::Reputation(rep.clone()),
+                LogRecord::Donors(snap.clone()),
                 LogRecord::Vote {
                     problem: 0,
                     unit: 7,
@@ -1078,9 +1085,9 @@ mod tests {
                 },
             ]
         );
-        // A recovered server resumes with the reputation map warm
-        // (default threshold 4: client 0's five agreements keep its
-        // trust, client 2 stays demoted).
+        // A recovered server resumes with every record warm: speeds,
+        // reputation (default threshold 4: client 0's five agreements
+        // keep its trust, client 2 stays demoted) and affinity.
         let (server, report) = recover(
             SchedulerConfig::default(),
             vec![integration_problem(10_000)],
@@ -1088,7 +1095,8 @@ mod tests {
         )
         .unwrap();
         assert!(!report.torn_tail);
-        assert_eq!(server.scheduler().reputation_snapshot(), rep);
+        assert_eq!(server.scheduler().snapshot(), snap);
+        assert_eq!(server.scheduler().affinity_score(0, &[0xAA, 0xBB]), 2);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1188,7 +1196,7 @@ mod tests {
             for &next in &group {
                 match next {
                     Some((client, want)) => step(&mut server, client, want),
-                    None => writer.append_snapshot(&server.scheduler().snapshot()),
+                    None => writer.append_donors(&server.scheduler().snapshot()),
                 }
             }
             writer.commit();
@@ -1216,7 +1224,7 @@ mod tests {
                 "the torn group mixes all three unit records: {group:?}"
             );
             let turns = ends.windows(2).filter(|w| w[1].1 - w[0].1 > 1).count();
-            let snapshots = group.iter().filter(|r| matches!(r, LogRecord::Sched(_)));
+            let snapshots = group.iter().filter(|r| matches!(r, LogRecord::Donors(_)));
             assert_eq!(
                 (turns > 2, snapshots.count()),
                 (by_turns, usize::from(by_turns))
@@ -1304,18 +1312,23 @@ mod tests {
     fn a_malformed_turn_record_is_dropped_whole() {
         let turn = golden_turn();
         let body = &turn[5..turn.len() - 4];
-        let sched = SchedSnapshot {
-            clients: vec![(0, 1.5e7, 12)],
+        let donors = DonorSnapshot {
+            donors: vec![DonorRow {
+                client: 0,
+                adaptive: Some((1.5e7, 12)),
+                ..Default::default()
+            }],
         };
         let mut prefix = vec![0; 4];
-        write_body(&mut prefix, REC_SCHED, |w| {
+        write_body(&mut prefix, REC_DONORS, |w| {
             w.u32(1);
             w.u64(0);
+            w.u8(PART_ADAPTIVE);
             w.f64(1.5e7);
             w.u64(12);
         });
         seal_record(&mut prefix, 0);
-        let kept = vec![LogRecord::Sched(sched)];
+        let kept = vec![LogRecord::Donors(donors)];
         // `prefix`, then a `Turn` record around `body`, checksummed.
         let log_of = |body: &[u8]| {
             let mut log = prefix.clone();
@@ -1335,7 +1348,7 @@ mod tests {
             body
         };
         let nested = [&[REC_TURN][..], body].concat();
-        let snapshot = [&[REC_SCHED][..], &prefix[5..prefix.len() - 4]].concat();
+        let snapshot = [&[REC_DONORS][..], &prefix[5..prefix.len() - 4]].concat();
         let malformed: [(&str, Vec<u8>); 8] = [
             ("an unknown sub-type", with(first_issue, 9)),
             ("a zero sub-type", with(0, 0)),
@@ -1439,29 +1452,6 @@ mod tests {
         .unwrap();
         assert!(!report.torn_tail);
         assert_eq!(report.replica_endpoints, second.len(), "last record wins");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn affinity_snapshot_record_round_trips_and_restores() {
-        let path = temp_log("affinity");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let snap = AffinitySnapshot {
-            clients: vec![(1, vec![0xAA, 0xBB, 0xCC]), (4, vec![0xDD])],
-        };
-        writer.append_affinity(&snap);
-        let (records, torn) = read_log(&path).unwrap();
-        assert!(!torn);
-        assert_eq!(records, vec![LogRecord::Affinity(snap.clone())]);
-        // A recovered server resumes with the affinity map warm.
-        let (server, report) = recover(
-            SchedulerConfig::default(),
-            vec![integration_problem(10_000)],
-            &path,
-        )
-        .unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(server.scheduler().affinity_snapshot(), snap);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -10,7 +10,7 @@
 //!   acceptor and a readiness loop generic over a frame handler;
 //! * [`server::NetServer`] — the origin: `shards` such loops speaking
 //!   the donor protocol, and a ticker doing lease sweeps, heartbeat
-//!   liveness and periodic scheduler snapshots;
+//!   liveness and periodic donor-record snapshots;
 //! * [`store::ReplicaServer`] — a chunk mirror: one such loop speaking
 //!   the chunk sub-protocol, pulling misses through from the origin;
 //! * [`client`] — donor threads with a control connection and a kept

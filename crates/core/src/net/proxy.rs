@@ -13,9 +13,9 @@
 //! client-side (see [`super::client`]); this layer only mutates
 //! transport.
 //!
-//! Both directions are parsed frame-by-frame (using only the
-//! header-CRC-validated span, so already-corrupt bytes pass through
-//! untouched): client→server `Turn`s that carry a result (and
+//! Both directions are parsed frame-by-frame through the one
+//! [`FrameAssembler`] (using only the header-CRC-validated span, so
+//! already-corrupt bytes pass through untouched): client→server `Turn`s that carry a result (and
 //! `SubmitResult`s) meet the plan's delivery faults, server→client
 //! `ChunkData` replies its chunk faults and `TurnReply` / `ResultAck` /
 //! `AssignUnit` frames its control-reply faults. Each
@@ -32,12 +32,12 @@
 
 use super::evloop::{accept_loop, unblock_accept};
 use super::wire::{
-    parse_header, DecodeError, ASSIGN_UNIT_TYPE, CHUNK_DATA_TYPE, HEADER_LEN, RESULT_ACK_TYPE,
+    FrameAssembler, ASSIGN_UNIT_TYPE, CHUNK_DATA_TYPE, HEADER_LEN, RESULT_ACK_TYPE,
     SUBMIT_RESULT_TYPE, TURN_REPLY_TYPE, TURN_TYPE,
 };
 use super::{Clock, Directory};
 use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -247,44 +247,34 @@ fn framed_pump(
     mut decide: impl FnMut(u8, &[u8]) -> DeliveryAction,
 ) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(5)));
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
+    let mut asm = FrameAssembler::new();
     while !stop.load(Ordering::SeqCst) {
-        match from.read(&mut chunk) {
+        match asm.read_from(&mut from) {
             Ok(0) => return,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
+                if e.kind() == io::ErrorKind::WouldBlock
+                    || e.kind() == io::ErrorKind::TimedOut
+                    || e.kind() == io::ErrorKind::Interrupted =>
             {
                 continue
             }
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
             Err(_) => return,
         }
-        // Whole frames are handled in place behind a cursor and the
-        // consumed prefix is dropped once per read, so a burst of
-        // frames is not shifted down once per frame.
-        let mut pos = 0;
         loop {
-            let (frame_type, body_len) = match parse_header(&buf[pos..]) {
-                Ok(h) => h,
-                Err(DecodeError::Incomplete) => break,
+            let (frame_type, frame) = match asm.next_span() {
+                Ok(Some(span)) => span,
+                Ok(None) => break,
                 Err(_) => {
-                    // Desynced or already-corrupt input: stop parsing
-                    // and forward everything raw from here on.
-                    if to.write_all(&buf[pos..]).is_err() {
+                    // Desynced or already-corrupt input: forward what is
+                    // buffered raw and parse again from the next read.
+                    if to.write_all(asm.take_buffered()).is_err() {
                         return;
                     }
-                    pos = buf.len();
                     break;
                 }
             };
-            let total = HEADER_LEN + body_len as usize + 4;
-            if buf.len() - pos < total {
-                break;
-            }
-            let frame = &mut buf[pos..pos + total];
-            pos += total;
+            let total = frame.len();
             let ok = match decide(frame_type, &frame[HEADER_LEN..total - 4]) {
                 DeliveryAction::Deliver => to.write_all(frame).is_ok(),
                 DeliveryAction::Drop => true, // lost in transit
@@ -303,6 +293,5 @@ fn framed_pump(
                 return;
             }
         }
-        buf.drain(..pos);
     }
 }

@@ -56,12 +56,12 @@ pub struct NetServerOptions {
     /// declared gone: its leases reissue immediately instead of waiting
     /// for lease expiry. Scaled seconds.
     pub liveness_timeout: f64,
-    /// Append a scheduler snapshot to the checkpoint log every this
+    /// Append a donor-records snapshot to the checkpoint log every this
     /// many ticks (0 disables periodic snapshots).
     pub snapshot_every_ticks: u64,
-    /// When set, the ticker appends periodic [`crate::SchedSnapshot`]
-    /// records here so a recovered server starts with warm throughput
-    /// estimates. (Unit issue/fold journaling is separate: install the
+    /// When set, the ticker appends periodic [`crate::DonorSnapshot`]
+    /// records here so a recovered server starts with warm donor
+    /// records. (Unit issue/fold journaling is separate: install the
     /// writer as the server's journal via [`crate::Server::set_journal`].)
     pub checkpoint: Option<CheckpointWriter>,
     /// Event-loop threads serving connections (default 1, overridable
@@ -761,9 +761,7 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
         if !complete {
             if let Some(w) = &opts.checkpoint {
                 if opts.snapshot_every_ticks > 0 && tick.is_multiple_of(opts.snapshot_every_ticks) {
-                    w.append_snapshot(&server.scheduler().snapshot());
-                    w.append_affinity(&server.scheduler().affinity_snapshot());
-                    w.append_reputation(&server.scheduler().reputation_snapshot());
+                    w.append_donors(&server.scheduler().snapshot());
                     let endpoints = shared.replicas.lock().unwrap().clone();
                     if !endpoints.is_empty() {
                         w.append_replicas(&endpoints);

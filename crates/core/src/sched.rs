@@ -19,15 +19,16 @@
 //!    tail (first result wins).
 //!
 //! What the scheduler knows about a donor is one record (`DonorState`:
-//! adaptive state, reputation, chunk-affinity window) in one map, read
-//! with one lookup ([`Scheduler::donor`]). The straggler detector
-//! ([`crate::health`]) is the scheduler's too: every completion
-//! ([`Scheduler::record_completion`]) is its one observation, and its
-//! flag is the only one there is.
+//! adaptive state, reputation, chunk-affinity window, straggler
+//! detector) in one map, read with one lookup ([`Scheduler::donor`])
+//! and checkpointed as one [`DonorSnapshot`]. Every completion
+//! ([`Scheduler::record_completion`]) is the detector's
+//! ([`crate::health`]) one observation, and its flag is the only one
+//! there is.
 
-use crate::health::{HealthEngine, HealthTransition};
+use crate::health::{Detector, HealthTransition, RATIO_BOUNDS};
 use crate::problem::UnitId;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{Histogram, Telemetry};
 use biodist_util::rng::{Rng, SplitMix64};
 use biodist_util::stats::Ewma;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -190,17 +191,6 @@ struct ReputationState {
     trusted: bool,
 }
 
-/// Plain-data snapshot of every donor's reputation, checkpointed
-/// alongside [`SchedSnapshot`] so a recovered server keeps trusting the
-/// donors that earned it (and keeps cross-checking the ones that did
-/// not).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReputationSnapshot {
-    /// `(client, agreements, disputes, trusted)`, sorted by client id
-    /// so snapshots are byte-stable for a given state.
-    pub clients: Vec<(ClientId, u64, u64, bool)>,
-}
-
 /// Which chunk digests a donor is believed to hold, insertion-ordered
 /// so the oldest belief is forgotten first when the cap is reached.
 #[derive(Debug, Clone, Default)]
@@ -224,41 +214,56 @@ impl AffinityState {
     }
 }
 
-/// Plain-data snapshot of every donor's affinity window (which donor
-/// holds which chunk digests), checkpointed alongside [`SchedSnapshot`]
-/// so a recovered server resumes placing work where the data already
-/// lives.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct AffinitySnapshot {
-    /// `(client, digests in insertion order)`, sorted by client id so
-    /// snapshots are byte-stable for a given state.
-    pub clients: Vec<(ClientId, Vec<u64>)>,
+/// One donor's row of a [`DonorSnapshot`]: the parts of its record
+/// the checkpoint log carries.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct DonorRow {
+    /// The donor.
+    pub client: ClientId,
+    /// Estimated ops/second and units completed, once it has completed
+    /// a unit.
+    pub adaptive: Option<(f64, u64)>,
+    /// Agreements since its last dispute, lifetime disputes and whether
+    /// it is trusted, once a quorum has ruled on one of its results.
+    pub reputation: Option<(u64, u64, bool)>,
+    /// The chunk digests it is believed to hold, in insertion order.
+    pub affinity: Vec<u64>,
 }
 
-/// A plain-data snapshot of the scheduler's adaptive state, written to
-/// the checkpoint log so a restarted server resumes with warm speed
-/// estimates instead of the cold prior.
+/// A plain-data snapshot of every donor record, written to the
+/// checkpoint log so a restarted server resumes with warm speed
+/// estimates instead of the cold prior, keeps trusting the donors that
+/// earned it and keeps placing work where the data already lives.
 ///
 /// Only the current EWMA value survives, not the full observation
 /// history: after recovery the estimate re-converges from that value at
 /// the usual smoothing, which is exactly the behaviour of a
-/// freshly-observed client at that speed.
+/// freshly-observed client at that speed. The straggler detector is not
+/// carried: a restarted server watches every donor afresh.
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct SchedSnapshot {
-    /// `(client, estimated ops/second, units completed)`, sorted by
-    /// client id so snapshots are byte-stable for a given state.
-    pub clients: Vec<(ClientId, f64, u64)>,
+pub struct DonorSnapshot {
+    /// One row per donor with a part to carry, sorted by client id so
+    /// snapshots are byte-stable for a given state.
+    pub donors: Vec<DonorRow>,
 }
 
 // Everything the scheduler holds on one donor. A part is there exactly
 // when the donor has earned it — a completion, a quorum verdict, a
-// delivered chunk (an affinity window is never empty otherwise) — and
-// that is what each of the three snapshots lists.
+// delivered chunk (an affinity window is never empty otherwise), an
+// admitted observation with the detector on — and all but the last is
+// what its snapshot row lists.
 #[derive(Debug, Default)]
 struct DonorState {
     adaptive: Option<ClientState>,
     reputation: Option<ReputationState>,
     affinity: AffinityState,
+    health: Option<Detector>,
+}
+
+impl DonorState {
+    fn flagged(&self) -> bool {
+        self.health.as_ref().is_some_and(Detector::is_flagged)
+    }
 }
 
 /// What the scheduler holds on one donor, looked up once
@@ -296,10 +301,9 @@ pub struct Donor {
 pub struct Scheduler {
     cfg: SchedulerConfig,
     donors: HashMap<ClientId, DonorState>,
-    // The streaming straggler detector, present iff the configuration
-    // enables it. `record_completion` feeds it; its flag takes a donor's
-    // affinity preference away and arms the live rescue of its units.
-    health: Option<HealthEngine>,
+    // Every observation the donors' detectors admitted, present iff the
+    // configuration enables the detector: the `health.pool_p*` gauges.
+    pool: Option<Histogram>,
 }
 
 impl Scheduler {
@@ -312,7 +316,9 @@ impl Scheduler {
         assert!(cfg.min_unit_ops > 0.0 && cfg.min_unit_ops <= cfg.max_unit_ops);
         assert!(cfg.quorum_k >= 1, "quorum_k must be at least 1");
         Self {
-            health: cfg.enable_health_detector.then(HealthEngine::new),
+            pool: cfg
+                .enable_health_detector
+                .then(|| Histogram::new(RATIO_BOUNDS)),
             cfg,
             donors: HashMap::new(),
         }
@@ -323,13 +329,40 @@ impl Scheduler {
         &self.cfg
     }
 
-    /// The straggler detector, when the configuration enables it.
-    pub fn health(&self) -> Option<&HealthEngine> {
-        self.health.as_ref()
+    /// `client`'s detector ratio (`None` with the detector off or before
+    /// its first admitted observation).
+    pub fn health_ratio(&self, client: ClientId) -> Option<f64> {
+        self.donors.get(&client)?.health.as_ref()?.ratio()
+    }
+
+    /// Publishes the detector's state as `health.*` gauges: donors
+    /// flagged now, the pool p50/p95/p99 and a per-donor ratio. Nothing
+    /// with the detector off or a disabled handle.
+    pub fn export_health_metrics(&self, telemetry: &Telemetry) {
+        let Some(pool) = self.pool.as_ref().filter(|_| telemetry.is_enabled()) else {
+            return;
+        };
+        let mut flagged = 0;
+        let detectors = self
+            .donors
+            .iter()
+            .filter_map(|(c, d)| Some((c, d.health.as_ref()?)));
+        for (c, h) in detectors {
+            flagged += usize::from(h.is_flagged());
+            if let Some(ratio) = h.ratio() {
+                telemetry.gauge_set(&format!("health.ratio.c{c}"), ratio);
+            }
+        }
+        telemetry.gauge_set("health.flagged_current", flagged as f64);
+        for q in [0.50, 0.95, 0.99] {
+            if let Some(v) = pool.quantile(q) {
+                telemetry.gauge_set(&format!("health.pool_p{:02}", (q * 100.0) as u32), v);
+            }
+        }
     }
 
     /// Everything a lease to `client` is sized, priced and booked from:
-    /// one lookup (and one in the detector, when it is on).
+    /// one lookup.
     pub fn donor(&self, client: ClientId) -> Donor {
         let cfg = &self.cfg;
         let state = self.donors.get(&client);
@@ -347,7 +380,7 @@ impl Scheduler {
             hint: (sized_from * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
             speed,
             completed: history.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
-            flagged: self.is_health_flagged(client),
+            flagged: state.is_some_and(DonorState::flagged),
             trusted: reputation.trusted,
             reputation: (reputation.agreements, reputation.disputes),
             copies: if single_issue { 1 } else { cfg.quorum_k },
@@ -459,10 +492,13 @@ impl Scheduler {
             // speed predicts" — an honest-but-slow machine scores ~1.0, a
             // degraded one drifts up regardless of its nominal speed.
             let predicted = cost_ops / self.cfg.speed_of(donor.adaptive.as_ref());
-            let sound = predicted > 0.0 && predicted.is_finite();
-            let detector = self.health.as_mut().filter(|_| sound);
-            let service = elapsed_secs / queue_factor;
-            transitions.extend(detector.and_then(|h| h.observe(client, service / predicted)));
+            let normalized = elapsed_secs / queue_factor / predicted;
+            let sound = predicted > 0.0 && predicted.is_finite() && Detector::admits(normalized);
+            if let Some(pool) = self.pool.as_mut().filter(|_| sound) {
+                pool.observe(normalized);
+                let detector = donor.health.get_or_insert_with(Detector::default);
+                transitions.extend(detector.observe(normalized));
+            }
             let state = donor.adaptive.get_or_insert_with(ClientState::new);
             state.queue_factor = queue_factor;
             let elapsed = elapsed_secs.max(1e-9);
@@ -479,9 +515,6 @@ impl Scheduler {
     /// direction.
     pub fn forget_client(&mut self, client: ClientId) {
         self.donors.remove(&client);
-        if let Some(h) = self.health.as_mut() {
-            h.forget(client);
-        }
     }
 
     /// Records that `client` now holds chunks with these digests (it
@@ -513,36 +546,6 @@ impl Scheduler {
         self.donors
             .get(&client)
             .map_or(0, |d| d.affinity.order.len())
-    }
-
-    // Every donor record, sorted by client id: what makes the three
-    // snapshots byte-stable for a given state.
-    fn by_id(&self) -> Vec<(ClientId, &DonorState)> {
-        let mut all: Vec<_> = self.donors.iter().map(|(&id, d)| (id, d)).collect();
-        all.sort_unstable_by_key(|&(id, _)| id);
-        all
-    }
-
-    /// Captures every donor's affinity window for the checkpoint log.
-    pub fn affinity_snapshot(&self) -> AffinitySnapshot {
-        let held = self.by_id().into_iter().filter_map(|(id, d)| {
-            let window = &d.affinity.order;
-            (!window.is_empty()).then(|| (id, window.iter().copied().collect()))
-        });
-        AffinitySnapshot {
-            clients: held.collect(),
-        }
-    }
-
-    /// Replaces every affinity window with a recovered snapshot
-    /// (entries are re-capped at `AFFINITY_CAPACITY`).
-    pub fn restore_affinity(&mut self, snap: &AffinitySnapshot) {
-        for d in self.donors.values_mut() {
-            d.affinity = AffinityState::default();
-        }
-        for (id, digests) in &snap.clients {
-            self.note_chunks(*id, digests);
-        }
     }
 
     /// Publishes `client`'s adaptive state as telemetry gauges
@@ -579,14 +582,16 @@ impl Scheduler {
 
     /// Whether the detector currently flags `client` as a straggler.
     pub fn is_health_flagged(&self, client: ClientId) -> bool {
-        self.health.as_ref().is_some_and(|h| h.is_flagged(client))
+        self.donors.get(&client).is_some_and(DonorState::flagged)
     }
 
     /// Currently flagged donors, sorted by id (none with the detector
     /// off).
     pub fn flagged_clients(&self) -> Vec<ClientId> {
-        let detector = self.health.as_ref();
-        detector.map(|h| h.flagged_clients()).unwrap_or_default()
+        let flagged = self.donors.iter().filter(|(_, d)| d.flagged());
+        let mut flagged: Vec<_> = flagged.map(|(&id, _)| id).collect();
+        flagged.sort_unstable();
+        flagged
     }
 
     /// Whether K-way quorum issuance is configured at all.
@@ -649,70 +654,65 @@ impl Scheduler {
         std::mem::replace(&mut r.trusted, false)
     }
 
-    /// Captures every donor's reputation for the checkpoint log.
-    pub fn reputation_snapshot(&self) -> ReputationSnapshot {
-        let judged = self.by_id().into_iter().filter_map(|(id, d)| {
-            let r = d.reputation?;
-            Some((id, r.agreements, r.disputes, r.trusted))
-        });
-        ReputationSnapshot {
-            clients: judged.collect(),
-        }
-    }
-
-    /// Replaces every donor's reputation with a recovered snapshot.
-    /// Entries claiming trust without the agreements to back it (e.g.
-    /// after the threshold was raised between runs) are restored
-    /// demoted.
-    pub fn restore_reputation(&mut self, snap: &ReputationSnapshot) {
-        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
-        for d in self.donors.values_mut() {
-            d.reputation = None;
-        }
-        for &(id, agreements, disputes, trusted) in &snap.clients {
-            *self.reputation_mut(id) = ReputationState {
-                agreements,
-                disputes,
-                trusted: trusted && agreements >= threshold,
-            };
-        }
-    }
-
     /// Every client with adaptive or reputation state or a straggler
-    /// flag (unordered, may repeat).
+    /// flag (unordered).
     pub fn known_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
         let donors = self.donors.iter();
-        let tracked = donors.filter(|(_, d)| d.adaptive.is_some() || d.reputation.is_some());
-        tracked.map(|(&id, _)| id).chain(self.flagged_clients())
+        let tracked =
+            donors.filter(|(_, d)| d.adaptive.is_some() || d.reputation.is_some() || d.flagged());
+        tracked.map(|(&id, _)| id)
     }
 
-    /// Captures the adaptive state for the checkpoint log.
-    pub fn snapshot(&self) -> SchedSnapshot {
-        let measured = self.by_id().into_iter().filter_map(|(id, d)| {
-            let st = d.adaptive.as_ref()?;
-            let speed = st.throughput.value().unwrap_or(self.cfg.prior_ops_per_sec);
-            Some((id, speed, st.units_completed))
+    /// Captures every donor record for the checkpoint log.
+    pub fn snapshot(&self) -> DonorSnapshot {
+        let prior = self.cfg.prior_ops_per_sec;
+        let rows = self.donors.iter().map(|(&client, d)| DonorRow {
+            client,
+            adaptive: (d.adaptive.as_ref())
+                .map(|st| (st.throughput.value().unwrap_or(prior), st.units_completed)),
+            reputation: d.reputation.map(|r| (r.agreements, r.disputes, r.trusted)),
+            affinity: d.affinity.order.iter().copied().collect(),
         });
-        SchedSnapshot {
-            clients: measured.collect(),
-        }
+        let carried =
+            |r: &DonorRow| r.adaptive.is_some() || r.reputation.is_some() || !r.affinity.is_empty();
+        let mut donors: Vec<_> = rows.filter(carried).collect();
+        donors.sort_unstable_by_key(|r| r.client);
+        DonorSnapshot { donors }
     }
 
-    /// Replaces the adaptive state with a recovered snapshot. Entries
-    /// with a non-finite or non-positive speed are dropped rather than
-    /// poisoning the estimates (the audit would flag them otherwise).
-    pub fn restore(&mut self, snap: &SchedSnapshot) {
+    /// Replaces every donor record with a recovered snapshot, all but
+    /// the detector, which a snapshot does not carry. A non-finite or
+    /// non-positive speed is dropped rather than poisoning the estimates
+    /// (the audit would flag it otherwise), trust claimed without the
+    /// agreements to back it (e.g. after the threshold was raised
+    /// between runs) is restored demoted, and affinity windows are
+    /// re-capped at `AFFINITY_CAPACITY`.
+    pub fn restore(&mut self, snap: &DonorSnapshot) {
+        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
         for d in self.donors.values_mut() {
-            d.adaptive = None;
+            (d.adaptive, d.reputation) = (None, None);
+            d.affinity = AffinityState::default();
         }
-        for &(id, speed, units) in &snap.clients {
-            if !speed.is_finite() || speed <= 0.0 {
-                continue;
+        for row in &snap.donors {
+            let donor = self.donors.entry(row.client).or_default();
+            let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
+            donor.adaptive = row.adaptive.filter(sound).map(|(speed, units)| {
+                let mut state = ClientState::new();
+                state.throughput.update(speed);
+                state.units_completed = units;
+                state
+            });
+            donor.reputation = row.reputation.map(|(agreements, disputes, trusted)| {
+                let trusted = trusted && agreements >= threshold;
+                ReputationState {
+                    agreements,
+                    disputes,
+                    trusted,
+                }
+            });
+            for &d in &row.affinity {
+                donor.affinity.note(d);
             }
-            let mut state = ClientState::new();
-            state.throughput.update(speed);
-            state.units_completed = units;
-            self.donors.entry(id).or_default().adaptive = Some(state);
         }
     }
 
@@ -1002,7 +1002,7 @@ mod tests {
             s.record_completion(2, 2.0e6, 1.0, 1.0);
         }
         let snap = s.snapshot();
-        assert_eq!(snap.clients.len(), 2);
+        assert_eq!(snap.donors.len(), 2);
 
         let mut fresh = Scheduler::new(SchedulerConfig::default());
         fresh.restore(&snap);
@@ -1015,12 +1015,17 @@ mod tests {
         }
         assert!(fresh.audit().is_empty());
         // Snapshots are deterministic for identical state.
-        assert_eq!(fresh.snapshot().clients.len(), snap.clients.len());
+        assert_eq!(fresh.snapshot().donors.len(), snap.donors.len());
 
         // Poisoned entries are dropped, not restored.
         let mut bad = snap.clone();
-        bad.clients.push((9, f64::NAN, 3));
-        bad.clients.push((10, 0.0, 1));
+        for (client, speed, units) in [(9, f64::NAN, 3), (10, 0.0, 1)] {
+            bad.donors.push(DonorRow {
+                client,
+                adaptive: Some((speed, units)),
+                ..Default::default()
+            });
+        }
         let mut guarded = Scheduler::new(SchedulerConfig::default());
         guarded.restore(&bad);
         assert_eq!(guarded.donor(9).completed.0, 0);
@@ -1122,18 +1127,20 @@ mod tests {
         s.note_quorum_agreement(1);
         s.note_quorum_agreement(1);
         s.note_dispute(2);
-        let snap = s.reputation_snapshot();
-        assert_eq!(snap.clients, vec![(1, 2, 0, true), (2, 0, 1, false)]);
+        let snap = s.snapshot();
+        let judged = snap.donors.iter().map(|r| (r.client, r.reputation));
+        let judged: Vec<_> = judged.collect();
+        assert_eq!(judged, [(1, Some((2, 0, true))), (2, Some((0, 1, false)))]);
 
         let mut fresh = Scheduler::new(SchedulerConfig {
             quorum_k: 3,
             reputation_threshold: 2,
             ..Default::default()
         });
-        fresh.restore_reputation(&snap);
+        fresh.restore(&snap);
         assert!(fresh.is_trusted(1));
         assert_eq!(fresh.reputation_counts(2), (0, 1));
-        assert_eq!(fresh.reputation_snapshot(), snap);
+        assert_eq!(fresh.snapshot(), snap);
         assert!(fresh.audit().is_empty());
 
         // A raised threshold invalidates recorded trust on restore.
@@ -1142,7 +1149,7 @@ mod tests {
             reputation_threshold: 10,
             ..Default::default()
         });
-        stricter.restore_reputation(&snap);
+        stricter.restore(&snap);
         assert!(!stricter.is_trusted(1), "stale trust is demoted");
         assert!(stricter.audit().is_empty());
     }
@@ -1237,7 +1244,7 @@ mod tests {
         complete(&mut s, 100.0, true);
         s.forget_client(1);
         assert!(!s.is_health_flagged(1), "departure clears the flag");
-        assert_eq!(s.health().map(|h| h.observations(1)), Some(0));
+        assert_eq!(s.health_ratio(1), None, "and the detector's state");
 
         let mut off = Scheduler::new(SchedulerConfig::default());
         assert_eq!(
@@ -1248,7 +1255,39 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(off.record_completion(1, 1e7, 100.0, 1.0), None);
         }
-        assert!(off.health().is_none() && !off.is_health_flagged(1));
+        assert!(off.health_ratio(1).is_none() && !off.is_health_flagged(1));
+    }
+
+    #[test]
+    fn pool_quantiles_stream_from_the_fixed_buckets() {
+        // Adaptation off: every 1e7-op unit is predicted to take 1 s, so
+        // its turnaround is its normalized service time.
+        let mut s = Scheduler::new(SchedulerConfig {
+            enable_health_detector: true,
+            enable_adaptive: false,
+            ..Default::default()
+        });
+        let telemetry = Telemetry::enabled();
+        for bad in [f64::NAN, 0.0, -1.0] {
+            s.record_completion(1, 1e7, bad, 1.0);
+        }
+        assert_eq!(s.health_ratio(1), None, "poisoned times are dropped");
+        s.export_health_metrics(&telemetry);
+        let gauges = telemetry.metrics_snapshot();
+        assert_eq!(gauges.gauge("health.pool_p50"), None, "nor pooled");
+        for (client, secs, n) in [(1, 1.0, 90), (2, 10.0, 10)] {
+            for _ in 0..n {
+                s.record_completion(client, 1e7, secs, 1.0);
+            }
+        }
+        s.export_health_metrics(&telemetry);
+        let gauges = telemetry.metrics_snapshot();
+        let p50 = gauges.gauge("health.pool_p50").expect("observed");
+        let p99 = gauges.gauge("health.pool_p99").expect("observed");
+        assert!(p50 < 1.5, "median sits in the healthy buckets: {p50}");
+        assert!(p99 > 5.0, "tail sees the straggler: {p99}");
+        assert_eq!(gauges.gauge("health.flagged_current"), Some(1.0));
+        assert_eq!(gauges.gauge("health.ratio.c2"), s.health_ratio(2));
     }
 
     #[test]
@@ -1256,15 +1295,16 @@ mod tests {
         let mut s = Scheduler::new(SchedulerConfig::default());
         s.note_chunks(2, &[5, 6]);
         s.note_chunks(1, &[7]);
-        let snap = s.affinity_snapshot();
+        let snap = s.snapshot();
+        let held = snap.donors.iter().map(|r| (r.client, r.affinity.clone()));
         assert_eq!(
-            snap.clients,
+            held.collect::<Vec<_>>(),
             vec![(1, vec![7]), (2, vec![5, 6])],
             "sorted by client, digests in insertion order"
         );
         let mut fresh = Scheduler::new(SchedulerConfig::default());
-        fresh.restore_affinity(&snap);
-        assert_eq!(fresh.affinity_snapshot(), snap);
+        fresh.restore(&snap);
+        assert_eq!(fresh.snapshot(), snap);
         assert_eq!(fresh.affinity_score(2, &[5, 6]), 2);
         fresh.forget_client(2);
         assert_eq!(fresh.affinity_entries(2), 0, "departure clears beliefs");

@@ -10,10 +10,7 @@ use crate::health::HealthTransition;
 use crate::leases::{InFlight, Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
 use crate::quorum::{QuorumTally, VoteOutcome};
-use crate::sched::{
-    AffinitySnapshot, ClientId, Donor, ReputationSnapshot, SchedSnapshot, Scheduler,
-    SchedulerConfig,
-};
+use crate::sched::{ClientId, Donor, DonorSnapshot, Scheduler, SchedulerConfig};
 use crate::telemetry::{EventKind, Telemetry, LATENCY_BOUNDS, OPS_BOUNDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -956,9 +953,7 @@ impl Server {
             };
             self.telemetry.emit(event);
             self.telemetry.counter_add(counter, 1);
-            if let Some(h) = self.sched.health() {
-                h.export_metrics(&self.telemetry);
-            }
+            self.sched.export_health_metrics(&self.telemetry);
         }
         self.sched.export_client_metrics(client, &self.telemetry);
     }
@@ -1304,13 +1299,8 @@ impl Server {
         kept
     }
 
-    /// Restores donor reputation from a recovered snapshot.
-    pub fn restore_reputation(&mut self, snap: &ReputationSnapshot) {
-        self.sched.restore_reputation(snap);
-    }
-
-    /// Restores the adaptive scheduler state from a recovered snapshot.
-    pub fn restore_scheduler(&mut self, snap: &SchedSnapshot) {
+    /// Restores every donor record from a recovered snapshot.
+    pub fn restore_donors(&mut self, snap: &DonorSnapshot) {
         self.sched.restore(snap);
     }
 
@@ -1337,11 +1327,6 @@ impl Server {
             .unwrap_or_default()
     }
 
-    /// Restores the chunk-affinity map from a recovered snapshot.
-    pub fn restore_affinity(&mut self, snap: &AffinitySnapshot) {
-        self.sched.restore_affinity(snap);
-    }
-
     // ---- live status (ops plane) ----
 
     /// Captures a deterministic point-in-time cluster snapshot: the
@@ -1357,7 +1342,6 @@ impl Server {
         for p in &self.problems {
             p.leases.count_leases(&mut leases);
         }
-        let health_ratio = |id| self.sched.health().and_then(|h| h.ratio(id));
         let donors = leases
             .into_iter()
             .map(|(id, leases)| {
@@ -1371,7 +1355,7 @@ impl Server {
                     agreements: donor.reputation.0,
                     disputes: donor.reputation.1,
                     flagged: donor.flagged,
-                    health_ratio: health_ratio(id).unwrap_or(0.0),
+                    health_ratio: self.sched.health_ratio(id).unwrap_or(0.0),
                 }
             })
             .collect();
@@ -2215,10 +2199,7 @@ mod tests {
             server.scheduler().is_health_flagged(0),
             "a 10x slowdown must flag within two observations"
         );
-        assert_eq!(
-            server.scheduler().health().unwrap().flagged_clients(),
-            vec![0]
-        );
+        assert_eq!(server.scheduler().flagged_clients(), vec![0]);
         // Donor 0 takes a unit and stalls; donor 1 (healthy, unknown)
         // must be handed a rescue copy of that exact unit before any
         // fresh work.
@@ -2359,7 +2340,6 @@ mod tests {
             ..Default::default()
         });
         server.submit(sum_problem(1000, 50));
-        assert!(server.scheduler().health().is_none());
         let mut now = 0.0;
         for _ in 0..6 {
             let Assignment::Unit {
@@ -2375,6 +2355,11 @@ mod tests {
             server.submit_result(0, problem, r, now);
         }
         assert!(!server.scheduler().is_health_flagged(0));
+        assert_eq!(
+            server.scheduler().health_ratio(0),
+            None,
+            "no detector state"
+        );
     }
 
     /// The unit size the adaptive hint settles on for a donor that

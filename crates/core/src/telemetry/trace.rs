@@ -360,7 +360,7 @@ events! {
         /// Index of the skipped replica.
         replica: usize as int,
     },
-    /// The health engine flagged a donor as a straggler/anomaly: its
+    /// The straggler detector flagged a donor as a straggler/anomaly: its
     /// recent speed-normalized service time diverged from its own
     /// baseline by at least the configured ratio.
     DonorFlagged = "donor_flagged" {
@@ -370,7 +370,7 @@ events! {
         /// moment of flagging.
         ratio: f64 as float,
     },
-    /// The health engine cleared a previously flagged donor (its
+    /// The straggler detector cleared a previously flagged donor (its
     /// normalized service time recovered below the clear threshold).
     DonorCleared = "donor_cleared" {
         /// The recovered donor.

@@ -904,7 +904,7 @@ mod tests {
     }
 
     #[test]
-    fn distributed_threaded_equals_sequential_reference() {
+    fn seven_taxa_over_six_tcp_donors_equal_the_sequential_reference() {
         let (_, data) = test_alignment(7, 150, 101);
         let config = DprmlConfig::default();
         let model = config.build_model();

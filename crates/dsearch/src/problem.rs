@@ -501,24 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn distributed_threaded_equals_sequential() {
-        let (db, queries, cfg) = test_inputs();
-        let expected = search_sequential(&db, &queries, &cfg);
-        let mut server = Server::new(small_unit_sched());
-        let pid = server.submit(build_problem(db, queries, &cfg));
-        let (mut server, _) = run_tcp(server, 6);
-        let out = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>();
-        assert_eq!(out.hits, expected);
-        assert!(
-            server.stats(pid).completed_units > 1,
-            "search was actually split"
-        );
-    }
-
-    #[test]
     fn distributed_simulated_equals_sequential() {
         let (db, queries, cfg) = test_inputs();
         let expected = search_sequential(&db, &queries, &cfg);
@@ -726,18 +708,20 @@ mod tests {
     fn distributed_over_tcp_equals_sequential() {
         let (db, queries, cfg) = test_inputs();
         let expected = search_sequential(&db, &queries, &cfg);
-        let mut server = Server::new(small_unit_sched());
-        let pid = server.submit(build_problem(db, queries, &cfg));
-        let (mut server, _) = biodist_core::run_tcp(server, 4);
-        let out = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>();
-        assert_eq!(out.hits, expected);
-        assert!(
-            server.stats(pid).completed_units > 1,
-            "search was actually split"
-        );
+        for donors in [4, 6] {
+            let mut server = Server::new(small_unit_sched());
+            let pid = server.submit(build_problem(db.clone(), queries.clone(), &cfg));
+            let (mut server, _) = run_tcp(server, donors);
+            let out = server
+                .take_output(pid)
+                .unwrap()
+                .into_inner::<SearchOutput>();
+            assert_eq!(out.hits, expected, "{donors} donors");
+            assert!(
+                server.stats(pid).completed_units > 1,
+                "search was actually split"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Ops-plane integration suite: wire-correlated spans, donor metrics
-//! shipping, the streaming health engine and the live status view,
+//! shipping, the streaming straggler detector and the live status view,
 //! exercised end-to-end on the simulator and over real loopback TCP.
 //!
 //! The acceptance scenario (ISSUE 9): on a seeded chaos plan with two
-//! planted 10× stragglers in a 16-donor pool, the health engine flags
+//! planted 10× stragglers in a 16-donor pool, the straggler detector flags
 //! exactly the planted pair, live-armed speculative re-issue beats the
 //! detector-off makespan on the same plan, and every completed unit's
 //! trace carries a four-phase breakdown that telescopes to its span.
@@ -188,7 +188,7 @@ fn straggler_sim_run(detector: bool) -> (f64, BTreeSet<usize>) {
         enable_health_detector: detector,
         // Units of ~20 virtual seconds with a lease generous enough
         // that a 10×-slow result is still *accepted* (and therefore
-        // observed by the health engine) rather than expiring: the
+        // observed by the straggler detector) rather than expiring: the
         // detector targets the within-lease straggler regime; gross
         // overruns are already the lease machinery's job.
         target_unit_secs: 20.0,
@@ -293,7 +293,7 @@ fn live_detector_flags_exactly_the_planted_stragglers_tcp() {
         max_unit_ops: 1e9 * scale,
         // A 20×-slowed unit runs ~300 scaled seconds (and may wait behind
         // one more in the donor-side prefetch queue); the lease must outlive
-        // it or the slow result expires and the health engine (which only
+        // it or the slow result expires and the straggler detector (which only
         // sees accepted results) goes blind.
         lease_min_secs: 700.0,
         enable_dynamic_granularity: false,

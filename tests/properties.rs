@@ -812,10 +812,10 @@ fn replica_selection_is_deterministic_and_avoids_dead_endpoints() {
     }
 }
 
-// ----------------------------------------------------- health engine
+// ----------------------------------------------------- health detector
 
-use biodist::core::{AffinitySnapshot, EventKind, ReputationSnapshot, SchedSnapshot, TraceEvent};
-use biodist::core::{HealthEngine, HealthTransition, STRAGGLER_RATIO};
+use biodist::core::{Detector, DonorRow, DonorSnapshot, EventKind, HealthTransition, TraceEvent};
+use biodist::core::{Telemetry, STRAGGLER_RATIO};
 use biodist::util::stats::Ewma;
 use std::collections::HashMap;
 
@@ -826,11 +826,25 @@ fn healthy_obs(rng: &mut dyn Rng) -> f64 {
     rng.next_f64_range(0.75, 1.35)
 }
 
+/// One shared observation stream, replayed into two schedulers: with
+/// adaptation off a 1e7-op unit is predicted to take 1 s, so its
+/// turnaround is the observation itself. Transitions, flags, ratios and
+/// the published `health.*` gauges (flag count, pool quantiles, ratios)
+/// must agree.
 #[test]
 fn health_engine_is_deterministic_under_seed() {
+    let cfg = SchedulerConfig {
+        enable_health_detector: true,
+        enable_adaptive: false,
+        ..Default::default()
+    };
+    let published = |s: &Scheduler| {
+        let telemetry = Telemetry::enabled();
+        s.export_health_metrics(&telemetry);
+        telemetry.metrics_snapshot().gauges
+    };
     for case in 0..CASES as u64 {
         let mut rng = Xoshiro256StarStar::new(0x9EA1 + case);
-        // One shared observation stream, replayed into two engines.
         let stream: Vec<(usize, f64)> = (0..300)
             .map(|_| {
                 let client = rng.next_below(8) as usize;
@@ -842,19 +856,19 @@ fn health_engine_is_deterministic_under_seed() {
                 (client, x)
             })
             .collect();
-        let mut a = HealthEngine::new();
-        let mut b = HealthEngine::new();
+        let (mut a, mut b) = (Scheduler::new(cfg.clone()), Scheduler::new(cfg.clone()));
         for &(client, x) in &stream {
-            let ta = a.observe(client, x);
-            let tb = b.observe(client, x);
+            let ta = a.record_completion(client, 1e7, x, 1.0);
+            let tb = b.record_completion(client, 1e7, x, 1.0);
             assert_eq!(ta, tb, "same stream, same transitions (case={case})");
         }
         assert_eq!(a.flagged_clients(), b.flagged_clients());
-        assert_eq!(a.transition_counts(), b.transition_counts());
         for c in 0..8 {
-            assert_eq!(a.ratio(c), b.ratio(c), "per-donor ratio (case={case})");
+            let ratio = a.health_ratio(c);
+            assert_eq!(ratio, b.health_ratio(c), "per-donor ratio (case={case})");
         }
-        assert_eq!(a.pool_quantile(0.95), b.pool_quantile(0.95));
+        assert!(published(&a).contains_key("health.pool_p95"));
+        assert_eq!(published(&a), published(&b), "gauges (case={case})");
     }
 }
 
@@ -862,27 +876,27 @@ fn health_engine_is_deterministic_under_seed() {
 fn planted_10x_straggler_is_always_flagged_within_three_slow_results() {
     for case in 0..CASES as u64 {
         let mut rng = Xoshiro256StarStar::new(0xF1A6 + case);
-        let mut engine = HealthEngine::new();
+        let mut detectors = vec![Detector::default(); 8];
         let straggler = rng.next_below(8) as usize;
         // Warmup: everyone healthy, long enough to pass the
         // min-observations gate.
         let warmup = rng.next_range(5, 20);
         for _ in 0..warmup {
-            for c in 0..8 {
-                assert!(engine.observe(c, healthy_obs(&mut rng)).is_none());
+            for d in &mut detectors {
+                assert!(d.observe(healthy_obs(&mut rng)).is_none());
             }
         }
         // Onset: the straggler's results now take ~10× what its speed
         // predicts; the rest of the pool is unchanged.
         let mut flagged_after = None;
         for round in 1..=3u32 {
-            for c in 0..8 {
+            for (c, d) in detectors.iter_mut().enumerate() {
                 let x = if c == straggler {
                     10.0 * healthy_obs(&mut rng)
                 } else {
                     healthy_obs(&mut rng)
                 };
-                match engine.observe(c, x) {
+                match d.observe(x) {
                     Some(HealthTransition::Flagged { ratio }) => {
                         assert_eq!(c, straggler, "only the straggler flags (case={case})");
                         assert!(ratio >= STRAGGLER_RATIO);
@@ -899,7 +913,8 @@ fn planted_10x_straggler_is_always_flagged_within_three_slow_results() {
             panic!("10x straggler never flagged within 3 slow results (case={case})")
         });
         assert!(after <= 3);
-        assert_eq!(engine.flagged_clients(), vec![straggler]);
+        let flagged = detectors.iter().enumerate().filter(|(_, d)| d.is_flagged());
+        assert_eq!(flagged.map(|(c, _)| c).collect::<Vec<_>>(), [straggler]);
     }
 }
 
@@ -911,31 +926,30 @@ fn honest_but_slow_machine_is_never_flagged() {
     // *departure from its own established pace* may flag.
     for case in 0..CASES as u64 {
         let mut rng = Xoshiro256StarStar::new(0x510C + case);
-        let mut engine = HealthEngine::new();
+        let mut detector = Detector::default();
         // The speed scale cancels out of the normalized observation;
         // model it anyway to document what the property means.
         let _speed_scale = rng.next_f64_range(2.0, 50.0);
         for _ in 0..200 {
-            if let Some(t) = engine.observe(0, healthy_obs(&mut rng)) {
+            if let Some(t) = detector.observe(healthy_obs(&mut rng)) {
                 panic!("steady-paced donor transitioned: {t:?} (case={case})");
             }
         }
-        assert!(!engine.is_flagged(0));
-        assert!(engine.transition_counts() == (0, 0));
+        assert!(!detector.is_flagged());
     }
 }
 
 // ------------------------------------------------- one donor record
 
 /// What the scheduler knew about donors when it kept them in separate
-/// maps — adaptive state, affinity windows, reputation — with the
-/// server's detector and its mirrored flag set beside them.
+/// maps — adaptive state, affinity windows, reputation, detectors —
+/// with the server's mirrored flag set beside them.
 struct SeparateMaps {
     cfg: SchedulerConfig,
     clients: HashMap<usize, (Ewma, u64, f64, f64)>,
     affinity: HashMap<usize, Vec<u64>>,
     reputation: HashMap<usize, (u64, u64, bool)>,
-    health: Option<HealthEngine>,
+    health: HashMap<usize, Detector>,
     flagged: HashSet<usize>,
 }
 
@@ -968,10 +982,14 @@ impl SeparateMaps {
         queue_factor: f64,
     ) -> Option<HealthTransition> {
         let predicted = cost / self.speed(client);
+        let normalized = elapsed / queue_factor / predicted;
         let sound = predicted > 0.0 && predicted.is_finite();
-        let detector = self.health.as_mut().filter(|_| sound);
-        let transition =
-            detector.and_then(|h| h.observe(client, elapsed / queue_factor / predicted));
+        let observed = sound && normalized.is_finite() && normalized > 0.0;
+        let transition = if self.cfg.enable_health_detector && observed {
+            self.health.entry(client).or_default().observe(normalized)
+        } else {
+            None
+        };
         match transition {
             Some(HealthTransition::Flagged { .. }) => self.flagged.insert(client),
             Some(HealthTransition::Cleared { .. }) => self.flagged.remove(&client),
@@ -991,32 +1009,30 @@ impl SeparateMaps {
         self.affinity.remove(&client);
         self.reputation.remove(&client);
         self.flagged.remove(&client);
-        if let Some(h) = self.health.as_mut() {
-            h.forget(client);
+        self.health.remove(&client);
+    }
+
+    fn snapshot(&self) -> DonorSnapshot {
+        let prior = self.cfg.prior_ops_per_sec;
+        let ids = self.clients.keys().chain(self.reputation.keys());
+        let ids: std::collections::BTreeSet<usize> =
+            ids.chain(self.affinity.keys()).copied().collect();
+        let row = |client| DonorRow {
+            client,
+            adaptive: (self.clients.get(&client)).map(|st| (st.0.value().unwrap_or(prior), st.1)),
+            reputation: self.reputation.get(&client).copied(),
+            affinity: self.affinity.get(&client).cloned().unwrap_or_default(),
+        };
+        DonorSnapshot {
+            donors: ids.into_iter().map(row).collect(),
         }
     }
 
-    fn snapshots(&self) -> (SchedSnapshot, AffinitySnapshot, ReputationSnapshot) {
-        let prior = self.cfg.prior_ops_per_sec;
-        let speeds = self.clients.iter();
-        let mut speeds: Vec<_> = speeds
-            .map(|(&id, st)| (id, st.0.value().unwrap_or(prior), st.1))
-            .collect();
-        speeds.sort_unstable_by_key(|&(id, ..)| id);
-        let mut held: Vec<_> = self
-            .affinity
-            .iter()
-            .map(|(&id, d)| (id, d.clone()))
-            .collect();
-        held.sort_unstable_by_key(|&(id, _)| id);
-        let judged = self.reputation.iter();
-        let mut judged: Vec<_> = judged.map(|(&id, &(a, d, t))| (id, a, d, t)).collect();
-        judged.sort_unstable_by_key(|&(id, ..)| id);
-        (
-            SchedSnapshot { clients: speeds },
-            AffinitySnapshot { clients: held },
-            ReputationSnapshot { clients: judged },
-        )
+    fn flagged_clients(&self) -> Vec<usize> {
+        let flagged = self.health.iter().filter(|(_, d)| d.is_flagged());
+        let mut flagged: Vec<usize> = flagged.map(|(&c, _)| c).collect();
+        flagged.sort_unstable();
+        flagged
     }
 
     fn audit(&self) -> Vec<String> {
@@ -1042,10 +1058,9 @@ impl SeparateMaps {
 }
 
 /// Random `record_completion` / `note_chunks` / `note_quorum_agreement`
-/// / `note_dispute` / `forget_client` / snapshot → `restore*` sequences:
-/// the scheduler's one record per donor (and the detector it owns) must
-/// answer every question the way the separate maps did, after every
-/// step.
+/// / `note_dispute` / `forget_client` / snapshot → `restore` sequences:
+/// the scheduler's one record per donor (detector included) must answer
+/// every question the way the separate maps did, after every step.
 #[test]
 fn donor_records_match_the_separate_maps_model() {
     const CLIENTS: u64 = 6;
@@ -1063,15 +1078,23 @@ fn donor_records_match_the_separate_maps_model() {
         };
         let mut sched = Scheduler::new(cfg.clone());
         let mut model = SeparateMaps {
-            health: cfg.enable_health_detector.then(HealthEngine::new),
             cfg: cfg.clone(),
             clients: HashMap::new(),
             affinity: HashMap::new(),
             reputation: HashMap::new(),
+            health: HashMap::new(),
             flagged: HashSet::new(),
         };
         // Snapshots taken earlier in the run, to restore later.
-        let mut saved = vec![model.snapshots()];
+        let mut saved = vec![model.snapshot()];
+        // Speeds compared bit for bit: a poisoned cost leaves a NaN.
+        let bits = |s: &DonorSnapshot| -> Vec<_> {
+            let rows = s.donors.iter().map(|r| {
+                let adaptive = r.adaptive.map(|(speed, units)| (speed.to_bits(), units));
+                (r.client, adaptive, r.reputation, r.affinity.clone())
+            });
+            rows.collect()
+        };
         for step in 0..300 {
             let at = format!("case {case} step {step}");
             let client = rng.next_below(CLIENTS) as usize;
@@ -1118,33 +1141,27 @@ fn donor_records_match_the_separate_maps_model() {
                     sched.forget_client(client);
                     model.forget(client);
                 }
-                14 => saved.push(model.snapshots()),
+                14 => saved.push(model.snapshot()),
                 _ => {
-                    // One of the three parts goes back to an earlier
-                    // state; the other two stay as they are.
-                    let (speeds, held, judged) =
-                        &saved[rng.next_below(saved.len() as u64) as usize];
-                    match rng.next_below(3) {
-                        0 => {
-                            sched.restore(speeds);
-                            model.clients.clear();
-                            for &(id, speed, units) in &speeds.clients {
-                                if speed.is_finite() && speed > 0.0 {
-                                    let mut ewma = Ewma::new(0.3);
-                                    ewma.update(speed);
-                                    model.clients.insert(id, (ewma, units, 0.0, 1.0));
-                                }
-                            }
+                    // An earlier whole snapshot goes back in; the
+                    // detectors, which it does not carry, stay as they are.
+                    let snap = &saved[rng.next_below(saved.len() as u64) as usize];
+                    sched.restore(snap);
+                    model.clients.clear();
+                    model.affinity.clear();
+                    model.reputation.clear();
+                    for row in &snap.donors {
+                        let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
+                        if let Some((speed, units)) = row.adaptive.filter(sound) {
+                            let mut ewma = Ewma::new(0.3);
+                            ewma.update(speed);
+                            model.clients.insert(row.client, (ewma, units, 0.0, 1.0));
                         }
-                        1 => {
-                            sched.restore_affinity(held);
-                            model.affinity = held.clients.iter().cloned().collect();
+                        if let Some(judged) = row.reputation {
+                            model.reputation.insert(row.client, judged);
                         }
-                        _ => {
-                            sched.restore_reputation(judged);
-                            let restored = judged.clients.iter();
-                            model.reputation =
-                                restored.map(|&(id, a, d, t)| (id, (a, d, t))).collect();
+                        if !row.affinity.is_empty() {
+                            model.affinity.insert(row.client, row.affinity.clone());
                         }
                     }
                 }
@@ -1198,35 +1215,12 @@ fn donor_records_match_the_separate_maps_model() {
                 assert_eq!(sched.affinity_entries(c), window.len(), "{at}");
                 let score = if donor.flagged { 0 } else { window.len() };
                 assert_eq!(sched.affinity_score(c, &window), score, "{at}");
-                let ratio = |h: &HealthEngine| h.ratio(c);
-                assert_eq!(
-                    sched.health().and_then(ratio),
-                    model.health.as_ref().and_then(ratio)
-                );
+                let ratio = model.health.get(&c).and_then(Detector::ratio);
+                assert_eq!(sched.health_ratio(c), ratio, "{at}");
             }
-            let (speeds, held, judged) = model.snapshots();
-            let same_bits = |a: &SchedSnapshot, b: &SchedSnapshot| {
-                let bits = |s: &SchedSnapshot| -> Vec<_> {
-                    let rows = s.clients.iter();
-                    rows.map(|&(id, speed, units)| (id, speed.to_bits(), units))
-                        .collect()
-                };
-                bits(a) == bits(b)
-            };
-            assert!(
-                same_bits(&sched.snapshot(), &speeds),
-                "speed snapshot ({at})"
-            );
-            assert_eq!(sched.affinity_snapshot(), held, "affinity snapshot ({at})");
-            assert_eq!(
-                sched.reputation_snapshot(),
-                judged,
-                "reputation snapshot ({at})"
-            );
-            let flagged = model
-                .health
-                .as_ref()
-                .map_or(Vec::new(), |h| h.flagged_clients());
+            let snapshot = bits(&sched.snapshot());
+            assert_eq!(snapshot, bits(&model.snapshot()), "snapshot ({at})");
+            let flagged = model.flagged_clients();
             assert_eq!(sched.flagged_clients(), flagged, "flag order ({at})");
             let mirrored: Vec<usize> = model.flagged.iter().copied().collect();
             assert_eq!(
