@@ -35,17 +35,23 @@ impl Sequence {
     /// # Panics
     /// Panics if any code exceeds the alphabet's ambiguity code.
     pub fn from_codes(id: &str, alphabet: Alphabet, codes: Vec<u8>) -> Self {
+        Self::try_from_codes(id.to_string(), alphabet, codes).unwrap_or_else(|| {
+            panic!("Sequence `{id}`: residue code out of range for {alphabet:?}")
+        })
+    }
+
+    /// Builds a sequence from an owned id and already-encoded residue
+    /// codes, validating them in one pass; `None` if any code exceeds
+    /// the alphabet's ambiguity code (untrusted input, e.g. a chunk off
+    /// the wire).
+    pub fn try_from_codes(id: String, alphabet: Alphabet, codes: Vec<u8>) -> Option<Self> {
         let max = alphabet.any_code();
-        assert!(
-            codes.iter().all(|&c| c <= max),
-            "Sequence `{id}`: residue code out of range for {alphabet:?}"
-        );
-        Self {
-            id: id.to_string(),
+        codes.iter().all(|&c| c <= max).then(|| Self {
+            id,
             description: String::new(),
             alphabet,
             residues: codes,
-        }
+        })
     }
 
     /// Residue codes.
@@ -150,6 +156,13 @@ mod tests {
         assert_eq!(rc.to_text(), "NTGCAACGT");
         let back = reverse_complement(&rc);
         assert_eq!(back.codes(), s.codes());
+    }
+
+    #[test]
+    fn try_from_codes_rejects_instead_of_panicking() {
+        let ok = Sequence::try_from_codes("p".into(), Alphabet::Protein, vec![0, 19, 20]);
+        assert_eq!(ok.map(|s| s.len()), Some(3));
+        assert!(Sequence::try_from_codes("d".into(), Alphabet::Dna, vec![0, 5]).is_none());
     }
 
     #[test]

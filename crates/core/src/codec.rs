@@ -92,6 +92,14 @@ pub trait WireCodec: Send + Sync {
         )))
     }
 
+    /// The digest chunk `chunk` is advertised under in [`ChunkNeed`]s,
+    /// if the codec keeps it: the origin serves the chunk under it
+    /// instead of hashing the bytes (the default, `None`, hashes them).
+    /// Donors verify every chunk, so a wrong digest fails the fetch.
+    fn known_digest(&self, _chunk: u64) -> Option<u64> {
+        None
+    }
+
     /// [`WireCodec::write_unit`] into a buffer of its own.
     fn encode_unit(&self, payload: &Payload) -> Result<Vec<u8>, WireError> {
         ByteWriter::collect(|w| self.write_unit(payload, w))
@@ -266,12 +274,10 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
-            return Err(WireError::new(format!(
-                "truncated: need {n} bytes, have {}",
-                self.remaining()
-            )));
+            return Err(truncated(n, self.remaining()));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
@@ -284,11 +290,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self) -> Result<u32, WireError> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
@@ -323,6 +331,7 @@ impl<'a> ByteReader<'a> {
 
     /// Reads a length-prefixed byte string. The length is validated
     /// against the remaining input before any allocation.
+    #[inline]
     pub fn bytes(&mut self) -> Result<&'a [u8], WireError> {
         let n = self.u32()? as usize;
         self.take(n)
@@ -348,6 +357,13 @@ impl<'a> ByteReader<'a> {
         }
         Ok(n)
     }
+}
+
+/// A read past the end, out of line so that the reads inline.
+#[cold]
+#[inline(never)]
+fn truncated(need: usize, have: usize) -> WireError {
+    WireError::new(format!("truncated: need {need} bytes, have {have}"))
 }
 
 #[cfg(test)]

@@ -1067,6 +1067,9 @@ impl ClientLoop {
     /// its CRC: those are set aside at once instead of waiting out the
     /// ack timeout. The connection is kept for the next burst unless this
     /// one broke it or timed out (late replies would desynchronise it).
+    /// Only a read that makes no progress reads the clock — the first
+    /// since the last answer starts the ack timeout — plus one reading
+    /// per answer while telemetry is live.
     /// Returns the wants still unresolved (all of them, if the endpoint
     /// refuses the connection) and how it ended.
     fn burst(
@@ -1128,52 +1131,65 @@ impl ClientLoop {
                 burst_len,
             );
 
-            let mut deadline = self.clock.now() + self.opts.ack_timeout;
+            // Set by the first read since the last answer that made no
+            // progress (a tick, or a frame nobody is waiting for).
+            let mut deadline: Option<f64> = None;
             while !outstanding.is_empty() {
-                if self.run_over.load(Ordering::SeqCst) || self.clock.now() > deadline {
+                if self.run_over.load(Ordering::SeqCst) {
                     end = BurstEnd::TimedOut;
                     break;
                 }
-                let (chunk, reply) = match reader.poll(stream) {
+                let answer = match reader.poll(stream) {
                     Ok(Some(Frame::ChunkData {
                         problem: p,
                         chunk,
                         digest,
                         payload,
-                    })) if p == problem => (chunk, Some((digest, payload))),
+                    })) if p == problem => Some((chunk, Some((digest, payload)))),
                     Ok(Some(Frame::ChunkMissing { problem: p, chunk })) if p == problem => {
-                        (chunk, None)
+                        Some((chunk, None))
                     }
                     // Unsolicited frame, read-timeout tick, or a reply
                     // mangled in transit (its CRC made the reader skip
                     // it; the next in-order reply exposes the gap).
-                    Ok(Some(_)) | Ok(None) | Err(ReadError::Decode(_)) => continue,
+                    Ok(Some(_)) | Ok(None) | Err(ReadError::Decode(_)) => None,
                     Err(ReadError::Io(_)) => {
                         end = BurstEnd::Broken;
                         break;
                     }
                 };
-                let Some(pos) = outstanding.iter().position(|&i| needs[i].chunk == chunk) else {
-                    continue; // stale or duplicate reply: nobody is waiting for it
+                // A stale or duplicate answer: nobody is waiting for it.
+                let found = answer.and_then(|(chunk, reply)| {
+                    let pos = outstanding.iter().position(|&i| needs[i].chunk == chunk)?;
+                    Some((pos, reply))
+                });
+                let Some((pos, reply)) = found else {
+                    let now = self.clock.now();
+                    if now > *deadline.get_or_insert(now + self.opts.ack_timeout) {
+                        end = BurstEnd::TimedOut;
+                        break;
+                    }
+                    continue;
                 };
+                deadline = None;
                 gaps += pos as u64;
                 left.extend(outstanding.drain(..pos));
                 let i = outstanding.pop_front().expect("position found it");
-                let now = self.clock.now();
-                deadline = now + self.opts.ack_timeout;
                 let need = &needs[i];
                 match reply {
                     Some((digest, payload))
                         if digest == need.digest && chunk_digest(&payload) == need.digest =>
                     {
-                        self.telemetry.emit_at(
-                            now,
-                            EventKind::ChunkFetchFinished {
-                                client: self.id,
-                                digest: need.digest,
-                                replica,
-                            },
-                        );
+                        if self.telemetry.is_enabled() {
+                            self.telemetry.emit_at(
+                                self.clock.now(),
+                                EventKind::ChunkFetchFinished {
+                                    client: self.id,
+                                    digest: need.digest,
+                                    replica,
+                                },
+                            );
+                        }
                         fetched_bytes += payload.len() as u64;
                         let bytes = Arc::new(payload);
                         self.cache.insert(need.digest, bytes.clone());
@@ -1350,6 +1366,35 @@ mod tests {
         Missing,
         /// The origin hangs up instead, after the replies ahead of it.
         HangUp,
+        /// No reply to this request or any later one on the connection
+        /// ever leaves.
+        Silent,
+        /// As `Silent`, but once the donor stops writing the connection
+        /// streams `ChunkData` for a chunk nobody asked for instead
+        /// ([`stream_strays`]).
+        Stray,
+    }
+
+    /// Writes 3,000 `ChunkData` frames for a chunk no donor asks for,
+    /// one a millisecond — more often than the donor's read timeout
+    /// ticks, and for seconds longer than a test's ack timeout, so a
+    /// donor that took them for progress fails, not hangs — and stops
+    /// early once the donor hangs up or `stop` is raised.
+    fn stream_strays(stream: &mut TcpStream, stop: &AtomicBool) {
+        const STRAY: u64 = 1 << 20;
+        let payload = chunk_bytes(STRAY);
+        let frame = encode_frame(&Frame::ChunkData {
+            problem: 0,
+            chunk: STRAY,
+            digest: chunk_digest(&payload),
+            payload,
+        });
+        for _ in 0..3_000 {
+            if stop.load(Ordering::SeqCst) || stream.write_all(&frame).is_err() {
+                return;
+            }
+            pause(Duration::from_millis(1));
+        }
     }
 
     fn chunk_bytes(chunk: u64) -> Vec<u8> {
@@ -1450,6 +1495,8 @@ mod tests {
         seen: [usize; 2], // turns, chunk requests
         /// The connection whose replies the script has muted.
         muted: Option<usize>,
+        /// The connection the script has streaming strays.
+        stray: Option<usize>,
         /// The script hangs up on the connection being served.
         hang_up: bool,
     }
@@ -1539,6 +1586,8 @@ mod tests {
                             reply.clear();
                             self.hang_up = true;
                         }
+                        Some(Fault::Silent) => self.muted = Some(conn),
+                        Some(Fault::Stray) => (self.muted, self.stray) = (Some(conn), Some(conn)),
                         Some(Fault::SwapDigest) | None => {}
                     }
                     out.extend_from_slice(&reply);
@@ -1573,7 +1622,10 @@ mod tests {
                             std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
                         ) =>
                     {
-                        continue
+                        if state.lock().unwrap().stray == Some(conn) {
+                            return stream_strays(&mut stream, stop);
+                        }
+                        continue;
                     }
                     Err(_) => return,
                 }
@@ -1620,6 +1672,7 @@ mod tests {
                 folded: HashSet::new(),
                 seen: [0; 2],
                 muted: None,
+                stray: None,
                 hang_up: false,
             }));
             let thread = {
@@ -2670,6 +2723,38 @@ mod tests {
             "no retry"
         );
         assert_eq!(telemetry.metrics_snapshot().counter("cache.rerequests"), 0);
+    }
+
+    /// A data connection that stops answering mid-burst — silent, or
+    /// streaming a chunk nobody asked for faster than the donor's read
+    /// timeout ticks — ends the burst `TimedOut` one ack timeout after
+    /// its last answer, not never, and keeps every chunk that verified
+    /// before: progress, not the clock, is what a read checks first.
+    #[test]
+    fn a_burst_that_stops_making_progress_times_out_and_keeps_what_verified() {
+        const ACK: f64 = 0.3;
+        for fault in [Fault::Silent, Fault::Stray] {
+            let origin = ScriptedOrigin::with_chunk_fault(Some((40, fault)));
+            let mut donor = echo_donor(origin.addr, &Telemetry::disabled(), 0, ACK);
+            assert!(donor.connect());
+            let needs = needs(100);
+            let wants: Vec<usize> = (0..100).collect();
+            let mut got = vec![None; needs.len()];
+            let started = Instant::now();
+            let (left, end) = donor.burst(origin.addr, false, 0, &needs, &wants, &mut got);
+            let elapsed = started.elapsed().as_secs_f64();
+            assert_eq!(end, BurstEnd::TimedOut, "{fault:?}");
+            assert!(
+                (ACK..ACK + 1.0).contains(&elapsed),
+                "{fault:?}: ended after {elapsed:.3} s against a {ACK} s ack timeout"
+            );
+            assert_eq!(left, wants[40..], "{fault:?}: the unanswered are left");
+            let fetched: Vec<_> = got.iter().map(Option::is_some).collect();
+            assert_eq!(fetched, (0..100).map(|i| i < 40).collect::<Vec<_>>());
+            assert_eq!(donor.cache.len(), 40, "{fault:?}: what verified is cached");
+            assert!(donor.data.is_empty(), "{fault:?}: connection dropped");
+            origin.finish();
+        }
     }
 
     #[test]

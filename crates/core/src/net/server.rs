@@ -23,6 +23,7 @@
 //! the granularity hint of the donor that will compute it, at every
 //! shard count.
 
+use super::cache::chunk_digest;
 use super::checkpoint::CheckpointWriter;
 use super::evloop::{
     accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, FrameHandler, LoopHandle,
@@ -662,15 +663,18 @@ impl FrameHandler for ShardCtx<'_> {
                 if !is_replica {
                     self.note_alive(client as ClientId, None);
                 }
-                // Encoding — straight into the output buffer — and
-                // digesting run outside every lock.
+                // Encoding — straight into the output buffer — runs
+                // outside every lock, under the digest the codec took
+                // when it made the chunk (hashed here only if it kept none).
+                let codec = shared.codec(problem);
+                let known = codec.and_then(|codec| codec.known_digest(chunk));
                 let mut served = None;
                 let wrote = reply.append(|out| {
-                    let write = |w: &mut ByteWriter| match shared.codec(problem) {
+                    let write = |w: &mut ByteWriter| match codec {
                         Some(codec) => codec.write_chunk(chunk, w),
                         None => Err(crate::codec::WireError::new("no codec")),
                     };
-                    let digest = super::cache::chunk_digest;
+                    let digest = |bytes: &[u8]| known.unwrap_or_else(|| chunk_digest(bytes));
                     served = encode_chunk_data_into(out, problem, chunk, digest, write).ok();
                 });
                 match served {

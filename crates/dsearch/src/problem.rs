@@ -80,6 +80,9 @@ fn write_db_chunk(seq: &Sequence, w: &mut ByteWriter) {
     w.bytes(seq.codes());
 }
 
+/// The inverse of [`write_db_chunk`]: the id and the residues are each
+/// allocated once and the codes validated once, so a hostile chunk is a
+/// `WireError`, never a panic.
 fn decode_db_chunk(bytes: &[u8]) -> Result<Sequence, WireError> {
     let mut r = ByteReader::new(bytes);
     let id = r.str()?;
@@ -88,14 +91,10 @@ fn decode_db_chunk(bytes: &[u8]) -> Result<Sequence, WireError> {
         1 => Alphabet::Protein,
         t => return Err(WireError::new(format!("unknown alphabet tag {t}"))),
     };
-    let codes = r.bytes()?.to_vec();
+    let codes = r.bytes()?;
     r.finish()?;
-    // `Sequence::from_codes` asserts code ranges; validate first so a
-    // hostile chunk is a WireError, not a panic.
-    if codes.iter().any(|&c| c > alphabet.any_code()) {
-        return Err(WireError::new("residue code out of range for alphabet"));
-    }
-    Ok(Sequence::from_codes(&id, alphabet, codes))
+    Sequence::try_from_codes(id, alphabet, codes.to_vec())
+        .ok_or_else(|| WireError::new("residue code out of range for alphabet"))
 }
 
 /// Precomputed per-sequence chunk metadata: `chunk_meta[i]` describes
@@ -208,10 +207,15 @@ impl DataManager for DsearchDm {
                 .counter_add("dsearch.hits_offered", hits.len() as u64);
         }
         for hit in hits {
-            self.merged
-                .entry(hit.query_id.clone())
-                .or_insert_with(|| TopK::new(self.top_hits))
-                .offer(hit);
+            match self.merged.get_mut(&hit.query_id) {
+                Some(top) => top.offer(hit),
+                None => {
+                    let mut top = TopK::new(self.top_hits);
+                    let query = hit.query_id.clone();
+                    top.offer(hit);
+                    self.merged.insert(query, top);
+                }
+            }
         }
         self.outstanding = self.outstanding.saturating_sub(1);
     }
@@ -251,6 +255,10 @@ struct DsearchAlgo {
     /// work unit — the chunked batch path the striped kernel is
     /// designed for: one profile, thousands of subjects.
     prepared: Vec<PreparedQuery>,
+    /// `slots[i]`: query `i`'s rank among the distinct query ids, so a
+    /// unit keeps its top-K lists by index and emits them in query-id
+    /// order (a repeated id shares one list, as in the reference).
+    slots: Vec<usize>,
     top_hits: usize,
 }
 
@@ -267,24 +275,24 @@ impl Algorithm for DsearchAlgo {
             Some(data) => data,
             None => &self.db[u.start..u.end],
         };
-        let mut per_query: BTreeMap<String, TopK> = BTreeMap::new();
+        let lists = self.slots.iter().max().map_or(0, |&s| s + 1);
+        let mut per_query: Vec<TopK> = (0..lists).map(|_| TopK::new(self.top_hits)).collect();
         for subject in subjects {
-            for (query, prep) in self.queries.iter().zip(&self.prepared) {
+            let queries = self.queries.iter().zip(&self.prepared).zip(&self.slots);
+            for ((query, prep), &slot) in queries {
                 let score = self.kernel.score_prepared(query, prep, subject);
-                per_query
-                    .entry(query.id.clone())
-                    .or_insert_with(|| TopK::new(self.top_hits))
-                    .offer(Hit {
-                        query_id: query.id.clone(),
-                        db_id: subject.id.clone(),
-                        score,
-                    });
+                let top = &mut per_query[slot];
+                if top.cutoff().is_some_and(|worst| score < worst) {
+                    continue; // the list would turn it away: name no hit
+                }
+                top.offer(Hit {
+                    query_id: query.id.clone(),
+                    db_id: subject.id.clone(),
+                    score,
+                });
             }
         }
-        let hits: Vec<Hit> = per_query
-            .into_values()
-            .flat_map(TopK::into_sorted)
-            .collect();
+        let hits: Vec<Hit> = per_query.into_iter().flat_map(TopK::into_sorted).collect();
         let wire = hits.len() as u64 * 48;
         TaskResult {
             unit_id: unit.id,
@@ -300,6 +308,9 @@ impl Algorithm for DsearchAlgo {
 /// list.
 struct DsearchCodec {
     db: Arc<Vec<Sequence>>,
+    /// The data manager's [`chunk_table`]: a served chunk's digest is
+    /// the one hashed when the table was built.
+    chunk_meta: Arc<Vec<ChunkNeed>>,
 }
 
 impl WireCodec for DsearchCodec {
@@ -392,14 +403,21 @@ impl WireCodec for DsearchCodec {
         Ok(())
     }
 
+    fn known_digest(&self, chunk: u64) -> Option<u64> {
+        let need = self.chunk_meta.get(usize::try_from(chunk).ok()?)?;
+        Some(need.digest)
+    }
+
     fn hydrate_unit(
         &self,
         payload: Payload,
         chunks: &[(u64, Arc<Vec<u8>>)],
     ) -> Result<Payload, WireError> {
-        let u = payload
-            .downcast_ref::<DsearchUnit>()
-            .ok_or_else(|| WireError::new("dsearch unit payload is not a DsearchUnit"))?;
+        if payload.downcast_ref::<DsearchUnit>().is_none() {
+            return Err(WireError::new("dsearch unit payload is not a DsearchUnit"));
+        }
+        let wire = payload.wire_bytes();
+        let mut u = payload.into_inner::<DsearchUnit>();
         if chunks.len() != u.needs.len() {
             return Err(WireError::new(format!(
                 "hydration got {} chunks for {} needs",
@@ -417,12 +435,8 @@ impl WireCodec for DsearchCodec {
             }
             data.push(decode_db_chunk(bytes)?);
         }
-        let wire = payload.wire_bytes();
-        let hydrated = DsearchUnit {
-            data: Some(data),
-            ..u.clone()
-        };
-        Ok(Payload::new(hydrated, wire))
+        u.data = Some(data);
+        Ok(Payload::new(u, wire))
     }
 }
 
@@ -446,7 +460,7 @@ pub fn build_problem(
         db: db.clone(),
         queries: queries.clone(),
         kernel: kernel.clone(),
-        chunk_meta,
+        chunk_meta: chunk_meta.clone(),
         top_hits: config.top_hits,
         cost_scale: config.cost_scale,
         cursor: 0,
@@ -456,16 +470,24 @@ pub fn build_problem(
         telemetry: Telemetry::default(),
     };
     let prepared = queries.iter().map(|q| kernel.prepare(q)).collect();
+    let mut ids: Vec<&str> = queries.iter().map(|q| q.id.as_str()).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let slots = queries
+        .iter()
+        .map(|q| ids.binary_search(&q.id.as_str()).expect("id listed"))
+        .collect();
     let algo = DsearchAlgo {
         db: db.clone(),
         queries,
         kernel,
         prepared,
+        slots,
         top_hits: config.top_hits,
     };
     Problem::new("dsearch", Box::new(dm), Arc::new(algo))
         .with_setup_bytes(setup)
-        .with_codec(Arc::new(DsearchCodec { db }))
+        .with_codec(Arc::new(DsearchCodec { db, chunk_meta }))
 }
 
 #[cfg(test)]
@@ -616,6 +638,7 @@ mod tests {
         let meta = chunk_table(&db);
         let codec = DsearchCodec {
             db: Arc::new(db.clone()),
+            chunk_meta: Arc::new(meta.clone()),
         };
         let unit = Payload::new(
             DsearchUnit {
@@ -664,14 +687,18 @@ mod tests {
         let meta = chunk_table(&db);
         let codec = DsearchCodec {
             db: Arc::new(db.clone()),
+            chunk_meta: Arc::new(meta.clone()),
         };
         // Every served chunk matches its advertised digest and size.
         for need in &meta {
             let bytes = codec.encode_chunk(need.chunk).unwrap();
             assert_eq!(biodist_core::chunk_digest(&bytes), need.digest);
             assert_eq!(bytes.len() as u64, need.bytes);
+            // What the origin serves the chunk under, unhashed.
+            assert_eq!(codec.known_digest(need.chunk), Some(need.digest));
         }
         assert!(codec.encode_chunk(db.len() as u64).is_err());
+        assert_eq!(codec.known_digest(db.len() as u64), None);
 
         // Hydrating a decoded unit from served chunks reproduces the
         // exact subject sequences the in-process algorithm would scan.
@@ -702,6 +729,52 @@ mod tests {
         let unit2 = codec.encode_unit(&unit).unwrap();
         let decoded2 = codec.decode_unit(&unit2).unwrap();
         assert!(codec.hydrate_unit(decoded2, &fetched[1..]).is_err());
+    }
+
+    #[test]
+    fn hostile_chunk_bytes_fail_hydration_with_a_wire_error() {
+        let (db, _, _) = test_inputs();
+        let meta = chunk_table(&db);
+        let codec = DsearchCodec {
+            db: Arc::new(db),
+            chunk_meta: Arc::new(meta.clone()),
+        };
+        let unit = Payload::new(
+            DsearchUnit {
+                start: 0,
+                end: 1,
+                needs: meta[..1].to_vec(),
+                data: None,
+            },
+            16,
+        );
+        let unit = codec.encode_unit(&unit).unwrap();
+        let chunk = |id: &[u8], tag: u8, codes: &[u8], trailing: &[u8]| {
+            let mut w = ByteWriter::new();
+            w.bytes(id);
+            w.u8(tag);
+            w.bytes(codes);
+            w.buf().extend_from_slice(trailing);
+            Arc::new(w.into_bytes())
+        };
+        let hydrate = |bytes: Arc<Vec<u8>>| {
+            let decoded = codec.decode_unit(&unit).unwrap();
+            codec.hydrate_unit(decoded, &[(0, bytes)])
+        };
+        // The hand-built form is the served one: a well-formed chunk,
+        // the ambiguity code included, hydrates.
+        assert!(hydrate(chunk(b"s0", 1, &[0, 19, 20], &[])).is_ok());
+        for (bytes, says) in [
+            (chunk(b"s0", 1, &[0, 21, 3], &[]), "code out of range"),
+            (chunk(b"s0", 2, &[0, 1], &[]), "unknown alphabet tag 2"),
+            (chunk(&[0xff, 0xfe], 1, &[0, 1], &[]), "invalid UTF-8"),
+            (chunk(b"s0", 1, &[0, 1], &[7]), "1 trailing bytes"),
+        ] {
+            match hydrate(bytes) {
+                Err(WireError(msg)) => assert!(msg.contains(says), "{msg:?}: want {says:?}"),
+                Ok(_) => panic!("hydrated a chunk with {says:?}"),
+            }
+        }
     }
 
     #[test]
