@@ -25,9 +25,10 @@
 //!   ([`net::wire`]), with heartbeats, reconnect, a fault proxy for
 //!   transport chaos, and an append-only checkpoint log
 //!   ([`net::checkpoint`]) that lets a killed server restart and resume
-//!   without recombining any unit. [`run_tcp`] runs a server's problems
-//!   on loopback donors; the CLIs, the examples and every real-time test
-//!   use it. A problem opts in by registering a [`codec::WireCodec`].
+//!   without recombining any unit ([`recover`]). [`run_tcp`] runs a
+//!   server's problems on loopback donors; the CLIs, the examples and
+//!   every real-time test use it. A problem opts in by registering a
+//!   [`codec::WireCodec`].
 //!
 //! Fault tolerance is testable by construction: [`fault`] expresses
 //! seeded, replayable fault schedules ([`FaultPlan`]) interpreted by
@@ -56,17 +57,16 @@ pub use fault::{
 };
 pub use health::{Detector, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{
-    chunk_digest, raise_nofile_limit, recover, recover_traced, run_tcp, run_tcp_faulty,
-    run_tcp_replicated, run_tcp_with, Backoff, CacheStats, CheckpointWriter, ChunkCache,
-    ChunkStore, Directory, FaultProxy, NetClientOptions, NetServer, NetServerOptions,
-    RecoveryReport, ReplicaServer, REPLICA_CLIENT_ID,
+    chunk_digest, raise_nofile_limit, run_tcp, run_tcp_faulty, run_tcp_replicated, run_tcp_with,
+    Backoff, CacheStats, CheckpointWriter, ChunkCache, ChunkStore, Directory, FaultProxy,
+    NetClientOptions, NetServer, NetServerOptions, ReplicaServer, REPLICA_CLIENT_ID,
 };
 pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, WorkUnit};
 pub use quorum::{QuorumTally, VoteOutcome};
 pub use sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
 pub use server::{
-    Assignment, DonorStatus, ProblemId, ProblemStatus, RunJournal, Server, StatusSnapshot, Then,
-    TurnOutcome, TurnResult,
+    recover, recover_traced, Assignment, DonorStatus, ProblemId, ProblemStatus, RecoveryReport,
+    RunJournal, Server, StatusSnapshot, Then, TurnOutcome, TurnResult,
 };
 pub use sim_backend::{RunReport, SimConfig, SimRunner};
 pub use telemetry::{

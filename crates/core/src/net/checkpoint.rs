@@ -1,9 +1,11 @@
-//! Crash-recoverable server durability: an append-only checkpoint log.
+//! Crash-recoverable server durability: the append-only checkpoint log.
 //!
 //! The Java system's server was a single point of failure; volunteer
 //! platforms like Folding@Home treat server restarts as routine
-//! (PAPERS.md). This module gives the TCP backend the same property:
-//! the server journals, inside its own critical section, every event a
+//! (PAPERS.md). This module is the log format that gives the TCP backend
+//! the same property: the server's one journal handle — a
+//! [`CheckpointWriter`] installed with [`crate::Server::set_journal`] —
+//! records, inside the server's own critical section, every event a
 //! fresh [`crate::DataManager`] needs to reach the crashed one's state —
 //!
 //! * `Issue` records: which unit the manager produced, and the
@@ -14,8 +16,9 @@
 //! * `Vote` records: quorum ballots cast before a unit reached
 //!   agreement, so a restarted server resumes interrupted elections
 //!   (re-capped below the quorum — only a live result can fold);
-//! * `Donors` records: periodic [`DonorSnapshot`]s so recovery resumes
-//!   with warm speed estimates, earned trust and affinity windows.
+//! * `Donors` records: periodic [`DonorSnapshot`]s
+//!   ([`crate::Server::snapshot_donors`]) so recovery resumes with warm
+//!   speed estimates, earned trust and affinity windows.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
 //! body): u32]`, little-endian; a donor turn's unit records are one
@@ -27,7 +30,7 @@
 //! truncated, fails its CRC or is a malformed turn — a *torn tail* from
 //! a crash mid-write, anywhere in the group being written — and recovery
 //! proceeds from what survived: any unit whose result record was lost
-//! is simply recomputed. [`recover`] replays the
+//! is simply recomputed. [`crate::server::recovery`] replays the
 //! surviving records against freshly-built problems and returns a
 //! server that resumes without recombining any completed unit (the
 //! exactly-once property the chaos suite's `audited()` checker
@@ -35,11 +38,10 @@
 
 use super::wire::{MAX_BODY, MAX_PIPELINE_DEPTH};
 use crate::codec::{ByteReader, ByteWriter};
-use crate::problem::{Problem, TaskResult, UnitId, WorkUnit};
-use crate::sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
-use crate::server::{ProblemId, RunJournal, Server};
+use crate::problem::{UnitId, WorkUnit};
+use crate::sched::{ClientId, DonorRow, DonorSnapshot};
+use crate::server::{ProblemId, RunJournal};
 use crate::telemetry::SIZE_BOUNDS;
-use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -48,7 +50,6 @@ use std::sync::{Arc, Mutex};
 const REC_ISSUE: u8 = 1;
 const REC_RESULT: u8 = 2;
 const REC_VOTE: u8 = 6;
-const REC_REPLICA: u8 = 7;
 const REC_TURN: u8 = 8;
 const REC_DONORS: u8 = 9;
 // A `Donors` record is a row count, then each row's client, part mask
@@ -107,10 +108,6 @@ pub enum LogRecord {
         /// The codec-encoded candidate bytes the donor submitted.
         payload: Vec<u8>,
     },
-    /// The replica topology the server was announcing (the last record
-    /// in the log wins), so an operator restarting a crashed server can
-    /// re-point donors at the same replica tier.
-    Replica(Vec<std::net::SocketAddr>),
 }
 
 /// An open group is written out once it holds this many bytes, whatever
@@ -184,9 +181,10 @@ impl Drop for Log {
     }
 }
 
-/// Append-only, cloneable checkpoint writer; install a clone as the
-/// server's [`RunJournal`] and keep one for periodic snapshots (clones
-/// share one log and one open group).
+/// Append-only, cloneable checkpoint writer; install it as the server's
+/// [`RunJournal`], the one handle every record goes through — donor
+/// snapshots too ([`RunJournal::donors_snapshotted`]). Clones share one
+/// log and one open group.
 ///
 /// Unit records (`Issue` / `Result` / `Vote`) are **group-committed**:
 /// each is CRC-framed into the open group as it is reported, and the
@@ -203,9 +201,9 @@ impl Drop for Log {
 /// commit first. The handle installed as the journal writes the unit
 /// records of one donor turn ([`RunJournal::begin_turn`]) as one `Turn`
 /// record in a buffer of its own, framed and joined to the group when
-/// the turn ends: one CRC and one log lock a turn, and since whoever
-/// else writes — the ticker's snapshots — does so holding the server,
-/// between turns, [`read_log`] reads the records back in report order.
+/// the turn ends: one CRC and one log lock a turn, and since a snapshot
+/// is reported between turns, [`read_log`] reads the records back in
+/// report order.
 ///
 /// Write failures are counted (`ckpt.write_errors`), not propagated: a
 /// full disk degrades durability — lost records mean recomputed units
@@ -323,7 +321,6 @@ impl CheckpointWriter {
                 REC_ISSUE => "issue",
                 REC_RESULT => "result",
                 REC_VOTE => "vote",
-                REC_REPLICA => "replica",
                 _ => "donors",
             };
             self.telemetry
@@ -336,7 +333,7 @@ impl CheckpointWriter {
     }
 
     /// Appends a snapshot of every donor record.
-    pub fn append_donors(&self, snap: &DonorSnapshot) {
+    pub(crate) fn append_donors(&self, snap: &DonorSnapshot) {
         self.write_record(REC_DONORS, |w| {
             w.u32(snap.donors.len() as u32);
             for row in &snap.donors {
@@ -359,17 +356,6 @@ impl CheckpointWriter {
                     w.u32(row.affinity.len() as u32);
                     row.affinity.iter().for_each(|&d| w.u64(d));
                 }
-            }
-        });
-    }
-
-    /// Appends the current replica topology (written whenever snapshots
-    /// are taken; the last record wins on replay).
-    pub fn append_replicas(&self, endpoints: &[std::net::SocketAddr]) {
-        self.write_record(REC_REPLICA, |w| {
-            w.u32(endpoints.len() as u32);
-            for ep in endpoints {
-                w.str(&ep.to_string());
             }
         });
     }
@@ -439,6 +425,10 @@ impl RunJournal for CheckpointWriter {
     fn discard(&mut self) {
         CheckpointWriter::discard(self);
     }
+
+    fn donors_snapshotted(&mut self, snap: &DonorSnapshot) {
+        self.append_donors(snap);
+    }
 }
 
 /// Reads every intact record from a checkpoint log, a turn's as the
@@ -486,8 +476,9 @@ fn parse_record(buf: &[u8], out: &mut Vec<LogRecord>) -> Option<usize> {
     let before = out.len();
     let parsed = match rtype {
         REC_TURN => parse_turn(&mut r, out),
-        // An older log's per-part snapshots, replaced by `Donors`: skipped.
-        3..=5 => return Some(total),
+        // An older log's per-part snapshots, replaced by `Donors`, and
+        // its replica topology, which nothing replays: skipped.
+        3..=5 | 7 => return Some(total),
         _ => parse_body(rtype, &mut r).map(|record| out.push(record)),
     };
     if parsed.and_then(|()| r.finish().ok()).is_none() {
@@ -551,292 +542,20 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
             client: r.usize().ok()?,
             payload: r.bytes().ok()?.to_vec(),
         },
-        REC_REPLICA => {
-            let n = r.count(4).ok()?;
-            let mut endpoints = Vec::with_capacity(n);
-            for _ in 0..n {
-                endpoints.push(r.str().ok()?.parse().ok()?);
-            }
-            LogRecord::Replica(endpoints)
-        }
         _ => return None,
     })
-}
-
-/// What [`recover`] reconstructed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RecoveryReport {
-    /// Issue records replayed against the fresh data managers.
-    pub replayed_issues: u64,
-    /// Result records folded back in (units that will NOT recompute).
-    pub replayed_results: u64,
-    /// Issued-but-uncompleted units queued for reassignment.
-    pub pending_restored: u64,
-    /// Quorum votes re-seeded onto still-pending units (always capped
-    /// below the quorum, so none of them can fold without a live
-    /// result).
-    pub restored_votes: u64,
-    /// Replica endpoints the crashed server was announcing (count from
-    /// the last surviving topology record; a restarted deployment
-    /// re-registers live replicas via [`super::NetServer::set_replicas`]).
-    pub replica_endpoints: usize,
-    /// Whether a torn tail or a replay divergence cut the log short.
-    pub torn_tail: bool,
-}
-
-/// Rebuilds a server from `problems` (freshly constructed, in the same
-/// order as the crashed run's submissions) and the checkpoint log at
-/// `path`. Records are replayed in log order — each `Issue` re-drives
-/// the data manager with its original hint, each `Result` re-folds the
-/// decoded payload — so the managers march through the exact state
-/// sequence the crashed server observed. Units issued without a
-/// surviving result record are queued for reassignment; no completed
-/// unit is ever recombined.
-///
-/// Replay stops early (reported as `torn_tail`) if a record refers to
-/// an unknown problem, the manager produces a different unit than the
-/// log recorded, or a payload no longer decodes — the remaining records
-/// describe state this run never reached, and the affected units fall
-/// back to recomputation.
-pub fn recover(
-    cfg: SchedulerConfig,
-    problems: Vec<Problem>,
-    path: &Path,
-) -> std::io::Result<(Server, RecoveryReport)> {
-    recover_traced(cfg, problems, path, crate::telemetry::Telemetry::disabled())
-}
-
-/// [`recover`] with a telemetry handle installed *before* replay, so the
-/// trace records every `replay_issue` / `replay_result` and ends with a
-/// `recovery_done` summary event.
-pub fn recover_traced(
-    cfg: SchedulerConfig,
-    problems: Vec<Problem>,
-    path: &Path,
-    telemetry: crate::telemetry::Telemetry,
-) -> std::io::Result<(Server, RecoveryReport)> {
-    let (records, torn) = read_log(path)?;
-    let mut server = Server::new(cfg);
-    server.set_telemetry(telemetry.clone());
-    for p in problems {
-        server.submit(p);
-    }
-    let mut report = RecoveryReport {
-        torn_tail: torn,
-        ..Default::default()
-    };
-    let mut pending: BTreeMap<(ProblemId, UnitId), WorkUnit> = BTreeMap::new();
-    let mut donors: Option<DonorSnapshot> = None;
-    type VoteStash = BTreeMap<(ProblemId, UnitId), (u32, Vec<(ClientId, Vec<u8>)>)>;
-    let mut votes: VoteStash = BTreeMap::new();
-    for record in records {
-        match record {
-            LogRecord::Issue {
-                problem,
-                unit,
-                hint_ops,
-            } => {
-                if problem >= server.problem_count() {
-                    report.torn_tail = true;
-                    break;
-                }
-                match server.replay_issue(problem, unit, hint_ops) {
-                    Some(u) => {
-                        pending.insert((problem, unit), u);
-                        report.replayed_issues += 1;
-                    }
-                    None => {
-                        report.torn_tail = true;
-                        break;
-                    }
-                }
-            }
-            LogRecord::Result {
-                problem,
-                unit,
-                payload,
-            } => {
-                if problem >= server.problem_count() || pending.remove(&(problem, unit)).is_none() {
-                    report.torn_tail = true;
-                    break;
-                }
-                let Some(codec) = server.codec(problem) else {
-                    report.torn_tail = true;
-                    break;
-                };
-                let Ok(decoded) = codec.decode_result(&payload) else {
-                    report.torn_tail = true;
-                    break;
-                };
-                server.replay_result(
-                    problem,
-                    TaskResult {
-                        unit_id: unit,
-                        payload: decoded,
-                    },
-                    0.0,
-                );
-                // The election this unit may have been running is over;
-                // any of its surviving vote records are stale.
-                votes.remove(&(problem, unit));
-                report.replayed_results += 1;
-            }
-            LogRecord::Donors(snap) => donors = Some(snap),
-            LogRecord::Replica(endpoints) => report.replica_endpoints = endpoints.len(),
-            LogRecord::Vote {
-                problem,
-                unit,
-                needed,
-                client,
-                payload,
-            } => {
-                if problem >= server.problem_count() {
-                    report.torn_tail = true;
-                    break;
-                }
-                let entry = votes.entry((problem, unit)).or_insert((needed, Vec::new()));
-                entry.0 = needed;
-                entry.1.push((client, payload));
-            }
-        }
-    }
-    // Everything issued but not completed goes back on the queue,
-    // grouped per problem in unit order (BTreeMap iteration).
-    let mut by_problem: BTreeMap<ProblemId, Vec<WorkUnit>> = BTreeMap::new();
-    let mut restored_keys: std::collections::BTreeSet<(ProblemId, UnitId)> =
-        std::collections::BTreeSet::new();
-    for ((pid, uid), unit) in pending {
-        by_problem.entry(pid).or_default().push(unit);
-        restored_keys.insert((pid, uid));
-        report.pending_restored += 1;
-    }
-    for (pid, units) in by_problem {
-        server.restore_pending(pid, units);
-    }
-    // Re-seed the interrupted elections, but only for units that came
-    // back as pending — votes for units we never re-issued describe
-    // state this run cannot reach.
-    for ((pid, unit), (needed, ballots)) in votes {
-        if restored_keys.contains(&(pid, unit)) {
-            report.restored_votes += server.restore_votes(pid, unit, needed, &ballots);
-        }
-    }
-    if let Some(snap) = donors {
-        server.restore_donors(&snap);
-    }
-    telemetry.emit(crate::telemetry::EventKind::RecoveryDone {
-        replayed_issues: report.replayed_issues,
-        replayed_results: report.replayed_results,
-        pending_restored: report.pending_restored,
-        torn_tail: report.torn_tail,
-    });
-    Ok((server, report))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::server::Assignment;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn temp_log(tag: &str) -> std::path::PathBuf {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        std::env::temp_dir().join(format!("biodist-ckpt-{}-{tag}-{n}.log", std::process::id()))
-    }
-
-    // Fixed granularity (min == max) so the crashed, recovered and
-    // sequential runs all decompose the problem identically — the
-    // precondition for bit-identical outputs.
-    fn fixed_cfg() -> SchedulerConfig {
-        SchedulerConfig {
-            min_unit_ops: 1.25e6, // 6250 grid points per unit
-            max_unit_ops: 1.25e6,
-            ..Default::default()
-        }
-    }
-
-    fn sequential_pi(n: u64) -> f64 {
-        let mut server = Server::new(fixed_cfg());
-        let pid = server.submit(integration_problem(n));
-        drive(&mut server);
-        server.take_output(pid).unwrap().into_inner::<f64>()
-    }
-
-    fn drive(server: &mut Server) {
-        let mut now = 0.0;
-        loop {
-            match server.request_work(0, now) {
-                Assignment::Unit {
-                    problem,
-                    unit,
-                    algorithm,
-                } => {
-                    let r = algorithm.compute(&unit);
-                    now += 1.0;
-                    server.submit_result(0, problem, r, now);
-                }
-                Assignment::Wait => now += 1.0,
-                Assignment::Finished => break,
-            }
-        }
-    }
-
-    #[test]
-    fn kill_mid_run_recover_and_finish_exactly_once() {
-        let path = temp_log("midrun");
-        let n = 100_000;
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let mut server = Server::new(fixed_cfg());
-        let pid = server.submit(integration_problem(n));
-        server.set_journal(Box::new(writer.clone()));
-        // Drive a handful of units, leaving two issued-but-unfinished
-        // at the "crash": one in flight, one queued behind it.
-        let mut completed = 0;
-        let mut now = 0.0;
-        let mut abandoned = 0;
-        while completed < 4 {
-            match server.request_work(0, now) {
-                Assignment::Unit {
-                    problem,
-                    unit,
-                    algorithm,
-                } => {
-                    let r = algorithm.compute(&unit);
-                    now += 1.0;
-                    server.submit_result(0, problem, r, now);
-                    completed += 1;
-                }
-                _ => panic!("work must be available"),
-            }
-        }
-        for c in [1, 2] {
-            let Assignment::Unit { .. } = server.request_work(c, now) else {
-                panic!("expected in-flight unit")
-            };
-            abandoned += 1;
-        }
-        writer.append_donors(&server.scheduler().snapshot());
-        drop(server); // the crash: all in-memory state gone
-
-        let (mut recovered, report) =
-            recover(fixed_cfg(), vec![integration_problem(n)], &path).unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(report.replayed_results, 4);
-        assert_eq!(report.pending_restored, abandoned);
-        assert_eq!(report.replayed_issues, 4 + abandoned);
-        assert_eq!(recovered.stats(pid).completed_units, 4);
-        // Warm scheduler state came back.
-        let warm = recovered.scheduler().snapshot().donors;
-        assert!(warm.iter().any(|r| r.client == 0 && r.adaptive.is_some()));
-
-        drive(&mut recovered);
-        let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
-        let reference = sequential_pi(n);
-        assert_eq!(pi.to_bits(), reference.to_bits(), "bit-identical recovery");
-        let _ = std::fs::remove_file(&path);
-    }
+    use crate::sched::SchedulerConfig;
+    use crate::server::recovery::tests::{
+        drive_quorum, fixed_cfg, quorum_cfg, sequential_pi, temp_log,
+    };
+    use crate::server::{recover, Assignment, Server};
+    use std::sync::Arc;
 
     /// The installed handle frames a turn's records without the log
     /// lock and joins them to the group under one acquisition: a turn
@@ -935,64 +654,6 @@ mod tests {
             "2K issues of 25 bytes and K results of 29 in two turns of 9, or of 33 and 37"
         );
         assert_eq!(by_turn.0, by_record.0);
-    }
-
-    #[test]
-    fn torn_tail_is_dropped_and_units_recomputed() {
-        let path = temp_log("torn");
-        let n = 50_000;
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let mut server = Server::new(fixed_cfg());
-        let pid = server.submit(integration_problem(n));
-        server.set_journal(Box::new(writer));
-        let mut now = 0.0;
-        for _ in 0..3 {
-            let Assignment::Unit {
-                problem,
-                unit,
-                algorithm,
-            } = server.request_work(0, now)
-            else {
-                panic!()
-            };
-            let r = algorithm.compute(&unit);
-            now += 1.0;
-            server.submit_result(0, problem, r, now);
-        }
-        drop(server);
-        // Tear the tail: truncate the file mid-way through the last
-        // record, as a crash during a write would.
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-
-        let (mut recovered, report) =
-            recover(fixed_cfg(), vec![integration_problem(n)], &path).unwrap();
-        assert!(report.torn_tail, "truncation must be noticed");
-        // The torn record was the third result; its unit is recomputed.
-        assert_eq!(report.replayed_results, 2);
-        assert_eq!(report.pending_restored, 1);
-        drive(&mut recovered);
-        let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
-        assert_eq!(pi.to_bits(), sequential_pi(n).to_bits());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn empty_and_garbage_logs_recover_to_a_fresh_run() {
-        let path = temp_log("garbage");
-        std::fs::write(&path, [0xDE, 0xAD, 0xBE]).unwrap();
-        let (mut server, report) = recover(
-            SchedulerConfig::default(),
-            vec![integration_problem(10_000)],
-            &path,
-        )
-        .unwrap();
-        assert!(report.torn_tail);
-        assert_eq!(report.replayed_issues, 0);
-        drive(&mut server);
-        let pi = server.take_output(0).unwrap().into_inner::<f64>();
-        assert!((pi - std::f64::consts::PI).abs() < 1e-7);
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Rows with every part, with affinity only and with none of the
@@ -1097,41 +758,28 @@ mod tests {
         assert!(!report.torn_tail);
         assert_eq!(server.scheduler().snapshot(), snap);
         assert_eq!(server.scheduler().affinity_score(0, &[0xAA, 0xBB]), 2);
+        // An older log's replica-topology record (type 7) — before,
+        // between and after these two — is skipped whole: the log reads
+        // and recovers exactly as it does without it.
+        let bytes = std::fs::read(&path).unwrap();
+        let mut replica = vec![0; 4];
+        write_body(&mut replica, 7, |w| {
+            w.u32(1);
+            w.str("127.0.0.1:9001");
+        });
+        seal_record(&mut replica, 0);
+        let (donors, vote) = bytes.split_at(parse_record(&bytes, &mut Vec::new()).unwrap());
+        std::fs::write(&path, [&replica, donors, &replica, vote, &replica].concat()).unwrap();
+        assert_eq!(read_log(&path).unwrap(), (records, false));
+        let (old, old_report) = recover(
+            SchedulerConfig::default(),
+            vec![integration_problem(10_000)],
+            &path,
+        )
+        .unwrap();
+        assert_eq!(old_report, report);
+        assert_eq!(old.scheduler().snapshot(), snap);
         let _ = std::fs::remove_file(&path);
-    }
-
-    // Fixed granularity plus a 2-way quorum: every unit needs two
-    // byte-identical votes from untrusted donors before it folds.
-    fn quorum_cfg() -> SchedulerConfig {
-        SchedulerConfig {
-            quorum_k: 2,
-            reputation_threshold: 1_000,
-            ..fixed_cfg()
-        }
-    }
-
-    /// Donors 1 and 2 take turns until both are told `Finished`.
-    fn drive_quorum(server: &mut Server, mut now: f64) {
-        let mut finished = 0;
-        while finished < 2 {
-            finished = 0;
-            for c in [1usize, 2] {
-                match server.request_work(c, now) {
-                    Assignment::Unit {
-                        problem,
-                        unit,
-                        algorithm,
-                    } => {
-                        let r = algorithm.compute(&unit);
-                        now += 1.0;
-                        server.submit_result(c, problem, r, now);
-                    }
-                    Assignment::Wait => now += 1.0,
-                    Assignment::Finished => finished += 1,
-                }
-            }
-            assert!(now < 1e6, "quorum run must make progress");
-        }
     }
 
     /// A crash while a group is being written can leave any prefix of
@@ -1374,84 +1022,5 @@ mod tests {
                 assert_eq!((&records, torn), (&kept, true), "byte {at} ^ {flip:#04x}");
             }
         }
-    }
-
-    #[test]
-    fn kill_mid_quorum_recovers_without_double_combine() {
-        let path = temp_log("midquorum");
-        let n = 50_000;
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let mut server = Server::new(quorum_cfg());
-        let pid = server.submit(integration_problem(n));
-        server.set_journal(Box::new(writer.clone()));
-        // Donor 0 casts the first of two required votes on the first
-        // unit; the server crashes before anyone seconds it.
-        let Assignment::Unit {
-            problem,
-            unit,
-            algorithm,
-        } = server.request_work(0, 0.0)
-        else {
-            panic!("work must be available")
-        };
-        let first = algorithm.compute(&unit);
-        assert!(server.submit_result(0, problem, first, 1.0));
-        assert_eq!(
-            server.stats(pid).completed_units,
-            0,
-            "no fold before quorum"
-        );
-        writer.commit(); // the donor was answered, so the pump had committed
-        drop(server); // the crash, mid-election
-
-        let (mut recovered, report) =
-            recover(quorum_cfg(), vec![integration_problem(n)], &path).unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(report.replayed_results, 0);
-        assert_eq!(report.pending_restored, 1);
-        assert_eq!(report.restored_votes, 1);
-
-        // Two fresh donors finish the run: the restored vote plus one
-        // live agreeing result resolves the interrupted election, and
-        // every later unit gathers its two votes normally.
-        drive_quorum(&mut recovered, 1.0);
-        let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
-        assert_eq!(
-            pi.to_bits(),
-            sequential_pi(n).to_bits(),
-            "exactly-once fold across a mid-quorum crash"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn replica_topology_record_round_trips_and_last_wins() {
-        let path = temp_log("replica");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let first: Vec<std::net::SocketAddr> = vec!["127.0.0.1:9001".parse().unwrap()];
-        let second: Vec<std::net::SocketAddr> = vec![
-            "127.0.0.1:9002".parse().unwrap(),
-            "[::1]:9003".parse().unwrap(),
-        ];
-        writer.append_replicas(&first);
-        writer.append_replicas(&second);
-        let (records, torn) = read_log(&path).unwrap();
-        assert!(!torn);
-        assert_eq!(
-            records,
-            vec![
-                LogRecord::Replica(first),
-                LogRecord::Replica(second.clone()),
-            ]
-        );
-        let (_server, report) = recover(
-            SchedulerConfig::default(),
-            vec![integration_problem(10_000)],
-            &path,
-        )
-        .unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(report.replica_endpoints, second.len(), "last record wins");
-        let _ = std::fs::remove_file(&path);
     }
 }

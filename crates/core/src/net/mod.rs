@@ -23,7 +23,7 @@
 //!   duplicates, corrupts and delays *real bytes* per the same
 //!   `FaultPlan` delivery faults the PR 2 chaos harness uses;
 //! * [`checkpoint`] — the append-only log that makes the server itself
-//!   crash-recoverable ([`recover`]).
+//!   crash-recoverable (replayed by [`crate::server::recovery`]).
 //!
 //! [`run_tcp`] / [`run_tcp_faulty`] wire the pieces together on
 //! loopback: the CLIs, the examples and every real-time test run the
@@ -43,7 +43,7 @@ pub mod wire;
 
 pub use backoff::Backoff;
 pub use cache::{chunk_digest, CacheStats, ChunkCache};
-pub use checkpoint::{recover, recover_traced, CheckpointWriter, LogRecord, RecoveryReport};
+pub use checkpoint::{CheckpointWriter, LogRecord};
 pub use client::{spawn_clients, ClientKit, NetClientOptions};
 pub use evloop::raise_nofile_limit;
 pub use proxy::FaultProxy;

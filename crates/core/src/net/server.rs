@@ -24,7 +24,6 @@
 //! shard count.
 
 use super::cache::chunk_digest;
-use super::checkpoint::CheckpointWriter;
 use super::evloop::{
     accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, FrameHandler, LoopHandle,
     ReplyHalf,
@@ -57,14 +56,11 @@ pub struct NetServerOptions {
     /// declared gone: its leases reissue immediately instead of waiting
     /// for lease expiry. Scaled seconds.
     pub liveness_timeout: f64,
-    /// Append a donor-records snapshot to the checkpoint log every this
-    /// many ticks (0 disables periodic snapshots).
+    /// Snapshot every donor record into the server's journal every this
+    /// many ticks ([`Server::snapshot_donors`]: nothing without a
+    /// journal), so a recovered server starts with warm donor records;
+    /// 0 disables periodic snapshots.
     pub snapshot_every_ticks: u64,
-    /// When set, the ticker appends periodic [`crate::DonorSnapshot`]
-    /// records here so a recovered server starts with warm donor
-    /// records. (Unit issue/fold journaling is separate: install the
-    /// writer as the server's journal via [`crate::Server::set_journal`].)
-    pub checkpoint: Option<CheckpointWriter>,
     /// Event-loop threads serving connections (default 1, overridable
     /// via the `BIODIST_NET_SHARDS` env var); the acceptor deals
     /// connections to them round-robin. Identical dispatch at every
@@ -82,7 +78,6 @@ impl Default for NetServerOptions {
         Self {
             liveness_timeout: 5.0,
             snapshot_every_ticks: 50,
-            checkpoint: None,
             shards,
         }
     }
@@ -102,9 +97,9 @@ struct Shared {
     /// Cloned off the server at start so wire-level counters and sweep
     /// events don't need the server lock.
     telemetry: Telemetry,
-    /// Chunk replica endpoints, announced to every donor on `Hello`
-    /// and snapshotted to the checkpoint log. Set after start (replicas
-    /// bind once the origin's address is known).
+    /// Chunk replica endpoints, announced to every donor on `Hello`.
+    /// Set after start (replicas bind once the origin's address is
+    /// known).
     replicas: Mutex<Vec<SocketAddr>>,
     /// Per-shard connection inboxes and wakers.
     shards: Vec<LoopHandle>,
@@ -125,7 +120,7 @@ impl Shared {
 /// A running TCP server around a [`Server`]. Bind with [`NetServer::start`],
 /// then either [`NetServer::wait`] for completion or [`NetServer::kill`]
 /// it mid-run to simulate a server crash (the checkpoint log survives;
-/// [`super::recover`] rebuilds the state).
+/// [`crate::recover`] rebuilds the state).
 pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
@@ -215,7 +210,7 @@ impl NetServer {
 
     /// Registers the chunk replica endpoints. Every subsequent `Hello`
     /// is answered with a [`Frame::ReplicaAnnounce`] carrying this
-    /// list, and the ticker snapshots it to the checkpoint log.
+    /// list.
     pub fn set_replicas(&self, endpoints: Vec<SocketAddr>) {
         *self.shared.replicas.lock().unwrap() = endpoints;
     }
@@ -762,16 +757,9 @@ fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
             server.client_gone(c);
         }
         let complete = server.all_complete();
-        if !complete {
-            if let Some(w) = &opts.checkpoint {
-                if opts.snapshot_every_ticks > 0 && tick.is_multiple_of(opts.snapshot_every_ticks) {
-                    w.append_donors(&server.scheduler().snapshot());
-                    let endpoints = shared.replicas.lock().unwrap().clone();
-                    if !endpoints.is_empty() {
-                        w.append_replicas(&endpoints);
-                    }
-                }
-            }
+        let every = opts.snapshot_every_ticks;
+        if !complete && every > 0 && tick.is_multiple_of(every) {
+            server.snapshot_donors();
         }
         drop(guard);
         if complete {
@@ -785,6 +773,7 @@ mod tests {
     use super::*;
     use crate::builtin::integration_problem;
     use crate::codec::WireError;
+    use crate::net::checkpoint::CheckpointWriter;
     use crate::net::wire::{encode_frame, encode_frame_into, FrameReader};
     use crate::problem::Payload;
     use crate::sched::SchedulerConfig;

@@ -1,9 +1,10 @@
 //! The server: multi-problem unit dispatch with fault tolerance.
 //!
-//! Backend-independent — both the threaded and the simulated backend
-//! drive the same `Server` with (virtual or wall-clock) timestamps, so
-//! every scheduling behaviour exercised by the experiments is also the
-//! behaviour the correctness tests see.
+//! Backend-independent — both the simulated and the TCP backend drive
+//! the same `Server` with (virtual or wall-clock) timestamps, so every
+//! scheduling behaviour exercised by the experiments is also the
+//! behaviour the correctness tests see. Crash recovery — rebuilding a
+//! `Server` from the log its [`RunJournal`] wrote — is [`recovery`].
 
 use crate::codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
 use crate::health::HealthTransition;
@@ -15,14 +16,19 @@ use crate::telemetry::{EventKind, Telemetry, LATENCY_BOUNDS, OPS_BOUNDS};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
+pub mod recovery;
+pub use recovery::{recover, recover_traced, RecoveryReport};
+
 /// Identifies a submitted problem.
 pub type ProblemId = usize;
 
 /// Observer of the durable events a crash-recoverable run must replay:
 /// which units the data managers issued (and with what granularity
-/// hint), and which results were folded in. The TCP backend installs a
-/// [`crate::net::CheckpointWriter`] here; the in-process backends leave
-/// it unset and pay nothing.
+/// hint), which results were folded in, the votes of unfinished
+/// elections and, periodically, every donor record. A recoverable TCP
+/// run installs a [`crate::net::CheckpointWriter`] here, its one way
+/// into the log, and [`recovery`] replays what it wrote; the in-process
+/// backends leave it unset and pay nothing.
 ///
 /// Events are reported inside the server's own critical section, in
 /// exactly the order the data managers observed them — replaying the
@@ -68,6 +74,12 @@ pub trait RunJournal: Send {
     /// reported since the last [`RunJournal::commit`] are dropped, as a
     /// real crash would have lost them. Default no-op, like `commit`.
     fn discard(&mut self) {}
+    /// A snapshot of every donor record ([`Server::snapshot_donors`],
+    /// between turns); the last one a log holds is what recovery
+    /// restores. Default no-op.
+    fn donors_snapshotted(&mut self, snap: &DonorSnapshot) {
+        let _ = snap;
+    }
 }
 
 /// The server's answer to a work request.
@@ -420,6 +432,15 @@ impl Server {
     pub fn discard_journal(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.discard();
+        }
+    }
+
+    /// Reports every donor record to the journal
+    /// ([`RunJournal::donors_snapshotted`]); without a journal, builds
+    /// no snapshot. The TCP ticker calls this periodically.
+    pub fn snapshot_donors(&mut self) {
+        if let Some(j) = self.journal.as_mut() {
+            j.donors_snapshotted(&self.sched.snapshot());
         }
     }
 
@@ -1220,90 +1241,6 @@ impl Server {
         self.sched.forget_client(client);
     }
 
-    // ---- crash recovery (driven by `net::checkpoint::recover`) ----
-
-    /// Replays a journaled unit issue against the fresh data manager:
-    /// calls `next_unit(hint_ops)` and checks the manager produced the
-    /// unit the log recorded. `None` means the manager diverged (or had
-    /// nothing to issue) — the caller must treat the rest of the log
-    /// like a torn tail, because subsequent records describe state this
-    /// manager never reached. Not reported to the journal: the record
-    /// driving the replay is already in the log.
-    pub fn replay_issue(
-        &mut self,
-        problem: ProblemId,
-        expected_unit: UnitId,
-        hint_ops: f64,
-    ) -> Option<WorkUnit> {
-        let unit = self.problems[problem].dm.next_unit(hint_ops)?;
-        if unit.id != expected_unit {
-            return None;
-        }
-        self.telemetry.emit(EventKind::ReplayIssue {
-            problem,
-            unit: unit.id,
-        });
-        Some(unit)
-    }
-
-    /// Replays a journaled result fold: the decoded result goes
-    /// straight into the data manager (no lease bookkeeping — the
-    /// crashed server already did the dedup before journaling).
-    pub fn replay_result(&mut self, problem: ProblemId, result: TaskResult, now: f64) {
-        self.telemetry.set_now(now);
-        let unit_id = result.unit_id;
-        let p = &mut self.problems[problem];
-        p.dm.accept_result(result);
-        p.stats.completed_units += 1;
-        self.telemetry.emit(EventKind::ReplayResult {
-            problem,
-            unit: unit_id,
-        });
-        self.complete_problem(problem, now);
-    }
-
-    /// Queues recovered-but-uncompleted units for reassignment (issued
-    /// before the crash, no surviving result record — they must be
-    /// recomputed, never re-pulled from the data manager, which has
-    /// already moved past them).
-    pub fn restore_pending(&mut self, problem: ProblemId, units: Vec<WorkUnit>) {
-        self.problems[problem].leases.restore(units);
-    }
-
-    /// Restores in-flight quorum votes for a recovered-but-uncompleted
-    /// unit. Restored votes are capped below the quorum size (see
-    /// [`QuorumTally::restore_vote`]) so only a live recomputed result
-    /// can resolve the vote — a recovered run never double-combines a
-    /// half-voted unit. Returns how many votes were actually kept.
-    pub fn restore_votes(
-        &mut self,
-        problem: ProblemId,
-        unit: UnitId,
-        needed: u32,
-        votes: &[(ClientId, Vec<u8>)],
-    ) -> u64 {
-        let p = &mut self.problems[problem];
-        if p.done {
-            return 0;
-        }
-        let tally = p
-            .votes
-            .entry(unit)
-            .or_insert_with(|| QuorumTally::new(needed.max(1)));
-        let mut kept = 0;
-        for (client, bytes) in votes {
-            if tally.restore_vote(*client, bytes.clone()) {
-                kept += 1;
-            }
-        }
-        kept
-    }
-
-    /// Restores every donor record from a recovered snapshot.
-    pub fn restore_donors(&mut self, snap: &DonorSnapshot) {
-        self.sched.restore(snap);
-    }
-
     // ---- chunk affinity (PR 5) ----
 
     /// Records that `client` now holds the given chunk digests in its
@@ -1460,11 +1397,11 @@ mod tests {
         }
     }
 
-    fn sum_problem(n: u64, chunk: u64) -> Problem {
+    pub(super) fn sum_problem(n: u64, chunk: u64) -> Problem {
         Problem::new("sum", Box::new(SumDm::new(n, chunk)), Arc::new(SumAlgo))
     }
 
-    fn drive_to_completion(server: &mut Server, clients: &[ClientId]) -> Vec<u64> {
+    pub(super) fn drive_to_completion(server: &mut Server, clients: &[ClientId]) -> Vec<u64> {
         let mut now = 0.0;
         let mut outputs = Vec::new();
         let mut guard = 0;
@@ -1881,34 +1818,6 @@ mod tests {
     }
 
     #[test]
-    fn replay_restores_pending_units_and_completes() {
-        // Miniature recovery: issue two units, "crash" having completed
-        // neither, then drive a fresh server through replay_issue +
-        // restore_pending and finish the run.
-        let mut first = Server::new(SchedulerConfig::default());
-        first.submit(sum_problem(100, 50));
-        let hint = first.scheduler().donor(0).hint;
-        let Assignment::Unit { unit: u0, .. } = first.request_work(0, 0.0) else {
-            panic!()
-        };
-        let Assignment::Unit { unit: u1, .. } = first.request_work(1, 0.0) else {
-            panic!()
-        };
-
-        let mut recovered = Server::new(SchedulerConfig::default());
-        recovered.submit(sum_problem(100, 50));
-        let r0 = recovered.replay_issue(0, u0.id, hint).expect("unit 0");
-        let r1 = recovered.replay_issue(0, u1.id, hint).expect("unit 1");
-        assert_eq!(r0.id, u0.id);
-        // A diverged expectation is reported, not folded blindly.
-        assert!(recovered.replay_issue(0, 999, hint).is_none());
-        recovered.restore_pending(0, vec![r0, r1]);
-        let outputs = drive_to_completion(&mut recovered, &[0, 1]);
-        assert_eq!(outputs, vec![100 * 101 / 2]);
-        assert!(recovered.all_complete());
-    }
-
-    #[test]
     fn finished_signal_after_all_outputs() {
         let mut server = Server::new(SchedulerConfig::default());
         server.submit(sum_problem(10, 10));
@@ -1917,7 +1826,7 @@ mod tests {
         assert!(server.completion_time(0).is_some());
     }
 
-    fn quorum_server(cfg: SchedulerConfig, n: u64, chunk: u64) -> Server {
+    pub(super) fn quorum_server(cfg: SchedulerConfig, n: u64, chunk: u64) -> Server {
         let mut server = Server::new(cfg);
         server.submit(
             Problem::new("sum", Box::new(SumDm::new(n, chunk)), Arc::new(SumAlgo))
@@ -2064,55 +1973,6 @@ mod tests {
             3,
             "no cross-check once trusted"
         );
-        assert_eq!(
-            server.take_output(0).unwrap().into_inner::<u64>(),
-            10 * 11 / 2
-        );
-    }
-
-    #[test]
-    fn restored_votes_never_fold_without_a_live_result() {
-        let mut server = quorum_server(
-            SchedulerConfig {
-                quorum_k: 3,
-                enable_redundant_dispatch: false,
-                ..Default::default()
-            },
-            10,
-            100,
-        );
-        // Recover the single unit as pending with a full set of
-        // checkpointed votes; the cap must leave the quorum one short.
-        let hint = server.scheduler().donor(0).hint;
-        let unit = server.replay_issue(0, 0, hint).expect("unit 0");
-        let uid = unit.id;
-        server.restore_pending(0, vec![unit]);
-        let encoded = {
-            let mut w = crate::codec::ByteWriter::new();
-            w.u64(55);
-            w.into_bytes()
-        };
-        server.restore_votes(
-            0,
-            uid,
-            2,
-            &[(7, encoded.clone()), (8, encoded.clone()), (9, encoded)],
-        );
-        assert!(!server.all_complete(), "restored votes alone never fold");
-        // A live recomputation completes the vote exactly once.
-        let Assignment::Unit {
-            problem,
-            unit,
-            algorithm,
-        } = server.request_work(0, 1.0)
-        else {
-            panic!("restored unit must be reissued")
-        };
-        assert_eq!(unit.id, uid);
-        let r = algorithm.compute(&unit);
-        assert!(server.submit_result(0, problem, r, 2.0));
-        assert!(server.all_complete());
-        assert_eq!(server.stats(0).completed_units, 1);
         assert_eq!(
             server.take_output(0).unwrap().into_inner::<u64>(),
             10 * 11 / 2

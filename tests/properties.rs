@@ -1494,8 +1494,8 @@ fn lease_table_matches_naive_model() {
 fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
     use biodist::core::builtin::integration_problem;
     use biodist::core::net::checkpoint::read_log;
-    use biodist::core::net::{recover, CheckpointWriter};
-    use biodist::core::{Assignment, Server, Then, TurnResult, WorkUnit};
+    use biodist::core::net::CheckpointWriter;
+    use biodist::core::{recover, Assignment, Server, Then, TurnResult, WorkUnit};
 
     const DONORS: usize = 3;
     let cfg = || SchedulerConfig {

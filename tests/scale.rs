@@ -338,8 +338,11 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
     server.set_journal(Box::new(writer));
     let kit = ClientKit::from_server(&server).expect("codecs registered");
     let clock = Clock::new(1.0);
+    // No periodic donor snapshots: the journal's records and commits
+    // counted here are the units' own, whatever the run's wall time.
     let opts = NetServerOptions {
         shards: 1,
+        snapshot_every_ticks: 0,
         ..Default::default()
     };
     let net = NetServer::start(server, clock, opts).expect("bind server");
