@@ -1,9 +1,11 @@
 //! The one server-side network runtime: readiness primitives (a small
 //! poller abstraction, a cross-thread waker, per-thread CPU accounting)
-//! and, on top of them, the blocking acceptor ([`accept_loop`]) and the
-//! connection loop ([`serve`]) that every listener in `net/` runs — the
-//! origin's shards and each replica endpoint are its two users, told
-//! apart only by their [`FrameHandler`].
+//! and, on top of them, the connection loop ([`serve`]) that every
+//! listener in `net/` runs — the origin's shards and each replica
+//! endpoint are its two users, told apart only by their
+//! [`FrameHandler`]. It is the only server-side acceptor (a listener
+//! in its poller) and runs its handler's [`FrameHandler::tick`]: a
+//! server is exactly its loops' threads.
 //!
 //! The workspace carries no external dependencies, so the Linux backend
 //! speaks `epoll` directly through raw syscalls (`core::arch::asm`) on
@@ -23,10 +25,9 @@ use super::recycle;
 use super::wire::{encode_frame_into, DecodeError, Frame, FrameAssembler, FrameRef};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -329,16 +330,15 @@ pub fn drain_wakes(rx: &mut TcpStream) {
     while matches!(rx.read(&mut buf), Ok(n) if n > 0) {}
 }
 
-/// The raw file descriptor of a stream for poller registration; `-1`
+/// The raw file descriptor of a socket for poller registration; `-1`
 /// on platforms without Unix descriptors (the fallback poller ignores
 /// the fd entirely).
 #[cfg(unix)]
-pub fn raw_fd(stream: &TcpStream) -> i32 {
-    use std::os::fd::AsRawFd;
-    stream.as_raw_fd()
+pub fn raw_fd(socket: &impl std::os::fd::AsRawFd) -> i32 {
+    socket.as_raw_fd()
 }
 #[cfg(not(unix))]
-pub fn raw_fd(_stream: &TcpStream) -> i32 {
+pub fn raw_fd<T>(_socket: &T) -> i32 {
     -1
 }
 
@@ -358,30 +358,6 @@ pub fn thread_cpu_ticks() -> Option<u64> {
     let utime: u64 = fields.nth(11)?.parse().ok()?;
     let stime: u64 = fields.next()?.parse().ok()?;
     Some(utime + stime)
-}
-
-/// The blocking acceptor every listener in `net/` runs on a thread of
-/// its own: no polling sleep, each accepted stream goes to `deal`.
-/// Shutdown raises `kill` and then calls [`unblock_accept`].
-pub fn accept_loop(listener: &TcpListener, kill: &AtomicBool, mut deal: impl FnMut(TcpStream)) {
-    loop {
-        let accepted = listener.accept();
-        if kill.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _)) => deal(stream),
-            // Transient accept failure (EMFILE, aborted handshake):
-            // back off briefly instead of spinning on the error.
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
-        }
-    }
-}
-
-/// Ends an [`accept_loop`] blocked in `accept` on `addr` (its kill flag
-/// already raised) with a throwaway self-connection.
-pub fn unblock_accept(addr: SocketAddr) {
-    let _ = TcpStream::connect(addr);
 }
 
 /// The other threads' side of one [`serve`] loop: the inbox accepted
@@ -407,12 +383,6 @@ impl LoopHandle {
         Ok((Self { inbox, wake_tx }, rx))
     }
 
-    /// Gives `stream` to the loop, which serves it for its whole life.
-    pub fn hand_over(&self, stream: TcpStream) {
-        self.inbox.lock().unwrap().push(stream);
-        self.wake();
-    }
-
     /// Makes the loop's [`Poller::wait`] return (it then looks at its
     /// handler's kill flag). Never blocks: a send buffer already full
     /// of unread wake bytes guarantees a pending wake.
@@ -423,6 +393,10 @@ impl LoopHandle {
 
 /// Poller token of the loop's waker read-end; connections start at 1.
 const WAKE_TOKEN: u64 = 0;
+/// Poller token of the loop's listener, if it has one.
+const LISTEN_TOKEN: u64 = u64::MAX;
+/// How long a listener whose `accept` failed sits out of its poller.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(1);
 
 /// One served connection: the nonblocking stream, its frame reassembly
 /// and its [`ReplyHalf`].
@@ -616,24 +590,52 @@ pub trait FrameHandler {
     /// The pump is over, whichever way it ended: the place for
     /// per-pump state to be settled and reset.
     fn pump_done(&mut self) {}
+    /// Whether a connection the loop's listener accepted is served.
+    fn admits(&mut self) -> bool {
+        true
+    }
+    /// `accept` failed, not by would-block, interrupt or aborted
+    /// handshake (`EMFILE`, `ENFILE`): the listener sits out 1 ms.
+    fn accept_failed(&mut self) {}
+    /// `Some(p)`: [`Self::tick`] runs on the loop every `p`, whether it
+    /// sleeps or is busy.
+    fn tick_period(&self) -> Option<Duration> {
+        None
+    }
+    fn tick(&mut self) {}
 }
 
-/// Serves every connection handed over through `handle` until the
-/// handler reports itself killed. Every wakeup is readiness: bytes,
-/// buffer space, or a waker poke (handoff, shutdown).
-pub fn serve<H: FrameHandler>(handle: &LoopHandle, mut wake_rx: TcpStream, handler: &mut H) {
+/// Runs loop `idx` of `loops`: serves every connection dealt to it, and
+/// deals every one `listener` accepts across `loops`, until the handler
+/// reports itself killed (the listener closes as it returns). Every
+/// wakeup is readiness — bytes, buffer space, a pending connection, a
+/// waker poke (handoff, shutdown) — or a tick falling due.
+pub fn serve<H: FrameHandler>(
+    loops: &[LoopHandle],
+    idx: usize,
+    mut wake_rx: TcpStream,
+    handler: &mut H,
+    listener: Option<TcpListener>,
+) {
     let Ok(mut poller) = Poller::new() else {
         return;
     };
-    if poller.add(raw_fd(&wake_rx), WAKE_TOKEN, false).is_err() {
+    if poller.add(raw_fd(&wake_rx), WAKE_TOKEN, false).is_err()
+        || (listener.as_ref()).is_some_and(|l| l.set_nonblocking(true).is_err())
+    {
         return;
     }
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_token = WAKE_TOKEN + 1;
     let mut events: Vec<Event> = Vec::new();
+    let period = handler.tick_period();
+    let mut next_tick = period.map(|p| Instant::now() + p);
+    // The listener is out of the poller until then: not yet added, or
+    // backing off (level-triggered, a failing `accept` would spin).
+    let (mut listen_at, mut dealt) = (listener.as_ref().map(|_| Instant::now()), 0);
     while !handler.killed() {
-        // Adopt connections handed over by the acceptor.
-        let inbox = std::mem::take(&mut *handle.inbox.lock().unwrap());
+        // Adopt connections dealt to this loop.
+        let inbox = std::mem::take(&mut *loops[idx].inbox.lock().unwrap());
         for conn in inbox.into_iter().filter_map(|s| Conn::fresh(s).ok()) {
             // On failure (fd table full) the connection is dropped.
             if poller.add(raw_fd(&conn.stream), next_token, false).is_ok() {
@@ -642,8 +644,22 @@ pub fn serve<H: FrameHandler>(handle: &LoopHandle, mut wake_rx: TcpStream, handl
                 next_token += 1;
             }
         }
+        let now = Instant::now();
+        if next_tick.is_some_and(|due| now >= due) {
+            handler.tick();
+            next_tick = period.map(|p| now + p);
+        }
+        if listen_at.is_some_and(|at| now >= at) {
+            let added = poller.add(listener.as_ref().map_or(-1, raw_fd), LISTEN_TOKEN, false);
+            listen_at = added.err().map(|_| now + ACCEPT_BACKOFF);
+        }
+        // Up to 10 ms, or to the next deadline — rounded up: a wake
+        // before it would find nothing due.
+        let due = next_tick.into_iter().chain(listen_at).min();
+        let wait = due.map_or(10_000, |d| d.saturating_duration_since(now).as_micros());
+        let wait_ms = wait.min(10_000).div_ceil(1000) as i32;
         events.clear();
-        if poller.wait(10, &mut events).is_err() {
+        if poller.wait(wait_ms, &mut events).is_err() {
             return;
         }
         if let Some(stall) = handler.stalled_for() {
@@ -658,6 +674,31 @@ pub fn serve<H: FrameHandler>(handle: &LoopHandle, mut wake_rx: TcpStream, handl
         for ev in &events {
             if ev.token == WAKE_TOKEN {
                 drain_wakes(&mut wake_rx);
+            } else if let Some(l) = listener.as_ref().filter(|_| ev.token == LISTEN_TOKEN) {
+                // Accept until the backlog is empty, dealing round-robin
+                // (what falls to this loop is adopted before it waits).
+                let failed = loop {
+                    match l.accept() {
+                        Ok((stream, _)) if handler.admits() => {
+                            let to = dealt % loops.len();
+                            dealt += 1;
+                            loops[to].inbox.lock().unwrap().push(stream);
+                            if to != idx {
+                                loops[to].wake();
+                            }
+                        }
+                        Ok(_) => {}
+                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break false,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) if e.kind() == io::ErrorKind::ConnectionAborted => {}
+                        Err(_) => break true,
+                    }
+                };
+                if failed {
+                    handler.accept_failed();
+                    let _ = poller.remove(raw_fd(l), LISTEN_TOKEN);
+                    listen_at = Some(Instant::now() + ACCEPT_BACKOFF);
+                }
             } else if let Some(conn) = conns.get_mut(&ev.token) {
                 if !conn.service(ev, &mut poller, handler) {
                     let _ = poller.remove(raw_fd(&conn.stream), ev.token);
@@ -672,6 +713,9 @@ pub fn serve<H: FrameHandler>(handle: &LoopHandle, mut wake_rx: TcpStream, handl
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::Arc;
+    use std::thread::JoinHandle;
 
     #[test]
     fn waker_wakes_a_waiting_poller() {
@@ -748,6 +792,168 @@ mod tests {
         );
         drop(tx);
         assert_eq!(drain.join().unwrap(), small + big);
+    }
+
+    /// What a [`Counting`] handler has seen, readable while it runs.
+    #[derive(Default)]
+    struct Counts {
+        kill: AtomicBool,
+        adopted: AtomicUsize,
+        ticks: AtomicUsize,
+        accept_errors: AtomicUsize,
+    }
+
+    /// A handler that serves nothing and counts what its loop does.
+    struct Counting {
+        counts: Arc<Counts>,
+        period: Option<Duration>,
+    }
+
+    impl FrameHandler for Counting {
+        fn killed(&self) -> bool {
+            self.counts.kill.load(Ordering::SeqCst)
+        }
+        fn adopted(&mut self, _token: u64) {
+            self.counts.adopted.fetch_add(1, Ordering::SeqCst);
+        }
+        fn frame(&mut self, _reply: &mut ReplyHalf, _frame: FrameRef<'_>) -> Action {
+            Action::Keep
+        }
+        fn accept_failed(&mut self) {
+            self.counts.accept_errors.fetch_add(1, Ordering::SeqCst);
+        }
+        fn tick_period(&self) -> Option<Duration> {
+            self.period
+        }
+        fn tick(&mut self) {
+            self.counts.ticks.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Runs loop `idx` of `loops` on a thread of its own, accepting on
+    /// `socket` (and dealing to every loop) if it is given one.
+    fn spawn_loop(
+        loops: &Arc<Vec<LoopHandle>>,
+        idx: usize,
+        wake_rx: TcpStream,
+        period: Option<Duration>,
+        socket: Option<TcpListener>,
+    ) -> (Arc<Counts>, JoinHandle<()>) {
+        let counts = Arc::new(Counts::default());
+        let mut handler = Counting {
+            counts: counts.clone(),
+            period,
+        };
+        let loops = loops.clone();
+        let thread = std::thread::spawn(move || serve(&loops, idx, wake_rx, &mut handler, socket));
+        (counts, thread)
+    }
+
+    fn stop_loop(loops: &[LoopHandle], counts: &Counts, thread: JoinHandle<()>) {
+        counts.kill.store(true, Ordering::SeqCst);
+        loops.iter().for_each(LoopHandle::wake);
+        thread.join().unwrap();
+    }
+
+    fn loops(n: usize) -> (Arc<Vec<LoopHandle>>, Vec<TcpStream>) {
+        let (handles, rxs) = (0..n).map(|_| LoopHandle::new().unwrap()).unzip();
+        (Arc::new(handles), rxs)
+    }
+
+    /// The loop is its own acceptor: what the listener takes is dealt
+    /// round-robin — the accepting loop's turns adopted in place, the
+    /// others handed over — and the listener closes with the loop.
+    #[test]
+    fn a_listening_loop_deals_connections_round_robin_and_closes_with_its_listener() {
+        let (loops, mut rxs) = loops(2);
+        let socket = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = socket.local_addr().unwrap();
+        let rx_b = rxs.pop().unwrap();
+        let (b, b_thread) = spawn_loop(&loops, 1, rx_b, None, None);
+        let (a, a_thread) = spawn_loop(&loops, 0, rxs.pop().unwrap(), None, Some(socket));
+        let held: Vec<TcpStream> = (0..6).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let adopted = || a.adopted.load(Ordering::SeqCst) + b.adopted.load(Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while adopted() < held.len() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(a.adopted.load(Ordering::SeqCst), 3, "its own turns");
+        assert_eq!(b.adopted.load(Ordering::SeqCst), 3, "handed over");
+        stop_loop(&loops, &b, b_thread);
+        stop_loop(&loops, &a, a_thread);
+        assert!(TcpStream::connect(addr).is_err(), "the listener closed");
+    }
+
+    /// A ticking loop ticks on its period whether it sleeps or is woken
+    /// by a frame twenty times a period, so that its wait never times
+    /// out — and never runs two ticks to make up for a late one.
+    #[test]
+    fn a_loop_ticks_on_its_period_idle_or_busy() {
+        const PERIOD: Duration = Duration::from_millis(2);
+        const WINDOW: Duration = Duration::from_millis(60);
+        let (loops, mut rxs) = loops(1);
+        let (counts, thread) = spawn_loop(&loops, 0, rxs.pop().unwrap(), Some(PERIOD), None);
+        let ticks_over = |window: Duration| {
+            let (start, before) = (Instant::now(), counts.ticks.load(Ordering::SeqCst));
+            std::thread::sleep(window);
+            let ticked = counts.ticks.load(Ordering::SeqCst) - before;
+            (ticked, start.elapsed())
+        };
+        let idle = ticks_over(WINDOW);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut chatter = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        loops[0]
+            .inbox
+            .lock()
+            .unwrap()
+            .push(listener.accept().unwrap().0);
+        loops[0].wake();
+        let busy = Arc::new(AtomicBool::new(true));
+        let talker = {
+            let busy = busy.clone();
+            std::thread::spawn(move || {
+                let beat = crate::net::wire::encode_frame(&Frame::Heartbeat { client: 0 });
+                while busy.load(Ordering::SeqCst) && chatter.write_all(&beat).is_ok() {
+                    std::thread::sleep(PERIOD / 20);
+                }
+            })
+        };
+        let busy_ticks = ticks_over(WINDOW);
+        busy.store(false, Ordering::SeqCst);
+        talker.join().unwrap();
+        stop_loop(&loops, &counts, thread);
+        for (what, (ticked, took)) in [("idle", idle), ("busy", busy_ticks)] {
+            let most = took.as_micros() / PERIOD.as_micros() + 2;
+            assert!(ticked >= 3, "{what}: {ticked} ticks in {took:?}");
+            assert!(ticked as u128 <= most, "{what}: {ticked} ticks in {took:?}");
+        }
+    }
+
+    /// An `accept` that fails for good (here: the "listener" is a
+    /// connected socket, so `accept` says `EINVAL` while it stays
+    /// readable) is retried once per back-off, not spun on.
+    #[cfg(unix)]
+    #[test]
+    fn a_failing_accept_backs_off_instead_of_spinning() {
+        use std::os::fd::OwnedFd;
+        let peer = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut writer = TcpStream::connect(peer.local_addr().unwrap()).unwrap();
+        let (connected, _) = peer.accept().unwrap();
+        writer.write_all(b"x").unwrap();
+        let broken = TcpListener::from(OwnedFd::from(connected));
+        let (loops, mut rxs) = loops(1);
+        let started = Instant::now();
+        let (counts, thread) = spawn_loop(&loops, 0, rxs.pop().unwrap(), None, Some(broken));
+        std::thread::sleep(Duration::from_millis(50));
+        let failed = counts.accept_errors.load(Ordering::SeqCst);
+        let took = started.elapsed();
+        stop_loop(&loops, &counts, thread);
+        let most = took.as_millis() / ACCEPT_BACKOFF.as_millis() + 2;
+        assert!(failed >= 1, "the failure was reported");
+        assert!(
+            failed as u128 <= most,
+            "{failed} failed accepts in {took:?}"
+        );
     }
 
     #[test]

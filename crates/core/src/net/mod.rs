@@ -6,10 +6,10 @@
 //! CRC-framed protocol in [`wire`]. The robustness stack mirrors what
 //! three years of cycle-scavenging demand:
 //!
-//! * [`evloop`] — the one server-side socket runtime: a blocking
-//!   acceptor and a readiness loop generic over a frame handler;
+//! * [`evloop`] — the one server-side socket runtime: a readiness
+//!   loop generic over a frame handler that accepts and ticks too;
 //! * [`server::NetServer`] — the origin: `shards` such loops speaking
-//!   the donor protocol, and a ticker doing lease sweeps, heartbeat
+//!   the donor protocol, shard 0's tick doing lease sweeps, heartbeat
 //!   liveness and periodic donor-record snapshots;
 //! * [`store::ReplicaServer`] — a chunk mirror: one such loop speaking
 //!   the chunk sub-protocol, pulling misses through from the origin;

@@ -23,14 +23,13 @@
 //! [`super::Directory`] at accept time, so clients reconnecting after a
 //! server restart are transparently routed to the new address.
 //!
-//! This is a test interposer, not a server stack: it accepts on the
-//! acceptor every listener shares ([`super::evloop::accept_loop`]) but
-//! then gives each proxied connection two blocking pump threads, one
-//! per direction. Link degradation is a modelled `sleep` per forwarded
-//! frame, and a readiness loop would need a timer queue nothing else in
-//! `net/` needs.
+//! This is a test interposer, not a server stack: it accepts on a
+//! blocking thread of its own ([`accept_loop`], which the in-crate test
+//! fakes share; every server accepts on its event loop) and gives each
+//! proxied connection two blocking pump threads, one per direction.
+//! Link degradation is a modelled `sleep` per forwarded frame, and a
+//! readiness loop would need a timer queue nothing else in `net/` needs.
 
-use super::evloop::{accept_loop, unblock_accept};
 use super::wire::{
     FrameAssembler, ASSIGN_UNIT_TYPE, CHUNK_DATA_TYPE, HEADER_LEN, RESULT_ACK_TYPE,
     SUBMIT_RESULT_TYPE, TURN_REPLY_TYPE, TURN_TYPE,
@@ -128,6 +127,30 @@ impl FaultProxy {
         unblock_accept(self.addr);
         let _ = self.accept_thread.join();
     }
+}
+
+/// A blocking acceptor for a thread of its own: no polling sleep, each
+/// accepted stream goes to `deal`. Shutdown raises `kill` and then
+/// calls [`unblock_accept`].
+pub fn accept_loop(listener: &TcpListener, kill: &AtomicBool, mut deal: impl FnMut(TcpStream)) {
+    loop {
+        let accepted = listener.accept();
+        if kill.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
+            Ok((stream, _)) => deal(stream),
+            // Transient accept failure (EMFILE, aborted handshake):
+            // back off briefly instead of spinning on the error.
+            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+        }
+    }
+}
+
+/// Ends an [`accept_loop`] blocked in `accept` on `addr` (its kill flag
+/// already raised) with a throwaway self-connection.
+pub fn unblock_accept(addr: SocketAddr) {
+    let _ = TcpStream::connect(addr);
 }
 
 fn proxy_connection(

@@ -1,20 +1,20 @@
 //! The TCP-facing server: a nonblocking readiness event loop.
 //!
 //! The paper's server was thread-per-connection Java — fine for ~200
-//! donors, O(threads) beyond that. Here the transport runs on a fixed
-//! thread count: one blocking acceptor, `shards` event-loop threads
-//! (each a [`super::evloop::serve`] loop owning its poller, its
-//! connections' read/write buffers and frame reassembly — the loop is
-//! shared with the replica tier; this file is the origin's
-//! [`FrameHandler`] on top of it), and one ticker for lease
-//! sweeps, heartbeat liveness and periodic checkpoint snapshots. No
-//! thread is ever dedicated to a donor, and no loop polls on a sleep:
-//! every wakeup is readiness (bytes, buffer space, or a
-//! waker poke when the acceptor hands over a connection).
+//! donors, O(threads) beyond that. Here the transport is exactly
+//! `shards` event-loop threads named `origin-<port>-s<i>`, each a
+//! [`super::evloop::serve`] loop owning its poller, its connections'
+//! read/write buffers and frame reassembly (the loop is shared with the
+//! replica tier; this file is the origin's [`FrameHandler`] on top of
+//! it). Shard 0 also owns the listener and the 2 ms tick: lease sweeps,
+//! heartbeat liveness, periodic checkpoint snapshots. No thread is ever
+//! dedicated to a donor, and no loop polls on a sleep: every wakeup is
+//! readiness (bytes, buffer space, a connection, a waker poke when
+//! shard 0 deals one over) or a tick due. Stopping is a flag and a poke.
 //!
 //! What shards is connection I/O: socket reads and writes, frame
 //! reassembly, CRC checks and chunk/unit encoding run on whichever
-//! shard the acceptor round-robined the connection to, for the
+//! shard shard 0 dealt the connection to, round-robin, for the
 //! connection's whole life. Dispatch does not shard: one
 //! [`crate::Server`] behind one mutex keeps leases, folds, quorum
 //! votes, reputation, health and recovery, and every donor turn — a
@@ -24,10 +24,7 @@
 //! shard count.
 
 use super::cache::chunk_digest;
-use super::evloop::{
-    accept_loop, serve, thread_cpu_ticks, unblock_accept, Action, FrameHandler, LoopHandle,
-    ReplyHalf,
-};
+use super::evloop::{serve, thread_cpu_ticks, Action, FrameHandler, LoopHandle, ReplyHalf};
 use super::wire::{
     decode_turn_head, encode_chunk_data_into, encode_turn_reply_into, Frame, FrameRef, Then,
     MAX_PIPELINE_DEPTH, SUBMIT_RESULT_TYPE, TURN_TYPE,
@@ -45,7 +42,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-/// Ticker period (lease sweep + liveness check), wall time.
+/// Shard 0's tick period (lease sweep + liveness check), wall time.
 const TICK_WALL: Duration = Duration::from_millis(2);
 
 /// Tuning for [`NetServer`]. Time-valued fields are in *scaled* seconds
@@ -62,7 +59,7 @@ pub struct NetServerOptions {
     /// 0 disables periodic snapshots.
     pub snapshot_every_ticks: u64,
     /// Event-loop threads serving connections (default 1, overridable
-    /// via the `BIODIST_NET_SHARDS` env var); the acceptor deals
+    /// via the `BIODIST_NET_SHARDS` env var); shard 0 accepts and deals
     /// connections to them round-robin. Identical dispatch at every
     /// value: shards parallelise socket I/O and framing only.
     pub shards: usize,
@@ -89,7 +86,7 @@ struct Shared {
     server: Mutex<Option<Server>>,
     done: Condvar,
     last_seen: Mutex<HashMap<ClientId, f64>>,
-    /// Hard stop: shard loops and the accept loop exit promptly.
+    /// Hard stop: the shard loops exit promptly.
     kill: AtomicBool,
     /// The stop is [`NetServer::kill`]'s — a crash, raised before the
     /// server is taken — not the teardown after [`NetServer::wait`].
@@ -124,8 +121,6 @@ impl Shared {
 pub struct NetServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    accept_thread: JoinHandle<()>,
-    ticker_thread: JoinHandle<()>,
     shard_threads: Vec<JoinHandle<()>>,
 }
 
@@ -140,7 +135,7 @@ impl NetServer {
         let n_shards = opts.shards.max(1);
         // The whole transport is this many threads, donors be damned:
         // the scale tier asserts it from the metrics registry.
-        telemetry.gauge_set("evloop.threads", (n_shards + 2) as f64);
+        telemetry.gauge_set("evloop.threads", n_shards as f64);
         let loops: io::Result<Vec<_>> = (0..n_shards).map(|_| LoopHandle::new()).collect();
         let (handles, rxs): (Vec<_>, Vec<_>) = loops?.into_iter().unzip();
         let shared = Arc::new(Shared {
@@ -154,51 +149,36 @@ impl NetServer {
             shards: handles,
             codecs,
         });
-        let shard_threads = rxs
-            .into_iter()
-            .enumerate()
-            .map(|(idx, rx)| {
-                let shared = shared.clone();
-                thread::spawn(move || {
-                    with_cpu_accounting(&shared.telemetry.clone(), || {
-                        let mut ctx = ShardCtx {
-                            shard: idx,
-                            shared: &shared,
-                            clock,
-                            batch: PumpBatch::default(),
-                        };
-                        serve(&shared.shards[idx], rx, &mut ctx)
-                    })
-                })
-            })
-            .collect();
-        let accept_thread = {
-            let shared = shared.clone();
-            thread::spawn(move || {
-                with_cpu_accounting(&shared.telemetry.clone(), || {
-                    // Round-robin: a shard serves a connection for life.
-                    let mut next = 0usize;
-                    accept_loop(&listener, &shared.kill, |stream| {
-                        shared.shards[next].hand_over(stream);
-                        next = (next + 1) % shared.shards.len();
-                    })
-                })
-            })
-        };
-        let ticker_thread = {
-            let shared = shared.clone();
-            let opts = opts.clone();
-            thread::spawn(move || {
-                with_cpu_accounting(&shared.telemetry.clone(), || {
-                    ticker_loop(&shared, clock, &opts)
-                })
-            })
-        };
+        let mut listener = Some(listener);
+        let mut shard_threads = Vec::with_capacity(n_shards);
+        for (idx, rx) in rxs.into_iter().enumerate() {
+            // Shard 0 accepts, and deals to every shard (itself first).
+            let (shared, opts, socket) = (shared.clone(), opts.clone(), listener.take());
+            let name = format!("origin-{}-s{idx}", addr.port());
+            let thread = thread::Builder::new().name(name).spawn(move || {
+                let cpu_at_start = thread_cpu_ticks();
+                let mut ctx = ShardCtx {
+                    shard: idx,
+                    shared: &shared,
+                    clock,
+                    opts: &opts,
+                    ticks: 0,
+                    batch: PumpBatch::default(),
+                };
+                serve(&shared.shards, idx, rx, &mut ctx, socket);
+                // This thread's CPU time: the farm benchmark's measure of
+                // server-side cost, apart from donor threads in the process.
+                if let (Some(s), Some(e)) = (cpu_at_start, thread_cpu_ticks()) {
+                    shared
+                        .telemetry
+                        .counter_add("evloop.cpu_ticks", e.saturating_sub(s));
+                }
+            });
+            shard_threads.push(thread?);
+        }
         Ok(Self {
             addr,
             shared,
-            accept_thread,
-            ticker_thread,
             shard_threads,
         })
     }
@@ -230,30 +210,15 @@ impl NetServer {
     /// Blocks until every problem completes, then tears the transport
     /// down and returns the server.
     pub fn wait(self) -> Server {
-        let server = {
-            let mut guard = self.shared.server.lock().unwrap();
-            loop {
-                match guard.as_ref() {
-                    Some(s) if !s.all_complete() => {
-                        let (g, _) = self
-                            .shared
-                            .done
-                            .wait_timeout(guard, Duration::from_millis(5))
-                            .unwrap();
-                        guard = g;
-                    }
-                    Some(_) => {
-                        let mut server = guard.take().expect("checked above");
-                        // A pump still in flight finds the server gone
-                        // and cannot commit: the journal is whole before
-                        // the caller sees the server.
-                        server.commit_journal();
-                        break server;
-                    }
-                    None => panic!("server was killed before wait()"),
-                }
-            }
-        };
+        // The fold that completes the run notifies (and so does a tick).
+        let running = |s: &mut Option<Server>| s.as_ref().is_some_and(|s| !s.all_complete());
+        let guard = self.shared.server.lock().unwrap();
+        let mut guard = self.shared.done.wait_while(guard, running).unwrap();
+        let mut server = guard.take().expect("server was killed before wait()");
+        // A pump still in flight finds the server gone and cannot
+        // commit: the journal is whole before the caller sees the server.
+        server.commit_journal();
+        drop(guard);
         self.shutdown();
         server
     }
@@ -274,32 +239,15 @@ impl NetServer {
         self.shutdown();
     }
 
+    /// Stops every shard loop (shard 0's closes the listener), joins it.
     fn shutdown(self) {
         self.shared.kill.store(true, Ordering::SeqCst);
-        // Unblock the acceptor (blocked in accept) and wake every
-        // shard loop.
-        unblock_accept(self.addr);
         for s in &self.shared.shards {
             s.wake();
         }
-        let _ = self.accept_thread.join();
-        let _ = self.ticker_thread.join();
         for t in self.shard_threads {
             let _ = t.join();
         }
-    }
-}
-
-/// Runs `f`, then charges this thread's CPU time (user + system, in
-/// kernel ticks) to the `evloop.cpu_ticks` counter — the farm
-/// benchmark's measure of *server-side* cost
-/// (`net.server_cpu_ms_per_kframe`), isolated from donor threads sharing
-/// the process.
-fn with_cpu_accounting(telemetry: &Telemetry, f: impl FnOnce()) {
-    let start = thread_cpu_ticks();
-    f();
-    if let (Some(s), Some(e)) = (start, thread_cpu_ticks()) {
-        telemetry.counter_add("evloop.cpu_ticks", e.saturating_sub(s));
     }
 }
 
@@ -309,6 +257,9 @@ struct ShardCtx<'a> {
     shard: usize,
     shared: &'a Arc<Shared>,
     clock: Clock,
+    opts: &'a NetServerOptions,
+    /// Ticks shard 0 has run.
+    ticks: u64,
     batch: PumpBatch,
 }
 
@@ -511,6 +462,45 @@ impl FrameHandler for ShardCtx<'_> {
         self.shared
             .telemetry
             .gauge_set(&format!("shard.s{}.conns", self.shard), token as f64);
+    }
+
+    fn accept_failed(&mut self) {
+        self.shared.telemetry.counter_add("net.accept_errors", 1);
+    }
+
+    /// Shard 0 keeps the server's time: lease expiry, silent donors,
+    /// donor snapshots.
+    fn tick_period(&self) -> Option<Duration> {
+        (self.shard == 0).then_some(TICK_WALL)
+    }
+
+    fn tick(&mut self) {
+        self.ticks += 1;
+        let shared = self.shared;
+        let now = self.clock.now();
+        // Liveness sweep outside the server lock (fixed lock order:
+        // never hold both mutexes at once).
+        let mut seen = shared.last_seen.lock().unwrap();
+        let stale = seen.extract_if(|_, &mut t| now - t > self.opts.liveness_timeout);
+        let stale: Vec<ClientId> = stale.map(|(c, _)| c).collect();
+        drop(seen);
+        if !stale.is_empty() {
+            let sweep = crate::telemetry::EventKind::LivenessSweep { stale: stale.len() };
+            shared.telemetry.emit_at(now, sweep);
+        }
+        let mut guard = shared.server.lock().unwrap();
+        let Some(server) = guard.as_mut() else { return };
+        server.check_timeouts(now);
+        stale.into_iter().for_each(|c| server.client_gone(c));
+        let complete = server.all_complete();
+        let every = self.opts.snapshot_every_ticks;
+        if !complete && every > 0 && self.ticks.is_multiple_of(every) {
+            server.snapshot_donors();
+        }
+        drop(guard);
+        if complete {
+            shared.done.notify_all();
+        }
     }
 
     fn corrupt_body(&mut self, reply: &mut ReplyHalf, frame_type: u8, body_prefix: &[u8]) {
@@ -724,50 +714,6 @@ impl FrameHandler for ShardCtx<'_> {
     }
 }
 
-fn ticker_loop(shared: &Arc<Shared>, clock: Clock, opts: &NetServerOptions) {
-    let mut tick = 0u64;
-    while !shared.kill.load(Ordering::SeqCst) {
-        thread::sleep(TICK_WALL);
-        tick += 1;
-        let now = clock.now();
-        // Liveness sweep outside the server lock (fixed lock order:
-        // never hold both mutexes at once).
-        let stale: Vec<ClientId> = {
-            let mut seen = shared.last_seen.lock().unwrap();
-            let stale: Vec<ClientId> = seen
-                .iter()
-                .filter(|&(_, &t)| now - t > opts.liveness_timeout)
-                .map(|(&c, _)| c)
-                .collect();
-            for c in &stale {
-                seen.remove(c);
-            }
-            stale
-        };
-        if !stale.is_empty() {
-            shared.telemetry.emit_at(
-                now,
-                crate::telemetry::EventKind::LivenessSweep { stale: stale.len() },
-            );
-        }
-        let mut guard = shared.server.lock().unwrap();
-        let Some(server) = guard.as_mut() else { return };
-        server.check_timeouts(now);
-        for c in stale {
-            server.client_gone(c);
-        }
-        let complete = server.all_complete();
-        let every = opts.snapshot_every_ticks;
-        if !complete && every > 0 && tick.is_multiple_of(every) {
-            server.snapshot_donors();
-        }
-        drop(guard);
-        if complete {
-            shared.done.notify_all();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -780,6 +726,7 @@ mod tests {
     use crate::server::Server;
     use std::io::Write;
     use std::net::TcpStream;
+    use std::time::Instant;
 
     fn small_cfg() -> SchedulerConfig {
         SchedulerConfig {
@@ -896,17 +843,26 @@ mod tests {
             journal: Option<Box<dyn crate::server::RunJournal>>,
             proxied: Option<&crate::fault::FaultPlan>,
         ) -> (Self, Option<crate::net::FaultProxy>) {
+            // (400 units: more than one turn may hold.)
+            Self::start_with(400, 1, journal, proxied)
+        }
+
+        fn start_with(
+            units: u64,
+            shards: usize,
+            journal: Option<Box<dyn crate::server::RunJournal>>,
+            proxied: Option<&crate::fault::FaultPlan>,
+        ) -> (Self, Option<crate::net::FaultProxy>) {
             let mut server = Server::new(small_cfg());
             server.set_telemetry(Telemetry::enabled());
             let telemetry = server.telemetry();
-            // (400 units: more than one turn may hold.)
-            let pid = server.submit(integration_problem(4_000_000));
+            let pid = server.submit(integration_problem(units * 10_000));
             if let Some(journal) = journal {
                 server.set_journal(journal);
             }
             let (algorithm, codec) = (server.algorithm(pid), server.codec(pid).unwrap());
             let opts = NetServerOptions {
-                shards: 1,
+                shards,
                 ..Default::default()
             };
             let clock = Clock::new(1000.0);
@@ -1138,6 +1094,75 @@ mod tests {
         assert_eq!(replies, 0, "no reply of the killed turn was sent");
         assert_eq!(unit_records(&path), leases, "and none of its records kept");
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Threads of this process whose name starts with `prefix` (Linux:
+    /// `/proc/self/task`).
+    fn threads_named_like(prefix: &str) -> usize {
+        let tasks = std::fs::read_dir("/proc/self/task").unwrap();
+        let comm = |t: io::Result<std::fs::DirEntry>| {
+            std::fs::read_to_string(t.ok()?.path().join("comm")).ok()
+        };
+        tasks
+            .filter_map(comm)
+            .filter(|c| c.starts_with(prefix))
+            .count()
+    }
+
+    /// The origin is its shard threads and nothing else: `shards` of
+    /// them, named for its port, while a run is live, and none once
+    /// `wait()` is back — which it is well inside one tick of the last
+    /// unit folding, over tiny journaled runs: stopping is a flag and a
+    /// poke, with no acceptor to unblock and no ticker to sleep out.
+    #[test]
+    fn a_server_is_its_shard_threads_and_stops_when_its_run_stops() {
+        const RUNS: usize = 21;
+        const SHARDS: usize = 3;
+        if !cfg!(target_os = "linux") {
+            return;
+        }
+        let mut teardowns = Vec::with_capacity(RUNS);
+        for run in 0..RUNS {
+            let path = pipeline_log(&format!("stop-{run}"));
+            let journal = Box::new(CheckpointWriter::create(&path).unwrap());
+            let (mut session, _) = TurnSession::start_with(4, SHARDS, Some(journal), None);
+            let name = format!("origin-{}-s", session.net.addr().port());
+            session.write_turn(1, 4, Vec::new());
+            let (_, _, held, _) = session.reply();
+            assert_eq!(held.len(), 4);
+            // A thread names itself as it starts: wait for the last.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while threads_named_like(&name) < SHARDS && Instant::now() < deadline {
+                thread::yield_now();
+            }
+            assert_eq!(
+                threads_named_like(&name),
+                SHARDS,
+                "run {run}: the shards alone"
+            );
+            let results = session.compute(&held);
+            session.write_turn(2, 0, results);
+            let (_, acks, _, then) = session.reply();
+            assert_eq!((acks.len(), then), (4, Then::Finished));
+            let finished = Instant::now();
+            session.net.wait();
+            teardowns.push(finished.elapsed());
+            // `join` returns once a thread has run its last instruction;
+            // the kernel unlists it a moment later.
+            let reaped = Instant::now() + Duration::from_secs(5);
+            while threads_named_like(&name) > 0 && Instant::now() < reaped {
+                thread::yield_now();
+            }
+            assert_eq!(
+                threads_named_like(&name),
+                0,
+                "run {run}: wait() joined them all"
+            );
+            let _ = std::fs::remove_file(&path);
+        }
+        teardowns.sort();
+        let median = teardowns[RUNS / 2];
+        assert!(median < TICK_WALL / 2, "median {median:?} of {teardowns:?}");
     }
 
     /// A plan that hits donor 0's first result-carrying frame.

@@ -21,9 +21,7 @@
 //! must distinguish from success by timeout alone.
 
 use super::cache::chunk_digest;
-use super::evloop::{
-    accept_loop, serve, unblock_accept, Action, FrameHandler, LoopHandle, ReplyHalf,
-};
+use super::evloop::{serve, Action, FrameHandler, LoopHandle, ReplyHalf};
 use super::wire::{
     encode_chunk_data_into, encode_frame_into, raw, DecodeError, Frame, FrameReader, FrameRef,
     ReadError,
@@ -154,13 +152,13 @@ impl ReplicaShared {
 /// One replica endpoint: a TCP listener serving [`Frame::ChunkRequest`]
 /// out of its own [`ChunkStore`], pulling misses through from the
 /// origin. Start with [`ReplicaServer::start`]; donors discover it via
-/// the directory's replica map / `ReplicaAnnounce`. Two threads however
-/// many donors connect: the shared blocking acceptor and one
-/// [`super::evloop::serve`] loop.
+/// the directory's replica map / `ReplicaAnnounce`. One thread however
+/// many donors connect: a [`super::evloop::serve`] loop that accepts
+/// on the endpoint's listener as well.
 pub struct ReplicaServer {
     addr: SocketAddr,
     shared: Arc<ReplicaShared>,
-    threads: [JoinHandle<()>; 2],
+    thread: JoinHandle<()>,
 }
 
 impl ReplicaServer {
@@ -175,11 +173,11 @@ impl ReplicaServer {
         crash_windows: Vec<(f64, f64)>,
         stall_windows: Vec<(f64, f64)>,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
+        let socket = TcpListener::bind("127.0.0.1:0")?;
+        let addr = socket.local_addr()?;
         let (handle, wake_rx) = LoopHandle::new()?;
         // Next to `evloop.threads`: what the replica tier adds to it.
-        telemetry.counter_add("replica.threads", 2);
+        telemetry.counter_add("replica.threads", 1);
         let shared = Arc::new(ReplicaShared {
             store: ChunkStore::new(),
             origin,
@@ -190,34 +188,20 @@ impl ReplicaServer {
             telemetry,
             handle,
         });
-        // Both threads carry the endpoint's port in their name.
-        let named = || thread::Builder::new().name(format!("replica-{}", addr.port()));
-        let serve_thread = {
-            let shared = shared.clone();
-            named().spawn(move || {
-                let mut handler = ReplicaHandler {
-                    shared: &shared,
-                    asked: Vec::new(),
-                    upstream: None,
-                };
-                serve(&shared.handle, wake_rx, &mut handler)
-            })?
-        };
-        let accept_thread = {
-            let shared = shared.clone();
-            named().spawn(move || {
-                accept_loop(&listener, &shared.kill, |stream| {
-                    // Crashed: connection reset, no service.
-                    if !shared.crashed() {
-                        shared.handle.hand_over(stream);
-                    }
-                })
-            })?
-        };
+        let (served, name) = (shared.clone(), format!("replica-{}", addr.port()));
+        let thread = thread::Builder::new().name(name).spawn(move || {
+            let mut handler = ReplicaHandler {
+                shared: &served,
+                asked: Vec::new(),
+                upstream: None,
+            };
+            let handle = std::slice::from_ref(&served.handle);
+            serve(handle, 0, wake_rx, &mut handler, Some(socket))
+        })?;
         Ok(Self {
             addr,
             shared,
-            threads: [serve_thread, accept_thread],
+            thread,
         })
     }
 
@@ -232,15 +216,12 @@ impl ReplicaServer {
     pub fn kill(&self) {
         self.shared.kill.store(true, Ordering::SeqCst);
         self.shared.handle.wake();
-        unblock_accept(self.addr);
     }
 
-    /// Tears the replica down and reaps its threads.
+    /// Tears the replica down and reaps its thread.
     pub fn stop(self) {
         self.kill();
-        for t in self.threads {
-            let _ = t.join();
-        }
+        let _ = self.thread.join();
     }
 }
 
@@ -264,6 +245,15 @@ struct ReplicaHandler<'a> {
 impl FrameHandler for ReplicaHandler<'_> {
     fn killed(&self) -> bool {
         self.shared.kill.load(Ordering::SeqCst)
+    }
+
+    /// Crashed: connection reset, no service.
+    fn admits(&mut self) -> bool {
+        !self.shared.crashed()
+    }
+
+    fn accept_failed(&mut self) {
+        self.shared.telemetry.counter_add("net.accept_errors", 1);
     }
 
     /// Wedged: requests sit unanswered until the window closes (the
@@ -395,6 +385,7 @@ impl ReplicaHandler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::proxy::{accept_loop, unblock_accept};
     use crate::net::wire::{crc32, encode_frame, VERSION};
     use std::io::Read;
     use std::sync::atomic::AtomicUsize;
@@ -607,14 +598,14 @@ mod tests {
             stream
         };
         let first = connect_and_ask(64);
-        assert_eq!(threads_named(&name), 2, "one acceptor, one loop");
+        assert_eq!(threads_named(&name), 1, "one loop, which accepts too");
         let held: Vec<TcpStream> = (0..64).map(&mut connect_and_ask).collect();
         assert_eq!(
             threads_named(&name),
-            2,
-            "64 open connections, same two threads"
+            1,
+            "64 open connections, same one thread"
         );
-        assert_eq!(telemetry.metrics_snapshot().counter("replica.threads"), 2);
+        assert_eq!(telemetry.metrics_snapshot().counter("replica.threads"), 1);
         replica.stop();
         // `join` returns once a thread has run its last instruction; the
         // kernel drops it from /proc/self/task a moment later (under a
@@ -623,7 +614,7 @@ mod tests {
         while threads_named(&name) > 0 && Instant::now() < reaped {
             thread::yield_now();
         }
-        assert_eq!(threads_named(&name), 0, "stop reaps both");
+        assert_eq!(threads_named(&name), 0, "stop reaps it");
         drop((first, held));
         origin.kill();
     }

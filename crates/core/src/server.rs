@@ -437,7 +437,7 @@ impl Server {
 
     /// Reports every donor record to the journal
     /// ([`RunJournal::donors_snapshotted`]); without a journal, builds
-    /// no snapshot. The TCP ticker calls this periodically.
+    /// no snapshot. The TCP origin's shard 0 calls this every few ticks.
     pub fn snapshot_donors(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.donors_snapshotted(&self.sched.snapshot());

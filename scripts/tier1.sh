@@ -31,7 +31,9 @@ cargo test -q --offline --workspace
 # own: its counting allocator is process-wide) and the wire's and log's
 # byte parity (golden frame and `Turn` record bytes, borrowed-vs-owned
 # decode, the CRC differential, torn and malformed turns) with the
-# log's replay beside it (`server::recovery`). Last, the
+# log's replay beside it (`server::recovery`) and the event loop's own
+# tests (`net::evloop`: accepting on the loop, the accept back-off, the
+# tick on the loop). Last, the
 # farm benchmark's own tests: `benchmark/` is a
 # separate package that perf PRs may not edit, so a change to
 # `biodist-core`'s public wire/server API that breaks it (its probe
@@ -46,7 +48,7 @@ cargo test -q --offline --test ops
 cargo test -q --offline --test scale
 cargo test -q --offline --test scale control_plane_syscalls_are_paid_per_round_trip_not_per_unit
 cargo test -q --offline --test alloc_budget
-cargo test -q --offline -p biodist-core --lib -- net::wire net::crc net::checkpoint server::recovery
+cargo test -q --offline -p biodist-core --lib -- net::wire net::crc net::checkpoint server::recovery net::evloop
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "tier1: OK"

@@ -59,7 +59,7 @@ static ALLOCATOR: Counting = Counting;
 /// land in its count.
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
-/// Allocations per unit the whole process — origin shard, ticker, donor
+/// Allocations per unit the whole process — origin shard (and its tick), donor
 /// — may make between donor spawn and the end of the run. Five are the
 /// programming model's; the rest is per turn, per pump and per tick.
 const BUDGET_PER_UNIT: f64 = 6.5;

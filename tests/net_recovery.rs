@@ -428,7 +428,7 @@ fn adopted(telemetry: &Telemetry) -> [f64; 2] {
     [0, 1].map(|s| snap.gauge(&format!("shard.s{s}.conns")).unwrap_or(0.0))
 }
 
-/// Kill-and-recover with connection I/O sharded: the acceptor deals
+/// Kill-and-recover with connection I/O sharded: shard 0 deals
 /// the donors across both shards in the first life, the server dies
 /// mid-run, and the restarted (recovered) server — also sharded —
 /// adopts the reconnecting donors while the checkpoint replay keeps
@@ -502,7 +502,7 @@ fn kill_sharded_tcp_server_recover_and_readopt() {
             "both shards serve: {conns:?}"
         );
         let snap = tel1.metrics_snapshot();
-        assert_eq!(snap.gauge("evloop.threads"), Some(4.0), "2 shards + 2");
+        assert_eq!(snap.gauge("evloop.threads"), Some(2.0), "2 shards");
     }
     dir.set_origin(None);
     net.kill();
@@ -747,7 +747,7 @@ fn kill_tcp_server_with_only_a_journal_restores_its_donor_records() {
         held.donors.iter().any(|row| row.adaptive.is_some()),
         "the donor's speed estimate is warm: {held:?}"
     );
-    // Every 50 ticks of 2 ms the ticker snapshots into the journal.
+    // Every 50 ticks of 2 ms shard 0 snapshots into the journal.
     let snapshotted = |records: &[LogRecord]| {
         let snap = |r: &LogRecord| matches!(r, LogRecord::Donors(snap) if *snap == held);
         records.iter().any(snap)

@@ -145,10 +145,10 @@ fn soak(donors: usize, shards: usize, db_len: usize) {
     let snap = telemetry.metrics_snapshot();
     assert_eq!(
         snap.gauge("evloop.threads"),
-        Some((shards + 2) as f64),
-        "server thread count must be O(shards): {shards} shards + acceptor + ticker"
+        Some(shards as f64),
+        "server thread count must be O(shards): {shards} shards, shard 0 accepting and ticking"
     );
-    // The acceptor dealt the connections across every shard (the
+    // Shard 0 dealt the connections across every shard (the
     // handshakes alone make `donors`; the fleet's come on top).
     let adopted: Vec<f64> = (0..shards)
         .map(|s| snap.gauge(&format!("shard.s{s}.conns")).unwrap_or(0.0))
