@@ -94,7 +94,6 @@ fn sim(args: &[String]) {
     let pool = biodist_gridsim::deployments::homogeneous_lab(machines, seed);
     let cfg = SimConfig {
         metrics_report_secs: 5.0,
-        ..Default::default()
     };
     let runner = SimRunner::new(
         server,

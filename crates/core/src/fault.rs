@@ -17,11 +17,16 @@
 //!   work on crash and stretch slow computes, and a fault proxy
 //!   mutates deliveries on the wire.
 //!
-//! Both backends consume the plan through one [`PlanInterpreter`].
+//! Both backends read a donor's part of the plan through one record,
+//! [`FaultPlan::client`] → [`ClientFaults`]: each actor holds the
+//! records of the donors it plays (the simulator one per machine, a TCP
+//! donor its own, the fault proxy the pool's), so a donor's fault state
+//! never grows with the pool. The plan-wide parts — link windows and
+//! replica windows — are read off the plan itself.
 //! Random plans are generated from a single `u64` seed
 //! ([`FaultPlan::random`]), and every failing chaos run is replayable
-//! from its printed `(seed, plan)` alone — the plan is data, the
-//! interpreter is deterministic, and nothing else feeds the injection.
+//! from its printed `(seed, plan)` alone — the plan is data, its
+//! reading is deterministic, and nothing else feeds the injection.
 
 use crate::codec::WireCodec;
 use crate::problem::TaskResult;
@@ -123,6 +128,9 @@ pub enum FaultKind {
         duration_secs: f64,
     },
 }
+
+/// `(start, end)` windows, sorted by start.
+type Windows = Vec<(f64, f64)>;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -330,89 +338,89 @@ impl FaultPlan {
         plan
     }
 
-    /// The time at which `client` joins the pool, if the plan delays it
-    /// (latest [`FaultKind::LateJoin`] wins when several are present).
-    pub fn join_time(&self, client: ClientId) -> Option<f64> {
+    /// Everything the plan says about donor `id`, read in one pass over
+    /// its events. Replica-indexed events never land here, even when
+    /// the replica index equals `id`; a donor the plan does not name
+    /// gets an empty record, which allocates nothing.
+    pub fn client(&self, id: ClientId) -> ClientFaults {
+        let mut f = ClientFaults::default();
+        for e in self.events.iter().filter(|e| e.client == Some(id)) {
+            let shot = match e.kind {
+                FaultKind::LateJoin => {
+                    f.join_at = Some(f.join_at.map_or(e.at, |a| a.max(e.at)));
+                    continue;
+                }
+                FaultKind::Depart => {
+                    f.departure = Some(f.departure.map_or(e.at, |a| a.min(e.at)));
+                    continue;
+                }
+                FaultKind::Crash { down_secs } => {
+                    f.crashes.push((e.at, down_secs));
+                    continue;
+                }
+                FaultKind::Slowdown {
+                    factor,
+                    duration_secs,
+                } => {
+                    f.slowdowns.push((e.at, e.at + duration_secs, factor));
+                    continue;
+                }
+                FaultKind::DropResult => OneShot::Result(DeliveryAction::Drop),
+                FaultKind::DuplicateResult => OneShot::Result(DeliveryAction::Duplicate),
+                FaultKind::CorruptResult => OneShot::Result(DeliveryAction::Corrupt),
+                FaultKind::WrongResult => OneShot::Lie,
+                FaultKind::DropChunk => OneShot::ChunkReply(DeliveryAction::Drop),
+                FaultKind::CorruptChunk => OneShot::ChunkReply(DeliveryAction::Corrupt),
+                FaultKind::DropReply => OneShot::ControlReply(DeliveryAction::Drop),
+                FaultKind::DuplicateReply => OneShot::ControlReply(DeliveryAction::Duplicate),
+                FaultKind::CorruptReply => OneShot::ControlReply(DeliveryAction::Corrupt),
+                FaultKind::LinkDegrade { .. }
+                | FaultKind::ReplicaCrash { .. }
+                | FaultKind::ReplicaStall { .. } => continue,
+            };
+            f.armed.push((e.at, shot));
+        }
+        // Stable sorts: equal times keep plan order.
+        f.crashes.sort_by(|a, b| a.0.total_cmp(&b.0));
+        f.armed.sort_by(|a, b| a.0.total_cmp(&b.0));
+        f
+    }
+
+    /// Transfer-time multiplier for the shared server link at `now`:
+    /// the product of every [`FaultKind::LinkDegrade`] window open then,
+    /// in plan order.
+    pub fn link_scale(&self, now: f64) -> f64 {
         self.events
             .iter()
-            .filter(|e| e.client == Some(client) && e.kind == FaultKind::LateJoin)
-            .map(|e| e.at)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.max(t)))
-            })
-    }
-
-    /// The time at which `client` permanently departs (earliest
-    /// [`FaultKind::Depart`] wins).
-    pub fn departure_time(&self, client: ClientId) -> Option<f64> {
-        self.events
-            .iter()
-            .filter(|e| e.client == Some(client) && e.kind == FaultKind::Depart)
-            .map(|e| e.at)
-            .fold(None, |acc: Option<f64>, t| {
-                Some(acc.map_or(t, |a| a.min(t)))
-            })
-    }
-
-    /// `(crash_time, down_secs)` pairs for `client`, sorted by time.
-    pub fn crashes(&self, client: ClientId) -> Vec<(f64, f64)> {
-        let mut v: Vec<(f64, f64)> = self
-            .events
-            .iter()
-            .filter(|e| e.client == Some(client))
             .filter_map(|e| match e.kind {
-                FaultKind::Crash { down_secs } => Some((e.at, down_secs)),
+                FaultKind::LinkDegrade {
+                    factor,
+                    duration_secs,
+                } => (e.at <= now && now < e.at + duration_secs).then_some(factor),
                 _ => None,
             })
-            .collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v
+            .product()
     }
 
-    /// The first downtime `[at, at + down)` among `crashes` (as
-    /// [`FaultPlan::crashes`] returns them) that overlaps `[from, to]`.
-    /// The TCP donor's crash rule: with `from == to` it is the window a
-    /// donor is down in at that
-    /// instant; over a compute interval it is the crash that loses the
-    /// unit — it began during the compute, or before it and was still
-    /// open when it started.
-    pub fn crash_overlapping(crashes: &[(f64, f64)], from: f64, to: f64) -> Option<(f64, f64)> {
-        let hits = |&&(at, down): &&(f64, f64)| at <= to && at + down > from;
-        crashes.iter().find(hits).copied()
-    }
-
-    /// `(start, end)` unavailability windows for replica index
-    /// `replica` from [`FaultKind::ReplicaCrash`] events, sorted by
-    /// start time. Replica indices live in their own space — the same
-    /// number as a donor id means a different machine.
-    pub fn replica_crashes(&self, replica: usize) -> Vec<(f64, f64)> {
-        let mut v: Vec<(f64, f64)> = self
-            .events
-            .iter()
-            .filter(|e| e.client == Some(replica))
-            .filter_map(|e| match e.kind {
-                FaultKind::ReplicaCrash { down_secs } => Some((e.at, e.at + down_secs)),
-                _ => None,
-            })
-            .collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v
-    }
-
-    /// `(start, end)` stall windows for replica index `replica` from
-    /// [`FaultKind::ReplicaStall`] events, sorted by start time.
-    pub fn replica_stalls(&self, replica: usize) -> Vec<(f64, f64)> {
-        let mut v: Vec<(f64, f64)> = self
-            .events
-            .iter()
-            .filter(|e| e.client == Some(replica))
-            .filter_map(|e| match e.kind {
-                FaultKind::ReplicaStall { duration_secs } => Some((e.at, e.at + duration_secs)),
-                _ => None,
-            })
-            .collect();
-        v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        v
+    /// `(start, end)` windows for replica index `replica`: its
+    /// [`FaultKind::ReplicaCrash`] downtimes, then its
+    /// [`FaultKind::ReplicaStall`] stalls, each sorted by start time.
+    /// Replica indices live in their own space — the same number as a
+    /// donor id means a different machine.
+    pub fn replica_windows(&self, replica: usize) -> (Windows, Windows) {
+        let (mut crashes, mut stalls): (Windows, Windows) = (Vec::new(), Vec::new());
+        for e in self.events.iter().filter(|e| e.client == Some(replica)) {
+            match e.kind {
+                FaultKind::ReplicaCrash { down_secs } => crashes.push((e.at, e.at + down_secs)),
+                FaultKind::ReplicaStall { duration_secs } => {
+                    stalls.push((e.at, e.at + duration_secs))
+                }
+                _ => {}
+            }
+        }
+        crashes.sort_by(|a, b| a.0.total_cmp(&b.0));
+        stalls.sort_by(|a, b| a.0.total_cmp(&b.0));
+        (crashes, stalls)
     }
 
     /// The replica-fault events in the plan, as `(replica, at, kind)` —
@@ -427,15 +435,6 @@ impl FaultPlan {
                 )
             })
             .collect()
-    }
-
-    /// Number of clients that never depart permanently (the pool the
-    /// run can always fall back on). Plans used in tests should keep
-    /// this ≥ 1 or the run cannot complete.
-    pub fn permanent_survivors(&self, n_clients: usize) -> usize {
-        (0..n_clients)
-            .filter(|&c| self.departure_time(c).is_none())
-            .count()
     }
 
     /// A compact FNV-1a fingerprint of the plan (seed + every event,
@@ -514,254 +513,175 @@ pub fn flip_result_bytes(bytes: &mut [u8], client: ClientId) {
     }
 }
 
-/// Resolves the delivery of a result `client` finished at `now` on the
-/// simulator, which carries results as typed payloads (the TCP donor
-/// flips the bytes of its own frame). A
-/// Byzantine donor (`wrong`) lies: the encoded payload bytes are
-/// flipped *before* the transport would frame them, then decoded back —
-/// the CRC layer cannot catch it, only quorum compare can. A lie whose
-/// bytes no longer decode degrades to a corrupt delivery. Emits one
-/// `FaultInjected` event for the lie and one for any action other than
-/// `Deliver`; returns how to deliver, and what.
-pub fn resolve_delivery(
-    tel: &Telemetry,
-    now: f64,
-    client: ClientId,
-    mut action: DeliveryAction,
-    wrong: bool,
-    mut result: TaskResult,
-    codec: Option<&dyn WireCodec>,
-) -> (DeliveryAction, TaskResult) {
-    let injected = |action: &str| {
-        tel.emit_at(
-            now,
-            EventKind::FaultInjected {
-                client,
-                action: action.to_string(),
-            },
-        );
-    };
-    if wrong {
-        injected("wrong_result");
-        if let Some(codec) = codec {
-            if let Ok(mut bytes) = codec.encode_result(&result.payload) {
-                flip_result_bytes(&mut bytes, client);
-                match codec.decode_result(&bytes) {
-                    Ok(payload) => result.payload = payload,
-                    Err(_) => action = DeliveryAction::Corrupt,
-                }
-            }
-        }
-    }
-    match action {
-        DeliveryAction::Deliver => {}
-        DeliveryAction::Drop => injected("drop"),
-        DeliveryAction::Duplicate => injected("duplicate"),
-        DeliveryAction::Corrupt => injected("corrupt"),
-    }
-    (action, result)
+/// One armed one-shot fault of a donor's, by the queue it is consumed
+/// from: each queue is consumed by its own caller, so consuming one
+/// kind never perturbs another's schedule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum OneShot {
+    /// A result delivery fault: [`FaultKind::DropResult`] /
+    /// [`FaultKind::DuplicateResult`] / [`FaultKind::CorruptResult`].
+    Result(DeliveryAction),
+    /// A `ChunkData` reply fault: [`FaultKind::DropChunk`] /
+    /// [`FaultKind::CorruptChunk`].
+    ChunkReply(DeliveryAction),
+    /// A control reply fault: [`FaultKind::DropReply`] /
+    /// [`FaultKind::DuplicateReply`] / [`FaultKind::CorruptReply`].
+    ControlReply(DeliveryAction),
+    /// A Byzantine lie: [`FaultKind::WrongResult`].
+    Lie,
 }
 
-/// Interprets a [`FaultPlan`] deterministically. Both backends use this
-/// one implementation, so a plan means the same thing everywhere.
-#[derive(Debug)]
-pub struct PlanInterpreter {
-    // Armed one-shot delivery faults per client, each sorted by time.
-    deliveries: Vec<Vec<(f64, DeliveryAction)>>,
-    // Armed one-shot `ChunkData` reply faults per client, sorted by
-    // time; their own queue, consumed only by the TCP fault proxy's
-    // server→client pump.
-    chunk_replies: Vec<Vec<(f64, DeliveryAction)>>,
-    // Armed one-shot control-reply (`TurnReply`; `ResultAck` / `AssignUnit`) faults
-    // per client, sorted by time; the same pump consumes them.
-    control_replies: Vec<Vec<(f64, DeliveryAction)>>,
-    // Armed one-shot Byzantine wrong-result faults per client, sorted
-    // by time; a separate queue so consuming one never perturbs the
-    // delivery-fault schedule (and vice versa).
-    wrongs: Vec<Vec<f64>>,
-    // (start, end, factor) slowdown windows per client.
-    slowdowns: Vec<Vec<(f64, f64, f64)>>,
-    // (start, end, factor) link-degradation windows.
-    link_windows: Vec<(f64, f64, f64)>,
-    // Consumed-fault counters, for post-run reporting.
-    consumed: [u64; 3],
-    // Consumed wrong-result faults.
-    consumed_wrong: u64,
+/// One donor's part of a [`FaultPlan`] ([`FaultPlan::client`]): its
+/// lifecycle, its slowdown windows and its armed one-shot faults. The
+/// simulator keeps one per machine, a TCP donor its own and the fault
+/// proxy the pool's, so a plan means the same thing to every actor.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClientFaults {
+    /// When the donor joins the pool, if the plan delays it (the latest
+    /// [`FaultKind::LateJoin`] wins when several are present).
+    pub join_at: Option<f64>,
+    /// When the donor departs for good (the earliest
+    /// [`FaultKind::Depart`] wins).
+    pub departure: Option<f64>,
+    /// `(crash_time, down_secs)` pairs, sorted by time (what
+    /// [`ClientFaults::crash_overlapping`] relies on).
+    pub(crate) crashes: Vec<(f64, f64)>,
+    // (start, end, factor) slowdown windows, in plan order: overlapping
+    // factors multiply, and a reordered product can round differently.
+    slowdowns: Vec<(f64, f64, f64)>,
+    // Armed one-shots, stably sorted by time (equal times keep plan
+    // order). One list rather than a queue per kind keeps an empty
+    // record three `Vec` headers.
+    armed: Vec<(f64, OneShot)>,
 }
 
-impl PlanInterpreter {
-    /// Builds the interpreter for a plan over `n_clients` clients.
-    pub fn new(plan: &FaultPlan, n_clients: usize) -> Self {
-        let mut deliveries: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
-        let mut chunk_replies: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
-        let mut control_replies: Vec<Vec<(f64, DeliveryAction)>> = vec![Vec::new(); n_clients];
-        let mut wrongs: Vec<Vec<f64>> = vec![Vec::new(); n_clients];
-        let mut slowdowns: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); n_clients];
-        let mut link_windows = Vec::new();
-        for e in &plan.events {
-            match (&e.kind, e.client) {
-                (FaultKind::DropResult, Some(c)) if c < n_clients => {
-                    deliveries[c].push((e.at, DeliveryAction::Drop));
-                }
-                (FaultKind::WrongResult, Some(c)) if c < n_clients => {
-                    wrongs[c].push(e.at);
-                }
-                (FaultKind::DropChunk, Some(c)) if c < n_clients => {
-                    chunk_replies[c].push((e.at, DeliveryAction::Drop));
-                }
-                (FaultKind::CorruptChunk, Some(c)) if c < n_clients => {
-                    chunk_replies[c].push((e.at, DeliveryAction::Corrupt));
-                }
-                (FaultKind::DropReply, Some(c)) if c < n_clients => {
-                    control_replies[c].push((e.at, DeliveryAction::Drop));
-                }
-                (FaultKind::DuplicateReply, Some(c)) if c < n_clients => {
-                    control_replies[c].push((e.at, DeliveryAction::Duplicate));
-                }
-                (FaultKind::CorruptReply, Some(c)) if c < n_clients => {
-                    control_replies[c].push((e.at, DeliveryAction::Corrupt));
-                }
-                (FaultKind::DuplicateResult, Some(c)) if c < n_clients => {
-                    deliveries[c].push((e.at, DeliveryAction::Duplicate));
-                }
-                (FaultKind::CorruptResult, Some(c)) if c < n_clients => {
-                    deliveries[c].push((e.at, DeliveryAction::Corrupt));
-                }
-                (
-                    FaultKind::Slowdown {
-                        factor,
-                        duration_secs,
-                    },
-                    Some(c),
-                ) if c < n_clients => {
-                    slowdowns[c].push((e.at, e.at + duration_secs, *factor));
-                }
-                (
-                    FaultKind::LinkDegrade {
-                        factor,
-                        duration_secs,
-                    },
-                    _,
-                ) => {
-                    link_windows.push((e.at, e.at + duration_secs, *factor));
-                }
-                _ => {} // lifecycle events are read via the plan accessors
-            }
-        }
-        for v in deliveries
-            .iter_mut()
-            .chain(&mut chunk_replies)
-            .chain(&mut control_replies)
-        {
-            v.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        for v in &mut wrongs {
-            v.sort_by(f64::total_cmp);
-        }
-        Self {
-            deliveries,
-            chunk_replies,
-            control_replies,
-            wrongs,
-            slowdowns,
-            link_windows,
-            consumed: [0; 3],
-            consumed_wrong: 0,
-        }
+impl ClientFaults {
+    /// The first downtime `[at, at + down)` among the crashes that
+    /// overlaps `[from, to]`. The TCP donor's crash rule: with
+    /// `from == to` it is the window the donor is down in at that
+    /// instant; over a compute interval it is the crash that loses the
+    /// unit — it began during the compute, or before it and was still
+    /// open when it started.
+    pub fn crash_overlapping(&self, from: f64, to: f64) -> Option<(f64, f64)> {
+        let hits = |&&(at, down): &&(f64, f64)| at <= to && at + down > from;
+        self.crashes.iter().find(hits).copied()
     }
 
-    /// `(dropped, duplicated, corrupted)` deliveries consumed so far.
-    pub fn consumed_deliveries(&self) -> (u64, u64, u64) {
-        (self.consumed[0], self.consumed[1], self.consumed[2])
-    }
-
-    /// Byzantine wrong-result faults consumed so far.
-    pub fn consumed_wrong_results(&self) -> u64 {
-        self.consumed_wrong
-    }
-
-    /// Decides the fate of a `ChunkData` reply bound for `client` at
-    /// `now`: the earliest armed [`FaultKind::DropChunk`] /
-    /// [`FaultKind::CorruptChunk`] whose time has passed is consumed.
-    pub fn chunk_reply_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
-        pop_due(self.chunk_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
-    }
-
-    /// Decides the fate of a `TurnReply` (`ResultAck`, `AssignUnit`) bound for
-    /// `client` at `now`: the earliest armed [`FaultKind::DropReply`] /
-    /// [`FaultKind::DuplicateReply`] / [`FaultKind::CorruptReply`]
-    /// whose time has passed is consumed.
-    pub fn control_reply_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
-        pop_due(self.control_replies.get_mut(client), now).unwrap_or(DeliveryAction::Deliver)
-    }
-
-    /// Decides the fate of a result `client` finished at `now`.
-    /// Stateful: armed one-shot faults are consumed by the call.
-    pub fn delivery_action(&mut self, client: ClientId, now: f64) -> DeliveryAction {
-        let Some(action) = pop_due(self.deliveries.get_mut(client), now) else {
-            return DeliveryAction::Deliver;
-        };
-        let slot = match action {
-            DeliveryAction::Drop => 0,
-            DeliveryAction::Duplicate => 1,
-            DeliveryAction::Corrupt => 2,
-            DeliveryAction::Deliver => unreachable!("never armed"),
-        };
-        self.consumed[slot] += 1;
-        action
-    }
-
-    /// Whether the result `client` finished at `now` is computed
-    /// *wrong* (Byzantine). Stateful: an armed one-shot is consumed by
-    /// the call. Kept separate from [`Self::delivery_action`] so the
-    /// TCP client's interpreter (which injects wrong bytes before
-    /// framing) and the fault proxy's interpreter (which mutates frames
-    /// on the wire) never skew each other's armed-fault queues.
-    pub fn wrong_result(&mut self, client: ClientId, now: f64) -> bool {
-        let Some(armed) = self.wrongs.get_mut(client) else {
-            return false;
-        };
-        match armed.first() {
-            Some(&at) if at <= now => {
-                armed.remove(0);
-                self.consumed_wrong += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Compute-time multiplier for a unit `client` starts at `now`
+    /// Compute-time multiplier for a unit the donor starts at `now`
     /// (≥ 1; 1 = full speed). Sampled once per unit, at its start.
-    pub fn compute_scale(&self, client: ClientId, now: f64) -> f64 {
+    pub fn compute_scale(&self, now: f64) -> f64 {
         self.slowdowns
-            .get(client)
-            .map(|ws| {
-                ws.iter()
-                    .filter(|&&(s, e, _)| s <= now && now < e)
-                    .map(|&(_, _, f)| f)
-                    .product()
-            })
-            .unwrap_or(1.0)
-    }
-
-    /// Transfer-time multiplier for the shared server link at `now`.
-    pub fn link_scale(&self, now: f64) -> f64 {
-        self.link_windows
             .iter()
             .filter(|&&(s, e, _)| s <= now && now < e)
             .map(|&(_, _, f)| f)
             .product()
     }
-}
 
-/// Consumes the earliest armed one-shot fault whose time has passed;
-/// later armed faults stay pending for subsequent deliveries.
-fn pop_due(armed: Option<&mut Vec<(f64, DeliveryAction)>>, now: f64) -> Option<DeliveryAction> {
-    let armed = armed?;
-    match armed.first() {
-        Some(&(at, _)) if at <= now => Some(armed.remove(0).1),
-        _ => None,
+    /// Consumes the earliest armed one-shot of the queue `pick` selects
+    /// if its time has passed; later ones stay armed for later calls.
+    fn take<T>(&mut self, now: f64, pick: impl Fn(OneShot) -> Option<T>) -> Option<T> {
+        let (i, (at, got)) = self
+            .armed
+            .iter()
+            .enumerate()
+            .find_map(|(i, &(at, shot))| Some((i, (at, pick(shot)?))))?;
+        if at > now {
+            return None;
+        }
+        self.armed.remove(i);
+        Some(got)
+    }
+
+    /// Decides the fate of a result the donor finished at `now`: the
+    /// earliest armed result delivery fault whose time has passed is
+    /// consumed.
+    pub fn delivery_action(&mut self, now: f64) -> DeliveryAction {
+        let result = |s| match s {
+            OneShot::Result(a) => Some(a),
+            _ => None,
+        };
+        self.take(now, result).unwrap_or(DeliveryAction::Deliver)
+    }
+
+    /// Decides the fate of a `ChunkData` reply bound for the donor at
+    /// `now`: the earliest armed [`FaultKind::DropChunk`] /
+    /// [`FaultKind::CorruptChunk`] whose time has passed is consumed.
+    pub fn chunk_reply_action(&mut self, now: f64) -> DeliveryAction {
+        let chunk = |s| match s {
+            OneShot::ChunkReply(a) => Some(a),
+            _ => None,
+        };
+        self.take(now, chunk).unwrap_or(DeliveryAction::Deliver)
+    }
+
+    /// Decides the fate of a `TurnReply` (`ResultAck`, `AssignUnit`)
+    /// bound for the donor at `now`: the earliest armed
+    /// [`FaultKind::DropReply`] / [`FaultKind::DuplicateReply`] /
+    /// [`FaultKind::CorruptReply`] whose time has passed is consumed.
+    pub fn control_reply_action(&mut self, now: f64) -> DeliveryAction {
+        let control = |s| match s {
+            OneShot::ControlReply(a) => Some(a),
+            _ => None,
+        };
+        self.take(now, control).unwrap_or(DeliveryAction::Deliver)
+    }
+
+    /// Whether the result the donor finished at `now` is computed
+    /// *wrong* (Byzantine): an armed lie whose time has passed is
+    /// consumed. Its own queue, so the TCP donor (which lies before
+    /// framing) and the fault proxy (which mutates frames on the wire)
+    /// never skew each other's schedules.
+    pub fn wrong_result(&mut self, now: f64) -> bool {
+        self.take(now, |s| (s == OneShot::Lie).then_some(()))
+            .is_some()
+    }
+
+    /// Resolves the delivery of a result donor `client` finished at
+    /// `now` on the simulator, which carries results as typed payloads
+    /// (the TCP donor flips the bytes of its own frame): consumes the
+    /// due delivery fault and lie. A lie flips the encoded payload
+    /// bytes *before* the transport would frame them, then decodes them
+    /// back — the CRC layer cannot catch it, only quorum compare can. A
+    /// lie whose bytes no longer decode degrades to a corrupt delivery.
+    /// Emits one `FaultInjected` event for the lie and one for any
+    /// action other than `Deliver`; returns how to deliver, and what.
+    pub fn resolve_delivery(
+        &mut self,
+        tel: &Telemetry,
+        now: f64,
+        client: ClientId,
+        mut result: TaskResult,
+        codec: Option<&dyn WireCodec>,
+    ) -> (DeliveryAction, TaskResult) {
+        let mut action = self.delivery_action(now);
+        let injected = |action: &str| {
+            tel.emit_at(
+                now,
+                EventKind::FaultInjected {
+                    client,
+                    action: action.to_string(),
+                },
+            );
+        };
+        if self.wrong_result(now) {
+            injected("wrong_result");
+            if let Some(codec) = codec {
+                if let Ok(mut bytes) = codec.encode_result(&result.payload) {
+                    flip_result_bytes(&mut bytes, client);
+                    match codec.decode_result(&bytes) {
+                        Ok(payload) => result.payload = payload,
+                        Err(_) => action = DeliveryAction::Corrupt,
+                    }
+                }
+            }
+        }
+        match action {
+            DeliveryAction::Deliver => {}
+            DeliveryAction::Drop => injected("drop"),
+            DeliveryAction::Duplicate => injected("duplicate"),
+            DeliveryAction::Corrupt => injected("corrupt"),
+        }
+        (action, result)
     }
 }
 
@@ -787,12 +707,14 @@ mod tests {
                 ..ChaosOptions::for_pool(8, 300.0)
             };
             let plan = FaultPlan::random(seed, &opts);
-            let departures = (0..8).filter(|&c| plan.departure_time(c).is_some()).count();
+            let departures = (0..8)
+                .filter(|&c| plan.client(c).departure.is_some())
+                .count();
             assert!(
                 departures <= opts.max_departures,
                 "seed {seed}: {departures} departures"
             );
-            assert!(plan.permanent_survivors(8) >= 6);
+            assert!(8 - departures >= 6, "the survivors a run falls back on");
         }
     }
 
@@ -815,7 +737,7 @@ mod tests {
         ];
         for (at, down, loses, why) in table {
             let plan = FaultPlan::new(0).with(at, 0, FaultKind::Crash { down_secs: down });
-            let hit = FaultPlan::crash_overlapping(&plan.crashes(0), started, done);
+            let hit = plan.client(0).crash_overlapping(started, done);
             assert_eq!(
                 hit,
                 loses.then_some((at, down)),
@@ -823,26 +745,21 @@ mod tests {
             );
         }
         // Several windows: the first overlapping one, in time order.
-        let crashes = [(1.0, 2.0), (12.0, 1.0), (18.0, 9.0)];
-        assert_eq!(
-            FaultPlan::crash_overlapping(&crashes, started, done),
-            Some((12.0, 1.0))
-        );
+        let crashes = FaultPlan::new(0)
+            .with(18.0, 0, FaultKind::Crash { down_secs: 9.0 })
+            .with(1.0, 0, FaultKind::Crash { down_secs: 2.0 })
+            .with(12.0, 0, FaultKind::Crash { down_secs: 1.0 })
+            .client(0);
+        assert_eq!(crashes.crash_overlapping(started, done), Some((12.0, 1.0)));
         // "Which window is `now` inside" is the same rule at an instant.
-        assert_eq!(FaultPlan::crash_overlapping(&crashes, 0.9, 0.9), None);
-        assert_eq!(
-            FaultPlan::crash_overlapping(&crashes, 1.0, 1.0),
-            Some((1.0, 2.0))
-        );
-        assert_eq!(FaultPlan::crash_overlapping(&crashes, 3.0, 3.0), None);
-        assert_eq!(
-            FaultPlan::crash_overlapping(&crashes, 26.9, 26.9),
-            Some((18.0, 9.0))
-        );
+        assert_eq!(crashes.crash_overlapping(0.9, 0.9), None);
+        assert_eq!(crashes.crash_overlapping(1.0, 1.0), Some((1.0, 2.0)));
+        assert_eq!(crashes.crash_overlapping(3.0, 3.0), None);
+        assert_eq!(crashes.crash_overlapping(26.9, 26.9), Some((18.0, 9.0)));
     }
 
     #[test]
-    fn lifecycle_accessors_pick_the_right_event() {
+    fn the_donor_record_picks_the_right_lifecycle_events() {
         let plan = FaultPlan::new(1)
             .with(50.0, 3, FaultKind::LateJoin)
             .with(80.0, 3, FaultKind::LateJoin)
@@ -850,41 +767,44 @@ mod tests {
             .with(150.0, 4, FaultKind::Depart)
             .with(30.0, 5, FaultKind::Crash { down_secs: 10.0 })
             .with(10.0, 5, FaultKind::Crash { down_secs: 5.0 });
-        assert_eq!(plan.join_time(3), Some(80.0), "latest join wins");
+        assert_eq!(plan.client(3).join_at, Some(80.0), "latest join wins");
         assert_eq!(
-            plan.departure_time(4),
+            plan.client(4).departure,
             Some(150.0),
             "earliest departure wins"
         );
         assert_eq!(
-            plan.crashes(5),
+            plan.client(5).crashes,
             vec![(10.0, 5.0), (30.0, 10.0)],
             "sorted by time"
         );
-        assert_eq!(plan.join_time(0), None);
-        assert_eq!(plan.permanent_survivors(6), 5);
+        assert_eq!(plan.client(0).join_at, None);
+        let survivors = (0..6).filter(|&c| plan.client(c).departure.is_none());
+        assert_eq!(survivors.count(), 5);
     }
 
     #[test]
-    fn interpreter_consumes_armed_deliveries_in_order() {
+    fn the_record_consumes_armed_deliveries_in_order() {
         let plan = FaultPlan::new(2)
             .with(10.0, 0, FaultKind::DropResult)
             .with(20.0, 0, FaultKind::CorruptResult)
             .with(5.0, 1, FaultKind::DuplicateResult);
-        let mut interp = PlanInterpreter::new(&plan, 2);
+        let mut c0 = plan.client(0);
         // Before the arm time: nothing fires.
-        assert_eq!(interp.delivery_action(0, 9.0), DeliveryAction::Deliver);
+        assert_eq!(c0.delivery_action(9.0), DeliveryAction::Deliver);
         // Both armed faults have passed by t=25, but only one fires per
         // delivery, earliest first.
-        assert_eq!(interp.delivery_action(0, 25.0), DeliveryAction::Drop);
-        assert_eq!(interp.delivery_action(0, 25.0), DeliveryAction::Corrupt);
-        assert_eq!(interp.delivery_action(0, 25.0), DeliveryAction::Deliver);
-        assert_eq!(interp.delivery_action(1, 6.0), DeliveryAction::Duplicate);
-        assert_eq!(interp.consumed_deliveries(), (1, 1, 1));
+        assert_eq!(c0.delivery_action(25.0), DeliveryAction::Drop);
+        assert_eq!(c0.delivery_action(25.0), DeliveryAction::Corrupt);
+        assert_eq!(c0.delivery_action(25.0), DeliveryAction::Deliver);
+        assert_eq!(
+            plan.client(1).delivery_action(6.0),
+            DeliveryAction::Duplicate
+        );
     }
 
     #[test]
-    fn interpreter_scales_compute_and_link_inside_windows() {
+    fn slowdowns_and_link_windows_scale_inside_their_windows() {
         let plan = FaultPlan::new(3)
             .with(
                 100.0,
@@ -910,34 +830,48 @@ mod tests {
                     duration_secs: 20.0,
                 },
             );
-        let interp = PlanInterpreter::new(&plan, 4);
-        assert_eq!(interp.compute_scale(2, 99.0), 1.0);
-        assert_eq!(interp.compute_scale(2, 110.0), 4.0);
+        let c2 = plan.client(2);
+        assert_eq!(c2.compute_scale(99.0), 1.0);
+        assert_eq!(c2.compute_scale(110.0), 4.0);
+        assert_eq!(c2.compute_scale(125.0), 8.0, "overlapping windows multiply");
+        assert_eq!(c2.compute_scale(150.0), 1.0, "window end is exclusive");
         assert_eq!(
-            interp.compute_scale(2, 125.0),
-            8.0,
-            "overlapping windows multiply"
-        );
-        assert_eq!(
-            interp.compute_scale(2, 150.0),
-            1.0,
-            "window end is exclusive"
-        );
-        assert_eq!(
-            interp.compute_scale(0, 110.0),
+            plan.client(0).compute_scale(110.0),
             1.0,
             "other clients unaffected"
         );
-        assert_eq!(interp.link_scale(45.0), 5.0);
-        assert_eq!(interp.link_scale(60.0), 1.0);
+        assert_eq!(plan.link_scale(45.0), 5.0);
+        assert_eq!(plan.link_scale(60.0), 1.0);
     }
 
     #[test]
-    fn out_of_range_clients_are_ignored() {
-        let plan = FaultPlan::new(4).with(1.0, 99, FaultKind::DropResult);
-        let mut interp = PlanInterpreter::new(&plan, 4);
-        assert_eq!(interp.delivery_action(99, 5.0), DeliveryAction::Deliver);
-        assert_eq!(interp.compute_scale(99, 5.0), 1.0);
+    fn a_donor_the_plan_does_not_name_has_an_empty_record() {
+        let plan = FaultPlan::new(4)
+            .with(1.0, 99, FaultKind::DropResult)
+            .with(1.0, 3, FaultKind::ReplicaCrash { down_secs: 1.0 })
+            .with(1.0, 3, FaultKind::ReplicaStall { duration_secs: 1.0 })
+            .with(
+                1.0,
+                None,
+                FaultKind::LinkDegrade {
+                    factor: 2.0,
+                    duration_secs: 1.0,
+                },
+            );
+        let mut c3 = plan.client(3);
+        assert_eq!(
+            c3,
+            ClientFaults::default(),
+            "replica and link events stay out"
+        );
+        assert_eq!(c3.delivery_action(5.0), DeliveryAction::Deliver);
+        assert_eq!(c3.compute_scale(5.0), 1.0);
+        assert_ne!(plan.client(99), ClientFaults::default());
+        // No larger than a donor's share of a five-queue interpreter
+        // (five `Vec` headers), and nothing on the heap when empty.
+        assert!(std::mem::size_of::<ClientFaults>() <= 120);
+        assert_eq!(c3.crashes.capacity() + c3.armed.capacity(), 0);
+        assert_eq!(c3.slowdowns.capacity(), 0);
     }
 
     #[test]
@@ -972,21 +906,22 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_consumes_wrong_results_independently_of_deliveries() {
+    fn the_record_consumes_wrong_results_independently_of_deliveries() {
         let plan = FaultPlan::new(9)
             .with(10.0, 0, FaultKind::WrongResult)
             .with(20.0, 0, FaultKind::WrongResult)
             .with(5.0, 0, FaultKind::DropResult);
-        let mut interp = PlanInterpreter::new(&plan, 2);
-        assert!(!interp.wrong_result(0, 9.0), "not armed yet");
-        assert!(interp.wrong_result(0, 15.0));
+        let mut c0 = plan.client(0);
+        assert!(!c0.wrong_result(9.0), "not armed yet");
+        assert!(c0.wrong_result(15.0));
         // Consuming a wrong-result must not consume the drop.
-        assert_eq!(interp.delivery_action(0, 15.0), DeliveryAction::Drop);
-        assert!(interp.wrong_result(0, 25.0));
-        assert!(!interp.wrong_result(0, 25.0), "both consumed");
-        assert!(!interp.wrong_result(1, 25.0), "other client unaffected");
-        assert_eq!(interp.consumed_wrong_results(), 2);
-        assert_eq!(interp.consumed_deliveries(), (1, 0, 0));
+        assert_eq!(c0.delivery_action(15.0), DeliveryAction::Drop);
+        assert!(c0.wrong_result(25.0));
+        assert!(!c0.wrong_result(25.0), "both consumed");
+        assert!(
+            !plan.client(1).wrong_result(25.0),
+            "other client unaffected"
+        );
     }
 
     #[test]
@@ -1012,17 +947,16 @@ mod tests {
             .with(0.75, 1, FaultKind::ReplicaStall { duration_secs: 0.5 })
             .with(0.5, 0, FaultKind::Crash { down_secs: 1.0 });
         assert_eq!(
-            plan.replica_crashes(1),
-            vec![(0.25, 0.5), (0.5, 0.75)],
+            plan.replica_windows(1),
+            (vec![(0.25, 0.5), (0.5, 0.75)], vec![(0.75, 1.25)]),
             "sorted windows"
         );
-        assert_eq!(plan.replica_stalls(1), vec![(0.75, 1.25)]);
         assert_eq!(
-            plan.replica_crashes(0),
-            vec![],
+            plan.replica_windows(0),
+            (vec![], vec![]),
             "donor crashes are not replica crashes even at the same index"
         );
-        assert_eq!(plan.crashes(1), vec![], "and vice versa");
+        assert_eq!(plan.client(1).crashes, vec![], "and vice versa");
         assert_eq!(plan.replica_events().len(), 3);
         // The digest distinguishes the two replica kinds.
         let a = FaultPlan::new(1).with(5.0, 0, FaultKind::ReplicaCrash { down_secs: 1.0 });

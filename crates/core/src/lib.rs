@@ -52,8 +52,7 @@ pub mod telemetry;
 pub use audit::{audited, AuditHandle};
 pub use codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
 pub use fault::{
-    flip_result_bytes, ChaosOptions, DeliveryAction, FaultEvent, FaultKind, FaultPlan,
-    PlanInterpreter,
+    flip_result_bytes, ChaosOptions, ClientFaults, DeliveryAction, FaultEvent, FaultKind, FaultPlan,
 };
 pub use health::{Detector, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{

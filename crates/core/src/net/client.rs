@@ -39,10 +39,12 @@
 //! an ack lost to a broken connection leads to a resend, never a lost
 //! unit (the server dedups).
 //!
-//! Lifecycle faults from a [`FaultPlan`] (late join, permanent
-//! departure, crash windows, slowdowns) are interpreted client-side
-//! against the shared [`Clock`], so a plan tells the same story on the
-//! wire as on the simulator's virtual clock.
+//! Each donor holds its own part of a [`FaultPlan`] — one
+//! [`ClientFaults`] record, whatever the pool's size — and interprets
+//! its lifecycle faults (late join, permanent departure, crash
+//! windows), slowdowns and lies against the shared [`Clock`] through
+//! the record the simulator reads too, so a plan tells the same story
+//! on the wire as on the simulator's virtual clock.
 
 use super::backoff::Backoff;
 use super::cache::{chunk_digest, ChunkCache, DONOR_CACHE_BYTES};
@@ -52,7 +54,7 @@ use super::wire::{
 };
 use super::{recycle, Clock, Directory, BURST_WINDOW_BYTES, KEEP_BYTES};
 use crate::codec::{ByteWriter, ChunkNeed, WireCodec};
-use crate::fault::{FaultPlan, PlanInterpreter};
+use crate::fault::{ClientFaults, FaultPlan};
 use crate::problem::{Algorithm, Payload, WorkUnit};
 use crate::server::Server;
 use crate::telemetry::{EventKind, Telemetry};
@@ -158,9 +160,10 @@ impl ClientKit {
     }
 }
 
-/// Spawns `n_clients` donor threads against `directory`. They exit when
-/// the server says `Finished`, their plan departs them, or `run_over`
-/// is set (the orchestrator's backstop after the server completes).
+/// Spawns `n_clients` donor threads against `directory`, each holding
+/// its own [`FaultPlan::client`] record. They exit when the server says
+/// `Finished`, their plan departs them, or `run_over` is set (the
+/// orchestrator's backstop after the server completes).
 pub fn spawn_clients(
     directory: Directory,
     clock: Clock,
@@ -174,11 +177,11 @@ pub fn spawn_clients(
         .map(|c| {
             let directory = directory.clone();
             let kit = kit.clone();
-            let plan = plan.clone();
+            let faults = plan.client(c);
             let run_over = run_over.clone();
             let opts = opts.clone();
             thread::spawn(move || {
-                ClientLoop::new(c, directory, clock, kit, &plan, n_clients, run_over, opts).run()
+                ClientLoop::new(c, directory, clock, kit, faults, run_over, opts).run()
             })
         })
         .collect()
@@ -286,10 +289,8 @@ struct ClientLoop {
     directory: Directory,
     clock: Clock,
     kit: ClientKit,
-    interp: PlanInterpreter,
-    departure: Option<f64>,
-    crashes: Vec<(f64, f64)>,
-    join_at: Option<f64>,
+    /// This donor's part of the fault plan.
+    faults: ClientFaults,
     run_over: Arc<AtomicBool>,
     opts: NetClientOptions,
     rng: SplitMix64,
@@ -346,8 +347,7 @@ impl ClientLoop {
         directory: Directory,
         clock: Clock,
         kit: ClientKit,
-        plan: &FaultPlan,
-        n_clients: usize,
+        faults: ClientFaults,
         run_over: Arc<AtomicBool>,
         opts: NetClientOptions,
     ) -> Self {
@@ -355,10 +355,7 @@ impl ClientLoop {
             id,
             directory,
             clock,
-            interp: PlanInterpreter::new(plan, n_clients),
-            departure: plan.departure_time(id),
-            crashes: plan.crashes(id),
-            join_at: plan.join_time(id),
+            faults,
             run_over,
             rng: SplitMix64::new(0xC11E_27B1 ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             conn: None,
@@ -398,7 +395,7 @@ impl ClientLoop {
     }
 
     fn run(mut self) {
-        if let Some(t) = self.join_at {
+        if let Some(t) = self.faults.join_at {
             thread::sleep(self.clock.wall(t - self.clock.now()));
         }
         loop {
@@ -406,7 +403,7 @@ impl ClientLoop {
                 return;
             }
             let now = self.now();
-            if self.departure.is_some_and(|t| now >= t) {
+            if self.faults.departure.is_some_and(|t| now >= t) {
                 // Silent permanent departure (owner pulls the plug):
                 // no Goodbye — leases/liveness must recover the work.
                 return;
@@ -441,7 +438,7 @@ impl ClientLoop {
     /// If `now` is inside a crash window: lose everything, sleep out
     /// the remaining downtime, and report `true`.
     fn handle_crash_window(&mut self, now: f64) -> bool {
-        let Some((at, down)) = FaultPlan::crash_overlapping(&self.crashes, now, now) else {
+        let Some((at, down)) = self.faults.crash_overlapping(now, now) else {
             return false;
         };
         self.lose_everything(now, down);
@@ -1240,7 +1237,7 @@ impl ClientLoop {
     fn compute_run(&mut self, n: usize) {
         let traced = self.telemetry.is_enabled();
         let (client, started) = (self.id, self.now());
-        let scale = self.interp.compute_scale(client, started);
+        let scale = self.faults.compute_scale(started);
         let (mut at, mut computed) = (started, 0);
         let (wait, compute) = (self.pacing.wait.avg, self.pacing.compute.avg);
         for i in 1..=n {
@@ -1276,7 +1273,7 @@ impl ClientLoop {
                     thread::sleep(self.clock.wall(real * (scale - 1.0)));
                 }
                 at = self.now();
-                if let Some((_, down)) = FaultPlan::crash_overlapping(&self.crashes, started, at) {
+                if let Some((_, down)) = self.faults.crash_overlapping(started, at) {
                     // (The crash event closes the orphaned compute spans.)
                     self.lose_everything(at, down);
                     return;
@@ -1326,7 +1323,7 @@ impl ClientLoop {
         // A Byzantine donor lies: flip the encoded payload bytes *here*,
         // before the frame CRC is computed, so the wire layer delivers
         // the lie intact — only server-side quorum compare can catch it.
-        if self.interp.wrong_result(self.id, now) {
+        if self.faults.wrong_result(now) {
             crate::fault::flip_result_bytes(&mut encoded, self.id);
             self.telemetry.emit(EventKind::FaultInjected {
                 client: self.id,
@@ -1842,8 +1839,7 @@ mod tests {
             Directory::with_origin(origin),
             Clock::new(1.0),
             kit,
-            &FaultPlan::none(),
-            1,
+            ClientFaults::default(),
             Arc::new(AtomicBool::new(false)),
             opts,
         )
@@ -2172,7 +2168,7 @@ mod tests {
         // while the second computes with the first one's result held.
         compute_us.store(1_000, Ordering::SeqCst);
         let start = donor.clock.now();
-        donor.crashes = vec![(start + 0.001_5, 0.01)];
+        donor.faults.crashes = vec![(start + 0.001_5, 0.01)];
         assert!(matches!(donor.step(), Step::Continue));
         compute_us.store(0, Ordering::SeqCst);
         assert!(donor.conn.is_none(), "the crash dropped the connection");
@@ -2180,7 +2176,7 @@ mod tests {
             donor.unacked.is_empty() && donor.queue.is_empty(),
             "the run's results, those held and the units ready are gone"
         );
-        donor.crashes.clear();
+        donor.faults.crashes.clear();
         donor.run();
         let log = origin.finish();
         assert_eq!(
@@ -2579,14 +2575,14 @@ mod tests {
         );
         assert!(!donor.cache.is_empty() && !donor.data.is_empty());
         let now = donor.clock.now();
-        donor.crashes = vec![(now, 0.01)];
+        donor.faults.crashes = vec![(now, 0.01)];
         assert!(donor.handle_crash_window(now));
         assert!(donor.conn.is_none() && donor.data.is_empty());
         assert!(donor.turns.is_empty() && donor.wbuf.is_empty());
         assert_eq!((donor.sent, donor.resend, donor.owed), (0, 0, 0));
         assert!(donor.unacked.is_empty() && donor.queue.is_empty());
         assert_eq!(donor.cache.len(), 0);
-        donor.crashes.clear();
+        donor.faults.crashes.clear();
         let started = Instant::now();
         donor.run();
         assert!(

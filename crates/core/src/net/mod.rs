@@ -16,12 +16,13 @@
 //! * [`client`] — donor threads with a control connection and a kept
 //!   data connection per chunk endpoint, heartbeats,
 //!   jittered-exponential reconnect, idempotent result resubmission,
-//!   and `FaultPlan`
-//!   lifecycle faults (late join, departure, crash, slowdown)
+//!   and each donor's own part of a `FaultPlan` (one `ClientFaults`
+//!   record: late join, departure, crash, slowdown, lies)
 //!   self-interpreted against the shared [`Clock`];
 //! * [`proxy::FaultProxy`] — a socket-level interposer that drops,
-//!   duplicates, corrupts and delays *real bytes* per the same
-//!   `FaultPlan` delivery faults the PR 2 chaos harness uses;
+//!   duplicates, corrupts and delays *real bytes* per the pool's
+//!   records and the plan's link windows — the plan the simulator
+//!   reads too;
 //! * [`checkpoint`] — the append-only log that makes the server itself
 //!   crash-recoverable (replayed by [`crate::server::recovery`]).
 //!
@@ -321,14 +322,9 @@ pub fn run_tcp_with(
     let upstream = Directory::with_origin(net.addr());
     let replicas: Vec<ReplicaServer> = (0..n_replicas)
         .map(|r| {
-            ReplicaServer::start(
-                upstream.clone(),
-                clock,
-                telemetry.clone(),
-                plan.replica_crashes(r),
-                plan.replica_stalls(r),
-            )
-            .expect("bind replica listener")
+            let (crashes, stalls) = plan.replica_windows(r);
+            ReplicaServer::start(upstream.clone(), clock, telemetry.clone(), crashes, stalls)
+                .expect("bind replica listener")
         })
         .collect();
     let replica_addrs: Vec<SocketAddr> = replicas.iter().map(ReplicaServer::addr).collect();

@@ -35,7 +35,7 @@ use super::wire::{
     SUBMIT_RESULT_TYPE, TURN_REPLY_TYPE, TURN_TYPE,
 };
 use super::{Clock, Directory};
-use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
+use crate::fault::{ClientFaults, DeliveryAction, FaultPlan};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -56,25 +56,10 @@ pub struct FaultProxy {
 }
 
 impl FaultProxy {
-    /// Binds an ephemeral loopback port and starts proxying.
-    pub fn start(
-        upstream: Directory,
-        plan: &FaultPlan,
-        n_clients: usize,
-        clock: Clock,
-    ) -> io::Result<Self> {
-        Self::start_traced(
-            upstream,
-            plan,
-            n_clients,
-            clock,
-            crate::telemetry::Telemetry::disabled(),
-        )
-    }
-
-    /// [`FaultProxy::start`] with a telemetry handle: every injected
-    /// wire fault (drop / duplicate / corrupt) is recorded as a
-    /// `wire_fault` trace event stamped with the proxy clock.
+    /// Binds an ephemeral loopback port and starts proxying for donors
+    /// `0..n_clients`. Every injected wire fault (drop / duplicate /
+    /// corrupt) is recorded on `telemetry` as a `wire_fault` trace
+    /// event stamped with the proxy clock.
     pub fn start_traced(
         upstream: Directory,
         plan: &FaultPlan,
@@ -85,19 +70,24 @@ impl FaultProxy {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let injector = Arc::new(Mutex::new(PlanInterpreter::new(plan, n_clients)));
+        // Every connection a donor opens consumes from its one record;
+        // the link windows are read off the plan itself, with no lock.
+        let faults: Vec<ClientFaults> = (0..n_clients).map(|c| plan.client(c)).collect();
+        let faults = Arc::new(Mutex::new(faults));
+        let plan = Arc::new(plan.clone());
         let accept_thread = {
             let stop = stop.clone();
             thread::spawn(move || {
                 let mut conns: Vec<JoinHandle<()>> = Vec::new();
                 accept_loop(&listener, &stop, |client_side| {
-                    let (upstream, injector) = (upstream.clone(), injector.clone());
+                    let (upstream, faults, plan) = (upstream.clone(), faults.clone(), plan.clone());
                     let (stop, telemetry) = (stop.clone(), telemetry.clone());
                     conns.push(thread::spawn(move || {
                         proxy_connection(
                             client_side,
                             &upstream,
-                            &injector,
+                            &faults,
+                            &plan,
                             clock,
                             &stop,
                             &telemetry,
@@ -156,7 +146,8 @@ pub fn unblock_accept(addr: SocketAddr) {
 fn proxy_connection(
     client_side: TcpStream,
     upstream: &Directory,
-    injector: &Arc<Mutex<PlanInterpreter>>,
+    faults: &Mutex<Vec<ClientFaults>>,
+    plan: &FaultPlan,
     clock: Clock,
     stop: &Arc<AtomicBool>,
     telemetry: &crate::telemetry::Telemetry,
@@ -194,6 +185,19 @@ fn proxy_connection(
     // The donor this connection's replies are bound for, learned from
     // its own frames (which always precede the replies).
     let peer = AtomicUsize::new(usize::MAX);
+    // Consumes donor `client`'s due one-shot of the kind `pick` reads; a
+    // donor outside the pool (or not yet known) meets no faults.
+    let consume = |client: usize, pick: fn(&mut ClientFaults, f64) -> DeliveryAction| {
+        let mut faults = faults
+            .lock()
+            .expect("a pump panicked holding the fault records");
+        let action = faults
+            .get_mut(client)
+            .map_or(DeliveryAction::Deliver, |f| pick(f, clock.now()));
+        drop(faults);
+        record(client, action);
+        action
+    };
     thread::scope(|scope| {
         // Server→client on a helper thread: `ChunkData` replies meet
         // the plan's chunk faults, `TurnReply`s (and the raw clients'
@@ -202,17 +206,13 @@ fn proxy_connection(
         scope.spawn(|| {
             framed_pump(s2c_read, s2c_write, stop, |frame_type, _| {
                 let client = peer.load(Ordering::SeqCst);
-                let mut injector = injector.lock().unwrap();
-                let action = match frame_type {
-                    CHUNK_DATA_TYPE => injector.chunk_reply_action(client, clock.now()),
+                match frame_type {
+                    CHUNK_DATA_TYPE => consume(client, ClientFaults::chunk_reply_action),
                     TURN_REPLY_TYPE | RESULT_ACK_TYPE | ASSIGN_UNIT_TYPE => {
-                        injector.control_reply_action(client, clock.now())
+                        consume(client, ClientFaults::control_reply_action)
                     }
-                    _ => return DeliveryAction::Deliver,
-                };
-                drop(injector);
-                record(client, action);
-                action
+                    _ => DeliveryAction::Deliver,
+                }
             });
             // The server went away: unblock the other direction too.
             let _ = client_side.shutdown(std::net::Shutdown::Both);
@@ -235,18 +235,11 @@ fn proxy_connection(
                 other => other == SUBMIT_RESULT_TYPE,
             };
             let action = match client {
-                Some(client) if carries_result => {
-                    let action = injector
-                        .lock()
-                        .unwrap()
-                        .delivery_action(client, clock.now());
-                    record(client, action);
-                    action
-                }
+                Some(client) if carries_result => consume(client, ClientFaults::delivery_action),
                 _ => DeliveryAction::Deliver,
             };
             // Link degradation: real latency per forwarded frame.
-            let link = injector.lock().unwrap().link_scale(clock.now());
+            let link = plan.link_scale(clock.now());
             if link > 1.0 {
                 thread::sleep(clock.wall((link - 1.0) * BASE_TRANSFER_SECS));
             }

@@ -869,7 +869,8 @@ mod tests {
             let net = NetServer::start(server, clock, opts).unwrap();
             let proxy = proxied.map(|plan| {
                 let upstream = crate::net::Directory::with_origin(net.addr());
-                crate::net::FaultProxy::start(upstream, plan, 1, clock).unwrap()
+                let tel = crate::telemetry::Telemetry::disabled();
+                crate::net::FaultProxy::start_traced(upstream, plan, 1, clock, tel).unwrap()
             });
             let addr = proxy.as_ref().map_or(net.addr(), |p| p.addr());
             let mut stream = TcpStream::connect(addr).unwrap();

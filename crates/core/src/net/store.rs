@@ -164,8 +164,7 @@ pub struct ReplicaServer {
 impl ReplicaServer {
     /// Binds an ephemeral loopback port and starts serving. The fault
     /// windows come straight from a plan's
-    /// [`crate::fault::FaultPlan::replica_crashes`] /
-    /// [`crate::fault::FaultPlan::replica_stalls`] accessors.
+    /// [`crate::fault::FaultPlan::replica_windows`] accessor.
     pub fn start(
         origin: Directory,
         clock: Clock,

@@ -17,14 +17,13 @@
 //! client ──next request…
 //! ```
 
-use crate::fault::{DeliveryAction, FaultPlan, PlanInterpreter};
+use crate::fault::{ClientFaults, DeliveryAction, FaultPlan};
 use crate::net::cache::{ChunkCache, DONOR_CACHE_BYTES};
 use crate::problem::{Algorithm, TaskResult, WorkUnit};
 use crate::server::{Assignment, ProblemId, Server};
 use biodist_gridsim::event::EventQueue;
 use biodist_gridsim::machine::Machine;
 use biodist_gridsim::network::{CampusNetwork, SharedLink};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// How long a client waits before re-polling after `Wait`, seconds.
@@ -40,12 +39,6 @@ const MAX_VIRTUAL_SECS: f64 = 86_400.0 * 30.0;
 /// Simulator tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
-    /// Pipelined dispatch depth: how many units a machine keeps in its
-    /// pipeline (computing + prefetched + requested), so a prefetched
-    /// unit's transfer overlaps the previous compute. 1 — the default,
-    /// which keeps the pre-pipelining event timeline bit-identical —
-    /// disables prefetch.
-    pub pipeline_depth: usize,
     /// Cadence at which each donor ships a snapshot of its local
     /// metrics registry to the server, merged under a `donor.c<id>.`
     /// prefix exactly like the TCP backend's `MetricsReport` frame.
@@ -57,7 +50,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            pipeline_depth: 1,
             metrics_report_secs: 0.0,
         }
     }
@@ -105,10 +97,6 @@ enum Ev {
         problem: ProblemId,
         unit: Arc<WorkUnit>,
         algorithm: Arc<dyn Algorithm>,
-        // True when this is a prefetched unit re-entering from the
-        // machine's pipeline queue: the `unit_delivered` trace event
-        // already fired at its real arrival and must not repeat.
-        requeued: bool,
     },
     // Carries the unit + algorithm so a Duplicate delivery fault can
     // materialise the second copy (results are not clonable).
@@ -199,7 +187,7 @@ impl SimRunner {
         let n = self.machines.len();
         let tel = self.server.telemetry();
         let plan = std::mem::replace(&mut self.plan, FaultPlan::none());
-        let mut injector = PlanInterpreter::new(&plan, n);
+        let mut faults: Vec<ClientFaults> = (0..n).map(|m| plan.client(m)).collect();
         let mut events: EventQueue<Ev> = EventQueue::new();
         let mut alive = vec![false; n];
         let mut departed = vec![false; n];
@@ -222,35 +210,26 @@ impl SimRunner {
         let mut donor_metrics: Vec<crate::telemetry::MetricsRegistry> =
             (0..n).map(|_| Default::default()).collect();
         let shipping = self.cfg.metrics_report_secs > 0.0;
-        // Pipelining state: `load` counts units anywhere in a machine's
-        // pipeline (requested + in delivery + prefetched + computing);
-        // requests are only issued while it stays below
-        // `pipeline_depth`, and prefetched units start computing the
-        // moment the previous unit's result is away.
-        type PrefetchedUnit = (ProblemId, Arc<WorkUnit>, Arc<dyn Algorithm>);
-        let depth = self.cfg.pipeline_depth.max(1);
-        let mut computing = vec![false; n];
-        let mut load = vec![0usize; n];
-        let mut prefetch: Vec<VecDeque<PrefetchedUnit>> = (0..n).map(|_| VecDeque::new()).collect();
 
         let total_setup: u64 = (0..self.server.problem_count())
             .map(|p| self.server.setup_bytes(p))
             .sum();
 
-        for m in 0..n {
-            let join_at = plan.join_time(m).map_or(self.machines[m].arrival, |t| {
-                t.max(self.machines[m].arrival)
-            });
+        for (m, f) in faults.iter().enumerate() {
+            let machine = &self.machines[m];
+            let join_at = f
+                .join_at
+                .map_or(machine.arrival, |t| t.max(machine.arrival));
             events.schedule(join_at, Ev::Join(m));
             scheduled_joins += 1;
-            let leave_at = match (self.machines[m].departure, plan.departure_time(m)) {
+            let leave_at = match (machine.departure, f.departure) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
             if let Some(d) = leave_at {
                 events.schedule(d, Ev::Leave(m));
             }
-            for (at, down_secs) in plan.crashes(m) {
+            for &(at, down_secs) in &f.crashes {
                 events.schedule(
                     at,
                     Ev::Crash {
@@ -280,9 +259,6 @@ impl SimRunner {
                         continue;
                     }
                     alive[m] = true;
-                    computing[m] = false;
-                    prefetch[m].clear();
-                    load[m] = 1; // the setup request about to go out
                     tel.emit_at(
                         now,
                         crate::telemetry::EventKind::MachineJoined { client: m },
@@ -290,8 +266,7 @@ impl SimRunner {
                     // Download algorithm code + problem data for every
                     // submitted problem (again, after a crash reboot),
                     // then start requesting work.
-                    self.network
-                        .set_server_degradation(injector.link_scale(now));
+                    self.network.set_server_degradation(plan.link_scale(now));
                     let done = self.network.transfer(m, now, total_setup);
                     events.schedule(done, Ev::SetupDone(m, epoch[m]));
                     if shipping {
@@ -375,8 +350,7 @@ impl SimRunner {
                                     self.server.note_client_chunks(m, &fetched);
                                 }
                             }
-                            self.network
-                                .set_server_degradation(injector.link_scale(now));
+                            self.network.set_server_degradation(plan.link_scale(now));
                             let delivered = self.network.transfer(m, now, bytes);
                             for digest in fetched {
                                 tel.emit_at(
@@ -396,7 +370,6 @@ impl SimRunner {
                                     problem,
                                     unit,
                                     algorithm,
-                                    requeued: false,
                                 },
                             );
                         }
@@ -404,9 +377,7 @@ impl SimRunner {
                             let retry = now + POLL_INTERVAL_SECS;
                             events.schedule(retry, Ev::PollRetry(m, e));
                         }
-                        Assignment::Finished => {
-                            load[m] = load[m].saturating_sub(1);
-                        }
+                        Assignment::Finished => {}
                     }
                 }
                 Ev::UnitDelivered {
@@ -415,28 +386,18 @@ impl SimRunner {
                     problem,
                     unit,
                     algorithm,
-                    requeued,
                 } => {
                     if !alive[m] || e != epoch[m] {
                         continue; // unit lost with the crashed machine
                     }
-                    if !requeued {
-                        tel.emit_at(
-                            now,
-                            crate::telemetry::EventKind::UnitDelivered {
-                                problem,
-                                unit: unit.id,
-                                client: m,
-                            },
-                        );
-                    }
-                    if computing[m] {
-                        // The machine is busy: this is a prefetched
-                        // unit whose transfer overlapped the compute.
-                        prefetch[m].push_back((problem, unit, algorithm));
-                        continue;
-                    }
-                    computing[m] = true;
+                    tel.emit_at(
+                        now,
+                        crate::telemetry::EventKind::UnitDelivered {
+                            problem,
+                            unit: unit.id,
+                            client: m,
+                        },
+                    );
                     tel.emit_at(
                         now,
                         crate::telemetry::EventKind::ComputeStarted {
@@ -450,7 +411,7 @@ impl SimRunner {
                     // An active straggler window scales the unit's
                     // compute time (sampled once, at unit start).
                     let result = algorithm.compute(&unit);
-                    let scale = injector.compute_scale(m, now);
+                    let scale = faults[m].compute_scale(now);
                     self.machines[m].set_speed_scale(1.0 / scale);
                     let finish = self.machines[m].finish_time(now, unit.cost_ops);
                     busy_time[m] += finish - now;
@@ -470,13 +431,6 @@ impl SimRunner {
                             algorithm,
                         },
                     );
-                    // Pipelining: request the next unit while this one
-                    // computes, so its transfer hides behind the work.
-                    if load[m] < depth {
-                        load[m] += 1;
-                        let arrives = self.network.transfer(m, now, CONTROL_BYTES);
-                        events.schedule(arrives, Ev::RequestArrived(m, e));
-                    }
                 }
                 Ev::ComputeDone {
                     machine: m,
@@ -498,22 +452,10 @@ impl SimRunner {
                         },
                     );
                     donor_metrics[m].counter_add("units_computed", 1);
-                    computing[m] = false;
-                    load[m] = load[m].saturating_sub(1);
-                    self.network
-                        .set_server_degradation(injector.link_scale(now));
-                    let action = injector.delivery_action(m, now);
-                    let wrong = injector.wrong_result(m, now);
-                    let codec = wrong.then(|| self.server.codec(problem)).flatten();
-                    let (action, result) = crate::fault::resolve_delivery(
-                        &tel,
-                        now,
-                        m,
-                        action,
-                        wrong,
-                        result,
-                        codec.as_deref(),
-                    );
+                    self.network.set_server_degradation(plan.link_scale(now));
+                    let codec = self.server.codec(problem);
+                    let (action, result) =
+                        faults[m].resolve_delivery(&tel, now, m, result, codec.as_deref());
                     match action {
                         DeliveryAction::Deliver => {
                             let bytes = result.payload.wire_bytes() + CONTROL_BYTES;
@@ -521,20 +463,14 @@ impl SimRunner {
                             // The result message doubles as the next
                             // work request.
                             self.server.submit_result(m, problem, result, arrives);
-                            if load[m] < depth {
-                                load[m] += 1;
-                                events.schedule(arrives, Ev::RequestArrived(m, e));
-                            }
+                            events.schedule(arrives, Ev::RequestArrived(m, e));
                         }
                         DeliveryAction::Drop => {
                             // The message vanishes in transit; the lease
                             // must expire to recover the unit. The client
                             // re-polls after its usual interval.
-                            if load[m] < depth {
-                                load[m] += 1;
-                                let retry = now + POLL_INTERVAL_SECS;
-                                events.schedule(retry, Ev::PollRetry(m, e));
-                            }
+                            let retry = now + POLL_INTERVAL_SECS;
+                            events.schedule(retry, Ev::PollRetry(m, e));
                         }
                         DeliveryAction::Duplicate => {
                             // Retransmission bug: the same result lands
@@ -545,10 +481,7 @@ impl SimRunner {
                             let second = self.network.transfer(m, arrives, bytes);
                             self.server.submit_result(m, problem, result, arrives);
                             self.server.submit_result(m, problem, copy, second);
-                            if load[m] < depth {
-                                load[m] += 1;
-                                events.schedule(second, Ev::RequestArrived(m, e));
-                            }
+                            events.schedule(second, Ev::RequestArrived(m, e));
                         }
                         DeliveryAction::Corrupt => {
                             // The payload fails the transport checksum;
@@ -557,34 +490,15 @@ impl SimRunner {
                             let arrives = self.network.transfer(m, now, bytes);
                             self.server
                                 .result_corrupted(m, problem, result.unit_id, arrives);
-                            if load[m] < depth {
-                                load[m] += 1;
-                                events.schedule(arrives, Ev::RequestArrived(m, e));
-                            }
+                            events.schedule(arrives, Ev::RequestArrived(m, e));
                         }
-                    }
-                    // A prefetched unit starts computing immediately —
-                    // its transfer already overlapped the last compute.
-                    if let Some((problem, unit, algorithm)) = prefetch[m].pop_front() {
-                        events.schedule(
-                            now,
-                            Ev::UnitDelivered {
-                                machine: m,
-                                epoch: e,
-                                problem,
-                                unit,
-                                algorithm,
-                                requeued: true,
-                            },
-                        );
                     }
                 }
                 Ev::PollRetry(m, e) => {
                     if !alive[m] || e != epoch[m] {
                         continue; // retry loop from a past life
                     }
-                    self.network
-                        .set_server_degradation(injector.link_scale(now));
+                    self.network.set_server_degradation(plan.link_scale(now));
                     let arrives = self.network.transfer(m, now, CONTROL_BYTES);
                     events.schedule(arrives, Ev::RequestArrived(m, e));
                 }
@@ -597,8 +511,7 @@ impl SimRunner {
                     // link, merge under the donor prefix.
                     let local = std::mem::take(&mut donor_metrics[m]);
                     let snap = local.snapshot();
-                    self.network
-                        .set_server_degradation(injector.link_scale(now));
+                    self.network.set_server_degradation(plan.link_scale(now));
                     let bytes = snap.to_wire_bytes().len() as u64 + CONTROL_BYTES;
                     let arrives = self.network.transfer(m, now, bytes);
                     tel.merge_snapshot_prefixed(&format!("donor.c{m}."), &snap);
@@ -613,9 +526,6 @@ impl SimRunner {
                     if alive[m] {
                         alive[m] = false;
                         epoch[m] += 1;
-                        computing[m] = false;
-                        prefetch[m].clear();
-                        load[m] = 0;
                         // Cycle-scavenging donors vanish silently — the
                         // owner pulls the plug — and the server only
                         // learns of the loss when the unit's lease
@@ -643,9 +553,6 @@ impl SimRunner {
                     // chunk cache and rejoins.
                     alive[m] = false;
                     epoch[m] += 1;
-                    computing[m] = false;
-                    prefetch[m].clear();
-                    load[m] = 0;
                     chunk_caches[m].clear();
                     donor_metrics[m] = Default::default();
                     tel.emit_at(
@@ -1062,24 +969,14 @@ mod tests {
         }
     }
 
-    fn chunky_run(shared: bool, pipeline_depth: usize, units: u64) -> RunReport {
+    fn chunky_run(shared: bool, units: u64) -> RunReport {
         let mut server = Server::new(SchedulerConfig {
             target_unit_secs: 10.0,
             enable_redundant_dispatch: false,
             ..Default::default()
         });
         server.submit(chunky::problem(units, shared));
-        let cfg = SimConfig {
-            pipeline_depth,
-            ..Default::default()
-        };
-        let (report, _) = SimRunner::new(
-            server,
-            dedicated_pool(1, 1e7),
-            biodist_gridsim::network::SharedLink::hundred_mbit(),
-            cfg,
-        )
-        .run();
+        let (report, _) = SimRunner::with_defaults(server, dedicated_pool(1, 1e7)).run();
         report
     }
 
@@ -1088,25 +985,12 @@ mod tests {
         // One machine, eight units: when they all need the same chunk a
         // warm cache transfers it once; when each needs its own, every
         // unit fetches one.
-        let shared = chunky_run(true, 1, 8).bytes_transferred;
-        let distinct = chunky_run(false, 1, 8).bytes_transferred;
+        let shared = chunky_run(true, 8).bytes_transferred;
+        let distinct = chunky_run(false, 8).bytes_transferred;
         let chunk = chunky::CHUNK_BYTES as u64;
         assert!(
             distinct >= shared + 6 * chunk,
             "shared {shared} vs distinct {distinct}"
-        );
-    }
-
-    #[test]
-    fn pipelined_dispatch_overlaps_transfers_with_compute() {
-        // A chunk of its own per unit, so every unit pays a 1 MiB
-        // transfer; with a queue depth of 2 that transfer hides behind
-        // the previous compute instead of serialising with it.
-        let serial = chunky_run(false, 1, 6).makespan;
-        let pipelined = chunky_run(false, 2, 6).makespan;
-        assert!(
-            pipelined + 0.2 < serial,
-            "pipelined {pipelined} must beat serial {serial}"
         );
     }
 
@@ -1123,7 +1007,6 @@ mod tests {
         server.submit(integration_problem(20_000_000));
         let cfg = SimConfig {
             metrics_report_secs: 5.0,
-            ..Default::default()
         };
         let (_, _) = SimRunner::new(
             server,

@@ -500,11 +500,11 @@ fn backend_parity_quorum_byzantine_same_plan() {
 }
 
 /// Backend parity with the data-movement machinery turned all the way
-/// up: affinity-aware scheduling (lookahead 3) and pipelined dispatch
-/// (simulator `pipeline_depth` 2; the TCP donors prefetch with their
-/// default queue depth of 2). Neither knob may change *what* is
-/// computed — only when and where — so both backends must still land
-/// on the sequential digest under the same fault plan.
+/// up: affinity-aware scheduling (lookahead 3) on both backends, and
+/// the TCP donors' pipelined dispatch (their default queue depth of 2;
+/// the simulator's donors keep one unit at a time). Neither may change
+/// *what* is computed — only when and where — so both backends must
+/// still land on the sequential digest under the same fault plan.
 #[test]
 fn backend_parity_affinity_pipelined_same_plan() {
     let w = dsearch_workload();
@@ -518,15 +518,11 @@ fn backend_parity_affinity_pipelined_same_plan() {
         };
         let mut server = Server::new(cfg.clone());
         let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-        let sim_cfg = SimConfig {
-            pipeline_depth: 2,
-            ..Default::default()
-        };
         let (_, mut server) = SimRunner::new(
             server,
             homogeneous_lab(POOL, 7),
             biodist::gridsim::network::SharedLink::hundred_mbit(),
-            sim_cfg,
+            SimConfig::default(),
         )
         .with_faults(plan.clone())
         .run();

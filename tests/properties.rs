@@ -739,6 +739,257 @@ fn tree_splits_are_invariant_under_nni_involution() {
     }
 }
 
+// ------------------------------------------------- per-donor fault records
+
+use biodist::core::{ChaosOptions, ClientFaults, DeliveryAction, FaultEvent, FaultKind, FaultPlan};
+
+/// The one-shot queue a fault kind arms, if any: 0 results, 1 chunk
+/// replies, 2 control replies, 3 lies.
+fn one_shot(kind: &FaultKind) -> Option<(usize, DeliveryAction)> {
+    use DeliveryAction::{Corrupt, Deliver, Drop, Duplicate};
+    Some(match kind {
+        FaultKind::DropResult => (0, Drop),
+        FaultKind::DuplicateResult => (0, Duplicate),
+        FaultKind::CorruptResult => (0, Corrupt),
+        FaultKind::DropChunk => (1, Drop),
+        FaultKind::CorruptChunk => (1, Corrupt),
+        FaultKind::DropReply => (2, Drop),
+        FaultKind::DuplicateReply => (2, Duplicate),
+        FaultKind::CorruptReply => (2, Corrupt),
+        FaultKind::WrongResult => (3, Deliver),
+        _ => return None,
+    })
+}
+
+/// A donor's faults read by straight scans of `plan.events`, one query
+/// at a time: no sorting, no per-kind structure.
+struct NaiveDonor<'a> {
+    plan: &'a FaultPlan,
+    client: usize,
+    /// Plan indices of the one-shots already consumed.
+    used: HashSet<usize>,
+}
+
+impl NaiveDonor<'_> {
+    fn mine(&self) -> impl Iterator<Item = (usize, &FaultEvent)> {
+        let client = self.client;
+        self.plan
+            .events
+            .iter()
+            .enumerate()
+            .filter(move |(_, e)| e.client == Some(client))
+    }
+
+    fn compute_scale(&self, now: f64) -> f64 {
+        let mut scale = 1.0;
+        for (_, e) in self.mine() {
+            if let FaultKind::Slowdown {
+                factor,
+                duration_secs,
+            } = e.kind
+            {
+                if e.at <= now && now < e.at + duration_secs {
+                    scale *= factor;
+                }
+            }
+        }
+        scale
+    }
+
+    /// The overlapping crash that starts first (plan order among ties).
+    fn crash_overlapping(&self, from: f64, to: f64) -> Option<(f64, f64)> {
+        let mut hit: Option<(f64, f64)> = None;
+        for (_, e) in self.mine() {
+            if let FaultKind::Crash { down_secs } = e.kind {
+                let overlaps = e.at <= to && e.at + down_secs > from;
+                if overlaps && hit.is_none_or(|(at, _)| e.at < at) {
+                    hit = Some((e.at, down_secs));
+                }
+            }
+        }
+        hit
+    }
+
+    /// Consumes the earliest unconsumed one-shot of `queue` (plan order
+    /// among ties) if it is due.
+    fn take(&mut self, queue: usize, now: f64) -> Option<DeliveryAction> {
+        let mut first: Option<(usize, f64, DeliveryAction)> = None;
+        for (i, e) in self.mine() {
+            let Some((q, action)) = one_shot(&e.kind) else {
+                continue;
+            };
+            let earlier = first.is_none_or(|(_, at, _)| e.at < at);
+            if q == queue && !self.used.contains(&i) && earlier {
+                first = Some((i, e.at, action));
+            }
+        }
+        let (i, at, action) = first?;
+        (at <= now).then(|| {
+            self.used.insert(i);
+            action
+        })
+    }
+}
+
+fn naive_link_scale(plan: &FaultPlan, now: f64) -> f64 {
+    let mut scale = 1.0;
+    for e in &plan.events {
+        if let FaultKind::LinkDegrade {
+            factor,
+            duration_secs,
+        } = e.kind
+        {
+            if e.at <= now && now < e.at + duration_secs {
+                scale *= factor;
+            }
+        }
+    }
+    scale
+}
+
+/// Adds the kinds the random and Byzantine mixes never draw — wire
+/// reply faults and replica faults, whose index may equal a donor id —
+/// and more of those they do, some at the time of an existing event, so
+/// ties are exercised, and slowdown and link windows long enough that
+/// three or more overlap (only then can the order of a product of
+/// factors change its rounding).
+fn with_every_kind(mut plan: FaultPlan, rng: &mut dyn Rng, n: usize, horizon: f64) -> FaultPlan {
+    for _ in 0..rng.next_below(3 * n as u64) {
+        let at = match plan.events.len() {
+            0 => rng.next_f64_range(0.0, horizon),
+            len if rng.next_bool(0.3) => plan.events[rng.next_below(len as u64) as usize].at,
+            _ => rng.next_f64_range(0.0, horizon),
+        };
+        let (factor, window) = (
+            rng.next_f64_range(1.0, 8.0),
+            rng.next_f64_range(0.0, horizon),
+        );
+        let kind = match rng.next_below(11) {
+            0 => FaultKind::DropChunk,
+            1 => FaultKind::CorruptChunk,
+            2 => FaultKind::DropReply,
+            3 => FaultKind::DuplicateReply,
+            4 => FaultKind::CorruptReply,
+            5 => FaultKind::WrongResult,
+            6 => FaultKind::DropResult,
+            7 => FaultKind::ReplicaCrash { down_secs: window },
+            8 => FaultKind::ReplicaStall {
+                duration_secs: window,
+            },
+            9 => FaultKind::Slowdown {
+                factor,
+                duration_secs: window,
+            },
+            _ => {
+                let link = FaultKind::LinkDegrade {
+                    factor,
+                    duration_secs: window,
+                };
+                plan.push(at, None, link);
+                continue;
+            }
+        };
+        plan.push(at, rng.next_below(n as u64) as usize, kind);
+    }
+    for client in 0..n {
+        for _ in 0..rng.next_below(4) {
+            let at = rng.next_f64_range(0.0, horizon / 2.0);
+            let slow = FaultKind::Slowdown {
+                factor: rng.next_f64_range(1.0, 8.0),
+                duration_secs: rng.next_f64_range(horizon / 4.0, horizon),
+            };
+            plan.push(at, client, slow);
+        }
+    }
+    plan
+}
+
+/// Every query of every donor's [`ClientFaults`] record agrees with a
+/// straight scan of the plan's events over a grid of times: lifecycle,
+/// slowdown product (in plan order, so to the bit), the crash rule at
+/// an instant and over an interval, the link product, and the sequence
+/// of one-shots each of the four queues hands out — each queue polled
+/// at its own random subset of the grid, so their consumption
+/// interleaves differently plan by plan.
+#[test]
+fn client_faults_match_a_naive_model() {
+    let mut rng = Xoshiro256StarStar::new(0x43_FA17);
+    for case in 0..300u64 {
+        let n = 2 + rng.next_below(11) as usize;
+        let horizon = rng.next_f64_range(1.0, 300.0);
+        let opts = ChaosOptions::for_pool(n, horizon);
+        let plan = if case < 200 {
+            FaultPlan::random(case, &opts)
+        } else {
+            let frac = rng.next_f64();
+            FaultPlan::byzantine(case, &opts, frac, 1 + rng.next_below(4) as usize)
+        };
+        let plan = with_every_kind(plan, &mut rng, n, horizon);
+        let ctx = format!("case {case}, plan digest {:#x}", plan.digest());
+        let steps = 40;
+        let dt = 1.1 * horizon / steps as f64;
+        for client in 0..n {
+            let mut record = plan.client(client);
+            let mut naive = NaiveDonor {
+                plan: &plan,
+                client,
+                used: HashSet::new(),
+            };
+            let lifecycle = |kind: FaultKind| naive.mine().filter(move |(_, e)| e.kind == kind);
+            let join = lifecycle(FaultKind::LateJoin)
+                .map(|(_, e)| e.at)
+                .reduce(f64::max);
+            let depart = lifecycle(FaultKind::Depart)
+                .map(|(_, e)| e.at)
+                .reduce(f64::min);
+            assert_eq!(record.join_at, join, "donor {client} join ({ctx})");
+            assert_eq!(record.departure, depart, "donor {client} departure ({ctx})");
+            let polled: [f64; 4] = std::array::from_fn(|_| rng.next_f64_range(0.2, 1.0));
+            for step in 0..=steps {
+                let now = step as f64 * dt;
+                let at = format!("donor {client} at {now} ({ctx})");
+                assert_eq!(record.compute_scale(now), naive.compute_scale(now), "{at}");
+                assert_eq!(
+                    record.crash_overlapping(now, now),
+                    naive.crash_overlapping(now, now),
+                    "{at}"
+                );
+                assert_eq!(
+                    record.crash_overlapping(now, now + dt),
+                    naive.crash_overlapping(now, now + dt),
+                    "{at}"
+                );
+                let deliver = |a: Option<DeliveryAction>| a.unwrap_or(DeliveryAction::Deliver);
+                for (queue, &p) in polled.iter().enumerate() {
+                    if !rng.next_bool(p) {
+                        continue;
+                    }
+                    let expected = naive.take(queue, now);
+                    match queue {
+                        0 => assert_eq!(record.delivery_action(now), deliver(expected), "{at}"),
+                        1 => assert_eq!(record.chunk_reply_action(now), deliver(expected), "{at}"),
+                        2 => {
+                            assert_eq!(record.control_reply_action(now), deliver(expected), "{at}")
+                        }
+                        _ => assert_eq!(record.wrong_result(now), expected.is_some(), "{at}"),
+                    }
+                }
+            }
+        }
+        for step in 0..=steps {
+            let now = step as f64 * dt;
+            assert_eq!(plan.link_scale(now), naive_link_scale(&plan, now), "{ctx}");
+        }
+    }
+    // Replica indices are their own space: a replica crash or stall on
+    // index 0 leaves donor 0's record empty.
+    let plan = FaultPlan::new(0)
+        .with(1.0, 0, FaultKind::ReplicaCrash { down_secs: 5.0 })
+        .with(2.0, 0, FaultKind::ReplicaStall { duration_secs: 5.0 });
+    assert_eq!(plan.client(0), ClientFaults::default());
+    assert_eq!(plan.client(0).crash_overlapping(0.0, 10.0), None);
+}
+
 // ------------------------------------------------------ replica routing
 
 /// Replica selection is a pure function of (digest, directory state,
