@@ -312,12 +312,18 @@ impl LeaseTable {
         sched: &Scheduler,
         voted: impl Fn(UnitId) -> bool,
     ) -> Option<ExtraCopy> {
-        let healthy = !sched.is_health_flagged(client);
+        // With the detector off nobody is flagged: no lookups to make.
+        let detector = sched.config().enable_health_detector;
+        let healthy = !detector || !sched.is_health_flagged(client);
         let is_flagged = |l: &&Lease| sched.is_health_flagged(l.client);
         let mut best: Option<(_, bool, &InFlight)> = None;
         for (&unit, inf) in &self.in_flight {
             let copies = inf.leases.len();
-            let flagged = inf.leases.iter().filter(is_flagged).count();
+            let flagged = if detector {
+                inf.leases.iter().filter(is_flagged).count()
+            } else {
+                0
+            };
             let (plain, spec) = sched.copy_caps(flagged > 0 && healthy);
             let speculative = rescue || copies >= plain as usize;
             let cap = if speculative { spec } else { plain } as usize;

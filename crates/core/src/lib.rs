@@ -38,6 +38,7 @@
 pub mod audit;
 pub mod builtin;
 pub mod codec;
+mod donor;
 pub mod fault;
 pub mod health;
 pub mod leases;

@@ -47,13 +47,14 @@
 //! on the wire as on the simulator's virtual clock.
 
 use super::backoff::Backoff;
-use super::cache::{chunk_digest, ChunkCache, DONOR_CACHE_BYTES};
+use super::cache::chunk_digest;
 use super::wire::{
     encode_frame_into, encode_turn_into, DecodeError, Frame, FrameReader, FrameRef, ReadError,
     Then, HEADER_LEN, MAX_PIPELINE_DEPTH,
 };
 use super::{recycle, Clock, Directory, BURST_WINDOW_BYTES, KEEP_BYTES};
 use crate::codec::{ByteWriter, ChunkNeed, WireCodec};
+use crate::donor::Holdings;
 use crate::fault::{ClientFaults, FaultPlan};
 use crate::problem::{Algorithm, Payload, WorkUnit};
 use crate::server::Server;
@@ -285,12 +286,12 @@ impl Pacing {
 }
 
 struct ClientLoop {
-    id: usize,
+    /// What this donor holds: its id, faults, chunk cache and shipped
+    /// metrics.
+    me: Holdings,
     directory: Directory,
     clock: Clock,
     kit: ClientKit,
-    /// This donor's part of the fault plan.
-    faults: ClientFaults,
     run_over: Arc<AtomicBool>,
     opts: NetClientOptions,
     rng: SplitMix64,
@@ -330,13 +331,7 @@ struct ClientLoop {
     read_at: f64,
     stale: bool,
     last_heartbeat: f64,
-    cache: ChunkCache,
     queue: VecDeque<QueuedUnit>,
-    telemetry: Telemetry,
-    /// Donor-local registry, shipped as delta snapshots (and cleared)
-    /// every `metrics_report_interval`. Dual-written next to the shared
-    /// handle so the server's merged view carries per-donor prefixes.
-    local_metrics: crate::telemetry::MetricsRegistry,
     last_report: f64,
 }
 
@@ -352,10 +347,9 @@ impl ClientLoop {
         opts: NetClientOptions,
     ) -> Self {
         Self {
-            id,
+            me: Holdings::new(id, faults, kit.telemetry.clone()),
             directory,
             clock,
-            faults,
             run_over,
             rng: SplitMix64::new(0xC11E_27B1 ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             conn: None,
@@ -375,10 +369,7 @@ impl ClientLoop {
             read_at: 0.0,
             stale: true,
             last_heartbeat: 0.0,
-            cache: ChunkCache::new(DONOR_CACHE_BYTES),
             queue: VecDeque::new(),
-            telemetry: kit.telemetry.clone(),
-            local_metrics: Default::default(),
             last_report: 0.0,
             kit,
             opts,
@@ -395,7 +386,7 @@ impl ClientLoop {
     }
 
     fn run(mut self) {
-        if let Some(t) = self.faults.join_at {
+        if let Some(t) = self.me.faults.join_at {
             thread::sleep(self.clock.wall(t - self.clock.now()));
         }
         loop {
@@ -403,7 +394,7 @@ impl ClientLoop {
                 return;
             }
             let now = self.now();
-            if self.faults.departure.is_some_and(|t| now >= t) {
+            if self.me.faults.departure.is_some_and(|t| now >= t) {
                 // Silent permanent departure (owner pulls the plug):
                 // no Goodbye — leases/liveness must recover the work.
                 return;
@@ -426,7 +417,7 @@ impl ClientLoop {
                 Step::Finished => {
                     self.maybe_report_metrics(true);
                     self.push(&Frame::Goodbye {
-                        client: self.id as u64,
+                        client: self.me.id as u64,
                     });
                     self.flush();
                     return;
@@ -438,7 +429,7 @@ impl ClientLoop {
     /// If `now` is inside a crash window: lose everything, sleep out
     /// the remaining downtime, and report `true`.
     fn handle_crash_window(&mut self, now: f64) -> bool {
-        let Some((at, down)) = self.faults.crash_overlapping(now, now) else {
+        let Some((at, down)) = self.me.faults.crash_overlapping(now, now) else {
             return false;
         };
         self.lose_everything(now, down);
@@ -458,15 +449,7 @@ impl ClientLoop {
         self.data.clear();
         self.resend = 0;
         self.queue.clear();
-        self.cache.clear();
-        self.local_metrics = Default::default();
-        self.telemetry.emit_at(
-            now,
-            EventKind::MachineCrashed {
-                client: self.id,
-                down_secs,
-            },
-        );
+        self.me.crash(now, down_secs);
     }
 
     /// Connects via the directory and queues the `Hello`; every
@@ -487,7 +470,7 @@ impl ClientLoop {
                 );
                 self.conn = Some((stream, FrameReader::new()));
                 self.push(&Frame::Hello {
-                    client: self.id as u64,
+                    client: self.me.id as u64,
                 });
                 self.reconnect.reset();
                 true
@@ -538,20 +521,11 @@ impl ClientLoop {
         if wrote {
             recycle(&mut self.wbuf);
             self.pacing.held_since = None;
-            self.count("net.client_writes", 1);
+            self.me.count("net.client_writes", 1);
         } else {
             self.drop_conn();
         }
         wrote
-    }
-
-    /// Adds to a counter in the shared registry and in the donor-local
-    /// one that ships to the server.
-    fn count(&mut self, name: &str, v: u64) {
-        if v > 0 {
-            self.telemetry.counter_add(name, v);
-            self.local_metrics.counter_add(name, v);
-        }
     }
 
     fn maybe_heartbeat(&mut self) {
@@ -561,7 +535,7 @@ impl ClientLoop {
             // Rides along with the step's turn; its ack is skipped by
             // the reply dispatcher.
             self.push(&Frame::Heartbeat {
-                client: self.id as u64,
+                client: self.me.id as u64,
             });
         }
     }
@@ -586,14 +560,15 @@ impl ClientLoop {
         let wall_us = |scaled: f64| self.clock.wall(scaled).as_secs_f64() * 1e6;
         let p = &self.pacing;
         let (wait_us, compute_us) = (wall_us(p.wait.avg), wall_us(p.compute.avg));
-        self.local_metrics
-            .gauge_set("pipeline_depth", self.depth() as f64);
-        self.local_metrics.gauge_set("wait_us", wait_us);
-        self.local_metrics.gauge_set("compute_us", compute_us);
-        let local = std::mem::take(&mut self.local_metrics);
+        let depth = self.depth() as f64;
+        let metrics = &mut self.me.metrics;
+        metrics.gauge_set("pipeline_depth", depth);
+        metrics.gauge_set("wait_us", wait_us);
+        metrics.gauge_set("compute_us", compute_us);
+        let snapshot = self.me.report().to_wire_bytes();
         self.push(&Frame::MetricsReport {
-            client: self.id as u64,
-            snapshot: local.snapshot().to_wire_bytes(),
+            client: self.me.id as u64,
+            snapshot,
         });
     }
 
@@ -645,9 +620,9 @@ impl ClientLoop {
         let unsent = self.unacked.range(self.sent..);
         let carried = unsent.map(|(p, u, payload)| (*p, *u, payload.as_slice()));
         let results = carried.len();
-        encode_turn_into(&mut self.wbuf, self.id as u64, seq, want as u32, carried);
+        encode_turn_into(&mut self.wbuf, self.me.id as u64, seq, want as u32, carried);
         let resent = std::mem::take(&mut self.resend);
-        self.count("net.resubmits", resent as u64);
+        self.me.count("net.resubmits", resent as u64);
         self.turns.push_back(SentTurn { seq, results, want });
         self.sent = self.unacked.len();
         self.owed += want;
@@ -899,14 +874,14 @@ impl ClientLoop {
         }
         // The unit is hydrated and ready: the donor-side delivery point
         // of its span (transfer ends, pipeline queue-wait begins).
-        if self.telemetry.is_enabled() {
+        if self.me.telemetry.is_enabled() {
             let at = self.now();
-            self.telemetry.emit_at(
+            self.me.telemetry.emit_at(
                 at,
                 EventKind::UnitDelivered {
                     problem: problem as usize,
                     unit,
-                    client: self.id,
+                    client: self.me.id,
                 },
             );
         }
@@ -932,26 +907,7 @@ impl ClientLoop {
         problem: u64,
         needs: &[ChunkNeed],
     ) -> Option<Vec<(u64, Arc<Vec<u8>>)>> {
-        let mut got: Vec<Option<Arc<Vec<u8>>>> = Vec::with_capacity(needs.len());
-        let mut todo: Vec<usize> = Vec::new();
-        let planned_at = self.clock.now();
-        for (i, need) in needs.iter().enumerate() {
-            let (client, digest) = (self.id, need.digest);
-            let hit = self.cache.get_verified(digest);
-            if hit.is_some() {
-                self.telemetry
-                    .emit_at(planned_at, EventKind::CacheHit { client, digest });
-            } else {
-                self.telemetry
-                    .emit_at(planned_at, EventKind::CacheMiss { client, digest });
-                self.telemetry
-                    .emit_at(planned_at, EventKind::ChunkFetchStarted { client, digest });
-                todo.push(i);
-            }
-            got.push(hit);
-        }
-        self.count("cache.hits", (needs.len() - todo.len()) as u64);
-        self.count("cache.misses", todo.len() as u64);
+        let (mut got, mut todo) = self.me.plan(needs, self.clock.now());
         self.stale |= !todo.is_empty(); // a transfer takes time
 
         let mut backoff = reconnect_backoff();
@@ -962,10 +918,9 @@ impl ClientLoop {
             let now = self.clock.now();
             let mut groups: Vec<(SocketAddr, Vec<usize>)> = Vec::new();
             let mut unrouted = Vec::new();
+            let seed = self.me.id as u64;
             for i in todo.drain(..) {
-                let routed = self
-                    .directory
-                    .candidates_for(needs[i].digest, self.id as u64, 1, now);
+                let routed = self.directory.candidates_for(needs[i].digest, seed, 1, now);
                 match routed.first() {
                     Some(addr) => match groups.iter_mut().find(|(a, _)| a == addr) {
                         Some((_, group)) => group.push(i),
@@ -979,8 +934,8 @@ impl ClientLoop {
                 break; // no replica tier, or every endpoint is dead
             }
             if rung == 0 {
-                let routed: usize = groups.iter().map(|(_, g)| g.len()).sum();
-                self.telemetry.counter_add("replica.fetches", routed as u64);
+                let routed = groups.iter().map(|(_, g)| g.len() as u64).sum();
+                self.me.telemetry.counter_add("replica.fetches", routed);
             }
             for (addr, group) in groups {
                 let (left, _) = self.burst(addr, true, problem, needs, &group, &mut got);
@@ -995,11 +950,11 @@ impl ClientLoop {
                 // after a jittered backoff.
                 todo.extend(left);
                 self.directory.mark_dead(addr, self.clock.now());
-                self.count("replica.failovers", 1);
-                self.telemetry.emit_at(
+                self.me.count("replica.failovers", 1);
+                self.me.telemetry.emit_at(
                     self.clock.now(),
                     EventKind::ReplicaFailover {
-                        client: self.id,
+                        client: self.me.id,
                         replica: rung,
                     },
                 );
@@ -1047,7 +1002,7 @@ impl ClientLoop {
         }
         let stream = TcpStream::connect(addr).ok()?;
         if replica {
-            self.telemetry.counter_add("replica.connects", 1);
+            self.me.telemetry.counter_add("replica.connects", 1);
         }
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(READ_TIMEOUT_WALL));
@@ -1082,7 +1037,6 @@ impl ClientLoop {
             return (wants.to_vec(), BurstEnd::Broken);
         };
         let (stream, reader) = &mut conn;
-        let evictions_before = self.cache.stats().evictions;
         let (mut fetched_bytes, mut gaps, mut mismatches) = (0u64, 0u64, 0u64);
         let mut left: Vec<usize> = Vec::new();
         let mut outstanding: VecDeque<usize> = VecDeque::new();
@@ -1099,7 +1053,7 @@ impl ClientLoop {
                 window += exchange;
                 encode_frame_into(
                     &Frame::ChunkRequest {
-                        client: self.id as u64,
+                        client: self.me.id as u64,
                         problem,
                         chunk: needs[wants[sent]].chunk,
                     },
@@ -1116,13 +1070,13 @@ impl ClientLoop {
             }
             outstanding.extend(&wants[window_start..sent]);
             let burst_len = outstanding.len() as f64;
-            self.count("net.chunk_bursts", 1);
-            self.telemetry.observe(
+            self.me.count("net.chunk_bursts", 1);
+            self.me.telemetry.observe(
                 "net.chunk_burst_len",
                 crate::telemetry::SIZE_BOUNDS,
                 burst_len,
             );
-            self.local_metrics.observe(
+            self.me.metrics.observe(
                 "net.chunk_burst_len",
                 crate::telemetry::SIZE_BOUNDS,
                 burst_len,
@@ -1177,11 +1131,11 @@ impl ClientLoop {
                     Some((digest, payload))
                         if digest == need.digest && chunk_digest(&payload) == need.digest =>
                     {
-                        if self.telemetry.is_enabled() {
-                            self.telemetry.emit_at(
+                        if self.me.telemetry.is_enabled() {
+                            self.me.telemetry.emit_at(
                                 self.clock.now(),
                                 EventKind::ChunkFetchFinished {
-                                    client: self.id,
+                                    client: self.me.id,
                                     digest: need.digest,
                                     replica,
                                 },
@@ -1189,7 +1143,7 @@ impl ClientLoop {
                         }
                         fetched_bytes += payload.len() as u64;
                         let bytes = Arc::new(payload);
-                        self.cache.insert(need.digest, bytes.clone());
+                        self.me.keep(need.digest, bytes.clone());
                         got[i] = Some(bytes);
                     }
                     Some(_) => {
@@ -1209,20 +1163,16 @@ impl ClientLoop {
         if matches!(end, BurstEnd::Complete | BurstEnd::Missing) {
             self.data.push((addr, conn));
         }
-        self.count("cache.bytes_fetched", fetched_bytes);
-        self.count("cache.rerequests", gaps);
-        self.count("cache.verify_failures", mismatches);
+        self.me.count("cache.bytes_fetched", fetched_bytes);
+        self.me.count("cache.rerequests", gaps);
+        self.me.count("cache.verify_failures", mismatches);
         let source = if replica {
             "replica.bytes_replica"
         } else {
             "replica.bytes_origin"
         };
         if fetched_bytes > 0 {
-            self.telemetry.counter_add(source, fetched_bytes);
-        }
-        let evicted = self.cache.stats().evictions - evictions_before;
-        if evicted > 0 {
-            self.telemetry.counter_add("cache.evictions", evicted);
+            self.me.telemetry.counter_add(source, fetched_bytes);
         }
         (left, end)
     }
@@ -1235,9 +1185,9 @@ impl ClientLoop {
     /// Faults are the run's: a slowdown sampled at its start, a crash
     /// window overlapping `[start, reading]`, a lie at the latest reading.
     fn compute_run(&mut self, n: usize) {
-        let traced = self.telemetry.is_enabled();
-        let (client, started) = (self.id, self.now());
-        let scale = self.faults.compute_scale(started);
+        let traced = self.me.telemetry.is_enabled();
+        let (client, started) = (self.me.id, self.now());
+        let scale = self.me.faults.compute_scale(started);
         let (mut at, mut computed) = (started, 0);
         let (wait, compute) = (self.pacing.wait.avg, self.pacing.compute.avg);
         for i in 1..=n {
@@ -1248,7 +1198,7 @@ impl ClientLoop {
             let Some(algorithm) = self.kit.algorithm(problem) else {
                 continue; // unknown problem id: drop; lease expiry recovers
             };
-            self.telemetry.emit_with(|| {
+            self.me.telemetry.emit_with(|| {
                 (
                     at,
                     EventKind::ComputeStarted {
@@ -1273,12 +1223,12 @@ impl ClientLoop {
                     thread::sleep(self.clock.wall(real * (scale - 1.0)));
                 }
                 at = self.now();
-                if let Some((_, down)) = self.faults.crash_overlapping(started, at) {
+                if let Some((_, down)) = self.me.faults.crash_overlapping(started, at) {
                     // (The crash event closes the orphaned compute spans.)
                     self.lose_everything(at, down);
                     return;
                 }
-                self.telemetry.emit_with(|| {
+                self.me.telemetry.emit_with(|| {
                     (
                         at,
                         EventKind::ComputeFinished {
@@ -1297,15 +1247,15 @@ impl ClientLoop {
         }
         let mean = (at - started) / computed as f64;
         (0..computed).for_each(|_| self.pacing.compute.note(mean));
-        self.telemetry.counter_add("net.compute_runs", 1);
+        self.me.telemetry.counter_add("net.compute_runs", 1);
         // (A donor that never ships its registry does not fill it.)
         if self.opts.metrics_report_interval > 0.0 {
             let bounds = crate::telemetry::LATENCY_BOUNDS;
             for _ in 0..computed {
-                self.local_metrics.observe("compute.secs", bounds, mean);
+                self.me.metrics.observe("compute.secs", bounds, mean);
             }
-            self.local_metrics.counter_add("net.compute_runs", 1);
-            self.local_metrics.counter_add("units_computed", computed);
+            self.me.metrics.counter_add("net.compute_runs", 1);
+            self.me.metrics.counter_add("units_computed", computed);
         }
     }
 
@@ -1323,10 +1273,10 @@ impl ClientLoop {
         // A Byzantine donor lies: flip the encoded payload bytes *here*,
         // before the frame CRC is computed, so the wire layer delivers
         // the lie intact — only server-side quorum compare can catch it.
-        if self.faults.wrong_result(now) {
-            crate::fault::flip_result_bytes(&mut encoded, self.id);
-            self.telemetry.emit(EventKind::FaultInjected {
-                client: self.id,
+        if self.me.faults.wrong_result(now) {
+            crate::fault::flip_result_bytes(&mut encoded, self.me.id);
+            self.me.telemetry.emit(EventKind::FaultInjected {
+                client: self.me.id,
                 action: "wrong_result".to_string(),
             });
         }
@@ -2168,7 +2118,7 @@ mod tests {
         // while the second computes with the first one's result held.
         compute_us.store(1_000, Ordering::SeqCst);
         let start = donor.clock.now();
-        donor.faults.crashes = vec![(start + 0.001_5, 0.01)];
+        donor.me.faults.crashes = vec![(start + 0.001_5, 0.01)];
         assert!(matches!(donor.step(), Step::Continue));
         compute_us.store(0, Ordering::SeqCst);
         assert!(donor.conn.is_none(), "the crash dropped the connection");
@@ -2176,7 +2126,7 @@ mod tests {
             donor.unacked.is_empty() && donor.queue.is_empty(),
             "the run's results, those held and the units ready are gone"
         );
-        donor.faults.crashes.clear();
+        donor.me.faults.crashes.clear();
         donor.run();
         let log = origin.finish();
         assert_eq!(
@@ -2573,16 +2523,16 @@ mod tests {
             !donor.turns.is_empty() && donor.owed > 0,
             "a turn that carries a result is unanswered"
         );
-        assert!(!donor.cache.is_empty() && !donor.data.is_empty());
+        assert!(!donor.me.cache.is_empty() && !donor.data.is_empty());
         let now = donor.clock.now();
-        donor.faults.crashes = vec![(now, 0.01)];
+        donor.me.faults.crashes = vec![(now, 0.01)];
         assert!(donor.handle_crash_window(now));
         assert!(donor.conn.is_none() && donor.data.is_empty());
         assert!(donor.turns.is_empty() && donor.wbuf.is_empty());
         assert_eq!((donor.sent, donor.resend, donor.owed), (0, 0, 0));
         assert!(donor.unacked.is_empty() && donor.queue.is_empty());
-        assert_eq!(donor.cache.len(), 0);
-        donor.faults.crashes.clear();
+        assert_eq!(donor.me.cache.len(), 0);
+        donor.me.faults.crashes.clear();
         let started = Instant::now();
         donor.run();
         assert!(
@@ -2679,7 +2629,7 @@ mod tests {
                 "{fault:?}: only verified bytes count, each once"
             );
             // The same counts ship to the server in the donor's report.
-            let local = donor.local_metrics.snapshot();
+            let local = donor.me.metrics.snapshot();
             assert_eq!(local.counter("cache.rerequests"), gaps);
             assert_eq!(local.counter("cache.verify_failures"), mismatches);
             assert_eq!(local.counter("net.chunk_bursts"), 2);
@@ -2712,7 +2662,7 @@ mod tests {
             1,
             "a refusal does not cost the data connection"
         );
-        assert_eq!(donor.cache.len(), 99, "every verified reply was cached");
+        assert_eq!(donor.me.cache.len(), 99, "every verified reply was cached");
         assert_eq!(
             chunks_asked(&origin.finish()),
             (0..100).collect::<Vec<u64>>(),
@@ -2747,7 +2697,11 @@ mod tests {
             assert_eq!(left, wants[40..], "{fault:?}: the unanswered are left");
             let fetched: Vec<_> = got.iter().map(Option::is_some).collect();
             assert_eq!(fetched, (0..100).map(|i| i < 40).collect::<Vec<_>>());
-            assert_eq!(donor.cache.len(), 40, "{fault:?}: what verified is cached");
+            assert_eq!(
+                donor.me.cache.len(),
+                40,
+                "{fault:?}: what verified is cached"
+            );
             assert!(donor.data.is_empty(), "{fault:?}: connection dropped");
             origin.finish();
         }

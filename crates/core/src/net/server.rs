@@ -264,10 +264,9 @@ struct ShardCtx<'a> {
 }
 
 /// What the frames of one pump share, so that a burst of
-/// `ChunkRequest`s takes the liveness, server and telemetry locks
-/// once per read instead of once per frame: chunk encoding and
-/// digesting need no authority, only the affinity note does, and the
-/// wire counters only need adding up.
+/// `ChunkRequest`s takes the liveness and telemetry locks once per read
+/// instead of once per frame, and no server lock at all: chunk encoding
+/// needs no authority, and the wire counters only need adding up.
 #[derive(Default)]
 struct PumpBatch {
     /// Frames assembled and replies queued by this pump, added to
@@ -278,24 +277,9 @@ struct PumpBatch {
     bytes_out: u64,
     /// The donor this pump has already marked alive.
     alive: Option<ClientId>,
-    /// Digests served to `served_to` that the scheduler's affinity map
-    /// has not been told about yet.
-    served: Vec<u64>,
-    served_to: ClientId,
     /// A frame of this pump may have journaled something that no
     /// [`Server::commit_journal`] has covered yet.
     uncommitted: bool,
-}
-
-impl PumpBatch {
-    /// Feeds the served digests to the affinity map, so later units
-    /// covering them land on the donor that now holds them.
-    fn apply_affinity(&mut self, server: &mut Server) {
-        if !self.served.is_empty() {
-            server.note_client_chunks(self.served_to, &self.served);
-            self.served.clear();
-        }
-    }
 }
 
 impl ShardCtx<'_> {
@@ -309,17 +293,6 @@ impl ShardCtx<'_> {
             ("net.bytes_out", batch.bytes_out),
         ]);
         (batch.frames_in, batch.frames_out, batch.bytes_out) = (0, 0, 0);
-    }
-
-    /// Applies the pump's pending affinity note under the server lock.
-    fn flush_affinity(&mut self) {
-        if self.batch.served.is_empty() {
-            return;
-        }
-        match self.shared.server.lock().unwrap().as_mut() {
-            Some(server) => self.batch.apply_affinity(server),
-            None => self.batch.served.clear(),
-        }
     }
 
     /// Marks `client` alive unless this pump already has (`now`: the
@@ -379,9 +352,6 @@ impl ShardCtx<'_> {
                 Action::Keep
             };
         };
-        // Chunks this pump served come before the turn in the stream,
-        // so their affinity must be visible to it.
-        self.batch.apply_affinity(server);
         self.batch.uncommitted = true;
         let ruled = results.clone().map(|(p, u, bytes)| (p as usize, u, bytes));
         let out = server.turn_wire(client as ClientId, now, ruled, leasing);
@@ -523,39 +493,29 @@ impl FrameHandler for ShardCtx<'_> {
         }
     }
 
-    /// Before the first byte of a reply can reach the donor, under one
-    /// lock: every record this pump's frames journaled is in the file
-    /// (write-ahead, per pump), and the chunks it served are in the
-    /// affinity map — the donor's data connection is not its control
-    /// one, so its next turn may be read on another shard the moment
-    /// the `ChunkData` lands. `false`: the server was killed with
-    /// records of this pump unwritten — the replies they justify must
-    /// not be sent.
+    /// Before the first byte of a reply can reach the donor: every
+    /// record this pump's frames journaled is in the file (write-ahead,
+    /// per pump). `false`: the server was killed with records of this
+    /// pump unwritten — the replies they justify must not be sent.
     fn end_pump(&mut self, _reply: &mut ReplyHalf) -> bool {
-        let commit = std::mem::take(&mut self.batch.uncommitted);
-        if !commit && self.batch.served.is_empty() {
+        if !std::mem::take(&mut self.batch.uncommitted) {
             return true;
         }
         match self.shared.server.lock().unwrap().as_mut() {
             Some(server) => {
-                self.batch.apply_affinity(server);
-                if commit {
-                    server.commit_journal();
-                }
+                server.commit_journal();
                 true
             }
             // `kill()` says so before it takes the server; otherwise it
             // was `wait()`, which committed this pump's records before
             // it let go of the lock (and may be tearing the transport
             // down by now: the run's last reply still leaves).
-            None => !commit || !self.crashed(),
+            None => !self.crashed(),
         }
     }
 
-    /// On every way out of a pump: the frames are counted either way,
-    /// and chunks a closed or vetoed pump never delivered are not noted.
+    /// On every way out of a pump: the frames are counted either way.
     fn pump_done(&mut self) {
-        self.batch.served.clear();
         self.flush_counts();
         self.batch.alive = None;
     }
@@ -641,11 +601,8 @@ impl FrameHandler for ShardCtx<'_> {
                 chunk,
             }) => {
                 // A replica pulling through is infrastructure, not a
-                // donor: it gets no liveness entry and no chunk
-                // affinity, or the scheduler would start routing units
-                // at a machine that never computes.
-                let is_replica = client == super::store::REPLICA_CLIENT_ID;
-                if !is_replica {
+                // donor: it gets no liveness entry.
+                if client != super::store::REPLICA_CLIENT_ID {
                     self.note_alive(client as ClientId, None);
                 }
                 // Encoding — straight into the output buffer — runs
@@ -663,17 +620,7 @@ impl FrameHandler for ShardCtx<'_> {
                     served = encode_chunk_data_into(out, problem, chunk, digest, write).ok();
                 });
                 match served {
-                    Some((digest, payload_len)) => {
-                        if !is_replica {
-                            // The donor is about to hold this chunk:
-                            // the pump feeds its digests to the
-                            // scheduler's affinity map in one note.
-                            if self.batch.served_to != client as ClientId {
-                                self.flush_affinity();
-                                self.batch.served_to = client as ClientId;
-                            }
-                            self.batch.served.push(digest);
-                        }
+                    Some((_, payload_len)) => {
                         shared.telemetry.counter_add("net.chunks_served", 1);
                         shared
                             .telemetry
@@ -718,9 +665,9 @@ impl FrameHandler for ShardCtx<'_> {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::codec::WireError;
+    use crate::codec::{ChunkNeed, WireError};
     use crate::net::checkpoint::CheckpointWriter;
-    use crate::net::wire::{encode_frame, encode_frame_into, FrameReader};
+    use crate::net::wire::{encode_frame, encode_turn_into, FrameReader};
     use crate::problem::Payload;
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
@@ -1363,8 +1310,13 @@ mod tests {
     }
 
     /// The integration problem's codec, plus chunks the origin can
-    /// serve (a chunk's bytes are its id).
+    /// serve (a chunk's bytes are its id): every unit needs the chunks
+    /// `0..CHUNKS`.
     struct Chunked(Arc<dyn WireCodec>);
+
+    impl Chunked {
+        const CHUNKS: u64 = 8;
+    }
 
     impl WireCodec for Chunked {
         fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
@@ -1379,25 +1331,33 @@ mod tests {
         fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
             self.0.decode_result(bytes)
         }
+        fn unit_chunks(&self, _p: &Payload) -> Vec<ChunkNeed> {
+            let need = |chunk: u64| ChunkNeed {
+                chunk,
+                digest: chunk_digest(&chunk.to_le_bytes()),
+                bytes: 8,
+            };
+            (0..Self::CHUNKS).map(need).collect()
+        }
         fn write_chunk(&self, chunk: u64, w: &mut ByteWriter) -> Result<(), WireError> {
             w.u64(chunk);
             Ok(())
         }
     }
 
-    /// A donor's chunks and its turns travel on different connections,
-    /// which four shards serve on different threads: once a data
-    /// connection has read its `ChunkData`, the origin already counts
-    /// those chunks as held by the donor — a turn it takes next, on any
-    /// shard, is dispatched with them in the affinity map.
+    /// Affinity is noted where a unit is leased, under the lock that
+    /// grants the lease: by the time a donor reads the `TurnReply` that
+    /// leases it a unit — on whichever of four shards served its turn —
+    /// the origin already counts that unit's chunks as held by it,
+    /// whichever endpoint the donor will fetch them from.
     #[test]
-    fn served_chunks_are_in_the_affinity_map_before_their_replies_are_read() {
+    fn a_leased_units_chunks_are_in_its_donors_window_before_the_reply_is_read() {
         const ROUNDS: u64 = 200;
-        const CHUNKS: u64 = 8;
-        let mut problem = integration_problem(100_000);
+        // One 2e6-op unit per round, each needing `CHUNKS` chunks.
+        let mut problem = integration_problem(10_000 * ROUNDS);
         let codec = problem.codec.take().expect("integration has a codec");
         let mut server = Server::new(small_cfg());
-        let pid = server.submit(problem.with_codec(Arc::new(Chunked(codec))));
+        server.submit(problem.with_codec(Arc::new(Chunked(codec))));
         let opts = NetServerOptions {
             shards: 4,
             ..Default::default()
@@ -1409,31 +1369,24 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_millis(50)))
                 .unwrap();
-            let mut asks = Vec::new();
-            for chunk in 0..CHUNKS {
-                let ask = Frame::ChunkRequest {
-                    client,
-                    problem: pid as u64,
-                    chunk,
-                };
-                encode_frame_into(&ask, &mut asks);
-            }
-            stream.write_all(&asks).unwrap();
+            let mut turn = Vec::new();
+            encode_turn_into(&mut turn, client, 1, 1, std::iter::empty());
+            stream.write_all(&turn).unwrap();
             let mut reader = FrameReader::new();
-            let mut read = 0;
-            while read < CHUNKS {
+            let leased = loop {
                 match reader.poll(&mut stream) {
-                    Ok(Some(Frame::ChunkData { .. })) => read += 1,
-                    Ok(Some(other)) => panic!("expected chunk data, got {other:?}"),
+                    Ok(Some(Frame::TurnReply { units, .. })) => break units.len(),
+                    Ok(Some(other)) => panic!("expected a turn reply, got {other:?}"),
                     Ok(None) => {}
                     Err(e) => panic!("read failed: {e}"),
                 }
-            }
+            };
+            assert_eq!(leased, 1, "round {client}: one unit per round");
             let held = |s: &Server| s.scheduler().affinity_entries(client as ClientId);
             assert_eq!(
                 net.with_server(held),
-                Some(CHUNKS as usize),
-                "round {client}: the note landed after the replies"
+                Some(Chunked::CHUNKS as usize),
+                "round {client}: the lease's chunks were not noted"
             );
         }
         net.kill();

@@ -31,6 +31,7 @@ use crate::problem::UnitId;
 use crate::telemetry::{Histogram, Telemetry};
 use biodist_util::rng::{Rng, SplitMix64};
 use biodist_util::stats::Ewma;
+use std::borrow::Borrow;
 use std::collections::{HashMap, HashSet, VecDeque};
 
 /// Identifies a donor machine / client.
@@ -518,14 +519,20 @@ impl Scheduler {
     }
 
     /// Records that `client` now holds chunks with these digests (it
-    /// was just served them, or a backend modelled the transfer).
-    pub fn note_chunks(&mut self, client: ClientId, digests: &[u64]) {
-        if digests.is_empty() {
+    /// was just leased a unit that needs them). An empty note makes no
+    /// donor record.
+    pub fn note_chunks<D: Borrow<u64>>(
+        &mut self,
+        client: ClientId,
+        digests: impl IntoIterator<Item = D>,
+    ) {
+        let mut digests = digests.into_iter().peekable();
+        if digests.peek().is_none() {
             return;
         }
         let donor = self.donors.entry(client).or_default();
-        for &d in digests {
-            donor.affinity.note(d);
+        for d in digests {
+            donor.affinity.note(*d.borrow());
         }
     }
 
@@ -1181,8 +1188,8 @@ mod tests {
     #[test]
     fn affinity_scores_count_held_digests() {
         let mut s = Scheduler::new(SchedulerConfig::default());
-        s.note_chunks(1, &[10, 20, 30]);
-        s.note_chunks(2, &[30]);
+        s.note_chunks(1, [10, 20, 30]);
+        s.note_chunks(2, [30]);
         assert_eq!(s.affinity_score(1, &[10, 20, 99]), 2);
         assert_eq!(s.affinity_score(2, &[10, 20, 99]), 0);
         assert_eq!(s.affinity_score(3, &[10]), 0, "unknown client");
@@ -1198,7 +1205,7 @@ mod tests {
         assert_eq!(s.affinity_score(1, &[1]), 0, "oldest belief dropped");
         assert_eq!(s.affinity_score(1, &[2, 3, 4]), 3);
         // Duplicates never inflate the count.
-        s.note_chunks(1, &[4, 4, 4]);
+        s.note_chunks(1, [4, 4, 4]);
         assert_eq!(s.affinity_entries(1), AFFINITY_CAPACITY);
         assert!(s.audit().is_empty());
     }
@@ -1209,7 +1216,7 @@ mod tests {
             enable_health_detector: true,
             ..Default::default()
         });
-        s.note_chunks(1, &[10, 20]);
+        s.note_chunks(1, [10, 20]);
         assert_eq!(s.affinity_score(1, &[10, 20]), 2);
         // Three completions at the priced speed, then 1e7-op units that
         // take ten times what the estimate predicts: the detector's own
@@ -1293,8 +1300,8 @@ mod tests {
     #[test]
     fn affinity_snapshot_round_trips_and_forget_clears() {
         let mut s = Scheduler::new(SchedulerConfig::default());
-        s.note_chunks(2, &[5, 6]);
-        s.note_chunks(1, &[7]);
+        s.note_chunks(2, [5, 6]);
+        s.note_chunks(1, [7]);
         let snap = s.snapshot();
         let held = snap.donors.iter().map(|r| (r.client, r.affinity.clone()));
         assert_eq!(

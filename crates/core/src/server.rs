@@ -6,7 +6,7 @@
 //! behaviour the correctness tests see. Crash recovery — rebuilding a
 //! `Server` from the log its [`RunJournal`] wrote — is [`recovery`].
 
-use crate::codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
+use crate::codec::{ByteReader, ByteWriter, WireCodec, WireError};
 use crate::health::HealthTransition;
 use crate::leases::{InFlight, Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
@@ -893,6 +893,13 @@ impl Server {
             deadline,
         };
         p.leases.grant(&unit, lease);
+        // The donor is about to hold the unit's chunks, from whichever
+        // endpoint serves them: later units covering them prefer it.
+        if let Some(codec) = &p.codec {
+            let needs = codec.unit_chunks(&unit.payload);
+            self.sched
+                .note_chunks(client, needs.iter().map(|n| n.digest));
+        }
         // Under quorum, a unit reaching an untrusted donor starts a
         // byte-identical vote: nothing is combined until enough live
         // candidates agree. Trusted donors stay single-issue (their
@@ -1241,29 +1248,6 @@ impl Server {
         self.sched.forget_client(client);
     }
 
-    // ---- chunk affinity (PR 5) ----
-
-    /// Records that `client` now holds the given chunk digests in its
-    /// donor-side cache. The transports call this when chunk bytes are
-    /// actually delivered (not merely requested), so the map self-heals
-    /// after a donor crash empties its cache: stale entries simply stop
-    /// being refreshed and age out of the capped per-client window.
-    pub fn note_client_chunks(&mut self, client: ClientId, digests: &[u64]) {
-        self.sched.note_chunks(client, digests);
-    }
-
-    /// The data chunks a unit's payload needs fetched before compute
-    /// (empty when the problem has no codec or the codec does not
-    /// externalise data). The simulator uses this to model per-miss
-    /// transfer costs against its virtual network.
-    pub fn unit_chunk_needs(&self, id: ProblemId, payload: &Payload) -> Vec<ChunkNeed> {
-        self.problems[id]
-            .codec
-            .as_ref()
-            .map(|c| c.unit_chunks(payload))
-            .unwrap_or_default()
-    }
-
     // ---- live status (ops plane) ----
 
     /// Captures a deterministic point-in-time cluster snapshot: the
@@ -1330,6 +1314,7 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::ChunkNeed;
     use crate::problem::{DataManager, Problem};
 
     /// A problem that sums `1..=n` in fixed chunks of `chunk` integers.
@@ -1491,7 +1476,7 @@ mod tests {
         );
         // Donor 7 already caches the data of the third unit (21..=30).
         let digests: Vec<u64> = (21..=30).collect();
-        server.note_client_chunks(7, &digests);
+        server.sched.note_chunks(7, &digests);
         let Assignment::Unit { unit, .. } = server.request_work(7, 0.0) else {
             panic!()
         };
@@ -1519,7 +1504,7 @@ mod tests {
                 .with_codec(Arc::new(RangeCodec)),
         );
         let digests: Vec<u64> = (31..=40).collect();
-        server.note_client_chunks(3, &digests);
+        server.sched.note_chunks(3, &digests);
         let Assignment::Unit { unit, .. } = server.request_work(3, 0.0) else {
             panic!()
         };

@@ -17,8 +17,8 @@
 //! client ──next request…
 //! ```
 
-use crate::fault::{ClientFaults, DeliveryAction, FaultPlan};
-use crate::net::cache::{ChunkCache, DONOR_CACHE_BYTES};
+use crate::donor::Holdings;
+use crate::fault::{DeliveryAction, FaultPlan};
 use crate::problem::{Algorithm, TaskResult, WorkUnit};
 use crate::server::{Assignment, ProblemId, Server};
 use biodist_gridsim::event::EventQueue;
@@ -187,7 +187,15 @@ impl SimRunner {
         let n = self.machines.len();
         let tel = self.server.telemetry();
         let plan = std::mem::replace(&mut self.plan, FaultPlan::none());
-        let mut faults: Vec<ClientFaults> = (0..n).map(|m| plan.client(m)).collect();
+        // What each machine holds: its faults, a chunk cache as large
+        // as a TCP donor's (residue bytes cross the link only on a
+        // miss), and a metrics registry shipped to the server every
+        // `metrics_report_secs` as *delta* snapshots so the server's
+        // prefixed merge stays associative. A crash empties the cache
+        // and discards the unshipped delta: the machine's memory is gone.
+        let mut donors: Vec<Holdings> = (0..n)
+            .map(|m| Holdings::new(m, plan.client(m), tel.clone()))
+            .collect();
         let mut events: EventQueue<Ev> = EventQueue::new();
         let mut alive = vec![false; n];
         let mut departed = vec![false; n];
@@ -196,26 +204,13 @@ impl SimRunner {
         // Joins (initial + crash rejoins) scheduled but not yet fired;
         // the all-donors-gone check must count them as future capacity.
         let mut scheduled_joins = 0usize;
-        // Per-machine chunk caches, as large as a TCP donor's: residue
-        // bytes cross the link only on a miss, exactly like the TCP
-        // donors. A crash empties the machine's cache (its memory is
-        // gone).
-        let mut chunk_caches: Vec<ChunkCache> =
-            (0..n).map(|_| ChunkCache::new(DONOR_CACHE_BYTES)).collect();
-        // Donor-local metrics registries, shipped to the server every
-        // `metrics_report_secs` as *delta* snapshots (snapshot, then
-        // reset) so the server's prefixed merge stays associative. A
-        // crash discards the unshipped delta — the machine's memory is
-        // gone, exactly like its chunk cache.
-        let mut donor_metrics: Vec<crate::telemetry::MetricsRegistry> =
-            (0..n).map(|_| Default::default()).collect();
         let shipping = self.cfg.metrics_report_secs > 0.0;
 
         let total_setup: u64 = (0..self.server.problem_count())
             .map(|p| self.server.setup_bytes(p))
             .sum();
 
-        for (m, f) in faults.iter().enumerate() {
+        for (m, f) in donors.iter().map(|d| &d.faults).enumerate() {
             let machine = &self.machines[m];
             let join_at = f
                 .join_at
@@ -289,75 +284,34 @@ impl SimRunner {
                             // The unit itself is small (a range plus
                             // chunk digests); residue bytes only cross
                             // the link when the machine's chunk cache
-                            // misses, and each served chunk feeds the
-                            // scheduler's affinity map — exactly the
-                            // TCP backend's story.
-                            let mut bytes = unit.payload.wire_bytes() + CONTROL_BYTES;
-                            // Chunk fetches finish when the unit itself
-                            // lands; their finish events are emitted once
-                            // `delivered` is known.
-                            let mut fetched: Vec<u64> = Vec::new();
-                            let needs = self.server.unit_chunk_needs(problem, &unit.payload);
-                            if !needs.is_empty() {
-                                let codec = self.server.codec(problem);
-                                for need in &needs {
-                                    if chunk_caches[m].get_verified(need.digest).is_some() {
-                                        tel.counter_add("cache.hits", 1);
-                                        donor_metrics[m].counter_add("cache.hits", 1);
-                                        tel.emit_at(
-                                            now,
-                                            crate::telemetry::EventKind::CacheHit {
-                                                client: m,
-                                                digest: need.digest,
-                                            },
-                                        );
-                                        continue;
-                                    }
-                                    tel.counter_add("cache.misses", 1);
-                                    tel.counter_add("cache.bytes_fetched", need.bytes);
-                                    donor_metrics[m].counter_add("cache.misses", 1);
-                                    donor_metrics[m].counter_add("cache.bytes_fetched", need.bytes);
-                                    tel.emit_at(
-                                        now,
-                                        crate::telemetry::EventKind::CacheMiss {
-                                            client: m,
-                                            digest: need.digest,
-                                        },
-                                    );
-                                    tel.emit_at(
-                                        now,
-                                        crate::telemetry::EventKind::ChunkFetchStarted {
-                                            client: m,
-                                            digest: need.digest,
-                                        },
-                                    );
-                                    bytes += need.bytes;
-                                    tel.counter_add("net.chunks_served", 1);
-                                    tel.counter_add("net.chunk_bytes_out", need.bytes);
-                                    if let Some(chunk) =
-                                        codec.as_ref().and_then(|c| c.encode_chunk(need.chunk).ok())
-                                    {
-                                        let before = chunk_caches[m].stats().evictions;
-                                        chunk_caches[m].insert(need.digest, Arc::new(chunk));
-                                        let evicted = chunk_caches[m].stats().evictions - before;
-                                        if evicted > 0 {
-                                            tel.counter_add("cache.evictions", evicted);
-                                        }
-                                    }
-                                    fetched.push(need.digest);
-                                }
-                                if !fetched.is_empty() {
-                                    self.server.note_client_chunks(m, &fetched);
+                            // misses — exactly the TCP backend's story.
+                            let codec = self.server.codec(problem);
+                            let needs = codec.as_ref().map(|c| c.unit_chunks(&unit.payload));
+                            let needs = needs.unwrap_or_default();
+                            let (_, misses) = donors[m].plan(&needs, now);
+                            let fetched = misses.iter().map(|&i| &needs[i]);
+                            for need in fetched.clone() {
+                                let chunk = codec.as_ref().map(|c| c.encode_chunk(need.chunk));
+                                if let Some(Ok(chunk)) = chunk {
+                                    donors[m].keep(need.digest, Arc::new(chunk));
                                 }
                             }
+                            let fetched_bytes = fetched.clone().map(|need| need.bytes).sum();
+                            donors[m].count("cache.bytes_fetched", fetched_bytes);
+                            tel.counters_add(&[
+                                ("net.chunks_served", misses.len() as u64),
+                                ("net.chunk_bytes_out", fetched_bytes),
+                            ]);
+                            let bytes = unit.payload.wire_bytes() + CONTROL_BYTES + fetched_bytes;
                             self.network.set_server_degradation(plan.link_scale(now));
                             let delivered = self.network.transfer(m, now, bytes);
-                            for digest in fetched {
+                            // Chunk fetches finish when the unit lands.
+                            for need in fetched {
                                 tel.emit_at(
                                     delivered,
                                     crate::telemetry::EventKind::ChunkFetchFinished {
                                         client: m,
-                                        digest,
+                                        digest: need.digest,
                                         replica: false,
                                     },
                                 );
@@ -411,11 +365,11 @@ impl SimRunner {
                     // An active straggler window scales the unit's
                     // compute time (sampled once, at unit start).
                     let result = algorithm.compute(&unit);
-                    let scale = faults[m].compute_scale(now);
+                    let scale = donors[m].faults.compute_scale(now);
                     self.machines[m].set_speed_scale(1.0 / scale);
                     let finish = self.machines[m].finish_time(now, unit.cost_ops);
                     busy_time[m] += finish - now;
-                    donor_metrics[m].observe(
+                    donors[m].metrics.observe(
                         "compute.secs",
                         crate::telemetry::LATENCY_BOUNDS,
                         finish - now,
@@ -451,11 +405,13 @@ impl SimRunner {
                             client: m,
                         },
                     );
-                    donor_metrics[m].counter_add("units_computed", 1);
+                    donors[m].metrics.counter_add("units_computed", 1);
                     self.network.set_server_degradation(plan.link_scale(now));
                     let codec = self.server.codec(problem);
                     let (action, result) =
-                        faults[m].resolve_delivery(&tel, now, m, result, codec.as_deref());
+                        donors[m]
+                            .faults
+                            .resolve_delivery(&tel, now, m, result, codec.as_deref());
                     match action {
                         DeliveryAction::Deliver => {
                             let bytes = result.payload.wire_bytes() + CONTROL_BYTES;
@@ -509,8 +465,7 @@ impl SimRunner {
                     // Ship the delta since the last report: snapshot,
                     // reset, charge the encoded bytes to the shared
                     // link, merge under the donor prefix.
-                    let local = std::mem::take(&mut donor_metrics[m]);
-                    let snap = local.snapshot();
+                    let snap = donors[m].report();
                     self.network.set_server_degradation(plan.link_scale(now));
                     let bytes = snap.to_wire_bytes().len() as u64 + CONTROL_BYTES;
                     let arrives = self.network.transfer(m, now, bytes);
@@ -553,15 +508,7 @@ impl SimRunner {
                     // chunk cache and rejoins.
                     alive[m] = false;
                     epoch[m] += 1;
-                    chunk_caches[m].clear();
-                    donor_metrics[m] = Default::default();
-                    tel.emit_at(
-                        now,
-                        crate::telemetry::EventKind::MachineCrashed {
-                            client: m,
-                            down_secs,
-                        },
-                    );
+                    donors[m].crash(now, down_secs);
                     // The availability trace is generated forward-only
                     // and a discarded in-flight unit may already have
                     // sampled it past `now`; the reboot cannot rejoin

@@ -33,8 +33,9 @@ cargo test -q --offline --workspace
 # decode, the CRC differential, torn and malformed turns) with the
 # log's replay beside it (`server::recovery`) and the event loop's own
 # tests (`net::evloop`: accepting on the loop, the accept back-off, the
-# tick on the loop), and the fault plan's one record per donor with the
-# simulator that reads it (`fault`, `sim_backend`). Last, the
+# tick on the loop), the fault plan's one record per donor with the
+# simulator that reads it (`fault`, `sim_backend`), and the one record
+# of what a donor holds (`donor::`: plan order, crash). Last, the
 # farm benchmark's own tests: `benchmark/` is a
 # separate package that perf PRs may not edit, so a change to
 # `biodist-core`'s public wire/server API that breaks it (its probe
@@ -49,7 +50,7 @@ cargo test -q --offline --test ops
 cargo test -q --offline --test scale
 cargo test -q --offline --test scale control_plane_syscalls_are_paid_per_round_trip_not_per_unit
 cargo test -q --offline --test alloc_budget
-cargo test -q --offline -p biodist-core --lib -- net::wire net::crc net::checkpoint server::recovery net::evloop fault sim_backend
+cargo test -q --offline -p biodist-core --lib -- net::wire net::crc net::checkpoint server::recovery net::evloop fault sim_backend donor::
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "tier1: OK"

@@ -11,10 +11,16 @@
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::{Alphabet, Sequence};
+use biodist::core::net::{spawn_clients, ClientKit, Clock};
 use biodist::core::{
-    audited, run_tcp_replicated, FaultKind, FaultPlan, SchedulerConfig, Server, Telemetry,
+    audited, run_tcp_replicated, Directory, FaultKind, FaultPlan, NetClientOptions, NetServer,
+    NetServerOptions, ReplicaServer, SchedulerConfig, Server, Telemetry,
 };
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 /// Scaled seconds per wall second (matches the chaos suite).
 const TIME_SCALE: f64 = 50.0;
@@ -207,4 +213,76 @@ fn replica_connections_are_kept_across_units() {
         "{connects} replica connections for {donors} donors x {replicas} replicas \
          and {failovers} failovers: still one per unit?"
     );
+}
+
+/// Affinity is noted where a unit is leased, not where a chunk is
+/// served: in a run whose chunks all come from the replica tier (the
+/// origin serves donors not one byte), every donor that has completed a
+/// unit is believed, at the origin, to hold chunks. Checked on the live
+/// server between turns — a donor's `Goodbye` forgets its record.
+#[test]
+fn replica_fed_donors_have_affinity_at_the_origin() {
+    const DONORS: usize = 4;
+    let w = workload(48);
+    let mut server = Server::new(sched());
+    let telemetry = Telemetry::enabled();
+    server.set_telemetry(telemetry.clone());
+    let pid = server.submit(build_problem(w.db.clone(), w.queries.clone(), &w.cfg));
+    let kit = ClientKit::from_server(&server).expect("codecs registered");
+    let clock = Clock::new(TIME_SCALE);
+    let net = NetServer::start(server, clock, NetServerOptions::default()).expect("bind origin");
+    let upstream = Directory::with_origin(net.addr());
+    let replicas: Vec<ReplicaServer> = (0..2)
+        .map(|_| ReplicaServer::start(upstream.clone(), clock, telemetry.clone(), vec![], vec![]))
+        .collect::<Result<_, _>>()
+        .expect("bind replicas");
+    let endpoints: Vec<_> = replicas.iter().map(ReplicaServer::addr).collect();
+    net.set_replicas(endpoints.clone());
+    let dir = Directory::with_origin(net.addr());
+    dir.set_replicas(endpoints);
+    let run_over = Arc::new(AtomicBool::new(false));
+    let none = FaultPlan::none();
+    let opts = NetClientOptions::default();
+    let handles = spawn_clients(dir, clock, kit, DONORS, &none, run_over.clone(), opts);
+    // (donor, units completed, chunks believed held) on the live server.
+    let donors = |s: &Server| -> Vec<(usize, u64, usize)> {
+        let sched = s.scheduler();
+        let row = |c| (c, sched.donor(c).completed.0, sched.affinity_entries(c));
+        (0..DONORS).map(row).collect()
+    };
+    let mut computed = [false; DONORS];
+    while let Some((done, rows)) = net.with_server(|s| (s.all_complete(), donors(s))) {
+        for (c, completed, held) in rows {
+            assert!(
+                completed == 0 || held > 0,
+                "donor {c}: {completed} units, no affinity"
+            );
+            computed[c] |= completed > 0;
+        }
+        if done {
+            break;
+        }
+        thread::sleep(Duration::from_millis(1));
+    }
+    let mut server = net.wait();
+    run_over.store(true, Ordering::SeqCst);
+    for h in handles {
+        h.join().expect("donor thread");
+    }
+    replicas.into_iter().for_each(ReplicaServer::stop);
+    let out = server.take_output(pid).expect("output");
+    assert_eq!(out.into_inner::<SearchOutput>().digest(), w.reference);
+    let snap = telemetry.metrics_snapshot();
+    assert_eq!(
+        snap.counter("replica.bytes_origin"),
+        0,
+        "{:?}",
+        snap.counters
+    );
+    assert!(
+        snap.counter("replica.bytes_replica") > 0,
+        "{:?}",
+        snap.counters
+    );
+    assert!(computed.iter().any(|&c| c), "no completion was seen live");
 }
