@@ -13,8 +13,9 @@
 //! [kept]: Holdings::keep
 
 use crate::codec::ChunkNeed;
-use crate::fault::ClientFaults;
+use crate::fault::{ClientFaults, DeliveryAction};
 use crate::net::cache::{ChunkCache, DONOR_CACHE_BYTES};
+use crate::net::Clock;
 use crate::telemetry::{EventKind, MetricsRegistry, MetricsSnapshot, Telemetry};
 use std::sync::Arc;
 
@@ -82,6 +83,28 @@ impl Holdings {
         self.count("cache.hits", (needs.len() - misses.len()) as u64);
         self.count("cache.misses", misses.len() as u64);
         (got, misses)
+    }
+
+    /// Consumes the record's due one-shot of the kind `pick` reads, as a
+    /// fault on the TCP donor's wire (one `WireFault` event, one
+    /// `net.wire_faults`); with nothing armed, no clock reading.
+    pub fn wire_fault(
+        &mut self,
+        clock: &Clock,
+        pick: fn(&mut ClientFaults, f64) -> DeliveryAction,
+    ) -> DeliveryAction {
+        if self.faults.armed.is_empty() {
+            return DeliveryAction::Deliver;
+        }
+        let now = clock.now();
+        let action = pick(&mut self.faults, now);
+        if let Some(name) = action.fault() {
+            let (client, action) = (self.id, name.to_string());
+            let fault = EventKind::WireFault { client, action };
+            self.telemetry.emit_at(now, fault);
+            self.telemetry.counter_add("net.wire_faults", 1);
+        }
+        action
     }
 
     /// Caches a fetched chunk, counting what it evicted.

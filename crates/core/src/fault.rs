@@ -14,15 +14,15 @@
 //!   the shared server link);
 //! * [`crate::net::run_tcp_faulty`] applies it against a scaled wall
 //!   clock: the donor clients sleep out downtime, discard in-flight
-//!   work on crash and stretch slow computes, and a fault proxy
-//!   mutates deliveries on the wire.
+//!   work on crash, stretch slow computes, and drop, repeat, corrupt
+//!   and delay the frames at their own sockets.
 //!
 //! Both backends read a donor's part of the plan through one record,
 //! [`FaultPlan::client`] → [`ClientFaults`]: each actor holds the
 //! records of the donors it plays (the simulator one per machine, a TCP
-//! donor its own, the fault proxy the pool's), so a donor's fault state
-//! never grows with the pool. The plan-wide parts — link windows and
-//! replica windows — are read off the plan itself.
+//! donor its own), so a donor's fault state never grows with the pool.
+//! Every record carries the plan's link windows; replica windows are
+//! read off the plan itself.
 //! Random plans are generated from a single `u64` seed
 //! ([`FaultPlan::random`]), and every failing chaos run is replayable
 //! from its printed `(seed, plan)` alone — the plan is data, its
@@ -81,33 +81,33 @@ pub enum FaultKind {
         /// Length of the degraded window.
         duration_secs: f64,
     },
-    /// The next `ChunkData` reply bound for the client after `at` is
-    /// lost in transit. A wire-level fault of the TCP transport, which
-    /// recovers it inside the fetch (a later reply on the same
+    /// The next `ChunkData` reply the donor reads from the origin after
+    /// `at` is lost in transit. A wire-level fault of the TCP transport,
+    /// which recovers it inside the fetch (a later reply on the same
     /// connection exposes the gap and the chunk is asked for again);
     /// the simulator moves a unit's chunks as one verified bulk
     /// transfer and has no reply to lose, so it ignores it. Not part of
     /// [`FaultPlan::random`]'s mix — existing seeds keep their plans.
     DropChunk,
-    /// The next `ChunkData` reply bound for the client after `at`
-    /// arrives with a broken body checksum: the donor's frame reader
-    /// skips it and the fetch recovers as for [`FaultKind::DropChunk`].
+    /// The next `ChunkData` reply the donor reads from the origin after
+    /// `at` has a broken body checksum: it is skipped, as the donor's
+    /// frame reader skips one, and the fetch recovers as for
+    /// [`FaultKind::DropChunk`].
     CorruptChunk,
-    /// The next control reply — a `TurnReply` (a raw client's
-    /// `ResultAck` or `AssignUnit`) —
-    /// bound for the client after `at` is lost in transit. A wire-level
-    /// fault of the TCP transport, whose donor pipeline reads the loss
-    /// off the in-order stream: a lost ack resubmits the result (the
-    /// server dedups), a lost assignment is recovered by its lease. The
-    /// simulator has no such frames and ignores it; like the chunk
-    /// faults it is not part of [`FaultPlan::random`]'s mix.
+    /// The next `TurnReply` the donor reads after `at` is lost in
+    /// transit. A wire-level fault of the TCP transport, whose donor
+    /// pipeline reads the loss off the in-order stream: a lost ack
+    /// resubmits the result (the server dedups), a lost assignment is
+    /// recovered by its lease. The simulator has no such frames and
+    /// ignores it; like the chunk faults it is not part of
+    /// [`FaultPlan::random`]'s mix.
     DropReply,
-    /// The next control reply bound for the client after `at` is
-    /// delivered twice: the donor must neither compute the unit twice
-    /// nor mistake the copy for the reply to a later request.
+    /// The next `TurnReply` the donor reads after `at` is delivered
+    /// twice: the donor must neither compute the unit twice nor mistake
+    /// the copy for the reply to a later request.
     DuplicateReply,
-    /// The next control reply bound for the client after `at` arrives
-    /// with a broken body checksum; the donor's frame reader skips it
+    /// The next `TurnReply` the donor reads after `at` has a broken body
+    /// checksum: it is skipped, as the donor's frame reader skips one,
     /// and recovery is as for [`FaultKind::DropReply`].
     CorruptReply,
     /// A chunk *replica* endpoint crashes at `at` and refuses
@@ -131,6 +131,27 @@ pub enum FaultKind {
 
 /// `(start, end)` windows, sorted by start.
 type Windows = Vec<(f64, f64)>;
+
+/// The `(start, end, factor)` window of a [`FaultKind::LinkDegrade`].
+fn link_window(e: &FaultEvent) -> Option<(f64, f64, f64)> {
+    match e.kind {
+        FaultKind::LinkDegrade {
+            factor,
+            duration_secs,
+        } => Some((e.at, e.at + duration_secs, factor)),
+        _ => None,
+    }
+}
+
+/// The product of the factors of the `(start, end, factor)` windows
+/// open at `now`, in the order given (≥ 1; 1 when none is open): the
+/// one rule for slowdowns and link degradation.
+fn scale_at(windows: impl Iterator<Item = (f64, f64, f64)>, now: f64) -> f64 {
+    windows
+        .filter(|&(start, end, _)| start <= now && now < end)
+        .map(|(_, _, factor)| factor)
+        .product()
+}
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -338,13 +359,21 @@ impl FaultPlan {
         plan
     }
 
-    /// Everything the plan says about donor `id`, read in one pass over
-    /// its events. Replica-indexed events never land here, even when
-    /// the replica index equals `id`; a donor the plan does not name
+    /// Everything the plan says about donor `id`, and the plan's link
+    /// windows, read in one pass over its events. Replica-indexed
+    /// events never land here, even when the replica index equals `id`;
+    /// a donor of a plan that neither names it nor degrades the link
     /// gets an empty record, which allocates nothing.
     pub fn client(&self, id: ClientId) -> ClientFaults {
         let mut f = ClientFaults::default();
-        for e in self.events.iter().filter(|e| e.client == Some(id)) {
+        for e in &self.events {
+            if let Some((start, end, factor)) = link_window(e) {
+                f.windows.push((start, end, factor, true));
+                continue;
+            }
+            if e.client != Some(id) {
+                continue;
+            }
             let shot = match e.kind {
                 FaultKind::LateJoin => {
                     f.join_at = Some(f.join_at.map_or(e.at, |a| a.max(e.at)));
@@ -362,7 +391,7 @@ impl FaultPlan {
                     factor,
                     duration_secs,
                 } => {
-                    f.slowdowns.push((e.at, e.at + duration_secs, factor));
+                    f.windows.push((e.at, e.at + duration_secs, factor, false));
                     continue;
                 }
                 FaultKind::DropResult => OneShot::Result(DeliveryAction::Drop),
@@ -390,16 +419,7 @@ impl FaultPlan {
     /// the product of every [`FaultKind::LinkDegrade`] window open then,
     /// in plan order.
     pub fn link_scale(&self, now: f64) -> f64 {
-        self.events
-            .iter()
-            .filter_map(|e| match e.kind {
-                FaultKind::LinkDegrade {
-                    factor,
-                    duration_secs,
-                } => (e.at <= now && now < e.at + duration_secs).then_some(factor),
-                _ => None,
-            })
-            .product()
+        scale_at(self.events.iter().filter_map(link_window), now)
     }
 
     /// `(start, end)` windows for replica index `replica`: its
@@ -499,6 +519,18 @@ pub enum DeliveryAction {
     Corrupt,
 }
 
+impl DeliveryAction {
+    /// The fault's name in trace events; `None` for a delivery.
+    pub fn fault(self) -> Option<&'static str> {
+        match self {
+            Self::Deliver => None,
+            Self::Drop => Some("drop"),
+            Self::Duplicate => Some("duplicate"),
+            Self::Corrupt => Some("corrupt"),
+        }
+    }
+}
+
 /// The canonical Byzantine mutation: flips the final payload byte with
 /// a client-derived odd mask, so the result stays *decodable* (same
 /// length, CRC re-framed over the flipped bytes) but semantically
@@ -517,7 +549,7 @@ pub fn flip_result_bytes(bytes: &mut [u8], client: ClientId) {
 /// from: each queue is consumed by its own caller, so consuming one
 /// kind never perturbs another's schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OneShot {
+pub(crate) enum OneShot {
     /// A result delivery fault: [`FaultKind::DropResult`] /
     /// [`FaultKind::DuplicateResult`] / [`FaultKind::CorruptResult`].
     Result(DeliveryAction),
@@ -532,9 +564,10 @@ enum OneShot {
 }
 
 /// One donor's part of a [`FaultPlan`] ([`FaultPlan::client`]): its
-/// lifecycle, its slowdown windows and its armed one-shot faults. The
-/// simulator keeps one per machine, a TCP donor its own and the fault
-/// proxy the pool's, so a plan means the same thing to every actor.
+/// lifecycle, its slowdown windows and the plan's link windows, and its
+/// armed one-shot faults. The simulator keeps one per machine and a TCP
+/// donor its own, applying the wire faults at its own sockets, so a
+/// plan means the same thing to every actor.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClientFaults {
     /// When the donor joins the pool, if the plan delays it (the latest
@@ -546,13 +579,16 @@ pub struct ClientFaults {
     /// `(crash_time, down_secs)` pairs, sorted by time (what
     /// [`ClientFaults::crash_overlapping`] relies on).
     pub(crate) crashes: Vec<(f64, f64)>,
-    // (start, end, factor) slowdown windows, in plan order: overlapping
-    // factors multiply, and a reordered product can round differently.
-    slowdowns: Vec<(f64, f64, f64)>,
-    // Armed one-shots, stably sorted by time (equal times keep plan
-    // order). One list rather than a queue per kind keeps an empty
-    // record three `Vec` headers.
-    armed: Vec<(f64, OneShot)>,
+    /// `(start, end, factor, is a link window)` slowdown and link
+    /// windows, in plan order: overlapping factors multiply, and a
+    /// reordered product can round differently. (The TCP donor reads
+    /// the clock for a link delay only if there are any.)
+    pub(crate) windows: Vec<(f64, f64, f64, bool)>,
+    /// Armed one-shots, stably sorted by time (equal times keep plan
+    /// order). One list rather than a queue per kind keeps an empty
+    /// record three `Vec` headers. (The TCP donor reads the clock for a
+    /// wire fault only if there are any.)
+    pub(crate) armed: Vec<(f64, OneShot)>,
 }
 
 impl ClientFaults {
@@ -570,11 +606,18 @@ impl ClientFaults {
     /// Compute-time multiplier for a unit the donor starts at `now`
     /// (≥ 1; 1 = full speed). Sampled once per unit, at its start.
     pub fn compute_scale(&self, now: f64) -> f64 {
-        self.slowdowns
-            .iter()
-            .filter(|&&(s, e, _)| s <= now && now < e)
-            .map(|&(_, _, f)| f)
-            .product()
+        self.scale(false, now)
+    }
+
+    /// Transfer-time multiplier for the donor's link to the server at
+    /// `now`: the plan's [`FaultPlan::link_scale`].
+    pub fn link_scale(&self, now: f64) -> f64 {
+        self.scale(true, now)
+    }
+
+    fn scale(&self, link: bool, now: f64) -> f64 {
+        let windows = self.windows.iter().filter(|w| w.3 == link);
+        scale_at(windows.map(|&(start, end, f, _)| (start, end, f)), now)
     }
 
     /// Consumes the earliest armed one-shot of the queue `pick` selects
@@ -603,8 +646,8 @@ impl ClientFaults {
         self.take(now, result).unwrap_or(DeliveryAction::Deliver)
     }
 
-    /// Decides the fate of a `ChunkData` reply bound for the donor at
-    /// `now`: the earliest armed [`FaultKind::DropChunk`] /
+    /// Decides the fate of a `ChunkData` reply the donor reads from the
+    /// origin at `now`: the earliest armed [`FaultKind::DropChunk`] /
     /// [`FaultKind::CorruptChunk`] whose time has passed is consumed.
     pub fn chunk_reply_action(&mut self, now: f64) -> DeliveryAction {
         let chunk = |s| match s {
@@ -614,10 +657,10 @@ impl ClientFaults {
         self.take(now, chunk).unwrap_or(DeliveryAction::Deliver)
     }
 
-    /// Decides the fate of a `TurnReply` (`ResultAck`, `AssignUnit`)
-    /// bound for the donor at `now`: the earliest armed
-    /// [`FaultKind::DropReply`] / [`FaultKind::DuplicateReply`] /
-    /// [`FaultKind::CorruptReply`] whose time has passed is consumed.
+    /// Decides the fate of a `TurnReply` the donor reads at `now`: the
+    /// earliest armed [`FaultKind::DropReply`] /
+    /// [`FaultKind::DuplicateReply`] / [`FaultKind::CorruptReply`] whose
+    /// time has passed is consumed.
     pub fn control_reply_action(&mut self, now: f64) -> DeliveryAction {
         let control = |s| match s {
             OneShot::ControlReply(a) => Some(a),
@@ -628,9 +671,9 @@ impl ClientFaults {
 
     /// Whether the result the donor finished at `now` is computed
     /// *wrong* (Byzantine): an armed lie whose time has passed is
-    /// consumed. Its own queue, so the TCP donor (which lies before
-    /// framing) and the fault proxy (which mutates frames on the wire)
-    /// never skew each other's schedules.
+    /// consumed. Its own queue, so a lie (told before framing) and a
+    /// delivery fault (applied to the framed turn) never skew each
+    /// other's schedules.
     pub fn wrong_result(&mut self, now: f64) -> bool {
         self.take(now, |s| (s == OneShot::Lie).then_some(()))
             .is_some()
@@ -675,11 +718,8 @@ impl ClientFaults {
                 }
             }
         }
-        match action {
-            DeliveryAction::Deliver => {}
-            DeliveryAction::Drop => injected("drop"),
-            DeliveryAction::Duplicate => injected("duplicate"),
-            DeliveryAction::Corrupt => injected("corrupt"),
+        if let Some(name) = action.fault() {
+            injected(name);
         }
         (action, result)
     }
@@ -842,6 +882,12 @@ mod tests {
         );
         assert_eq!(plan.link_scale(45.0), 5.0);
         assert_eq!(plan.link_scale(60.0), 1.0);
+        // Every record carries the link windows, and only those.
+        for record in [&c2, &plan.client(0)] {
+            assert_eq!(record.link_scale(45.0), 5.0);
+            assert_eq!(record.link_scale(60.0), 1.0);
+        }
+        assert_eq!(c2.link_scale(110.0), 1.0, "a slowdown is not a link window");
     }
 
     #[test]
@@ -849,20 +895,20 @@ mod tests {
         let plan = FaultPlan::new(4)
             .with(1.0, 99, FaultKind::DropResult)
             .with(1.0, 3, FaultKind::ReplicaCrash { down_secs: 1.0 })
-            .with(1.0, 3, FaultKind::ReplicaStall { duration_secs: 1.0 })
-            .with(
-                1.0,
-                None,
-                FaultKind::LinkDegrade {
-                    factor: 2.0,
-                    duration_secs: 1.0,
-                },
-            );
+            .with(1.0, 3, FaultKind::ReplicaStall { duration_secs: 1.0 });
         let mut c3 = plan.client(3);
+        assert_eq!(c3, ClientFaults::default(), "replica events stay out");
+        assert!(c3.armed.is_empty() && c3.windows.is_empty());
+        let link = FaultKind::LinkDegrade {
+            factor: 2.0,
+            duration_secs: 1.0,
+        };
+        let degraded = plan.clone().with(1.0, None, link).client(3);
+        assert!(!degraded.windows.is_empty() && degraded.armed.is_empty());
         assert_eq!(
-            c3,
-            ClientFaults::default(),
-            "replica and link events stay out"
+            degraded.link_scale(1.5),
+            2.0,
+            "a link window lands in every record"
         );
         assert_eq!(c3.delivery_action(5.0), DeliveryAction::Deliver);
         assert_eq!(c3.compute_scale(5.0), 1.0);
@@ -871,7 +917,7 @@ mod tests {
         // (five `Vec` headers), and nothing on the heap when empty.
         assert!(std::mem::size_of::<ClientFaults>() <= 120);
         assert_eq!(c3.crashes.capacity() + c3.armed.capacity(), 0);
-        assert_eq!(c3.slowdowns.capacity(), 0);
+        assert_eq!(c3.windows.capacity(), 0);
     }
 
     #[test]

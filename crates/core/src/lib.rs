@@ -22,8 +22,8 @@
 //!   simulator, per DESIGN.md).
 //! * [`net`] — the deployed donor: clients connect to the server over
 //!   real TCP sockets using a CRC-guarded framed wire protocol
-//!   ([`net::wire`]), with heartbeats, reconnect, a fault proxy for
-//!   transport chaos, and an append-only checkpoint log
+//!   ([`net::wire`]), with heartbeats, reconnect, donors that apply
+//!   their own wire faults, and an append-only checkpoint log
 //!   ([`net::checkpoint`]) that lets a killed server restart and resume
 //!   without recombining any unit ([`recover`]). [`run_tcp`] runs a
 //!   server's problems on loopback donors; the CLIs, the examples and
@@ -58,8 +58,8 @@ pub use fault::{
 pub use health::{Detector, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{
     chunk_digest, raise_nofile_limit, run_tcp, run_tcp_faulty, run_tcp_replicated, run_tcp_with,
-    Backoff, CacheStats, CheckpointWriter, ChunkCache, ChunkStore, Directory, FaultProxy,
-    NetClientOptions, NetServer, NetServerOptions, ReplicaServer, REPLICA_CLIENT_ID,
+    Backoff, CacheStats, CheckpointWriter, ChunkCache, ChunkStore, Directory, NetClientOptions,
+    NetServer, NetServerOptions, ReplicaServer, REPLICA_CLIENT_ID,
 };
 pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, WorkUnit};
 pub use quorum::{QuorumTally, VoteOutcome};

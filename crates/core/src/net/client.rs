@@ -44,7 +44,8 @@
 //! its lifecycle faults (late join, permanent departure, crash
 //! windows), slowdowns and lies against the shared [`Clock`] through
 //! the record the simulator reads too, so a plan tells the same story
-//! on the wire as on the simulator's virtual clock.
+//! on the wire as on the simulator's virtual clock. Its wire faults
+//! happen at its own sockets, to the bytes it writes and reads.
 
 use super::backoff::Backoff;
 use super::cache::chunk_digest;
@@ -55,7 +56,7 @@ use super::wire::{
 use super::{recycle, Clock, Directory, BURST_WINDOW_BYTES, KEEP_BYTES};
 use crate::codec::{ByteWriter, ChunkNeed, WireCodec};
 use crate::donor::Holdings;
-use crate::fault::{ClientFaults, FaultPlan};
+use crate::fault::{ClientFaults, DeliveryAction, FaultPlan};
 use crate::problem::{Algorithm, Payload, WorkUnit};
 use crate::server::Server;
 use crate::telemetry::{EventKind, Telemetry};
@@ -75,6 +76,9 @@ const HEARTBEAT_INTERVAL: f64 = 0.5;
 const READ_TIMEOUT_WALL: Duration = Duration::from_millis(5);
 /// Sleep after a `Wait` before asking again, scaled seconds.
 const POLL_INTERVAL: f64 = 0.05;
+/// Modelled transfer of one frame to the origin, scaled seconds: a link
+/// degraded `factor`× delays each by `factor − 1` of these.
+const FRAME_TRANSFER_SECS: f64 = 0.005;
 
 /// The reconnect backoff: 0.05 scaled seconds, doubling per consecutive
 /// failure (six times at most) up to 2, with ±50% deterministic jitter.
@@ -298,8 +302,9 @@ struct ClientLoop {
     /// The control connection.
     conn: Option<Conn>,
     /// Outbound control frames are encoded here and leave in one write
-    /// per [`ClientLoop::flush`].
+    /// per [`ClientLoop::flush`]; `frames` counts them.
     wbuf: Vec<u8>,
+    frames: usize,
     /// The data connections, one per chunk endpoint this donor has
     /// fetched from (replicas and the origin alike), kept across units.
     data: Vec<(SocketAddr, Conn)>,
@@ -354,6 +359,7 @@ impl ClientLoop {
             rng: SplitMix64::new(0xC11E_27B1 ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             conn: None,
             wbuf: Vec::new(),
+            frames: 0,
             data: Vec::new(),
             asks: Vec::new(),
             spare: Vec::new(),
@@ -491,6 +497,7 @@ impl ClientLoop {
     fn drop_conn(&mut self) {
         self.conn = None;
         self.wbuf.clear();
+        self.frames = 0;
         self.resend += self.sent;
         (self.sent, self.owed) = (0, 0);
         self.turns.clear();
@@ -505,14 +512,17 @@ impl ClientLoop {
     /// Queues `frame` for the next [`ClientLoop::flush`].
     fn push(&mut self, frame: &Frame) {
         encode_frame_into(frame, &mut self.wbuf);
+        self.frames += 1;
     }
 
-    /// Writes everything queued in one call. `false`: the connection
-    /// failed (and was dropped).
+    /// Writes everything queued in one call, after the link's delay.
+    /// `false`: the connection failed (and was dropped).
     fn flush(&mut self) -> bool {
+        let frames = std::mem::take(&mut self.frames);
         if self.wbuf.is_empty() {
             return true;
         }
+        self.link_delay(frames);
         let wrote = match self.conn.as_mut() {
             Some((stream, _)) => stream.write_all(&self.wbuf).is_ok(),
             None => false,
@@ -613,14 +623,39 @@ impl ClientLoop {
         behind.saturating_add(usize::from(!due)).min(cap)
     }
 
-    /// Queues the next turn: every unsent result, and `want` units asked.
+    /// Sleeps out a degraded link's delay to `frames` frames written to
+    /// the origin now, blocking the donor. A record with no window costs
+    /// one check and no clock reading.
+    fn link_delay(&mut self, frames: usize) {
+        if !self.me.faults.windows.is_empty() {
+            let link = self.me.faults.link_scale(self.clock.now());
+            let delay = (link - 1.0) * FRAME_TRANSFER_SECS * frames as f64;
+            thread::sleep(self.clock.wall(delay));
+        }
+    }
+
+    /// Queues the next turn: every unsent result, and `want` units
+    /// asked. A turn carrying a result meets the record's result faults
+    /// on its own bytes: lost, sent twice, or its body CRC broken.
     fn push_turn(&mut self, want: usize) {
-        let seq = self.next_seq;
+        let (seq, start) = (self.next_seq, self.wbuf.len());
         self.next_seq += 1;
         let unsent = self.unacked.range(self.sent..);
         let carried = unsent.map(|(p, u, payload)| (*p, *u, payload.as_slice()));
         let results = carried.len();
         encode_turn_into(&mut self.wbuf, self.me.id as u64, seq, want as u32, carried);
+        self.frames += 1;
+        if results > 0 {
+            let fate = self
+                .me
+                .wire_fault(&self.clock, ClientFaults::delivery_action);
+            match fate {
+                DeliveryAction::Deliver => {}
+                DeliveryAction::Drop => self.wbuf.truncate(start),
+                DeliveryAction::Duplicate => self.wbuf.extend_from_within(start..),
+                DeliveryAction::Corrupt => *self.wbuf.last_mut().expect("a turn") ^= 0xFF,
+            }
+        }
         let resent = std::mem::take(&mut self.resend);
         self.me.count("net.resubmits", resent as u64);
         self.turns.push_back(SentTurn { seq, results, want });
@@ -688,7 +723,10 @@ impl ClientLoop {
         let mut conn = self.conn.take()?;
         let ruled = loop {
             match conn.1.next_buffered() {
-                Ok(Some(frame)) => break self.dispatch(frame).map(Some),
+                Ok(Some(frame)) => match self.dispatch(frame) {
+                    Ok(None) => {} // lost in transit, as below
+                    ruled => break ruled,
+                },
                 // Mangled in transit and skipped; the next in-order
                 // reply exposes the gap.
                 Err(DecodeError::BodyCrc { .. }) => {}
@@ -747,11 +785,14 @@ impl ClientLoop {
             match reader.poll_ref(stream) {
                 Ok(Some(frame)) => {
                     self.stale = true;
-                    let got = self.now();
+                    let (got, ruled) = (self.now(), self.dispatch(frame));
+                    if matches!(ruled, Ok(None)) {
+                        continue; // lost in transit, as below
+                    }
                     if !parked {
                         self.pacing.wait.note(got - asked);
                     }
-                    break self.dispatch(frame).map(Some);
+                    break ruled;
                 }
                 // A read-timeout tick, or a reply mangled in transit
                 // (its CRC made the reader skip it; the next in-order
@@ -773,18 +814,31 @@ impl ClientLoop {
 
     /// Applies one inbound frame, borrowed from the control connection's
     /// reader (which the caller holds, out of `self`), to the pipeline
-    /// state.
-    fn dispatch(&mut self, frame: FrameRef<'_>) -> Result<Step, Broken> {
+    /// state. `None`: the record lost or mangled the reply, skipped as a
+    /// CRC failure is; a repeated one is dispatched again, to be dropped.
+    fn dispatch(&mut self, frame: FrameRef<'_>) -> Result<Option<Step>, Broken> {
         self.stale = true;
         match frame {
-            FrameRef::TurnReply(seq, acks, units, then) => self.turn_reply(seq, acks, units, then),
+            FrameRef::TurnReply(seq, acks, units, then) => {
+                let fate = self
+                    .me
+                    .wire_fault(&self.clock, ClientFaults::control_reply_action);
+                if matches!(fate, DeliveryAction::Drop | DeliveryAction::Corrupt) {
+                    return Ok(None);
+                }
+                let step = self.turn_reply(seq, acks, units, then)?;
+                if fate == DeliveryAction::Duplicate && matches!(step, Step::Continue) {
+                    return self.turn_reply(seq, acks, units, then).map(Some);
+                }
+                Ok(Some(step))
+            }
             FrameRef::Plain(Frame::ReplicaAnnounce { endpoints }) => {
                 // Unsolicited topology update (the Hello reply, or a
                 // re-announcement): fold it into the directory.
                 self.directory.merge_replicas(&endpoints);
-                Ok(Step::Continue)
+                Ok(Some(Step::Continue))
             }
-            _ => Ok(Step::Continue), // heartbeat acks
+            _ => Ok(Some(Step::Continue)), // heartbeat acks
         }
     }
 
@@ -1061,6 +1115,9 @@ impl ClientLoop {
                 );
                 sent += 1;
             }
+            if !replica {
+                self.link_delay(sent - window_start);
+            }
             let wrote = stream.write_all(&self.asks).is_ok();
             self.asks.clear();
             if !wrote {
@@ -1090,7 +1147,17 @@ impl ClientLoop {
                     end = BurstEnd::TimedOut;
                     break;
                 }
-                let answer = match reader.poll(stream) {
+                let mut polled = reader.poll(stream);
+                // An origin reply the record loses or mangles is skipped.
+                if !replica && matches!(polled, Ok(Some(Frame::ChunkData { .. }))) {
+                    let fate = self
+                        .me
+                        .wire_fault(&self.clock, ClientFaults::chunk_reply_action);
+                    if matches!(fate, DeliveryAction::Drop | DeliveryAction::Corrupt) {
+                        polled = Ok(None);
+                    }
+                }
+                let answer = match polled {
                     Ok(Some(Frame::ChunkData {
                         problem: p,
                         chunk,
@@ -1292,8 +1359,9 @@ enum Step {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::WireError;
-    use crate::net::wire::{encode_frame, FrameAssembler};
+    use crate::codec::{ByteReader, WireError};
+    use crate::fault::FaultKind;
+    use crate::net::wire::{decode_turn_head, encode_frame, FrameAssembler, TURN_TYPE};
     use crate::problem::TaskResult;
     use std::collections::HashSet;
     use std::net::TcpListener;
@@ -1413,6 +1481,9 @@ mod tests {
         Submit(u64),
         /// A `Turn` the script lost in transit, and the results in it.
         LostTurn(usize),
+        /// A result in a `Turn` whose body CRC failed: nacked, and its
+        /// unit back in the pool.
+        Mangled(u64),
         Chunk(u64),
         Other,
     }
@@ -1440,6 +1511,9 @@ mod tests {
         leased: Vec<u64>,
         folded: HashSet<u64>,
         seen: [usize; 2], // turns, chunk requests
+        /// The highest turn `seq` answered: a repeat of a turn is ruled
+        /// on again, but what it asks for is not served twice.
+        answered: u64,
         /// The connection whose replies the script has muted.
         muted: Option<usize>,
         /// The connection the script has streaming strays.
@@ -1478,6 +1552,8 @@ mod tests {
                         log.push(Seen::Submit(unit));
                     }
                     log.push(Seen::Turn(want));
+                    let want = if seq > self.answered { want } else { 0 };
+                    self.answered = self.answered.max(seq);
                     let fresh = (0..want).map_while(|_| self.free.pop_front());
                     let fresh: Vec<u64> = fresh.collect();
                     let then = match fresh.len() {
@@ -1544,6 +1620,37 @@ mod tests {
             }]
         }
 
+        /// A `Turn` whose body failed its CRC, handled as the origin
+        /// handles one: every unit its head names is nacked and goes
+        /// back to the pool, and nothing it asked for is leased.
+        fn mangled_turn(&mut self, body_prefix: &[u8], out: &mut Vec<u8>) -> Vec<Seen> {
+            let head = decode_turn_head(&mut ByteReader::new(body_prefix));
+            let Ok((_, seq, _, ids)) = head else {
+                return vec![Seen::Other];
+            };
+            let mut acks = Vec::new();
+            for (problem, unit) in ids {
+                self.leased.retain(|&u| u != unit);
+                if !self.folded.contains(&unit) {
+                    self.free.push_front(unit);
+                }
+                acks.push((problem, unit, false));
+            }
+            let log = acks.iter().map(|a| Seen::Mangled(a.1)).collect();
+            let then = match self.folded.len() as u64 == self.script.units {
+                true => Then::Finished,
+                false => Then::More,
+            };
+            let units = Vec::new();
+            out.extend(encode_frame(&Frame::TurnReply {
+                seq,
+                acks,
+                units,
+                then,
+            }));
+            log
+        }
+
         /// Serves connection `conn` until it closes, the script hangs up
         /// on it, or `stop` is raised. A read's frames are handled, and
         /// logged, under the state's lock.
@@ -1579,11 +1686,15 @@ mod tests {
                 let mut origin = state.lock().unwrap();
                 let mut group = Vec::new();
                 while !origin.hang_up {
-                    let Ok(Some(frame)) = asm.next_frame() else {
-                        break;
-                    };
                     let before = out.len();
-                    group.extend(origin.handle(conn, frame, &mut out));
+                    match asm.next_frame() {
+                        Ok(Some(frame)) => group.extend(origin.handle(conn, frame, &mut out)),
+                        Err(DecodeError::BodyCrc {
+                            frame_type: TURN_TYPE,
+                            body_prefix,
+                        }) => group.extend(origin.mangled_turn(&body_prefix, &mut out)),
+                        _ => break,
+                    }
                     if origin.muted == Some(conn) {
                         out.truncate(before);
                     }
@@ -1618,6 +1729,7 @@ mod tests {
                 leased: Vec::new(),
                 folded: HashSet::new(),
                 seen: [0; 2],
+                answered: 0,
                 muted: None,
                 stray: None,
                 hang_up: false,
@@ -2727,5 +2839,198 @@ mod tests {
         assert_eq!(snap.counter("net.chunk_bursts"), 4);
         let lens = snap.histogram("net.chunk_burst_len").unwrap();
         assert_eq!((lens.count(), lens.sum()), (4, 6.0));
+    }
+
+    /// Donor 0's record of a plan arming `kind` at time 0.
+    fn armed(kind: &FaultKind) -> ClientFaults {
+        FaultPlan::new(0).with(0.0, 0, kind.clone()).client(0)
+    }
+
+    /// A result fault of the donor's own record acts on the bytes of
+    /// the first turn that carries a result, and on nothing else: the
+    /// origin sees that turn not at all, twice, or with its body CRC
+    /// broken, the gap is read off the stream, and every unit is folded
+    /// exactly once.
+    #[test]
+    fn a_result_fault_of_the_record_acts_on_its_turns_bytes_alone() {
+        const UNITS: u64 = 30;
+        for kind in [
+            FaultKind::DropResult,
+            FaultKind::DuplicateResult,
+            FaultKind::CorruptResult,
+        ] {
+            let telemetry = Telemetry::enabled();
+            let origin = ScriptedOrigin::start(Script {
+                units: UNITS,
+                ..Default::default()
+            });
+            let mut donor = echo_donor(origin.addr, &telemetry, 0, 30.0);
+            donor.me.faults = armed(&kind);
+            assert!(donor.connect());
+            let started = Instant::now();
+            while let Step::Continue = donor.step() {}
+            let (elapsed, sent) = (started.elapsed(), donor.next_seq - 1);
+            leave(donor);
+            let seen: Vec<Seen> = origin.finish().into_iter().flatten().collect();
+            let whole = seen.iter().filter(|s| matches!(s, Seen::Turn(_))).count() as u64;
+            let mangled = seen
+                .iter()
+                .filter(|s| matches!(s, Seen::Mangled(_)))
+                .count();
+            let submits = submits(&[seen], UNITS);
+            let twice = submits.iter().filter(|&&n| n == 2).count();
+            let snap = telemetry.metrics_snapshot();
+            assert!(elapsed < NO_TIMEOUT_WAIT, "{kind:?}: {elapsed:?}");
+            assert_eq!(snap.counter("net.wire_faults"), 1, "{kind:?}");
+            let (turns, resubmits) = match kind {
+                FaultKind::DropResult => (sent - 1, 1),
+                FaultKind::DuplicateResult => (sent + 1, 0),
+                _ => (sent - 1, 0),
+            };
+            assert_eq!(whole, turns, "{kind:?}: {sent} turns written");
+            assert_eq!(snap.counter("net.resubmits"), resubmits, "{kind:?}");
+            let corrupt = kind == FaultKind::CorruptResult;
+            assert_eq!(
+                mangled,
+                usize::from(corrupt),
+                "{kind:?}: nacked, leased again"
+            );
+            if kind == FaultKind::DuplicateResult {
+                assert!(twice >= 1, "the copy was refused: {submits:?}");
+                assert!(submits.iter().all(|&n| n == 1 || n == 2), "{submits:?}");
+            } else {
+                assert_eq!(submits, vec![1; UNITS as usize], "{kind:?}");
+            }
+        }
+    }
+
+    /// A reply fault of the donor's record, armed with a turn in flight
+    /// and another to follow: the reply it loses or mangles is read off
+    /// the reply behind it, on the same connection and with no ack-timeout wait —
+    /// the results it would have retired ride the next turn, and the
+    /// units it leased are lost with it (this origin has no lease
+    /// expiry) — and the copy of a repeated one is dropped.
+    #[test]
+    fn a_reply_fault_of_the_record_is_read_off_the_next_reply() {
+        const UNITS: u64 = 30;
+        for kind in [
+            FaultKind::DropReply,
+            FaultKind::CorruptReply,
+            FaultKind::DuplicateReply,
+        ] {
+            let telemetry = Telemetry::enabled();
+            let origin = ScriptedOrigin::start(Script {
+                units: UNITS,
+                reply_delay: Duration::from_millis(1),
+                ..Default::default()
+            });
+            let mut donor = echo_donor(origin.addr, &telemetry, 0, 30.0);
+            assert!(donor.connect());
+            let started = Instant::now();
+            // Until a turn that carried a result is unanswered and a
+            // unit is ready: the turn that unit's result rides is in
+            // flight behind it before the donor blocks.
+            let (results, want) = loop {
+                assert!(matches!(donor.step(), Step::Continue), "pool ran dry");
+                match donor.turns.front() {
+                    Some(t) if t.results > 0 && !donor.queue.is_empty() => {
+                        break (t.results, t.want)
+                    }
+                    _ => {}
+                }
+            };
+            donor.me.faults = armed(&kind);
+            while let Step::Continue = donor.step() {
+                let holds = donor.queue.len() + donor.unacked.len() + donor.turns.len();
+                if donor.starved && holds == 0 {
+                    break; // the lost units: nothing more to give
+                }
+                assert!(started.elapsed() < NO_TIMEOUT_WAIT, "{kind:?}: stalled");
+            }
+            leave(donor);
+            let log = origin.finish();
+            let hellos = log.iter().flatten().filter(|s| **s == Seen::Hello);
+            assert_eq!(hellos.count(), 1, "{kind:?}: on the same connection");
+            let submits = submits(&log, UNITS);
+            let count = |n| submits.iter().filter(|&&c| c == n).count();
+            let snap = telemetry.metrics_snapshot();
+            assert_eq!(snap.counter("net.wire_faults"), 1, "{kind:?}");
+            if kind == FaultKind::DuplicateReply {
+                assert_eq!(submits, vec![1; UNITS as usize], "no unit taken twice");
+                assert_eq!(snap.counter("net.resubmits"), 0);
+            } else {
+                assert!(results >= 1 && want >= 1, "{results} results, {want} asked");
+                assert_eq!(snap.counter("net.resubmits"), results as u64, "{kind:?}");
+                assert_eq!(
+                    (count(2), count(0)),
+                    (results, want),
+                    "{kind:?}: {submits:?}"
+                );
+            }
+        }
+    }
+
+    /// A chunk-reply fault of the donor's record hits the replies of an
+    /// origin burst only: the one it loses or mangles, the head of the
+    /// burst, is exposed by the replies behind it and is the only chunk
+    /// asked for again, with no ack-timeout wait. A replica burst leaves
+    /// the record armed.
+    #[test]
+    fn a_chunk_reply_fault_of_the_record_is_read_off_the_replies_behind_it() {
+        for kind in [FaultKind::DropChunk, FaultKind::CorruptChunk] {
+            let telemetry = Telemetry::enabled();
+            let origin = ScriptedOrigin::with_chunk_fault(None);
+            let mut donor = donor(origin.addr, &telemetry);
+            donor.me.faults = armed(&kind);
+            let (elsewhere, wants) = (needs_of(1000..1010), (0..10).collect::<Vec<_>>());
+            let mut got = vec![None; wants.len()];
+            let (left, _) = donor.burst(origin.addr, true, 0, &elsewhere, &wants, &mut got);
+            assert!(
+                left.is_empty() && !donor.me.faults.armed.is_empty(),
+                "{kind:?}"
+            );
+            let needs = needs(300);
+            let started = Instant::now();
+            let got = donor.fetch_chunks(0, &needs).expect("unit hydrates");
+            let elapsed = started.elapsed();
+            assert_hydrates_exactly(&needs, &got);
+            let mut asked: Vec<u64> = (1000..1010).chain(0..300).collect();
+            asked.push(0);
+            assert_eq!(chunks_asked(&origin.finish()), asked, "{kind:?}");
+            let snap = telemetry.metrics_snapshot();
+            assert_eq!(snap.counter("cache.rerequests"), 1, "{kind:?}");
+            assert_eq!(snap.counter("net.wire_faults"), 1, "{kind:?}");
+            assert!(elapsed < NO_TIMEOUT_WAIT, "{kind:?}: {elapsed:?}");
+        }
+    }
+
+    /// A degraded link delays each frame the donor writes to the origin,
+    /// control and data connection alike, by `factor − 1` modelled frame
+    /// transfers before the write.
+    #[test]
+    fn a_degraded_link_delays_each_frame_written_to_the_origin() {
+        let origin = ScriptedOrigin::with_chunk_fault(None);
+        let mut donor = echo_donor(origin.addr, &Telemetry::disabled(), 0, 30.0);
+        let link = FaultKind::LinkDegrade {
+            factor: 11.0,
+            duration_secs: 1e6,
+        };
+        donor.me.faults = FaultPlan::new(0).with(0.0, None, link).client(0);
+        let per_frame = donor.clock.wall(10.0 * FRAME_TRANSFER_SECS);
+        assert!(donor.connect());
+        donor.push(&Frame::Heartbeat { client: 0 });
+        let started = Instant::now();
+        assert!(donor.flush());
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed >= 2 * per_frame,
+            "a hello and a heartbeat: {elapsed:?}"
+        );
+        let started = Instant::now();
+        donor.fetch_chunks(0, &needs(3)).expect("unit hydrates");
+        let elapsed = started.elapsed();
+        assert!(elapsed >= 3 * per_frame, "three requests: {elapsed:?}");
+        leave(donor);
+        origin.finish();
     }
 }

@@ -17,12 +17,10 @@
 //!   data connection per chunk endpoint, heartbeats,
 //!   jittered-exponential reconnect, idempotent result resubmission,
 //!   and each donor's own part of a `FaultPlan` (one `ClientFaults`
-//!   record: late join, departure, crash, slowdown, lies)
-//!   self-interpreted against the shared [`Clock`];
-//! * [`proxy::FaultProxy`] — a socket-level interposer that drops,
-//!   duplicates, corrupts and delays *real bytes* per the pool's
-//!   records and the plan's link windows — the plan the simulator
-//!   reads too;
+//!   record: late join, departure, crash, slowdown, lies, and the wire
+//!   faults and link windows it applies to the *real bytes* at its own
+//!   sockets) self-interpreted against the shared [`Clock`] — the plan
+//!   the simulator reads too;
 //! * [`checkpoint`] — the append-only log that makes the server itself
 //!   crash-recoverable (replayed by [`crate::server::recovery`]).
 //!
@@ -37,7 +35,6 @@ pub mod checkpoint;
 pub mod client;
 pub mod crc;
 pub mod evloop;
-pub mod proxy;
 pub mod server;
 pub mod store;
 pub mod wire;
@@ -47,7 +44,6 @@ pub use cache::{chunk_digest, CacheStats, ChunkCache};
 pub use checkpoint::{CheckpointWriter, LogRecord};
 pub use client::{spawn_clients, ClientKit, NetClientOptions};
 pub use evloop::raise_nofile_limit;
-pub use proxy::FaultProxy;
 pub use server::{NetServer, NetServerOptions};
 pub use store::{ChunkStore, ReplicaServer, REPLICA_CLIENT_ID};
 
@@ -253,10 +249,9 @@ pub fn run_tcp(server: Server, n_clients: usize) -> (Server, f64) {
 }
 
 /// [`run_tcp`] with a [`FaultPlan`] injected against a scaled clock.
-/// Lifecycle and slowdown faults are interpreted by the clients
-/// themselves; delivery faults and link
-/// degradation are applied to the actual bytes by a [`FaultProxy`]
-/// interposed between clients and server.
+/// Each donor interprets its own part of the plan: lifecycle and
+/// slowdown faults in its loop, delivery faults and link degradation
+/// on the actual bytes at its own sockets.
 ///
 /// # Panics
 /// Panics if any submitted problem lacks a codec, or if loopback
@@ -319,23 +314,20 @@ pub fn run_tcp_with(
     let telemetry = server.telemetry();
     let clock = Clock::new(time_scale);
     let net = NetServer::start(server, clock, opts).expect("bind loopback listener");
-    let upstream = Directory::with_origin(net.addr());
+    let directory = Directory::with_origin(net.addr());
     let replicas: Vec<ReplicaServer> = (0..n_replicas)
         .map(|r| {
             let (crashes, stalls) = plan.replica_windows(r);
-            ReplicaServer::start(upstream.clone(), clock, telemetry.clone(), crashes, stalls)
+            ReplicaServer::start(directory.clone(), clock, telemetry.clone(), crashes, stalls)
                 .expect("bind replica listener")
         })
         .collect();
     let replica_addrs: Vec<SocketAddr> = replicas.iter().map(ReplicaServer::addr).collect();
     net.set_replicas(replica_addrs.clone());
-    let proxy = FaultProxy::start_traced(upstream, plan, n_clients, clock, telemetry.clone())
-        .expect("bind proxy listener");
-    let client_dir = Directory::with_origin(proxy.addr());
-    client_dir.set_replicas(replica_addrs);
+    directory.set_replicas(replica_addrs);
     let run_over = Arc::new(AtomicBool::new(false));
     let handles = spawn_clients(
-        client_dir,
+        directory,
         clock,
         kit,
         n_clients,
@@ -351,7 +343,6 @@ pub fn run_tcp_with(
     for r in replicas {
         r.stop();
     }
-    proxy.stop();
     telemetry.flush();
     (server, clock.now())
 }

@@ -183,7 +183,7 @@ impl NetServer {
         })
     }
 
-    /// The address clients (or a fault proxy) should connect to.
+    /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
     }
@@ -775,7 +775,7 @@ mod tests {
     const RESULTS: usize = 32;
 
     /// A raw-socket donor speaking turns to a journaled one-shard
-    /// server (optionally through a fault proxy).
+    /// server.
     struct TurnSession {
         net: NetServer,
         telemetry: Telemetry,
@@ -786,20 +786,16 @@ mod tests {
     }
 
     impl TurnSession {
-        fn start(
-            journal: Option<Box<dyn crate::server::RunJournal>>,
-            proxied: Option<&crate::fault::FaultPlan>,
-        ) -> (Self, Option<crate::net::FaultProxy>) {
+        fn start(journal: Option<Box<dyn crate::server::RunJournal>>) -> Self {
             // (400 units: more than one turn may hold.)
-            Self::start_with(400, 1, journal, proxied)
+            Self::start_with(400, 1, journal)
         }
 
         fn start_with(
             units: u64,
             shards: usize,
             journal: Option<Box<dyn crate::server::RunJournal>>,
-            proxied: Option<&crate::fault::FaultPlan>,
-        ) -> (Self, Option<crate::net::FaultProxy>) {
+        ) -> Self {
             let mut server = Server::new(small_cfg());
             server.set_telemetry(Telemetry::enabled());
             let telemetry = server.telemetry();
@@ -808,34 +804,31 @@ mod tests {
                 server.set_journal(journal);
             }
             let (algorithm, codec) = (server.algorithm(pid), server.codec(pid).unwrap());
+            // At 1000× the default 5 s liveness window is 5 ms of wall
+            // time: a loaded box reclaims the donor mid-test. One second
+            // of wall time is headroom.
             let opts = NetServerOptions {
                 shards,
+                liveness_timeout: 1000.0,
                 ..Default::default()
             };
             let clock = Clock::new(1000.0);
             let net = NetServer::start(server, clock, opts).unwrap();
-            let proxy = proxied.map(|plan| {
-                let upstream = crate::net::Directory::with_origin(net.addr());
-                let tel = crate::telemetry::Telemetry::disabled();
-                crate::net::FaultProxy::start_traced(upstream, plan, 1, clock, tel).unwrap()
-            });
-            let addr = proxy.as_ref().map_or(net.addr(), |p| p.addr());
-            let mut stream = TcpStream::connect(addr).unwrap();
+            let mut stream = TcpStream::connect(net.addr()).unwrap();
             stream
                 .set_read_timeout(Some(Duration::from_millis(50)))
                 .unwrap();
             stream
                 .write_all(&encode_frame(&Frame::Hello { client: 0 }))
                 .unwrap();
-            let session = Self {
+            Self {
                 net,
                 telemetry,
                 stream,
                 reader: FrameReader::new(),
                 algorithm,
                 codec,
-            };
-            (session, proxy)
+            }
         }
 
         /// Computes `units` (as leased by a `TurnReply`) into the
@@ -855,13 +848,9 @@ mod tests {
         }
 
         fn write_turn(&mut self, seq: u64, want: u32, results: Vec<(u64, u64, Vec<u8>)>) {
-            let turn = Frame::Turn {
-                client: 0,
-                seq,
-                want,
-                results,
-            };
-            self.stream.write_all(&encode_frame(&turn)).unwrap();
+            self.stream
+                .write_all(&turn_bytes(seq, want, results))
+                .unwrap();
         }
 
         /// The next `TurnReply`: `(seq, acks, units, then)`.
@@ -929,7 +918,7 @@ mod tests {
     fn a_turns_records_are_in_the_journal_before_its_first_reply_byte_is_readable() {
         let path = pipeline_log("commit");
         let journal = CheckpointWriter::create(&path).unwrap();
-        let (mut session, _) = TurnSession::start(Some(Box::new(journal)), None);
+        let mut session = TurnSession::start(Some(Box::new(journal)));
         session.write_turn(1, RESULTS as u32, Vec::new());
         let (_, _, held, _) = session.reply();
         assert_eq!(held.len(), RESULTS);
@@ -1011,7 +1000,7 @@ mod tests {
             inside: inside_tx,
             release: release_rx,
         };
-        let (mut session, _) = TurnSession::start(Some(Box::new(journal)), None);
+        let mut session = TurnSession::start(Some(Box::new(journal)));
         session.write_turn(1, RESULTS as u32, Vec::new());
         let (_, _, held, _) = session.reply();
         let leases = unit_records(&path);
@@ -1073,7 +1062,7 @@ mod tests {
         for run in 0..RUNS {
             let path = pipeline_log(&format!("stop-{run}"));
             let journal = Box::new(CheckpointWriter::create(&path).unwrap());
-            let (mut session, _) = TurnSession::start_with(4, SHARDS, Some(journal), None);
+            let mut session = TurnSession::start_with(4, SHARDS, Some(journal));
             let name = format!("origin-{}-s", session.net.addr().port());
             session.write_turn(1, 4, Vec::new());
             let (_, _, held, _) = session.reply();
@@ -1113,11 +1102,15 @@ mod tests {
         assert!(median < TICK_WALL / 2, "median {median:?} of {teardowns:?}");
     }
 
-    /// A plan that hits donor 0's first result-carrying frame.
-    fn first_result_meets(kind: crate::fault::FaultKind) -> crate::fault::FaultPlan {
-        let mut plan = crate::fault::FaultPlan::new(0);
-        plan.push(0.0, 0, kind);
-        plan
+    /// Donor 0's `Turn`, as the wire has it.
+    fn turn_bytes(seq: u64, want: u32, results: Vec<(u64, u64, Vec<u8>)>) -> Vec<u8> {
+        let turn = Frame::Turn {
+            client: 0,
+            seq,
+            want,
+            results,
+        };
+        encode_frame(&turn)
     }
 
     /// A turn repeated in transit is ruled on twice and leased once:
@@ -1125,12 +1118,14 @@ mod tests {
     /// `want` is not served — no lease is left to expire.
     #[test]
     fn a_duplicated_turn_is_ruled_on_again_but_its_want_is_not_served_twice() {
-        let plan = first_result_meets(crate::fault::FaultKind::DuplicateResult);
-        let (mut session, proxy) = TurnSession::start(None, Some(&plan));
+        let mut session = TurnSession::start(None);
         session.write_turn(1, 2, Vec::new());
         let (_, _, held, _) = session.reply();
-        let results = session.compute(&held[..1]);
-        session.write_turn(2, 1, results);
+        let turn = turn_bytes(2, 1, session.compute(&held[..1]));
+        session
+            .stream
+            .write_all(&[&turn[..], &turn].concat())
+            .unwrap();
         let (seq, acks, units, _) = session.reply();
         assert_eq!((seq, acks[0].2, units.len()), (2, true, 1));
         let (seq, acks, units, _) = session.reply();
@@ -1138,7 +1133,6 @@ mod tests {
         assert_eq!(acks, [(held[0].0, held[0].1, false)], "and refused");
         assert!(units.is_empty(), "with nothing leased");
         assert_eq!(session.leases(), (3, 2, 0), "what the donor holds, no more");
-        proxy.unwrap().stop();
         session.net.kill();
     }
 
@@ -1147,12 +1141,12 @@ mod tests {
     /// asked for — which cannot be trusted — is not served.
     #[test]
     fn a_corrupt_turn_is_nacked_unit_by_unit_and_leased_nothing() {
-        let plan = first_result_meets(crate::fault::FaultKind::CorruptResult);
-        let (mut session, proxy) = TurnSession::start(None, Some(&plan));
+        let mut session = TurnSession::start(None);
         session.write_turn(1, 2, Vec::new());
         let (_, _, held, _) = session.reply();
-        let results = session.compute(&held);
-        session.write_turn(2, 2, results);
+        let mut turn = turn_bytes(2, 2, session.compute(&held));
+        *turn.last_mut().unwrap() ^= 0xFF; // the final body-CRC byte
+        session.stream.write_all(&turn).unwrap();
         let (seq, acks, units, _) = session.reply();
         let nacked: Vec<_> = held.iter().map(|h| (h.0, h.1, false)).collect();
         assert_eq!((seq, acks), (2, nacked));
@@ -1161,7 +1155,6 @@ mod tests {
         let corrupted = |s: &Server| s.stats(0).corrupted_results;
         let corrupted = session.net.with_server(corrupted);
         assert_eq!(corrupted, Some(2), "units, not frames");
-        proxy.unwrap().stop();
         session.net.kill();
         let crc = session.telemetry.metrics_snapshot();
         assert_eq!(crc.counter("net.crc_failures"), 1);
@@ -1169,7 +1162,7 @@ mod tests {
 
     #[test]
     fn a_want_above_the_pipeline_ceiling_is_clamped_and_counted() {
-        let (mut session, _) = TurnSession::start(None, None);
+        let mut session = TurnSession::start(None);
         session.write_turn(1, 1000, Vec::new());
         let (_, _, units, then) = session.reply();
         assert_eq!((units.len(), then), (MAX_PIPELINE_DEPTH, Then::More));

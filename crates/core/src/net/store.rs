@@ -384,11 +384,34 @@ impl ReplicaHandler<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::net::proxy::{accept_loop, unblock_accept};
     use crate::net::wire::{crc32, encode_frame, VERSION};
     use std::io::Read;
     use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
+
+    /// A blocking acceptor for a thread of its own: no polling sleep, each
+    /// accepted stream goes to `deal`. Shutdown raises `kill` and then
+    /// calls [`unblock_accept`].
+    fn accept_loop(listener: &TcpListener, kill: &AtomicBool, mut deal: impl FnMut(TcpStream)) {
+        loop {
+            let accepted = listener.accept();
+            if kill.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
+                Ok((stream, _)) => deal(stream),
+                // Transient accept failure (EMFILE, aborted handshake):
+                // back off briefly instead of spinning on the error.
+                Err(_) => thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    }
+
+    /// Ends an [`accept_loop`] blocked in `accept` on `addr` (its kill flag
+    /// already raised) with a throwaway self-connection.
+    fn unblock_accept(addr: SocketAddr) {
+        let _ = TcpStream::connect(addr);
+    }
 
     /// What the scripted origin holds for `chunk`.
     fn body_of(chunk: u64) -> Vec<u8> {

@@ -58,24 +58,12 @@ const FT_STATUS_REPORT: u8 = 17;
 const FT_TURN: u8 = 18;
 const FT_TURN_REPLY: u8 = 19;
 
-/// Frame type code for [`Frame::SubmitResult`] — exposed so transport
-/// code can recognise a corrupt result frame from its header alone.
+/// Frame type code for [`Frame::SubmitResult`] — exposed so the origin
+/// can route the units of a corrupt result frame from its
+/// [`DecodeError::BodyCrc`] alone.
 pub const SUBMIT_RESULT_TYPE: u8 = FT_SUBMIT_RESULT;
-/// Frame type codes for [`Frame::AssignUnit`] and [`Frame::ResultAck`]
-/// — exposed so the fault proxy can lose, repeat or mangle the donor
-/// pipeline's control replies.
-pub const ASSIGN_UNIT_TYPE: u8 = FT_ASSIGN_UNIT;
-/// See [`ASSIGN_UNIT_TYPE`].
-pub const RESULT_ACK_TYPE: u8 = FT_RESULT_ACK;
-/// Frame type code for [`Frame::ChunkData`] — exposed so transports can
-/// account chunk traffic separately from control traffic.
-pub const CHUNK_DATA_TYPE: u8 = FT_CHUNK_DATA;
-/// Frame type codes for [`Frame::Turn`] and [`Frame::TurnReply`]: the
-/// fault proxy treats a turn that carries results like a
-/// `SubmitResult` and its reply like the control replies above.
+/// Frame type code for [`Frame::Turn`]: see [`SUBMIT_RESULT_TYPE`].
 pub const TURN_TYPE: u8 = FT_TURN;
-/// See [`TURN_TYPE`].
-pub const TURN_REPLY_TYPE: u8 = FT_TURN_REPLY;
 
 /// Ceiling of a donor's measured pipeline depth, and so of what one
 /// [`Frame::Turn`] may `want`: the most assignments a donor keeps ready
@@ -889,9 +877,8 @@ const MIN_READ_STEP: usize = 4 * 1024;
 /// The frame-reassembly state machine: push bytes in whatever split
 /// points the transport produced, pull whole frames out. This is the
 /// single home of the resync logic — the blocking client-side
-/// [`FrameReader`], the event loop's connections and the fault proxy
-/// ([`Self::next_span`]) all wrap it, so a split point can never behave
-/// differently between them.
+/// [`FrameReader`] and the event loop's connections both wrap it, so a
+/// split point can never behave differently between them.
 ///
 /// `next` returns `Ok(None)` when more bytes are needed. A
 /// [`DecodeError::BodyCrc`] consumes the whole offending frame before
@@ -1005,37 +992,15 @@ impl FrameAssembler {
         }
     }
 
-    /// The type and length of the whole frame (sound or not) the
-    /// buffered bytes start with, if any; `Err`: none can start there.
-    fn ready_span(&self) -> Result<Option<(u8, usize)>, DecodeError> {
+    /// Whether the buffered bytes start with a whole frame (sound or
+    /// not); `Err`: none can start there.
+    fn ready(&self) -> Result<bool, DecodeError> {
         let live = &self.buf[self.head..self.tail];
         match parse_header(live) {
-            Ok((frame_type, body_len)) => {
-                let total = HEADER_LEN + body_len as usize + 4;
-                Ok((live.len() >= total).then_some((frame_type, total)))
-            }
-            Err(DecodeError::Incomplete) => Ok(None),
+            Ok((_, body_len)) => Ok(live.len() >= HEADER_LEN + body_len as usize + 4),
+            Err(DecodeError::Incomplete) => Ok(false),
             Err(e) => Err(e),
         }
-    }
-
-    /// Consumes the next whole frame, handing out its type and bytes
-    /// mutably with only the header CRC checked (already-corrupt frames
-    /// pass). `Err`: as [`Self::ready_span`], nothing consumed.
-    pub fn next_span(&mut self) -> Result<Option<(u8, &mut [u8])>, DecodeError> {
-        let Some((frame_type, total)) = self.ready_span()? else {
-            return Ok(None);
-        };
-        let start = self.head;
-        self.head += total;
-        Ok(Some((frame_type, &mut self.buf[start..start + total])))
-    }
-
-    /// Consumes every buffered byte, raw; parsing resumes after them.
-    pub fn take_buffered(&mut self) -> &[u8] {
-        let (head, tail) = (self.head, self.tail);
-        (self.head, self.tail) = (0, 0);
-        &self.buf[head..tail]
     }
 }
 
@@ -1080,7 +1045,7 @@ impl FrameReader {
     pub fn poll_ref<R: Read>(&mut self, stream: &mut R) -> Result<Option<FrameRef<'_>>, ReadError> {
         loop {
             // (Asked first, so that the borrow is taken only on the way out.)
-            if self.asm.ready_span().map_err(ReadError::Decode)?.is_some() {
+            if self.asm.ready().map_err(ReadError::Decode)? {
                 return self.asm.next_ref().map_err(ReadError::Decode);
             }
             match self.asm.read_from(stream) {
@@ -1776,37 +1741,5 @@ mod tests {
             Ok(Some(Frame::Heartbeat { client: 1 })) => {}
             other => panic!("expected the clean heartbeat, got {other:?}"),
         }
-    }
-
-    /// What the fault proxy forwards: spans handed out whole with their
-    /// body CRC unchecked, and after bytes no frame starts with, those
-    /// bytes raw and parsing again from the next push.
-    #[test]
-    fn spans_pass_corrupt_bodies_and_resume_after_raw_garbage() {
-        let mut corrupt = encode_frame(&Frame::Heartbeat { client: 3 });
-        let n = corrupt.len();
-        corrupt[n - 1] ^= 0x55;
-        let clean = encode_frame(&Frame::Goodbye { client: 3 });
-        let mut asm = FrameAssembler::new();
-        asm.push(&corrupt);
-        asm.push(&clean[..5]);
-        let (frame_type, span) = asm.next_span().unwrap().expect("a whole span");
-        assert_eq!((frame_type, &span[..]), (FT_HEARTBEAT, &corrupt[..]));
-        assert!(asm.next_span().unwrap().is_none(), "half a header");
-        asm.push(&clean[5..]);
-        assert_eq!(
-            asm.next_span().unwrap().map(|s| s.1.to_vec()),
-            Some(clean.clone())
-        );
-        asm.push(b"not a frame header");
-        asm.push(&clean[..3]);
-        assert!(asm.next_span().is_err());
-        assert_eq!(
-            asm.take_buffered(),
-            [&b"not a frame header"[..], &clean[..3]].concat()
-        );
-        asm.push(&clean);
-        assert_eq!(asm.next_span().unwrap().map(|s| s.1.to_vec()), Some(clean));
-        assert_eq!(asm.buffered(), 0);
     }
 }

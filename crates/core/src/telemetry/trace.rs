@@ -237,8 +237,8 @@ events! {
         /// The delivery action applied.
         action: String as text,
     },
-    /// The TCP fault proxy mutated real bytes on the wire (`drop`,
-    /// `duplicate` or `corrupt`).
+    /// A TCP donor applied a wire fault of its record to real bytes at
+    /// its own socket (`drop`, `duplicate` or `corrupt`).
     WireFault = "wire_fault" {
         /// The affected client.
         client: ClientId as int,

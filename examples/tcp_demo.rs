@@ -2,8 +2,8 @@
 //!
 //! Runs a DSEARCH problem on the TCP backend — real donor clients
 //! connecting to a real server over the framed wire protocol — first
-//! fault-free, then through the fault-injecting socket proxy with a
-//! seeded chaos plan (dropped results, corrupted frames, client churn).
+//! fault-free, then under a seeded chaos plan that each donor applies
+//! at its own sockets (dropped results, corrupted frames, client churn).
 //! Both runs are checked bit-for-bit against the sequential reference.
 //!
 //! Set `BIODIST_CHAOS_SEED=<n>` to pick the fault plan; the same seed
@@ -72,7 +72,7 @@ fn main() {
     assert_eq!(out.digest(), reference);
     println!("  digest matches sequential reference");
 
-    // ---- run 2: same job through the fault-injecting proxy ---------
+    // ---- run 2: same job, each donor faulting its own frames --------
     let seed = std::env::var("BIODIST_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok())

@@ -14,7 +14,7 @@ cargo test -q --offline --workspace
 # Run the net-loopback suites by name so the gate fails loudly if they
 # are ever filtered out of the default run (disabled test target,
 # harness config drift) instead of passing vacuously: the TCP chaos
-# sweep through the fault proxy, the kill-and-restart checkpoint
+# sweep with the donors' own wire faults, the kill-and-restart checkpoint
 # recovery, the 24-donor stress soak with its ≥90% second-pass
 # cache-reduction assertion, the Byzantine quorum tier (100-seed
 # sim sweeps per application plus the TCP sweeps and the K=1

@@ -38,7 +38,7 @@ const SIM_SEEDS: u64 = 100;
 const SMOKE_SEEDS: [u64; 10] = [3, 7, 11, 19, 23, 31, 42, 57, 73, 91];
 /// Fixed seeds for the real-TCP backend sweep: every seed below 12 and
 /// a spread above. Every plan exercises the full wire: framing,
-/// heartbeats, reconnect, proxy faults. `BIODIST_CHAOS_SEED` narrows
+/// heartbeats, reconnect, the donors' wire faults. `BIODIST_CHAOS_SEED` narrows
 /// this sweep too.
 const TCP_SEEDS: [u64; 17] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 19, 23, 31, 42, 57];
 
@@ -326,8 +326,8 @@ fn chaos_dprml_sim_sweep() {
 // --------------------------------------------------- real-TCP backend sweep
 
 /// Random fault plans against the real-socket backend: every run goes
-/// through loopback TCP, the framed wire protocol, the fault proxy and
-/// the heartbeat/reconnect machinery, and must still reproduce the
+/// through loopback TCP, the framed wire protocol, the donors' own wire
+/// faults and the heartbeat/reconnect machinery, and must still reproduce the
 /// sequential digest under audit.
 #[test]
 fn chaos_dsearch_tcp_sweep() {
@@ -345,8 +345,8 @@ fn chaos_dprml_tcp_sweep() {
     }
 }
 
-/// A hand-built plan that guarantees on-the-wire frame corruption: the
-/// proxy flips a checksum byte of each armed client's next result
+/// A hand-built plan that guarantees on-the-wire frame corruption:
+/// each armed donor flips a checksum byte of its next result-carrying
 /// frame, the server's CRC layer must catch every one, route it to the
 /// reissue path, and the run must still finish bit-identically.
 #[test]
@@ -800,8 +800,8 @@ fn tcp_replica_killed_mid_burst_keeps_the_verified_prefix() {
     );
 }
 
-/// `ChunkData` replies lost and mangled on the wire, mid-burst: the
-/// fault proxy drops two and corrupts one of every donor's first
+/// `ChunkData` replies lost and mangled on the wire, mid-burst: every
+/// donor's record drops two and corrupts one of its first
 /// replies (the head of its first burst, so the rest of the burst is
 /// what exposes the gap) and more at staggered later times, wherever in
 /// a burst those land — a trailing loss included, which costs the unit
@@ -857,7 +857,7 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
     let snap = telemetry.metrics_snapshot();
     assert!(
         snap.counter("net.wire_faults") >= 3,
-        "the proxy must have faulted chunk replies: {:?}",
+        "the donors must have faulted chunk replies: {:?}",
         snap.counters
     );
     assert!(
@@ -873,10 +873,9 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
 }
 
 /// Control frames lost, repeated and mangled while the donor pipeline
-/// is `queue_depth` deep: the fault proxy drops, duplicates and
-/// corrupts `SubmitResult`s on the way up and `ResultAck`s /
-/// `AssignUnit`s on the way down, for every donor, from the first
-/// exchange on and at staggered later times. A donor sees none of this
+/// is `queue_depth` deep: every donor drops, duplicates and corrupts
+/// its result-carrying `Turn`s as it writes them and the `TurnReply`s
+/// it reads, from the first exchange on and at staggered later times. A donor sees none of this
 /// directly — it reads the loss off the order of the replies that do
 /// arrive (or, for the last frames of a stream, off the ack timeout) —
 /// and the run must still fold every unit exactly once into the
@@ -936,7 +935,7 @@ fn tcp_control_frames_lost_mid_pipeline() {
     );
     assert!(
         snap.counter("net.wire_faults") >= 4 * POOL as u64,
-        "the proxy must have faulted control frames in both directions: {:?}",
+        "the donors must have faulted control frames in both directions: {:?}",
         snap.counters
     );
     assert!(

@@ -907,7 +907,8 @@ fn with_every_kind(mut plan: FaultPlan, rng: &mut dyn Rng, n: usize, horizon: f6
 /// Every query of every donor's [`ClientFaults`] record agrees with a
 /// straight scan of the plan's events over a grid of times: lifecycle,
 /// slowdown product (in plan order, so to the bit), the crash rule at
-/// an instant and over an interval, the link product, and the sequence
+/// an instant and over an interval, the link product (the plan's, and
+/// the copy every donor's record carries), and the sequence
 /// of one-shots each of the four queues hands out — each queue polled
 /// at its own random subset of the grid, so their consumption
 /// interleaves differently plan by plan.
@@ -949,6 +950,7 @@ fn client_faults_match_a_naive_model() {
                 let now = step as f64 * dt;
                 let at = format!("donor {client} at {now} ({ctx})");
                 assert_eq!(record.compute_scale(now), naive.compute_scale(now), "{at}");
+                assert_eq!(record.link_scale(now), naive_link_scale(&plan, now), "{at}");
                 assert_eq!(
                     record.crash_overlapping(now, now),
                     naive.crash_overlapping(now, now),

@@ -107,8 +107,7 @@ fn soak(donors: usize, shards: usize, db_len: usize) {
         }
     }
 
-    // Donors straight at the server — no fault proxy: the soak measures
-    // the control plane itself, and a proxy would double the fd count.
+    // Donors straight at the server, as every TCP run wires them.
     let dir = directory();
     dir.set_origin(Some(net.addr()));
     let run_over = Arc::new(AtomicBool::new(false));

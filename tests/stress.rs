@@ -20,8 +20,7 @@
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::{Alphabet, Sequence};
 use biodist::core::net::{
-    spawn_clients, ClientKit, Clock, Directory, FaultProxy, NetClientOptions, NetServer,
-    NetServerOptions,
+    spawn_clients, ClientKit, Clock, Directory, NetClientOptions, NetServer, NetServerOptions,
 };
 use biodist::core::problem::{DataManager, Payload, Problem, TaskResult, WorkUnit};
 use biodist::core::{
@@ -229,10 +228,8 @@ fn stress_soak_24_donors_second_pass_is_cached() {
         ..Default::default()
     };
     let net = NetServer::start(server, clock, server_opts).expect("bind listener");
-    let upstream = Directory::with_origin(net.addr());
-    let proxy = FaultProxy::start_traced(upstream, &plan, donors, clock, telemetry.clone())
-        .expect("bind proxy");
-    let client_dir = Directory::with_origin(proxy.addr());
+    // Donors straight at the origin: each applies its own wire faults.
+    let client_dir = Directory::with_origin(net.addr());
     let run_over = Arc::new(AtomicBool::new(false));
     // queue_depth 1: prefetching is exercised by the chaos parity
     // suite; here it would let each donor grab a second, arbitrary
@@ -281,7 +278,6 @@ fn stress_soak_24_donors_second_pass_is_cached() {
     for h in handles {
         let _ = h.join();
     }
-    proxy.stop();
     telemetry.flush();
     let phase2_bytes = telemetry.metrics_snapshot().counter("net.chunk_bytes_out") - phase1_bytes;
 

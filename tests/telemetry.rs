@@ -151,8 +151,8 @@ fn corrupted_result_counts_agree_across_sim_and_tcp() {
     );
     assert!(tcp_server.take_output(0).is_some());
 
-    // The wire-level view: the proxy recorded one wire fault per armed
-    // client, and every one of them surfaced as a canonical event.
+    // The wire-level view: each armed donor recorded one wire fault,
+    // and every one of them surfaced as a canonical event.
     let wire_faults = telemetry.metrics_snapshot().counter("net.wire_faults");
     assert_eq!(wire_faults, tcp_trace_count, "every wire fault traced");
 }
