@@ -1,12 +1,9 @@
 //! Kernel selection: the "choose one of the built-in search algorithms"
 //! configuration knob of DSEARCH (paper §3.1).
 
-use crate::banded::nw_banded_score;
-use crate::nw::nw_score;
+use crate::gotoh::{nw_banded_score, nw_score, sg_score, sw_score};
 use crate::profile::QueryProfile;
-use crate::sg::sg_score;
 use crate::striped::{sw_score_striped, sw_score_striped_profiled};
-use crate::sw::sw_score;
 use biodist_bioseq::{ScoringScheme, Sequence};
 
 /// The built-in search algorithms a DSEARCH configuration can select.
@@ -141,9 +138,7 @@ impl AlignKernel {
     ///
     /// Cost is `cells(n, m) × cost-per-cell ratio`, with the ratios
     /// calibrated against measured throughput (`abl_kernels --smoke`,
-    /// an AVX2 host, 256-residue protein pairs, profiled batch path;
-    /// `BENCH_kernels.json` holds a later run on a 2-vCPU Xeon VM: 77,
-    /// 122 / 108 and 2963 Mcells/s, striped 38×):
+    /// an AVX2 host, 256-residue protein pairs, profiled batch path):
     ///
     /// | kernel           | cells   | measured Mcells/s | ratio vs `sw` |
     /// |------------------|---------|-------------------|---------------|
@@ -152,12 +147,12 @@ impl AlignKernel {
     /// | `striped`        | `n·m`   | ≈ 4300            | 1/32          |
     /// | `banded:w`       | band    | —                 | 1             |
     ///
-    /// The striped kernel retires ~33–38× more cells per second than scalar
-    /// even after the lazy-F overhead, modelled conservatively as 1/32
-    /// (floored at 1 so no pair is ever free). The global kernels run
-    /// somewhat faster per cell than local `sw` (no zero-clamp state),
-    /// but stay at ratio 1: the model's job is scheduling-grade
-    /// ordering, not nanosecond fidelity.
+    /// Striped then retired ~33–38× the scalar cells a second, modelled
+    /// as 1/32 (floored at 1 so no pair is ever free). The one scalar
+    /// recurrence (`gotoh.rs`) has since run `sw` ~1.8× faster, so
+    /// striped now leads by ~22× (`BENCH_kernels.json`); the ratios
+    /// stay, as the simulator's figures are pinned to them and the
+    /// model's job is scheduling-grade ordering, not nanosecond fidelity.
     pub fn cost_cells(&self, query: &Sequence, subject: &Sequence) -> u64 {
         let (n, m) = (query.len() as u64, subject.len() as u64);
         match self.kind {

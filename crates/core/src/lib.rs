@@ -66,7 +66,7 @@ pub use quorum::{QuorumTally, VoteOutcome};
 pub use sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
 pub use server::{
     recover, recover_traced, Assignment, DonorStatus, ProblemId, ProblemStatus, RecoveryReport,
-    RunJournal, Server, StatusSnapshot, Then, TurnOutcome, TurnResult,
+    RunJournal, Server, StatusSnapshot, Then, TurnOutcome,
 };
 pub use sim_backend::{RunReport, SimConfig, SimRunner};
 pub use telemetry::{

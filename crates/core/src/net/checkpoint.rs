@@ -567,7 +567,6 @@ mod tests {
     /// records, 650 bytes to the singles' 824.
     #[test]
     fn a_turns_records_take_the_log_lock_once_and_read_back_in_order() {
-        use crate::server::TurnResult;
         const K: usize = 8;
         struct Watched {
             inner: CheckpointWriter,
@@ -602,22 +601,25 @@ mod tests {
                 turns,
                 framed,
             }));
-            let held = server.turn(0, 0.0, Vec::new(), K).units;
+            let held = server.turn_wire(0, 0.0, std::iter::empty(), K).units;
             assert_eq!(
                 (held.len(), framed_rx.recv().unwrap()),
                 (K, K as u64 * u64::from(turns))
             );
-            let algorithm = server.algorithm(pid);
-            let results = held.iter().map(|(problem, unit)| TurnResult {
-                problem: *problem,
-                unit: unit.id,
-                payload: Some(algorithm.compute(unit).payload),
-            });
-            let results: Vec<_> = results.collect();
+            let (algorithm, codec) = (server.algorithm(pid), server.codec(pid).unwrap());
+            let encode = |unit| {
+                codec
+                    .encode_result(&algorithm.compute(unit).payload)
+                    .unwrap()
+            };
+            let bytes: Vec<_> = held.iter().map(|(_, unit)| encode(unit)).collect();
+            let results = held.iter().zip(&bytes);
+            let results =
+                results.map(|((problem, unit), bytes)| (*problem, unit.id, Some(&bytes[..])));
             if turns {
                 let log = observer.log.lock().unwrap();
                 std::thread::scope(|s| {
-                    let turn = s.spawn(|| server.turn(0, 1.0, results, K));
+                    let turn = s.spawn(|| server.turn_wire(0, 1.0, results, K));
                     let timeout = std::time::Duration::from_secs(20);
                     let framed = framed_rx.recv_timeout(timeout);
                     assert_eq!(framed, Ok(2 * K as u64), "a record waited for the log lock");
@@ -626,7 +628,7 @@ mod tests {
                     assert_eq!(turn.join().unwrap().accepted, [true; K]);
                 });
             } else {
-                assert_eq!(server.turn(0, 1.0, results, K).accepted, [true; K]);
+                assert_eq!(server.turn_wire(0, 1.0, results, K).accepted, [true; K]);
             }
             observer.commit();
             let ids = |issue: bool| held.iter().map(move |(_, unit)| (issue, unit.id));
@@ -790,7 +792,6 @@ mod tests {
     /// recovered run finishes with every unit folded exactly once.
     #[test]
     fn a_group_torn_at_any_byte_recovers_exactly_the_records_before_the_tear() {
-        use crate::server::TurnResult;
         let n = 50_000;
         let reference = sequential_pi(n);
         for by_turns in [false, true] {
@@ -799,7 +800,7 @@ mod tests {
             let mut server = Server::new(quorum_cfg());
             server.submit(integration_problem(n));
             server.set_journal(Box::new(writer.clone()));
-            let algorithm = server.algorithm(0);
+            let (algorithm, codec) = (server.algorithm(0), server.codec(0).unwrap());
             let mut now = 0.0;
             let mut held: [Vec<Arc<WorkUnit>>; 2] = Default::default();
             // One ballot — `client` asks, computes and votes — or one
@@ -816,12 +817,15 @@ mod tests {
                     return;
                 }
                 now += 1.0;
-                let results = held[client].drain(..).map(|unit| TurnResult {
-                    problem: 0,
-                    unit: unit.id,
-                    payload: Some(algorithm.compute(&unit).payload),
+                let results = held[client].drain(..).map(|unit| {
+                    let bytes = codec.encode_result(&algorithm.compute(&unit).payload);
+                    (unit.id, bytes.unwrap())
                 });
-                let out = server.turn(client, now, results.collect(), want);
+                let results: Vec<_> = results.collect();
+                let results = results
+                    .iter()
+                    .map(|(unit, bytes)| (0, *unit, Some(&bytes[..])));
+                let out = server.turn_wire(client, now, results, want);
                 assert!(out.accepted.iter().all(|&a| a));
                 held[client].extend(out.units.into_iter().map(|(_, unit)| unit));
             };

@@ -19,7 +19,7 @@
 //! [`crate::Server`] behind one mutex keeps leases, folds, quorum
 //! votes, reputation, health and recovery, and every donor turn — a
 //! [`Frame::Turn`], or one of the raw clients' single-unit frames — is
-//! one [`Server::turn`] under that lock, so a unit is always sized by
+//! one [`Server::turn_wire`] under that lock, so a unit is always sized by
 //! the granularity hint of the donor that will compute it, at every
 //! shard count.
 

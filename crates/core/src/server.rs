@@ -99,18 +99,7 @@ pub enum Assignment {
     Finished,
 }
 
-/// One result of a donor's [turn](Server::turn), decoded.
-pub struct TurnResult {
-    /// Problem the unit belongs to (unchecked).
-    pub problem: ProblemId,
-    /// The unit.
-    pub unit: UnitId,
-    /// The decoded result; `None` if it arrived corrupted (a failed
-    /// checksum, or bytes the codec refused).
-    pub payload: Option<Payload>,
-}
-
-/// What the donor should do after a [turn](Server::turn).
+/// What the donor should do after a [turn](Server::turn_wire).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Then {
     /// Everything asked for was leased: ask again when there is room.
@@ -122,7 +111,7 @@ pub enum Then {
     Finished,
 }
 
-/// The server's answer to a [turn](Server::turn).
+/// The server's answer to a [turn](Server::turn_wire).
 pub struct TurnOutcome {
     /// The ruling on each result, in order ([`Server::submit_result`]'s).
     pub accepted: Vec<bool>,
@@ -626,42 +615,16 @@ impl Server {
     /// most one extra copy of an in-flight unit (passes 0 and 2): the
     /// rest of its `want` is fresh or reissued work or nothing, so the
     /// end-game hands a deep pipeline one redundant copy per round trip.
-    pub fn turn(
-        &mut self,
-        client: ClientId,
-        now: f64,
-        results: Vec<TurnResult>,
-        want: usize,
-    ) -> TurnOutcome {
-        let results = results.into_iter().map(|r| (r.problem, r.unit, r.payload));
-        let decoded = |_: Option<&_>, payload: Option<Payload>| Some((payload?, None));
-        self.turn_with(client, now, results, decoded, want)
-    }
-
-    /// [`Server::turn`] for results as codec bytes off a wire (`None`: a
-    /// failed checksum; bytes the codec refuses are corrupted too), each
-    /// decoded as it is ruled on; the journal and a vote take the bytes.
+    ///
+    /// The results are codec bytes off a wire (`None`: a failed
+    /// checksum; bytes the codec refuses are corrupted too). Each is
+    /// decoded, taken out of its lease table and ruled on in one pass;
+    /// the journal and a vote take the bytes.
     pub fn turn_wire<'w>(
         &mut self,
         client: ClientId,
         now: f64,
         results: impl ExactSizeIterator<Item = (ProblemId, UnitId, Option<&'w [u8]>)>,
-        want: usize,
-    ) -> TurnOutcome {
-        let decoded = |codec: Option<&Arc<dyn WireCodec>>, bytes: Option<&'w [u8]>| {
-            Some((codec?.decode_result(bytes?).ok()?, bytes))
-        };
-        self.turn_with(client, now, results, decoded, want)
-    }
-
-    // The turn: each result in one pass — `decode` it (`None`: corrupted),
-    // take its unit out of the table, rule on it — then the leases.
-    fn turn_with<'w, R>(
-        &mut self,
-        client: ClientId,
-        now: f64,
-        results: impl ExactSizeIterator<Item = (ProblemId, UnitId, R)>,
-        decode: impl Fn(Option<&Arc<dyn WireCodec>>, R) -> Option<(Payload, Option<&'w [u8]>)>,
         want: usize,
     ) -> TurnOutcome {
         self.telemetry.set_now(now);
@@ -670,12 +633,13 @@ impl Server {
         }
         let mut accepted = Vec::with_capacity(results.len());
         let mut completions = Vec::with_capacity(results.len());
-        for (problem, unit_id, raw) in results {
+        for (problem, unit_id, bytes) in results {
             let Some(p) = self.problems.get(problem) else {
                 accepted.push(false); // garbage id: nack
                 continue;
             };
-            let Some((payload, wire)) = decode(p.codec.as_ref(), raw) else {
+            let codec = p.codec.as_ref();
+            let Some(payload) = codec.zip(bytes).and_then(|(c, b)| c.decode_result(b).ok()) else {
                 self.result_corrupted(client, problem, unit_id, now);
                 accepted.push(false);
                 continue;
@@ -691,7 +655,7 @@ impl Server {
             completions.extend(completion);
             let latency = completion.map(|c| c.1);
             let result = TaskResult { unit_id, payload };
-            let (ruling, folded) = self.fold(client, problem, result, wire, inf, now, latency);
+            let (ruling, folded) = self.fold(client, problem, result, bytes, inf, now, latency);
             self.retired.extend(folded);
             accepted.push(ruling);
         }
@@ -2228,27 +2192,27 @@ mod tests {
             ..Default::default()
         });
         let pid = server.submit(crate::builtin::integration_problem(1_000_000_000));
-        let algorithm = server.algorithm(pid);
+        let (algorithm, codec) = (server.algorithm(pid), server.codec(pid).unwrap());
         let mut held = std::collections::VecDeque::new();
         let (mut now, mut last) = (0.0, 0.0);
         let per_exchange = if in_turns { depth } else { 1 };
         // (Long enough for a few pipelines' worth at any depth.)
         for _ in 0..(4 * depth).max(400).div_ceil(per_exchange) {
             let want = depth - held.len();
-            let leased = server.turn(0, now, Vec::new(), want);
+            let leased = server.turn_wire(0, now, std::iter::empty(), want);
             assert_eq!(leased.units.len(), want, "the pool cannot run dry");
             held.extend(leased.units.into_iter().map(|(_, unit)| unit));
             let results = held.drain(..per_exchange).map(|unit| {
                 now += unit.cost_ops / SPEED;
                 last = unit.cost_ops;
-                TurnResult {
-                    problem: pid,
-                    unit: unit.id,
-                    payload: Some(algorithm.compute(&unit).payload),
-                }
+                let bytes = codec.encode_result(&algorithm.compute(&unit).payload);
+                (unit.id, bytes.unwrap())
             });
-            let results = results.collect();
-            let folded = server.turn(0, now, results, 0);
+            let results: Vec<_> = results.collect();
+            let results = results
+                .iter()
+                .map(|(unit, bytes)| (pid, *unit, Some(&bytes[..])));
+            let folded = server.turn_wire(0, now, results, 0);
             assert!(folded.accepted.iter().all(|&a| a));
         }
         assert!(!server.scheduler().is_health_flagged(0), "depth {depth}");
@@ -2287,17 +2251,17 @@ mod tests {
     fn a_turn_is_granted_at_most_one_extra_copy_of_an_in_flight_unit() {
         let mut server = Server::new(SchedulerConfig::default());
         let pid = server.submit(sum_problem(80, 10)); // eight units
-        let first = server.turn(0, 0.0, Vec::new(), 8);
+        let first = server.turn_wire(0, 0.0, std::iter::empty(), 8);
         assert_eq!((first.units.len(), first.then), (8, Then::More));
         // Nothing fresh is left: donor 1 asks for a pipeline's worth
         // and gets one copy, of the longest-running unit.
-        let tail = server.turn(1, 1.0, Vec::new(), 8);
+        let tail = server.turn_wire(1, 1.0, std::iter::empty(), 8);
         assert_eq!(tail.then, Then::Wait);
         let copies: Vec<_> = tail.units.iter().map(|(_, u)| u.id).collect();
         assert_eq!(copies, [first.units[0].1.id]);
         assert_eq!(server.stats(pid).redundant_dispatches, 1);
         // A turn per round trip: the next one gets the next copy.
-        let next = server.turn(1, 2.0, Vec::new(), 7);
+        let next = server.turn_wire(1, 2.0, std::iter::empty(), 7);
         assert_eq!((next.units.len(), next.then), (1, Then::Wait));
         // Singles are turns of one: each is still handed its copy.
         for _ in 0..3 {

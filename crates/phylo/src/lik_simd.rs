@@ -11,23 +11,24 @@
 //!
 //! Every kernel is *elementwise over patterns*: the value computed for
 //! one pattern is a fixed dag of IEEE-754 `f64` mul/add/max operations
-//! that does not depend on the lane width. AVX2 (4 lanes), SSE2 (2
-//! lanes) and the portable engine (4 compiler-vectorised lanes)
-//! therefore produce **bit-identical** results — the parity suite pins
-//! this with `to_bits` equality. FMA is deliberately not used: a fused
+//! that does not depend on the lane width. AVX2 (4 lanes) and the
+//! portable engine (4 compiler-vectorised lanes) therefore produce
+//! **bit-identical** results — the parity suite pins this with
+//! `to_bits` equality. FMA is deliberately not used: a fused
 //! multiply-add rounds differently from mul-then-add and would break
 //! the cross-backend contract.
 //!
 //! Backend selection is a runtime check (`is_x86_feature_detected!`)
 //! on x86_64 and compile-time elsewhere; `BIODIST_LIK_BACKEND`
-//! (`portable | sse2 | avx2`) overrides detection, clamped to what the
-//! CPU actually supports.
+//! (`portable | avx2`) overrides detection, clamped to what the CPU
+//! actually supports. There is no SSE2 engine: its 2 lanes ran within
+//! 5 % of the portable engine's 4 (median of twelve `abl_likelihood
+//! --smoke` runs on a 2-vCPU Xeon VM).
 
 /// Pattern-axis padding of the SoA layout: every row is a multiple of
-/// `PAD` doubles long, so 2-lane and 4-lane engines can both walk it
-/// without a scalar tail. Padding slots hold `0.0`, which is neutral
-/// for every kernel (products stay zero, `max` ignores it against any
-/// positive partial).
+/// `PAD` doubles long, so the 4-lane engines walk it without a scalar
+/// tail. Padding slots hold `0.0`, which is neutral for every kernel
+/// (products stay zero, `max` ignores it against any positive partial).
 pub const PAD: usize = 4;
 
 /// Pattern count rounded up to the SoA row length.
@@ -43,8 +44,6 @@ pub type Mat4 = [[f64; 4]; 4];
 pub enum LikBackend {
     /// 4 scalar-emulated `f64` lanes; compiles on every target.
     Portable,
-    /// 128-bit SSE2 vectors (x86_64 baseline): 2 × `f64` lanes.
-    Sse2,
     /// 256-bit AVX2 vectors: 4 × `f64` lanes.
     Avx2,
 }
@@ -54,17 +53,15 @@ impl LikBackend {
     pub fn name(self) -> &'static str {
         match self {
             LikBackend::Portable => "portable",
-            LikBackend::Sse2 => "sse2",
             LikBackend::Avx2 => "avx2",
         }
     }
 
     /// Small stable index for wire stats and the `lik.backend` gauge.
-    /// 0 named a backend that no longer exists and is never reused.
+    /// 0 and 2 named backends that no longer exist and are never reused.
     pub fn index(self) -> u8 {
         match self {
             LikBackend::Portable => 1,
-            LikBackend::Sse2 => 2,
             LikBackend::Avx2 => 3,
         }
     }
@@ -73,7 +70,6 @@ impl LikBackend {
     pub fn from_index(i: u8) -> Option<Self> {
         match i {
             1 => Some(LikBackend::Portable),
-            2 => Some(LikBackend::Sse2),
             3 => Some(LikBackend::Avx2),
             _ => None,
         }
@@ -83,7 +79,6 @@ impl LikBackend {
     pub fn parse(text: &str) -> Option<Self> {
         match text.trim().to_ascii_lowercase().as_str() {
             "portable" => Some(LikBackend::Portable),
-            "sse2" => Some(LikBackend::Sse2),
             "avx2" => Some(LikBackend::Avx2),
             _ => None,
         }
@@ -94,8 +89,6 @@ impl LikBackend {
         match self {
             LikBackend::Portable => true,
             #[cfg(target_arch = "x86_64")]
-            LikBackend::Sse2 => true,
-            #[cfg(target_arch = "x86_64")]
             LikBackend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
@@ -104,16 +97,9 @@ impl LikBackend {
 
     /// The widest SIMD backend the running CPU supports.
     pub fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                LikBackend::Avx2
-            } else {
-                LikBackend::Sse2
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
+        if LikBackend::Avx2.is_supported() {
+            LikBackend::Avx2
+        } else {
             LikBackend::Portable
         }
     }
@@ -134,7 +120,7 @@ impl LikBackend {
     /// Every backend the running CPU can execute (parity suites iterate
     /// this).
     pub fn supported() -> Vec<Self> {
-        [LikBackend::Portable, LikBackend::Sse2, LikBackend::Avx2]
+        [LikBackend::Portable, LikBackend::Avx2]
             .into_iter()
             .filter(|b| b.is_supported())
             .collect()
@@ -334,8 +320,6 @@ macro_rules! dispatch {
                 // `is_x86_feature_detected!("avx2")` held.
                 $avx2($($arg),*)
             },
-            #[cfg(target_arch = "x86_64")]
-            LikBackend::Sse2 => $generic::<sse2::S2>($($arg),*),
             _ => $generic::<P4>($($arg),*),
         }
     };
@@ -474,53 +458,6 @@ impl LanesF64 for P4 {
     #[inline(always)]
     fn max(self, o: Self) -> Self {
         Self(std::array::from_fn(|l| self.0[l].max(o.0[l])))
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod sse2 {
-    //! 128-bit engine. SSE2 is part of the x86_64 baseline, so these
-    //! intrinsics are statically available — no runtime gate needed.
-    use super::LanesF64;
-    use std::arch::x86_64::*;
-
-    #[derive(Clone, Copy)]
-    pub(super) struct S2(__m128d);
-
-    impl LanesF64 for S2 {
-        const WIDTH: usize = 2;
-
-        #[inline(always)]
-        fn splat(x: f64) -> Self {
-            Self(unsafe { _mm_set1_pd(x) })
-        }
-
-        #[inline(always)]
-        fn load(src: &[f64]) -> Self {
-            debug_assert!(src.len() >= 2);
-            Self(unsafe { _mm_loadu_pd(src.as_ptr()) })
-        }
-
-        #[inline(always)]
-        fn store(self, dst: &mut [f64]) {
-            debug_assert!(dst.len() >= 2);
-            unsafe { _mm_storeu_pd(dst.as_mut_ptr(), self.0) }
-        }
-
-        #[inline(always)]
-        fn add(self, o: Self) -> Self {
-            Self(unsafe { _mm_add_pd(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn mul(self, o: Self) -> Self {
-            Self(unsafe { _mm_mul_pd(self.0, o.0) })
-        }
-
-        #[inline(always)]
-        fn max(self, o: Self) -> Self {
-            Self(unsafe { _mm_max_pd(self.0, o.0) })
-        }
     }
 }
 
@@ -671,7 +608,7 @@ mod tests {
     #[test]
     fn env_spellings_parse() {
         assert_eq!(LikBackend::parse("AVX2"), Some(LikBackend::Avx2));
-        assert_eq!(LikBackend::parse(" sse2 "), Some(LikBackend::Sse2));
+        assert_eq!(LikBackend::parse(" sse2 "), None);
         assert_eq!(LikBackend::parse("portable"), Some(LikBackend::Portable));
         assert_eq!(LikBackend::parse("scalar"), None);
         assert_eq!(LikBackend::parse("gpu"), None);
@@ -679,10 +616,11 @@ mod tests {
 
     #[test]
     fn index_round_trips() {
-        for b in [LikBackend::Portable, LikBackend::Sse2, LikBackend::Avx2] {
+        for b in [LikBackend::Portable, LikBackend::Avx2] {
             assert_eq!(LikBackend::from_index(b.index()), Some(b));
         }
         assert_eq!(LikBackend::from_index(0), None);
+        assert_eq!(LikBackend::from_index(2), None);
         assert_eq!(LikBackend::from_index(9), None);
     }
 

@@ -98,15 +98,6 @@ impl Config {
         Ok(Self { entries })
     }
 
-    /// Builds a configuration from `(key, value)` pairs (mainly tests).
-    pub fn from_pairs<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> Self {
-        let entries = pairs
-            .into_iter()
-            .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
-            .collect();
-        Self { entries }
-    }
-
     /// Raw string lookup (key is case-insensitive).
     pub fn get(&self, key: &str) -> Option<&str> {
         self.entries

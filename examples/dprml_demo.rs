@@ -2,9 +2,9 @@
 //!
 //! Simulates a DNA alignment down a known 12-taxon tree, configures
 //! DPRml from its configuration-file format (HKY85 + Γ rates), runs the
-//! distributed stepwise-insertion search on the threaded backend, and
-//! compares the recovered topology against both the sequential
-//! reference and the generating tree.
+//! distributed stepwise-insertion search on loopback TCP donors
+//! (`run_tcp`), and compares the recovered topology against both the
+//! sequential reference and the generating tree.
 //!
 //! Run with: `cargo run --release --example dprml_demo`
 

@@ -3,8 +3,8 @@
 //! Builds a synthetic protein database with a planted homologous family
 //! (mutated copies of the query), writes/parses it through the FASTA
 //! layer, configures DSEARCH from the paper's "straightforward
-//! configuration file" format, runs the distributed search on the
-//! threaded backend, and prints the hit report with alignments of the
+//! configuration file" format, runs the distributed search on loopback
+//! TCP donors (`run_tcp`), and prints the hit report with alignments of the
 //! top hits. Asserts the distributed hit list equals the sequential
 //! reference.
 //!

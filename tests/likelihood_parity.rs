@@ -301,12 +301,12 @@ fn branch_length_bounds_parity() {
 }
 
 /// `BIODIST_LIK_BACKEND` values map to backends exactly; unknown
-/// strings — `scalar` among them, the deleted engine's — are rejected
+/// strings — `scalar` and `sse2` among them, the deleted engines' — are rejected
 /// (the engine then falls back to detection).
 #[test]
 fn backend_env_override_parses() {
     assert_eq!(LikBackend::parse("portable"), Some(LikBackend::Portable));
-    assert_eq!(LikBackend::parse("sse2"), Some(LikBackend::Sse2));
+    assert_eq!(LikBackend::parse("sse2"), None);
     assert_eq!(LikBackend::parse("avx2"), Some(LikBackend::Avx2));
     assert_eq!(LikBackend::parse("AVX2"), Some(LikBackend::Avx2));
     assert_eq!(LikBackend::parse("neon"), None);

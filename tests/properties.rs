@@ -1735,7 +1735,7 @@ fn lease_table_matches_naive_model() {
 
 /// The same seeded schedule of donor turns — results handed in, some of
 /// them mangled, units asked for, donors leaving — applied to two
-/// servers: to one through [`Server::turn`], to the other as the
+/// servers: to one through [`Server::turn_wire`], to the other as the
 /// singles each turn is made of (`submit_result` / `result_corrupted`
 /// per result, one `check_timeouts`, `request_work` per unit wanted).
 /// Units are of fixed size and no lease runs out, so the two may differ
@@ -1748,7 +1748,7 @@ fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
     use biodist::core::builtin::integration_problem;
     use biodist::core::net::checkpoint::read_log;
     use biodist::core::net::CheckpointWriter;
-    use biodist::core::{recover, Assignment, Server, Then, TurnResult, WorkUnit};
+    use biodist::core::{recover, Assignment, Server, Then, WorkUnit};
 
     const DONORS: usize = 3;
     let cfg = || SchedulerConfig {
@@ -1778,11 +1778,8 @@ fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
         for (i, (pid, unit)) in handed.iter().enumerate() {
             let payload = algorithm(turns, *pid).compute(unit).payload;
             let corrupt = mangled && i == 0;
-            results.push(TurnResult {
-                problem: *pid,
-                unit: unit.id,
-                payload: (!corrupt).then_some(payload),
-            });
+            let bytes = turns.codec(*pid).unwrap().encode_result(&payload).unwrap();
+            results.push((*pid, unit.id, (!corrupt).then_some(bytes)));
             accepted.push(if corrupt {
                 singles.result_corrupted(c, *pid, unit.id, now);
                 false
@@ -1791,7 +1788,10 @@ fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
                 singles.submit_result(c, *pid, result, now)
             });
         }
-        let out = turns.turn(c, now, results, want);
+        let results = results
+            .iter()
+            .map(|(pid, unit, bytes)| (*pid, *unit, bytes.as_deref()));
+        let out = turns.turn_wire(c, now, results, want);
         assert_eq!(out.accepted, accepted, "the same ruling on every result");
         let mut leased = Vec::new();
         let mut then = Then::More;
