@@ -11,9 +11,11 @@
 //!
 //! Run with: `cargo run -p biodist-bench --release --bin abl_likelihood`
 //! for the per-model × per-backend table (`results/abl_likelihood.csv`);
-//! `--smoke` measures the default stage workload only and writes
-//! `BENCH_likelihood.json` at the workspace root — the measurement
-//! behind DPRml's `OPS_PER_NODE_UPDATE` cost recalibration.
+//! `--smoke` measures the default stage workload only, over rounds that
+//! alternate the backends' order, and writes their medians and
+//! quartiles with the host to `BENCH_likelihood.json` at the workspace
+//! root — the measurement behind DPRml's `OPS_PER_NODE_UPDATE` cost
+//! recalibration.
 
 use biodist_bench::harness::results_dir;
 use biodist_bench::Runner;
@@ -81,66 +83,93 @@ fn measure_stage(
     m.elems_per_sec().expect("elements declared")
 }
 
+/// Rounds of the smoke measurement. Each round times every backend
+/// once, in the reverse of the previous round's order, so neither one
+/// always runs first; the JSON reports medians and quartiles over the
+/// rounds, not one sample of a machine whose speed drifts.
+const SMOKE_ROUNDS: usize = 9;
+
+/// First quartile, median and third quartile of `xs` (linear
+/// interpolation between order statistics).
+fn quartiles(mut xs: Vec<f64>) -> [f64; 3] {
+    xs.sort_by(f64::total_cmp);
+    [0.25, 0.5, 0.75].map(|q| {
+        let at = q * (xs.len() - 1) as f64;
+        let (lo, hi) = (at.floor() as usize, at.ceil() as usize);
+        xs[lo] + (xs[hi] - xs[lo]) * (at - lo as f64)
+    })
+}
+
+/// The CPU model and count, written next to the figures they produced.
+fn host() -> String {
+    let cpu = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|t| {
+            t.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| std::env::consts::ARCH.to_string());
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    format!("{cpu}, {cpus} CPUs")
+}
+
 fn smoke() -> String {
     let model = SubstModel::homogeneous(ModelKind::Hky85 {
         kappa: 4.0,
         freqs: [0.25; 4],
     });
     let wl = stage_workload(&model);
-    let mut runner = Runner::new();
-    let mut rates: Vec<(LikBackend, f64)> = Vec::new();
-    for backend in LikBackend::supported() {
-        let rate = measure_stage(
-            &mut runner,
-            &format!("stage_eval/{}", backend.name()),
-            &model,
-            &wl,
-            backend,
-        );
-        rates.push((backend, rate));
-    }
-    runner.report(&format!(
-        "abl_likelihood --smoke: insert taxon {} into every edge of a {BASE_TAXA}-taxon tree, {SITES} sites hky85",
-        wl.next_taxon
-    ));
-
-    let portable = rates
+    let backends = LikBackend::supported();
+    let portable = backends
         .iter()
-        .find(|(b, _)| *b == LikBackend::Portable)
-        .expect("portable baseline")
-        .1;
+        .position(|&b| b == LikBackend::Portable)
+        .expect("portable baseline");
+    // rates[backend][round], node updates per second.
+    let mut rates = vec![Vec::with_capacity(SMOKE_ROUNDS); backends.len()];
+    let mut runner = Runner::new();
+    let mut order: Vec<usize> = (0..backends.len()).collect();
+    for round in 0..SMOKE_ROUNDS {
+        for &i in &order {
+            let label = format!("stage_eval/{}/{round}", backends[i].name());
+            rates[i].push(measure_stage(&mut runner, &label, &model, &wl, backends[i]));
+        }
+        order.reverse();
+    }
+    let host = host();
+
     let mut json = String::from("{\n");
     json.push_str(&format!(
         "  \"workload\": \"stage evaluation: insert taxon {} into every edge of a {BASE_TAXA}-taxon base tree, {SITES} sites, hky85 kappa=4, local candidates, {} optimisation rounds\",\n",
         wl.next_taxon,
         SearchOptions::default().candidate_rounds
     ));
+    json.push_str(&format!("  \"host\": \"{host}\",\n"));
+    json.push_str(&format!(
+        "  \"rounds\": {SMOKE_ROUNDS},\n  \"statistic\": \"median [first quartile, third quartile] over the rounds; speedups are per-round ratios to portable\",\n"
+    ));
     json.push_str(&format!(
         "  \"detected\": \"{}\",\n",
         LikBackend::detect().name()
     ));
     json.push_str("  \"backends\": {\n");
-    for (i, (backend, rate)) in rates.iter().enumerate() {
-        let sep = if i + 1 == rates.len() { "" } else { "," };
+    println!("abl_likelihood --smoke: {SMOKE_ROUNDS} alternating rounds on {host}");
+    for (i, backend) in backends.iter().enumerate() {
+        let [r1, rate, r3] = quartiles(rates[i].clone());
+        let ratios = (0..SMOKE_ROUNDS).map(|r| rates[i][r] / rates[portable][r]);
+        let [s1, speedup, s3] = quartiles(ratios.collect());
+        let sep = if i + 1 == backends.len() { "" } else { "," };
         json.push_str(&format!(
-            "    \"{}\": {{ \"node_updates_per_sec\": {rate:.0}, \"speedup_vs_portable\": {:.2} }}{sep}\n",
-            backend.name(),
-            rate / portable
+            "    \"{}\": {{ \"node_updates_per_sec\": {rate:.0}, \"node_updates_per_sec_quartiles\": [{r1:.0}, {r3:.0}], \"speedup_vs_portable\": {speedup:.2}, \"speedup_quartiles\": [{s1:.2}, {s3:.2}] }}{sep}\n",
+            backend.name()
         ));
+        println!(
+            "  {:>8}: {rate:>12.0} node updates/s [{r1:.0}, {r3:.0}], {speedup:.2}x portable [{s1:.2}, {s3:.2}]",
+            backend.name()
+        );
     }
     json.push_str("  }\n}\n");
-
-    let best = rates
-        .iter()
-        .find(|(b, _)| *b == LikBackend::detect())
-        .unwrap_or(rates.last().expect("nonempty"));
-    println!(
-        "likelihood {} vs portable: {:.1}x ({:.0} vs {:.0} node updates/s)",
-        best.0.name(),
-        best.1 / portable,
-        best.1,
-        portable
-    );
     json
 }
 

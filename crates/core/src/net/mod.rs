@@ -154,7 +154,7 @@ impl Directory {
 
     /// Records a failure verdict against `addr` at `now` (scaled
     /// seconds): the endpoint is excluded from candidate lists for
-    /// [`DEAD_WINDOW_SECS`].
+    /// `DEAD_WINDOW_SECS` (half a scaled second).
     pub fn mark_dead(&self, addr: SocketAddr, now: f64) {
         self.inner.lock().unwrap().dead_at.insert(addr, now);
     }

@@ -576,7 +576,8 @@ pub fn raw(payload: &[u8]) -> impl FnOnce(&mut ByteWriter) -> Result<(), WireErr
     }
 }
 
-/// Appends one encoded frame to `out` (see [`frame_into`]).
+/// Appends one encoded frame to `out`, its body written in place
+/// behind a header whose length and checksum are patched afterwards.
 pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
     // The three frames with an in-place encoder go through it.
     match frame {

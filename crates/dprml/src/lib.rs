@@ -22,4 +22,4 @@ pub mod config;
 pub mod problem;
 
 pub use config::DprmlConfig;
-pub use problem::{build_problem, estimate_sequential_ops, PhyloOutput};
+pub use problem::{build_problem, PhyloOutput};

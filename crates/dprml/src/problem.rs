@@ -11,13 +11,20 @@
 //!                            — apply best improving move, refine, repeat
 //! ```
 //!
-//! Candidate evaluation is the pure function
-//! [`biodist_phylo::search::evaluate_insertion`]; winners use the same
-//! deterministic tie-breaks as the sequential code, so the distributed
-//! tree and log-likelihood equal the reference *exactly*. Stage
-//! barriers are expressed by returning `None` from `next_unit` while
-//! results are outstanding — precisely the behaviour that idles donors
-//! when only one DPRml instance runs (paper §3.2 / Fig. 2).
+//! Insertion and NNI are one *candidate stage*. Its candidates are a
+//! list both ends derive from the stage tree — the tree's edges
+//! ([`Tree::edges`]) or its NNI moves ([`Tree::nni_moves`]) — and the
+//! wire keeps node and child order, so a unit names a range of that
+//! list and the donor lists the candidates itself. The highest
+//! log-likelihood wins, a tie going to the lowest index: for insertion
+//! the smallest edge id ([`biodist_phylo::search::best_candidate`]),
+//! for NNI the earliest move (`nni_improve`). Candidate evaluation is
+//! the pure function [`biodist_phylo::search::evaluate_insertion`] (or
+//! one NNI swap and its branch), so the distributed tree and
+//! log-likelihood equal the reference *exactly*. Stage barriers are
+//! expressed by returning `None` from `next_unit` while results are
+//! outstanding — precisely the behaviour that idles donors when only
+//! one DPRml instance runs (paper §3.2 / Fig. 2).
 
 use crate::config::DprmlConfig;
 use biodist_core::{
@@ -28,10 +35,9 @@ use biodist_phylo::lik::TreeLikelihood;
 use biodist_phylo::model::SubstModel;
 use biodist_phylo::newick::to_newick;
 use biodist_phylo::patterns::PatternAlignment;
-use biodist_phylo::search::{
-    best_candidate, evaluate_insertion, InsertionCandidate, SearchOptions,
-};
+use biodist_phylo::search::{evaluate_insertion, SearchOptions};
 use biodist_phylo::tree::Tree;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Final output of a DPRml run.
@@ -66,21 +72,56 @@ impl PhyloOutput {
     }
 }
 
-type NniMove = (usize, usize, usize);
+/// What a candidate stage evaluates on its stage tree.
+#[derive(Clone, Copy)]
+enum CandidateKind {
+    /// Insert `taxon` into each edge ([`Tree::edges`]).
+    Insert { taxon: usize },
+    /// Apply each NNI move ([`Tree::nni_moves`]); a move counts only if
+    /// it beats the stage tree's `lnl` by more than the tolerance.
+    Nni { lnl: f64 },
+}
+
+impl CandidateKind {
+    /// How many candidates `tree` offers.
+    fn count(self, tree: &Tree) -> usize {
+        match self {
+            CandidateKind::Insert { .. } => tree.edges().len(),
+            CandidateKind::Nni { .. } => tree.nni_moves().len(),
+        }
+    }
+
+    fn name(self) -> &'static str {
+        match self {
+            CandidateKind::Insert { .. } => "insert",
+            CandidateKind::Nni { .. } => "nni",
+        }
+    }
+}
+
+/// A scored candidate: its index in the stage's list, its
+/// log-likelihood and its optimised tree.
+type Scored = (usize, f64, Tree);
+
+/// The better of the best so far and `c`: the higher log-likelihood, a
+/// tie going to the lower index. Donors fold their range with it and
+/// the manager folds the donors' winners with it.
+fn keep_better(best: Option<Scored>, c: Scored) -> Option<Scored> {
+    match best {
+        Some(b) if !(c.1 > b.1 || (c.1 == b.1 && c.0 < b.0)) => Some(b),
+        _ => Some(c),
+    }
+}
 
 enum DprmlUnit {
     Refine {
         tree: Tree,
     },
-    Insert {
+    /// Evaluate candidates `range` of `kind`'s list on `tree`.
+    Candidates {
         tree: Arc<Tree>,
-        taxon: usize,
-        edges: Vec<usize>,
-    },
-    Nni {
-        tree: Arc<Tree>,
-        lnl: f64,
-        moves: Vec<(usize, NniMove)>,
+        kind: CandidateKind,
+        range: Range<usize>,
     },
 }
 
@@ -100,9 +141,12 @@ struct DprmlResult {
 }
 
 enum DprmlResultKind {
-    Refined { tree: Tree, lnl: f64 },
-    InsertBest { candidate: InsertionCandidate },
-    NniBest { best: Option<(usize, f64, Tree)> },
+    Refined {
+        tree: Tree,
+        lnl: f64,
+    },
+    /// The best candidate of a unit's range, if any counted.
+    Best(Option<Scored>),
 }
 
 // ---------------------------------------------------------------- costs
@@ -115,55 +159,6 @@ enum DprmlResultKind {
 /// `cost_cells` got the same recalibration after striping
 /// Smith–Waterman.
 const OPS_PER_NODE_UPDATE: f64 = 1.75;
-
-/// Abstract ops for one full pruning traversal (matches the gridsim
-/// scale: a PIII-1000 runs ~1e7 of these per second).
-fn traversal_ops(n_nodes: usize, data: &PatternAlignment, model: &SubstModel) -> f64 {
-    (n_nodes * data.pattern_count() * model.rate_categories().ncat()) as f64 * OPS_PER_NODE_UPDATE
-}
-
-/// Ops for optimising one branch for one sweep (traversal + ~20 cheap
-/// Brent evaluations of the edge function).
-fn edge_round_ops(n_nodes: usize, data: &PatternAlignment, model: &SubstModel) -> f64 {
-    1.7 * traversal_ops(n_nodes, data, model)
-}
-
-fn insert_candidate_ops(
-    tree: &Tree,
-    data: &PatternAlignment,
-    model: &SubstModel,
-    opts: &SearchOptions,
-) -> f64 {
-    let nodes = tree.node_count() + 2;
-    let edges = if opts.local_candidates {
-        3
-    } else {
-        tree.edges().len() + 2
-    };
-    (opts.candidate_rounds as usize * edges) as f64 * edge_round_ops(nodes, data, model)
-        + 2.0 * traversal_ops(nodes, data, model)
-}
-
-fn nni_move_ops(
-    tree: &Tree,
-    data: &PatternAlignment,
-    model: &SubstModel,
-    opts: &SearchOptions,
-) -> f64 {
-    opts.candidate_rounds as f64 * edge_round_ops(tree.node_count(), data, model)
-        + 2.0 * traversal_ops(tree.node_count(), data, model)
-}
-
-fn refine_ops(
-    tree: &Tree,
-    data: &PatternAlignment,
-    model: &SubstModel,
-    opts: &SearchOptions,
-) -> f64 {
-    (opts.refine_rounds as usize * tree.edges().len()) as f64
-        * edge_round_ops(tree.node_count(), data, model)
-        + 2.0 * traversal_ops(tree.node_count(), data, model)
-}
 
 fn tree_wire_bytes(tree: &Tree) -> u64 {
     tree.node_count() as u64 * 48
@@ -214,11 +209,11 @@ fn read_tree(r: &mut ByteReader) -> Result<Tree, WireError> {
 }
 
 const UNIT_REFINE: u8 = 1;
-const UNIT_INSERT: u8 = 2;
-const UNIT_NNI: u8 = 3;
+const UNIT_CANDIDATES: u8 = 2;
+const KIND_INSERT: u8 = 0;
+const KIND_NNI: u8 = 1;
 const RESULT_REFINED: u8 = 1;
-const RESULT_INSERT_BEST: u8 = 2;
-const RESULT_NNI_BEST: u8 = 3;
+const RESULT_BEST: u8 = 2;
 
 /// Wire codec for DPRml: units and results are tagged unions whose tree
 /// payloads ship as full node arenas (the real cost the declared
@@ -235,26 +230,21 @@ impl WireCodec for DprmlCodec {
                 w.u8(UNIT_REFINE);
                 write_tree(w, tree);
             }
-            DprmlUnit::Insert { tree, taxon, edges } => {
-                w.u8(UNIT_INSERT);
+            DprmlUnit::Candidates { tree, kind, range } => {
+                w.u8(UNIT_CANDIDATES);
                 write_tree(w, tree);
-                w.usize(*taxon);
-                w.u32(edges.len() as u32);
-                for &e in edges {
-                    w.usize(e);
+                match *kind {
+                    CandidateKind::Insert { taxon } => {
+                        w.u8(KIND_INSERT);
+                        w.usize(taxon);
+                    }
+                    CandidateKind::Nni { lnl } => {
+                        w.u8(KIND_NNI);
+                        w.f64(lnl);
+                    }
                 }
-            }
-            DprmlUnit::Nni { tree, lnl, moves } => {
-                w.u8(UNIT_NNI);
-                write_tree(w, tree);
-                w.f64(*lnl);
-                w.u32(moves.len() as u32);
-                for &(idx, (c, a, b)) in moves {
-                    w.usize(idx);
-                    w.usize(c);
-                    w.usize(a);
-                    w.usize(b);
-                }
+                w.usize(range.start);
+                w.usize(range.end);
             }
         }
         Ok(())
@@ -266,25 +256,27 @@ impl WireCodec for DprmlCodec {
             UNIT_REFINE => DprmlUnit::Refine {
                 tree: read_tree(&mut r)?,
             },
-            UNIT_INSERT => {
-                let tree = Arc::new(read_tree(&mut r)?);
-                let taxon = r.usize()?;
-                let n = r.count(8)?;
-                let mut edges = Vec::with_capacity(n);
-                for _ in 0..n {
-                    edges.push(r.usize()?);
+            UNIT_CANDIDATES => {
+                let tree = read_tree(&mut r)?;
+                let kind = match r.u8()? {
+                    KIND_INSERT => CandidateKind::Insert { taxon: r.usize()? },
+                    KIND_NNI => CandidateKind::Nni { lnl: r.f64()? },
+                    tag => return Err(WireError::new(format!("unknown candidate kind {tag}"))),
+                };
+                let range = r.usize()?..r.usize()?;
+                // The donor indexes the tree's own candidate list with it.
+                let count = kind.count(&tree);
+                if range.is_empty() || range.end > count {
+                    return Err(WireError::new(format!(
+                        "candidate range {range:?} does not fit the tree's {count} {} candidates",
+                        kind.name()
+                    )));
                 }
-                DprmlUnit::Insert { tree, taxon, edges }
-            }
-            UNIT_NNI => {
-                let tree = Arc::new(read_tree(&mut r)?);
-                let lnl = r.f64()?;
-                let n = r.count(32)?;
-                let mut moves = Vec::with_capacity(n);
-                for _ in 0..n {
-                    moves.push((r.usize()?, (r.usize()?, r.usize()?, r.usize()?)));
+                DprmlUnit::Candidates {
+                    tree: Arc::new(tree),
+                    kind,
+                    range,
                 }
-                DprmlUnit::Nni { tree, lnl, moves }
             }
             tag => return Err(WireError::new(format!("unknown dprml unit tag {tag}"))),
         };
@@ -302,14 +294,8 @@ impl WireCodec for DprmlCodec {
                 write_tree(w, tree);
                 w.f64(*lnl);
             }
-            DprmlResultKind::InsertBest { candidate } => {
-                w.u8(RESULT_INSERT_BEST);
-                w.usize(candidate.edge);
-                w.f64(candidate.ln_likelihood);
-                write_tree(w, &candidate.tree);
-            }
-            DprmlResultKind::NniBest { best } => {
-                w.u8(RESULT_NNI_BEST);
+            DprmlResultKind::Best(best) => {
+                w.u8(RESULT_BEST);
                 match best {
                     Some((idx, lnl, tree)) => {
                         w.u8(1);
@@ -336,28 +322,11 @@ impl WireCodec for DprmlCodec {
                 let lnl = r.f64()?;
                 DprmlResultKind::Refined { tree, lnl }
             }
-            RESULT_INSERT_BEST => {
-                let edge = r.usize()?;
-                let ln_likelihood = r.f64()?;
-                let tree = read_tree(&mut r)?;
-                DprmlResultKind::InsertBest {
-                    candidate: InsertionCandidate {
-                        edge,
-                        ln_likelihood,
-                        tree,
-                    },
-                }
-            }
-            RESULT_NNI_BEST => {
-                let best = match r.u8()? {
-                    0 => None,
-                    1 => Some((r.usize()?, r.f64()?, read_tree(&mut r)?)),
-                    flag => {
-                        return Err(WireError::new(format!("bad option flag {flag}")));
-                    }
-                };
-                DprmlResultKind::NniBest { best }
-            }
+            RESULT_BEST => DprmlResultKind::Best(match r.u8()? {
+                0 => None,
+                1 => Some((r.usize()?, r.f64()?, read_tree(&mut r)?)),
+                flag => return Err(WireError::new(format!("bad option flag {flag}"))),
+            }),
             tag => return Err(WireError::new(format!("unknown dprml result tag {tag}"))),
         };
         let stats = KernelStats {
@@ -375,15 +344,50 @@ impl WireCodec for DprmlCodec {
 
 // ------------------------------------------------------------ algorithm
 
+/// The search both ends run: the manager prices units with it and the
+/// donors evaluate them with it.
 struct DprmlAlgo {
     data: Arc<PatternAlignment>,
-    model: Arc<SubstModel>,
+    model: SubstModel,
     opts: SearchOptions,
+}
+
+impl DprmlAlgo {
+    /// Abstract ops for `rounds` optimisation sweeps over `edges`
+    /// branches of a tree of `nodes` nodes, plus the two full
+    /// traversals around them. A full pruning traversal matches the
+    /// gridsim scale (a PIII-1000 runs ~1e7 of these ops per second);
+    /// one branch for one sweep is 1.7 of them (a traversal + ~20 cheap
+    /// Brent evaluations of the edge function).
+    fn sweep_ops(&self, rounds: u32, edges: usize, nodes: usize) -> f64 {
+        let categories = self.model.rate_categories().ncat();
+        let traversal =
+            (nodes * self.data.pattern_count() * categories) as f64 * OPS_PER_NODE_UPDATE;
+        (rounds as usize * edges) as f64 * (1.7 * traversal) + 2.0 * traversal
+    }
+
+    /// Abstract ops of one candidate of `kind` on `tree`.
+    fn candidate_ops(&self, kind: CandidateKind, tree: &Tree) -> f64 {
+        let (rounds, nodes) = (self.opts.candidate_rounds, tree.node_count());
+        match kind {
+            // The candidate grows a leaf and its junction; local scoring
+            // optimises the three branches they touch.
+            CandidateKind::Insert { .. } if self.opts.local_candidates => {
+                self.sweep_ops(rounds, 3, nodes + 2)
+            }
+            CandidateKind::Insert { .. } => {
+                self.sweep_ops(rounds, tree.edges().len() + 2, nodes + 2)
+            }
+            // A move re-optimises the one branch it swapped across.
+            CandidateKind::Nni { .. } => self.sweep_ops(rounds, 1, nodes),
+        }
+    }
 }
 
 impl Algorithm for DprmlAlgo {
     fn compute(&self, unit: &WorkUnit) -> TaskResult {
         let engine = TreeLikelihood::new(&self.model, &self.data);
+        let opts = &self.opts;
         let du = unit
             .payload
             .downcast_ref::<DprmlUnit>()
@@ -391,44 +395,39 @@ impl Algorithm for DprmlAlgo {
         let kind = match du {
             DprmlUnit::Refine { tree } => {
                 let mut t = tree.clone();
-                let lnl =
-                    engine.optimize_edges(&mut t, None, self.opts.refine_rounds, self.opts.tol);
+                let lnl = engine.optimize_edges(&mut t, None, opts.refine_rounds, opts.tol);
                 DprmlResultKind::Refined { tree: t, lnl }
             }
-            DprmlUnit::Insert { tree, taxon, edges } => {
-                let candidates: Vec<InsertionCandidate> = edges
-                    .iter()
-                    .map(|&e| evaluate_insertion(tree, *taxon, e, &engine, &self.opts))
-                    .collect();
-                DprmlResultKind::InsertBest {
-                    candidate: best_candidate(candidates),
+            DprmlUnit::Candidates { tree, kind, range } => DprmlResultKind::Best(match *kind {
+                CandidateKind::Insert { taxon } => {
+                    let edges = tree.edges();
+                    range
+                        .clone()
+                        .map(|i| {
+                            let c = evaluate_insertion(tree, taxon, edges[i], &engine, opts);
+                            (i, c.ln_likelihood, c.tree)
+                        })
+                        .fold(None, keep_better)
                 }
-            }
-            DprmlUnit::Nni { tree, lnl, moves } => {
-                let mut best: Option<(usize, f64, Tree)> = None;
-                for &(idx, (c, a, b)) in moves {
-                    let mut candidate = (**tree).clone();
-                    candidate.nni_swap(c, a, b);
-                    let cand_lnl = engine.optimize_edges(
-                        &mut candidate,
-                        Some(&[c]),
-                        self.opts.candidate_rounds,
-                        self.opts.tol,
-                    );
-                    // Same acceptance rule as `nni_improve`: strictly
-                    // better than current, strictly better than best so
-                    // far (earliest move wins ties).
-                    if cand_lnl > lnl + self.opts.tol
-                        && best
-                            .as_ref()
-                            .map(|(_, bl, _)| cand_lnl > *bl)
-                            .unwrap_or(true)
-                    {
-                        best = Some((idx, cand_lnl, candidate));
-                    }
+                CandidateKind::Nni { lnl } => {
+                    let moves = tree.nni_moves();
+                    range
+                        .clone()
+                        .filter_map(|i| {
+                            let (c, a, b) = moves[i];
+                            let mut candidate = (**tree).clone();
+                            candidate.nni_swap(c, a, b);
+                            let cand_lnl = engine.optimize_edges(
+                                &mut candidate,
+                                Some(&[c]),
+                                opts.candidate_rounds,
+                                opts.tol,
+                            );
+                            (cand_lnl > lnl + opts.tol).then_some((i, cand_lnl, candidate))
+                        })
+                        .fold(None, keep_better)
                 }
-                DprmlResultKind::NniBest { best }
-            }
+            }),
         };
         let (pmat_hits, pmat_misses) = engine.pmat_cache_stats();
         let result = DprmlResult {
@@ -440,12 +439,10 @@ impl Algorithm for DprmlAlgo {
             },
         };
         let wire = match &result.kind {
-            DprmlResultKind::Refined { tree, .. } => tree_wire_bytes(tree),
-            DprmlResultKind::InsertBest { candidate } => tree_wire_bytes(&candidate.tree),
-            DprmlResultKind::NniBest { best } => best
-                .as_ref()
-                .map(|(_, _, t)| tree_wire_bytes(t))
-                .unwrap_or(16),
+            DprmlResultKind::Refined { tree, .. } | DprmlResultKind::Best(Some((_, _, tree))) => {
+                tree_wire_bytes(tree)
+            }
+            DprmlResultKind::Best(None) => 16,
         };
         TaskResult {
             unit_id: unit.id,
@@ -457,37 +454,28 @@ impl Algorithm for DprmlAlgo {
 // --------------------------------------------------------- data manager
 
 enum Stage {
-    /// One refine unit (dispatched flag, awaiting flag).
+    /// One refine unit (dispatched flag, awaiting flag); `then_nni`
+    /// says whether NNI may follow it or the next insertion does.
     Refine {
-        next: RefineNext,
+        then_nni: bool,
         dispatched: bool,
     },
-    Insert {
-        taxon: usize,
-        edges: Vec<usize>,
-        next_edge: usize,
+    /// The `count` candidates of `kind` on `tree`: `next` is the first
+    /// not yet issued, `outstanding` counts the units not yet folded
+    /// and `best` is the winner so far.
+    Candidates {
+        kind: CandidateKind,
+        tree: Arc<Tree>,
+        count: usize,
+        next: usize,
         outstanding: u32,
-        best: Option<InsertionCandidate>,
-    },
-    Nni {
-        moves: Vec<NniMove>,
-        next_move: usize,
-        outstanding: u32,
-        best: Option<(usize, f64, Tree)>,
+        best: Option<Scored>,
     },
     Done,
 }
 
-#[derive(Clone, Copy, PartialEq)]
-enum RefineNext {
-    InsertNextTaxon,
-    TryNni,
-}
-
 struct DprmlDm {
-    data: Arc<PatternAlignment>,
-    model: Arc<SubstModel>,
-    opts: SearchOptions,
+    algo: Arc<DprmlAlgo>,
     cost_scale: f64,
     order: Vec<usize>,
     tree: Tree,
@@ -496,7 +484,6 @@ struct DprmlDm {
     insertions_done: u32,
     nni_round: u32,
     stage: Stage,
-    stage_tree: Arc<Tree>,
     next_id: UnitId,
     /// Installed by the server; stage transitions emit `StageStarted`
     /// so run reports can place the barrier boundaries that idle
@@ -506,19 +493,10 @@ struct DprmlDm {
 }
 
 impl DprmlDm {
-    fn new(
-        data: Arc<PatternAlignment>,
-        model: Arc<SubstModel>,
-        opts: SearchOptions,
-        cost_scale: f64,
-        order: Vec<usize>,
-    ) -> Self {
-        let tree = Tree::initial_triple([order[0], order[1], order[2]], opts.initial_blen);
-        let stage_tree = Arc::new(tree.clone());
+    fn new(algo: Arc<DprmlAlgo>, cost_scale: f64, order: Vec<usize>) -> Self {
+        let tree = Tree::initial_triple([order[0], order[1], order[2]], algo.opts.initial_blen);
         Self {
-            data,
-            model,
-            opts,
+            algo,
             cost_scale,
             order,
             tree,
@@ -527,10 +505,9 @@ impl DprmlDm {
             insertions_done: 0,
             nni_round: 0,
             stage: Stage::Refine {
-                next: RefineNext::InsertNextTaxon,
+                then_nni: false,
                 dispatched: false,
             },
-            stage_tree,
             next_id: 0,
             telemetry: Telemetry::default(),
             problem: 0,
@@ -544,8 +521,7 @@ impl DprmlDm {
         }
         let stage = match self.stage {
             Stage::Refine { .. } => "refine",
-            Stage::Insert { .. } => "insert",
-            Stage::Nni { .. } => "nni",
+            Stage::Candidates { kind, .. } => kind.name(),
             Stage::Done => "done",
         };
         self.telemetry.emit(EventKind::StageStarted {
@@ -554,142 +530,95 @@ impl DprmlDm {
         });
     }
 
-    fn start_insert_or_done(&mut self) {
-        if self.taxon_pos >= self.order.len() {
-            self.stage = Stage::Done;
-            self.note_stage();
-            return;
+    /// Opens the next candidate stage on the current tree: a round of
+    /// NNI moves if `try_nni` (NNI is on, fewer than 8 rounds ran and
+    /// the tree has a move), else the next taxon's insertion, else the
+    /// run is done.
+    fn open_candidates(&mut self, try_nni: bool) {
+        let mut kind = CandidateKind::Nni { lnl: self.lnl };
+        let mut count = if try_nni && self.algo.opts.nni && self.nni_round < 8 {
+            kind.count(&self.tree)
+        } else {
+            0
+        };
+        if count == 0 {
+            let Some(&taxon) = self.order.get(self.taxon_pos) else {
+                self.stage = Stage::Done;
+                self.note_stage();
+                return;
+            };
+            self.taxon_pos += 1;
+            self.nni_round = 0;
+            kind = CandidateKind::Insert { taxon };
+            count = kind.count(&self.tree);
         }
-        let taxon = self.order[self.taxon_pos];
-        self.taxon_pos += 1;
-        self.nni_round = 0;
-        self.stage_tree = Arc::new(self.tree.clone());
-        self.stage = Stage::Insert {
-            taxon,
-            edges: self.tree.edges(),
-            next_edge: 0,
+        self.stage = Stage::Candidates {
+            kind,
+            tree: Arc::new(self.tree.clone()),
+            count,
+            next: 0,
             outstanding: 0,
             best: None,
         };
         self.note_stage();
     }
 
-    fn try_nni_or_advance(&mut self) {
-        if !self.opts.nni || self.nni_round >= 8 {
-            self.start_insert_or_done();
-            return;
-        }
-        let moves = self.tree.nni_moves();
-        if moves.is_empty() {
-            self.start_insert_or_done();
-            return;
-        }
-        self.stage_tree = Arc::new(self.tree.clone());
-        self.stage = Stage::Nni {
-            moves,
-            next_move: 0,
-            outstanding: 0,
-            best: None,
-        };
-        self.note_stage();
-    }
-
-    fn start_refine(&mut self, next: RefineNext) {
+    fn start_refine(&mut self, then_nni: bool) {
         self.stage = Stage::Refine {
-            next,
+            then_nni,
             dispatched: false,
         };
         self.note_stage();
-    }
-
-    fn make_unit(&mut self, payload: DprmlUnit, cost_ops: f64, wire: u64) -> WorkUnit {
-        let id = self.next_id;
-        self.next_id += 1;
-        WorkUnit {
-            id,
-            payload: Payload::new(payload, wire),
-            cost_ops: cost_ops * self.cost_scale,
-        }
     }
 }
 
 impl DataManager for DprmlDm {
     fn next_unit(&mut self, hint_ops: f64) -> Option<WorkUnit> {
-        match &mut self.stage {
-            Stage::Done => None,
-            Stage::Refine { dispatched, .. } => {
-                if *dispatched {
-                    return None; // stage barrier
-                }
+        let algo = &self.algo;
+        let (payload, cost, wire) = match &mut self.stage {
+            Stage::Refine { dispatched, .. } if !*dispatched => {
                 *dispatched = true;
                 let tree = self.tree.clone();
-                let cost = refine_ops(&tree, &self.data, &self.model, &self.opts);
+                let (rounds, edges) = (algo.opts.refine_rounds, tree.edges().len());
+                let cost = algo.sweep_ops(rounds, edges, tree.node_count());
                 let wire = tree_wire_bytes(&tree);
-                Some(self.make_unit(DprmlUnit::Refine { tree }, cost, wire))
+                (DprmlUnit::Refine { tree }, cost, wire)
             }
-            Stage::Insert {
-                taxon,
-                edges,
-                next_edge,
+            Stage::Candidates {
+                kind,
+                tree,
+                count,
+                next,
                 outstanding,
                 ..
-            } => {
-                if *next_edge >= edges.len() {
-                    return None; // barrier: waiting for batch results
-                }
-                let per =
-                    insert_candidate_ops(&self.stage_tree, &self.data, &self.model, &self.opts)
-                        * self.cost_scale;
-                let batch = ((hint_ops / per).floor() as usize).clamp(1, edges.len() - *next_edge);
-                let slice: Vec<usize> = edges[*next_edge..*next_edge + batch].to_vec();
-                *next_edge += batch;
-                *outstanding += 1;
-                let taxon = *taxon;
-                let cost = per / self.cost_scale * batch as f64;
-                let wire = tree_wire_bytes(&self.stage_tree) + 16 * batch as u64;
-                let tree = self.stage_tree.clone();
-                Some(self.make_unit(
-                    DprmlUnit::Insert {
-                        tree,
-                        taxon,
-                        edges: slice,
-                    },
-                    cost,
-                    wire,
-                ))
-            }
-            Stage::Nni {
-                moves,
-                next_move,
-                outstanding,
-                ..
-            } => {
-                if *next_move >= moves.len() {
-                    return None;
-                }
-                let per = nni_move_ops(&self.stage_tree, &self.data, &self.model, &self.opts)
-                    * self.cost_scale;
-                let batch = ((hint_ops / per).floor() as usize).clamp(1, moves.len() - *next_move);
-                let slice: Vec<(usize, NniMove)> = (*next_move..*next_move + batch)
-                    .map(|i| (i, moves[i]))
-                    .collect();
-                *next_move += batch;
+            } if *next < *count => {
+                let kind = *kind;
+                let per = algo.candidate_ops(kind, tree) * self.cost_scale;
+                let batch = ((hint_ops / per).floor() as usize).clamp(1, *count - *next);
+                let range = *next..*next + batch;
+                *next += batch;
                 *outstanding += 1;
                 let cost = per / self.cost_scale * batch as f64;
-                let wire = tree_wire_bytes(&self.stage_tree) + 24 * batch as u64;
-                let tree = self.stage_tree.clone();
-                let lnl = self.lnl;
-                Some(self.make_unit(
-                    DprmlUnit::Nni {
-                        tree,
-                        lnl,
-                        moves: slice,
-                    },
-                    cost,
-                    wire,
-                ))
+                // What the simulator charges for the transfer: the stage
+                // tree plus 16 bytes an edge or 24 a move.
+                let per_candidate = match kind {
+                    CandidateKind::Insert { .. } => 16,
+                    CandidateKind::Nni { .. } => 24,
+                };
+                let wire = tree_wire_bytes(tree) + per_candidate * batch as u64;
+                let tree = tree.clone();
+                (DprmlUnit::Candidates { tree, kind, range }, cost, wire)
             }
-        }
+            // A barrier (every unit of the stage is out), or done.
+            _ => return None,
+        };
+        let id = self.next_id;
+        self.next_id += 1;
+        Some(WorkUnit {
+            id,
+            payload: Payload::new(payload, wire),
+            cost_ops: cost * self.cost_scale,
+        })
     }
 
     fn accept_result(&mut self, result: TaskResult) {
@@ -706,86 +635,57 @@ impl DataManager for DprmlDm {
                 .counter_add("lik.pmat_cache_misses", payload.stats.pmat_misses);
         }
         match (&mut self.stage, payload.kind) {
-            (Stage::Refine { next, .. }, DprmlResultKind::Refined { tree, lnl }) => {
-                let next = *next;
+            (Stage::Refine { then_nni, .. }, DprmlResultKind::Refined { tree, lnl }) => {
+                let then_nni = *then_nni;
                 self.tree = tree;
                 self.lnl = lnl;
-                match next {
-                    RefineNext::InsertNextTaxon => self.start_insert_or_done(),
-                    RefineNext::TryNni => self.try_nni_or_advance(),
-                }
+                self.open_candidates(then_nni);
             }
             (
-                Stage::Insert {
-                    edges,
-                    next_edge,
+                Stage::Candidates {
+                    kind,
+                    count,
+                    next,
                     outstanding,
                     best,
                     ..
                 },
-                DprmlResultKind::InsertBest { candidate },
+                DprmlResultKind::Best(unit_best),
             ) => {
-                // Same tie-break as `best_candidate`: higher lnl, then
-                // smaller edge id.
-                let better = match best {
-                    None => true,
-                    Some(b) => {
-                        candidate.ln_likelihood > b.ln_likelihood
-                            || (candidate.ln_likelihood == b.ln_likelihood
-                                && candidate.edge < b.edge)
-                    }
-                };
-                if better {
-                    *best = Some(candidate);
+                if let Some(c) = unit_best {
+                    *best = keep_better(best.take(), c);
                 }
                 *outstanding -= 1;
-                if *next_edge >= edges.len() && *outstanding == 0 {
-                    let chosen = best.take().expect("at least one candidate");
-                    self.tree = chosen.tree;
-                    self.insertions_done += 1;
-                    // Same cadence as the sequential reference: full
-                    // refinement every `refine_every`-th insertion and
-                    // after the last one.
-                    let re = self.opts.refine_every.max(1);
-                    let is_last = self.taxon_pos >= self.order.len();
-                    if self.insertions_done.is_multiple_of(re) || is_last {
-                        self.start_refine(RefineNext::TryNni);
-                    } else {
-                        self.lnl = chosen.ln_likelihood;
-                        self.try_nni_or_advance();
-                    }
+                if *next < *count || *outstanding > 0 {
+                    return;
                 }
-            }
-            (
-                Stage::Nni {
-                    moves,
-                    next_move,
-                    outstanding,
-                    best,
-                },
-                DprmlResultKind::NniBest { best: batch_best },
-            ) => {
-                if let Some((idx, lnl, tree)) = batch_best {
-                    // Strictly-greater comparison, ties to the earliest
-                    // move index — identical to `nni_improve`.
-                    let better = match best {
-                        None => true,
-                        Some((bidx, blnl, _)) => lnl > *blnl || (lnl == *blnl && idx < *bidx),
-                    };
-                    if better {
-                        *best = Some((idx, lnl, tree));
-                    }
-                }
-                *outstanding -= 1;
-                if *next_move >= moves.len() && *outstanding == 0 {
-                    match best.take() {
-                        Some((_, _, tree)) => {
-                            self.tree = tree;
-                            self.nni_round += 1;
-                            self.start_refine(RefineNext::TryNni);
+                // The barrier: every candidate is in. Only what follows
+                // depends on the kind.
+                match (*kind, best.take()) {
+                    (CandidateKind::Insert { .. }, Some((_, lnl, tree))) => {
+                        self.tree = tree;
+                        self.insertions_done += 1;
+                        // Same cadence as the sequential reference: full
+                        // refinement every `refine_every`-th insertion
+                        // and after the last one.
+                        let re = self.algo.opts.refine_every.max(1);
+                        let is_last = self.taxon_pos >= self.order.len();
+                        if self.insertions_done.is_multiple_of(re) || is_last {
+                            self.start_refine(true);
+                        } else {
+                            self.lnl = lnl;
+                            self.open_candidates(true);
                         }
-                        None => self.start_insert_or_done(),
                     }
+                    (CandidateKind::Insert { .. }, None) => {
+                        unreachable!("every insertion unit returns its best candidate")
+                    }
+                    (CandidateKind::Nni { .. }, Some((_, _, tree))) => {
+                        self.tree = tree;
+                        self.nni_round += 1;
+                        self.start_refine(true);
+                    }
+                    (CandidateKind::Nni { .. }, None) => self.open_candidates(false),
                 }
             }
             _ => unreachable!("result arrived for a stage that cannot have issued it"),
@@ -805,7 +705,7 @@ impl DataManager for DprmlDm {
     }
 
     fn final_output(&mut self) -> Payload {
-        let newick = to_newick(&self.tree, &self.data.names);
+        let newick = to_newick(&self.tree, &self.algo.data.names);
         let wire = newick.len() as u64 + 16;
         Payload::new(
             PhyloOutput {
@@ -833,49 +733,17 @@ pub fn build_problem(
     assert!(n >= 3, "need at least 3 taxa");
     let order = taxon_order.unwrap_or_else(|| (0..n).collect());
     assert_eq!(order.len(), n, "taxon order must cover all taxa");
-    let model = Arc::new(config.build_model());
     // Setup download: the alignment (patterns × taxa bytes) + code.
     let setup = (data.pattern_count() * n) as u64 + 200_000;
-    let dm = DprmlDm::new(
-        data.clone(),
-        model.clone(),
-        config.search.clone(),
-        config.cost_scale,
-        order,
-    );
-    let algo = DprmlAlgo {
+    let algo = Arc::new(DprmlAlgo {
         data,
-        model,
+        model: config.build_model(),
         opts: config.search.clone(),
-    };
-    Problem::new(instance_name, Box::new(dm), Arc::new(algo))
+    });
+    let dm = DprmlDm::new(algo.clone(), config.cost_scale, order);
+    Problem::new(instance_name, Box::new(dm), algo)
         .with_setup_bytes(setup)
         .with_codec(Arc::new(DprmlCodec))
-}
-
-/// Rough sequential cost (abstract ops) of a full stepwise run — used
-/// by harnesses for sanity checks and progress estimates.
-pub fn estimate_sequential_ops(data: &PatternAlignment, config: &DprmlConfig) -> f64 {
-    let model = config.build_model();
-    let n = data.taxon_count();
-    let opts = &config.search;
-    let mut total = 0.0;
-    for i in 3..=n {
-        let nodes = 2 * i - 2;
-        let edges = 2 * i - 3;
-        let tree_cost = (nodes * data.pattern_count() * model.rate_categories().ncat()) as f64
-            * OPS_PER_NODE_UPDATE;
-        // Insert stage: one candidate per edge.
-        total +=
-            edges as f64 * ((opts.candidate_rounds * 3) as f64 * 1.7 * tree_cost + 2.0 * tree_cost);
-        // Refine + one NNI sweep (coarse).
-        total += (opts.refine_rounds as usize * edges) as f64 * 1.7 * tree_cost;
-        if opts.nni {
-            total += (4 * (i.saturating_sub(3))) as f64
-                * (opts.candidate_rounds as f64 * 1.7 * tree_cost + 2.0 * tree_cost);
-        }
-    }
-    total
 }
 
 #[cfg(test)]
@@ -997,14 +865,12 @@ mod tests {
     fn insertion_stage_issues_expected_candidate_count() {
         let (_, data) = test_alignment(5, 60, 99);
         let config = DprmlConfig::default();
-        let model = Arc::new(config.build_model());
-        let mut dm = DprmlDm::new(
-            data.clone(),
-            model,
-            config.search.clone(),
-            1.0,
-            (0..5).collect(),
-        );
+        let algo = Arc::new(DprmlAlgo {
+            data,
+            model: config.build_model(),
+            opts: config.search.clone(),
+        });
+        let mut dm = DprmlDm::new(algo.clone(), 1.0, (0..5).collect());
         // Initial stage is one refine unit, then a barrier.
         let refine = dm.next_unit(1e12).expect("refine unit");
         assert!(
@@ -1012,11 +878,6 @@ mod tests {
             "barrier while refine outstanding"
         );
         // Feed the refine result through a real evaluation.
-        let algo = DprmlAlgo {
-            data: data.clone(),
-            model: Arc::new(config.build_model()),
-            opts: config.search.clone(),
-        };
         let r = algo.compute(&refine);
         dm.accept_result(r);
         // Now the insert stage for taxon 3: a 3-taxon tree has 3 edges;
@@ -1024,26 +885,24 @@ mod tests {
         let unit = dm.next_unit(1e12).expect("insert batch");
         let du = unit.payload.downcast_ref::<DprmlUnit>().unwrap();
         match du {
-            DprmlUnit::Insert { edges, taxon, .. } => {
-                assert_eq!(edges.len(), 3, "2i-5 = 3 edges for the 4th taxon");
+            DprmlUnit::Candidates {
+                kind: CandidateKind::Insert { taxon },
+                range,
+                ..
+            } => {
+                assert_eq!(range.len(), 3, "2i-5 = 3 edges for the 4th taxon");
                 assert_eq!(*taxon, 3);
             }
             _ => panic!("expected insert unit"),
         }
         // Tiny hint → batches of one edge each.
-        let mut dm2 = DprmlDm::new(
-            data,
-            Arc::new(config.build_model()),
-            config.search.clone(),
-            1.0,
-            (0..5).collect(),
-        );
+        let mut dm2 = DprmlDm::new(algo.clone(), 1.0, (0..5).collect());
         let refine2 = dm2.next_unit(1e12).unwrap();
         let r2 = algo.compute(&refine2);
         dm2.accept_result(r2);
         let u1 = dm2.next_unit(1.0).unwrap();
         match u1.payload.downcast_ref::<DprmlUnit>().unwrap() {
-            DprmlUnit::Insert { edges, .. } => assert_eq!(edges.len(), 1),
+            DprmlUnit::Candidates { range, .. } => assert_eq!(range.len(), 1),
             _ => panic!(),
         }
     }
@@ -1051,19 +910,22 @@ mod tests {
     #[test]
     fn wire_codec_round_trips_every_unit_and_result_shape() {
         let tree = Tree::initial_triple([0, 1, 2], 0.1);
+        let mut four = tree.clone();
+        four.insert_leaf(1, 3, 0.1);
+        assert_eq!(four.nni_moves().len(), 4);
         let codec = DprmlCodec;
 
         let units = vec![
             DprmlUnit::Refine { tree: tree.clone() },
-            DprmlUnit::Insert {
+            DprmlUnit::Candidates {
                 tree: Arc::new(tree.clone()),
-                taxon: 3,
-                edges: vec![0, 1, 2],
+                kind: CandidateKind::Insert { taxon: 3 },
+                range: 0..3,
             },
-            DprmlUnit::Nni {
-                tree: Arc::new(tree.clone()),
-                lnl: -123.456,
-                moves: vec![(0, (3, 0, 1)), (1, (3, 0, 2))],
+            DprmlUnit::Candidates {
+                tree: Arc::new(four.clone()),
+                kind: CandidateKind::Nni { lnl: -123.456 },
+                range: 1..4,
             },
         ];
         for unit in units {
@@ -1075,22 +937,44 @@ mod tests {
             assert!(codec.decode_unit(&bytes[..bytes.len() - 1]).is_err());
         }
 
+        // A range the donor cannot index the stage tree's candidates
+        // with is a wire error, not a panic on the donor: empty, or
+        // ending past the tree's 3 edges or 4 NNI moves.
+        let bad = [
+            (
+                Arc::new(tree.clone()),
+                CandidateKind::Insert { taxon: 3 },
+                2..2,
+            ),
+            (
+                Arc::new(tree.clone()),
+                CandidateKind::Insert { taxon: 3 },
+                1..4,
+            ),
+            (
+                Arc::new(four.clone()),
+                CandidateKind::Nni { lnl: -1.0 },
+                0..0,
+            ),
+            (
+                Arc::new(four.clone()),
+                CandidateKind::Nni { lnl: -1.0 },
+                3..5,
+            ),
+        ];
+        for (tree, kind, range) in bad {
+            let unit = DprmlUnit::Candidates { tree, kind, range };
+            let bytes = codec.encode_unit(&Payload::new(unit, 64)).unwrap();
+            assert!(codec.decode_unit(&bytes).is_err());
+        }
+
         let kinds = vec![
             DprmlResultKind::Refined {
                 tree: tree.clone(),
                 lnl: -99.0,
             },
-            DprmlResultKind::InsertBest {
-                candidate: InsertionCandidate {
-                    edge: 1,
-                    ln_likelihood: -88.5,
-                    tree: tree.clone(),
-                },
-            },
-            DprmlResultKind::NniBest { best: None },
-            DprmlResultKind::NniBest {
-                best: Some((2, -77.25, tree.clone())),
-            },
+            DprmlResultKind::Best(None),
+            DprmlResultKind::Best(Some((2, -77.25, tree.clone()))),
         ];
         for kind in kinds {
             let result = DprmlResult {
@@ -1157,13 +1041,5 @@ mod tests {
         assert!(snap.counter("lik.pmat_cache_hits") > 0);
         assert!(snap.counter("lik.pmat_cache_misses") > 0);
         let _ = pid;
-    }
-
-    #[test]
-    fn estimate_sequential_ops_grows_with_taxa() {
-        let (_, small) = test_alignment(5, 100, 1);
-        let (_, big) = test_alignment(10, 100, 2);
-        let cfg = DprmlConfig::default();
-        assert!(estimate_sequential_ops(&big, &cfg) > 3.0 * estimate_sequential_ops(&small, &cfg));
     }
 }

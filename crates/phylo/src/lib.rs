@@ -42,5 +42,5 @@ pub use lik_simd::LikBackend;
 pub use model::{GammaRates, ModelKind, SubstModel};
 pub use nj::{jc_distance_matrix, maximin_order, neighbor_joining, patristic_distance_matrix};
 pub use patterns::PatternAlignment;
-pub use search::{evaluate_insertion, spr_improve, stepwise_ml, InsertionCandidate, SearchOptions};
+pub use search::{evaluate_insertion, stepwise_ml, InsertionCandidate, SearchOptions};
 pub use tree::Tree;

@@ -296,7 +296,7 @@ unsafe fn ln_into_avx2(site: &mut [f64]) {
     ln_into_plain(site)
 }
 
-/// Replaces each site likelihood with its natural log ([`poly_ln`]
+/// Replaces each site likelihood with its natural log (`poly_ln`
 /// elementwise — bit-identical across backends).
 pub fn ln_into(backend: LikBackend, site: &mut [f64]) {
     match backend {
@@ -325,7 +325,7 @@ macro_rules! dispatch {
     };
 }
 
-/// [`product_into_g`] behind runtime backend dispatch.
+/// `product_into_g` behind runtime backend dispatch.
 pub fn product_into(
     backend: LikBackend,
     dst: &mut [f64],
@@ -342,12 +342,12 @@ pub fn product_into(
     );
 }
 
-/// [`row_max_g`] behind runtime backend dispatch.
+/// `row_max_g` behind runtime backend dispatch.
 pub fn row_max(backend: LikBackend, vals: &[f64], nrows: usize, npad: usize, mx: &mut [f64]) {
     dispatch!(backend, row_max_g, row_max_avx2, (vals, nrows, npad, mx));
 }
 
-/// [`root_site_sums_g`] behind runtime backend dispatch.
+/// `root_site_sums_g` behind runtime backend dispatch.
 pub fn root_site_sums(
     backend: LikBackend,
     vals: &[f64],
@@ -364,7 +364,7 @@ pub fn root_site_sums(
     );
 }
 
-/// [`coef_site_sums_g`] behind runtime backend dispatch.
+/// `coef_site_sums_g` behind runtime backend dispatch.
 pub fn coef_site_sums(
     backend: LikBackend,
     coef: &[f64],

@@ -138,52 +138,6 @@ pub fn nni_improve(
     }
 }
 
-/// One round of SPR hill climbing (extension beyond the paper's NNI):
-/// tries every subtree-prune-and-regraft move, re-optimising the three
-/// branches around the regraft point per candidate, and applies the
-/// best move that improves on `current_lnl`. Returns the new
-/// likelihood if a move was applied.
-///
-/// SPR is strictly stronger than NNI (it escapes local optima NNI
-/// cannot) at quadratic candidate count; use it as a finishing pass
-/// after [`stepwise_ml`].
-pub fn spr_improve(
-    tree: &mut Tree,
-    current_lnl: f64,
-    engine: &TreeLikelihood<'_>,
-    opts: &SearchOptions,
-) -> Option<f64> {
-    let moves = tree.spr_moves();
-    let mut best: Option<(f64, Tree)> = None;
-    for (sub, dest) in moves {
-        let mut candidate = tree.clone();
-        if candidate.spr(sub, dest).is_err() {
-            continue;
-        }
-        // The regraft reused `sub`'s old junction as the new junction
-        // above `dest`; optimise the branches it touches.
-        let junction = candidate
-            .node(sub)
-            .parent
-            .expect("regrafted under a junction");
-        let lnl = engine.optimize_edges(
-            &mut candidate,
-            Some(&[sub, dest, junction]),
-            opts.candidate_rounds,
-            opts.tol,
-        );
-        if lnl > current_lnl + opts.tol && best.as_ref().map(|(bl, _)| lnl > *bl).unwrap_or(true) {
-            best = Some((lnl, candidate));
-        }
-    }
-    if let Some((lnl, t)) = best {
-        *tree = t;
-        Some(lnl)
-    } else {
-        None
-    }
-}
-
 /// Full sequential stepwise-insertion ML search — the reference
 /// implementation that the distributed DPRml must agree with.
 ///
@@ -360,48 +314,6 @@ mod tests {
         let engine = TreeLikelihood::new(&model, &data);
         // The search already exhausted NNI moves; none should improve.
         assert!(nni_improve(&mut tree, lnl, &engine, &opts).is_none());
-    }
-
-    #[test]
-    fn spr_improve_returns_none_at_a_strong_optimum() {
-        let (_, data, model) = test_data(6, 800, 17);
-        let opts = SearchOptions::default();
-        let (mut tree, lnl) = stepwise_ml(&data, &model, None, &opts);
-        let engine = TreeLikelihood::new(&model, &data);
-        // On clean long data the stepwise+NNI tree is the true topology;
-        // no SPR move should beat it.
-        assert!(spr_improve(&mut tree, lnl, &engine, &opts).is_none());
-    }
-
-    #[test]
-    fn spr_improve_rescues_a_scrambled_tree() {
-        let (truth, data, model) = test_data(7, 900, 17);
-        let engine = TreeLikelihood::new(&model, &data);
-        let opts = SearchOptions::default();
-        // Start from a deliberately wrong topology: a random tree over
-        // the same taxa.
-        let mut tree = crate::evolve::random_yule_tree(7, 0.12, 9999);
-        let mut lnl = engine.optimize_edges(&mut tree, None, 4, 1e-3);
-        if tree.rf_distance(&truth) == 0 {
-            return; // unlucky: the random tree was already correct
-        }
-        let before_rf = tree.rf_distance(&truth);
-        // Up to 10 SPR rounds of hill climbing.
-        for _ in 0..10 {
-            match spr_improve(&mut tree, lnl, &engine, &opts) {
-                Some(better) => {
-                    lnl = engine.optimize_edges(&mut tree, None, 4, 1e-3);
-                    assert!(better <= lnl + 1e-6);
-                }
-                None => break,
-            }
-        }
-        let after_rf = tree.rf_distance(&truth);
-        assert!(
-            after_rf < before_rf,
-            "SPR should move toward the truth (rf {before_rf} -> {after_rf})"
-        );
-        tree.validate().unwrap();
     }
 
     #[test]

@@ -228,117 +228,6 @@ impl Tree {
         moves
     }
 
-    /// Subtree prune-and-regraft: detaches the subtree rooted at `sub`
-    /// and regrafts it onto the edge above `dest` — the stronger
-    /// rearrangement class beyond NNI (every NNI is an SPR of distance
-    /// one, but not vice versa).
-    ///
-    /// The junction node freed by the prune is reused as the new
-    /// junction at the destination, so the arena stays dense. Branch
-    /// lengths: the pruned sibling absorbs the old junction's branch,
-    /// the destination edge is split evenly, `sub` keeps its pendant
-    /// length.
-    ///
-    /// Returns `Err` (tree untouched) when the move is ill-formed:
-    /// `sub` is the root or a child of the root (the basal trifurcation
-    /// cannot lose a child), `dest` lies inside `sub`'s subtree, or the
-    /// move is a no-op (`dest` is `sub` itself, its sibling, or its
-    /// junction).
-    pub fn spr(&mut self, sub: usize, dest: usize) -> Result<(), String> {
-        if sub == self.root {
-            return Err("cannot prune the root".into());
-        }
-        let p = self.nodes[sub].parent.expect("non-root has a parent");
-        if p == self.root {
-            return Err("cannot prune a child of the basal trifurcation".into());
-        }
-        if dest == self.root {
-            return Err("cannot regraft above the root".into());
-        }
-        // dest must be outside the pruned subtree (and not the junction
-        // or sibling, which would be a no-op or self-attachment).
-        let mut in_subtree = Vec::new();
-        self.collect_nodes(sub, &mut in_subtree);
-        if in_subtree.contains(&dest) {
-            return Err("destination lies inside the pruned subtree".into());
-        }
-        let sib = *self.nodes[p]
-            .children
-            .iter()
-            .find(|&&c| c != sub)
-            .expect("binary junction has a sibling");
-        if dest == p || dest == sib {
-            return Err("destination equals the pruned position (no-op)".into());
-        }
-
-        // Splice out the junction p: sibling takes its place under g.
-        let g = self.nodes[p]
-            .parent
-            .expect("non-root junction has a parent");
-        let slot = self.nodes[g]
-            .children
-            .iter()
-            .position(|&c| c == p)
-            .expect("p is a child of g");
-        self.nodes[g].children[slot] = sib;
-        self.nodes[sib].parent = Some(g);
-        self.nodes[sib].blen += self.nodes[p].blen;
-
-        // Reuse p as the new junction on the destination edge.
-        let q = self.nodes[dest].parent.expect("dest is not the root");
-        let dslot = self.nodes[q]
-            .children
-            .iter()
-            .position(|&c| c == dest)
-            .expect("dest is a child of q");
-        let old_len = self.nodes[dest].blen;
-        let half = (old_len / 2.0).max(MIN_BRANCH);
-        self.nodes[q].children[dslot] = p;
-        self.nodes[p].parent = Some(q);
-        self.nodes[p].blen = half;
-        self.nodes[p].children = vec![dest, sub];
-        self.nodes[dest].parent = Some(p);
-        self.nodes[dest].blen = half;
-        self.nodes[sub].parent = Some(p);
-        debug_assert!(self.validate().is_ok(), "SPR broke tree invariants");
-        Ok(())
-    }
-
-    /// Enumerates all legal SPR moves as `(sub, dest)` pairs.
-    ///
-    /// Quadratic in tree size; callers wanting the fastDNAml-style
-    /// bounded rearrangement should filter by topological distance.
-    pub fn spr_moves(&self) -> Vec<(usize, usize)> {
-        let mut moves = Vec::new();
-        for sub in self.edges() {
-            let p = self.nodes[sub].parent.expect("edge child has a parent");
-            if p == self.root {
-                continue;
-            }
-            let mut in_subtree = Vec::new();
-            self.collect_nodes(sub, &mut in_subtree);
-            let sib = *self.nodes[p]
-                .children
-                .iter()
-                .find(|&&c| c != sub)
-                .expect("binary junction");
-            for dest in self.edges() {
-                if in_subtree.contains(&dest) || dest == p || dest == sib {
-                    continue;
-                }
-                moves.push((sub, dest));
-            }
-        }
-        moves
-    }
-
-    fn collect_nodes(&self, id: usize, out: &mut Vec<usize>) {
-        out.push(id);
-        for &c in &self.nodes[id].children {
-            self.collect_nodes(c, out);
-        }
-    }
-
     /// Nodes in postorder (children before parents), ending at the root.
     pub fn postorder(&self) -> Vec<usize> {
         let mut order = Vec::with_capacity(self.nodes.len());
@@ -563,97 +452,6 @@ mod tests {
         let t = Tree::initial_triple([0, 1, 2], 0.1);
         assert!(t.splits().is_empty(), "3-taxon tree has no internal splits");
         assert_eq!(four_taxon_tree().splits().len(), 1);
-    }
-
-    fn six_taxon_tree() -> Tree {
-        let mut t = Tree::initial_triple([0, 1, 2], 0.1);
-        t.insert_leaf(1, 3, 0.1);
-        let e = t.edges()[0];
-        t.insert_leaf(e, 4, 0.1);
-        let e = *t.edges().last().unwrap();
-        t.insert_leaf(e, 5, 0.1);
-        t.validate().unwrap();
-        t
-    }
-
-    #[test]
-    fn spr_preserves_invariants_and_taxa() {
-        let t = six_taxon_tree();
-        let mut applied = 0;
-        for (sub, dest) in t.spr_moves() {
-            let mut t2 = t.clone();
-            t2.spr(sub, dest).expect("enumerated moves are legal");
-            t2.validate().unwrap();
-            let mut taxa = t2.taxa();
-            taxa.sort_unstable();
-            assert_eq!(taxa, vec![0, 1, 2, 3, 4, 5]);
-            assert_eq!(t2.node_count(), t.node_count(), "arena stays dense");
-            applied += 1;
-        }
-        assert!(
-            applied > 10,
-            "a 6-taxon tree has many SPR moves ({applied})"
-        );
-    }
-
-    #[test]
-    fn spr_reaches_topologies_nni_cannot_in_one_step() {
-        let t = six_taxon_tree();
-        // Collect all topologies reachable by one NNI.
-        let mut nni_reachable: Vec<Vec<Vec<usize>>> = Vec::new();
-        for (c, a, b) in t.nni_moves() {
-            let mut t2 = t.clone();
-            t2.nni_swap(c, a, b);
-            nni_reachable.push(t2.splits());
-        }
-        // Some SPR move must land outside that set.
-        let found = t.spr_moves().iter().any(|&(sub, dest)| {
-            let mut t2 = t.clone();
-            t2.spr(sub, dest).unwrap();
-            let s = t2.splits();
-            s != t.splits() && !nni_reachable.contains(&s)
-        });
-        assert!(found, "SPR must be strictly stronger than one NNI step");
-    }
-
-    #[test]
-    fn spr_rejects_illegal_moves() {
-        let mut t = six_taxon_tree();
-        let root = t.root();
-        assert!(t.spr(root, 1).is_err(), "root cannot be pruned");
-        // A child of the root cannot be pruned (trifurcation would break).
-        let root_child = t.node(root).children[0];
-        let far = t.edges().into_iter().find(|&e| e != root_child).unwrap();
-        assert!(t.spr(root_child, far).is_err());
-        // Destination inside the pruned subtree.
-        let internal = t
-            .internal_edges()
-            .into_iter()
-            .find(|&c| t.node(c).parent != Some(root))
-            .expect("6 taxa have a deep internal edge");
-        let inside = t.node(internal).children[0];
-        assert!(t.spr(internal, inside).is_err());
-        // No-op destinations.
-        let p = t.node(internal).parent.unwrap();
-        if p != root {
-            assert!(t.spr(internal, p).is_err());
-        }
-        t.validate().unwrap();
-    }
-
-    #[test]
-    fn spr_conserves_total_subtree_branch_length_roughly() {
-        // The sibling absorbs the junction branch and the destination
-        // edge is split, so total length changes only by the (re)split
-        // rounding — it must stay finite and positive.
-        let t = six_taxon_tree();
-        for (sub, dest) in t.spr_moves().into_iter().take(20) {
-            let mut t2 = t.clone();
-            t2.spr(sub, dest).unwrap();
-            let total = t2.total_branch_length();
-            assert!(total.is_finite() && total > 0.0);
-            assert!((total - t.total_branch_length()).abs() < 0.2);
-        }
     }
 
     #[test]

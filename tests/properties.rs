@@ -328,24 +328,6 @@ fn nj_reconstructs_additive_metrics() {
     }
 }
 
-#[test]
-fn spr_moves_all_preserve_invariants() {
-    let mut rng = Xoshiro256StarStar::new(0x0F);
-    for _ in 0..32 {
-        let n = rng.next_range(5, 9) as usize;
-        let seed = rng.next_below(50);
-        let tree = random_yule_tree(n, 0.1, seed);
-        for (sub, dest) in tree.spr_moves().into_iter().take(40) {
-            let mut t = tree.clone();
-            assert!(t.spr(sub, dest).is_ok());
-            assert!(t.validate().is_ok());
-            let mut taxa = t.taxa();
-            taxa.sort_unstable();
-            assert_eq!(taxa, (0..n).collect::<Vec<_>>());
-        }
-    }
-}
-
 /// A `(digest, bytes)` chunk whose key really is its content digest, so
 /// [`ChunkCache::get_verified`] treats it as intact.
 fn honest_chunk(rng: &mut dyn Rng, max_len: usize) -> (u64, Arc<Vec<u8>>) {
