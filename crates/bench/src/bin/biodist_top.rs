@@ -300,17 +300,14 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
         done,
         snap.problems.len(),
     ));
-    out.push_str("CLIENT      OPS/S   UNITS  LEASES  TRUST  AGREE  DISPUTE  FLAG   RATIO  DEPTH\n");
+    out.push_str("CLIENT      OPS/S   UNITS  LEASES  FLAG   RATIO  DEPTH\n");
     for d in &snap.donors {
         out.push_str(&format!(
-            "{:>6}  {:>9.3e}  {:>5}  {:>6}  {:>5}  {:>5}  {:>7}  {:>4}  {:>6.2}  {:>5}\n",
+            "{:>6}  {:>9.3e}  {:>5}  {:>6}  {:>4}  {:>6.2}  {:>5}\n",
             d.client,
             d.ops_per_sec,
             d.units_completed,
             d.leases,
-            if d.trusted { "yes" } else { "no" },
-            d.agreements,
-            d.disputes,
             if d.flagged { "FLAG" } else { "-" },
             d.health_ratio,
             // What the donor's last metrics report said it runs at.

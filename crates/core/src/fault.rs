@@ -28,8 +28,6 @@
 //! from its printed `(seed, plan)` alone — the plan is data, its
 //! reading is deterministic, and nothing else feeds the injection.
 
-use crate::codec::WireCodec;
-use crate::problem::TaskResult;
 use crate::sched::ClientId;
 use crate::telemetry::{EventKind, Telemetry};
 use biodist_util::rng::{Rng, Xoshiro256StarStar};
@@ -68,11 +66,6 @@ pub enum FaultKind {
     /// corrupted payload. The transport layer detects the checksum
     /// mismatch and the server must reissue the unit.
     CorruptResult,
-    /// The client's next completed result after `at` is *wrong*: its
-    /// payload bytes are flipped **before** CRC framing, so the wire
-    /// layer cannot catch it — a true Byzantine donor. Only K-way
-    /// quorum compare on the combine path defends against it.
-    WrongResult,
     /// The shared server link runs `factor`× slower for
     /// `duration_secs` (congestion, a flapping switch port).
     LinkDegrade {
@@ -319,46 +312,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Generates a Byzantine plan from `seed`: a `byzantine_frac`
-    /// fraction of the pool (at least one donor, never the whole pool)
-    /// is selected deterministically, and each selected donor arms
-    /// `wrongs_per_donor` [`FaultKind::WrongResult`] one-shots spread
-    /// over `[0.02, 0.7] × horizon`. Deliberately a *separate* builder
-    /// from [`FaultPlan::random`]: adding `WrongResult` to the random
-    /// mix would silently change every existing seed's plan.
-    pub fn byzantine(
-        seed: u64,
-        opts: &ChaosOptions,
-        byzantine_frac: f64,
-        wrongs_per_donor: usize,
-    ) -> Self {
-        assert!(
-            opts.n_clients >= 2,
-            "byzantine chaos needs at least 2 clients"
-        );
-        assert!(
-            (0.0..=1.0).contains(&byzantine_frac),
-            "byzantine fraction must be in [0, 1]"
-        );
-        let mut rng = Xoshiro256StarStar::new(seed).derive(0xB1_2A17);
-        let n_byz = ((opts.n_clients as f64 * byzantine_frac).round() as usize)
-            .clamp(1, opts.n_clients - 1);
-        // Fisher–Yates prefix: pick n_byz distinct donors.
-        let mut pool: Vec<ClientId> = (0..opts.n_clients).collect();
-        for i in 0..n_byz {
-            let j = i + rng.next_below((opts.n_clients - i) as u64) as usize;
-            pool.swap(i, j);
-        }
-        let mut plan = Self::new(seed);
-        for &client in &pool[..n_byz] {
-            for _ in 0..wrongs_per_donor {
-                let at = rng.next_f64_range(0.02, 0.7) * opts.horizon_secs;
-                plan.push(at, client, FaultKind::WrongResult);
-            }
-        }
-        plan
-    }
-
     /// Everything the plan says about donor `id`, and the plan's link
     /// windows, read in one pass over its events. Replica-indexed
     /// events never land here, even when the replica index equals `id`;
@@ -397,7 +350,6 @@ impl FaultPlan {
                 FaultKind::DropResult => OneShot::Result(DeliveryAction::Drop),
                 FaultKind::DuplicateResult => OneShot::Result(DeliveryAction::Duplicate),
                 FaultKind::CorruptResult => OneShot::Result(DeliveryAction::Corrupt),
-                FaultKind::WrongResult => OneShot::Lie,
                 FaultKind::DropChunk => OneShot::ChunkReply(DeliveryAction::Drop),
                 FaultKind::CorruptChunk => OneShot::ChunkReply(DeliveryAction::Corrupt),
                 FaultKind::DropReply => OneShot::ControlReply(DeliveryAction::Drop),
@@ -488,7 +440,8 @@ impl FaultPlan {
                     factor,
                     duration_secs,
                 } => (7, factor, duration_secs),
-                FaultKind::WrongResult => (8, 0.0, 0.0),
+                // (Tag 8, a wrong result, is retired: the farm trusts
+                // its donors.)
                 FaultKind::ReplicaCrash { down_secs } => (9, down_secs, 0.0),
                 FaultKind::ReplicaStall { duration_secs } => (10, duration_secs, 0.0),
                 FaultKind::DropChunk => (11, 0.0, 0.0),
@@ -531,20 +484,6 @@ impl DeliveryAction {
     }
 }
 
-/// The canonical Byzantine mutation: flips the final payload byte with
-/// a client-derived odd mask, so the result stays *decodable* (same
-/// length, CRC re-framed over the flipped bytes) but semantically
-/// wrong — and two Byzantine donors never produce the *same* wrong
-/// bytes, which would let them outvote an honest quorum. Both
-/// backends apply this one function so a plan means the same thing
-/// everywhere. No-op on an empty payload.
-pub fn flip_result_bytes(bytes: &mut [u8], client: ClientId) {
-    if let Some(last) = bytes.last_mut() {
-        // Odd mask: always non-zero, distinct per client (mod 128).
-        *last ^= (client as u8).wrapping_shl(1) | 1;
-    }
-}
-
 /// One armed one-shot fault of a donor's, by the queue it is consumed
 /// from: each queue is consumed by its own caller, so consuming one
 /// kind never perturbs another's schedule.
@@ -559,8 +498,6 @@ pub(crate) enum OneShot {
     /// A control reply fault: [`FaultKind::DropReply`] /
     /// [`FaultKind::DuplicateReply`] / [`FaultKind::CorruptReply`].
     ControlReply(DeliveryAction),
-    /// A Byzantine lie: [`FaultKind::WrongResult`].
-    Lie,
 }
 
 /// One donor's part of a [`FaultPlan`] ([`FaultPlan::client`]): its
@@ -669,59 +606,22 @@ impl ClientFaults {
         self.take(now, control).unwrap_or(DeliveryAction::Deliver)
     }
 
-    /// Whether the result the donor finished at `now` is computed
-    /// *wrong* (Byzantine): an armed lie whose time has passed is
-    /// consumed. Its own queue, so a lie (told before framing) and a
-    /// delivery fault (applied to the framed turn) never skew each
-    /// other's schedules.
-    pub fn wrong_result(&mut self, now: f64) -> bool {
-        self.take(now, |s| (s == OneShot::Lie).then_some(()))
-            .is_some()
-    }
-
     /// Resolves the delivery of a result donor `client` finished at
-    /// `now` on the simulator, which carries results as typed payloads
-    /// (the TCP donor flips the bytes of its own frame): consumes the
-    /// due delivery fault and lie. A lie flips the encoded payload
-    /// bytes *before* the transport would frame them, then decodes them
-    /// back — the CRC layer cannot catch it, only quorum compare can. A
-    /// lie whose bytes no longer decode degrades to a corrupt delivery.
-    /// Emits one `FaultInjected` event for the lie and one for any
-    /// action other than `Deliver`; returns how to deliver, and what.
+    /// `now` on the simulator: consumes the due delivery fault
+    /// ([`ClientFaults::delivery_action`]) and emits one `FaultInjected`
+    /// event for any action other than `Deliver`.
     pub fn resolve_delivery(
         &mut self,
         tel: &Telemetry,
         now: f64,
         client: ClientId,
-        mut result: TaskResult,
-        codec: Option<&dyn WireCodec>,
-    ) -> (DeliveryAction, TaskResult) {
-        let mut action = self.delivery_action(now);
-        let injected = |action: &str| {
-            tel.emit_at(
-                now,
-                EventKind::FaultInjected {
-                    client,
-                    action: action.to_string(),
-                },
-            );
-        };
-        if self.wrong_result(now) {
-            injected("wrong_result");
-            if let Some(codec) = codec {
-                if let Ok(mut bytes) = codec.encode_result(&result.payload) {
-                    flip_result_bytes(&mut bytes, client);
-                    match codec.decode_result(&bytes) {
-                        Ok(payload) => result.payload = payload,
-                        Err(_) => action = DeliveryAction::Corrupt,
-                    }
-                }
-            }
-        }
+    ) -> DeliveryAction {
+        let action = self.delivery_action(now);
         if let Some(name) = action.fault() {
-            injected(name);
+            let action = name.to_string();
+            tel.emit_at(now, EventKind::FaultInjected { client, action });
         }
-        (action, result)
+        action
     }
 }
 
@@ -927,65 +827,6 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_plans_are_deterministic_and_bounded() {
-        let opts = ChaosOptions::for_pool(6, 200.0);
-        let a = FaultPlan::byzantine(42, &opts, 0.3, 4);
-        assert_eq!(a, FaultPlan::byzantine(42, &opts, 0.3, 4));
-        assert_ne!(a, FaultPlan::byzantine(43, &opts, 0.3, 4));
-        // 30% of 6 donors = 2 Byzantine donors, 4 wrongs each.
-        let donors: std::collections::HashSet<_> =
-            a.events.iter().filter_map(|e| e.client).collect();
-        assert_eq!(donors.len(), 2);
-        assert_eq!(a.events.len(), 8);
-        assert!(a
-            .events
-            .iter()
-            .all(|e| e.kind == FaultKind::WrongResult && e.at <= 0.7 * 200.0));
-        // The fraction never selects the whole pool (the run must be
-        // able to out-vote the liars) and never rounds down to zero.
-        let all = FaultPlan::byzantine(7, &opts, 1.0, 1);
-        let donors: std::collections::HashSet<_> =
-            all.events.iter().filter_map(|e| e.client).collect();
-        assert_eq!(donors.len(), 5);
-        let one = FaultPlan::byzantine(7, &opts, 0.0, 1);
-        assert_eq!(one.events.len(), 1);
-    }
-
-    #[test]
-    fn the_record_consumes_wrong_results_independently_of_deliveries() {
-        let plan = FaultPlan::new(9)
-            .with(10.0, 0, FaultKind::WrongResult)
-            .with(20.0, 0, FaultKind::WrongResult)
-            .with(5.0, 0, FaultKind::DropResult);
-        let mut c0 = plan.client(0);
-        assert!(!c0.wrong_result(9.0), "not armed yet");
-        assert!(c0.wrong_result(15.0));
-        // Consuming a wrong-result must not consume the drop.
-        assert_eq!(c0.delivery_action(15.0), DeliveryAction::Drop);
-        assert!(c0.wrong_result(25.0));
-        assert!(!c0.wrong_result(25.0), "both consumed");
-        assert!(
-            !plan.client(1).wrong_result(25.0),
-            "other client unaffected"
-        );
-    }
-
-    #[test]
-    fn flip_result_bytes_is_clientwise_distinct_and_reversible() {
-        let original = vec![1u8, 2, 3, 4];
-        let mut a = original.clone();
-        let mut b = original.clone();
-        flip_result_bytes(&mut a, 0);
-        flip_result_bytes(&mut b, 1);
-        assert_ne!(a, original, "mutation must change the bytes");
-        assert_ne!(b, original);
-        assert_ne!(a, b, "two Byzantine donors must disagree with each other");
-        assert_eq!(a.len(), original.len(), "length preserved: stays decodable");
-        let mut empty: Vec<u8> = Vec::new();
-        flip_result_bytes(&mut empty, 3); // no-op, no panic
-    }
-
-    #[test]
     fn replica_fault_accessors_pick_their_own_index_space() {
         let plan = FaultPlan::new(5)
             .with(0.5, 1, FaultKind::ReplicaCrash { down_secs: 0.25 })
@@ -1011,13 +852,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_covers_wrong_result_events() {
-        let a = FaultPlan::new(1).with(5.0, 0, FaultKind::WrongResult);
-        let b = FaultPlan::new(1).with(5.0, 0, FaultKind::CorruptResult);
-        assert_ne!(a.digest(), b.digest());
-    }
-
-    #[test]
     fn digest_is_stable_and_sensitive() {
         let opts = ChaosOptions::for_pool(8, 300.0);
         let a = FaultPlan::random(42, &opts);
@@ -1028,5 +862,37 @@ mod tests {
         b.push(1.0, 0, FaultKind::DropResult);
         assert_ne!(a.digest(), b.digest());
         assert_ne!(FaultPlan::none().digest(), 0);
+        // Pinned (values from before tag 8, a wrong-result fault, was
+        // retired): every kind keeps its tag and tag 8 is never reused,
+        // so a seed's printed digest means what it always did.
+        let kinds = [
+            FaultKind::LateJoin,
+            FaultKind::Depart,
+            FaultKind::Crash { down_secs: 1.5 },
+            FaultKind::Slowdown {
+                factor: 2.0,
+                duration_secs: 3.0,
+            },
+            FaultKind::DropResult,
+            FaultKind::DuplicateResult,
+            FaultKind::CorruptResult,
+            FaultKind::LinkDegrade {
+                factor: 4.0,
+                duration_secs: 5.0,
+            },
+            FaultKind::ReplicaCrash { down_secs: 6.0 },
+            FaultKind::ReplicaStall { duration_secs: 7.0 },
+            FaultKind::DropChunk,
+            FaultKind::CorruptChunk,
+            FaultKind::DropReply,
+            FaultKind::DuplicateReply,
+            FaultKind::CorruptReply,
+        ];
+        let mut plan = FaultPlan::new(48);
+        for (i, kind) in kinds.into_iter().enumerate() {
+            plan.push(i as f64, i % 3, kind);
+        }
+        assert_eq!(plan.digest(), 14_962_680_605_851_621_010);
+        assert_eq!(a.digest(), 17_281_740_625_250_829_700);
     }
 }

@@ -180,25 +180,19 @@ impl LeaseTable {
         })
     }
 
-    /// Returns a [taken](Self::take) unit that still needs results (a
-    /// non-final quorum vote), minus `voter`'s lease. The one place a unit
-    /// is orphaned: with no lease left it is queued for reissue (`true`).
-    pub fn put_back(&mut self, mut inf: InFlight, voter: ClientId) -> bool {
-        inf.leases.retain(|l| l.client != voter);
+    /// Cancels `client`'s lease on `unit`: `None` if the unit is not in
+    /// flight, else whether that orphaned it. The one place a unit is
+    /// orphaned: with no lease left it is queued for reissue.
+    pub fn release(&mut self, unit: UnitId, client: ClientId) -> Option<bool> {
+        let mut inf = self.in_flight.remove(&unit)?;
+        inf.leases.retain(|l| l.client != client);
         let orphaned = inf.leases.is_empty();
         if orphaned {
             self.reissue.push_back(inf.unit);
         } else {
-            self.in_flight.insert(inf.unit.id, inf);
+            self.in_flight.insert(unit, inf);
         }
-        orphaned
-    }
-
-    /// Cancels `client`'s lease on `unit`: `None` if the unit is not in
-    /// flight, else whether that orphaned it.
-    pub fn release(&mut self, unit: UnitId, client: ClientId) -> Option<bool> {
-        let inf = self.in_flight.remove(&unit)?;
-        Some(self.put_back(inf, client))
+        Some(orphaned)
     }
 
     /// Cancels every lease `client` holds.
@@ -267,14 +261,13 @@ impl LeaseTable {
         }
     }
 
-    /// Takes the best reissue-queue unit that is not `blocked`: highest
-    /// `score`, the front winning ties; without a scorer, the first.
+    /// Takes the best reissue-queue unit: highest `score`, the front
+    /// winning ties; without a scorer, the first.
     pub fn next_queued(
         &mut self,
-        blocked: impl Fn(UnitId) -> bool,
         score: Option<&dyn Fn(&WorkUnit) -> usize>,
     ) -> Option<Arc<WorkUnit>> {
-        let at = best_index(&self.reissue, blocked, score)?;
+        let at = best_index(&self.reissue, score)?;
         self.reissue.remove(at)
     }
 
@@ -295,7 +288,7 @@ impl LeaseTable {
             self.pool.push_back(Arc::new(unit));
         }
         let score = score.filter(|_| self.pool.len() > 1);
-        let at = best_index(&self.pool, |_| false, score)?;
+        let at = best_index(&self.pool, score)?;
         self.pool.remove(at)
     }
 
@@ -304,13 +297,12 @@ impl LeaseTable {
     /// any other, then the longest-running, then the lowest id. With
     /// `rescue`, only units whose *every* holder is flagged, and only
     /// under the speculative cap (the caller checks the detector is on
-    /// and `client` healthy). `voted`: units `client` has voted on.
+    /// and `client` healthy).
     pub fn extra_copy(
         &self,
         client: ClientId,
         rescue: bool,
         sched: &Scheduler,
-        voted: impl Fn(UnitId) -> bool,
     ) -> Option<ExtraCopy> {
         // With the detector off nobody is flagged: no lookups to make.
         let detector = sched.config().enable_health_detector;
@@ -333,7 +325,7 @@ impl LeaseTable {
             }
             let ages = inf.leases.iter().map(|l| l.assigned_at);
             let rank = (flagged == 0, ages.fold(f64::INFINITY, f64::min), unit);
-            if best.is_none_or(|(b, ..)| rank < b) && !voted(unit) {
+            if best.is_none_or(|(b, ..)| rank < b) {
                 best = Some((rank, speculative, inf));
             }
         }
@@ -342,20 +334,6 @@ impl LeaseTable {
             speculative,
             rank,
         })
-    }
-
-    /// The lowest-id in-flight unit `client` holds no lease on for
-    /// which `wants(unit, live copies)` holds (the quorum top-up).
-    pub fn top_up(
-        &self,
-        client: ClientId,
-        wants: impl Fn(UnitId, u32) -> bool,
-    ) -> Option<Arc<WorkUnit>> {
-        let open = self.in_flight.values().filter(|inf| {
-            let mine = inf.leases.iter().any(|l| l.client == client);
-            !mine && wants(inf.unit.id, inf.leases.len() as u32)
-        });
-        Some(open.min_by_key(|inf| inf.unit.id)?.unit.clone())
     }
 
     /// Checks the table's invariants; returns the violations, sorted.
@@ -391,13 +369,12 @@ impl LeaseTable {
     }
 }
 
-// Index of the best unit in `queue` that is not `blocked`.
+// Index of the best unit in `queue`.
 fn best_index(
     queue: &VecDeque<Arc<WorkUnit>>,
-    blocked: impl Fn(UnitId) -> bool,
     score: Option<&dyn Fn(&WorkUnit) -> usize>,
 ) -> Option<usize> {
-    let mut open = queue.iter().enumerate().filter(|(_, u)| !blocked(u.id));
+    let mut open = queue.iter().enumerate();
     let best = match score {
         // (`min_by_key` keeps the first of equals: the front.)
         Some(score) => open.min_by_key(|(_, u)| std::cmp::Reverse(score(u))),

@@ -44,7 +44,6 @@ pub mod health;
 pub mod leases;
 pub mod net;
 pub mod problem;
-pub mod quorum;
 pub mod sched;
 pub mod server;
 pub mod sim_backend;
@@ -52,9 +51,7 @@ pub mod telemetry;
 
 pub use audit::{audited, AuditHandle};
 pub use codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
-pub use fault::{
-    flip_result_bytes, ChaosOptions, ClientFaults, DeliveryAction, FaultEvent, FaultKind, FaultPlan,
-};
+pub use fault::{ChaosOptions, ClientFaults, DeliveryAction, FaultEvent, FaultKind, FaultPlan};
 pub use health::{Detector, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{
     chunk_digest, raise_nofile_limit, run_tcp, run_tcp_faulty, run_tcp_replicated, run_tcp_with,
@@ -62,7 +59,6 @@ pub use net::{
     NetServer, NetServerOptions, ReplicaServer, REPLICA_CLIENT_ID,
 };
 pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, WorkUnit};
-pub use quorum::{QuorumTally, VoteOutcome};
 pub use sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
 pub use server::{
     recover, recover_traced, Assignment, DonorStatus, ProblemId, ProblemStatus, RecoveryReport,

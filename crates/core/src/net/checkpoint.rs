@@ -13,20 +13,19 @@
 //!   functions of the interleaved hint/result sequence);
 //! * `Result` records: the codec-encoded result folded for a unit,
 //!   written **before** the fold (write-ahead);
-//! * `Vote` records: quorum ballots cast before a unit reached
-//!   agreement, so a restarted server resumes interrupted elections
-//!   (re-capped below the quorum — only a live result can fold);
 //! * `Donors` records: periodic [`DonorSnapshot`]s
 //!   ([`crate::Server::snapshot_donors`]) so recovery resumes with warm
-//!   speed estimates, earned trust and affinity windows.
+//!   speed estimates and affinity windows.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
 //! body): u32]`, little-endian; a donor turn's unit records are one
 //! `Turn` record (type 8) whose body is each one's `[record_type][body]`
-//! in order. Unit records reach the file a *group* at a time — one
-//! `write` per [`CheckpointWriter::commit`], which the TCP server issues
-//! once per pump, before that pump's replies leave (see
-//! [`CheckpointWriter`]). The reader stops at the first record that is
+//! in order. Record type 6 (a quorum vote) and a `Donors` row's part
+//! bit 2 (a reputation) are retired, never reused: the reader refuses
+//! them as it refuses any unknown type or bit. Unit records reach the
+//! file a *group* at a time — one `write` per
+//! [`CheckpointWriter::commit`], which the TCP server issues once per
+//! pump, before that pump's replies leave (see [`CheckpointWriter`]). The reader stops at the first record that is
 //! truncated, fails its CRC or is a malformed turn — a *torn tail* from
 //! a crash mid-write, anywhere in the group being written — and recovery
 //! proceeds from what survived: any unit whose result record was lost
@@ -39,7 +38,7 @@
 use super::wire::{MAX_BODY, MAX_PIPELINE_DEPTH};
 use crate::codec::{ByteReader, ByteWriter};
 use crate::problem::{UnitId, WorkUnit};
-use crate::sched::{ClientId, DonorRow, DonorSnapshot};
+use crate::sched::{DonorRow, DonorSnapshot};
 use crate::server::{ProblemId, RunJournal};
 use crate::telemetry::SIZE_BOUNDS;
 use std::fs::{File, OpenOptions};
@@ -49,13 +48,11 @@ use std::sync::{Arc, Mutex};
 
 const REC_ISSUE: u8 = 1;
 const REC_RESULT: u8 = 2;
-const REC_VOTE: u8 = 6;
 const REC_TURN: u8 = 8;
 const REC_DONORS: u8 = 9;
 // A `Donors` record is a row count, then each row's client, part mask
 // and the parts the mask names, in this order.
 const PART_ADAPTIVE: u8 = 1;
-const PART_REPUTATION: u8 = 2;
 const PART_AFFINITY: u8 = 4;
 
 /// Largest record body the reader will accept; larger means the length
@@ -63,8 +60,8 @@ const PART_AFFINITY: u8 = 4;
 const MAX_RECORD: u32 = 256 * 1024 * 1024;
 
 // A `Turn` record fits: a `Turn` frame's results (≥ 20 bytes each on the
-// wire, ≤ 13 more as a vote record) and a 25-byte issue a unit leased.
-const _: () = assert!(MAX_BODY / 20 * 33 + 25 * MAX_PIPELINE_DEPTH as u32 <= MAX_RECORD);
+// wire, 1 more as a result record) and a 25-byte issue a unit leased.
+const _: () = assert!(MAX_BODY / 20 * 21 + 25 * MAX_PIPELINE_DEPTH as u32 <= MAX_RECORD);
 
 /// One decoded checkpoint record.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,26 +85,9 @@ pub enum LogRecord {
         payload: Vec<u8>,
     },
     /// A snapshot of every donor record (the last one in the log
-    /// wins): warm speed estimates, the trust donors earned before the
-    /// crash and the caches units are steered toward.
+    /// wins): warm speed estimates and the caches units are steered
+    /// toward.
     Donors(DonorSnapshot),
-    /// A quorum vote recorded before the unit reached agreement. A unit
-    /// whose `Result` record never made it to the log resumes its
-    /// election from these instead of from scratch — and because the
-    /// server re-caps restored votes below the quorum, a half-voted
-    /// unit can never fold twice.
-    Vote {
-        /// Problem the unit belongs to.
-        problem: ProblemId,
-        /// The contested unit.
-        unit: UnitId,
-        /// Byte-identical copies required to fold.
-        needed: u32,
-        /// Donor that cast the vote.
-        client: ClientId,
-        /// The codec-encoded candidate bytes the donor submitted.
-        payload: Vec<u8>,
-    },
 }
 
 /// An open group is written out once it holds this many bytes, whatever
@@ -186,7 +166,7 @@ impl Drop for Log {
 /// snapshots too ([`RunJournal::donors_snapshotted`]). Clones share one
 /// log and one open group.
 ///
-/// Unit records (`Issue` / `Result` / `Vote`) are **group-committed**:
+/// Unit records (`Issue` / `Result`) are **group-committed**:
 /// each is CRC-framed into the open group as it is reported, and the
 /// group reaches the file in one `write` at [`CheckpointWriter::commit`],
 /// when it passes 64 KiB, ahead of any other record type (snapshots
@@ -295,7 +275,7 @@ impl CheckpointWriter {
         // A crash can tear at most the group being written, at any
         // byte; the reader's CRC check keeps the records wholly before
         // the tear and drops the rest.
-        let unit_record = matches!(rtype, REC_ISSUE | REC_RESULT | REC_VOTE);
+        let unit_record = matches!(rtype, REC_ISSUE | REC_RESULT);
         if !unit_record || log.group.len() >= GROUP_BYTES {
             self.write_group(&mut log);
         }
@@ -320,7 +300,6 @@ impl CheckpointWriter {
             let kind = match rtype {
                 REC_ISSUE => "issue",
                 REC_RESULT => "result",
-                REC_VOTE => "vote",
                 _ => "donors",
             };
             self.telemetry
@@ -340,17 +319,10 @@ impl CheckpointWriter {
                 w.u64(row.client as u64);
                 let affinity = !row.affinity.is_empty();
                 let part = |present: bool, part: u8| u8::from(present) * part;
-                w.u8(part(row.adaptive.is_some(), PART_ADAPTIVE)
-                    | part(row.reputation.is_some(), PART_REPUTATION)
-                    | part(affinity, PART_AFFINITY));
+                w.u8(part(row.adaptive.is_some(), PART_ADAPTIVE) | part(affinity, PART_AFFINITY));
                 if let Some((speed, units)) = row.adaptive {
                     w.f64(speed);
                     w.u64(units);
-                }
-                if let Some((agreements, disputes, trusted)) = row.reputation {
-                    w.u64(agreements);
-                    w.u64(disputes);
-                    w.u8(u8::from(trusted));
                 }
                 if affinity {
                     w.u32(row.affinity.len() as u32);
@@ -374,23 +346,6 @@ impl RunJournal for CheckpointWriter {
         self.unit_record(REC_RESULT, |w| {
             w.usize(problem);
             w.u64(unit);
-            w.bytes(encoded);
-        });
-    }
-
-    fn vote_recorded(
-        &mut self,
-        problem: ProblemId,
-        unit: UnitId,
-        needed: u32,
-        client: ClientId,
-        encoded: &[u8],
-    ) {
-        self.unit_record(REC_VOTE, |w| {
-            w.usize(problem);
-            w.u64(unit);
-            w.u32(needed);
-            w.u64(client as u64);
             w.bytes(encoded);
         });
     }
@@ -491,7 +446,7 @@ fn parse_record(buf: &[u8], out: &mut Vec<LogRecord>) -> Option<usize> {
 /// A `Turn` record's body: unit records, nothing else, to its last byte.
 fn parse_turn(r: &mut ByteReader, out: &mut Vec<LogRecord>) -> Option<()> {
     while r.remaining() > 0 {
-        let unit_record = |t: &u8| matches!(*t, REC_ISSUE | REC_RESULT | REC_VOTE);
+        let unit_record = |t: &u8| matches!(*t, REC_ISSUE | REC_RESULT);
         out.push(parse_body(r.u8().ok().filter(unit_record)?, r)?);
     }
     Some(())
@@ -518,14 +473,11 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
                     client: r.usize().ok()?,
                     ..Default::default()
                 };
-                let known = PART_ADAPTIVE | PART_REPUTATION | PART_AFFINITY;
+                let known = PART_ADAPTIVE | PART_AFFINITY;
                 let parts = r.u8().ok().filter(|&m| m & !known == 0)?;
                 let has = |part: u8| parts & part != 0;
                 if has(PART_ADAPTIVE) {
                     row.adaptive = Some((r.f64().ok()?, r.u64().ok()?));
-                }
-                if has(PART_REPUTATION) {
-                    row.reputation = Some((r.u64().ok()?, r.u64().ok()?, r.u8().ok()? != 0));
                 }
                 if has(PART_AFFINITY) {
                     let k = r.count(8).ok()?;
@@ -535,13 +487,6 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
             }
             LogRecord::Donors(DonorSnapshot { donors })
         }
-        REC_VOTE => LogRecord::Vote {
-            problem: r.usize().ok()?,
-            unit: r.u64().ok()?,
-            needed: r.u32().ok()?,
-            client: r.usize().ok()?,
-            payload: r.bytes().ok()?.to_vec(),
-        },
         _ => return None,
     })
 }
@@ -551,9 +496,7 @@ mod tests {
     use super::*;
     use crate::builtin::integration_problem;
     use crate::sched::SchedulerConfig;
-    use crate::server::recovery::tests::{
-        drive_quorum, fixed_cfg, quorum_cfg, sequential_pi, temp_log,
-    };
+    use crate::server::recovery::tests::{drive, fixed_cfg, sequential_pi, temp_log};
     use crate::server::{recover, Assignment, Server};
     use std::sync::Arc;
 
@@ -661,39 +604,38 @@ mod tests {
     /// Rows with every part, with affinity only and with none of the
     /// optional parts (a client id and an empty mask).
     fn donor_rows() -> DonorSnapshot {
-        let row = |client, adaptive, reputation, affinity: &[u64]| DonorRow {
+        let row = |client, adaptive, affinity: &[u64]| DonorRow {
             client,
             adaptive,
-            reputation,
             affinity: affinity.to_vec(),
         };
         DonorSnapshot {
             donors: vec![
-                row(0, Some((1.5e7, 12)), Some((5, 0, true)), &[0xAA, 0xBB]),
-                row(2, None, None, &[0xDD]),
-                row(3, None, None, &[]),
+                row(0, Some((1.5e7, 12)), &[0xAA, 0xBB]),
+                row(2, None, &[0xDD]),
+                row(3, None, &[]),
             ],
         }
     }
 
     /// The `Donors` record is a log format too, so its bytes are pinned
-    /// (captured when it was introduced): a row count, then each row's
-    /// client, part mask and parts. A log cut inside a row keeps none of
-    /// the record — a torn tail.
+    /// (captured when it was introduced, less the retired reputation
+    /// part row 0 carried then): a row count, then each row's client,
+    /// part mask and parts. A log cut inside a row keeps none of the
+    /// record — a torn tail.
     #[test]
     fn golden_donors_record_bytes_have_not_moved() {
-        // `[row count 3]`; client 0, mask 7: speed, units; agreements,
-        // disputes, trusted; two digests. Client 2, mask 4: one digest.
-        // Client 3, mask 0. Then the CRC.
-        const GOLDEN: &str = "6000000009\
+        // `[row count 3]`; client 0, mask 5: speed, units; two digests.
+        // Client 2, mask 4: one digest. Client 3, mask 0. Then the CRC.
+        const GOLDEN: &str = "4f00000009\
             03000000\
-            00000000000000000700000000389c6c410c00000000000000\
-            050000000000000000000000000000000102000000\
+            00000000000000000500000000389c6c410c00000000000000\
+            02000000\
             aa00000000000000bb00000000000000\
             020000000000000004\
             01000000dd00000000000000\
             030000000000000000\
-            d4bd242d";
+            ba6a7160";
         let path = temp_log("golden-donors");
         let writer = CheckpointWriter::create(&path).unwrap();
         writer.append_donors(&donor_rows());
@@ -724,33 +666,21 @@ mod tests {
     }
 
     #[test]
-    fn donors_and_vote_records_round_trip_and_restore() {
+    fn donor_records_round_trip_and_restore() {
         let path = temp_log("donors-rt");
-        let mut writer = CheckpointWriter::create(&path).unwrap();
+        let writer = CheckpointWriter::create(&path).unwrap();
         let mut snap = donor_rows();
         snap.donors.pop(); // a row with no part is never snapshotted
-        snap.donors[1].reputation = Some((1, 3, false));
+        let mut older = snap.clone();
+        older.donors[0].adaptive = Some((2.5e7, 3));
+        writer.append_donors(&older);
         writer.append_donors(&snap);
-        writer.vote_recorded(0, 7, 3, 2, &[0xAB, 0xCD]);
-        writer.commit(); // the vote is a unit record: it waits in the open group
         let (records, torn) = read_log(&path).unwrap();
         assert!(!torn);
-        assert_eq!(
-            records,
-            vec![
-                LogRecord::Donors(snap.clone()),
-                LogRecord::Vote {
-                    problem: 0,
-                    unit: 7,
-                    needed: 3,
-                    client: 2,
-                    payload: vec![0xAB, 0xCD],
-                },
-            ]
-        );
-        // A recovered server resumes with every record warm: speeds,
-        // reputation (default threshold 4: client 0's five agreements
-        // keep its trust, client 2 stays demoted) and affinity.
+        let expect = [LogRecord::Donors(older), LogRecord::Donors(snap.clone())];
+        assert_eq!(records, expect);
+        // A recovered server resumes with the last snapshot's records
+        // warm: speeds and affinity.
         let (server, report) = recover(
             SchedulerConfig::default(),
             vec![integration_problem(10_000)],
@@ -770,8 +700,9 @@ mod tests {
             w.str("127.0.0.1:9001");
         });
         seal_record(&mut replica, 0);
-        let (donors, vote) = bytes.split_at(parse_record(&bytes, &mut Vec::new()).unwrap());
-        std::fs::write(&path, [&replica, donors, &replica, vote, &replica].concat()).unwrap();
+        let (first, last) = bytes.split_at(parse_record(&bytes, &mut Vec::new()).unwrap());
+        let with_replicas = [&replica, first, &replica, last, &replica].concat();
+        std::fs::write(&path, &with_replicas).unwrap();
         assert_eq!(read_log(&path).unwrap(), (records, false));
         let (old, old_report) = recover(
             SchedulerConfig::default(),
@@ -781,14 +712,31 @@ mod tests {
         .unwrap();
         assert_eq!(old_report, report);
         assert_eq!(old.scheduler().snapshot(), snap);
+        // A row that carries the retired part bit 2 (a reputation:
+        // agreements, disputes, trusted) is refused, whole and sealed:
+        // the record is a torn tail and the ones before it are kept.
+        let mut retired = vec![0; 4];
+        write_body(&mut retired, REC_DONORS, |w| {
+            w.u32(1);
+            w.u64(0);
+            w.u8(PART_ADAPTIVE | 2);
+            w.f64(1.5e7);
+            w.u64(12);
+            w.u64(5);
+            w.u64(0);
+            w.u8(1);
+        });
+        seal_record(&mut retired, 0);
+        let kept = vec![LogRecord::Donors(snap.clone())];
+        assert_eq!(parse_log(&[last, &retired].concat()), (kept, true));
         let _ = std::fs::remove_file(&path);
     }
 
     /// A crash while a group is being written can leave any prefix of
     /// it in the file. Whatever the byte it tears at, the reader keeps
     /// exactly the records wholly before the tear — of a group that
-    /// mixes issue, vote and result records, written one at a time or
-    /// as the `Turn` records of donor turns around a snapshot — and the
+    /// mixes issue and result records, written one at a time or as the
+    /// `Turn` records of donor turns around a snapshot — and the
     /// recovered run finishes with every unit folded exactly once.
     #[test]
     fn a_group_torn_at_any_byte_recovers_exactly_the_records_before_the_tear() {
@@ -797,15 +745,15 @@ mod tests {
         for by_turns in [false, true] {
             let path = temp_log("torn-group");
             let writer = CheckpointWriter::create(&path).unwrap();
-            let mut server = Server::new(quorum_cfg());
+            let mut server = Server::new(fixed_cfg());
             server.submit(integration_problem(n));
             server.set_journal(Box::new(writer.clone()));
             let (algorithm, codec) = (server.algorithm(0), server.codec(0).unwrap());
             let mut now = 0.0;
             let mut held: [Vec<Arc<WorkUnit>>; 2] = Default::default();
-            // One ballot — `client` asks, computes and votes — or one
-            // turn: `client` hands in what it holds, each result voted
-            // or folded, and asks for `want` more.
+            // One exchange — `client` asks, computes and hands the
+            // result in — or one turn: `client` hands in what it holds
+            // and asks for `want` more.
             let mut step = |server: &mut Server, client: usize, want: usize| {
                 if !by_turns {
                     let Assignment::Unit { problem, unit, .. } = server.request_work(client, now)
@@ -829,9 +777,9 @@ mod tests {
                 assert!(out.accepted.iter().all(|&a| a));
                 held[client].extend(out.units.into_iter().map(|(_, unit)| unit));
             };
-            // An earlier group, whole in the file: one unit elected. Then
-            // the group the crash tears: two units elected, a third with
-            // one of its two votes in (`None`: a snapshot).
+            // An earlier group, whole in the file, then the group the
+            // crash tears, which leaves a unit leased and unfolded in the
+            // turns (`None`: a snapshot).
             let (earlier, group) = if by_turns {
                 let group = [Some((0, 2)), Some((1, 2)), Some((0, 1)), None];
                 let group = [&group[..], &[Some((1, 1)), Some((0, 0))]].concat();
@@ -871,9 +819,8 @@ mod tests {
             let group = &records[read_by(group_start)..];
             assert!(
                 group.iter().any(|r| matches!(r, LogRecord::Issue { .. }))
-                    && group.iter().any(|r| matches!(r, LogRecord::Vote { .. }))
                     && group.iter().any(|r| matches!(r, LogRecord::Result { .. })),
-                "the torn group mixes all three unit records: {group:?}"
+                "the torn group mixes both unit records: {group:?}"
             );
             let turns = ends.windows(2).filter(|w| w[1].1 - w[0].1 > 1).count();
             let snapshots = group.iter().filter(|r| matches!(r, LogRecord::Donors(_)));
@@ -890,9 +837,9 @@ mod tests {
                 assert_eq!(torn, !at_an_end, "cut at byte {cut}");
 
                 let (problem, audit) = crate::audit::audited(integration_problem(n));
-                let (mut recovered, report) = recover(quorum_cfg(), vec![problem], &path).unwrap();
+                let (mut recovered, report) = recover(fixed_cfg(), vec![problem], &path).unwrap();
                 assert_eq!(report.torn_tail, torn, "cut at byte {cut}");
-                drive_quorum(&mut recovered, now);
+                drive(&mut recovered);
                 audit
                     .verify_run(&recovered)
                     .unwrap_or_else(|v| panic!("cut at byte {cut}: {v:?}"));
@@ -1001,8 +948,9 @@ mod tests {
         };
         let nested = [&[REC_TURN][..], body].concat();
         let snapshot = [&[REC_DONORS][..], &prefix[5..prefix.len() - 4]].concat();
-        let malformed: [(&str, Vec<u8>); 8] = [
+        let malformed: [(&str, Vec<u8>); 9] = [
             ("an unknown sub-type", with(first_issue, 9)),
+            ("a retired vote sub-type (6)", with(first_issue, 6)),
             ("a zero sub-type", with(0, 0)),
             ("a nested turn", [body, &nested].concat()),
             ("a snapshot sub-record", [body, &snapshot].concat()),

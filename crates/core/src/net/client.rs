@@ -1306,7 +1306,7 @@ impl ClientLoop {
                     )
                 });
             }
-            self.queue_result(qu.problem, unit, &result.payload, at);
+            self.queue_result(qu.problem, unit, &result.payload);
             let held_since = *self.pacing.held_since.get_or_insert(at);
             if reading && at + compute >= held_since + 0.5 * wait {
                 break;
@@ -1329,25 +1329,15 @@ impl ClientLoop {
     /// Encodes a result into the buffer of one the origin has ruled on
     /// and queues it for the next turn, which also asks for the unit
     /// that replaces this one.
-    fn queue_result(&mut self, problem: u64, unit: u64, payload: &Payload, now: f64) {
+    fn queue_result(&mut self, problem: u64, unit: u64, payload: &Payload) {
         let mut encoded = ByteWriter::appending(self.spare.pop().unwrap_or_default());
         encoded.buf().clear();
         let codec = self.kit.codec(problem as usize);
         if codec.is_none_or(|c| c.write_result(payload, &mut encoded).is_err()) {
             return;
         }
-        let mut encoded = encoded.into_bytes();
-        // A Byzantine donor lies: flip the encoded payload bytes *here*,
-        // before the frame CRC is computed, so the wire layer delivers
-        // the lie intact — only server-side quorum compare can catch it.
-        if self.me.faults.wrong_result(now) {
-            crate::fault::flip_result_bytes(&mut encoded, self.me.id);
-            self.me.telemetry.emit(EventKind::FaultInjected {
-                client: self.me.id,
-                action: "wrong_result".to_string(),
-            });
-        }
-        self.unacked.push_back((problem, unit, encoded));
+        self.unacked
+            .push_back((problem, unit, encoded.into_bytes()));
     }
 }
 

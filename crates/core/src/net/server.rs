@@ -16,8 +16,8 @@
 //! reassembly, CRC checks and chunk/unit encoding run on whichever
 //! shard shard 0 dealt the connection to, round-robin, for the
 //! connection's whole life. Dispatch does not shard: one
-//! [`crate::Server`] behind one mutex keeps leases, folds, quorum
-//! votes, reputation, health and recovery, and every donor turn — a
+//! [`crate::Server`] behind one mutex keeps leases, folds, health and
+//! recovery, and every donor turn — a
 //! [`Frame::Turn`], or one of the raw clients' single-unit frames — is
 //! one [`Server::turn_wire`] under that lock, so a unit is always sized by
 //! the granularity hint of the donor that will compute it, at every

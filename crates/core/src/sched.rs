@@ -19,9 +19,9 @@
 //!    tail (first result wins).
 //!
 //! What the scheduler knows about a donor is one record (`DonorState`:
-//! adaptive state, reputation, chunk-affinity window, straggler
-//! detector) in one map, read with one lookup ([`Scheduler::donor`])
-//! and checkpointed as one [`DonorSnapshot`]. Every completion
+//! adaptive state, chunk-affinity window, straggler detector) in one
+//! map, read with one lookup ([`Scheduler::donor`]) and checkpointed as
+//! one [`DonorSnapshot`]. Every completion
 //! ([`Scheduler::record_completion`]) is the detector's
 //! ([`crate::health`]) one observation, and its flag is the only one
 //! there is.
@@ -88,15 +88,6 @@ pub struct SchedulerConfig {
     /// candidates to choose among. `1` disables the lookahead pool
     /// (pull-on-demand, the pre-affinity behaviour).
     pub affinity_lookahead: usize,
-    /// K-way quorum issuance: units first issued to an *untrusted*
-    /// donor are cross-checked on `quorum_k` distinct donors, and the
-    /// combine path only runs once a majority (`k/2 + 1`) of
-    /// byte-identical results agrees. `1` disables quorum (every result
-    /// is trusted — the paper's behaviour).
-    pub quorum_k: u32,
-    /// Quorum agreements a donor needs before it is trusted and
-    /// graduates to single-issue (its results skip cross-checking).
-    pub reputation_threshold: u32,
     /// Enable speculative re-issue of tail units: once fresh work is
     /// exhausted, in-flight units may be re-dispatched beyond the plain
     /// redundant-dispatch cap (up to three copies) to cut the
@@ -124,8 +115,6 @@ impl Default for SchedulerConfig {
             enable_adaptive: true,
             enable_redundant_dispatch: true,
             affinity_lookahead: 1,
-            quorum_k: 1,
-            reputation_threshold: 4,
             enable_speculative_reissue: false,
             enable_health_detector: false,
         }
@@ -179,19 +168,6 @@ impl ClientState {
     }
 }
 
-/// Per-donor reputation: how often the donor's results agreed with a
-/// byte-identical quorum, and whether it has graduated to single-issue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct ReputationState {
-    /// Consecutive-run quorum agreements since the last dispute.
-    agreements: u64,
-    /// Lifetime disputes (result disagreed with a quorum, or arrived
-    /// corrupted).
-    disputes: u64,
-    /// Whether the donor's results currently skip cross-checking.
-    trusted: bool,
-}
-
 /// Which chunk digests a donor is believed to hold, insertion-ordered
 /// so the oldest belief is forgotten first when the cap is reached.
 #[derive(Debug, Clone, Default)]
@@ -224,17 +200,14 @@ pub struct DonorRow {
     /// Estimated ops/second and units completed, once it has completed
     /// a unit.
     pub adaptive: Option<(f64, u64)>,
-    /// Agreements since its last dispute, lifetime disputes and whether
-    /// it is trusted, once a quorum has ruled on one of its results.
-    pub reputation: Option<(u64, u64, bool)>,
     /// The chunk digests it is believed to hold, in insertion order.
     pub affinity: Vec<u64>,
 }
 
 /// A plain-data snapshot of every donor record, written to the
 /// checkpoint log so a restarted server resumes with warm speed
-/// estimates instead of the cold prior, keeps trusting the donors that
-/// earned it and keeps placing work where the data already lives.
+/// estimates instead of the cold prior and keeps placing work where the
+/// data already lives.
 ///
 /// Only the current EWMA value survives, not the full observation
 /// history: after recovery the estimate re-converges from that value at
@@ -249,14 +222,13 @@ pub struct DonorSnapshot {
 }
 
 // Everything the scheduler holds on one donor. A part is there exactly
-// when the donor has earned it — a completion, a quorum verdict, a
-// delivered chunk (an affinity window is never empty otherwise), an
-// admitted observation with the detector on — and all but the last is
-// what its snapshot row lists.
+// when the donor has earned it — a completion, a delivered chunk (an
+// affinity window is never empty otherwise), an admitted observation
+// with the detector on — and all but the last is what its snapshot row
+// lists.
 #[derive(Debug, Default)]
 struct DonorState {
     adaptive: Option<ClientState>,
-    reputation: Option<ReputationState>,
     affinity: AffinityState,
     health: Option<Detector>,
 }
@@ -283,12 +255,6 @@ pub struct Donor {
     pub completed: (u64, f64),
     /// [`Scheduler::is_health_flagged`].
     pub flagged: bool,
-    /// [`Scheduler::is_trusted`].
-    pub trusted: bool,
-    /// [`Scheduler::reputation_counts`].
-    pub reputation: (u64, u64),
-    /// [`Scheduler::required_copies`].
-    pub copies: u32,
     // The last completion's queue factor: with the speed, what a lease
     // is priced from.
     queue_factor: f64,
@@ -315,7 +281,6 @@ impl Scheduler {
             "target unit time must be positive"
         );
         assert!(cfg.min_unit_ops > 0.0 && cfg.min_unit_ops <= cfg.max_unit_ops);
-        assert!(cfg.quorum_k >= 1, "quorum_k must be at least 1");
         Self {
             pool: cfg
                 .enable_health_detector
@@ -368,23 +333,18 @@ impl Scheduler {
         let cfg = &self.cfg;
         let state = self.donors.get(&client);
         let history = state.and_then(|d| d.adaptive.as_ref());
-        let reputation = state.and_then(|d| d.reputation).unwrap_or_default();
         let speed = cfg.speed_of(history);
         let sized_from = if cfg.enable_dynamic_granularity {
             speed
         } else {
             cfg.prior_ops_per_sec
         };
-        let single_issue = cfg.quorum_k <= 1 || reputation.trusted;
         Donor {
             client,
             hint: (sized_from * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
             speed,
             completed: history.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
             flagged: state.is_some_and(DonorState::flagged),
-            trusted: reputation.trusted,
-            reputation: (reputation.agreements, reputation.disputes),
-            copies: if single_issue { 1 } else { cfg.quorum_k },
             queue_factor: history.map_or(1.0, |c| c.queue_factor),
         }
     }
@@ -510,10 +470,9 @@ impl Scheduler {
         transitions
     }
 
-    /// Forgets a client (it left the pool). Reputation and health are
-    /// forgotten too: a donor id that rejoins after departure starts
-    /// over as an unknown, cross-checked, unflagged donor — the safe
-    /// direction.
+    /// Forgets a client (it left the pool). Health is forgotten too: a
+    /// donor id that rejoins after departure starts over as an unknown,
+    /// unflagged donor.
     pub fn forget_client(&mut self, client: ClientId) {
         self.donors.remove(&client);
     }
@@ -601,72 +560,11 @@ impl Scheduler {
         flagged
     }
 
-    /// Whether K-way quorum issuance is configured at all.
-    pub fn quorum_enabled(&self) -> bool {
-        self.cfg.quorum_k > 1
-    }
-
-    /// Byte-identical votes a quorum needs to agree: a majority of
-    /// `quorum_k`.
-    pub fn required_votes(&self) -> u32 {
-        self.cfg.quorum_k / 2 + 1
-    }
-
-    /// How many distinct donors a unit first issued to `client` must
-    /// run on: 1 when quorum is disabled or the donor has earned trust,
-    /// `quorum_k` for unknown or previously-disputed donors.
-    pub fn required_copies(&self, client: ClientId) -> u32 {
-        self.donor(client).copies
-    }
-
-    /// Whether `client` has graduated to single-issue.
-    pub fn is_trusted(&self, client: ClientId) -> bool {
-        self.donor(client).trusted
-    }
-
-    /// `(agreements since last dispute, lifetime disputes)` for
-    /// `client`.
-    pub fn reputation_counts(&self, client: ClientId) -> (u64, u64) {
-        self.donor(client).reputation
-    }
-
-    fn reputation_mut(&mut self, client: ClientId) -> &mut ReputationState {
-        let donor = self.donors.entry(client).or_default();
-        donor.reputation.get_or_insert_with(Default::default)
-    }
-
-    /// Records that `client`'s result agreed with a byte-identical
-    /// quorum. Returns `true` when this crosses the trust threshold and
-    /// promotes the donor to single-issue.
-    pub fn note_quorum_agreement(&mut self, client: ClientId) -> bool {
-        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
-        let r = self.reputation_mut(client);
-        r.agreements += 1;
-        if !r.trusted && r.agreements >= threshold {
-            r.trusted = true;
-            return true;
-        }
-        false
-    }
-
-    /// Records that `client`'s result disagreed with a byte-identical
-    /// quorum: its agreement streak resets and it goes back to being
-    /// cross-checked. (Transport corruption deliberately does *not*
-    /// land here — a bad link is the wire's fault, not the donor's.)
-    /// Returns `true` when the donor was trusted and is hereby demoted.
-    pub fn note_dispute(&mut self, client: ClientId) -> bool {
-        let r = self.reputation_mut(client);
-        r.disputes += 1;
-        r.agreements = 0;
-        std::mem::replace(&mut r.trusted, false)
-    }
-
-    /// Every client with adaptive or reputation state or a straggler
-    /// flag (unordered).
+    /// Every client with adaptive state or a straggler flag
+    /// (unordered).
     pub fn known_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
         let donors = self.donors.iter();
-        let tracked =
-            donors.filter(|(_, d)| d.adaptive.is_some() || d.reputation.is_some() || d.flagged());
+        let tracked = donors.filter(|(_, d)| d.adaptive.is_some() || d.flagged());
         tracked.map(|(&id, _)| id)
     }
 
@@ -677,11 +575,9 @@ impl Scheduler {
             client,
             adaptive: (d.adaptive.as_ref())
                 .map(|st| (st.throughput.value().unwrap_or(prior), st.units_completed)),
-            reputation: d.reputation.map(|r| (r.agreements, r.disputes, r.trusted)),
             affinity: d.affinity.order.iter().copied().collect(),
         });
-        let carried =
-            |r: &DonorRow| r.adaptive.is_some() || r.reputation.is_some() || !r.affinity.is_empty();
+        let carried = |r: &DonorRow| r.adaptive.is_some() || !r.affinity.is_empty();
         let mut donors: Vec<_> = rows.filter(carried).collect();
         donors.sort_unstable_by_key(|r| r.client);
         DonorSnapshot { donors }
@@ -690,14 +586,11 @@ impl Scheduler {
     /// Replaces every donor record with a recovered snapshot, all but
     /// the detector, which a snapshot does not carry. A non-finite or
     /// non-positive speed is dropped rather than poisoning the estimates
-    /// (the audit would flag it otherwise), trust claimed without the
-    /// agreements to back it (e.g. after the threshold was raised
-    /// between runs) is restored demoted, and affinity windows are
+    /// (the audit would flag it otherwise), and affinity windows are
     /// re-capped at `AFFINITY_CAPACITY`.
     pub fn restore(&mut self, snap: &DonorSnapshot) {
-        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
         for d in self.donors.values_mut() {
-            (d.adaptive, d.reputation) = (None, None);
+            d.adaptive = None;
             d.affinity = AffinityState::default();
         }
         for row in &snap.donors {
@@ -708,14 +601,6 @@ impl Scheduler {
                 state.throughput.update(speed);
                 state.units_completed = units;
                 state
-            });
-            donor.reputation = row.reputation.map(|(agreements, disputes, trusted)| {
-                let trusted = trusted && agreements >= threshold;
-                ReputationState {
-                    agreements,
-                    disputes,
-                    trusted,
-                }
             });
             for &d in &row.affinity {
                 donor.affinity.note(d);
@@ -732,11 +617,9 @@ impl Scheduler {
     ///   lease sizing for the rest of the run);
     /// * every granularity hint lies inside the configured
     ///   `[min_unit_ops, max_unit_ops]` bounds;
-    /// * nobody is trusted on fewer agreements than the threshold, and
-    ///   no affinity window is out of step or over its capacity.
+    /// * no affinity window is out of step or over its capacity.
     pub fn audit(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let threshold = u64::from(self.cfg.reputation_threshold.max(1));
         for (&id, donor) in &self.donors {
             if let Some(state) = &donor.adaptive {
                 if let Some(speed) = state.throughput.value() {
@@ -751,14 +634,6 @@ impl Scheduler {
                     violations.push(format!(
                         "client {id}: granularity hint {hint} outside [{}, {}]",
                         self.cfg.min_unit_ops, self.cfg.max_unit_ops
-                    ));
-                }
-            }
-            if let Some(r) = donor.reputation.filter(|r| r.trusted) {
-                if r.agreements < threshold {
-                    violations.push(format!(
-                        "client {id}: trusted with only {} agreements (threshold {threshold})",
-                        r.agreements
                     ));
                 }
             }
@@ -1080,99 +955,6 @@ mod tests {
         assert_eq!(s.copy_caps(false).1, 3, "speculation allows a third");
         let off = Scheduler::new(SchedulerConfig::default());
         assert_eq!(off.copy_caps(false).1, 0, "off by default");
-    }
-
-    #[test]
-    fn reputation_promotes_after_threshold_and_demotes_on_dispute() {
-        let mut s = Scheduler::new(SchedulerConfig {
-            quorum_k: 3,
-            reputation_threshold: 3,
-            ..Default::default()
-        });
-        assert!(s.quorum_enabled());
-        assert_eq!(s.required_votes(), 2, "majority of 3 by default");
-        assert_eq!(s.required_copies(7), 3, "unknown donors are cross-checked");
-        assert!(!s.note_quorum_agreement(7));
-        assert!(!s.note_quorum_agreement(7));
-        assert!(s.note_quorum_agreement(7), "third agreement promotes");
-        assert!(s.is_trusted(7));
-        assert_eq!(s.required_copies(7), 1, "trusted donors single-issue");
-        assert!(!s.note_quorum_agreement(7), "already promoted");
-        assert!(s.note_dispute(7), "dispute demotes a trusted donor");
-        assert!(!s.is_trusted(7));
-        assert_eq!(s.reputation_counts(7), (0, 1), "streak resets");
-        assert_eq!(s.required_copies(7), 3);
-        assert!(!s.note_dispute(7), "already demoted");
-        assert!(s.audit().is_empty());
-    }
-
-    #[test]
-    fn quorum_vote_configuration_clamps_sanely() {
-        let majority = |quorum_k| {
-            let s = Scheduler::new(SchedulerConfig {
-                quorum_k,
-                ..Default::default()
-            });
-            s.required_votes()
-        };
-        assert_eq!(majority(5), 3);
-        assert_eq!(majority(3), 2);
-        assert_eq!(majority(2), 2, "both copies must agree");
-        assert_eq!(majority(1), 1, "never more votes than copies");
-        let disabled = Scheduler::new(SchedulerConfig::default());
-        assert!(!disabled.quorum_enabled());
-        assert_eq!(disabled.required_copies(0), 1);
-    }
-
-    #[test]
-    fn reputation_snapshot_round_trips_and_guards_stale_trust() {
-        let mut s = Scheduler::new(SchedulerConfig {
-            quorum_k: 3,
-            reputation_threshold: 2,
-            ..Default::default()
-        });
-        s.note_quorum_agreement(1);
-        s.note_quorum_agreement(1);
-        s.note_dispute(2);
-        let snap = s.snapshot();
-        let judged = snap.donors.iter().map(|r| (r.client, r.reputation));
-        let judged: Vec<_> = judged.collect();
-        assert_eq!(judged, [(1, Some((2, 0, true))), (2, Some((0, 1, false)))]);
-
-        let mut fresh = Scheduler::new(SchedulerConfig {
-            quorum_k: 3,
-            reputation_threshold: 2,
-            ..Default::default()
-        });
-        fresh.restore(&snap);
-        assert!(fresh.is_trusted(1));
-        assert_eq!(fresh.reputation_counts(2), (0, 1));
-        assert_eq!(fresh.snapshot(), snap);
-        assert!(fresh.audit().is_empty());
-
-        // A raised threshold invalidates recorded trust on restore.
-        let mut stricter = Scheduler::new(SchedulerConfig {
-            quorum_k: 3,
-            reputation_threshold: 10,
-            ..Default::default()
-        });
-        stricter.restore(&snap);
-        assert!(!stricter.is_trusted(1), "stale trust is demoted");
-        assert!(stricter.audit().is_empty());
-    }
-
-    #[test]
-    fn forget_client_clears_reputation() {
-        let mut s = Scheduler::new(SchedulerConfig {
-            quorum_k: 2,
-            reputation_threshold: 1,
-            ..Default::default()
-        });
-        s.note_quorum_agreement(4);
-        assert!(s.is_trusted(4));
-        s.forget_client(4);
-        assert!(!s.is_trusted(4), "a rejoining id starts over untrusted");
-        assert_eq!(s.reputation_counts(4), (0, 0));
     }
 
     #[test]

@@ -10,10 +10,9 @@ use crate::codec::{ByteReader, ByteWriter, WireCodec, WireError};
 use crate::health::HealthTransition;
 use crate::leases::{InFlight, Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
-use crate::quorum::{QuorumTally, VoteOutcome};
 use crate::sched::{ClientId, Donor, DonorSnapshot, Scheduler, SchedulerConfig};
 use crate::telemetry::{EventKind, Telemetry, LATENCY_BOUNDS, OPS_BOUNDS};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 pub mod recovery;
@@ -24,8 +23,8 @@ pub type ProblemId = usize;
 
 /// Observer of the durable events a crash-recoverable run must replay:
 /// which units the data managers issued (and with what granularity
-/// hint), which results were folded in, the votes of unfinished
-/// elections and, periodically, every donor record. A recoverable TCP
+/// hint), which results were folded in and, periodically, every donor
+/// record. A recoverable TCP
 /// run installs a [`crate::net::CheckpointWriter`] here, its one way
 /// into the log, and [`recovery`] replays what it wrote; the in-process
 /// backends leave it unset and pay nothing.
@@ -41,22 +40,6 @@ pub trait RunJournal: Send {
     /// An accepted (first-copy, checksum-clean) result is about to be
     /// folded; `encoded` is its codec wire form.
     fn result_folded(&mut self, problem: ProblemId, unit: UnitId, encoded: &[u8]);
-    /// A non-final quorum vote was recorded for `unit`: `encoded` is the
-    /// candidate's codec wire form and `needed` the byte-identical votes
-    /// required to agree. Default no-op — backends without quorum
-    /// checkpointing pay nothing. Replayed votes must never complete a
-    /// quorum on their own (see [`crate::QuorumTally::restore_vote`]):
-    /// a fold, had it happened, would have journaled a `Result` record.
-    fn vote_recorded(
-        &mut self,
-        problem: ProblemId,
-        unit: UnitId,
-        needed: u32,
-        client: ClientId,
-        encoded: &[u8],
-    ) {
-        let _ = (problem, unit, needed, client, encoded);
-    }
     /// A donor's turn opens / has closed: everything reported in
     /// between belongs to it, in order, with nothing else written to the
     /// same log meanwhile (the caller holds the server). A journal may
@@ -129,12 +112,6 @@ struct ProblemState {
     codec: Option<Arc<dyn WireCodec>>,
     // Which unit is out, with whom, until when, and what goes out next.
     leases: LeaseTable,
-    // In-flight quorum votes under K-way redundant issuance: a tally
-    // exists for every unit whose result must win a byte-identical vote
-    // before it may reach the combine path. Entries are created when a
-    // unit first reaches an untrusted donor and removed when the vote
-    // resolves (or the problem completes).
-    votes: HashMap<UnitId, QuorumTally>,
     done: bool,
     output: Option<Payload>,
     completion_time: Option<f64>,
@@ -158,13 +135,10 @@ pub struct ProblemStats {
     /// Results that arrived corrupted (failed the transport checksum)
     /// and whose unit was cancelled and queued for reissue.
     pub corrupted_results: u64,
-    /// Candidate results that lost a quorum vote (their unit reached a
-    /// byte-identical quorum they disagreed with).
-    pub disputed_results: u64,
 }
 
-/// One donor's row in a [`StatusSnapshot`]: adaptive, reputation and
-/// health state plus its live lease count.
+/// One donor's row in a [`StatusSnapshot`]: adaptive and health state
+/// plus its live lease count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DonorStatus {
     /// Donor id.
@@ -175,12 +149,6 @@ pub struct DonorStatus {
     pub units_completed: u64,
     /// Leases the donor currently holds across all problems.
     pub leases: u32,
-    /// Whether quorum reputation has graduated it to single-issue.
-    pub trusted: bool,
-    /// Quorum agreements since the last dispute.
-    pub agreements: u64,
-    /// Lifetime quorum disputes.
-    pub disputes: u64,
     /// Whether the health detector currently flags it as a straggler.
     pub flagged: bool,
     /// Current fast/baseline health ratio (0 when unknown or the
@@ -247,9 +215,6 @@ impl StatusSnapshot {
             w.f64(d.ops_per_sec);
             w.u64(d.units_completed);
             w.u32(d.leases);
-            w.u8(d.trusted as u8);
-            w.u64(d.agreements);
-            w.u64(d.disputes);
             w.u8(d.flagged as u8);
             w.f64(d.health_ratio);
         }
@@ -276,15 +241,12 @@ impl StatusSnapshot {
         let mut r = ByteReader::new(bytes);
         let now = r.f64()?;
         let mut donors = Vec::new();
-        for _ in 0..r.count(54)? {
+        for _ in 0..r.count(37)? {
             donors.push(DonorStatus {
                 client: r.u64()? as ClientId,
                 ops_per_sec: r.f64()?,
                 units_completed: r.u64()?,
                 leases: r.u32()?,
-                trusted: r.u8()? != 0,
-                agreements: r.u64()?,
-                disputes: r.u64()?,
                 flagged: r.u8()? != 0,
                 health_ratio: r.f64()?,
             });
@@ -325,15 +287,11 @@ impl StatusSnapshot {
             .map(|d| {
                 format!(
                     "{{\"client\":{},\"ops_per_sec\":{},\"units_completed\":{},\
-                     \"leases\":{},\"trusted\":{},\"agreements\":{},\"disputes\":{},\
-                     \"flagged\":{},\"health_ratio\":{}}}",
+                     \"leases\":{},\"flagged\":{},\"health_ratio\":{}}}",
                     d.client,
                     fmt_f64(d.ops_per_sec),
                     d.units_completed,
                     d.leases,
-                    d.trusted,
-                    d.agreements,
-                    d.disputes,
                     d.flagged,
                     fmt_f64(d.health_ratio),
                 )
@@ -486,7 +444,6 @@ impl Server {
             setup_bytes: problem.setup_bytes,
             codec: problem.codec,
             leases: LeaseTable::default(),
-            votes: HashMap::new(),
             done: false,
             output: None,
             completion_time: None,
@@ -619,7 +576,7 @@ impl Server {
     /// The results are codec bytes off a wire (`None`: a failed
     /// checksum; bytes the codec refuses are corrupted too). Each is
     /// decoded, taken out of its lease table and ruled on in one pass;
-    /// the journal and a vote take the bytes.
+    /// the journal takes the bytes.
     pub fn turn_wire<'w>(
         &mut self,
         client: ClientId,
@@ -655,9 +612,9 @@ impl Server {
             completions.extend(completion);
             let latency = completion.map(|c| c.1);
             let result = TaskResult { unit_id, payload };
-            let (ruling, folded) = self.fold(client, problem, result, bytes, inf, now, latency);
-            self.retired.extend(folded);
-            accepted.push(ruling);
+            let folded = self.fold(client, problem, result, bytes, inf, now, latency);
+            self.retired.push(folded);
+            accepted.push(true);
         }
         self.learn(client, &completions);
         let units = Vec::with_capacity(want);
@@ -719,16 +676,16 @@ impl Server {
             if self.problems[pid].done {
                 continue;
             }
-            if let Some((unit, crosscheck)) = self.next_unit_for(pid, donor.hint, donor.client) {
+            if let Some(unit) = self.next_unit_for(pid, donor.hint, donor.client) {
                 self.rotation = (pos + 1) % n;
-                return Some(self.lease_and_assign(pid, unit, donor, now, crosscheck));
+                return Some(self.lease_and_assign(pid, unit, donor, now, false));
             }
         }
 
         // Pass 2: redundant end-game dispatch of the longest-running
-        // in-flight unit this client is not computing (or has voted on),
-        // a flagged holder's first; past the plain redundancy cap, as a
-        // speculative copy (the makespan droop of Figure 1).
+        // in-flight unit this client is not computing, a flagged holder's
+        // first; past the plain redundancy cap, as a speculative copy (the
+        // makespan droop of Figure 1).
         let copy = extra.then(|| self.extra_copy(donor, now, false))??;
         *extra = false;
         Some(copy)
@@ -742,10 +699,8 @@ impl Server {
         now: f64,
         rescue: bool,
     ) -> Option<(ProblemId, Arc<WorkUnit>)> {
-        let client = donor.client;
         let picks = self.problems.iter().enumerate().filter_map(|(pid, p)| {
-            let voted = |unit: UnitId| p.votes.get(&unit).is_some_and(|t| t.has_voted(client));
-            let pick = p.leases.extra_copy(client, rescue, &self.sched, voted)?;
+            let pick = p.leases.extra_copy(donor.client, rescue, &self.sched)?;
             Some((pid, pick))
         });
         // (`min_by` keeps the first of equals: the lowest problem id.)
@@ -761,18 +716,16 @@ impl Server {
         Some(self.lease_and_assign(pid, pick.unit, donor, now, true))
     }
 
-    // The next unit of `pid` this client may execute, with a flag
-    // saying whether it is a quorum cross-check copy of an in-flight
-    // unit rather than a fresh/reissued unit.
+    // The next fresh or reissued unit of `pid` for this client.
     fn next_unit_for(
         &mut self,
         pid: ProblemId,
         hint: f64,
         client: ClientId,
-    ) -> Option<(Arc<WorkUnit>, bool)> {
+    ) -> Option<Arc<WorkUnit>> {
         let (sched, tel) = (&self.sched, &self.telemetry);
         let p = &mut self.problems[pid];
-        let (codec, votes) = (p.codec.as_ref(), &p.votes);
+        let codec = p.codec.as_ref();
         // Affinity: how many of a unit's data chunks the donor already
         // caches. It only reorders *within* a queue, the front winning
         // ties: configurations that never note chunks keep FIFO order.
@@ -786,21 +739,9 @@ impl Server {
         let choice = p.leases.queued_len() > 0 || lookahead > 1;
         let score = (choice && sched.affinity_entries(client) > 0).then_some(&score as _);
         // Reissue queue first, always: orphaned units go back out before
-        // fresh ones, except to a donor that has voted on them.
-        let voted = |unit: UnitId| votes.get(&unit).is_some_and(|t| t.has_voted(client));
-        if let Some(unit) = p.leases.next_queued(voted, score) {
-            return Some((unit, false));
-        }
-        // Cross-check top-up: a unit that went to an untrusted donor
-        // wants `quorum_k` live executions in parallel, not in turn.
-        if sched.quorum_enabled() {
-            let k = sched.config().quorum_k;
-            let open = |t: &QuorumTally, copies| copies + t.votes() < k && !t.has_voted(client);
-            let wants = |unit: UnitId, copies| votes.get(&unit).is_some_and(|t| open(t, copies));
-            if let Some(unit) = p.leases.top_up(client, wants) {
-                tel.counter_add("quorum.crosscheck_dispatches", 1);
-                return Some((unit, true));
-            }
+        // fresh ones.
+        if let Some(unit) = p.leases.next_queued(score) {
+            return Some(unit);
         }
         // Fresh work, through the lookahead pool; every pull is journaled
         // (a crash before the lease recovers the unit as pending).
@@ -818,8 +759,7 @@ impl Server {
             tel.observe("server.unit_cost_ops", OPS_BOUNDS, unit.cost_ops);
             Some(unit)
         };
-        let fresh = p.leases.next_fresh(lookahead, pull, score);
-        fresh.map(|unit| (unit, false))
+        p.leases.next_fresh(lookahead, pull, score)
     }
 
     fn lease_and_assign(
@@ -864,25 +804,12 @@ impl Server {
             self.sched
                 .note_chunks(client, needs.iter().map(|n| n.digest));
         }
-        // Under quorum, a unit reaching an untrusted donor starts a
-        // byte-identical vote: nothing is combined until enough live
-        // candidates agree. Trusted donors stay single-issue (their
-        // lone result folds directly unless a vote is already open).
-        if self.sched.quorum_enabled()
-            && p.codec.is_some()
-            && !p.votes.contains_key(&unit.id)
-            && donor.copies > 1
-        {
-            p.votes
-                .insert(unit.id, QuorumTally::new(self.sched.required_votes()));
-        }
         (pid, unit)
     }
 
     /// A client reports a result at time `now`: a turn of one result.
-    /// Returns `true` if the result advanced the unit — folded
-    /// directly, folded via a completed quorum, or recorded as a
-    /// pending quorum vote — and `false` if it was discarded.
+    /// Returns `true` if the result was folded and `false` if it was
+    /// discarded.
     pub fn submit_result(
         &mut self,
         client: ClientId,
@@ -900,8 +827,8 @@ impl Server {
         let completion = Self::completion(&inf, client, now);
         self.learn(client, completion.as_slice());
         let latency = completion.map(|c| c.1);
-        self.fold(client, problem, result, None, inf, now, latency)
-            .0
+        self.fold(client, problem, result, None, inf, now, latency);
+        true
     }
 
     // What the adaptive scheduler learns from `client` handing in the
@@ -950,11 +877,11 @@ impl Server {
         self.sched.export_client_metrics(client, &self.telemetry);
     }
 
-    // Rules on one result whose unit `inf` was just taken out of the
-    // lease table; `wire`: the codec bytes it was decoded from, if it
-    // came off a wire; `latency`: its turnaround, if `client` held a
-    // lease on it (the caller tells the scheduler). Returns the ruling
-    // and, if the result was folded, its unit, for the caller to free.
+    // Folds one result whose unit `inf` was just taken out of the lease
+    // table; `wire`: the codec bytes it was decoded from, if it came off
+    // a wire; `latency`: its turnaround, if `client` held a lease on it
+    // (the caller tells the scheduler). Returns the unit, for the caller
+    // to free.
     #[allow(clippy::too_many_arguments)]
     fn fold(
         &mut self,
@@ -965,7 +892,7 @@ impl Server {
         inf: InFlight,
         now: f64,
         latency: Option<f64>,
-    ) -> (bool, Option<Arc<WorkUnit>>) {
+    ) -> Arc<WorkUnit> {
         let p = &mut self.problems[problem];
         if let Some(latency) = latency {
             self.telemetry
@@ -973,91 +900,7 @@ impl Server {
         }
         let latency = latency.unwrap_or(0.0);
 
-        // Quorum interception: under K-way issuance a candidate for a
-        // unit mid-vote — or from an untrusted donor — is a *vote*,
-        // keyed by its codec wire bytes, not an immediate fold. The
-        // combine path runs only once a quorum of byte-identical
-        // candidates agrees; candidates that disagree with the winner
-        // go through the `result_disputed` path when the vote resolves.
         let unit_id = result.unit_id;
-        let needs_vote = p.votes.contains_key(&unit_id)
-            || (self.sched.quorum_enabled() && p.codec.is_some() && !self.sched.is_trusted(client));
-        let codec = p.codec.as_ref().filter(|_| needs_vote);
-        let encode = |c: &Arc<dyn WireCodec>| match wire {
-            Some(bytes) => Some(bytes.to_vec()),
-            None => c.encode_result(&result.payload).ok(),
-        };
-        let encoded_for_vote = codec.and_then(encode);
-        let (result, pre_encoded) = match encoded_for_vote {
-            None => {
-                if needs_vote {
-                    // No comparable wire form — degrade to a direct fold.
-                    p.votes.remove(&unit_id);
-                }
-                (result, None)
-            }
-            Some(bytes) => {
-                let needed = self.sched.required_votes();
-                let tally = p
-                    .votes
-                    .entry(unit_id)
-                    .or_insert_with(|| QuorumTally::new(needed));
-                match tally.vote(client, bytes.clone(), result) {
-                    // Not final. A vote already counted (a duplicated
-                    // delivery) is discarded, a new one journaled; the unit
-                    // goes back for the votes it still needs.
-                    outcome @ (VoteOutcome::AlreadyVoted | VoteOutcome::Pending) => {
-                        let fresh = matches!(outcome, VoteOutcome::Pending);
-                        let needed = tally.needed();
-                        let orphaned = p.leases.put_back(inf, client);
-                        if fresh {
-                            if let Some(j) = self.journal.as_mut() {
-                                j.vote_recorded(problem, unit_id, needed, client, &bytes);
-                            }
-                            self.telemetry.counter_add("quorum.votes", 1);
-                        } else {
-                            self.wasted(problem, unit_id, client);
-                        }
-                        if orphaned {
-                            self.reissued(problem, unit_id, "quorum_pending", false);
-                        }
-                        return (fresh, None);
-                    }
-                    VoteOutcome::Quorum {
-                        result,
-                        bytes,
-                        agreed,
-                        dissenters,
-                    } => {
-                        p.votes.remove(&unit_id);
-                        self.telemetry.counter_add("quorum.agreed", 1);
-                        // Dissenting candidates lost the vote: dispute
-                        // them (reputation demotion + telemetry); their
-                        // leases were already released when their votes
-                        // were recorded.
-                        for &d in &dissenters {
-                            p.stats.disputed_results += 1;
-                            self.telemetry.emit(EventKind::ResultDisputed {
-                                problem,
-                                unit: unit_id,
-                                client: d,
-                            });
-                            self.telemetry.counter_add("quorum.disputed", 1);
-                            if self.sched.note_dispute(d) {
-                                self.telemetry.counter_add("reputation.demotions", 1);
-                            }
-                        }
-                        for &a in &agreed {
-                            if self.sched.note_quorum_agreement(a) {
-                                self.telemetry.counter_add("reputation.promotions", 1);
-                            }
-                        }
-                        (result, Some(bytes))
-                    }
-                }
-            }
-        };
-
         self.telemetry.emit(EventKind::UnitCompleted {
             problem,
             unit: unit_id,
@@ -1069,11 +912,10 @@ impl Server {
         // Journal the accepted result *before* folding: a crash after
         // the log write but before the fold replays an action that was
         // about to happen; a crash during the write leaves a torn tail
-        // the recovery drops, and the unit is simply recomputed. A
-        // quorum winner journals its winning wire bytes verbatim.
+        // the recovery drops, and the unit is simply recomputed.
         if let Some(j) = self.journal.as_mut() {
             let encode = |c: &Arc<dyn WireCodec>| c.encode_result(&result.payload).ok();
-            if let Some(b) = pre_encoded.as_deref().or(wire) {
+            if let Some(b) = wire {
                 j.result_folded(problem, unit_id, b);
             } else if let Some(b) = p.codec.as_ref().and_then(encode) {
                 j.result_folded(problem, unit_id, &b);
@@ -1088,11 +930,11 @@ impl Server {
         });
 
         self.complete_problem(problem, now);
-        (true, Some(inf.unit))
+        inf.unit
     }
 
     // Says that `unit` was queued for reissue, and why. `counted`: a donor
-    // went quiet (the stats' "reissue"), not a bad wire or a pending vote.
+    // went quiet (the stats' "reissue"), not a bad wire.
     fn reissued(&mut self, problem: ProblemId, unit: UnitId, reason: &str, counted: bool) {
         let reason = reason.to_string();
         self.telemetry.emit(EventKind::UnitReissued {
@@ -1125,7 +967,6 @@ impl Server {
             p.output = Some(p.dm.final_output());
             p.completion_time = Some(now);
             p.leases = LeaseTable::default();
-            p.votes.clear();
             self.telemetry.emit(EventKind::ProblemCompleted { problem });
         }
     }
@@ -1236,9 +1077,6 @@ impl Server {
                     ops_per_sec: donor.speed,
                     units_completed: donor.completed.0,
                     leases,
-                    trusted: donor.trusted,
-                    agreements: donor.reputation.0,
-                    disputes: donor.reputation.1,
                     flagged: donor.flagged,
                     health_ratio: self.sched.health_ratio(id).unwrap_or(0.0),
                 }
@@ -1775,159 +1613,6 @@ mod tests {
         assert!(server.completion_time(0).is_some());
     }
 
-    pub(super) fn quorum_server(cfg: SchedulerConfig, n: u64, chunk: u64) -> Server {
-        let mut server = Server::new(cfg);
-        server.submit(
-            Problem::new("sum", Box::new(SumDm::new(n, chunk)), Arc::new(SumAlgo))
-                .with_codec(Arc::new(RangeCodec)),
-        );
-        server
-    }
-
-    #[test]
-    fn quorum_withholds_fold_until_byte_identical_agreement() {
-        let mut server = quorum_server(
-            SchedulerConfig {
-                quorum_k: 3, // majority → 2 byte-identical votes
-                enable_redundant_dispatch: false,
-                ..Default::default()
-            },
-            10,
-            100, // single unit
-        );
-        let Assignment::Unit {
-            problem,
-            unit,
-            algorithm,
-        } = server.request_work(0, 0.0)
-        else {
-            panic!()
-        };
-        let r0 = algorithm.compute(&unit);
-        assert!(server.submit_result(0, problem, r0, 1.0), "vote recorded");
-        assert!(!server.all_complete(), "one vote must not fold");
-        assert_eq!(server.stats(0).completed_units, 0);
-        // The voter cannot take the unit again (one vote per donor).
-        assert!(matches!(server.request_work(0, 1.5), Assignment::Wait));
-        // A second donor picks the unit up from the reissue queue and
-        // its byte-identical result completes the quorum.
-        let Assignment::Unit { unit: u1, .. } = server.request_work(1, 2.0) else {
-            panic!("second donor must get the voting unit")
-        };
-        assert_eq!(u1.id, unit.id);
-        let r1 = algorithm.compute(&u1);
-        assert!(server.submit_result(1, problem, r1, 3.0));
-        assert!(server.all_complete());
-        assert_eq!(server.stats(0).completed_units, 1);
-        assert_eq!(
-            server.take_output(0).unwrap().into_inner::<u64>(),
-            10 * 11 / 2
-        );
-    }
-
-    #[test]
-    fn byzantine_dissenter_is_outvoted_and_disputed() {
-        let mut server = quorum_server(
-            SchedulerConfig {
-                quorum_k: 3,
-                enable_redundant_dispatch: false,
-                ..Default::default()
-            },
-            10,
-            100,
-        );
-        let Assignment::Unit { problem, unit, .. } = server.request_work(0, 0.0) else {
-            panic!()
-        };
-        // Donor 0 lies: well-formed wire bytes, wrong answer.
-        let lie = TaskResult {
-            unit_id: unit.id,
-            payload: Payload::new(999u64, 8),
-        };
-        assert!(server.submit_result(0, problem, lie, 1.0));
-        // Two honest donors agree and outvote the lie.
-        for (c, t) in [(1, 2.0), (2, 4.0)] {
-            let Assignment::Unit {
-                unit: u, algorithm, ..
-            } = server.request_work(c, t)
-            else {
-                panic!("honest donor {c} must get the voting unit")
-            };
-            assert_eq!(u.id, unit.id);
-            let r = algorithm.compute(&u);
-            server.submit_result(c, problem, r, t + 1.0);
-        }
-        assert!(server.all_complete());
-        assert_eq!(
-            server.take_output(0).unwrap().into_inner::<u64>(),
-            10 * 11 / 2,
-            "the lie must never reach the combine path"
-        );
-        assert_eq!(server.stats(0).disputed_results, 1);
-        let (agreements, disputes) = server.scheduler().reputation_counts(0);
-        assert_eq!((agreements, disputes), (0, 1), "dissent resets agreement");
-        assert_eq!(server.scheduler().reputation_counts(1).0, 1);
-    }
-
-    #[test]
-    fn trusted_donor_graduates_to_single_issue() {
-        let mut server = quorum_server(
-            SchedulerConfig {
-                quorum_k: 2,
-                reputation_threshold: 1,
-                enable_redundant_dispatch: false,
-                ..Default::default()
-            },
-            10,
-            5, // two units
-        );
-        let Assignment::Unit { problem, unit, .. } = server.request_work(0, 0.0) else {
-            panic!()
-        };
-        // Cross-check top-up: the second donor gets the *same* unit in
-        // parallel, before any fresh work, because the vote wants K
-        // live executions.
-        let Assignment::Unit {
-            unit: u1,
-            algorithm,
-            ..
-        } = server.request_work(1, 0.1)
-        else {
-            panic!()
-        };
-        assert_eq!(u1.id, unit.id, "cross-check precedes fresh work");
-        let r0 = algorithm.compute(&unit);
-        assert!(server.submit_result(0, problem, r0, 1.0));
-        assert!(!server.all_complete());
-        let r1 = algorithm.compute(&u1);
-        assert!(server.submit_result(1, problem, r1, 2.0));
-        assert_eq!(server.stats(0).completed_units, 1);
-        assert!(server.scheduler().is_trusted(0), "promoted at threshold 1");
-        assert!(server.scheduler().is_trusted(1));
-        // A trusted donor's next unit folds directly from one copy.
-        let Assignment::Unit {
-            unit: u2,
-            algorithm,
-            ..
-        } = server.request_work(0, 3.0)
-        else {
-            panic!()
-        };
-        assert_ne!(u2.id, unit.id);
-        let r2 = algorithm.compute(&u2);
-        assert!(server.submit_result(0, problem, r2, 4.0));
-        assert!(server.all_complete());
-        assert_eq!(
-            server.stats(0).assignments,
-            3,
-            "no cross-check once trusted"
-        );
-        assert_eq!(
-            server.take_output(0).unwrap().into_inner::<u64>(),
-            10 * 11 / 2
-        );
-    }
-
     #[test]
     fn speculative_reissue_extends_past_the_redundancy_cap() {
         let mut server = Server::new(SchedulerConfig {
@@ -2037,17 +1722,15 @@ mod tests {
     }
 
     /// Pins the merged extra-copy picker to the choices the two separate
-    /// walks made before it, on a fixed script with the detector on,
-    /// quorum on and two problems. The stragglers' leases are granted at
-    /// one instant, so pass 0 must break the `oldest` tie on `(problem,
-    /// unit)`; in the end-game a young unit with a flagged holder must
-    /// beat an older one without.
+    /// walks made before it, on a fixed script with the detector on and
+    /// two problems. The stragglers' leases are granted at one instant,
+    /// so pass 0 must break the `oldest` tie on `(problem, unit)`; in the
+    /// end-game a young unit with a flagged holder must beat an older
+    /// one without.
     #[test]
     fn extra_copy_passes_pick_the_pinned_units() {
         let mut server = Server::new(SchedulerConfig {
             enable_health_detector: true,
-            quorum_k: 2,
-            reputation_threshold: 1000, // nobody graduates: every unit is voted on
             enable_speculative_reissue: true,
             enable_dynamic_granularity: false,
             enable_adaptive: false, // keep predicted time fixed at the prior
@@ -2057,7 +1740,7 @@ mod tests {
         server.set_telemetry(telemetry.clone());
         for _ in 0..2 {
             server.submit(
-                Problem::new("sum", Box::new(SumDm::new(60, 10)), Arc::new(SumAlgo))
+                Problem::new("sum", Box::new(SumDm::new(120, 10)), Arc::new(SumAlgo))
                     .with_codec(Arc::new(RangeCodec)),
             );
         }
@@ -2081,8 +1764,8 @@ mod tests {
             server.submit_result(client, problem, algorithm.compute(&unit), now)
         };
         // Donors 0 and 1 work in lock step: three rounds at the predicted
-        // pace (prior 1e7 ops/s, 10 ops), then three 10x slower. Each
-        // result is a lone vote, so all twelve units end up queued.
+        // pace (prior 1e7 ops/s, 10 ops), then three 10x slower, folding
+        // twelve of the 24 units.
         let predicted = 10.0 / 1.0e7;
         let mut now = 0.0;
         for round in 0..6 {
@@ -2101,17 +1784,17 @@ mod tests {
         for client in [0, 1, 0, 1] {
             ask(&mut server, client, now);
         }
-        assert_eq!(log.take().join(" "), "0:1.0 1:0.0 0:1.1 1:0.1");
+        assert_eq!(log.take().join(" "), "0:0.6 1:1.6 0:0.7 1:1.7");
         let mut healthy = Vec::new();
         for client in 2..=5 {
             now += 0.25;
             healthy.push(ask(&mut server, client, now));
         }
         let rescues = log.take().join(" ");
-        assert_eq!(rescues, "2:0.0 3:0.1 4:1.0 5:1.1", "pass 0 ties");
-        // Donors 2 and 3 deliver (two quorums), then every healthy donor
-        // keeps asking and holding: queued units first, then the
-        // end-game's extra copies. Straggler 0 takes one more unit, late:
+        assert_eq!(rescues, "2:0.6 3:0.7 4:1.6 5:1.7", "pass 0 ties");
+        // Donors 2 and 3 deliver, then every healthy donor keeps asking
+        // and holding: fresh units first, then the end-game's extra
+        // copies. Straggler 0 takes one more unit, late:
         // from then on the youngest lease has a flagged holder.
         for h in healthy.drain(..2) {
             now += 0.25;
@@ -2129,13 +1812,13 @@ mod tests {
             }
             rounds.push(log.take().join(" "));
         }
-        assert_eq!(rounds[0], "2:1.2 3:0.2 4:1.3 5:0.3 6:1.4 7:0.4", "queued");
-        // 2: pass 0 again. 3: the last queued unit. 4, 5: the oldest
+        assert_eq!(rounds[0], "2:0.8 3:1.8 4:0.9 5:1.9 6:0.10 7:1.10", "fresh");
+        // 2: pass 0 again. 3: the last fresh unit. 4, 5: the oldest
         // units with a flagged holder. 6: the young one, with a flagged
         // holder, before 7 gets an older one without.
-        assert_eq!(rounds[1], "0:1.5 2:1.5 3:0.5 4:1.1 5:1.0 6:1.5 7:1.2");
-        assert_eq!(rounds[2], "2:0.2 3:1.2 4:0.2 5:1.3 6:1.3 7:0.3");
-        assert_eq!(rounds[3], "2:0.3 3:1.4 4:1.4 5:0.4 6:0.4 7:0.5");
+        assert_eq!(rounds[1], "0:0.11 2:0.11 3:1.11 4:1.7 5:1.6 6:0.11 7:0.8");
+        assert_eq!(rounds[2], "2:1.8 3:0.8 4:1.8 5:0.9 6:0.9 7:1.9");
+        assert_eq!(rounds[3], "2:1.9 3:0.10 4:0.10 5:1.10 6:1.10 7:1.11");
         let counters = telemetry.metrics_snapshot();
         assert_eq!(counters.counter("health.live_rescues"), 5);
         assert_eq!(counters.counter("sched.speculative_reissues"), 9);

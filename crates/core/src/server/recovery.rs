@@ -5,18 +5,15 @@
 //! each `Issue` re-drives the data manager with its original hint, each
 //! `Result` re-folds the decoded payload — so the managers march through
 //! the exact state sequence the crashed server observed. Each issued
-//! unit waits in one stash entry, with the ballots of its interrupted
-//! election, until its `Result` folds it; what is still stashed at the
-//! end goes back on the queue in unit order, its ballots re-seeded below
-//! the quorum. So no completed unit is ever recombined, and no
-//! half-voted one folds without a live result. The last `Donors`
-//! snapshot restores every donor record.
+//! unit waits in one stash entry until its `Result` folds it; what is
+//! still stashed at the end goes back on the queue in unit order. So no
+//! completed unit is ever recombined. The last `Donors` snapshot
+//! restores every donor record.
 
 use super::{ProblemId, Server};
 use crate::net::checkpoint::{read_log, LogRecord};
 use crate::problem::{Problem, TaskResult, UnitId, WorkUnit};
-use crate::quorum::QuorumTally;
-use crate::sched::{ClientId, DonorSnapshot, SchedulerConfig};
+use crate::sched::{DonorSnapshot, SchedulerConfig};
 use crate::telemetry::{EventKind, Telemetry};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -30,10 +27,6 @@ pub struct RecoveryReport {
     pub replayed_results: u64,
     /// Issued-but-uncompleted units queued for reassignment.
     pub pending_restored: u64,
-    /// Quorum votes re-seeded onto still-pending units (always capped
-    /// below the quorum, so none of them can fold without a live
-    /// result).
-    pub restored_votes: u64,
     /// Whether a torn tail or a replay divergence cut the log short.
     pub torn_tail: bool,
 }
@@ -72,7 +65,8 @@ pub fn recover_traced(
         server.submit(p);
     }
     let mut report = RecoveryReport::default();
-    let mut issued: BTreeMap<(ProblemId, UnitId), Stash> = BTreeMap::new();
+    // Every issued unit no replayed result has folded yet.
+    let mut issued: BTreeMap<(ProblemId, UnitId), WorkUnit> = BTreeMap::new();
     let mut donors: Option<DonorSnapshot> = None;
     // One exit: the first record this run cannot reach ends replay.
     let replayed = records.into_iter().try_for_each(|record| {
@@ -83,12 +77,7 @@ pub fn recover_traced(
                 hint_ops,
             } => {
                 let unit = server.replay_issue(problem, unit, hint_ops)?;
-                let stash = Stash {
-                    unit,
-                    needed: 0,
-                    ballots: Vec::new(),
-                };
-                issued.insert((problem, stash.unit.id), stash);
+                issued.insert((problem, unit.id), unit);
                 report.replayed_issues += 1;
             }
             LogRecord::Result {
@@ -98,7 +87,6 @@ pub fn recover_traced(
             } => {
                 let codec = server.problems.get(problem)?.codec.clone()?;
                 let payload = codec.decode_result(&payload).ok()?;
-                // Its election, if it ran one, is over: the ballots go too.
                 issued.remove(&(problem, unit))?;
                 server.telemetry.set_now(0.0);
                 let p = &mut server.problems[problem];
@@ -110,32 +98,14 @@ pub fn recover_traced(
                 server.complete_problem(problem, 0.0);
                 report.replayed_results += 1;
             }
-            LogRecord::Vote {
-                problem,
-                unit,
-                needed,
-                client,
-                payload,
-            } => {
-                server.problems.get(problem)?;
-                // A unit not stashed has no election left to resume.
-                if let Some(stash) = issued.get_mut(&(problem, unit)) {
-                    stash.needed = needed;
-                    stash.ballots.push((client, payload));
-                }
-            }
             LogRecord::Donors(snap) => donors = Some(snap),
         }
         Some(())
     });
     report.torn_tail = torn_tail || replayed.is_none();
-    for ((problem, id), stash) in issued {
-        server.restore_pending(problem, [stash.unit]);
+    for ((problem, _), unit) in issued {
+        server.restore_pending(problem, [unit]);
         report.pending_restored += 1;
-        if !stash.ballots.is_empty() {
-            let (needed, ballots) = (stash.needed, &stash.ballots);
-            report.restored_votes += server.restore_votes(problem, id, needed, ballots);
-        }
     }
     if let Some(snap) = donors {
         server.sched.restore(&snap);
@@ -147,14 +117,6 @@ pub fn recover_traced(
         torn_tail: report.torn_tail,
     });
     Ok((server, report))
-}
-
-/// An issued unit no replayed result has folded yet, and the ballots
-/// its interrupted election holds (`needed` from the latest).
-struct Stash {
-    unit: WorkUnit,
-    needed: u32,
-    ballots: Vec<(ClientId, Vec<u8>)>,
 }
 
 impl Server {
@@ -183,30 +145,6 @@ impl Server {
     fn restore_pending(&mut self, problem: ProblemId, units: impl IntoIterator<Item = WorkUnit>) {
         self.problems[problem].leases.restore(units);
     }
-
-    /// Re-seeds a pending unit's interrupted election, capped below the
-    /// quorum ([`QuorumTally::restore_vote`]) so only a live result can
-    /// resolve it. Returns how many votes were kept.
-    fn restore_votes(
-        &mut self,
-        problem: ProblemId,
-        unit: UnitId,
-        needed: u32,
-        votes: &[(ClientId, Vec<u8>)],
-    ) -> u64 {
-        let p = &mut self.problems[problem];
-        if p.done {
-            return 0;
-        }
-        let tally = p
-            .votes
-            .entry(unit)
-            .or_insert_with(|| QuorumTally::new(needed.max(1)));
-        let kept = votes
-            .iter()
-            .map(|(client, bytes)| tally.restore_vote(*client, bytes.clone()));
-        kept.map(u64::from).sum()
-    }
 }
 
 #[cfg(test)]
@@ -214,7 +152,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::builtin::integration_problem;
     use crate::net::checkpoint::CheckpointWriter;
-    use crate::server::tests::{drive_to_completion, quorum_server, sum_problem};
+    use crate::server::tests::{drive_to_completion, sum_problem};
     use crate::server::{Assignment, RunJournal};
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -258,40 +196,6 @@ pub(crate) mod tests {
                 Assignment::Wait => now += 1.0,
                 Assignment::Finished => break,
             }
-        }
-    }
-
-    // Fixed granularity plus a 2-way quorum: every unit needs two
-    // byte-identical votes from untrusted donors before it folds.
-    pub(crate) fn quorum_cfg() -> SchedulerConfig {
-        SchedulerConfig {
-            quorum_k: 2,
-            reputation_threshold: 1_000,
-            ..fixed_cfg()
-        }
-    }
-
-    /// Donors 1 and 2 take turns until both are told `Finished`.
-    pub(crate) fn drive_quorum(server: &mut Server, mut now: f64) {
-        let mut finished = 0;
-        while finished < 2 {
-            finished = 0;
-            for c in [1usize, 2] {
-                match server.request_work(c, now) {
-                    Assignment::Unit {
-                        problem,
-                        unit,
-                        algorithm,
-                    } => {
-                        let r = algorithm.compute(&unit);
-                        now += 1.0;
-                        server.submit_result(c, problem, r, now);
-                    }
-                    Assignment::Wait => now += 1.0,
-                    Assignment::Finished => finished += 1,
-                }
-            }
-            assert!(now < 1e6, "quorum run must make progress");
         }
     }
 
@@ -408,54 +312,6 @@ pub(crate) mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    #[test]
-    fn kill_mid_quorum_recovers_without_double_combine() {
-        let path = temp_log("midquorum");
-        let n = 50_000;
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let mut server = Server::new(quorum_cfg());
-        let pid = server.submit(integration_problem(n));
-        server.set_journal(Box::new(writer.clone()));
-        // Donor 0 casts the first of two required votes on the first
-        // unit; the server crashes before anyone seconds it.
-        let Assignment::Unit {
-            problem,
-            unit,
-            algorithm,
-        } = server.request_work(0, 0.0)
-        else {
-            panic!("work must be available")
-        };
-        let first = algorithm.compute(&unit);
-        assert!(server.submit_result(0, problem, first, 1.0));
-        assert_eq!(
-            server.stats(pid).completed_units,
-            0,
-            "no fold before quorum"
-        );
-        writer.commit(); // the donor was answered, so the pump had committed
-        drop(server); // the crash, mid-election
-
-        let (mut recovered, report) =
-            recover(quorum_cfg(), vec![integration_problem(n)], &path).unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(report.replayed_results, 0);
-        assert_eq!(report.pending_restored, 1);
-        assert_eq!(report.restored_votes, 1);
-
-        // Two fresh donors finish the run: the restored vote plus one
-        // live agreeing result resolves the interrupted election, and
-        // every later unit gathers its two votes normally.
-        drive_quorum(&mut recovered, 1.0);
-        let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
-        assert_eq!(
-            pi.to_bits(),
-            sequential_pi(n).to_bits(),
-            "exactly-once fold across a mid-quorum crash"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// A result record whose payload no longer decodes ends replay like
     /// a torn tail, and its unit — issued, never folded — goes back on
     /// the queue to be recomputed instead of being lost.
@@ -520,54 +376,5 @@ pub(crate) mod tests {
         let outputs = drive_to_completion(&mut recovered, &[0, 1]);
         assert_eq!(outputs, vec![100 * 101 / 2]);
         assert!(recovered.all_complete());
-    }
-
-    #[test]
-    fn restored_votes_never_fold_without_a_live_result() {
-        let mut server = quorum_server(
-            SchedulerConfig {
-                quorum_k: 3,
-                enable_redundant_dispatch: false,
-                ..Default::default()
-            },
-            10,
-            100,
-        );
-        // Recover the single unit as pending with a full set of
-        // checkpointed votes; the cap must leave the quorum one short.
-        let hint = server.scheduler().donor(0).hint;
-        let unit = server.replay_issue(0, 0, hint).expect("unit 0");
-        let uid = unit.id;
-        server.restore_pending(0, vec![unit]);
-        let encoded = {
-            let mut w = crate::codec::ByteWriter::new();
-            w.u64(55);
-            w.into_bytes()
-        };
-        server.restore_votes(
-            0,
-            uid,
-            2,
-            &[(7, encoded.clone()), (8, encoded.clone()), (9, encoded)],
-        );
-        assert!(!server.all_complete(), "restored votes alone never fold");
-        // A live recomputation completes the vote exactly once.
-        let Assignment::Unit {
-            problem,
-            unit,
-            algorithm,
-        } = server.request_work(0, 1.0)
-        else {
-            panic!("restored unit must be reissued")
-        };
-        assert_eq!(unit.id, uid);
-        let r = algorithm.compute(&unit);
-        assert!(server.submit_result(0, problem, r, 2.0));
-        assert!(server.all_complete());
-        assert_eq!(server.stats(0).completed_units, 1);
-        assert_eq!(
-            server.take_output(0).unwrap().into_inner::<u64>(),
-            10 * 11 / 2
-        );
     }
 }

@@ -407,12 +407,7 @@ impl SimRunner {
                     );
                     donors[m].metrics.counter_add("units_computed", 1);
                     self.network.set_server_degradation(plan.link_scale(now));
-                    let codec = self.server.codec(problem);
-                    let (action, result) =
-                        donors[m]
-                            .faults
-                            .resolve_delivery(&tel, now, m, result, codec.as_deref());
-                    match action {
+                    match donors[m].faults.resolve_delivery(&tel, now, m) {
                         DeliveryAction::Deliver => {
                             let bytes = result.payload.wire_bytes() + CONTROL_BYTES;
                             let arrives = self.network.transfer(m, now, bytes);

@@ -175,19 +175,6 @@ events! {
         /// The client whose result was mangled.
         client: ClientId as int,
     },
-    /// A candidate result lost a quorum vote: a K-way redundant unit
-    /// reached its byte-identical quorum and this client's candidate
-    /// disagreed with the winning pattern. Emitted once per dissenting
-    /// candidate by [`crate::Server`]'s quorum resolution, which also
-    /// feeds the donor's reputation.
-    ResultDisputed = "result_disputed" {
-        /// Problem id.
-        problem: ProblemId as int,
-        /// Unit id.
-        unit: UnitId as int,
-        /// The client whose candidate disagreed.
-        client: ClientId as int,
-    },
     /// A lease passed its deadline without a result.
     LeaseExpired = "lease_expired" {
         /// Problem id.
@@ -203,8 +190,7 @@ events! {
         problem: ProblemId as int,
         /// Unit id.
         unit: UnitId as int,
-        /// Why: `lease_expired`, `corrupted`, `client_lost` or
-        /// `quorum_pending` (a non-final vote released its last lease).
+        /// Why: `lease_expired`, `corrupted` or `client_lost`.
         reason: String as text,
     },
     /// The server declared a client gone (goodbye or liveness sweep).
@@ -756,11 +742,6 @@ pub fn verify_spans(events: &[TraceEvent]) -> Result<(), String> {
                 problem,
                 unit,
                 client,
-            }
-            | EventKind::ResultDisputed {
-                problem,
-                unit,
-                client,
             } => {
                 open.remove(&(*problem, *unit, *client));
                 computing.remove(&(*problem, *unit, *client));
@@ -989,14 +970,6 @@ mod tests {
                     problem: 0,
                     unit: 2,
                     client: 1,
-                },
-            ),
-            ev(
-                3.5,
-                EventKind::ResultDisputed {
-                    problem: 0,
-                    unit: 2,
-                    client: 4,
                 },
             ),
             ev(

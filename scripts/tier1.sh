@@ -16,9 +16,7 @@ cargo test -q --offline --workspace
 # harness config drift) instead of passing vacuously: the TCP chaos
 # sweep with the donors' own wire faults, the kill-and-restart checkpoint
 # recovery, the 24-donor stress soak with its ≥90% second-pass
-# cache-reduction assertion, the Byzantine quorum tier (100-seed
-# sim sweeps per application plus the TCP sweeps and the K=1
-# negative control), the replica-tier acceptance runs (failover
+# cache-reduction assertion, the replica-tier acceptance runs (failover
 # through killed/stalled replicas against the sequential digest), and
 # the ops-plane suite (wire-correlated four-phase spans, donor metrics
 # shipping into the live status view, and the straggler-detector
@@ -44,7 +42,6 @@ cargo test -q --offline --workspace
 cargo test -q --offline --test chaos tcp
 cargo test -q --offline --test net_recovery
 cargo test -q --offline --test stress
-cargo test -q --offline --test byzantine
 cargo test -q --offline --test replica
 cargo test -q --offline --test ops
 cargo test -q --offline --test scale

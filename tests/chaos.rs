@@ -67,9 +67,8 @@ fn tcp_seeds() -> Vec<u64> {
 
 /// Formats a chaos failure so the run is reproducible from the message:
 /// the replay command, the seed, the plan's content digest (to detect a
-/// generator drift masquerading as "the same seed"), the scheduler's
-/// quorum/reputation configuration (a replay with the wrong K or trust
-/// threshold silently passes), and the plan data.
+/// generator drift masquerading as "the same seed"), whether the
+/// scheduler re-issued speculatively, and the plan data.
 fn chaos_panic(
     app: &str,
     backend: &str,
@@ -81,11 +80,9 @@ fn chaos_panic(
     panic!(
         "chaos failure [{app}/{backend}] — replay with BIODIST_CHAOS_SEED={seed} \
          cargo test --test chaos\n  why: {why}\n  seed: {seed}\n  \
-         quorum: k={} reputation_threshold={} speculative={}\n  \
+         scheduler: speculative={}\n  \
          replicas: {} fault event(s) on the replica tier\n  \
          plan digest: {:#018x}\n  plan: {plan:?}",
-        cfg.quorum_k,
-        cfg.reputation_threshold,
         cfg.enable_speculative_reissue,
         plan.replica_events().len(),
         plan.digest()
@@ -415,87 +412,6 @@ fn backend_parity_tcp_same_plan() {
             tcp_digest, w.reference,
             "seed {seed}: both differ from reference"
         );
-    }
-}
-
-/// Backend parity with K-way quorum armed against active liars: the
-/// same Byzantine plan (lies scheduled on each chosen donor's first
-/// computes — the near-zero horizon pins them there on every clock)
-/// runs on the simulator and over real TCP. Each backend must absorb
-/// the lies through majority vote and land on the
-/// sequential reference digest; the sim run additionally proves the
-/// quorum actually engaged (`quorum.disputed` > 0), so the parity
-/// claim is not vacuous.
-#[test]
-fn backend_parity_quorum_byzantine_same_plan() {
-    let w = dsearch_workload();
-    let opts = ChaosOptions::for_pool(POOL, 1e-4);
-    for seed in [0u64, 8] {
-        let plan = FaultPlan::byzantine(seed, &opts, 0.3, 3);
-
-        let sim_cfg = SchedulerConfig {
-            quorum_k: 3,
-            reputation_threshold: 4,
-            enable_speculative_reissue: true,
-            ..Default::default()
-        };
-        let telemetry = Telemetry::enabled();
-        let mut server = Server::new(sim_cfg.clone());
-        server.set_telemetry(telemetry.clone());
-        let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-        let (_, mut server) = SimRunner::with_defaults(server, homogeneous_lab(POOL, 7))
-            .with_faults(plan.clone())
-            .run();
-        let sim_digest = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>()
-            .digest();
-        if telemetry.metrics_snapshot().counter("quorum.disputed") == 0 {
-            chaos_panic(
-                "dsearch",
-                "sim quorum",
-                seed,
-                &plan,
-                &sim_cfg,
-                "no quorum.disputed — the Byzantine lies never met a cross-check".into(),
-            );
-        }
-        if sim_digest != w.reference {
-            chaos_panic(
-                "dsearch",
-                "sim quorum",
-                seed,
-                &plan,
-                &sim_cfg,
-                "sim digest differs from reference under quorum".into(),
-            );
-        }
-
-        let real_cfg = SchedulerConfig {
-            quorum_k: 3,
-            reputation_threshold: 4,
-            enable_speculative_reissue: true,
-            ..thread_cfg()
-        };
-        let mut server = Server::new(real_cfg.clone());
-        let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
-        let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
-        let tcp_digest = server
-            .take_output(pid)
-            .unwrap()
-            .into_inner::<SearchOutput>()
-            .digest();
-        if tcp_digest != w.reference {
-            chaos_panic(
-                "dsearch",
-                "tcp quorum",
-                seed,
-                &plan,
-                &real_cfg,
-                "tcp digest differs from reference under quorum".into(),
-            );
-        }
     }
 }
 

@@ -172,151 +172,6 @@ fn kill_tcp_server_mid_run_recover_and_finish() {
     let _ = std::fs::remove_file(&log);
 }
 
-/// Kill the TCP server while every unit is *mid-quorum*: life 1 runs a
-/// single donor under `quorum_k = 3`, so each unit collects exactly one
-/// recorded vote and can never fold (majority needs two distinct
-/// voters). The journal at the kill therefore holds unit issues and
-/// in-flight `Vote` records but zero `Result`s. Recovery must restore
-/// those ballots (`restored_votes`), refuse to fold any unit from
-/// restored votes alone, and the full pool in life 2 must finish the
-/// job exactly once — each half-voted unit completes with one more
-/// *live* matching vote, never by double-combining.
-#[test]
-fn kill_tcp_server_mid_quorum_no_double_combine() {
-    let queries = vec![random_sequence(Alphabet::Protein, "q", 100, 3)];
-    let db = SyntheticDb::generate(&DbSpec::protein_demo(120, 80), 4).sequences;
-    let cfg = DsearchConfig::protein_default();
-    let reference = SearchOutput {
-        hits: search_sequential(&db, &queries, &cfg),
-    }
-    .digest();
-
-    // Quorum always-on: the trust threshold is unreachable, so every
-    // unit keeps taking the 3-way vote path for the whole run.
-    let quorum_cfg = || SchedulerConfig {
-        quorum_k: 3,
-        reputation_threshold: 1_000,
-        ..tiny_unit_cfg()
-    };
-
-    let log = temp_log("mid-quorum");
-    let clock = Clock::new(TIME_SCALE);
-    let dir = directory();
-    let run_over = Arc::new(AtomicBool::new(false));
-
-    // ---- life 1: one donor votes everywhere, nothing can fold -------
-    let telemetry = Telemetry::enabled();
-    let mut server = Server::new(quorum_cfg());
-    server.set_telemetry(telemetry.clone());
-    let pid = server.submit(build_problem(db.clone(), queries.clone(), &cfg));
-    let writer = CheckpointWriter::create(&log).expect("create checkpoint log");
-    server.set_journal(Box::new(writer));
-    let kit = ClientKit::from_server(&server).expect("codecs registered");
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            ..Default::default()
-        },
-    )
-    .expect("bind first server");
-    dir.set_origin(Some(net.addr()));
-    let mut handles = spawn_clients(
-        dir.clone(),
-        clock,
-        kit.clone(),
-        1,
-        &FaultPlan::none(),
-        run_over.clone(),
-        NetClientOptions::default(),
-    );
-
-    // Wait until a comfortable pile of first votes is journaled.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        if telemetry.metrics_snapshot().counter("quorum.votes") >= 12 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "sole donor cast no votes");
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let folded_at_kill = net
-        .with_server(|s| s.stats(pid).completed_units)
-        .expect("server alive");
-    assert_eq!(
-        folded_at_kill, 0,
-        "one voter must never satisfy a 3-way quorum"
-    );
-    dir.set_origin(None);
-    net.kill();
-
-    // ---- recovery: ballots come back, but nothing folds from them ---
-    let (problem, audit) = audited(build_problem(db, queries, &cfg));
-    let (mut server, report) =
-        recover(quorum_cfg(), vec![problem], &log).expect("recover from checkpoint log");
-    assert_eq!(
-        report.replayed_results, 0,
-        "no unit may have folded before the kill"
-    );
-    assert!(
-        report.restored_votes >= 8,
-        "the in-flight ballots must survive the crash (restored {})",
-        report.restored_votes
-    );
-    assert_eq!(
-        server.stats(pid).completed_units,
-        0,
-        "restored votes alone must never combine a unit"
-    );
-
-    // ---- life 2: full pool finishes every half-voted unit -----------
-    let writer = CheckpointWriter::append(&log).expect("reopen checkpoint log");
-    server.set_journal(Box::new(writer));
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            ..Default::default()
-        },
-    )
-    .expect("bind second server");
-    dir.set_origin(Some(net.addr()));
-    handles.extend(spawn_clients(
-        dir.clone(),
-        clock,
-        kit,
-        POOL - 1,
-        &FaultPlan::none(),
-        run_over.clone(),
-        NetClientOptions::default(),
-    ));
-
-    let mut server = net.wait();
-    run_over.store(true, Ordering::SeqCst);
-    for h in handles {
-        h.join().expect("client thread");
-    }
-
-    let out = server
-        .take_output(pid)
-        .unwrap()
-        .into_inner::<SearchOutput>();
-    assert_eq!(
-        out.digest(),
-        reference,
-        "quorum-recovered run must reproduce the sequential reference"
-    );
-    audit
-        .verify_run(&server)
-        .expect("exactly-once invariants hold across a mid-quorum crash");
-
-    let _ = std::fs::remove_file(&log);
-}
-
-/// The recovered server keeps journaling: kill it a second time and
-/// recover again — checkpointing must compose across generations.
 #[test]
 fn recovery_survives_a_second_crash() {
     let queries = vec![random_sequence(Alphabet::Protein, "q", 90, 5)];

@@ -13,9 +13,7 @@ use biodist::align::{nw_align, nw_banded_score, nw_score, sw_align, sw_score, Hi
 use biodist::bioseq::{Alphabet, GapPenalty, ScoringMatrix, ScoringScheme, Sequence};
 use biodist::core::leases::{InFlight, Lease, LeaseTable, Released};
 use biodist::core::sched::Scheduler;
-use biodist::core::{
-    chunk_digest, ChunkCache, Payload, QuorumTally, SchedulerConfig, TaskResult, VoteOutcome,
-};
+use biodist::core::{chunk_digest, ChunkCache, Payload, SchedulerConfig};
 use biodist::gridsim::event::EventQueue;
 use biodist::phylo::evolve::random_yule_tree;
 use biodist::phylo::model::{GammaRates, ModelKind, SubstModel};
@@ -497,213 +495,6 @@ fn chunk_cache_digest_mismatch_forces_refetch() {
     }
 }
 
-/// A live vote for the quorum machinery: the byte pattern doubles as
-/// the payload so winner identity is checkable from either side.
-fn live_vote(pattern: &[u8]) -> TaskResult {
-    TaskResult {
-        unit_id: 0,
-        payload: Payload::new(pattern.to_vec(), pattern.len() as u64),
-    }
-}
-
-/// Model-checks the quorum vote counter against a reference tally:
-/// one vote per donor, no resolution before some byte pattern reaches
-/// the quorum, resolution exactly when it does (with the right winner,
-/// agreed set, and sorted dissenters), and memory bounded by the
-/// number of distinct patterns actually voted.
-#[test]
-fn quorum_tally_matches_reference_vote_counter() {
-    for case in 0..CASES as u64 {
-        let case_seed = 0x15_0000 + case;
-        let mut rng = Xoshiro256StarStar::new(case_seed);
-        let needed = rng.next_range(1, 5) as u32;
-        let mut tally = QuorumTally::new(needed);
-        // Reference model: voters per pattern, in vote order.
-        let mut by_pattern: Vec<(Vec<u8>, Vec<usize>)> = Vec::new();
-        let mut voted: HashSet<usize> = HashSet::new();
-        for _ in 0..30 {
-            let client = rng.next_below(8) as usize;
-            // A tiny pattern space, so agreements and collisions happen.
-            let pattern = vec![rng.next_below(3) as u8];
-            match tally.vote(client, pattern.clone(), live_vote(&pattern)) {
-                VoteOutcome::AlreadyVoted => {
-                    assert!(
-                        voted.contains(&client),
-                        "AlreadyVoted for a fresh voter (case_seed={case_seed:#x})"
-                    );
-                }
-                VoteOutcome::Pending => {
-                    assert!(
-                        voted.insert(client),
-                        "duplicate voter accepted (case_seed={case_seed:#x})"
-                    );
-                    match by_pattern.iter_mut().find(|(p, _)| *p == pattern) {
-                        Some((_, v)) => v.push(client),
-                        None => by_pattern.push((pattern.clone(), vec![client])),
-                    }
-                    assert!(
-                        by_pattern.iter().all(|(_, v)| (v.len() as u32) < needed),
-                        "no combine before quorum violated (case_seed={case_seed:#x})"
-                    );
-                    assert_eq!(tally.votes() as usize, voted.len());
-                }
-                VoteOutcome::Quorum {
-                    bytes,
-                    agreed,
-                    dissenters,
-                    result,
-                } => {
-                    assert!(
-                        voted.insert(client),
-                        "duplicate voter completed a quorum (case_seed={case_seed:#x})"
-                    );
-                    match by_pattern.iter_mut().find(|(p, _)| *p == pattern) {
-                        Some((_, v)) => v.push(client),
-                        None => by_pattern.push((pattern.clone(), vec![client])),
-                    }
-                    let (_, winners) = by_pattern
-                        .iter()
-                        .find(|(p, _)| *p == pattern)
-                        .expect("winning pattern is in the model");
-                    assert_eq!(
-                        winners.len() as u32,
-                        needed,
-                        "quorum fired at the wrong count (case_seed={case_seed:#x})"
-                    );
-                    assert_eq!(bytes, pattern);
-                    assert_eq!(&agreed, winners, "agreed set (case_seed={case_seed:#x})");
-                    let mut expect_dissent: Vec<usize> = by_pattern
-                        .iter()
-                        .filter(|(p, _)| *p != pattern)
-                        .flat_map(|(_, v)| v.iter().copied())
-                        .collect();
-                    expect_dissent.sort_unstable();
-                    assert_eq!(
-                        dissenters, expect_dissent,
-                        "dissenter set (case_seed={case_seed:#x})"
-                    );
-                    // The folded result is the quorum-completing live one.
-                    assert_eq!(
-                        result.payload.downcast_ref::<Vec<u8>>(),
-                        Some(&pattern),
-                        "folded result is not the winner's (case_seed={case_seed:#x})"
-                    );
-                    break;
-                }
-            }
-            // Bounded memory: one candidate per distinct pattern, at
-            // most one recorded vote per distinct donor.
-            assert!(tally.candidate_patterns() <= by_pattern.len());
-            assert!(tally.votes() as usize <= voted.len());
-        }
-    }
-}
-
-/// Votes restored from a checkpoint can never resolve a quorum on
-/// their own — however many the log replays, the tally caps them below
-/// `needed`, and only live votes can complete the election.
-#[test]
-fn quorum_restored_votes_never_fold_without_live_results() {
-    for case in 0..CASES as u64 {
-        let case_seed = 0x16_0000 + case;
-        let mut rng = Xoshiro256StarStar::new(case_seed);
-        let needed = rng.next_range(2, 6) as u32;
-        let mut tally = QuorumTally::new(needed);
-        for client in 0..20usize {
-            let pattern = vec![rng.next_below(2) as u8];
-            tally.restore_vote(client, pattern);
-            assert!(
-                tally.votes() < needed,
-                "restored votes reached the quorum alone (case_seed={case_seed:#x})"
-            );
-        }
-        // Fresh live donors voting one agreed pattern must resolve
-        // within `needed` votes (restored agreement counts toward it).
-        let pattern = vec![0u8];
-        let mut resolved = false;
-        for (i, client) in (100..100 + needed as usize).enumerate() {
-            match tally.vote(client, pattern.clone(), live_vote(&pattern)) {
-                VoteOutcome::Quorum { result, .. } => {
-                    assert_eq!(
-                        result.payload.downcast_ref::<Vec<u8>>(),
-                        Some(&pattern),
-                        "quorum must fold the live result (case_seed={case_seed:#x})"
-                    );
-                    resolved = true;
-                    break;
-                }
-                VoteOutcome::Pending => assert!(
-                    (i as u32) < needed - 1,
-                    "live agreement failed to resolve (case_seed={case_seed:#x})"
-                ),
-                VoteOutcome::AlreadyVoted => {
-                    panic!("fresh client rejected (case_seed={case_seed:#x})")
-                }
-            }
-        }
-        assert!(
-            resolved,
-            "election never resolved (case_seed={case_seed:#x})"
-        );
-    }
-}
-
-/// Model-checks the donor-reputation state machine: trust is earned
-/// exactly at the configured agreement streak, is monotone under
-/// further agreement, resets (with demotion reported) on any dispute,
-/// and `required_copies` tracks it — trusted donors single-issue,
-/// everyone else cross-checks on `quorum_k` donors.
-#[test]
-fn reputation_state_machine_matches_model() {
-    for case in 0..CASES as u64 {
-        let case_seed = 0x17_0000 + case;
-        let mut rng = Xoshiro256StarStar::new(case_seed);
-        let threshold = rng.next_range(1, 8) as u32;
-        let quorum_k = rng.next_range(2, 5) as u32;
-        let mut sched = Scheduler::new(SchedulerConfig {
-            quorum_k,
-            reputation_threshold: threshold,
-            ..Default::default()
-        });
-        // Model per client: (agreement streak, trusted).
-        let mut model: std::collections::HashMap<usize, (u64, bool)> =
-            std::collections::HashMap::new();
-        for _ in 0..200 {
-            let client = rng.next_below(6) as usize;
-            let e = model.entry(client).or_insert((0, false));
-            if rng.next_below(4) == 0 {
-                let demoted = sched.note_dispute(client);
-                assert_eq!(
-                    demoted, e.1,
-                    "demotion reported iff previously trusted (case_seed={case_seed:#x})"
-                );
-                *e = (0, false);
-            } else {
-                let promoted = sched.note_quorum_agreement(client);
-                e.0 += 1;
-                let crossed = !e.1 && e.0 >= u64::from(threshold);
-                assert_eq!(
-                    promoted, crossed,
-                    "promotion fires exactly on crossing the threshold (case_seed={case_seed:#x})"
-                );
-                e.1 = e.1 || crossed;
-            }
-            assert_eq!(sched.is_trusted(client), e.1);
-            assert_eq!(
-                sched.required_copies(client),
-                if e.1 { 1 } else { quorum_k },
-                "required_copies must track trust (case_seed={case_seed:#x})"
-            );
-        }
-        // Departed donors lose their standing entirely.
-        for c in 0..6usize {
-            sched.forget_client(c);
-            assert!(!sched.is_trusted(c));
-            assert_eq!(sched.reputation_counts(c), (0, 0));
-        }
-    }
-}
-
 #[test]
 fn tree_splits_are_invariant_under_nni_involution() {
     let mut rng = Xoshiro256StarStar::new(0x10);
@@ -726,9 +517,9 @@ fn tree_splits_are_invariant_under_nni_involution() {
 use biodist::core::{ChaosOptions, ClientFaults, DeliveryAction, FaultEvent, FaultKind, FaultPlan};
 
 /// The one-shot queue a fault kind arms, if any: 0 results, 1 chunk
-/// replies, 2 control replies, 3 lies.
+/// replies, 2 control replies.
 fn one_shot(kind: &FaultKind) -> Option<(usize, DeliveryAction)> {
-    use DeliveryAction::{Corrupt, Deliver, Drop, Duplicate};
+    use DeliveryAction::{Corrupt, Drop, Duplicate};
     Some(match kind {
         FaultKind::DropResult => (0, Drop),
         FaultKind::DuplicateResult => (0, Duplicate),
@@ -738,7 +529,6 @@ fn one_shot(kind: &FaultKind) -> Option<(usize, DeliveryAction)> {
         FaultKind::DropReply => (2, Drop),
         FaultKind::DuplicateReply => (2, Duplicate),
         FaultKind::CorruptReply => (2, Corrupt),
-        FaultKind::WrongResult => (3, Deliver),
         _ => return None,
     })
 }
@@ -829,9 +619,9 @@ fn naive_link_scale(plan: &FaultPlan, now: f64) -> f64 {
     scale
 }
 
-/// Adds the kinds the random and Byzantine mixes never draw — wire
-/// reply faults and replica faults, whose index may equal a donor id —
-/// and more of those they do, some at the time of an existing event, so
+/// Adds the kinds the random mix never draws — wire reply faults and
+/// replica faults, whose index may equal a donor id — and more of those
+/// it does, some at the time of an existing event, so
 /// ties are exercised, and slowdown and link windows long enough that
 /// three or more overlap (only then can the order of a product of
 /// factors change its rounding).
@@ -846,19 +636,18 @@ fn with_every_kind(mut plan: FaultPlan, rng: &mut dyn Rng, n: usize, horizon: f6
             rng.next_f64_range(1.0, 8.0),
             rng.next_f64_range(0.0, horizon),
         );
-        let kind = match rng.next_below(11) {
+        let kind = match rng.next_below(10) {
             0 => FaultKind::DropChunk,
             1 => FaultKind::CorruptChunk,
             2 => FaultKind::DropReply,
             3 => FaultKind::DuplicateReply,
             4 => FaultKind::CorruptReply,
-            5 => FaultKind::WrongResult,
-            6 => FaultKind::DropResult,
-            7 => FaultKind::ReplicaCrash { down_secs: window },
-            8 => FaultKind::ReplicaStall {
+            5 => FaultKind::DropResult,
+            6 => FaultKind::ReplicaCrash { down_secs: window },
+            7 => FaultKind::ReplicaStall {
                 duration_secs: window,
             },
-            9 => FaultKind::Slowdown {
+            8 => FaultKind::Slowdown {
                 factor,
                 duration_secs: window,
             },
@@ -891,7 +680,7 @@ fn with_every_kind(mut plan: FaultPlan, rng: &mut dyn Rng, n: usize, horizon: f6
 /// slowdown product (in plan order, so to the bit), the crash rule at
 /// an instant and over an interval, the link product (the plan's, and
 /// the copy every donor's record carries), and the sequence
-/// of one-shots each of the four queues hands out — each queue polled
+/// of one-shots each of the three queues hands out — each queue polled
 /// at its own random subset of the grid, so their consumption
 /// interleaves differently plan by plan.
 #[test]
@@ -901,13 +690,7 @@ fn client_faults_match_a_naive_model() {
         let n = 2 + rng.next_below(11) as usize;
         let horizon = rng.next_f64_range(1.0, 300.0);
         let opts = ChaosOptions::for_pool(n, horizon);
-        let plan = if case < 200 {
-            FaultPlan::random(case, &opts)
-        } else {
-            let frac = rng.next_f64();
-            FaultPlan::byzantine(case, &opts, frac, 1 + rng.next_below(4) as usize)
-        };
-        let plan = with_every_kind(plan, &mut rng, n, horizon);
+        let plan = with_every_kind(FaultPlan::random(case, &opts), &mut rng, n, horizon);
         let ctx = format!("case {case}, plan digest {:#x}", plan.digest());
         let steps = 40;
         let dt = 1.1 * horizon / steps as f64;
@@ -927,7 +710,7 @@ fn client_faults_match_a_naive_model() {
                 .reduce(f64::min);
             assert_eq!(record.join_at, join, "donor {client} join ({ctx})");
             assert_eq!(record.departure, depart, "donor {client} departure ({ctx})");
-            let polled: [f64; 4] = std::array::from_fn(|_| rng.next_f64_range(0.2, 1.0));
+            let polled: [f64; 3] = std::array::from_fn(|_| rng.next_f64_range(0.2, 1.0));
             for step in 0..=steps {
                 let now = step as f64 * dt;
                 let at = format!("donor {client} at {now} ({ctx})");
@@ -952,10 +735,9 @@ fn client_faults_match_a_naive_model() {
                     match queue {
                         0 => assert_eq!(record.delivery_action(now), deliver(expected), "{at}"),
                         1 => assert_eq!(record.chunk_reply_action(now), deliver(expected), "{at}"),
-                        2 => {
+                        _ => {
                             assert_eq!(record.control_reply_action(now), deliver(expected), "{at}")
                         }
-                        _ => assert_eq!(record.wrong_result(now), expected.is_some(), "{at}"),
                     }
                 }
             }
@@ -1177,13 +959,12 @@ fn honest_but_slow_machine_is_never_flagged() {
 // ------------------------------------------------- one donor record
 
 /// What the scheduler knew about donors when it kept them in separate
-/// maps — adaptive state, affinity windows, reputation, detectors —
+/// maps — adaptive state, affinity windows, detectors —
 /// with the server's mirrored flag set beside them.
 struct SeparateMaps {
     cfg: SchedulerConfig,
     clients: HashMap<usize, (Ewma, u64, f64, f64)>,
     affinity: HashMap<usize, Vec<u64>>,
-    reputation: HashMap<usize, (u64, u64, bool)>,
     health: HashMap<usize, Detector>,
     flagged: HashSet<usize>,
 }
@@ -1242,20 +1023,17 @@ impl SeparateMaps {
     fn forget(&mut self, client: usize) {
         self.clients.remove(&client);
         self.affinity.remove(&client);
-        self.reputation.remove(&client);
         self.flagged.remove(&client);
         self.health.remove(&client);
     }
 
     fn snapshot(&self) -> DonorSnapshot {
         let prior = self.cfg.prior_ops_per_sec;
-        let ids = self.clients.keys().chain(self.reputation.keys());
-        let ids: std::collections::BTreeSet<usize> =
-            ids.chain(self.affinity.keys()).copied().collect();
+        let ids = self.clients.keys().chain(self.affinity.keys());
+        let ids: std::collections::BTreeSet<usize> = ids.copied().collect();
         let row = |client| DonorRow {
             client,
             adaptive: (self.clients.get(&client)).map(|st| (st.0.value().unwrap_or(prior), st.1)),
-            reputation: self.reputation.get(&client).copied(),
             affinity: self.affinity.get(&client).cloned().unwrap_or_default(),
         };
         DonorSnapshot {
@@ -1292,8 +1070,8 @@ impl SeparateMaps {
     }
 }
 
-/// Random `record_completion` / `note_chunks` / `note_quorum_agreement`
-/// / `note_dispute` / `forget_client` / snapshot → `restore` sequences:
+/// Random `record_completion` / `note_chunks` / `forget_client` /
+/// snapshot → `restore` sequences:
 /// the scheduler's one record per donor (detector included) must answer
 /// every question the way the separate maps did, after every step.
 #[test]
@@ -1306,8 +1084,6 @@ fn donor_records_match_the_separate_maps_model() {
             lease_min_secs: 0.5,
             enable_adaptive: case % 5 != 4,
             enable_dynamic_granularity: case % 7 != 6,
-            quorum_k: 1 + (case % 3) as u32,
-            reputation_threshold: rng.next_range(1, 4) as u32,
             enable_health_detector: case % 2 == 0,
             ..Default::default()
         };
@@ -1316,7 +1092,6 @@ fn donor_records_match_the_separate_maps_model() {
             cfg: cfg.clone(),
             clients: HashMap::new(),
             affinity: HashMap::new(),
-            reputation: HashMap::new(),
             health: HashMap::new(),
             flagged: HashSet::new(),
         };
@@ -1326,14 +1101,14 @@ fn donor_records_match_the_separate_maps_model() {
         let bits = |s: &DonorSnapshot| -> Vec<_> {
             let rows = s.donors.iter().map(|r| {
                 let adaptive = r.adaptive.map(|(speed, units)| (speed.to_bits(), units));
-                (r.client, adaptive, r.reputation, r.affinity.clone())
+                (r.client, adaptive, r.affinity.clone())
             });
             rows.collect()
         };
         for step in 0..300 {
             let at = format!("case {case} step {step}");
             let client = rng.next_below(CLIENTS) as usize;
-            match rng.next_below(16) {
+            match rng.next_below(13) {
                 0..=7 => {
                     // Mostly on pace, sometimes ten times slower, and
                     // once in a while a poisoned cost.
@@ -1359,24 +1134,11 @@ fn donor_records_match_the_separate_maps_model() {
                         }
                     }
                 }
-                10..=11 => {
-                    let threshold = u64::from(cfg.reputation_threshold);
-                    let r = model.reputation.entry(client).or_default();
-                    r.0 += 1;
-                    let promoted = !r.2 && r.0 >= threshold;
-                    r.2 |= promoted;
-                    assert_eq!(sched.note_quorum_agreement(client), promoted, "{at}");
-                }
-                12 => {
-                    let r = model.reputation.entry(client).or_default();
-                    let demoted = std::mem::replace(r, (0, r.1 + 1, false)).2;
-                    assert_eq!(sched.note_dispute(client), demoted, "{at}");
-                }
-                13 => {
+                10 => {
                     sched.forget_client(client);
                     model.forget(client);
                 }
-                14 => saved.push(model.snapshot()),
+                11 => saved.push(model.snapshot()),
                 _ => {
                     // An earlier whole snapshot goes back in; the
                     // detectors, which it does not carry, stay as they are.
@@ -1384,16 +1146,12 @@ fn donor_records_match_the_separate_maps_model() {
                     sched.restore(snap);
                     model.clients.clear();
                     model.affinity.clear();
-                    model.reputation.clear();
                     for row in &snap.donors {
                         let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
                         if let Some((speed, units)) = row.adaptive.filter(sound) {
                             let mut ewma = Ewma::new(0.3);
                             ewma.update(speed);
                             model.clients.insert(row.client, (ewma, units, 0.0, 1.0));
-                        }
-                        if let Some(judged) = row.reputation {
-                            model.reputation.insert(row.client, judged);
                         }
                         if !row.affinity.is_empty() {
                             model.affinity.insert(row.client, row.affinity.clone());
@@ -1404,8 +1162,6 @@ fn donor_records_match_the_separate_maps_model() {
             for c in 0..CLIENTS as usize {
                 let donor = sched.donor(c);
                 let state = model.clients.get(&c);
-                let (agreements, disputes, trusted) =
-                    model.reputation.get(&c).copied().unwrap_or_default();
                 let speed = model.speed(c);
                 assert_eq!(
                     donor.speed.to_bits(),
@@ -1422,21 +1178,6 @@ fn donor_records_match_the_separate_maps_model() {
                     "flag of {c} ({at})"
                 );
                 assert_eq!(sched.is_health_flagged(c), donor.flagged, "{at}");
-                assert_eq!(
-                    (donor.trusted, donor.reputation),
-                    (trusted, (agreements, disputes))
-                );
-                assert_eq!(sched.reputation_counts(c), (agreements, disputes), "{at}");
-                let copies = if cfg.quorum_k <= 1 || trusted {
-                    1
-                } else {
-                    cfg.quorum_k
-                };
-                assert_eq!(
-                    (donor.copies, sched.required_copies(c)),
-                    (copies, copies),
-                    "{at}"
-                );
                 // The lease prices the queue factor, which nothing else shows.
                 let queue_factor = state.map_or(1.0, |s| s.3);
                 let lease = (2e7 / speed * queue_factor * 4.0).max(cfg.lease_min_secs);
@@ -1463,8 +1204,8 @@ fn donor_records_match_the_separate_maps_model() {
                 mirrored.into_iter().collect()
             );
             let known: HashSet<usize> = sched.known_clients().collect();
-            let separately = model.clients.keys().chain(model.reputation.keys());
-            let separately: HashSet<usize> = separately.copied().chain(flagged).collect();
+            let separately = model.clients.keys().copied();
+            let separately: HashSet<usize> = separately.chain(flagged).collect();
             assert_eq!(known, separately, "known clients ({at})");
             let mut audit = sched.audit();
             audit.sort();
@@ -1563,8 +1304,8 @@ impl LeaseModel {
     }
 }
 
-/// Random `grant` / `take` / `put_back` / `release` / `release_client` /
-/// `expire` sequences: the table must orphan the same units in the same
+/// Random `grant` / `take` / `release` / `release_client` / `expire`
+/// sequences: the table must orphan the same units in the same
 /// order as the model, agree on every count and on the earliest
 /// deadline, and pass its own `audit()` after every step.
 #[test]
@@ -1591,16 +1332,15 @@ fn lease_table_matches_naive_model() {
                 // Grant: the next queued unit, else an extra copy of a
                 // flying one, else a fresh unit (through the pool).
                 (0..=2, _) => {
-                    let queued = table.next_queued(|_| false, None);
+                    let queued = table.next_queued(None);
                     assert_eq!(queued.as_ref().map(|u| u.id), model.queue.first().copied());
                     let granted = match (queued, pick) {
                         (Some(u), _) => {
                             model.queue.remove(0);
                             u
                         }
-                        (None, Some(u)) if !model.holders(u).contains(&client) => {
-                            table.top_up(usize::MAX, |id, _| id == u).expect("flying")
-                        }
+                        // (A grant on a flying unit adds a lease to it.)
+                        (None, Some(u)) if !model.holders(u).contains(&client) => Arc::new(unit(u)),
                         _ => {
                             next_id += 1;
                             let fresh = table.next_fresh(1, || Some(unit(next_id)), None);
@@ -1624,13 +1364,13 @@ fn lease_table_matches_naive_model() {
                         None => model.flying.push((granted.id, vec![lease])),
                     }
                 }
-                // Take (a result arrives); half the time the vote is not
-                // final and the unit goes back minus the voter's lease.
+                // Take (a result arrives).
                 (3, Some(u)) => {
                     let InFlight {
                         unit: taken,
                         leases,
                     } = table.take(u).expect("pending");
+                    assert_eq!(taken.id, u);
                     let flying = model.flying.iter().position(|(id, _)| *id == u);
                     let expected = match flying {
                         Some(at) => model.flying.remove(at).1,
@@ -1640,24 +1380,6 @@ fn lease_table_matches_naive_model() {
                         }
                     };
                     assert_eq!(leases, expected);
-                    if rng.next_bool(0.5) {
-                        let kept: Vec<Lease> = expected
-                            .into_iter()
-                            .filter(|l| l.client != client)
-                            .collect();
-                        let orphaned = table.put_back(
-                            InFlight {
-                                unit: taken,
-                                leases,
-                            },
-                            client,
-                        );
-                        assert_eq!(orphaned, kept.is_empty());
-                        match orphaned {
-                            true => model.queue.push(u),
-                            false => model.flying.push((u, kept)),
-                        }
-                    }
                 }
                 (4, Some(u)) => {
                     let flying = model.flying.iter().any(|(id, _)| *id == u);
@@ -1869,7 +1591,7 @@ fn a_schedule_applied_as_turns_or_as_singles_ends_in_the_same_state() {
 
 // ---- codecs round-trip byte for byte ---------------------------------
 
-/// What the origin rests on when it journals (and votes on) the bytes a
+/// What the origin rests on when it journals the bytes a
 /// result arrived as instead of encoding the payload it just decoded
 /// from them, and what keeps the log the same as an in-process run's:
 /// for every unit a data manager issues and every result its algorithm

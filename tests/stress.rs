@@ -58,18 +58,16 @@ fn chaos_seed() -> u64 {
 }
 
 /// Formats a stress failure so the run reproduces from the message:
-/// replay command, seed, plan digest, and the scheduler's
-/// quorum/reputation configuration — a replay with the wrong K or
-/// trust threshold exercises a different dispatch pattern entirely.
+/// replay command, seed, plan digest, and whether the scheduler
+/// re-issued speculatively — a replay without it exercises a different
+/// dispatch pattern entirely.
 fn stress_panic(seed: u64, plan: &FaultPlan, cfg: &SchedulerConfig, why: String) -> ! {
     panic!(
         "stress failure — replay with BIODIST_CHAOS_SEED={seed} cargo test --test stress\n  \
          why: {why}\n  seed: {seed}\n  \
-         quorum: k={} reputation_threshold={} speculative={}\n  \
+         scheduler: speculative={}\n  \
          replicas: {} fault event(s) on the replica tier\n  \
          plan digest: {:#018x}\n  plan: {plan:?}",
-        cfg.quorum_k,
-        cfg.reputation_threshold,
         cfg.enable_speculative_reissue,
         plan.replica_events().len(),
         plan.digest()
