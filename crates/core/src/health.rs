@@ -17,9 +17,8 @@
 //! slowness in), so it is never flagged; a machine that suddenly takes
 //! 10× its own predicted time is flagged within a few observations.
 //! Folding@Home's operational lesson — monitor and adapt to donors
-//! *while the run is live* — is exactly this loop: the scheduler
-//! deprioritizes flagged donors for affinity placement and arms
-//! speculative re-issue of the units they hold.
+//! *while the run is live* — is exactly this loop: the scheduler arms
+//! speculative re-issue of the units flagged donors hold.
 //!
 //! Everything here is a pure function of the observation sequence: no
 //! clocks, no randomness, so the detector is deterministic under the

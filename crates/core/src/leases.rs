@@ -1,9 +1,10 @@
 //! The lease table: one problem's record of which unit is out, with
 //! whom, until when, and which unit goes out next (paper §2.1).
 //!
-//! A unit it holds is in exactly one place: the lookahead *pool* (pulled
-//! from the data manager, never leased), *in flight* (a live lease) or
-//! the *reissue queue* (every lease gone, no result yet). The
+//! A unit it holds is in exactly one place: *in flight* (a live lease)
+//! or the *reissue queue* (every lease gone, no result yet). Units go
+//! out in the order they were made: the reissue queue first, front
+//! first, then fresh units pulled from the data manager on demand. The
 //! [`Server`](crate::server::Server) decides policy and what to report;
 //! only this module touches the bookkeeping, so its scans can become
 //! indexes (ROADMAP item 2) behind the same methods. What it returns is
@@ -138,9 +139,6 @@ pub struct ExtraCopy {
 pub struct LeaseTable {
     in_flight: UnitMap<InFlight>,
     reissue: VecDeque<Arc<WorkUnit>>,
-    // Gives affinity-aware selection more than one candidate to match
-    // against a donor's cached chunks (at the default cap of 1, none).
-    pool: VecDeque<Arc<WorkUnit>>,
     // A lower bound on every live deadline (`None`: nothing is out): no
     // expiry scan before it. Releases leave it early; a scan resets it.
     next_deadline: Option<f64>,
@@ -261,35 +259,9 @@ impl LeaseTable {
         }
     }
 
-    /// Takes the best reissue-queue unit: highest `score`, the front
-    /// winning ties; without a scorer, the first.
-    pub fn next_queued(
-        &mut self,
-        score: Option<&dyn Fn(&WorkUnit) -> usize>,
-    ) -> Option<Arc<WorkUnit>> {
-        let at = best_index(&self.reissue, score)?;
-        self.reissue.remove(at)
-    }
-
-    /// Tops the lookahead pool up to `lookahead` units from `pull`, then
-    /// takes its best, chosen like [`Self::next_queued`] if there are two.
-    pub fn next_fresh(
-        &mut self,
-        lookahead: usize,
-        mut pull: impl FnMut() -> Option<WorkUnit>,
-        score: Option<&dyn Fn(&WorkUnit) -> usize>,
-    ) -> Option<Arc<WorkUnit>> {
-        // (No lookahead, nothing held back: the pull is the pick.)
-        if lookahead == 1 && self.pool.is_empty() {
-            return pull().map(Arc::new);
-        }
-        while self.pool.len() < lookahead {
-            let Some(unit) = pull() else { break };
-            self.pool.push_back(Arc::new(unit));
-        }
-        let score = score.filter(|_| self.pool.len() > 1);
-        let at = best_index(&self.pool, score)?;
-        self.pool.remove(at)
+    /// Takes the reissue queue's front unit.
+    pub fn next_queued(&mut self) -> Option<Arc<WorkUnit>> {
+        self.reissue.pop_front()
     }
 
     /// The in-flight unit that most needs another copy, on `client`,
@@ -340,10 +312,9 @@ impl LeaseTable {
     pub fn audit(&self) -> Vec<String> {
         let mut v = Vec::new();
         let mut place: HashMap<UnitId, &str> = HashMap::new();
-        let pool = self.pool.iter().map(|u| (u.id, "pool"));
         let flying = self.in_flight.keys().map(|&u| (u, "in-flight map"));
         let queued = self.reissue.iter().map(|u| (u.id, "reissue queue"));
-        for (unit, here) in pool.chain(flying).chain(queued) {
+        for (unit, here) in flying.chain(queued) {
             if let Some(there) = place.insert(unit, here) {
                 v.push(format!("unit {unit} is in the {there} and the {here}"));
             }
@@ -367,18 +338,4 @@ impl LeaseTable {
         v.sort();
         v
     }
-}
-
-// Index of the best unit in `queue`.
-fn best_index(
-    queue: &VecDeque<Arc<WorkUnit>>,
-    score: Option<&dyn Fn(&WorkUnit) -> usize>,
-) -> Option<usize> {
-    let mut open = queue.iter().enumerate();
-    let best = match score {
-        // (`min_by_key` keeps the first of equals: the front.)
-        Some(score) => open.min_by_key(|(_, u)| std::cmp::Reverse(score(u))),
-        None => open.next(),
-    };
-    best.map(|(i, _)| i)
 }

@@ -15,14 +15,15 @@
 //!   written **before** the fold (write-ahead);
 //! * `Donors` records: periodic [`DonorSnapshot`]s
 //!   ([`crate::Server::snapshot_donors`]) so recovery resumes with warm
-//!   speed estimates and affinity windows.
+//!   speed estimates.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
 //! body): u32]`, little-endian; a donor turn's unit records are one
 //! `Turn` record (type 8) whose body is each one's `[record_type][body]`
 //! in order. Record type 6 (a quorum vote) and a `Donors` row's part
-//! bit 2 (a reputation) are retired, never reused: the reader refuses
-//! them as it refuses any unknown type or bit. Unit records reach the
+//! bits 2 (a reputation) and 4 (a chunk-affinity window) are retired,
+//! never reused: the reader refuses them as it refuses any unknown type
+//! or bit. Unit records reach the
 //! file a *group* at a time — one `write` per
 //! [`CheckpointWriter::commit`], which the TCP server issues once per
 //! pump, before that pump's replies leave (see [`CheckpointWriter`]). The reader stops at the first record that is
@@ -51,9 +52,8 @@ const REC_RESULT: u8 = 2;
 const REC_TURN: u8 = 8;
 const REC_DONORS: u8 = 9;
 // A `Donors` record is a row count, then each row's client, part mask
-// and the parts the mask names, in this order.
+// and the parts the mask names: this is the one part a row can carry.
 const PART_ADAPTIVE: u8 = 1;
-const PART_AFFINITY: u8 = 4;
 
 /// Largest record body the reader will accept; larger means the length
 /// field itself is torn garbage.
@@ -85,8 +85,7 @@ pub enum LogRecord {
         payload: Vec<u8>,
     },
     /// A snapshot of every donor record (the last one in the log
-    /// wins): warm speed estimates and the caches units are steered
-    /// toward.
+    /// wins): warm speed estimates.
     Donors(DonorSnapshot),
 }
 
@@ -317,16 +316,10 @@ impl CheckpointWriter {
             w.u32(snap.donors.len() as u32);
             for row in &snap.donors {
                 w.u64(row.client as u64);
-                let affinity = !row.affinity.is_empty();
-                let part = |present: bool, part: u8| u8::from(present) * part;
-                w.u8(part(row.adaptive.is_some(), PART_ADAPTIVE) | part(affinity, PART_AFFINITY));
+                w.u8(u8::from(row.adaptive.is_some()) * PART_ADAPTIVE);
                 if let Some((speed, units)) = row.adaptive {
                     w.f64(speed);
                     w.u64(units);
-                }
-                if affinity {
-                    w.u32(row.affinity.len() as u32);
-                    row.affinity.iter().for_each(|&d| w.u64(d));
                 }
             }
         });
@@ -469,21 +462,14 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
             let n = r.count(9).ok()?;
             let mut donors = Vec::with_capacity(n);
             for _ in 0..n {
-                let mut row = DonorRow {
-                    client: r.usize().ok()?,
-                    ..Default::default()
+                let client = r.usize().ok()?;
+                let parts = r.u8().ok().filter(|&m| m & !PART_ADAPTIVE == 0)?;
+                let adaptive = if parts == PART_ADAPTIVE {
+                    Some((r.f64().ok()?, r.u64().ok()?))
+                } else {
+                    None
                 };
-                let known = PART_ADAPTIVE | PART_AFFINITY;
-                let parts = r.u8().ok().filter(|&m| m & !known == 0)?;
-                let has = |part: u8| parts & part != 0;
-                if has(PART_ADAPTIVE) {
-                    row.adaptive = Some((r.f64().ok()?, r.u64().ok()?));
-                }
-                if has(PART_AFFINITY) {
-                    let k = r.count(8).ok()?;
-                    row.affinity = (0..k).map(|_| r.u64().ok()).collect::<Option<_>>()?;
-                }
-                donors.push(row);
+                donors.push(DonorRow { client, adaptive });
             }
             LogRecord::Donors(DonorSnapshot { donors })
         }
@@ -601,41 +587,34 @@ mod tests {
         assert_eq!(by_turn.0, by_record.0);
     }
 
-    /// Rows with every part, with affinity only and with none of the
-    /// optional parts (a client id and an empty mask).
+    /// Two rows with the adaptive part and one with no part (a client
+    /// id and an empty mask).
     fn donor_rows() -> DonorSnapshot {
-        let row = |client, adaptive, affinity: &[u64]| DonorRow {
-            client,
-            adaptive,
-            affinity: affinity.to_vec(),
-        };
+        let row = |client, adaptive| DonorRow { client, adaptive };
         DonorSnapshot {
             donors: vec![
-                row(0, Some((1.5e7, 12)), &[0xAA, 0xBB]),
-                row(2, None, &[0xDD]),
-                row(3, None, &[]),
+                row(0, Some((1.5e7, 12))),
+                row(2, Some((2.5e7, 3))),
+                row(3, None),
             ],
         }
     }
 
     /// The `Donors` record is a log format too, so its bytes are pinned
-    /// (captured when it was introduced, less the retired reputation
-    /// part row 0 carried then): a row count, then each row's client,
-    /// part mask and parts. A log cut inside a row keeps none of the
-    /// record — a torn tail.
+    /// (a row's layout as captured when the record was introduced, over
+    /// the rows the retired reputation and affinity parts left): a row
+    /// count, then each row's client, part mask and parts. A log cut
+    /// inside a row keeps none of the record — a torn tail.
     #[test]
     fn golden_donors_record_bytes_have_not_moved() {
-        // `[row count 3]`; client 0, mask 5: speed, units; two digests.
-        // Client 2, mask 4: one digest. Client 3, mask 0. Then the CRC.
-        const GOLDEN: &str = "4f00000009\
+        // `[row count 3]`; client 0, mask 1: speed, units. Client 2,
+        // mask 1: speed, units. Client 3, mask 0. Then the CRC.
+        const GOLDEN: &str = "3f00000009\
             03000000\
-            00000000000000000500000000389c6c410c00000000000000\
-            02000000\
-            aa00000000000000bb00000000000000\
-            020000000000000004\
-            01000000dd00000000000000\
+            00000000000000000100000000389c6c410c00000000000000\
+            0200000000000000010000000084d777410300000000000000\
             030000000000000000\
-            ba6a7160";
+            f8ce9bc3";
         let path = temp_log("golden-donors");
         let writer = CheckpointWriter::create(&path).unwrap();
         writer.append_donors(&donor_rows());
@@ -672,7 +651,7 @@ mod tests {
         let mut snap = donor_rows();
         snap.donors.pop(); // a row with no part is never snapshotted
         let mut older = snap.clone();
-        older.donors[0].adaptive = Some((2.5e7, 3));
+        older.donors[0].adaptive = Some((3.5e7, 4));
         writer.append_donors(&older);
         writer.append_donors(&snap);
         let (records, torn) = read_log(&path).unwrap();
@@ -680,7 +659,7 @@ mod tests {
         let expect = [LogRecord::Donors(older), LogRecord::Donors(snap.clone())];
         assert_eq!(records, expect);
         // A recovered server resumes with the last snapshot's records
-        // warm: speeds and affinity.
+        // warm.
         let (server, report) = recover(
             SchedulerConfig::default(),
             vec![integration_problem(10_000)],
@@ -689,7 +668,7 @@ mod tests {
         .unwrap();
         assert!(!report.torn_tail);
         assert_eq!(server.scheduler().snapshot(), snap);
-        assert_eq!(server.scheduler().affinity_score(0, &[0xAA, 0xBB]), 2);
+        assert_eq!(server.scheduler().donor(2).completed.0, 3);
         // An older log's replica-topology record (type 7) — before,
         // between and after these two — is skipped whole: the log reads
         // and recovers exactly as it does without it.
@@ -712,23 +691,37 @@ mod tests {
         .unwrap();
         assert_eq!(old_report, report);
         assert_eq!(old.scheduler().snapshot(), snap);
-        // A row that carries the retired part bit 2 (a reputation:
-        // agreements, disputes, trusted) is refused, whole and sealed:
+        // A row that carries a retired part bit — 2, a reputation
+        // (agreements, disputes, trusted), or 4, an affinity window (a
+        // digest count and the digests) — is refused, whole and sealed:
         // the record is a torn tail and the ones before it are kept.
-        let mut retired = vec![0; 4];
-        write_body(&mut retired, REC_DONORS, |w| {
-            w.u32(1);
-            w.u64(0);
-            w.u8(PART_ADAPTIVE | 2);
-            w.f64(1.5e7);
-            w.u64(12);
+        let retired = |bit: u8, part: &dyn Fn(&mut ByteWriter)| {
+            let mut record = vec![0; 4];
+            write_body(&mut record, REC_DONORS, |w| {
+                w.u32(1);
+                w.u64(0);
+                w.u8(PART_ADAPTIVE | bit);
+                w.f64(1.5e7);
+                w.u64(12);
+                part(w);
+            });
+            seal_record(&mut record, 0);
+            record
+        };
+        let reputation = retired(2, &|w| {
             w.u64(5);
             w.u64(0);
             w.u8(1);
         });
-        seal_record(&mut retired, 0);
-        let kept = vec![LogRecord::Donors(snap.clone())];
-        assert_eq!(parse_log(&[last, &retired].concat()), (kept, true));
+        let affinity = retired(4, &|w| {
+            w.u32(2);
+            w.u64(0xAA);
+            w.u64(0xBB);
+        });
+        for record in [reputation, affinity] {
+            let kept = vec![LogRecord::Donors(snap.clone())];
+            assert_eq!(parse_log(&[last, &record].concat()), (kept, true));
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -915,7 +908,6 @@ mod tests {
             donors: vec![DonorRow {
                 client: 0,
                 adaptive: Some((1.5e7, 12)),
-                ..Default::default()
             }],
         };
         let mut prefix = vec![0; 4];

@@ -665,10 +665,8 @@ impl FrameHandler for ShardCtx<'_> {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::codec::{ChunkNeed, WireError};
     use crate::net::checkpoint::CheckpointWriter;
-    use crate::net::wire::{encode_frame, encode_turn_into, FrameReader};
-    use crate::problem::Payload;
+    use crate::net::wire::{encode_frame, FrameReader};
     use crate::sched::SchedulerConfig;
     use crate::server::Server;
     use std::io::Write;
@@ -1300,89 +1298,6 @@ mod tests {
         }
         net.wait();
         handed
-    }
-
-    /// The integration problem's codec, plus chunks the origin can
-    /// serve (a chunk's bytes are its id): every unit needs the chunks
-    /// `0..CHUNKS`.
-    struct Chunked(Arc<dyn WireCodec>);
-
-    impl Chunked {
-        const CHUNKS: u64 = 8;
-    }
-
-    impl WireCodec for Chunked {
-        fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
-            self.0.write_unit(p, w)
-        }
-        fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, WireError> {
-            self.0.decode_unit(bytes)
-        }
-        fn write_result(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
-            self.0.write_result(p, w)
-        }
-        fn decode_result(&self, bytes: &[u8]) -> Result<Payload, WireError> {
-            self.0.decode_result(bytes)
-        }
-        fn unit_chunks(&self, _p: &Payload) -> Vec<ChunkNeed> {
-            let need = |chunk: u64| ChunkNeed {
-                chunk,
-                digest: chunk_digest(&chunk.to_le_bytes()),
-                bytes: 8,
-            };
-            (0..Self::CHUNKS).map(need).collect()
-        }
-        fn write_chunk(&self, chunk: u64, w: &mut ByteWriter) -> Result<(), WireError> {
-            w.u64(chunk);
-            Ok(())
-        }
-    }
-
-    /// Affinity is noted where a unit is leased, under the lock that
-    /// grants the lease: by the time a donor reads the `TurnReply` that
-    /// leases it a unit — on whichever of four shards served its turn —
-    /// the origin already counts that unit's chunks as held by it,
-    /// whichever endpoint the donor will fetch them from.
-    #[test]
-    fn a_leased_units_chunks_are_in_its_donors_window_before_the_reply_is_read() {
-        const ROUNDS: u64 = 200;
-        // One 2e6-op unit per round, each needing `CHUNKS` chunks.
-        let mut problem = integration_problem(10_000 * ROUNDS);
-        let codec = problem.codec.take().expect("integration has a codec");
-        let mut server = Server::new(small_cfg());
-        server.submit(problem.with_codec(Arc::new(Chunked(codec))));
-        let opts = NetServerOptions {
-            shards: 4,
-            ..Default::default()
-        };
-        let net = NetServer::start(server, Clock::new(1.0), opts).unwrap();
-        for client in 0..ROUNDS {
-            // A fresh donor each round, on the next shard: nothing noted.
-            let mut stream = TcpStream::connect(net.addr()).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_millis(50)))
-                .unwrap();
-            let mut turn = Vec::new();
-            encode_turn_into(&mut turn, client, 1, 1, std::iter::empty());
-            stream.write_all(&turn).unwrap();
-            let mut reader = FrameReader::new();
-            let leased = loop {
-                match reader.poll(&mut stream) {
-                    Ok(Some(Frame::TurnReply { units, .. })) => break units.len(),
-                    Ok(Some(other)) => panic!("expected a turn reply, got {other:?}"),
-                    Ok(None) => {}
-                    Err(e) => panic!("read failed: {e}"),
-                }
-            };
-            assert_eq!(leased, 1, "round {client}: one unit per round");
-            let held = |s: &Server| s.scheduler().affinity_entries(client as ClientId);
-            assert_eq!(
-                net.with_server(held),
-                Some(Chunked::CHUNKS as usize),
-                "round {client}: the lease's chunks were not noted"
-            );
-        }
-        net.kill();
     }
 
     /// Every unit is sized for the donor that computes it, whatever the

@@ -39,7 +39,7 @@ use std::time::Duration;
 /// The reserved client id replicas use when pulling chunks through
 /// from the origin. The origin recognises it and keeps no liveness
 /// entry for it — a replica is infrastructure, not a donor; it leases
-/// no unit, so no chunk affinity is ever noted for it either.
+/// no unit.
 pub const REPLICA_CLIENT_ID: u64 = u64::MAX;
 
 /// Rendezvous (highest-random-weight) score for routing `digest` to an

@@ -19,9 +19,9 @@
 //!    tail (first result wins).
 //!
 //! What the scheduler knows about a donor is one record (`DonorState`:
-//! adaptive state, chunk-affinity window, straggler detector) in one
-//! map, read with one lookup ([`Scheduler::donor`]) and checkpointed as
-//! one [`DonorSnapshot`]. Every completion
+//! adaptive state, straggler detector) in one map, read with one lookup
+//! ([`Scheduler::donor`]) and checkpointed as one [`DonorSnapshot`].
+//! Every completion
 //! ([`Scheduler::record_completion`]) is the detector's
 //! ([`crate::health`]) one observation, and its flag is the only one
 //! there is.
@@ -31,8 +31,7 @@ use crate::problem::UnitId;
 use crate::telemetry::{Histogram, Telemetry};
 use biodist_util::rng::{Rng, SplitMix64};
 use biodist_util::stats::Ewma;
-use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::HashMap;
 
 /// Identifies a donor machine / client.
 pub type ClientId = usize;
@@ -59,9 +58,6 @@ const MAX_REDUNDANCY: u32 = 2;
 /// Simultaneous executions of one unit once speculative re-issue is
 /// armed (see [`Scheduler::copy_caps`]).
 const SPECULATIVE_MAX_COPIES: u32 = 3;
-/// Chunk digests remembered per donor (oldest forgotten first —
-/// mirrors the donor's own LRU, approximately).
-const AFFINITY_CAPACITY: usize = 4096;
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,22 +80,13 @@ pub struct SchedulerConfig {
     pub enable_adaptive: bool,
     /// Enable redundant end-game dispatch of in-flight units.
     pub enable_redundant_dispatch: bool,
-    /// How many units the server pre-pulls per problem so affinity has
-    /// candidates to choose among. `1` disables the lookahead pool
-    /// (pull-on-demand, the pre-affinity behaviour).
-    pub affinity_lookahead: usize,
-    /// Enable speculative re-issue of tail units: once fresh work is
-    /// exhausted, in-flight units may be re-dispatched beyond the plain
-    /// redundant-dispatch cap (up to three copies) to cut the
-    /// end-of-run makespan droop (Figure 1).
-    pub enable_speculative_reissue: bool,
     /// Enable the streaming health detector ([`crate::health`], at its
     /// fixed thresholds): per-donor normalized service-time EWMAs
-    /// flag stragglers live, flagged donors lose their affinity
-    /// preference, and units they hold become eligible for speculative
-    /// re-issue *immediately* (not only in the end-game tail). Off by
-    /// default: with the detector disabled every trace and scheduling
-    /// decision is byte-identical to the pre-detector behaviour.
+    /// flag stragglers live, and units they hold become eligible for
+    /// speculative re-issue (a copy past the plain redundancy cap) even
+    /// while fresh work remains. Off by default: with the detector
+    /// disabled every trace and scheduling decision is byte-identical to
+    /// the pre-detector behaviour.
     pub enable_health_detector: bool,
 }
 
@@ -114,8 +101,6 @@ impl Default for SchedulerConfig {
             enable_dynamic_granularity: true,
             enable_adaptive: true,
             enable_redundant_dispatch: true,
-            affinity_lookahead: 1,
-            enable_speculative_reissue: false,
             enable_health_detector: false,
         }
     }
@@ -168,29 +153,6 @@ impl ClientState {
     }
 }
 
-/// Which chunk digests a donor is believed to hold, insertion-ordered
-/// so the oldest belief is forgotten first when the cap is reached.
-#[derive(Debug, Clone, Default)]
-struct AffinityState {
-    order: VecDeque<u64>,
-    set: HashSet<u64>,
-}
-
-impl AffinityState {
-    fn note(&mut self, digest: u64) {
-        if self.set.contains(&digest) {
-            return;
-        }
-        while self.order.len() >= AFFINITY_CAPACITY {
-            if let Some(old) = self.order.pop_front() {
-                self.set.remove(&old);
-            }
-        }
-        self.order.push_back(digest);
-        self.set.insert(digest);
-    }
-}
-
 /// One donor's row of a [`DonorSnapshot`]: the parts of its record
 /// the checkpoint log carries.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -200,14 +162,11 @@ pub struct DonorRow {
     /// Estimated ops/second and units completed, once it has completed
     /// a unit.
     pub adaptive: Option<(f64, u64)>,
-    /// The chunk digests it is believed to hold, in insertion order.
-    pub affinity: Vec<u64>,
 }
 
 /// A plain-data snapshot of every donor record, written to the
 /// checkpoint log so a restarted server resumes with warm speed
-/// estimates instead of the cold prior and keeps placing work where the
-/// data already lives.
+/// estimates instead of the cold prior.
 ///
 /// Only the current EWMA value survives, not the full observation
 /// history: after recovery the estimate re-converges from that value at
@@ -222,14 +181,11 @@ pub struct DonorSnapshot {
 }
 
 // Everything the scheduler holds on one donor. A part is there exactly
-// when the donor has earned it — a completion, a delivered chunk (an
-// affinity window is never empty otherwise), an admitted observation
-// with the detector on — and all but the last is what its snapshot row
-// lists.
+// when the donor has earned it — a completion, an admitted observation
+// with the detector on — and the first is what its snapshot row lists.
 #[derive(Debug, Default)]
 struct DonorState {
     adaptive: Option<ClientState>,
-    affinity: AffinityState,
     health: Option<Detector>,
 }
 
@@ -477,43 +433,6 @@ impl Scheduler {
         self.donors.remove(&client);
     }
 
-    /// Records that `client` now holds chunks with these digests (it
-    /// was just leased a unit that needs them). An empty note makes no
-    /// donor record.
-    pub fn note_chunks<D: Borrow<u64>>(
-        &mut self,
-        client: ClientId,
-        digests: impl IntoIterator<Item = D>,
-    ) {
-        let mut digests = digests.into_iter().peekable();
-        if digests.peek().is_none() {
-            return;
-        }
-        let donor = self.donors.entry(client).or_default();
-        for d in digests {
-            donor.affinity.note(*d.borrow());
-        }
-    }
-
-    /// How many of `digests` the scheduler believes `client` holds.
-    pub fn affinity_score(&self, client: ClientId, digests: &[u64]) -> usize {
-        if self.is_health_flagged(client) {
-            // A flagged straggler loses its data-locality preference:
-            // feeding it the units it is best placed for just lengthens
-            // the tail it is already dragging.
-            return 0;
-        }
-        let held = self.donors.get(&client).map(|d| &d.affinity.set);
-        held.map_or(0, |set| digests.iter().filter(|d| set.contains(d)).count())
-    }
-
-    /// Total chunk digests tracked for `client`.
-    pub fn affinity_entries(&self, client: ClientId) -> usize {
-        self.donors
-            .get(&client)
-            .map_or(0, |d| d.affinity.order.len())
-    }
-
     /// Publishes `client`'s adaptive state as telemetry gauges
     /// (`sched.ops_per_sec.c<id>`, `sched.units_completed.c<id>`). The
     /// server calls this once per turn that recorded a completion; a
@@ -532,13 +451,13 @@ impl Scheduler {
 
     /// How many copies of one unit may run at once: `.0` by plain
     /// redundant dispatch, `.1` by speculation past that cap (0 = not
-    /// allowed) — armed by `enable_speculative_reissue` (the tail) or,
-    /// `live`, by the health detector: a unit with a flagged holder,
-    /// asked for by a healthy donor, even while fresh work remains.
+    /// allowed) — armed only `live`, with the health detector on: a unit
+    /// with a flagged holder, asked for by a healthy donor, even while
+    /// fresh work remains.
     pub fn copy_caps(&self, live: bool) -> (u32, u32) {
         let c = &self.cfg;
         let plain = c.enable_redundant_dispatch;
-        let speculate = c.enable_speculative_reissue || (live && c.enable_health_detector);
+        let speculate = live && c.enable_health_detector;
         let cap = |on: bool, copies: u32| if on { copies } else { 0 };
         (
             cap(plain, MAX_REDUNDANCY),
@@ -575,10 +494,8 @@ impl Scheduler {
             client,
             adaptive: (d.adaptive.as_ref())
                 .map(|st| (st.throughput.value().unwrap_or(prior), st.units_completed)),
-            affinity: d.affinity.order.iter().copied().collect(),
         });
-        let carried = |r: &DonorRow| r.adaptive.is_some() || !r.affinity.is_empty();
-        let mut donors: Vec<_> = rows.filter(carried).collect();
+        let mut donors: Vec<_> = rows.filter(|r| r.adaptive.is_some()).collect();
         donors.sort_unstable_by_key(|r| r.client);
         DonorSnapshot { donors }
     }
@@ -586,12 +503,10 @@ impl Scheduler {
     /// Replaces every donor record with a recovered snapshot, all but
     /// the detector, which a snapshot does not carry. A non-finite or
     /// non-positive speed is dropped rather than poisoning the estimates
-    /// (the audit would flag it otherwise), and affinity windows are
-    /// re-capped at `AFFINITY_CAPACITY`.
+    /// (the audit would flag it otherwise).
     pub fn restore(&mut self, snap: &DonorSnapshot) {
         for d in self.donors.values_mut() {
             d.adaptive = None;
-            d.affinity = AffinityState::default();
         }
         for row in &snap.donors {
             let donor = self.donors.entry(row.client).or_default();
@@ -602,9 +517,6 @@ impl Scheduler {
                 state.units_completed = units;
                 state
             });
-            for &d in &row.affinity {
-                donor.affinity.note(d);
-            }
         }
     }
 
@@ -616,8 +528,7 @@ impl Scheduler {
     ///   positive (a NaN or zero estimate would poison granularity and
     ///   lease sizing for the rest of the run);
     /// * every granularity hint lies inside the configured
-    ///   `[min_unit_ops, max_unit_ops]` bounds;
-    /// * no affinity window is out of step or over its capacity.
+    ///   `[min_unit_ops, max_unit_ops]` bounds.
     pub fn audit(&self) -> Vec<String> {
         let mut violations = Vec::new();
         for (&id, donor) in &self.donors {
@@ -636,17 +547,6 @@ impl Scheduler {
                         self.cfg.min_unit_ops, self.cfg.max_unit_ops
                     ));
                 }
-            }
-            let (order, set) = (donor.affinity.order.len(), donor.affinity.set.len());
-            if order != set {
-                violations.push(format!(
-                    "client {id}: affinity order/set desynchronised ({order} vs {set})"
-                ));
-            }
-            if order > AFFINITY_CAPACITY {
-                violations.push(format!(
-                    "client {id}: {order} affinity entries exceed capacity {AFFINITY_CAPACITY}"
-                ));
             }
         }
         violations
@@ -896,8 +796,11 @@ mod tests {
             assert_eq!(fresh.donor(c).completed.0, s.donor(c).completed.0);
         }
         assert!(fresh.audit().is_empty());
-        // Snapshots are deterministic for identical state.
-        assert_eq!(fresh.snapshot().donors.len(), snap.donors.len());
+        // Rows are sorted by client, and a restored scheduler snapshots
+        // exactly what it was restored from.
+        let clients: Vec<_> = snap.donors.iter().map(|r| r.client).collect();
+        assert_eq!(clients, vec![1, 2]);
+        assert_eq!(fresh.snapshot(), snap);
 
         // Poisoned entries are dropped, not restored.
         let mut bad = snap.clone();
@@ -905,7 +808,6 @@ mod tests {
             bad.donors.push(DonorRow {
                 client,
                 adaptive: Some((speed, units)),
-                ..Default::default()
             });
         }
         let mut guarded = Scheduler::new(SchedulerConfig::default());
@@ -946,18 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_policy_extends_past_the_redundancy_cap() {
-        let s = Scheduler::new(SchedulerConfig {
-            enable_speculative_reissue: true,
-            ..Default::default()
-        });
-        assert_eq!(s.copy_caps(false).0, 2, "plain redundancy caps at 2");
-        assert_eq!(s.copy_caps(false).1, 3, "speculation allows a third");
-        let off = Scheduler::new(SchedulerConfig::default());
-        assert_eq!(off.copy_caps(false).1, 0, "off by default");
-    }
-
-    #[test]
     fn forget_client_resets_history() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         s.record_completion(1, 1e9, 1.0, 1.0);
@@ -968,38 +858,11 @@ mod tests {
     }
 
     #[test]
-    fn affinity_scores_count_held_digests() {
-        let mut s = Scheduler::new(SchedulerConfig::default());
-        s.note_chunks(1, [10, 20, 30]);
-        s.note_chunks(2, [30]);
-        assert_eq!(s.affinity_score(1, &[10, 20, 99]), 2);
-        assert_eq!(s.affinity_score(2, &[10, 20, 99]), 0);
-        assert_eq!(s.affinity_score(3, &[10]), 0, "unknown client");
-        assert!(s.audit().is_empty());
-    }
-
-    #[test]
-    fn affinity_capacity_forgets_oldest_first() {
-        let mut s = Scheduler::new(SchedulerConfig::default());
-        let digests: Vec<u64> = (1..=AFFINITY_CAPACITY as u64 + 1).collect();
-        s.note_chunks(1, &digests);
-        assert_eq!(s.affinity_entries(1), AFFINITY_CAPACITY);
-        assert_eq!(s.affinity_score(1, &[1]), 0, "oldest belief dropped");
-        assert_eq!(s.affinity_score(1, &[2, 3, 4]), 3);
-        // Duplicates never inflate the count.
-        s.note_chunks(1, [4, 4, 4]);
-        assert_eq!(s.affinity_entries(1), AFFINITY_CAPACITY);
-        assert!(s.audit().is_empty());
-    }
-
-    #[test]
-    fn health_flag_zeroes_affinity_and_arms_live_speculation() {
+    fn health_flag_arms_live_speculation() {
         let mut s = Scheduler::new(SchedulerConfig {
             enable_health_detector: true,
             ..Default::default()
         });
-        s.note_chunks(1, [10, 20]);
-        assert_eq!(s.affinity_score(1, &[10, 20]), 2);
         // Three completions at the priced speed, then 1e7-op units that
         // take ten times what the estimate predicts: the detector's own
         // observations raise the flag, and a return to pace clears it.
@@ -1022,14 +885,12 @@ mod tests {
         assert!(matches!(raised[..], [HealthTransition::Flagged { .. }]));
         assert_eq!(s.flagged_clients(), vec![1]);
         assert!(s.donor(1).flagged);
-        assert_eq!(s.affinity_score(1, &[10, 20]), 0, "flagged loses affinity");
-        // Live speculation shares the speculative ceiling but does not
-        // require enable_speculative_reissue.
-        assert_eq!(s.copy_caps(true).1, 3);
+        // Live speculation allows a third copy; nothing else does.
+        assert_eq!(s.copy_caps(true), (2, 3));
         assert_eq!(s.copy_caps(false).1, 0, "tail path stays off");
         let cleared = complete(&mut s, 1.0, false);
         assert!(matches!(cleared[..], [HealthTransition::Cleared { .. }]));
-        assert_eq!(s.affinity_score(1, &[10, 20]), 2, "clearing restores it");
+        assert!(!s.donor(1).flagged, "clearing lowers the flag");
         complete(&mut s, 100.0, true);
         s.forget_client(1);
         assert!(!s.is_health_flagged(1), "departure clears the flag");
@@ -1077,26 +938,5 @@ mod tests {
         assert!(p99 > 5.0, "tail sees the straggler: {p99}");
         assert_eq!(gauges.gauge("health.flagged_current"), Some(1.0));
         assert_eq!(gauges.gauge("health.ratio.c2"), s.health_ratio(2));
-    }
-
-    #[test]
-    fn affinity_snapshot_round_trips_and_forget_clears() {
-        let mut s = Scheduler::new(SchedulerConfig::default());
-        s.note_chunks(2, [5, 6]);
-        s.note_chunks(1, [7]);
-        let snap = s.snapshot();
-        let held = snap.donors.iter().map(|r| (r.client, r.affinity.clone()));
-        assert_eq!(
-            held.collect::<Vec<_>>(),
-            vec![(1, vec![7]), (2, vec![5, 6])],
-            "sorted by client, digests in insertion order"
-        );
-        let mut fresh = Scheduler::new(SchedulerConfig::default());
-        fresh.restore(&snap);
-        assert_eq!(fresh.snapshot(), snap);
-        assert_eq!(fresh.affinity_score(2, &[5, 6]), 2);
-        fresh.forget_client(2);
-        assert_eq!(fresh.affinity_entries(2), 0, "departure clears beliefs");
-        assert!(fresh.audit().is_empty());
     }
 }

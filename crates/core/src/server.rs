@@ -676,7 +676,7 @@ impl Server {
             if self.problems[pid].done {
                 continue;
             }
-            if let Some(unit) = self.next_unit_for(pid, donor.hint, donor.client) {
+            if let Some(unit) = self.next_unit_for(pid, donor.hint) {
                 self.rotation = (pos + 1) % n;
                 return Some(self.lease_and_assign(pid, unit, donor, now, false));
             }
@@ -684,8 +684,8 @@ impl Server {
 
         // Pass 2: redundant end-game dispatch of the longest-running
         // in-flight unit this client is not computing, a flagged holder's
-        // first; past the plain redundancy cap, as a speculative copy (the
-        // makespan droop of Figure 1).
+        // first; past the plain redundancy cap only as a speculative copy
+        // of a flagged holder's unit, with the detector on.
         let copy = extra.then(|| self.extra_copy(donor, now, false))??;
         *extra = false;
         Some(copy)
@@ -716,50 +716,28 @@ impl Server {
         Some(self.lease_and_assign(pid, pick.unit, donor, now, true))
     }
 
-    // The next fresh or reissued unit of `pid` for this client.
-    fn next_unit_for(
-        &mut self,
-        pid: ProblemId,
-        hint: f64,
-        client: ClientId,
-    ) -> Option<Arc<WorkUnit>> {
-        let (sched, tel) = (&self.sched, &self.telemetry);
+    // The next unit of `pid`, sized by `hint` if it is fresh.
+    fn next_unit_for(&mut self, pid: ProblemId, hint: f64) -> Option<Arc<WorkUnit>> {
         let p = &mut self.problems[pid];
-        let codec = p.codec.as_ref();
-        // Affinity: how many of a unit's data chunks the donor already
-        // caches. It only reorders *within* a queue, the front winning
-        // ties: configurations that never note chunks keep FIFO order.
-        let score = |unit: &WorkUnit| {
-            let needs = codec.map(|c| c.unit_chunks(&unit.payload));
-            let digests: Vec<u64> = needs.iter().flatten().map(|n| n.digest).collect();
-            sched.affinity_score(client, &digests)
-        };
-        let lookahead = sched.config().affinity_lookahead.max(1);
-        // (Looked up only where there is a choice: the hot path has none.)
-        let choice = p.leases.queued_len() > 0 || lookahead > 1;
-        let score = (choice && sched.affinity_entries(client) > 0).then_some(&score as _);
         // Reissue queue first, always: orphaned units go back out before
         // fresh ones.
-        if let Some(unit) = p.leases.next_queued(score) {
+        if let Some(unit) = p.leases.next_queued() {
             return Some(unit);
         }
-        // Fresh work, through the lookahead pool; every pull is journaled
-        // (a crash before the lease recovers the unit as pending).
-        let (dm, journal) = (&mut p.dm, &mut self.journal);
-        let pull = || {
-            let unit = dm.next_unit(hint)?;
-            if let Some(j) = journal.as_mut() {
-                j.unit_issued(pid, &unit, hint);
-            }
-            tel.emit(EventKind::UnitCreated {
-                problem: pid,
-                unit: unit.id,
-                cost_ops: unit.cost_ops,
-            });
-            tel.observe("server.unit_cost_ops", OPS_BOUNDS, unit.cost_ops);
-            Some(unit)
-        };
-        p.leases.next_fresh(lookahead, pull, score)
+        // Fresh work, pulled on demand; every pull is journaled (a crash
+        // before the lease recovers the unit as pending).
+        let unit = p.dm.next_unit(hint)?;
+        if let Some(j) = self.journal.as_mut() {
+            j.unit_issued(pid, &unit, hint);
+        }
+        let tel = &self.telemetry;
+        tel.emit(EventKind::UnitCreated {
+            problem: pid,
+            unit: unit.id,
+            cost_ops: unit.cost_ops,
+        });
+        tel.observe("server.unit_cost_ops", OPS_BOUNDS, unit.cost_ops);
+        Some(Arc::new(unit))
     }
 
     fn lease_and_assign(
@@ -797,13 +775,6 @@ impl Server {
             deadline,
         };
         p.leases.grant(&unit, lease);
-        // The donor is about to hold the unit's chunks, from whichever
-        // endpoint serves them: later units covering them prefer it.
-        if let Some(codec) = &p.codec {
-            let needs = codec.unit_chunks(&unit.payload);
-            self.sched
-                .note_chunks(client, needs.iter().map(|n| n.digest));
-        }
         (pid, unit)
     }
 
@@ -1116,7 +1087,6 @@ impl Server {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::ChunkNeed;
     use crate::problem::{DataManager, Problem};
 
     /// A problem that sums `1..=n` in fixed chunks of `chunk` integers.
@@ -1225,93 +1195,28 @@ mod tests {
         }
     }
 
-    /// Codec for `SumDm`'s `(lo, hi)` units that externalises one data
-    /// chunk per integer in the range (chunk id = digest = the value),
-    /// so tests can steer affinity with known digests.
-    struct RangeCodec;
-    impl WireCodec for RangeCodec {
-        fn write_unit(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
-            let &(lo, hi) = p.downcast_ref::<(u64, u64)>().unwrap();
-            w.u64(lo);
-            w.u64(hi);
-            Ok(())
-        }
-        fn decode_unit(&self, bytes: &[u8]) -> Result<Payload, crate::codec::WireError> {
-            let mut r = crate::codec::ByteReader::new(bytes);
-            let lo = r.u64()?;
-            let hi = r.u64()?;
-            r.finish()?;
-            Ok(Payload::new((lo, hi), 16))
-        }
-        fn write_result(&self, p: &Payload, w: &mut ByteWriter) -> Result<(), WireError> {
-            w.u64(*p.downcast_ref::<u64>().unwrap());
-            Ok(())
-        }
-        fn decode_result(&self, bytes: &[u8]) -> Result<Payload, crate::codec::WireError> {
-            let mut r = crate::codec::ByteReader::new(bytes);
-            let v = r.u64()?;
-            r.finish()?;
-            Ok(Payload::new(v, 8))
-        }
-        fn unit_chunks(&self, p: &Payload) -> Vec<ChunkNeed> {
-            let &(lo, hi) = p.downcast_ref::<(u64, u64)>().unwrap();
-            (lo..=hi)
-                .map(|v| ChunkNeed {
-                    chunk: v,
-                    digest: v,
-                    bytes: 8,
-                })
-                .collect()
-        }
-    }
-
     #[test]
-    fn affinity_prefers_units_whose_chunks_a_donor_holds() {
-        let mut server = Server::new(SchedulerConfig {
-            affinity_lookahead: 4,
-            enable_redundant_dispatch: false,
-            ..Default::default()
-        });
-        server.submit(
-            Problem::new("sum", Box::new(SumDm::new(40, 10)), Arc::new(SumAlgo))
-                .with_codec(Arc::new(RangeCodec)),
-        );
-        // Donor 7 already caches the data of the third unit (21..=30).
-        let digests: Vec<u64> = (21..=30).collect();
-        server.sched.note_chunks(7, &digests);
-        let Assignment::Unit { unit, .. } = server.request_work(7, 0.0) else {
-            panic!()
-        };
-        let &(lo, hi) = unit.payload.downcast_ref::<(u64, u64)>().unwrap();
-        assert_eq!((lo, hi), (21, 30), "affinity must pick the cached unit");
-        // A donor holding nothing gets the pool front (FIFO order).
-        let Assignment::Unit { unit, .. } = server.request_work(0, 0.1) else {
-            panic!()
-        };
-        let &(lo, hi) = unit.payload.downcast_ref::<(u64, u64)>().unwrap();
-        assert_eq!((lo, hi), (1, 10));
-    }
-
-    #[test]
-    fn lookahead_one_keeps_fifo_dispatch_despite_affinity() {
-        // With the default lookahead of 1 the pool never holds more
-        // than the unit about to be served, so noted chunks cannot
-        // reorder dispatch — the pre-affinity order is preserved.
+    fn units_go_out_in_the_order_they_were_made() {
+        // Reissued units first, front first, then fresh ones pulled on
+        // demand, in the order the data manager makes them.
         let mut server = Server::new(SchedulerConfig {
             enable_redundant_dispatch: false,
             ..Default::default()
         });
-        server.submit(
-            Problem::new("sum", Box::new(SumDm::new(40, 10)), Arc::new(SumAlgo))
-                .with_codec(Arc::new(RangeCodec)),
-        );
-        let digests: Vec<u64> = (31..=40).collect();
-        server.sched.note_chunks(3, &digests);
-        let Assignment::Unit { unit, .. } = server.request_work(3, 0.0) else {
-            panic!()
+        server.submit(sum_problem(60, 10)); // units 0..=5
+        let next = |server: &mut Server, client: ClientId| {
+            let Assignment::Unit { unit, .. } = server.request_work(client, 0.0) else {
+                panic!("client {client} was refused")
+            };
+            unit.id
         };
-        let &(lo, hi) = unit.payload.downcast_ref::<(u64, u64)>().unwrap();
-        assert_eq!((lo, hi), (1, 10), "lookahead 1 is strictly FIFO");
+        let fresh: Vec<_> = (0..4).map(|c| next(&mut server, c)).collect();
+        assert_eq!(fresh, [0, 1, 2, 3]);
+        // Donors 2 and then 0 leave: their units queue in that order.
+        server.client_gone(2);
+        server.client_gone(0);
+        let then: Vec<_> = (4..8).map(|c| next(&mut server, c)).collect();
+        assert_eq!(then, [2, 0, 4, 5], "the reissue queue is FIFO");
     }
 
     #[test]
@@ -1614,37 +1519,6 @@ mod tests {
     }
 
     #[test]
-    fn speculative_reissue_extends_past_the_redundancy_cap() {
-        let mut server = Server::new(SchedulerConfig {
-            enable_speculative_reissue: true,
-            ..Default::default()
-        });
-        server.submit(sum_problem(10, 100)); // single unit → end-game
-        let Assignment::Unit { unit: u0, .. } = server.request_work(0, 0.0) else {
-            panic!()
-        };
-        // Copy 2 is plain end-game redundancy (`MAX_REDUNDANCY` = 2)...
-        let Assignment::Unit { unit: u1, .. } = server.request_work(1, 1.0) else {
-            panic!()
-        };
-        // ...copy 3 is speculative, and copy 4 is refused.
-        let Assignment::Unit {
-            unit: u2,
-            problem,
-            algorithm,
-        } = server.request_work(2, 2.0)
-        else {
-            panic!("speculation must hand out a third copy")
-        };
-        assert!(matches!(server.request_work(3, 3.0), Assignment::Wait));
-        assert_eq!(u0.id, u1.id);
-        assert_eq!(u0.id, u2.id);
-        let r = algorithm.compute(&u2);
-        assert!(server.submit_result(2, problem, r, 4.0));
-        assert!(server.all_complete());
-    }
-
-    #[test]
     fn health_detector_flags_straggler_and_rescues_its_unit() {
         let mut server = Server::new(SchedulerConfig {
             enable_health_detector: true,
@@ -1731,7 +1605,6 @@ mod tests {
     fn extra_copy_passes_pick_the_pinned_units() {
         let mut server = Server::new(SchedulerConfig {
             enable_health_detector: true,
-            enable_speculative_reissue: true,
             enable_dynamic_granularity: false,
             enable_adaptive: false, // keep predicted time fixed at the prior
             ..Default::default()
@@ -1739,26 +1612,25 @@ mod tests {
         let telemetry = Telemetry::enabled();
         server.set_telemetry(telemetry.clone());
         for _ in 0..2 {
-            server.submit(
-                Problem::new("sum", Box::new(SumDm::new(120, 10)), Arc::new(SumAlgo))
-                    .with_codec(Arc::new(RangeCodec)),
-            );
+            server.submit(sum_problem(120, 10));
         }
         type Held = (ClientId, ProblemId, Arc<WorkUnit>, Arc<dyn Algorithm>);
-        // Every assignment, as `client:problem.unit`.
+        // Every request, as `client:problem.unit`, or `client:-` when
+        // the donor is told to wait.
         let log = std::cell::RefCell::new(Vec::<String>::new());
-        let ask = |server: &mut Server, client: ClientId, now: f64| -> Held {
+        let ask = |server: &mut Server, client: ClientId, now: f64| -> Option<Held> {
             let Assignment::Unit {
                 problem,
                 unit,
                 algorithm,
             } = server.request_work(client, now)
             else {
-                panic!("client {client} was refused at {now}")
+                log.borrow_mut().push(format!("{client}:-"));
+                return None;
             };
             let line = format!("{client}:{problem}.{}", unit.id);
             log.borrow_mut().push(line);
-            (client, problem, unit, algorithm)
+            Some((client, problem, unit, algorithm))
         };
         let finish = |server: &mut Server, (client, problem, unit, algorithm): Held, now: f64| {
             server.submit_result(client, problem, algorithm.compute(&unit), now)
@@ -1769,7 +1641,7 @@ mod tests {
         let predicted = 10.0 / 1.0e7;
         let mut now = 0.0;
         for round in 0..6 {
-            let held = [0, 1].map(|client| ask(&mut server, client, now));
+            let held = [0, 1].map(|client| ask(&mut server, client, now).unwrap());
             now += predicted * if round < 3 { 1.0 } else { 10.0 };
             for h in held {
                 finish(&mut server, h, now);
@@ -1788,7 +1660,7 @@ mod tests {
         let mut healthy = Vec::new();
         for client in 2..=5 {
             now += 0.25;
-            healthy.push(ask(&mut server, client, now));
+            healthy.push(ask(&mut server, client, now).unwrap());
         }
         let rescues = log.take().join(" ");
         assert_eq!(rescues, "2:0.6 3:0.7 4:1.6 5:1.7", "pass 0 ties");
@@ -1817,12 +1689,14 @@ mod tests {
         // units with a flagged holder. 6: the young one, with a flagged
         // holder, before 7 gets an older one without.
         assert_eq!(rounds[1], "0:0.11 2:0.11 3:1.11 4:1.7 5:1.6 6:0.11 7:0.8");
-        assert_eq!(rounds[2], "2:1.8 3:0.8 4:1.8 5:0.9 6:0.9 7:1.9");
-        assert_eq!(rounds[3], "2:1.9 3:0.10 4:0.10 5:1.10 6:1.10 7:1.11");
+        // Second copies of the rest, oldest first; then every unit is at
+        // its cap, and every donor waits.
+        assert_eq!(rounds[2], "2:1.8 3:0.9 4:1.9 5:0.10 6:1.10 7:1.11");
+        assert_eq!(rounds[3], "2:- 3:- 4:- 5:- 6:- 7:-");
         let counters = telemetry.metrics_snapshot();
         assert_eq!(counters.counter("health.live_rescues"), 5);
-        assert_eq!(counters.counter("sched.speculative_reissues"), 9);
-        assert_eq!(counters.counter("server.redundant_dispatches"), 21);
+        assert_eq!(counters.counter("sched.speculative_reissues"), 3);
+        assert_eq!(counters.counter("server.redundant_dispatches"), 15);
     }
 
     #[test]

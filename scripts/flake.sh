@@ -7,7 +7,7 @@
 # Build the binary first, e.g.
 #   cargo test --release --offline --test stress --no-run
 #   sh scripts/flake.sh target/release/deps/stress-<hash> \
-#       stress_soak_24_donors_second_pass_is_cached 20 0
+#       stress_soak_24_donors_two_passes_are_exactly_once 20 0
 set -u
 if [ $# -ne 4 ]; then
     echo "usage: $0 <test-binary> <test> <n> <k>" >&2

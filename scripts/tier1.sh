@@ -15,8 +15,8 @@ cargo test -q --offline --workspace
 # are ever filtered out of the default run (disabled test target,
 # harness config drift) instead of passing vacuously: the TCP chaos
 # sweep with the donors' own wire faults, the kill-and-restart checkpoint
-# recovery, the 24-donor stress soak with its ≥90% second-pass
-# cache-reduction assertion, the replica-tier acceptance runs (failover
+# recovery, the 24-donor two-pass stress soak with its digest and
+# exactly-once checks, the replica-tier acceptance runs (failover
 # through killed/stalled replicas against the sequential digest), and
 # the ops-plane suite (wire-correlated four-phase spans, donor metrics
 # shipping into the live status view, and the straggler-detector

@@ -67,23 +67,13 @@ fn tcp_seeds() -> Vec<u64> {
 
 /// Formats a chaos failure so the run is reproducible from the message:
 /// the replay command, the seed, the plan's content digest (to detect a
-/// generator drift masquerading as "the same seed"), whether the
-/// scheduler re-issued speculatively, and the plan data.
-fn chaos_panic(
-    app: &str,
-    backend: &str,
-    seed: u64,
-    plan: &FaultPlan,
-    cfg: &SchedulerConfig,
-    why: String,
-) -> ! {
+/// generator drift masquerading as "the same seed") and the plan data.
+fn chaos_panic(app: &str, backend: &str, seed: u64, plan: &FaultPlan, why: String) -> ! {
     panic!(
         "chaos failure [{app}/{backend}] — replay with BIODIST_CHAOS_SEED={seed} \
          cargo test --test chaos\n  why: {why}\n  seed: {seed}\n  \
-         scheduler: speculative={}\n  \
          replicas: {} fault event(s) on the replica tier\n  \
          plan digest: {:#018x}\n  plan: {plan:?}",
-        cfg.enable_speculative_reissue,
         plan.replica_events().len(),
         plan.digest()
     )
@@ -171,8 +161,7 @@ fn thread_cfg() -> SchedulerConfig {
 fn run_dsearch_sim(w: &DsearchWorkload, seed: u64) {
     let opts = ChaosOptions::for_pool(POOL, SIM_HORIZON);
     let plan = FaultPlan::random(seed, &opts);
-    let cfg = SchedulerConfig::default();
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(SchedulerConfig::default());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
     let pid = server.submit(problem);
     let (_, mut server) = SimRunner::with_defaults(server, homogeneous_lab(POOL, 7))
@@ -188,7 +177,6 @@ fn run_dsearch_sim(w: &DsearchWorkload, seed: u64) {
             "sim",
             seed,
             &plan,
-            &cfg,
             "output differs from reference".into(),
         );
     }
@@ -198,7 +186,6 @@ fn run_dsearch_sim(w: &DsearchWorkload, seed: u64) {
             "sim",
             seed,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -207,8 +194,7 @@ fn run_dsearch_sim(w: &DsearchWorkload, seed: u64) {
 fn run_dprml_sim(w: &DprmlWorkload, seed: u64) {
     let opts = ChaosOptions::for_pool(POOL, SIM_HORIZON);
     let plan = FaultPlan::random(seed, &opts);
-    let cfg = SchedulerConfig::default();
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(SchedulerConfig::default());
     let (problem, audit) = audited(dprml_problem(w.data.clone(), &w.cfg, None, "chaos"));
     let pid = server.submit(problem);
     let (_, mut server) = SimRunner::with_defaults(server, homogeneous_lab(POOL, 7))
@@ -221,7 +207,6 @@ fn run_dprml_sim(w: &DprmlWorkload, seed: u64) {
             "sim",
             seed,
             &plan,
-            &cfg,
             "tree differs from reference".into(),
         );
     }
@@ -231,7 +216,6 @@ fn run_dprml_sim(w: &DprmlWorkload, seed: u64) {
             "sim",
             seed,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -240,8 +224,7 @@ fn run_dprml_sim(w: &DprmlWorkload, seed: u64) {
 fn run_dsearch_tcp(w: &DsearchWorkload, seed: u64) {
     let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
     let plan = FaultPlan::random(seed, &opts);
-    let cfg = thread_cfg();
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(thread_cfg());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
     let pid = server.submit(problem);
     let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
@@ -255,7 +238,6 @@ fn run_dsearch_tcp(w: &DsearchWorkload, seed: u64) {
             "tcp",
             seed,
             &plan,
-            &cfg,
             "output differs from reference".into(),
         );
     }
@@ -265,7 +247,6 @@ fn run_dsearch_tcp(w: &DsearchWorkload, seed: u64) {
             "tcp",
             seed,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -274,8 +255,7 @@ fn run_dsearch_tcp(w: &DsearchWorkload, seed: u64) {
 fn run_dprml_tcp(w: &DprmlWorkload, seed: u64) {
     let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
     let plan = FaultPlan::random(seed, &opts);
-    let cfg = thread_cfg();
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(thread_cfg());
     let (problem, audit) = audited(dprml_problem(w.data.clone(), &w.cfg, None, "chaos"));
     let pid = server.submit(problem);
     let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
@@ -286,7 +266,6 @@ fn run_dprml_tcp(w: &DprmlWorkload, seed: u64) {
             "tcp",
             seed,
             &plan,
-            &cfg,
             "tree differs from reference".into(),
         );
     }
@@ -296,7 +275,6 @@ fn run_dprml_tcp(w: &DprmlWorkload, seed: u64) {
             "tcp",
             seed,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -415,24 +393,19 @@ fn backend_parity_tcp_same_plan() {
     }
 }
 
-/// Backend parity with the data-movement machinery turned all the way
-/// up: affinity-aware scheduling (lookahead 3) on both backends, and
-/// the TCP donors' pipelined dispatch (their default queue depth of 2;
-/// the simulator's donors keep one unit at a time). Neither may change
-/// *what* is computed — only when and where — so both backends must
-/// still land on the sequential digest under the same fault plan.
+/// Backend parity with the TCP donors' pipelined dispatch (their
+/// default queue depth of 2; the simulator's donors keep one unit at a
+/// time). It may not change *what* is computed — only when and where —
+/// so both backends must still land on the sequential digest under the
+/// same fault plan.
 #[test]
-fn backend_parity_affinity_pipelined_same_plan() {
+fn backend_parity_pipelined_same_plan() {
     let w = dsearch_workload();
     let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
     for seed in [5u64, 17] {
         let plan = FaultPlan::random(seed, &opts);
 
-        let cfg = SchedulerConfig {
-            affinity_lookahead: 3,
-            ..Default::default()
-        };
-        let mut server = Server::new(cfg.clone());
+        let mut server = Server::new(SchedulerConfig::default());
         let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
         let (_, mut server) = SimRunner::new(
             server,
@@ -448,10 +421,7 @@ fn backend_parity_affinity_pipelined_same_plan() {
             .into_inner::<SearchOutput>()
             .digest();
 
-        let mut server = Server::new(SchedulerConfig {
-            affinity_lookahead: 3,
-            ..thread_cfg()
-        });
+        let mut server = Server::new(thread_cfg());
         let pid = server.submit(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
         let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
         let tcp_digest = server
@@ -463,20 +433,18 @@ fn backend_parity_affinity_pipelined_same_plan() {
         if sim_digest != tcp_digest {
             chaos_panic(
                 "dsearch",
-                "sim+tcp affinity/pipelined",
+                "sim+tcp pipelined",
                 seed,
                 &plan,
-                &cfg,
-                "backends disagree with affinity + pipelining enabled".into(),
+                "backends disagree with pipelining enabled".into(),
             );
         }
         if tcp_digest != w.reference {
             chaos_panic(
                 "dsearch",
-                "sim+tcp affinity/pipelined",
+                "sim+tcp pipelined",
                 seed,
                 &plan,
-                &cfg,
                 "both backends differ from the sequential reference".into(),
             );
         }
@@ -505,11 +473,7 @@ fn tcp_crash_mid_chunk_transfer_recovers() {
     }
     // And one dropped result on a survivor, so lease recovery runs too.
     plan.push(0.05, 4, FaultKind::DropResult);
-    let cfg = SchedulerConfig {
-        affinity_lookahead: 3,
-        ..thread_cfg()
-    };
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(thread_cfg());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
     let pid = server.submit(problem);
     let (mut server, _) = run_tcp_faulty(server, POOL, &plan, TIME_SCALE);
@@ -523,7 +487,6 @@ fn tcp_crash_mid_chunk_transfer_recovers() {
             "tcp crash-mid-chunk",
             0,
             &plan,
-            &cfg,
             "output differs from reference after mid-transfer crashes".into(),
         );
     }
@@ -533,7 +496,6 @@ fn tcp_crash_mid_chunk_transfer_recovers() {
             "tcp crash-mid-chunk",
             0,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -557,11 +519,7 @@ fn run_against_dying_replica(
     use std::io::Write as _;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-    let cfg = SchedulerConfig {
-        affinity_lookahead: 3,
-        ..thread_cfg()
-    };
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(thread_cfg());
     let telemetry = Telemetry::enabled();
     server.set_telemetry(telemetry.clone());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
@@ -652,7 +610,6 @@ fn run_against_dying_replica(
             label,
             0,
             &plan,
-            &cfg,
             "output differs from reference after the replica died".into(),
         );
     }
@@ -662,7 +619,6 @@ fn run_against_dying_replica(
             label,
             0,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -736,11 +692,7 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
         plan.push(0.02 + 0.01 * c as f64, c, FaultKind::DropChunk);
         plan.push(0.05 + 0.01 * c as f64, c, FaultKind::CorruptChunk);
     }
-    let cfg = SchedulerConfig {
-        affinity_lookahead: 3,
-        ..thread_cfg()
-    };
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(thread_cfg());
     let telemetry = Telemetry::enabled();
     server.set_telemetry(telemetry.clone());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
@@ -756,7 +708,6 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
             "tcp chunk-reply faults",
             0,
             &plan,
-            &cfg,
             "output differs from reference after lost/corrupt chunk replies".into(),
         );
     }
@@ -766,7 +717,6 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
             "tcp chunk-reply faults",
             0,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -818,12 +768,11 @@ fn tcp_control_frames_lost_mid_pipeline() {
         plan.push(0.06 + late, c, FaultKind::DropResult);
         plan.push(0.07 + late, c, FaultKind::CorruptReply);
     }
-    let cfg = SchedulerConfig {
+    let mut server = Server::new(SchedulerConfig {
         target_unit_secs: 1e-9,
         min_unit_ops: 1.0,
         ..thread_cfg()
-    };
-    let mut server = Server::new(cfg.clone());
+    });
     let telemetry = Telemetry::enabled();
     server.set_telemetry(telemetry.clone());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
@@ -833,9 +782,8 @@ fn tcp_control_frames_lost_mid_pipeline() {
         .take_output(pid)
         .unwrap()
         .into_inner::<SearchOutput>();
-    let fail = |why: String| -> ! {
-        chaos_panic("dsearch", "tcp control-frame faults", 0, &plan, &cfg, why)
-    };
+    let fail =
+        |why: String| -> ! { chaos_panic("dsearch", "tcp control-frame faults", 0, &plan, why) };
     if out.digest() != w.reference {
         fail("output differs from reference after lost/repeated/corrupt control frames".into());
     }
@@ -937,11 +885,10 @@ fn backend_parity_dprml_same_plan() {
 fn tcp_sharded_donors_depart_work_is_reissued_to_completion() {
     use biodist::core::{run_tcp_with, NetServerOptions};
     let w = dsearch_workload();
-    let cfg = thread_cfg();
     let plan = FaultPlan::new(0)
         .with(0.4, 0, FaultKind::Depart)
         .with(0.4, 4, FaultKind::Depart);
-    let mut server = Server::new(cfg.clone());
+    let mut server = Server::new(thread_cfg());
     let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
     let pid = server.submit(problem);
     let (mut server, _) = run_tcp_with(
@@ -965,7 +912,6 @@ fn tcp_sharded_donors_depart_work_is_reissued_to_completion() {
             "tcp-sharded",
             0,
             &plan,
-            &cfg,
             "output differs from reference".into(),
         );
     }
@@ -975,7 +921,6 @@ fn tcp_sharded_donors_depart_work_is_reissued_to_completion() {
             "tcp-sharded",
             0,
             &plan,
-            &cfg,
             format!("invariants violated: {v:?}"),
         );
     }
@@ -992,8 +937,7 @@ fn tcp_sharded_seeded_chaos_parity() {
     for seed in [7u64, 42] {
         let opts = ChaosOptions::for_pool(POOL, THREAD_HORIZON);
         let plan = FaultPlan::random(seed, &opts);
-        let cfg = thread_cfg();
-        let mut server = Server::new(cfg.clone());
+        let mut server = Server::new(thread_cfg());
         let (problem, audit) = audited(dsearch_problem(w.db.clone(), w.queries.clone(), &w.cfg));
         let pid = server.submit(problem);
         let (mut server, _) = run_tcp_with(
@@ -1017,7 +961,6 @@ fn tcp_sharded_seeded_chaos_parity() {
                 "tcp-sharded",
                 seed,
                 &plan,
-                &cfg,
                 "output differs from reference".into(),
             );
         }
@@ -1027,7 +970,6 @@ fn tcp_sharded_seeded_chaos_parity() {
                 "tcp-sharded",
                 seed,
                 &plan,
-                &cfg,
                 format!("invariants violated: {v:?}"),
             );
         }

@@ -198,7 +198,6 @@ fn straggler_sim_run(detector: bool) -> (f64, BTreeSet<usize>) {
         // detector off nothing rescues a straggler-held unit before
         // its (long) lease runs out.
         enable_redundant_dispatch: false,
-        enable_speculative_reissue: false,
         ..Default::default()
     });
     server.submit(integration_problem(400_000_000));
@@ -298,7 +297,6 @@ fn live_detector_flags_exactly_the_planted_stragglers_tcp() {
         lease_min_secs: 700.0,
         enable_dynamic_granularity: false,
         enable_redundant_dispatch: false,
-        enable_speculative_reissue: false,
         ..Default::default()
     });
     server.submit(integration_problem((480_000_000.0 * scale) as u64));

@@ -959,12 +959,11 @@ fn honest_but_slow_machine_is_never_flagged() {
 // ------------------------------------------------- one donor record
 
 /// What the scheduler knew about donors when it kept them in separate
-/// maps — adaptive state, affinity windows, detectors —
-/// with the server's mirrored flag set beside them.
+/// maps — adaptive state, detectors — with the server's mirrored flag
+/// set beside them.
 struct SeparateMaps {
     cfg: SchedulerConfig,
     clients: HashMap<usize, (Ewma, u64, f64, f64)>,
-    affinity: HashMap<usize, Vec<u64>>,
     health: HashMap<usize, Detector>,
     flagged: HashSet<usize>,
 }
@@ -1022,19 +1021,16 @@ impl SeparateMaps {
 
     fn forget(&mut self, client: usize) {
         self.clients.remove(&client);
-        self.affinity.remove(&client);
         self.flagged.remove(&client);
         self.health.remove(&client);
     }
 
     fn snapshot(&self) -> DonorSnapshot {
         let prior = self.cfg.prior_ops_per_sec;
-        let ids = self.clients.keys().chain(self.affinity.keys());
-        let ids: std::collections::BTreeSet<usize> = ids.copied().collect();
+        let ids: std::collections::BTreeSet<usize> = self.clients.keys().copied().collect();
         let row = |client| DonorRow {
             client,
             adaptive: (self.clients.get(&client)).map(|st| (st.0.value().unwrap_or(prior), st.1)),
-            affinity: self.affinity.get(&client).cloned().unwrap_or_default(),
         };
         DonorSnapshot {
             donors: ids.into_iter().map(row).collect(),
@@ -1070,8 +1066,8 @@ impl SeparateMaps {
     }
 }
 
-/// Random `record_completion` / `note_chunks` / `forget_client` /
-/// snapshot → `restore` sequences:
+/// Random `record_completion` / `forget_client` / snapshot → `restore`
+/// sequences:
 /// the scheduler's one record per donor (detector included) must answer
 /// every question the way the separate maps did, after every step.
 #[test]
@@ -1091,7 +1087,6 @@ fn donor_records_match_the_separate_maps_model() {
         let mut model = SeparateMaps {
             cfg: cfg.clone(),
             clients: HashMap::new(),
-            affinity: HashMap::new(),
             health: HashMap::new(),
             flagged: HashSet::new(),
         };
@@ -1101,14 +1096,14 @@ fn donor_records_match_the_separate_maps_model() {
         let bits = |s: &DonorSnapshot| -> Vec<_> {
             let rows = s.donors.iter().map(|r| {
                 let adaptive = r.adaptive.map(|(speed, units)| (speed.to_bits(), units));
-                (r.client, adaptive, r.affinity.clone())
+                (r.client, adaptive)
             });
             rows.collect()
         };
         for step in 0..300 {
             let at = format!("case {case} step {step}");
             let client = rng.next_below(CLIENTS) as usize;
-            match rng.next_below(13) {
+            match rng.next_below(11) {
                 0..=7 => {
                     // Mostly on pace, sometimes ten times slower, and
                     // once in a while a poisoned cost.
@@ -1123,38 +1118,23 @@ fn donor_records_match_the_separate_maps_model() {
                     let want = model.record_completion(client, cost, elapsed, queue_factor);
                     assert_eq!(got, want, "transition ({at})");
                 }
-                8..=9 => {
-                    let n = rng.next_below(4) as usize;
-                    let digests: Vec<u64> = (0..n).map(|_| rng.next_below(12)).collect();
-                    sched.note_chunks(client, &digests);
-                    for &d in &digests {
-                        let window = model.affinity.entry(client).or_default();
-                        if !window.contains(&d) {
-                            window.push(d);
-                        }
-                    }
-                }
-                10 => {
+                8 => {
                     sched.forget_client(client);
                     model.forget(client);
                 }
-                11 => saved.push(model.snapshot()),
+                9 => saved.push(model.snapshot()),
                 _ => {
                     // An earlier whole snapshot goes back in; the
                     // detectors, which it does not carry, stay as they are.
                     let snap = &saved[rng.next_below(saved.len() as u64) as usize];
                     sched.restore(snap);
                     model.clients.clear();
-                    model.affinity.clear();
                     for row in &snap.donors {
                         let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
                         if let Some((speed, units)) = row.adaptive.filter(sound) {
                             let mut ewma = Ewma::new(0.3);
                             ewma.update(speed);
                             model.clients.insert(row.client, (ewma, units, 0.0, 1.0));
-                        }
-                        if !row.affinity.is_empty() {
-                            model.affinity.insert(row.client, row.affinity.clone());
                         }
                     }
                 }
@@ -1187,10 +1167,6 @@ fn donor_records_match_the_separate_maps_model() {
                     (10.0 + lease.min(86_400.0)).to_bits(),
                     "{at}"
                 );
-                let window = model.affinity.get(&c).cloned().unwrap_or_default();
-                assert_eq!(sched.affinity_entries(c), window.len(), "{at}");
-                let score = if donor.flagged { 0 } else { window.len() };
-                assert_eq!(sched.affinity_score(c, &window), score, "{at}");
                 let ratio = model.health.get(&c).and_then(Detector::ratio);
                 assert_eq!(sched.health_ratio(c), ratio, "{at}");
             }
@@ -1330,9 +1306,9 @@ fn lease_table_matches_naive_model() {
                 (!known.is_empty()).then(|| known[rng.next_below(known.len() as u64) as usize]);
             match (rng.next_below(8), pick) {
                 // Grant: the next queued unit, else an extra copy of a
-                // flying one, else a fresh unit (through the pool).
+                // flying one, else a fresh unit.
                 (0..=2, _) => {
-                    let queued = table.next_queued(None);
+                    let queued = table.next_queued();
                     assert_eq!(queued.as_ref().map(|u| u.id), model.queue.first().copied());
                     let granted = match (queued, pick) {
                         (Some(u), _) => {
@@ -1343,8 +1319,7 @@ fn lease_table_matches_naive_model() {
                         (None, Some(u)) if !model.holders(u).contains(&client) => Arc::new(unit(u)),
                         _ => {
                             next_id += 1;
-                            let fresh = table.next_fresh(1, || Some(unit(next_id)), None);
-                            fresh.expect("pulled")
+                            Arc::new(unit(next_id))
                         }
                     };
                     let lease = Lease {

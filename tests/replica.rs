@@ -19,8 +19,6 @@ use biodist::core::{
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
-use std::time::Duration;
 
 /// Scaled seconds per wall second (matches the chaos suite).
 const TIME_SCALE: f64 = 50.0;
@@ -215,13 +213,11 @@ fn replica_connections_are_kept_across_units() {
     );
 }
 
-/// Affinity is noted where a unit is leased, not where a chunk is
-/// served: in a run whose chunks all come from the replica tier (the
-/// origin serves donors not one byte), every donor that has completed a
-/// unit is believed, at the origin, to hold chunks. Checked on the live
-/// server between turns — a donor's `Goodbye` forgets its record.
+/// With two healthy replicas and no faults, every chunk a donor reads
+/// comes from the replica tier: the origin serves donors not one byte,
+/// and the run still reproduces the sequential digest.
 #[test]
-fn replica_fed_donors_have_affinity_at_the_origin() {
+fn replica_fed_donors_draw_no_chunk_bytes_from_the_origin() {
     const DONORS: usize = 4;
     let w = workload(48);
     let mut server = Server::new(sched());
@@ -244,26 +240,6 @@ fn replica_fed_donors_have_affinity_at_the_origin() {
     let none = FaultPlan::none();
     let opts = NetClientOptions::default();
     let handles = spawn_clients(dir, clock, kit, DONORS, &none, run_over.clone(), opts);
-    // (donor, units completed, chunks believed held) on the live server.
-    let donors = |s: &Server| -> Vec<(usize, u64, usize)> {
-        let sched = s.scheduler();
-        let row = |c| (c, sched.donor(c).completed.0, sched.affinity_entries(c));
-        (0..DONORS).map(row).collect()
-    };
-    let mut computed = [false; DONORS];
-    while let Some((done, rows)) = net.with_server(|s| (s.all_complete(), donors(s))) {
-        for (c, completed, held) in rows {
-            assert!(
-                completed == 0 || held > 0,
-                "donor {c}: {completed} units, no affinity"
-            );
-            computed[c] |= completed > 0;
-        }
-        if done {
-            break;
-        }
-        thread::sleep(Duration::from_millis(1));
-    }
     let mut server = net.wait();
     run_over.store(true, Ordering::SeqCst);
     for h in handles {
@@ -284,5 +260,4 @@ fn replica_fed_donors_have_affinity_at_the_origin() {
         "{:?}",
         snap.counters
     );
-    assert!(computed.iter().any(|&c| c), "no completion was seen live");
 }
