@@ -254,8 +254,8 @@ fn report(args: &[String]) {
 
     // Critical-path summary: which phase dominates the fleet's unit
     // spans. Quantiles come from the same fixed-bucket streaming
-    // histograms the live straggler detector uses, so the offline report and
-    // the online view agree on estimator semantics.
+    // histograms the live metrics registry keeps, so the offline report
+    // and the online registry agree on estimator semantics.
     type PhaseGetter = fn(&biodist_core::UnitPhases) -> f64;
     let phase_cols: [(&str, PhaseGetter); 5] = [
         ("transfer", |p| p.transfer),

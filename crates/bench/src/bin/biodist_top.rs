@@ -23,13 +23,13 @@
 //! server, and `demo` exercises the exact same path end-to-end on a
 //! loopback cluster.
 
-use biodist_bench::workloads::{demo_dprml_server_with, demo_dsearch_server_with};
+use biodist_bench::workloads::{demo_dprml_server, demo_dsearch_server};
 use biodist_core::fault::FaultPlan;
 use biodist_core::net::wire::{encode_frame, Frame, FrameReader, ReadError};
 use biodist_core::net::{spawn_clients, ClientKit, Clock};
 use biodist_core::{
-    NetClientOptions, NetServer, NetServerOptions, SchedulerConfig, Server, SimConfig, SimRunner,
-    StatusSnapshot, Telemetry,
+    NetClientOptions, NetServer, NetServerOptions, Server, SimConfig, SimRunner, StatusSnapshot,
+    Telemetry,
 };
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -69,12 +69,9 @@ fn main() {
 }
 
 fn build_server(app: &str, seed: u64) -> Server {
-    // The ops plane on: live straggler detection feeds the snapshot's
-    // flag/ratio columns.
-    let arm = |cfg: &mut SchedulerConfig| cfg.enable_health_detector = true;
     let mut server = match app {
-        "dsearch" => demo_dsearch_server_with(seed, arm),
-        "dprml" => demo_dprml_server_with(seed, arm),
+        "dsearch" => demo_dsearch_server(seed),
+        "dprml" => demo_dprml_server(seed),
         other => {
             eprintln!("unknown app `{other}` (want dsearch or dprml)");
             exit(1);
@@ -290,26 +287,22 @@ fn render(snap: &StatusSnapshot, json: bool, clear: bool) {
     if clear {
         out.push_str("\x1b[2J\x1b[H");
     }
-    let flagged = snap.donors.iter().filter(|d| d.flagged).count();
     let done = snap.problems.iter().filter(|p| p.done).count();
     out.push_str(&format!(
-        "biodist_top — t={:.1}s   donors {} ({} flagged)   problems {}/{} done\n\n",
+        "biodist_top — t={:.1}s   donors {}   problems {}/{} done\n\n",
         snap.now,
         snap.donors.len(),
-        flagged,
         done,
         snap.problems.len(),
     ));
-    out.push_str("CLIENT      OPS/S   UNITS  LEASES  FLAG   RATIO  DEPTH\n");
+    out.push_str("CLIENT      OPS/S   UNITS  LEASES  DEPTH\n");
     for d in &snap.donors {
         out.push_str(&format!(
-            "{:>6}  {:>9.3e}  {:>5}  {:>6}  {:>4}  {:>6.2}  {:>5}\n",
+            "{:>6}  {:>9.3e}  {:>5}  {:>6}  {:>5}\n",
             d.client,
             d.ops_per_sec,
             d.units_completed,
             d.leases,
-            if d.flagged { "FLAG" } else { "-" },
-            d.health_ratio,
             // What the donor's last metrics report said it runs at.
             snap.pipeline_depth(d.client)
                 .map_or("-".to_string(), |depth| depth.to_string()),

@@ -107,13 +107,8 @@ pub fn fig2_orders(n_taxa: usize) -> Vec<Vec<usize>> {
 
 /// A small seeded DSEARCH server for the ops-plane tools (`abl_report
 /// gen`, `biodist_top`): one query against a 150-sequence synthetic
-/// protein database, ~24 units of ~10 virtual seconds each. `tweak`
-/// can adjust the scheduler config (e.g. arm the health detector)
-/// before the server is built.
-pub fn demo_dsearch_server_with(
-    seed: u64,
-    tweak: impl FnOnce(&mut biodist_core::SchedulerConfig),
-) -> biodist_core::Server {
+/// protein database, ~24 units of ~10 virtual seconds each.
+pub fn demo_dsearch_server(seed: u64) -> biodist_core::Server {
     use biodist_core::{SchedulerConfig, Server};
     let query = random_sequence(Alphabet::Protein, "query0", 200, seed);
     let fam = FamilySpec {
@@ -125,11 +120,10 @@ pub fn demo_dsearch_server_with(
         SyntheticDb::generate_with_family(&DbSpec::protein_demo(150, 200), &query, &fam, seed + 10);
     let mut config = DsearchConfig::protein_default();
     config.cost_scale = 400.0;
-    let mut sched = SchedulerConfig {
+    let sched = SchedulerConfig {
         target_unit_secs: 10.0,
         ..Default::default()
     };
-    tweak(&mut sched);
     let mut server = Server::new(sched);
     server.submit(biodist_dsearch::build_problem(
         db.sequences,
@@ -139,18 +133,9 @@ pub fn demo_dsearch_server_with(
     server
 }
 
-/// [`demo_dsearch_server_with`] with the stock scheduler config.
-pub fn demo_dsearch_server(seed: u64) -> biodist_core::Server {
-    demo_dsearch_server_with(seed, |_| {})
-}
-
 /// A small seeded DPRml server for the ops-plane tools: one 10-taxon
-/// instance with a single candidate/refine round. `tweak` adjusts the
-/// scheduler config before the server is built.
-pub fn demo_dprml_server_with(
-    seed: u64,
-    tweak: impl FnOnce(&mut biodist_core::SchedulerConfig),
-) -> biodist_core::Server {
+/// instance with a single candidate/refine round.
+pub fn demo_dprml_server(seed: u64) -> biodist_core::Server {
     use biodist_core::{SchedulerConfig, Server};
     let truth = random_yule_tree(10, 0.12, seed);
     let mut config = DprmlConfig::default();
@@ -162,19 +147,13 @@ pub fn demo_dprml_server_with(
     let model = config.build_model();
     let seqs = simulate_alignment(&truth, &model, 100, None, seed + 1);
     let data = Arc::new(PatternAlignment::from_sequences(&seqs));
-    let mut sched = SchedulerConfig {
+    let sched = SchedulerConfig {
         target_unit_secs: 20.0,
         ..Default::default()
     };
-    tweak(&mut sched);
     let mut server = Server::new(sched);
     server.submit(biodist_dprml::build_problem(data, &config, None, "dprml-0"));
     server
-}
-
-/// [`demo_dprml_server_with`] with the stock scheduler config.
-pub fn demo_dprml_server(seed: u64) -> biodist_core::Server {
-    demo_dprml_server_with(seed, |_| {})
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! sorted: `HashMap` order never reaches dispatch or trace bytes.
 
 use crate::problem::{UnitId, WorkUnit};
-use crate::sched::{ClientId, Scheduler};
+use crate::sched::ClientId;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -128,10 +128,8 @@ pub struct Released {
 pub struct ExtraCopy {
     /// The unit.
     pub unit: Arc<WorkUnit>,
-    /// Granted past the plain redundancy cap, under the speculative one.
-    pub speculative: bool,
-    /// Lowest wins: `(no holder is flagged, oldest lease, unit id)`.
-    pub rank: (bool, f64, UnitId),
+    /// Lowest wins: `(oldest lease, unit id)`.
+    pub rank: (f64, UnitId),
 }
 
 /// One problem's lease bookkeeping.
@@ -264,46 +262,24 @@ impl LeaseTable {
         self.reissue.pop_front()
     }
 
-    /// The in-flight unit that most needs another copy, on `client`,
-    /// under [`Scheduler::copy_caps`]: a health-flagged holder's before
-    /// any other, then the longest-running, then the lowest id. With
-    /// `rescue`, only units whose *every* holder is flagged, and only
-    /// under the speculative cap (the caller checks the detector is on
-    /// and `client` healthy).
-    pub fn extra_copy(
-        &self,
-        client: ClientId,
-        rescue: bool,
-        sched: &Scheduler,
-    ) -> Option<ExtraCopy> {
-        // With the detector off nobody is flagged: no lookups to make.
-        let detector = sched.config().enable_health_detector;
-        let healthy = !detector || !sched.is_health_flagged(client);
-        let is_flagged = |l: &&Lease| sched.is_health_flagged(l.client);
-        let mut best: Option<(_, bool, &InFlight)> = None;
+    /// The in-flight unit that most needs another copy, on `client`:
+    /// of those with fewer than `cap` copies out and none on `client`,
+    /// the longest-running, then the lowest id.
+    pub fn extra_copy(&self, client: ClientId, cap: u32) -> Option<ExtraCopy> {
+        let mut best: Option<((f64, UnitId), &InFlight)> = None;
         for (&unit, inf) in &self.in_flight {
-            let copies = inf.leases.len();
-            let flagged = if detector {
-                inf.leases.iter().filter(is_flagged).count()
-            } else {
-                0
-            };
-            let (plain, spec) = sched.copy_caps(flagged > 0 && healthy);
-            let speculative = rescue || copies >= plain as usize;
-            let cap = if speculative { spec } else { plain } as usize;
             let mine = || inf.leases.iter().any(|l| l.client == client);
-            if copies >= cap || (rescue && flagged < copies) || mine() {
+            if inf.leases.len() >= cap as usize || mine() {
                 continue;
             }
             let ages = inf.leases.iter().map(|l| l.assigned_at);
-            let rank = (flagged == 0, ages.fold(f64::INFINITY, f64::min), unit);
-            if best.is_none_or(|(b, ..)| rank < b) {
-                best = Some((rank, speculative, inf));
+            let rank = (ages.fold(f64::INFINITY, f64::min), unit);
+            if best.is_none_or(|(b, _)| rank < b) {
+                best = Some((rank, inf));
             }
         }
-        best.map(|(rank, speculative, inf)| ExtraCopy {
+        best.map(|(rank, inf)| ExtraCopy {
             unit: inf.unit.clone(),
-            speculative,
             rank,
         })
     }

@@ -40,7 +40,6 @@ pub mod builtin;
 pub mod codec;
 mod donor;
 pub mod fault;
-pub mod health;
 pub mod leases;
 pub mod net;
 pub mod problem;
@@ -52,7 +51,6 @@ pub mod telemetry;
 pub use audit::{audited, AuditHandle};
 pub use codec::{ByteReader, ByteWriter, ChunkNeed, WireCodec, WireError};
 pub use fault::{ChaosOptions, ClientFaults, DeliveryAction, FaultEvent, FaultKind, FaultPlan};
-pub use health::{Detector, HealthTransition, RATIO_BOUNDS, STRAGGLER_RATIO};
 pub use net::{
     chunk_digest, raise_nofile_limit, run_tcp, run_tcp_faulty, run_tcp_replicated, run_tcp_with,
     Backoff, CacheStats, CheckpointWriter, ChunkCache, ChunkStore, Directory, NetClientOptions,

@@ -11,7 +11,7 @@
 //!    processing abilities of the current set of donor machines").
 //! 2. **Adaptive throughput tracking** — an EWMA of each client's
 //!    observed end-to-end ops/second feeds the granularity calculation
-//!    and straggler detection.
+//!    and the lease price.
 //! 3. **Fault tolerance / end-game** — units leased to a donor carry a
 //!    deadline; expired leases are reissued (donor churn), and when a
 //!    problem has no fresh units left, in-flight units are redundantly
@@ -19,16 +19,14 @@
 //!    tail (first result wins).
 //!
 //! What the scheduler knows about a donor is one record (`DonorState`:
-//! adaptive state, straggler detector) in one map, read with one lookup
+//! its speed estimate and deliveries) in one map, read with one lookup
 //! ([`Scheduler::donor`]) and checkpointed as one [`DonorSnapshot`].
-//! Every completion
-//! ([`Scheduler::record_completion`]) is the detector's
-//! ([`crate::health`]) one observation, and its flag is the only one
-//! there is.
+//! The speed estimate is the only one there is: a slow or vanished
+//! donor is dealt with by the lease it is priced at and by the
+//! end-game, never by a second watch on its pace.
 
-use crate::health::{Detector, HealthTransition, RATIO_BOUNDS};
 use crate::problem::UnitId;
-use crate::telemetry::{Histogram, Telemetry};
+use crate::telemetry::Telemetry;
 use biodist_util::rng::{Rng, SplitMix64};
 use biodist_util::stats::Ewma;
 use std::collections::HashMap;
@@ -53,11 +51,8 @@ pub(crate) const MAX_LEASE_SECS: f64 = 86_400.0;
 /// assigned in the same instant does not expire in the same instant and
 /// thundering-herd the reissue queue.
 const LEASE_JITTER_FRAC: f64 = 0.1;
-/// Simultaneous executions of one unit under plain redundant dispatch.
+/// Simultaneous executions of one unit under redundant dispatch.
 const MAX_REDUNDANCY: u32 = 2;
-/// Simultaneous executions of one unit once speculative re-issue is
-/// armed (see [`Scheduler::copy_caps`]).
-const SPECULATIVE_MAX_COPIES: u32 = 3;
 
 /// Scheduler tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -80,14 +75,6 @@ pub struct SchedulerConfig {
     pub enable_adaptive: bool,
     /// Enable redundant end-game dispatch of in-flight units.
     pub enable_redundant_dispatch: bool,
-    /// Enable the streaming health detector ([`crate::health`], at its
-    /// fixed thresholds): per-donor normalized service-time EWMAs
-    /// flag stragglers live, and units they hold become eligible for
-    /// speculative re-issue (a copy past the plain redundancy cap) even
-    /// while fresh work remains. Off by default: with the detector
-    /// disabled every trace and scheduling decision is byte-identical to
-    /// the pre-detector behaviour.
-    pub enable_health_detector: bool,
 }
 
 impl Default for SchedulerConfig {
@@ -101,7 +88,6 @@ impl Default for SchedulerConfig {
             enable_dynamic_granularity: true,
             enable_adaptive: true,
             enable_redundant_dispatch: true,
-            enable_health_detector: false,
         }
     }
 }
@@ -119,20 +105,13 @@ impl SchedulerConfig {
             ..Self::default()
         }
     }
-
-    // The speed a donor with this history is priced at: its measured
-    // EWMA, or the prior before any completion (or with adaptation off).
-    fn speed_of(&self, history: Option<&ClientState>) -> f64 {
-        let measured = history.filter(|_| self.enable_adaptive);
-        measured
-            .and_then(|c| c.throughput.value())
-            .unwrap_or(self.prior_ops_per_sec)
-    }
 }
 
-/// Per-client adaptive state.
+// Everything the scheduler holds on one donor, from its first
+// completion on: what its snapshot row lists, and what a lease to it is
+// sized and priced from.
 #[derive(Debug, Clone)]
-struct ClientState {
+struct DonorState {
     throughput: Ewma,
     units_completed: u64,
     /// Total cost of the units completed, in ops.
@@ -142,7 +121,7 @@ struct ClientState {
     queue_factor: f64,
 }
 
-impl ClientState {
+impl DonorState {
     fn new() -> Self {
         Self {
             throughput: Ewma::new(EWMA_ALPHA),
@@ -171,28 +150,12 @@ pub struct DonorRow {
 /// Only the current EWMA value survives, not the full observation
 /// history: after recovery the estimate re-converges from that value at
 /// the usual smoothing, which is exactly the behaviour of a
-/// freshly-observed client at that speed. The straggler detector is not
-/// carried: a restarted server watches every donor afresh.
+/// freshly-observed client at that speed.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct DonorSnapshot {
-    /// One row per donor with a part to carry, sorted by client id so
+    /// One row per donor, sorted by client id so
     /// snapshots are byte-stable for a given state.
     pub donors: Vec<DonorRow>,
-}
-
-// Everything the scheduler holds on one donor. A part is there exactly
-// when the donor has earned it — a completion, an admitted observation
-// with the detector on — and the first is what its snapshot row lists.
-#[derive(Debug, Default)]
-struct DonorState {
-    adaptive: Option<ClientState>,
-    health: Option<Detector>,
-}
-
-impl DonorState {
-    fn flagged(&self) -> bool {
-        self.health.as_ref().is_some_and(Detector::is_flagged)
-    }
 }
 
 /// What the scheduler holds on one donor, looked up once
@@ -209,8 +172,6 @@ pub struct Donor {
     /// Units it has completed, and their total cost in ops (both start
     /// over when it is forgotten).
     pub completed: (u64, f64),
-    /// [`Scheduler::is_health_flagged`].
-    pub flagged: bool,
     // The last completion's queue factor: with the speed, what a lease
     // is priced from.
     queue_factor: f64,
@@ -224,9 +185,6 @@ pub struct Donor {
 pub struct Scheduler {
     cfg: SchedulerConfig,
     donors: HashMap<ClientId, DonorState>,
-    // Every observation the donors' detectors admitted, present iff the
-    // configuration enables the detector: the `health.pool_p*` gauges.
-    pool: Option<Histogram>,
 }
 
 impl Scheduler {
@@ -238,48 +196,8 @@ impl Scheduler {
         );
         assert!(cfg.min_unit_ops > 0.0 && cfg.min_unit_ops <= cfg.max_unit_ops);
         Self {
-            pool: cfg
-                .enable_health_detector
-                .then(|| Histogram::new(RATIO_BOUNDS)),
             cfg,
             donors: HashMap::new(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.cfg
-    }
-
-    /// `client`'s detector ratio (`None` with the detector off or before
-    /// its first admitted observation).
-    pub fn health_ratio(&self, client: ClientId) -> Option<f64> {
-        self.donors.get(&client)?.health.as_ref()?.ratio()
-    }
-
-    /// Publishes the detector's state as `health.*` gauges: donors
-    /// flagged now, the pool p50/p95/p99 and a per-donor ratio. Nothing
-    /// with the detector off or a disabled handle.
-    pub fn export_health_metrics(&self, telemetry: &Telemetry) {
-        let Some(pool) = self.pool.as_ref().filter(|_| telemetry.is_enabled()) else {
-            return;
-        };
-        let mut flagged = 0;
-        let detectors = self
-            .donors
-            .iter()
-            .filter_map(|(c, d)| Some((c, d.health.as_ref()?)));
-        for (c, h) in detectors {
-            flagged += usize::from(h.is_flagged());
-            if let Some(ratio) = h.ratio() {
-                telemetry.gauge_set(&format!("health.ratio.c{c}"), ratio);
-            }
-        }
-        telemetry.gauge_set("health.flagged_current", flagged as f64);
-        for q in [0.50, 0.95, 0.99] {
-            if let Some(v) = pool.quantile(q) {
-                telemetry.gauge_set(&format!("health.pool_p{:02}", (q * 100.0) as u32), v);
-            }
         }
     }
 
@@ -287,9 +205,12 @@ impl Scheduler {
     /// one lookup.
     pub fn donor(&self, client: ClientId) -> Donor {
         let cfg = &self.cfg;
-        let state = self.donors.get(&client);
-        let history = state.and_then(|d| d.adaptive.as_ref());
-        let speed = cfg.speed_of(history);
+        let history = self.donors.get(&client);
+        // Its measured EWMA, or the prior before any completion (or with
+        // adaptation off).
+        let measured = history.filter(|_| cfg.enable_adaptive);
+        let measured = measured.and_then(|c| c.throughput.value());
+        let speed = measured.unwrap_or(cfg.prior_ops_per_sec);
         let sized_from = if cfg.enable_dynamic_granularity {
             speed
         } else {
@@ -300,7 +221,6 @@ impl Scheduler {
             hint: (sized_from * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
             speed,
             completed: history.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
-            flagged: state.is_some_and(DonorState::flagged),
             queue_factor: history.map_or(1.0, |c| c.queue_factor),
         }
     }
@@ -372,63 +292,33 @@ impl Scheduler {
         ((cost_ops + ops_ahead) / (2.0 * cost_ops)).max(1.0)
     }
 
-    /// Records a completed unit: `cost_ops` of work whose lease was out
-    /// for `elapsed_secs` on `client`, `queue_factor` times the unit's
-    /// own service ([`Scheduler::queue_factor`]; 1 for a donor that
-    /// does not pipeline beyond one unit ahead). With the detector on,
-    /// the completion is also its observation, and the flag change it
-    /// caused, if any, is returned.
-    pub fn record_completion(
-        &mut self,
-        client: ClientId,
-        cost_ops: f64,
-        elapsed_secs: f64,
-        queue_factor: f64,
-    ) -> Option<HealthTransition> {
-        let one = [(cost_ops, elapsed_secs, queue_factor)];
-        self.record_completions(client, one).pop()
-    }
-
-    /// [`Scheduler::record_completion`] for every `(cost_ops,
-    /// elapsed_secs, queue_factor)` of one donor's turn, in order, with
-    /// the donor's record looked up once; the flag changes, in order.
+    /// Records every `(cost_ops, elapsed_secs, queue_factor)` of one
+    /// donor's turn, in order, with the donor's record looked up once:
+    /// `cost_ops` of work whose lease was out for `elapsed_secs` on
+    /// `client`, `queue_factor` times the unit's own service
+    /// ([`Scheduler::queue_factor`]; 1 for a donor that does not
+    /// pipeline beyond one unit ahead).
     pub fn record_completions(
         &mut self,
         client: ClientId,
         completions: impl IntoIterator<Item = (f64, f64, f64)>,
-    ) -> Vec<HealthTransition> {
-        let mut transitions = Vec::new();
+    ) {
         let mut completions = completions.into_iter().peekable();
         if completions.peek().is_none() {
-            return transitions;
+            return;
         }
-        let donor = self.donors.entry(client).or_default();
+        let state = self.donors.entry(client).or_insert_with(DonorState::new);
         for (cost_ops, elapsed_secs, queue_factor) in completions {
-            // The health observation is normalized by the *pre-update*
-            // speed estimate: "how much longer than this donor's priced
-            // speed predicts" — an honest-but-slow machine scores ~1.0, a
-            // degraded one drifts up regardless of its nominal speed.
-            let predicted = cost_ops / self.cfg.speed_of(donor.adaptive.as_ref());
-            let normalized = elapsed_secs / queue_factor / predicted;
-            let sound = predicted > 0.0 && predicted.is_finite() && Detector::admits(normalized);
-            if let Some(pool) = self.pool.as_mut().filter(|_| sound) {
-                pool.observe(normalized);
-                let detector = donor.health.get_or_insert_with(Detector::default);
-                transitions.extend(detector.observe(normalized));
-            }
-            let state = donor.adaptive.get_or_insert_with(ClientState::new);
             state.queue_factor = queue_factor;
             let elapsed = elapsed_secs.max(1e-9);
             state.throughput.update(cost_ops * queue_factor / elapsed);
             state.units_completed += 1;
             state.ops_completed += cost_ops;
         }
-        transitions
     }
 
-    /// Forgets a client (it left the pool). Health is forgotten too: a
-    /// donor id that rejoins after departure starts over as an unknown,
-    /// unflagged donor.
+    /// Forgets a client (it left the pool): a donor id that rejoins
+    /// after departure starts over as an unknown donor.
     pub fn forget_client(&mut self, client: ClientId) {
         self.donors.remove(&client);
     }
@@ -449,74 +339,47 @@ impl Scheduler {
         );
     }
 
-    /// How many copies of one unit may run at once: `.0` by plain
-    /// redundant dispatch, `.1` by speculation past that cap (0 = not
-    /// allowed) — armed only `live`, with the health detector on: a unit
-    /// with a flagged holder, asked for by a healthy donor, even while
-    /// fresh work remains.
-    pub fn copy_caps(&self, live: bool) -> (u32, u32) {
-        let c = &self.cfg;
-        let plain = c.enable_redundant_dispatch;
-        let speculate = live && c.enable_health_detector;
-        let cap = |on: bool, copies: u32| if on { copies } else { 0 };
-        (
-            cap(plain, MAX_REDUNDANCY),
-            cap(speculate, SPECULATIVE_MAX_COPIES),
-        )
+    /// The most copies of one unit the end-game may have out at once
+    /// (0: redundant dispatch is off, and it grants none).
+    pub fn copy_cap(&self) -> u32 {
+        if self.cfg.enable_redundant_dispatch {
+            MAX_REDUNDANCY
+        } else {
+            0
+        }
     }
 
-    /// Whether the detector currently flags `client` as a straggler.
-    pub fn is_health_flagged(&self, client: ClientId) -> bool {
-        self.donors.get(&client).is_some_and(DonorState::flagged)
-    }
-
-    /// Currently flagged donors, sorted by id (none with the detector
-    /// off).
-    pub fn flagged_clients(&self) -> Vec<ClientId> {
-        let flagged = self.donors.iter().filter(|(_, d)| d.flagged());
-        let mut flagged: Vec<_> = flagged.map(|(&id, _)| id).collect();
-        flagged.sort_unstable();
-        flagged
-    }
-
-    /// Every client with adaptive state or a straggler flag
-    /// (unordered).
+    /// Every donor with a record: a recorded completion or a restored
+    /// row (unordered).
     pub fn known_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
-        let donors = self.donors.iter();
-        let tracked = donors.filter(|(_, d)| d.adaptive.is_some() || d.flagged());
-        tracked.map(|(&id, _)| id)
+        self.donors.keys().copied()
     }
 
     /// Captures every donor record for the checkpoint log.
     pub fn snapshot(&self) -> DonorSnapshot {
         let prior = self.cfg.prior_ops_per_sec;
-        let rows = self.donors.iter().map(|(&client, d)| DonorRow {
+        let rows = self.donors.iter().map(|(&client, st)| DonorRow {
             client,
-            adaptive: (d.adaptive.as_ref())
-                .map(|st| (st.throughput.value().unwrap_or(prior), st.units_completed)),
+            adaptive: Some((st.throughput.value().unwrap_or(prior), st.units_completed)),
         });
-        let mut donors: Vec<_> = rows.filter(|r| r.adaptive.is_some()).collect();
+        let mut donors: Vec<_> = rows.collect();
         donors.sort_unstable_by_key(|r| r.client);
         DonorSnapshot { donors }
     }
 
-    /// Replaces every donor record with a recovered snapshot, all but
-    /// the detector, which a snapshot does not carry. A non-finite or
-    /// non-positive speed is dropped rather than poisoning the estimates
-    /// (the audit would flag it otherwise).
+    /// Replaces every donor record with a recovered snapshot. A
+    /// non-finite or non-positive speed is dropped rather than poisoning
+    /// the estimates (the audit would flag it otherwise).
     pub fn restore(&mut self, snap: &DonorSnapshot) {
-        for d in self.donors.values_mut() {
-            d.adaptive = None;
-        }
+        self.donors.clear();
+        let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
         for row in &snap.donors {
-            let donor = self.donors.entry(row.client).or_default();
-            let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
-            donor.adaptive = row.adaptive.filter(sound).map(|(speed, units)| {
-                let mut state = ClientState::new();
+            if let Some((speed, units)) = row.adaptive.filter(sound) {
+                let mut state = DonorState::new();
                 state.throughput.update(speed);
                 state.units_completed = units;
-                state
-            });
+                self.donors.insert(row.client, state);
+            }
         }
     }
 
@@ -531,22 +394,20 @@ impl Scheduler {
     ///   `[min_unit_ops, max_unit_ops]` bounds.
     pub fn audit(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        for (&id, donor) in &self.donors {
-            if let Some(state) = &donor.adaptive {
-                if let Some(speed) = state.throughput.value() {
-                    if !speed.is_finite() || speed <= 0.0 {
-                        violations.push(format!(
-                            "client {id}: EWMA speed estimate {speed} is not finite and positive"
-                        ));
-                    }
-                }
-                let hint = self.donor(id).hint;
-                if !(hint >= self.cfg.min_unit_ops && hint <= self.cfg.max_unit_ops) {
+        for (&id, state) in &self.donors {
+            if let Some(speed) = state.throughput.value() {
+                if !speed.is_finite() || speed <= 0.0 {
                     violations.push(format!(
-                        "client {id}: granularity hint {hint} outside [{}, {}]",
-                        self.cfg.min_unit_ops, self.cfg.max_unit_ops
+                        "client {id}: EWMA speed estimate {speed} is not finite and positive"
                     ));
                 }
+            }
+            let hint = self.donor(id).hint;
+            if !(hint >= self.cfg.min_unit_ops && hint <= self.cfg.max_unit_ops) {
+                violations.push(format!(
+                    "client {id}: granularity hint {hint} outside [{}, {}]",
+                    self.cfg.min_unit_ops, self.cfg.max_unit_ops
+                ));
             }
         }
         violations
@@ -569,8 +430,8 @@ mod tests {
         let mut s = Scheduler::new(SchedulerConfig::default());
         // Client 1 observed at 2e7 ops/s, client 2 at 2e6 ops/s.
         for _ in 0..10 {
-            s.record_completion(1, 2.0e7, 1.0, 1.0);
-            s.record_completion(2, 2.0e6, 1.0, 1.0);
+            s.record_completions(1, [(2.0e7, 1.0, 1.0)]);
+            s.record_completions(2, [(2.0e6, 1.0, 1.0)]);
         }
         let h1 = s.donor(1).hint;
         let h2 = s.donor(2).hint;
@@ -597,8 +458,8 @@ mod tests {
         assert_eq!(deep_factor, 32.0);
         let (mut shallow, mut deep) = (Scheduler::new(cfg.clone()), Scheduler::new(cfg));
         for _ in 0..20 {
-            shallow.record_completion(1, 1e7, 2.0, 1.0);
-            deep.record_completion(2, 1e7, 64.0, deep_factor);
+            shallow.record_completions(1, [(1e7, 2.0, 1.0)]);
+            deep.record_completions(2, [(1e7, 64.0, deep_factor)]);
         }
         let (s1, s2) = (shallow.donor(1).speed, deep.donor(2).speed);
         assert!((s1 - 5e6).abs() < 1.0, "a turnaround of two computes: {s1}");
@@ -627,8 +488,8 @@ mod tests {
         };
         let mut s = Scheduler::new(cfg);
         for _ in 0..5 {
-            s.record_completion(1, 1e12, 1.0, 1.0); // absurdly fast
-            s.record_completion(2, 1.0, 1.0, 1.0); // absurdly slow
+            s.record_completions(1, [(1e12, 1.0, 1.0)]); // absurdly fast
+            s.record_completions(2, [(1.0, 1.0, 1.0)]); // absurdly slow
         }
         assert_eq!(s.donor(1).hint, 5e6);
         assert_eq!(s.donor(2).hint, 1e6);
@@ -642,7 +503,7 @@ mod tests {
         };
         let mut s = Scheduler::new(cfg);
         for _ in 0..10 {
-            s.record_completion(1, 1e9, 1.0, 1.0);
+            s.record_completions(1, [(1e9, 1.0, 1.0)]);
         }
         let hint = s.donor(1).hint;
         assert!(
@@ -658,7 +519,7 @@ mod tests {
             ..Default::default()
         };
         let mut s = Scheduler::new(cfg);
-        s.record_completion(1, 1e9, 1.0, 1.0);
+        s.record_completions(1, [(1e9, 1.0, 1.0)]);
         assert_eq!(s.donor(1).speed, 1.0e7);
     }
 
@@ -666,11 +527,11 @@ mod tests {
     fn ewma_adapts_to_slowdown() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         for _ in 0..10 {
-            s.record_completion(1, 1e7, 1.0, 1.0); // 1e7 ops/s
+            s.record_completions(1, [(1e7, 1.0, 1.0)]); // 1e7 ops/s
         }
         let fast = s.donor(1).speed;
         for _ in 0..10 {
-            s.record_completion(1, 1e6, 1.0, 1.0); // drops to 1e6 ops/s
+            s.record_completions(1, [(1e6, 1.0, 1.0)]); // drops to 1e6 ops/s
         }
         let slow = s.donor(1).speed;
         assert!(slow < fast / 3.0, "estimate must chase the slowdown");
@@ -724,7 +585,7 @@ mod tests {
         // The cap also bounds huge units on slow estimates.
         let mut slow = Scheduler::new(SchedulerConfig::default());
         for _ in 0..20 {
-            slow.record_completion(7, 1.0, 1.0, 1.0); // ~1 op/s donor
+            slow.record_completions(7, [(1.0, 1.0, 1.0)]); // ~1 op/s donor
         }
         let d = slow.lease_deadline_backed_off(&slow.donor(7), 1e12, 0.0, 6);
         assert!(d <= MAX_LEASE_SECS + 1e-9);
@@ -780,8 +641,8 @@ mod tests {
     fn snapshot_restore_round_trips_adaptive_state() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         for _ in 0..10 {
-            s.record_completion(1, 2.0e7, 1.0, 1.0);
-            s.record_completion(2, 2.0e6, 1.0, 1.0);
+            s.record_completions(1, [(2.0e7, 1.0, 1.0)]);
+            s.record_completions(2, [(2.0e6, 1.0, 1.0)]);
         }
         let snap = s.snapshot();
         assert_eq!(snap.donors.len(), 2);
@@ -821,7 +682,7 @@ mod tests {
     fn audit_is_clean_on_a_healthy_scheduler() {
         let mut s = Scheduler::new(SchedulerConfig::default());
         for c in 0..4 {
-            s.record_completion(c, 1e7, 1.0, 1.0);
+            s.record_completions(c, [(1e7, 1.0, 1.0)]);
         }
         assert!(s.audit().is_empty());
     }
@@ -829,7 +690,7 @@ mod tests {
     #[test]
     fn audit_flags_poisoned_speed_estimates() {
         let mut s = Scheduler::new(SchedulerConfig::default());
-        s.record_completion(3, f64::NAN, 1.0, 1.0);
+        s.record_completions(3, [(f64::NAN, 1.0, 1.0)]);
         let violations = s.audit();
         assert!(
             violations
@@ -842,101 +703,18 @@ mod tests {
     #[test]
     fn redundancy_policy_caps_copies() {
         let s = Scheduler::new(SchedulerConfig::default());
-        assert_eq!(s.copy_caps(false).0, 2);
+        assert_eq!(s.copy_cap(), 2);
         let naive = Scheduler::new(SchedulerConfig::naive());
-        assert_eq!(naive.copy_caps(false).0, 0);
+        assert_eq!(naive.copy_cap(), 0);
     }
 
     #[test]
     fn forget_client_resets_history() {
         let mut s = Scheduler::new(SchedulerConfig::default());
-        s.record_completion(1, 1e9, 1.0, 1.0);
+        s.record_completions(1, [(1e9, 1.0, 1.0)]);
         assert_eq!(s.donor(1).completed.0, 1);
         s.forget_client(1);
         assert_eq!(s.donor(1).completed.0, 0);
         assert_eq!(s.donor(1).speed, 1.0e7);
-    }
-
-    #[test]
-    fn health_flag_arms_live_speculation() {
-        let mut s = Scheduler::new(SchedulerConfig {
-            enable_health_detector: true,
-            ..Default::default()
-        });
-        // Three completions at the priced speed, then 1e7-op units that
-        // take ten times what the estimate predicts: the detector's own
-        // observations raise the flag, and a return to pace clears it.
-        let complete = |s: &mut Scheduler, secs: f64, until: bool| {
-            let done = |s: &Scheduler| s.is_health_flagged(1) == until;
-            let mut transitions = Vec::new();
-            for _ in 0..20 {
-                transitions.extend(s.record_completion(1, 1e7, secs, 1.0));
-                if done(s) {
-                    break;
-                }
-            }
-            assert!(done(s), "flag must reach {until} at {secs} s a unit");
-            transitions
-        };
-        for _ in 0..3 {
-            assert_eq!(s.record_completion(1, 1e7, 1.0, 1.0), None);
-        }
-        let raised = complete(&mut s, 10.0, true);
-        assert!(matches!(raised[..], [HealthTransition::Flagged { .. }]));
-        assert_eq!(s.flagged_clients(), vec![1]);
-        assert!(s.donor(1).flagged);
-        // Live speculation allows a third copy; nothing else does.
-        assert_eq!(s.copy_caps(true), (2, 3));
-        assert_eq!(s.copy_caps(false).1, 0, "tail path stays off");
-        let cleared = complete(&mut s, 1.0, false);
-        assert!(matches!(cleared[..], [HealthTransition::Cleared { .. }]));
-        assert!(!s.donor(1).flagged, "clearing lowers the flag");
-        complete(&mut s, 100.0, true);
-        s.forget_client(1);
-        assert!(!s.is_health_flagged(1), "departure clears the flag");
-        assert_eq!(s.health_ratio(1), None, "and the detector's state");
-
-        let mut off = Scheduler::new(SchedulerConfig::default());
-        assert_eq!(
-            off.copy_caps(true).1,
-            0,
-            "detector off disarms the live path entirely"
-        );
-        for _ in 0..10 {
-            assert_eq!(off.record_completion(1, 1e7, 100.0, 1.0), None);
-        }
-        assert!(off.health_ratio(1).is_none() && !off.is_health_flagged(1));
-    }
-
-    #[test]
-    fn pool_quantiles_stream_from_the_fixed_buckets() {
-        // Adaptation off: every 1e7-op unit is predicted to take 1 s, so
-        // its turnaround is its normalized service time.
-        let mut s = Scheduler::new(SchedulerConfig {
-            enable_health_detector: true,
-            enable_adaptive: false,
-            ..Default::default()
-        });
-        let telemetry = Telemetry::enabled();
-        for bad in [f64::NAN, 0.0, -1.0] {
-            s.record_completion(1, 1e7, bad, 1.0);
-        }
-        assert_eq!(s.health_ratio(1), None, "poisoned times are dropped");
-        s.export_health_metrics(&telemetry);
-        let gauges = telemetry.metrics_snapshot();
-        assert_eq!(gauges.gauge("health.pool_p50"), None, "nor pooled");
-        for (client, secs, n) in [(1, 1.0, 90), (2, 10.0, 10)] {
-            for _ in 0..n {
-                s.record_completion(client, 1e7, secs, 1.0);
-            }
-        }
-        s.export_health_metrics(&telemetry);
-        let gauges = telemetry.metrics_snapshot();
-        let p50 = gauges.gauge("health.pool_p50").expect("observed");
-        let p99 = gauges.gauge("health.pool_p99").expect("observed");
-        assert!(p50 < 1.5, "median sits in the healthy buckets: {p50}");
-        assert!(p99 > 5.0, "tail sees the straggler: {p99}");
-        assert_eq!(gauges.gauge("health.flagged_current"), Some(1.0));
-        assert_eq!(gauges.gauge("health.ratio.c2"), s.health_ratio(2));
     }
 }

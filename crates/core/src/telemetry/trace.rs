@@ -346,24 +346,6 @@ events! {
         /// Index of the skipped replica.
         replica: usize as int,
     },
-    /// The straggler detector flagged a donor as a straggler/anomaly: its
-    /// recent speed-normalized service time diverged from its own
-    /// baseline by at least the configured ratio.
-    DonorFlagged = "donor_flagged" {
-        /// The flagged donor.
-        client: ClientId as int,
-        /// Recent-over-baseline normalized service-time ratio at the
-        /// moment of flagging.
-        ratio: f64 as float,
-    },
-    /// The straggler detector cleared a previously flagged donor (its
-    /// normalized service time recovered below the clear threshold).
-    DonorCleared = "donor_cleared" {
-        /// The recovered donor.
-        client: ClientId as int,
-        /// Recent-over-baseline ratio at the moment of clearing.
-        ratio: f64 as float,
-    },
     /// A donor shipped its local metrics registry to the server
     /// (`MetricsReport` frame on the wire, modeled cadence on the sim).
     MetricsReported = "metrics_reported" {
@@ -1107,20 +1089,6 @@ mod tests {
                 EventKind::ReplicaFailover {
                     client: 2,
                     replica: 1,
-                },
-            ),
-            ev(
-                16.0,
-                EventKind::DonorFlagged {
-                    client: 3,
-                    ratio: 9.75,
-                },
-            ),
-            ev(
-                17.0,
-                EventKind::DonorCleared {
-                    client: 3,
-                    ratio: 1.25,
                 },
             ),
             ev(18.0, EventKind::MetricsReported { client: 3 }),

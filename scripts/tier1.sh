@@ -19,8 +19,8 @@ cargo test -q --offline --workspace
 # exactly-once checks, the replica-tier acceptance runs (failover
 # through killed/stalled replicas against the sequential digest), and
 # the ops-plane suite (wire-correlated four-phase spans, donor metrics
-# shipping into the live status view, and the straggler-detector
-# acceptance scenario on both the simulator and loopback TCP), and
+# shipping into the live status view, and the planted-straggler
+# simulator run that pins the end-game's makespan), and
 # the scale tier (the 1k-donor sharded event-loop soak with
 # exactly-once audit, O(shards) thread count, and the silent-donor
 # case), and — by its own name — the control plane's budget (donor

@@ -1,6 +1,6 @@
 //! Integration coverage for the extension features: campus network
-//! topology, weighted fair share, E-value annotation, and the
-//! phylogenetics analysis toolkit (NJ).
+//! topology, E-value annotation, and the phylogenetics analysis
+//! toolkit (NJ).
 
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
@@ -39,23 +39,6 @@ fn campus_topology_is_deterministic() {
         report.makespan.to_bits()
     };
     assert_eq!(run(), run());
-}
-
-#[test]
-fn weighted_problems_finish_in_weight_order_on_equal_work() {
-    // Two identical problems, 4:1 weights: the heavy one must finish
-    // first because it receives most of the assignment slots.
-    let mut server = Server::new(SchedulerConfig::default());
-    let heavy = server.submit_with_weight(integration_problem(8_000_000), 4);
-    let light = server.submit_with_weight(integration_problem(8_000_000), 1);
-    let machines = biodist::gridsim::deployments::homogeneous_lab(4, 3);
-    let (_, server) = SimRunner::with_defaults(server, machines).run();
-    let t_heavy = server.completion_time(heavy).unwrap();
-    let t_light = server.completion_time(light).unwrap();
-    assert!(
-        t_heavy < t_light,
-        "weight-4 problem must complete first ({t_heavy} vs {t_light})"
-    );
 }
 
 #[test]

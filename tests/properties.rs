@@ -829,143 +829,17 @@ fn replica_selection_is_deterministic_and_avoids_dead_endpoints() {
     }
 }
 
-// ----------------------------------------------------- health detector
+// ------------------------------------------------- one donor record
 
-use biodist::core::{Detector, DonorRow, DonorSnapshot, EventKind, HealthTransition, TraceEvent};
-use biodist::core::{Telemetry, STRAGGLER_RATIO};
+use biodist::core::{DonorRow, DonorSnapshot, EventKind, TraceEvent};
 use biodist::util::stats::Ewma;
 use std::collections::HashMap;
 
-/// A healthy donor's normalized service time: its speed estimate has
-/// converged, so observed/predicted hovers around 1 with schedule and
-/// wire jitter.
-fn healthy_obs(rng: &mut dyn Rng) -> f64 {
-    rng.next_f64_range(0.75, 1.35)
-}
-
-/// One shared observation stream, replayed into two schedulers: with
-/// adaptation off a 1e7-op unit is predicted to take 1 s, so its
-/// turnaround is the observation itself. Transitions, flags, ratios and
-/// the published `health.*` gauges (flag count, pool quantiles, ratios)
-/// must agree.
-#[test]
-fn health_engine_is_deterministic_under_seed() {
-    let cfg = SchedulerConfig {
-        enable_health_detector: true,
-        enable_adaptive: false,
-        ..Default::default()
-    };
-    let published = |s: &Scheduler| {
-        let telemetry = Telemetry::enabled();
-        s.export_health_metrics(&telemetry);
-        telemetry.metrics_snapshot().gauges
-    };
-    for case in 0..CASES as u64 {
-        let mut rng = Xoshiro256StarStar::new(0x9EA1 + case);
-        let stream: Vec<(usize, f64)> = (0..300)
-            .map(|_| {
-                let client = rng.next_below(8) as usize;
-                let x = if rng.next_bool(0.1) {
-                    rng.next_f64_range(4.0, 12.0) // occasional spike
-                } else {
-                    healthy_obs(&mut rng)
-                };
-                (client, x)
-            })
-            .collect();
-        let (mut a, mut b) = (Scheduler::new(cfg.clone()), Scheduler::new(cfg.clone()));
-        for &(client, x) in &stream {
-            let ta = a.record_completion(client, 1e7, x, 1.0);
-            let tb = b.record_completion(client, 1e7, x, 1.0);
-            assert_eq!(ta, tb, "same stream, same transitions (case={case})");
-        }
-        assert_eq!(a.flagged_clients(), b.flagged_clients());
-        for c in 0..8 {
-            let ratio = a.health_ratio(c);
-            assert_eq!(ratio, b.health_ratio(c), "per-donor ratio (case={case})");
-        }
-        assert!(published(&a).contains_key("health.pool_p95"));
-        assert_eq!(published(&a), published(&b), "gauges (case={case})");
-    }
-}
-
-#[test]
-fn planted_10x_straggler_is_always_flagged_within_three_slow_results() {
-    for case in 0..CASES as u64 {
-        let mut rng = Xoshiro256StarStar::new(0xF1A6 + case);
-        let mut detectors = vec![Detector::default(); 8];
-        let straggler = rng.next_below(8) as usize;
-        // Warmup: everyone healthy, long enough to pass the
-        // min-observations gate.
-        let warmup = rng.next_range(5, 20);
-        for _ in 0..warmup {
-            for d in &mut detectors {
-                assert!(d.observe(healthy_obs(&mut rng)).is_none());
-            }
-        }
-        // Onset: the straggler's results now take ~10× what its speed
-        // predicts; the rest of the pool is unchanged.
-        let mut flagged_after = None;
-        for round in 1..=3u32 {
-            for (c, d) in detectors.iter_mut().enumerate() {
-                let x = if c == straggler {
-                    10.0 * healthy_obs(&mut rng)
-                } else {
-                    healthy_obs(&mut rng)
-                };
-                match d.observe(x) {
-                    Some(HealthTransition::Flagged { ratio }) => {
-                        assert_eq!(c, straggler, "only the straggler flags (case={case})");
-                        assert!(ratio >= STRAGGLER_RATIO);
-                        flagged_after.get_or_insert(round);
-                    }
-                    Some(HealthTransition::Cleared { .. }) => {
-                        panic!("nothing to clear in this stream (case={case})")
-                    }
-                    None => {}
-                }
-            }
-        }
-        let after = flagged_after.unwrap_or_else(|| {
-            panic!("10x straggler never flagged within 3 slow results (case={case})")
-        });
-        assert!(after <= 3);
-        let flagged = detectors.iter().enumerate().filter(|(_, d)| d.is_flagged());
-        assert_eq!(flagged.map(|(c, _)| c).collect::<Vec<_>>(), [straggler]);
-    }
-}
-
-#[test]
-fn honest_but_slow_machine_is_never_flagged() {
-    // Normalization divides by the donor's *own* predicted service
-    // time, so a machine that is uniformly 20× slower — but honest
-    // about it — looks exactly like a fast one to the detector. Only
-    // *departure from its own established pace* may flag.
-    for case in 0..CASES as u64 {
-        let mut rng = Xoshiro256StarStar::new(0x510C + case);
-        let mut detector = Detector::default();
-        // The speed scale cancels out of the normalized observation;
-        // model it anyway to document what the property means.
-        let _speed_scale = rng.next_f64_range(2.0, 50.0);
-        for _ in 0..200 {
-            if let Some(t) = detector.observe(healthy_obs(&mut rng)) {
-                panic!("steady-paced donor transitioned: {t:?} (case={case})");
-            }
-        }
-        assert!(!detector.is_flagged());
-    }
-}
-
-// ------------------------------------------------- one donor record
-
 /// What the scheduler knew about donors when it kept them in separate
-/// maps — adaptive state, detectors — with the server's mirrored flag
-/// set beside them.
+/// maps: the adaptive state, one map of tuples.
 struct SeparateMaps {
     cfg: SchedulerConfig,
     clients: HashMap<usize, (Ewma, u64, f64, f64)>,
-    health: HashMap<usize, Detector>,
-    flagged: HashSet<usize>,
 }
 
 impl SeparateMaps {
@@ -989,40 +863,17 @@ impl SeparateMaps {
         (sized_from * c.target_unit_secs).clamp(c.min_unit_ops, c.max_unit_ops)
     }
 
-    fn record_completion(
-        &mut self,
-        client: usize,
-        cost: f64,
-        elapsed: f64,
-        queue_factor: f64,
-    ) -> Option<HealthTransition> {
-        let predicted = cost / self.speed(client);
-        let normalized = elapsed / queue_factor / predicted;
-        let sound = predicted > 0.0 && predicted.is_finite();
-        let observed = sound && normalized.is_finite() && normalized > 0.0;
-        let transition = if self.cfg.enable_health_detector && observed {
-            self.health.entry(client).or_default().observe(normalized)
-        } else {
-            None
-        };
-        match transition {
-            Some(HealthTransition::Flagged { .. }) => self.flagged.insert(client),
-            Some(HealthTransition::Cleared { .. }) => self.flagged.remove(&client),
-            None => false,
-        };
+    fn record_completion(&mut self, client: usize, cost: f64, elapsed: f64, queue_factor: f64) {
         let fresh = || (Ewma::new(0.3), 0, 0.0, 1.0);
         let state = self.clients.entry(client).or_insert_with(fresh);
         state.0.update(cost * queue_factor / elapsed.max(1e-9));
         state.1 += 1;
         state.2 += cost;
         state.3 = queue_factor;
-        transition
     }
 
     fn forget(&mut self, client: usize) {
         self.clients.remove(&client);
-        self.flagged.remove(&client);
-        self.health.remove(&client);
     }
 
     fn snapshot(&self) -> DonorSnapshot {
@@ -1035,13 +886,6 @@ impl SeparateMaps {
         DonorSnapshot {
             donors: ids.into_iter().map(row).collect(),
         }
-    }
-
-    fn flagged_clients(&self) -> Vec<usize> {
-        let flagged = self.health.iter().filter(|(_, d)| d.is_flagged());
-        let mut flagged: Vec<usize> = flagged.map(|(&c, _)| c).collect();
-        flagged.sort_unstable();
-        flagged
     }
 
     fn audit(&self) -> Vec<String> {
@@ -1068,8 +912,8 @@ impl SeparateMaps {
 
 /// Random `record_completion` / `forget_client` / snapshot → `restore`
 /// sequences:
-/// the scheduler's one record per donor (detector included) must answer
-/// every question the way the separate maps did, after every step.
+/// the scheduler's one record per donor must answer every question the
+/// way the separate maps did, after every step.
 #[test]
 fn donor_records_match_the_separate_maps_model() {
     const CLIENTS: u64 = 6;
@@ -1080,15 +924,12 @@ fn donor_records_match_the_separate_maps_model() {
             lease_min_secs: 0.5,
             enable_adaptive: case % 5 != 4,
             enable_dynamic_granularity: case % 7 != 6,
-            enable_health_detector: case % 2 == 0,
             ..Default::default()
         };
         let mut sched = Scheduler::new(cfg.clone());
         let mut model = SeparateMaps {
             cfg: cfg.clone(),
             clients: HashMap::new(),
-            health: HashMap::new(),
-            flagged: HashSet::new(),
         };
         // Snapshots taken earlier in the run, to restore later.
         let mut saved = vec![model.snapshot()];
@@ -1114,9 +955,8 @@ fn donor_records_match_the_separate_maps_model() {
                     let slow = if rng.next_bool(0.25) { 10.0 } else { 1.0 };
                     let elapsed = cost / 1e7 * slow * rng.next_f64_range(0.8, 1.25);
                     let queue_factor = if rng.next_bool(0.2) { 4.0 } else { 1.0 };
-                    let got = sched.record_completion(client, cost, elapsed, queue_factor);
-                    let want = model.record_completion(client, cost, elapsed, queue_factor);
-                    assert_eq!(got, want, "transition ({at})");
+                    sched.record_completions(client, [(cost, elapsed, queue_factor)]);
+                    model.record_completion(client, cost, elapsed, queue_factor);
                 }
                 8 => {
                     sched.forget_client(client);
@@ -1124,8 +964,7 @@ fn donor_records_match_the_separate_maps_model() {
                 }
                 9 => saved.push(model.snapshot()),
                 _ => {
-                    // An earlier whole snapshot goes back in; the
-                    // detectors, which it does not carry, stay as they are.
+                    // An earlier whole snapshot goes back in.
                     let snap = &saved[rng.next_below(saved.len() as u64) as usize];
                     sched.restore(snap);
                     model.clients.clear();
@@ -1152,12 +991,6 @@ fn donor_records_match_the_separate_maps_model() {
                 let completed = state.map_or((0, 0.0), |s| (s.1, s.2));
                 assert_eq!(donor.completed.0, completed.0, "units of {c} ({at})");
                 assert_eq!(donor.completed.1.to_bits(), completed.1.to_bits(), "{at}");
-                assert_eq!(
-                    donor.flagged,
-                    model.flagged.contains(&c),
-                    "flag of {c} ({at})"
-                );
-                assert_eq!(sched.is_health_flagged(c), donor.flagged, "{at}");
                 // The lease prices the queue factor, which nothing else shows.
                 let queue_factor = state.map_or(1.0, |s| s.3);
                 let lease = (2e7 / speed * queue_factor * 4.0).max(cfg.lease_min_secs);
@@ -1167,21 +1000,11 @@ fn donor_records_match_the_separate_maps_model() {
                     (10.0 + lease.min(86_400.0)).to_bits(),
                     "{at}"
                 );
-                let ratio = model.health.get(&c).and_then(Detector::ratio);
-                assert_eq!(sched.health_ratio(c), ratio, "{at}");
             }
             let snapshot = bits(&sched.snapshot());
             assert_eq!(snapshot, bits(&model.snapshot()), "snapshot ({at})");
-            let flagged = model.flagged_clients();
-            assert_eq!(sched.flagged_clients(), flagged, "flag order ({at})");
-            let mirrored: Vec<usize> = model.flagged.iter().copied().collect();
-            assert_eq!(
-                flagged.iter().copied().collect::<HashSet<_>>(),
-                mirrored.into_iter().collect()
-            );
             let known: HashSet<usize> = sched.known_clients().collect();
-            let separately = model.clients.keys().copied();
-            let separately: HashSet<usize> = separately.chain(flagged).collect();
+            let separately: HashSet<usize> = model.clients.keys().copied().collect();
             assert_eq!(known, separately, "known clients ({at})");
             let mut audit = sched.audit();
             audit.sort();
