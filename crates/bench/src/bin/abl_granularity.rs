@@ -33,7 +33,6 @@ fn run(dynamic: bool, redundant: bool) -> (OnlineStats, OnlineStats, u64, u64) {
     for trial in 0..TRIALS {
         let sched = SchedulerConfig {
             target_unit_secs: 60.0,
-            enable_dynamic_granularity: dynamic,
             enable_adaptive: dynamic,
             enable_redundant_dispatch: redundant,
             ..Default::default()

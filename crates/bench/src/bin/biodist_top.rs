@@ -132,7 +132,6 @@ fn demo(args: &[String]) {
         run_over.clone(),
         NetClientOptions {
             metrics_report_interval: 2.0,
-            ..Default::default()
         },
     );
 

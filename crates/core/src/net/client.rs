@@ -21,10 +21,10 @@
 //! read only when nothing is ready to compute. How many units are kept
 //! ready or requested — and results unacknowledged — is what the donor
 //! measures: the exposed wait of a blocking read divided by the compute
-//! of a unit, between `queue_depth` and [`MAX_PIPELINE_DEPTH`]. With
-//! millisecond units that is `queue_depth` and one turn of one per
-//! unit, each result on the wire before the next compute starts; with
-//! microsecond units a turn carries a round trip's worth of results,
+//! of a unit, between [`MIN_PIPELINE_DEPTH`] and [`MAX_PIPELINE_DEPTH`].
+//! With millisecond units that is [`MIN_PIPELINE_DEPTH`] and one turn of
+//! one per unit, each result on the wire before the next compute starts;
+//! with microsecond units a turn carries a round trip's worth of results,
 //! computed in runs between a few clock readings and held back by at
 //! most half the wait they share. The control connection answers its
 //! numbered turns in order, so a reply that arrives ahead of an earlier
@@ -51,7 +51,7 @@ use super::backoff::Backoff;
 use super::cache::chunk_digest;
 use super::wire::{
     encode_frame_into, encode_turn_into, DecodeError, Frame, FrameReader, FrameRef, ReadError,
-    Then, HEADER_LEN, MAX_PIPELINE_DEPTH,
+    Then, HEADER_LEN, MAX_PIPELINE_DEPTH, MIN_PIPELINE_DEPTH,
 };
 use super::{recycle, Clock, Directory, BURST_WINDOW_BYTES, KEEP_BYTES};
 use crate::codec::{ByteWriter, ChunkNeed, WireCodec};
@@ -86,22 +86,15 @@ fn reconnect_backoff() -> Backoff {
     Backoff::new(0.05, 2.0, 6)
 }
 
-/// Tuning for the donor clients, in *scaled* seconds (the [`Clock`]'s
-/// unit).
+/// How long, in scaled seconds, a donor awaits what it is owed before
+/// it treats the connection as broken (reconnect and resubmission): a
+/// turn's reply on the control connection, and progress — one more
+/// chunk answered — of a chunk burst on a data connection.
+const ACK_TIMEOUT: f64 = 2.0;
+
+/// Tuning for the donor clients.
 #[derive(Debug, Clone)]
 pub struct NetClientOptions {
-    /// How long to await an owed reply before treating the connection
-    /// as broken (triggers reconnect + resubmission).
-    pub ack_timeout: f64,
-    /// Floor of the pipelined dispatch depth: how many assignments the
-    /// donor keeps ready or requested (chunks fetched, unit hydrated) so
-    /// the next compute starts without a request round-trip — and the
-    /// bound on results submitted but not yet acknowledged. The depth
-    /// in force is measured (a round trip's worth of units, at most
-    /// [`MAX_PIPELINE_DEPTH`]) and never below this; units that take
-    /// longer than the donor's waits run at exactly this depth. 1
-    /// disables pipelining.
-    pub queue_depth: usize,
     /// Cadence at which the donor ships a [`Frame::MetricsReport`]
     /// delta snapshot of its local metrics registry (scaled seconds).
     /// 0 disables shipping. Reports are fire-and-forget: a delta lost
@@ -113,8 +106,6 @@ pub struct NetClientOptions {
 impl Default for NetClientOptions {
     fn default() -> Self {
         Self {
-            ack_timeout: 2.0,
-            queue_depth: 2,
             metrics_report_interval: 0.0,
         }
     }
@@ -193,8 +184,9 @@ pub fn spawn_clients(
 }
 
 /// Computes and blocking reads a connection must have seen before its
-/// measurements steer anything: until then the depth is `queue_depth`
-/// and every result is written before the next compute.
+/// measurements steer anything: until then the depth is
+/// [`MIN_PIPELINE_DEPTH`] and every result is written before the next
+/// compute.
 const WARMUP_COMPUTES: u32 = 8;
 const WARMUP_READS: u32 = 1;
 
@@ -298,6 +290,8 @@ struct ClientLoop {
     kit: ClientKit,
     run_over: Arc<AtomicBool>,
     opts: NetClientOptions,
+    /// [`ACK_TIMEOUT`]; the in-crate tests lengthen it.
+    ack_wait: f64,
     rng: SplitMix64,
     /// The control connection.
     conn: Option<Conn>,
@@ -379,6 +373,7 @@ impl ClientLoop {
             last_report: 0.0,
             kit,
             opts,
+            ack_wait: ACK_TIMEOUT,
         }
     }
 
@@ -587,18 +582,17 @@ impl ClientLoop {
     /// It is the bandwidth-delay product of the donor's own turn —
     /// `ceil(exposed wait per blocking read ÷ compute per unit) + 1`
     /// units fit in one wait, plus the one being computed — between
-    /// `queue_depth` (the floor, and the value until the connection is
-    /// warm) and [`MAX_PIPELINE_DEPTH`]. Millisecond units against a
+    /// [`MIN_PIPELINE_DEPTH`] (the value until the connection is warm)
+    /// and [`MAX_PIPELINE_DEPTH`]. Millisecond units against a
     /// sub-millisecond wait stay at the floor; microsecond units fill
-    /// the round trip. A `queue_depth` of 1 disables pipelining.
+    /// the round trip.
     fn depth(&self) -> usize {
-        let floor = self.opts.queue_depth.max(1);
         let p = &self.pacing;
-        if floor == 1 || !p.warm() || p.compute.avg <= 0.0 {
-            return floor;
+        if !p.warm() || p.compute.avg <= 0.0 {
+            return MIN_PIPELINE_DEPTH;
         }
         let fits = (p.wait.avg / p.compute.avg).ceil() + 1.0;
-        (fits.min(MAX_PIPELINE_DEPTH as f64) as usize).max(floor)
+        (fits.min(MAX_PIPELINE_DEPTH as f64) as usize).max(MIN_PIPELINE_DEPTH)
     }
 
     /// How many ready units may be computed back to back before what is
@@ -713,7 +707,7 @@ impl ClientLoop {
             self.compute_run(run);
             return Step::Continue;
         }
-        self.next_reply(self.opts.ack_timeout)
+        self.next_reply(self.ack_wait)
     }
 
     /// Dispatches the next reply that costs no syscall: a whole frame
@@ -1183,7 +1177,7 @@ impl ClientLoop {
                 });
                 let Some((pos, reply)) = found else {
                     let now = self.clock.now();
-                    if now > *deadline.get_or_insert(now + self.opts.ack_timeout) {
+                    if now > *deadline.get_or_insert(now + self.ack_wait) {
                         end = BurstEnd::TimedOut;
                         break;
                     }
@@ -1860,14 +1854,13 @@ mod tests {
         origin: SocketAddr,
         telemetry: &Telemetry,
         chunks_per_unit: u64,
-        ack_timeout: f64,
+        ack_wait: f64,
     ) -> ClientLoop {
-        let opts = NetClientOptions {
-            ack_timeout,
-            ..Default::default()
-        };
         let instantaneous = Arc::new(AtomicU64::new(0));
-        echo_donor_with(origin, telemetry, chunks_per_unit, instantaneous, opts)
+        let opts = NetClientOptions::default();
+        let mut donor = echo_donor_with(origin, telemetry, chunks_per_unit, instantaneous, opts);
+        donor.ack_wait = ack_wait;
+        donor
     }
 
     fn echo_donor_with(
@@ -1916,11 +1909,8 @@ mod tests {
         compute_us: &Arc<AtomicU64>,
         opts: NetClientOptions,
     ) -> ClientLoop {
-        let opts = NetClientOptions {
-            ack_timeout: 30.0,
-            ..opts
-        };
         let mut donor = echo_donor_with(origin.addr, telemetry, 0, compute_us.clone(), opts);
+        donor.ack_wait = 30.0;
         assert!(donor.connect());
         donor
     }
@@ -1991,7 +1981,7 @@ mod tests {
         assert_eq!(
             log[0],
             [Seen::Hello, Seen::Turn(2)],
-            "the hello and the request for queue_depth units are one write"
+            "the hello and the request for MIN_PIPELINE_DEPTH units are one write"
         );
         assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
         // Until the pool runs dry, every result travels alone, in the
@@ -2254,7 +2244,6 @@ mod tests {
         let instantaneous = Arc::new(AtomicU64::new(0));
         let opts = NetClientOptions {
             metrics_report_interval: 1e-9,
-            ..Default::default()
         };
         let mut donor = paced_donor(&origin, &telemetry, &instantaneous, opts);
         while donor.depth() == 2 {
@@ -2282,40 +2271,6 @@ mod tests {
         );
         donor.run();
         origin.finish();
-    }
-
-    #[test]
-    fn queue_depth_one_never_pipelines() {
-        const UNITS: u64 = 60;
-        let telemetry = Telemetry::enabled();
-        let origin = ScriptedOrigin::start(Script {
-            units: UNITS,
-            reply_delay: Duration::from_millis(1),
-            ..Default::default()
-        });
-        let instantaneous = Arc::new(AtomicU64::new(0));
-        let opts = NetClientOptions {
-            queue_depth: 1,
-            ..Default::default()
-        };
-        let mut donor = paced_donor(&origin, &telemetry, &instantaneous, opts);
-        loop {
-            if let Step::Finished = donor.step() {
-                break;
-            }
-            assert_eq!(donor.depth(), 1);
-            assert!(
-                donor.queue.len() + donor.owed <= 1,
-                "one unit ready or requested"
-            );
-            assert!(donor.unacked.len() <= 1, "one result unacknowledged");
-        }
-        leave(donor);
-        let log = origin.finish();
-        assert_eq!(submits(&log, UNITS), vec![1; UNITS as usize]);
-        let sizes = turn_sizes(&log);
-        assert!(sizes.iter().all(|&n| n <= 1), "results travel alone");
-        assert!(writes(&telemetry) >= UNITS);
     }
 
     /// One frame of the steady two-deep pipeline goes wrong — `script`
@@ -2467,8 +2422,8 @@ mod tests {
 
     #[test]
     fn replies_lost_at_the_tail_time_out_and_each_unacked_result_is_resubmitted_once() {
-        // Before the warm-up ends, the depth is `queue_depth`, and the
-        // donor blocks with its queue empty: nothing but the unacked
+        // Before the warm-up ends, the depth is `MIN_PIPELINE_DEPTH`, and
+        // the donor blocks with its queue empty: nothing but the unacked
         // results is ever sent twice.
         tail_loss_resubmits_each_unacked_result_once(
             Script {

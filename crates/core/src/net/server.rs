@@ -45,19 +45,25 @@ use std::time::Duration;
 /// Shard 0's tick period (lease sweep + liveness check), wall time.
 const TICK_WALL: Duration = Duration::from_millis(2);
 
-/// Tuning for [`NetServer`]. Time-valued fields are in *scaled* seconds
-/// (the [`Clock`]'s unit), so the same options work at any time scale.
+/// A donor silent for longer than this, in scaled seconds (no frame of
+/// any kind), is declared gone: its leases reissue at once instead of
+/// waiting out their expiry. It must exceed the longest stretch a donor
+/// computes without writing: a donor writes between units (a turn, or
+/// a heartbeat every 0.5 scaled seconds), so that stretch is one unit,
+/// or a run of them held back by half a round trip at most. Every TCP
+/// caller sizes its units at a fraction of that: the CLIs, examples and
+/// `benchmark/` workloads target 0.05 scaled seconds or less.
+const LIVENESS_TIMEOUT: f64 = 5.0;
+
+/// Every this many ticks (~100 ms at the 2 ms tick), while the run is
+/// unfinished, shard 0 snapshots every donor record into the server's
+/// journal ([`Server::snapshot_donors`]: nothing without a journal), so
+/// a recovered server starts with warm donor records.
+const SNAPSHOT_EVERY_TICKS: u64 = 50;
+
+/// Tuning for [`NetServer`].
 #[derive(Debug, Clone)]
 pub struct NetServerOptions {
-    /// A client silent for longer than this (no frame of any kind) is
-    /// declared gone: its leases reissue immediately instead of waiting
-    /// for lease expiry. Scaled seconds.
-    pub liveness_timeout: f64,
-    /// Snapshot every donor record into the server's journal every this
-    /// many ticks ([`Server::snapshot_donors`]: nothing without a
-    /// journal), so a recovered server starts with warm donor records;
-    /// 0 disables periodic snapshots.
-    pub snapshot_every_ticks: u64,
     /// Event-loop threads serving connections (default 1, overridable
     /// via the `BIODIST_NET_SHARDS` env var); shard 0 accepts and deals
     /// connections to them round-robin. Identical dispatch at every
@@ -72,11 +78,7 @@ impl Default for NetServerOptions {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&n| n >= 1)
             .unwrap_or(1);
-        Self {
-            liveness_timeout: 5.0,
-            snapshot_every_ticks: 50,
-            shards,
-        }
+        Self { shards }
     }
 }
 
@@ -153,7 +155,7 @@ impl NetServer {
         let mut shard_threads = Vec::with_capacity(n_shards);
         for (idx, rx) in rxs.into_iter().enumerate() {
             // Shard 0 accepts, and deals to every shard (itself first).
-            let (shared, opts, socket) = (shared.clone(), opts.clone(), listener.take());
+            let (shared, socket) = (shared.clone(), listener.take());
             let name = format!("origin-{}-s{idx}", addr.port());
             let thread = thread::Builder::new().name(name).spawn(move || {
                 let cpu_at_start = thread_cpu_ticks();
@@ -161,7 +163,6 @@ impl NetServer {
                     shard: idx,
                     shared: &shared,
                     clock,
-                    opts: &opts,
                     ticks: 0,
                     batch: PumpBatch::default(),
                 };
@@ -257,7 +258,6 @@ struct ShardCtx<'a> {
     shard: usize,
     shared: &'a Arc<Shared>,
     clock: Clock,
-    opts: &'a NetServerOptions,
     /// Ticks shard 0 has run.
     ticks: u64,
     batch: PumpBatch,
@@ -451,7 +451,7 @@ impl FrameHandler for ShardCtx<'_> {
         // Liveness sweep outside the server lock (fixed lock order:
         // never hold both mutexes at once).
         let mut seen = shared.last_seen.lock().unwrap();
-        let stale = seen.extract_if(|_, &mut t| now - t > self.opts.liveness_timeout);
+        let stale = seen.extract_if(|_, &mut t| now - t > LIVENESS_TIMEOUT);
         let stale: Vec<ClientId> = stale.map(|(c, _)| c).collect();
         drop(seen);
         if !stale.is_empty() {
@@ -463,8 +463,7 @@ impl FrameHandler for ShardCtx<'_> {
         server.check_timeouts(now);
         stale.into_iter().for_each(|c| server.client_gone(c));
         let complete = server.all_complete();
-        let every = self.opts.snapshot_every_ticks;
-        if !complete && every > 0 && self.ticks.is_multiple_of(every) {
+        if !complete && self.ticks.is_multiple_of(SNAPSHOT_EVERY_TICKS) {
             server.snapshot_donors();
         }
         drop(guard);
@@ -802,15 +801,11 @@ mod tests {
                 server.set_journal(journal);
             }
             let (algorithm, codec) = (server.algorithm(pid), server.codec(pid).unwrap());
-            // At 1000× the default 5 s liveness window is 5 ms of wall
-            // time: a loaded box reclaims the donor mid-test. One second
-            // of wall time is headroom.
-            let opts = NetServerOptions {
-                shards,
-                liveness_timeout: 1000.0,
-                ..Default::default()
-            };
-            let clock = Clock::new(1000.0);
+            // At 5× the 5 s liveness window is one second of wall
+            // time: headroom, so a loaded box never reclaims the donor
+            // mid-test.
+            let opts = NetServerOptions { shards };
+            let clock = Clock::new(5.0);
             let net = NetServer::start(server, clock, opts).unwrap();
             let mut stream = TcpStream::connect(net.addr()).unwrap();
             stream
@@ -1173,18 +1168,11 @@ mod tests {
 
     #[test]
     fn silent_client_is_reclaimed_by_the_liveness_sweep() {
-        let clock = Clock::new(1000.0);
+        // The 5 s liveness window is 20 ms of wall time at 250×.
+        let clock = Clock::new(250.0);
         let mut server = Server::new(small_cfg());
         let pid = server.submit(integration_problem(100_000));
-        let net = NetServer::start(
-            server,
-            clock,
-            NetServerOptions {
-                liveness_timeout: 20.0, // 20ms wall at scale 1000
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let net = NetServer::start(server, clock, NetServerOptions::default()).unwrap();
 
         // Take a unit and go silent, never submitting.
         let mut stream = TcpStream::connect(net.addr()).unwrap();
@@ -1244,10 +1232,7 @@ mod tests {
         let pid = server.submit(integration_problem(10_000));
         let algorithm = server.algorithm(pid);
         let codec = server.codec(pid).unwrap();
-        let opts = NetServerOptions {
-            shards,
-            ..Default::default()
-        };
+        let opts = NetServerOptions { shards };
         let net = NetServer::start(server, Clock::new(1.0), opts).unwrap();
         let mut stream = TcpStream::connect(net.addr()).unwrap();
         stream

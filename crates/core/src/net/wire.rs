@@ -65,6 +65,14 @@ pub const SUBMIT_RESULT_TYPE: u8 = FT_SUBMIT_RESULT;
 /// Frame type code for [`Frame::Turn`]: see [`SUBMIT_RESULT_TYPE`].
 pub const TURN_TYPE: u8 = FT_TURN;
 
+/// Floor of a donor's measured pipeline depth, and the depth until its
+/// connection is warm: one unit computing while the next is ready or
+/// requested (chunks fetched, unit hydrated), so the next compute starts
+/// without a request round trip, and at most this many results
+/// unacknowledged. Units that take longer than the donor's waits run at
+/// exactly this depth: one turn of one per unit.
+pub const MIN_PIPELINE_DEPTH: usize = 2;
+
 /// Ceiling of a donor's measured pipeline depth, and so of what one
 /// [`Frame::Turn`] may `want`: the most assignments a donor keeps ready
 /// or requested, and results unacknowledged, however short its units

@@ -67,11 +67,9 @@ pub struct SchedulerConfig {
     pub prior_ops_per_sec: f64,
     /// Minimum absolute lease duration, seconds.
     pub lease_min_secs: f64,
-    /// Enable dynamic granularity (off = every hint is
-    /// `prior_ops_per_sec × target_unit_secs`).
-    pub enable_dynamic_granularity: bool,
-    /// Enable per-client throughput adaptation (off = all clients
-    /// assumed to run at the prior speed).
+    /// Size each donor's units and price its leases from its measured
+    /// speed (off = every donor is taken to run at `prior_ops_per_sec`,
+    /// so every hint is `prior_ops_per_sec × target_unit_secs`).
     pub enable_adaptive: bool,
     /// Enable redundant end-game dispatch of in-flight units.
     pub enable_redundant_dispatch: bool,
@@ -85,7 +83,6 @@ impl Default for SchedulerConfig {
             max_unit_ops: 1e10,
             prior_ops_per_sec: 1.0e7, // one PIII-1000 (gridsim scale)
             lease_min_secs: 120.0,
-            enable_dynamic_granularity: true,
             enable_adaptive: true,
             enable_redundant_dispatch: true,
         }
@@ -99,7 +96,6 @@ impl SchedulerConfig {
     /// interesting comparison point).
     pub fn naive() -> Self {
         Self {
-            enable_dynamic_granularity: false,
             enable_adaptive: false,
             enable_redundant_dispatch: false,
             ..Self::default()
@@ -211,14 +207,9 @@ impl Scheduler {
         let measured = history.filter(|_| cfg.enable_adaptive);
         let measured = measured.and_then(|c| c.throughput.value());
         let speed = measured.unwrap_or(cfg.prior_ops_per_sec);
-        let sized_from = if cfg.enable_dynamic_granularity {
-            speed
-        } else {
-            cfg.prior_ops_per_sec
-        };
         Donor {
             client,
-            hint: (sized_from * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
+            hint: (speed * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops),
             speed,
             completed: history.map_or((0, 0.0), |c| (c.units_completed, c.ops_completed)),
             queue_factor: history.map_or(1.0, |c| c.queue_factor),
@@ -496,31 +487,18 @@ mod tests {
     }
 
     #[test]
-    fn disabling_granularity_fixes_hint() {
+    fn disabling_adaptation_fixes_hint_and_speed_at_the_prior() {
         let cfg = SchedulerConfig {
-            enable_dynamic_granularity: false,
+            enable_adaptive: false,
             ..Default::default()
         };
         let mut s = Scheduler::new(cfg);
         for _ in 0..10 {
             s.record_completions(1, [(1e9, 1.0, 1.0)]);
         }
-        let hint = s.donor(1).hint;
-        assert!(
-            (hint - 1.0e7 * 60.0).abs() < 1e-6,
-            "hint must ignore history"
-        );
-    }
-
-    #[test]
-    fn disabling_adaptation_fixes_speed_estimates() {
-        let cfg = SchedulerConfig {
-            enable_adaptive: false,
-            ..Default::default()
-        };
-        let mut s = Scheduler::new(cfg);
-        s.record_completions(1, [(1e9, 1.0, 1.0)]);
-        assert_eq!(s.donor(1).speed, 1.0e7);
+        let donor = s.donor(1);
+        assert_eq!(donor.hint, 1.0e7 * 60.0, "the hint ignores history");
+        assert_eq!(donor.speed, 1.0e7, "and so does the speed");
     }
 
     #[test]

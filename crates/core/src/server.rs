@@ -1407,8 +1407,7 @@ mod tests {
     #[test]
     fn extra_copy_passes_pick_the_pinned_units() {
         let mut server = Server::new(SchedulerConfig {
-            enable_dynamic_granularity: false,
-            enable_adaptive: false, // every lease priced at the prior
+            enable_adaptive: false, // every lease sized and priced at the prior
             ..Default::default()
         });
         let telemetry = Telemetry::enabled();

@@ -568,7 +568,7 @@ mod tests {
     fn merge_prefixed_is_idempotent_and_counts_bound_errors() {
         let mut donor = MetricsRegistry::default();
         donor.counter_add("cache.hits", 3);
-        donor.gauge_set("queue_depth", 2.0);
+        donor.gauge_set("pipeline_depth", 2.0);
         donor.observe("unit_secs", &[1.0, 2.0], 0.5);
         let snap = donor.snapshot();
 
@@ -581,7 +581,7 @@ mod tests {
             3,
             "re-shipping the same cumulative snapshot must not double-count"
         );
-        assert_eq!(merged.gauge("donor.c3.queue_depth"), Some(2.0));
+        assert_eq!(merged.gauge("donor.c3.pipeline_depth"), Some(2.0));
         assert_eq!(merged.histogram("donor.c3.unit_secs").unwrap().count(), 1);
 
         // A donor that re-ships under different bounds is rejected per

@@ -86,10 +86,7 @@ fn a_unit_costs_the_allocations_the_programming_model_forces_and_little_more() {
     server.set_journal(Box::new(writer));
     let kit = ClientKit::from_server(&server).expect("codecs registered");
     let clock = Clock::new(1.0);
-    let opts = NetServerOptions {
-        shards: 1,
-        ..Default::default()
-    };
+    let opts = NetServerOptions { shards: 1 };
     let net = NetServer::start(server, clock, opts).expect("bind server");
     let dir = directory();
     dir.set_origin(Some(net.addr()));

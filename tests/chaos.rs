@@ -739,7 +739,7 @@ fn tcp_chunk_replies_dropped_and_corrupted_mid_burst() {
 }
 
 /// Control frames lost, repeated and mangled while the donor pipeline
-/// is `queue_depth` deep: every donor drops, duplicates and corrupts
+/// is `MIN_PIPELINE_DEPTH` deep: every donor drops, duplicates and corrupts
 /// its result-carrying `Turn`s as it writes them and the `TurnReply`s
 /// it reads, from the first exchange on and at staggered later times. A donor sees none of this
 /// directly — it reads the loss off the order of the replies that do
@@ -897,10 +897,7 @@ fn tcp_sharded_donors_depart_work_is_reissued_to_completion() {
         0,
         &plan,
         TIME_SCALE,
-        NetServerOptions {
-            shards: 4,
-            ..Default::default()
-        },
+        NetServerOptions { shards: 4 },
     );
     let out = server
         .take_output(pid)
@@ -946,10 +943,7 @@ fn tcp_sharded_seeded_chaos_parity() {
             0,
             &plan,
             TIME_SCALE,
-            NetServerOptions {
-                shards: 4,
-                ..Default::default()
-            },
+            NetServerOptions { shards: 4 },
         );
         let out = server
             .take_output(pid)

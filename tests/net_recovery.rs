@@ -70,15 +70,8 @@ fn kill_tcp_server_mid_run_recover_and_finish() {
     let pid = server.submit(build_problem(db.clone(), queries.clone(), &cfg));
     let writer = CheckpointWriter::create(&log).expect("create checkpoint log");
     server.set_journal(Box::new(writer));
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            ..Default::default()
-        },
-    )
-    .expect("bind first server");
+    let net =
+        NetServer::start(server, clock, NetServerOptions::default()).expect("bind first server");
 
     // Clients find the server through the directory; after the restart
     // the same entry points at the new port and they reconnect.
@@ -133,15 +126,8 @@ fn kill_tcp_server_mid_run_recover_and_finish() {
 
     let writer = CheckpointWriter::append(&log).expect("reopen checkpoint log");
     server.set_journal(Box::new(writer));
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            ..Default::default()
-        },
-    )
-    .expect("bind second server");
+    let net =
+        NetServer::start(server, clock, NetServerOptions::default()).expect("bind second server");
     dir.set_origin(Some(net.addr())); // clients reconnect here
 
     let mut server = net.wait();
@@ -193,15 +179,7 @@ fn recovery_survives_a_second_crash() {
     let writer = CheckpointWriter::create(&log).unwrap();
     server.set_journal(Box::new(writer));
     let kit = ClientKit::from_server(&server).unwrap();
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let net = NetServer::start(server, clock, NetServerOptions::default()).unwrap();
     dir.set_origin(Some(net.addr()));
     let handles = spawn_clients(
         dir.clone(),
@@ -235,15 +213,7 @@ fn recovery_survives_a_second_crash() {
     let resumed_from = server.stats(pid).completed_units;
     let writer = CheckpointWriter::append(&log).unwrap();
     server.set_journal(Box::new(writer));
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let net = NetServer::start(server, clock, NetServerOptions::default()).unwrap();
     dir.set_origin(Some(net.addr()));
     kill_after(net, resumed_from + 10);
 
@@ -310,16 +280,8 @@ fn kill_sharded_tcp_server_recover_and_readopt() {
     let pid = server.submit(build_problem(db.clone(), queries.clone(), &cfg));
     let writer = CheckpointWriter::create(&log).expect("create checkpoint log");
     server.set_journal(Box::new(writer));
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            snapshot_every_ticks: 5,
-            shards: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind first server");
+    let net =
+        NetServer::start(server, clock, NetServerOptions { shards: 2 }).expect("bind first server");
 
     let dir = directory();
     dir.set_origin(Some(net.addr()));
@@ -375,16 +337,7 @@ fn kill_sharded_tcp_server_recover_and_readopt() {
     let tel2 = server.telemetry();
     let writer = CheckpointWriter::append(&log).expect("reopen checkpoint log");
     server.set_journal(Box::new(writer));
-    let net = NetServer::start(
-        server,
-        clock,
-        Opts {
-            snapshot_every_ticks: 5,
-            shards: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind second server");
+    let net = NetServer::start(server, clock, Opts { shards: 2 }).expect("bind second server");
     dir.set_origin(Some(net.addr()));
 
     // The same donor threads reconnect to the new port.
@@ -459,7 +412,7 @@ fn kill_tcp_server_with_two_unacked_results_in_flight() {
     let dir = directory();
     let run_over = Arc::new(AtomicBool::new(false));
 
-    // ---- life 1: one gated donor, queue_depth 2 ---------------------
+    // ---- life 1: one gated donor, pipeline depth 2 ------------------
     let telemetry = Telemetry::enabled();
     let mut problem = integration_problem(points);
     let gate = Arc::new(GatedAlgorithm {
@@ -733,10 +686,7 @@ fn kill_tcp_server_with_a_full_depth_turn_in_flight() {
         carried: carried.clone(),
     }));
     let kit = ClientKit::from_server(&server).expect("codecs registered");
-    let opts = || NetServerOptions {
-        shards: 1,
-        ..Default::default()
-    };
+    let opts = || NetServerOptions { shards: 1 };
     let net = NetServer::start(server, clock, opts()).expect("bind first server");
     dir.set_origin(Some(net.addr()));
     let handles = spawn_clients(

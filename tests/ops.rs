@@ -254,9 +254,9 @@ fn tcp_donors_ship_metrics_and_the_status_view_sees_the_cluster() {
         3,
         &FaultPlan::none(),
         run_over.clone(),
+        // Scaled seconds: ~25ms wall.
         NetClientOptions {
-            metrics_report_interval: 0.5, // scaled seconds: ~25ms wall
-            ..Default::default()
+            metrics_report_interval: 0.5,
         },
     );
     // Poll the live status view (wire frames, like `biodist_top`)

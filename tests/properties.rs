@@ -855,12 +855,7 @@ impl SeparateMaps {
 
     fn hint(&self, client: usize) -> f64 {
         let c = &self.cfg;
-        let sized_from = if c.enable_dynamic_granularity {
-            self.speed(client)
-        } else {
-            c.prior_ops_per_sec
-        };
-        (sized_from * c.target_unit_secs).clamp(c.min_unit_ops, c.max_unit_ops)
+        (self.speed(client) * c.target_unit_secs).clamp(c.min_unit_ops, c.max_unit_ops)
     }
 
     fn record_completion(&mut self, client: usize, cost: f64, elapsed: f64, queue_factor: f64) {
@@ -923,7 +918,6 @@ fn donor_records_match_the_separate_maps_model() {
             target_unit_secs: 1.0,
             lease_min_secs: 0.5,
             enable_adaptive: case % 5 != 4,
-            enable_dynamic_granularity: case % 7 != 6,
             ..Default::default()
         };
         let mut sched = Scheduler::new(cfg.clone());

@@ -13,10 +13,11 @@
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
 use biodist::core::builtin::integration_problem;
+use biodist::core::net::checkpoint::read_log;
 use biodist::core::net::wire::{encode_frame, Frame, FrameReader};
 use biodist::core::net::{
-    directory, raise_nofile_limit, spawn_clients, ClientKit, Clock, NetClientOptions, NetServer,
-    NetServerOptions,
+    directory, raise_nofile_limit, spawn_clients, ClientKit, Clock, LogRecord, NetClientOptions,
+    NetServer, NetServerOptions,
 };
 use biodist::core::{
     audited, CheckpointWriter, FaultPlan, MetricsSnapshot, SchedulerConfig, Server, Telemetry,
@@ -24,7 +25,7 @@ use biodist::core::{
 use biodist::dsearch::{build_problem, search_sequential, DsearchConfig, SearchOutput};
 use std::io::Write;
 use std::net::TcpStream;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -73,15 +74,8 @@ fn soak(donors: usize, shards: usize, db_len: usize) {
     // load, not a compute one.
     let clock = Clock::new(1.0);
     let kit = ClientKit::from_server(&server).expect("codecs registered");
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            shards,
-            ..Default::default()
-        },
-    )
-    .expect("bind loopback listener");
+    let net = NetServer::start(server, clock, NetServerOptions { shards })
+        .expect("bind loopback listener");
     // Deterministic adoption check: `donors` raw connections each make
     // one heartbeat round trip before the fleet starts, so every shard
     // has provably adopted its share however fast the workload later
@@ -197,16 +191,8 @@ fn silent_donor_on_one_shard_cannot_strand_the_run() {
     let algorithm = server.algorithm(pid);
     let codec = server.codec(pid).expect("dsearch has a codec");
     let clock = Clock::new(1000.0);
-    let net = NetServer::start(
-        server,
-        clock,
-        NetServerOptions {
-            shards: 2,
-            liveness_timeout: 30.0, // 30ms wall: the silent donor is swept fast
-            ..Default::default()
-        },
-    )
-    .expect("bind loopback listener");
+    let net = NetServer::start(server, clock, NetServerOptions { shards: 2 })
+        .expect("bind loopback listener");
 
     let await_frame = |stream: &mut TcpStream, reader: &mut FrameReader| loop {
         match reader.poll(stream) {
@@ -313,13 +299,29 @@ fn silent_donor_on_one_shard_cannot_strand_the_run() {
     }
 }
 
+/// What a journal holds, by record kind (a turn's as the unit records
+/// it carries).
+#[derive(Default)]
+struct Records {
+    issues: u64,
+    results: u64,
+    donors: u64,
+}
+
 /// One donor against one shard with the write-ahead journal and
 /// telemetry on: `units` fixed 1e4-op units of the π integration.
 /// Checks the output and the exactly-once audit and returns the run's
-/// counters.
-fn journaled_run(units: u64) -> MetricsSnapshot {
-    let log =
-        std::env::temp_dir().join(format!("biodist-scale-journal-{}.log", std::process::id()));
+/// counters and its log's records by kind. The log holds, besides the
+/// units' own records, a `Donors` snapshot for about every 100 ms the
+/// run lasted, each a commit of its own.
+fn journaled_run(units: u64) -> (MetricsSnapshot, Records) {
+    // One log per run: the harness runs this file's tests side by side.
+    static RUNS: AtomicU64 = AtomicU64::new(0);
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let log = std::env::temp_dir().join(format!(
+        "biodist-scale-journal-{}-{run}.log",
+        std::process::id()
+    ));
     let mut server = Server::new(SchedulerConfig {
         min_unit_ops: 1e4,
         max_unit_ops: 1e4,
@@ -337,13 +339,7 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
     server.set_journal(Box::new(writer));
     let kit = ClientKit::from_server(&server).expect("codecs registered");
     let clock = Clock::new(1.0);
-    // No periodic donor snapshots: the journal's records and commits
-    // counted here are the units' own, whatever the run's wall time.
-    let opts = NetServerOptions {
-        shards: 1,
-        snapshot_every_ticks: 0,
-        ..Default::default()
-    };
+    let opts = NetServerOptions { shards: 1 };
     let net = NetServer::start(server, clock, opts).expect("bind server");
     let dir = directory();
     dir.set_origin(Some(net.addr()));
@@ -362,7 +358,17 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
     for h in handles {
         h.join().expect("donor thread");
     }
+    let (logged, torn) = read_log(&log).expect("read journal");
     let _ = std::fs::remove_file(&log);
+    assert!(!torn, "a finished run leaves no torn tail");
+    let mut records = Records::default();
+    for record in &logged {
+        *match record {
+            LogRecord::Issue { .. } => &mut records.issues,
+            LogRecord::Result { .. } => &mut records.results,
+            LogRecord::Donors(_) => &mut records.donors,
+        } += 1;
+    }
     assert_eq!(server.stats(pid).completed_units, units);
     audit.verify_run(&server).expect("exactly-once audit clean");
     let pi = server.take_output(pid).unwrap().into_inner::<f64>();
@@ -371,17 +377,23 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
     // (Shown with `--nocapture`: the hand-read numbers of EXPERIMENTS.md.)
     eprintln!(
         "{units} units: client_writes {} frames_in {} frames_out {} pumps {} \
-         ckpt.commits {} ckpt.records {} resubmits {} compute_runs {}",
+         ckpt.commits {} ckpt.records {} (donors {}) resubmits {} compute_runs {}",
         snap.counter("net.client_writes"),
         snap.counter("net.frames_in"),
         snap.counter("net.frames_out"),
         snap.counter("net.pumps"),
         snap.counter("ckpt.commits"),
         snap.counter("ckpt.records"),
+        records.donors,
         snap.counter("net.resubmits"),
         snap.counter("net.compute_runs"),
     );
-    snap
+    assert_eq!(
+        snap.counter("ckpt.records"),
+        records.issues + records.results + records.donors,
+        "the counter counts what the log holds"
+    );
+    (snap, records)
 }
 
 /// The control plane's budget, gated: with microsecond units the
@@ -392,6 +404,7 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
 /// including those where donor and origin ran on different CPUs: there
 /// the two overlap, the donor's exposed wait is only what it could not
 /// overlap, and the depth it derives settles near 10 instead of 64.
+/// The journal's commits include its periodic `Donors` snapshots.
 /// (That millisecond units do not batch — every result leaves before
 /// the next compute, in a turn of one — is checked step by step,
 /// without a stopwatch, by `client.rs`'s scripted-origin test
@@ -399,7 +412,7 @@ fn journaled_run(units: u64) -> MetricsSnapshot {
 #[test]
 fn control_plane_syscalls_are_paid_per_round_trip_not_per_unit() {
     const UNITS: u64 = 20_000;
-    let snap = journaled_run(UNITS);
+    let (snap, records) = journaled_run(UNITS);
     let count = |name: &str| snap.counter(name);
     assert!(
         count("net.client_writes") <= UNITS / 4,
@@ -419,8 +432,8 @@ fn control_plane_syscalls_are_paid_per_round_trip_not_per_unit() {
         count("ckpt.commits")
     );
     assert_eq!(
-        count("ckpt.records"),
-        2 * UNITS,
+        (records.issues, records.results),
+        (UNITS, UNITS),
         "an issue and a result each"
     );
     assert_eq!(count("ckpt.write_errors"), 0);
@@ -437,7 +450,7 @@ fn control_plane_syscalls_are_paid_per_round_trip_not_per_unit() {
 #[test]
 fn a_round_trip_carries_hundreds_of_units() {
     const UNITS: u64 = 20_000;
-    let snap = journaled_run(UNITS);
+    let (snap, records) = journaled_run(UNITS);
     let per_round_trip = [
         "net.client_writes",
         "net.frames_in",
@@ -455,6 +468,6 @@ fn a_round_trip_carries_hundreds_of_units() {
         runs > 0 && runs <= UNITS / 16,
         "{runs} compute runs for {UNITS} units"
     );
-    assert_eq!(snap.counter("ckpt.records"), 2 * UNITS);
+    assert_eq!((records.issues, records.results), (UNITS, UNITS));
     assert_eq!(snap.counter("net.turn_want_clamped"), 0);
 }

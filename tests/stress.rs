@@ -202,25 +202,10 @@ fn stress_soak_24_donors_two_passes_are_exactly_once() {
     // both phases so the byte counter can be sampled at the gate.
     let kit = ClientKit::from_server(&server).expect("codecs");
     let clock = Clock::new(TIME_SCALE);
-    // A full donor pool against one unoptimised loopback server: give liveness
-    // and acks real headroom, or the soak measures reconnect storms
-    // (mass client-gone reissues, double computes) instead of the run.
-    let server_opts = NetServerOptions {
-        liveness_timeout: 20.0,
-        ..Default::default()
-    };
-    let net = NetServer::start(server, clock, server_opts).expect("bind listener");
+    let net = NetServer::start(server, clock, NetServerOptions::default()).expect("bind listener");
     // Donors straight at the origin: each applies its own wire faults.
     let client_dir = Directory::with_origin(net.addr());
     let run_over = Arc::new(AtomicBool::new(false));
-    // queue_depth 1: prefetching is exercised by the chaos parity
-    // suite; here it would let each donor grab a second unit ahead of
-    // slower donors' first polls.
-    let client_opts = NetClientOptions {
-        queue_depth: 1,
-        ack_timeout: 10.0,
-        ..Default::default()
-    };
     let handles = spawn_clients(
         client_dir,
         clock,
@@ -228,7 +213,7 @@ fn stress_soak_24_donors_two_passes_are_exactly_once() {
         donors,
         &plan,
         run_over.clone(),
-        client_opts,
+        NetClientOptions::default(),
     );
 
     // Phase 1: both concurrent problems complete under chaos.
