@@ -57,7 +57,7 @@ pub use net::{
     NetServer, NetServerOptions, ReplicaServer, REPLICA_CLIENT_ID,
 };
 pub use problem::{Algorithm, DataManager, Payload, Problem, TaskResult, UnitId, WorkUnit};
-pub use sched::{ClientId, DonorRow, DonorSnapshot, SchedulerConfig};
+pub use sched::{ClientId, SchedulerConfig};
 pub use server::{
     recover, recover_traced, Assignment, DonorStatus, ProblemId, ProblemStatus, RecoveryReport,
     RunJournal, Server, StatusSnapshot, Then, TurnOutcome,

@@ -12,18 +12,18 @@
 //!   granularity hint that produced it (managers are deterministic
 //!   functions of the interleaved hint/result sequence);
 //! * `Result` records: the codec-encoded result folded for a unit,
-//!   written **before** the fold (write-ahead);
-//! * `Donors` records: periodic [`DonorSnapshot`]s
-//!   ([`crate::Server::snapshot_donors`]) so recovery resumes with warm
-//!   speed estimates.
+//!   written **before** the fold (write-ahead).
+//!
+//! No donor's speed estimate is logged: a recovered server learns each
+//! donor's speed from its first completion, as it does a new donor's.
 //!
 //! Log framing: `[body_len: u32][record_type: u8][body][crc32(type ‖
 //! body): u32]`, little-endian; a donor turn's unit records are one
 //! `Turn` record (type 8) whose body is each one's `[record_type][body]`
-//! in order. Record type 6 (a quorum vote) and a `Donors` row's part
-//! bits 2 (a reputation) and 4 (a chunk-affinity window) are retired,
-//! never reused: the reader refuses them as it refuses any unknown type
-//! or bit. Unit records reach the
+//! in order. Retired types are never reused: an older log's per-part
+//! snapshots (3–5), replica topology (7) and donor snapshots (9) are
+//! skipped whole, and a quorum vote (6) is refused as any unknown type
+//! is. Unit records reach the
 //! file a *group* at a time — one `write` per
 //! [`CheckpointWriter::commit`], which the TCP server issues once per
 //! pump, before that pump's replies leave (see [`CheckpointWriter`]). The reader stops at the first record that is
@@ -39,7 +39,6 @@
 use super::wire::{MAX_BODY, MAX_PIPELINE_DEPTH};
 use crate::codec::{ByteReader, ByteWriter};
 use crate::problem::{UnitId, WorkUnit};
-use crate::sched::{DonorRow, DonorSnapshot};
 use crate::server::{ProblemId, RunJournal};
 use crate::telemetry::SIZE_BOUNDS;
 use std::fs::{File, OpenOptions};
@@ -50,10 +49,6 @@ use std::sync::{Arc, Mutex};
 const REC_ISSUE: u8 = 1;
 const REC_RESULT: u8 = 2;
 const REC_TURN: u8 = 8;
-const REC_DONORS: u8 = 9;
-// A `Donors` record is a row count, then each row's client, part mask
-// and the parts the mask names: this is the one part a row can carry.
-const PART_ADAPTIVE: u8 = 1;
 
 /// Largest record body the reader will accept; larger means the length
 /// field itself is torn garbage.
@@ -84,9 +79,6 @@ pub enum LogRecord {
         /// Codec-encoded result payload.
         payload: Vec<u8>,
     },
-    /// A snapshot of every donor record (the last one in the log
-    /// wins): warm speed estimates.
-    Donors(DonorSnapshot),
 }
 
 /// An open group is written out once it holds this many bytes, whatever
@@ -161,17 +153,14 @@ impl Drop for Log {
 }
 
 /// Append-only, cloneable checkpoint writer; install it as the server's
-/// [`RunJournal`], the one handle every record goes through — donor
-/// snapshots too ([`RunJournal::donors_snapshotted`]). Clones share one
-/// log and one open group.
+/// [`RunJournal`], the one handle every record goes through. Clones
+/// share one log and one open group.
 ///
-/// Unit records (`Issue` / `Result`) are **group-committed**:
+/// Records (`Issue` / `Result`) are **group-committed**:
 /// each is CRC-framed into the open group as it is reported, and the
 /// group reaches the file in one `write` at [`CheckpointWriter::commit`],
-/// when it passes 64 KiB, ahead of any other record type (snapshots
-/// are written at once, behind the group, so the file keeps report
-/// order), and when the last clone is dropped. The TCP server commits
-/// once per pump, *before* that pump's replies are flushed, so the
+/// when it passes 64 KiB, and when the last clone is dropped. The TCP
+/// server commits once per pump, *before* that pump's replies are flushed, so the
 /// write-ahead property recovery rests on holds per pump: no donor
 /// can read a `TurnReply` (`AssignUnit`, `ResultAck`) whose records are not in
 /// the file. A crash loses the open group — records nobody was told
@@ -180,9 +169,8 @@ impl Drop for Log {
 /// commit first. The handle installed as the journal writes the unit
 /// records of one donor turn ([`RunJournal::begin_turn`]) as one `Turn`
 /// record in a buffer of its own, framed and joined to the group when
-/// the turn ends: one CRC and one log lock a turn, and since a snapshot
-/// is reported between turns, [`read_log`] reads the records back in
-/// report order.
+/// the turn ends: one CRC and one log lock a turn, and [`read_log`]
+/// reads the records back in report order.
 ///
 /// Write failures are counted (`ckpt.write_errors`), not propagated: a
 /// full disk degrades durability — lost records mean recomputed units
@@ -220,8 +208,8 @@ impl CheckpointWriter {
     }
 
     /// Attaches a telemetry handle: every appended record (a turn's
-    /// each) becomes a `checkpoint_write` trace event (kind `issue` /
-    /// `result` / `donors` / ...) plus `ckpt.records` and `ckpt.bytes`
+    /// each) becomes a `checkpoint_write` trace event (kind `issue` or
+    /// `result`) plus `ckpt.records` and `ckpt.bytes`
     /// counter bumps, and every group written counts in `ckpt.commits`,
     /// its size in `ckpt.group_records`, its `write`'s time in
     /// `ckpt.commit_us` and a failed write in `ckpt.write_errors`.
@@ -274,8 +262,7 @@ impl CheckpointWriter {
         // A crash can tear at most the group being written, at any
         // byte; the reader's CRC check keeps the records wholly before
         // the tear and drops the rest.
-        let unit_record = matches!(rtype, REC_ISSUE | REC_RESULT);
-        if !unit_record || log.group.len() >= GROUP_BYTES {
+        if log.group.len() >= GROUP_BYTES {
             self.write_group(&mut log);
         }
     }
@@ -296,10 +283,10 @@ impl CheckpointWriter {
 
     fn trace_record(&self, rtype: u8, framed: usize) {
         if self.telemetry.is_enabled() {
-            let kind = match rtype {
-                REC_ISSUE => "issue",
-                REC_RESULT => "result",
-                _ => "donors",
+            let kind = if rtype == REC_ISSUE {
+                "issue"
+            } else {
+                "result"
             };
             self.telemetry
                 .emit(crate::telemetry::EventKind::CheckpointWrite {
@@ -308,21 +295,6 @@ impl CheckpointWriter {
             self.telemetry.counter_add("ckpt.records", 1);
             self.telemetry.counter_add("ckpt.bytes", framed as u64);
         }
-    }
-
-    /// Appends a snapshot of every donor record.
-    pub(crate) fn append_donors(&self, snap: &DonorSnapshot) {
-        self.write_record(REC_DONORS, |w| {
-            w.u32(snap.donors.len() as u32);
-            for row in &snap.donors {
-                w.u64(row.client as u64);
-                w.u8(u8::from(row.adaptive.is_some()) * PART_ADAPTIVE);
-                if let Some((speed, units)) = row.adaptive {
-                    w.f64(speed);
-                    w.u64(units);
-                }
-            }
-        });
     }
 }
 
@@ -373,10 +345,6 @@ impl RunJournal for CheckpointWriter {
     fn discard(&mut self) {
         CheckpointWriter::discard(self);
     }
-
-    fn donors_snapshotted(&mut self, snap: &DonorSnapshot) {
-        self.append_donors(snap);
-    }
 }
 
 /// Reads every intact record from a checkpoint log, a turn's as the
@@ -424,9 +392,9 @@ fn parse_record(buf: &[u8], out: &mut Vec<LogRecord>) -> Option<usize> {
     let before = out.len();
     let parsed = match rtype {
         REC_TURN => parse_turn(&mut r, out),
-        // An older log's per-part snapshots, replaced by `Donors`, and
-        // its replica topology, which nothing replays: skipped.
-        3..=5 | 7 => return Some(total),
+        // An older log's donor snapshots (per part, then whole) and its
+        // replica topology, which nothing replays: skipped.
+        3..=5 | 7 | 9 => return Some(total),
         _ => parse_body(rtype, &mut r).map(|record| out.push(record)),
     };
     if parsed.and_then(|()| r.finish().ok()).is_none() {
@@ -458,21 +426,6 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
             unit: r.u64().ok()?,
             payload: r.bytes().ok()?.to_vec(),
         },
-        REC_DONORS => {
-            let n = r.count(9).ok()?;
-            let mut donors = Vec::with_capacity(n);
-            for _ in 0..n {
-                let client = r.usize().ok()?;
-                let parts = r.u8().ok().filter(|&m| m & !PART_ADAPTIVE == 0)?;
-                let adaptive = if parts == PART_ADAPTIVE {
-                    Some((r.f64().ok()?, r.u64().ok()?))
-                } else {
-                    None
-                };
-                donors.push(DonorRow { client, adaptive });
-            }
-            LogRecord::Donors(DonorSnapshot { donors })
-        }
         _ => return None,
     })
 }
@@ -481,7 +434,6 @@ fn parse_body(rtype: u8, r: &mut ByteReader) -> Option<LogRecord> {
 mod tests {
     use super::*;
     use crate::builtin::integration_problem;
-    use crate::sched::SchedulerConfig;
     use crate::server::recovery::tests::{drive, fixed_cfg, sequential_pi, temp_log};
     use crate::server::{recover, Assignment, Server};
     use std::sync::Arc;
@@ -565,7 +517,6 @@ mod tests {
             let order = records.iter().map(|r| match r {
                 LogRecord::Issue { unit, .. } => (true, *unit),
                 LogRecord::Result { unit, .. } => (false, *unit),
-                other => panic!("unexpected record {other:?}"),
             });
             let order: Vec<_> = order.collect();
             assert!(!torn);
@@ -587,150 +538,76 @@ mod tests {
         assert_eq!(by_turn.0, by_record.0);
     }
 
-    /// Two rows with the adaptive part and one with no part (a client
-    /// id and an empty mask).
-    fn donor_rows() -> DonorSnapshot {
-        let row = |client, adaptive| DonorRow { client, adaptive };
-        DonorSnapshot {
-            donors: vec![
-                row(0, Some((1.5e7, 12))),
-                row(2, Some((2.5e7, 3))),
-                row(3, None),
-            ],
-        }
-    }
-
-    /// The `Donors` record is a log format too, so its bytes are pinned
-    /// (a row's layout as captured when the record was introduced, over
-    /// the rows the retired reputation and affinity parts left): a row
-    /// count, then each row's client, part mask and parts. A log cut
-    /// inside a row keeps none of the record — a torn tail.
+    /// An older log's retired records — per-part donor snapshots (3–5),
+    /// replica topology (7) and whole donor snapshots (9), one with a
+    /// retired reputation part — are skipped whole wherever they sit:
+    /// every unit record around them reads back and the log is not torn.
     #[test]
-    fn golden_donors_record_bytes_have_not_moved() {
-        // `[row count 3]`; client 0, mask 1: speed, units. Client 2,
-        // mask 1: speed, units. Client 3, mask 0. Then the CRC.
-        const GOLDEN: &str = "3f00000009\
-            03000000\
-            00000000000000000100000000389c6c410c00000000000000\
-            0200000000000000010000000084d777410300000000000000\
-            030000000000000000\
-            f8ce9bc3";
-        let path = temp_log("golden-donors");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        writer.append_donors(&donor_rows());
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
-        assert_eq!(hex, GOLDEN);
-        assert_eq!(
-            parse_log(&bytes),
-            (vec![LogRecord::Donors(donor_rows())], false)
-        );
-        // Cut inside the last row, or the record's length made to end
-        // there with a CRC that matches: the record goes whole.
-        assert_eq!(parse_log(&bytes[..bytes.len() - 5]), (vec![], true));
-        let mut short = bytes[..bytes.len() - 5].to_vec();
-        short.truncate(short.len() - 4);
-        seal_record(&mut short, 0);
-        assert_eq!(parse_log(&short), (vec![], true));
-        // The three per-part snapshot types it replaced, in an older
-        // log, are skipped whole: the records after them still replay.
-        for obsolete in 3..=5 {
-            let mut old = vec![0; 4];
-            write_body(&mut old, obsolete, |w| w.u64(1));
-            seal_record(&mut old, 0);
-            let records = (vec![LogRecord::Donors(donor_rows())], false);
-            assert_eq!(parse_log(&[old, bytes.clone()].concat()), records);
-        }
-    }
-
-    #[test]
-    fn donor_records_round_trip_and_restore() {
-        let path = temp_log("donors-rt");
-        let writer = CheckpointWriter::create(&path).unwrap();
-        let mut snap = donor_rows();
-        snap.donors.pop(); // a row with no part is never snapshotted
-        let mut older = snap.clone();
-        older.donors[0].adaptive = Some((3.5e7, 4));
-        writer.append_donors(&older);
-        writer.append_donors(&snap);
-        let (records, torn) = read_log(&path).unwrap();
-        assert!(!torn);
-        let expect = [LogRecord::Donors(older), LogRecord::Donors(snap.clone())];
-        assert_eq!(records, expect);
-        // A recovered server resumes with the last snapshot's records
-        // warm.
-        let (server, report) = recover(
-            SchedulerConfig::default(),
-            vec![integration_problem(10_000)],
-            &path,
-        )
-        .unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(server.scheduler().snapshot(), snap);
-        assert_eq!(server.scheduler().donor(2).completed.0, 3);
-        // An older log's replica-topology record (type 7) — before,
-        // between and after these two — is skipped whole: the log reads
-        // and recovers exactly as it does without it.
-        let bytes = std::fs::read(&path).unwrap();
-        let mut replica = vec![0; 4];
-        write_body(&mut replica, 7, |w| {
-            w.u32(1);
-            w.str("127.0.0.1:9001");
-        });
-        seal_record(&mut replica, 0);
-        let (first, last) = bytes.split_at(parse_record(&bytes, &mut Vec::new()).unwrap());
-        let with_replicas = [&replica, first, &replica, last, &replica].concat();
-        std::fs::write(&path, &with_replicas).unwrap();
-        assert_eq!(read_log(&path).unwrap(), (records, false));
-        let (old, old_report) = recover(
-            SchedulerConfig::default(),
-            vec![integration_problem(10_000)],
-            &path,
-        )
-        .unwrap();
-        assert_eq!(old_report, report);
-        assert_eq!(old.scheduler().snapshot(), snap);
-        // A row that carries a retired part bit — 2, a reputation
-        // (agreements, disputes, trusted), or 4, an affinity window (a
-        // digest count and the digests) — is refused, whole and sealed:
-        // the record is a torn tail and the ones before it are kept.
-        let retired = |bit: u8, part: &dyn Fn(&mut ByteWriter)| {
+    fn an_older_logs_retired_records_are_skipped_whole() {
+        let framed = |rtype: u8, body: &dyn Fn(&mut ByteWriter)| {
             let mut record = vec![0; 4];
-            write_body(&mut record, REC_DONORS, |w| {
-                w.u32(1);
-                w.u64(0);
-                w.u8(PART_ADAPTIVE | bit);
-                w.f64(1.5e7);
-                w.u64(12);
-                part(w);
-            });
+            write_body(&mut record, rtype, body);
             seal_record(&mut record, 0);
             record
         };
-        let reputation = retired(2, &|w| {
-            w.u64(5);
-            w.u64(0);
-            w.u8(1);
-        });
-        let affinity = retired(4, &|w| {
-            w.u32(2);
-            w.u64(0xAA);
-            w.u64(0xBB);
-        });
-        for record in [reputation, affinity] {
-            let kept = vec![LogRecord::Donors(snap.clone())];
-            assert_eq!(parse_log(&[last, &record].concat()), (kept, true));
+        let issue = |unit: u64| {
+            framed(REC_ISSUE, &|w| {
+                w.usize(0);
+                w.u64(unit);
+                w.f64(1.25e6);
+            })
+        };
+        // A donor snapshot: a row count, then each row's client, part
+        // mask (1: speed and units; 2: agreements, disputes, trusted)
+        // and parts.
+        let snapshot = |parts: u8| {
+            framed(9, &move |w| {
+                w.u32(1);
+                w.u64(0);
+                w.u8(parts);
+                w.f64(1.5e7);
+                w.u64(12);
+                if parts & 2 != 0 {
+                    w.u64(5);
+                    w.u64(0);
+                    w.u8(1);
+                }
+            })
+        };
+        let retired = [
+            framed(3, &|w| w.u64(1)),
+            framed(4, &|w| w.u64(1)),
+            framed(5, &|w| w.u64(1)),
+            framed(7, &|w| {
+                w.u32(1);
+                w.str("127.0.0.1:9001");
+            }),
+            snapshot(1),
+            snapshot(1 | 2),
+        ];
+        // Each retired record ahead of an issue, and the last one again
+        // at the end of the log.
+        let mut log = Vec::new();
+        for (unit, old) in retired.iter().enumerate() {
+            log.extend_from_slice(old);
+            log.extend_from_slice(&issue(unit as u64));
         }
-        let _ = std::fs::remove_file(&path);
+        log.extend_from_slice(&retired[retired.len() - 1]);
+        let issues = (0..retired.len() as u64).map(|unit| LogRecord::Issue {
+            problem: 0,
+            unit,
+            hint_ops: 1.25e6,
+        });
+        assert_eq!(parse_log(&log), (issues.collect(), false));
+        assert_eq!(parse_log(&retired.concat()), (vec![], false));
     }
 
     /// A crash while a group is being written can leave any prefix of
     /// it in the file. Whatever the byte it tears at, the reader keeps
     /// exactly the records wholly before the tear — of a group that
     /// mixes issue and result records, written one at a time or as the
-    /// `Turn` records of donor turns around a snapshot — and the
-    /// recovered run finishes with every unit folded exactly once.
+    /// `Turn` records of donor turns — and the recovered run finishes
+    /// with every unit folded exactly once.
     #[test]
     fn a_group_torn_at_any_byte_recovers_exactly_the_records_before_the_tear() {
         let n = 50_000;
@@ -772,13 +649,12 @@ mod tests {
             };
             // An earlier group, whole in the file, then the group the
             // crash tears, which leaves a unit leased and unfolded in the
-            // turns (`None`: a snapshot).
+            // turns.
             let (earlier, group) = if by_turns {
-                let group = [Some((0, 2)), Some((1, 2)), Some((0, 1)), None];
-                let group = [&group[..], &[Some((1, 1)), Some((0, 0))]].concat();
+                let group = vec![(0, 2), (1, 2), (0, 1), (1, 1), (0, 0)];
                 (vec![(0, 1), (1, 1), (0, 0), (1, 0)], group)
             } else {
-                let group = [0, 1, 0, 1, 0].map(|client| Some((client, 0)));
+                let group = [0, 1, 0, 1, 0].map(|client| (client, 0));
                 (vec![(0, 0), (1, 0)], group.to_vec())
             };
             for &(client, want) in &earlier {
@@ -786,11 +662,8 @@ mod tests {
             }
             writer.commit();
             let group_start = std::fs::metadata(&path).unwrap().len() as usize;
-            for &next in &group {
-                match next {
-                    Some((client, want)) => step(&mut server, client, want),
-                    None => writer.append_donors(&server.scheduler().snapshot()),
-                }
+            for &(client, want) in &group {
+                step(&mut server, client, want);
             }
             writer.commit();
             drop(server);
@@ -816,11 +689,7 @@ mod tests {
                 "the torn group mixes both unit records: {group:?}"
             );
             let turns = ends.windows(2).filter(|w| w[1].1 - w[0].1 > 1).count();
-            let snapshots = group.iter().filter(|r| matches!(r, LogRecord::Donors(_)));
-            assert_eq!(
-                (turns > 2, snapshots.count()),
-                (by_turns, usize::from(by_turns))
-            );
+            assert_eq!(turns > 2, by_turns);
 
             for cut in group_start..=bytes.len() {
                 std::fs::write(&path, &bytes[..cut]).unwrap();
@@ -904,22 +773,19 @@ mod tests {
     fn a_malformed_turn_record_is_dropped_whole() {
         let turn = golden_turn();
         let body = &turn[5..turn.len() - 4];
-        let donors = DonorSnapshot {
-            donors: vec![DonorRow {
-                client: 0,
-                adaptive: Some((1.5e7, 12)),
-            }],
-        };
         let mut prefix = vec![0; 4];
-        write_body(&mut prefix, REC_DONORS, |w| {
-            w.u32(1);
+        write_body(&mut prefix, REC_ISSUE, |w| {
+            w.usize(0);
             w.u64(0);
-            w.u8(PART_ADAPTIVE);
-            w.f64(1.5e7);
-            w.u64(12);
+            w.f64(1.25e6);
         });
         seal_record(&mut prefix, 0);
-        let kept = vec![LogRecord::Donors(donors)];
+        let issue = LogRecord::Issue {
+            problem: 0,
+            unit: 0,
+            hint_ops: 1.25e6,
+        };
+        let kept = vec![issue];
         // `prefix`, then a `Turn` record around `body`, checksummed.
         let log_of = |body: &[u8]| {
             let mut log = prefix.clone();
@@ -939,7 +805,16 @@ mod tests {
             body
         };
         let nested = [&[REC_TURN][..], body].concat();
-        let snapshot = [&[REC_DONORS][..], &prefix[5..prefix.len() - 4]].concat();
+        // The retired donor snapshot (9): one row, client 0, its speed
+        // and units.
+        let mut snapshot = Vec::new();
+        write_body(&mut snapshot, 9, |w| {
+            w.u32(1);
+            w.u64(0);
+            w.u8(1);
+            w.f64(1.5e7);
+            w.u64(12);
+        });
         let malformed: [(&str, Vec<u8>); 9] = [
             ("an unknown sub-type", with(first_issue, 9)),
             ("a retired vote sub-type (6)", with(first_issue, 6)),

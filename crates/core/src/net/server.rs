@@ -6,9 +6,9 @@
 //! [`super::evloop::serve`] loop owning its poller, its connections'
 //! read/write buffers and frame reassembly (the loop is shared with the
 //! replica tier; this file is the origin's [`FrameHandler`] on top of
-//! it). Shard 0 also owns the listener and the 2 ms tick: lease sweeps,
-//! heartbeat liveness, periodic checkpoint snapshots. No thread is ever
-//! dedicated to a donor, and no loop polls on a sleep: every wakeup is
+//! it). Shard 0 also owns the listener and the 2 ms tick: lease sweeps
+//! and heartbeat liveness. No thread is ever dedicated to a donor, and
+//! no loop polls on a sleep: every wakeup is
 //! readiness (bytes, buffer space, a connection, a waker poke when
 //! shard 0 deals one over) or a tick due. Stopping is a flag and a poke.
 //!
@@ -54,12 +54,6 @@ const TICK_WALL: Duration = Duration::from_millis(2);
 /// caller sizes its units at a fraction of that: the CLIs, examples and
 /// `benchmark/` workloads target 0.05 scaled seconds or less.
 const LIVENESS_TIMEOUT: f64 = 5.0;
-
-/// Every this many ticks (~100 ms at the 2 ms tick), while the run is
-/// unfinished, shard 0 snapshots every donor record into the server's
-/// journal ([`Server::snapshot_donors`]: nothing without a journal), so
-/// a recovered server starts with warm donor records.
-const SNAPSHOT_EVERY_TICKS: u64 = 50;
 
 /// Tuning for [`NetServer`].
 #[derive(Debug, Clone)]
@@ -163,7 +157,6 @@ impl NetServer {
                     shard: idx,
                     shared: &shared,
                     clock,
-                    ticks: 0,
                     batch: PumpBatch::default(),
                 };
                 serve(&shared.shards, idx, rx, &mut ctx, socket);
@@ -258,8 +251,6 @@ struct ShardCtx<'a> {
     shard: usize,
     shared: &'a Arc<Shared>,
     clock: Clock,
-    /// Ticks shard 0 has run.
-    ticks: u64,
     batch: PumpBatch,
 }
 
@@ -438,14 +429,12 @@ impl FrameHandler for ShardCtx<'_> {
         self.shared.telemetry.counter_add("net.accept_errors", 1);
     }
 
-    /// Shard 0 keeps the server's time: lease expiry, silent donors,
-    /// donor snapshots.
+    /// Shard 0 keeps the server's time: lease expiry and silent donors.
     fn tick_period(&self) -> Option<Duration> {
         (self.shard == 0).then_some(TICK_WALL)
     }
 
     fn tick(&mut self) {
-        self.ticks += 1;
         let shared = self.shared;
         let now = self.clock.now();
         // Liveness sweep outside the server lock (fixed lock order:
@@ -463,9 +452,6 @@ impl FrameHandler for ShardCtx<'_> {
         server.check_timeouts(now);
         stale.into_iter().for_each(|c| server.client_gone(c));
         let complete = server.all_complete();
-        if !complete && self.ticks.is_multiple_of(SNAPSHOT_EVERY_TICKS) {
-            server.snapshot_donors();
-        }
         drop(guard);
         if complete {
             shared.done.notify_all();
@@ -893,10 +879,9 @@ mod tests {
         assert!(!torn);
         records
             .iter()
-            .filter_map(|r| match r {
-                LogRecord::Issue { unit, .. } => Some((true, *unit)),
-                LogRecord::Result { unit, .. } => Some((false, *unit)),
-                _ => None,
+            .map(|r| match r {
+                LogRecord::Issue { unit, .. } => (true, *unit),
+                LogRecord::Result { unit, .. } => (false, *unit),
             })
             .collect()
     }

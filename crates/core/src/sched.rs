@@ -20,10 +20,11 @@
 //!
 //! What the scheduler knows about a donor is one record (`DonorState`:
 //! its speed estimate and deliveries) in one map, read with one lookup
-//! ([`Scheduler::donor`]) and checkpointed as one [`DonorSnapshot`].
-//! The speed estimate is the only one there is: a slow or vanished
-//! donor is dealt with by the lease it is priced at and by the
-//! end-game, never by a second watch on its pace.
+//! ([`Scheduler::donor`]). It is never checkpointed: a recovered
+//! server, like a donor that rejoins, prices each donor from its own
+//! first completion. The speed estimate is the only one there is: a
+//! slow or vanished donor is dealt with by the lease it is priced at
+//! and by the end-game, never by a second watch on its pace.
 
 use crate::problem::UnitId;
 use crate::telemetry::Telemetry;
@@ -104,8 +105,7 @@ impl SchedulerConfig {
 }
 
 // Everything the scheduler holds on one donor, from its first
-// completion on: what its snapshot row lists, and what a lease to it is
-// sized and priced from.
+// completion on: what a lease to it is sized and priced from.
 #[derive(Debug, Clone)]
 struct DonorState {
     throughput: Ewma,
@@ -126,32 +126,6 @@ impl DonorState {
             queue_factor: 1.0,
         }
     }
-}
-
-/// One donor's row of a [`DonorSnapshot`]: the parts of its record
-/// the checkpoint log carries.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DonorRow {
-    /// The donor.
-    pub client: ClientId,
-    /// Estimated ops/second and units completed, once it has completed
-    /// a unit.
-    pub adaptive: Option<(f64, u64)>,
-}
-
-/// A plain-data snapshot of every donor record, written to the
-/// checkpoint log so a restarted server resumes with warm speed
-/// estimates instead of the cold prior.
-///
-/// Only the current EWMA value survives, not the full observation
-/// history: after recovery the estimate re-converges from that value at
-/// the usual smoothing, which is exactly the behaviour of a
-/// freshly-observed client at that speed.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct DonorSnapshot {
-    /// One row per donor, sorted by client id so
-    /// snapshots are byte-stable for a given state.
-    pub donors: Vec<DonorRow>,
 }
 
 /// What the scheduler holds on one donor, looked up once
@@ -340,38 +314,10 @@ impl Scheduler {
         }
     }
 
-    /// Every donor with a record: a recorded completion or a restored
-    /// row (unordered).
+    /// Every donor with a record: one that has completed a unit since
+    /// it joined (unordered).
     pub fn known_clients(&self) -> impl Iterator<Item = ClientId> + '_ {
         self.donors.keys().copied()
-    }
-
-    /// Captures every donor record for the checkpoint log.
-    pub fn snapshot(&self) -> DonorSnapshot {
-        let prior = self.cfg.prior_ops_per_sec;
-        let rows = self.donors.iter().map(|(&client, st)| DonorRow {
-            client,
-            adaptive: Some((st.throughput.value().unwrap_or(prior), st.units_completed)),
-        });
-        let mut donors: Vec<_> = rows.collect();
-        donors.sort_unstable_by_key(|r| r.client);
-        DonorSnapshot { donors }
-    }
-
-    /// Replaces every donor record with a recovered snapshot. A
-    /// non-finite or non-positive speed is dropped rather than poisoning
-    /// the estimates (the audit would flag it otherwise).
-    pub fn restore(&mut self, snap: &DonorSnapshot) {
-        self.donors.clear();
-        let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
-        for row in &snap.donors {
-            if let Some((speed, units)) = row.adaptive.filter(sound) {
-                let mut state = DonorState::new();
-                state.throughput.update(speed);
-                state.units_completed = units;
-                self.donors.insert(row.client, state);
-            }
-        }
     }
 
     /// Audits the scheduler's internal invariants, returning one
@@ -613,47 +559,6 @@ mod tests {
                 "lease {d} exceeds the cap"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips_adaptive_state() {
-        let mut s = Scheduler::new(SchedulerConfig::default());
-        for _ in 0..10 {
-            s.record_completions(1, [(2.0e7, 1.0, 1.0)]);
-            s.record_completions(2, [(2.0e6, 1.0, 1.0)]);
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.donors.len(), 2);
-
-        let mut fresh = Scheduler::new(SchedulerConfig::default());
-        fresh.restore(&snap);
-        for c in [1, 2] {
-            assert!(
-                (fresh.donor(c).speed - s.donor(c).speed).abs() < 1e-6 * s.donor(c).speed,
-                "client {c} speed estimate must survive the round trip"
-            );
-            assert_eq!(fresh.donor(c).completed.0, s.donor(c).completed.0);
-        }
-        assert!(fresh.audit().is_empty());
-        // Rows are sorted by client, and a restored scheduler snapshots
-        // exactly what it was restored from.
-        let clients: Vec<_> = snap.donors.iter().map(|r| r.client).collect();
-        assert_eq!(clients, vec![1, 2]);
-        assert_eq!(fresh.snapshot(), snap);
-
-        // Poisoned entries are dropped, not restored.
-        let mut bad = snap.clone();
-        for (client, speed, units) in [(9, f64::NAN, 3), (10, 0.0, 1)] {
-            bad.donors.push(DonorRow {
-                client,
-                adaptive: Some((speed, units)),
-            });
-        }
-        let mut guarded = Scheduler::new(SchedulerConfig::default());
-        guarded.restore(&bad);
-        assert_eq!(guarded.donor(9).completed.0, 0);
-        assert_eq!(guarded.donor(10).completed.0, 0);
-        assert!(guarded.audit().is_empty());
     }
 
     #[test]

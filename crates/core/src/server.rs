@@ -9,7 +9,7 @@
 use crate::codec::{ByteReader, ByteWriter, WireCodec, WireError};
 use crate::leases::{InFlight, Lease, LeaseTable};
 use crate::problem::{Algorithm, Payload, Problem, TaskResult, UnitId, WorkUnit};
-use crate::sched::{ClientId, Donor, DonorSnapshot, Scheduler, SchedulerConfig};
+use crate::sched::{ClientId, Donor, Scheduler, SchedulerConfig};
 use crate::telemetry::{EventKind, Telemetry, LATENCY_BOUNDS, OPS_BOUNDS};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -22,8 +22,7 @@ pub type ProblemId = usize;
 
 /// Observer of the durable events a crash-recoverable run must replay:
 /// which units the data managers issued (and with what granularity
-/// hint), which results were folded in and, periodically, every donor
-/// record. A recoverable TCP
+/// hint) and which results were folded in. A recoverable TCP
 /// run installs a [`crate::net::CheckpointWriter`] here, its one way
 /// into the log, and [`recovery`] replays what it wrote; the in-process
 /// backends leave it unset and pay nothing.
@@ -56,12 +55,6 @@ pub trait RunJournal: Send {
     /// reported since the last [`RunJournal::commit`] are dropped, as a
     /// real crash would have lost them. Default no-op, like `commit`.
     fn discard(&mut self) {}
-    /// A snapshot of every donor record ([`Server::snapshot_donors`],
-    /// between turns); the last one a log holds is what recovery
-    /// restores. Default no-op.
-    fn donors_snapshotted(&mut self, snap: &DonorSnapshot) {
-        let _ = snap;
-    }
 }
 
 /// The server's answer to a work request.
@@ -363,15 +356,6 @@ impl Server {
     pub fn discard_journal(&mut self) {
         if let Some(j) = self.journal.as_mut() {
             j.discard();
-        }
-    }
-
-    /// Reports every donor record to the journal
-    /// ([`RunJournal::donors_snapshotted`]); without a journal, builds
-    /// no snapshot. The TCP origin's shard 0 calls this every few ticks.
-    pub fn snapshot_donors(&mut self) {
-        if let Some(j) = self.journal.as_mut() {
-            j.donors_snapshotted(&self.sched.snapshot());
         }
     }
 

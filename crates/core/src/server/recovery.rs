@@ -7,13 +7,14 @@
 //! the exact state sequence the crashed server observed. Each issued
 //! unit waits in one stash entry until its `Result` folds it; what is
 //! still stashed at the end goes back on the queue in unit order. So no
-//! completed unit is ever recombined. The last `Donors` snapshot
-//! restores every donor record.
+//! completed unit is ever recombined. No donor record is replayed: every
+//! donor starts as one that has just joined, priced at the prior until
+//! its first completion.
 
 use super::{ProblemId, Server};
 use crate::net::checkpoint::{read_log, LogRecord};
 use crate::problem::{Problem, TaskResult, UnitId, WorkUnit};
-use crate::sched::{DonorSnapshot, SchedulerConfig};
+use crate::sched::SchedulerConfig;
 use crate::telemetry::{EventKind, Telemetry};
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -67,7 +68,6 @@ pub fn recover_traced(
     let mut report = RecoveryReport::default();
     // Every issued unit no replayed result has folded yet.
     let mut issued: BTreeMap<(ProblemId, UnitId), WorkUnit> = BTreeMap::new();
-    let mut donors: Option<DonorSnapshot> = None;
     // One exit: the first record this run cannot reach ends replay.
     let replayed = records.into_iter().try_for_each(|record| {
         match record {
@@ -98,7 +98,6 @@ pub fn recover_traced(
                 server.complete_problem(problem, 0.0);
                 report.replayed_results += 1;
             }
-            LogRecord::Donors(snap) => donors = Some(snap),
         }
         Some(())
     });
@@ -106,9 +105,6 @@ pub fn recover_traced(
     for ((problem, _), unit) in issued {
         server.restore_pending(problem, [unit]);
         report.pending_restored += 1;
-    }
-    if let Some(snap) = donors {
-        server.sched.restore(&snap);
     }
     telemetry.emit(EventKind::RecoveryDone {
         replayed_issues: report.replayed_issues,
@@ -233,7 +229,7 @@ pub(crate) mod tests {
             };
             abandoned += 1;
         }
-        writer.append_donors(&server.scheduler().snapshot());
+        writer.commit();
         drop(server); // the crash: all in-memory state gone
 
         let (mut recovered, report) =
@@ -243,14 +239,81 @@ pub(crate) mod tests {
         assert_eq!(report.pending_restored, abandoned);
         assert_eq!(report.replayed_issues, 4 + abandoned);
         assert_eq!(recovered.stats(pid).completed_units, 4);
-        // Warm scheduler state came back.
-        let warm = recovered.scheduler().snapshot().donors;
-        assert!(warm.iter().any(|r| r.client == 0 && r.adaptive.is_some()));
 
         drive(&mut recovered);
         let pi = recovered.take_output(pid).unwrap().into_inner::<f64>();
         let reference = sequential_pi(n);
         assert_eq!(pi.to_bits(), reference.to_bits(), "bit-identical recovery");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The log keeps no donor's speed: donor 0, warm when the server
+    /// died, comes back at the prior with nothing completed, as a donor
+    /// that has just joined. Its first completion after recovery sets
+    /// its speed to exactly that unit's cost over its turnaround (an
+    /// EWMA takes its first sample as its value), and the unit the same
+    /// turn leases it is sized from that speed.
+    #[test]
+    fn a_recovered_donor_is_priced_from_its_own_first_completion() {
+        let path = temp_log("first-completion");
+        let n = 100_000;
+        let writer = CheckpointWriter::create(&path).unwrap();
+        let mut server = Server::new(fixed_cfg());
+        let pid = server.submit(integration_problem(n));
+        server.set_journal(Box::new(writer.clone()));
+        for at in [0.0, 1.0, 2.0] {
+            let Assignment::Unit {
+                unit, algorithm, ..
+            } = server.request_work(0, at)
+            else {
+                panic!("work must be available")
+            };
+            assert!(server.submit_result(0, pid, algorithm.compute(&unit), at + 0.5));
+        }
+        let Assignment::Unit { .. } = server.request_work(1, 3.0) else {
+            panic!("expected an in-flight unit")
+        };
+        let cfg = SchedulerConfig::default();
+        let warm = server.scheduler().donor(0).speed;
+        assert_ne!(warm, cfg.prior_ops_per_sec);
+        writer.commit();
+        drop(server);
+
+        let (mut recovered, report) =
+            recover(cfg.clone(), vec![integration_problem(n)], &path).unwrap();
+        assert_eq!((report.replayed_results, report.pending_restored), (3, 1));
+        recovered.set_journal(Box::new(CheckpointWriter::append(&path).unwrap()));
+        let cold = recovered.scheduler().donor(0);
+        assert_eq!(
+            (cold.speed, cold.completed),
+            (cfg.prior_ops_per_sec, (0, 0.0))
+        );
+        // Donor 0 takes the unit donor 1 held, and hands it in 0.25 s
+        // later with one more wanted.
+        let (leased_at, delivered_at) = (10.0, 10.25);
+        let out = recovered.turn_wire(0, leased_at, std::iter::empty(), 1);
+        let [(problem, unit)] = &out.units[..] else {
+            panic!("one unit leased")
+        };
+        let (algorithm, codec) = (recovered.algorithm(pid), recovered.codec(pid).unwrap());
+        let bytes = codec
+            .encode_result(&algorithm.compute(unit).payload)
+            .unwrap();
+        let result = std::iter::once((*problem, unit.id, Some(&bytes[..])));
+        let out = recovered.turn_wire(0, delivered_at, result, 1);
+        assert_eq!((out.accepted, out.units.len()), (vec![true], 1));
+        let donor = recovered.scheduler().donor(0);
+        let speed = unit.cost_ops / (delivered_at - leased_at);
+        assert_eq!(donor.speed.to_bits(), speed.to_bits());
+        let hint = (speed * cfg.target_unit_secs).clamp(cfg.min_unit_ops, cfg.max_unit_ops);
+        assert_eq!(donor.hint.to_bits(), hint.to_bits());
+        // The fresh unit the turn leased was pulled with that hint.
+        recovered.commit_journal();
+        let (records, _) = read_log(&path).unwrap();
+        let Some(LogRecord::Issue { hint_ops, .. }) = records.last() else {
+            panic!("the turn issued a fresh unit last: {:?}", records.last())
+        };
+        assert_eq!(hint_ops.to_bits(), hint.to_bits());
         let _ = std::fs::remove_file(&path);
     }
 

@@ -236,8 +236,8 @@ events! {
         /// Number of clients declared gone by this sweep.
         stale: usize as int,
     },
-    /// A record was appended to the checkpoint log (`issue`, `result`
-    /// or `sched`).
+    /// A record was appended to the checkpoint log (`issue` or
+    /// `result`).
     CheckpointWrite = "checkpoint_write" {
         /// The record type.
         kind: String as text,

@@ -4,6 +4,7 @@
 # test binary `n` times, one run at a time, with `k` busy-loop
 # processes beside it (at most twice the CPU count; all of them are
 # killed when the script exits), then prints failures/n and the host.
+# It exits 1 when any run failed, so CI can gate on it.
 # Build the binary first, e.g.
 #   cargo test --release --offline --test stress --no-run
 #   sh scripts/flake.sh target/release/deps/stress-<hash> \
@@ -40,3 +41,4 @@ while [ "$i" -lt "$n" ]; do
 done
 cpu=$(sed -n 's/^model name[[:space:]]*: //p' /proc/cpuinfo | head -n 1)
 echo "$fails/$n failed: $test, $k busy loops, $cpus CPUs ($cpu)"
+[ "$fails" -eq 0 ] || exit 1

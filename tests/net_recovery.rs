@@ -2,9 +2,10 @@
 //! recover it from its checkpoint log, restart it on a fresh port, and
 //! let the *same* donor clients reconnect and finish the job.
 //!
-//! This is the tentpole robustness story end-to-end: the server's
-//! append-only journal (unit issues + folded results + scheduler
-//! snapshots) is the only thing that survives the kill, and the
+//! This is the robustness story end-to-end: the server's append-only
+//! journal (unit issues + folded results) is the only thing that
+//! survives the kill — every donor comes back to the recovered server
+//! as one that has just joined — and the
 //! recovered run must complete without recombining any already-folded
 //! unit — checked by the exactly-once audit — and still reproduce the
 //! fault-free sequential digest.
@@ -12,10 +13,8 @@
 use biodist::bioseq::synth::{random_sequence, DbSpec, SyntheticDb};
 use biodist::bioseq::Alphabet;
 use biodist::core::builtin::integration_problem;
-use biodist::core::net::checkpoint::read_log;
 use biodist::core::net::{
-    directory, spawn_clients, ClientKit, Clock, LogRecord, NetClientOptions, NetServer,
-    NetServerOptions,
+    directory, spawn_clients, ClientKit, Clock, NetClientOptions, NetServer, NetServerOptions,
 };
 use biodist::core::{
     audited, recover, Algorithm, CheckpointWriter, FaultPlan, SchedulerConfig, Server, TaskResult,
@@ -489,101 +488,6 @@ fn kill_tcp_server_with_two_unacked_results_in_flight() {
         .verify_run(&server)
         .expect("exactly-once invariants hold with results in flight across the crash");
 
-    let _ = std::fs::remove_file(&log);
-}
-
-/// A server given its journal and nothing else — `set_journal`, default
-/// options — snapshots its donor records into that journal. The lone
-/// donor folds one unit and is held inside its second, so the run
-/// cannot end; once a snapshot of its warm speed estimate is in the
-/// log, the server is killed, and recovery restores exactly the donor
-/// records it had.
-#[test]
-fn kill_tcp_server_with_only_a_journal_restores_its_donor_records() {
-    let cfg = || SchedulerConfig {
-        min_unit_ops: 2e6,
-        max_unit_ops: 2e6,
-        ..Default::default()
-    };
-    let points = 300_000;
-    let log = temp_log("journal-only");
-    // Wall-clock time: the held donor sends no heartbeat, and must not
-    // be declared gone (its record forgotten) within the test.
-    let clock = Clock::new(1.0);
-    let dir = directory();
-    let run_over = Arc::new(AtomicBool::new(false));
-
-    let mut problem = integration_problem(points);
-    let gate = Arc::new(GatedAlgorithm {
-        inner: problem.algorithm.clone(),
-        computes: AtomicU64::new(0),
-        inside: AtomicBool::new(false),
-        hold: AtomicBool::new(true),
-    });
-    problem.algorithm = gate.clone();
-    let mut server = Server::new(cfg());
-    let pid = server.submit(problem);
-    let writer = CheckpointWriter::create(&log).expect("create checkpoint log");
-    server.set_journal(Box::new(writer));
-    let kit = ClientKit::from_server(&server).expect("codecs registered");
-    let net = NetServer::start(server, clock, NetServerOptions::default()).expect("bind server");
-    dir.set_origin(Some(net.addr()));
-    let handles = spawn_clients(
-        dir.clone(),
-        clock,
-        kit,
-        1,
-        &FaultPlan::none(),
-        run_over.clone(),
-        NetClientOptions::default(),
-    );
-
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !gate.inside.load(Ordering::SeqCst)
-        || net.with_server(|s| s.stats(pid).completed_units) != Some(1)
-    {
-        assert!(
-            Instant::now() < deadline,
-            "donor never reached its second unit"
-        );
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    let held = net
-        .with_server(|s| s.scheduler().snapshot())
-        .expect("server alive");
-    assert!(
-        held.donors.iter().any(|row| row.adaptive.is_some()),
-        "the donor's speed estimate is warm: {held:?}"
-    );
-    // Every 50 ticks of 2 ms shard 0 snapshots into the journal.
-    let snapshotted = |records: &[LogRecord]| {
-        let snap = |r: &LogRecord| matches!(r, LogRecord::Donors(snap) if *snap == held);
-        records.iter().any(snap)
-    };
-    while !snapshotted(&read_log(&log).expect("read checkpoint log").0) {
-        assert!(
-            Instant::now() < deadline,
-            "no snapshot of the donor records reached the journal"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    dir.set_origin(None);
-    net.kill();
-
-    let (server, report) =
-        recover(cfg(), vec![integration_problem(points)], &log).expect("recover from log");
-    assert_eq!(report.replayed_results, 1, "one result reached the log");
-    assert_eq!(
-        server.scheduler().snapshot(),
-        held,
-        "recovery restores the donor records the server had"
-    );
-
-    gate.hold.store(false, Ordering::SeqCst);
-    run_over.store(true, Ordering::SeqCst);
-    for h in handles {
-        h.join().expect("client thread");
-    }
     let _ = std::fs::remove_file(&log);
 }
 

@@ -831,7 +831,7 @@ fn replica_selection_is_deterministic_and_avoids_dead_endpoints() {
 
 // ------------------------------------------------- one donor record
 
-use biodist::core::{DonorRow, DonorSnapshot, EventKind, TraceEvent};
+use biodist::core::{EventKind, TraceEvent};
 use biodist::util::stats::Ewma;
 use std::collections::HashMap;
 
@@ -871,18 +871,6 @@ impl SeparateMaps {
         self.clients.remove(&client);
     }
 
-    fn snapshot(&self) -> DonorSnapshot {
-        let prior = self.cfg.prior_ops_per_sec;
-        let ids: std::collections::BTreeSet<usize> = self.clients.keys().copied().collect();
-        let row = |client| DonorRow {
-            client,
-            adaptive: (self.clients.get(&client)).map(|st| (st.0.value().unwrap_or(prior), st.1)),
-        };
-        DonorSnapshot {
-            donors: ids.into_iter().map(row).collect(),
-        }
-    }
-
     fn audit(&self) -> Vec<String> {
         let (lo, hi) = (self.cfg.min_unit_ops, self.cfg.max_unit_ops);
         let mut violations = Vec::new();
@@ -905,8 +893,7 @@ impl SeparateMaps {
     }
 }
 
-/// Random `record_completion` / `forget_client` / snapshot → `restore`
-/// sequences:
+/// Random `record_completion` / `forget_client` sequences:
 /// the scheduler's one record per donor must answer every question the
 /// way the separate maps did, after every step.
 #[test]
@@ -925,20 +912,10 @@ fn donor_records_match_the_separate_maps_model() {
             cfg: cfg.clone(),
             clients: HashMap::new(),
         };
-        // Snapshots taken earlier in the run, to restore later.
-        let mut saved = vec![model.snapshot()];
-        // Speeds compared bit for bit: a poisoned cost leaves a NaN.
-        let bits = |s: &DonorSnapshot| -> Vec<_> {
-            let rows = s.donors.iter().map(|r| {
-                let adaptive = r.adaptive.map(|(speed, units)| (speed.to_bits(), units));
-                (r.client, adaptive)
-            });
-            rows.collect()
-        };
         for step in 0..300 {
             let at = format!("case {case} step {step}");
             let client = rng.next_below(CLIENTS) as usize;
-            match rng.next_below(11) {
+            match rng.next_below(9) {
                 0..=7 => {
                     // Mostly on pace, sometimes ten times slower, and
                     // once in a while a poisoned cost.
@@ -952,24 +929,9 @@ fn donor_records_match_the_separate_maps_model() {
                     sched.record_completions(client, [(cost, elapsed, queue_factor)]);
                     model.record_completion(client, cost, elapsed, queue_factor);
                 }
-                8 => {
+                _ => {
                     sched.forget_client(client);
                     model.forget(client);
-                }
-                9 => saved.push(model.snapshot()),
-                _ => {
-                    // An earlier whole snapshot goes back in.
-                    let snap = &saved[rng.next_below(saved.len() as u64) as usize];
-                    sched.restore(snap);
-                    model.clients.clear();
-                    for row in &snap.donors {
-                        let sound = |&(speed, _): &(f64, u64)| speed.is_finite() && speed > 0.0;
-                        if let Some((speed, units)) = row.adaptive.filter(sound) {
-                            let mut ewma = Ewma::new(0.3);
-                            ewma.update(speed);
-                            model.clients.insert(row.client, (ewma, units, 0.0, 1.0));
-                        }
-                    }
                 }
             }
             for c in 0..CLIENTS as usize {
@@ -995,8 +957,6 @@ fn donor_records_match_the_separate_maps_model() {
                     "{at}"
                 );
             }
-            let snapshot = bits(&sched.snapshot());
-            assert_eq!(snapshot, bits(&model.snapshot()), "snapshot ({at})");
             let known: HashSet<usize> = sched.known_clients().collect();
             let separately: HashSet<usize> = model.clients.keys().copied().collect();
             assert_eq!(known, separately, "known clients ({at})");

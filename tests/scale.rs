@@ -305,15 +305,12 @@ fn silent_donor_on_one_shard_cannot_strand_the_run() {
 struct Records {
     issues: u64,
     results: u64,
-    donors: u64,
 }
 
 /// One donor against one shard with the write-ahead journal and
 /// telemetry on: `units` fixed 1e4-op units of the π integration.
 /// Checks the output and the exactly-once audit and returns the run's
-/// counters and its log's records by kind. The log holds, besides the
-/// units' own records, a `Donors` snapshot for about every 100 ms the
-/// run lasted, each a commit of its own.
+/// counters and its log's records by kind.
 fn journaled_run(units: u64) -> (MetricsSnapshot, Records) {
     // One log per run: the harness runs this file's tests side by side.
     static RUNS: AtomicU64 = AtomicU64::new(0);
@@ -366,7 +363,6 @@ fn journaled_run(units: u64) -> (MetricsSnapshot, Records) {
         *match record {
             LogRecord::Issue { .. } => &mut records.issues,
             LogRecord::Result { .. } => &mut records.results,
-            LogRecord::Donors(_) => &mut records.donors,
         } += 1;
     }
     assert_eq!(server.stats(pid).completed_units, units);
@@ -377,20 +373,19 @@ fn journaled_run(units: u64) -> (MetricsSnapshot, Records) {
     // (Shown with `--nocapture`: the hand-read numbers of EXPERIMENTS.md.)
     eprintln!(
         "{units} units: client_writes {} frames_in {} frames_out {} pumps {} \
-         ckpt.commits {} ckpt.records {} (donors {}) resubmits {} compute_runs {}",
+         ckpt.commits {} ckpt.records {} resubmits {} compute_runs {}",
         snap.counter("net.client_writes"),
         snap.counter("net.frames_in"),
         snap.counter("net.frames_out"),
         snap.counter("net.pumps"),
         snap.counter("ckpt.commits"),
         snap.counter("ckpt.records"),
-        records.donors,
         snap.counter("net.resubmits"),
         snap.counter("net.compute_runs"),
     );
     assert_eq!(
         snap.counter("ckpt.records"),
-        records.issues + records.results + records.donors,
+        records.issues + records.results,
         "the counter counts what the log holds"
     );
     (snap, records)
@@ -404,7 +399,6 @@ fn journaled_run(units: u64) -> (MetricsSnapshot, Records) {
 /// including those where donor and origin ran on different CPUs: there
 /// the two overlap, the donor's exposed wait is only what it could not
 /// overlap, and the depth it derives settles near 10 instead of 64.
-/// The journal's commits include its periodic `Donors` snapshots.
 /// (That millisecond units do not batch — every result leaves before
 /// the next compute, in a turn of one — is checked step by step,
 /// without a stopwatch, by `client.rs`'s scripted-origin test
