@@ -31,11 +31,14 @@
 //! Ties go to the first end in row-major order, and within a cell to
 //! `M`, then `Ix`, then `Iy`; a cell's predecessor is chosen in the same
 //! order (`Iy` compares `M`, `Iy`, `Ix`). Scores run in linear memory
-//! (two rolling rows of each state); a traceback adds one byte per cell.
+//! (two rolling rows of each state, kept per thread from one score to
+//! the next, so a score allocates nothing); a traceback adds one byte
+//! per cell.
 
 use crate::aln::{AlignedPair, AlnOp};
 use crate::NEG_INF;
 use biodist_bioseq::{ScoringScheme, Sequence};
+use std::cell::Cell;
 use std::iter::repeat_n;
 use std::ops::RangeInclusive;
 
@@ -120,6 +123,14 @@ pub fn nw_banded_score(
 /// One row of the `M`, `Ix` and `Iy` matrices, `j = 0..=m` each.
 type Row = [Vec<i32>; 3];
 
+const NO_ROW: Row = [Vec::new(), Vec::new(), Vec::new()];
+
+thread_local! {
+    /// The two rolling rows of this thread's last fill, which the next
+    /// one reuses instead of allocating its own.
+    static ROWS: Cell<[Row; 2]> = const { Cell::new([NO_ROW; 2]) };
+}
+
 /// Where an alignment ends: its score, cell and state.
 struct End {
     score: i32,
@@ -180,8 +191,11 @@ fn fill<const MODE: u8, const TRACE: bool>(
         (-(n as i64), m as i64)
     };
 
-    let neg_row = || -> Row { std::array::from_fn(|_| vec![NEG_INF; m + 1]) };
-    let (mut prev, mut cur) = (neg_row(), neg_row());
+    let [mut prev, mut cur] = ROWS.take();
+    for row in prev.iter_mut().chain(&mut cur) {
+        row.clear();
+        row.resize(m + 1, NEG_INF);
+    }
     if MODE == SEMI || MODE == LOCAL {
         cur[0].fill(0); // free start anywhere on row 0
     } else {
@@ -263,6 +277,7 @@ fn fill<const MODE: u8, const TRACE: bool>(
         GLOBAL | BANDED => end.scan::<MODE>(n, &cur, m..=m),
         _ => {}
     }
+    ROWS.set([prev, cur]);
     end
 }
 

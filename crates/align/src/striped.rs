@@ -31,6 +31,8 @@
 
 use crate::profile::{QueryProfile, WIDTH_I32};
 use biodist_bioseq::{GapPenalty, ScoringScheme, Sequence};
+use std::cell::Cell;
+use std::thread::LocalKey;
 
 /// Which SIMD implementation the striped kernel dispatches to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,11 +115,39 @@ pub fn sw_score_striped_profiled(
     run_i32(profile, sc, gap.open, gap.extend)
 }
 
+/// The three rows a striped score runs over — `H` stored, `H` loaded
+/// and `E`, one lane vector per stripe. Each engine keeps one set per
+/// thread ([`LanesI16::rows`]), which a score takes and puts back:
+/// scoring a subject allocates nothing once the rows are as long as the
+/// query's stripes.
+type Rows<V> = [Vec<V>; 3];
+
+const fn no_rows<V>() -> Rows<V> {
+    [Vec::new(), Vec::new(), Vec::new()]
+}
+
+/// Takes this thread's rows of `key`, each `seg_len` copies of `zero`.
+fn take_rows<V: Copy>(key: &'static LocalKey<Cell<Rows<V>>>, seg_len: usize, zero: V) -> Rows<V> {
+    let mut rows = key.take();
+    for row in &mut rows {
+        row.clear();
+        row.resize(seg_len, zero);
+    }
+    rows
+}
+
+thread_local! {
+    /// The `i32` rescore's rows.
+    static ROWS_I32: Cell<Rows<[i32; WIDTH_I32]>> = const { Cell::new(no_rows()) };
+}
+
 /// Fixed-width `i16` lane bundle. All ops are saturating, so overflow
 /// clamps at the type bounds instead of wrapping; the kernel relies on
 /// that for its saturation-detection contract.
-trait LanesI16: Copy {
+trait LanesI16: Copy + 'static {
     const WIDTH: usize;
+    /// This engine's per-thread [`Rows`].
+    fn rows() -> &'static LocalKey<Cell<Rows<Self>>>;
     fn zero() -> Self;
     fn splat(x: i16) -> Self;
     /// Loads `Self::WIDTH` lanes from the head of `src`.
@@ -142,9 +172,9 @@ fn run_i16<V: LanesI16>(profile: &QueryProfile, subject: &[u8], go: i16, ge: i16
     let seg_len = profile.seg_len();
     debug_assert_eq!(profile.width(), V::WIDTH);
     let (vgo, vge, zero) = (V::splat(go), V::splat(ge), V::zero());
-    let mut h_store = vec![zero; seg_len];
-    let mut h_load = vec![zero; seg_len];
-    let mut e = vec![zero; seg_len];
+    let mut rows = take_rows(V::rows(), seg_len, zero);
+    // Sliced to one length so that the loops index without bounds checks.
+    let [mut h_store, mut h_load, e] = rows.each_mut().map(|r| &mut r[..seg_len]);
     let mut vmax = zero;
 
     for &c in subject {
@@ -190,6 +220,7 @@ fn run_i16<V: LanesI16>(profile: &QueryProfile, subject: &[u8], go: i16, ge: i16
             }
         }
     }
+    V::rows().set(rows);
     vmax.hmax()
 }
 
@@ -201,9 +232,8 @@ fn run_i32(profile: &QueryProfile, subject: &[u8], go: i32, ge: i32) -> i32 {
     type V = [i32; W];
     let seg_len = profile.seg_len32();
     let zero: V = [0; W];
-    let mut h_store = vec![zero; seg_len];
-    let mut h_load = vec![zero; seg_len];
-    let mut e = vec![zero; seg_len];
+    let mut rows = take_rows(&ROWS_I32, seg_len, zero);
+    let [mut h_store, mut h_load, e] = rows.each_mut().map(|r| &mut r[..seg_len]);
     let mut vmax = zero;
 
     let vmaxw = |a: &mut V, b: V| {
@@ -262,6 +292,7 @@ fn run_i32(profile: &QueryProfile, subject: &[u8], go: i32, ge: i32) -> i32 {
             }
         }
     }
+    ROWS_I32.set(rows);
     vmax.into_iter().max().expect("non-empty lanes")
 }
 
@@ -273,6 +304,11 @@ struct P16([i16; 8]);
 
 impl LanesI16 for P16 {
     const WIDTH: usize = 8;
+
+    fn rows() -> &'static LocalKey<Cell<Rows<Self>>> {
+        thread_local!(static ROWS: Cell<Rows<P16>> = const { Cell::new(no_rows()) });
+        &ROWS
+    }
 
     fn zero() -> Self {
         Self([0; 8])
@@ -319,7 +355,7 @@ impl LanesI16 for P16 {
 mod sse2 {
     //! 128-bit engine. SSE2 is part of the x86_64 baseline, so these
     //! intrinsics are statically available — no runtime gate needed.
-    use super::LanesI16;
+    use super::{no_rows, Cell, LanesI16, LocalKey, Rows};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy)]
@@ -327,6 +363,11 @@ mod sse2 {
 
     impl LanesI16 for S16 {
         const WIDTH: usize = 8;
+
+        fn rows() -> &'static LocalKey<Cell<Rows<Self>>> {
+            thread_local!(static ROWS: Cell<Rows<S16>> = const { Cell::new(no_rows()) });
+            &ROWS
+        }
 
         #[inline(always)]
         fn zero() -> Self {
@@ -385,7 +426,7 @@ mod sse2 {
 mod avx2 {
     //! 256-bit engine. Only reachable through the `target_feature`
     //! wrapper below, so every method assumes AVX2 is available.
-    use super::LanesI16;
+    use super::{no_rows, Cell, LanesI16, LocalKey, Rows};
     use std::arch::x86_64::*;
 
     #[derive(Clone, Copy)]
@@ -393,6 +434,11 @@ mod avx2 {
 
     impl LanesI16 for A16 {
         const WIDTH: usize = 16;
+
+        fn rows() -> &'static LocalKey<Cell<Rows<Self>>> {
+            thread_local!(static ROWS: Cell<Rows<A16>> = const { Cell::new(no_rows()) });
+            &ROWS
+        }
 
         #[inline(always)]
         fn zero() -> Self {

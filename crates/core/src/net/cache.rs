@@ -20,16 +20,47 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// FNV-1a digest of a chunk's wire bytes — the cache key and the
-/// integrity check a client applies to every `ChunkData` frame before
-/// trusting it.
+/// Digest of a chunk's wire bytes — the cache key and the integrity
+/// check a client applies to every `ChunkData` frame before trusting it.
+///
+/// An unkeyed 64-bit hash that takes 16 bytes a step, each step one
+/// folded 64×64→128-bit multiply as in wyhash: the two little-endian
+/// words of a block, each xored with a constant or the state, are
+/// multiplied, the product's halves xored together and the old state
+/// xored back in, so a block whose product is zero does not wipe out
+/// what came before it. The last block is zero-padded and the length
+/// mixed in after it, so inputs that differ only in trailing zeros
+/// differ. About 0.23 ns a byte on a 2-vCPU Xeon VM against
+/// byte-serial FNV-1a's 1.5 (EXPERIMENTS.md).
+///
+/// Detection is probabilistic: two different inputs share a digest
+/// with a chance of about 2⁻⁶⁴, and no change, even of one byte, is
+/// caught for certain. (A block whose first word is `P1` hides its
+/// second word; random or corrupted bytes make that block with the
+/// same 2⁻⁶⁴ chance.) It detects corruption, not an adversary: a
+/// chunk's bytes come from the farm's own origin.
 pub fn chunk_digest(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
+    const P0: u64 = 0xa076_1d64_78bd_642f;
+    const P1: u64 = 0xe703_7ed1_a0b4_28db;
+    const P2: u64 = 0x8ebc_6af0_9c88_c6e3;
+    const P3: u64 = 0x5899_65cc_7537_4cc3;
+    fn mix(a: u64, b: u64) -> u64 {
+        let r = u128::from(a) * u128::from(b);
+        (r as u64) ^ ((r >> 64) as u64)
     }
-    h
+    fn word(b: &[u8]) -> u64 {
+        u64::from_le_bytes(b.try_into().expect("eight bytes"))
+    }
+    let mut h = P0;
+    let mut blocks = bytes.chunks_exact(16);
+    for block in &mut blocks {
+        h ^= mix(word(&block[..8]) ^ P1, word(&block[8..]) ^ h);
+    }
+    let rest = blocks.remainder();
+    let mut tail = [0u8; 16];
+    tail[..rest.len()].copy_from_slice(rest);
+    h ^= mix(word(&tail[..8]) ^ P2, word(&tail[8..]) ^ h);
+    h ^ mix(h ^ P3, bytes.len() as u64 ^ P1)
 }
 
 /// Monotonic counters describing a cache's lifetime behaviour.
@@ -254,6 +285,65 @@ mod tests {
     fn chunk(fill: u8, len: usize) -> (u64, Arc<Vec<u8>>) {
         let bytes = Arc::new(vec![fill; len]);
         (chunk_digest(&bytes), bytes)
+    }
+
+    /// `len` bytes that differ from block to block and within one.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 + 7) as u8).collect()
+    }
+
+    /// The digest's values around every block boundary (an empty input,
+    /// a tail alone, one and two whole blocks with and without a tail)
+    /// and on a chunk-sized input: a change to the function is a change
+    /// to what every donor and replica accepts.
+    #[test]
+    fn chunk_digest_is_pinned_at_block_boundaries() {
+        let golden: [(usize, u64); 8] = [
+            (0, 0x38d6_623c_1512_8523),
+            (1, 0xc224_6c64_b6b1_6631),
+            (15, 0xb9b2_02d8_381e_3a1d),
+            (16, 0xec7e_368d_9fdc_38f9),
+            (17, 0xc8ce_4f5d_63ef_60f3),
+            (31, 0xf898_9c2e_05f8_b189),
+            (32, 0x670b_ae20_afbc_507c),
+            (330, 0xc17c_160e_f804_b800),
+        ];
+        for (len, want) in golden {
+            assert_eq!(chunk_digest(&pattern(len)), want, "{len} bytes");
+        }
+    }
+
+    /// Flipping any one bit of an input of 1–1,024 bytes changes its
+    /// digest: 10,000 seeded inputs, a random bit of each.
+    #[test]
+    fn flipping_any_single_bit_changes_the_digest() {
+        use biodist_util::rng::{Rng, SplitMix64};
+        let mut rng = SplitMix64::new(0xD16E_57ED);
+        for case in 0..10_000 {
+            let len = 1 + rng.next_below(1024) as usize;
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let before = chunk_digest(&bytes);
+            let bit = rng.next_below(8 * len as u64) as usize;
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(
+                chunk_digest(&bytes),
+                before,
+                "case {case}: bit {bit} of {len} bytes"
+            );
+        }
+    }
+
+    /// A block whose multiply comes out zero (its first word is the
+    /// step's constant) keeps what was hashed before it: a byte changed
+    /// in the block ahead still changes the digest.
+    #[test]
+    fn a_zero_product_block_keeps_the_bytes_before_it() {
+        let mut bytes = pattern(16);
+        bytes.extend_from_slice(&0xe703_7ed1_a0b4_28db_u64.to_le_bytes());
+        bytes.extend_from_slice(&pattern(8));
+        let before = chunk_digest(&bytes);
+        bytes[0] ^= 1;
+        assert_ne!(chunk_digest(&bytes), before);
     }
 
     #[test]

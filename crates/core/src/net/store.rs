@@ -3,7 +3,7 @@
 //!
 //! PR 5 moved chunk bytes off the work-unit path; this module moves
 //! them off the *origin server*: a [`ChunkStore`] holds chunks keyed by
-//! their FNV-1a digest, and N [`ReplicaServer`]s each expose one over
+//! their [`chunk_digest`], and N [`ReplicaServer`]s each expose one over
 //! TCP. Replicas are lazy mirrors — a chunk is pulled through from the
 //! origin on the first request that needs it, verified against its
 //! digest before it is stored or served, so a replica can never launder
@@ -64,7 +64,7 @@ struct StoreState {
     bytes: u64,
 }
 
-/// A content-addressed chunk store: bytes keyed by their FNV-1a digest,
+/// A content-addressed chunk store: bytes keyed by their [`chunk_digest`],
 /// with a `(problem, chunk)` index on top so wire requests (which name
 /// chunks, not digests) can be answered. Inserts are digest-verified —
 /// bytes that do not hash to the claimed digest are refused, so a store

@@ -170,9 +170,9 @@ pub enum Frame {
         problem: u64,
         /// Codec-defined chunk id within the problem.
         chunk: u64,
-        /// Content digest of `payload` (FNV-1a); the client verifies it
-        /// before caching, so a stale or mismatched chunk is refetched
-        /// rather than silently used.
+        /// Content digest of `payload` ([`crate::net::chunk_digest`]);
+        /// the client verifies it before caching, so a stale or
+        /// mismatched chunk is refetched rather than silently used.
         digest: u64,
         /// Codec-encoded chunk bytes.
         payload: Vec<u8>,
